@@ -15,7 +15,7 @@
 //! results are identical regardless of thread count or schedule.
 
 use audb_core::WinAgg;
-use audb_rel::{sort_to_pos, window_rows, AggFunc, Relation, Tuple, Value, WindowSpec};
+use audb_rel::{sort_to_pos, window_rows, Relation, Tuple, Value, WindowSpec};
 use audb_worlds::XTupleTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,13 +66,7 @@ pub fn mcdb_window_bounds(
     seed: u64,
 ) -> Vec<Option<(Value, Value)>> {
     let id_col = table.schema.arity();
-    let dagg = match agg {
-        WinAgg::Sum(c) => AggFunc::Sum(c),
-        WinAgg::Count => AggFunc::Count,
-        WinAgg::Min(c) => AggFunc::Min(c),
-        WinAgg::Max(c) => AggFunc::Max(c),
-        WinAgg::Avg(c) => AggFunc::Avg(c),
-    };
+    let dagg = agg.det();
     let per_sample = audb_par::par_run(samples, |s| {
         let world = tagged_world(table, sample_rng(seed, s));
         let spec = WindowSpec::rows(order.to_vec(), l, u);

@@ -284,14 +284,38 @@ where
     }
 
     /// Iterate component heap `h` in sorted order without disturbing the
-    /// structure: clones that component's index vector and drains it as a
-    /// scratch heap (`O(k log n)` for the first `k` elements). Used by the
-    /// min-k / max-k pool scans of the window algorithm.
+    /// structure. Allocates a fresh frontier per call; loops that scan a
+    /// component again and again use [`ConnectedHeap::sorted_iter_in`].
     pub fn sorted_iter(&self, h: usize) -> SortedIter<'_, T, C> {
+        self.sorted_iter_over(h, Vec::new())
+    }
+
+    /// [`ConnectedHeap::sorted_iter`] through a caller-owned scratch buffer
+    /// (cleared first; its capacity is reused, so a warmed-up buffer makes
+    /// the scan allocation-free). The min-k / max-k pool scans of the
+    /// window algorithm run this twice per closing window.
+    pub fn sorted_iter_in<'a>(
+        &'a self,
+        h: usize,
+        scratch: &'a mut Vec<usize>,
+    ) -> SortedIter<'a, T, C, &'a mut Vec<usize>> {
+        self.sorted_iter_over(h, scratch)
+    }
+
+    fn sorted_iter_over<S: AsMut<Vec<usize>>>(
+        &self,
+        h: usize,
+        mut frontier: S,
+    ) -> SortedIter<'_, T, C, S> {
+        let f = frontier.as_mut();
+        f.clear();
+        if !self.heaps[h].is_empty() {
+            f.push(0);
+        }
         SortedIter {
             owner: self,
             h,
-            scratch: self.heaps[h].clone(),
+            frontier,
         }
     }
 
@@ -319,56 +343,68 @@ where
 }
 
 /// Lazy sorted iteration over one component of a [`ConnectedHeap`].
-pub struct SortedIter<'a, T, C>
+///
+/// The component is itself a binary heap, so its `k` smallest records are
+/// reachable from the root through at most `k` parent links: the iterator
+/// keeps a *frontier* — a small min-heap of node positions whose parents
+/// were all yielded already — pops its minimum and pushes that node's two
+/// children. The first `k` elements cost `O(k log k)` comparisons and
+/// never touch the other `n − k` nodes (no copy of the component).
+pub struct SortedIter<'a, T, C, S = Vec<usize>>
 where
     C: Fn(usize, &T, &T) -> Ordering,
 {
     owner: &'a ConnectedHeap<T, C>,
     h: usize,
-    scratch: Vec<usize>,
+    /// Min-heap (by payload order) of node positions inside component `h`.
+    frontier: S,
 }
 
-impl<'a, T, C> Iterator for SortedIter<'a, T, C>
+impl<'a, T, C, S> Iterator for SortedIter<'a, T, C, S>
 where
     C: Fn(usize, &T, &T) -> Ordering,
+    S: AsMut<Vec<usize>>,
 {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
-        if self.scratch.is_empty() {
+        let owner = self.owner;
+        let nodes = &owner.heaps[self.h];
+        let less = |a: usize, b: usize| owner.less(self.h, nodes[a], nodes[b]);
+        let f = self.frontier.as_mut();
+        if f.is_empty() {
             return None;
         }
-        let top = self.scratch[0];
-        let last = self.scratch.len() - 1;
-        self.scratch.swap(0, last);
-        self.scratch.pop();
-        // Restore the heap property on the scratch vector.
+        let top = f.swap_remove(0);
+        // Restore the frontier's heap property below the moved-up last node.
         let mut at = 0usize;
-        let n = self.scratch.len();
         loop {
             let (l, r) = (2 * at + 1, 2 * at + 2);
             let mut smallest = at;
-            if l < n
-                && self
-                    .owner
-                    .less(self.h, self.scratch[l], self.scratch[smallest])
-            {
+            if l < f.len() && less(f[l], f[smallest]) {
                 smallest = l;
             }
-            if r < n
-                && self
-                    .owner
-                    .less(self.h, self.scratch[r], self.scratch[smallest])
-            {
+            if r < f.len() && less(f[r], f[smallest]) {
                 smallest = r;
             }
             if smallest == at {
                 break;
             }
-            self.scratch.swap(at, smallest);
+            f.swap(at, smallest);
             at = smallest;
         }
-        Some(self.owner.payload(top))
+        for child in [2 * top + 1, 2 * top + 2] {
+            if child >= nodes.len() {
+                break;
+            }
+            f.push(child);
+            let mut at = f.len() - 1;
+            while at > 0 && less(f[at], f[(at - 1) / 2]) {
+                f.swap(at, (at - 1) / 2);
+                at = (at - 1) / 2;
+            }
+        }
+        Some(owner.payload(nodes[top]))
     }
 }
 

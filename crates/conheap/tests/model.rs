@@ -28,8 +28,72 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Three orders over a triple — the window pool's shape: two ascending,
+/// one descending, each made total by the remaining keys.
+fn cmp3(h: usize, a: &(i64, i64, i64), b: &(i64, i64, i64)) -> Ordering {
+    match h {
+        0 => a.cmp(b),
+        1 => (a.1, a.2, a.0).cmp(&(b.1, b.2, b.0)),
+        _ => (b.2, a.0, a.1).cmp(&(a.2, b.0, b.1)),
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Op3 {
+    Insert(i64, i64, i64),
+    Pop(u8),
+    Clear,
+}
+
+fn op3_strategy() -> impl Strategy<Value = Op3> {
+    // Ten inserts to five pops to one clear.
+    (0u8..16, -20i64..20, -20i64..20, -20i64..20).prop_map(|(pick, a, b, c)| match pick {
+        0 => Op3::Clear,
+        1..=5 => Op3::Pop(pick % 3),
+        _ => Op3::Insert(a, b, c),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scratch-reusing sorted iteration yields exactly what
+    /// `sorted_iter` yields — the component's contents in order — after
+    /// every step of an interleaved insert/pop/clear history, through one
+    /// scratch buffer reused for all of them, and disturbs nothing.
+    #[test]
+    fn sorted_iter_in_matches_sorted_iter(ops in proptest::collection::vec(op3_strategy(), 1..100)) {
+        let mut ch = ConnectedHeap::new(3, cmp3);
+        let mut model: Vec<(i64, i64, i64)> = Vec::new();
+        let mut scratch: Vec<usize> = Vec::new();
+        for op in ops {
+            match op {
+                Op3::Insert(a, b, c) => {
+                    ch.insert((a, b, c));
+                    model.push((a, b, c));
+                }
+                Op3::Pop(h) => {
+                    if let Some(x) = ch.pop(h as usize) {
+                        let idx = model.iter().position(|&m| m == x).unwrap();
+                        model.swap_remove(idx);
+                    }
+                }
+                Op3::Clear => {
+                    ch.clear();
+                    model.clear();
+                }
+            }
+            for h in 0..3 {
+                let through_scratch: Vec<_> = ch.sorted_iter_in(h, &mut scratch).cloned().collect();
+                let fresh: Vec<_> = ch.sorted_iter(h).cloned().collect();
+                prop_assert_eq!(&through_scratch, &fresh);
+                model.sort_by(|a, b| cmp3(h, a, b));
+                prop_assert_eq!(&through_scratch, &model);
+            }
+            prop_assert!(ch.validate(), "heap invariants violated");
+            prop_assert_eq!(ch.len(), model.len());
+        }
+    }
 
     /// The connected heap agrees with a plain sorted-vector model on every
     /// peek/pop, under both component orders, and `validate()` never fails.
@@ -108,4 +172,31 @@ proptest! {
         prop_assert_eq!(ch.len(), items.len());
         prop_assert!(ch.validate());
     }
+}
+
+/// A full-size scan of each component warms the scratch buffer up; later
+/// scans of the same heap, full or partial, reuse its capacity.
+#[test]
+fn sorted_iter_in_scratch_stops_growing() {
+    let mut ch = ConnectedHeap::new(3, cmp3);
+    for i in 0..500i64 {
+        ch.insert((i * 37 % 211, i * 53 % 223, i * 71 % 227));
+    }
+    let mut scratch: Vec<usize> = Vec::new();
+    for h in 0..3 {
+        assert_eq!(ch.sorted_iter_in(h, &mut scratch).count(), 500);
+    }
+    let warmed = scratch.capacity();
+    assert!(warmed > 0 && warmed <= 500);
+    for round in 0..10 {
+        for h in 0..3 {
+            let taken = ch
+                .sorted_iter_in(h, &mut scratch)
+                .take(500 - 50 * round)
+                .count();
+            assert_eq!(taken, 500 - 50 * round);
+            assert_eq!(scratch.capacity(), warmed, "round {round}, component {h}");
+        }
+    }
+    assert!(ch.validate());
 }

@@ -69,8 +69,8 @@ pub use ops::select::select as au_select;
 pub use ops::sort::{sort_ref, topk_ref};
 pub use ops::union::union as au_union;
 pub use ops::window::{
-    aggregate_window, guaranteed_extra_slots, sg_window_values, window_ref, AuWindowSpec, WinAgg,
-    WindowMembers,
+    aggregate_window, guaranteed_extra_slots, sg_ordered_inputs, sg_window_values, window_ref,
+    AuWindowSpec, WinAgg, WindowMembers,
 };
 pub use ops::window_range::{window_range_ref, AuRangeWindowSpec};
 pub use physical::{CertBitmap, PhysSlice, PhysType, PhysVec, StrPool};

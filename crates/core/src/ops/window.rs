@@ -34,7 +34,8 @@ use crate::range_value::{RangeValue, TruthRange};
 use crate::relation::AuRelation;
 use crate::tuple::AuTuple;
 use audb_rel::ops::sort::total_order;
-use audb_rel::Value;
+use audb_rel::ops::window::sliding_aggregate;
+use audb_rel::{AggFunc, Value};
 
 /// Window aggregate functions supported over AU-DBs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,9 +62,20 @@ impl WinAgg {
         }
     }
 
+    /// The deterministic aggregate the selected-guess component evaluates.
+    pub fn det(&self) -> AggFunc {
+        match *self {
+            WinAgg::Sum(c) => AggFunc::Sum(c),
+            WinAgg::Count => AggFunc::Count,
+            WinAgg::Min(c) => AggFunc::Min(c),
+            WinAgg::Max(c) => AggFunc::Max(c),
+            WinAgg::Avg(c) => AggFunc::Avg(c),
+        }
+    }
+
     /// The range of the aggregated attribute for a tuple (`[1,1,1]` for
     /// `count(*)`).
-    fn attr_range(&self, t: &AuTuple) -> RangeValue {
+    pub fn attr_range(&self, t: &AuTuple) -> RangeValue {
         match self.input_col() {
             Some(c) => t.get(c).clone(),
             None => RangeValue::certain(1i64),
@@ -151,9 +163,43 @@ pub fn guaranteed_extra_slots(
     filled.saturating_sub(cert_members).min(possn)
 }
 
+/// Sort `(id, tuple)` entries of one partition of the selected-guess world
+/// into the **selected-guess order** — defined here and nowhere else — and
+/// return, in that order, the selected guess of the aggregated attribute
+/// (`1` for `count(*)`): the value slice [`sliding_aggregate`] turns into
+/// the deterministic window operator's output (paper Fig. 3).
+///
+/// Rows are ordered by their selected guesses under `<total_O`
+/// ([`total_order`] of the ORDER BY attributes), ties broken by *content* —
+/// the lower-bound corner, then the upper-bound corner, both in column
+/// order — and only then by the caller's id. Rows with equal selected
+/// guesses are thus ordered by their hypercube, which makes the
+/// selected-guess component independent of the caller's row order: the
+/// native sweep and the reference feed rows in different orders but must
+/// agree (see tests/method_agreement). Shared by [`sg_window_values`] and
+/// the native sweep's incremental tail.
+pub fn sg_ordered_inputs(
+    entries: &mut [(usize, &AuTuple)],
+    order: &[usize],
+    agg: WinAgg,
+) -> Vec<Value> {
+    let Some((_, first)) = entries.first() else {
+        return Vec::new();
+    };
+    let total = total_order(first.arity(), order);
+    let columns: Vec<usize> = (0..first.arity()).collect();
+    entries.sort_unstable_by(|(i, a), (j, b)| {
+        a.cmp_sg_on(b, &total)
+            .then_with(|| a.cmp_lb_on(b, &columns))
+            .then_with(|| a.cmp_ub_on(b, &columns))
+            .then(i.cmp(j))
+    });
+    entries.iter().map(|(_, t)| agg.attr_range(t).sg).collect()
+}
+
 /// Compute the selected-guess window aggregate for every expanded row by
 /// running the *deterministic* window operator (paper Fig. 3) over the
-/// selected-guess world, with row provenance so each duplicate receives its
+/// selected-guess world in the order of [`sg_ordered_inputs`], so each duplicate receives its
 /// own value. Rows absent from the SG world (sg multiplicity 0) fall back
 /// to the value of their row's last SG duplicate, or to their own sg
 /// attribute value — the sg component of a tuple that does not exist in the
@@ -162,63 +208,33 @@ pub fn guaranteed_extra_slots(
 ///
 /// `exp` must contain only rows of possible multiplicity ≤ 1 (the output of
 /// [`AuRelation::expand`]), with duplicates of the same hypercube adjacent.
-/// Shared by this reference implementation and `audb_native::window` so the
-/// two produce identical selected-guess components.
 pub fn sg_window_values(exp: &AuRelation, spec: &AuWindowSpec, agg: WinAgg) -> Vec<Value> {
-    use audb_rel::{window_rows, AggFunc, Relation, Schema, Tuple, WindowSpec};
     let n = exp.rows().len();
-    let arity = exp.schema.arity();
-    // Provenance-tagged SG world with *content* tie-breaking: columns are
-    // [sg values | lb corner | ub corner | id]. The deterministic window
-    // operator breaks sg-order ties by the remaining columns in index
-    // order, so rows with equal selected guesses are ordered by their
-    // hypercube content before the arbitrary id — making the sg component
-    // independent of the caller's row ordering (native and reference feed
-    // rows in different orders but must agree; see tests/method_agreement).
-    let mut det_rows: Vec<(Tuple, u64)> = Vec::new();
-    for (i, row) in exp.rows().iter().enumerate() {
-        if row.mult.sg > 0 {
-            let mut vals = row.tuple.sg_tuple().0;
-            vals.extend(row.tuple.lb_tuple().0);
-            vals.extend(row.tuple.ub_tuple().0);
-            vals.push(Value::Int(i as i64));
-            det_rows.push((Tuple(vals), 1));
-        }
-    }
-    let mut cols: Vec<String> = exp.schema.cols().to_vec();
-    cols.extend(exp.schema.cols().iter().map(|c| format!("{c}__lb")));
-    cols.extend(exp.schema.cols().iter().map(|c| format!("{c}__ub")));
-    cols.push("__id".into());
-    let det = Relation::from_rows(Schema::new(cols), det_rows);
-
-    let dspec = WindowSpec {
-        partition: spec.partition.clone(),
-        order: spec.order.clone(),
-        lower: spec.lower,
-        upper: spec.upper,
-    };
-    let dagg = match agg {
-        WinAgg::Sum(c) => AggFunc::Sum(c),
-        WinAgg::Count => AggFunc::Count,
-        WinAgg::Min(c) => AggFunc::Min(c),
-        WinAgg::Max(c) => AggFunc::Max(c),
-        WinAgg::Avg(c) => AggFunc::Avg(c),
-    };
-    let dout = window_rows(&det, &dspec, dagg, "__x");
-    let id_col = 3 * arity;
-    let xcol = dout.schema.arity() - 1;
     let mut vals: Vec<Option<Value>> = vec![None; n];
-    for row in &dout.rows {
-        let id = row.tuple.get(id_col).as_i64().expect("provenance id") as usize;
-        vals[id] = Some(row.tuple.get(xcol).clone());
+    // The SG world, grouped by the selected guess of the PARTITION BY
+    // attributes (all rows form one group when there are none).
+    let mut entries: Vec<(usize, &AuTuple)> = exp
+        .rows()
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| row.mult.sg > 0)
+        .map(|(i, row)| (i, &row.tuple))
+        .collect();
+    entries.sort_by(|a, b| a.1.cmp_sg_on(b.1, &spec.partition));
+    for part in entries.chunk_by_mut(|a, b| a.1.cmp_sg_on(b.1, &spec.partition).is_eq()) {
+        let inputs = sg_ordered_inputs(part, &spec.order, agg);
+        let aggs = sliding_aggregate(&inputs, spec.lower, spec.upper, agg.det());
+        for (&(id, _), v) in part.iter().zip(aggs) {
+            vals[id] = Some(v);
+        }
     }
     // Fallbacks for rows outside the SG world: inherit from the previous
     // duplicate of the same hypercube (expand emits duplicates adjacently,
     // SG duplicates first), else use the row's own sg attribute.
     let mut out: Vec<Value> = Vec::with_capacity(n);
-    for i in 0..n {
-        let v = match &vals[i] {
-            Some(v) => v.clone(),
+    for (i, v) in vals.into_iter().enumerate() {
+        let v = match v {
+            Some(v) => v,
             None if i > 0 && exp.rows()[i - 1].tuple == exp.rows()[i].tuple => out[i - 1].clone(),
             None => agg.attr_range(&exp.rows()[i].tuple).sg,
         };

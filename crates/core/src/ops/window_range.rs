@@ -22,7 +22,7 @@ use crate::ops::window::WinAgg;
 use crate::range_value::{RangeValue, TruthRange};
 use crate::relation::AuRelation;
 use audb_rel::ops::window_range::{window_range as det_window_range, RangeWindowSpec};
-use audb_rel::{AggFunc, Relation, Schema, Tuple, Value};
+use audb_rel::{Relation, Schema, Tuple, Value};
 
 /// A range window over AU-DBs: single integer order attribute, value
 /// offsets `[l, u]` with `l ≤ 0 ≤ u` (self-containing, as for row windows).
@@ -222,13 +222,7 @@ fn sg_range_values(exp: &AuRelation, spec: &AuRangeWindowSpec, agg: WinAgg) -> V
         lower: spec.lower,
         upper: spec.upper,
     };
-    let dagg = match agg {
-        WinAgg::Sum(c) => AggFunc::Sum(c),
-        WinAgg::Count => AggFunc::Count,
-        WinAgg::Min(c) => AggFunc::Min(c),
-        WinAgg::Max(c) => AggFunc::Max(c),
-        WinAgg::Avg(c) => AggFunc::Avg(c),
-    };
+    let dagg = agg.det();
     let dout = det_window_range(&det, &dspec, dagg, "__x");
     let id_col = exp.schema.arity();
     let xcol = dout.schema.arity() - 1;
@@ -253,6 +247,7 @@ mod tests {
     use super::*;
     use crate::mult::Mult3;
     use crate::tuple::AuTuple;
+    use audb_rel::AggFunc;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)

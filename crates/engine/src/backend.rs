@@ -211,9 +211,12 @@ impl Native {
     /// (`window_native` asserts otherwise) and treats duplicate
     /// multiplicities by position offsets — tighter than, but different
     /// from, the expand-first Def. 3 reference the engine promises. Both
-    /// cases fall back. Callers must pass a **normalized** relation:
-    /// separately stored copies of one hypercube merge into a duplicate
-    /// multiplicity, so checking raw rows would miss them.
+    /// cases fall back. [`Backend::window`] learns this from the sweep
+    /// (`audb_native::window_native_checked`); this is the same decision
+    /// for window *maintenance*, taken before any sweep state is built.
+    /// Callers must pass a **normalized** relation: separately stored
+    /// copies of one hypercube merge into a duplicate multiplicity, so
+    /// checking raw rows would miss them.
     pub(crate) fn window_needs_reference(rel: &AuRelation, spec: &AuWindowSpec) -> bool {
         debug_assert!(rel.is_normalized());
         rel.rows().iter().any(|row| {
@@ -263,17 +266,15 @@ impl Backend for Native {
         agg: WinAgg,
         out_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        // Normalize first (borrow when already canonical): identical rows
-        // stored separately merge into duplicate multiplicities, which the
-        // fallback check must see. The inner operators skip their own
-        // normalization pass on the already-canonical input, and both
-        // window_native and window_ref are normalization-invariant, so
-        // this changes no output — only the fallback decision.
-        let rel = rel.normalized();
-        if Self::window_needs_reference(&rel, spec) {
-            return Self::reference().window(&rel, spec, agg, out_name);
+        // The sweep reports both fallback conditions itself — duplicate
+        // multiplicities as its fused normalisation merged them (identical
+        // rows stored separately included), so the input is neither copied
+        // nor sorted to ask. The duplicate case costs one discarded
+        // O(n log n) sweep before the O(n²) reference.
+        match audb_native::window_native_checked(rel, spec, agg, out_name) {
+            Ok(out) if !out.merged_duplicates => Ok(out.rel),
+            _ => Self::reference().window(rel, spec, agg, out_name),
         }
-        Ok(audb_native::window_native(&rel, spec, agg, out_name))
     }
 
     fn op_note(&self, op: &Op) -> String {

@@ -421,11 +421,7 @@ impl MaintainedQuery {
             .engine
             .execute(&self.plan.with_source(self.accum.clone())?)?
             .normalize();
-        self.current = BTreeMap::new();
-        for row in out.rows() {
-            self.current
-                .insert(SortKey::of_row(&row.tuple), (row.tuple.clone(), row.mult));
-        }
+        self.current = keyed_rows(out);
         // The map no longer tracks which entries came from open windows;
         // the next incremental append resyncs from the live state.
         self.open_prev = Vec::new();
@@ -450,11 +446,7 @@ impl MaintainedQuery {
             MaintainKind::TopK { state: Some(m) } => {
                 // The whole top-k band is the changed region; diff it
                 // against the previous map wholesale (O(k), not O(n)).
-                let out = m.result().normalize();
-                let mut next = BTreeMap::new();
-                for row in out.rows() {
-                    next.insert(SortKey::of_row(&row.tuple), (row.tuple.clone(), row.mult));
-                }
+                let next = keyed_rows(m.result().normalize());
                 let before = std::mem::replace(&mut self.current, next);
                 return diff_maps(&before, &self.current);
             }
@@ -506,6 +498,15 @@ impl std::fmt::Debug for MaintainedQuery {
             .field("recompute", &self.recompute_appends)
             .finish()
     }
+}
+
+/// The maintained-value map of a normalized result; the rows move in.
+fn keyed_rows(normalized: AuRelation) -> BTreeMap<SortKey, (AuTuple, Mult3)> {
+    normalized
+        .into_rows()
+        .into_iter()
+        .map(|row| (SortKey::of_row(&row.tuple), (row.tuple, row.mult)))
+        .collect()
 }
 
 fn add_entry(map: &mut BTreeMap<SortKey, (AuTuple, Mult3)>, key: SortKey, t: AuTuple, mult: Mult3) {

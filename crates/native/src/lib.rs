@@ -25,4 +25,4 @@ pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
 pub use sort::{sort_native, topk_native};
-pub use window::window_native;
+pub use window::{window_native, window_native_checked, NativeWindow};

@@ -21,10 +21,11 @@
 //!   the accumulated certain mass (`τ↓ += Σ k↓`) and possible mass
 //!   (`τ↑ += Σ k↑`).
 //!
-//! So a batch is sorted locally with [`crate::sort::sort_native`], its
-//! positions are offset, and the tuples are fed to the *same* sweep loop
-//! the one-shot operator runs — `window_native` itself is now the
-//! one-batch special case, which keeps the two permanently in agreement.
+//! So a batch is ranked locally by the sort sweep (`sort::sort_positions`
+//! — positions only, no sorted relation is materialised), its positions
+//! are offset, and the rows are fed to the *same* sweep loop the one-shot
+//! operator runs — `window_native` itself is the one-batch special case,
+//! which keeps the two permanently in agreement.
 //!
 //! Already-closed windows are final: when the sweep closes `s` because an
 //! incoming tuple has `τ↓ > s.τ↑ + u`, at least `s.τ↑ + u + 1` rows
@@ -35,10 +36,32 @@
 //! — their provisional bounds equal what a full recompute over the data
 //! seen so far would produce.
 //!
-//! The selected-guess component is maintained over the same deterministic
-//! provenance-tagged relation as [`audb_core::sg_window_values`], kept as a
-//! bounded tail: an entry's value is final once `u` later entries exist,
-//! so only the last `u − l` entries are retained between batches.
+//! ## Sweep state
+//!
+//! A row is cloned once — into a base tuple with room for the output
+//! attribute, which moves into the result when its window closes — and
+//! everything the sweep compares is copied out of it into a flat `Item`:
+//! `τ↓`, `τ↑`, the aggregated attribute's range, `k↓ ≥ 1`. Items are
+//! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
+//!
+//! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
+//!   still-open item* — a cursor that only moves forward;
+//! * the certain tuples form a `τ↓`-ordered deque: the range scan of
+//!   `compBounds` binary-searches its start, eviction pops the front;
+//! * the possible pool is the three-order connected heap of the paper,
+//!   its `A↓`/`A↑` orders comparing the bounds as [`Value`]s, scanned
+//!   through a scratch frontier the sweep owns
+//!   ([`ConnectedHeap::sorted_iter_in`]).
+//!
+//! ## Selected guesses
+//!
+//! The selected-guess component is the deterministic window operator over
+//! the selected-guess world in the order [`audb_core::sg_ordered_inputs`]
+//! defines (shared with [`audb_core::sg_window_values`]). In-order batches
+//! extend that order at its end, so it is kept as a bounded tail of
+//! `(item, value)` pairs: an entry's aggregate is final once `u` later
+//! entries exist, after which only `−l` entries of left context are
+//! retained.
 //!
 //! ## Top-k
 //!
@@ -57,26 +80,34 @@
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
 //! appends perform no allocation inside the connected heap.
 
-use crate::sort::{sort_native, topk_native};
+use crate::sort::{sort_positions, topk_native};
 use audb_conheap::ConnectedHeap;
-use audb_core::{AuRelation, AuTuple, AuWindowSpec, Corner, Mult3, RangeValue, SortKey, WinAgg};
+use audb_core::{
+    sg_ordered_inputs, AuRelation, AuRow, AuTuple, AuWindowSpec, Corner, Mult3, RangeValue,
+    SortKey, WinAgg,
+};
 use audb_rel::ops::sort::total_order;
-use audb_rel::{window_rows, AggFunc, Relation, Schema, Tuple, Value, WindowSpec};
+use audb_rel::ops::window::sliding_aggregate;
+use audb_rel::{Schema, Value};
+use std::borrow::Borrow;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
-/// One sorted tuple in flight through the sweep.
+/// One split row in flight through the sweep: everything the sweep
+/// compares, copied out of the tuple once.
 struct Item {
     tlo: i64,
     thi: i64,
-    /// Lower/upper bound of the aggregated attribute (`[1,1]` for count).
-    alo: Value,
-    ahi: Value,
-    /// Byte-encoded `alo`/`ahi` — the pool heap comparators memcmp these.
-    alo_key: SortKey,
-    ahi_key: SortKey,
+    /// Range of the aggregated attribute (`[1,1,1]` for count).
+    attr: RangeValue,
     /// Certainly exists (`k↓ ≥ 1`).
     cert: bool,
+    /// The previous item is another duplicate of the same input row.
+    dup_of_prev: bool,
+    /// Its window has closed for good.
+    closed: bool,
+    /// Selected-guess window aggregate, once final.
+    sg: Option<Value>,
 }
 
 /// Pool payload: everything the three heap orders compare, copied out of
@@ -85,8 +116,8 @@ struct Item {
 struct PoolItem {
     thi: i64,
     id: usize,
-    alo_key: SortKey,
-    ahi_key: SortKey,
+    alo: Value,
+    ahi: Value,
 }
 
 type PoolCmp = fn(usize, &PoolItem, &PoolItem) -> Ordering;
@@ -96,9 +127,20 @@ type PoolCmp = fn(usize, &PoolItem, &PoolItem) -> Ordering;
 fn pool_cmp(h: usize, a: &PoolItem, b: &PoolItem) -> Ordering {
     match h {
         0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
-        1 => a.alo_key.cmp(&b.alo_key).then(a.id.cmp(&b.id)),
-        _ => b.ahi_key.cmp(&a.ahi_key).then(a.id.cmp(&b.id)),
+        1 => a.alo.cmp(&b.alo).then(a.id.cmp(&b.id)),
+        _ => b.ahi.cmp(&a.ahi).then(a.id.cmp(&b.id)),
     }
+}
+
+/// Buffers `compBounds` fills per window, kept across windows.
+#[derive(Default)]
+struct Scratch {
+    /// Frontier of the pool's sorted iteration.
+    frontier: Vec<usize>,
+    /// Items certainly in the window (self first).
+    cert: Vec<usize>,
+    /// Pool items picked by the min-k / max-k scan.
+    picked: Vec<usize>,
 }
 
 /// Resumable partitionless window sweep (see the module docs).
@@ -111,28 +153,34 @@ pub struct WindowMaintain {
     spec: AuWindowSpec,
     agg: WinAgg,
     out_name: String,
-    det_schema: Schema,
-    det_cmp: Vec<usize>,
-    /// Split rows in sweep order: base tuple (τ projected away) + mult.
+    /// Base tuple (capacity for the output attribute; emptied when its
+    /// window closes and the tuple moves to `closed`) + split mult.
     rows: Vec<(AuTuple, Mult3)>,
     items: Vec<Item>,
     /// Accumulated certain / possible input mass (the position offsets).
     total_lb: u64,
     total_ub: u64,
-    /// Max upper-bound corner key over the ORDER BY attributes seen so far.
-    frontier: Option<SortKey>,
+    /// The accumulated row with the greatest upper-bound corner on the
+    /// ORDER BY attributes.
+    frontier: Option<AuTuple>,
+    /// Some batch merged into a duplicate multiplicity (`k↑ > 1`).
+    merged_duplicates: bool,
     // Sweep state, live between batches.
     openw: BinaryHeap<Reverse<(i64, usize)>>,
-    open_tlos: BTreeMap<i64, usize>,
-    cert: BTreeMap<i64, Vec<(i64, usize)>>,
+    /// No item before this one is still open.
+    oldest_open: usize,
+    /// Certain items `(τ↓, τ↑, id)` in arrival (= `τ↓`) order.
+    cert: VecDeque<(i64, i64, usize)>,
     poss: ConnectedHeap<PoolItem, PoolCmp>,
+    scratch: Scratch,
     /// Closed (final) output rows, in close order.
     closed: Vec<(AuTuple, Mult3)>,
-    // Selected-guess maintenance: a bounded tail of the deterministic
-    // provenance relation of `sg_window_values`, in its global sort order.
-    sg_tail: Vec<Tuple>,
-    sg_pruned: usize,
-    sg_final: HashMap<usize, Value>,
+    // Selected-guess tail, in SG order: item ids and the values the
+    // deterministic aggregate slides over. Entries before `sg_pending` are
+    // final and kept as left context only.
+    sg_ids: Vec<usize>,
+    sg_vals: Vec<Value>,
+    sg_pending: usize,
 }
 
 impl WindowMaintain {
@@ -145,15 +193,7 @@ impl WindowMaintain {
             spec.partition.is_empty(),
             "WindowMaintain is partitionless; use MaintainedWindow"
         );
-        let mut cols: Vec<String> = schema.cols().to_vec();
-        cols.extend(schema.cols().iter().map(|c| format!("{c}__lb")));
-        cols.extend(schema.cols().iter().map(|c| format!("{c}__ub")));
-        cols.push("__id".into());
-        let det_schema = Schema::new(cols);
-        let det_cmp = total_order(det_schema.arity(), &spec.order);
         WindowMaintain {
-            det_schema,
-            det_cmp,
             schema,
             agg,
             out_name: out_name.to_string(),
@@ -162,14 +202,16 @@ impl WindowMaintain {
             total_lb: 0,
             total_ub: 0,
             frontier: None,
+            merged_duplicates: false,
             openw: BinaryHeap::new(),
-            open_tlos: BTreeMap::new(),
-            cert: BTreeMap::new(),
+            oldest_open: 0,
+            cert: VecDeque::new(),
             poss: ConnectedHeap::with_capacity(3, 1024, pool_cmp as PoolCmp),
+            scratch: Scratch::default(),
             closed: Vec::new(),
-            sg_tail: Vec::new(),
-            sg_pruned: 0,
-            sg_final: HashMap::new(),
+            sg_ids: Vec::new(),
+            sg_vals: Vec::new(),
+            sg_pending: 0,
             spec,
         }
     }
@@ -189,75 +231,92 @@ impl WindowMaintain {
         &self.closed
     }
 
+    /// Did any batch hold identical hypercubes that merged into a
+    /// duplicate multiplicity (`k↑ > 1`)? The sweep treats duplicates by
+    /// position offsets — sound, but not the expand-first Def. 3 bounds.
+    pub fn merged_duplicates(&self) -> bool {
+        self.merged_duplicates
+    }
+
     /// Would `batch` be in order after the accumulated rows? (Trivially
     /// true while the state is empty — the first batch seeds the sweep.)
     pub fn batch_in_order(&self, batch: &AuRelation) -> bool {
+        self.rows_in_order(batch.rows())
+    }
+
+    fn rows_in_order<R: Borrow<AuRow>>(&self, rows: &[R]) -> bool {
         let Some(frontier) = &self.frontier else {
             return true;
         };
-        batch
-            .rows()
-            .iter()
-            .all(|r| SortKey::of_corner(&r.tuple, Corner::Lb, &self.spec.order) > *frontier)
+        rows.iter().all(|r| {
+            frontier
+                .cmp_ub_vs_lb_on(&r.borrow().tuple, &self.spec.order)
+                .is_lt()
+        })
     }
 
     /// Feed one in-order batch through the sweep (the caller checks
     /// [`WindowMaintain::batch_in_order`] first; feeding an out-of-order
     /// batch silently computes bounds for the wrong relation).
     pub fn apply(&mut self, batch: &AuRelation) {
-        if batch.is_empty() {
+        self.apply_rows(batch.rows(), batch.is_normalized());
+    }
+
+    /// [`WindowMaintain::apply`] over any slice of rows (`normalized`:
+    /// they are distinct and zero-free).
+    pub(crate) fn apply_rows<R: Borrow<AuRow>>(&mut self, rows: &[R], normalized: bool) {
+        let arity = self.schema.arity();
+        // Batch-local positions in the sweep's arrival order; entries have
+        // k↑ = 1 (input row and duplicate index break ties reproducibly).
+        let mut pos = sort_positions(rows, arity, &self.spec.order, normalized, None);
+        pos.sort_unstable_by_key(|p| (p.tau_lb, p.tau_ub, p.row, p.dup));
+        let Some(top) = pos
+            .iter()
+            .map(|p| &rows[p.row as usize].borrow().tuple)
+            .max_by(|a, b| a.cmp_ub_on(b, &self.spec.order))
+        else {
             return;
+        };
+        if self
+            .frontier
+            .as_ref()
+            .is_none_or(|f| f.cmp_ub_on(top, &self.spec.order).is_lt())
+        {
+            self.frontier = Some(top.clone());
         }
-        // Batch-local positions; rows now have k↑ = 1.
-        let mut sorted = sort_native(batch, &self.spec.order, "__tau");
-        let pos_col = sorted.schema.arity() - 1;
-        sorted.rows_mut().sort_unstable_by_key(|r| {
-            let p = r.tuple.get(pos_col).as_i64_triple();
-            (p.0, p.2)
-        });
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
         // (the one-shot sweep's guaranteed-slot math sees the full total).
         let off_lb = self.total_lb as i64;
         let off_ub = self.total_ub as i64;
-        for r in sorted.rows() {
-            self.total_lb += r.mult.lb;
-            self.total_ub += r.mult.ub;
-            let k = SortKey::of_corner(&r.tuple, Corner::Ub, &self.spec.order);
-            if self.frontier.as_ref().is_none_or(|f| *f < k) {
-                self.frontier = Some(k);
-            }
+        for p in &pos {
+            self.total_lb += p.mult.lb;
+            self.total_ub += p.mult.ub;
         }
-        let base_cols: Vec<usize> = (0..pos_col).collect();
         let first_new = self.items.len();
-        let mut det_block: Vec<Tuple> = Vec::new();
-        for r in sorted.rows() {
-            let id = self.items.len();
-            let (tlo, _, thi) = r.tuple.get(pos_col).as_i64_triple();
-            let base = r.tuple.project(&base_cols);
-            if r.mult.sg > 0 {
-                let mut vals = base.sg_tuple().0;
-                vals.extend(base.lb_tuple().0);
-                vals.extend(base.ub_tuple().0);
-                vals.push(Value::Int(id as i64));
-                det_block.push(Tuple(vals));
+        let mut sg_block: Vec<(usize, &AuTuple)> = Vec::new();
+        let mut prev_row = None;
+        for p in &pos {
+            let tuple = &rows[p.row as usize].borrow().tuple;
+            if p.mult.sg > 0 {
+                sg_block.push((self.items.len(), tuple));
             }
-            let attr = match self.agg.input_col() {
-                Some(c) => base.get(c).clone(),
-                None => RangeValue::certain(1i64),
-            };
+            self.merged_duplicates |= p.dup > 0;
             self.items.push(Item {
-                tlo: tlo + off_lb,
-                thi: thi + off_ub,
-                alo_key: SortKey::of_value(&attr.lb),
-                ahi_key: SortKey::of_value(&attr.ub),
-                alo: attr.lb,
-                ahi: attr.ub,
-                cert: r.mult.lb >= 1,
+                tlo: p.tau_lb as i64 + off_lb,
+                thi: p.tau_ub as i64 + off_ub,
+                attr: self.agg.attr_range(tuple),
+                cert: p.mult.lb >= 1,
+                dup_of_prev: prev_row == Some(p.row),
+                closed: false,
+                sg: None,
             });
-            self.rows.push((base, r.mult));
+            prev_row = Some(p.row);
+            let mut base = Vec::with_capacity(arity + 1);
+            base.extend_from_slice(&tuple.0);
+            self.rows.push((AuTuple(base), p.mult));
         }
-        self.ingest_sg(det_block);
+        self.ingest_sg(&mut sg_block);
         for t in first_new..self.items.len() {
             self.step(t);
         }
@@ -268,34 +327,35 @@ impl WindowMaintain {
     /// one-shot sweep would produce over the accumulated relation.
     /// Unnormalized, like the one-shot partitionless sweep.
     pub fn result(&self) -> AuRelation {
-        let mut out = AuRelation::empty(self.schema.with(&self.out_name));
-        for (t, m) in &self.closed {
-            out.push(t.clone(), *m);
+        let mut rows = self.closed.clone();
+        rows.extend(self.open_result());
+        AuRelation::from_rows(self.schema.with(&self.out_name), rows)
+    }
+
+    /// [`WindowMaintain::result`], consuming the sweep: the open windows
+    /// close for good and every row *moves* into the output.
+    pub fn into_result(mut self) -> AuRelation {
+        let provisional = self.provisional_sg();
+        while let Some(Reverse((_, sid))) = self.openw.pop() {
+            self.close(sid, &provisional);
         }
-        for (t, m) in self.open_result() {
-            out.push(t, m);
-        }
-        out
+        AuRelation::from_rows(self.schema.with(&self.out_name), self.closed)
     }
 
     /// Provisional output rows of the still-open windows (the rows that
     /// may change on a future append), in flush order.
     pub fn open_result(&self) -> Vec<(AuTuple, Mult3)> {
-        // Provisional selected-guess values for the pending tail entries.
-        let needed_left = (-self.spec.lower).max(0) as usize;
-        let mut prov: HashMap<usize, Value> = HashMap::new();
-        for (j, (id, v)) in self.eval_sg_tail().into_iter().enumerate() {
-            if self.sg_pruned == 0 || j >= needed_left {
-                prov.insert(id, v);
-            }
-        }
-        let mut openw = self.openw.clone();
-        let mut out = Vec::with_capacity(openw.len());
-        while let Some(Reverse((_, sid))) = openw.pop() {
-            let sg_raw = self.sg_raw(sid, Some(&prov));
-            out.push(self.close_row(sid, sg_raw));
-        }
-        out
+        let provisional = self.provisional_sg();
+        let mut open: Vec<(i64, usize)> = self.openw.iter().map(|w| w.0).collect();
+        open.sort_unstable();
+        let mut scratch = Scratch::default();
+        open.into_iter()
+            .map(|(_, sid)| {
+                let x = self.comp_bounds(sid, self.sg_raw(sid, &provisional), &mut scratch);
+                let (base, mult) = &self.rows[sid];
+                (base.with(x), *mult)
+            })
+            .collect()
     }
 
     /// Advance the sweep over item `t` (arrival in global `(τ↓, τ↑)`
@@ -311,102 +371,92 @@ impl WindowMaintain {
                 break;
             }
             self.openw.pop();
-            // Remove from the open-τ↓ multiset before closing so the
-            // eviction watermark reflects the remaining open windows.
-            let stlo = self.items[sid].tlo;
-            let e = self.open_tlos.get_mut(&stlo).expect("open window τ↓");
-            *e -= 1;
-            if *e == 0 {
-                self.open_tlos.remove(&stlo);
+            self.items[sid].closed = true;
+            while self.oldest_open < t && self.items[self.oldest_open].closed {
+                self.oldest_open += 1;
             }
-            // Evict pool tuples below every remaining window.
-            let watermark = self
-                .open_tlos
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or(it_tlo)
-                .min(stlo)
-                + l;
-            self.evict_cert(sid);
+            let (stlo, sthi) = (self.items[sid].tlo, self.items[sid].thi);
+            // Evict certain tuples below every range scan still to come:
+            // `openw` pops in τ↑ order and arrivals lie beyond `s.τ↑ + u`, so
+            // no window closing after `s` scans below `s.τ↑ + l`.
+            while self.cert.front().is_some_and(|c| c.0 < sthi + l) {
+                self.cert.pop_front();
+            }
             debug_assert!(
-                self.rows[sid].1.sg == 0 || self.sg_final.contains_key(&sid),
+                self.rows[sid].1.sg == 0 || self.items[sid].sg.is_some(),
                 "sg value of a closing window must be final"
             );
-            let sg_raw = self.sg_raw(sid, None);
-            let row = self.close_row(sid, sg_raw);
-            self.closed.push(row);
-            while let Some(p) = self.poss.peek(0) {
-                if p.thi < watermark {
-                    self.poss.pop(0);
-                } else {
-                    break;
-                }
+            self.close(sid, &[]);
+            // Evict pool tuples below every remaining window: the minimum
+            // τ↓ over the windows still open (a later-closing window may
+            // start earlier when position ranges are wide) is the oldest
+            // open item's; the incoming tuple stands in when none is open.
+            let open_tlo = if self.oldest_open < t {
+                self.items[self.oldest_open].tlo
+            } else {
+                it_tlo
+            };
+            let watermark = open_tlo.min(stlo) + l;
+            while self.poss.peek(0).is_some_and(|p| p.thi < watermark) {
+                self.poss.pop(0);
             }
         }
         self.openw.push(Reverse((it_thi, t)));
-        *self.open_tlos.entry(it_tlo).or_insert(0) += 1;
-        if it_cert {
-            let bucket = self.cert.entry(it_tlo).or_default();
-            let at = bucket.partition_point(|&(thi, _)| thi < it_thi);
-            bucket.insert(at, (it_thi, t));
-        }
         let it = &self.items[t];
+        if it_cert {
+            self.cert.push_back((it_tlo, it_thi, t));
+        }
         self.poss.insert(PoolItem {
             thi: it_thi,
             id: t,
-            alo_key: it.alo_key.clone(),
-            ahi_key: it.ahi_key.clone(),
+            alo: it.attr.lb.clone(),
+            ahi: it.attr.ub.clone(),
         });
     }
 
-    /// Evict cert buckets no open window can reach any more (pure
-    /// maintenance: evicted buckets are unreachable by every later range
-    /// scan, so skipping this in read paths never changes bounds).
-    fn evict_cert(&mut self, id: usize) {
-        let cs0 = self.items[id].thi + self.spec.lower;
-        let min_needed = self
-            .open_tlos
-            .keys()
-            .next()
-            .map(|&t| t + self.spec.lower)
-            .unwrap_or(cs0)
-            .min(cs0);
-        while let Some((&key, _)) = self.cert.iter().next() {
-            if key < min_needed {
-                self.cert.remove(&key);
-            } else {
-                break;
-            }
-        }
+    /// Close window `id` for good: its base tuple takes the output
+    /// attribute and moves to the closed rows.
+    fn close(&mut self, id: usize, provisional: &[(usize, Value)]) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let x = self.comp_bounds(id, self.sg_raw(id, provisional), &mut scratch);
+        self.scratch = scratch;
+        let (base, mult) = &mut self.rows[id];
+        let mut tuple = std::mem::replace(base, AuTuple(Vec::new()));
+        tuple.0.push(x);
+        self.closed.push((tuple, *mult));
     }
 
-    /// Compute the output row of window `id` from the current sweep state
-    /// (read-only: used both by final closes and provisional flushes).
-    fn close_row(&self, id: usize, sg_raw: Value) -> (AuTuple, Mult3) {
+    /// `compBounds` (paper Algorithms 4–6): the output attribute of window
+    /// `id` from the current sweep state. Read-only on the state, so final
+    /// closes and provisional flushes share it.
+    fn comp_bounds(&self, id: usize, sg_raw: Value, scratch: &mut Scratch) -> RangeValue {
         let (l, u) = (self.spec.lower, self.spec.upper);
         let size = self.spec.size() as usize;
-        let s = &self.items[id];
+        let items = &self.items;
+        let s = &items[id];
         let cs = (s.thi + l, s.tlo + u); // certainly covered positions
         let ps = (s.tlo + l, s.thi + u); // possibly covered positions
+        let Scratch {
+            frontier,
+            cert,
+            picked,
+        } = scratch;
 
-        // Certain members (excluding self).
-        let self_attr = match self.agg.input_col() {
-            Some(c) => self.rows[id].0.get(c).clone(),
-            None => RangeValue::certain(1i64),
-        };
-        let mut cert_vals: Vec<(&Value, &Value)> = Vec::with_capacity(size);
-        cert_vals.push((&self_attr.lb, &self_attr.ub));
+        // Certain members: self, then the τ↓-range scan.
+        cert.clear();
+        cert.push(id);
         if cs.0 <= cs.1 {
-            for (_, bucket) in self.cert.range(cs.0..=cs.1) {
-                for &(thi, cid) in bucket {
-                    if cid != id && thi <= cs.1 {
-                        cert_vals.push((&self.items[cid].alo, &self.items[cid].ahi));
-                    }
+            let start = self.cert.partition_point(|c| c.0 < cs.0);
+            for &(tlo, thi, cid) in self.cert.range(start..) {
+                if tlo > cs.1 {
+                    break;
+                }
+                if cid != id && thi <= cs.1 {
+                    cert.push(cid);
                 }
             }
         }
-        let possn = size.saturating_sub(cert_vals.len());
+        let possn = size.saturating_sub(cert.len());
         let n_cert = self.total_lb - u64::from(s.cert) + 1;
         let q = audb_core::guaranteed_extra_slots(
             l,
@@ -414,13 +464,12 @@ impl WindowMaintain {
             s.tlo as u64,
             s.thi as u64,
             n_cert,
-            cert_vals.len(),
+            cert.len(),
             possn,
         );
 
         // A pool candidate is a possible-but-not-certain member ≠ self.
-        let items = &self.items;
-        let valid = |p: &PoolItem| -> bool {
+        let valid = |p: &&PoolItem| -> bool {
             if p.id == id {
                 return false;
             }
@@ -428,85 +477,79 @@ impl WindowMaintain {
             let certainly = it.cert && it.tlo >= cs.0 && it.thi <= cs.1;
             !certainly && it.tlo <= ps.1 && it.thi >= ps.0
         };
+        let cert_lb = || cert.iter().map(|&c| &items[c].attr.lb);
+        let cert_ub = || cert.iter().map(|&c| &items[c].attr.ub);
+        let zero = Value::Int(0);
 
         let (xlo, xhi) = match self.agg {
             WinAgg::Sum(_) | WinAgg::Count => {
-                let mut lo = Value::Int(0);
-                let mut hi = Value::Int(0);
-                for (a, b) in &cert_vals {
-                    lo = lo.add(a);
-                    hi = hi.add(b);
-                }
+                let lo = cert_lb().fold(Value::Int(0), |acc, v| acc.add(v));
+                let hi = cert_ub().fold(Value::Int(0), |acc, v| acc.add(v));
                 // min-k over the A↓-ordered component with the guaranteed
-                // floor: j = clamp(#negatives, q, possn) smallest lbs
-                // (see audb_core::aggregate_window).
-                let picked: Vec<&Value> = self
-                    .poss
-                    .sorted_iter(1)
-                    .filter(|p| valid(p))
-                    .take(possn)
-                    .map(|p| &items[p.id].alo)
-                    .collect();
-                let negs = picked.iter().take_while(|v| ***v < Value::Int(0)).count();
-                let j = negs.clamp(q.min(picked.len()), possn.min(picked.len()));
-                for v in &picked[..j] {
-                    lo = lo.add(v);
+                // floor: the j = clamp(#negatives, q, possn) smallest lower
+                // bounds (see audb_core::aggregate_window) — the scan stops
+                // at the first candidate that is neither owed nor negative.
+                picked.clear();
+                for p in self.poss.sorted_iter_in(1, frontier).filter(valid) {
+                    if picked.len() == possn || (picked.len() >= q && p.alo >= zero) {
+                        break;
+                    }
+                    picked.push(p.id);
                 }
+                let lo = picked.iter().fold(lo, |acc, &p| acc.add(&items[p].attr.lb));
                 // max-k over the A↑-descending component, mirrored.
-                let picked: Vec<&Value> = self
-                    .poss
-                    .sorted_iter(2)
-                    .filter(|p| valid(p))
-                    .take(possn)
-                    .map(|p| &items[p.id].ahi)
-                    .collect();
-                let pos_cnt = picked.iter().take_while(|v| ***v > Value::Int(0)).count();
-                let j = pos_cnt.clamp(q.min(picked.len()), possn.min(picked.len()));
-                for v in &picked[..j] {
-                    hi = hi.add(v);
+                picked.clear();
+                for p in self.poss.sorted_iter_in(2, frontier).filter(valid) {
+                    if picked.len() == possn || (picked.len() >= q && p.ahi <= zero) {
+                        break;
+                    }
+                    picked.push(p.id);
                 }
+                let hi = picked.iter().fold(hi, |acc, &p| acc.add(&items[p].attr.ub));
                 (lo, hi)
             }
             WinAgg::Min(_) => {
-                let mut hi = (*cert_vals.iter().map(|(_, b)| b).min().expect("self")).clone();
+                let mut hi = cert_ub().min().expect("self").clone();
                 if q >= 1 {
                     // q-th largest pool upper bound caps the minimum.
-                    if let Some(p) = self.poss.sorted_iter(2).filter(|p| valid(p)).nth(q - 1) {
-                        hi = hi.min(items[p.id].ahi.clone());
+                    let mut pool = self.poss.sorted_iter_in(2, frontier).filter(valid);
+                    if let Some(p) = pool.nth(q - 1) {
+                        hi = hi.min(p.ahi.clone());
                     }
                 }
-                let mut lo = (*cert_vals.iter().map(|(a, _)| a).min().expect("self")).clone();
+                let mut lo = cert_lb().min().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter(1).find(|p| valid(p)) {
-                        lo = lo.min(items[p.id].alo.clone());
+                    if let Some(p) = self.poss.sorted_iter_in(1, frontier).find(valid) {
+                        lo = lo.min(p.alo.clone());
                     }
                 }
                 (lo, hi)
             }
             WinAgg::Max(_) => {
-                let mut lo = (*cert_vals.iter().map(|(a, _)| a).max().expect("self")).clone();
+                let mut lo = cert_lb().max().expect("self").clone();
                 if q >= 1 {
-                    if let Some(p) = self.poss.sorted_iter(1).filter(|p| valid(p)).nth(q - 1) {
-                        lo = lo.max(items[p.id].alo.clone());
+                    let mut pool = self.poss.sorted_iter_in(1, frontier).filter(valid);
+                    if let Some(p) = pool.nth(q - 1) {
+                        lo = lo.max(p.alo.clone());
                     }
                 }
-                let mut hi = (*cert_vals.iter().map(|(_, b)| b).max().expect("self")).clone();
+                let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter(2).find(|p| valid(p)) {
-                        hi = hi.max(items[p.id].ahi.clone());
+                    if let Some(p) = self.poss.sorted_iter_in(2, frontier).find(valid) {
+                        hi = hi.max(p.ahi.clone());
                     }
                 }
                 (lo, hi)
             }
             WinAgg::Avg(_) => {
-                let mut lo = (*cert_vals.iter().map(|(a, _)| a).min().expect("self")).clone();
-                let mut hi = (*cert_vals.iter().map(|(_, b)| b).max().expect("self")).clone();
+                let mut lo = cert_lb().min().expect("self").clone();
+                let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter(1).find(|p| valid(p)) {
-                        lo = lo.min(items[p.id].alo.clone());
+                    if let Some(p) = self.poss.sorted_iter_in(1, frontier).find(valid) {
+                        lo = lo.min(p.alo.clone());
                     }
-                    if let Some(p) = self.poss.sorted_iter(2).find(|p| valid(p)) {
-                        hi = hi.max(items[p.id].ahi.clone());
+                    if let Some(p) = self.poss.sorted_iter_in(2, frontier).find(valid) {
+                        hi = hi.max(p.ahi.clone());
                     }
                 }
                 (lo, hi)
@@ -521,97 +564,77 @@ impl WindowMaintain {
         } else {
             sg_raw
         };
-
-        (
-            self.rows[id].0.with(RangeValue {
-                lb: xlo,
-                sg,
-                ub: xhi,
-            }),
-            self.rows[id].1,
-        )
-    }
-
-    /// Append a batch's provenance entries to the selected-guess tail,
-    /// harvest every newly-final value, and prune the tail back down to
-    /// one frame of context.
-    fn ingest_sg(&mut self, mut block: Vec<Tuple>) {
-        block.sort_by(|a, b| a.cmp_on(b, &self.det_cmp));
-        self.sg_tail.extend(block);
-        let u = self.spec.upper.max(0) as usize;
-        let needed_left = (-self.spec.lower).max(0) as usize;
-        let pending_from = self.sg_tail.len().saturating_sub(u);
-        for (j, (id, v)) in self.eval_sg_tail().into_iter().enumerate() {
-            // Final once `u` later entries exist; entries left-clipped by
-            // pruning were finalized by an earlier (unclipped) evaluation.
-            if j < pending_from && (self.sg_pruned == 0 || j >= needed_left) {
-                self.sg_final.entry(id).or_insert(v);
-            }
-        }
-        let keep_from = pending_from.saturating_sub(needed_left);
-        if keep_from > 0 {
-            self.sg_tail.drain(..keep_from);
-            self.sg_pruned += keep_from;
+        RangeValue {
+            lb: xlo,
+            sg,
+            ub: xhi,
         }
     }
 
-    /// Run the deterministic window operator over the tail, yielding
-    /// `(item id, value)` in tail order (the tail is kept globally sorted,
-    /// so slice order equals global order).
-    fn eval_sg_tail(&self) -> Vec<(usize, Value)> {
-        if self.sg_tail.is_empty() {
+    /// Append a batch's selected-guess-world entries (`(item id, tuple)`)
+    /// to the tail, harvest every newly-final aggregate, and prune the
+    /// tail back down to one frame of context. In-order batches sort
+    /// entirely after the accumulated rows, so appending keeps the tail in
+    /// SG order.
+    fn ingest_sg(&mut self, block: &mut [(usize, &AuTuple)]) {
+        self.sg_vals
+            .extend(sg_ordered_inputs(block, &self.spec.order, self.agg));
+        self.sg_ids.extend(block.iter().map(|&(id, _)| id));
+        // Final once `u` later entries exist.
+        let final_to = self.sg_ids.len().saturating_sub(self.spec.upper as usize);
+        if final_to <= self.sg_pending {
+            return;
+        }
+        let mut aggs = self.eval_sg_tail();
+        for j in self.sg_pending..final_to {
+            self.items[self.sg_ids[j]].sg = Some(std::mem::replace(&mut aggs[j], Value::Null));
+        }
+        let keep_from = final_to.saturating_sub((-self.spec.lower) as usize);
+        self.sg_ids.drain(..keep_from);
+        self.sg_vals.drain(..keep_from);
+        self.sg_pending = final_to - keep_from;
+    }
+
+    /// The deterministic window aggregate of every tail entry. The tail
+    /// starts at the first entry or carries `−l` entries of left context,
+    /// so entries from `sg_pending` on see their whole frame.
+    fn eval_sg_tail(&self) -> Vec<Value> {
+        let (l, u) = (self.spec.lower, self.spec.upper);
+        sliding_aggregate(&self.sg_vals, l, u, self.agg.det())
+    }
+
+    /// Provisional `(item id, aggregate)` of the pending tail entries (at
+    /// most `u` of them), sorted by id.
+    fn provisional_sg(&self) -> Vec<(usize, Value)> {
+        if self.sg_pending == self.sg_ids.len() {
             return Vec::new();
         }
-        let det = Relation::from_rows(
-            self.det_schema.clone(),
-            self.sg_tail.iter().map(|t| (t.clone(), 1u64)),
-        );
-        let dspec = WindowSpec {
-            partition: Vec::new(),
-            order: self.spec.order.clone(),
-            lower: self.spec.lower,
-            upper: self.spec.upper,
-        };
-        let dagg = match self.agg {
-            WinAgg::Sum(c) => AggFunc::Sum(c),
-            WinAgg::Count => AggFunc::Count,
-            WinAgg::Min(c) => AggFunc::Min(c),
-            WinAgg::Max(c) => AggFunc::Max(c),
-            WinAgg::Avg(c) => AggFunc::Avg(c),
-        };
-        let dout = window_rows(&det, &dspec, dagg, "__x");
-        let id_col = 3 * self.schema.arity();
-        let xcol = dout.schema.arity() - 1;
-        dout.rows
-            .iter()
-            .map(|r| {
-                let id = r.tuple.get(id_col).as_i64().expect("provenance id") as usize;
-                (id, r.tuple.get(xcol).clone())
-            })
-            .collect()
+        let pending = self.sg_ids[self.sg_pending..].iter().copied();
+        let mut out: Vec<(usize, Value)> = pending
+            .zip(self.eval_sg_tail().into_iter().skip(self.sg_pending))
+            .collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
     }
 
     /// Raw (pre-clamp) selected-guess value for item `id`, replicating the
     /// fallback chain of `sg_window_values`: the finalized value, else a
     /// provisional tail value, else the previous duplicate of the same
     /// hypercube, else the row's own sg attribute.
-    fn sg_raw(&self, id: usize, provisional: Option<&HashMap<usize, Value>>) -> Value {
+    fn sg_raw(&self, id: usize, provisional: &[(usize, Value)]) -> Value {
         let mut i = id;
         loop {
-            if let Some(v) = self.sg_final.get(&i) {
+            let it = &self.items[i];
+            if let Some(v) = &it.sg {
                 return v.clone();
             }
-            if let Some(v) = provisional.and_then(|p| p.get(&i)) {
-                return v.clone();
+            if let Ok(at) = provisional.binary_search_by_key(&i, |&(j, _)| j) {
+                return provisional[at].1.clone();
             }
-            if i > 0 && self.rows[i - 1].0 == self.rows[i].0 {
-                i -= 1;
-                continue;
+            if !it.dup_of_prev {
+                return it.attr.sg.clone();
             }
-            return match self.agg.input_col() {
-                Some(c) => self.rows[i].0.get(c).sg.clone(),
-                None => Value::Int(1),
-            };
+            i -= 1;
         }
     }
 
@@ -623,14 +646,15 @@ impl WindowMaintain {
         self.total_lb = 0;
         self.total_ub = 0;
         self.frontier = None;
+        self.merged_duplicates = false;
         self.openw.clear();
-        self.open_tlos.clear();
+        self.oldest_open = 0;
         self.cert.clear();
         self.poss.clear();
         self.closed.clear();
-        self.sg_tail.clear();
-        self.sg_pruned = 0;
-        self.sg_final.clear();
+        self.sg_ids.clear();
+        self.sg_vals.clear();
+        self.sg_pending = 0;
     }
 }
 
@@ -643,6 +667,17 @@ impl std::fmt::Debug for WindowMaintain {
             .field("pool_arena", &self.poss.arena_slots())
             .finish()
     }
+}
+
+/// Stable-sort `rows` by the selected guess of the `partition` attributes
+/// and split them into one slice per partition value, in value order
+/// (input order within a partition).
+pub(crate) fn partition_runs<'a, 'r>(
+    rows: &'a mut [&'r AuRow],
+    partition: &'a [usize],
+) -> impl Iterator<Item = &'a [&'r AuRow]> {
+    rows.sort_by(|a, b| a.tuple.cmp_sg_on(&b.tuple, partition));
+    rows.chunk_by(|a, b| a.tuple.cmp_sg_on(&b.tuple, partition).is_eq())
 }
 
 /// Append maintenance of a (possibly partitioned) window query: routes
@@ -705,9 +740,10 @@ impl MaintainedWindow {
                 }
             }
         }
-        for (key, part_batch) in self.group(batch) {
-            if let Some((part, _)) = self.parts.get(&key) {
-                if !part.batch_in_order(&part_batch) {
+        let mut rows: Vec<&AuRow> = batch.rows().iter().collect();
+        for part in partition_runs(&mut rows, &self.spec.partition) {
+            if let Some((sweep, _)) = self.parts.get(&self.key_of(part)) {
+                if !sweep.rows_in_order(part) {
                     return Err(
                         "appended rows do not sit strictly after the accumulated rows \
                          in ORDER BY (frontier overlap)"
@@ -721,8 +757,9 @@ impl MaintainedWindow {
 
     /// Absorb one batch (the caller ran [`MaintainedWindow::check_batch`]).
     pub fn apply(&mut self, batch: &AuRelation) {
-        for (key, part_batch) in self.group(batch) {
-            let (part, _) = self.parts.entry(key).or_insert_with(|| {
+        let mut rows: Vec<&AuRow> = batch.rows().iter().collect();
+        for part in partition_runs(&mut rows, &self.spec.partition) {
+            let (sweep, _) = self.parts.entry(self.key_of(part)).or_insert_with(|| {
                 (
                     WindowMaintain::new(
                         self.schema.clone(),
@@ -733,20 +770,13 @@ impl MaintainedWindow {
                     0,
                 )
             });
-            part.apply(&part_batch);
+            sweep.apply_rows(part, batch.is_normalized());
         }
     }
 
-    fn group(&self, batch: &AuRelation) -> Vec<(SortKey, AuRelation)> {
-        let mut groups: BTreeMap<SortKey, AuRelation> = BTreeMap::new();
-        for row in batch.rows() {
-            let key = SortKey::of_corner(&row.tuple, Corner::Sg, &self.spec.partition);
-            groups
-                .entry(key)
-                .or_insert_with(|| AuRelation::empty(self.schema.clone()))
-                .push(row.tuple.clone(), row.mult);
-        }
-        groups.into_iter().collect()
+    /// The partition a (non-empty) run of [`partition_runs`] belongs to.
+    fn key_of(&self, part: &[&AuRow]) -> SortKey {
+        SortKey::of_corner(&part[0].tuple, Corner::Sg, &self.spec.partition)
     }
 
     /// The full current output over all partitions, in deterministic
@@ -755,12 +785,17 @@ impl MaintainedWindow {
     pub fn result(&self) -> AuRelation {
         let mut out = AuRelation::empty(self.schema.with(&self.out_name));
         for (part, _) in self.parts.values() {
-            for (t, m) in part.closed_rows() {
-                out.push(t.clone(), *m);
-            }
-            for (t, m) in part.open_result() {
-                out.push(t, m);
-            }
+            out.append(&mut part.result());
+        }
+        out
+    }
+
+    /// [`MaintainedWindow::result`], consuming the sweeps: rows move into
+    /// the output instead of being cloned.
+    pub fn into_result(self) -> AuRelation {
+        let mut out = AuRelation::empty(self.schema.with(&self.out_name));
+        for (part, _) in self.parts.into_values() {
+            out.append(&mut part.into_result());
         }
         out
     }

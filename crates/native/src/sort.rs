@@ -37,8 +37,9 @@
 //! `Vec<Value>` element-wise. Already-normalized inputs skip the
 //! normalization pass entirely via [`AuRelation::normalized`].
 
-use audb_core::{AuRelation, Corner, Mult3, RangeValue, SortKey};
+use audb_core::{AuRelation, AuRow, Corner, Mult3, RangeValue, SortKey};
 use audb_rel::ops::sort::total_order;
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
@@ -50,45 +51,74 @@ use std::collections::{BinaryHeap, HashMap};
 /// byte-key + seq ordering. `Copy`: pushing allocates nothing.
 type Pending = (u32, u32, u32, u64);
 
+/// One output row of the sweep before it is materialised: which input row
+/// backs it, which of that row's possible duplicates it is (`split`,
+/// Algorithm 2), its position bounds and its own multiplicity triple.
+/// [`sort_native`] / [`topk_native`] append the position to a copy of the
+/// tuple; the window sweep ([`crate::maintain`]) consumes these directly.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Position {
+    /// Index into the input rows of the (first stored copy of the) row.
+    pub row: u32,
+    /// Duplicate index within the row's merged possible multiplicity
+    /// (`> 0` only where the fused normalisation found `k↑ > 1`).
+    pub dup: u32,
+    pub tau_lb: u64,
+    pub tau_sg: u64,
+    pub tau_ub: u64,
+    pub mult: Mult3,
+}
+
 /// `sort_{O→τ}(R)` — one-pass equivalent of [`audb_core::sort_ref`] under
 /// interval-lex comparison. The input is normalized first (identical
 /// hypercubes must be merged for duplicate offsets to be meaningful);
 /// already-normalized inputs are borrowed, not copied.
 pub fn sort_native(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelation {
-    sort_impl(rel, order, pos_name, None)
+    materialise(rel, order, pos_name, None)
 }
 
 /// Top-k: sort + AU-selection `σ_{τ < k}` fused into the scan with early
 /// termination; position bounds capped at `k` (paper Algorithm 1, `emit`).
 pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
-    sort_impl(rel, order, pos_name, Some(k))
+    materialise(rel, order, pos_name, Some(k))
 }
 
-fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) -> AuRelation {
-    let total_idxs = total_order(rel.schema.arity(), order);
-    let nrows = rel.rows().len();
-    let schema = rel.schema.with(pos_name);
-    let mut out = AuRelation::empty(schema);
-    if nrows == 0 {
-        return out;
-    }
+fn materialise(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) -> AuRelation {
+    let rows = rel.rows();
+    let positions = sort_positions(rows, rel.schema.arity(), order, rel.is_normalized(), k);
+    AuRelation::from_rows(
+        rel.schema.with(pos_name),
+        positions.iter().map(|p| {
+            let pos = RangeValue::from_i64s(p.tau_lb as i64, p.tau_sg as i64, p.tau_ub as i64);
+            (rows[p.row as usize].tuple.with(pos), p.mult)
+        }),
+    )
+}
+
+/// The rank computation of Algorithm 1 + `split` over `rows` (owned rows
+/// or references to them — a partition of a relation is a `&[&AuRow]`), in
+/// emission order. `normalized` asserts the rows are distinct and
+/// zero-free, which skips the fused normalisation.
+pub(crate) fn sort_positions<R: Borrow<AuRow>>(
+    rows: &[R],
+    arity: usize,
+    order: &[usize],
+    normalized: bool,
+    k: Option<u64>,
+) -> Vec<Position> {
+    let total_idxs = total_order(arity, order);
+    let nrows = rows.len();
+    let mut out: Vec<Position> = Vec::with_capacity(nrows);
+    let corner_keys = |corner: Corner| -> Vec<SortKey> {
+        rows.iter()
+            .map(|r| SortKey::of_corner(&r.borrow().tuple, corner, &total_idxs))
+            .collect()
+    };
 
     // Per-row corner keys over `<total_O`, each encoded exactly once.
-    let lb_keys: Vec<SortKey> = rel
-        .rows()
-        .iter()
-        .map(|r| SortKey::of_corner(&r.tuple, Corner::Lb, &total_idxs))
-        .collect();
-    let ub_keys: Vec<SortKey> = rel
-        .rows()
-        .iter()
-        .map(|r| SortKey::of_corner(&r.tuple, Corner::Ub, &total_idxs))
-        .collect();
-    let sg_keys: Vec<SortKey> = rel
-        .rows()
-        .iter()
-        .map(|r| SortKey::of_corner(&r.tuple, Corner::Sg, &total_idxs))
-        .collect();
+    let lb_keys = corner_keys(Corner::Lb);
+    let ub_keys = corner_keys(Corner::Ub);
+    let sg_keys = corner_keys(Corner::Sg);
 
     // Normalization, fused: identical hypercubes must be merged for
     // duplicate offsets to be meaningful (see `sort_ref`). `total_idxs` is
@@ -100,25 +130,26 @@ fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) 
     // distinct and zero-free).
     let mut live: Vec<usize> = Vec::with_capacity(nrows);
     let mut mult: Vec<Mult3> = Vec::with_capacity(nrows);
-    if rel.is_normalized() {
+    if normalized {
         live.extend(0..nrows);
-        mult.extend(rel.rows().iter().map(|r| r.mult));
+        mult.extend(rows.iter().map(|r| r.borrow().mult));
     } else {
         let mut seen: HashMap<(&SortKey, &SortKey, &SortKey), usize> =
             HashMap::with_capacity(nrows);
         for r in 0..nrows {
-            if rel.rows()[r].mult.is_zero() {
+            let rmult = rows[r].borrow().mult;
+            if rmult.is_zero() {
                 continue;
             }
             match seen.entry((&lb_keys[r], &ub_keys[r], &sg_keys[r])) {
                 Entry::Occupied(e) => {
                     let j = *e.get();
-                    mult[j] = mult[j] + rel.rows()[r].mult;
+                    mult[j] = mult[j] + rmult;
                 }
                 Entry::Vacant(v) => {
                     v.insert(live.len());
                     live.push(r);
-                    mult.push(rel.rows()[r].mult);
+                    mult.push(rmult);
                 }
             }
         }
@@ -183,16 +214,14 @@ fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) 
                             // Indexed by dense key rank.
     let mut processed_by_lb: Vec<u64> = vec![0; rank_count];
     let mut seq = 0u32;
-    let mut stopped = false;
 
     let emit = |p: Pending,
                 rank_lb: &mut u64,
                 rank_ub: u64,
                 processed_by_lb: &[u64],
-                out: &mut AuRelation| {
+                out: &mut Vec<Position>| {
         let (ubr, _, prow, tau_lb) = p;
         let prow = prow as usize;
-        let tuple = &rel.rows()[live[prow]].tuple;
         let rmult = mult[prow];
         let tau_sg = sg_base[prow];
         let bucket = processed_by_lb[ubr as usize];
@@ -234,8 +263,14 @@ fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) 
             if plb > psg {
                 psg = plb; // can only happen via capping; keep the invariant
             }
-            let pos = RangeValue::from_i64s(plb as i64, psg as i64, pub_ as i64);
-            out.push(tuple.with(pos), m);
+            out.push(Position {
+                row: live[prow] as u32,
+                dup: i as u32,
+                tau_lb: plb,
+                tau_sg: psg,
+                tau_ub: pub_,
+                mult: m,
+            });
         }
         *rank_lb += rmult.lb;
     };
@@ -250,12 +285,9 @@ fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) 
                 break;
             }
         }
-        if let Some(k) = k {
-            if rank_lb >= k {
-                // Everything from here on is certainly out of the top-k.
-                stopped = true;
-                break;
-            }
+        if k.is_some_and(|k| rank_lb >= k) {
+            // Everything from here on is certainly out of the top-k.
+            break;
         }
         rank_ub += mult[r].ub;
         processed_by_lb[lb_rank[r] as usize] += mult[r].ub;
@@ -267,7 +299,6 @@ fn sort_impl(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) 
     while let Some(Reverse(p)) = todo.pop() {
         emit(p, &mut rank_lb, rank_ub, &processed_by_lb, &mut out);
     }
-    let _ = stopped;
     out
 }
 

@@ -1,17 +1,17 @@
 //! One-pass ranged windowed aggregation (paper Algorithm 3, with the
 //! `compBounds` family of Algorithms 4–6) built on connected heaps.
 //!
-//! The input relation is first sorted with [`crate::sort::sort_native`]
-//! (positions materialized as `τ` ranges, every row's possible multiplicity
-//! is 1), then swept in ascending `τ↓` order:
+//! The input rows are first ranked by the sort sweep (`sort::sort_positions`:
+//! `τ` ranges per row, every entry's possible multiplicity is 1 — no sorted
+//! relation is built), then swept in ascending `τ↓` order:
 //!
 //! * `openw` — a min-heap on `τ↑` of tuples whose windows are not yet
 //!   complete. A tuple `s` closes once the incoming `τ↓` exceeds
 //!   `s.τ↑ + u` (no future tuple can possibly belong to its window).
-//! * `cert` — a BTree of certain tuples (`k↓ ≥ 1`) bucketed by `τ↓`,
-//!   each bucket ordered by `τ↑`: a range scan over
-//!   `[s.τ↑ + l, s.τ↓ + u]` yields exactly the tuples *certainly* in `s`'s
-//!   window (Fig. 6). Buckets below every open window are evicted.
+//! * `cert` — the certain tuples (`k↓ ≥ 1`) in arrival order, which is
+//!   `τ↓` order: a range scan over `τ↓ ∈ [s.τ↑ + l, s.τ↓ + u]` keeping
+//!   `τ↑ ≤ s.τ↓ + u` yields exactly the tuples *certainly* in `s`'s window
+//!   (Fig. 6). Tuples below every open window are evicted from the front.
 //! * `poss` — a **three-way connected heap** ordered by `τ↑` (eviction),
 //!   `A↓` ascending (min-k candidates) and `A↑` descending (max-k
 //!   candidates). `compBounds` scans the `A↓`/`A↑` components in sorted
@@ -25,26 +25,42 @@
 //! actually overlapping `s`'s possible window, and eviction thresholds use
 //! the minimum `τ↓` over *all* open windows rather than the closing
 //! window's own `τ↓` (later-closing windows may start earlier when position
-//! ranges are wide). Selected-guess components are computed by the shared
-//! deterministic pre-pass [`audb_core::sg_window_values`].
+//! ranges are wide). Selected-guess components are the deterministic
+//! window operator over the selected-guess world in the one order
+//! [`audb_core::sg_ordered_inputs`] defines, shared with the reference.
 //!
 //! `PARTITION BY` is supported natively for *certain* partition attributes
-//! (hash partition + per-partition sweep, an extension over the paper's
+//! (one sweep per partition value, an extension over the paper's
 //! benchmarked configuration); uncertain partition attributes require the
 //! reference semantics or the rewrite method, as in the paper.
 //!
 //! ## Performance notes
 //!
-//! The connected heap stores *row ids* and compares precomputed
-//! memcmp-comparable [`SortKey`]s of the aggregation attribute bounds —
-//! inserting into the pool allocates nothing and sifting compares raw
-//! bytes. Per-partition sweeps are independent and run in parallel
-//! (`audb_par`), with results concatenated in deterministic partition-key
-//! order before the final normalize.
+//! The sweep itself lives in [`crate::maintain`] (its module docs describe
+//! the state). An input row is cloned once, into the tuple its output row
+//! is built in; the pool entries carry the aggregated attribute's bounds
+//! as plain values (an `Int`/`Int` compare is a branch, cloning a `Str` an
+//! `Arc` bump), and a sorted pool scan visits only the heap nodes it
+//! yields. Partitions are slices of row references, not copies; their
+//! sweeps are independent and run in parallel (`audb_par`), with results
+//! concatenated in deterministic partition-value order before the final
+//! normalize.
 
-use crate::maintain::WindowMaintain;
-use audb_core::{AuRelation, AuWindowSpec, Corner, SortKey, WinAgg};
-use std::collections::HashMap;
+use crate::maintain::{partition_runs, WindowMaintain};
+use audb_core::{AuRelation, AuRow, AuWindowSpec, WinAgg};
+
+/// What [`window_native_checked`] computed, and whether it is the bounds
+/// the engine promises.
+#[derive(Debug)]
+pub struct NativeWindow {
+    /// The sweep's output, normalized.
+    pub rel: AuRelation,
+    /// Identical hypercubes merged into a duplicate multiplicity (`k↑ > 1`)
+    /// somewhere in the input. The sweep then treats duplicates by position
+    /// offsets — sound, tighter on positions, but *not* the expand-first
+    /// Def. 3 bounds of [`audb_core::window_ref`].
+    pub merged_duplicates: bool,
+}
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
 /// [`audb_core::window_ref`]. Panics if partition attributes are uncertain
@@ -55,62 +71,69 @@ pub fn window_native(
     agg: WinAgg,
     out_name: &str,
 ) -> AuRelation {
-    let mut out = AuRelation::empty(rel.schema.with(out_name));
-    if rel.is_empty() {
-        return out;
+    match window_native_checked(rel, spec, agg, out_name) {
+        Ok(out) => out.rel,
+        Err(e) => panic!("{e}"),
     }
-    if spec.partition.is_empty() {
-        return window_partitionless(rel, spec, agg, out_name).normalize();
-    }
-    // Hash partitioning on certain partition attributes.
-    let mut parts: HashMap<SortKey, AuRelation> = HashMap::new();
-    for row in rel.rows() {
-        for &g in &spec.partition {
-            assert!(
-                row.tuple.get(g).is_certain(),
+}
+
+/// [`window_native`] for callers that must know when its bounds are not
+/// the reference's: reports an uncertain `PARTITION BY` value as an error
+/// instead of panicking, and duplicate multiplicities — as the sweep's own
+/// fused normalisation found them, so the input need not be normalized to
+/// ask — beside the result.
+pub fn window_native_checked(
+    rel: &AuRelation,
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    out_name: &str,
+) -> Result<NativeWindow, String> {
+    // Rows that exist, split by their (certain) partition values — all in
+    // one partition when there is no PARTITION BY.
+    let mut rows: Vec<&AuRow> = Vec::with_capacity(rel.len());
+    for row in rel.rows().iter().filter(|row| !row.mult.is_zero()) {
+        if let Some(g) = spec
+            .partition
+            .iter()
+            .find(|&&g| !row.tuple.get(g).is_certain())
+        {
+            return Err(format!(
                 "window_native requires certain PARTITION BY attributes \
                  (attribute {g} of {} is a range); use audb_core::window_ref \
                  or the rewrite method for uncertain partitions",
                 row.tuple
-            );
+            ));
         }
-        let key = SortKey::of_corner(&row.tuple, Corner::Sg, &spec.partition);
-        parts
-            .entry(key)
-            .or_insert_with(|| AuRelation::empty(rel.schema.clone()))
-            .push(row.tuple.clone(), row.mult);
+        rows.push(row);
     }
+    let parts: Vec<&[&AuRow]> = partition_runs(&mut rows, &spec.partition).collect();
     let inner = AuWindowSpec {
         partition: Vec::new(),
         order: spec.order.clone(),
         lower: spec.lower,
         upper: spec.upper,
     };
-    // Deterministic partition order, then embarrassingly parallel sweeps.
-    let mut parts: Vec<(SortKey, AuRelation)> = parts.into_iter().collect();
-    parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let results = audb_par::par_map(&parts, |(_, part)| {
-        window_partitionless(part, &inner, agg, out_name)
+    // The one-batch special case of the resumable sweep: construct a
+    // `WindowMaintain`, feed it the whole partition, flush. Keeping the
+    // one-shot operator and the incremental maintenance on the *same* code
+    // path is what guarantees they can never disagree. Partitions come in
+    // deterministic order; their sweeps are embarrassingly parallel.
+    let sweeps = audb_par::par_map(&parts, |part| {
+        let mut m = WindowMaintain::new(rel.schema.clone(), inner.clone(), agg, out_name);
+        m.apply_rows(part, rel.is_normalized());
+        let merged_duplicates = m.merged_duplicates();
+        (m.into_result(), merged_duplicates)
     });
-    for mut part_out in results {
+    let mut out = AuRelation::empty(rel.schema.with(out_name));
+    let mut merged_duplicates = false;
+    for (mut part_out, part_merged) in sweeps {
         out.append(&mut part_out);
+        merged_duplicates |= part_merged;
     }
-    out.normalize()
-}
-
-/// The one-batch special case of the resumable sweep: construct a
-/// [`WindowMaintain`], feed it the whole partition, flush. Keeping the
-/// one-shot operator and the incremental maintenance on the *same* code
-/// path is what guarantees they can never disagree.
-fn window_partitionless(
-    rel: &AuRelation,
-    spec: &AuWindowSpec,
-    agg: WinAgg,
-    out_name: &str,
-) -> AuRelation {
-    let mut m = WindowMaintain::new(rel.schema.clone(), spec.clone(), agg, out_name);
-    m.apply(rel);
-    m.result()
+    Ok(NativeWindow {
+        rel: out.normalize(),
+        merged_duplicates,
+    })
 }
 
 #[cfg(test)]

@@ -59,7 +59,12 @@ impl WindowSpec {
 /// Aggregate `vals[lo(i)..=hi(i)]` for the sliding ranges induced by a
 /// `[l, u]` window over `0..n`, clamped to valid indices. Uses prefix sums
 /// for sum/count/avg and monotonic deques for min/max.
-fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Value> {
+///
+/// Public because the selected-guess component of the AU-DB window
+/// operators is exactly this over the selected-guess world in SG order
+/// (`audb_core::sg_ordered_inputs`); they call it on the value slice
+/// instead of building a provenance relation for [`window_rows`].
+pub fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Value> {
     let n = vals.len() as i64;
     let bounds = |i: i64| -> Option<(usize, usize)> {
         let lo = (i + l).max(0);

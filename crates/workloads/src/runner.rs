@@ -18,7 +18,7 @@ use audb_engine::{
     Agg, Engine, JoinStrategy, Plan, Query, Session, SessionError, WindowSpec as EngineWindowSpec,
 };
 use audb_rel::ops::sort::topk_with_pos;
-use audb_rel::{sort_to_pos, window_rows, AggFunc, Value, WindowSpec};
+use audb_rel::{sort_to_pos, window_rows, Value, WindowSpec};
 use audb_worlds::{WindowTruth, XTupleTable};
 use std::time::{Duration, Instant};
 
@@ -209,13 +209,7 @@ pub fn det_window(
 ) -> Timed<Bounds> {
     let world = table.most_likely_world();
     let id_col = table.schema.arity() - 1;
-    let dagg = match agg {
-        WinAgg::Sum(c) => AggFunc::Sum(c),
-        WinAgg::Count => AggFunc::Count,
-        WinAgg::Min(c) => AggFunc::Min(c),
-        WinAgg::Max(c) => AggFunc::Max(c),
-        WinAgg::Avg(c) => AggFunc::Avg(c),
-    };
+    let dagg = agg.det();
     time(move || {
         let out = window_rows(&world, &WindowSpec::rows(order.to_vec(), l, u), dagg, "x");
         let x_col = out.schema.arity() - 1;

@@ -10,8 +10,10 @@ use audb::core::{
     RangeValue, WinAgg,
 };
 use audb::engine::{Agg, Engine, Plan, Query, WindowSpec};
-use audb::native::{sort_native, topk_native, window_native};
-use audb::rel::Schema;
+use audb::native::{
+    sort_native, topk_native, window_native, window_native_checked, MaintainedWindow,
+};
+use audb::rel::{Schema, Value};
 use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
 use proptest::prelude::*;
 
@@ -251,4 +253,293 @@ proptest! {
         }
         let _ = RangeValue::certain(0i64);
     }
+}
+
+/// splitmix64 — the seeded stream behind the mid-size test below.
+struct Seeded(u64);
+
+impl Seeded {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> i64 {
+        (self.next() % n) as i64
+    }
+}
+
+/// What the aggregated column of a mid-size table holds.
+#[derive(Clone, Copy, Debug)]
+enum ValueKind {
+    Int,
+    /// Quarters, so every sum is exact whatever order it is taken in.
+    Float,
+    /// Integers, a tenth of them `NULL` (some only in the lower bound).
+    IntWithNulls,
+}
+
+/// `(g, o, o2, v, id)`: `rows` rows in ascending `o` (pairs of rows tie on
+/// its selected guess), `unc_pct` % of the `o`, `o2` and `v` attributes
+/// each widened into a range reaching a few neighbours, 1 % of the rows
+/// possibly absent, `g` a certain partition value below `parts`, `id`
+/// certain and unique (no two rows are one hypercube: duplicates are where
+/// native and reference bounds legitimately differ).
+fn mid_size_rows(
+    rng: &mut Seeded,
+    rows: usize,
+    unc_pct: u64,
+    kind: ValueKind,
+    parts: u64,
+) -> Vec<(AuTuple, Mult3)> {
+    let uncertain = |rng: &mut Seeded| rng.next() % 100 < unc_pct;
+    (0..rows as i64)
+        .map(|i| {
+            let o = (i / 2) * 6;
+            let o = if uncertain(rng) {
+                RangeValue::new(o - rng.below(14), o, o + rng.below(14))
+            } else {
+                RangeValue::certain(o)
+            };
+            let o2 = rng.below(4);
+            let o2 = if uncertain(rng) {
+                RangeValue::new(o2 - 1, o2, o2 + rng.below(3))
+            } else {
+                RangeValue::certain(o2)
+            };
+            let v = rng.below(101) - 50;
+            let (dl, du) = if uncertain(rng) {
+                (rng.below(9), rng.below(9))
+            } else {
+                (0, 0)
+            };
+            let v = match kind {
+                ValueKind::Int => RangeValue::new(v - dl, v, v + du),
+                ValueKind::Float => {
+                    let q = |x: i64| Value::Float(x as f64 / 4.0);
+                    RangeValue::new(q(v - dl), q(v), q(v + du))
+                }
+                ValueKind::IntWithNulls => match rng.below(20) {
+                    0 => RangeValue::certain(Value::Null),
+                    1 => RangeValue::new(Value::Null, v, v + du),
+                    _ => RangeValue::new(v - dl, v, v + du),
+                },
+            };
+            let mult = match rng.below(200) {
+                0 => Mult3::new(0, 1, 1),
+                1 => Mult3::new(0, 0, 1),
+                _ => Mult3::ONE,
+            };
+            let g = RangeValue::certain(rng.below(parts));
+            (AuTuple::new([g, o, o2, v, RangeValue::certain(i)]), mult)
+        })
+        .collect()
+}
+
+/// Cut `rows` (in ascending `o`) into batches at a random subset of the
+/// places where a cut leaves every later row strictly after every earlier
+/// one on `(o, o2)` — the in-order condition of window maintenance.
+fn in_order_batches<'a>(
+    rng: &mut Seeded,
+    rows: &'a [(AuTuple, Mult3)],
+) -> Vec<&'a [(AuTuple, Mult3)]> {
+    let order = [1usize, 2];
+    let mut cuts = vec![0];
+    for at in 1..rows.len() {
+        let frontier = rows[..at]
+            .iter()
+            .map(|(t, _)| t)
+            .max_by(|a, b| a.cmp_ub_on(b, &order))
+            .expect("non-empty prefix");
+        let in_order = rows[at..]
+            .iter()
+            .all(|(t, _)| frontier.cmp_ub_vs_lb_on(t, &order).is_lt());
+        if in_order && rng.below(3) == 0 {
+            cuts.push(at);
+        }
+    }
+    cuts.push(rows.len());
+    cuts.windows(2).map(|w| &rows[w[0]..w[1]]).collect()
+}
+
+/// Native ≡ reference and maintained ≡ one-shot at a size where the sweep's
+/// eviction watermark, certain-tuple eviction and pool skipping all fire
+/// (the properties above stop at 7 rows): a few hundred rows, two ORDER BY
+/// columns, frames reaching forward, every aggregate over integers, floats
+/// and `NULL`s, with and without `PARTITION BY`.
+#[test]
+fn mid_size_windows_agree_with_reference_and_maintenance() {
+    let schema = Schema::new(["g", "o", "o2", "v", "id"]);
+    let frames = [(-3i64, 0i64), (-1, 2), (0, 3)];
+    let aggs = [
+        WinAgg::Sum(3),
+        WinAgg::Count,
+        WinAgg::Min(3),
+        WinAgg::Max(3),
+        WinAgg::Avg(3),
+    ];
+    let kinds = [ValueKind::Int, ValueKind::Float, ValueKind::IntWithNulls];
+    let mut rng = Seeded(0xA0DB_2023);
+    let mut table = 0usize;
+    for unc_pct in [5u64, 30] {
+        for kind in kinds {
+            table += 1;
+            // The reference is cubic under PARTITION BY: those tables stay
+            // at the low end and take one aggregate and frame each.
+            let rows = 256 + rng.below(257) as usize;
+            let flat = mid_size_rows(&mut rng, rows, unc_pct, kind, 1);
+            let parted = mid_size_rows(&mut rng, 256, unc_pct, kind, 4);
+            for (a, &agg) in aggs.iter().enumerate() {
+                for (f, &(l, u)) in frames.iter().enumerate() {
+                    let plain = AuWindowSpec::rows(vec![1, 2], l, u);
+                    let mut cases = vec![(&flat, plain.clone())];
+                    if (a, f) == (table % aggs.len(), table % frames.len()) {
+                        cases.push((&parted, plain.partition_by(vec![0])));
+                    }
+                    for (rows, spec) in cases {
+                        let what = format!(
+                            "{unc_pct} % uncertain {kind:?}, {agg:?} over [{l}, {u}], \
+                             partition by {:?}, {} rows",
+                            spec.partition,
+                            rows.len()
+                        );
+                        let rel = AuRelation::from_rows(schema.clone(), rows.iter().cloned());
+                        let native = window_native(&rel, &spec, agg, "x");
+                        let reference =
+                            window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
+                        assert!(native.bag_eq(&reference), "native ≠ reference: {what}");
+
+                        let mut maintained =
+                            MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
+                        let batches = in_order_batches(&mut rng, rows);
+                        assert!(batches.len() > 8, "{} batches: {what}", batches.len());
+                        for batch in batches {
+                            let batch =
+                                AuRelation::from_rows(schema.clone(), batch.iter().cloned());
+                            maintained.check_batch(&batch).expect("batch is in order");
+                            maintained.apply(&batch);
+                        }
+                        assert!(
+                            maintained.result().bag_eq(&native),
+                            "maintained ≠ one-shot: {what}"
+                        );
+                        assert!(
+                            maintained.into_result().bag_eq(&native),
+                            "maintained (consumed) ≠ one-shot: {what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `SUM` over values within a frame's reach of `i64::MAX` / `i64::MIN`:
+/// both implementations add through `Value::add` (checked, widening to
+/// float on overflow) and must keep agreeing — wrapping `i64` arithmetic
+/// anywhere in the sweep would show here. Every value is within 512 of its
+/// edge, so it and every partial sum are exact in `f64` whatever order
+/// the members are added in; zeros keep the two edges out of each other's
+/// windows.
+#[test]
+fn window_sums_at_the_i64_edges_agree_with_reference() {
+    let mut rng = Seeded(0x0F10);
+    let mut rows = Vec::new();
+    for i in 0..44i64 {
+        let edge = |rng: &mut Seeded| match i {
+            0..=15 => i64::MAX - rng.below(500),
+            16..=27 => 0,
+            _ => i64::MIN + rng.below(500),
+        };
+        let mut v = [edge(&mut rng), edge(&mut rng), edge(&mut rng)];
+        v.sort_unstable();
+        let v = RangeValue::new(v[0], v[1], v[2]);
+        let o = if i % 4 == 1 {
+            RangeValue::new(10 * i - 12, 10 * i, 10 * i + 12)
+        } else {
+            RangeValue::certain(10 * i)
+        };
+        let mult = if i % 11 == 5 {
+            Mult3::new(0, 1, 1)
+        } else {
+            Mult3::ONE
+        };
+        rows.push((AuTuple::new([o, v]), mult));
+    }
+    let rel = AuRelation::from_rows(Schema::new(["o", "v"]), rows);
+    for (l, u) in [(-3i64, 0i64), (-1, 2), (0, 3)] {
+        let spec = AuWindowSpec::rows(vec![0], l, u);
+        let native = window_native(&rel, &spec, WinAgg::Sum(1), "x");
+        let reference = window_ref(&rel, &spec, WinAgg::Sum(1), "x", CmpSemantics::IntervalLex);
+        assert!(
+            native.bag_eq(&reference),
+            "[{l}, {u}]\nnative:\n{native}\nreference:\n{reference}"
+        );
+        let overflowed = native
+            .rows()
+            .iter()
+            .filter(|row| matches!(row.tuple.get(2).ub, Value::Float(_)))
+            .count();
+        assert!(
+            overflowed >= 8,
+            "only {overflowed} sums left i64 over [{l}, {u}]"
+        );
+    }
+}
+
+/// The two inputs the native window does not answer — identical hypercubes
+/// stored as separate rows (they merge into `k↑ > 1`, where the sweep's
+/// duplicate offsets give different bounds) and an uncertain `PARTITION BY`
+/// value — still reach the reference through the engine, now that the
+/// decision comes from the sweep and not from normalizing the input first.
+#[test]
+fn native_window_fallbacks_route_to_the_reference() {
+    let schema = Schema::new(["g", "o", "o2", "v", "id"]);
+    let window = |partitioned: bool| {
+        let spec = WindowSpec::rows(-1, 2).order_by(["o", "o2"]);
+        let spec = if partitioned {
+            spec.partition_by(["g"])
+        } else {
+            spec
+        };
+        spec.aggregate(Agg::sum("v")).output("x")
+    };
+    let mut rng = Seeded(0xFA11);
+    let rows = mid_size_rows(&mut rng, 48, 30, ValueKind::Int, 2);
+
+    // Identical hypercubes, stored apart from each other.
+    let mut split = rows.clone();
+    split.extend([rows[7].clone(), rows[20].clone(), rows[33].clone()]);
+    let rel = AuRelation::from_rows(schema.clone(), split);
+    let spec = AuWindowSpec::rows(vec![1, 2], -1, 2);
+    let swept = window_native_checked(&rel, &spec, WinAgg::Sum(3), "x").expect("no partition");
+    assert!(swept.merged_duplicates);
+    let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
+    assert!(
+        !swept.rel.bag_eq(&reference),
+        "the duplicate offsets were meant to show in these bounds"
+    );
+    let plan = Query::scan(rel).window(window(false)).build().unwrap();
+    let all = Engine::native().run_all(&plan).expect("backends agree");
+    assert!(all.output.bag_eq(&reference));
+    let explain = Engine::native().explain(&plan).to_string();
+    assert!(explain.contains("falls back to reference"), "{explain}");
+
+    // One uncertain partition value among certain ones.
+    let mut unsure = rows;
+    unsure[11].0 .0[0] = RangeValue::new(0, 0, 1);
+    let rel = AuRelation::from_rows(schema, unsure);
+    let spec = spec.partition_by(vec![0]);
+    let refused = window_native_checked(&rel, &spec, WinAgg::Sum(3), "x").unwrap_err();
+    assert!(refused.contains("certain PARTITION BY"), "{refused}");
+    let plan = Query::scan(rel.clone())
+        .window(window(true))
+        .build()
+        .unwrap();
+    let all = Engine::native().run_all(&plan).expect("backends agree");
+    let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
+    assert!(all.output.bag_eq(&reference));
 }
