@@ -5,9 +5,11 @@
 //! measured cell.
 
 use audb_engine::{CmpSemantics, Engine, Query};
+use audb_native::sort_native_staged;
 use audb_workloads::runner::{self, sort_plan};
 use audb_workloads::synthetic::{gen_sort_table, SyntheticConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::time::{Duration, Instant};
 
 fn bench_sort_methods(c: &mut Criterion) {
     let mut g = c.benchmark_group("sort/methods");
@@ -46,14 +48,50 @@ fn bench_topk(c: &mut Criterion) {
     g.finish();
 }
 
+/// Rows per size of `sort/scaling`, cache-resident to far past cache; CI
+/// holds the per-row cost at 262 144 rows against the 32 768-row one of
+/// the same run.
+const SCALING_ROWS: [usize; 6] = [1_000, 4_000, 16_000, 32_768, 262_144, 1_048_576];
+
 fn bench_sort_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("sort/scaling");
     g.sample_size(10);
-    for n in [1_000usize, 4_000, 16_000] {
-        let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-        let plan = sort_plan(&table, &[0, 1], None);
-        g.bench_with_input(BenchmarkId::new("imp", n), &n, |b, _| {
+    for n in SCALING_ROWS {
+        g.throughput(Throughput::Elements(n as u64));
+        // Generated inside the closure: a filtered-out size costs nothing.
+        g.bench_with_input(BenchmarkId::new("imp", n), &n, |b, &n| {
+            let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
+            let plan = sort_plan(&table, &[0, 1], None);
             b.iter(|| Engine::native().execute(&plan).unwrap())
+        });
+    }
+    g.finish();
+}
+
+/// Where one native sort of 32 768 rows spends its time: each cell charges
+/// one stage of `sort_native_staged` (DESIGN.md §3.3 has the table).
+fn bench_sort_stages(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sort/stages");
+    g.sample_size(10);
+    for stage in ["encode", "rank", "merge", "sweep", "materialise"] {
+        g.bench_function(stage, |b| {
+            let table = gen_sort_table(&SyntheticConfig::default().rows(32_768).seed(3));
+            let rel = table.to_au_relation();
+            b.iter_custom(|iters| {
+                let mut charged = Duration::ZERO;
+                for _ in 0..iters {
+                    let mut last = Instant::now();
+                    let sorted = sort_native_staged(&rel, &[0, 1], "pos", None, &mut |ended| {
+                        let now = Instant::now();
+                        if ended == stage {
+                            charged += now - last;
+                        }
+                        last = now;
+                    });
+                    black_box(sorted);
+                }
+                charged
+            })
         });
     }
     g.finish();
@@ -104,6 +142,7 @@ criterion_group!(
     bench_sort_methods,
     bench_topk,
     bench_sort_scaling,
+    bench_sort_stages,
     bench_cmp_semantics,
     bench_exact_competitors
 );

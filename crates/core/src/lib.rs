@@ -77,7 +77,7 @@ pub use physical::{CertBitmap, PhysSlice, PhysType, PhysVec, StrPool};
 pub use pos::{all_pos_bounds, pos_bounds, PosBounds};
 pub use range_value::{RangeValue, TruthRange};
 pub use relation::{AuRelation, AuRow};
-pub use sortkey::{Corner, SortKey};
+pub use sortkey::{Corner, KeyArena, SortKey};
 pub use stats::{
     estimate_selectivity, range_verdict, zone_truth, ColumnStats, TableStats, ZoneMap, ZoneVerdict,
     ZONE_ROWS,

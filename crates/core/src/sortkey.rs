@@ -7,7 +7,9 @@
 //! corner of an [`AuTuple`] into a single byte string whose plain `memcmp`
 //! (`&[u8]` ordering) equals the lexicographic [`Value::cmp`] order of the
 //! projected values. Keys are built **once per row**, and every subsequent
-//! comparison is a branch-free byte compare with zero allocation.
+//! comparison is a branch-free byte compare with zero allocation. A
+//! [`KeyArena`] holds the same bytes for many keys in one vector — what a
+//! sort over all the corner keys of a relation wants.
 //!
 //! ## Encoding
 //!
@@ -39,6 +41,7 @@
 //! comparison and the NaN / `-0.0` equivalences) is pinned by property
 //! tests in `tests/sortkey_props.rs`.
 
+use crate::range_value::RangeValue;
 use crate::tuple::AuTuple;
 use audb_rel::{Tuple, Value};
 use std::cmp::Ordering;
@@ -52,6 +55,18 @@ pub enum Corner {
     Sg,
     /// The upper-bound corner `t↑`.
     Ub,
+}
+
+impl Corner {
+    /// This corner's component of a range value.
+    #[inline]
+    pub fn of(self, r: &RangeValue) -> &Value {
+        match self {
+            Corner::Lb => &r.lb,
+            Corner::Sg => &r.sg,
+            Corner::Ub => &r.ub,
+        }
+    }
 }
 
 /// An order-preserving byte encoding of a value sequence; `Ord` on the raw
@@ -74,13 +89,7 @@ impl SortKey {
     pub fn of_corner(t: &AuTuple, corner: Corner, idxs: &[usize]) -> SortKey {
         let mut out = Vec::with_capacity(idxs.len() * 17);
         for &i in idxs {
-            let r = &t.0[i];
-            let v = match corner {
-                Corner::Lb => &r.lb,
-                Corner::Sg => &r.sg,
-                Corner::Ub => &r.ub,
-            };
-            encode_value(v, &mut out);
+            encode_value(corner.of(&t.0[i]), &mut out);
         }
         SortKey(out)
     }
@@ -141,6 +150,70 @@ impl SortKey {
     #[inline]
     pub fn cmp_bytes(&self, other: &SortKey) -> Ordering {
         self.0.cmp(&other.0)
+    }
+}
+
+/// Corner keys of many tuples in one allocation: the memcmp bytes of
+/// [`encode_value`] end to end, addressed by *slot* — the order they were
+/// pushed in — through an offset table. `Ord` on [`KeyArena::key`] is
+/// [`SortKey`]'s order, without a heap allocation per key.
+#[derive(Debug)]
+pub struct KeyArena {
+    bytes: Vec<u8>,
+    /// `ends[s]..ends[s + 1]` are the bytes of slot `s`.
+    ends: Vec<usize>,
+}
+
+impl KeyArena {
+    /// An empty arena with room for `keys` keys of `values` numbers each
+    /// (strings grow it).
+    pub fn with_capacity(keys: usize, values: usize) -> KeyArena {
+        let mut ends = Vec::with_capacity(keys + 1);
+        ends.push(0);
+        KeyArena {
+            bytes: Vec::with_capacity(keys * values * 17),
+            ends,
+        }
+    }
+
+    /// Append the key of `t`'s `corner` over `idxs`; its slot is the
+    /// [`KeyArena::len`] of before.
+    pub fn push_corner(&mut self, t: &AuTuple, corner: Corner, idxs: &[usize]) {
+        for &i in idxs {
+            encode_value(corner.of(&t.0[i]), &mut self.bytes);
+        }
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The key in `slot`.
+    #[inline]
+    pub fn key(&self, slot: usize) -> &[u8] {
+        &self.bytes[self.ends[slot]..self.ends[slot + 1]]
+    }
+
+    /// An abbreviation of the key in `slot` that sorts ahead of it: its
+    /// first eight bytes, big-endian, zero-padded. `prefix(a) < prefix(b)`
+    /// implies `key(a) < key(b)` (a shorter key is a proper prefix of
+    /// whatever its padding ties with, and sorts first either way) and
+    /// equal keys have equal prefixes — so a sort compares prefixes held
+    /// beside the slot numbers and reads the arena on ties only.
+    #[inline]
+    pub fn prefix(&self, slot: usize) -> u64 {
+        let key = self.key(slot);
+        let mut head = [0u8; 8];
+        let n = key.len().min(8);
+        head[..n].copy_from_slice(&key[..n]);
+        u64::from_be_bytes(head)
+    }
+
+    /// Slots pushed so far.
+    pub fn len(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    /// True before the first push.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -265,7 +338,6 @@ fn float_residual(f: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range_value::RangeValue;
 
     fn key(v: Value) -> SortKey {
         SortKey::of_value(&v)

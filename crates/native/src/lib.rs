@@ -9,7 +9,9 @@
 //!
 //! * [`sort::sort_native`] / [`sort::topk_native`] — Algorithm 1 + `split`
 //!   (Algorithm 2): a single sweep over the relation sorted by the
-//!   lower-bound corner, with a `todo` min-heap on upper-bound corners.
+//!   lower-bound corner, with a `todo` min-heap on upper-bound corners;
+//!   [`sort::sort_native_staged`] is the same run reporting where its
+//!   stages end, for the `sort/stages` bench.
 //! * [`window::window_native`] — Algorithm 3 (+`compBounds`, Algorithms
 //!   4–6): a sweep over uncertain positions with a `cert` position index
 //!   and a three-way [`audb_conheap::ConnectedHeap`] over the possible
@@ -24,5 +26,5 @@ pub mod sort;
 pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
-pub use sort::{sort_native, topk_native};
+pub use sort::{sort_native, sort_native_staged, topk_native};
 pub use window::{window_native, window_native_checked, NativeWindow};

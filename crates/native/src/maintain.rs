@@ -68,13 +68,13 @@
 //! [`TopKMaintain`] accepts appends in *any* order: it maintains the
 //! accumulated rows in three `O(log n)` ordered indexes (by whole-row
 //! identity, by lower-bound corner key, by upper-bound corner key) and
-//! answers a query by running [`crate::sort::topk_native`] over a pruned
-//! candidate set: rows whose lower-bound key is at most `M`, the largest
-//! upper-bound key among rows not certainly ranked below `k`. Every
-//! position-bound contributor of an output row lies inside that set, so
-//! the pruned run is *exactly* equal to the full run (see the unit tests),
-//! while its cost scales with the uncertain band around rank `k`, not with
-//! `n`.
+//! answers a query by running [`crate::sort::topk_native`] over the
+//! candidate band of DESIGN.md §3.3 — rows whose lower-bound key is at
+//! most `M`, the largest upper-bound key among rows not certainly ranked
+//! below `k` — read off the ordered indexes. The pruned run is *exactly*
+//! equal to the full run (the argument is stated there once, for this and
+//! for the one-shot sort's own band; see also the unit tests), while its
+//! cost scales with the uncertain band around rank `k`, not with `n`.
 //!
 //! The pool heaps reuse their arena across the life of a subscription
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
@@ -928,8 +928,7 @@ impl TopKMaintain {
             None => self.by_lb.iter().map(|(a, b)| (a, b)).collect(),
             Some(kk) => {
                 // M: the largest upper-bound key among rows not certainly
-                // below rank k. Every τ-bound contributor of an output row
-                // has a lower-bound key ≤ M, so the pruned run is exact.
+                // below rank k (DESIGN.md §3.3: rows beyond it change nothing).
                 let mut m: Option<&SortKey> = None;
                 for (lbk, rk) in &self.by_lb {
                     if lbk > kk {

@@ -18,8 +18,8 @@
 //!   emitted bound equals Equation (3) exactly. The result is
 //!   property-tested to be *identical* to the Def. 2 reference.
 //!
-//! Selected-guess positions are deterministic and computed by a sorting
-//! pre-pass over the selected-guess corners (Equation (2)).
+//! Selected-guess positions are deterministic: the selected-guess mass of
+//! strictly smaller selected-guess corners (Equation (2)).
 //!
 //! With `k` given, the scan stops once `rank↓ ≥ k` (all further tuples are
 //! certainly out of the top-k); position bounds of survivors are capped at
@@ -27,29 +27,40 @@
 //! when comparing). Uses the exact interval-lexicographic comparison
 //! semantics ([`audb_core::CmpSemantics::IntervalLex`]).
 //!
-//! ## Zero-allocation keys
+//! ## Flat keys, one rank space
 //!
-//! All corner projections (`O↓`, `O↑`, selected guess) are encoded **once
-//! per row** into memcmp-comparable [`SortKey`]s
-//! ([`audb_core::sortkey`]). Every comparison in the pre-pass sorts, the
-//! `todo` heap and the per-key bucket map is a plain byte compare — the
-//! previous implementation materialized corner `Tuple`s and compared
-//! `Vec<Value>` element-wise. Already-normalized inputs skip the
-//! normalization pass entirely via [`AuRelation::normalized`].
+//! Everything ahead of the sweep runs on flat state (DESIGN.md §3.3 has
+//! the stage table):
+//!
+//! 1. **Encode.** Corner keys over `<total_O` go into one [`KeyArena`] —
+//!    one growing byte vector, no allocation per key. A row that is
+//!    certain on every attribute has one key for all three corners and is
+//!    encoded once; zero-multiplicity rows are dropped here.
+//! 2. **Rank.** One sort of `(prefix, slot)` references — each row's `O↓`
+//!    key plus the selected-guess and `O↑` keys of uncertain rows —
+//!    assigns one dense rank space to all three corners, and leaves the
+//!    `O↓` scan order behind (ties in stored order).
+//! 3. **Merge, selected guess.** Identical hypercubes stored apart share
+//!    their rank triple and sit in one run of the scan order; they fold
+//!    into the first stored copy. Selected-guess positions (Equation (2))
+//!    are a prefix sum of `k_sg` mass per rank.
+//! 4. **Band** (top-k only, ahead of ranking). Rows that cannot reach
+//!    rank `k` and cannot move the bounds of a row that can are dropped by
+//!    linear passes over the arena — the candidate band of DESIGN.md §3.3,
+//!    the one [`crate::maintain::TopKMaintain`] keeps for streams.
+//!
+//! From there on every comparison is an integer compare.
 
-use audb_core::{AuRelation, AuRow, Corner, Mult3, RangeValue, SortKey};
+use audb_core::{AuRelation, AuRow, Corner, KeyArena, Mult3, RangeValue};
 use audb_rel::ops::sort::total_order;
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// Heap entry: `(O↑ dense rank, insertion seq, row, rank↓ at insertion)`.
-/// Ordered by the first two fields (`seq` is unique, so the trailing
-/// payload never participates) — a total order, so pops are deterministic
-/// and FIFO among equal `O↑` keys, exactly like the previous
-/// byte-key + seq ordering. `Copy`: pushing allocates nothing.
-type Pending = (u32, u32, u32, u64);
+/// Heap entry: `(O↑ rank, scan sequence, rank↓ at insertion)`. The scan
+/// sequence is unique, so this is a total order: pops are deterministic
+/// and FIFO among equal `O↑` keys. `Copy`: pushing allocates nothing.
+type Pending = (u32, u32, u64);
 
 /// One output row of the sweep before it is materialised: which input row
 /// backs it, which of that row's possible duplicates it is (`split`,
@@ -70,35 +81,48 @@ pub(crate) struct Position {
 }
 
 /// `sort_{O→τ}(R)` — one-pass equivalent of [`audb_core::sort_ref`] under
-/// interval-lex comparison. The input is normalized first (identical
-/// hypercubes must be merged for duplicate offsets to be meaningful);
-/// already-normalized inputs are borrowed, not copied.
+/// interval-lex comparison. Identical hypercubes stored as separate rows
+/// are merged on the way (duplicate offsets presuppose one row per
+/// hypercube); the input is neither copied nor normalized.
 pub fn sort_native(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelation {
-    materialise(rel, order, pos_name, None)
+    sort_native_staged(rel, order, pos_name, None, &mut |_| {})
 }
 
 /// Top-k: sort + AU-selection `σ_{τ < k}` fused into the scan with early
 /// termination; position bounds capped at `k` (paper Algorithm 1, `emit`).
 pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
-    materialise(rel, order, pos_name, Some(k))
+    sort_native_staged(rel, order, pos_name, Some(k), &mut |_| {})
 }
 
-fn materialise(rel: &AuRelation, order: &[usize], pos_name: &str, k: Option<u64>) -> AuRelation {
+/// [`sort_native`] (`k = None`) or [`topk_native`], calling `stage` with a
+/// stage's name as it ends: `"encode"`, `"band"` (top-k only), `"rank"`,
+/// `"merge"`, `"sweep"`, `"materialise"`. The `sort/stages` bench reads a
+/// clock there; the kernel itself never does.
+pub fn sort_native_staged(
+    rel: &AuRelation,
+    order: &[usize],
+    pos_name: &str,
+    k: Option<u64>,
+    stage: &mut dyn FnMut(&'static str),
+) -> AuRelation {
     let rows = rel.rows();
-    let positions = sort_positions(rows, rel.schema.arity(), order, rel.is_normalized(), k);
-    AuRelation::from_rows(
+    let arity = rel.schema.arity();
+    let ranked = positions(rows, arity, order, rel.is_normalized(), k, stage);
+    let out = AuRelation::from_rows(
         rel.schema.with(pos_name),
-        positions.iter().map(|p| {
+        ranked.iter().map(|p| {
             let pos = RangeValue::from_i64s(p.tau_lb as i64, p.tau_sg as i64, p.tau_ub as i64);
             (rows[p.row as usize].tuple.with(pos), p.mult)
         }),
-    )
+    );
+    stage("materialise");
+    out
 }
 
 /// The rank computation of Algorithm 1 + `split` over `rows` (owned rows
 /// or references to them — a partition of a relation is a `&[&AuRow]`), in
 /// emission order. `normalized` asserts the rows are distinct and
-/// zero-free, which skips the fused normalisation.
+/// zero-free, which skips the merge.
 pub(crate) fn sort_positions<R: Borrow<AuRow>>(
     rows: &[R],
     arity: usize,
@@ -106,126 +130,262 @@ pub(crate) fn sort_positions<R: Borrow<AuRow>>(
     normalized: bool,
     k: Option<u64>,
 ) -> Vec<Position> {
-    let total_idxs = total_order(arity, order);
-    let nrows = rows.len();
-    let mut out: Vec<Position> = Vec::with_capacity(nrows);
-    let corner_keys = |corner: Corner| -> Vec<SortKey> {
-        rows.iter()
-            .map(|r| SortKey::of_corner(&r.borrow().tuple, corner, &total_idxs))
-            .collect()
+    positions(rows, arity, order, normalized, k, &mut |_| {})
+}
+
+/// A row taking part in the sort: where its keys are, and — once ranked —
+/// how they compare.
+struct Cand {
+    /// Index into the input rows.
+    row: u32,
+    /// Arena slot of the `O↓` key. An uncertain row's selected-guess and
+    /// `O↑` keys are the next two slots; a certain row has this one only.
+    slot: u32,
+    uncertain: bool,
+    /// Dense ranks of the three corner keys, by [`LB`] / [`SG`] / [`UB`].
+    ranks: [u32; 3],
+    /// Its annotation; after the merge, summed over the stored copies.
+    /// Zero marks a copy folded into an earlier one.
+    mult: Mult3,
+}
+
+const LB: usize = 0;
+const SG: usize = 1;
+const UB: usize = 2;
+
+impl Cand {
+    fn slot(&self, corner: usize) -> usize {
+        self.slot as usize + if self.uncertain { corner } else { 0 }
+    }
+}
+
+/// One key to be ranked: compared by `prefix`, then by the arena's key in
+/// `slot`, then by `slot` — so equal keys keep their stored order.
+struct KeyRef {
+    prefix: u64,
+    slot: u32,
+    cand: u32,
+}
+
+fn positions<R: Borrow<AuRow>>(
+    rows: &[R],
+    arity: usize,
+    order: &[usize],
+    normalized: bool,
+    k: Option<u64>,
+    stage: &mut dyn FnMut(&'static str),
+) -> Vec<Position> {
+    if k == Some(0) {
+        return Vec::new(); // every position is ≥ 0
+    }
+    let (arena, mut cands) = encode(rows, &total_order(arity, order));
+    stage("encode");
+    if let Some(k) = k {
+        band(&arena, &mut cands, k);
+        stage("band");
+    }
+    let (mut scan, rank_count) = rank(&arena, &mut cands);
+    stage("rank");
+    if !normalized {
+        merge(&mut cands, &mut scan);
+    }
+    // Selected-guess positions (Equation (2)): the `k_sg` mass of strictly
+    // smaller selected-guess keys — tuples with equal keys do not precede
+    // each other, so a whole rank shares one base.
+    let mut sg_base = vec![0u64; rank_count + 1];
+    for &c in &scan {
+        let c = &cands[c as usize];
+        sg_base[c.ranks[SG] as usize + 1] += c.mult.sg;
+    }
+    for r in 0..rank_count {
+        sg_base[r + 1] += sg_base[r];
+    }
+    stage("merge");
+    let out = sweep(&cands, &scan, &sg_base, k);
+    stage("sweep");
+    out
+}
+
+/// Stage 1: the corner keys over `idxs` of every row with a non-zero
+/// annotation, a certain row's once.
+fn encode<R: Borrow<AuRow>>(rows: &[R], idxs: &[usize]) -> (KeyArena, Vec<Cand>) {
+    let mut arena = KeyArena::with_capacity(rows.len() + rows.len() / 4, idxs.len());
+    let mut cands = Vec::with_capacity(rows.len());
+    for (r, row) in rows.iter().enumerate() {
+        let row = row.borrow();
+        if row.mult.is_zero() {
+            continue;
+        }
+        let uncertain = !row.tuple.is_certain();
+        let slot = arena.len() as u32;
+        arena.push_corner(&row.tuple, Corner::Lb, idxs);
+        if uncertain {
+            arena.push_corner(&row.tuple, Corner::Sg, idxs);
+            arena.push_corner(&row.tuple, Corner::Ub, idxs);
+        }
+        cands.push(Cand {
+            row: r as u32,
+            slot,
+            uncertain,
+            ranks: [0; 3],
+            mult: row.mult,
+        });
+    }
+    (arena, cands)
+}
+
+/// Stage 4, top-k: keep the candidate band (DESIGN.md §3.3). `K` is the
+/// `O↑` key by which certain mass `k` has accumulated — a row whose `O↓`
+/// lies beyond it has `τ↓ ≥ k`. `M` is the largest `O↑` among the rows
+/// not beyond `K`; a row whose `O↓` lies beyond `M` precedes none of them
+/// in any world, so their bounds are the same without it. With fewer than
+/// `k` certain rows every row may reach the top k.
+fn band(arena: &KeyArena, cands: &mut Vec<Cand>, k: u64) {
+    let certain = cands
+        .iter()
+        .fold(0u64, |mass, c| mass.saturating_add(c.mult.lb));
+    if certain < k {
+        return;
+    }
+    let key = |slot: usize| (arena.prefix(slot), arena.key(slot));
+    // The smallest `O↑` keys of certain rows, as few as hold mass ≥ k.
+    let mut smallest = BinaryHeap::new();
+    let mut mass = 0u64;
+    for c in cands.iter().filter(|c| c.mult.lb > 0) {
+        let ub = key(c.slot(UB));
+        if mass >= k && smallest.peek().is_some_and(|&(top, _)| top <= ub) {
+            continue;
+        }
+        smallest.push((ub, c.mult.lb));
+        mass = mass.saturating_add(c.mult.lb);
+        while let Some(&(_, top_mass)) = smallest.peek() {
+            if mass - top_mass < k {
+                break;
+            }
+            mass -= top_mass;
+            smallest.pop();
+        }
+    }
+    let Some(&(threshold, _)) = smallest.peek() else {
+        return;
     };
-
-    // Per-row corner keys over `<total_O`, each encoded exactly once.
-    let lb_keys = corner_keys(Corner::Lb);
-    let ub_keys = corner_keys(Corner::Ub);
-    let sg_keys = corner_keys(Corner::Sg);
-
-    // Normalization, fused: identical hypercubes must be merged for
-    // duplicate offsets to be meaningful (see `sort_ref`). `total_idxs` is
-    // a permutation of *all* columns, so the corner-key triple determines
-    // the tuple up to value equality — merging hashes the keys we already
-    // hold instead of cloning and canonically sorting the whole relation.
-    // `live[j]` is the original row backing logical row `j`; `mult[j]` its
-    // merged annotation. Normalized inputs skip the pass (rows are already
-    // distinct and zero-free).
-    let mut live: Vec<usize> = Vec::with_capacity(nrows);
-    let mut mult: Vec<Mult3> = Vec::with_capacity(nrows);
-    if normalized {
-        live.extend(0..nrows);
-        mult.extend(rows.iter().map(|r| r.borrow().mult));
-    } else {
-        let mut seen: HashMap<(&SortKey, &SortKey, &SortKey), usize> =
-            HashMap::with_capacity(nrows);
-        for r in 0..nrows {
-            let rmult = rows[r].borrow().mult;
-            if rmult.is_zero() {
-                continue;
-            }
-            match seen.entry((&lb_keys[r], &ub_keys[r], &sg_keys[r])) {
-                Entry::Occupied(e) => {
-                    let j = *e.get();
-                    mult[j] = mult[j] + rmult;
-                }
-                Entry::Vacant(v) => {
-                    v.insert(live.len());
-                    live.push(r);
-                    mult.push(rmult);
-                }
-            }
-        }
-    }
-    let n = live.len();
-    if n == 0 {
-        return out;
-    }
-
-    // Densify the corner keys of live rows into one shared integer rank
-    // space: `rank(x) < rank(y)` iff the byte keys (hence the corner
-    // values) compare that way, across both corners. Every comparison in
-    // the sweep below is then a plain integer compare, and the per-key
-    // bucket map becomes a flat vector.
-    let (lb_rank, ub_rank, rank_count) = {
-        let mut refs: Vec<(&SortKey, usize)> = Vec::with_capacity(2 * n);
-        refs.extend(live.iter().enumerate().map(|(j, &r)| (&lb_keys[r], j)));
-        refs.extend(live.iter().enumerate().map(|(j, &r)| (&ub_keys[r], n + j)));
-        refs.sort_unstable_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
-        let mut rank = vec![0u32; 2 * n];
-        let mut r = 0u32;
-        for j in 0..refs.len() {
-            if j > 0 && refs[j].0 != refs[j - 1].0 {
-                r += 1;
-            }
-            rank[refs[j].1] = r;
-        }
-        let ub = rank.split_off(n);
-        (rank, ub, r as usize + 1)
+    let Some(reach) = cands
+        .iter()
+        .filter(|c| key(c.slot(LB)) <= threshold)
+        .map(|c| key(c.slot(UB)))
+        .max()
+    else {
+        return;
     };
+    cands.retain(|c| key(c.slot(LB)) <= reach);
+}
 
-    // --- Selected-guess pre-pass (Equation (2)): deterministic ranks. ---
-    let mut by_sg: Vec<usize> = (0..n).collect();
-    by_sg.sort_unstable_by(|&a, &b| sg_keys[live[a]].cmp(&sg_keys[live[b]]));
-    let mut sg_base = vec![0u64; n];
-    let mut cum = 0u64;
-    let mut i = 0;
-    while i < n {
-        // Tuples with equal sg keys do not precede each other (Eq. (2)
-        // sums over strictly smaller keys), so the whole group shares the
-        // cumulative multiplicity seen before it.
-        let mut j = i;
-        let mut group_mult = 0u64;
-        while j < n && sg_keys[live[by_sg[j]]] == sg_keys[live[by_sg[i]]] {
-            sg_base[by_sg[j]] = cum;
-            group_mult += mult[by_sg[j]].sg;
-            j += 1;
+/// Stage 2: one dense rank space for all three corners — `rank(x) <
+/// rank(y)` iff the keys compare that way, whichever corners they belong
+/// to. Returns the candidates in `O↓` order (ties in stored order) and
+/// the number of ranks.
+fn rank(arena: &KeyArena, cands: &mut [Cand]) -> (Vec<u32>, usize) {
+    let mut refs: Vec<KeyRef> = Vec::with_capacity(cands.len() + cands.len() / 4);
+    for (c, cand) in cands.iter().enumerate() {
+        for slot in cand.slot(LB)..=cand.slot(UB) {
+            refs.push(KeyRef {
+                prefix: arena.prefix(slot),
+                slot: slot as u32,
+                cand: c as u32,
+            });
         }
-        cum += group_mult;
-        i = j;
     }
+    refs.sort_unstable_by(|a, b| {
+        a.prefix
+            .cmp(&b.prefix)
+            .then_with(|| arena.key(a.slot as usize).cmp(arena.key(b.slot as usize)))
+            .then(a.slot.cmp(&b.slot))
+    });
+    let mut scan = Vec::with_capacity(cands.len());
+    let mut rank = 0u32;
+    for i in 0..refs.len() {
+        let (at, before) = (&refs[i], &refs[i.saturating_sub(1)]);
+        if at.prefix != before.prefix
+            || arena.key(at.slot as usize) != arena.key(before.slot as usize)
+        {
+            rank += 1;
+        }
+        let cand = &mut cands[at.cand as usize];
+        let corner = (at.slot - cand.slot) as usize;
+        if cand.uncertain {
+            cand.ranks[corner] = rank;
+        } else {
+            cand.ranks = [rank; 3];
+        }
+        if corner == LB {
+            scan.push(at.cand);
+        }
+    }
+    (scan, rank as usize + 1)
+}
 
-    // --- Main sweep (Algorithm 1). ---
-    let mut by_lb: Vec<usize> = (0..n).collect();
-    by_lb.sort_unstable_by_key(|&a| (lb_rank[a], a));
+/// Stage 3: normalisation, fused. Identical hypercubes must be merged for
+/// duplicate offsets to be meaningful (see `sort_ref`). `<total_O` covers
+/// every attribute, so equal rank triples mean equal tuples — and equal
+/// `O↓` ranks put them in one run of `scan`. Each run of more than one row
+/// folds its equal triples into the first stored copy; `scan` keeps its
+/// order and loses the folded copies.
+fn merge(cands: &mut [Cand], scan: &mut Vec<u32>) {
+    let mut group: Vec<u32> = Vec::new();
+    let mut folded = false;
+    let mut start = 0;
+    while start < scan.len() {
+        let lb = cands[scan[start] as usize].ranks[LB];
+        let len = scan[start..]
+            .iter()
+            .take_while(|&&c| cands[c as usize].ranks[LB] == lb)
+            .count();
+        if len > 1 {
+            group.clear();
+            group.extend_from_slice(&scan[start..start + len]);
+            group.sort_unstable_by_key(|&c| (cands[c as usize].ranks, c));
+            let mut first = group[0] as usize;
+            for &c in &group[1..] {
+                let c = c as usize;
+                if cands[c].ranks == cands[first].ranks {
+                    cands[first].mult = cands[first].mult + cands[c].mult;
+                    cands[c].mult = Mult3::ZERO;
+                    folded = true;
+                } else {
+                    first = c;
+                }
+            }
+        }
+        start += len;
+    }
+    if folded {
+        scan.retain(|&c| !cands[c as usize].mult.is_zero());
+    }
+}
 
+/// Algorithm 1 over ranked candidates in `O↓` order, with `split`
+/// (Algorithm 2) and, under top-k, the fused `σ_{τ < k}` and cap in `emit`.
+fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
+    let mut out: Vec<Position> = Vec::with_capacity(scan.len());
     let mut todo: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-    let mut rank_lb = 0u64; // Σ k↓ of emitted tuples
-    let mut rank_ub = 0u64; // Σ k↑ of processed tuples
-                            // Σ k↑ of processed tuples per distinct lower-bound key: emitted upper
-                            // bounds must not count tuples whose O↓ merely *ties* the emitted O↑.
-                            // Indexed by dense key rank.
-    let mut processed_by_lb: Vec<u64> = vec![0; rank_count];
-    let mut seq = 0u32;
+    // Σ k↓ of emitted tuples and Σ k↑ of processed tuples.
+    let (mut rank_lb, mut rank_ub) = (0u64, 0u64);
+    // Σ k↑ of processed tuples per distinct lower-bound key: emitted upper
+    // bounds must not count tuples whose O↓ merely *ties* the emitted O↑.
+    // Indexed by dense key rank.
+    let mut processed_by_lb: Vec<u64> = vec![0; sg_base.len()];
 
     let emit = |p: Pending,
                 rank_lb: &mut u64,
                 rank_ub: u64,
                 processed_by_lb: &[u64],
                 out: &mut Vec<Position>| {
-        let (ubr, _, prow, tau_lb) = p;
-        let prow = prow as usize;
-        let rmult = mult[prow];
-        let tau_sg = sg_base[prow];
-        let bucket = processed_by_lb[ubr as usize];
-        let self_extra = if lb_rank[prow] != ub_rank[prow] {
+        let (ub_rank, seq, tau_lb) = p;
+        let cand = &cands[scan[seq as usize] as usize];
+        let rmult = cand.mult;
+        let tau_sg = sg_base[cand.ranks[SG] as usize];
+        let bucket = processed_by_lb[ub_rank as usize];
+        let self_extra = if cand.ranks[LB] != cand.ranks[UB] {
             rmult.ub
         } else {
             0
@@ -249,7 +409,7 @@ pub(crate) fn sort_positions<R: Borrow<AuRow>>(
             if let Some(k) = k {
                 // Fused σ_{τ < k} with [24] selection semantics.
                 if plb >= k {
-                    continue; // certainly out of the top-k
+                    break; // this duplicate and every later one: certainly out
                 }
                 m = Mult3 {
                     lb: if pub_ < k { m.lb } else { 0 },
@@ -263,8 +423,12 @@ pub(crate) fn sort_positions<R: Borrow<AuRow>>(
             if plb > psg {
                 psg = plb; // can only happen via capping; keep the invariant
             }
+            debug_assert!(
+                i <= u64::from(u32::MAX),
+                "duplicate index {i} overflows u32"
+            );
             out.push(Position {
-                row: live[prow] as u32,
+                row: cand.row,
                 dup: i as u32,
                 tau_lb: plb,
                 tau_sg: psg,
@@ -275,10 +439,11 @@ pub(crate) fn sort_positions<R: Borrow<AuRow>>(
         *rank_lb += rmult.lb;
     };
 
-    for &r in &by_lb {
+    for (seq, &c) in scan.iter().enumerate() {
+        let cand = &cands[c as usize];
         // Emit every pending tuple certainly ordered before the incoming one.
         while let Some(&Reverse(p)) = todo.peek() {
-            if p.0 < lb_rank[r] {
+            if p.0 < cand.ranks[LB] {
                 todo.pop();
                 emit(p, &mut rank_lb, rank_ub, &processed_by_lb, &mut out);
             } else {
@@ -289,10 +454,9 @@ pub(crate) fn sort_positions<R: Borrow<AuRow>>(
             // Everything from here on is certainly out of the top-k.
             break;
         }
-        rank_ub += mult[r].ub;
-        processed_by_lb[lb_rank[r] as usize] += mult[r].ub;
-        todo.push(Reverse((ub_rank[r], seq, r as u32, rank_lb)));
-        seq += 1;
+        rank_ub += cand.mult.ub;
+        processed_by_lb[cand.ranks[LB] as usize] += cand.mult.ub;
+        todo.push(Reverse((cand.ranks[UB], seq as u32, rank_lb)));
     }
 
     // Flush remaining pending tuples (Algorithm 1, lines 10–11).
@@ -421,6 +585,48 @@ mod tests {
         let native = sort_native(&rel, &[0, 1], "pos");
         let reference = sort_ref(&rel, &[0, 1], "pos", CmpSemantics::IntervalLex);
         assert!(native.bag_eq(&reference));
+    }
+
+    /// `τ↓ + i` only grows with the duplicate index: once it reaches `k`
+    /// the split of a row is over, however many duplicates it may have.
+    #[test]
+    fn topk_stops_splitting_a_row_at_k() {
+        let rel = AuRelation::from_rows(
+            Schema::new(["a"]),
+            [
+                (
+                    AuTuple::new([RangeValue::certain(1i64)]),
+                    Mult3::new(1, 1, 4_000_000_000),
+                ),
+                (AuTuple::new([RangeValue::certain(2i64)]), Mult3::ONE),
+            ],
+        );
+        let top = topk_native(&rel, &[0], 3, "pos");
+        let positions: Vec<_> = top
+            .rows()
+            .iter()
+            .map(|r| (r.tuple.get(1).as_i64_triple(), r.mult))
+            .collect();
+        assert_eq!(
+            positions,
+            [
+                ((0, 0, 0), Mult3::ONE),
+                ((1, 1, 1), Mult3::new(0, 0, 1)),
+                ((2, 2, 2), Mult3::new(0, 0, 1)),
+                ((1, 1, 3), Mult3::new(0, 1, 1)),
+            ]
+        );
+    }
+
+    #[test]
+    fn stages_end_in_pipeline_order() {
+        let mut seen = Vec::new();
+        let top = sort_native_staged(&example6(), &[0, 1], "pos", Some(2), &mut |s| seen.push(s));
+        assert!(top.bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
+        assert_eq!(
+            seen,
+            ["encode", "band", "rank", "merge", "sweep", "materialise"]
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! treatments provably coincide; see DESIGN.md §3.4).
 
 use audb::core::{
-    sort_ref, topk_ref, window_ref, AuRelation, AuTuple, AuWindowSpec, CmpSemantics, Mult3,
-    RangeValue, WinAgg,
+    au_select, sort_ref, topk_ref, window_ref, AuRelation, AuTuple, AuWindowSpec, CmpSemantics,
+    Mult3, RangeExpr, RangeValue, WinAgg,
 };
 use audb::engine::{Agg, Engine, Plan, Query, WindowSpec};
 use audb::native::{
@@ -146,12 +146,7 @@ proptest! {
     #[test]
     fn topk_implementations_agree(rel in au_relation(8, false), k in 0u64..6) {
         let mut reference = topk_ref(&rel, &[0], k, CmpSemantics::IntervalLex);
-        let pos_col = reference.schema.arity() - 1;
-        for row in reference.rows_mut() {
-            let (lb, sg, ub) = row.tuple.0[pos_col].as_i64_triple();
-            row.tuple.0[pos_col] =
-                RangeValue::from_i64s(lb, sg.min(k as i64), ub.min(k as i64));
-        }
+        cap_positions(&mut reference, k);
         let native = topk_native(&rel, &[0], k, "pos");
         prop_assert!(native.bag_eq(&reference), "k={k}\nnative:\n{native}\nref:\n{reference}");
 
@@ -432,6 +427,164 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// What the order columns of a rank table hold.
+#[derive(Clone, Copy, Debug)]
+enum KeyKind {
+    /// `(Int, Int, Int)`.
+    Ints,
+    /// `(Int | Float, Str | NULL, Int | NULL)`: numbers of both kinds
+    /// interleaving in one column, strings, and `NULL`s sorting first
+    /// (some only as a lower bound).
+    Mixed,
+}
+
+/// `(a, b, c)`, ranked on `(a, b)`: `rows` stored rows, `unc_pct` % of the
+/// `a` and `b` attributes each a range reaching a few dozen neighbours.
+/// Among them: hypercubes stored more than once and far apart (a twelfth
+/// of the rows, certain and uncertain alike), rows of multiplicity zero,
+/// possibly absent rows `(0, 1, 1)` / `(0, 0, 1)` all over the domain —
+/// inside and outside any top-k band —, and multiplicities above one.
+fn rank_rows(rng: &mut Seeded, rows: usize, unc_pct: u64, kind: KeyKind) -> Vec<(AuTuple, Mult3)> {
+    let uncertain = |rng: &mut Seeded| rng.next() % 100 < unc_pct;
+    let domain = rows as u64 * 4;
+    let mut out: Vec<(AuTuple, Mult3)> = Vec::with_capacity(rows);
+    while out.len() < rows {
+        if out.len() > 8 && rng.below(12) == 0 {
+            let copy = out[rng.below(out.len() as u64) as usize].clone();
+            out.push(copy);
+            continue;
+        }
+        let a = rng.below(domain);
+        let (al, au) = if uncertain(rng) {
+            (a - rng.below(120), a + rng.below(120))
+        } else {
+            (a, a)
+        };
+        let b = rng.below(50);
+        let (bl, bu) = if uncertain(rng) {
+            (b - rng.below(3), b + rng.below(3))
+        } else {
+            (b, b)
+        };
+        let c = rng.below(5);
+        let tuple = match kind {
+            KeyKind::Ints => AuTuple::new([
+                RangeValue::new(al, a, au),
+                RangeValue::new(bl, b, bu),
+                RangeValue::certain(c),
+            ]),
+            KeyKind::Mixed => {
+                // Halves and whole numbers, as `Float` or as `Int`.
+                let num = |rng: &mut Seeded, x: i64| match rng.below(3) {
+                    0 => Value::Int(x),
+                    1 => Value::Float(x as f64),
+                    _ => Value::Float(x as f64 + 0.5),
+                };
+                let (lo, sg) = (num(rng, al), num(rng, a));
+                let hi = num(rng, au).max(sg.clone());
+                let word = |x: i64| Value::str(format!("w{:03}", x + 10));
+                let b = match rng.below(16) {
+                    0 => RangeValue::certain(Value::Null),
+                    1 => RangeValue::new(Value::Null, word(b), word(bu)),
+                    _ => RangeValue::new(word(bl), word(b), word(bu)),
+                };
+                let c = if rng.below(10) == 0 {
+                    RangeValue::certain(Value::Null)
+                } else {
+                    RangeValue::certain(c)
+                };
+                AuTuple::new([RangeValue::new(lo.min(sg.clone()), sg, hi), b, c])
+            }
+        };
+        let mult = match rng.below(100) {
+            0 | 1 => Mult3::new(0, 1, 1),
+            2 => Mult3::new(0, 0, 1),
+            3 => Mult3::ZERO,
+            4 => Mult3::new(1, 2, 3),
+            5 => Mult3::new(2, 2, 2),
+            _ => Mult3::ONE,
+        };
+        out.push((tuple, mult));
+    }
+    out
+}
+
+/// The paper's `τ↑ ← min(k, ·)` cap on the trailing position attribute
+/// (the reference keeps raw Def. 2 positions; native caps during `emit`).
+fn cap_positions(rel: &mut AuRelation, k: u64) {
+    let pos_col = rel.schema.arity() - 1;
+    for row in rel.rows_mut() {
+        let (lb, sg, ub) = row.tuple.0[pos_col].as_i64_triple();
+        row.tuple.0[pos_col] = RangeValue::from_i64s(lb, sg.min(k as i64), ub.min(k as i64));
+    }
+}
+
+/// `σ_{τ < k}` over a sorted relation — what `topk_ref` does to
+/// `sort_ref`'s output — with the positions capped at `k`.
+fn capped_topk_of(sorted: &AuRelation, k: u64) -> AuRelation {
+    let pos_col = sorted.schema.arity() - 1;
+    let mut top = au_select(
+        sorted,
+        &RangeExpr::col(pos_col).lt(RangeExpr::lit(k as i64)),
+    );
+    cap_positions(&mut top, k);
+    top
+}
+
+/// Native ≡ reference for sort and top-k at a size where the rank sort,
+/// the duplicate merge and the top-k candidate band all have work to do
+/// (the properties above stop at 8 rows): a few thousand rows over integer
+/// keys and over keys mixing `Int`, `Float`, `Str` and `NULL`. The
+/// reference is quadratic, so it sorts each table once and every `k` takes
+/// its `σ_{τ < k}` from that — `topk_ref` itself is held to the same
+/// answer at one `k`. And the band changes nothing: top-k is the full
+/// native sort filtered and capped, row for row, in the same order.
+#[test]
+fn mid_size_sorts_and_topks_agree_with_reference() {
+    let schema = Schema::new(["a", "b", "c"]);
+    let order = [0usize, 1];
+    let mut rng = Seeded(0x709C_2023);
+    for unc_pct in [5u64, 30] {
+        for kind in [KeyKind::Ints, KeyKind::Mixed] {
+            let stored = 2048 + rng.below(2049) as usize;
+            let rel =
+                AuRelation::from_rows(schema.clone(), rank_rows(&mut rng, stored, unc_pct, kind));
+            let what = format!("{unc_pct} % uncertain {kind:?}, {stored} rows");
+            let reference = sort_ref(&rel, &order, "pos", CmpSemantics::IntervalLex);
+            let native = sort_native(&rel, &order, "pos");
+            assert!(native.bag_eq(&reference), "sort: {what}");
+            assert!(
+                rel.normalized().len() + stored / 16 < stored,
+                "hypercubes stored more than once: {what}"
+            );
+
+            let n = stored as u64;
+            let certain: u64 = rel.rows().iter().map(|r| r.mult.lb).sum();
+            assert!(certain < n, "k = n has fewer than k certain rows: {what}");
+            for k in [0, 1, 10, n / 2, n, n + 5] {
+                let top = topk_native(&rel, &order, k, "pos");
+                assert!(
+                    top.bag_eq(&capped_topk_of(&reference, k)),
+                    "top-{k} ≠ reference: {what}"
+                );
+                assert_eq!(
+                    top.rows(),
+                    capped_topk_of(&native, k).rows(),
+                    "top-{k} ≠ filtered native sort, row for row: {what}"
+                );
+            }
+            if unc_pct == 30 {
+                let mut by_ref = topk_ref(&rel, &order, 10, CmpSemantics::IntervalLex);
+                cap_positions(&mut by_ref, 10);
+                assert!(
+                    by_ref.bag_eq(&capped_topk_of(&reference, 10)),
+                    "topk_ref is σ over sort_ref: {what}"
+                );
             }
         }
     }

@@ -4,11 +4,13 @@
 //! * [`SortKey`] byte order ≡ [`Value::cmp`] (and its lexicographic
 //!   extension to mixed-type tuples) — the contract every heap, sweep and
 //!   normalize sort in `audb-native`/`audb-core` now relies on;
+//! * [`KeyArena`] slots hold those same bytes, and a slot's prefix orders
+//!   ahead of its key — what the native sort's one ranking sort relies on;
 //! * the rewritten `normalize()` (precomputed keys, sort + adjacent-merge,
 //!   borrow-or-owned fast path) ≡ the original semantics: merge identical
 //!   hypercubes additively, drop `(0,0,0)` rows, deterministic total order.
 
-use audb::core::sortkey::{Corner, SortKey};
+use audb::core::sortkey::{Corner, KeyArena, SortKey};
 use audb::core::{AuRelation, AuTuple, Mult3, RangeValue};
 use audb::rel::{Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -142,6 +144,126 @@ proptest! {
             SortKey::of_corner(&t, Corner::Ub, &idxs),
             SortKey::of_tuple(&t.ub_tuple(), &idxs)
         );
+    }
+}
+
+/// Integers where the encodings are most likely to slip: the `i64` edges,
+/// neighbours beyond 2⁵³ that share one `f64`, and small ones that tie.
+fn int_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -4i64..4,
+        Just(i64::MIN),
+        Just(i64::MIN + 1),
+        Just(i64::MAX),
+        Just(i64::MAX - 1),
+        (0i64..4).prop_map(|d| (1 << 53) + d),
+        (0i64..4).prop_map(|d| -(1 << 53) - d),
+        (0i64..4).prop_map(|d| (1 << 62) + d),
+    ]
+}
+
+/// A column of integers, a share of them stored as the `Float` of the same
+/// number (equal under `Value::cmp` whenever the float is exact).
+fn int_or_float_strategy() -> impl Strategy<Value = Value> {
+    (int_strategy(), 0u8..3).prop_map(|(i, as_float)| {
+        if as_float == 0 {
+            Value::Float(i as f64)
+        } else {
+            Value::Int(i)
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arena slots ≡ stand-alone corner keys, byte for byte and hence in
+    /// order, with certain rows pushed once and uncertain ones three times
+    /// — and the order of the slots of all-`Int` tuples is the
+    /// lexicographic `Value::cmp` order of the corner tuples, at the `i64`
+    /// edges and beyond 2⁵³ too, whether or not a column also holds the
+    /// same numbers as `Float`s.
+    #[test]
+    fn arena_slots_match_corner_keys_and_value_order(
+        rows in proptest::collection::vec(
+            (
+                proptest::collection::vec(int_strategy(), 3),
+                proptest::collection::vec(int_or_float_strategy(), 3),
+            ),
+            2..10,
+        ),
+        mixed in proptest::bool::ANY,
+    ) {
+        let idxs = [1usize, 0, 2];
+        let tuples: Vec<AuTuple> = rows
+            .into_iter()
+            .map(|(ints, nums)| {
+                let mut vals: Vec<Value> = if mixed {
+                    nums
+                } else {
+                    ints.into_iter().map(Value::Int).collect()
+                };
+                vals.sort();
+                let [lb, sg, ub] = [vals[0].clone(), vals[1].clone(), vals[2].clone()];
+                AuTuple::new([
+                    RangeValue { lb: lb.clone(), sg, ub },
+                    RangeValue::certain(lb),
+                    RangeValue::certain(vals[2].clone()),
+                ])
+            })
+            .collect();
+        let mut arena = KeyArena::with_capacity(0, 0);
+        let mut slots: Vec<(Tuple, SortKey)> = Vec::new();
+        for t in &tuples {
+            for (corner, point) in [
+                (Corner::Lb, t.lb_tuple()),
+                (Corner::Sg, t.sg_tuple()),
+                (Corner::Ub, t.ub_tuple()),
+            ] {
+                prop_assert_eq!(arena.len(), slots.len());
+                arena.push_corner(t, corner, &idxs);
+                slots.push((point.project(&idxs), SortKey::of_corner(t, corner, &idxs)));
+            }
+        }
+        for (a, (ta, ka)) in slots.iter().enumerate() {
+            prop_assert_eq!(arena.key(a), ka.as_bytes());
+            for (b, (tb, kb)) in slots.iter().enumerate() {
+                let by_key = arena.key(a).cmp(arena.key(b));
+                prop_assert_eq!(by_key, ka.cmp(kb));
+                prop_assert_eq!(by_key, ta.cmp(tb), "{} vs {}", ta, tb);
+            }
+        }
+    }
+
+    /// A slot's prefix sorts ahead of its key, over every kind of value
+    /// and keys shorter than the prefix: a smaller prefix means a smaller
+    /// key, equal keys have equal prefixes.
+    #[test]
+    fn arena_prefix_orders_ahead_of_the_key(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(value_strategy(), 2),
+            2..12,
+        ),
+        width in 0usize..3,
+    ) {
+        let idxs: Vec<usize> = (0..width).collect();
+        let mut arena = KeyArena::with_capacity(rows.len(), width);
+        for vals in rows {
+            let t = AuTuple::new(vals.into_iter().map(RangeValue::certain));
+            arena.push_corner(&t, Corner::Sg, &idxs);
+        }
+        for a in 0..arena.len() {
+            for b in 0..arena.len() {
+                let by_key = arena.key(a).cmp(arena.key(b));
+                match arena.prefix(a).cmp(&arena.prefix(b)) {
+                    std::cmp::Ordering::Equal => {}
+                    by_prefix => prop_assert_eq!(by_prefix, by_key),
+                }
+                if by_key.is_eq() {
+                    prop_assert_eq!(arena.prefix(a), arena.prefix(b));
+                }
+            }
+        }
     }
 }
 
