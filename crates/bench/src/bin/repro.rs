@@ -7,8 +7,6 @@
 //!           [--backend reference|native|rewrite] [--explain] [--repl]
 //! repro serve [--data DIR] [--table name=path.csv]... [--port P]
 //!           [--threads N] [--backend B] [--port-file PATH]
-//! repro loadgen [--port P | --port-file PATH] [--clients 1,8,64]
-//!           [--duration S] [--quick] [--sql "..."] [--json [PATH]]
 //! repro lint [--json] [--rule ID] [--root PATH] [--list]
 //!
 //! targets: heaps fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
@@ -28,10 +26,7 @@
 //! (default `workloads/`) as catalog tables and executes textual
 //! ranking/window queries — batch scripts, piped stdin, or `--repl`.
 //!
-//! `serve` exposes the same catalog over HTTP/JSON (see `audb-server`);
-//! `loadgen` measures a running server's QPS and p50/p99 latency per
-//! concurrency level and merges the results into the bench artifact's
-//! `server` section.
+//! `serve` exposes the same catalog over HTTP/JSON (see `audb-server`).
 //!
 //! `lint` runs the workspace invariant checker (see `audb-lint` and
 //! DESIGN.md §12); exit code 1 means diagnostics were found.
@@ -66,13 +61,6 @@ fn main() {
     if raw.first().map(String::as_str) == Some("serve") {
         if let Err(e) = audb_bench::serve::serve_cli(&raw[1..]) {
             eprintln!("repro serve: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("loadgen") {
-        if let Err(e) = audb_bench::serve::loadgen_cli(&raw[1..]) {
-            eprintln!("repro loadgen: {e}");
             std::process::exit(1);
         }
         return;
@@ -130,8 +118,6 @@ fn main() {
                      [--backend B] [--explain] [--repl]\n\
                      \x20      repro serve [--data DIR] [--table name=path.csv]... [--port P] \
                      [--threads N] [--backend B] [--port-file PATH]\n\
-                     \x20      repro loadgen [--port P | --port-file PATH] [--clients 1,8,64] \
-                     [--duration S] [--quick] [--sql \"...\"] [--json [PATH]]\n\
                      \x20      repro lint [--json] [--rule ID] [--root PATH] [--list]"
                 );
                 return;

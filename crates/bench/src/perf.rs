@@ -8,14 +8,12 @@
 //! (`--sizes` overrides), and writes them as JSON so the perf trajectory is
 //! tracked in-repo from PR to PR.
 //!
-//! Since the physical-pipeline refactor every AU cell is measured under
-//! **both** execution modes — `"exec": "pipeline"` (the production
-//! batch-streaming executor with fused select/project stages) and
-//! `"exec": "materialized"` (the operator-at-a-time loop) — so the
-//! artifact shows what pipelining buys per plan shape. `det` cells carry
-//! `"exec": "materialized"` (the deterministic engine has no pipeline
-//! path). `--threads N` pins `AUDB_THREADS` for reproducible parallelism
-//! and is recorded in the artifact.
+//! Every AU cell runs the way its backend runs plans (`imp` and `rewr`
+//! pipelined). `--threads N` pins `AUDB_THREADS` for reproducible
+//! parallelism and is recorded in the artifact. End-to-end numbers that gate a PR come from
+//! the repo benchmark (`benchmark/`, `BENCHMARK.json`); this artifact
+//! keeps what that benchmark does not measure: the size sweep, storage
+//! footprints, and the within-run kernel, streaming and pruning ratios.
 //!
 //! Schema v3 (the columnar-storage PR) adds two columns per run:
 //! `rows_per_sec` (input rows over median wall time) and `bytes_per_row`
@@ -46,16 +44,12 @@
 //! ±20%). CI asserts incremental ≥ recompute on every row and ≥ 5× when
 //! the 16k row is present.
 //!
-//! The file also carries the frozen `naive_baseline_ms` block: the same
-//! benchmarks measured on the pre-optimization implementation (per-
-//! comparison corner-tuple allocation in `normalize()`, `Vec<Value>` heap
-//! keys, caller-side `clone().normalize()`, per-record heap back-pointer
-//! vectors) on this machine. Those numbers never change; the `runs`
-//! section is regenerated on demand and comparing the two is the ≥ 2×
-//! acceptance gate of the optimization PR.
+//! Schema v8 drops what the repo benchmark superseded: the per-run `exec`
+//! column and its materialized twin cells, the frozen pre-optimization
+//! baseline block with its headline, and the `server` section.
 
 use audb_core::{AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg};
-use audb_engine::{Engine, ExecMode, MaintainedQuery, Plan, Query, Session, SharedCatalog};
+use audb_engine::{Engine, MaintainedQuery, Plan, Query, Session, SharedCatalog};
 use audb_rel::Schema;
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
@@ -64,13 +58,6 @@ use std::time::Instant;
 
 /// Row counts tracked in the artifact by default.
 pub const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
-
-/// Pre-optimization medians (milliseconds) of `imp` on this repo's
-/// reference container (single-core, release profile), recorded before the
-/// zero-allocation refactor landed. See module docs.
-pub const NAIVE_BASELINE_SORT_IMP_MS: [f64; 3] = [1.70, 8.34, 46.40];
-/// Pre-optimization window sweep medians (milliseconds).
-pub const NAIVE_BASELINE_WINDOW_IMP_MS: [f64; 3] = [4.02, 24.19, 125.63];
 
 /// Selectivities (percent of rows passing the clustered-key predicate)
 /// the pruning sweep measures by default; `--sel PCT` narrows to one.
@@ -125,8 +112,6 @@ pub struct Measurement {
     pub op: &'static str,
     /// `det` / `imp` / `rewr`.
     pub method: &'static str,
-    /// `pipeline` or `materialized` — the execution mode of the cell.
-    pub exec: &'static str,
     /// Input rows.
     pub n: usize,
     /// Median milliseconds per run.
@@ -183,57 +168,16 @@ fn time_median(mut f: impl FnMut(), budget_runs: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The two AU engine execution arms every (op, method) pair is measured
-/// under.
-const EXECS: [(&str, ExecMode); 2] = [
-    ("pipeline", ExecMode::Pipelined),
-    ("materialized", ExecMode::Materialized),
-];
-
-/// Measure one plan on one backend under both execution modes.
-fn au_cells(
+/// Measure one cell: the median of `runs` calls of `f`. The
+/// storage-footprint columns describe the op's **AU** input table for
+/// every method (`det` included), so every row of one (op, n) group
+/// reports the same footprint.
+fn cell(
     out: &mut Vec<Measurement>,
     op: &'static str,
     method: &'static str,
     n: usize,
-    engine: Engine,
-    plan: &Plan,
-    runs: usize,
-) {
-    let fp = footprint(plan.source());
-    for (exec, mode) in EXECS {
-        let engine = engine.with_exec_mode(mode);
-        let ms = time_median(
-            || {
-                std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
-            },
-            runs,
-        );
-        out.push(Measurement {
-            op,
-            method,
-            exec,
-            n,
-            ms,
-            ops_per_sec: 1e3 / ms,
-            rows_per_sec: n as f64 * 1e3 / ms,
-            bytes_per_row_row: fp.row,
-            bytes_per_row_columnar: fp.columnar,
-            bytes_per_row_typed: fp.typed,
-            phys: fp.phys.clone(),
-        });
-    }
-}
-
-/// Measure one deterministic-engine cell (always materialized — the
-/// deterministic engine has no pipeline path). The storage-footprint
-/// columns still describe the op's **AU** input table, so every row of one
-/// (op, n) group reports the same footprint pair.
-fn det_cell(
-    out: &mut Vec<Measurement>,
-    op: &'static str,
-    n: usize,
-    au_input: &audb_core::AuRelation,
+    au_input: &AuRelation,
     f: impl FnMut(),
     runs: usize,
 ) {
@@ -241,8 +185,7 @@ fn det_cell(
     let ms = time_median(f, runs);
     out.push(Measurement {
         op,
-        method: "det",
-        exec: "materialized",
+        method,
         n,
         ms,
         ops_per_sec: 1e3 / ms,
@@ -278,21 +221,30 @@ impl Drop for ThreadPin {
     }
 }
 
-/// Measure every (op, method, exec, n) cell.
+/// Measure every (op, method, n) cell.
 pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
     let _pin = ThreadPin::set(cfg.threads);
     let runs = if cfg.quick { 3 } else { 7 };
     let mut out = Vec::new();
+    // One logical plan per op, two engine backends: only the physical
+    // operators differ between the timed AU cells.
+    let au_cells = |out: &mut Vec<Measurement>, op, n, plan: &Plan| {
+        for (method, engine) in [("imp", Engine::native()), ("rewr", Engine::rewrite())] {
+            let run = || {
+                std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
+            };
+            cell(out, op, method, n, plan.source(), run, runs);
+        }
+    };
     for &n in &cfg.sizes {
         let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
         let world = table.most_likely_world();
         let order = [0usize, 1];
-        // One logical plan, two engine backends × two execution modes:
-        // only the physical path differs between the timed AU cells.
         let plan = sort_plan(&table, &order, None);
-        det_cell(
+        cell(
             &mut out,
             "sort",
+            "det",
             n,
             plan.source(),
             || {
@@ -300,13 +252,11 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
             },
             runs,
         );
-        au_cells(&mut out, "sort", "imp", n, Engine::native(), &plan, runs);
-        au_cells(&mut out, "sort", "rewr", n, Engine::rewrite(), &plan, runs);
+        au_cells(&mut out, "sort", n, &plan);
 
-        // The pipelining showcase: streamable stages ahead of the breaker
-        // (≈50% selectivity on the certain `b` attribute, then a computed
-        // projection) — materialized execution pays two intermediate
-        // relation builds here, the pipeline executor one fused sweep.
+        // Streamable stages ahead of the breaker (≈50% selectivity on the
+        // certain `b` attribute, then a computed projection): one fused
+        // sweep in the pipeline executor.
         let au = table.to_au_relation();
         let mid = (n as i64 * 20) / 2;
         let sel_plan = Query::scan(au)
@@ -321,31 +271,15 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
             .sort_by(["a", "bid"])
             .build()
             .expect("sort_sel plan is valid");
-        au_cells(
-            &mut out,
-            "sort_sel",
-            "imp",
-            n,
-            Engine::native(),
-            &sel_plan,
-            runs,
-        );
-        au_cells(
-            &mut out,
-            "sort_sel",
-            "rewr",
-            n,
-            Engine::rewrite(),
-            &sel_plan,
-            runs,
-        );
+        au_cells(&mut out, "sort_sel", n, &sel_plan);
 
         let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
         let wworld = wtable.most_likely_world();
         let wplan = window_plan(&wtable, &[0], WinAgg::Sum(2), -2, 0);
-        det_cell(
+        cell(
             &mut out,
             "window",
+            "det",
             n,
             wplan.source(),
             || {
@@ -358,16 +292,7 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
             },
             runs,
         );
-        au_cells(&mut out, "window", "imp", n, Engine::native(), &wplan, runs);
-        au_cells(
-            &mut out,
-            "window",
-            "rewr",
-            n,
-            Engine::rewrite(),
-            &wplan,
-            runs,
-        );
+        au_cells(&mut out, "window", n, &wplan);
     }
     out
 }
@@ -694,21 +619,10 @@ pub fn render_json(
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"artifact\": \"BENCH_sort_window\",\n");
-    // v4: per-run `bytes_per_row` gains the typed layout, each run carries
-    // its input's physical-type counts, and the `kernel_sweeps` section
-    // times the typed vs generic vectorized kernels.
-    // v5: an optional top-level `server` section (written by `repro
-    // loadgen`, preserved by `repro bench`) records p50/p99 latency and
-    // QPS per concurrency level against a running `repro serve`.
-    // v6: the `streaming` section measures a window subscription's
-    // incremental vs forced-recompute arms within one run, plus the
-    // `streaming_16k_speedup` headline CI gates.
-    // v7: the `pruning` section measures zone-map batch skipping on a
-    // filter-scan plan over a clustered key — pruned vs
-    // pruning-disabled within one run at each selectivity, with batches
-    // skipped/scanned counters — plus the `pruning_16k_speedup_at_1pct`
-    // headline CI gates at ≥ 2×.
-    s.push_str("  \"schema_version\": 7,\n");
+    // v4: per-run typed `bytes_per_row` + `phys`, the `kernel_sweeps`
+    // section; v6: `streaming`; v7: `pruning`; v8: no `exec` column, no
+    // frozen baseline block, no `server` section (module docs).
+    s.push_str("  \"schema_version\": 8,\n");
     let sizes = cfg
         .sizes
         .iter()
@@ -725,26 +639,12 @@ pub fn render_json(
         }
         None => s.push_str("  \"threads\": \"auto\",\n"),
     }
-    s.push_str("  \"naive_baseline_ms\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"sort/imp\": [{}, {}, {}],",
-        NAIVE_BASELINE_SORT_IMP_MS[0], NAIVE_BASELINE_SORT_IMP_MS[1], NAIVE_BASELINE_SORT_IMP_MS[2]
-    );
-    let _ = writeln!(
-        s,
-        "    \"window/imp\": [{}, {}, {}]",
-        NAIVE_BASELINE_WINDOW_IMP_MS[0],
-        NAIVE_BASELINE_WINDOW_IMP_MS[1],
-        NAIVE_BASELINE_WINDOW_IMP_MS[2]
-    );
-    s.push_str("  },\n");
     s.push_str("  \"runs\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"op\": \"{}\", \"method\": \"{}\", \"exec\": \"{}\", \"n\": {}, \"ms\": {:.3}, \"ops_per_sec\": {:.3}, \"rows_per_sec\": {:.0}, \"bytes_per_row\": {{\"row\": {:.1}, \"columnar\": {:.1}, \"typed\": {:.1}}}, \"phys\": {}}}",
-            m.op, m.method, m.exec, m.n, m.ms, m.ops_per_sec, m.rows_per_sec, m.bytes_per_row_row, m.bytes_per_row_columnar, m.bytes_per_row_typed, phys_counts(&m.phys)
+            "    {{\"op\": \"{}\", \"method\": \"{}\", \"n\": {}, \"ms\": {:.3}, \"ops_per_sec\": {:.3}, \"rows_per_sec\": {:.0}, \"bytes_per_row\": {{\"row\": {:.1}, \"columnar\": {:.1}, \"typed\": {:.1}}}, \"phys\": {}}}",
+            m.op, m.method, m.n, m.ms, m.ops_per_sec, m.rows_per_sec, m.bytes_per_row_row, m.bytes_per_row_columnar, m.bytes_per_row_typed, phys_counts(&m.phys)
         );
         s.push_str(if i + 1 < measurements.len() {
             ",\n"
@@ -783,22 +683,6 @@ pub fn render_json(
         s.push_str(if i + 1 < pruning.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    // Headline ratio the acceptance gate reads: naive / current for
-    // sort/imp (pipeline arm) at 16k rows; null when 16k was not measured
-    // (e.g. the CI `--sizes 1000` smoke run).
-    let head = measurements
-        .iter()
-        .find(|m| m.op == "sort" && m.method == "imp" && m.exec == "pipeline" && m.n == 16_000);
-    match head {
-        Some(m) => {
-            let _ = writeln!(
-                s,
-                "  \"sort_imp_16k_speedup_vs_naive\": {:.2},",
-                NAIVE_BASELINE_SORT_IMP_MS[2] / m.ms
-            );
-        }
-        None => s.push_str("  \"sort_imp_16k_speedup_vs_naive\": null,\n"),
-    }
     // v6 headline: the within-run incremental-vs-recompute ratio at 16k.
     match streaming.iter().find(|r| r.n == 16_000) {
         Some(r) => {
@@ -823,8 +707,8 @@ pub fn run_json(path: &str, cfg: &BenchConfig) {
     let measurements = measure(cfg);
     for m in &measurements {
         println!(
-            "{:>6} rows  {:<8} {:<5} {:<12} {:>10.3} ms  {:>10.2} ops/s",
-            m.n, m.op, m.method, m.exec, m.ms, m.ops_per_sec
+            "{:>6} rows  {:<8} {:<5} {:>10.3} ms  {:>10.2} ops/s",
+            m.n, m.op, m.method, m.ms, m.ops_per_sec
         );
     }
     let kernels = measure_kernels(cfg);
@@ -849,29 +733,8 @@ pub fn run_json(path: &str, cfg: &BenchConfig) {
         );
     }
     let json = render_json(&measurements, &kernels, &streaming, &pruning, cfg);
-    let json = preserve_server_section(path, json);
     std::fs::write(path, &json).expect("write bench artifact");
     println!("wrote {path}");
-}
-
-/// Re-attach the `server` section of an existing artifact at `path` (the
-/// loadgen's measurements) so re-running `repro bench --json` does not
-/// discard it. Anything unparseable is ignored and the fresh artifact
-/// written as-is.
-fn preserve_server_section(path: &str, rendered: String) -> String {
-    use audb_server::Json;
-    let Some(server) = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|old| Json::parse(&old).ok())
-        .and_then(|old| old.get("server").cloned())
-    else {
-        return rendered;
-    };
-    let mut doc = Json::parse(&rendered).expect("render_json emits valid JSON");
-    doc.set("server", server);
-    let mut out = doc.pretty();
-    out.push('\n');
-    out
 }
 
 #[cfg(test)]
@@ -886,17 +749,10 @@ mod tests {
     /// pinned count) must hold this.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-    fn cell(
-        op: &'static str,
-        method: &'static str,
-        exec: &'static str,
-        n: usize,
-        ms: f64,
-    ) -> Measurement {
+    fn cell(op: &'static str, method: &'static str, n: usize, ms: f64) -> Measurement {
         Measurement {
             op,
             method,
-            exec,
             n,
             ms,
             ops_per_sec: 1e3 / ms,
@@ -923,9 +779,9 @@ mod tests {
         // effective_threads — serialize against the env-mutating test.
         let _guard = ENV_LOCK.lock().unwrap();
         let ms = vec![
-            cell("sort", "imp", "pipeline", 16_000, 20.0),
-            cell("sort", "imp", "materialized", 16_000, 21.0),
-            cell("window", "det", "materialized", 1_000, 1.0),
+            cell("sort", "imp", 16_000, 20.0),
+            cell("sort", "rewr", 16_000, 21.0),
+            cell("window", "det", 1_000, 1.0),
         ];
         let sweeps = vec![sweep("truth_batch"), sweep("eval_batch")];
         let streaming = vec![StreamingRun {
@@ -950,7 +806,7 @@ mod tests {
         }];
         let json = render_json(&ms, &sweeps, &streaming, &pruning, &BenchConfig::default());
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema_version\": 7"));
+        assert!(json.contains("\"schema_version\": 8"));
         // The v7 pruning section and its within-run headline.
         assert!(json.contains(
             "{\"n\": 16000, \"sel_pct\": 1, \"pruned_ms\": 0.500, \"unpruned_ms\": 2.000, \
@@ -990,11 +846,12 @@ mod tests {
         // env-sensitive assertions live in thread_pin_scopes_and_records,
         // which owns the variable.)
         assert!(json.contains("\"threads\": "));
-        // Headline reads the pipeline arm (20ms), not the materialized one.
-        assert!(json.contains("\"sort_imp_16k_speedup_vs_naive\": 2.32"));
-        assert!(json.contains("\"naive_baseline_ms\""));
         assert_eq!(json.matches("\"op\"").count(), 3);
-        assert_eq!(json.matches("\"exec\"").count(), 3);
+        // One cell per (op, method, n): no execution-mode column.
+        assert!(
+            json.contains("{\"op\": \"sort\", \"method\": \"imp\", \"n\": 16000, \"ms\": 20.000,")
+        );
+        assert!(!json.contains("\"exec\""));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -1085,7 +942,7 @@ mod tests {
 
     #[test]
     fn headline_is_null_without_a_16k_cell() {
-        let ms = vec![cell("sort", "imp", "pipeline", 1_000, 1.0)];
+        let ms = vec![cell("sort", "imp", 1_000, 1.0)];
         let cfg = BenchConfig {
             quick: true,
             sizes: vec![1_000],
@@ -1093,7 +950,6 @@ mod tests {
             sel: None,
         };
         let json = render_json(&ms, &[], &[], &[], &cfg);
-        assert!(json.contains("\"sort_imp_16k_speedup_vs_naive\": null"));
         assert!(json.contains("\"streaming_16k_speedup\": null"));
         assert!(json.contains("\"pruning_16k_speedup_at_1pct\": null"));
         assert!(json.contains("\"threads\": 2"));
@@ -1162,53 +1018,5 @@ mod tests {
                 p.speedup
             );
         }
-    }
-
-    /// `repro bench` must round-trip an existing artifact's `server`
-    /// section (the loadgen's measurements) unchanged — regenerating the
-    /// perf numbers must not discard the latency numbers.
-    #[test]
-    fn server_section_round_trips_through_rerender() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("audb_bench_server_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sort_window.json");
-        let path = path.to_str().unwrap();
-
-        let server = "{\"clients\": 2, \"qps\": 1234.5, \"p50_us\": 800, \"p99_us\": 2100}";
-        std::fs::write(
-            path,
-            format!("{{\"artifact\": \"BENCH_sort_window\", \"server\": {server}}}"),
-        )
-        .unwrap();
-
-        let cfg = BenchConfig {
-            quick: true,
-            sizes: vec![1_000],
-            threads: Some(2),
-            sel: None,
-        };
-        let fresh = render_json(
-            &[cell("sort", "imp", "pipeline", 1_000, 1.0)],
-            &[],
-            &[],
-            &[],
-            &cfg,
-        );
-        let merged = preserve_server_section(path, fresh.clone());
-        let doc = audb_server::Json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("server"),
-            audb_server::Json::parse(server).ok().as_ref(),
-            "server section changed across the re-render"
-        );
-        // Everything else is the fresh render's content.
-        assert_eq!(doc.get("schema_version"), Some(&audb_server::Json::Int(7)));
-        assert!(doc.get("runs").is_some() && doc.get("streaming").is_some());
-
-        // No existing artifact (or one without a server section): the
-        // fresh render is written untouched.
-        std::fs::remove_file(path).unwrap();
-        assert_eq!(preserve_server_section(path, fresh.clone()), fresh);
     }
 }

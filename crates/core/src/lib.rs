@@ -72,7 +72,6 @@ pub use ops::window::{
     aggregate_window, guaranteed_extra_slots, sg_ordered_inputs, sg_window_values, window_ref,
     AuWindowSpec, WinAgg, WindowMembers,
 };
-pub use ops::window_range::{window_range_ref, AuRangeWindowSpec};
 pub use physical::{CertBitmap, PhysSlice, PhysType, PhysVec, StrPool};
 pub use pos::{all_pos_bounds, pos_bounds, PosBounds};
 pub use range_value::{RangeValue, TruthRange};

@@ -14,4 +14,3 @@ pub mod select;
 pub mod sort;
 pub mod union;
 pub mod window;
-pub mod window_range;

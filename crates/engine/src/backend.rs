@@ -18,13 +18,16 @@
 //!   triple), exactly the representation a DBMS executing Figs. 7–8 would
 //!   hold.
 //!
-//! Selection and projection have a single shared implementation
-//! (`audb-core`'s \[24\] semantics) — only the order-based operators differ
-//! between methods, so those are the trait's required methods.
+//! Selection and projection have one semantics (\[24\]) — only the
+//! order-based operators differ between methods, so those are the trait's
+//! required methods. How the whole chain runs is a fact about the backend
+//! ([`Backend::mode`]): the reference steps through `audb-core`'s row
+//! operators one at a time, the other two stream batches through
+//! [`crate::exec`]'s fused stages. Nothing overrides it.
 
 use crate::error::EngineError;
-use crate::exec::{self, ExecMode, ExecTrace, DEFAULT_BATCH_SIZE};
-use crate::plan::{Op, Plan};
+use crate::exec::ExecMode;
+use crate::plan::Op;
 use audb_core::encode::{decode, encode};
 use audb_core::{
     au_select, sort_ref, window_ref, AuRelation, AuWindowSpec, CmpSemantics, RangeValue, WinAgg,
@@ -32,10 +35,10 @@ use audb_core::{
 use audb_rewrite::JoinStrategy;
 use std::borrow::Cow;
 
-/// A physical implementation of the logical plan language. `execute` runs
-/// the operator chain through the physical execution layer
-/// ([`crate::exec`]) in the backend's [`Backend::preferred_mode`]; the
-/// per-operator hooks are what distinguish the three methods.
+/// A physical implementation of the logical plan language:
+/// [`crate::exec::execute`] runs the operator chain in the backend's
+/// [`Backend::mode`]; the per-operator hooks are what distinguish the
+/// three methods.
 pub trait Backend {
     /// Stable backend name (used in explain output and disagreement
     /// reports).
@@ -83,33 +86,9 @@ pub trait Backend {
     }
 
     /// How this backend runs plans: the batch-streaming pipeline executor
-    /// for the production backends, materialized operator-at-a-time for
-    /// the semantic oracle. Both modes are bag-equal on every plan
-    /// (property-tested); they differ only in intermediate materialization
-    /// and parallelism.
-    fn preferred_mode(&self) -> ExecMode {
-        ExecMode::Materialized
-    }
-
-    /// Execute a validated plan through the physical execution layer in
-    /// this backend's preferred mode. Selection and projection are shared
-    /// across backends (the \[24\] semantics of `audb-core`, fused into
-    /// per-batch chains under [`ExecMode::Pipelined`]); the order-based
-    /// operators dispatch to the backend hooks as pipeline breakers.
-    fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
-        self.execute_traced(plan).map(|(rel, _)| rel)
-    }
-
-    /// Like [`Backend::execute`], also returning the per-operator wall
-    /// times and batch counts the executor measured. The default routes
-    /// through the cost model (`choose_exec`) so bare
-    /// backends make the same stats-driven mode/batch-size choice the
-    /// [`crate::Engine`] does.
-    fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
-        let choice =
-            crate::engine::choose_exec(plan, self.preferred_mode(), None, DEFAULT_BATCH_SIZE);
-        exec::execute(self, plan, choice.mode, choice.batch_size)
-    }
+    /// for the production backends, operator-at-a-time for the semantic
+    /// oracle. The two are bag-equal on every plan (property-tested).
+    fn mode(&self) -> ExecMode;
 }
 
 /// Cap the selected-guess and upper position bounds of a top-k output at
@@ -141,6 +120,12 @@ pub struct Reference {
 impl Backend for Reference {
     fn name(&self) -> &'static str {
         "reference"
+    }
+
+    /// The oracle: `audb-core`'s row operators, one full relation per
+    /// step, sharing no select/project code with the executor it checks.
+    fn mode(&self) -> ExecMode {
+        ExecMode::Materialized
     }
 
     fn sort(
@@ -235,8 +220,8 @@ impl Backend for Native {
     }
 
     /// Production backend: batch-streaming pipelines with fused
-    /// select/project chains.
-    fn preferred_mode(&self) -> ExecMode {
+    /// select/project chains, at every input size.
+    fn mode(&self) -> ExecMode {
         ExecMode::Pipelined
     }
 
@@ -311,7 +296,7 @@ impl Backend for Rewrite {
     /// The rewrites execute over materialized encodings per breaker, but
     /// the streamable stages between them pipeline like the native
     /// backend's.
-    fn preferred_mode(&self) -> ExecMode {
+    fn mode(&self) -> ExecMode {
         ExecMode::Pipelined
     }
 

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 /// Compile one parsed statement against a catalog. The root table's
 /// catalog statistics (computed at publication) are attached to the plan
-/// so the optimizer and the cost model never rescan the data.
+/// so the optimizer and the executor never rescan the data.
 pub fn compile(stmt: &ast::Select, catalog: &Catalog) -> Result<Plan, SessionError> {
     let plan = compile_query(stmt, catalog)?.build()?;
     if let Some(stats) = catalog.stats(root_table(stmt)) {

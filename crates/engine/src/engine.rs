@@ -5,8 +5,8 @@ use crate::backend::{Backend, Native, Reference, Rewrite};
 use crate::error::EngineError;
 use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
-use crate::plan::{Op, Plan};
-use audb_core::{estimate_selectivity, AuRelation, CmpSemantics};
+use crate::plan::Plan;
+use audb_core::{AuRelation, CmpSemantics};
 // lint: allow(no-direct-backend-call) -- JoinStrategy is a config knob on Engine itself, not an execution entry point
 use audb_rewrite::JoinStrategy;
 use std::fmt;
@@ -72,99 +72,24 @@ pub struct Engine {
     choice: BackendChoice,
     semantics: CmpSemantics,
     join_strategy: JoinStrategy,
-    batch_size: usize,
-    exec_mode: Option<ExecMode>,
+    /// `Some` once [`Engine::with_batch_size`] pinned a size.
+    batch_size: Option<usize>,
     pruning: bool,
 }
 
-/// Below this many source rows the pipelined executor's batching overhead
-/// outweighs its wins: the cost model picks materialized execution.
-pub const COST_PIPELINE_MIN_ROWS: usize = 512;
+/// At and above this many source rows batches widen to
+/// [`LARGE_BATCH_SIZE`] (fewer dispatches; the working set no longer fits
+/// in cache either way).
+const LARGE_ROWS: usize = 65_536;
 
-/// At and above this many source rows the cost model widens batches to
-/// [`COST_LARGE_BATCH_SIZE`] (fewer dispatches; the working set no longer
-/// fits in cache either way).
-pub const COST_LARGE_ROWS: usize = 65_536;
+/// Batch size for [`LARGE_ROWS`]-sized inputs.
+const LARGE_BATCH_SIZE: usize = 4096;
 
-/// Batch size the cost model picks for [`COST_LARGE_ROWS`]-sized inputs.
-pub const COST_LARGE_BATCH_SIZE: usize = 4096;
-
-/// The cost model's decision for one `(plan, backend)` pair: how the plan
-/// will execute and why.
-#[derive(Clone, Debug)]
+/// What [`Engine::choose_exec`] decides for one plan.
+#[derive(Clone, Copy, Debug)]
 pub struct ExecChoice {
-    /// Chosen execution mode.
-    pub mode: ExecMode,
-    /// Chosen batch size (meaningful under pipelined execution).
+    /// Rows per batch of the pipelined executor.
     pub batch_size: usize,
-    /// Why — rendered on `explain`'s `cost:` line.
-    pub reason: String,
-}
-
-/// Stats-driven execution choice, shared by [`Engine`] and the default
-/// [`Backend::execute_traced`]: a forced mode always wins; a backend that
-/// prefers materialized execution (the reference oracle) keeps it; tiny
-/// inputs run materialized; everything else pipelines, with the batch
-/// size widened for large inputs unless the caller pinned one.
-pub fn choose_exec(
-    plan: &Plan,
-    preferred: ExecMode,
-    forced: Option<ExecMode>,
-    batch_size: usize,
-) -> ExecChoice {
-    let stats = plan.source_stats();
-    let rows = stats.rows;
-    let selectivity: f64 = plan
-        .ops()
-        .iter()
-        .take_while(|op| matches!(op, Op::Select { .. }))
-        .map(|op| match op {
-            Op::Select { pred } => estimate_selectivity(pred, stats),
-            _ => unreachable!(),
-        })
-        .product();
-    let breakers = plan
-        .ops()
-        .iter()
-        .filter(|op| matches!(op, Op::Sort { .. } | Op::TopK { .. } | Op::Window { .. }))
-        .count();
-    let detail = format!("rows={rows} · est. selectivity {selectivity:.2} · {breakers} breaker(s)");
-    if let Some(mode) = forced {
-        return ExecChoice {
-            mode,
-            batch_size,
-            reason: format!("{detail} → {mode} (forced via with_exec_mode)"),
-        };
-    }
-    if preferred == ExecMode::Materialized {
-        return ExecChoice {
-            mode: ExecMode::Materialized,
-            batch_size,
-            reason: format!("{detail} → materialized (backend runs operator-at-a-time)"),
-        };
-    }
-    if rows < COST_PIPELINE_MIN_ROWS {
-        return ExecChoice {
-            mode: ExecMode::Materialized,
-            batch_size,
-            reason: format!(
-                "{detail} → materialized (below the {COST_PIPELINE_MIN_ROWS}-row \
-                 pipelining threshold)"
-            ),
-        };
-    }
-    let batch = if batch_size != DEFAULT_BATCH_SIZE {
-        batch_size // the caller pinned a size; respect it
-    } else if rows >= COST_LARGE_ROWS {
-        COST_LARGE_BATCH_SIZE
-    } else {
-        DEFAULT_BATCH_SIZE
-    };
-    ExecChoice {
-        mode: ExecMode::Pipelined,
-        batch_size: batch,
-        reason: format!("{detail} → pipelined · batch {batch}"),
-    }
 }
 
 impl Default for Engine {
@@ -183,8 +108,7 @@ impl Engine {
             choice,
             semantics: CmpSemantics::default(),
             join_strategy: JoinStrategy::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            exec_mode: None,
+            batch_size: None,
             pruning: true,
         }
     }
@@ -219,22 +143,12 @@ impl Engine {
         self
     }
 
-    /// Override the pipeline executor's batch size (default
-    /// [`DEFAULT_BATCH_SIZE`]). Any batch size produces the same bounds —
-    /// this knob trades per-batch dispatch against cache residency, and
-    /// lets tests pin degenerate sizes (1, n, > n).
+    /// Pin the pipeline executor's batch size (unpinned, the engine picks
+    /// per plan: see [`Engine::choose_exec`]). Any batch size produces the
+    /// same bounds — this knob trades per-batch dispatch against cache
+    /// residency, and lets tests pin degenerate sizes (1, n, > n).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Force an execution mode for every backend, overriding
-    /// [`Backend::preferred_mode`]. `Pipelined` runs even the reference
-    /// backend through the batch-streaming executor; `Materialized` forces
-    /// the original operator-at-a-time loop (the comparison arm of the
-    /// pipelined-≡-materialized property test and of `repro bench`).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = Some(mode);
+        self.batch_size = Some(batch_size.max(1));
         self
     }
 
@@ -246,30 +160,18 @@ impl Engine {
         self
     }
 
-    /// The pipeline executor's batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// The execution mode a given backend is *capable* of preferring on
-    /// this engine: the forced override when [`Engine::with_exec_mode`]
-    /// was called, the backend's capability hint otherwise. The actual
-    /// per-plan decision is made by `choose_exec` from source
-    /// statistics; this method reports the pre-cost-model ceiling.
-    pub fn exec_mode_for(&self, backend: &dyn Backend) -> ExecMode {
-        self.exec_mode.unwrap_or_else(|| backend.preferred_mode())
-    }
-
-    /// The cost model's decision for this plan on this engine's effective
-    /// backend.
+    /// The batch size this plan runs at: a size pinned with
+    /// [`Engine::with_batch_size`] wins, else 4 096 from 65 536 source
+    /// rows up, else [`DEFAULT_BATCH_SIZE`].
     pub fn choose_exec(&self, plan: &Plan) -> ExecChoice {
-        let backend = self.backend_for(self.effective());
-        choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        )
+        let batch_size = self.batch_size.unwrap_or_else(|| {
+            if plan.source().len() >= LARGE_ROWS {
+                LARGE_BATCH_SIZE
+            } else {
+                DEFAULT_BATCH_SIZE
+            }
+        });
+        ExecChoice { batch_size }
     }
 
     /// The backend the engine was asked for.
@@ -313,7 +215,7 @@ impl Engine {
     }
 
     /// Execute a plan on the effective backend (through the physical
-    /// execution layer, in the backend's — or the forced — mode).
+    /// execution layer, in the backend's mode).
     pub fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
         self.execute_traced(plan).map(|(rel, _)| rel)
     }
@@ -322,19 +224,8 @@ impl Engine {
     /// times and batch counts.
     pub fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
         let backend = self.backend_for(self.effective());
-        let choice = choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        );
-        exec::execute_with(
-            &*backend,
-            plan,
-            choice.mode,
-            choice.batch_size,
-            self.pruning,
-        )
+        let batch_size = self.choose_exec(plan).batch_size;
+        exec::execute(&*backend, plan, batch_size, self.pruning)
     }
 
     /// Describe how this engine would run the plan: chosen backend (after
@@ -355,13 +246,8 @@ impl Engine {
                 note: backend.op_note(op),
             });
         }
-        let choice = choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        );
-        let pipelines = match choice.mode {
+        let mode = backend.mode();
+        let pipelines = match mode {
             ExecMode::Pipelined => exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
             ExecMode::Materialized => Vec::new(),
         };
@@ -372,9 +258,8 @@ impl Engine {
             sql: plan.sql().map(str::to_string),
             steps,
             opt: plan.opt().cloned(),
-            cost: choice.reason,
-            mode: choice.mode,
-            batch_size: choice.batch_size,
+            mode,
+            batch_size: self.choose_exec(plan).batch_size,
             pipelines,
         }
     }
@@ -398,26 +283,15 @@ impl Engine {
         };
         let mut output: Option<AuRelation> = None;
         let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
+        let batch_size = comparable.choose_exec(plan).batch_size;
         for choice in BackendChoice::ALL {
             let backend = comparable.backend_for(choice);
-            let exec_choice = choose_exec(
-                plan,
-                backend.preferred_mode(),
-                comparable.exec_mode,
-                comparable.batch_size,
-            );
             let start = std::time::Instant::now();
-            let (out, trace) = exec::execute_with(
-                &*backend,
-                plan,
-                exec_choice.mode,
-                exec_choice.batch_size,
-                comparable.pruning,
-            )?;
+            let (out, trace) = exec::execute(&*backend, plan, batch_size, comparable.pruning)?;
             let elapsed = start.elapsed();
             runs.push(BackendRun {
                 backend: choice,
-                mode: exec_choice.mode,
+                mode: trace.mode,
                 elapsed,
                 rows: out.len(),
                 ops: trace.ops,
@@ -554,9 +428,7 @@ pub struct Explain {
     /// Optimizer provenance when the plan was rewritten: the
     /// pre-optimization operator chain and the applied rules.
     pub opt: Option<OptInfo>,
-    /// The cost model's reasoning for the chosen mode and batch size.
-    pub cost: String,
-    /// Execution mode the plan will run under on this engine.
+    /// Execution mode the effective backend runs plans in.
     pub mode: ExecMode,
     /// Batch size of the pipeline executor.
     pub batch_size: usize,
@@ -604,7 +476,6 @@ impl fmt::Display for Explain {
                 writeln!(f, "      · {}: {}", rule.rule, rule.reason)?;
             }
         }
-        writeln!(f, "cost:    {}", self.cost)?;
         match self.mode {
             ExecMode::Materialized => {
                 writeln!(f, "exec:    materialized (operator-at-a-time)")?;

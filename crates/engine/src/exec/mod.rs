@@ -1,34 +1,35 @@
 //! The physical execution layer between [`Plan`](crate::Plan) and the
-//! backends: batch-streaming pipelines with fused scans running
-//! morsel-parallel, materializing only at pipeline breakers.
+//! backends. One entry point, [`execute`], and one way to run a plan per
+//! backend — nothing selects between them:
 //!
-//! Logical plans are linear operator chains. Before this layer existed,
-//! every backend executed them operator-at-a-time, materializing a full
-//! [`AuRelation`](audb_core::AuRelation) between steps — a
-//! `scan → select → project → window` query paid three intermediate
-//! relation builds before the window operator even started. The executor
-//! here removes that: a [`lower`] pass splits the chain into
-//! [`Pipeline`]s, fusing adjacent `select`/`project`/`project_exprs`
-//! operators into a single per-batch closure chain, and marking the
-//! order-based operators (`sort`, `topk`, `window`) as **pipeline
-//! breakers** — the only points where state is materialized.
+//! * [`Reference`](crate::Reference) runs the operator-at-a-time loop over
+//!   the Defs. 2–3 row operators of `audb-core`, a full
+//!   [`AuRelation`](audb_core::AuRelation) between steps. It is the
+//!   oracle, and shares no select/project code with what it checks.
+//! * [`Native`](crate::Native) and [`Rewrite`](crate::Rewrite) run the
+//!   batch-streaming executor at every input size: a [`lower`] pass splits
+//!   the chain into [`Pipeline`]s, fusing adjacent
+//!   `select`/`project`/`project_exprs` operators into a single per-batch
+//!   closure chain, and marking the order-based operators (`sort`, `topk`,
+//!   `window`) as **pipeline breakers** — the only points where state is
+//!   materialized. Each fused stage's input is columnarized
+//!   ([`audb_core::AuColumns`] — cached on the plan when the stage reads
+//!   the scan source unchanged) and streamed as cache-sized zero-copy
+//!   column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
+//!   fused chain in parallel (via `audb-par`, with deterministic output
+//!   order) as vectorized column sweeps; the single materialized build
+//!   side goes to the backend's breaker hook.
 //!
-//! Execution ([`execute`]) columnarizes each fused stage's input
-//! ([`audb_core::AuColumns`] — cached on the plan when the stage reads
-//! the scan source unchanged) and streams cache-sized zero-copy
-//! column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
-//! fused chain in parallel (via `audb-par`, with deterministic output
-//! order) as vectorized column sweeps, then hands the single
-//! materialized build side to the backend's breaker hook. Per-operator wall times and
-//! batch counts are collected in an [`ExecTrace`], surfaced by
-//! `Engine::run_all` and the `repro bench` harness.
+//! Per-operator wall times and batch counts are collected in an
+//! [`ExecTrace`], surfaced by `Engine::run_all` and the `repro bench`
+//! harness.
 //!
-//! The semantic contract, property-tested in `tests/pipeline_equivalence.rs`:
-//! for every plan, backend and batch size, pipelined execution is bag-equal
-//! to materialized operator-at-a-time execution.
+//! The semantic contract, property-tested in
+//! `tests/pipeline_equivalence.rs`: for every plan and batch size, `Native`
+//! and `Rewrite` are bag-equal to `Reference`.
 
 mod lower;
 mod run;
 
 pub use lower::{is_breaker, lower, Pipeline};
-pub use run::{execute, execute_with, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+pub use run::{execute, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

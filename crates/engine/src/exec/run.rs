@@ -1,23 +1,17 @@
-//! The batch-streaming executor and its materialized twin.
+//! The two plan runners behind [`execute`], one per [`ExecMode`]: which
+//! one runs is a fact about the [`Backend`] ([`Backend::mode`]), not a
+//! setting. The module docs of [`crate::exec`] describe both.
 //!
-//! [`execute`] runs a validated plan on any [`Backend`] in one of two
-//! modes:
+//! * `run_materialized` — the operator-at-a-time loop over the Defs. 2–3
+//!   row operators of `audb-core`, a full [`AuRelation`] between steps.
+//! * `run_pipelined` — the lowered [`Pipeline`]s: each fused stage's input
+//!   columnarized once ([`AuColumns`]), its batches ([`AuBatch`]) swept
+//!   morsel-parallel through [`audb_par::par_map`] in deterministic order
+//!   (batch `i`'s rows always precede batch `i + 1`'s); only breakers
+//!   materialize rows.
 //!
-//! * [`ExecMode::Materialized`] — the original operator-at-a-time loop: a
-//!   full [`AuRelation`] between every step. Kept as the semantic oracle
-//!   (the [`Reference`](crate::Reference) backend's mode) and as the
-//!   comparison arm of the pipelined-≡-materialized property test.
-//! * [`ExecMode::Pipelined`] — the lowered [`Pipeline`]s: the input of
-//!   each pipeline's fused select/project chain is columnarized once
-//!   ([`AuColumns`]), then every step is a **vectorized column sweep**
-//!   over cache-sized zero-copy batch views ([`AuBatch`]), with the
-//!   batches of one stage processed **morsel-parallel** through
-//!   [`audb_par::par_map`] (deterministic output order: batch `i`'s rows
-//!   always precede batch `i + 1`'s). Only breakers materialize rows.
-//!
-//! Both modes collect an [`ExecTrace`]: per-operator wall time, batch
-//! count and output cardinality, surfaced by `Engine::run_all` and
-//! `repro bench`.
+//! Both collect an [`ExecTrace`]: per-operator wall time, batch count and
+//! output cardinality.
 
 use super::lower::{fuse_label, lower, Pipeline};
 use crate::backend::Backend;
@@ -34,7 +28,8 @@ use std::time::{Duration, Instant};
 /// amortize per-batch dispatch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// How a backend runs plans.
+/// How a backend runs plans — reported in traces and `explain`, never
+/// chosen: see [`Backend::mode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Operator-at-a-time with a materialized relation between steps.
@@ -90,29 +85,18 @@ pub struct ExecTrace {
     pub ops: Vec<OpTiming>,
 }
 
-/// Execute `plan` on `backend` in the given mode, collecting a trace.
-/// Zone-map batch pruning is on — [`execute_with`] exposes the switch.
+/// Execute `plan` the way `backend` runs plans, collecting a trace.
+/// `prune` switches zone-map batch skipping (the disabled arm is the
+/// within-run comparison baseline of `repro bench` and the pruned ≡
+/// unpruned property test); it and `batch_size` matter to the pipelined
+/// executor only.
 pub fn execute<B: Backend + ?Sized>(
     backend: &B,
     plan: &Plan,
-    mode: ExecMode,
-    batch_size: usize,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
-    execute_with(backend, plan, mode, batch_size, true)
-}
-
-/// Execute `plan` on `backend` in the given mode, with zone-map batch
-/// pruning explicitly enabled or disabled (the disabled arm is the
-/// within-run comparison baseline of `repro bench` and the pruned ≡
-/// unpruned property test).
-pub fn execute_with<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
-    mode: ExecMode,
     batch_size: usize,
     prune: bool,
 ) -> Result<(AuRelation, ExecTrace), EngineError> {
-    match mode {
+    match backend.mode() {
         ExecMode::Materialized => run_materialized(backend, plan, batch_size),
         ExecMode::Pipelined => run_pipelined(backend, plan, batch_size, prune),
     }
@@ -234,8 +218,9 @@ fn batch_verdict(
 /// leading steps — zero-copy — then the owned columns of the last
 /// projection).
 ///
-/// Semantics mirror the materialized operators exactly (pinned by the
-/// pipelined-≡-materialized property test):
+/// Semantics mirror the row operators the reference loop runs exactly
+/// (pinned against [`Reference`](crate::Reference) by
+/// `tests/pipeline_equivalence.rs`):
 /// * `select` filters the multiplicity triple by the predicate's
 ///   vectorized truth column and drops rows whose filtered annotation is
 ///   `(0, 0, 0)`;
@@ -521,28 +506,33 @@ mod tests {
             .unwrap()
     }
 
+    /// The oracle arm of every comparison below: the operator-at-a-time
+    /// loop on the reference backend.
+    fn reference(plan: &Plan) -> AuRelation {
+        let (out, trace) = execute(&Reference::default(), plan, DEFAULT_BATCH_SIZE, true).unwrap();
+        assert_eq!(trace.mode, ExecMode::Materialized);
+        assert_eq!(trace.ops.len(), plan.ops().len() + 1);
+        out
+    }
+
     /// The batch-boundary contract: batch size 1 (every row its own
     /// morsel), exactly n (one full batch), and > n (one short batch) all
-    /// produce the materialized result, on every backend.
+    /// produce the reference result, on both pipelined backends.
     #[test]
     fn batch_boundaries_are_bag_equal_to_materialized() {
         let n = 23;
         let plan = fused_plan(n);
-        let backends: [&dyn Backend; 3] = [&Reference::default(), &Native, &Rewrite::default()];
+        let oracle = reference(&plan);
+        let backends: [&dyn Backend; 2] = [&Native, &Rewrite::default()];
         for backend in backends {
-            let (materialized, trace) =
-                execute(backend, &plan, ExecMode::Materialized, DEFAULT_BATCH_SIZE).unwrap();
-            assert_eq!(trace.mode, ExecMode::Materialized);
-            // scan + select + project + topk
-            assert_eq!(trace.ops.len(), 4);
             for batch_size in [1, n, n + 10] {
-                let (pipelined, trace) =
-                    execute(backend, &plan, ExecMode::Pipelined, batch_size).unwrap();
+                let (pipelined, trace) = execute(backend, &plan, batch_size, true).unwrap();
                 assert!(
-                    pipelined.bag_eq(&materialized),
-                    "backend {} batch {batch_size}:\n{pipelined}\nvs\n{materialized}",
+                    pipelined.bag_eq(&oracle),
+                    "backend {} batch {batch_size}:\n{pipelined}\nvs\n{oracle}",
                     backend.name()
                 );
+                assert_eq!(trace.mode, ExecMode::Pipelined);
                 assert_eq!(trace.pipelines, 1);
                 // scan, fused stage, breaker.
                 assert_eq!(trace.ops.len(), 3);
@@ -554,10 +544,10 @@ mod tests {
         }
     }
 
-    /// Fused chains replicate the drop rules of the materialized
-    /// operators: select drops zero filtered annotations, projections drop
-    /// zero input annotations, and rows that never pass a dropping
-    /// operator survive untouched.
+    /// Fused chains replicate the drop rules of the row operators: select
+    /// drops zero filtered annotations, projections drop zero input
+    /// annotations, and rows that never pass a dropping operator survive
+    /// untouched.
     #[test]
     fn fused_chain_matches_operator_composition() {
         let rel = AuRelation::from_rows(
@@ -570,12 +560,12 @@ mod tests {
         );
         // Zero-annotation rows survive an empty chain (no pipeline at all)…
         let plan = Query::scan(rel.clone()).build().unwrap();
-        let (out, trace) = execute(&Native, &plan, ExecMode::Pipelined, 2).unwrap();
+        let (out, trace) = execute(&Native, &plan, 2, true).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(trace.pipelines, 0);
         // …but a projection drops them, exactly like au_project_cols.
         let plan = Query::scan(rel.clone()).project(["a"]).build().unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 2).unwrap();
+        let (out, _) = execute(&Native, &plan, 2, true).unwrap();
         assert!(out.bag_eq(&audb_core::au_project_cols(&rel, &[0])));
         assert_eq!(out.len(), 2);
         // A select ahead of the projection drops non-matching rows first.
@@ -584,7 +574,7 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 1).unwrap();
+        let (out, _) = execute(&Native, &plan, 1, true).unwrap();
         let step = audb_core::au_select(&rel, &RangeExpr::col(0).lt(RangeExpr::lit(5)));
         assert!(out.bag_eq(&audb_core::au_project_cols(&step, &[0])));
         assert_eq!(out.len(), 1);
@@ -608,11 +598,11 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 8).unwrap();
+        let (out, _) = execute(&Native, &plan, 8, true).unwrap();
         // Possibly-true predicate: certain multiplicity drops to 0.
         assert_eq!(out.rows()[0].mult, Mult3::new(0, 2, 2));
-        let materialized = audb_core::au_project_cols(&audb_core::au_select(&rel, &pred), &[0]);
-        assert!(out.bag_eq(&materialized));
+        let by_rows = audb_core::au_project_cols(&audb_core::au_select(&rel, &pred), &[0]);
+        assert!(out.bag_eq(&by_rows));
     }
 
     /// Zone-map pruning on clustered data skips provably-false batches and
@@ -642,17 +632,14 @@ mod tests {
             .project(["t", "v"])
             .build()
             .unwrap();
-        let (pruned, trace) =
-            execute_with(&Native, &plan, ExecMode::Pipelined, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&Native, &plan, ZONE_ROWS, true).unwrap();
         assert_eq!(trace.batches_skipped, 3);
         assert_eq!(trace.batches_scanned, 1);
-        let (unpruned, off) =
-            execute_with(&Native, &plan, ExecMode::Pipelined, ZONE_ROWS, false).unwrap();
+        let (unpruned, off) = execute(&Native, &plan, ZONE_ROWS, false).unwrap();
         assert_eq!(off.batches_skipped, 0);
         assert_eq!(off.batches_scanned, 4);
         assert!(pruned.bag_eq(&unpruned));
-        let (materialized, _) = execute(&Native, &plan, ExecMode::Materialized, ZONE_ROWS).unwrap();
-        assert!(pruned.bag_eq(&materialized));
+        assert!(pruned.bag_eq(&reference(&plan)));
 
         // An always-true predicate short-circuits: nothing skips, the
         // output still drops the zero-annotation rows.
@@ -661,23 +648,13 @@ mod tests {
             .project(["t"])
             .build()
             .unwrap();
-        let (pruned, trace) =
-            execute_with(&Native, &plan2, ExecMode::Pipelined, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&Native, &plan2, ZONE_ROWS, true).unwrap();
         assert_eq!(trace.batches_skipped, 0);
-        let (materialized, _) =
-            execute(&Native, &plan2, ExecMode::Materialized, ZONE_ROWS).unwrap();
-        assert!(pruned.bag_eq(&materialized));
+        assert!(pruned.bag_eq(&reference(&plan2)));
 
         // A batch size misaligned with the zones stays correct: verdicts
         // combine every overlapping zone.
-        let (odd, trace) = execute_with(
-            &Native,
-            &plan,
-            ExecMode::Pipelined,
-            ZONE_ROWS / 3 + 11,
-            true,
-        )
-        .unwrap();
+        let (odd, trace) = execute(&Native, &plan, ZONE_ROWS / 3 + 11, true).unwrap();
         assert!(odd.bag_eq(&unpruned));
         assert!(trace.batches_skipped > 0);
     }
@@ -698,10 +675,10 @@ mod tests {
             .project(["a", "s"])
             .build()
             .unwrap();
-        for backend in [&Native as &dyn Backend, &Reference::default()] {
-            let (pipelined, trace) = execute(backend, &plan, ExecMode::Pipelined, 4).unwrap();
-            let (materialized, _) = execute(backend, &plan, ExecMode::Materialized, 4).unwrap();
-            assert!(pipelined.bag_eq(&materialized), "{}", backend.name());
+        let oracle = reference(&plan);
+        for backend in [&Native as &dyn Backend, &Rewrite::default()] {
+            let (pipelined, trace) = execute(backend, &plan, 4, true).unwrap();
+            assert!(pipelined.bag_eq(&oracle), "{}", backend.name());
             assert_eq!(trace.pipelines, 3);
             let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
             assert_eq!(

@@ -10,9 +10,9 @@
 //!   `.window(spec)`) that validates schemas and column references at
 //!   build time and returns structured [`PlanError`]s instead of operator
 //!   panics;
-//! * [`Backend`] — the physical-implementation trait
-//!   (`execute(&Plan) -> Result<AuRelation, EngineError>`), implemented by
-//!   [`Reference`], [`Native`] (with fallback rules for the cases the
+//! * [`Backend`] — the physical-implementation trait (the order-based
+//!   operator hooks plus the mode the backend runs plans in), implemented
+//!   by [`Reference`], [`Native`] (with fallback rules for the cases the
 //!   one-pass operators do not cover) and [`Rewrite`] (which scans through
 //!   the relational encoding, as a DBMS executing Figs. 7–8 would);
 //! * [`Engine`] — the handle that owns backend selection, renders
@@ -23,9 +23,11 @@
 //!   select/project stages run morsel-parallel as vectorized column
 //!   sweeps over cache-sized columnar [`audb_core::AuBatch`] views
 //!   ([`audb_core::AuColumns`] storage), with the order-based operators
-//!   as the only materializing pipeline breakers. The production backends (native,
-//!   rewrite) execute pipelined; the reference oracle stays materialized;
-//!   both modes are property-tested bag-equal on every plan.
+//!   as the only materializing pipeline breakers. The production backends
+//!   (native, rewrite) execute pipelined at every input size; the
+//!   reference oracle runs operator-at-a-time over `audb-core`'s row
+//!   operators; nothing selects between the two, and they are
+//!   property-tested bag-equal on every plan.
 //!
 //! Everything downstream of the operator crates — examples, workload
 //! drivers, benchmarks — constructs its sort/top-k/window queries through
@@ -97,8 +99,7 @@ mod tests {
         )
     }
 
-    /// A `select → project → sort` plan over `n` rows — large enough to
-    /// clear the cost model's pipelining threshold when `n ≥ 512`.
+    /// A `select → project → sort` plan over `n` rows.
     fn large_plan(n: usize) -> Plan {
         use audb_core::RangeExpr;
         let rows = (0..n).map(|i| {
@@ -323,21 +324,16 @@ mod tests {
         assert_eq!(lines[2], " 0. scan [3 rows]");
         assert!(lines[3].starts_with("      schema: "), "{text}");
         assert!(lines[4].starts_with("      note:   "), "{text}");
-        // The cost model explains its mode choice, then the exec line
-        // states it. The reference oracle always runs materialized.
-        assert_eq!(
-            lines[lines.len() - 2],
-            "cost:    rows=3 · est. selectivity 1.00 · 1 breaker(s) → materialized \
-             (backend runs operator-at-a-time)"
-        );
+        // The reference oracle runs operator-at-a-time.
         assert_eq!(
             lines.last().unwrap(),
             &"exec:    materialized (operator-at-a-time)"
         );
 
         // Without SQL provenance and without fallback: no query line, bare
-        // backend line. The cost model keeps tiny inputs materialized even
-        // on the production backend.
+        // backend line. The production backend pipelines at every size,
+        // and the physical pipeline plan (fused stages and breaker
+        // annotations) is printed.
         let plan = Query::scan(example6())
             .select(audb_core::RangeExpr::col(0).le(audb_core::RangeExpr::lit(9)))
             .project(["a", "b"])
@@ -347,20 +343,23 @@ mod tests {
         let text = Engine::native().explain(&plan).to_string();
         assert_eq!(text.lines().next().unwrap(), "backend: native");
         assert!(!text.contains("query:"), "{text}");
-        let tail: Vec<&str> = text.lines().rev().take(2).collect();
-        assert_eq!(tail[0], "exec:    materialized (operator-at-a-time)");
-        assert!(
-            tail[1].starts_with("cost:    rows=3 · est. selectivity "),
-            "{text}"
-        );
-
-        // A large input clears the threshold: the production backend
-        // pipelines, and the physical pipeline plan (fused stages and
-        // breaker annotations) is printed.
-        let text = Engine::native().explain(&large_plan(4096)).to_string();
-        let tail: Vec<&str> = text.lines().rev().take(2).collect();
+        let tail: Vec<&str> = text.lines().rev().take(3).collect();
+        assert!(tail[2].starts_with("      note:   "), "{text}");
         assert_eq!(tail[1], "exec:    pipelined · batch 1024 · 1 pipeline");
         assert_eq!(tail[0], "      p0: fuse(select · project) ⇒ breaker sort");
+    }
+
+    /// The batch-size rule: a pinned size wins — also when it equals the
+    /// default — else 4 096 from 65 536 source rows up, else 1 024.
+    #[test]
+    fn batch_size_is_pinned_or_chosen_from_source_rows() {
+        let large = large_plan(65_536);
+        let pick = |engine: Engine, plan: &Plan| engine.choose_exec(plan).batch_size;
+        assert_eq!(pick(Engine::native(), &large), 4096);
+        assert_eq!(pick(Engine::native().with_batch_size(1024), &large), 1024);
+        assert_eq!(pick(Engine::native().with_batch_size(7), &large), 7);
+        assert_eq!(pick(Engine::native(), &large_plan(65_535)), 1024);
+        assert_eq!(pick(Engine::native().with_batch_size(0), &large), 1);
     }
 
     /// The satellite contract for `run_all`: ONE stable report format —
@@ -419,55 +418,39 @@ mod tests {
         );
     }
 
-    /// `run_all` executes each backend under the cost model's choice
-    /// (materialized for tiny inputs, pipelined on the production
-    /// backends once the input clears the threshold) and carries
-    /// per-operator timings for every run.
+    /// `run_all` executes each backend the one way it runs plans — the
+    /// reference operator-at-a-time, the production backends pipelined,
+    /// whatever the input size — and carries per-operator timings for
+    /// every run.
     #[test]
     fn run_all_reports_modes_and_op_timings() {
         use crate::exec::ExecMode;
-        let plan = Query::scan(example6())
+        let small = Query::scan(example6())
             .select(audb_core::RangeExpr::col(0).le(audb_core::RangeExpr::lit(9)))
+            .project(["a", "b"])
             .sort_by(["a"])
             .build()
             .unwrap();
-        let all = Engine::native().run_all(&plan).unwrap();
-        // 3 rows sit below the pipelining threshold: every backend runs
-        // materialized.
-        let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
-        assert_eq!(
-            modes,
-            [
-                ExecMode::Materialized,
-                ExecMode::Materialized,
-                ExecMode::Materialized
-            ]
-        );
-        for run in &all.runs {
-            let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
-            assert_eq!(labels, ["scan", "select", "sort"]);
-        }
-
-        // A large input pipelines on the production backends; the
-        // reference oracle stays materialized.
-        let all = Engine::native().run_all(&large_plan(1024)).unwrap();
-        let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
-        assert_eq!(
-            modes,
-            [
-                ExecMode::Materialized,
-                ExecMode::Pipelined,
-                ExecMode::Pipelined
-            ]
-        );
-        for run in &all.runs {
-            let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
-            match run.mode {
-                ExecMode::Materialized => {
-                    assert_eq!(labels, ["scan", "select", "project", "sort"])
-                }
-                ExecMode::Pipelined => {
-                    assert_eq!(labels, ["scan", "fuse(select · project)", "sort"])
+        for plan in [small, large_plan(1024)] {
+            let all = Engine::native().run_all(&plan).unwrap();
+            let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
+            assert_eq!(
+                modes,
+                [
+                    ExecMode::Materialized,
+                    ExecMode::Pipelined,
+                    ExecMode::Pipelined
+                ]
+            );
+            for run in &all.runs {
+                let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
+                match run.mode {
+                    ExecMode::Materialized => {
+                        assert_eq!(labels, ["scan", "select", "project", "sort"])
+                    }
+                    ExecMode::Pipelined => {
+                        assert_eq!(labels, ["scan", "fuse(select · project)", "sort"])
+                    }
                 }
             }
         }

@@ -1,34 +1,42 @@
 //! A bounded, shared [`PlanCache`]: normalized-SQL → compiled plan, so a
 //! server answering the same hot queries skips parse + bind entirely.
 //!
-//! Keying: entries are keyed on `(catalog version, canonical SQL)`, where
-//! the canonical form is [`Plan::to_sql`](crate::Plan::to_sql) of the
-//! *bound* plan — two texts that differ only in whitespace, optional
-//! semicolons, or other surface syntax normalize to the same key and share
-//! one entry (the second text counts as a **hit**: its bind work is done
-//! once, then the plan is found already cached). Because the catalog
-//! version is part of the key, any `register`/`deregister` invalidates
-//! every cached plan at once — a plan can never serve stale data, and two
-//! queries over different tables can never collide (the table name is part
-//! of the canonical text).
+//! Keying: entries are keyed on canonical SQL — the
+//! [`Plan::to_sql`](crate::Plan::to_sql) of the *bound* plan — so two texts
+//! that differ only in whitespace, optional semicolons, or other surface
+//! syntax share one entry (the second text counts as a **hit**: its bind
+//! work is done once, then the plan is found already cached). Two queries
+//! over different tables can never collide (the table name is part of the
+//! canonical text).
+//!
+//! Invalidation: the cache carries one catalog-version stamp, and every
+//! resident plan was compiled at that version. Lookups key on the
+//! catalog's *current* version and versions only grow, so the first lookup
+//! after a `register`/`deregister`/`append` drops every resident plan at
+//! once — a plan can never serve stale data, and a superseded table
+//! snapshot is pinned by the cache no longer than until the next lookup.
+//! (Statements already handed out keep executing on their pinned
+//! snapshot.) A lookup that raced a publication and still holds an older
+//! version compiles its plan and returns it without inserting.
 //!
 //! A raw-text alias map (`whitespace-flattened text → canonical key`)
 //! fronts the canonical map, so the common case — the *same* string
 //! arriving again — is a single hash probe with no parsing at all.
 //!
 //! Eviction is LRU at a fixed capacity. All state sits behind one
-//! [`Mutex`]; compilation of a missing entry happens *outside* the lock,
-//! so a slow bind never blocks other sessions' cache hits.
+//! [`Mutex`]; compilation of a missing entry and the freeing of
+//! superseded plans happen *outside* the lock, so neither a slow bind nor
+//! a large drop blocks other sessions' cache hits.
 
-use crate::catalog::SharedCatalog;
+use crate::catalog::{Catalog, SharedCatalog};
 use crate::error::SessionError;
 use crate::session::Prepared;
 use audb_sql::ast;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-/// Cache key: catalog publication version + canonical (or flattened) text.
-type Key = (u64, String);
+/// Cache key: canonical (or flattened) text.
+type Key = String;
 
 /// Hit/miss counters plus occupancy, as surfaced in server responses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,20 +46,28 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that compiled a fresh plan.
     pub misses: u64,
-    /// Plans currently resident.
+    /// Plans currently resident (all of the current catalog version).
     pub len: usize,
     /// Maximum resident plans before LRU eviction.
     pub capacity: usize,
 }
 
+/// The resident plans, all compiled at one catalog version.
 #[derive(Debug, Default)]
-struct CacheState {
+struct Entries {
     /// Canonical key → compiled plan.
     plans: HashMap<Key, Prepared>,
     /// LRU order over `plans` keys: front = coldest, back = hottest.
     order: VecDeque<Key>,
     /// Raw-text fast path: flattened text → canonical key.
     aliases: HashMap<Key, Key>,
+}
+
+#[derive(Debug, Default)]
+struct CacheState {
+    /// Catalog version `entries` were compiled at.
+    version: u64,
+    entries: Entries,
     hits: u64,
     misses: u64,
 }
@@ -91,7 +107,7 @@ impl PlanCache {
         CacheStats {
             hits: s.hits,
             misses: s.misses,
-            len: s.plans.len(),
+            len: s.entries.plans.len(),
             capacity: self.capacity,
         }
     }
@@ -105,17 +121,33 @@ impl PlanCache {
         sql: &str,
     ) -> Result<(Prepared, bool), SessionError> {
         let (version, snapshot) = catalog.snapshot_versioned();
-        let raw_key = (version, flatten(sql));
+        self.get_or_prepare_at(version, &snapshot, sql)
+    }
 
-        {
-            let mut s = self.state.lock().expect("plan cache lock poisoned");
-            if let Some(canonical) = s.aliases.get(&raw_key).cloned() {
-                if let Some(prepared) = s.plans.get(&canonical).cloned() {
-                    s.touch(&canonical);
-                    s.hits += 1;
-                    return Ok((prepared, true));
-                }
-            }
+    /// [`PlanCache::get_or_prepare`] against one `(version, snapshot)`
+    /// pair already read from the catalog.
+    fn get_or_prepare_at(
+        &self,
+        version: u64,
+        snapshot: &Catalog,
+        sql: &str,
+    ) -> Result<(Prepared, bool), SessionError> {
+        let raw_key = flatten(sql);
+
+        let mut s = self.state.lock().expect("plan cache lock poisoned");
+        let superseded = s.advance_to(version);
+        let hit = if s.version == version {
+            s.entries.lookup(&raw_key)
+        } else {
+            None
+        };
+        s.hits += u64::from(hit.is_some());
+        drop(s);
+        // Superseded plans each pin a table snapshot: free them with the
+        // mutex released.
+        drop(superseded);
+        if let Some(prepared) = hit {
+            return Ok((prepared, true));
         }
 
         // Miss on the fast path: parse + bind outside the lock. The
@@ -125,26 +157,33 @@ impl PlanCache {
         // plan. Stats changes (register/append) bump the catalog version,
         // so a stale optimization can never be served.
         let stmt = audb_sql::parse(sql)?;
-        let plan = crate::bind::compile(&stmt, &snapshot)?;
-        let canonical = (version, plan.to_sql(root_table(&stmt)));
+        let plan = crate::bind::compile(&stmt, snapshot)?;
+        let canonical = plan.to_sql(root_table(&stmt));
         let prepared = Prepared::from_plan(crate::optimize::optimize(&plan));
 
         let mut s = self.state.lock().expect("plan cache lock poisoned");
-        s.remember_alias(raw_key, canonical.clone(), self.capacity);
-        if let Some(existing) = s.plans.get(&canonical).cloned() {
+        if s.version != version {
+            // The catalog moved on while this lookup held its snapshot:
+            // the plan is right for the caller and dead to everyone else.
+            s.misses += 1;
+            return Ok((prepared, false));
+        }
+        s.entries
+            .remember_alias(raw_key, canonical.clone(), self.capacity);
+        if let Some(existing) = s.entries.plans.get(&canonical).cloned() {
             // A normalized-equivalent text (or a racing thread) already
             // resident: reuse its plan, count the normalization hit.
-            s.touch(&canonical);
+            s.entries.touch(&canonical);
             s.hits += 1;
             return Ok((existing, true));
         }
-        s.plans.insert(canonical.clone(), prepared.clone());
-        s.order.push_back(canonical);
+        s.entries.plans.insert(canonical.clone(), prepared.clone());
+        s.entries.order.push_back(canonical);
         s.misses += 1;
-        while s.plans.len() > self.capacity {
-            if let Some(coldest) = s.order.pop_front() {
-                s.plans.remove(&coldest);
-                s.aliases.retain(|_, v| *v != coldest);
+        while s.entries.plans.len() > self.capacity {
+            if let Some(coldest) = s.entries.order.pop_front() {
+                s.entries.plans.remove(&coldest);
+                s.entries.aliases.retain(|_, v| *v != coldest);
             }
         }
         Ok((prepared, false))
@@ -152,6 +191,27 @@ impl PlanCache {
 }
 
 impl CacheState {
+    /// Move the cache to a newer catalog version, handing back the
+    /// entries of the superseded one for the caller to drop outside the
+    /// lock: no lookup can hit them again. A `version` at or below the
+    /// cache's leaves it untouched.
+    fn advance_to(&mut self, version: u64) -> Option<Entries> {
+        (version > self.version).then(|| {
+            self.version = version;
+            std::mem::take(&mut self.entries)
+        })
+    }
+}
+
+impl Entries {
+    /// The raw-text fast path: alias → canonical key → plan, touched.
+    fn lookup(&mut self, raw: &Key) -> Option<Prepared> {
+        let canonical = self.aliases.get(raw)?.clone();
+        let prepared = self.plans.get(&canonical)?.clone();
+        self.touch(&canonical);
+        Some(prepared)
+    }
+
     /// Move `key` to the hot end of the LRU order.
     fn touch(&mut self, key: &Key) {
         if let Some(pos) = self.order.iter().position(|k| k == key) {
@@ -301,6 +361,70 @@ mod tests {
         assert_eq!(s.execute(&p2).unwrap().rows().len(), 5);
         // The old prepared statement still runs on its pinned snapshot.
         assert_eq!(s.execute(&p).unwrap().rows().len(), 3);
+    }
+
+    /// Publication empties the cache: after an `append`, the first lookup
+    /// drops every plan of the superseded version (they could never be
+    /// hit again, and each pins a table snapshot), `len` counts
+    /// current-version entries only, and a statement handed out before
+    /// the append keeps executing on the snapshot it pinned.
+    #[test]
+    fn append_drops_superseded_plans_but_not_prepared_statements() {
+        let s = session();
+        let cache = PlanCache::new(8);
+        let (before, _) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+        s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
+            .unwrap();
+        s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
+        assert_eq!(cache.stats().len, 3);
+        let pinned = std::sync::Arc::downgrade(before.plan().source_arc());
+
+        s.shared_catalog().append("a", &rel(2)).unwrap();
+        let (after, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+        assert!(!hit);
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 4));
+        assert_eq!(s.execute(&after).unwrap().rows().len(), 5);
+        // The visibility rule: the in-flight statement still sees 3 rows…
+        assert_eq!(s.execute(&before).unwrap().rows().len(), 3);
+        // …and is the only thing keeping the superseded table alive.
+        drop(before);
+        assert!(pinned.upgrade().is_none(), "cache still pins the old table");
+    }
+
+    /// A lookup that read the catalog before a publication and reaches
+    /// the cache after a newer lookup already advanced it: it gets its
+    /// plan (on its own snapshot) and leaves the cache alone.
+    #[test]
+    fn older_version_lookup_compiles_without_inserting() {
+        let s = session();
+        let cache = PlanCache::new(8);
+        let (old_version, old_snapshot) = s.shared_catalog().snapshot_versioned();
+
+        s.register("a", rel(5));
+        s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+        let resident = cache.stats();
+        assert_eq!((resident.len, resident.misses), (1, 1));
+
+        let sql = "SELECT x FROM a WHERE x < 2";
+        for _ in 0..2 {
+            let (p, hit) = cache
+                .get_or_prepare_at(old_version, &old_snapshot, sql)
+                .unwrap();
+            assert!(!hit);
+            assert_eq!(p.plan().source().len(), 3, "bound to its own snapshot");
+        }
+        // Even the statement the cache holds is not served across versions.
+        let (p, hit) = cache
+            .get_or_prepare_at(old_version, &old_snapshot, "SELECT x FROM a")
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(p.plan().source().len(), 3);
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 4));
+        // The current version is undisturbed.
+        let (_, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+        assert!(hit);
     }
 
     /// The cache stores the *optimized* plan under the pre-optimization

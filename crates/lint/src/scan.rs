@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn allow_parsing_happy_and_sad_paths() {
         let src = "\
-// lint: allow(no-raw-spawn) -- loadgen needs raw client threads\n\
+// lint: allow(no-raw-spawn) -- the probe needs raw client threads\n\
 // lint: allow(no-raw-spawn)\n\
 // lint: allow(not-a-rule) -- whatever\n\
 // lint: deny(x)\n";

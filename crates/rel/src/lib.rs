@@ -14,14 +14,15 @@
 //!   materialized as data) and top-k as sort + selection,
 //! * a scalar expression language with a total value order.
 //!
-//! The engine evaluates eagerly and in memory; relations are plain data.
-//! It doubles as the `Det` baseline of the paper's evaluation and as the
+//! Every operator is a plain function from relations to a relation,
+//! evaluated eagerly and in memory; there is no plan algebra here (plans
+//! are `audb-engine`'s) and windows are row-based only, as in the paper.
+//! The crate doubles as the `Det` baseline of the paper's evaluation and as the
 //! executor for the SQL-rewrite method (crate `audb-rewrite`).
 
 pub mod csv;
 pub mod expr;
 pub mod ops;
-pub mod plan;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -36,8 +37,6 @@ pub use ops::select::select;
 pub use ops::sort::{sort_to_pos, topk};
 pub use ops::union::{difference, union};
 pub use ops::window::{window_rows, WindowSpec};
-pub use ops::window_range::{window_range, RangeWindowSpec};
-pub use plan::LogicalPlan;
 pub use relation::{Relation, Row};
 pub use schema::Schema;
 pub use tuple::Tuple;

@@ -11,4 +11,3 @@ pub mod select;
 pub mod sort;
 pub mod union;
 pub mod window;
-pub mod window_range;

@@ -5,17 +5,15 @@
 //! codebase and drive the design:
 //!
 //! * **Objects preserve insertion order** (`Obj` is a `Vec` of pairs, not
-//!   a map), so encoded responses and merged bench artifacts are
-//!   byte-stable and diffable in golden tests.
+//!   a map), so encoded responses are byte-stable and diffable in golden
+//!   tests.
 //! * **Integers and floats stay distinct** (`Int(i64)` vs `Float(f64)`),
-//!   so round-tripping the bench artifact never turns `16000` into
-//!   `16000.0`.
+//!   so a round trip never turns `16000` into `16000.0`.
 
 use std::fmt;
 
 /// A JSON value. Construct with the variants or [`Json::obj`]; render
-/// with `to_string()` (compact) or [`Json::pretty`]; read with
-/// [`Json::parse`].
+/// with `to_string()` (compact); read with [`Json::parse`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -69,35 +67,10 @@ impl Json {
         }
     }
 
-    /// Numeric view (`Int` or `Float`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// String view.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array view.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Mutable object view (for artifact merging).
-    pub fn as_obj_mut(&mut self) -> Option<&mut Vec<(String, Json)>> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
     }
@@ -126,57 +99,6 @@ impl Json {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
-    }
-
-    /// Render with two-space indentation (the bench-artifact style).
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
-    }
-
-    /// Containers whose compact form fits within this width render on one
-    /// line inside `pretty()` — keeps artifact rows and small arrays as
-    /// single-line entries instead of exploding every scalar.
-    const INLINE_WIDTH: usize = 240;
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        if matches!(self, Json::Arr(_) | Json::Obj(_)) {
-            let compact = self.to_string();
-            if compact.len() <= Self::INLINE_WIDTH {
-                out.push_str(&compact);
-                return;
-            }
-        }
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_string(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            other => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{other}"));
-            }
-        }
     }
 }
 
@@ -479,8 +401,6 @@ mod tests {
             r#"{"z":1,"a":[null,true,1.5],"s":"he said \"hi\"\n"}"#
         );
         assert_eq!(Json::parse(&text).unwrap(), doc);
-        // Pretty output re-parses to the same document.
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
     }
 
     #[test]
@@ -506,9 +426,11 @@ mod tests {
     fn member_access_helpers() {
         let mut doc = Json::parse(r#"{"a": {"b": [1, 2.5, "x"]}, "n": 4}"#).unwrap();
         assert_eq!(doc.get("n").unwrap().as_i64(), Some(4));
-        let arr = doc.get("a").unwrap().get("b").unwrap().as_arr().unwrap();
+        let Some(Json::Arr(arr)) = doc.get("a").unwrap().get("b") else {
+            panic!("a.b is an array");
+        };
         assert_eq!(arr[2].as_str(), Some("x"));
-        assert_eq!(arr[1].as_f64(), Some(2.5));
+        assert_eq!(arr[1], Json::Float(2.5));
         doc.set("n", Json::Int(9));
         doc.set("new", Json::Bool(false));
         assert_eq!(doc.get("n").unwrap().as_i64(), Some(9));

@@ -171,9 +171,8 @@ fn run_all_reports_every_backend() {
         &post("/run_all", "SELECT sku FROM products ORDER BY sku LIMIT 2"),
     );
     assert_eq!(status, 200);
-    // The 5-row fixture sits below the cost model's pipelining
-    // threshold, so every backend reports materialized execution.
-    assert_eq!(body, "{\"schema\":[\"sku\",\"pos\"],\"row_count\":2,\"rows\":[[[1,1,1],[0,0,0]],[[2,2,2],[1,1,1]]],\"mults\":[[1,1,1],[1,1,1]],\"backends\":[{\"backend\":\"reference\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"native\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"rewrite\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2}],\"elapsed_us\":0}");
+    // Each backend reports the one mode it runs plans in.
+    assert_eq!(body, "{\"schema\":[\"sku\",\"pos\"],\"row_count\":2,\"rows\":[[[1,1,1],[0,0,0]],[[2,2,2],[1,1,1]]],\"mults\":[[1,1,1],[1,1,1]],\"backends\":[{\"backend\":\"reference\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"native\",\"mode\":\"pipelined\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"rewrite\",\"mode\":\"pipelined\",\"elapsed_us\":0,\"rows\":2}],\"elapsed_us\":0}");
 }
 
 #[test]

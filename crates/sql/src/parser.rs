@@ -666,6 +666,25 @@ mod tests {
         assert_eq!(e.kind, SqlErrorKind::EmptyStatement);
     }
 
+    /// Windows are row-based only (DESIGN.md §6.1, "Unsupported"): a
+    /// `RANGE` frame is rejected where it starts, not silently read as
+    /// something else.
+    #[test]
+    fn range_frames_are_a_spanned_error() {
+        let sql = "SELECT *, SUM(v) OVER (ORDER BY o RANGE BETWEEN 1 PRECEDING AND CURRENT ROW) \
+                   FROM t";
+        let e = parse(sql).unwrap_err();
+        assert!(
+            matches!(e.kind, SqlErrorKind::UnexpectedToken { .. }),
+            "{e}"
+        );
+        let at = sql.find("RANGE").unwrap();
+        assert_eq!(
+            (e.span.line, e.span.col as usize, e.span.offset),
+            (1, at + 1, at)
+        );
+    }
+
     /// Trailing semicolons and blank `;;` statements are accepted
     /// everywhere; a source with *no* statement at all is an
     /// `EmptyStatement` whose span points at the end of input (not a
