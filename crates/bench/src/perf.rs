@@ -482,11 +482,11 @@ pub fn measure_streaming(cfg: &BenchConfig) -> Vec<StreamingRun> {
         .collect()
 }
 
-/// One zone-map pruning cell: a filter-scan plan
+/// One zone-map pruning cell: a filter-scan statement
 /// (`scan → select → project_exprs`) over a clustered certain key,
-/// measured with zone-map batch skipping on and off **within the same
-/// run** (so the speedup is immune to cross-run noise), at one
-/// selectivity.
+/// prepared and executed afresh per timed run with zone-map batch
+/// skipping on and off **within the same run** (so the speedup is immune
+/// to cross-run noise), at one selectivity.
 #[derive(Clone, Debug)]
 pub struct PruningRun {
     /// Input rows.
@@ -496,7 +496,7 @@ pub struct PruningRun {
     /// Median wall milliseconds with zone-map pruning (the default path).
     pub pruned_ms: f64,
     /// Median wall milliseconds with pruning disabled
-    /// (`Engine::with_pruning(false)`) — same plan, same batches.
+    /// (`Engine::with_pruning(false)`) — same statement, same catalog.
     pub unpruned_ms: f64,
     /// `unpruned_ms / pruned_ms` — the within-run gate CI reads at 1%.
     pub speedup: f64,
@@ -531,56 +531,48 @@ fn clustered_table(n: usize) -> AuRelation {
     )
 }
 
-/// Measure the pruning sweep: the filter-scan plan shape zone maps
-/// accelerate (`scan → select → project_exprs`) with the selection on
-/// the clustered key at each configured selectivity, pruned vs
-/// pruning-disabled within one run. Deliberately no trailing breaker:
-/// a sort's cost scales with the *surviving* rows, identical in both
-/// arms, and at 1% selectivity it would dominate both sides and dilute
-/// the measured contrast into noise.
+/// Measure the pruning sweep the way a SQL caller runs it: the table is
+/// registered once in a shared catalog and **every timed run is a fresh
+/// `prepare` + `execute` of the statement text** — no run holds a warm
+/// plan. The statement is the filter-scan shape zone maps accelerate
+/// (`scan → select → project_exprs`) with the selection on the clustered
+/// key at each configured selectivity, on a pruned and a
+/// `with_pruning(false)` engine over the same catalog within one run.
+/// Deliberately no trailing breaker: a sort's cost scales with the
+/// *surviving* rows, identical in both arms, and at 1% selectivity it
+/// would dominate both sides and dilute the measured contrast into noise.
 pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
     let _pin = ThreadPin::set(cfg.threads);
-    let runs = if cfg.quick { 3 } else { 7 };
+    let runs = if cfg.quick { 7 } else { 21 };
     let sels: Vec<u32> = match cfg.sel {
         Some(pct) => vec![pct],
         None => SELECTIVITIES.to_vec(),
     };
     let mut out = Vec::new();
     for &n in &cfg.sizes {
-        let rel = std::sync::Arc::new(clustered_table(n));
+        let catalog = SharedCatalog::new();
+        catalog.register("c", clustered_table(n));
+        let pruned = Session::with_catalog(Engine::native(), catalog.clone());
+        let unpruned = Session::with_catalog(Engine::native().with_pruning(false), catalog);
         for &pct in &sels {
             let threshold = (n as i64 * pct as i64) / 100;
-            let plan = Query::scan(std::sync::Arc::clone(&rel))
-                .select(RangeExpr::col(0).lt(RangeExpr::lit(threshold)))
-                .project_exprs([
-                    (RangeExpr::col(0), "t".to_string()),
-                    (
-                        RangeExpr::Add(Box::new(RangeExpr::col(1)), Box::new(RangeExpr::lit(1))),
-                        "v1".to_string(),
-                    ),
-                ])
-                .build()
-                .expect("pruning plan is valid");
-            let pruned_engine = Engine::native();
-            let unpruned_engine = Engine::native().with_pruning(false);
-            // One traced run collects the skip counters (and warms the
-            // plan's column cache so the timed medians compare the sweeps,
-            // not the first columnarization).
-            let (_, trace) = pruned_engine
-                .execute_traced(&plan)
-                .expect("pruning plan executes");
-            let pruned_ms = time_median(
-                || {
-                    std::hint::black_box(pruned_engine.execute(&plan).expect("pruned run"));
-                },
-                runs,
-            );
-            let unpruned_ms = time_median(
-                || {
-                    std::hint::black_box(unpruned_engine.execute(&plan).expect("unpruned run"));
-                },
-                runs,
-            );
+            let sql = format!("SELECT t, v + 1 AS v1 FROM c WHERE t < {threshold}");
+            // One traced statement collects the skip counters.
+            let prepared = pruned.prepare(&sql).expect("pruning statement compiles");
+            let (_, trace) = pruned
+                .engine()
+                .execute_traced(prepared.plan())
+                .expect("pruning statement executes");
+            let statement_ms = |session: &Session| {
+                time_median(
+                    || {
+                        std::hint::black_box(session.sql(&sql).expect("pruning statement runs"));
+                    },
+                    runs,
+                )
+            };
+            let pruned_ms = statement_ms(&pruned);
+            let unpruned_ms = statement_ms(&unpruned);
             out.push(PruningRun {
                 n,
                 sel_pct: pct,

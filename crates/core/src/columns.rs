@@ -506,6 +506,12 @@ impl AuColumns {
         AuTuple(self.cols.iter().map(|c| c.range_value(i)).collect())
     }
 
+    /// True iff every attribute of row `i` is a point — bitmap probes,
+    /// no lane is compared ([`AuTuple::is_certain`] of [`AuColumns::tuple`]).
+    pub fn row_is_certain(&self, i: usize) -> bool {
+        self.cols.iter().all(|c| c.certain_at(i))
+    }
+
     /// True iff this relation is known to be in canonical form.
     pub fn is_normalized(&self) -> bool {
         self.normalized

@@ -185,6 +185,30 @@ impl KeyArena {
         self.ends.push(self.bytes.len());
     }
 
+    /// Append the key of row `row` of `cols` at `corner` over `idxs`, read
+    /// straight from the typed lanes: no tuple is rebuilt and `i64`, `f64`
+    /// and dictionary lanes never construct a `Value`. Byte-identical to
+    /// [`KeyArena::push_corner`] on `cols.tuple(row)` (an integer admitted
+    /// to an `f64` lane included — see [`SortKey::of_columns`]).
+    pub fn push_corner_at(
+        &mut self,
+        cols: &crate::columns::AuColumns,
+        row: usize,
+        corner: Corner,
+        idxs: &[usize],
+    ) {
+        use crate::physical::PhysSlice;
+        for &i in idxs {
+            match cols.col(i).corner(corner) {
+                PhysSlice::I64(lane) => encode_i64(lane[row], &mut self.bytes),
+                PhysSlice::F64(lane) => encode_f64(lane[row], &mut self.bytes),
+                PhysSlice::Str { codes, pool } => encode_str(pool.get(codes[row]), &mut self.bytes),
+                PhysSlice::Generic(vals) => encode_value(&vals[row], &mut self.bytes),
+            }
+        }
+        self.ends.push(self.bytes.len());
+    }
+
     /// The key in `slot`.
     #[inline]
     pub fn key(&self, slot: usize) -> &[u8] {

@@ -24,16 +24,45 @@
 //! ([`Backend::mode`]): the reference steps through `audb-core`'s row
 //! operators one at a time, the other two stream batches through
 //! [`crate::exec`]'s fused stages. Nothing overrides it.
+//!
+//! A breaker reads the executor's current relation as a [`BreakerInput`]:
+//! rows (the scan, a previous breaker's output) or the columns a fused
+//! stage produced. [`Native`]'s sort and top-k consume either form as it
+//! lies; every other hook — the two oracle backends and all three
+//! `window`s — is defined over rows and calls [`BreakerInput::rows`],
+//! which is the one row materialization left between stages.
 
 use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::plan::Op;
 use audb_core::encode::{decode, encode};
 use audb_core::{
-    au_select, sort_ref, window_ref, AuRelation, AuWindowSpec, CmpSemantics, RangeValue, WinAgg,
+    au_select, sort_ref, window_ref, AuColumns, AuRelation, AuWindowSpec, CmpSemantics, RangeValue,
+    WinAgg,
 };
 use audb_rewrite::JoinStrategy;
 use std::borrow::Cow;
+
+/// The relation a pipeline breaker reads, in the form the stage before it
+/// left behind.
+#[derive(Clone, Copy, Debug)]
+pub enum BreakerInput<'a> {
+    /// The scan's or a previous breaker's output.
+    Rows(&'a AuRelation),
+    /// A fused stage's output.
+    Columns(&'a AuColumns),
+}
+
+impl<'a> BreakerInput<'a> {
+    /// The input as rows: borrowed when it is rows already, transposed
+    /// back (one tuple per row) when it is columns.
+    pub fn rows(self) -> Cow<'a, AuRelation> {
+        match self {
+            BreakerInput::Rows(rel) => Cow::Borrowed(rel),
+            BreakerInput::Columns(cols) => Cow::Owned(cols.to_rows()),
+        }
+    }
+}
 
 /// A physical implementation of the logical plan language:
 /// [`crate::exec::execute`] runs the operator chain in the backend's
@@ -53,7 +82,7 @@ pub trait Backend {
     /// `sort_{O→τ}` (Def. 2).
     fn sort(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
     ) -> Result<AuRelation, EngineError>;
@@ -61,7 +90,7 @@ pub trait Backend {
     /// Top-k (Sec. 5) with position bounds capped at `k`.
     fn topk(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         k: u64,
         pos_name: &str,
@@ -70,7 +99,7 @@ pub trait Backend {
     /// `ω[l,u]` row-based windowed aggregation (Def. 3).
     fn window(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         spec: &AuWindowSpec,
         agg: WinAgg,
         out_name: &str,
@@ -130,23 +159,23 @@ impl Backend for Reference {
 
     fn sort(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        Ok(sort_ref(rel, order, pos_name, self.semantics))
+        Ok(sort_ref(&input.rows(), order, pos_name, self.semantics))
     }
 
     fn topk(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         k: u64,
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
         // topk_ref hard-codes the "pos" column name; re-sort under the
         // requested name and apply the σ_{τ < k} filter here.
-        let sorted = sort_ref(rel, order, pos_name, self.semantics);
+        let sorted = sort_ref(&input.rows(), order, pos_name, self.semantics);
         let pos_col = sorted.schema.arity() - 1;
         let filtered = au_select(
             &sorted,
@@ -157,12 +186,18 @@ impl Backend for Reference {
 
     fn window(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         spec: &AuWindowSpec,
         agg: WinAgg,
         out_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        Ok(window_ref(rel, spec, agg, out_name, self.semantics))
+        Ok(window_ref(
+            &input.rows(),
+            spec,
+            agg,
+            out_name,
+            self.semantics,
+        ))
     }
 
     fn op_note(&self, op: &Op) -> String {
@@ -227,38 +262,49 @@ impl Backend for Native {
 
     fn sort(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        Ok(audb_native::sort_native(rel, order, pos_name))
+        Ok(match input {
+            BreakerInput::Rows(rel) => audb_native::sort_native(rel, order, pos_name),
+            BreakerInput::Columns(cols) => {
+                audb_native::sort_columns_native(cols, order, pos_name, None)
+            }
+        })
     }
 
     fn topk(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         k: u64,
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        Ok(audb_native::topk_native(rel, order, k, pos_name))
+        Ok(match input {
+            BreakerInput::Rows(rel) => audb_native::topk_native(rel, order, k, pos_name),
+            BreakerInput::Columns(cols) => {
+                audb_native::sort_columns_native(cols, order, pos_name, Some(k))
+            }
+        })
     }
 
     fn window(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         spec: &AuWindowSpec,
         agg: WinAgg,
         out_name: &str,
     ) -> Result<AuRelation, EngineError> {
+        let rel = input.rows();
         // The sweep reports both fallback conditions itself — duplicate
         // multiplicities as its fused normalisation merged them (identical
         // rows stored separately included), so the input is neither copied
         // nor sorted to ask. The duplicate case costs one discarded
         // O(n log n) sweep before the O(n²) reference.
-        match audb_native::window_native_checked(rel, spec, agg, out_name) {
+        match audb_native::window_native_checked(&rel, spec, agg, out_name) {
             Ok(out) if !out.merged_duplicates => Ok(out.rel),
-            _ => Self::reference().window(rel, spec, agg, out_name),
+            _ => Self::reference().window(BreakerInput::Rows(&rel), spec, agg, out_name),
         }
     }
 
@@ -316,35 +362,35 @@ impl Backend for Rewrite {
 
     fn sort(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        Ok(audb_rewrite::rewr_sort(rel, order, pos_name))
+        Ok(audb_rewrite::rewr_sort(&input.rows(), order, pos_name))
     }
 
     fn topk(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         order: &[usize],
         k: u64,
         pos_name: &str,
     ) -> Result<AuRelation, EngineError> {
         Ok(cap_topk_positions(
-            audb_rewrite::rewr_topk(rel, order, k, pos_name),
+            audb_rewrite::rewr_topk(&input.rows(), order, k, pos_name),
             k,
         ))
     }
 
     fn window(
         &self,
-        rel: &AuRelation,
+        input: BreakerInput<'_>,
         spec: &AuWindowSpec,
         agg: WinAgg,
         out_name: &str,
     ) -> Result<AuRelation, EngineError> {
         Ok(audb_rewrite::rewr_window(
-            rel,
+            &input.rows(),
             spec,
             agg,
             out_name,

@@ -36,30 +36,20 @@ use audb_rel::Schema;
 use audb_sql::ast;
 use std::sync::Arc;
 
-/// Compile one parsed statement against a catalog. The root table's
-/// catalog statistics (computed at publication) are attached to the plan
-/// so the optimizer and the executor never rescan the data.
+/// Compile one parsed statement against a catalog. The plan scans the
+/// root table's catalog handle, so its statistics (computed at
+/// publication) and columnar form are the ones every other plan bound to
+/// this version uses — neither the optimizer nor the executor rescans or
+/// re-transposes the data per statement.
 pub fn compile(stmt: &ast::Select, catalog: &Catalog) -> Result<Plan, SessionError> {
     let plan = compile_query(stmt, catalog)?.build()?;
-    if let Some(stats) = catalog.stats(root_table(stmt)) {
-        plan.attach_stats(Arc::clone(stats));
-    }
     Ok(plan.with_sql(stmt.text.clone()))
-}
-
-/// The name the statement ultimately scans (sub-selects nest, so recurse
-/// to the innermost FROM).
-fn root_table(stmt: &ast::Select) -> &str {
-    match &stmt.from {
-        ast::TableRef::Name(name) => name,
-        ast::TableRef::Subquery(inner) => root_table(inner),
-    }
 }
 
 fn compile_query(stmt: &ast::Select, catalog: &Catalog) -> Result<Query, SessionError> {
     let mut q = match &stmt.from {
-        ast::TableRef::Name(name) => match catalog.get(name) {
-            Some(rel) => Query::scan(Arc::clone(rel)),
+        ast::TableRef::Name(name) => match catalog.table(name) {
+            Some(table) => Query::scan_table(Arc::clone(table)),
             None => {
                 return Err(SessionError::UnknownTable {
                     name: name.clone(),

@@ -1,19 +1,73 @@
 //! The FROM-clause namespace of the SQL frontend: an immutable-once-read
 //! [`Catalog`] of named AU-relations, and the snapshot-swappable
 //! [`SharedCatalog`] many concurrent sessions read through.
+//!
+//! What a name maps to is one `Arc`'d **table handle**: the rows as
+//! registered, their [`TableStats`], and the columnar form
+//! ([`AuColumns`]) the fused stages read. The catalog stores the handle
+//! and every [`crate::Plan`] scanning the table holds the same one, so
+//! the columnar form is built **at most once per (table, published
+//! version)** — by the first fused stage that reads the source unchanged,
+//! never at `register` / `append` — and is shared by every statement
+//! bound to that version. A publication that replaces a table makes a new
+//! handle (a plan can never observe another version's columns); a table
+//! it does not touch keeps its handle, and its columns, across it.
 
-use audb_core::{AuRelation, TableStats};
+use audb_core::{AuColumns, AuRelation, TableStats};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A registered relation together with the column statistics computed
-/// when it was published. Statistics are recomputed on every
-/// registration (including the append path, which re-registers the grown
-/// table), so a snapshot's stats always describe the relation it holds.
-#[derive(Clone, Debug)]
-struct TableEntry {
-    rel: Arc<AuRelation>,
-    stats: Arc<TableStats>,
+/// One version of one table: its rows, and the two derived forms every
+/// plan over it shares. Immutable once made — `append` publishes a new
+/// handle.
+#[derive(Debug)]
+pub(crate) struct Table {
+    rows: Arc<AuRelation>,
+    /// Forced at publication for a catalog's tables, so binding and
+    /// optimization never scan the data; computed on first use for a
+    /// handle no catalog made (`Query::scan(rel)`, `Plan::with_source`).
+    stats: OnceLock<Arc<TableStats>>,
+    /// The transposition of `rows`, built by the first fused stage that
+    /// asks for it.
+    cols: OnceLock<AuColumns>,
+}
+
+impl Table {
+    /// A handle over `rows` with nothing derived yet.
+    pub(crate) fn new(rows: Arc<AuRelation>) -> Arc<Table> {
+        Arc::new(Table {
+            rows,
+            stats: OnceLock::new(),
+            cols: OnceLock::new(),
+        })
+    }
+
+    pub(crate) fn rows(&self) -> &Arc<AuRelation> {
+        &self.rows
+    }
+
+    /// Column statistics of the rows: swept on first use — over the
+    /// columnar form when it is already there — and kept.
+    pub(crate) fn stats(&self) -> &Arc<TableStats> {
+        self.stats.get_or_init(|| {
+            Arc::new(match self.cols.get() {
+                Some(cols) => TableStats::of_columns(cols),
+                None => TableStats::of_relation(&self.rows),
+            })
+        })
+    }
+
+    /// The rows in columnar form, transposed on first use and kept for
+    /// the handle's lifetime.
+    pub(crate) fn columns(&self) -> &AuColumns {
+        self.cols.get_or_init(|| self.rows.to_columns())
+    }
+
+    /// Has anything asked for [`Table::columns`] yet?
+    #[cfg(test)]
+    pub(crate) fn columns_built(&self) -> bool {
+        self.cols.get().is_some()
+    }
 }
 
 /// Named AU-relations, shared cheaply behind [`Arc`]s. Names are
@@ -21,7 +75,7 @@ struct TableEntry {
 /// iterate in name order, so catalog listings are deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableEntry>,
+    tables: BTreeMap<String, Arc<Table>>,
 }
 
 impl Catalog {
@@ -39,26 +93,32 @@ impl Catalog {
         name: impl Into<String>,
         rel: impl Into<Arc<AuRelation>>,
     ) -> Option<Arc<AuRelation>> {
-        let rel = rel.into();
-        let stats = Arc::new(TableStats::of_relation(&rel));
+        let table = Table::new(rel.into());
+        table.stats(); // swept now, not by the first statement
         self.tables
-            .insert(name.into(), TableEntry { rel, stats })
-            .map(|e| e.rel)
+            .insert(name.into(), table)
+            .map(|old| Arc::clone(old.rows()))
     }
 
     /// Remove a named relation, returning it if it was registered.
     pub fn deregister(&mut self, name: &str) -> Option<Arc<AuRelation>> {
-        self.tables.remove(name).map(|e| e.rel)
+        self.tables.remove(name).map(|old| Arc::clone(old.rows()))
     }
 
     /// Look up a relation by name.
     pub fn get(&self, name: &str) -> Option<&Arc<AuRelation>> {
-        self.tables.get(name).map(|e| &e.rel)
+        self.tables.get(name).map(|t| t.rows())
+    }
+
+    /// The named table's handle — what the binder scans, so every plan
+    /// over one published version shares its columnar form.
+    pub(crate) fn table(&self, name: &str) -> Option<&Arc<Table>> {
+        self.tables.get(name)
     }
 
     /// The statistics computed when the named relation was registered.
     pub fn stats(&self, name: &str) -> Option<&Arc<TableStats>> {
-        self.tables.get(name).map(|e| &e.stats)
+        self.tables.get(name).map(|t| t.stats())
     }
 
     /// Registered names, in sorted order.
@@ -68,7 +128,7 @@ impl Catalog {
 
     /// `(name, relation)` pairs, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<AuRelation>)> {
-        self.tables.iter().map(|(n, e)| (n.as_str(), &e.rel))
+        self.tables.iter().map(|(n, t)| (n.as_str(), t.rows()))
     }
 
     /// Number of registered relations.
@@ -86,8 +146,10 @@ impl Catalog {
 /// publication**: readers take an [`Arc`]'d snapshot of the whole catalog
 /// (one `Arc::clone` under a read lock — no lock is held while a query
 /// binds or executes), and registration is copy-on-write (clone the
-/// current [`Catalog`], apply the change, swap the `Arc` and bump the
-/// version under the write lock).
+/// current [`Catalog`] — a map of table handles, so every table the
+/// change does not name keeps its handle and whatever columnar form it
+/// has built — apply the change, swap the `Arc` and bump the version
+/// under the write lock).
 ///
 /// **Visibility rule:** a statement binds against the snapshot current at
 /// `prepare` time and its plan pins the scanned relation behind an `Arc`,
@@ -102,7 +164,11 @@ impl Catalog {
 #[derive(Clone, Debug, Default)]
 pub struct SharedCatalog {
     // (version, snapshot) swap together so a cache keyed on the version
-    // can never observe a torn pair.
+    // can never observe a torn pair. The pair is only ever replaced whole,
+    // by one assignment: a thread that panics while holding the lock
+    // leaves a coherent value behind, so every access recovers a poisoned
+    // lock (`PoisonError::into_inner`) instead of failing every later
+    // request.
     current: Arc<RwLock<(u64, Arc<Catalog>)>>,
 }
 
@@ -122,20 +188,29 @@ impl SharedCatalog {
     /// The current snapshot. Callers hold it as long as they like; it
     /// never changes under them.
     pub fn snapshot(&self) -> Arc<Catalog> {
-        Arc::clone(&self.current.read().expect("catalog lock poisoned").1)
+        Arc::clone(&self.read().1)
     }
 
     /// The current snapshot together with its version (the pair is
     /// coherent — the plan cache keys on the version).
     pub fn snapshot_versioned(&self) -> (u64, Arc<Catalog>) {
-        let guard = self.current.read().expect("catalog lock poisoned");
+        let guard = self.read();
         (guard.0, Arc::clone(&guard.1))
     }
 
-    /// The current publication version: bumped by every
-    /// [`SharedCatalog::register`] / [`SharedCatalog::deregister`].
+    /// The current publication version: bumped by every successful
+    /// [`SharedCatalog::register`], [`SharedCatalog::deregister`] and
+    /// [`SharedCatalog::append`] (the plan cache drops its plans on it).
     pub fn version(&self) -> u64 {
-        self.current.read().expect("catalog lock poisoned").0
+        self.read().0
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, (u64, Arc<Catalog>)> {
+        self.current.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, (u64, Arc<Catalog>)> {
+        self.current.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True iff two handles publish into the same underlying catalog.
@@ -161,7 +236,7 @@ impl SharedCatalog {
     }
 
     fn publish<T>(&self, change: impl FnOnce(&mut Catalog) -> T) -> T {
-        let mut guard = self.current.write().expect("catalog lock poisoned");
+        let mut guard = self.write();
         let mut next = (*guard.1).clone();
         let out = change(&mut next);
         *guard = (guard.0 + 1, Arc::new(next));
@@ -183,7 +258,7 @@ impl SharedCatalog {
         name: &str,
         batch: &AuRelation,
     ) -> Result<(usize, u64), CatalogAppendError> {
-        let mut guard = self.current.write().expect("catalog lock poisoned");
+        let mut guard = self.write();
         let Some(current) = guard.1.get(name) else {
             return Err(CatalogAppendError::UnknownTable {
                 name: name.to_string(),
@@ -350,6 +425,68 @@ mod tests {
         // stats.
         assert_eq!(before.stats("t").unwrap().rows, 2);
         assert!(after.stats("missing").is_none());
+    }
+
+    /// A publication makes a new handle for the table it names and for no
+    /// other: `r` keeps its handle — and the columnar form hanging off it
+    /// — across every append to `w`.
+    #[test]
+    fn publication_keeps_untouched_table_handles() {
+        use audb_core::{AuTuple, Mult3, RangeValue};
+        let shared = SharedCatalog::new();
+        let schema = Schema::new(["a"]);
+        let row = |v: i64| (AuTuple::new([RangeValue::certain(v)]), Mult3::ONE);
+        shared.register("r", AuRelation::from_rows(schema.clone(), [row(1)]));
+        shared.register("w", AuRelation::from_rows(schema.clone(), [row(2)]));
+        let before = shared.snapshot();
+        let r_cols: *const AuColumns = before.table("r").unwrap().columns();
+        assert!(!before.table("w").unwrap().columns_built());
+
+        shared
+            .append("w", &AuRelation::from_rows(schema, [row(3)]))
+            .unwrap();
+        let after = shared.snapshot();
+        assert!(Arc::ptr_eq(
+            before.table("r").unwrap(),
+            after.table("r").unwrap()
+        ));
+        assert!(std::ptr::eq(r_cols, after.table("r").unwrap().columns()));
+        // `w` is a new version: new handle, nothing derived but its stats,
+        // and the old version's columns are not reachable from it.
+        let (w_old, w_new) = (before.table("w").unwrap(), after.table("w").unwrap());
+        assert!(!Arc::ptr_eq(w_old, w_new));
+        assert!(!w_new.columns_built());
+        assert_eq!((w_old.columns().len(), w_new.columns().len()), (1, 2));
+    }
+
+    /// A panic while the catalog lock is held (here: inside a publication's
+    /// change, before anything was swapped) poisons the lock but not the
+    /// value behind it — every later reader and writer carries on.
+    #[test]
+    fn a_panicking_publication_does_not_poison_the_catalog() {
+        use audb_core::{AuTuple, Mult3, RangeValue};
+        let shared = SharedCatalog::new();
+        let schema = Schema::new(["a"]);
+        let row = |v: i64| (AuTuple::new([RangeValue::certain(v)]), Mult3::ONE);
+        shared.register("t", AuRelation::from_rows(schema.clone(), [row(1)]));
+
+        let writer = shared.clone();
+        let panicked = std::thread::spawn(move || {
+            writer.publish(|_| panic!("publication failed half-way"));
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.current.is_poisoned());
+
+        // Nothing was published, nothing is lost, nothing fails.
+        assert_eq!(shared.version(), 1);
+        assert_eq!(shared.snapshot().get("t").unwrap().len(), 1);
+        assert_eq!(shared.snapshot_versioned().0, 1);
+        shared.register("u", AuRelation::empty(schema.clone()));
+        let batch = AuRelation::from_rows(schema, [row(2)]);
+        assert_eq!(shared.append("t", &batch).unwrap(), (2, 3));
+        assert!(shared.deregister("u").is_some());
+        assert_eq!(shared.version(), 4);
     }
 
     #[test]

@@ -4,17 +4,24 @@
 //!
 //! * `run_materialized` — the operator-at-a-time loop over the Defs. 2–3
 //!   row operators of `audb-core`, a full [`AuRelation`] between steps.
-//! * `run_pipelined` — the lowered [`Pipeline`]s: each fused stage's input
-//!   columnarized once ([`AuColumns`]), its batches ([`AuBatch`]) swept
-//!   morsel-parallel through [`audb_par::par_map`] in deterministic order
-//!   (batch `i`'s rows always precede batch `i + 1`'s); only breakers
-//!   materialize rows.
+//! * `run_pipelined` — the lowered [`Pipeline`]s. A fused stage reads
+//!   columns ([`AuColumns`]): the scanned table's own columnar form when
+//!   it reads the source unchanged (built once per table version, shared
+//!   by every plan — [`Plan::source_columns`]), a transposition of the
+//!   current rows after a breaker or a rewriting scan. Its batches
+//!   ([`AuBatch`]) are swept morsel-parallel through
+//!   [`audb_par::par_map`] in deterministic order (batch `i`'s rows
+//!   always precede batch `i + 1`'s) and its output **stays columnar**:
+//!   the relation between stages is rows *or* columns, a breaker takes
+//!   either ([`BreakerInput`]), and rows are built from columns only
+//!   where a row operator asks ([`BreakerInput::rows`]) and for the
+//!   final result.
 //!
 //! Both collect an [`ExecTrace`]: per-operator wall time, batch count and
 //! output cardinality.
 
 use super::lower::{fuse_label, lower, Pipeline};
-use crate::backend::Backend;
+use crate::backend::{Backend, BreakerInput};
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
 use audb_core::{range_verdict, AuBatch, AuColumns, AuRelation, Mult3, TableStats, ZoneVerdict};
@@ -106,7 +113,7 @@ pub fn execute<B: Backend + ?Sized>(
 fn run_breaker<B: Backend + ?Sized>(
     backend: &B,
     op: &Op,
-    input: &AuRelation,
+    input: BreakerInput<'_>,
 ) -> Result<AuRelation, EngineError> {
     match op {
         Op::Sort { order, pos_name } => backend.sort(input, order, pos_name),
@@ -145,7 +152,7 @@ fn run_materialized<B: Backend + ?Sized>(
                     exprs.iter().map(|(e, n)| (e.clone(), n.as_str())).collect();
                 audb_core::au_project(&cur, &borrowed)
             }
-            breaker => run_breaker(backend, breaker, &cur)?,
+            breaker => run_breaker(backend, breaker, BreakerInput::Rows(&cur))?,
         };
         cur = Cow::Owned(next);
         ops.push(OpTiming {
@@ -173,7 +180,9 @@ fn run_materialized<B: Backend + ?Sized>(
 /// over the batch's bound box), and per fused step whether its predicate
 /// is provably true for every row (the evaluation short-circuits; the
 /// certainty bitmap and annotations are untouched because
-/// `Mult3::filter(TRUE)` is the identity).
+/// `Mult3::filter(TRUE)` is the identity). The default — no statistics to
+/// ask — skips nothing and knows nothing.
+#[derive(Default)]
 struct BatchVerdict {
     skip: bool,
     all_true: Vec<bool>,
@@ -342,6 +351,38 @@ fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     (keep, mults)
 }
 
+/// The pipelined executor's current relation: rows (the scan, a breaker's
+/// output) or the columns a fused stage produced.
+enum Current<'a> {
+    Rows(Cow<'a, AuRelation>),
+    Columns(AuColumns),
+}
+
+impl Current<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Current::Rows(rel) => rel.len(),
+            Current::Columns(cols) => cols.len(),
+        }
+    }
+
+    fn as_input(&self) -> BreakerInput<'_> {
+        match self {
+            Current::Rows(rel) => BreakerInput::Rows(rel),
+            Current::Columns(cols) => BreakerInput::Columns(cols),
+        }
+    }
+
+    /// The plan's result: a plan ending in a fused stage builds its rows
+    /// here.
+    fn into_rows(self) -> AuRelation {
+        match self {
+            Current::Rows(rel) => rel.into_owned(),
+            Current::Columns(cols) => cols.to_rows(),
+        }
+    }
+}
+
 /// The batch-streaming executor: fused stages morsel-parallel per batch,
 /// breakers via the backend hooks.
 fn run_pipelined<B: Backend + ?Sized>(
@@ -355,13 +396,14 @@ fn run_pipelined<B: Backend + ?Sized>(
     let mut batches_skipped = 0usize;
     let mut batches_scanned = 0usize;
     let start = Instant::now();
-    let mut cur: Cow<'_, AuRelation> = backend.scan(plan.source())?;
+    let scanned = backend.scan(plan.source())?;
     ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
-        batches: cur.batch_count(batch_size),
-        rows_out: cur.len(),
+        batches: scanned.batch_count(batch_size),
+        rows_out: scanned.len(),
     });
+    let mut cur = Current::Rows(scanned);
     for pipeline in &pipelines {
         if !pipeline.fused.is_empty() {
             let start = Instant::now();
@@ -372,64 +414,58 @@ fn run_pipelined<B: Backend + ?Sized>(
                 .iter()
                 .map(|&i| (&plan.ops()[i], &plan.schemas()[i + 1]))
                 .collect();
-            // Output schema of the last fused operator.
-            let out_schema = plan.schemas()[pipeline.fused.last().unwrap() + 1].clone();
-            // Columnarize once per fused stage; every step inside the
-            // stage is then a vectorized column sweep. When the stage
-            // reads the plan's source unchanged (the common scan →
-            // select/project head), the plan's cached columnar form is
-            // used — transposed once, shared across executions, the
-            // stand-in for columnar base-table storage.
+            // Every step inside the stage is a vectorized column sweep.
+            // A stage that reads the plan's source unchanged (the common
+            // scan → select/project head) reads the table's own columnar
+            // form, which whichever statement came first transposed; only
+            // a stage behind a breaker or a rewriting scan transposes
+            // here, and then its input is this execution's alone.
             let cols_local;
             let (cols, on_source): (&AuColumns, bool) = match &cur {
-                Cow::Borrowed(rel) if std::ptr::eq(*rel, plan.source()) => {
+                Current::Rows(Cow::Borrowed(rel)) if std::ptr::eq(*rel, plan.source()) => {
                     (plan.source_columns(), true)
                 }
-                _ => {
-                    cols_local = cur.to_columns();
+                Current::Rows(rel) => {
+                    cols_local = rel.to_columns();
                     (&cols_local, false)
                 }
+                // Lowering never puts two fused stages back to back.
+                Current::Columns(cols) => (cols, false),
             };
-            let batches: Vec<audb_core::AuBatch<'_>> = cols.batches(batch_size).collect();
-            let n_batches = batches.len();
             // Zone-map pruning applies only when this stage reads the
             // plan's source unchanged: the statistics describe source
             // rows, so batch `i` covers rows `[i·batch, i·batch + len)`
             // of exactly the relation the zones were built over.
-            let verdicts: Option<Vec<BatchVerdict>> = if prune && on_source {
-                let stats = plan.source_stats();
-                (stats.rows == cols.len()).then(|| {
-                    batches
-                        .iter()
-                        .map(|b| batch_verdict(&steps, stats, b.index() * batch_size, b.len()))
-                        .collect()
-                })
-            } else {
-                None
-            };
-            let skipped = verdicts
-                .as_ref()
-                .map_or(0, |vs| vs.iter().filter(|v| v.skip).count());
-            batches_skipped += skipped;
-            batches_scanned += n_batches - skipped;
-            let no_hints: Vec<bool> = Vec::new();
+            let stats = (prune && on_source)
+                .then(|| plan.source_stats())
+                .filter(|stats| stats.rows == cols.len());
+            // A skipped batch costs its verdict and nothing else: it never
+            // becomes a unit of work.
+            let n_batches = cols.batch_count(batch_size);
+            let mut work: Vec<(AuBatch<'_>, Vec<bool>)> = Vec::with_capacity(n_batches);
+            for batch in cols.batches(batch_size) {
+                let verdict = stats.map_or_else(BatchVerdict::default, |stats| {
+                    batch_verdict(&steps, stats, batch.index() * batch_size, batch.len())
+                });
+                if !verdict.skip {
+                    work.push((batch, verdict.all_true));
+                }
+            }
+            batches_skipped += n_batches - work.len();
+            batches_scanned += work.len();
             // Morsel-parallel: each batch runs the whole fused chain
             // independently; par_map guarantees chunk `i`'s rows land
             // before chunk `i + 1`'s, so the output order is exactly the
-            // sequential one. A skipped batch contributes no rows, in
-            // order, without touching its columns.
-            let chunks = audb_par::par_map(&batches, |b| {
-                match verdicts.as_ref().map(|vs| &vs[b.index()]) {
-                    Some(v) if v.skip => AuColumns::empty(out_schema.clone()),
-                    Some(v) => apply_fused(&steps, b, &v.all_true),
-                    None => apply_fused(&steps, b, &no_hints),
-                }
+            // sequential one.
+            let chunks = audb_par::par_map(&work, |(batch, all_true)| {
+                apply_fused(&steps, batch, all_true)
             });
-            let mut merged = AuColumns::empty(out_schema);
+            // Output schema of the last fused operator.
+            let mut merged = AuColumns::empty(steps[steps.len() - 1].1.clone());
             for chunk in chunks {
                 merged.append(chunk);
             }
-            cur = Cow::Owned(merged.to_rows());
+            cur = Current::Columns(merged);
             ops.push(OpTiming {
                 label: fuse_label(steps.iter().map(|(op, _)| op.name())),
                 elapsed: start.elapsed(),
@@ -440,8 +476,8 @@ fn run_pipelined<B: Backend + ?Sized>(
         if let Some(b) = pipeline.breaker {
             let start = Instant::now();
             let op = &plan.ops()[b];
-            let next = run_breaker(backend, op, &cur)?;
-            cur = Cow::Owned(next);
+            let next = run_breaker(backend, op, cur.as_input())?;
+            cur = Current::Rows(Cow::Owned(next));
             ops.push(OpTiming {
                 label: op.name().to_string(),
                 elapsed: start.elapsed(),
@@ -451,7 +487,7 @@ fn run_pipelined<B: Backend + ?Sized>(
         }
     }
     Ok((
-        cur.into_owned(),
+        cur.into_rows(),
         ExecTrace {
             mode: ExecMode::Pipelined,
             batch_size,

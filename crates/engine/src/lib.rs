@@ -46,7 +46,7 @@ mod plancache;
 mod print;
 mod session;
 
-pub use backend::{Backend, Native, Reference, Rewrite};
+pub use backend::{Backend, BreakerInput, Native, Reference, Rewrite};
 pub use catalog::{Catalog, CatalogAppendError, SharedCatalog};
 pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};

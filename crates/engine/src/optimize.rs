@@ -65,8 +65,8 @@ pub struct OptInfo {
 }
 
 /// Optimize a plan against its source statistics. Returns the input plan
-/// unchanged (a clone sharing the same source `Arc` and caches) when no
-/// rule applies.
+/// unchanged (a clone) when no rule applies; either way the result scans
+/// the same table handle, so statistics and columnar form stay shared.
 pub fn optimize(plan: &Plan) -> Plan {
     let stats = Arc::clone(plan.source_stats());
     let src_schema = plan.schemas()[0].clone();
@@ -82,19 +82,17 @@ pub fn optimize(plan: &Plan) -> Plan {
     }
     let before: Vec<String> = plan.ops().iter().map(|op| op.to_string()).collect();
     match rebuild(plan, &ops) {
-        Ok(rewritten) => rewritten
-            .adopt_caches(plan)
-            .with_opt(Arc::new(OptInfo { before, rules })),
+        Ok(rewritten) => rewritten.rewritten_from(plan, Arc::new(OptInfo { before, rules })),
         // A rewrite that fails validation would be an optimizer bug; never
         // surface it as a user error — run the original plan instead.
         Err(_) => plan.clone(),
     }
 }
 
-/// Rebuild an operator chain over the original plan's source through the
-/// validating builder.
+/// Rebuild an operator chain over the original plan's table handle
+/// through the validating builder.
 fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
-    let mut q = Query::scan(Arc::clone(plan.source_arc()));
+    let mut q = Query::scan_table(Arc::clone(plan.table()));
     for op in ops {
         q = match op {
             Op::Select { pred } => q.select(pred.clone()),
@@ -799,9 +797,10 @@ mod tests {
             .select(RangeExpr::col(0).lt(RangeExpr::lit(4)))
             .build()
             .unwrap();
-        let stats_before = Arc::clone(plan.source_stats());
         let opt = optimize(&plan);
-        assert!(Arc::ptr_eq(plan.source_arc(), opt.source_arc()));
-        assert!(Arc::ptr_eq(&stats_before, opt.source_stats()));
+        assert!(opt.opt().is_some(), "pushdown should fire");
+        assert!(Arc::ptr_eq(plan.table(), opt.table()));
+        assert!(Arc::ptr_eq(plan.source_stats(), opt.source_stats()));
+        assert!(std::ptr::eq(plan.source_columns(), opt.source_columns()));
     }
 }

@@ -15,6 +15,7 @@
 //! frame that excludes the current row. The resolved IR is purely
 //! index-based, so backends never re-resolve names.
 
+use crate::catalog::Table;
 use crate::error::PlanError;
 use crate::optimize::OptInfo;
 use audb_core::{AuRelation, AuWindowSpec, RangeExpr, TableStats, WinAgg};
@@ -287,7 +288,12 @@ impl fmt::Display for Op {
 /// it through [`crate::Engine`] or any [`crate::Backend`].
 #[derive(Clone, Debug)]
 pub struct Plan {
-    source: Arc<AuRelation>,
+    /// The scanned table's handle: its rows, statistics and columnar
+    /// form. A plan bound through a catalog holds the catalog's handle,
+    /// so every plan over one published version of a table shares one
+    /// transposition; [`Query::scan`] and [`Plan::with_source`] wrap a
+    /// private handle.
+    source: Arc<Table>,
     ops: Vec<Op>,
     /// Schema after each op: `schemas\[0\]` is the source schema,
     /// `schemas[i + 1]` the output of `ops[i]`.
@@ -295,16 +301,6 @@ pub struct Plan {
     /// The SQL text this plan was compiled from, when it came through the
     /// SQL frontend (shown by `Engine::explain`).
     sql: Option<String>,
-    /// Lazily built columnar form of the source, shared across clones and
-    /// executions — the plan-level stand-in for columnar base-table
-    /// storage: the pipeline executor's first fused stage reads it instead
-    /// of re-transposing the row source on every run.
-    source_cols: Arc<std::sync::OnceLock<audb_core::AuColumns>>,
-    /// Statistics of the scanned source: attached by the binder when the
-    /// catalog already computed them at publish time, otherwise computed
-    /// lazily on first use and shared across clones (same lifetime rules
-    /// as `source_cols`).
-    stats: Arc<std::sync::OnceLock<Arc<TableStats>>>,
     /// Optimizer provenance: the pre-optimization rendering and the
     /// applied rewrites, attached by [`crate::optimize::optimize`] so
     /// `explain` can show before/after even for cached plans.
@@ -314,42 +310,35 @@ pub struct Plan {
 impl Plan {
     /// The scanned source relation.
     pub fn source(&self) -> &AuRelation {
-        &self.source
+        self.source.rows()
     }
 
-    /// The scanned source in columnar form, transposed on first use and
-    /// cached for the plan's lifetime (shared across clones). Executors
-    /// use this when their scan borrows the source unchanged; backends
-    /// whose scan rewrites the relation (e.g. the rewrite backend's
-    /// encoding round-trip) transpose their own scan output instead.
+    /// The scanned source in columnar form: the table handle's, transposed
+    /// by whichever plan over that handle asks first and shared by all of
+    /// them. Executors use this when their scan borrows the source
+    /// unchanged; backends whose scan rewrites the relation (e.g. the
+    /// rewrite backend's encoding round-trip) transpose their own scan
+    /// output instead.
     pub fn source_columns(&self) -> &audb_core::AuColumns {
-        self.source_cols.get_or_init(|| self.source.to_columns())
+        self.source.columns()
     }
 
     /// The scanned source, shared (for re-registering a plan's input, e.g.
     /// when compiling its printed SQL back against a catalog).
     pub fn source_arc(&self) -> &Arc<AuRelation> {
-        &self.source
+        self.source.rows()
     }
 
-    /// Statistics of the scanned source. Prefers the block the binder
-    /// attached (computed once at catalog publish time); otherwise sweeps
-    /// the source on first use — over the columnar form when it is already
-    /// materialized — and caches the result for the plan's lifetime.
+    /// Statistics of the scanned source: computed at publication for a
+    /// catalog's table, otherwise swept on first use and kept on the
+    /// handle.
     pub fn source_stats(&self) -> &Arc<TableStats> {
-        self.stats.get_or_init(|| {
-            Arc::new(match self.source_cols.get() {
-                Some(cols) => TableStats::of_columns(cols),
-                None => TableStats::of_relation(&self.source),
-            })
-        })
+        self.source.stats()
     }
 
-    /// Attach pre-computed source statistics (the binder's hook: the
-    /// catalog computes them at publish time). A no-op when statistics
-    /// were already computed or attached.
-    pub fn attach_stats(&self, stats: Arc<TableStats>) {
-        let _ = self.stats.set(stats);
+    /// The scanned table's handle (what a rewritten plan is rebuilt over).
+    pub(crate) fn table(&self) -> &Arc<Table> {
+        &self.source
     }
 
     /// Optimizer provenance, when [`crate::optimize::optimize`] rewrote
@@ -358,21 +347,13 @@ impl Plan {
         self.opt.as_deref()
     }
 
-    /// Attach optimizer provenance (used by [`crate::optimize`]).
-    pub(crate) fn with_opt(mut self, info: Arc<OptInfo>) -> Plan {
-        self.opt = Some(info);
-        self
-    }
-
-    /// Adopt the shared caches and SQL provenance of the plan this one was
-    /// rewritten from. Sound only when both scan the same source `Arc` —
-    /// the optimizer rebuilds over `source_arc()`, so the columnar form
-    /// and statistics transfer as-is.
-    pub(crate) fn adopt_caches(mut self, original: &Plan) -> Plan {
+    /// Mark this plan as `original` rewritten: adopt its SQL provenance
+    /// and attach the optimizer's (used by [`crate::optimize`], which
+    /// rebuilds over `original`'s table handle).
+    pub(crate) fn rewritten_from(mut self, original: &Plan, info: Arc<OptInfo>) -> Plan {
         debug_assert!(Arc::ptr_eq(&self.source, &original.source));
         self.sql = original.sql.clone();
-        self.source_cols = Arc::clone(&original.source_cols);
-        self.stats = Arc::clone(&original.stats);
+        self.opt = Some(info);
         self
     }
 
@@ -426,12 +407,10 @@ impl Plan {
             });
         }
         Ok(Plan {
-            source,
+            source: Table::new(source),
             ops: self.ops.clone(),
             schemas: self.schemas.clone(),
             sql: self.sql.clone(),
-            source_cols: Arc::new(std::sync::OnceLock::new()),
-            stats: Arc::new(std::sync::OnceLock::new()),
             opt: None,
         })
     }
@@ -444,8 +423,6 @@ impl Plan {
             ops: self.ops[..n].to_vec(),
             schemas: self.schemas[..=n].to_vec(),
             sql: None,
-            source_cols: Arc::clone(&self.source_cols),
-            stats: Arc::clone(&self.stats),
             opt: None,
         }
     }
@@ -481,7 +458,7 @@ pub struct Query {
 
 #[derive(Clone, Debug)]
 struct QueryState {
-    source: Arc<AuRelation>,
+    source: Arc<Table>,
     ops: Vec<Op>,
     schemas: Vec<Schema>,
 }
@@ -535,9 +512,16 @@ impl Query {
     /// repeated attribute names are rejected up front, because every
     /// downstream name resolution would silently bind to the first.
     pub fn scan(rel: impl Into<Arc<AuRelation>>) -> Query {
-        let source: Arc<AuRelation> = rel.into();
-        let mut seen: Vec<&str> = Vec::with_capacity(source.schema.arity());
-        for c in source.schema.cols() {
+        Query::scan_table(Table::new(rel.into()))
+    }
+
+    /// [`Query::scan`] over an existing table handle — a catalog's, or the
+    /// one a plan being rewritten already holds — so the new plan shares
+    /// the handle's statistics and columnar form.
+    pub(crate) fn scan_table(source: Arc<Table>) -> Query {
+        let schema = &source.rows().schema;
+        let mut seen: Vec<&str> = Vec::with_capacity(schema.arity());
+        for c in schema.cols() {
             if seen.contains(&c.as_str()) {
                 return Query {
                     state: Err(PlanError::DuplicateColumn { name: c.clone() }),
@@ -545,7 +529,7 @@ impl Query {
             }
             seen.push(c);
         }
-        let schema = source.schema.clone();
+        let schema = schema.clone();
         Query {
             state: Ok(QueryState {
                 source,
@@ -727,8 +711,6 @@ impl Query {
             ops: state.ops,
             schemas: state.schemas,
             sql: None,
-            source_cols: Arc::new(std::sync::OnceLock::new()),
-            stats: Arc::new(std::sync::OnceLock::new()),
             opt: None,
         })
     }

@@ -399,6 +399,80 @@ mod tests {
         ));
     }
 
+    /// One transposition per published table version: every plan bound to
+    /// it — different statements, a plan-cache miss and its hit — reads
+    /// the same columnar form, and a statement with no fused stage never
+    /// builds it.
+    #[test]
+    fn plans_of_one_version_share_one_columnar_form() {
+        let s = session();
+        let rank = s
+            .prepare("SELECT * FROM products ORDER BY price AS rank LIMIT 2")
+            .unwrap();
+        s.execute(&rank).unwrap();
+        assert!(!rank.plan().table().columns_built(), "rank-only statement");
+
+        let filter = s
+            .prepare("SELECT sku FROM products WHERE price < 12")
+            .unwrap();
+        let top = s
+            .prepare("SELECT * FROM products WHERE sku < 3 ORDER BY price AS rank LIMIT 1")
+            .unwrap();
+        s.execute(&filter).unwrap();
+        // The first fused stage built it — on the handle all three hold.
+        assert!(rank.plan().table().columns_built());
+        assert!(std::ptr::eq(
+            filter.plan().source_columns(),
+            top.plan().source_columns()
+        ));
+
+        let cache = PlanCache::new(8);
+        let sql = "SELECT sku FROM products WHERE price < 11";
+        let (miss, hit) = s.prepare_cached(&cache, sql).unwrap();
+        assert!(!hit);
+        let (again, hit) = s.prepare_cached(&cache, sql).unwrap();
+        assert!(hit);
+        for p in [&miss, &again] {
+            assert!(std::ptr::eq(
+                p.plan().source_columns(),
+                filter.plan().source_columns()
+            ));
+        }
+    }
+
+    /// The visibility rule on the shared form: an `append` publishes a new
+    /// table version with its own (not yet built) columns; a statement
+    /// prepared after it sees the new rows, one compiled before it keeps
+    /// answering from the old version's columns.
+    #[test]
+    fn append_never_leaks_into_another_versions_columns() {
+        let s = session();
+        let sql = "SELECT sku FROM products WHERE price < 12";
+        let before = s.prepare(sql).unwrap();
+        assert_eq!(s.execute(&before).unwrap().len(), 2);
+
+        let cheap = AuRelation::from_rows(
+            Schema::new(["sku", "price"]),
+            [(
+                AuTuple::from([RangeValue::certain(4i64), RangeValue::certain(1i64)]),
+                Mult3::ONE,
+            )],
+        );
+        s.shared_catalog().append("products", &cheap).unwrap();
+
+        let after = s.prepare(sql).unwrap();
+        assert!(!after.plan().table().columns_built());
+        assert_eq!(s.execute(&after).unwrap().len(), 3);
+        assert_eq!(s.execute(&before).unwrap().len(), 2);
+        assert_eq!(
+            (
+                before.plan().source_columns().len(),
+                after.plan().source_columns().len()
+            ),
+            (3, 4)
+        );
+    }
+
     #[test]
     fn subqueries_chain_operator_blocks() {
         let s = session();

@@ -353,6 +353,7 @@ const BACKEND_FNS: &[&str] = &[
     "topk_ref",
     "window_ref",
     "sort_native",
+    "sort_columns_native",
     "topk_native",
     "window_native",
 ];

@@ -11,7 +11,9 @@
 //!   (Algorithm 2): a single sweep over the relation sorted by the
 //!   lower-bound corner, with a `todo` min-heap on upper-bound corners;
 //!   [`sort::sort_native_staged`] is the same run reporting where its
-//!   stages end, for the `sort/stages` bench.
+//!   stages end, for the `sort/stages` bench;
+//!   [`sort::sort_columns_native`] the same run over a columnar input,
+//!   which reads typed lanes and builds only the tuples it emits.
 //! * [`window::window_native`] — Algorithm 3 (+`compBounds`, Algorithms
 //!   4–6): a sweep over uncertain positions with a `cert` position index
 //!   and a three-way [`audb_conheap::ConnectedHeap`] over the possible
@@ -26,5 +28,5 @@ pub mod sort;
 pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
-pub use sort::{sort_native, sort_native_staged, topk_native};
+pub use sort::{sort_columns_native, sort_native, sort_native_staged, topk_native};
 pub use window::{window_native, window_native_checked, NativeWindow};

@@ -204,15 +204,78 @@ proptest! {
                 }
             }
         }
-        for w in enumerate_worlds(&table, 4096) {
-            let det = stmt.eval(&w.relation);
-            for (who, out) in &answers {
-                prop_assert!(
-                    bounds_world(out, &det),
-                    "{sql}\non {who}: world answer {det} not bounded by\n{out}"
+        check_worlds(&table, &stmt, &answers);
+    }
+}
+
+/// Every world of `table` under `stmt` lies within each of `answers`.
+fn check_worlds(table: &XTupleTable, stmt: &Statement, answers: &[(String, AuRelation)]) {
+    for w in enumerate_worlds(table, 4096) {
+        let det = stmt.eval(&w.relation);
+        for (who, out) in answers {
+            assert!(
+                bounds_world(out, &det),
+                "{}\non {who}, {} x-tuples: world answer {det} not bounded by\n{out}",
+                stmt.sql(),
+                table.len()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The same property where statements share a table's columnar form
+    /// and the table grows under them: register part of the x-tuples → a
+    /// filtered top-k (builds the form) → a second statement over the same
+    /// version (reads it) → the remaining x-tuples appended in a random
+    /// split → the first statement again (a new version, a new form).
+    /// Each answer bounds every world of the table *as of its statement*.
+    #[test]
+    fn sql_answers_bound_every_world_across_statements_and_appends(
+        table in table_strategy(),
+        topk in (statement_strategy(), prop_oneof![Just(vec![0]), Just(vec![1]), Just(vec![0, 1])], 1u64..4)
+            .prop_map(|(stmt, order, k)| Statement { over: Over::Rank { order, k: Some(k) }, ..stmt }),
+        second in statement_strategy(),
+        cuts in (0usize..6, 0usize..6),
+    ) {
+        let part = |range: std::ops::Range<usize>| {
+            XTupleTable::new(table.schema.clone(), table.tuples[range].to_vec())
+        };
+        let head = 1 + cuts.0 % table.len();
+        let mid = head + cuts.1 % (table.len() - head + 1);
+        let registered = part(0..head);
+        // One answer list per step; backends and batch sizes that agree
+        // bag-wise are checked against the worlds once.
+        let mut steps: [Vec<(String, AuRelation)>; 3] = Default::default();
+        for choice in [BackendChoice::Native, BackendChoice::Rewrite] {
+            for batch_size in [1, 1024] {
+                let catalog = SharedCatalog::new();
+                catalog.register("t", registered.to_au_relation());
+                let session = Session::with_catalog(
+                    Engine::new(choice).with_batch_size(batch_size),
+                    catalog.clone(),
                 );
+                let mut run = |step: usize, stmt: &Statement| {
+                    let out = session.sql(&stmt.sql()).expect("generated SQL runs");
+                    if !steps[step].iter().any(|(_, seen)| seen.bag_eq(&out)) {
+                        steps[step].push((format!("{choice} batch {batch_size}"), out));
+                    }
+                };
+                run(0, &topk);
+                run(1, &second);
+                for batch in [part(head..mid), part(mid..table.len())] {
+                    if !batch.is_empty() {
+                        catalog.append("t", &batch.to_au_relation()).expect("same schema");
+                    }
+                }
+                run(2, &topk);
             }
         }
+        check_worlds(&registered, &topk, &steps[0]);
+        check_worlds(&registered, &second, &steps[1]);
+        check_worlds(&table, &topk, &steps[2]);
     }
 }
 

@@ -150,3 +150,129 @@ fn prepared_statements_survive_concurrent_republication() {
     }
     publisher.join().unwrap();
 }
+
+/// Readers racing an appender on the shared columnar form: eight threads
+/// issue one filtered top-k text from the moment version 1 is published —
+/// all of them reach the table's not-yet-built columns together — while a
+/// ninth appends rows that enter the answer. Every answer is the
+/// single-threaded answer for the version its plan bound to, and all plans
+/// of one version read one columnar form.
+#[test]
+fn racing_readers_share_one_columnar_form_per_version() {
+    use audb::core::{AuTuple, Mult3, RangeValue};
+    use audb::rel::Schema;
+    use std::collections::BTreeMap;
+    use std::sync::Barrier;
+
+    const BASE_ROWS: i64 = 1500;
+    const APPENDS: i64 = 24;
+    const BATCH: i64 = 4;
+    const SQL: &str = "SELECT id, v FROM t WHERE id < 700 ORDER BY v, id AS pos LIMIT 5";
+
+    let schema = Schema::new(["id", "v"]);
+    let base = AuRelation::from_rows(
+        schema.clone(),
+        (0..BASE_ROWS).map(|id| {
+            let v = 1000 + (id * 7919) % BASE_ROWS;
+            (
+                AuTuple::new([RangeValue::certain(id), RangeValue::new(v - 1, v, v + 2)]),
+                Mult3::ONE,
+            )
+        }),
+    );
+    // Batch `j` passes the filter (negative ids) and undercuts every `v`
+    // stored before it, so each version has its own top 5.
+    let batch_schema = schema.clone();
+    let batch = move |j: i64| {
+        AuRelation::from_rows(
+            batch_schema.clone(),
+            (0..BATCH).map(|i| {
+                let n = j * BATCH + i;
+                (
+                    AuTuple::new([RangeValue::certain(-n - 1), RangeValue::certain(900 - n)]),
+                    Mult3::ONE,
+                )
+            }),
+        )
+    };
+
+    // The single-threaded answer per version, keyed by the version's row
+    // count (which a plan reports through its pinned source).
+    let expected: BTreeMap<usize, AuRelation> = {
+        let catalog = SharedCatalog::new();
+        catalog.register("t", base.clone());
+        let session = Session::with_catalog(Engine::native(), catalog.clone());
+        let mut answers = BTreeMap::new();
+        for j in 0..=APPENDS {
+            if j > 0 {
+                catalog.append("t", &batch(j - 1)).unwrap();
+            }
+            let rows = catalog.snapshot().get("t").unwrap().len();
+            answers.insert(rows, session.sql(SQL).unwrap().normalize());
+        }
+        answers
+    };
+    assert_eq!(expected.len() as i64, APPENDS + 1);
+
+    let catalog = SharedCatalog::new();
+    catalog.register("t", base);
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let appender = {
+        let (catalog, start, done) = (catalog.clone(), Arc::clone(&start), Arc::clone(&done));
+        std::thread::spawn(move || {
+            start.wait();
+            for j in 0..APPENDS {
+                catalog.append("t", &batch(j)).unwrap();
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+    let readers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (catalog, start, done) = (catalog.clone(), Arc::clone(&start), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let session = Session::with_catalog(Engine::native(), catalog);
+                let mut seen = Vec::new();
+                start.wait();
+                // At least once after the last append, so the final
+                // version is read too.
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    let prepared = session.prepare(SQL).unwrap();
+                    let answer = session.execute(&prepared).unwrap();
+                    seen.push((prepared, answer));
+                    if last {
+                        return seen;
+                    }
+                }
+            })
+        })
+        .collect();
+
+    appender.join().expect("appender panicked");
+    // Every plan is kept until here, so one version's handle cannot be
+    // freed and its address reused while the comparison runs.
+    let seen: Vec<_> = readers
+        .into_iter()
+        .flat_map(|r| r.join().expect("reader panicked"))
+        .collect();
+    let mut forms: BTreeMap<usize, *const audb::core::AuColumns> = BTreeMap::new();
+    for (prepared, answer) in &seen {
+        let rows = prepared.plan().source().len();
+        assert!(
+            answer.bag_eq(&expected[&rows]),
+            "divergent answer on the {rows}-row version"
+        );
+        let form: *const _ = prepared.plan().source_columns();
+        assert_eq!(
+            *forms.entry(rows).or_insert(form),
+            form,
+            "two columnar forms for the {rows}-row version"
+        );
+    }
+    // Each reader's last statement started after the last append.
+    assert!(forms.contains_key(&((BASE_ROWS + APPENDS * BATCH) as usize)));
+}

@@ -11,7 +11,8 @@ use audb::core::{
 };
 use audb::engine::{Agg, Engine, Plan, Query, WindowSpec};
 use audb::native::{
-    sort_native, topk_native, window_native, window_native_checked, MaintainedWindow,
+    sort_columns_native, sort_native, topk_native, window_native, window_native_checked,
+    MaintainedWindow,
 };
 use audb::rel::{Schema, Value};
 use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
@@ -585,6 +586,110 @@ fn mid_size_sorts_and_topks_agree_with_reference() {
                     by_ref.bag_eq(&capped_topk_of(&reference, 10)),
                     "topk_ref is σ over sort_ref: {what}"
                 );
+            }
+        }
+    }
+}
+
+/// The columnar entry is the row entry, row for row: over `to_columns()`
+/// of the mid-size rank tables — typed `i64` lanes (`Ints`), `Generic`
+/// lanes (`Mixed`: every column mixes classes or holds `NULL`s), and the
+/// `Ints` table with its first order column re-stored the way the csv
+/// loader admits integers to an `f64` lane — `sort_columns_native`
+/// returns the rows `sort_native` / `topk_native` return, in the same
+/// order, under the same `normalized` flag, for every `k`; as stored
+/// (duplicates apart, zero annotations present: the fused merge runs) and
+/// normalized first (it is skipped).
+#[test]
+fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
+    use audb::core::{AuColumn, AuColumns, PhysType, PhysVec};
+
+    /// `cols` with the lanes of column `c` converted `i64 → f64`.
+    fn admit_to_f64(cols: &AuColumns, c: usize) -> AuColumns {
+        let lane = |v: &PhysVec| match v {
+            PhysVec::I64(ints) => PhysVec::F64(ints.iter().map(|&i| i as f64).collect()),
+            other => panic!("expected an i64 lane, got {:?}", other.phys_type()),
+        };
+        let columns = (0..cols.arity())
+            .map(|i| match cols.col(i) {
+                AuColumn::Certain(v) if i == c => AuColumn::Certain(lane(v)),
+                AuColumn::Ranged {
+                    lb,
+                    sg,
+                    ub,
+                    certain,
+                } if i == c => AuColumn::Ranged {
+                    lb: lane(lb),
+                    sg: lane(sg),
+                    ub: lane(ub),
+                    certain: certain.clone(),
+                },
+                other => other.clone(),
+            })
+            .collect();
+        let mults: Vec<Mult3> = (0..cols.len()).map(|i| cols.mult(i)).collect();
+        AuColumns::from_cols(cols.schema().clone(), columns, &mults)
+    }
+
+    let schema = Schema::new(["a", "b", "c"]);
+    let order = [0usize, 1];
+    let mut rng = Seeded(0xC01_2023);
+    for (kind, f64_lane) in [
+        (KeyKind::Ints, false),
+        (KeyKind::Mixed, false),
+        (KeyKind::Ints, true),
+    ] {
+        let stored = 2048 + rng.below(1025) as usize;
+        let mut rows = rank_rows(&mut rng, stored, 30, kind);
+        assert!(rows.iter().any(|(_, m)| m.is_zero()));
+        // Where a zero-annotated row would show if the encode kept it: a
+        // copy of the last hypercube stored first, and between the two a
+        // hypercube that ties with them on both corners. Kept, the copy
+        // would draw the last row's merge to the front of the tie and the
+        // two would come out in the other order.
+        let far = 4 * stored as i64 + 1000;
+        let cube = |sg: i64| {
+            let mut t = rows[0].0.clone();
+            t.0[0] = RangeValue::new(far, far + sg, far + 4);
+            t
+        };
+        let tie = [
+            (cube(1), Mult3::ZERO),
+            (cube(2), Mult3::ONE),
+            (cube(1), Mult3::ONE),
+        ];
+        rows.insert(0, tie[0].clone());
+        rows.extend_from_slice(&tie[1..]);
+        let rel = AuRelation::from_rows(schema.clone(), rows);
+        for rel in [rel.clone(), rel.normalize()] {
+            let cols = match f64_lane {
+                false => rel.to_columns(),
+                true => admit_to_f64(&rel.to_columns(), 0),
+            };
+            let want_lane = match (kind, f64_lane) {
+                (KeyKind::Ints, false) => PhysType::I64,
+                (KeyKind::Ints, true) => PhysType::F64,
+                (KeyKind::Mixed, _) => PhysType::Generic,
+            };
+            assert_eq!(cols.col(0).phys_type(), want_lane);
+            let what = format!(
+                "{kind:?}, {want_lane} order lane, {} rows, normalized: {}",
+                rel.len(),
+                rel.is_normalized()
+            );
+
+            let by_rows = sort_native(&rel, &order, "pos");
+            let by_cols = sort_columns_native(&cols, &order, "pos", None);
+            assert_eq!(by_cols.schema, by_rows.schema, "{what}");
+            assert_eq!(by_cols.rows(), by_rows.rows(), "sort: {what}");
+            assert_eq!(by_cols.is_normalized(), by_rows.is_normalized());
+
+            let n = rel.len() as u64;
+            for k in [0, 1, 10, n / 2, n, n + 5] {
+                let by_rows = topk_native(&rel, &order, k, "pos");
+                let by_cols = sort_columns_native(&cols, &order, "pos", Some(k));
+                assert_eq!(by_cols.rows(), by_rows.rows(), "top-{k}: {what}");
+                assert_eq!(by_cols.is_normalized(), by_rows.is_normalized());
             }
         }
     }

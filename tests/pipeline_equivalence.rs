@@ -8,11 +8,14 @@
 //! suite's: multiple streamable operators in a row (so fusion chains have
 //! length > 1), streamable operators between breakers, and degenerate
 //! batch sizes (1, input size, larger than input) that stress batch
-//! boundaries.
+//! boundaries. A second plan shape hands the breaker what the integer
+//! tables never do: `select · project_exprs → sort | topk` over string,
+//! `NULL` and computed-float order keys — the fused stage's columns reach
+//! the native sort as dictionary, generic and `f64` lanes.
 
 use audb::core::{AuRelation, AuTuple, Mult3, RangeExpr, RangeValue};
 use audb::engine::{optimize, Agg, BackendChoice, Engine, Plan, Query, WindowSpec};
-use audb::rel::Schema;
+use audb::rel::{Schema, Value};
 use proptest::prelude::*;
 
 fn rv_strategy() -> impl Strategy<Value = RangeValue> {
@@ -118,11 +121,61 @@ fn apply_breaker(q: Query, b: &Breaker, tag: usize) -> Query {
     q.project(["a", "b"])
 }
 
-/// A random plan: up to three segments of (0–2 streamable ops, breaker),
-/// closed by a final run of streamable ops — covering empty fusion
-/// chains, multi-op fusion chains, consecutive breakers and trailing
-/// output pipelines.
+/// `select · project_exprs → sort | topk` over `(a: Int, s: Str | NULL)`,
+/// ordered on the string column and on `a + 0.5`, a float the projection
+/// computes — in either order, so each leads the key in some plans.
+fn keyed_plan_strategy() -> impl Strategy<Value = Plan> {
+    let word = |i: i64| Value::str(format!("w{i}"));
+    let row = (rv_strategy(), (0i64..6, 0i64..3, 0u8..8), mult_strategy()).prop_map(
+        move |(a, (s, reach, kind), m)| {
+            let s = match kind {
+                0 => RangeValue::certain(Value::Null),
+                1 => RangeValue::new(Value::Null, word(s), word(s + reach)),
+                _ => RangeValue::new(word(s), word(s), word(s + reach)),
+            };
+            (AuTuple::new([a, s]), m)
+        },
+    );
+    (
+        proptest::collection::vec(row, 0..=9),
+        0i64..14,
+        proptest::bool::ANY,
+        prop_oneof![Just(None), (0u64..5).prop_map(Some)],
+    )
+        .prop_map(|(rows, bound, float_first, k)| {
+            let q = Query::scan(AuRelation::from_rows(Schema::new(["a", "s"]), rows))
+                .select(RangeExpr::col(0).le(RangeExpr::lit(bound)))
+                .project_exprs([
+                    (RangeExpr::col(1), "s".to_string()),
+                    (
+                        RangeExpr::Add(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::lit(0.5))),
+                        "f".to_string(),
+                    ),
+                ])
+                .sort_by(if float_first { ["f", "s"] } else { ["s", "f"] });
+            match k {
+                Some(k) => q.topk(k),
+                None => q,
+            }
+            .build()
+            .expect("generated plan is valid")
+        })
+}
+
+/// A random plan: [`keyed_plan_strategy`], or [`chained_plan_strategy`]
+/// twice as often.
 fn plan_strategy() -> impl Strategy<Value = Plan> {
+    prop_oneof![
+        chained_plan_strategy(),
+        chained_plan_strategy(),
+        keyed_plan_strategy(),
+    ]
+}
+
+/// Up to three segments of (0–2 streamable ops, breaker), closed by a
+/// final run of streamable ops — covering empty fusion chains, multi-op
+/// fusion chains, consecutive breakers and trailing output pipelines.
+fn chained_plan_strategy() -> impl Strategy<Value = Plan> {
     (
         au_relation(9),
         proptest::collection::vec(

@@ -267,6 +267,86 @@ proptest! {
     }
 }
 
+/// Three sorted draws as one range.
+fn range_of(draws: impl Strategy<Value = Value>) -> impl Strategy<Value = RangeValue> {
+    proptest::collection::vec(draws, 3).prop_map(|mut v| {
+        v.sort();
+        let ub = v.pop().unwrap();
+        let sg = v.pop().unwrap();
+        RangeValue {
+            lb: v.pop().unwrap(),
+            sg,
+            ub,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lane-wise arena fill ≡ the tuple-wise one, byte for byte: over
+    /// an `i64` lane (edges and beyond 2⁵³), an `f64` lane (NaNs, signed
+    /// zeros, infinities, and whole numbers — what the loader admits
+    /// integers as), a dictionary lane (embedded NULs, prefixes) and a
+    /// `Generic` one, `push_corner_at` on row `i` of the columns writes
+    /// the bytes `push_corner` writes for `cols.tuple(i)`, at every corner.
+    #[test]
+    fn lane_wise_arena_fill_matches_push_corner(
+        rows in proptest::collection::vec(
+            (
+                range_of(int_strategy().prop_map(Value::Int)),
+                range_of(prop_oneof![
+                    int_strategy().prop_map(|i| Value::Float(i as f64)),
+                    (-24i64..24).prop_map(|i| Value::Float(i as f64 / 4.0)),
+                    Just(Value::Float(-0.0)),
+                    Just(Value::Float(f64::NAN)),
+                    Just(Value::Float(f64::NEG_INFINITY)),
+                ]),
+                range_of((0u8..4, 0u8..3).prop_map(|(c, n)| {
+                    let ch = [b'a', b'b', b'\0', b'z'][c as usize] as char;
+                    Value::str(ch.to_string().repeat(n as usize))
+                })),
+                rv_strategy(),
+            ),
+            1..12,
+        ),
+        certain_row in 0usize..12,
+    ) {
+        use audb::core::PhysType;
+        let mut rows: Vec<AuTuple> = rows
+            .into_iter()
+            .map(|(i, f, s, g)| AuTuple::new([i, f, s, g]))
+            .collect();
+        // One row certain on every attribute, so the bitmaps are probed on
+        // both sides.
+        let at = certain_row % rows.len();
+        rows[at] = AuTuple::new(rows[at].0.iter().map(|r| RangeValue::certain(r.sg.clone())));
+        let rel = AuRelation::from_rows(
+            Schema::new(["i", "f", "s", "g"]),
+            rows.into_iter().map(|t| (t, Mult3::ONE)),
+        );
+        let cols = rel.to_columns();
+        let lanes: Vec<PhysType> = (0..3).map(|c| cols.col(c).phys_type()).collect();
+        prop_assert_eq!(lanes, vec![PhysType::I64, PhysType::F64, PhysType::Str]);
+
+        prop_assert!(cols.row_is_certain(at));
+
+        let idxs = [2usize, 0, 3, 1];
+        let mut by_lane = KeyArena::with_capacity(3 * cols.len(), idxs.len());
+        let mut by_tuple = KeyArena::with_capacity(3 * cols.len(), idxs.len());
+        for i in 0..cols.len() {
+            prop_assert_eq!(cols.row_is_certain(i), cols.tuple(i).is_certain());
+            for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
+                by_lane.push_corner_at(&cols, i, corner, &idxs);
+                by_tuple.push_corner(&cols.tuple(i), corner, &idxs);
+                let slot = by_lane.len() - 1;
+                prop_assert_eq!(by_lane.key(slot), by_tuple.key(slot), "row {}, {:?}", i, corner);
+                prop_assert_eq!(by_lane.prefix(slot), by_tuple.prefix(slot));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
