@@ -1,8 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [targets...] [--scale X] [--quick] [--json [PATH]]
-//!       [--sizes N,N,...] [--threads N] [--sel PCT]
+//! repro [targets...] [--scale X] [--quick] [--sizes N,N,...]
 //! repro sql [SCRIPT.sql] [--data DIR] [--table name=path.csv]...
 //!           [--backend reference|native|rewrite] [--explain] [--repl]
 //! repro serve [--data DIR] [--table name=path.csv]... [--port P]
@@ -13,14 +12,12 @@
 //!          bench all
 //! --scale  multiply the paper's data sizes (default 0.1)
 //! --quick  endpoint-only sweeps (smoke run)
-//! --json   with the `bench` target: write the tracked perf artifact
-//!          (default BENCH_sort_window.json)
 //! --sizes  with the `bench` target: comma-separated row counts
 //!          (default 1000,4000,16000)
-//! --threads  with the `bench` target: pin the worker-thread count
-//!          (sets AUDB_THREADS; recorded in the artifact)
-//! --sel    with the `bench` target: pin the pruning sweep to one
-//!          selectivity percentage (default sweeps 1,10,50)
+//!
+//! `bench` is the self-checking harness (`audb_bench::perf`): it prints
+//! every block, then one line per within-run gate, and exits 1 when a gate
+//! fails. `AUDB_THREADS` pins its worker count, as for every other target.
 //!
 //! The `sql` subcommand loads every `*.csv` in the data directory
 //! (default `workloads/`) as catalog tables and executes textual
@@ -34,18 +31,10 @@
 //!
 //! Absolute times will differ from the paper's Postgres-on-Opteron testbed;
 //! the shapes (method ordering, growth rates, quality relationships) are
-//! the reproduction target. See EXPERIMENTS.md for a captured run.
+//! the reproduction target: `repro all` prints the paper's numbers beside
+//! ours (committing that record is ROADMAP item 3).
 
 use audb_bench::figures::{self, ReproOptions};
-
-/// Names `main`'s target dispatch understands.
-fn is_target(s: &str) -> bool {
-    matches!(s, "heaps" | "bench" | "all")
-        || matches!(
-            s,
-            "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17" | "fig18" | "fig19"
-        )
-}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -77,8 +66,7 @@ fn main() {
     let mut opts = ReproOptions::default();
     let mut bench_cfg = audb_bench::perf::BenchConfig::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut args = raw.into_iter().peekable();
+    let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -93,27 +81,10 @@ fn main() {
                     .map(|n| n.trim().parse().expect("--sizes entries must be integers"))
                     .collect();
             }
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                bench_cfg.threads = Some(v.parse().expect("--threads must be an integer"));
-            }
-            "--sel" => {
-                let v = args.next().expect("--sel needs a percentage");
-                bench_cfg.sel = Some(v.parse().expect("--sel must be an integer percentage"));
-            }
-            "--json" => {
-                // Optional value. Only consume the next token as a path if
-                // it can't be a target name (`repro --json bench` must keep
-                // `bench` as the target, not write a file called "bench").
-                json_path = Some(match args.peek() {
-                    Some(p) if !p.starts_with('-') && !is_target(p) => args.next().unwrap(),
-                    _ => "BENCH_sort_window.json".to_string(),
-                });
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [heaps|fig11..fig19|bench|all]... [--scale X] [--quick] [--json [PATH]] \
-                     [--sizes N,N,...] [--threads N] [--sel PCT]\n\
+                    "usage: repro [heaps|fig11..fig19|bench|all]... [--scale X] [--quick] \
+                     [--sizes N,N,...]\n\
                      \x20      repro sql [SCRIPT.sql] [--data DIR] [--table name=path.csv]... \
                      [--backend B] [--explain] [--repl]\n\
                      \x20      repro serve [--data DIR] [--table name=path.csv]... [--port P] \
@@ -122,11 +93,17 @@ fn main() {
                 );
                 return;
             }
+            // A flag this binary does not (or no longer) have must not
+            // read as accepted.
+            flag if flag.starts_with('-') => {
+                eprintln!("repro: unknown flag {flag:?} (try --help)");
+                std::process::exit(2);
+            }
             t => targets.push(t.to_string()),
         }
     }
     if targets.is_empty() {
-        targets.push(if json_path.is_some() { "bench" } else { "all" }.into());
+        targets.push("all".into());
     }
     println!(
         "# audb repro — scale {} ({}), targets: {}",
@@ -134,6 +111,7 @@ fn main() {
         if opts.quick { "quick" } else { "full sweeps" },
         targets.join(" ")
     );
+    let mut exit_code = 0;
     for t in &targets {
         match t.as_str() {
             "heaps" => figures::heaps_table(opts),
@@ -148,13 +126,13 @@ fn main() {
             "fig19" => figures::fig19(opts),
             "bench" => {
                 bench_cfg.quick = opts.quick;
-                audb_bench::perf::run_json(
-                    json_path.as_deref().unwrap_or("BENCH_sort_window.json"),
-                    &bench_cfg,
-                );
+                exit_code = audb_bench::perf::run(&bench_cfg);
             }
             "all" => figures::run_all(opts),
             other => eprintln!("unknown target {other:?} (try --help)"),
         }
+    }
+    if exit_code != 0 {
+        std::process::exit(exit_code);
     }
 }

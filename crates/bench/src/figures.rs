@@ -4,7 +4,7 @@
 //! measured series is printed with the expected qualitative shape stated in
 //! the header. Absolute times differ (different hardware and engine); the
 //! *shapes* — who wins, by what factor, where crossovers happen — are the
-//! reproduction target (EXPERIMENTS.md).
+//! reproduction target (`repro all` prints both side by side).
 
 use crate::heaps::heaps_experiment;
 use crate::table::{fmt_ms, fmt_q, Table};
@@ -230,8 +230,7 @@ pub fn fig12(opts: ReproOptions) {
 /// Fig. 13: windowed-aggregation approximation quality. Quality is
 /// measured over tuples whose window aggregate genuinely varies across
 /// worlds (truth width > 0): tuples with a fixed answer but a loose bound
-/// otherwise divide by a degenerate unit width and dwarf the average
-/// (EXPERIMENTS.md, quality measurement notes).
+/// otherwise divide by a degenerate unit width and dwarf the average.
 pub fn fig13(opts: ReproOptions) {
     let rows = n_scaled(2_000, opts.scale.min(1.0));
     let order = [0usize];

@@ -161,19 +161,6 @@ pub struct HeapExperiment {
     pub checksum: usize,
 }
 
-/// Replay the trace through a fresh connected heap (for Criterion).
-pub fn run_connected(recs: &[Rec], n_prec: i64, k: usize) -> usize {
-    let mut h: ConnectedHeap<Rec, fn(usize, &Rec, &Rec) -> Ordering> = ConnectedHeap::new(3, cmp3);
-    replay(&mut h, recs, n_prec, k)
-}
-
-/// Replay the trace through fresh unconnected heaps (for Criterion).
-pub fn run_unconnected(recs: &[Rec], n_prec: i64, k: usize) -> usize {
-    let mut h: UnconnectedHeaps<Rec, fn(usize, &Rec, &Rec) -> Ordering> =
-        UnconnectedHeaps::new(3, cmp3);
-    replay(&mut h, recs, n_prec, k)
-}
-
 /// Run the Sec. 8.2 experiment for one `(rows, uncertainty, range)` cell.
 pub fn heaps_experiment(rows: usize, uncertainty: f64, range: i64, seed: u64) -> HeapExperiment {
     let recs = make_records(rows, uncertainty, range, seed);

@@ -1,11 +1,11 @@
 //! # audb-bench — the evaluation harness
 //!
 //! Regenerates **every table and figure** of the paper's evaluation
-//! (Sec. 8.2 + Sec. 9): the `repro` binary prints paper-vs-measured tables
-//! (`cargo run --release -p audb-bench --bin repro -- all`), and the
-//! Criterion benches (`cargo bench`) provide statistically robust timings
-//! of the individual operators. See EXPERIMENTS.md for the experiment
-//! index and a captured run.
+//! (Sec. 8.2 + Sec. 9): the `repro` binary prints the paper's numbers
+//! beside ours (`cargo run --release -p audb-bench --bin repro -- all`;
+//! committing that record is ROADMAP item 3). `repro bench` ([`perf`]) is
+//! the in-repo performance harness: it measures what the repo benchmark
+//! (`benchmark/`) does not, checks its within-run gates and fails on them.
 
 pub mod figures;
 pub mod heaps;

@@ -202,11 +202,6 @@ where
         self.heaps[h].first().map(|&rec| self.payload(rec))
     }
 
-    /// The record id of the root of component heap `h`.
-    pub fn peek_id(&self, h: usize) -> Option<RecordId> {
-        self.heaps[h].first().map(|&rec| RecordId(rec))
-    }
-
     /// Pop the root of component heap `h`, removing the record from every
     /// other heap via its back pointers (`O(H log n)`).
     pub fn pop(&mut self, h: usize) -> Option<T> {

@@ -74,19 +74,6 @@ impl<'a> AuBatch<'a> {
             .subslice(self.start, self.len)
     }
 
-    /// True iff batch-relative row `i` of attribute `c` is a point
-    /// (`lb ≡ sg ≡ ub`) — a bitmap probe, never a lane comparison.
-    #[inline]
-    pub fn col_certain_at(&self, c: usize, i: usize) -> bool {
-        debug_assert!(i < self.len, "batch-relative index out of range");
-        self.rel.col(c).certain_at(self.start + i)
-    }
-
-    /// True iff attribute `c` uses the collapsed certain representation.
-    pub fn col_is_certain(&self, c: usize) -> bool {
-        self.rel.col(c).is_certain()
-    }
-
     /// The `ℕ³` annotation of batch-relative row `i`.
     pub fn mult(&self, i: usize) -> Mult3 {
         debug_assert!(i < self.len, "batch-relative index out of range");

@@ -39,7 +39,7 @@ use crate::range_value::RangeValue;
 use crate::relation::{AuRelation, AuRow};
 use crate::sortkey::{Corner, SortKey};
 use crate::tuple::AuTuple;
-use audb_rel::{Schema, Value};
+use audb_rel::Schema;
 use std::fmt;
 
 pub(crate) use crate::physical::value_heap_bytes;
@@ -137,29 +137,6 @@ impl AuColumn {
                 sg: sg.value(row),
                 ub: ub.value(row),
             },
-        }
-    }
-
-    /// A certain column over already-collected point values, with layout
-    /// inference (the csv loader's unbounded-attribute path).
-    pub fn certain_from_values(vals: Vec<Value>) -> AuColumn {
-        AuColumn::Certain(PhysVec::from_values(vals))
-    }
-
-    /// A ranged column over already-collected bound vectors, computing the
-    /// certainty bitmap and inferring each lane's layout (the csv loader's
-    /// bounded-attribute path). All three vectors must share a length.
-    pub fn ranged_from_values(lb: Vec<Value>, sg: Vec<Value>, ub: Vec<Value>) -> AuColumn {
-        debug_assert!(lb.len() == sg.len() && sg.len() == ub.len());
-        let mut certain = CertBitmap::new();
-        for i in 0..sg.len() {
-            certain.push(lb[i] == sg[i] && sg[i] == ub[i]);
-        }
-        AuColumn::Ranged {
-            lb: PhysVec::from_values(lb),
-            sg: PhysVec::from_values(sg),
-            ub: PhysVec::from_values(ub),
-            certain,
         }
     }
 
@@ -289,7 +266,7 @@ impl AuColumn {
 
     /// The same logical column with every lane demoted to the
     /// `Vec<Value>` layout — the parity oracle and the "what the enum tax
-    /// cost" baseline of the bench artifact.
+    /// cost" baseline of `repro bench`.
     pub fn to_generic(&self) -> AuColumn {
         match self {
             AuColumn::Certain(v) => AuColumn::Certain(v.to_generic()),
@@ -471,8 +448,8 @@ impl AuColumns {
         &self.cols[c]
     }
 
-    /// The physical layout of every column, in schema order (the bench
-    /// artifact's per-op storage summary).
+    /// The physical layout of every column, in schema order (the `lanes`
+    /// of `repro bench`'s footprint lines).
     pub fn col_phys_types(&self) -> Vec<PhysType> {
         self.cols.iter().map(AuColumn::phys_type).collect()
     }
@@ -681,8 +658,8 @@ impl AuColumns {
 
     /// Measured heap footprint in bytes: every column's vectors (one for
     /// certain columns, three otherwise) plus the three multiplicity
-    /// vectors. The `bytes_per_row` column of `repro bench --json` is this
-    /// divided by the row count, compared against
+    /// vectors. `repro bench`'s footprint lines print this
+    /// divided by the row count, beside
     /// [`AuRelation::heap_bytes`] and the demoted
     /// [`AuColumns::to_generic`] layout.
     pub fn heap_bytes(&self) -> usize {
@@ -712,6 +689,7 @@ impl fmt::Display for AuColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use audb_rel::Value;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)

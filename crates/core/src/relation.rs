@@ -102,7 +102,7 @@ impl AuRelation {
     /// Measured heap footprint in bytes of the row representation: the
     /// row vector, each tuple's `RangeValue` vector, and string payloads.
     /// Compared against [`crate::AuColumns::heap_bytes`] by
-    /// `repro bench --json`'s `bytes_per_row` column.
+    /// `repro bench`'s footprint gate.
     pub fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<AuRow>()
             + self
@@ -156,13 +156,6 @@ impl AuRelation {
     /// True iff no rows are stored.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Drop rows that are certainly absent (`k↑ = 0`). Removing rows
-    /// preserves canonical form, so the normalization flag survives.
-    pub fn drop_impossible(mut self) -> Self {
-        self.rows.retain(|r| !r.mult.is_zero());
-        self
     }
 
     /// True iff this relation is already in canonical form (a `normalize()`

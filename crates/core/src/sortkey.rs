@@ -44,7 +44,6 @@
 use crate::range_value::RangeValue;
 use crate::tuple::AuTuple;
 use audb_rel::{Tuple, Value};
-use std::cmp::Ordering;
 
 /// Which corner of the hypercube to project.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,13 +142,6 @@ impl SortKey {
     /// The raw key bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
-    }
-
-    /// Byte-wise comparison (what `Ord` does, spelled out for call sites
-    /// that hold `&SortKey`s from different containers).
-    #[inline]
-    pub fn cmp_bytes(&self, other: &SortKey) -> Ordering {
-        self.0.cmp(&other.0)
     }
 }
 

@@ -7,13 +7,12 @@
 //! lane, and every deterministic world's value lies inside it. Statistics
 //! are kept at two granularities:
 //!
-//! * **Column level** ([`ColumnStats`]): bound box, certain fraction,
-//!   null count and a linear-counting distinct estimate over the
-//!   selected-guess lane — the inputs to selectivity estimation and
-//!   cost-based mode choice.
+//! * **Column level** ([`ColumnStats`]): row and certain counts — what
+//!   the optimizer's pushdown conditions ask (`all_certain`).
 //! * **Zone level** ([`ZoneMap`], one per [`ZONE_ROWS`]-row block): bound
 //!   box and certain count per zone, aligned with the executor's batch
-//!   chunking so a fused select stage can skip whole batches.
+//!   chunking so a fused select stage can skip whole batches and
+//!   selectivity is estimated from zone verdicts.
 //!
 //! ## The zone pruning rule
 //!
@@ -44,15 +43,11 @@ use crate::expr::RangeExpr;
 use crate::relation::AuRelation;
 use crate::sortkey::Corner;
 use audb_rel::{CmpOp, Value};
-use std::hash::{Hash, Hasher};
 
 /// Rows per statistics zone. Matches the executor's default batch size so
 /// batch `i` at the default size is exactly zone `i`; other batch sizes
 /// consult every overlapping zone.
 pub const ZONE_ROWS: usize = 1024;
-
-/// Bit width of the linear-counting distinct sketch (64 × u64).
-const SKETCH_BITS: usize = 4096;
 
 /// Per-zone summary of one column: the bound box and certain count of one
 /// contiguous [`ZONE_ROWS`]-row block.
@@ -76,30 +71,11 @@ pub struct ColumnStats {
     pub rows: usize,
     /// Rows whose cell is a point.
     pub certain: usize,
-    /// Rows whose selected-guess value is `NULL`.
-    pub nulls: usize,
-    /// Linear-counting estimate of distinct selected-guess values
-    /// (capped at `rows`).
-    pub distinct_estimate: usize,
-    /// Minimum of the lb lane (`None` for an empty column).
-    pub min_lb: Option<Value>,
-    /// Maximum of the ub lane (`None` for an empty column).
-    pub max_ub: Option<Value>,
     /// One [`ZoneMap`] per [`ZONE_ROWS`]-row block, in row order.
     pub zones: Vec<ZoneMap>,
 }
 
 impl ColumnStats {
-    /// Fraction of rows whose cell is a point, in `[0, 1]` (1.0 for an
-    /// empty column: there is no uncertain cell).
-    pub fn certain_fraction(&self) -> f64 {
-        if self.rows == 0 {
-            1.0
-        } else {
-            self.certain as f64 / self.rows as f64
-        }
-    }
-
     /// True iff every cell is a point.
     pub fn all_certain(&self) -> bool {
         self.certain == self.rows
@@ -120,10 +96,6 @@ pub struct TableStats {
 struct ColBuilder {
     rows: usize,
     certain: usize,
-    nulls: usize,
-    min_lb: Option<Value>,
-    max_ub: Option<Value>,
-    sketch: [u64; SKETCH_BITS / 64],
     zones: Vec<ZoneMap>,
     zone_rows: usize,
     zone_certain: usize,
@@ -136,10 +108,6 @@ impl ColBuilder {
         ColBuilder {
             rows: 0,
             certain: 0,
-            nulls: 0,
-            min_lb: None,
-            max_ub: None,
-            sketch: [0u64; SKETCH_BITS / 64],
             zones: Vec::new(),
             zone_rows: 0,
             zone_certain: 0,
@@ -148,21 +116,12 @@ impl ColBuilder {
         }
     }
 
-    fn push(&mut self, lb: &Value, sg: &Value, ub: &Value, is_certain: bool) {
+    fn push(&mut self, lb: &Value, ub: &Value, is_certain: bool) {
         self.rows += 1;
         if is_certain {
             self.certain += 1;
             self.zone_certain += 1;
         }
-        if matches!(sg, Value::Null) {
-            self.nulls += 1;
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        sg.hash(&mut h);
-        let bit = (h.finish() as usize) % SKETCH_BITS;
-        self.sketch[bit / 64] |= 1u64 << (bit % 64);
-        min_into(&mut self.min_lb, lb);
-        max_into(&mut self.max_ub, ub);
         min_into(&mut self.zone_min, lb);
         max_into(&mut self.zone_max, ub);
         self.zone_rows += 1;
@@ -187,26 +146,9 @@ impl ColBuilder {
 
     fn finish(mut self) -> ColumnStats {
         self.close_zone();
-        // Linear counting: m ln(m / empty), exact when no bit collides.
-        let ones: u32 = self.sketch.iter().map(|w| w.count_ones()).sum();
-        let m = SKETCH_BITS as f64;
-        let empty = m - ones as f64;
-        let distinct = if self.rows == 0 {
-            0
-        } else if empty < 1.0 {
-            self.rows
-        } else {
-            ((m * (m / empty).ln()).round() as usize)
-                .max(ones as usize)
-                .min(self.rows)
-        };
         ColumnStats {
             rows: self.rows,
             certain: self.certain,
-            nulls: self.nulls,
-            distinct_estimate: distinct,
-            min_lb: self.min_lb,
-            max_ub: self.max_ub,
             zones: self.zones,
         }
     }
@@ -228,19 +170,17 @@ fn max_into(slot: &mut Option<Value>, v: &Value) {
 
 impl TableStats {
     /// Compute statistics from a columnar relation: one contiguous sweep
-    /// per bound lane (certain columns read one lane for all three
-    /// corners).
+    /// per bound lane (certain columns read one lane for both corners).
     pub fn of_columns(cols: &AuColumns) -> TableStats {
         let n = cols.len();
         let mut out = Vec::with_capacity(cols.arity());
         for c in 0..cols.arity() {
             let col = cols.col(c);
             let lb = col.corner(Corner::Lb);
-            let sg = col.corner(Corner::Sg);
             let ub = col.corner(Corner::Ub);
             let mut b = ColBuilder::new();
             for i in 0..n {
-                b.push(&lb.value(i), &sg.value(i), &ub.value(i), col.certain_at(i));
+                b.push(&lb.value(i), &ub.value(i), col.certain_at(i));
             }
             out.push(b.finish());
         }
@@ -256,7 +196,7 @@ impl TableStats {
             (0..rel.schema.arity()).map(|_| ColBuilder::new()).collect();
         for row in rows {
             for (b, rv) in builders.iter_mut().zip(&row.tuple.0) {
-                b.push(&rv.lb, &rv.sg, &rv.ub, rv.is_certain());
+                b.push(&rv.lb, &rv.ub, rv.is_certain());
             }
         }
         TableStats {
@@ -528,14 +468,11 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.rows, 4);
         assert_eq!(a.cols[0].certain, 2);
-        assert_eq!(a.cols[0].min_lb, Some(Value::Int(0)));
-        assert_eq!(a.cols[0].max_ub, Some(Value::Int(9)));
         assert!(a.cols[1].all_certain());
-        assert_eq!(a.cols[1].nulls, 0);
-        // Four distinct certain b values; linear counting is exact here.
-        assert_eq!(a.cols[1].distinct_estimate, 4);
         assert_eq!(a.cols[0].zones.len(), 1);
         assert_eq!(a.cols[0].zones[0].rows, 4);
+        assert_eq!(a.cols[0].zones[0].min_lb, Value::Int(0));
+        assert_eq!(a.cols[0].zones[0].max_ub, Value::Int(9));
     }
 
     #[test]
@@ -637,19 +574,17 @@ mod tests {
     }
 
     #[test]
-    fn nulls_and_distinct_are_counted() {
+    fn a_null_cell_is_the_zone_minimum() {
         let r = AuRelation::from_rows(
             Schema::new(["v"]),
             [
+                (AuTuple::new([RangeValue::certain(1i64)]), Mult3::ONE),
                 (AuTuple::new([RangeValue::certain(Value::Null)]), Mult3::ONE),
-                (AuTuple::new([RangeValue::certain(1i64)]), Mult3::ONE),
-                (AuTuple::new([RangeValue::certain(1i64)]), Mult3::ONE),
             ],
         );
-        let s = TableStats::of_relation(&r);
-        assert_eq!(s.cols[0].nulls, 1);
-        assert_eq!(s.cols[0].distinct_estimate, 2);
         // Null sorts before everything, so it is the lb min.
-        assert_eq!(s.cols[0].min_lb, Some(Value::Null));
+        let s = TableStats::of_relation(&r);
+        assert_eq!(s.cols[0].zones[0].min_lb, Value::Null);
+        assert_eq!(s.cols[0].zones[0].max_ub, Value::Int(1));
     }
 }

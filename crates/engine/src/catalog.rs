@@ -42,6 +42,15 @@ impl Table {
         })
     }
 
+    /// A handle ready for publication: its statistics are swept now — by
+    /// the publishing thread, before it takes any catalog lock — not by
+    /// the first statement.
+    fn published(rows: Arc<AuRelation>) -> Arc<Table> {
+        let table = Table::new(rows);
+        table.stats();
+        table
+    }
+
     pub(crate) fn rows(&self) -> &Arc<AuRelation> {
         &self.rows
     }
@@ -93,10 +102,13 @@ impl Catalog {
         name: impl Into<String>,
         rel: impl Into<Arc<AuRelation>>,
     ) -> Option<Arc<AuRelation>> {
-        let table = Table::new(rel.into());
-        table.stats(); // swept now, not by the first statement
+        self.insert(name.into(), Table::published(rel.into()))
+    }
+
+    /// Map `name` to a ready handle, returning the relation it replaces.
+    fn insert(&mut self, name: String, table: Arc<Table>) -> Option<Arc<AuRelation>> {
         self.tables
-            .insert(name.into(), table)
+            .insert(name, table)
             .map(|old| Arc::clone(old.rows()))
     }
 
@@ -149,7 +161,9 @@ impl Catalog {
 /// current [`Catalog`] — a map of table handles, so every table the
 /// change does not name keeps its handle and whatever columnar form it
 /// has built — apply the change, swap the `Arc` and bump the version
-/// under the write lock).
+/// under the write lock). Everything that scales with a table — copying
+/// its rows for an append, sweeping its statistics — happens *before* the
+/// write lock is taken; the lock covers the map clone and the swap.
 ///
 /// **Visibility rule:** a statement binds against the snapshot current at
 /// `prepare` time and its plan pins the scanned relation behind an `Arc`,
@@ -226,7 +240,8 @@ impl SharedCatalog {
         name: impl Into<String>,
         rel: impl Into<Arc<AuRelation>>,
     ) -> Option<Arc<AuRelation>> {
-        self.publish(|cat| cat.register(name, rel))
+        let table = Table::published(rel.into());
+        self.publish(|cat| cat.insert(name.into(), table))
     }
 
     /// Publish a new snapshot with `name` removed, returning it if it was
@@ -253,34 +268,48 @@ impl SharedCatalog {
     /// Validation happens before anything is published: a failed append
     /// does **not** bump the version. Returns the table's new total row
     /// count and the new catalog version.
+    ///
+    /// The grown table is built from a snapshot, outside the write lock;
+    /// under the lock the append only checks that `name` still maps to the
+    /// handle it grew. If another publication replaced that handle in the
+    /// meantime, the work is redone on the new one — no append is lost,
+    /// and of any set of racing appends one always lands.
     pub fn append(
         &self,
         name: &str,
         batch: &AuRelation,
     ) -> Result<(usize, u64), CatalogAppendError> {
-        let mut guard = self.write();
-        let Some(current) = guard.1.get(name) else {
-            return Err(CatalogAppendError::UnknownTable {
-                name: name.to_string(),
-                known: guard.1.names().map(String::from).collect(),
-            });
-        };
-        if current.schema != batch.schema {
-            return Err(CatalogAppendError::SchemaMismatch {
-                table: name.to_string(),
-                expected: current.schema.to_string(),
-                got: batch.schema.to_string(),
-            });
+        loop {
+            let snapshot = self.snapshot();
+            let Some(current) = snapshot.table(name) else {
+                return Err(CatalogAppendError::UnknownTable {
+                    name: name.to_string(),
+                    known: snapshot.names().map(String::from).collect(),
+                });
+            };
+            if current.rows().schema != batch.schema {
+                return Err(CatalogAppendError::SchemaMismatch {
+                    table: name.to_string(),
+                    expected: current.rows().schema.to_string(),
+                    got: batch.schema.to_string(),
+                });
+            }
+            let mut grown = (**current.rows()).clone();
+            for row in batch.rows() {
+                grown.push(row.tuple.clone(), row.mult);
+            }
+            let total = grown.rows().len();
+            let table = Table::published(Arc::new(grown));
+
+            let mut guard = self.write();
+            if !(guard.1.table(name)).is_some_and(|now| Arc::ptr_eq(now, current)) {
+                continue;
+            }
+            let mut next = (*guard.1).clone();
+            next.insert(name.to_string(), table);
+            *guard = (guard.0 + 1, Arc::new(next));
+            return Ok((total, guard.0));
         }
-        let mut grown = (**current).clone();
-        for row in batch.rows() {
-            grown.push(row.tuple.clone(), row.mult);
-        }
-        let total = grown.rows().len();
-        let mut next = (*guard.1).clone();
-        next.register(name, grown);
-        *guard = (guard.0 + 1, Arc::new(next));
-        Ok((total, guard.0))
     }
 }
 

@@ -33,7 +33,7 @@ use crate::error::SessionError;
 use crate::session::Prepared;
 use audb_sql::ast;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cache key: canonical (or flattened) text.
 type Key = String;
@@ -101,9 +101,18 @@ impl PlanCache {
         }
     }
 
+    /// The guarded state, recovered if a thread panicked while holding the
+    /// lock: every mutation is a whole-value map or counter operation, so
+    /// what a panic leaves behind is at worst a plan the LRU order or an
+    /// alias no longer (or not yet) names — a colder cache, never a wrong
+    /// plan — and one panicking request must not fail every later one.
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let s = self.state.lock().expect("plan cache lock poisoned");
+        let s = self.lock();
         CacheStats {
             hits: s.hits,
             misses: s.misses,
@@ -134,7 +143,7 @@ impl PlanCache {
     ) -> Result<(Prepared, bool), SessionError> {
         let raw_key = flatten(sql);
 
-        let mut s = self.state.lock().expect("plan cache lock poisoned");
+        let mut s = self.lock();
         let superseded = s.advance_to(version);
         let hit = if s.version == version {
             s.entries.lookup(&raw_key)
@@ -161,7 +170,7 @@ impl PlanCache {
         let canonical = plan.to_sql(root_table(&stmt));
         let prepared = Prepared::from_plan(crate::optimize::optimize(&plan));
 
-        let mut s = self.state.lock().expect("plan cache lock poisoned");
+        let mut s = self.lock();
         if s.version != version {
             // The catalog moved on while this lookup held its snapshot:
             // the plan is right for the caller and dead to everyone else.
@@ -471,6 +480,32 @@ mod tests {
             p3.plan().opt().is_none(),
             "pushdown must be refused on uncertain order column"
         );
+    }
+
+    /// A panic while the cache lock is held poisons the lock but not the
+    /// state behind it: later lookups hit, miss and count as before.
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_cache() {
+        let s = session();
+        let cache = std::sync::Arc::new(PlanCache::new(8));
+        s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+
+        let holder = std::sync::Arc::clone(&cache);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.state.lock().unwrap();
+            panic!("request died holding the plan cache");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cache.state.is_poisoned());
+
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 1));
+        let (_, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
+        assert!(hit);
+        let (_, hit) = s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
+        assert!(!hit);
+        assert_eq!(cache.stats().len, 2);
     }
 
     #[test]

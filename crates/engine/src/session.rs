@@ -94,11 +94,6 @@ impl Session {
         &self.engine
     }
 
-    /// Swap the engine (e.g. to a different backend); the catalog is kept.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
     /// The current catalog snapshot. The returned `Arc` is immutable:
     /// registrations made after this call publish *new* snapshots and are
     /// not visible through it.

@@ -473,7 +473,6 @@ fn check_error_impls(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
 /// this linter trivially auditable and offline-buildable.
 const EXTERNAL_DEP_ALLOWLIST: &[(&str, &[&str])] = &[
     ("audb", &["proptest", "rand"]),
-    ("audb-bench", &["criterion"]),
     ("audb-competitors", &["rand"]),
     ("audb-conheap", &["proptest"]),
     ("audb-core", &["proptest"]),

@@ -112,8 +112,8 @@ pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) ->
 
 /// [`sort_native`] (`k = None`) or [`topk_native`], calling `stage` with a
 /// stage's name as it ends: `"encode"`, `"band"` (top-k only), `"rank"`,
-/// `"merge"`, `"sweep"`, `"materialise"`. The `sort/stages` bench reads a
-/// clock there; the kernel itself never does.
+/// `"merge"`, `"sweep"`, `"materialise"`. `repro bench`'s `sort/stages` block
+/// reads a clock there; the kernel itself never does.
 pub fn sort_native_staged(
     rel: &AuRelation,
     order: &[usize],

@@ -71,14 +71,6 @@ impl Value {
         }
     }
 
-    /// Boolean view (`Bool` only).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Truthiness used by selection predicates: `Bool(true)` is true,
     /// everything else (including `Null`) is false.
     pub fn is_true(&self) -> bool {

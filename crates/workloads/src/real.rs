@@ -13,7 +13,7 @@
 //! | Healthcare | 171 K | 1.0 % | top-5 facilities by score | in-line rank: `count(*)` over score desc (unbounded preceding) |
 //!
 //! A `scale` factor shrinks row counts proportionally (wall-clock budgets;
-//! EXPERIMENTS.md records the scale used for each reported number).
+//! `repro` prints the scale in effect above every table).
 
 use crate::convert::xtuple_from_au;
 use audb_core::{au_aggregate, au_project, RangeExpr, WinAgg};

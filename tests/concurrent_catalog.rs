@@ -276,3 +276,91 @@ fn racing_readers_share_one_columnar_form_per_version() {
     // Each reader's last statement started after the last append.
     assert!(forms.contains_key(&((BASE_ROWS + APPENDS * BATCH) as usize)));
 }
+
+/// Appenders racing each other (and a re-registration of another table):
+/// an append builds its grown table outside the catalog's write lock and
+/// publishes only if the table is still the version it grew, so racing
+/// appends must neither lose a batch nor publish one twice, and a table
+/// no publication names must keep its handle — and the columnar form
+/// hanging off it — throughout.
+#[test]
+fn racing_appenders_lose_no_batch() {
+    use audb::core::{AuTuple, Mult3, RangeValue};
+    use audb::rel::{Schema, Value};
+    use std::sync::Barrier;
+
+    const APPENDERS: i64 = 4;
+    const APPENDS: i64 = 50;
+    const BATCH: i64 = 3;
+    const BASE_ROWS: i64 = 1500;
+
+    // Base ids are negative; appended ids count up from 0.
+    let rows = |ids: std::ops::Range<i64>| {
+        AuRelation::from_rows(
+            Schema::new(["id"]),
+            ids.map(|id| (AuTuple::new([RangeValue::certain(id)]), Mult3::ONE)),
+        )
+    };
+    let catalog = SharedCatalog::new();
+    catalog.register("t", rows(-BASE_ROWS..0));
+    catalog.register("other", rows(0..8));
+    catalog.register("untouched", rows(0..8));
+    let session = Session::with_catalog(Engine::native(), catalog.clone());
+    let before = session.prepare("SELECT id FROM untouched").unwrap();
+
+    let start = Arc::new(Barrier::new(APPENDERS as usize + 1));
+    let done = Arc::new(AtomicBool::new(false));
+    let appenders: Vec<_> = (0..APPENDERS)
+        .map(|a| {
+            let (catalog, start) = (catalog.clone(), Arc::clone(&start));
+            let batches: Vec<AuRelation> = (a * APPENDS..(a + 1) * APPENDS)
+                .map(|j| rows(j * BATCH..(j + 1) * BATCH))
+                .collect();
+            std::thread::spawn(move || {
+                start.wait();
+                let appended = batches.iter().map(|b| catalog.append("t", b).unwrap());
+                appended.collect::<Vec<(usize, u64)>>()
+            })
+        })
+        .collect();
+    let publisher = {
+        let (catalog, start, done) = (catalog.clone(), Arc::clone(&start), Arc::clone(&done));
+        let other = Arc::new(rows(0..8));
+        std::thread::spawn(move || {
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                catalog.register("other", Arc::clone(&other));
+                std::thread::yield_now();
+            }
+        })
+    };
+    for appender in appenders {
+        // Each appender sees the catalog version strictly increase.
+        let published = appender.join().expect("appender panicked");
+        assert!(published.windows(2).all(|w| w[0].1 < w[1].1));
+    }
+    done.store(true, Ordering::Release);
+    publisher.join().expect("publisher panicked");
+
+    // The final table holds the base and every appended id exactly once.
+    let snapshot = catalog.snapshot();
+    let mut ids: Vec<i64> = (snapshot.get("t").unwrap().rows().iter())
+        .map(|row| match row.tuple.0[0].sg {
+            Value::Int(id) => id,
+            ref other => panic!("non-integer id {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (-BASE_ROWS..APPENDERS * APPENDS * BATCH).collect::<Vec<_>>()
+    );
+    assert_eq!(snapshot.stats("t").unwrap().rows, ids.len());
+
+    // `before` is still alive, so its form's address cannot be reused.
+    let after = session.prepare("SELECT id FROM untouched").unwrap();
+    assert!(std::ptr::eq(
+        before.plan().source_columns(),
+        after.plan().source_columns()
+    ));
+}
