@@ -20,6 +20,8 @@
 //!   incrementally against a forced recompute per append;
 //! * **pruning** — a clustered filter-scan statement with zone-map batch
 //!   skipping on and off, prepared and executed afresh per timed run;
+//! * **append** — a 64-row catalog append onto a 16 384-row and onto a
+//!   131 072-row table: the cost of the batch, not of the table;
 //! * **sort stages** — where one 32 768-row native sort spends its time;
 //!   **cmp-semantics** and **window aggregates** — ablations.
 //!
@@ -28,7 +30,9 @@
 //! — and returns the process exit code. `AUDB_THREADS` pins the worker
 //! count here as it does everywhere else.
 
-use audb_core::{AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg, ZONE_ROWS};
+use audb_core::{
+    AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg, ZONE_ROWS,
+};
 use audb_engine::{CmpSemantics, Engine, MaintainedQuery, Plan, Query, Session, SharedCatalog};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::sort_native_staged;
@@ -47,6 +51,10 @@ pub const SELECTIVITIES: [u32; 3] = [1, 10, 50];
 /// Row counts of the `sort/scaling` block, whatever `--sizes` says:
 /// cache-resident, past cache, and (not under `--quick`) far past it.
 pub const SCALING_ROWS: [usize; 3] = [32_768, 262_144, 1_048_576];
+
+/// Row counts of the `append/flat` block, whatever `--sizes` says: the
+/// table a [`STREAM_BATCH`]-row batch is appended to.
+pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
 
 /// Rows of the `sort/stages`, `sort/cmp-semantics` (the quadratic
 /// reference backend) and `window/aggregates` blocks.
@@ -107,13 +115,12 @@ pub struct Footprint {
     pub phys: Vec<PhysType>,
 }
 
-fn footprint(op: &'static str, rel: &AuRelation) -> Footprint {
-    let n = rel.len().max(1) as f64;
-    let typed = rel.to_columns();
+fn footprint(op: &'static str, typed: &AuColumns) -> Footprint {
+    let n = typed.len().max(1) as f64;
     Footprint {
         op,
-        n: rel.len(),
-        row: rel.heap_bytes() as f64 / n,
+        n: typed.len(),
+        row: typed.to_rows().heap_bytes() as f64 / n,
         columnar: typed.to_generic().heap_bytes() as f64 / n,
         typed: typed.heap_bytes() as f64 / n,
         phys: typed.col_phys_types(),
@@ -165,7 +172,7 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
     // One logical plan per op, two engine backends: only the physical
     // operators differ between the timed AU cells.
     let mut au_cells = |cells: &mut Vec<Measurement>, op, n, plan: &Plan| {
-        footprints.push(footprint(op, plan.source()));
+        footprints.push(footprint(op, &plan.source_columns().contiguous()));
         for (method, engine) in [("imp", Engine::native()), ("rewr", Engine::rewrite())] {
             cells.push(cell(op, method, n, || execute(&engine, plan), runs));
         }
@@ -245,7 +252,7 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     let pred = RangeExpr::col(1).le(RangeExpr::lit(mid));
     let proj = RangeExpr::Add(Box::new(RangeExpr::col(1)), Box::new(RangeExpr::col(2)));
     let mut out = Vec::new();
-    let mut sweep = |kernel: &'static str, f: &mut dyn FnMut(&audb_core::AuColumns)| {
+    let mut sweep = |kernel: &'static str, f: &mut dyn FnMut(&AuColumns)| {
         let t_ms = time_median(|| f(&typed), runs);
         let g_ms = time_median(|| f(&generic), runs);
         out.push(KernelSweep {
@@ -495,6 +502,41 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
     out
 }
 
+/// One `append/flat` cell: [`SharedCatalog::append`] of a
+/// [`STREAM_BATCH`]-row batch onto a table registered with `n` rows.
+#[derive(Clone, Debug, Default)]
+pub struct AppendRun {
+    /// Rows the table was registered with.
+    pub n: usize,
+    /// Median microseconds per append.
+    pub us: f64,
+}
+
+/// Measure the append block at [`APPEND_ROWS`]: the median of 21
+/// consecutive appends (7 under `--quick`) of one [`STREAM_BATCH`]-row
+/// batch — the table grows by the batches, the open tail with it, and the
+/// registered rows are never touched, so the two sizes should read alike.
+/// Before the catalog stored segments an append copied the table and
+/// re-swept its statistics: 8 × between these sizes.
+pub fn measure_append(cfg: &BenchConfig) -> Vec<AppendRun> {
+    let runs = if cfg.quick { 7 } else { 21 };
+    let batch = clustered_table(STREAM_BATCH);
+    APPEND_ROWS
+        .iter()
+        .map(|&n| {
+            let catalog = SharedCatalog::new();
+            catalog.register("c", clustered_table(n));
+            let append = || {
+                std::hint::black_box(catalog.append("c", &batch).expect("same schema"));
+            };
+            AppendRun {
+                n,
+                us: time_median(append, runs) * 1e3,
+            }
+        })
+        .collect()
+}
+
 /// One `sort/scaling` cell: `sort/imp` over `n` rows.
 #[derive(Clone, Debug, Default)]
 pub struct ScalingRun {
@@ -609,6 +651,8 @@ pub struct Report {
     pub pruning: Vec<PruningRun>,
     /// The `sort/scaling` block.
     pub scaling: Vec<ScalingRun>,
+    /// The `append/flat` block.
+    pub append: Vec<AppendRun>,
 }
 
 /// How one gate came out.
@@ -688,6 +732,10 @@ const PRUNING_MIN_SPEEDUP: f64 = 2.0;
 const PRUNING_MIN_SPREAD: f64 = 10.0;
 /// ns per row at `SCALING_ROWS[1]` over ns per row at `SCALING_ROWS[0]`.
 const SCALING_MAX_RATIO: f64 = 2.5;
+/// An append onto `APPEND_ROWS[1]` rows over one onto `APPEND_ROWS[0]`
+/// (ROADMAP item 1: "`engine.catalog_append_ms` flat between 16k and 128k
+/// rows"; linear in the table it would read 8).
+const APPEND_MAX_RATIO: f64 = 2.0;
 
 /// Every within-run gate, each written here and nowhere else.
 pub fn check(report: &Report) -> Vec<GateResult> {
@@ -707,6 +755,7 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             .find(move |p| p.n == GATE_ROWS && p.sel_pct == pct)
     };
     let scaling_at = |i: usize| report.scaling.iter().find(move |s| s.n == SCALING_ROWS[i]);
+    let append_at = |i: usize| report.append.iter().find(move |a| a.n == APPEND_ROWS[i]);
     vec![
         gate(
             "footprint",
@@ -806,6 +855,20 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                 (large <= SCALING_MAX_RATIO * small, shown)
             }),
         ),
+        gate(
+            "append-flat",
+            format!(
+                "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
+                APPEND_ROWS[1], APPEND_ROWS[0]
+            ),
+            true,
+            "the append/flat block",
+            (append_at(1).zip(append_at(0)).into_iter()).map(|(large, small)| {
+                let (large, small) = (large.us, small.us);
+                let shown = format!("{large:.1} µs vs {small:.1} µs ({:.2} ×)", large / small);
+                (large <= APPEND_MAX_RATIO * small, shown)
+            }),
+        ),
     ]
 }
 
@@ -859,6 +922,13 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             p.n, p.sel_pct, p.pruned_ms, p.unpruned_ms, p.speedup, p.batches_skipped, p.batches_scanned
         );
     }
+    let append = measure_append(cfg);
+    for a in &append {
+        println!(
+            "{:>7} rows  append/flat {STREAM_BATCH}-row batch {:>10.1} µs",
+            a.n, a.us
+        );
+    }
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg)),
         ("sort/cmp-semantics", CMP_ROWS, measure_cmp_semantics(cfg)),
@@ -880,6 +950,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         streaming,
         pruning,
         scaling,
+        append,
     });
     for g in &gates {
         let verdict = match g.verdict {
@@ -949,13 +1020,23 @@ mod tests {
                 pruning(16_000, 50, 0.86, 0.96, 8),
             ],
             scaling: vec![scaling(32_768, 550.0), scaling(262_144, 900.0)],
+            append: vec![
+                AppendRun {
+                    n: 16_384,
+                    us: 150.0,
+                },
+                AppendRun {
+                    n: 131_072,
+                    us: 170.0,
+                },
+            ],
         }
     }
 
     #[test]
     fn a_passing_report_passes_every_gate() {
         let gates = check(&passing());
-        assert_eq!(gates.len(), 8);
+        assert_eq!(gates.len(), 9);
         for g in &gates {
             assert_eq!(g.verdict, Verdict::Ok, "{g:?}");
         }
@@ -1031,6 +1112,11 @@ mod tests {
         fails_alone("sort-scaling", true, |r| r.scaling[1].ns_per_row = 5_000.0);
     }
 
+    #[test]
+    fn append_flat_gate_fails_alone() {
+        fails_alone("append-flat", true, |r| r.append[1].us = 1_200.0);
+    }
+
     /// A measured block holds its gate: the gate saw rows (it is not
     /// skipped) and nothing fails the run.
     fn assert_gate_holds(report: &Report, gate: &str) {
@@ -1046,7 +1132,7 @@ mod tests {
     #[test]
     fn sort_sel_typed_footprint_below_columnar_below_row() {
         let table = gen_sort_table(&SyntheticConfig::default().rows(500).seed(3));
-        let fp = footprint("sort_sel", &table.to_au_relation());
+        let fp = footprint("sort_sel", &table.to_au_relation().to_columns());
         // The sort workload's columns are all integer-classed, so every
         // lane should land typed.
         assert!(

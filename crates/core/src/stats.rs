@@ -421,23 +421,31 @@ pub fn range_verdict(
     verdict
 }
 
-/// Estimated fraction of rows a selection keeps, from zone verdicts:
-/// definite zones count fully or not at all, mixed zones count half.
-/// `1.0` when there are no statistics to consult (empty table).
-pub fn estimate_selectivity(pred: &RangeExpr, stats: &TableStats) -> f64 {
-    if stats.rows == 0 {
-        return 1.0;
+/// Estimated fraction of a table's rows a selection keeps, from the zone
+/// verdicts of its statistics — one [`TableStats`] per stored segment, in
+/// any order: definite zones count fully or not at all, mixed zones count
+/// half. `1.0` when there are no statistics to consult (empty table).
+pub fn estimate_selectivity<'a>(
+    pred: &RangeExpr,
+    segments: impl IntoIterator<Item = &'a TableStats>,
+) -> f64 {
+    let (mut kept, mut total) = (0.0f64, 0usize);
+    for stats in segments {
+        total += stats.rows;
+        for z in 0..stats.zone_count() {
+            let rows = stats.zone_rows(z) as f64;
+            kept += match zone_truth(pred, stats, z) {
+                ZoneVerdict::AllTrue => rows,
+                ZoneVerdict::Mixed => rows / 2.0,
+                ZoneVerdict::AllFalse => 0.0,
+            };
+        }
     }
-    let mut kept = 0.0f64;
-    for z in 0..stats.zone_count() {
-        let rows = stats.zone_rows(z) as f64;
-        kept += match zone_truth(pred, stats, z) {
-            ZoneVerdict::AllTrue => rows,
-            ZoneVerdict::Mixed => rows / 2.0,
-            ZoneVerdict::AllFalse => 0.0,
-        };
+    if total == 0 {
+        1.0
+    } else {
+        kept / total as f64
     }
-    kept / stats.rows as f64
 }
 
 #[cfg(test)]
@@ -553,12 +561,18 @@ mod tests {
             range_verdict(&all, &s, ZONE_ROWS - 2, 4),
             ZoneVerdict::AllTrue
         );
-        let sel = estimate_selectivity(&pred, &s);
+        let sel = estimate_selectivity(&pred, [&s]);
         assert!(
             sel <= 0.5,
             "clustered pred keeps at most the mixed zone: {sel}"
         );
-        assert_eq!(estimate_selectivity(&all, &s), 1.0);
+        assert_eq!(estimate_selectivity(&all, [&s]), 1.0);
+        // Segment by segment: each zone counts once, whichever block it
+        // is in, and an empty table keeps everything.
+        let head = TableStats::of_relation(&rel(&rows[..ZONE_ROWS]));
+        let tail = TableStats::of_relation(&rel(&rows[ZONE_ROWS..]));
+        assert_eq!(estimate_selectivity(&pred, [&head, &tail]), sel);
+        assert_eq!(estimate_selectivity(&pred, []), 1.0);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //! [`crate::exec`]'s fused stages. Nothing overrides it.
 //!
 //! A breaker reads the executor's current relation as a [`BreakerInput`]:
-//! rows (the scan, a previous breaker's output) or the columns a fused
-//! stage produced. [`Native`]'s sort and top-k consume either form as it
-//! lies; every other hook — the two oracle backends and all three
-//! `window`s — is defined over rows and calls [`BreakerInput::rows`],
-//! which is the one row materialization left between stages.
+//! columns (the stored source, a fused stage's output) or rows (a previous
+//! breaker's output, a rewriting scan's). All three of [`Native`]'s hooks
+//! consume either form as it lies; the two oracle backends are defined
+//! over rows and call [`BreakerInput::rows`] — as does the native window's
+//! fallback, by way of [`Reference`] — which is the one row
+//! materialization left between stages.
 
+use crate::catalog::Table;
 use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::plan::Op;
@@ -47,9 +49,9 @@ use std::borrow::Cow;
 /// left behind.
 #[derive(Clone, Copy, Debug)]
 pub enum BreakerInput<'a> {
-    /// The scan's or a previous breaker's output.
+    /// A previous breaker's output, or a scan that rewrote the source.
     Rows(&'a AuRelation),
-    /// A fused stage's output.
+    /// The stored source, or a fused stage's output.
     Columns(&'a AuColumns),
 }
 
@@ -73,10 +75,13 @@ pub trait Backend {
     /// reports).
     fn name(&self) -> &'static str;
 
-    /// Materialize the scanned source. The default borrows it unchanged;
-    /// [`Rewrite`] overrides this with the relational-encoding round-trip.
-    fn scan<'a>(&self, rel: &'a AuRelation) -> Result<Cow<'a, AuRelation>, EngineError> {
-        Ok(Cow::Borrowed(rel))
+    /// Scan the source as it is stored. The default reads the columns in
+    /// place (`None`); a backend whose scan rewrites the relation returns
+    /// the rows it made of them — [`Rewrite`], with the
+    /// relational-encoding round-trip.
+    fn scan(&self, source: &Table) -> Result<Option<AuRelation>, EngineError> {
+        let _ = source;
+        Ok(None)
     }
 
     /// `sort_{O→τ}` (Def. 2).
@@ -157,6 +162,10 @@ impl Backend for Reference {
         ExecMode::Materialized
     }
 
+    fn scan_note(&self) -> String {
+        "rebuild rows from the stored columns (the row operators' form)".to_string()
+    }
+
     fn sort(
         &self,
         input: BreakerInput<'_>,
@@ -226,27 +235,6 @@ impl Native {
             semantics: CmpSemantics::IntervalLex,
         }
     }
-
-    /// The native window requires certain `PARTITION BY` attributes
-    /// (`window_native` asserts otherwise) and treats duplicate
-    /// multiplicities by position offsets — tighter than, but different
-    /// from, the expand-first Def. 3 reference the engine promises. Both
-    /// cases fall back. [`Backend::window`] learns this from the sweep
-    /// (`audb_native::window_native_checked`); this is the same decision
-    /// for window *maintenance*, taken before any sweep state is built.
-    /// Callers must pass a **normalized** relation: separately stored
-    /// copies of one hypercube merge into a duplicate multiplicity, so
-    /// checking raw rows would miss them.
-    pub(crate) fn window_needs_reference(rel: &AuRelation, spec: &AuWindowSpec) -> bool {
-        debug_assert!(rel.is_normalized());
-        rel.rows().iter().any(|row| {
-            row.mult.ub > 1
-                || spec
-                    .partition
-                    .iter()
-                    .any(|&g| !row.tuple.get(g).is_certain())
-        })
-    }
 }
 
 impl Backend for Native {
@@ -296,15 +284,23 @@ impl Backend for Native {
         agg: WinAgg,
         out_name: &str,
     ) -> Result<AuRelation, EngineError> {
-        let rel = input.rows();
-        // The sweep reports both fallback conditions itself — duplicate
-        // multiplicities as its fused normalisation merged them (identical
-        // rows stored separately included), so the input is neither copied
-        // nor sorted to ask. The duplicate case costs one discarded
-        // O(n log n) sweep before the O(n²) reference.
-        match audb_native::window_native_checked(&rel, spec, agg, out_name) {
+        // The native window requires certain `PARTITION BY` attributes and
+        // treats duplicate multiplicities by position offsets — tighter
+        // than, but different from, the expand-first Def. 3 reference the
+        // engine promises. The sweep reports both conditions itself —
+        // duplicates as its fused normalisation merged them (identical rows
+        // stored separately included) — so the input is neither copied nor
+        // sorted to ask. The duplicate case costs one discarded O(n log n)
+        // sweep before the O(n²) reference.
+        let swept = match input {
+            BreakerInput::Rows(rel) => audb_native::window_native_checked(rel, spec, agg, out_name),
+            BreakerInput::Columns(cols) => {
+                audb_native::window_columns_native(cols, spec, agg, out_name)
+            }
+        };
+        match swept {
             Ok(out) if !out.merged_duplicates => Ok(out.rel),
-            _ => Self::reference().window(BreakerInput::Rows(&rel), spec, agg, out_name),
+            _ => Self::reference().window(input, spec, agg, out_name),
         }
     }
 
@@ -351,9 +347,11 @@ impl Backend for Rewrite {
     /// Sec. 7 rewrites are defined over. Structurally a no-op on the AU
     /// level (`decode ∘ encode = id`, property-tested in `audb-core`), but
     /// it keeps this backend honest: everything it consumes fits in a
-    /// deterministic DBMS table.
-    fn scan<'a>(&self, rel: &'a AuRelation) -> Result<Cow<'a, AuRelation>, EngineError> {
-        Ok(Cow::Owned(decode(&encode(rel), &rel.schema)))
+    /// deterministic DBMS table. The encoding is of rows, so this scan
+    /// pays for them once per execution.
+    fn scan(&self, source: &Table) -> Result<Option<AuRelation>, EngineError> {
+        let rel = source.contiguous().to_rows();
+        Ok(Some(decode(&encode(&rel), &rel.schema)))
     }
 
     fn scan_note(&self) -> String {

@@ -37,8 +37,8 @@ use audb_sql::ast;
 use std::sync::Arc;
 
 /// Compile one parsed statement against a catalog. The plan scans the
-/// root table's catalog handle, so its statistics (computed at
-/// publication) and columnar form are the ones every other plan bound to
+/// root table's catalog handle, so its segments and their statistics
+/// (both built at publication) are the ones every other plan bound to
 /// this version uses — neither the optimizer nor the executor rescans or
 /// re-transposes the data per statement.
 pub fn compile(stmt: &ast::Select, catalog: &Catalog) -> Result<Plan, SessionError> {
@@ -48,7 +48,7 @@ pub fn compile(stmt: &ast::Select, catalog: &Catalog) -> Result<Plan, SessionErr
 
 fn compile_query(stmt: &ast::Select, catalog: &Catalog) -> Result<Query, SessionError> {
     let mut q = match &stmt.from {
-        ast::TableRef::Name(name) => match catalog.table(name) {
+        ast::TableRef::Name(name) => match catalog.get(name) {
             Some(table) => Query::scan_table(Arc::clone(table)),
             None => {
                 return Err(SessionError::UnknownTable {

@@ -165,7 +165,7 @@ impl Engine {
     /// rows up, else [`DEFAULT_BATCH_SIZE`].
     pub fn choose_exec(&self, plan: &Plan) -> ExecChoice {
         let batch_size = self.batch_size.unwrap_or_else(|| {
-            if plan.source().len() >= LARGE_ROWS {
+            if plan.source_columns().len() >= LARGE_ROWS {
                 LARGE_BATCH_SIZE
             } else {
                 DEFAULT_BATCH_SIZE
@@ -235,7 +235,7 @@ impl Engine {
         let backend = self.backend_for(effective);
         let mut steps = Vec::with_capacity(plan.ops().len() + 1);
         steps.push(ExplainStep {
-            op: format!("scan [{} rows]", plan.source().len()),
+            op: format!("scan [{} rows]", plan.source_columns().len()),
             schema: plan.schemas()[0].to_string(),
             note: backend.scan_note(),
         });

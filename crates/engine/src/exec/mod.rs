@@ -12,9 +12,9 @@
 //!   `select`/`project`/`project_exprs` operators into a single per-batch
 //!   closure chain, and marking the order-based operators (`sort`, `topk`,
 //!   `window`) as **pipeline breakers** — the only points where state is
-//!   materialized. Each fused stage's input is columnarized
-//!   ([`audb_core::AuColumns`] — cached on the plan when the stage reads
-//!   the scan source unchanged) and streamed as cache-sized zero-copy
+//!   materialized. Each fused stage's input is columns
+//!   ([`audb_core::AuColumns`] — the table's stored segments when the
+//!   stage reads the scan source unchanged) and streamed as cache-sized zero-copy
 //!   column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
 //!   fused chain in parallel (via `audb-par`, with deterministic output
 //!   order) as vectorized column sweeps; the single materialized build

@@ -3,18 +3,20 @@
 //! setting. The module docs of [`crate::exec`] describe both.
 //!
 //! * `run_materialized` — the operator-at-a-time loop over the Defs. 2–3
-//!   row operators of `audb-core`, a full [`AuRelation`] between steps.
+//!   row operators of `audb-core`, a full [`AuRelation`] between steps
+//!   (the first rebuilt from the stored columns, once per execution).
 //! * `run_pipelined` — the lowered [`Pipeline`]s. A fused stage reads
-//!   columns ([`AuColumns`]): the scanned table's own columnar form when
-//!   it reads the source unchanged (built once per table version, shared
-//!   by every plan — [`Plan::source_columns`]), a transposition of the
-//!   current rows after a breaker or a rewriting scan. Its batches
-//!   ([`AuBatch`]) are swept morsel-parallel through
+//!   columns ([`AuColumns`]): the scanned table's stored segments when it
+//!   reads the source unchanged ([`Plan::source_columns`] — segment by
+//!   segment, each batch under its own segment's zone maps), a
+//!   transposition of the current rows after a breaker or a rewriting
+//!   scan. Its batches ([`AuBatch`]) are swept morsel-parallel through
 //!   [`audb_par::par_map`] in deterministic order (batch `i`'s rows
 //!   always precede batch `i + 1`'s) and its output **stays columnar**:
 //!   the relation between stages is rows *or* columns, a breaker takes
-//!   either ([`BreakerInput`]), and rows are built from columns only
-//!   where a row operator asks ([`BreakerInput::rows`]) and for the
+//!   either ([`BreakerInput`] — of a source stored in several segments,
+//!   one concatenation per execution), and rows are built from columns
+//!   only where a row operator asks ([`BreakerInput::rows`]) and for the
 //!   final result.
 //!
 //! Both collect an [`ExecTrace`]: per-operator wall time, batch count and
@@ -22,11 +24,11 @@
 
 use super::lower::{fuse_label, lower, Pipeline};
 use crate::backend::{Backend, BreakerInput};
+use crate::catalog::Table;
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
 use audb_core::{range_verdict, AuBatch, AuColumns, AuRelation, Mult3, TableStats, ZoneVerdict};
 use audb_rel::Schema;
-use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -135,7 +137,11 @@ fn run_materialized<B: Backend + ?Sized>(
 ) -> Result<(AuRelation, ExecTrace), EngineError> {
     let mut ops = Vec::with_capacity(plan.ops().len() + 1);
     let start = Instant::now();
-    let mut cur: Cow<'_, AuRelation> = backend.scan(plan.source())?;
+    let source = plan.source_columns();
+    let mut cur: AuRelation = match backend.scan(source)? {
+        Some(rows) => rows,
+        None => source.contiguous().to_rows(),
+    };
     ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
@@ -154,7 +160,7 @@ fn run_materialized<B: Backend + ?Sized>(
             }
             breaker => run_breaker(backend, breaker, BreakerInput::Rows(&cur))?,
         };
-        cur = Cow::Owned(next);
+        cur = next;
         ops.push(OpTiming {
             label: op.name().to_string(),
             elapsed: start.elapsed(),
@@ -163,7 +169,7 @@ fn run_materialized<B: Backend + ?Sized>(
         });
     }
     Ok((
-        cur.into_owned(),
+        cur,
         ExecTrace {
             mode: ExecMode::Materialized,
             batch_size,
@@ -189,9 +195,10 @@ struct BatchVerdict {
 }
 
 /// Compute the verdicts for the leading `Select` steps of a fused chain
-/// over source rows `[start, start + len)`. Only the selects *before* the
-/// first projection see source columns (projections reshape the schema,
-/// so statistics column indices stop applying there).
+/// over rows `[start, start + len)` of the segment `stats` describes. Only
+/// the selects *before* the first projection see source columns
+/// (projections reshape the schema, so statistics column indices stop
+/// applying there).
 fn batch_verdict(
     steps: &[(&Op, &Schema)],
     stats: &TableStats,
@@ -351,33 +358,30 @@ fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     (keep, mults)
 }
 
-/// The pipelined executor's current relation: rows (the scan, a breaker's
-/// output) or the columns a fused stage produced.
+/// The pipelined executor's current relation: the stored source while
+/// nothing has touched it, rows (a rewriting scan's, a breaker's output)
+/// or the columns a fused stage produced.
 enum Current<'a> {
-    Rows(Cow<'a, AuRelation>),
+    Source(&'a Table),
+    Rows(AuRelation),
     Columns(AuColumns),
 }
 
 impl Current<'_> {
     fn len(&self) -> usize {
         match self {
+            Current::Source(table) => table.len(),
             Current::Rows(rel) => rel.len(),
             Current::Columns(cols) => cols.len(),
         }
     }
 
-    fn as_input(&self) -> BreakerInput<'_> {
-        match self {
-            Current::Rows(rel) => BreakerInput::Rows(rel),
-            Current::Columns(cols) => BreakerInput::Columns(cols),
-        }
-    }
-
-    /// The plan's result: a plan ending in a fused stage builds its rows
-    /// here.
+    /// The plan's result: a plan ending in a fused stage — or in its scan
+    /// — builds its rows here.
     fn into_rows(self) -> AuRelation {
         match self {
-            Current::Rows(rel) => rel.into_owned(),
+            Current::Source(table) => table.contiguous().to_rows(),
+            Current::Rows(rel) => rel,
             Current::Columns(cols) => cols.to_rows(),
         }
     }
@@ -396,14 +400,20 @@ fn run_pipelined<B: Backend + ?Sized>(
     let mut batches_skipped = 0usize;
     let mut batches_scanned = 0usize;
     let start = Instant::now();
-    let scanned = backend.scan(plan.source())?;
+    let source = plan.source_columns();
+    let (mut cur, batches) = match backend.scan(source)? {
+        None => (Current::Source(source), source.batch_count(batch_size)),
+        Some(rows) => {
+            let batches = rows.batch_count(batch_size);
+            (Current::Rows(rows), batches)
+        }
+    };
     ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
-        batches: scanned.batch_count(batch_size),
-        rows_out: scanned.len(),
+        batches,
+        rows_out: cur.len(),
     });
-    let mut cur = Current::Rows(scanned);
     for pipeline in &pipelines {
         if !pipeline.fused.is_empty() {
             let start = Instant::now();
@@ -414,41 +424,40 @@ fn run_pipelined<B: Backend + ?Sized>(
                 .iter()
                 .map(|&i| (&plan.ops()[i], &plan.schemas()[i + 1]))
                 .collect();
-            // Every step inside the stage is a vectorized column sweep.
-            // A stage that reads the plan's source unchanged (the common
-            // scan → select/project head) reads the table's own columnar
-            // form, which whichever statement came first transposed; only
-            // a stage behind a breaker or a rewriting scan transposes
-            // here, and then its input is this execution's alone.
+            // Every step inside the stage is a vectorized column sweep. A
+            // stage that reads the plan's source unchanged (the common
+            // scan → select/project head) reads the table's stored
+            // segments, each with the zone maps swept over exactly its
+            // rows — batch `i` of a segment covers its rows
+            // `[i·batch, i·batch + len)`, and no batch spans two. Only a
+            // stage behind a breaker or a rewriting scan transposes here,
+            // and then its input is this execution's alone and there are
+            // no statistics to ask.
             let cols_local;
-            let (cols, on_source): (&AuColumns, bool) = match &cur {
-                Current::Rows(Cow::Borrowed(rel)) if std::ptr::eq(*rel, plan.source()) => {
-                    (plan.source_columns(), true)
-                }
+            let parts: Vec<(&AuColumns, Option<&TableStats>)> = match &cur {
+                Current::Source(table) => (table.segments().iter())
+                    .map(|s| (s.columns(), prune.then(|| s.stats())))
+                    .collect(),
                 Current::Rows(rel) => {
                     cols_local = rel.to_columns();
-                    (&cols_local, false)
+                    vec![(&cols_local, None)]
                 }
                 // Lowering never puts two fused stages back to back.
-                Current::Columns(cols) => (cols, false),
+                Current::Columns(cols) => vec![(cols, None)],
             };
-            // Zone-map pruning applies only when this stage reads the
-            // plan's source unchanged: the statistics describe source
-            // rows, so batch `i` covers rows `[i·batch, i·batch + len)`
-            // of exactly the relation the zones were built over.
-            let stats = (prune && on_source)
-                .then(|| plan.source_stats())
-                .filter(|stats| stats.rows == cols.len());
             // A skipped batch costs its verdict and nothing else: it never
             // becomes a unit of work.
-            let n_batches = cols.batch_count(batch_size);
-            let mut work: Vec<(AuBatch<'_>, Vec<bool>)> = Vec::with_capacity(n_batches);
-            for batch in cols.batches(batch_size) {
-                let verdict = stats.map_or_else(BatchVerdict::default, |stats| {
-                    batch_verdict(&steps, stats, batch.index() * batch_size, batch.len())
-                });
-                if !verdict.skip {
-                    work.push((batch, verdict.all_true));
+            let mut n_batches = 0;
+            let mut work: Vec<(AuBatch<'_>, Vec<bool>)> = Vec::new();
+            for (cols, stats) in parts {
+                n_batches += cols.batch_count(batch_size);
+                for batch in cols.batches(batch_size) {
+                    let verdict = stats.map_or_else(BatchVerdict::default, |stats| {
+                        batch_verdict(&steps, stats, batch.index() * batch_size, batch.len())
+                    });
+                    if !verdict.skip {
+                        work.push((batch, verdict.all_true));
+                    }
                 }
             }
             batches_skipped += n_batches - work.len();
@@ -476,8 +485,20 @@ fn run_pipelined<B: Backend + ?Sized>(
         if let Some(b) = pipeline.breaker {
             let start = Instant::now();
             let op = &plan.ops()[b];
-            let next = run_breaker(backend, op, cur.as_input())?;
-            cur = Current::Rows(Cow::Owned(next));
+            // A breaker over the untouched source reads it as one
+            // `AuColumns`: the segment when there is one, else a copy of
+            // the lanes made here — O(n) ahead of an Ω(n log n) operator.
+            let whole;
+            let input = match &cur {
+                Current::Source(table) => {
+                    whole = table.contiguous();
+                    BreakerInput::Columns(&whole)
+                }
+                Current::Rows(rel) => BreakerInput::Rows(rel),
+                Current::Columns(cols) => BreakerInput::Columns(cols),
+            };
+            let next = run_breaker(backend, op, input)?;
+            cur = Current::Rows(next);
             ops.push(OpTiming {
                 label: op.name().to_string(),
                 elapsed: start.elapsed(),
@@ -679,7 +700,7 @@ mod tests {
 
         // An always-true predicate short-circuits: nothing skips, the
         // output still drops the zero-annotation rows.
-        let plan2 = Query::scan(plan.source_arc().clone())
+        let plan2 = Query::scan(plan.source_columns().contiguous().to_rows())
             .select(RangeExpr::col(0).lt(RangeExpr::lit(n as i64)))
             .project(["t"])
             .build()
@@ -693,6 +714,62 @@ mod tests {
         let (odd, trace) = execute(&Native, &plan, ZONE_ROWS / 3 + 11, true).unwrap();
         assert!(odd.bag_eq(&unpruned));
         assert!(trace.batches_skipped > 0);
+    }
+
+    /// Zone maps are per segment: a batch is judged by the statistics of
+    /// the segment it lies in, at its offset *within* that segment, and no
+    /// batch spans two — so a segment boundary that is not a multiple of
+    /// the batch size costs one short batch, never a wrong verdict.
+    #[test]
+    fn zone_pruning_reads_each_segments_own_zones() {
+        use crate::{Engine, Session};
+        use audb_core::ZONE_ROWS;
+        let clustered = |from: i64, n: usize| {
+            AuRelation::from_rows(
+                Schema::new(["t", "v"]),
+                (from..from + n as i64).map(|i| {
+                    (
+                        AuTuple::new([RangeValue::certain(i), RangeValue::new(i - 1, i, i + 1)]),
+                        if i % 7 == 0 { Mult3::ZERO } else { Mult3::ONE },
+                    )
+                }),
+            )
+        };
+        // Two zones registered; two more (one short) appended, far away in
+        // `t` and starting mid-way through what would be the table's third
+        // zone had it been swept whole.
+        let session = Session::new(Engine::native());
+        session.register("c", clustered(0, ZONE_ROWS + 300));
+        let far = 1_000_000;
+        let tail = clustered(far, ZONE_ROWS + 5);
+        session.shared_catalog().append("c", &tail).unwrap();
+        let run = |sql: &str, batch_size: usize, prune: bool| {
+            let prepared = session.prepare(sql).unwrap();
+            let (out, trace) = execute(&Native, prepared.plan(), batch_size, prune).unwrap();
+            assert!(out.bag_eq(&reference(prepared.plan())), "{sql}");
+            (out, trace.batches_skipped, trace.batches_scanned)
+        };
+
+        // Only the tail: both registered batches skip.
+        let sql = format!("SELECT t, v FROM c WHERE t >= {far}");
+        let (out, skipped, scanned) = run(&sql, ZONE_ROWS, true);
+        assert_eq!((skipped, scanned), (2, 2));
+        // (A projection keeps what is not zero-annotated.)
+        assert!(out.bag_eq(&audb_core::au_project_cols(&tail, &[0, 1])));
+        assert_eq!(run(&sql, ZONE_ROWS, false).1, 0);
+        // Only the first registered zone.
+        let sql = format!("SELECT t, v FROM c WHERE t < {ZONE_ROWS}");
+        assert_eq!(run(&sql, ZONE_ROWS, true).1, 3);
+        // A batch size the segments are no multiple of: each segment ends
+        // in a short batch of its own, and verdicts still hold.
+        let odd = ZONE_ROWS / 3 + 11;
+        let batches = (ZONE_ROWS + 300).div_ceil(odd) + (ZONE_ROWS + 5).div_ceil(odd);
+        let (_, skipped, scanned) = run(&sql, odd, true);
+        assert_eq!(skipped + scanned, batches);
+        assert!(
+            skipped >= (ZONE_ROWS + 5).div_ceil(odd),
+            "the tail's batches all skip"
+        );
     }
 
     /// Multi-breaker plans: every pipeline runs, intermediate fused stages

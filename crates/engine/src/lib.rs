@@ -15,6 +15,10 @@
 //!   by [`Reference`], [`Native`] (with fallback rules for the cases the
 //!   one-pass operators do not cover) and [`Rewrite`] (which scans through
 //!   the relational encoding, as a DBMS executing Figs. 7–8 would);
+//! * [`SharedCatalog`] / [`Table`] — what a FROM name maps to: a table
+//!   stored as `Arc`'d columnar [`Segment`]s and nothing else, so an
+//!   append costs its batch and every plan over one version shares one
+//!   handle;
 //! * [`Engine`] — the handle that owns backend selection, renders
 //!   per-query [`Engine::explain`] output, and cross-checks every backend
 //!   against every other via [`Engine::run_all`].
@@ -47,7 +51,7 @@ mod print;
 mod session;
 
 pub use backend::{Backend, BreakerInput, Native, Reference, Rewrite};
-pub use catalog::{Catalog, CatalogAppendError, SharedCatalog};
+pub use catalog::{Catalog, CatalogAppendError, Segment, SharedCatalog, Table, SEGMENT_ROWS};
 pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
 pub use exec::{ExecMode, ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
@@ -516,15 +520,17 @@ mod tests {
 
     #[test]
     fn plan_is_cheap_to_share() {
-        use std::sync::Arc;
-        let shared = Arc::new(example6());
-        let p1 = Query::scan(Arc::clone(&shared))
-            .sort_by(["a"])
-            .build()
-            .unwrap();
-        let p2 = Query::scan(shared).sort_by(["b"]).build().unwrap();
-        // Both plans borrow the same source allocation — no data copies.
-        assert!(std::ptr::eq(p1.source(), p2.source()));
-        assert!(Engine::native().execute(&p2).unwrap().len() >= 3);
+        let session = Session::new(Engine::native());
+        session.register("r", example6());
+        let p1 = session.prepare("SELECT * FROM r ORDER BY a").unwrap();
+        let p2 = session.prepare("SELECT * FROM r ORDER BY b").unwrap();
+        // Both plans — and their clones — hold the catalog's one handle:
+        // no data is copied per statement.
+        let (p1, p2) = (p1.plan().clone(), p2.plan());
+        assert!(std::sync::Arc::ptr_eq(
+            p1.source_columns(),
+            p2.source_columns()
+        ));
+        assert!(Engine::native().execute(p2).unwrap().len() >= 3);
     }
 }

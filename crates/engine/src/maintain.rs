@@ -38,6 +38,19 @@
 //! `engine.execute(plan.with_source(accumulated))`, and the property tests
 //! pin the incremental path bag-equal to it on all three backends.
 //!
+//! ## Rows here, columns in the catalog
+//!
+//! A subscription's append is not a catalog append. The catalog stores
+//! columnar segments and grows them at the cost of the batch
+//! ([`crate::SharedCatalog::append`]); a subscription pins the table
+//! version current when it was made, copies its rows out **once** into
+//! the accumulator below, and from then on is fed only through
+//! [`MaintainedQuery::append`]. The accumulator is rows because the
+//! incremental states are: the window sweep's frontier check and the
+//! top-k indexes read `AuRow`s, and a recompute hands the whole
+//! accumulator to [`Plan::with_source`], which transposes it for that
+//! execution.
+//!
 //! ## Delta semantics
 //!
 //! The maintained value is the normalized output bag. A [`Delta`] lists
@@ -46,11 +59,10 @@
 //! removed + added`. Replaying every delta from subscription onward
 //! reconstructs [`MaintainedQuery::value`].
 
-use crate::backend;
 use crate::engine::Engine;
 use crate::error::SessionError;
 use crate::plan::{Op, Plan};
-use audb_core::{AuRelation, AuTuple, Mult3, SortKey};
+use audb_core::{AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
 use std::collections::BTreeMap;
 
@@ -159,7 +171,7 @@ impl MaintainedQuery {
             },
         };
         let pre = plan.prefix(plan.ops().len().saturating_sub(1).min(plan.ops().len()));
-        let accum = plan.source().clone();
+        let accum = plan.source_columns().contiguous().to_rows();
         let mut q = MaintainedQuery {
             engine,
             pre,
@@ -184,7 +196,7 @@ impl MaintainedQuery {
                 ));
             } else if let Some(Op::Window { spec, .. }) = q.plan.ops().last() {
                 let pre_rel = q.engine.execute(&q.pre)?.normalize();
-                if backend::Native::window_needs_reference(&pre_rel, spec) {
+                if window_needs_reference(&pre_rel, spec) {
                     q.fallback_forever = Some(
                         "initial relation needs the reference window \
                          (duplicate multiplicities or uncertain PARTITION BY)"
@@ -364,7 +376,7 @@ impl MaintainedQuery {
             .engine
             .execute(&self.pre.with_source(self.accum.clone())?)?
             .normalize();
-        if backend::Native::window_needs_reference(&pre_all, &spec) {
+        if window_needs_reference(&pre_all, &spec) {
             self.fallback_forever = Some(
                 "accumulated relation needs the reference window \
                  (duplicate multiplicities or uncertain PARTITION BY)"
@@ -498,6 +510,23 @@ impl std::fmt::Debug for MaintainedQuery {
             .field("recompute", &self.recompute_appends)
             .finish()
     }
+}
+
+/// The native window's two fallbacks to the reference (DESIGN.md §5.2) —
+/// an uncertain `PARTITION BY` value, a duplicate multiplicity — decided
+/// for window *maintenance* before any sweep state is built (a one-shot
+/// window learns them from its sweep). Callers pass a **normalized**
+/// relation: separately stored copies of one hypercube merge into a
+/// duplicate multiplicity, so checking raw rows would miss them.
+fn window_needs_reference(rel: &AuRelation, spec: &AuWindowSpec) -> bool {
+    debug_assert!(rel.is_normalized());
+    rel.rows().iter().any(|row| {
+        row.mult.ub > 1
+            || spec
+                .partition
+                .iter()
+                .any(|&g| !row.tuple.get(g).is_certain())
+    })
 }
 
 /// The maintained-value map of a normalized result; the rows move in.

@@ -1,5 +1,7 @@
 //! Cost-based plan optimization: pure `Plan → Plan` rewrite passes driven
-//! by the source table's statistics ([`audb_core::TableStats`]).
+//! by the source table's statistics — one [`audb_core::TableStats`] per
+//! stored segment, folded by [`Table::all_certain`] and
+//! [`Table::estimate_selectivity`].
 //!
 //! Three passes run in order, each recording an [`AppliedRule`] with a
 //! human-readable reason (shown by `Engine::explain` as a before/after
@@ -25,7 +27,8 @@
 //!      intact). Anything else is refused — property-pinned in
 //!      `tests/pipeline_equivalence.rs`.
 //! 2. **Select reordering**: the leading run of selections is stably
-//!    re-sorted by estimated selectivity ([`estimate_selectivity`]), most
+//!    re-sorted by estimated selectivity
+//!    ([`audb_core::estimate_selectivity`]), most
 //!    selective first. Adjacent AU-DB selections commute
 //!    (`Mult3::filter` is componentwise), so this is always sound.
 //! 3. **Dead-column pruning**: source columns that no downstream operator
@@ -39,8 +42,9 @@
 //! any rebuild error falls back to the original plan unchanged (rewrites
 //! may never turn a valid plan into an error).
 
+use crate::catalog::Table;
 use crate::plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
-use audb_core::{estimate_selectivity, AuWindowSpec, RangeExpr, TableStats, WinAgg};
+use audb_core::{AuWindowSpec, RangeExpr, WinAgg};
 use audb_rel::CmpOp;
 use std::sync::Arc;
 
@@ -66,15 +70,15 @@ pub struct OptInfo {
 
 /// Optimize a plan against its source statistics. Returns the input plan
 /// unchanged (a clone) when no rule applies; either way the result scans
-/// the same table handle, so statistics and columnar form stay shared.
+/// the same table handle.
 pub fn optimize(plan: &Plan) -> Plan {
-    let stats = Arc::clone(plan.source_stats());
+    let stats = plan.source_columns();
     let src_schema = plan.schemas()[0].clone();
     let mut ops = plan.ops().to_vec();
     let mut rules = Vec::new();
 
-    pushdown_selects(&mut ops, &stats, src_schema.arity(), &mut rules);
-    reorder_selects(&mut ops, &stats, &mut rules);
+    pushdown_selects(&mut ops, stats, src_schema.arity(), &mut rules);
+    reorder_selects(&mut ops, stats, &mut rules);
     prune_dead_columns(&mut ops, &src_schema, &mut rules);
 
     if rules.is_empty() {
@@ -92,7 +96,7 @@ pub fn optimize(plan: &Plan) -> Plan {
 /// Rebuild an operator chain over the original plan's table handle
 /// through the validating builder.
 fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
-    let mut q = Query::scan_table(Arc::clone(plan.table()));
+    let mut q = Query::scan_table(Arc::clone(plan.source_columns()));
     for op in ops {
         q = match op {
             Op::Select { pred } => q.select(pred.clone()),
@@ -131,12 +135,7 @@ fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
 /// additionally requires that all operators before the breaker are
 /// selections, so the breaker's input columns are exactly the source
 /// columns (same indices, same statistics).
-fn pushdown_selects(
-    ops: &mut [Op],
-    stats: &TableStats,
-    src_arity: usize,
-    rules: &mut Vec<AppliedRule>,
-) {
+fn pushdown_selects(ops: &mut [Op], stats: &Table, src_arity: usize, rules: &mut Vec<AppliedRule>) {
     loop {
         let mut swapped = false;
         for i in 0..ops.len().saturating_sub(1) {
@@ -199,7 +198,7 @@ fn keep_small_col(pred: &RangeExpr) -> Option<usize> {
 fn sort_pushdown_reason(
     pred: &RangeExpr,
     order: &[usize],
-    stats: &TableStats,
+    stats: &Table,
     src_arity: usize,
 ) -> Option<String> {
     let c = keep_small_col(pred)?;
@@ -209,7 +208,7 @@ fn sort_pushdown_reason(
     if order.first() != Some(&c) {
         return None;
     }
-    if !stats.cols.get(c)?.all_certain() {
+    if !stats.all_certain(c) {
         return None;
     }
     Some(format!(
@@ -224,7 +223,7 @@ fn sort_pushdown_reason(
 fn window_pushdown_reason(
     pred: &RangeExpr,
     spec: &AuWindowSpec,
-    stats: &TableStats,
+    stats: &Table,
     src_arity: usize,
 ) -> Option<String> {
     let mut cols = Vec::new();
@@ -240,9 +239,7 @@ fn window_pushdown_reason(
         );
     }
     let partition_only = cols.iter().all(|c| spec.partition.contains(c));
-    let all_certain = cols
-        .iter()
-        .all(|&c| stats.cols.get(c).is_some_and(|s| s.all_certain()));
+    let all_certain = cols.iter().all(|&c| stats.all_certain(c));
     if partition_only && all_certain && expr_lits_certain(pred) {
         return Some(
             "predicate over fully-certain PARTITION BY columns with \
@@ -294,7 +291,7 @@ fn expr_lits_certain(e: &RangeExpr) -> bool {
 /// Stably re-sort the leading run of selections by estimated selectivity,
 /// most selective first. Sound because adjacent AU-DB selections commute:
 /// `Mult3::filter` multiplies componentwise.
-fn reorder_selects(ops: &mut [Op], stats: &TableStats, rules: &mut Vec<AppliedRule>) {
+fn reorder_selects(ops: &mut [Op], stats: &Table, rules: &mut Vec<AppliedRule>) {
     let k = ops
         .iter()
         .take_while(|o| matches!(o, Op::Select { .. }))
@@ -308,7 +305,7 @@ fn reorder_selects(ops: &mut [Op], stats: &TableStats, rules: &mut Vec<AppliedRu
             let Op::Select { pred } = op else {
                 unreachable!()
             };
-            (estimate_selectivity(pred, stats), op.clone())
+            (stats.estimate_selectivity(pred), op.clone())
         })
         .collect();
     let before: Vec<f64> = run.iter().map(|(s, _)| *s).collect();
@@ -799,8 +796,6 @@ mod tests {
             .unwrap();
         let opt = optimize(&plan);
         assert!(opt.opt().is_some(), "pushdown should fire");
-        assert!(Arc::ptr_eq(plan.table(), opt.table()));
-        assert!(Arc::ptr_eq(plan.source_stats(), opt.source_stats()));
-        assert!(std::ptr::eq(plan.source_columns(), opt.source_columns()));
+        assert!(Arc::ptr_eq(plan.source_columns(), opt.source_columns()));
     }
 }

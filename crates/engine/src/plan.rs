@@ -1,7 +1,9 @@
 //! Typed logical plans: the [`Query`] builder, the resolved operator IR
 //! ([`Op`]), and the validated [`Plan`] every backend executes.
 //!
-//! A plan is a linear operator chain over one scanned [`AuRelation`]:
+//! A plan is a linear operator chain over one scanned table (a
+//! [`Table`] handle — the catalog's, or a private one over a relation
+//! handed to [`Query::scan`]):
 //!
 //! ```text
 //! scan → (select | project | sort → [topk] | window)*
@@ -18,7 +20,7 @@
 use crate::catalog::Table;
 use crate::error::PlanError;
 use crate::optimize::OptInfo;
-use audb_core::{AuRelation, AuWindowSpec, RangeExpr, TableStats, WinAgg};
+use audb_core::{AuRelation, AuWindowSpec, RangeExpr, WinAgg};
 use audb_rel::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -288,11 +290,11 @@ impl fmt::Display for Op {
 /// it through [`crate::Engine`] or any [`crate::Backend`].
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The scanned table's handle: its rows, statistics and columnar
-    /// form. A plan bound through a catalog holds the catalog's handle,
-    /// so every plan over one published version of a table shares one
-    /// transposition; [`Query::scan`] and [`Plan::with_source`] wrap a
-    /// private handle.
+    /// The scanned table's handle: its columnar segments and their
+    /// statistics. A plan bound through a catalog holds the catalog's
+    /// handle, so every plan over one published version of a table reads
+    /// the same segments; [`Query::scan`] and [`Plan::with_source`]
+    /// transpose their relation into a private handle.
     source: Arc<Table>,
     ops: Vec<Op>,
     /// Schema after each op: `schemas\[0\]` is the source schema,
@@ -308,36 +310,13 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The scanned source relation.
-    pub fn source(&self) -> &AuRelation {
-        self.source.rows()
-    }
-
-    /// The scanned source in columnar form: the table handle's, transposed
-    /// by whichever plan over that handle asks first and shared by all of
-    /// them. Executors use this when their scan borrows the source
-    /// unchanged; backends whose scan rewrites the relation (e.g. the
-    /// rewrite backend's encoding round-trip) transpose their own scan
-    /// output instead.
-    pub fn source_columns(&self) -> &audb_core::AuColumns {
-        self.source.columns()
-    }
-
-    /// The scanned source, shared (for re-registering a plan's input, e.g.
-    /// when compiling its printed SQL back against a catalog).
-    pub fn source_arc(&self) -> &Arc<AuRelation> {
-        self.source.rows()
-    }
-
-    /// Statistics of the scanned source: computed at publication for a
-    /// catalog's table, otherwise swept on first use and kept on the
-    /// handle.
-    pub fn source_stats(&self) -> &Arc<TableStats> {
-        self.source.stats()
-    }
-
-    /// The scanned table's handle (what a rewritten plan is rebuilt over).
-    pub(crate) fn table(&self) -> &Arc<Table> {
+    /// The scanned source as it is stored — the handle on its columnar
+    /// segments and their statistics ([`Table`]): row count, schema,
+    /// batches, and (through [`Table::contiguous`]) one `AuColumns` or rows
+    /// for whoever wants them. A native scan reads it in place; plans
+    /// bound to one published version of a table hold the same handle
+    /// (`Arc::ptr_eq`).
+    pub fn source_columns(&self) -> &Arc<Table> {
         &self.source
     }
 
@@ -393,11 +372,12 @@ impl Plan {
         self.ops == other.ops && self.schemas == other.schemas
     }
 
-    /// The same operator chain over a different source relation — the plan
-    /// a maintained query recomputes against its accumulated rows, and the
-    /// pre-operator plan it runs over each appended batch. The resolved IR
-    /// is index-based, so the only thing to re-validate is that the new
-    /// source carries the schema the chain was compiled against.
+    /// The same operator chain over a different source relation
+    /// (transposed here) — the plan a maintained query recomputes against
+    /// its accumulated rows, and the pre-operator plan it runs over each
+    /// appended batch. The resolved IR is index-based, so the only thing
+    /// to re-validate is that the new source carries the schema the chain
+    /// was compiled against.
     pub fn with_source(&self, source: impl Into<Arc<AuRelation>>) -> Result<Plan, PlanError> {
         let source: Arc<AuRelation> = source.into();
         if source.schema != self.schemas[0] {
@@ -407,7 +387,7 @@ impl Plan {
             });
         }
         Ok(Plan {
-            source: Table::new(source),
+            source: Table::sealed(source.to_columns()),
             ops: self.ops.clone(),
             schemas: self.schemas.clone(),
             sql: self.sql.clone(),
@@ -506,20 +486,21 @@ fn check_new_name(schema: &Schema, name: &str) -> Result<(), PlanError> {
 }
 
 impl Query {
-    /// Start a plan by scanning an AU-relation. Accepts an owned relation
-    /// or an `Arc` (share the `Arc` to build many plans over one source
-    /// without copying the data). The source schema itself is validated:
+    /// Start a plan by scanning an AU-relation, owned or behind an `Arc`:
+    /// its rows are transposed and swept here, into a table handle of the
+    /// plan's own (register the relation in a catalog to share one handle
+    /// between many plans). The source schema itself is validated:
     /// repeated attribute names are rejected up front, because every
     /// downstream name resolution would silently bind to the first.
     pub fn scan(rel: impl Into<Arc<AuRelation>>) -> Query {
-        Query::scan_table(Table::new(rel.into()))
+        Query::scan_table(Table::sealed(rel.into().to_columns()))
     }
 
     /// [`Query::scan`] over an existing table handle — a catalog's, or the
     /// one a plan being rewritten already holds — so the new plan shares
-    /// the handle's statistics and columnar form.
+    /// the handle's segments and statistics.
     pub(crate) fn scan_table(source: Arc<Table>) -> Query {
-        let schema = &source.rows().schema;
+        let schema = source.schema();
         let mut seen: Vec<&str> = Vec::with_capacity(schema.arity());
         for c in schema.cols() {
             if seen.contains(&c.as_str()) {

@@ -14,7 +14,8 @@
 //! catalog's *current* version and versions only grow, so the first lookup
 //! after a `register`/`deregister`/`append` drops every resident plan at
 //! once — a plan can never serve stale data, and a superseded table
-//! snapshot is pinned by the cache no longer than until the next lookup.
+//! version (its tail; sealed segments live on in the next version) is
+//! pinned by the cache no longer than until the next lookup.
 //! (Statements already handed out keep executing on their pinned
 //! snapshot.) A lookup that raced a publication and still holds an older
 //! version compiles its plan and returns it without inserting.
@@ -152,7 +153,7 @@ impl PlanCache {
         };
         s.hits += u64::from(hit.is_some());
         drop(s);
-        // Superseded plans each pin a table snapshot: free them with the
+        // Superseded plans each pin a table version: free them with the
         // mutex released.
         drop(superseded);
         if let Some(prepared) = hit {
@@ -324,8 +325,8 @@ mod tests {
             "same shape over different tables must not collide"
         );
         assert!(!std::sync::Arc::ptr_eq(
-            pa.plan().source_arc(),
-            pb.plan().source_arc()
+            pa.plan().source_columns(),
+            pb.plan().source_columns()
         ));
         assert_eq!(cache.stats().misses, 2);
     }
@@ -386,7 +387,7 @@ mod tests {
             .unwrap();
         s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
         assert_eq!(cache.stats().len, 3);
-        let pinned = std::sync::Arc::downgrade(before.plan().source_arc());
+        let pinned = std::sync::Arc::downgrade(before.plan().source_columns());
 
         s.shared_catalog().append("a", &rel(2)).unwrap();
         let (after, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
@@ -421,14 +422,18 @@ mod tests {
                 .get_or_prepare_at(old_version, &old_snapshot, sql)
                 .unwrap();
             assert!(!hit);
-            assert_eq!(p.plan().source().len(), 3, "bound to its own snapshot");
+            assert_eq!(
+                p.plan().source_columns().len(),
+                3,
+                "bound to its own snapshot"
+            );
         }
         // Even the statement the cache holds is not served across versions.
         let (p, hit) = cache
             .get_or_prepare_at(old_version, &old_snapshot, "SELECT x FROM a")
             .unwrap();
         assert!(!hit);
-        assert_eq!(p.plan().source().len(), 3);
+        assert_eq!(p.plan().source_columns().len(), 3);
         let stats = cache.stats();
         assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 4));
         // The current version is undisturbed.

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// A compiled, reusable statement: the validated [`Plan`] plus its source
 /// text. Prepare once, execute many times (the plan shares its scanned
-/// relation behind an `Arc`, so neither step copies data).
+/// table behind an `Arc`, so neither step copies data).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     plan: Plan,
@@ -115,8 +115,9 @@ impl Session {
         self.catalog.register(name, rel);
     }
 
-    /// Remove a named relation (again by snapshot publication).
-    pub fn deregister(&self, name: &str) -> Option<Arc<AuRelation>> {
+    /// Remove a named relation (again by snapshot publication); true iff
+    /// it was registered.
+    pub fn deregister(&self, name: &str) -> bool {
         self.catalog.deregister(name)
     }
 
@@ -257,9 +258,9 @@ mod tests {
         let a = s.execute(&p).unwrap();
         let b = s.execute(&p).unwrap();
         assert!(a.bag_eq(&b));
-        // The prepared plan shares the registered relation, no copy.
+        // The prepared plan shares the catalog's table handle, no copy.
         assert!(Arc::ptr_eq(
-            p.plan().source_arc(),
+            p.plan().source_columns(),
             s.catalog().get("products").unwrap()
         ));
     }
@@ -394,32 +395,29 @@ mod tests {
         ));
     }
 
-    /// One transposition per published table version: every plan bound to
-    /// it — different statements, a plan-cache miss and its hit — reads
-    /// the same columnar form, and a statement with no fused stage never
-    /// builds it.
+    /// One stored form per published table version, built by `register`:
+    /// every plan bound to the version — different statements, a
+    /// plan-cache miss and its hit, rank-only or filtered — reads the
+    /// catalog's handle, and no statement transposes anything.
     #[test]
     fn plans_of_one_version_share_one_columnar_form() {
         let s = session();
+        let stored = Arc::clone(s.catalog().get("products").unwrap());
+        assert_eq!((stored.len(), stored.segments().len()), (3, 1));
+
         let rank = s
             .prepare("SELECT * FROM products ORDER BY price AS rank LIMIT 2")
             .unwrap();
-        s.execute(&rank).unwrap();
-        assert!(!rank.plan().table().columns_built(), "rank-only statement");
-
         let filter = s
             .prepare("SELECT sku FROM products WHERE price < 12")
             .unwrap();
         let top = s
             .prepare("SELECT * FROM products WHERE sku < 3 ORDER BY price AS rank LIMIT 1")
             .unwrap();
-        s.execute(&filter).unwrap();
-        // The first fused stage built it — on the handle all three hold.
-        assert!(rank.plan().table().columns_built());
-        assert!(std::ptr::eq(
-            filter.plan().source_columns(),
-            top.plan().source_columns()
-        ));
+        for p in [&rank, &filter, &top] {
+            s.execute(p).unwrap();
+            assert!(Arc::ptr_eq(p.plan().source_columns(), &stored));
+        }
 
         let cache = PlanCache::new(8);
         let sql = "SELECT sku FROM products WHERE price < 11";
@@ -428,17 +426,17 @@ mod tests {
         let (again, hit) = s.prepare_cached(&cache, sql).unwrap();
         assert!(hit);
         for p in [&miss, &again] {
-            assert!(std::ptr::eq(
+            assert!(Arc::ptr_eq(
                 p.plan().source_columns(),
                 filter.plan().source_columns()
             ));
         }
     }
 
-    /// The visibility rule on the shared form: an `append` publishes a new
-    /// table version with its own (not yet built) columns; a statement
-    /// prepared after it sees the new rows, one compiled before it keeps
-    /// answering from the old version's columns.
+    /// The visibility rule on the stored form: an `append` publishes a new
+    /// table version — the registered segment shared, a tail of its own —
+    /// and a statement prepared after it sees the new rows, while one
+    /// compiled before it keeps answering from the old version's segments.
     #[test]
     fn append_never_leaks_into_another_versions_columns() {
         let s = session();
@@ -446,26 +444,30 @@ mod tests {
         let before = s.prepare(sql).unwrap();
         assert_eq!(s.execute(&before).unwrap().len(), 2);
 
-        let cheap = AuRelation::from_rows(
-            Schema::new(["sku", "price"]),
-            [(
-                AuTuple::from([RangeValue::certain(4i64), RangeValue::certain(1i64)]),
-                Mult3::ONE,
-            )],
-        );
-        s.shared_catalog().append("products", &cheap).unwrap();
-
+        let cheap = |sku: i64| {
+            AuRelation::from_rows(
+                Schema::new(["sku", "price"]),
+                [(
+                    AuTuple::from([RangeValue::certain(sku), RangeValue::certain(1i64)]),
+                    Mult3::ONE,
+                )],
+            )
+        };
+        s.shared_catalog().append("products", &cheap(4)).unwrap();
         let after = s.prepare(sql).unwrap();
-        assert!(!after.plan().table().columns_built());
+        // A second append rebuilds the tail `after` reads — in a copy.
+        s.shared_catalog().append("products", &cheap(5)).unwrap();
+
         assert_eq!(s.execute(&after).unwrap().len(), 3);
         assert_eq!(s.execute(&before).unwrap().len(), 2);
-        assert_eq!(
-            (
-                before.plan().source_columns().len(),
-                after.plan().source_columns().len()
-            ),
-            (3, 4)
+        assert_eq!(s.sql(sql).unwrap().len(), 4);
+        let (old, new) = (
+            before.plan().source_columns(),
+            after.plan().source_columns(),
         );
+        assert_eq!((old.len(), new.len()), (3, 4));
+        assert_eq!((old.segments().len(), new.segments().len()), (1, 2));
+        assert!(Arc::ptr_eq(&old.segments()[0], &new.segments()[0]));
     }
 
     #[test]

@@ -356,6 +356,7 @@ const BACKEND_FNS: &[&str] = &[
     "sort_columns_native",
     "topk_native",
     "window_native",
+    "window_columns_native",
 ];
 
 /// Rule 5: `no-direct-backend-call`.

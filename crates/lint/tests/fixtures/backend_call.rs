@@ -3,5 +3,6 @@ use audb_native::sort_native;
 pub fn run() {
     let a = sort_native();
     let b = rewr_sort();
-    (a, b)
+    let c = window_columns_native();
+    (a, b, c)
 }

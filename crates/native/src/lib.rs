@@ -17,7 +17,8 @@
 //! * [`window::window_native`] — Algorithm 3 (+`compBounds`, Algorithms
 //!   4–6): a sweep over uncertain positions with a `cert` position index
 //!   and a three-way [`audb_conheap::ConnectedHeap`] over the possible
-//!   window members.
+//!   window members; [`window::window_columns_native`] the same run over a
+//!   columnar input.
 //! * [`maintain::MaintainedWindow`] / [`maintain::TopKMaintain`] — the same
 //!   sweeps kept alive between batches: in-order appends update the bounds
 //!   in `O(log n)` per row instead of recomputing the full `O(n log n)`
@@ -29,4 +30,4 @@ pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
 pub use sort::{sort_columns_native, sort_native, sort_native_staged, topk_native};
-pub use window::{window_native, window_native_checked, NativeWindow};
+pub use window::{window_columns_native, window_native, window_native_checked, NativeWindow};

@@ -38,8 +38,9 @@
 //!
 //! ## Sweep state
 //!
-//! A row is cloned once — into a base tuple with room for the output
-//! attribute, which moves into the result when its window closes — and
+//! A row is read from the input once — rows or columns, through the
+//! sort's `SortInput` — into a base tuple with room for the output
+//! attribute, which moves into the result when its window closes, and
 //! everything the sweep compares is copied out of it into a flat `Item`:
 //! `τ↓`, `τ↑`, the aggregated attribute's range, `k↓ ≥ 1`. Items are
 //! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
@@ -80,7 +81,7 @@
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
 //! appends perform no allocation inside the connected heap.
 
-use crate::sort::{sort_positions, topk_native};
+use crate::sort::{sort_positions, topk_native, SortInput};
 use audb_conheap::ConnectedHeap;
 use audb_core::{
     sg_ordered_inputs, AuRelation, AuRow, AuTuple, AuWindowSpec, Corner, Mult3, RangeValue,
@@ -262,28 +263,18 @@ impl WindowMaintain {
         self.apply_rows(batch.rows(), batch.is_normalized());
     }
 
-    /// [`WindowMaintain::apply`] over any slice of rows (`normalized`:
-    /// they are distinct and zero-free).
-    pub(crate) fn apply_rows<R: Borrow<AuRow>>(&mut self, rows: &[R], normalized: bool) {
+    /// [`WindowMaintain::apply`] over any sort input — rows, columns, a
+    /// partition of either (`normalized`: its rows are distinct and
+    /// zero-free).
+    pub(crate) fn apply_rows<I: SortInput + ?Sized>(&mut self, input: &I, normalized: bool) {
         let arity = self.schema.arity();
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
-        let mut pos = sort_positions(rows, arity, &self.spec.order, normalized, None);
-        pos.sort_unstable_by_key(|p| (p.tau_lb, p.tau_ub, p.row, p.dup));
-        let Some(top) = pos
-            .iter()
-            .map(|p| &rows[p.row as usize].borrow().tuple)
-            .max_by(|a, b| a.cmp_ub_on(b, &self.spec.order))
-        else {
+        let mut pos = sort_positions(input, arity, &self.spec.order, normalized, None);
+        if pos.is_empty() {
             return;
-        };
-        if self
-            .frontier
-            .as_ref()
-            .is_none_or(|f| f.cmp_ub_on(top, &self.spec.order).is_lt())
-        {
-            self.frontier = Some(top.clone());
         }
+        pos.sort_unstable_by_key(|p| (p.tau_lb, p.tau_ub, p.row, p.dup));
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
         // (the one-shot sweep's guaranteed-slot math sees the full total).
@@ -293,30 +284,40 @@ impl WindowMaintain {
             self.total_lb += p.mult.lb;
             self.total_ub += p.mult.ub;
         }
+        // The one time the input is read: each split row's base tuple.
+        // Everything below — the aggregated attribute, the frontier, the
+        // selected-guess block — comes out of it.
         let first_new = self.items.len();
-        let mut sg_block: Vec<(usize, &AuTuple)> = Vec::new();
         let mut prev_row = None;
         for p in &pos {
-            let tuple = &rows[p.row as usize].borrow().tuple;
-            if p.mult.sg > 0 {
-                sg_block.push((self.items.len(), tuple));
-            }
+            let base = input.base_tuple(p.row as usize);
             self.merged_duplicates |= p.dup > 0;
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
                 thi: p.tau_ub as i64 + off_ub,
-                attr: self.agg.attr_range(tuple),
+                attr: self.agg.attr_range(&base),
                 cert: p.mult.lb >= 1,
                 dup_of_prev: prev_row == Some(p.row),
                 closed: false,
                 sg: None,
             });
             prev_row = Some(p.row);
-            let mut base = Vec::with_capacity(arity + 1);
-            base.extend_from_slice(&tuple.0);
-            self.rows.push((AuTuple(base), p.mult));
+            self.rows.push((base, p.mult));
         }
-        self.ingest_sg(&mut sg_block);
+        let new_rows = &self.rows[first_new..];
+        let top = (new_rows.iter().map(|(tuple, _)| tuple))
+            .max_by(|a, b| a.cmp_ub_on(b, &self.spec.order))
+            .expect("the batch ranked at least one row");
+        if (self.frontier.as_ref()).is_none_or(|f| f.cmp_ub_on(top, &self.spec.order).is_lt()) {
+            self.frontier = Some(top.clone());
+        }
+        let mut sg_block: Vec<(usize, &AuTuple)> = (new_rows.iter().enumerate())
+            .filter(|(_, (_, mult))| mult.sg > 0)
+            .map(|(i, (tuple, _))| (first_new + i, tuple))
+            .collect();
+        let sg_vals = sg_ordered_inputs(&mut sg_block, &self.spec.order, self.agg);
+        let sg_ids: Vec<usize> = sg_block.iter().map(|&(id, _)| id).collect();
+        self.ingest_sg(sg_ids, sg_vals);
         for t in first_new..self.items.len() {
             self.step(t);
         }
@@ -571,15 +572,15 @@ impl WindowMaintain {
         }
     }
 
-    /// Append a batch's selected-guess-world entries (`(item id, tuple)`)
-    /// to the tail, harvest every newly-final aggregate, and prune the
-    /// tail back down to one frame of context. In-order batches sort
-    /// entirely after the accumulated rows, so appending keeps the tail in
-    /// SG order.
-    fn ingest_sg(&mut self, block: &mut [(usize, &AuTuple)]) {
-        self.sg_vals
-            .extend(sg_ordered_inputs(block, &self.spec.order, self.agg));
-        self.sg_ids.extend(block.iter().map(|&(id, _)| id));
+    /// Append a batch's selected-guess-world entries — item ids and the
+    /// values the aggregate slides over, in the order
+    /// [`sg_ordered_inputs`] put them — to the tail, harvest every
+    /// newly-final aggregate, and prune the tail back down to one frame of
+    /// context. In-order batches sort entirely after the accumulated rows,
+    /// so appending keeps the tail in SG order.
+    fn ingest_sg(&mut self, ids: Vec<usize>, vals: Vec<Value>) {
+        self.sg_vals.extend(vals);
+        self.sg_ids.extend(ids);
         // Final once `u` later entries exist.
         let final_to = self.sg_ids.len().saturating_sub(self.spec.upper as usize);
         if final_to <= self.sg_pending {
@@ -672,7 +673,7 @@ impl std::fmt::Debug for WindowMaintain {
 /// Stable-sort `rows` by the selected guess of the `partition` attributes
 /// and split them into one slice per partition value, in value order
 /// (input order within a partition).
-pub(crate) fn partition_runs<'a, 'r>(
+fn partition_runs<'a, 'r>(
     rows: &'a mut [&'r AuRow],
     partition: &'a [usize],
 ) -> impl Iterator<Item = &'a [&'r AuRow]> {

@@ -55,15 +55,17 @@
 //!
 //! Only the first stage and the last read the input — `encode` its
 //! annotations, certainty and corner keys, `materialise` the tuples of the
-//! positions the sweep emitted — and both do so through one private trait
-//! (`SortInput`) with two implementations: a slice of rows (what
-//! [`sort_native`], [`topk_native`] and the window sweep pass) and
-//! [`AuColumns`] ([`sort_columns_native`], what the engine's fused stages
-//! hand over). The columnar side fills the arena straight from the typed
-//! lanes, takes per-row certainty from the column bitmaps and rebuilds a
-//! tuple per *emitted* position only: a top-10 over 13 000 surviving rows
-//! builds ten-odd tuples, not 13 000. Band, rank, merge and sweep are the
-//! same code either way, so both entries return the same rows in the same
+//! positions the sweep emitted — and both do so through one crate-private
+//! trait (`SortInput`) with two implementations: a slice of rows (what
+//! [`sort_native`] and [`topk_native`] pass) and [`AuColumns`]
+//! ([`sort_columns_native`], what the engine's catalog stores and its
+//! fused stages hand over). The window sweep ([`crate::window`]) ranks and
+//! reads its input through the same trait, so it takes either form too.
+//! The columnar side fills the arena straight from the typed lanes, takes
+//! per-row certainty from the column bitmaps and rebuilds a tuple per
+//! *emitted* position only: a top-10 over 13 000 surviving rows builds
+//! ten-odd tuples, not 13 000. Band, rank, merge and sweep are the same
+//! code either way, so both entries return the same rows in the same
 //! order.
 
 use audb_core::{AuColumns, AuRelation, AuRow, AuTuple, Corner, KeyArena, Mult3, RangeValue};
@@ -139,18 +141,20 @@ pub fn sort_columns_native(
     sort_input(cols, schema, cols.is_normalized(), order, k, &mut |_| {})
 }
 
-/// What the sort reads of its input, row by row. `encode` and
-/// `materialise` are the only callers.
-trait SortInput {
+/// What the sort and the window sweep read of their input, row by row:
+/// rows as stored, or columns.
+pub(crate) trait SortInput {
     /// Stored rows, zero-annotated ones included.
     fn len(&self) -> usize;
     fn mult(&self, row: usize) -> Mult3;
     /// Is every attribute of `row` a point?
     fn is_certain(&self, row: usize) -> bool;
+    /// Is attribute `col` of `row` a point?
+    fn attr_is_certain(&self, row: usize, col: usize) -> bool;
     /// Append `row`'s `corner` key over `idxs` to `arena`.
     fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]);
-    /// `row`'s tuple extended by its position.
-    fn tuple_with(&self, row: usize, pos: RangeValue) -> AuTuple;
+    /// `row`'s tuple, with room for the one attribute an operator appends.
+    fn base_tuple(&self, row: usize) -> AuTuple;
 }
 
 impl<R: Borrow<AuRow>> SortInput for [R] {
@@ -163,11 +167,17 @@ impl<R: Borrow<AuRow>> SortInput for [R] {
     fn is_certain(&self, row: usize) -> bool {
         self[row].borrow().tuple.is_certain()
     }
+    fn attr_is_certain(&self, row: usize, col: usize) -> bool {
+        self[row].borrow().tuple.get(col).is_certain()
+    }
     fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]) {
         arena.push_corner(&self[row].borrow().tuple, corner, idxs);
     }
-    fn tuple_with(&self, row: usize, pos: RangeValue) -> AuTuple {
-        self[row].borrow().tuple.with(pos)
+    fn base_tuple(&self, row: usize) -> AuTuple {
+        let tuple = &self[row].borrow().tuple;
+        let mut vals = Vec::with_capacity(tuple.arity() + 1);
+        vals.extend_from_slice(&tuple.0);
+        AuTuple(vals)
     }
 }
 
@@ -181,13 +191,15 @@ impl SortInput for AuColumns {
     fn is_certain(&self, row: usize) -> bool {
         self.row_is_certain(row)
     }
+    fn attr_is_certain(&self, row: usize, col: usize) -> bool {
+        self.col(col).certain_at(row)
+    }
     fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]) {
         arena.push_corner_at(self, row, corner, idxs);
     }
-    fn tuple_with(&self, row: usize, pos: RangeValue) -> AuTuple {
+    fn base_tuple(&self, row: usize) -> AuTuple {
         let mut vals = Vec::with_capacity(self.arity() + 1);
         vals.extend((0..self.arity()).map(|c| self.col(c).range_value(row)));
-        vals.push(pos);
         AuTuple(vals)
     }
 }
@@ -206,26 +218,30 @@ fn sort_input<I: SortInput + ?Sized>(
     let out = AuRelation::from_rows(
         schema,
         ranked.iter().map(|p| {
-            let pos = RangeValue::from_i64s(p.tau_lb as i64, p.tau_sg as i64, p.tau_ub as i64);
-            (input.tuple_with(p.row as usize, pos), p.mult)
+            let mut tuple = input.base_tuple(p.row as usize);
+            tuple.0.push(RangeValue::from_i64s(
+                p.tau_lb as i64,
+                p.tau_sg as i64,
+                p.tau_ub as i64,
+            ));
+            (tuple, p.mult)
         }),
     );
     stage("materialise");
     out
 }
 
-/// The rank computation of Algorithm 1 + `split` over `rows` (owned rows
-/// or references to them — a partition of a relation is a `&[&AuRow]`), in
-/// emission order. `normalized` asserts the rows are distinct and
-/// zero-free, which skips the merge.
-pub(crate) fn sort_positions<R: Borrow<AuRow>>(
-    rows: &[R],
+/// The rank computation of Algorithm 1 + `split` over `input`, in emission
+/// order. `normalized` asserts the rows are distinct and zero-free, which
+/// skips the merge.
+pub(crate) fn sort_positions<I: SortInput + ?Sized>(
+    input: &I,
     arity: usize,
     order: &[usize],
     normalized: bool,
     k: Option<u64>,
 ) -> Vec<Position> {
-    positions(rows, arity, order, normalized, k, &mut |_| {})
+    positions(input, arity, order, normalized, k, &mut |_| {})
 }
 
 /// A row taking part in the sort: where its keys are, and — once ranked —

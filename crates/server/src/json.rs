@@ -10,10 +10,11 @@
 //! * **Integers and floats stay distinct** (`Int(i64)` vs `Float(f64)`),
 //!   so a round trip never turns `16000` into `16000.0`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Construct with the variants or [`Json::obj`]; render
-/// with `to_string()` (compact); read with [`Json::parse`].
+/// with [`Json::write`] or `to_string()` (compact); read with
+/// [`Json::parse`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -30,6 +31,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// One JSON value as text already — written verbatim, and trusted to
+    /// be well-formed. A large homogeneous member (a result's rows) is
+    /// encoded straight into one string instead of a node per cell;
+    /// [`Json::parse`] never yields this variant.
+    Raw(String),
 }
 
 impl Json {
@@ -102,58 +108,84 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    /// Compact encoding (no whitespace).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Append the compact encoding (no whitespace) to `out`.
+    pub fn write(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write_int(out, *i),
             Json::Float(x) => {
-                if x.is_finite() {
-                    // Keep a decimal point so the value re-parses as Float.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
+                // Writing to a `String` cannot fail.
+                let _ = if !x.is_finite() {
                     // JSON has no NaN/Infinity; null is the least-bad spelling.
-                    f.write_str("null")
-                }
+                    out.write_str("null")
+                } else if x.fract() == 0.0 && x.abs() < 1e15 {
+                    // Keep a decimal point so the value re-parses as Float.
+                    write!(out, "{x:.1}")
+                } else {
+                    write!(out, "{x}")
+                };
             }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_string(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.write(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    write_string(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
+                    write_string(out, k);
+                    out.push(':');
+                    v.write(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
+            Json::Raw(text) => out.push_str(text),
         }
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+impl fmt::Display for Json {
+    /// Compact encoding (no whitespace): [`Json::write`]'s.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Decimal digits of `i`, without the formatting machinery: a result body
+/// is mostly integers.
+fn write_int(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Append `s` as a JSON string literal.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -163,7 +195,8 @@ fn write_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -411,6 +444,27 @@ mod tests {
         assert_eq!(Json::Int(3).to_string(), "3");
         assert_eq!(Json::parse("1e3").unwrap(), Json::Float(1000.0));
         assert_eq!(Json::parse("-7").unwrap(), Json::Int(-7));
+    }
+
+    /// The writer's own integer formatting at the edges, and a `Raw`
+    /// member: written as it is, read back as what it spells.
+    #[test]
+    fn integers_and_raw_text_are_written_verbatim() {
+        for i in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).to_string(), format!("{i}"));
+        }
+        let doc = Json::obj([
+            ("n", Json::Int(2)),
+            ("rows", Json::Raw("[[1,2.5],[\"x\",null]]".into())),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(text, r#"{"n":2,"rows":[[1,2.5],["x",null]]}"#);
+        let rows = Json::parse(&text).unwrap().get("rows").cloned();
+        let want = Json::parse(r#"[[1,2.5],["x",null]]"#).unwrap();
+        assert_eq!(rows, Some(want));
+        let mut out = String::from(">");
+        doc.write(&mut out);
+        assert_eq!(out, format!(">{text}"));
     }
 
     #[test]

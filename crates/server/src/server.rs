@@ -193,8 +193,9 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>, limit: usize) {
             Err(_) => return,   // timeout / malformed: drop the connection
         };
         let keep_alive = request.keep_alive && served < limit;
-        let (status, body) = wire::handle(state, &mut conn, &request);
-        let body = body.to_string();
+        let (status, reply) = wire::handle(state, &mut conn, &request);
+        let mut body = String::new();
+        reply.write(&mut body);
         if http::write_response(
             &mut write_half,
             status,

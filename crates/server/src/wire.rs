@@ -9,7 +9,13 @@
 //! ...], ...], "mults": [[lb,sg,ub], ...], "cache": {"hit": bool, "hits":
 //! H, "misses": M}, "elapsed_us": T}` — every attribute is always the
 //! `[lb, sg, ub]` triple (certain values repeat), rows are normalized, so
-//! equal requests encode byte-identically (modulo `elapsed_us`).
+//! equal requests encode byte-identically (modulo `elapsed_us`). `rows`
+//! and `mults` are encoded straight into text ([`Json::Raw`]), not into a
+//! node per cell.
+//!
+//! Ingest (`/register`, `/append`) parses AU-CSV straight into columns —
+//! the catalog's stored form — so no row form of a served table is ever
+//! built on the way in.
 //!
 //! Errors: `{"error": {"kind": <machine tag>, "message": <human text>}}`
 //! plus `"line"`/`"col"` members when the failure has a position in the
@@ -17,9 +23,9 @@
 //! [`SessionError::kind`](audb_engine::SessionError::kind).
 
 use crate::http::Request;
-use crate::json::Json;
+use crate::json::{write_string, Json};
 use crate::state::{ConnState, ServerState};
-use audb_core::{AuRelation, Mult3, RangeValue};
+use audb_core::AuRelation;
 use audb_engine::{RunAll, SessionError};
 use audb_rel::Value;
 use std::time::Instant;
@@ -174,10 +180,10 @@ fn register(state: &ServerState, req: &Request) -> Reply {
             error_body("bad_request", "register needs ?name=<table>", None),
         );
     };
-    match audb_workloads::read_au_csv(req.body.as_slice()) {
-        Ok(rel) => {
-            let rows = rel.rows().len();
-            state.catalog.register(&name, rel);
+    match audb_workloads::read_au_csv_columns(req.body.as_slice()) {
+        Ok(cols) => {
+            let rows = cols.len();
+            state.catalog.register_columns(&name, cols);
             (
                 200,
                 Json::obj([
@@ -198,15 +204,16 @@ fn append(state: &ServerState, req: &Request) -> Reply {
             error_body("bad_request", "append needs ?name=<table>", None),
         );
     };
-    let batch = match audb_workloads::read_au_csv(req.body.as_slice()) {
+    let batch = match audb_workloads::read_au_csv_columns(req.body.as_slice()) {
         Ok(batch) => batch,
         Err(e) => return (400, error_body("bad_csv", &e.to_string(), None)),
     };
-    let appended = batch.rows().len();
-    match state.catalog.append(&name, &batch) {
+    let appended = batch.len();
+    match state.catalog.append_columns(&name, batch) {
         // The publish bumps the catalog version, which invalidates every
         // cached plan pinned to the pre-append snapshot — the next /query
-        // re-binds against the grown table.
+        // re-binds against the grown table. (An empty batch publishes
+        // nothing: same rows, same version.)
         Ok((rows, version)) => (
             200,
             Json::obj([
@@ -240,20 +247,20 @@ fn stats_body(state: &ServerState) -> Json {
             Json::Arr(
                 snapshot
                     .iter()
-                    .map(|(name, rel)| {
-                        // Stats are recomputed on every publication, so
-                        // staleness here would mean a snapshot invariant
-                        // broke — surfaced rather than assumed.
-                        let stats = snapshot.stats(name);
-                        let fresh = stats.is_some_and(|s| s.rows == rel.rows().len());
+                    .map(|(name, table)| {
+                        // A segment is published together with the sweep
+                        // over exactly its rows, so statistics cannot be
+                        // stale: true by construction, and re-checked here
+                        // so a broken invariant would surface rather than
+                        // be assumed.
+                        let fresh =
+                            (table.segments().iter()).all(|s| s.stats().rows == s.columns().len());
                         Json::obj([
                             ("name", Json::str(name)),
-                            ("rows", Json::Int(rel.rows().len() as i64)),
-                            ("cols", Json::Int(rel.schema.arity() as i64)),
-                            (
-                                "zones",
-                                Json::Int(stats.map_or(0, |s| s.zone_count()) as i64),
-                            ),
+                            ("rows", Json::Int(table.len() as i64)),
+                            ("cols", Json::Int(table.schema().arity() as i64)),
+                            ("zones", Json::Int(table.zone_count() as i64)),
+                            ("segments", Json::Int(table.segments().len() as i64)),
                             ("stats_fresh", Json::Bool(fresh)),
                         ])
                     })
@@ -299,51 +306,65 @@ fn backends_body(all: &RunAll) -> Json {
 
 /// Encode a result relation. Rows are normalized first, so two bag-equal
 /// results encode identically — the property the golden tests and the
-/// concurrency stress test lean on.
+/// concurrency stress test lean on. `rows` and `mults` are each written
+/// into one pre-sized string.
 pub fn relation_body(rel: AuRelation) -> Json {
     let rel = rel.normalize();
     let schema = Json::Arr(rel.schema.cols().iter().map(Json::str).collect());
-    let mut rows = Vec::with_capacity(rel.rows().len());
-    let mut mults = Vec::with_capacity(rel.rows().len());
-    for row in rel.rows() {
-        rows.push(Json::Arr(
-            (0..row.tuple.arity())
-                .map(|i| range_value_json(row.tuple.get(i)))
-                .collect(),
-        ));
-        mults.push(mult_json(row.mult));
+    // An integer triple with its punctuation is about this many bytes.
+    const TRIPLE: usize = 24;
+    let mut rows = String::with_capacity(rel.len() * (rel.schema.arity() * TRIPLE + 3) + 2);
+    let mut mults = String::with_capacity(rel.len() * TRIPLE + 2);
+    rows.push('[');
+    mults.push('[');
+    for (i, row) in rel.rows().iter().enumerate() {
+        if i > 0 {
+            rows.push(',');
+            mults.push(',');
+        }
+        rows.push('[');
+        for (c, v) in row.tuple.0.iter().enumerate() {
+            if c > 0 {
+                rows.push(',');
+            }
+            write_triple(&mut rows, [&v.lb, &v.sg, &v.ub], write_value);
+        }
+        rows.push(']');
+        let m = row.mult;
+        write_triple(&mut mults, [m.lb, m.sg, m.ub], |k, out| {
+            Json::Int(k as i64).write(out)
+        });
     }
+    rows.push(']');
+    mults.push(']');
     Json::obj([
         ("schema", schema),
-        ("row_count", Json::Int(rows.len() as i64)),
-        ("rows", Json::Arr(rows)),
-        ("mults", Json::Arr(mults)),
+        ("row_count", Json::Int(rel.len() as i64)),
+        ("rows", Json::Raw(rows)),
+        ("mults", Json::Raw(mults)),
     ])
 }
 
-fn range_value_json(v: &RangeValue) -> Json {
-    Json::Arr(vec![
-        value_json(&v.lb),
-        value_json(&v.sg),
-        value_json(&v.ub),
-    ])
+/// `[lb,sg,ub]`, each member written by `write`.
+fn write_triple<T>(out: &mut String, triple: [T; 3], write: impl Fn(T, &mut String)) {
+    out.push('[');
+    for (i, v) in triple.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(v, out);
+    }
+    out.push(']');
 }
 
-fn mult_json(m: Mult3) -> Json {
-    Json::Arr(vec![
-        Json::Int(m.lb as i64),
-        Json::Int(m.sg as i64),
-        Json::Int(m.ub as i64),
-    ])
-}
-
-fn value_json(v: &Value) -> Json {
+/// A cell value, as the scalar [`Json`] of its kind writes it.
+fn write_value(v: &Value, out: &mut String) {
     match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Int(i) => Json::Int(*i),
-        Value::Float(f) => Json::Float(*f),
-        Value::Str(s) => Json::str(s.as_ref()),
+        Value::Null => Json::Null.write(out),
+        Value::Bool(b) => Json::Bool(*b).write(out),
+        Value::Int(i) => Json::Int(*i).write(out),
+        Value::Float(f) => Json::Float(*f).write(out),
+        Value::Str(s) => write_string(out, s),
     }
 }
 

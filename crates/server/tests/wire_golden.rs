@@ -203,6 +203,16 @@ fn append_response_shape_is_stable() {
     assert_eq!(status, 200);
     let parsed = Json::parse(&body).unwrap();
     assert_eq!(parsed.get("row_count"), Some(&Json::Int(2)));
+
+    // A batch of no rows (a header alone) is validated and publishes
+    // nothing: same rows, same version.
+    let header = "sku,price_lb,price,price_ub,mult_lb,mult_sg,mult_ub\n";
+    let (status, body) = roundtrip(&state, &mut conn, &post("/append?name=products", header));
+    assert_eq!(status, 200);
+    assert_eq!(
+        body,
+        "{\"appended\":0,\"table\":\"products\",\"rows\":7,\"catalog_version\":3}"
+    );
 }
 
 #[test]
@@ -264,8 +274,22 @@ fn health_and_stats_shapes() {
     assert_eq!(status, 200);
     assert_eq!(body, "{\"ok\":true}");
 
-    // Each table reports its row/column counts, stats zone count, and
-    // whether the catalog stats describe the published relation.
+    // Each table reports its row/column counts, how it is stored (stats
+    // zones summed over its segments, and the segments), and whether each
+    // segment's statistics describe its rows.
     let (_, body) = roundtrip(&state, &mut conn, &request("GET", "/stats", ""));
-    assert_eq!(body, "{\"requests\":1,\"errors\":0,\"threads\":1,\"catalog_version\":2,\"tables\":[{\"name\":\"products\",\"rows\":5,\"cols\":2,\"zones\":1,\"stats_fresh\":true},{\"name\":\"readings\",\"rows\":8,\"cols\":3,\"zones\":1,\"stats_fresh\":true}],\"plan_cache\":{\"hits\":0,\"misses\":0,\"len\":0,\"capacity\":256}}");
+    assert_eq!(body, "{\"requests\":1,\"errors\":0,\"threads\":1,\"catalog_version\":2,\"tables\":[{\"name\":\"products\",\"rows\":5,\"cols\":2,\"zones\":1,\"segments\":1,\"stats_fresh\":true},{\"name\":\"readings\",\"rows\":8,\"cols\":3,\"zones\":1,\"segments\":1,\"stats_fresh\":true}],\"plan_cache\":{\"hits\":0,\"misses\":0,\"len\":0,\"capacity\":256}}");
+
+    // An append adds a segment of its own, and its zones.
+    let batch = "sku,price_lb,price,price_ub,mult_lb,mult_sg,mult_ub\n6,20,21,22,1,1,1\n";
+    roundtrip(&state, &mut conn, &post("/append?name=products", batch));
+    let (_, body) = roundtrip(&state, &mut conn, &request("GET", "/stats", ""));
+    let stats = Json::parse(&body).unwrap();
+    let Some(Json::Arr(tables)) = stats.get("tables") else {
+        panic!("no tables in {body}");
+    };
+    for (member, want) in [("rows", 6), ("zones", 2), ("segments", 2)] {
+        assert_eq!(tables[0].get(member), Some(&Json::Int(want)), "{member}");
+    }
+    assert_eq!(tables[0].get("stats_fresh"), Some(&Json::Bool(true)));
 }

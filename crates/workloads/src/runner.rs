@@ -145,7 +145,7 @@ pub fn sql_bounds(
     session.register("t", table.to_au_relation());
     let prepared = session.prepare(sql)?;
     let id_col = table.schema.arity() - 1;
-    let n_ids = prepared.plan().source().len() + 1;
+    let n_ids = prepared.plan().source_columns().len() + 1;
     let run = time(|| session.engine().execute(prepared.plan()));
     let out = run.value?;
     Ok(Timed {
@@ -158,7 +158,7 @@ pub fn sql_bounds(
 pub fn imp_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
     let plan = sort_plan(table, order, k);
     let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source().len() + 1;
+    let n_ids = plan.source_columns().len() + 1;
     engine_bounds(Engine::native(), &plan, id_col, n_ids)
 }
 
@@ -166,7 +166,7 @@ pub fn imp_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<B
 pub fn rewrite_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
     let plan = sort_plan(table, order, k);
     let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source().len() + 1;
+    let n_ids = plan.source_columns().len() + 1;
     engine_bounds(Engine::rewrite(), &plan, id_col, n_ids)
 }
 
@@ -235,7 +235,7 @@ pub fn imp_window(
 ) -> Timed<Bounds> {
     let plan = window_plan(table, order, agg, l, u);
     let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source().len() + 1;
+    let n_ids = plan.source_columns().len() + 1;
     engine_bounds(Engine::native(), &plan, id_col, n_ids)
 }
 
@@ -250,7 +250,7 @@ pub fn rewrite_window(
 ) -> Timed<Bounds> {
     let plan = window_plan(table, order, agg, l, u);
     let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source().len() + 1;
+    let n_ids = plan.source_columns().len() + 1;
     engine_bounds(
         Engine::rewrite().with_join_strategy(strategy),
         &plan,

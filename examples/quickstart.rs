@@ -87,7 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the SQL frontend compiles onto the identical plans (see
     // examples/sql_tour.rs for the full tour).
     let session = Session::new(engine);
-    session.register("products", rolling_plan.source_arc().clone());
+    session.register(
+        "products",
+        rolling_plan.source_columns().contiguous().to_rows(),
+    );
     let top2_sql =
         session.sql("SELECT * FROM products WHERE price < 14 ORDER BY price AS rank LIMIT 2")?;
     assert!(top2_sql.bag_eq(&top2.output));

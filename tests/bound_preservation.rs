@@ -226,12 +226,17 @@ fn check_worlds(table: &XTupleTable, stmt: &Statement, answers: &[(String, AuRel
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The same property where statements share a table's columnar form
-    /// and the table grows under them: register part of the x-tuples → a
-    /// filtered top-k (builds the form) → a second statement over the same
-    /// version (reads it) → the remaining x-tuples appended in a random
-    /// split → the first statement again (a new version, a new form).
-    /// Each answer bounds every world of the table *as of its statement*.
+    /// The same property where statements share a table's stored form and
+    /// the table grows under them: register part of the x-tuples → a
+    /// filtered top-k → a second statement over the same version (the same
+    /// handle) → the remaining x-tuples appended in a random split → the
+    /// first statement again (a new version: the registered segment
+    /// shared, a tail of its own). The registered segment is never
+    /// extended, so every append — however small — leaves the table in
+    /// several segments: the last step is world enumeration over
+    /// segmented storage, its zone verdicts per segment and its breakers
+    /// over a concatenation. Each answer bounds every world of the table
+    /// *as of its statement*.
     #[test]
     fn sql_answers_bound_every_world_across_statements_and_appends(
         table in table_strategy(),

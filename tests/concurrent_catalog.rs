@@ -151,12 +151,13 @@ fn prepared_statements_survive_concurrent_republication() {
     publisher.join().unwrap();
 }
 
-/// Readers racing an appender on the shared columnar form: eight threads
-/// issue one filtered top-k text from the moment version 1 is published —
-/// all of them reach the table's not-yet-built columns together — while a
-/// ninth appends rows that enter the answer. Every answer is the
-/// single-threaded answer for the version its plan bound to, and all plans
-/// of one version read one columnar form.
+/// Readers racing an appender on the stored columnar form: eight threads
+/// issue one filtered top-k text from the moment version 1 is published,
+/// while a ninth appends rows that enter the answer. Every answer is the
+/// single-threaded answer for the version its plan bound to; all plans of
+/// one version read one handle; and across versions the segments are
+/// shared, the tail is per version — every version holds the registered
+/// segment itself and a tail of exactly the rows appended up to it.
 #[test]
 fn racing_readers_share_one_columnar_form_per_version() {
     use audb::core::{AuTuple, Mult3, RangeValue};
@@ -216,6 +217,7 @@ fn racing_readers_share_one_columnar_form_per_version() {
 
     let catalog = SharedCatalog::new();
     catalog.register("t", base);
+    let registered = Arc::clone(&catalog.snapshot().get("t").unwrap().segments()[0]);
     let start = Arc::new(Barrier::new(THREADS + 1));
     let done = Arc::new(AtomicBool::new(false));
 
@@ -259,20 +261,39 @@ fn racing_readers_share_one_columnar_form_per_version() {
         .into_iter()
         .flat_map(|r| r.join().expect("reader panicked"))
         .collect();
-    let mut forms: BTreeMap<usize, *const audb::core::AuColumns> = BTreeMap::new();
+    let mut forms: BTreeMap<usize, &Arc<audb::engine::Table>> = BTreeMap::new();
     for (prepared, answer) in &seen {
-        let rows = prepared.plan().source().len();
+        let table = prepared.plan().source_columns();
+        let rows = table.len();
         assert!(
             answer.bag_eq(&expected[&rows]),
             "divergent answer on the {rows}-row version"
         );
-        let form: *const _ = prepared.plan().source_columns();
-        assert_eq!(
-            *forms.entry(rows).or_insert(form),
-            form,
-            "two columnar forms for the {rows}-row version"
+        assert!(
+            Arc::ptr_eq(forms.entry(rows).or_insert(table), table),
+            "two handles for the {rows}-row version"
         );
     }
+    let mut tails: Vec<*const audb::engine::Segment> = Vec::new();
+    for (&rows, table) in &forms {
+        let segments = table.segments();
+        assert!(Arc::ptr_eq(&segments[0], &registered), "{rows}-row version");
+        let appended = rows - BASE_ROWS as usize;
+        match segments {
+            [_] => assert_eq!(appended, 0),
+            [_, tail] => {
+                assert_eq!(tail.columns().len(), appended);
+                tails.push(Arc::as_ptr(tail));
+            }
+            more => panic!("{} segments under the seal", more.len()),
+        }
+    }
+    tails.sort_unstable();
+    tails.dedup();
+    assert_eq!(
+        tails.len(),
+        forms.len() - usize::from(forms.contains_key(&(BASE_ROWS as usize)))
+    );
     // Each reader's last statement started after the last append.
     assert!(forms.contains_key(&((BASE_ROWS + APPENDS * BATCH) as usize)));
 }
@@ -281,8 +302,7 @@ fn racing_readers_share_one_columnar_form_per_version() {
 /// an append builds its grown table outside the catalog's write lock and
 /// publishes only if the table is still the version it grew, so racing
 /// appends must neither lose a batch nor publish one twice, and a table
-/// no publication names must keep its handle — and the columnar form
-/// hanging off it — throughout.
+/// no publication names must keep its handle throughout.
 #[test]
 fn racing_appenders_lose_no_batch() {
     use audb::core::{AuTuple, Mult3, RangeValue};
@@ -344,7 +364,8 @@ fn racing_appenders_lose_no_batch() {
 
     // The final table holds the base and every appended id exactly once.
     let snapshot = catalog.snapshot();
-    let mut ids: Vec<i64> = (snapshot.get("t").unwrap().rows().iter())
+    let table = snapshot.get("t").unwrap();
+    let mut ids: Vec<i64> = (table.contiguous().to_rows().rows().iter())
         .map(|row| match row.tuple.0[0].sg {
             Value::Int(id) => id,
             ref other => panic!("non-integer id {other:?}"),
@@ -355,12 +376,101 @@ fn racing_appenders_lose_no_batch() {
         ids,
         (-BASE_ROWS..APPENDERS * APPENDS * BATCH).collect::<Vec<_>>()
     );
-    assert_eq!(snapshot.stats("t").unwrap().rows, ids.len());
+    assert_eq!(table.len(), ids.len());
+    let swept: usize = table.segments().iter().map(|s| s.stats().rows).sum();
+    assert_eq!(swept, ids.len());
 
     // `before` is still alive, so its form's address cannot be reused.
     let after = session.prepare("SELECT id FROM untouched").unwrap();
-    assert!(std::ptr::eq(
+    assert!(Arc::ptr_eq(
         before.plan().source_columns(),
         after.plan().source_columns()
     ));
+}
+
+/// A statement pinned to one version keeps answering with exactly that
+/// version's rows — its open tail included — while an appender grows the
+/// table past two seals; and what the appender publishes shares: between
+/// consecutive versions every segment but the old open tail is the same
+/// object, exactly one segment is new, and the registered segment is the
+/// same object throughout.
+#[test]
+fn a_pinned_version_keeps_its_rows_while_appends_seal_segments() {
+    use audb::core::{AuTuple, Mult3, RangeValue};
+    use audb::engine::SEGMENT_ROWS;
+    use audb::rel::Schema;
+
+    const BASE_ROWS: usize = 300;
+    const BATCH: usize = 257;
+    const APPENDS: usize = 2 * SEGMENT_ROWS / BATCH + 3;
+    const SQL: &str = "SELECT id FROM t WHERE id >= 200 ORDER BY id AS pos";
+
+    let rows = |from: usize, n: usize| {
+        AuRelation::from_rows(
+            Schema::new(["id"]),
+            (from..from + n).map(|id| (AuTuple::new([RangeValue::certain(id as i64)]), Mult3::ONE)),
+        )
+    };
+    let catalog = SharedCatalog::new();
+    catalog.register("t", rows(0, BASE_ROWS));
+    // The pinned version has an open tail of its own.
+    catalog.append("t", &rows(BASE_ROWS, 5)).unwrap();
+    let session = Session::with_catalog(Engine::native(), catalog.clone());
+    let pinned = session.prepare(SQL).unwrap();
+    let expected = session.execute(&pinned).unwrap();
+    assert_eq!(expected.len(), BASE_ROWS + 5 - 200);
+    let first = catalog.snapshot();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let appender = {
+        let (catalog, done) = (catalog.clone(), Arc::clone(&done));
+        std::thread::spawn(move || {
+            // The only writer: each snapshot is the version its append made.
+            let versions: Vec<_> = (0..APPENDS)
+                .map(|j| {
+                    let from = BASE_ROWS + 5 + j * BATCH;
+                    catalog.append("t", &rows(from, BATCH)).unwrap();
+                    catalog.snapshot()
+                })
+                .collect();
+            done.store(true, Ordering::Release);
+            versions
+        })
+    };
+    loop {
+        let last = done.load(Ordering::Acquire);
+        assert!(session.execute(&pinned).unwrap().bag_eq(&expected));
+        if last {
+            break;
+        }
+    }
+    let mut versions = vec![first];
+    versions.extend(appender.join().expect("appender panicked"));
+
+    let registered = &versions[0].get("t").unwrap().segments()[0];
+    for pair in versions.windows(2) {
+        let (old, new) = (pair[0].get("t").unwrap(), pair[1].get("t").unwrap());
+        assert_eq!(new.len(), old.len() + BATCH);
+        assert!(Arc::ptr_eq(&new.segments()[0], registered));
+        let (old, new) = (old.segments(), new.segments());
+        let is_old = |s: &Arc<audb::engine::Segment>| old.iter().any(|o| Arc::ptr_eq(o, s));
+        assert_eq!(new.iter().filter(|s| !is_old(s)).count(), 1);
+        // Whatever the old version had sealed sits where it sat.
+        let open = old.len() > 1 && old[old.len() - 1].columns().len() < SEGMENT_ROWS;
+        let sealed = old.len() - usize::from(open);
+        assert!(old[..sealed]
+            .iter()
+            .zip(new)
+            .all(|(o, n)| Arc::ptr_eq(o, n)));
+        assert_eq!(new.len(), sealed + 1);
+    }
+    let last = versions[APPENDS].get("t").unwrap();
+    assert_eq!(last.len(), BASE_ROWS + 5 + APPENDS * BATCH);
+    let sealed = (last.segments()[1..].iter())
+        .filter(|s| s.columns().len() >= SEGMENT_ROWS)
+        .count();
+    assert!(sealed >= 2, "{sealed} sealed appended segments");
+    // A fresh statement reads them all; the pinned one never did.
+    assert_eq!(session.sql(SQL).unwrap().len(), last.len() - 200);
+    assert!(session.execute(&pinned).unwrap().bag_eq(&expected));
 }

@@ -11,8 +11,8 @@ use audb::core::{
 };
 use audb::engine::{Agg, Engine, Plan, Query, WindowSpec};
 use audb::native::{
-    sort_columns_native, sort_native, topk_native, window_native, window_native_checked,
-    MaintainedWindow,
+    sort_columns_native, sort_native, topk_native, window_columns_native, window_native,
+    window_native_checked, MaintainedWindow,
 };
 use audb::rel::{Schema, Value};
 use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
@@ -591,6 +591,35 @@ fn mid_size_sorts_and_topks_agree_with_reference() {
     }
 }
 
+/// `cols` with the lanes of column `c` converted `i64 → f64` — what the CSV
+/// loader's admission of integers into a float column leaves behind.
+fn admit_to_f64(cols: &audb::core::AuColumns, c: usize) -> audb::core::AuColumns {
+    use audb::core::{AuColumn, AuColumns, PhysVec};
+    let lane = |v: &PhysVec| match v {
+        PhysVec::I64(ints) => PhysVec::F64(ints.iter().map(|&i| i as f64).collect()),
+        other => panic!("expected an i64 lane, got {:?}", other.phys_type()),
+    };
+    let columns = (0..cols.arity())
+        .map(|i| match cols.col(i) {
+            AuColumn::Certain(v) if i == c => AuColumn::Certain(lane(v)),
+            AuColumn::Ranged {
+                lb,
+                sg,
+                ub,
+                certain,
+            } if i == c => AuColumn::Ranged {
+                lb: lane(lb),
+                sg: lane(sg),
+                ub: lane(ub),
+                certain: certain.clone(),
+            },
+            other => other.clone(),
+        })
+        .collect();
+    let mults: Vec<Mult3> = (0..cols.len()).map(|i| cols.mult(i)).collect();
+    AuColumns::from_cols(cols.schema().clone(), columns, &mults)
+}
+
 /// The columnar entry is the row entry, row for row: over `to_columns()`
 /// of the mid-size rank tables — typed `i64` lanes (`Ints`), `Generic`
 /// lanes (`Mixed`: every column mixes classes or holds `NULL`s), and the
@@ -602,34 +631,7 @@ fn mid_size_sorts_and_topks_agree_with_reference() {
 /// normalized first (it is skipped).
 #[test]
 fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
-    use audb::core::{AuColumn, AuColumns, PhysType, PhysVec};
-
-    /// `cols` with the lanes of column `c` converted `i64 → f64`.
-    fn admit_to_f64(cols: &AuColumns, c: usize) -> AuColumns {
-        let lane = |v: &PhysVec| match v {
-            PhysVec::I64(ints) => PhysVec::F64(ints.iter().map(|&i| i as f64).collect()),
-            other => panic!("expected an i64 lane, got {:?}", other.phys_type()),
-        };
-        let columns = (0..cols.arity())
-            .map(|i| match cols.col(i) {
-                AuColumn::Certain(v) if i == c => AuColumn::Certain(lane(v)),
-                AuColumn::Ranged {
-                    lb,
-                    sg,
-                    ub,
-                    certain,
-                } if i == c => AuColumn::Ranged {
-                    lb: lane(lb),
-                    sg: lane(sg),
-                    ub: lane(ub),
-                    certain: certain.clone(),
-                },
-                other => other.clone(),
-            })
-            .collect();
-        let mults: Vec<Mult3> = (0..cols.len()).map(|i| cols.mult(i)).collect();
-        AuColumns::from_cols(cols.schema().clone(), columns, &mults)
-    }
+    use audb::core::PhysType;
 
     let schema = Schema::new(["a", "b", "c"]);
     let order = [0usize, 1];
@@ -693,6 +695,100 @@ fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
             }
         }
     }
+}
+
+/// The same for the window: [`window_columns_native`] returns what
+/// [`window_native_checked`] returns over the same data — the same rows in
+/// the same order, the same `merged_duplicates`, the same refusal of an
+/// uncertain partition value — for every aggregate and frame, with and
+/// without a (certain) `PARTITION BY`, over `i64`, generic and
+/// Int-admitted-`f64` lanes, as stored (zero annotations present,
+/// duplicates apart: the fused merge runs) and normalized first.
+#[test]
+fn columnar_window_equals_the_row_entry_row_for_row() {
+    use audb::core::PhysType;
+
+    let schema = Schema::new(["g", "o", "o2", "v", "id"]);
+    let frames = [(-3i64, 0i64), (-1, 2), (0, 3)];
+    let aggs = [
+        WinAgg::Sum(3),
+        WinAgg::Count,
+        WinAgg::Min(3),
+        WinAgg::Max(3),
+        WinAgg::Avg(3),
+    ];
+    let mut rng = Seeded(0xC01_3023);
+    let mut merged = [0usize; 2];
+    for (kind, f64_lanes, duplicates) in [
+        (ValueKind::Int, false, false),
+        (ValueKind::Int, false, true),
+        (ValueKind::IntWithNulls, false, false),
+        (ValueKind::Int, true, false),
+    ] {
+        let stored = 300 + rng.below(101) as usize;
+        let mut rows = mid_size_rows(&mut rng, stored, 30, kind, 3);
+        rows.insert(0, (rows[5].0.clone(), Mult3::ZERO));
+        rows.push((rows[9].0.clone(), Mult3::ZERO));
+        if duplicates {
+            rows.extend([rows[40].clone(), rows[41].clone(), rows[200].clone()]);
+        }
+        let rel = AuRelation::from_rows(schema.clone(), rows);
+        for rel in [rel.clone(), rel.clone().normalize()] {
+            let cols = match f64_lanes {
+                false => rel.to_columns(),
+                // The order column and the aggregated one.
+                true => admit_to_f64(&admit_to_f64(&rel.to_columns(), 1), 3),
+            };
+            let want_lane = match (kind, f64_lanes) {
+                (_, true) => PhysType::F64,
+                (ValueKind::IntWithNulls, _) => PhysType::Generic,
+                _ => PhysType::I64,
+            };
+            assert_eq!(cols.col(3).phys_type(), want_lane);
+            for agg in aggs {
+                for (l, u) in frames {
+                    for partition in [vec![], vec![0]] {
+                        let spec = AuWindowSpec::rows(vec![1, 2], l, u).partition_by(partition);
+                        let what = format!(
+                            "{kind:?}, {want_lane} lanes, {} rows, normalized: {}, {agg:?} \
+                             over [{l}, {u}], partition by {:?}",
+                            rel.len(),
+                            rel.is_normalized(),
+                            spec.partition
+                        );
+                        let by_rows = window_native_checked(&rel, &spec, agg, "x").expect(&what);
+                        let by_cols = window_columns_native(&cols, &spec, agg, "x").expect(&what);
+                        assert_eq!(by_cols.rel.schema, by_rows.rel.schema, "{what}");
+                        assert_eq!(by_cols.rel.rows(), by_rows.rel.rows(), "{what}");
+                        assert_eq!(by_cols.merged_duplicates, by_rows.merged_duplicates);
+                        // A duplicate is a duplicate stored or merged.
+                        assert_eq!(by_rows.merged_duplicates, duplicates, "{what}");
+                        merged[usize::from(duplicates)] += 1;
+                    }
+                }
+            }
+        }
+
+        // One uncertain partition value: both entries refuse, in the same
+        // words (the row they name prints alike unless its lanes differ).
+        if !f64_lanes {
+            let mut unsure: Vec<(AuTuple, Mult3)> = (rel.rows().iter())
+                .map(|row| (row.tuple.clone(), row.mult))
+                .collect();
+            unsure[17].0 .0[0] = RangeValue::new(0, 1, 2);
+            let rel = AuRelation::from_rows(schema.clone(), unsure);
+            let spec = AuWindowSpec::rows(vec![1, 2], -1, 0).partition_by(vec![0]);
+            let by_rows = window_native_checked(&rel, &spec, WinAgg::Count, "x").unwrap_err();
+            let by_cols =
+                window_columns_native(&rel.to_columns(), &spec, WinAgg::Count, "x").unwrap_err();
+            assert!(by_rows.contains("certain PARTITION BY"), "{by_rows}");
+            assert_eq!(by_cols, by_rows);
+            // Without the PARTITION BY the same rows sweep.
+            let spec = AuWindowSpec::rows(vec![1, 2], -1, 0);
+            assert!(window_columns_native(&rel.to_columns(), &spec, WinAgg::Count, "x").is_ok());
+        }
+    }
+    assert!(merged[0] > 0 && merged[1] > 0, "{merged:?}");
 }
 
 /// `SUM` over values within a frame's reach of `i64::MAX` / `i64::MIN`:

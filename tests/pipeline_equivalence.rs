@@ -330,3 +330,505 @@ fn frame_unsafe_window_pushdown_is_refused() {
         assert!(opt.bag_eq(&plain), "{choice}");
     }
 }
+
+// ------------------------------------------------------------------
+// Appended in pieces ≡ registered whole
+// ------------------------------------------------------------------
+
+mod appended_in_pieces {
+    use super::au_relation;
+    use audb::core::{AuRelation, AuTuple, Mult3, RangeValue};
+    use audb::engine::{BackendChoice, Engine, Session, SharedCatalog, SEGMENT_ROWS};
+    use audb::rel::{Schema, Value};
+    use audb::workloads::read_au_csv_columns;
+    use proptest::prelude::*;
+
+    /// Every statement shape of `bound_preservation`'s
+    /// `sql_answers_bound_every_world` over `t(a, b)` — the bare `WHERE`,
+    /// and the `WHERE` under and around a sort, a top-k and a window —
+    /// plus the window's `PARTITION BY`.
+    fn statement_strategy() -> impl Strategy<Value = String> {
+        let over = prop_oneof![
+            Just(None),
+            (
+                prop_oneof![Just("a"), Just("b"), Just("a, b")],
+                prop_oneof![Just(None), (1u64..4).prop_map(Some)],
+            )
+                .prop_map(|(order, k)| {
+                    let limit = k.map_or(String::new(), |k| format!(" LIMIT {k}"));
+                    Some(("*".to_string(), format!(" ORDER BY {order} AS pos{limit}")))
+                }),
+            (
+                proptest::bool::ANY,
+                prop_oneof![Just("SUM"), Just("MIN"), Just("MAX"), Just("COUNT")],
+                prop_oneof![Just((0i64, 0i64)), Just((1, 0)), Just((2, 0)), Just((1, 1))],
+                proptest::bool::ANY,
+            )
+                .prop_map(|(order_a, agg, (l, u), partitioned)| {
+                    let (order, other) = if order_a { ("a", "b") } else { ("b", "a") };
+                    let arg = if agg == "COUNT" { "*" } else { other };
+                    let partition = if partitioned {
+                        format!("PARTITION BY {other} ")
+                    } else {
+                        String::new()
+                    };
+                    let item = format!(
+                        "*, {agg}({arg}) OVER ({partition}ORDER BY {order} \
+                         ROWS BETWEEN {l} PRECEDING AND {u} FOLLOWING) AS x"
+                    );
+                    Some((item, String::new()))
+                }),
+        ];
+        ((0usize..2, -1i64..16), proptest::bool::ANY, over).prop_map(
+            |((col, lit), filter_below, over)| {
+                let filter = format!("WHERE {} < {lit}", ["a", "b"][col]);
+                match over {
+                    None => format!("SELECT * FROM t {filter}"),
+                    Some((items, tail)) if filter_below => {
+                        format!("SELECT {items} FROM (SELECT * FROM t {filter}){tail}")
+                    }
+                    Some((items, tail)) => {
+                        format!("SELECT * FROM (SELECT {items} FROM t{tail}) {filter}")
+                    }
+                }
+            },
+        )
+    }
+
+    /// `rows[..cuts[0]]` registered, the rest appended piece by piece (an
+    /// empty piece publishes nothing).
+    fn in_pieces(rel: &AuRelation, cuts: &[usize]) -> SharedCatalog {
+        let piece = |from: usize, to: usize| {
+            let rows = rel.rows()[from..to].iter();
+            AuRelation::from_rows(
+                rel.schema.clone(),
+                rows.map(|row| (row.tuple.clone(), row.mult)),
+            )
+        };
+        let catalog = SharedCatalog::new();
+        catalog.register("t", piece(0, cuts[0]));
+        for pair in cuts.windows(2) {
+            catalog.append("t", &piece(pair[0], pair[1])).unwrap();
+        }
+        catalog
+    }
+
+    /// `sql` over `pieces` against `sql` over `whole`, on every backend at
+    /// every batch size: the same rows in the same order on native, the
+    /// same bag elsewhere; and on native every batch of every segment is
+    /// accounted for, skipped or scanned, when `source_fused_only` says
+    /// the statement's one fused stage is the one over the source.
+    fn assert_same_answers(
+        whole: &SharedCatalog,
+        pieces: &SharedCatalog,
+        sql: &str,
+        batch_sizes: &[usize],
+        backends: &[BackendChoice],
+        source_fused_only: bool,
+    ) {
+        for &choice in backends {
+            for &batch_size in batch_sizes {
+                let engine = Engine::new(choice).with_batch_size(batch_size);
+                let run = |catalog: &SharedCatalog| {
+                    let session = Session::with_catalog(engine, catalog.clone());
+                    let prepared = session.prepare(sql).expect("generated SQL compiles");
+                    let (out, trace) = (session.engine())
+                        .execute_traced(prepared.plan())
+                        .expect("generated SQL runs");
+                    (prepared, out, trace)
+                };
+                let (_, want, _) = run(whole);
+                let (prepared, got, trace) = run(pieces);
+                let what = format!("{sql}\non {choice}, batch {batch_size}");
+                if choice == BackendChoice::Native {
+                    assert_eq!(got.rows(), want.rows(), "{what}");
+                    if source_fused_only {
+                        let layout = prepared.plan().source_columns().segments();
+                        let batches: usize = (layout.iter())
+                            .map(|s| s.columns().len().div_ceil(batch_size))
+                            .sum();
+                        let seen = trace.batches_skipped + trace.batches_scanned;
+                        assert_eq!(seen, batches, "{what}");
+                    }
+                } else {
+                    assert!(got.bag_eq(&want), "{what}\npieces:\n{got}\nwhole:\n{want}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A table registered in part and appended to — the registered
+        /// segment is never extended, so any append makes it
+        /// multi-segment — answers every statement as the same rows
+        /// registered whole do.
+        #[test]
+        fn appended_in_pieces_equals_registered_whole(
+            rel in au_relation(14),
+            cuts in proptest::collection::vec(0usize..15, 1..=4),
+            sql in statement_strategy(),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (rel.len() + 1)).collect();
+            cuts.push(rel.len());
+            cuts.sort_unstable();
+            let whole = SharedCatalog::new();
+            whole.register("t", rel.clone());
+            let pieces = in_pieces(&rel, &cuts);
+            // The layout the cuts say: the registered rows, and (under
+            // the seal) everything appended in one tail.
+            let stored = pieces.snapshot();
+            let lens: Vec<usize> = (stored.get("t").unwrap().segments().iter())
+                .map(|s| s.columns().len())
+                .collect();
+            let appended = rel.len() - cuts[0];
+            let want = if appended == 0 { vec![cuts[0]] } else { vec![cuts[0], appended] };
+            prop_assert_eq!(lens, want);
+
+            let source_fused_only = sql.contains("(SELECT * FROM t WHERE")
+                || sql.starts_with("SELECT * FROM t WHERE");
+            assert_same_answers(
+                &whole,
+                &pieces,
+                &sql,
+                &[1, 7, 1024],
+                &BackendChoice::ALL,
+                source_fused_only,
+            );
+        }
+    }
+
+    /// The real seal, crossed: appends of 1, 64, `SEGMENT_ROWS − 1`,
+    /// `SEGMENT_ROWS` and `SEGMENT_ROWS + 1` rows in sequence leave four
+    /// appended segments behind the registered one. `id` is clustered, so
+    /// zone maps decide most batches — each segment's by its own.
+    #[test]
+    fn appends_across_the_seal_answer_as_the_whole_relation() {
+        let s = SEGMENT_ROWS;
+        let pieces = [500, 1, 64, s - 1, s, s + 1, 3];
+        let total: usize = pieces.iter().sum();
+        let mut state = 0x5EA1_u64;
+        let rel = AuRelation::from_rows(
+            Schema::new(["id", "v"]),
+            (0..total as i64).map(|id| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = (state % 1000) as i64;
+                let v = match state % 5 {
+                    0 => RangeValue::new(v - 3, v, v + 2),
+                    _ => RangeValue::certain(v),
+                };
+                let mult = match state % 97 {
+                    0 => Mult3::ZERO,
+                    1 => Mult3::new(0, 1, 1),
+                    _ => Mult3::ONE,
+                };
+                (AuTuple::new([RangeValue::certain(id), v]), mult)
+            }),
+        );
+        let cuts: Vec<usize> = (pieces.iter())
+            .scan(0, |at, n| {
+                *at += n;
+                Some(*at)
+            })
+            .collect();
+        let whole = SharedCatalog::new();
+        whole.register("t", rel.clone());
+        let appended = in_pieces(&rel, &cuts);
+        let stored = appended.snapshot();
+        let lens: Vec<usize> = (stored.get("t").unwrap().segments().iter())
+            .map(|seg| seg.columns().len())
+            .collect();
+        assert_eq!(lens, [500, s + 64, s, s + 1, 3]);
+
+        let last = total as i64;
+        for (sql, source_fused_only) in [
+            // The tail alone, the registered rows alone, a band across two
+            // sealed segments, nothing, everything.
+            (format!("SELECT * FROM t WHERE id >= {}", last - 2), true),
+            ("SELECT id FROM t WHERE id < 40".to_string(), true),
+            (
+                format!(
+                    "SELECT * FROM (SELECT * FROM t WHERE id >= {} AND id < {}) \
+                     ORDER BY v, id AS pos LIMIT 7",
+                    500 + s,
+                    500 + s + 300
+                ),
+                true,
+            ),
+            ("SELECT * FROM t WHERE id < 0".to_string(), true),
+            (
+                "SELECT * FROM t ORDER BY v, id AS pos LIMIT 5".to_string(),
+                false,
+            ),
+            (
+                format!(
+                    "SELECT *, SUM(v) OVER (ORDER BY id ROWS BETWEEN 2 PRECEDING AND \
+                     CURRENT ROW) AS x FROM (SELECT * FROM t WHERE id >= {})",
+                    last - 600
+                ),
+                true,
+            ),
+        ] {
+            assert_same_answers(
+                &whole,
+                &appended,
+                &sql,
+                &[7, 1024],
+                &[BackendChoice::Native],
+                source_fused_only,
+            );
+        }
+        // The quadratic oracles, on statements that leave them little.
+        for sql in [
+            format!(
+                "SELECT * FROM t WHERE id >= {} ORDER BY v AS pos",
+                last - 40
+            ),
+            "SELECT id FROM t WHERE id < 9".to_string(),
+        ] {
+            let oracles = [BackendChoice::Rewrite, BackendChoice::Reference];
+            assert_same_answers(&whole, &appended, &sql, &[1024], &oracles, false);
+        }
+    }
+
+    fn rows(schema: &Schema, rows: &[(&[RangeValue], Mult3)]) -> AuRelation {
+        AuRelation::from_rows(
+            schema.clone(),
+            rows.iter()
+                .map(|(t, m)| (AuTuple::new(t.iter().cloned()), *m)),
+        )
+    }
+
+    fn register_then_append(base: &AuRelation, batch: &AuRelation) -> [SharedCatalog; 2] {
+        let whole = SharedCatalog::new();
+        let mut all = base.clone();
+        all.append(&mut batch.clone());
+        whole.register("t", all);
+        let pieces = SharedCatalog::new();
+        pieces.register("t", base.clone());
+        pieces.append("t", batch).unwrap();
+        [whole, pieces]
+    }
+
+    const EVERY_BATCH: [usize; 3] = [1, 7, 1024];
+
+    /// An exact duplicate of a registered row, appended: the registered
+    /// segment is in canonical form and says so, the two segments end to
+    /// end are not — the sort must merge the copies, and the window must
+    /// find the duplicate multiplicity and take the reference, exactly as
+    /// over the relation stored whole.
+    #[test]
+    fn an_appended_duplicate_of_a_registered_row_merges() {
+        let schema = Schema::new(["a", "b"]);
+        let rv = RangeValue::new;
+        let base = rows(
+            &schema,
+            &[
+                (&[rv(1, 2, 4), RangeValue::certain(10i64)], Mult3::ONE),
+                (&[rv(2, 3, 5), RangeValue::certain(7i64)], Mult3::ONE),
+                (
+                    &[rv(6, 6, 6), RangeValue::certain(1i64)],
+                    Mult3::new(0, 1, 1),
+                ),
+            ],
+        )
+        .normalize();
+        assert!(base.is_normalized());
+        // The batch is in canonical form too: only their concatenation is not.
+        let dup = &base.rows()[0];
+        let batch = rows(&schema, &[(&dup.tuple.0, dup.mult)]).normalize();
+        assert!(batch.is_normalized());
+        let [whole, pieces] = register_then_append(&base, &batch);
+
+        let sort = "SELECT * FROM t ORDER BY a AS pos";
+        let window = "SELECT *, SUM(b) OVER (ORDER BY a ROWS BETWEEN 1 PRECEDING \
+                      AND CURRENT ROW) AS x FROM t";
+        for sql in [sort, window] {
+            assert_same_answers(
+                &whole,
+                &pieces,
+                sql,
+                &EVERY_BATCH,
+                &BackendChoice::ALL,
+                false,
+            );
+        }
+        let native = Session::with_catalog(Engine::native(), pieces.clone());
+        let reference = Session::with_catalog(Engine::reference(), pieces);
+        // Merged, the copies are one row of multiplicity 2 that `split`
+        // lays out at two positions: four output rows, not the three
+        // (or the unmerged four at other positions) of any other reading.
+        let sorted = native.sql(sort).unwrap();
+        assert!(sorted.bag_eq(&reference.sql(sort).unwrap()), "{sorted}");
+        assert_eq!(sorted.len(), 4);
+        assert!(native
+            .sql(window)
+            .unwrap()
+            .bag_eq(&reference.sql(window).unwrap()));
+    }
+
+    /// `(0, 0, 0)` rows on both sides of a segment edge: stored, never
+    /// answered.
+    #[test]
+    fn zero_annotated_rows_at_a_segment_edge_stay_out() {
+        let schema = Schema::new(["a", "b"]);
+        let c = |v: i64| RangeValue::certain(v);
+        let base = rows(
+            &schema,
+            &[(&[c(1), c(5)], Mult3::ONE), (&[c(2), c(6)], Mult3::ZERO)],
+        );
+        let batch = rows(
+            &schema,
+            &[(&[c(0), c(7)], Mult3::ZERO), (&[c(3), c(8)], Mult3::ONE)],
+        );
+        let [whole, pieces] = register_then_append(&base, &batch);
+        for (sql, source_fused_only) in [
+            ("SELECT a FROM t", true),
+            ("SELECT * FROM t WHERE a < 3", true),
+            ("SELECT * FROM t ORDER BY a AS pos", false),
+            ("SELECT *, COUNT(*) OVER (ORDER BY a ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS x FROM t", false),
+        ] {
+            assert_same_answers(
+                &whole,
+                &pieces,
+                sql,
+                &EVERY_BATCH,
+                &BackendChoice::ALL,
+                source_fused_only,
+            );
+        }
+        let session = Session::with_catalog(Engine::native(), pieces);
+        assert_eq!(session.sql("SELECT a FROM t").unwrap().len(), 2);
+        assert_eq!(
+            session.sql("SELECT * FROM t").unwrap().len(),
+            4,
+            "a bare scan shows what is stored"
+        );
+    }
+
+    /// Lane classes that differ between the registered segment and the
+    /// batch — integers into a float-admitted column, strings the
+    /// dictionary has not seen — through the served ingest path (CSV
+    /// straight to columns): each segment keeps its own lanes, and the
+    /// answers are those of the concatenated rows transposed at once.
+    #[test]
+    fn batches_of_another_lane_class_answer_alike() {
+        use audb::core::PhysType;
+        let base = read_au_csv_columns("x,s\n1.5,pear\n2,fig\n0.25,pear\n".as_bytes()).unwrap();
+        let batch = read_au_csv_columns("x,s\n3,kiwi\n1,fig\n2,lime\n".as_bytes()).unwrap();
+        assert_eq!(base.col_phys_types(), [PhysType::F64, PhysType::Str]);
+        assert_eq!(batch.col_phys_types(), [PhysType::I64, PhysType::Str]);
+
+        let mut all = base.to_rows();
+        all.append(&mut batch.to_rows());
+        let whole = SharedCatalog::new();
+        whole.register("t", all);
+        let pieces = SharedCatalog::new();
+        pieces.register_columns("t", base);
+        pieces.append_columns("t", batch.clone()).unwrap();
+        // A second batch of the first's class extends the tail's lanes.
+        pieces.append_columns("t", batch.clone()).unwrap();
+        whole.append("t", &batch.to_rows()).unwrap();
+        let stored = pieces.snapshot();
+        let segments = stored.get("t").unwrap().segments();
+        assert_eq!(
+            segments[0].columns().col_phys_types(),
+            [PhysType::F64, PhysType::Str]
+        );
+        assert_eq!(
+            segments[1].columns().col_phys_types(),
+            [PhysType::I64, PhysType::Str]
+        );
+        assert_eq!(segments[1].columns().len(), 6);
+
+        for (sql, source_fused_only) in [
+            ("SELECT s, x FROM t WHERE x < 2", true),
+            ("SELECT * FROM t ORDER BY x, s AS pos", false),
+            ("SELECT * FROM t ORDER BY s, x AS pos LIMIT 3", false),
+            ("SELECT *, MAX(x) OVER (PARTITION BY s ORDER BY x ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS m FROM t", false),
+            ("SELECT * FROM (SELECT * FROM t WHERE x >= 1) ORDER BY s AS pos", true),
+        ] {
+            assert_same_answers(
+                &whole,
+                &pieces,
+                sql,
+                &EVERY_BATCH,
+                &BackendChoice::ALL,
+                source_fused_only,
+            );
+        }
+        // The strings the batch introduced are found, and order as strings.
+        let session = Session::with_catalog(Engine::native(), pieces);
+        let top = session
+            .sql("SELECT s FROM t ORDER BY s AS pos LIMIT 1")
+            .unwrap();
+        assert!(
+            top.rows()
+                .iter()
+                .any(|r| r.tuple.get(0).sg == Value::str("fig")),
+            "{top}"
+        );
+        assert_eq!(session.sql("SELECT s FROM t WHERE x < 2").unwrap().len(), 4);
+    }
+
+    /// A `PARTITION BY` attribute certain in every registered row and
+    /// uncertain in one appended one: the native window refuses the whole
+    /// input and the reference answers, whichever segment the range is in.
+    #[test]
+    fn an_uncertain_partition_value_in_the_tail_reroutes_the_window() {
+        let schema = Schema::new(["g", "o", "v"]);
+        let c = |v: i64| RangeValue::certain(v);
+        let base = rows(
+            &schema,
+            &[
+                (&[c(0), c(1), RangeValue::new(1, 2, 3)], Mult3::ONE),
+                (&[c(1), c(2), c(4)], Mult3::ONE),
+                (&[c(0), c(3), c(5)], Mult3::new(0, 1, 1)),
+            ],
+        );
+        let batch = rows(
+            &schema,
+            &[
+                (&[c(1), c(4), c(6)], Mult3::ONE),
+                (
+                    &[RangeValue::new(0, 0, 1), c(5), RangeValue::new(6, 7, 9)],
+                    Mult3::ONE,
+                ),
+            ],
+        );
+        let [whole, pieces] = register_then_append(&base, &batch);
+        let sql = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o ROWS BETWEEN 1 PRECEDING \
+                   AND CURRENT ROW) AS x FROM t";
+        assert_same_answers(
+            &whole,
+            &pieces,
+            sql,
+            &EVERY_BATCH,
+            &BackendChoice::ALL,
+            false,
+        );
+        let native = Session::with_catalog(Engine::native(), pieces.clone());
+        let reference = Session::with_catalog(Engine::reference(), pieces.clone());
+        assert!(native
+            .sql(sql)
+            .unwrap()
+            .bag_eq(&reference.sql(sql).unwrap()));
+        // The optimizer reads certainty over every segment: a filter on
+        // `g` may not move below this window.
+        let around = format!("SELECT * FROM ({sql}) WHERE g < 1");
+        let plan = native.prepare(&around).unwrap();
+        let ops: Vec<&str> = plan.plan().ops().iter().map(|op| op.name()).collect();
+        assert_eq!(ops, ["window", "select"]);
+        assert_same_answers(
+            &whole,
+            &pieces,
+            &around,
+            &EVERY_BATCH,
+            &BackendChoice::ALL,
+            false,
+        );
+    }
+}

@@ -121,7 +121,7 @@ fn demo_script_over_localhost_matches_golden_semantics() {
                 // The oracle result, pushed through the same wire encoder,
                 // must match field-for-field (rows are normalized on both
                 // sides, so bag-equal means byte-equal).
-                let expected = wire::relation_body(expected);
+                let expected = Json::parse(&wire::relation_body(expected).to_string()).unwrap();
                 for field in ["schema", "row_count", "rows", "mults"] {
                     assert_eq!(
                         reply.get(field),
@@ -164,4 +164,109 @@ fn demo_script_over_localhost_matches_golden_semantics() {
     let (status, body) = http_post(&addr, "/run_all", &statements[0]);
     assert_eq!(status, 200, "run_all failed: {body}");
     handle.shutdown();
+}
+
+/// The result encoder against the parser: what `wire::relation_body` writes
+/// straight into text reads back as the cells it was given.
+mod encoding {
+    use audb::core::{AuRelation, AuRow, AuTuple, Mult3, RangeValue};
+    use audb::rel::{Schema, Value};
+    use audb::server::{wire, Json};
+    use proptest::prelude::*;
+
+    /// Every kind of cell a result can hold. Integral floats from 1e15 up
+    /// are left out: they print without a decimal point (as they always
+    /// have) and so re-parse as `Int`.
+    fn value() -> impl Strategy<Value = Value> {
+        const FLOATS: [f64; 13] = [
+            0.0,
+            -0.0,
+            0.5,
+            -2.25,
+            7.0,
+            -123456789.0,
+            999_999_999_999_999.0,
+            1e15 + 0.5,
+            1.0e-7,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        const STRINGS: [&str; 9] = [
+            "",
+            "plain",
+            "he said \"hi\"",
+            "back\\slash",
+            "line\nbreak\r\ttab",
+            "\u{1}\u{1f}control",
+            "caf\u{e9} \u{1F600}",
+            "[1,2]",
+            "null",
+        ];
+        prop_oneof![
+            Just(Value::Null),
+            proptest::bool::ANY.prop_map(Value::Bool),
+            prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0i64), -1000i64..1000]
+                .prop_map(Value::Int),
+            (0..FLOATS.len()).prop_map(|i| Value::Float(FLOATS[i])),
+            (0..STRINGS.len()).prop_map(|i| Value::str(STRINGS[i])),
+        ]
+    }
+
+    /// The node-per-cell tree the encoder used to build, as `Json::parse`
+    /// reads it back: JSON has no NaN or infinity, so those come back
+    /// `null`.
+    fn tree(v: &Value) -> Json {
+        match v {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Int(i) => Json::Int(*i),
+            Value::Float(f) if f.is_finite() => Json::Float(*f),
+            Value::Float(_) => Json::Null,
+            Value::Str(s) => Json::str(s.as_ref()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// encode → `Json::parse` → the same cells, the same annotations,
+        /// `row_count` ahead of `rows`.
+        #[test]
+        fn result_bodies_round_trip_through_the_parser(
+            rows in proptest::collection::vec(
+                ((value(), value()), (0u64..3, 0u64..3, 0u64..3)),
+                0..6,
+            ),
+        ) {
+            let rel = AuRelation::from_rows(
+                Schema::new(["a", "b"]),
+                rows.into_iter().map(|((a, b), (k, dk, dk2))| {
+                    let tuple = AuTuple::new([RangeValue::certain(a), RangeValue::certain(b)]);
+                    (tuple, Mult3::new(k, k + dk, k + dk + dk2))
+                }),
+            );
+            let text = wire::relation_body(rel.clone()).to_string();
+            let parsed = Json::parse(&text).expect("a result body is JSON");
+
+            let rel = rel.normalize();
+            let cells = |row: &AuRow| {
+                Json::Arr(row.tuple.0.iter().map(|v| {
+                    Json::Arr(vec![tree(&v.lb), tree(&v.sg), tree(&v.ub)])
+                }).collect())
+            };
+            let mult = |row: &AuRow| {
+                Json::Arr([row.mult.lb, row.mult.sg, row.mult.ub].map(|k| Json::Int(k as i64)).to_vec())
+            };
+            let want = Json::obj([
+                ("schema", Json::Arr(vec![Json::str("a"), Json::str("b")])),
+                ("row_count", Json::Int(rel.len() as i64)),
+                ("rows", Json::Arr(rel.rows().iter().map(cells).collect())),
+                ("mults", Json::Arr(rel.rows().iter().map(mult).collect())),
+            ]);
+            prop_assert_eq!(&parsed, &want, "{}", text);
+            prop_assert!(text.find("\"row_count\"") < text.find("\"rows\""));
+        }
+    }
 }
