@@ -558,20 +558,10 @@ pub fn fig16(opts: ReproOptions) {
             )
             .build()
             .expect("partitioned window plan");
-        let rewr = runner::time(|| {
-            Engine::rewrite()
-                .with_join_strategy(JoinStrategy::NestedLoop)
-                .execute(&plan)
-                .expect("rewrite window")
-        })
-        .elapsed;
-        let rewr_idx = runner::time(|| {
-            Engine::rewrite()
-                .with_join_strategy(JoinStrategy::IntervalIndex)
-                .execute(&plan)
-                .expect("rewrite(index) window")
-        })
-        .elapsed;
+        let rewr =
+            runner::time(|| runner::rewrite_execute(&plan, JoinStrategy::NestedLoop)).elapsed;
+        let rewr_idx =
+            runner::time(|| runner::rewrite_execute(&plan, JoinStrategy::IntervalIndex)).elapsed;
         t.row([
             label.to_string(),
             fmt_ms(rewr),

@@ -16,7 +16,7 @@
 //! kernels over batches ([`crate::RangeExpr::eval_batch`] /
 //! [`crate::RangeExpr::truth_batch`]) live in [`crate::expr`]; the gather
 //! steps that materialize a kernel's surviving rows into fresh columns are
-//! [`AuBatch::gather`] / [`AuBatch::gather_cols`].
+//! [`AuBatch::gather`] / [`AuBatch::gather_col`].
 
 use crate::columns::AuColumns;
 use crate::mult::Mult3;
@@ -93,19 +93,6 @@ impl<'a> AuBatch<'a> {
     pub fn gather(&self, idxs: &[usize], mults: &[Mult3]) -> AuColumns {
         let abs: Vec<usize> = idxs.iter().map(|&i| self.start + i).collect();
         self.rel.gather(&abs, mults)
-    }
-
-    /// Like [`AuBatch::gather`], also projecting onto `cols` under the
-    /// given output schema.
-    pub fn gather_cols(
-        &self,
-        cols: &[usize],
-        schema: Schema,
-        idxs: &[usize],
-        mults: &[Mult3],
-    ) -> AuColumns {
-        let abs: Vec<usize> = idxs.iter().map(|&i| self.start + i).collect();
-        self.rel.gather_cols(cols, schema, &abs, mults)
     }
 
     /// Copy attribute `c`'s cells at batch-relative `idxs` into a fresh
@@ -273,8 +260,8 @@ mod tests {
         assert_eq!(picked.len(), 2);
         assert_eq!(picked.tuple(0), r.rows()[1].tuple);
         assert_eq!(picked.mult(1), Mult3::new(0, 1, 1));
-        let swapped = b.gather_cols(&[1, 0], Schema::new(["b", "a"]), &[2], &[Mult3::ONE]);
-        assert_eq!(swapped.tuple(0), r.rows()[2].tuple.project(&[1, 0]));
-        assert_eq!(swapped.schema().cols(), &["b", "a"]);
+        let one = b.gather_col(1, &[2]);
+        assert_eq!(one.len(), 1);
+        assert_eq!(&one.range_value(0), r.rows()[2].tuple.get(1));
     }
 }

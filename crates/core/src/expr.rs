@@ -98,6 +98,43 @@ impl RangeExpr {
         RangeExpr::And(Box::new(self), Box::new(other))
     }
 
+    /// Call `f` on every node, pre-order: a node before its operands, the
+    /// left operand's whole subtree before the right's.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a RangeExpr)) {
+        f(self);
+        match self {
+            RangeExpr::Col(_) | RangeExpr::Lit(_) => {}
+            RangeExpr::Neg(a) | RangeExpr::Not(a) => a.visit(f),
+            RangeExpr::Add(a, b)
+            | RangeExpr::Sub(a, b)
+            | RangeExpr::Mul(a, b)
+            | RangeExpr::And(a, b)
+            | RangeExpr::Or(a, b)
+            | RangeExpr::Cmp(_, a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+        }
+    }
+
+    /// The same expression with every `Col(i)` replaced by `Col(map(i))`;
+    /// `None` as soon as `map` has no answer for a referenced column.
+    pub fn map_cols(&self, map: &impl Fn(usize) -> Option<usize>) -> Option<RangeExpr> {
+        let sub = |e: &RangeExpr| e.map_cols(map).map(Box::new);
+        Some(match self {
+            RangeExpr::Col(i) => RangeExpr::Col(map(*i)?),
+            RangeExpr::Lit(v) => RangeExpr::Lit(v.clone()),
+            RangeExpr::Neg(a) => RangeExpr::Neg(sub(a)?),
+            RangeExpr::Not(a) => RangeExpr::Not(sub(a)?),
+            RangeExpr::Add(a, b) => RangeExpr::Add(sub(a)?, sub(b)?),
+            RangeExpr::Sub(a, b) => RangeExpr::Sub(sub(a)?, sub(b)?),
+            RangeExpr::Mul(a, b) => RangeExpr::Mul(sub(a)?, sub(b)?),
+            RangeExpr::And(a, b) => RangeExpr::And(sub(a)?, sub(b)?),
+            RangeExpr::Or(a, b) => RangeExpr::Or(sub(a)?, sub(b)?),
+            RangeExpr::Cmp(op, a, b) => RangeExpr::Cmp(*op, sub(a)?, sub(b)?),
+        })
+    }
+
     /// Evaluate to a range value. Predicates evaluate to boolean ranges
     /// (`lb/sg/ub ∈ {false, true}` with `false < true`).
     pub fn eval(&self, t: &AuTuple) -> RangeValue {
@@ -1075,6 +1112,57 @@ mod tests {
         // Negation flips.
         let n = RangeExpr::Not(Box::new(e)).truth(&t);
         assert!(!n.lb && !n.sg && n.ub);
+    }
+
+    /// `(c2 + 7) < (-(c0))`, then `AND NOT c1`: the walk sees a node
+    /// before its operands and the left operand before the right.
+    #[test]
+    fn visit_is_preorder_left_to_right() {
+        let sum = RangeExpr::Add(Box::new(RangeExpr::col(2)), Box::new(RangeExpr::lit(7)));
+        let neg = RangeExpr::Neg(Box::new(RangeExpr::col(0)));
+        let e = sum.lt(neg).and(RangeExpr::Not(Box::new(RangeExpr::col(1))));
+        let mut seen = Vec::new();
+        e.visit(&mut |n| {
+            seen.push(match n {
+                RangeExpr::Col(i) => format!("c{i}"),
+                RangeExpr::Lit(v) => format!("{}", v.sg),
+                RangeExpr::Add(..) => "+".into(),
+                RangeExpr::Neg(_) => "neg".into(),
+                RangeExpr::Cmp(..) => "<".into(),
+                RangeExpr::And(..) => "and".into(),
+                RangeExpr::Not(_) => "not".into(),
+                other => panic!("not in this expression: {other:?}"),
+            })
+        });
+        assert_eq!(seen, ["and", "<", "+", "c2", "7", "neg", "c0", "not", "c1"]);
+    }
+
+    #[test]
+    fn map_cols_renumbers_columns_and_nothing_else() {
+        let uncertain = RangeExpr::Lit(rv(1, 2, 3));
+        let e = RangeExpr::Mul(Box::new(RangeExpr::col(2)), Box::new(uncertain.clone()))
+            .le(RangeExpr::col(0));
+        let m = [Some(1), None, Some(0)];
+        let at = |i: usize| m.get(i).copied().flatten();
+        assert_eq!(
+            e.map_cols(&at),
+            Some(
+                RangeExpr::Mul(Box::new(RangeExpr::col(0)), Box::new(uncertain))
+                    .le(RangeExpr::col(1))
+            )
+        );
+        // One unmapped reference anywhere — pruned (1) or past the map (3)
+        // — and there is no answer.
+        assert_eq!(e.clone().and(RangeExpr::col(1)).map_cols(&at), None);
+        assert_eq!(
+            RangeExpr::Neg(Box::new(RangeExpr::col(3))).map_cols(&at),
+            None
+        );
+        // Literals never consult the map.
+        assert_eq!(
+            RangeExpr::lit(5).map_cols(&|_| None),
+            Some(RangeExpr::lit(5))
+        );
     }
 
     /// Property smoke: for every deterministic tuple bounded by the range

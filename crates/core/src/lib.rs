@@ -10,10 +10,11 @@
 //! * [`AuRelation`] — bags of hypercube tuples; each AU-DB *bounds* a set of
 //!   possible worlds (an incomplete database) between an under-approximation
 //!   of certain answers and an over-approximation of possible answers.
-//! * The `RA+` operators of \[23, 24\] ([`ops`]) plus this paper's
-//!   contributions: uncertain comparison ([`cmp`]), position bounds
-//!   ([`pos`]), the **sort operator** (Def. 2, [`ops::sort`]), **top-k**,
-//!   and **row-based windowed aggregation** (Def. 3, [`ops::window`]).
+//! * The selection, projection and aggregation of \[23, 24\] ([`ops`])
+//!   plus this paper's contributions: uncertain comparison ([`cmp`]),
+//!   position bounds ([`pos`]), the **sort operator** (Def. 2,
+//!   [`ops::sort`]), **top-k**, and **row-based windowed aggregation**
+//!   (Def. 3, [`ops::window`]).
 //!
 //! The operators in this crate are *reference implementations*: they follow
 //! the formal definitions literally and quadratically. The production
@@ -63,11 +64,9 @@ pub use columns::{AuColumn, AuColumns};
 pub use expr::RangeExpr;
 pub use mult::Mult3;
 pub use ops::aggregate::aggregate as au_aggregate;
-pub use ops::join::{join as au_join, product as au_product};
 pub use ops::project::{project as au_project, project_cols as au_project_cols};
 pub use ops::select::select as au_select;
 pub use ops::sort::{sort_ref, topk_ref};
-pub use ops::union::union as au_union;
 pub use ops::window::{
     aggregate_window, guaranteed_extra_slots, sg_ordered_inputs, sg_window_values, window_ref,
     AuWindowSpec, WinAgg, WindowMembers,

@@ -1,5 +1,6 @@
-//! AU-DB operators: the bound-preserving `RA+` semantics of \[23, 24\] plus
-//! this paper's sort (Def. 2) and row-based windowed aggregation (Def. 3).
+//! AU-DB operators: the bound-preserving selection, projection and
+//! aggregation of \[23, 24\] plus this paper's sort (Def. 2) and row-based
+//! windowed aggregation (Def. 3).
 //!
 //! The sort and window implementations here are *reference* implementations
 //! that follow the formal definitions literally (quadratic or worse). They
@@ -8,9 +9,7 @@
 //! property-tested against these.
 
 pub mod aggregate;
-pub mod join;
 pub mod project;
 pub mod select;
 pub mod sort;
-pub mod union;
 pub mod window;

@@ -62,6 +62,18 @@ impl WinAgg {
         }
     }
 
+    /// The same aggregate over attribute `c` (`count(*)` has none to
+    /// replace).
+    pub fn with_input_col(self, c: usize) -> WinAgg {
+        match self {
+            WinAgg::Sum(_) => WinAgg::Sum(c),
+            WinAgg::Count => WinAgg::Count,
+            WinAgg::Min(_) => WinAgg::Min(c),
+            WinAgg::Max(_) => WinAgg::Max(c),
+            WinAgg::Avg(_) => WinAgg::Avg(c),
+        }
+    }
+
     /// The deterministic aggregate the selected-guess component evaluates.
     pub fn det(&self) -> AggFunc {
         match *self {

@@ -20,14 +20,16 @@
 //!
 //! Selection and projection have one semantics (\[24\]) — only the
 //! order-based operators differ between methods, so those are the trait's
-//! required methods. How the whole chain runs is a fact about the backend
-//! ([`Backend::mode`]): the reference steps through `audb-core`'s row
-//! operators one at a time, the other two stream batches through
-//! [`crate::exec`]'s fused stages. Nothing overrides it.
+//! two breaker hooks: [`Backend::sort`] (top-k is the sort with a limit,
+//! as in the paper's Sec. 5) and [`Backend::window`]. How the whole chain
+//! runs is a fact about the backend ([`Backend::mode`]): the reference
+//! steps through `audb-core`'s row operators one at a time, the other two
+//! stream batches through [`crate::exec`]'s fused stages. Nothing
+//! overrides it.
 //!
 //! A breaker reads the executor's current relation as a [`BreakerInput`]:
 //! columns (the stored source, a fused stage's output) or rows (a previous
-//! breaker's output, a rewriting scan's). All three of [`Native`]'s hooks
+//! breaker's output, a rewriting scan's). Both of [`Native`]'s hooks
 //! consume either form as it lies; the two oracle backends are defined
 //! over rows and call [`BreakerInput::rows`] — as does the native window's
 //! fallback, by way of [`Reference`] — which is the one row
@@ -39,8 +41,8 @@ use crate::exec::ExecMode;
 use crate::plan::Op;
 use audb_core::encode::{decode, encode};
 use audb_core::{
-    au_select, sort_ref, window_ref, AuColumns, AuRelation, AuWindowSpec, CmpSemantics, RangeValue,
-    WinAgg,
+    au_select, sort_ref, window_ref, AuColumns, AuRelation, AuWindowSpec, CmpSemantics, RangeExpr,
+    RangeValue, WinAgg,
 };
 use audb_rewrite::JoinStrategy;
 use std::borrow::Cow;
@@ -84,21 +86,14 @@ pub trait Backend {
         Ok(None)
     }
 
-    /// `sort_{O→τ}` (Def. 2).
+    /// `sort_{O→τ}` (Def. 2); with `limit = Some(k)`, top-k (Sec. 5): the
+    /// sort followed by `σ_{τ < k}`, position bounds capped at `k`.
     fn sort(
         &self,
         input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
-    ) -> Result<AuRelation, EngineError>;
-
-    /// Top-k (Sec. 5) with position bounds capped at `k`.
-    fn topk(
-        &self,
-        input: BreakerInput<'_>,
-        order: &[usize],
-        k: u64,
-        pos_name: &str,
+        limit: Option<u64>,
     ) -> Result<AuRelation, EngineError>;
 
     /// `ω[l,u]` row-based windowed aggregation (Def. 3).
@@ -111,12 +106,27 @@ pub trait Backend {
     ) -> Result<AuRelation, EngineError>;
 
     /// One-line cost/strategy note for an operator, shown by
-    /// [`crate::Engine::explain`].
-    fn op_note(&self, op: &Op) -> String;
+    /// [`crate::Engine::explain`]: selection and projection are the shared
+    /// operators on every backend, a breaker's note is its hook's.
+    fn op_note(&self, op: &Op) -> String {
+        match op {
+            Op::Select { .. } | Op::Project { .. } => {
+                "shared AU-DB operator ([24] semantics)".into()
+            }
+            Op::Sort { limit, .. } => self.sort_note(*limit),
+            Op::Window { .. } => self.window_note(),
+        }
+    }
+
+    /// What [`Backend::sort`] does, limited or not, in one line.
+    fn sort_note(&self, limit: Option<u64>) -> String;
+
+    /// What [`Backend::window`] does, in one line.
+    fn window_note(&self) -> String;
 
     /// One-line note describing what `scan` does in this backend.
     fn scan_note(&self) -> String {
-        "borrow the AU-relation in place".to_string()
+        "read the stored columnar segments in place".to_string()
     }
 
     /// How this backend runs plans: the batch-streaming pipeline executor
@@ -125,15 +135,19 @@ pub trait Backend {
     fn mode(&self) -> ExecMode;
 }
 
-/// Cap the selected-guess and upper position bounds of a top-k output at
-/// `k` — the paper's Algorithm 1 `emit` step. `topk_native` already does
-/// this internally; applying the same cap to the reference and rewrite
-/// outputs makes all three backends bit-identical (the surviving rows'
-/// lower bounds are `< k` by the `σ_{τ < k}` filter, so only `sg`/`ub` can
-/// exceed `k`).
-fn cap_topk_positions(mut rel: AuRelation, k: u64) -> AuRelation {
-    let pos_col = rel.schema.arity() - 1;
+/// A sort's output under `limit`: `σ_{τ < k}` over the appended position
+/// column, then the selected-guess and upper position bounds capped at `k`
+/// — the paper's Algorithm 1 `emit` step. The native sweep does both
+/// internally; applying them here to the reference and rewrite sorts makes
+/// all three backends bit-identical (the surviving rows' lower bounds are
+/// `< k` by the filter, so only `sg`/`ub` can exceed `k`).
+fn limited(sorted: AuRelation, limit: Option<u64>) -> AuRelation {
+    let Some(k) = limit else {
+        return sorted;
+    };
+    let pos_col = sorted.schema.arity() - 1;
     let k = k as i64;
+    let mut rel = au_select(&sorted, &RangeExpr::col(pos_col).lt(RangeExpr::lit(k)));
     for row in rel.rows_mut() {
         let (lb, sg, ub) = row.tuple.0[pos_col].as_i64_triple();
         if sg > k || ub > k {
@@ -171,26 +185,10 @@ impl Backend for Reference {
         input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
+        limit: Option<u64>,
     ) -> Result<AuRelation, EngineError> {
-        Ok(sort_ref(&input.rows(), order, pos_name, self.semantics))
-    }
-
-    fn topk(
-        &self,
-        input: BreakerInput<'_>,
-        order: &[usize],
-        k: u64,
-        pos_name: &str,
-    ) -> Result<AuRelation, EngineError> {
-        // topk_ref hard-codes the "pos" column name; re-sort under the
-        // requested name and apply the σ_{τ < k} filter here.
         let sorted = sort_ref(&input.rows(), order, pos_name, self.semantics);
-        let pos_col = sorted.schema.arity() - 1;
-        let filtered = au_select(
-            &sorted,
-            &audb_core::RangeExpr::col(pos_col).lt(audb_core::RangeExpr::lit(k as i64)),
-        );
-        Ok(cap_topk_positions(filtered, k))
+        Ok(limited(sorted, limit))
     }
 
     fn window(
@@ -209,18 +207,18 @@ impl Backend for Reference {
         ))
     }
 
-    fn op_note(&self, op: &Op) -> String {
-        match op {
-            Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. } => {
-                "shared AU-DB operator ([24] semantics)".into()
-            }
-            Op::Sort { .. } => format!(
+    fn sort_note(&self, limit: Option<u64>) -> String {
+        match limit {
+            None => format!(
                 "Def. 2 pairwise position bounds, O(n²), {:?} comparison",
                 self.semantics
             ),
-            Op::TopK { .. } => "Def. 2 sort + σ_{τ<k}, positions capped at k".into(),
-            Op::Window { .. } => "Def. 3 per-target membership scan, O(n²)–O(n³)".into(),
+            Some(_) => "Def. 2 sort + σ_{τ<k}, positions capped at k".into(),
         }
+    }
+
+    fn window_note(&self) -> String {
+        "Def. 3 per-target membership scan, O(n²)–O(n³)".into()
     }
 }
 
@@ -253,26 +251,13 @@ impl Backend for Native {
         input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
+        limit: Option<u64>,
     ) -> Result<AuRelation, EngineError> {
-        Ok(match input {
-            BreakerInput::Rows(rel) => audb_native::sort_native(rel, order, pos_name),
-            BreakerInput::Columns(cols) => {
-                audb_native::sort_columns_native(cols, order, pos_name, None)
-            }
-        })
-    }
-
-    fn topk(
-        &self,
-        input: BreakerInput<'_>,
-        order: &[usize],
-        k: u64,
-        pos_name: &str,
-    ) -> Result<AuRelation, EngineError> {
-        Ok(match input {
-            BreakerInput::Rows(rel) => audb_native::topk_native(rel, order, k, pos_name),
-            BreakerInput::Columns(cols) => {
-                audb_native::sort_columns_native(cols, order, pos_name, Some(k))
+        Ok(match (input, limit) {
+            (BreakerInput::Rows(rel), None) => audb_native::sort_native(rel, order, pos_name),
+            (BreakerInput::Rows(rel), Some(k)) => audb_native::topk_native(rel, order, k, pos_name),
+            (BreakerInput::Columns(cols), _) => {
+                audb_native::sort_columns_native(cols, order, pos_name, limit)
             }
         })
     }
@@ -304,20 +289,19 @@ impl Backend for Native {
         }
     }
 
-    fn op_note(&self, op: &Op) -> String {
-        match op {
-            Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. } => {
-                "shared AU-DB operator ([24] semantics)".into()
-            }
-            Op::Sort { .. } => "one-pass corner sweep (Algorithm 1), O(n log n)".into(),
-            Op::TopK { .. } => {
-                "one-pass sweep with early termination at rank↓ ≥ k (Algorithm 1)".into()
-            }
-            Op::Window { .. } => "connected-heap sweep (Algorithm 3), O(N·n log n); \
-                 falls back to reference on uncertain PARTITION BY \
-                 or duplicate multiplicities"
-                .into(),
+    fn sort_note(&self, limit: Option<u64>) -> String {
+        match limit {
+            None => "one-pass corner sweep (Algorithm 1), O(n log n)",
+            Some(_) => "one-pass sweep with early termination at rank↓ ≥ k (Algorithm 1)",
         }
+        .into()
+    }
+
+    fn window_note(&self) -> String {
+        "connected-heap sweep (Algorithm 3), O(N·n log n); \
+         falls back to reference on uncertain PARTITION BY \
+         or duplicate multiplicities"
+            .into()
     }
 }
 
@@ -363,21 +347,10 @@ impl Backend for Rewrite {
         input: BreakerInput<'_>,
         order: &[usize],
         pos_name: &str,
+        limit: Option<u64>,
     ) -> Result<AuRelation, EngineError> {
-        Ok(audb_rewrite::rewr_sort(&input.rows(), order, pos_name))
-    }
-
-    fn topk(
-        &self,
-        input: BreakerInput<'_>,
-        order: &[usize],
-        k: u64,
-        pos_name: &str,
-    ) -> Result<AuRelation, EngineError> {
-        Ok(cap_topk_positions(
-            audb_rewrite::rewr_topk(&input.rows(), order, k, pos_name),
-            k,
-        ))
+        let sorted = audb_rewrite::rewr_sort(&input.rows(), order, pos_name);
+        Ok(limited(sorted, limit))
     }
 
     fn window(
@@ -396,17 +369,18 @@ impl Backend for Rewrite {
         ))
     }
 
-    fn op_note(&self, op: &Op) -> String {
-        match op {
-            Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. } => {
-                "shared AU-DB operator ([24] semantics)".into()
-            }
-            Op::Sort { .. } => "Fig. 7 endpoint union + running sums over the encoding".into(),
-            Op::TopK { .. } => "Fig. 7 endpoint rewrite + σ_{τ<k}, positions capped at k".into(),
-            Op::Window { .. } => format!(
-                "Fig. 8 range-overlap self-join ({:?} strategy)",
-                self.strategy
-            ),
+    fn sort_note(&self, limit: Option<u64>) -> String {
+        match limit {
+            None => "Fig. 7 endpoint union + running sums over the encoding",
+            Some(_) => "Fig. 7 endpoint rewrite + σ_{τ<k}, positions capped at k",
         }
+        .into()
+    }
+
+    fn window_note(&self) -> String {
+        format!(
+            "Fig. 8 range-overlap self-join ({:?} strategy)",
+            self.strategy
+        )
     }
 }

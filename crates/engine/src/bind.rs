@@ -21,10 +21,10 @@
 //! * A window item's output column is its `AS` alias, defaulting to the
 //!   aggregate's name (`sum`, `count`, ...).
 //! * `SELECT *` keeps every column; `SELECT *, <windows>` appends the
-//!   window outputs; an explicit list of bare columns (and window items)
-//!   compiles to a plain projection; any alias or compound expression
-//!   makes the whole list a generalized projection, and compound
-//!   expressions then require an `AS` alias.
+//!   window outputs; an explicit list compiles to one projection of
+//!   `(expression, name)` pairs — a bare column (or window item) is the
+//!   column reference under its own name, and a compound expression
+//!   requires an `AS` alias.
 //! * `ORDER BY` is the AU-DB sort (Def. 2): it appends a position-range
 //!   column named by its optional `AS` (default `pos`).
 
@@ -122,29 +122,6 @@ fn window_spec(w: &ast::WindowItem) -> WindowSpec {
 }
 
 fn project_items(q: Query, items: &[ast::SelectItem]) -> Result<Query, SessionError> {
-    let all_bare = items.iter().all(|i| {
-        matches!(
-            i,
-            ast::SelectItem::Expr {
-                expr: ast::Expr::Col(_),
-                alias: None
-            } | ast::SelectItem::Window(_)
-        )
-    });
-    if all_bare {
-        let names: Vec<&str> = items
-            .iter()
-            .map(|i| match i {
-                ast::SelectItem::Expr {
-                    expr: ast::Expr::Col(n),
-                    ..
-                } => n.as_str(),
-                ast::SelectItem::Window(w) => window_name(w),
-                ast::SelectItem::Expr { .. } => unreachable!("all_bare checked"),
-            })
-            .collect();
-        return Ok(q.project(names));
-    }
     let Some(schema) = q.schema().cloned() else {
         return Ok(q); // earlier error wins at build()
     };

@@ -7,8 +7,6 @@ use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
 use crate::plan::Plan;
 use audb_core::{AuRelation, CmpSemantics};
-// lint: allow(no-direct-backend-call) -- JoinStrategy is a config knob on Engine itself, not an execution entry point
-use audb_rewrite::JoinStrategy;
 use std::fmt;
 use std::time::Duration;
 
@@ -71,7 +69,6 @@ impl fmt::Display for BackendChoice {
 pub struct Engine {
     choice: BackendChoice,
     semantics: CmpSemantics,
-    join_strategy: JoinStrategy,
     /// `Some` once [`Engine::with_batch_size`] pinned a size.
     batch_size: Option<usize>,
     pruning: bool,
@@ -102,12 +99,14 @@ impl Default for Engine {
 
 impl Engine {
     /// An engine executing on the given backend with default settings
-    /// (interval-lex comparison, interval-index rewrite joins).
+    /// (interval-lex comparison). The rewrite backend always probes the
+    /// interval index in its window self-join; the paper's plain `Rewr`
+    /// nested loop is run by the figure code that reports it
+    /// ([`crate::Rewrite`] with a strategy, through [`crate::exec::execute`]).
     pub fn new(choice: BackendChoice) -> Self {
         Engine {
             choice,
             semantics: CmpSemantics::default(),
-            join_strategy: JoinStrategy::default(),
             batch_size: None,
             pruning: true,
         }
@@ -134,12 +133,6 @@ impl Engine {
     /// [`Engine::explain`]).
     pub fn with_semantics(mut self, semantics: CmpSemantics) -> Self {
         self.semantics = semantics;
-        self
-    }
-
-    /// Override the rewrite backend's window join strategy.
-    pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
         self
     }
 
@@ -208,9 +201,7 @@ impl Engine {
                 semantics: self.semantics,
             }),
             BackendChoice::Native => Box::new(Native),
-            BackendChoice::Rewrite => Box::new(Rewrite {
-                strategy: self.join_strategy,
-            }),
+            BackendChoice::Rewrite => Box::new(Rewrite::default()),
         }
     }
 
@@ -264,11 +255,10 @@ impl Engine {
         }
     }
 
-    /// Execute the plan on **every** backend (with this engine's
-    /// join-strategy setting), timing each run, and assert that all
-    /// outputs agree bag-wise — the cross-implementation invariant the
-    /// paper's evaluation rests on. Returns the agreed output plus
-    /// per-backend timings; disagreement is an
+    /// Execute the plan on **every** backend, timing each run, and assert
+    /// that all outputs agree bag-wise — the cross-implementation
+    /// invariant the paper's evaluation rests on. Returns the agreed
+    /// output plus per-backend timings; disagreement is an
     /// [`EngineError::BackendDisagreement`].
     ///
     /// The invariant is defined under [`CmpSemantics::IntervalLex`] — the

@@ -7,21 +7,14 @@
 //! fused chain applies them in exactly the logical plan's order and the
 //! result is bag-identical to operator-at-a-time execution.
 
-use crate::plan::{Op, Plan};
-
-/// True iff the operator must see its entire input before producing output
-/// — the order-based operators whose position/aggregate bounds depend on
-/// every other row.
-pub fn is_breaker(op: &Op) -> bool {
-    matches!(op, Op::Sort { .. } | Op::TopK { .. } | Op::Window { .. })
-}
+use crate::plan::Plan;
 
 /// One physical pipeline: a fused chain of streamable operators feeding an
 /// optional breaker. Operators are referenced by index into
 /// [`Plan::ops`] so the executor and `explain` share one lowered form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pipeline {
-    /// Indices of the fused `select`/`project`/`project_exprs` operators,
+    /// Indices of the fused `select`/`project` operators,
     /// in plan order (possibly empty: a breaker directly after the scan or
     /// after another breaker).
     pub fused: Vec<usize>,
@@ -63,7 +56,7 @@ pub fn lower(plan: &Plan) -> Vec<Pipeline> {
     let mut out = Vec::new();
     let mut fused: Vec<usize> = Vec::new();
     for (i, op) in plan.ops().iter().enumerate() {
-        if is_breaker(op) {
+        if op.is_breaker() {
             out.push(Pipeline {
                 fused: std::mem::take(&mut fused),
                 breaker: Some(i),

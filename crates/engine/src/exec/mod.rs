@@ -8,13 +8,14 @@
 //!   oracle, and shares no select/project code with what it checks.
 //! * [`Native`](crate::Native) and [`Rewrite`](crate::Rewrite) run the
 //!   batch-streaming executor at every input size: a [`lower`] pass splits
-//!   the chain into [`Pipeline`]s, fusing adjacent
-//!   `select`/`project`/`project_exprs` operators into a single per-batch
-//!   closure chain, and marking the order-based operators (`sort`, `topk`,
-//!   `window`) as **pipeline breakers** — the only points where state is
-//!   materialized. Each fused stage's input is columns
-//!   ([`audb_core::AuColumns`] — the table's stored segments when the
-//!   stage reads the scan source unchanged) and streamed as cache-sized zero-copy
+//!   the chain into [`Pipeline`]s, fusing adjacent `select`/`project`
+//!   operators into a single per-batch closure chain, and marking the
+//!   order-based operators (`sort` — limited or not — and `window`:
+//!   [`Op::is_breaker`](crate::Op::is_breaker)) as **pipeline breakers** —
+//!   the only points where state is materialized. Each fused stage's
+//!   input is columns ([`audb_core::AuColumns`] — the table's stored
+//!   segments when the stage reads the scan source unchanged) and
+//!   streamed as cache-sized zero-copy
 //!   column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
 //!   fused chain in parallel (via `audb-par`, with deterministic output
 //!   order) as vectorized column sweeps; the single materialized build
@@ -31,5 +32,5 @@
 mod lower;
 mod run;
 
-pub use lower::{is_breaker, lower, Pipeline};
+pub use lower::{lower, Pipeline};
 pub use run::{execute, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

@@ -118,8 +118,11 @@ fn run_breaker<B: Backend + ?Sized>(
     input: BreakerInput<'_>,
 ) -> Result<AuRelation, EngineError> {
     match op {
-        Op::Sort { order, pos_name } => backend.sort(input, order, pos_name),
-        Op::TopK { order, k, pos_name } => backend.topk(input, order, *k, pos_name),
+        Op::Sort {
+            order,
+            pos_name,
+            limit,
+        } => backend.sort(input, order, pos_name, *limit),
         Op::Window {
             spec,
             agg,
@@ -152,8 +155,7 @@ fn run_materialized<B: Backend + ?Sized>(
         let start = Instant::now();
         let next = match op {
             Op::Select { pred } => audb_core::au_select(&cur, pred),
-            Op::Project { cols } => audb_core::au_project_cols(&cur, cols),
-            Op::ProjectExprs { exprs } => {
+            Op::Project { exprs } => {
                 let borrowed: Vec<(audb_core::RangeExpr, &str)> =
                     exprs.iter().map(|(e, n)| (e.clone(), n.as_str())).collect();
                 audb_core::au_project(&cur, &borrowed)
@@ -240,9 +242,9 @@ fn batch_verdict(
 /// * `select` filters the multiplicity triple by the predicate's
 ///   vectorized truth column and drops rows whose filtered annotation is
 ///   `(0, 0, 0)`;
-/// * both projections drop rows whose (current) annotation is zero, then
-///   gather / recompute columns — a bare column reference in a computed
-///   projection copies the column instead of re-evaluating per cell.
+/// * `project` drops rows whose (current) annotation is zero, then
+///   gathers / recomputes columns — a bare column reference copies the
+///   column instead of re-evaluating per cell.
 fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool]) -> AuColumns {
     // Selections never copy a value: they fold into a pending selection
     // vector (surviving batch-relative indices + filtered annotations)
@@ -307,11 +309,7 @@ fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool])
                         StepOut::Selected(keep, mults)
                     }
                 },
-                Op::Project { cols } => {
-                    let (keep, mults) = pending.take().unwrap_or_else(|| nonzero_rows(&base));
-                    StepOut::Projected(base.gather_cols(cols, (*out_schema).clone(), &keep, &mults))
-                }
-                Op::ProjectExprs { exprs } => {
+                Op::Project { exprs } => {
                     let (keep, mults) = pending.take().unwrap_or_else(|| nonzero_rows(&base));
                     let cols = exprs
                         .iter()

@@ -5,7 +5,7 @@
 //! ## Supported shape
 //!
 //! A maintainable plan is a chain of row-wise operators (select /
-//! project) feeding one final [`Op::Window`] or [`Op::TopK`]. Row-wise
+//! project) feeding one final [`Op::Window`] or limited [`Op::Sort`]. Row-wise
 //! operators commute with append — running them over each batch and
 //! feeding the final operator's incremental state
 //! ([`audb_native::MaintainedWindow`] / [`audb_native::TopKMaintain`]) is
@@ -149,28 +149,20 @@ pub struct MaintainedQuery {
 
 impl MaintainedQuery {
     pub(crate) fn new(engine: Engine, plan: Plan) -> Result<MaintainedQuery, SessionError> {
-        let kind = match plan.ops().last() {
-            Some(Op::Window { .. }) | Some(Op::TopK { .. })
-                if plan.ops()[..plan.ops().len() - 1].iter().all(|op| {
-                    matches!(
-                        op,
-                        Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. }
-                    )
-                }) =>
-            {
-                match plan.ops().last() {
-                    Some(Op::Window { .. }) => MaintainKind::Window { state: None },
-                    _ => MaintainKind::TopK { state: None },
-                }
+        let row_wise = |pre: &[Op]| !pre.iter().any(Op::is_breaker);
+        let kind = match plan.ops().split_last() {
+            Some((Op::Window { .. }, pre)) if row_wise(pre) => MaintainKind::Window { state: None },
+            Some((Op::Sort { limit: Some(_), .. }, pre)) if row_wise(pre) => {
+                MaintainKind::TopK { state: None }
             }
-            Some(op) => MaintainKind::AlwaysRecompute {
+            Some((op, _)) => MaintainKind::AlwaysRecompute {
                 reason: format!("final operator `{}` is not maintainable", op.name()),
             },
             None => MaintainKind::AlwaysRecompute {
                 reason: "plan has no maintainable operator".to_string(),
             },
         };
-        let pre = plan.prefix(plan.ops().len().saturating_sub(1).min(plan.ops().len()));
+        let pre = plan.prefix(plan.ops().len().saturating_sub(1));
         let accum = plan.source_columns().contiguous().to_rows();
         let mut q = MaintainedQuery {
             engine,
@@ -337,7 +329,7 @@ impl MaintainedQuery {
         };
         // Row-wise prefix over the batch alone ≡ its contribution to the
         // prefix over the accumulated relation.
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch.clone())?)?;
+        let pre_batch = self.engine.execute(&self.pre.with_source(batch)?)?;
         let pre_batch = pre_batch.normalize();
         // The native window's documented fallbacks are sticky: a duplicate
         // multiplicity or uncertain partition value stays in the data.
@@ -374,7 +366,7 @@ impl MaintainedQuery {
         // batch goes incremental.
         let pre_all = self
             .engine
-            .execute(&self.pre.with_source(self.accum.clone())?)?
+            .execute(&self.pre.with_source(&self.accum)?)?
             .normalize();
         if window_needs_reference(&pre_all, &spec) {
             self.fallback_forever = Some(
@@ -405,10 +397,15 @@ impl MaintainedQuery {
             }
             return Ok(Strategy::Recompute);
         }
-        let Some(Op::TopK { order, k, pos_name }) = self.plan.ops().last().cloned() else {
+        let Some(Op::Sort {
+            order,
+            pos_name,
+            limit: Some(k),
+        }) = self.plan.ops().last().cloned()
+        else {
             unreachable!("kind is TopK only for top-k plans");
         };
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch.clone())?)?;
+        let pre_batch = self.engine.execute(&self.pre.with_source(batch)?)?;
         let MaintainKind::TopK { state } = &mut self.kind else {
             unreachable!();
         };
@@ -417,9 +414,7 @@ impl MaintainedQuery {
             return Ok(Strategy::Incremental);
         }
         // First crossing of the cutoff: seed from the accumulated rows.
-        let pre_all = self
-            .engine
-            .execute(&self.pre.with_source(self.accum.clone())?)?;
+        let pre_all = self.engine.execute(&self.pre.with_source(&self.accum)?)?;
         let mut m = TopKMaintain::new(pre_all.schema.clone(), order, k, &pos_name);
         m.apply(&pre_all);
         *state = Some(m);
@@ -431,7 +426,7 @@ impl MaintainedQuery {
     fn recompute_current(&mut self) -> Result<(), SessionError> {
         let out = self
             .engine
-            .execute(&self.plan.with_source(self.accum.clone())?)?
+            .execute(&self.plan.with_source(&self.accum)?)?
             .normalize();
         self.current = keyed_rows(out);
         // The map no longer tracks which entries came from open windows;

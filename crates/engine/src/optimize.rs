@@ -37,14 +37,17 @@
 //!    projection, every source column reaches the output and the pass is
 //!    automatically a no-op.
 //!
-//! The optimizer rebuilds the rewritten chain through the validating
-//! [`Query`] builder — an optimized plan is a first-class plan — and on
-//! any rebuild error falls back to the original plan unchanged (rewrites
-//! may never turn a valid plan into an error).
+//! The passes never match on the operator variants to learn a schema, a
+//! column set or breaker-ness — they ask the operator ([`Op::reads`],
+//! [`Op::remapped`], [`Op::is_breaker`]). The rewritten chain becomes a plan
+//! by folding [`Op::output_schema`] over it, the validation every plan goes
+//! through — an optimized plan is a first-class plan — and on any failure
+//! the optimizer falls back to the original plan unchanged (rewrites may
+//! never turn a valid plan into an error).
 
 use crate::catalog::Table;
-use crate::plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
-use audb_core::{AuWindowSpec, RangeExpr, WinAgg};
+use crate::plan::{Op, Plan};
+use audb_core::{AuWindowSpec, RangeExpr};
 use audb_rel::CmpOp;
 use std::sync::Arc;
 
@@ -85,45 +88,12 @@ pub fn optimize(plan: &Plan) -> Plan {
         return plan.clone();
     }
     let before: Vec<String> = plan.ops().iter().map(|op| op.to_string()).collect();
-    match rebuild(plan, &ops) {
+    match Plan::from_ops(Arc::clone(plan.source_columns()), ops) {
         Ok(rewritten) => rewritten.rewritten_from(plan, Arc::new(OptInfo { before, rules })),
         // A rewrite that fails validation would be an optimizer bug; never
         // surface it as a user error — run the original plan instead.
         Err(_) => plan.clone(),
     }
-}
-
-/// Rebuild an operator chain over the original plan's table handle
-/// through the validating builder.
-fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
-    let mut q = Query::scan_table(Arc::clone(plan.source_columns()));
-    for op in ops {
-        q = match op {
-            Op::Select { pred } => q.select(pred.clone()),
-            Op::Project { cols } => q.project(cols.iter().map(|&i| ColRef::Index(i))),
-            Op::ProjectExprs { exprs } => {
-                q.project_exprs(exprs.iter().map(|(e, n)| (e.clone(), n.clone())))
-            }
-            Op::Sort { order, pos_name } => {
-                q.sort_by_as(order.iter().map(|&i| ColRef::Index(i)), pos_name.clone())
-            }
-            Op::TopK { order, k, pos_name } => q
-                .sort_by_as(order.iter().map(|&i| ColRef::Index(i)), pos_name.clone())
-                .topk(*k),
-            Op::Window {
-                spec,
-                agg,
-                out_name,
-            } => q.window(
-                WindowSpec::rows(spec.lower, spec.upper)
-                    .order_by(spec.order.iter().map(|&i| ColRef::Index(i)))
-                    .partition_by(spec.partition.iter().map(|&i| ColRef::Index(i)))
-                    .aggregate(Agg::from(*agg))
-                    .output(out_name.clone()),
-            ),
-        };
-    }
-    q.build()
 }
 
 // ---------------------------------------------------------------------
@@ -134,47 +104,45 @@ fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
 /// AU-DB soundness conditions in the module docs hold. Every condition
 /// additionally requires that all operators before the breaker are
 /// selections, so the breaker's input columns are exactly the source
-/// columns (same indices, same statistics).
+/// columns (same indices, same statistics) — which makes the first
+/// non-selection the only candidate.
 fn pushdown_selects(ops: &mut [Op], stats: &Table, src_arity: usize, rules: &mut Vec<AppliedRule>) {
     loop {
-        let mut swapped = false;
-        for i in 0..ops.len().saturating_sub(1) {
-            if !ops[..i].iter().all(|o| matches!(o, Op::Select { .. })) {
-                continue;
-            }
-            let Op::Select { pred } = &ops[i + 1] else {
-                continue;
-            };
-            let fired =
-                match &ops[i] {
-                    Op::Sort { order, .. } => sort_pushdown_reason(pred, order, stats, src_arity)
-                        .map(|reason| AppliedRule {
-                            rule: "pushdown-select-below-sort",
-                            reason,
-                        }),
-                    Op::TopK { order, .. } => sort_pushdown_reason(pred, order, stats, src_arity)
-                        .map(|reason| AppliedRule {
-                            rule: "pushdown-select-below-topk",
-                            reason,
-                        }),
-                    Op::Window { spec, .. } => window_pushdown_reason(pred, spec, stats, src_arity)
-                        .map(|reason| AppliedRule {
-                            rule: "pushdown-select-below-window",
-                            reason,
-                        }),
-                    _ => None,
-                };
-            if let Some(rule) = fired {
-                rules.push(rule);
-                ops.swap(i, i + 1);
-                swapped = true;
-                break;
-            }
-        }
-        if !swapped {
+        let i = leading_selects(ops);
+        let (Some(breaker), Some(Op::Select { pred })) = (ops.get(i), ops.get(i + 1)) else {
             return;
-        }
+        };
+        let fired = match breaker {
+            Op::Sort { order, limit, .. } => sort_pushdown_reason(pred, order, stats, src_arity)
+                .map(|reason| AppliedRule {
+                    rule: match limit {
+                        None => "pushdown-select-below-sort",
+                        Some(_) => "pushdown-select-below-topk",
+                    },
+                    reason,
+                }),
+            Op::Window { spec, .. } => {
+                window_pushdown_reason(pred, spec, stats, src_arity).map(|reason| AppliedRule {
+                    rule: "pushdown-select-below-window",
+                    reason,
+                })
+            }
+            _ => None,
+        };
+        let Some(rule) = fired else {
+            return;
+        };
+        rules.push(rule);
+        ops.swap(i, i + 1);
     }
+}
+
+/// How many selections the chain starts with: the operators whose input
+/// columns are exactly the source's.
+fn leading_selects(ops: &[Op]) -> usize {
+    ops.iter()
+        .take_while(|o| matches!(o, Op::Select { .. }))
+        .count()
 }
 
 /// `Some(col)` iff the predicate is a keep-small comparison
@@ -227,7 +195,12 @@ fn window_pushdown_reason(
     src_arity: usize,
 ) -> Option<String> {
     let mut cols = Vec::new();
-    expr_cols(pred, &mut cols);
+    let mut lits_certain = true;
+    pred.visit(&mut |node| match node {
+        RangeExpr::Col(c) => cols.push(*c),
+        RangeExpr::Lit(v) => lits_certain &= v.is_certain(),
+        _ => {}
+    });
     if cols.iter().any(|&c| c >= src_arity) {
         return None; // references the appended aggregate column
     }
@@ -240,7 +213,7 @@ fn window_pushdown_reason(
     }
     let partition_only = cols.iter().all(|c| spec.partition.contains(c));
     let all_certain = cols.iter().all(|&c| stats.all_certain(c));
-    if partition_only && all_certain && expr_lits_certain(pred) {
+    if partition_only && all_certain && lits_certain {
         return Some(
             "predicate over fully-certain PARTITION BY columns with \
              certain literals: whole partitions are kept or dropped, \
@@ -251,39 +224,6 @@ fn window_pushdown_reason(
     None
 }
 
-/// Collect every column index an expression references.
-fn expr_cols(e: &RangeExpr, out: &mut Vec<usize>) {
-    match e {
-        RangeExpr::Col(i) => out.push(*i),
-        RangeExpr::Lit(_) => {}
-        RangeExpr::Neg(a) | RangeExpr::Not(a) => expr_cols(a, out),
-        RangeExpr::Add(a, b)
-        | RangeExpr::Sub(a, b)
-        | RangeExpr::Mul(a, b)
-        | RangeExpr::And(a, b)
-        | RangeExpr::Or(a, b)
-        | RangeExpr::Cmp(_, a, b) => {
-            expr_cols(a, out);
-            expr_cols(b, out);
-        }
-    }
-}
-
-/// True iff every literal in the expression is a certain range.
-fn expr_lits_certain(e: &RangeExpr) -> bool {
-    match e {
-        RangeExpr::Col(_) => true,
-        RangeExpr::Lit(v) => v.is_certain(),
-        RangeExpr::Neg(a) | RangeExpr::Not(a) => expr_lits_certain(a),
-        RangeExpr::Add(a, b)
-        | RangeExpr::Sub(a, b)
-        | RangeExpr::Mul(a, b)
-        | RangeExpr::And(a, b)
-        | RangeExpr::Or(a, b)
-        | RangeExpr::Cmp(_, a, b) => expr_lits_certain(a) && expr_lits_certain(b),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Pass 2: selectivity-based select reordering
 // ---------------------------------------------------------------------
@@ -292,10 +232,7 @@ fn expr_lits_certain(e: &RangeExpr) -> bool {
 /// most selective first. Sound because adjacent AU-DB selections commute:
 /// `Mult3::filter` multiplies componentwise.
 fn reorder_selects(ops: &mut [Op], stats: &Table, rules: &mut Vec<AppliedRule>) {
-    let k = ops
-        .iter()
-        .take_while(|o| matches!(o, Op::Select { .. }))
-        .count();
+    let k = leading_selects(ops);
     if k < 2 {
         return;
     }
@@ -336,14 +273,11 @@ fn prune_dead_columns(
     rules: &mut Vec<AppliedRule>,
 ) {
     let src_arity = src_schema.arity();
-    let p = ops
-        .iter()
-        .take_while(|o| matches!(o, Op::Select { .. }))
-        .count();
+    let p = leading_selects(ops);
     if p == ops.len() {
         return; // no downstream op: the full source schema is the output
     }
-    if matches!(ops[p], Op::Project { .. } | Op::ProjectExprs { .. }) {
+    if matches!(ops[p], Op::Project { .. }) {
         return; // the plan already prunes at the first opportunity
     }
 
@@ -352,62 +286,27 @@ fn prune_dead_columns(
     // columns), and mark every source column any operator reads.
     let mut used = vec![false; src_arity];
     let mut origin: Vec<Option<usize>> = (0..src_arity).map(Some).collect();
-    let mark = |used: &mut Vec<bool>, o: Option<usize>| {
-        if let Some(c) = o {
-            used[c] = true;
-        }
-    };
     for op in &ops[p..] {
-        match op {
-            Op::Select { pred } => {
-                let mut cols = Vec::new();
-                expr_cols(pred, &mut cols);
-                for c in cols {
-                    mark(&mut used, origin[c]);
-                }
+        for c in op.reads() {
+            if let Some(src) = origin[c] {
+                used[src] = true;
             }
-            Op::Project { cols } => {
-                for &c in cols {
-                    mark(&mut used, origin[c]);
-                }
-                origin = cols.iter().map(|&c| origin[c]).collect();
-            }
-            Op::ProjectExprs { exprs } => {
-                for (e, _) in exprs {
-                    let mut cols = Vec::new();
-                    expr_cols(e, &mut cols);
-                    for c in cols {
-                        mark(&mut used, origin[c]);
-                    }
-                }
-                origin = exprs
-                    .iter()
-                    .map(|(e, _)| match e {
-                        RangeExpr::Col(i) => origin[*i],
-                        _ => None,
-                    })
-                    .collect();
-            }
-            Op::Sort { order, .. } | Op::TopK { order, .. } => {
-                for &c in order {
-                    mark(&mut used, origin[c]);
-                }
-                origin.push(None);
-            }
-            Op::Window { spec, agg, .. } => {
-                for &c in spec.order.iter().chain(&spec.partition) {
-                    mark(&mut used, origin[c]);
-                }
-                if let WinAgg::Sum(c) | WinAgg::Min(c) | WinAgg::Max(c) | WinAgg::Avg(c) = agg {
-                    mark(&mut used, origin[*c]);
-                }
-                origin.push(None);
-            }
+        }
+        if let Op::Project { exprs } = op {
+            origin = exprs
+                .iter()
+                .map(|(e, _)| match e {
+                    RangeExpr::Col(i) => origin[*i],
+                    _ => None,
+                })
+                .collect();
+        } else if op.is_breaker() {
+            origin.push(None);
         }
     }
     // Whatever still maps to a source column reaches the output schema.
-    for &o in &origin {
-        mark(&mut used, o);
+    for src in origin.into_iter().flatten() {
+        used[src] = true;
     }
 
     let live: Vec<usize> = (0..src_arity).filter(|&c| used[c]).collect();
@@ -416,114 +315,41 @@ fn prune_dead_columns(
     }
 
     // Remap ops[p..] through the pruned schema: `m[old] = Some(new)` for
-    // surviving columns at the current point in the chain.
+    // surviving columns at the current point in the chain. An operator
+    // that reads a pruned column would be a bug of the walk above — the
+    // pass is then abandoned, never the plan corrupted.
     let mut m: Vec<Option<usize>> = vec![None; src_arity];
     for (new, &old) in live.iter().enumerate() {
         m[old] = Some(new);
     }
     let mut new_arity = live.len();
-    let mut tail: Vec<Op> = Vec::with_capacity(ops.len() - p);
+    let mut rewritten = ops[..p].to_vec();
+    rewritten.push(Op::Project {
+        exprs: live
+            .iter()
+            .map(|&c| (RangeExpr::Col(c), src_schema.cols()[c].clone()))
+            .collect(),
+    });
     for op in &ops[p..] {
-        let remapped = match op {
-            Op::Select { pred } => {
-                let Some(pred) = remap_expr(pred, &m) else {
-                    return;
-                };
-                Op::Select { pred }
-            }
-            Op::Project { cols } => {
-                let Some(cols) = remap_indices(cols, &m) else {
-                    return;
-                };
-                new_arity = cols.len();
-                m = (0..new_arity).map(Some).collect();
-                Op::Project { cols }
-            }
-            Op::ProjectExprs { exprs } => {
-                let mut out = Vec::with_capacity(exprs.len());
-                for (e, n) in exprs {
-                    let Some(e) = remap_expr(e, &m) else {
-                        return;
-                    };
-                    out.push((e, n.clone()));
-                }
-                new_arity = out.len();
-                m = (0..new_arity).map(Some).collect();
-                Op::ProjectExprs { exprs: out }
-            }
-            Op::Sort { order, pos_name } => {
-                let Some(order) = remap_indices(order, &m) else {
-                    return;
-                };
-                m.push(Some(new_arity));
-                new_arity += 1;
-                Op::Sort {
-                    order,
-                    pos_name: pos_name.clone(),
-                }
-            }
-            Op::TopK { order, k, pos_name } => {
-                let Some(order) = remap_indices(order, &m) else {
-                    return;
-                };
-                m.push(Some(new_arity));
-                new_arity += 1;
-                Op::TopK {
-                    order,
-                    k: *k,
-                    pos_name: pos_name.clone(),
-                }
-            }
-            Op::Window {
-                spec,
-                agg,
-                out_name,
-            } => {
-                let (Some(order), Some(partition)) = (
-                    remap_indices(&spec.order, &m),
-                    remap_indices(&spec.partition, &m),
-                ) else {
-                    return;
-                };
-                let remap_agg = |c: usize| m.get(c).copied().flatten();
-                let agg = match agg {
-                    WinAgg::Sum(c) => match remap_agg(*c) {
-                        Some(c) => WinAgg::Sum(c),
-                        None => return,
-                    },
-                    WinAgg::Min(c) => match remap_agg(*c) {
-                        Some(c) => WinAgg::Min(c),
-                        None => return,
-                    },
-                    WinAgg::Max(c) => match remap_agg(*c) {
-                        Some(c) => WinAgg::Max(c),
-                        None => return,
-                    },
-                    WinAgg::Avg(c) => match remap_agg(*c) {
-                        Some(c) => WinAgg::Avg(c),
-                        None => return,
-                    },
-                    WinAgg::Count => WinAgg::Count,
-                };
-                m.push(Some(new_arity));
-                new_arity += 1;
-                Op::Window {
-                    spec: AuWindowSpec::rows(order, spec.lower, spec.upper).partition_by(partition),
-                    agg,
-                    out_name: out_name.clone(),
-                }
-            }
+        let Some(op) = op.remapped(&m) else {
+            return;
         };
-        tail.push(remapped);
+        if let Op::Project { exprs } = &op {
+            // Its outputs are numbered as before, whatever fed them.
+            new_arity = exprs.len();
+            m = (0..new_arity).map(Some).collect();
+        } else if op.is_breaker() {
+            // The appended column sits behind the surviving ones.
+            m.push(Some(new_arity));
+            new_arity += 1;
+        }
+        rewritten.push(op);
     }
 
     let dropped: Vec<&str> = (0..src_arity)
         .filter(|&c| !used[c])
         .map(|c| src_schema.cols()[c].as_str())
         .collect();
-    let mut rewritten = ops[..p].to_vec();
-    rewritten.push(Op::Project { cols: live });
-    rewritten.extend(tail);
     *ops = rewritten;
     rules.push(AppliedRule {
         rule: "prune-dead-columns",
@@ -531,45 +357,10 @@ fn prune_dead_columns(
     });
 }
 
-/// Remap a list of column indices; `None` if any column was pruned
-/// (a pass bug — the caller aborts the pass, never corrupts the plan).
-fn remap_indices(idxs: &[usize], m: &[Option<usize>]) -> Option<Vec<usize>> {
-    idxs.iter().map(|&c| m.get(c).copied().flatten()).collect()
-}
-
-/// Remap every column reference in an expression.
-fn remap_expr(e: &RangeExpr, m: &[Option<usize>]) -> Option<RangeExpr> {
-    Some(match e {
-        RangeExpr::Col(i) => RangeExpr::Col(m.get(*i).copied().flatten()?),
-        RangeExpr::Lit(v) => RangeExpr::Lit(v.clone()),
-        RangeExpr::Neg(a) => RangeExpr::Neg(Box::new(remap_expr(a, m)?)),
-        RangeExpr::Not(a) => RangeExpr::Not(Box::new(remap_expr(a, m)?)),
-        RangeExpr::Add(a, b) => {
-            RangeExpr::Add(Box::new(remap_expr(a, m)?), Box::new(remap_expr(b, m)?))
-        }
-        RangeExpr::Sub(a, b) => {
-            RangeExpr::Sub(Box::new(remap_expr(a, m)?), Box::new(remap_expr(b, m)?))
-        }
-        RangeExpr::Mul(a, b) => {
-            RangeExpr::Mul(Box::new(remap_expr(a, m)?), Box::new(remap_expr(b, m)?))
-        }
-        RangeExpr::And(a, b) => {
-            RangeExpr::And(Box::new(remap_expr(a, m)?), Box::new(remap_expr(b, m)?))
-        }
-        RangeExpr::Or(a, b) => {
-            RangeExpr::Or(Box::new(remap_expr(a, m)?), Box::new(remap_expr(b, m)?))
-        }
-        RangeExpr::Cmp(op, a, b) => RangeExpr::Cmp(
-            *op,
-            Box::new(remap_expr(a, m)?),
-            Box::new(remap_expr(b, m)?),
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Agg, Query, WindowSpec};
     use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
     use audb_rel::Schema;
 
@@ -775,9 +566,14 @@ mod tests {
             .unwrap();
         let opt = optimize(&plan);
         assert_eq!(op_names(&opt), ["select", "project", "sort", "project"]);
-        assert_eq!(opt.ops()[1], Op::Project { cols: vec![0] });
+        let cols = |names: &[(usize, &str)]| Op::Project {
+            exprs: (names.iter())
+                .map(|&(i, n)| (RangeExpr::Col(i), n.to_string()))
+                .collect(),
+        };
+        assert_eq!(opt.ops()[1], cols(&[(0, "t")]));
         assert!(matches!(&opt.ops()[2], Op::Sort { order, .. } if order == &[0]));
-        assert_eq!(opt.ops()[3], Op::Project { cols: vec![0, 1] });
+        assert_eq!(opt.ops()[3], cols(&[(0, "t"), (1, "pos")]));
         assert_eq!(opt.schema().cols(), plan.schema().cols());
         let info = opt.opt().unwrap();
         assert!(info.rules.iter().any(|r| r.rule == "prune-dead-columns"));

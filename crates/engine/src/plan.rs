@@ -6,16 +6,24 @@
 //! handed to [`Query::scan`]):
 //!
 //! ```text
-//! scan → (select | project | sort → [topk] | window)*
+//! scan → (select | project | sort [limit k] | window)*
 //! ```
 //!
+//! Four operators, each said once: top-k is the sort with a `limit` (the
+//! paper's Sec. 5 defines it as `σ_{τ<k}` over the sort), a projection onto
+//! existing columns is the generalized projection of bare column
+//! references. What a pass needs to know of an operator — its output
+//! schema, the columns it reads, itself over renumbered columns, whether it
+//! breaks a pipeline — [`Op`] answers itself.
+//!
 //! The builder resolves every column reference (by name or index) against
-//! the *evolving* schema at build time and returns a structured
-//! [`PlanError`] instead of the scattered panics of the free-function API —
-//! a plan that builds cannot reference a missing attribute, shadow an
-//! existing column with a position/aggregate output, or carry a window
-//! frame that excludes the current row. The resolved IR is purely
-//! index-based, so backends never re-resolve names.
+//! the *evolving* schema at build time and folds [`Op::output_schema`] over
+//! the chain, returning a structured [`PlanError`] instead of the
+//! scattered panics of the free-function API — a plan that builds cannot
+//! reference a missing attribute, shadow an existing column with a
+//! position/aggregate output, or carry a window frame that excludes the
+//! current row. The resolved IR is purely index-based, so backends never
+//! re-resolve names.
 
 use crate::catalog::Table;
 use crate::error::PlanError;
@@ -193,7 +201,11 @@ impl WindowSpec {
 }
 
 /// One resolved operator of a [`Plan`]. All column references are indices
-/// into the operator's input schema.
+/// into the operator's input schema. The operator is the one place that
+/// knows its own shape: [`Op::output_schema`] (which is also its
+/// validation), [`Op::reads`], [`Op::remapped`] and [`Op::is_breaker`] are
+/// what the builder, the optimizer, the printer, the executor and
+/// maintenance ask instead of matching on the variants.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// AU-DB selection `σ_pred` (\[24\] semantics).
@@ -201,33 +213,26 @@ pub enum Op {
         /// The predicate (column indices refer to the input schema).
         pred: RangeExpr,
     },
-    /// Projection onto existing columns.
+    /// Generalized projection through range expressions. A projection onto
+    /// existing columns is the special case of `Col(i)` under the column's
+    /// own name (the executor copies such a column instead of evaluating
+    /// it).
     Project {
-        /// Input column indices, in output order.
-        cols: Vec<usize>,
-    },
-    /// Generalized projection through range expressions.
-    ProjectExprs {
         /// `(expression, output name)` pairs.
         exprs: Vec<(RangeExpr, String)>,
     },
-    /// AU-DB sort (Def. 2): appends a position-range column.
+    /// AU-DB sort (Def. 2): appends a position-range column. With a
+    /// `limit` it is top-k (Sec. 5): the sort followed by `σ_{τ < k}`, with
+    /// position bounds capped at `k` (the paper's Algorithm 1 `emit` step
+    /// — applied uniformly by every backend so their outputs are
+    /// identical).
     Sort {
         /// ORDER BY column indices.
         order: Vec<usize>,
         /// Name of the appended position column.
         pos_name: String,
-    },
-    /// Top-k (Sec. 5): sort + `σ_{τ < k}`, position bounds capped at `k`
-    /// (the paper's Algorithm 1 `emit` step — applied uniformly by every
-    /// backend so their outputs are identical).
-    TopK {
-        /// ORDER BY column indices.
-        order: Vec<usize>,
-        /// Number of rows to keep per world.
-        k: u64,
-        /// Name of the appended position column.
-        pos_name: String,
+        /// Number of rows to keep per world, if limited.
+        limit: Option<u64>,
     },
     /// Row-based windowed aggregation (Def. 3): appends an aggregate-range
     /// column.
@@ -241,15 +246,144 @@ pub enum Op {
     },
 }
 
+/// The column references of an expression, in the order it mentions them.
+fn cols_of(e: &RangeExpr, out: &mut Vec<usize>) {
+    e.visit(&mut |node| {
+        if let RangeExpr::Col(i) = node {
+            out.push(*i);
+        }
+    });
+}
+
 impl Op {
-    /// Short operator name for explain output.
+    /// Short operator name for explain output, trace labels and rule ids
+    /// (a limited sort is `"topk"`).
     pub fn name(&self) -> &'static str {
         match self {
             Op::Select { .. } => "select",
-            Op::Project { .. } | Op::ProjectExprs { .. } => "project",
-            Op::Sort { .. } => "sort",
-            Op::TopK { .. } => "topk",
+            Op::Project { .. } => "project",
+            Op::Sort { limit: None, .. } => "sort",
+            Op::Sort { limit: Some(_), .. } => "topk",
             Op::Window { .. } => "window",
+        }
+    }
+
+    /// True iff the operator must see its entire input before producing
+    /// output — the order-based operators, whose position/aggregate bounds
+    /// depend on every other row. The others stream one tuple at a time.
+    pub fn is_breaker(&self) -> bool {
+        matches!(self, Op::Sort { .. } | Op::Window { .. })
+    }
+
+    /// The input columns the operator reads, in the order it mentions them
+    /// (a column mentioned twice is listed twice).
+    pub fn reads(&self) -> Vec<usize> {
+        let mut cols = Vec::new();
+        match self {
+            Op::Select { pred } => cols_of(pred, &mut cols),
+            Op::Project { exprs } => exprs.iter().for_each(|(e, _)| cols_of(e, &mut cols)),
+            Op::Sort { order, .. } => cols.extend(order),
+            Op::Window { spec, agg, .. } => {
+                cols.extend(spec.order.iter().chain(&spec.partition));
+                cols.extend(agg.input_col());
+            }
+        }
+        cols
+    }
+
+    /// The same operator over renumbered input columns: input column `c`
+    /// is now `map[c]`. `None` if the operator reads a column the map
+    /// dropped (or does not cover).
+    pub fn remapped(&self, map: &[Option<usize>]) -> Option<Op> {
+        let at = |c: usize| map.get(c).copied().flatten();
+        let all = |cols: &[usize]| cols.iter().map(|&c| at(c)).collect::<Option<Vec<_>>>();
+        Some(match self {
+            Op::Select { pred } => Op::Select {
+                pred: pred.map_cols(&at)?,
+            },
+            Op::Project { exprs } => Op::Project {
+                exprs: exprs
+                    .iter()
+                    .map(|(e, n)| Some((e.map_cols(&at)?, n.clone())))
+                    .collect::<Option<_>>()?,
+            },
+            Op::Sort {
+                order,
+                pos_name,
+                limit,
+            } => Op::Sort {
+                order: all(order)?,
+                pos_name: pos_name.clone(),
+                limit: *limit,
+            },
+            Op::Window {
+                spec,
+                agg,
+                out_name,
+            } => Op::Window {
+                spec: AuWindowSpec {
+                    order: all(&spec.order)?,
+                    partition: all(&spec.partition)?,
+                    lower: spec.lower,
+                    upper: spec.upper,
+                },
+                agg: match agg.input_col() {
+                    Some(c) => agg.with_input_col(at(c)?),
+                    None => *agg,
+                },
+                out_name: out_name.clone(),
+            },
+        })
+    }
+
+    /// The operator's output schema over `input` — or why it cannot run
+    /// there: a column reference past the input's arity, an output name
+    /// that is already taken, an empty projection or ORDER BY, a window
+    /// frame that excludes the current row. Folding this over a chain is
+    /// how every [`Plan`] gets its schemas, whichever door built it.
+    pub fn output_schema(&self, input: &Schema) -> Result<Schema, PlanError> {
+        let arity = input.arity();
+        if let Some(index) = self.reads().into_iter().find(|&c| c >= arity) {
+            return Err(PlanError::ColumnOutOfRange { index, arity });
+        }
+        // The column a breaker appends must not shadow an attribute.
+        let appended = |name: &str| match input.index_of(name) {
+            Some(_) => Err(PlanError::DuplicateColumn { name: name.into() }),
+            None => Ok(input.with(name)),
+        };
+        match self {
+            Op::Select { .. } => Ok(input.clone()),
+            Op::Project { exprs } => {
+                if exprs.is_empty() {
+                    return Err(PlanError::EmptyProjection);
+                }
+                for (i, (_, n)) in exprs.iter().enumerate() {
+                    if exprs[..i].iter().any(|(_, m)| m == n) {
+                        return Err(PlanError::DuplicateColumn { name: n.clone() });
+                    }
+                }
+                Ok(Schema::new(exprs.iter().map(|(_, n)| n.clone())))
+            }
+            Op::Sort {
+                order, pos_name, ..
+            } => {
+                if order.is_empty() {
+                    return Err(PlanError::EmptyOrderBy);
+                }
+                appended(pos_name)
+            }
+            Op::Window { spec, out_name, .. } => {
+                if spec.order.is_empty() {
+                    return Err(PlanError::EmptyOrderBy);
+                }
+                if spec.lower > 0 || spec.upper < 0 {
+                    return Err(PlanError::InvalidWindowFrame {
+                        lower: spec.lower,
+                        upper: spec.upper,
+                    });
+                }
+                appended(out_name)
+            }
         }
     }
 }
@@ -258,19 +392,20 @@ impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Op::Select { .. } => write!(f, "select σ"),
-            Op::Project { cols } => write!(f, "project {cols:?}"),
-            Op::ProjectExprs { exprs } => write!(
-                f,
-                "project [{}]",
-                exprs
-                    .iter()
-                    .map(|(_, n)| n.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-            Op::Sort { order, pos_name } => write!(f, "sort {order:?} → {pos_name}"),
-            Op::TopK { order, k, pos_name } => {
-                write!(f, "topk k={k} {order:?} → {pos_name}")
+            Op::Project { exprs } => {
+                let names: Vec<&str> = exprs.iter().map(|(_, n)| n.as_str()).collect();
+                write!(f, "project [{}]", names.join(", "))
+            }
+            Op::Sort {
+                order,
+                pos_name,
+                limit,
+            } => {
+                write!(f, "{}", self.name())?;
+                if let Some(k) = limit {
+                    write!(f, " k={k}")?;
+                }
+                write!(f, " {order:?} → {pos_name}")
             }
             Op::Window {
                 spec,
@@ -310,6 +445,26 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan running `ops` over `source`: each operator's
+    /// [`Op::output_schema`] over its predecessor's, the first failure
+    /// returned. The [`Query`] builder folds the same function call by
+    /// call, so a chain the optimizer rewrote is checked exactly as one a
+    /// caller built.
+    pub(crate) fn from_ops(source: Arc<Table>, ops: Vec<Op>) -> Result<Plan, PlanError> {
+        let mut schemas = vec![source.schema().clone()];
+        for op in &ops {
+            let out = op.output_schema(schemas.last().expect("starts non-empty"))?;
+            schemas.push(out);
+        }
+        Ok(Plan {
+            source,
+            ops,
+            schemas,
+            sql: None,
+            opt: None,
+        })
+    }
+
     /// The scanned source as it is stored — the handle on its columnar
     /// segments and their statistics ([`Table`]): row count, schema,
     /// batches, and (through [`Table::contiguous`]) one `AuColumns` or rows
@@ -378,8 +533,7 @@ impl Plan {
     /// appended batch. The resolved IR is index-based, so the only thing
     /// to re-validate is that the new source carries the schema the chain
     /// was compiled against.
-    pub fn with_source(&self, source: impl Into<Arc<AuRelation>>) -> Result<Plan, PlanError> {
-        let source: Arc<AuRelation> = source.into();
+    pub fn with_source(&self, source: &AuRelation) -> Result<Plan, PlanError> {
         if source.schema != self.schemas[0] {
             return Err(PlanError::SourceSchemaMismatch {
                 expected: self.schemas[0].to_string(),
@@ -433,56 +587,12 @@ impl Plan {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Query {
-    state: Result<QueryState, PlanError>,
+    state: Result<Plan, PlanError>,
 }
 
-#[derive(Clone, Debug)]
-struct QueryState {
-    source: Arc<Table>,
-    ops: Vec<Op>,
-    schemas: Vec<Schema>,
-}
-
-impl QueryState {
-    fn schema(&self) -> &Schema {
-        self.schemas.last().expect("schemas is never empty")
-    }
-}
-
-/// Validate that every column reference inside a range expression is within
-/// the schema's arity.
-fn validate_expr(e: &RangeExpr, arity: usize) -> Result<(), PlanError> {
-    match e {
-        RangeExpr::Col(i) => {
-            if *i < arity {
-                Ok(())
-            } else {
-                Err(PlanError::ColumnOutOfRange { index: *i, arity })
-            }
-        }
-        RangeExpr::Lit(_) => Ok(()),
-        RangeExpr::Neg(a) | RangeExpr::Not(a) => validate_expr(a, arity),
-        RangeExpr::Add(a, b)
-        | RangeExpr::Sub(a, b)
-        | RangeExpr::Mul(a, b)
-        | RangeExpr::And(a, b)
-        | RangeExpr::Or(a, b)
-        | RangeExpr::Cmp(_, a, b) => {
-            validate_expr(a, arity)?;
-            validate_expr(b, arity)
-        }
-    }
-}
-
-/// A new column name must not shadow an existing attribute.
-fn check_new_name(schema: &Schema, name: &str) -> Result<(), PlanError> {
-    if schema.index_of(name).is_some() {
-        Err(PlanError::DuplicateColumn {
-            name: name.to_string(),
-        })
-    } else {
-        Ok(())
-    }
+/// Resolve a list of column references against one schema.
+fn resolve_all(cols: &[ColRef], schema: &Schema) -> Result<Vec<usize>, PlanError> {
+    cols.iter().map(|c| c.resolve(schema)).collect()
 }
 
 impl Query {
@@ -496,36 +606,34 @@ impl Query {
         Query::scan_table(Table::sealed(rel.into().to_columns()))
     }
 
-    /// [`Query::scan`] over an existing table handle — a catalog's, or the
-    /// one a plan being rewritten already holds — so the new plan shares
-    /// the handle's segments and statistics.
+    /// [`Query::scan`] over an existing table handle — a catalog's — so
+    /// the new plan shares the handle's segments and statistics.
     pub(crate) fn scan_table(source: Arc<Table>) -> Query {
-        let schema = source.schema();
-        let mut seen: Vec<&str> = Vec::with_capacity(schema.arity());
-        for c in schema.cols() {
-            if seen.contains(&c.as_str()) {
-                return Query {
-                    state: Err(PlanError::DuplicateColumn { name: c.clone() }),
-                };
-            }
-            seen.push(c);
-        }
-        let schema = schema.clone();
-        Query {
-            state: Ok(QueryState {
-                source,
-                ops: Vec::new(),
-                schemas: vec![schema],
-            }),
-        }
+        let cols = source.schema().cols();
+        let state = match cols
+            .iter()
+            .enumerate()
+            .find(|(i, c)| cols[..*i].contains(c))
+        {
+            Some((_, c)) => Err(PlanError::DuplicateColumn { name: c.clone() }),
+            None => Plan::from_ops(source, Vec::new()),
+        };
+        Query { state }
     }
 
-    fn try_push(mut self, f: impl FnOnce(&QueryState) -> Result<(Op, Schema), PlanError>) -> Self {
-        if let Ok(state) = &mut self.state {
-            match f(state) {
-                Ok((op, schema)) => {
-                    state.ops.push(op);
-                    state.schemas.push(schema);
+    /// Append the operator `resolve` makes of the current schema, under
+    /// the schema [`Op::output_schema`] gives it; the first failure of
+    /// either sticks.
+    fn try_push(mut self, resolve: impl FnOnce(&Schema) -> Result<Op, PlanError>) -> Self {
+        if let Ok(plan) = &mut self.state {
+            let pushed = resolve(plan.schema()).and_then(|op| {
+                let out = op.output_schema(plan.schema())?;
+                Ok((op, out))
+            });
+            match pushed {
+                Ok((op, out)) => {
+                    plan.ops.push(op);
+                    plan.schemas.push(out);
                 }
                 Err(e) => self.state = Err(e),
             }
@@ -536,31 +644,19 @@ impl Query {
     /// AU-DB selection `σ_pred` — filters each row's multiplicity triple by
     /// the predicate's truth triple.
     pub fn select(self, pred: RangeExpr) -> Self {
-        self.try_push(|state| {
-            validate_expr(&pred, state.schema().arity())?;
-            Ok((Op::Select { pred }, state.schema().clone()))
-        })
+        self.try_push(|_| Ok(Op::Select { pred }))
     }
 
-    /// Project onto existing columns (by name or index).
+    /// Project onto existing columns (by name or index): each becomes a
+    /// bare column reference under the column's own name.
     pub fn project<C: Into<ColRef>>(self, cols: impl IntoIterator<Item = C>) -> Self {
         let cols: Vec<ColRef> = cols.into_iter().map(Into::into).collect();
-        self.try_push(|state| {
-            if cols.is_empty() {
-                return Err(PlanError::EmptyProjection);
-            }
-            let schema = state.schema();
-            let idxs = cols
-                .iter()
-                .map(|c| c.resolve(schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let names: Vec<String> = idxs.iter().map(|&i| schema.cols()[i].clone()).collect();
-            for (i, n) in names.iter().enumerate() {
-                if names[..i].contains(n) {
-                    return Err(PlanError::DuplicateColumn { name: n.clone() });
-                }
-            }
-            Ok((Op::Project { cols: idxs }, Schema::new(names)))
+        self.try_push(|schema| {
+            let exprs = resolve_all(&cols, schema)?
+                .into_iter()
+                .map(|i| (RangeExpr::Col(i), schema.cols()[i].clone()))
+                .collect();
+            Ok(Op::Project { exprs })
         })
     }
 
@@ -570,22 +666,8 @@ impl Query {
         self,
         exprs: impl IntoIterator<Item = (RangeExpr, impl Into<String>)>,
     ) -> Self {
-        let exprs: Vec<(RangeExpr, String)> =
-            exprs.into_iter().map(|(e, n)| (e, n.into())).collect();
-        self.try_push(|state| {
-            if exprs.is_empty() {
-                return Err(PlanError::EmptyProjection);
-            }
-            let arity = state.schema().arity();
-            for (i, (e, n)) in exprs.iter().enumerate() {
-                validate_expr(e, arity)?;
-                if exprs[..i].iter().any(|(_, m)| m == n) {
-                    return Err(PlanError::DuplicateColumn { name: n.clone() });
-                }
-            }
-            let schema = Schema::new(exprs.iter().map(|(_, n)| n.clone()));
-            Ok((Op::ProjectExprs { exprs }, schema))
-        })
+        let exprs = exprs.into_iter().map(|(e, n)| (e, n.into())).collect();
+        self.try_push(|_| Ok(Op::Project { exprs }))
     }
 
     /// Sort (Def. 2), appending position ranges in a column named `"pos"`.
@@ -601,18 +683,12 @@ impl Query {
     ) -> Self {
         let order: Vec<ColRef> = order.into_iter().map(Into::into).collect();
         let pos_name = pos_name.into();
-        self.try_push(|state| {
-            if order.is_empty() {
-                return Err(PlanError::EmptyOrderBy);
-            }
-            let schema = state.schema();
-            let order = order
-                .iter()
-                .map(|c| c.resolve(schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            check_new_name(schema, &pos_name)?;
-            let out = schema.with(pos_name.clone());
-            Ok((Op::Sort { order, pos_name }, out))
+        self.try_push(|schema| {
+            Ok(Op::Sort {
+                order: resolve_all(&order, schema)?,
+                pos_name,
+                limit: None,
+            })
         })
     }
 
@@ -621,17 +697,10 @@ impl Query {
     /// Algorithm 1 `emit` step). Calling it anywhere else is a
     /// [`PlanError::TopKWithoutSort`].
     pub fn topk(mut self, k: u64) -> Self {
-        if let Ok(state) = &mut self.state {
-            match state.ops.pop() {
-                Some(Op::Sort { order, pos_name }) => {
-                    state.ops.push(Op::TopK { order, k, pos_name });
-                }
-                other => {
-                    if let Some(op) = other {
-                        state.ops.push(op);
-                    }
-                    self.state = Err(PlanError::TopKWithoutSort);
-                }
+        if let Ok(plan) = &mut self.state {
+            match plan.ops.last_mut() {
+                Some(Op::Sort { limit, .. }) if limit.is_none() => *limit = Some(k),
+                _ => self.state = Err(PlanError::TopKWithoutSort),
             }
         }
         self
@@ -639,39 +708,19 @@ impl Query {
 
     /// Row-based windowed aggregation (Def. 3).
     pub fn window(self, spec: WindowSpec) -> Self {
-        self.try_push(|state| {
-            let schema = state.schema();
-            if spec.order.is_empty() {
-                return Err(PlanError::EmptyOrderBy);
-            }
-            if spec.lower > 0 || spec.upper < 0 {
-                return Err(PlanError::InvalidWindowFrame {
+        self.try_push(|schema| {
+            Ok(Op::Window {
+                // Built field by field: the frame is `output_schema`'s to
+                // judge, and `AuWindowSpec::rows` would assert on it.
+                spec: AuWindowSpec {
+                    order: resolve_all(&spec.order, schema)?,
+                    partition: resolve_all(&spec.partition, schema)?,
                     lower: spec.lower,
                     upper: spec.upper,
-                });
-            }
-            let order = spec
-                .order
-                .iter()
-                .map(|c| c.resolve(schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let partition = spec
-                .partition
-                .iter()
-                .map(|c| c.resolve(schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let agg = spec.agg.resolve(schema)?;
-            check_new_name(schema, &spec.out_name)?;
-            let au_spec = AuWindowSpec::rows(order, spec.lower, spec.upper).partition_by(partition);
-            let out = schema.with(spec.out_name.clone());
-            Ok((
-                Op::Window {
-                    spec: au_spec,
-                    agg,
-                    out_name: spec.out_name.clone(),
                 },
-                out,
-            ))
+                agg: spec.agg.resolve(schema)?,
+                out_name: spec.out_name,
+            })
         })
     }
 
@@ -680,20 +729,13 @@ impl Query {
     /// [`Query::build`]). Lets external compilers — the SQL binder — resolve
     /// names mid-chain exactly like the builder itself does.
     pub fn schema(&self) -> Option<&Schema> {
-        self.state.as_ref().ok().map(|s| s.schema())
+        self.state.as_ref().ok().map(Plan::schema)
     }
 
     /// Finish the chain, returning the validated plan or the first error
     /// encountered while building it.
     pub fn build(self) -> Result<Plan, PlanError> {
-        let state = self.state?;
-        Ok(Plan {
-            source: state.source,
-            ops: state.ops,
-            schemas: state.schemas,
-            sql: None,
-            opt: None,
-        })
+        self.state
     }
 }
 
@@ -723,7 +765,9 @@ mod tests {
         assert_eq!(plan.ops().len(), 2);
         assert_eq!(plan.schema().cols(), &["a", "b", "pos"]);
         assert_eq!(plan.schemas()[0].cols(), &["a", "b"]);
-        assert!(matches!(&plan.ops()[1], Op::TopK { k: 3, order, .. } if order == &[1, 0]));
+        assert!(
+            matches!(&plan.ops()[1], Op::Sort { limit: Some(3), order, .. } if order == &[1, 0])
+        );
     }
 
     /// The satellite regression: a position/aggregate column that collides

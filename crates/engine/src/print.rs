@@ -115,12 +115,16 @@ fn frame_bound(offset: i64, following: bool) -> String {
 }
 
 fn window_sql(spec: &AuWindowSpec, agg: WinAgg, out_name: &str, schema: &Schema) -> String {
-    let call = match agg {
-        WinAgg::Sum(c) => format!("SUM({})", sql_ident(&schema.cols()[c])),
-        WinAgg::Count => "COUNT(*)".to_string(),
-        WinAgg::Min(c) => format!("MIN({})", sql_ident(&schema.cols()[c])),
-        WinAgg::Max(c) => format!("MAX({})", sql_ident(&schema.cols()[c])),
-        WinAgg::Avg(c) => format!("AVG({})", sql_ident(&schema.cols()[c])),
+    let func = match agg {
+        WinAgg::Sum(_) => "SUM",
+        WinAgg::Count => "COUNT",
+        WinAgg::Min(_) => "MIN",
+        WinAgg::Max(_) => "MAX",
+        WinAgg::Avg(_) => "AVG",
+    };
+    let arg = match agg.input_col() {
+        Some(c) => sql_ident(&schema.cols()[c]),
+        None => "*".to_string(),
     };
     let mut over = String::new();
     if !spec.partition.is_empty() {
@@ -137,7 +141,7 @@ fn window_sql(spec: &AuWindowSpec, agg: WinAgg, out_name: &str, schema: &Schema)
         frame_bound(spec.lower, false),
         frame_bound(spec.upper, true)
     ));
-    format!("{call} OVER ({over}) AS {}", sql_ident(out_name))
+    format!("{func}({arg}) OVER ({over}) AS {}", sql_ident(out_name))
 }
 
 /// ` ORDER BY cols [AS pos_name]` — the `AS` is omitted for the default
@@ -185,38 +189,29 @@ pub fn plan_to_sql(plan: &Plan, table: &str) -> String {
                 break;
             }
         }
-        if windows.is_empty() && i < ops.len() {
-            match &ops[i] {
-                Op::Project { cols } => {
-                    list = Some(col_list(cols, &schemas[i]));
-                    i += 1;
-                }
-                Op::ProjectExprs { exprs } => {
-                    let s = &schemas[i];
-                    list = Some(
-                        exprs
-                            .iter()
-                            .map(|(e, n)| format!("{} AS {}", expr_sql(e, s), sql_ident(n)))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                    );
-                    i += 1;
-                }
-                _ => {}
-            }
+        if let Some(Op::Project { exprs }) = ops.get(i).filter(|_| windows.is_empty()) {
+            let s = &schemas[i];
+            // A column under its own name prints bare; anything else
+            // carries its alias. The binder maps both back to the same
+            // `(expression, name)` pair.
+            let item = |(e, n): &(RangeExpr, String)| match e {
+                RangeExpr::Col(c) if &s.cols()[*c] == n => sql_ident(n),
+                _ => format!("{} AS {}", expr_sql(e, s), sql_ident(n)),
+            };
+            list = Some(exprs.iter().map(item).collect::<Vec<_>>().join(", "));
+            i += 1;
         }
-        if i < ops.len() {
-            match &ops[i] {
-                Op::Sort { order, pos_name } => {
-                    tail = order_by_sql(order, pos_name, &schemas[i]);
-                    i += 1;
-                }
-                Op::TopK { order, k, pos_name } => {
-                    tail = format!("{} LIMIT {k}", order_by_sql(order, pos_name, &schemas[i]));
-                    i += 1;
-                }
-                _ => {}
+        if let Some(Op::Sort {
+            order,
+            pos_name,
+            limit,
+        }) = ops.get(i)
+        {
+            tail = order_by_sql(order, pos_name, &schemas[i]);
+            if let Some(k) = limit {
+                tail.push_str(&format!(" LIMIT {k}"));
             }
+            i += 1;
         }
 
         let select_list = match (list, windows.is_empty()) {

@@ -70,7 +70,7 @@ fn session_with(sql_table: &AuRelation) -> Session {
 fn recompute_on(q: &audb_engine::MaintainedQuery, choice: BackendChoice) -> AuRelation {
     let plan = q
         .plan()
-        .with_source(q.accumulated().clone())
+        .with_source(q.accumulated())
         .expect("accumulated rows always match the plan schema");
     Engine::new(choice).execute(&plan).unwrap().normalize()
 }

@@ -2,9 +2,10 @@
 //!
 //! This crate is the deterministic substrate of the AU-DB reproduction. It
 //! implements *K-relations* (Green et al., PODS'07) specialized to the
-//! natural-numbers semiring ℕ: every tuple carries a multiplicity, and the
-//! positive relational algebra is expressed through semiring operations
-//! (paper Fig. 2). On top of `RA+` it provides:
+//! natural-numbers semiring ℕ: every tuple carries a multiplicity, and
+//! selection, projection and union are expressed through semiring
+//! operations (paper Fig. 2; join and difference are not implemented — no
+//! query of this reproduction has one). On top of them it provides:
 //!
 //! * grouping aggregation (`sum`, `count`, `min`, `max`, `avg`),
 //! * the **row-based windowed aggregation operator** `ω[l,u]_{f(A)→X; G; O}`
@@ -31,11 +32,10 @@ pub mod value;
 pub use csv::{read_csv, read_csv_lines, write_csv};
 pub use expr::{CmpOp, Expr};
 pub use ops::aggregate::{aggregate, AggFunc};
-pub use ops::join::{join, product};
 pub use ops::project::project;
 pub use ops::select::select;
 pub use ops::sort::{sort_to_pos, topk};
-pub use ops::union::{difference, union};
+pub use ops::union::union;
 pub use ops::window::{window_rows, WindowSpec};
 pub use relation::{Relation, Row};
 pub use schema::Schema;

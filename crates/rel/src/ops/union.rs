@@ -1,8 +1,7 @@
-//! Bag union `R ∪ S` (annotations add) and bag difference (monus).
+//! Bag union `R ∪ S` (annotations add).
 
 use crate::relation::Relation;
 use crate::tuple::Tuple;
-use std::collections::HashMap;
 
 /// `R ∪ S`: `⟦R ∪ S⟧(t) = R(t) + S(t)` (paper Fig. 2). Keeps the left
 /// schema; arities must match.
@@ -15,31 +14,6 @@ pub fn union(left: &Relation, right: &Relation) -> Relation {
     let mut rows: Vec<(Tuple, u64)> = Vec::with_capacity(left.rows.len() + right.rows.len());
     rows.extend(left.rows.iter().map(|r| (r.tuple.clone(), r.mult)));
     rows.extend(right.rows.iter().map(|r| (r.tuple.clone(), r.mult)));
-    Relation::from_rows(left.schema.clone(), rows)
-}
-
-/// Bag difference with monus semantics: `(R − S)(t) = max(0, R(t) − S(t))`.
-/// This is the `RA` difference under which AU-DBs remain closed (\[23\]).
-pub fn difference(left: &Relation, right: &Relation) -> Relation {
-    assert_eq!(
-        left.schema.arity(),
-        right.schema.arity(),
-        "difference arity mismatch"
-    );
-    let mut counts: HashMap<&Tuple, u64> = HashMap::new();
-    for r in &right.rows {
-        *counts.entry(&r.tuple).or_insert(0) += r.mult;
-    }
-    let normalized = left.clone().normalize();
-    let rows = normalized
-        .rows
-        .into_iter()
-        .filter_map(|row| {
-            let sub = counts.get(&row.tuple).copied().unwrap_or(0);
-            let m = row.mult.saturating_sub(sub);
-            (m > 0).then_some((row.tuple, m))
-        })
-        .collect::<Vec<_>>();
     Relation::from_rows(left.schema.clone(), rows)
 }
 
@@ -60,13 +34,6 @@ mod tests {
         let u = union(&rel(&[(1, 2)]), &rel(&[(1, 3), (2, 1)])).normalize();
         assert_eq!(u.mult_of(&Tuple::from([1i64])), 5);
         assert_eq!(u.mult_of(&Tuple::from([2i64])), 1);
-    }
-
-    #[test]
-    fn difference_is_monus() {
-        let d = difference(&rel(&[(1, 2), (2, 5)]), &rel(&[(1, 7), (2, 2)]));
-        assert_eq!(d.mult_of(&Tuple::from([1i64])), 0);
-        assert_eq!(d.mult_of(&Tuple::from([2i64])), 3);
     }
 
     #[test]

@@ -120,15 +120,6 @@ impl Relation {
         let b = other.clone().normalize();
         a.rows == b.rows
     }
-
-    /// Iterate `(tuple, mult)` with every duplicate expanded to its own
-    /// unit-multiplicity tuple (the `ROW(R)` explosion of paper Fig. 3 keyed
-    /// by the duplicate index `i`).
-    pub fn iter_expanded(&self) -> impl Iterator<Item = (&Tuple, u64)> + '_ {
-        self.rows
-            .iter()
-            .flat_map(|r| (0..r.mult).map(move |i| (&r.tuple, i)))
-    }
 }
 
 impl fmt::Display for Relation {
@@ -173,14 +164,5 @@ mod tests {
         let r = rel(&[(1, 2, 1), (1, 2, 4)]);
         assert_eq!(r.mult_of(&Tuple::from([1i64, 2])), 5);
         assert_eq!(r.mult_of(&Tuple::from([9i64, 9])), 0);
-    }
-
-    #[test]
-    fn expansion_enumerates_duplicates() {
-        let r = rel(&[(1, 1, 2), (2, 2, 1)]);
-        let expanded: Vec<_> = r.iter_expanded().collect();
-        assert_eq!(expanded.len(), 3);
-        assert_eq!(expanded[0].1, 0);
-        assert_eq!(expanded[1].1, 1);
     }
 }

@@ -182,8 +182,11 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Exactly two hex digits: `from_str_radix` alone would take
+                // a sign for one (`"+5"` parses as 5).
                 let hex = bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .and_then(|h| u8::from_str_radix(h, 16).ok());
                 match hex {
@@ -224,5 +227,11 @@ mod tests {
         assert_eq!(percent_decode("SELECT%3B"), "SELECT;");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // A sign is not a hex digit: the `%` stays, and decoding goes on
+        // behind it (so the `+` is still a space).
+        assert_eq!(percent_decode("a%+5"), "a% 5");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("%%41"), "%A");
     }
 }

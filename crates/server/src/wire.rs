@@ -26,7 +26,7 @@ use crate::http::Request;
 use crate::json::{write_string, Json};
 use crate::state::{ConnState, ServerState};
 use audb_core::AuRelation;
-use audb_engine::{RunAll, SessionError};
+use audb_engine::{BackendRun, RunAll, SessionError};
 use audb_rel::Value;
 use std::time::Instant;
 
@@ -163,9 +163,9 @@ fn explain(state: &ServerState, req: &Request) -> Reply {
 
 fn run_all(state: &ServerState, req: &Request, started: Instant) -> Reply {
     match state.session().run_all_sql(&req.body_text()) {
-        Ok(all) => {
-            let mut body = relation_body(all.output.clone());
-            body.set("backends", backends_body(&all));
+        Ok(RunAll { output, runs }) => {
+            let mut body = relation_body(output);
+            body.set("backends", backends_body(&runs));
             body.set("elapsed_us", Json::Int(elapsed_us(started)));
             (200, body)
         }
@@ -288,10 +288,9 @@ fn cache_body(state: &ServerState, hit: bool) -> Json {
     ])
 }
 
-fn backends_body(all: &RunAll) -> Json {
+fn backends_body(runs: &[BackendRun]) -> Json {
     Json::Arr(
-        all.runs
-            .iter()
+        runs.iter()
             .map(|run| {
                 Json::obj([
                     ("backend", Json::str(run.backend.to_string())),

@@ -286,11 +286,6 @@ pub fn read_au_csv(reader: impl Read) -> io::Result<AuRelation> {
     read_au_csv_columns(reader).map(|c| c.to_rows())
 }
 
-/// Load a columnar AU-relation from a CSV file.
-pub fn load_au_csv_columns(path: impl AsRef<Path>) -> io::Result<AuColumns> {
-    read_au_csv_columns(File::open(path)?)
-}
-
 /// Load an AU-relation from a CSV file.
 pub fn load_au_csv(path: impl AsRef<Path>) -> io::Result<AuRelation> {
     read_au_csv(File::open(path)?)

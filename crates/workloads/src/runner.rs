@@ -15,7 +15,8 @@
 
 use audb_core::{AuRelation, WinAgg};
 use audb_engine::{
-    Agg, Engine, JoinStrategy, Plan, Query, Session, SessionError, WindowSpec as EngineWindowSpec,
+    exec, Agg, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
+    WindowSpec as EngineWindowSpec,
 };
 use audb_rel::ops::sort::topk_with_pos;
 use audb_rel::{sort_to_pos, window_rows, Value, WindowSpec};
@@ -239,7 +240,10 @@ pub fn imp_window(
     engine_bounds(Engine::native(), &plan, id_col, n_ids)
 }
 
-/// `Rewr` / `Rewr(index)`: the Fig. 8 rewrite.
+/// `Rewr` / `Rewr(index)`: the Fig. 8 rewrite. The engine's rewrite
+/// backend always probes the interval index; the strategy is the figure's
+/// argument, so this driver hands the plan to the executor itself under the
+/// [`Rewrite`] backend it names.
 pub fn rewrite_window(
     table: &XTupleTable,
     order: &[usize],
@@ -251,12 +255,19 @@ pub fn rewrite_window(
     let plan = window_plan(table, order, agg, l, u);
     let id_col = table.schema.arity() - 1;
     let n_ids = plan.source_columns().len() + 1;
-    engine_bounds(
-        Engine::rewrite().with_join_strategy(strategy),
-        &plan,
-        id_col,
-        n_ids,
-    )
+    time(|| {
+        let out = rewrite_execute(&plan, strategy);
+        au_bounds_by_id(&out, id_col, out.schema.arity() - 1, n_ids)
+    })
+}
+
+/// One plan on the rewrite backend under an explicit window join
+/// `strategy`, at the engine's default batch size.
+pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuRelation {
+    let batch_size = Engine::rewrite().choose_exec(plan).batch_size;
+    let (out, _) = exec::execute(&Rewrite { strategy }, plan, batch_size, true)
+        .expect("workload plan executes");
+    out
 }
 
 /// `MCDB`: sampled window-aggregate envelopes.

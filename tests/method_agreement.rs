@@ -9,7 +9,9 @@ use audb::core::{
     au_select, sort_ref, topk_ref, window_ref, AuRelation, AuTuple, AuWindowSpec, CmpSemantics,
     Mult3, RangeExpr, RangeValue, WinAgg,
 };
-use audb::engine::{Agg, Engine, Plan, Query, WindowSpec};
+use audb::engine::{
+    Agg, Backend, BreakerInput, Engine, Plan, Query, Reference, Rewrite, WindowSpec,
+};
 use audb::native::{
     sort_columns_native, sort_native, topk_native, window_columns_native, window_native,
     window_native_checked, MaintainedWindow,
@@ -155,6 +157,16 @@ proptest! {
         let rewrite = rewr_topk(&rel, &[0], k, "pos");
         let reference_raw = topk_ref(&rel, &[0], k, CmpSemantics::IntervalLex);
         prop_assert!(rewrite.bag_eq(&reference_raw));
+
+        // The engine's one sort hook, limited, is that σ_{τ<k} + cap on
+        // both oracle backends — and the plain sort when it is not.
+        let input = BreakerInput::Rows(&rel);
+        let by_reference = Reference::default().sort(input, &[0], "pos", Some(k)).unwrap();
+        prop_assert_eq!(by_reference.rows(), reference.rows());
+        let by_rewrite = Rewrite::default().sort(input, &[0], "pos", Some(k)).unwrap();
+        prop_assert!(by_rewrite.bag_eq(&reference), "k={k}\nrewr:\n{by_rewrite}\nref:\n{reference}");
+        let unlimited = Reference::default().sort(input, &[0], "pos", None).unwrap();
+        prop_assert_eq!(unlimited.rows(), sort_ref(&rel, &[0], "pos", CmpSemantics::IntervalLex).rows());
     }
 
     /// Native window ≡ reference window ≡ both rewrite variants on

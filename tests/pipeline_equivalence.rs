@@ -13,8 +13,8 @@
 //! `NULL` and computed-float order keys — the fused stage's columns reach
 //! the native sort as dictionary, generic and `f64` lanes.
 
-use audb::core::{AuRelation, AuTuple, Mult3, RangeExpr, RangeValue};
-use audb::engine::{optimize, Agg, BackendChoice, Engine, Plan, Query, WindowSpec};
+use audb::core::{AuRelation, AuTuple, AuWindowSpec, Mult3, RangeExpr, RangeValue, WinAgg};
+use audb::engine::{optimize, Agg, BackendChoice, Engine, Op, Plan, PlanError, Query, WindowSpec};
 use audb::rel::{Schema, Value};
 use proptest::prelude::*;
 
@@ -252,6 +252,22 @@ proptest! {
         }
     }
 
+    /// One validation, two doors: the schemas a plan carries — built call
+    /// by call through `Query`, or rebuilt whole by the optimizer — are
+    /// the public `Op::output_schema` folded over its operators, and no
+    /// operator reads past its input.
+    #[test]
+    fn plan_schemas_are_the_fold_of_output_schema(plan in plan_strategy()) {
+        for plan in [optimize(&plan), plan] {
+            let mut schema = plan.schemas()[0].clone();
+            for (op, expected) in plan.ops().iter().zip(&plan.schemas()[1..]) {
+                prop_assert!(op.reads().iter().all(|&c| c < schema.arity()), "{op}");
+                schema = op.output_schema(&schema).expect("a built plan's operators validate");
+                prop_assert_eq!(&schema, expected, "{}", op);
+            }
+        }
+    }
+
     /// Zone-map batch skipping is invisible in the output: pruned
     /// pipelined execution is bag-equal to pruning-disabled execution on
     /// every backend and batch size.
@@ -328,6 +344,145 @@ fn frame_unsafe_window_pushdown_is_refused() {
         let plain = Engine::new(choice).execute(&safe_plan).unwrap();
         let opt = Engine::new(choice).execute(&optimized).unwrap();
         assert!(opt.bag_eq(&plain), "{choice}");
+    }
+}
+
+/// The faults `Op::output_schema` names are the same `PlanError` whether
+/// the operator came through the builder or was written down resolved.
+#[test]
+fn builder_and_output_schema_report_the_same_errors() {
+    let rel = AuRelation::empty(Schema::new(["a", "b"]));
+    let schema = rel.schema.clone();
+    let built = |q: Query| q.build().unwrap_err();
+    let sort = |order: Vec<usize>, pos_name: &str| Op::Sort {
+        order,
+        pos_name: pos_name.into(),
+        limit: None,
+    };
+    let scan = || Query::scan(rel.clone());
+
+    let out_of_range = PlanError::ColumnOutOfRange { index: 7, arity: 2 };
+    assert_eq!(built(scan().sort_by([7usize])), out_of_range);
+    assert_eq!(
+        sort(vec![7], "pos").output_schema(&schema),
+        Err(out_of_range.clone())
+    );
+    let pred = RangeExpr::col(1).lt(RangeExpr::col(7));
+    assert_eq!(built(scan().select(pred.clone())), out_of_range);
+    assert_eq!(
+        Op::Select { pred }.output_schema(&schema),
+        Err(out_of_range)
+    );
+
+    let collision = PlanError::DuplicateColumn { name: "b".into() };
+    assert_eq!(built(scan().sort_by_as(["a"], "b")), collision);
+    assert_eq!(
+        sort(vec![0], "b").output_schema(&schema),
+        Err(collision.clone())
+    );
+    let twice = [(RangeExpr::col(0), "b"), (RangeExpr::col(1), "b")];
+    assert_eq!(built(scan().project_exprs(twice.clone())), collision);
+    let exprs = twice.into_iter().map(|(e, n)| (e, n.to_string())).collect();
+    assert_eq!(Op::Project { exprs }.output_schema(&schema), Err(collision));
+
+    assert_eq!(
+        built(scan().sort_by(Vec::<usize>::new())),
+        PlanError::EmptyOrderBy
+    );
+    assert_eq!(
+        sort(vec![], "pos").output_schema(&schema),
+        Err(PlanError::EmptyOrderBy)
+    );
+
+    let frame = PlanError::InvalidWindowFrame { lower: 1, upper: 2 };
+    assert_eq!(
+        built(scan().window(WindowSpec::rows(1, 2).order_by(["a"]))),
+        frame
+    );
+    let window = Op::Window {
+        spec: AuWindowSpec {
+            partition: vec![],
+            order: vec![0],
+            lower: 1,
+            upper: 2,
+        },
+        agg: WinAgg::Count,
+        out_name: "x".into(),
+    };
+    assert_eq!(window.output_schema(&schema), Err(frame));
+}
+
+/// Dead-column pruning renumbers every later operator through
+/// [`Op::remapped`]: the columns a breaker reads (a window's aggregate
+/// input included) survive, the column each breaker appends is found again
+/// behind fewer columns, and answers do not move. (No two corners of the
+/// order key `k` coincide, so `<total_O` never consults the remaining
+/// attributes to break a tie — where it does, dropping one changes the
+/// order, pruned or not.)
+#[test]
+fn dead_column_pruning_renumbers_through_breakers() {
+    let rel = AuRelation::from_rows(
+        Schema::new(["dead", "k", "g", "v"]),
+        (0..12i64).map(|i| {
+            let k = 10 * ((i * 5) % 12);
+            let row = [
+                RangeValue::certain(i),
+                RangeValue::new(k - 13, k, k + 14),
+                RangeValue::certain(i % 3),
+                RangeValue::new(9 - i, 10 - i, 12 - i),
+            ];
+            let mult = if i % 5 == 0 {
+                Mult3::new(0, 1, 1)
+            } else {
+                Mult3::ONE
+            };
+            (AuTuple::new(row), mult)
+        }),
+    );
+    // top-k → window → projection: `dead` is never read, `v` is read by
+    // the aggregate alone and `g` by PARTITION BY alone; the projection
+    // reads both appended columns.
+    let plan = Query::scan(rel)
+        .sort_by_as(["k"], "p")
+        .topk(9)
+        .window(
+            WindowSpec::rows(-1, 1)
+                .order_by(["k"])
+                .partition_by(["g"])
+                .aggregate(Agg::sum("v"))
+                .output("w"),
+        )
+        .project_exprs([
+            (RangeExpr::col(5), "w"),
+            (RangeExpr::Neg(Box::new(RangeExpr::col(4))), "neg_p"),
+        ])
+        .build()
+        .unwrap();
+    let optimized = optimize(&plan);
+    let rules = &optimized.opt().expect("pruning fires").rules;
+    assert_eq!(rules.len(), 1, "{rules:?}");
+    assert_eq!(rules[0].rule, "prune-dead-columns");
+    assert!(
+        rules[0].reason.contains("[\"dead\"]"),
+        "{}",
+        rules[0].reason
+    );
+    let rendered: Vec<String> = optimized.ops().iter().map(Op::to_string).collect();
+    assert_eq!(
+        rendered,
+        [
+            "project [k, g, v]",
+            "topk k=9 [0] → p",
+            "window [-1, 1] Sum(2) over [0] partition [1] → w",
+            "project [w, neg_p]",
+        ]
+    );
+    assert_eq!(optimized.schema(), plan.schema());
+    for choice in BackendChoice::ALL {
+        let plain = Engine::new(choice).execute(&plan).unwrap();
+        let opt = Engine::new(choice).execute(&optimized).unwrap();
+        assert!(!plain.is_empty());
+        assert!(opt.bag_eq(&plain), "{choice}:\n{opt}\nvs\n{plain}");
     }
 }
 

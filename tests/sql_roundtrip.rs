@@ -283,6 +283,61 @@ fn neg_of_literal_roundtrips() {
     assert!(plan.same_shape(&roundtrip(&plan)));
 }
 
+/// One crafted statement per merged operator form: a plain permutation and
+/// an aliased column are the same `Op::Project` the builder's two
+/// projection calls make, and `LIMIT` — zero included — is the sort's own
+/// limit. Each prints back as it was written.
+#[test]
+fn merged_operator_forms_roundtrip() {
+    let rel = AuRelation::from_rows(
+        Schema::new(["a", "b"]),
+        [(
+            AuTuple::new([RangeValue::new(1, 2, 3), RangeValue::certain(10i64)]),
+            Mult3::ONE,
+        )],
+    );
+    let session = Session::new(Engine::native());
+    session.register("t", rel.clone());
+    let scan = || Query::scan(rel.clone());
+    let by_builder = [
+        ("SELECT b, a FROM t", scan().project(["b", "a"])),
+        (
+            "SELECT a AS x, b FROM t",
+            scan().project_exprs([(RangeExpr::col(0), "x"), (RangeExpr::col(1), "b")]),
+        ),
+        (
+            "SELECT * FROM t ORDER BY b, a LIMIT 0",
+            scan().sort_by(["b", "a"]).topk(0),
+        ),
+    ];
+    for (sql, query) in by_builder {
+        let built = query.build().unwrap();
+        let bound = session.prepare(sql).unwrap();
+        assert!(
+            built.same_shape(bound.plan()),
+            "{sql}: {:?}",
+            bound.plan().ops()
+        );
+        assert_eq!(built.to_sql("t"), sql);
+        assert!(built.same_shape(&roundtrip(&built)), "{sql}");
+    }
+    // The builder's two projection doors meet in one form.
+    let plain = scan().project(["b", "a"]).build().unwrap();
+    let computed = scan()
+        .project_exprs([(RangeExpr::col(1), "b"), (RangeExpr::col(0), "a")])
+        .build()
+        .unwrap();
+    assert!(plain.same_shape(&computed));
+    // A limited sort is still called top-k wherever operators are named.
+    let top = scan().sort_by(["b"]).topk(0).build().unwrap();
+    assert_eq!(top.ops()[0].name(), "topk");
+    assert_eq!(top.ops()[0].to_string(), "topk k=0 [1] → pos");
+    assert!(session
+        .sql("SELECT * FROM t ORDER BY b LIMIT 0")
+        .unwrap()
+        .is_empty());
+}
+
 /// A deterministic multi-block chain: every operator kind in one plan,
 /// printed across nested sub-selects, reparses identically.
 #[test]
