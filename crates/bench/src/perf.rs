@@ -16,8 +16,9 @@
 //!   input in the row, generic-columnar and typed-columnar layouts;
 //! * **kernel sweeps** — `truth_batch` / `eval_batch` on typed lanes against
 //!   the same columns demoted to generic `Value` lanes;
-//! * **streaming** — a window subscription absorbing 64-row appends
-//!   incrementally against a forced recompute per append;
+//! * **streaming** — a window subscription, and a `LIMIT 10` one, each
+//!   absorbing 64-row appends incrementally against a forced recompute per
+//!   append;
 //! * **pruning** — a clustered filter-scan statement with zone-map batch
 //!   skipping on and off, prepared and executed afresh per timed run;
 //! * **append** — a 64-row catalog append onto a 16 384-row and onto a
@@ -271,14 +272,15 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     out
 }
 
-/// One streaming cell: `n` rows pushed through a window subscription in
+/// One streaming cell: `n` rows pushed through a subscription in
 /// [`STREAM_BATCH`]-row appends, measured on both strategy arms within one run so
 /// the speedup is immune to cross-run noise.
 #[derive(Clone, Debug, Default)]
 pub struct StreamingRun {
-    /// Total rows streamed.
+    /// Rows streamed — or, for `streaming-topk`, held when the timed
+    /// appends start.
     pub n: usize,
-    /// Number of appends (`ceil(n / STREAM_BATCH)`).
+    /// Number of timed appends.
     pub appends: usize,
     /// Sustained append rate of the incremental arm.
     pub appends_per_sec: f64,
@@ -301,6 +303,12 @@ pub const STREAM_BATCH: usize = 64;
 
 const STREAM_SQL: &str = "SELECT *, SUM(v) OVER (ORDER BY o \
                           ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS roll FROM s";
+
+/// The top-k subscription of the `streaming-topk` block: its incremental
+/// state is [`audb_native::TopKMaintain`]'s ordered indexes — the
+/// candidate band kept across appends — and the block is what says they
+/// earn their keep over re-running the one-shot top-k per append.
+const STREAM_TOPK_SQL: &str = "SELECT * FROM s ORDER BY o AS rank LIMIT 10";
 
 fn stream_schema() -> Schema {
     Schema::new(["o", "v"])
@@ -347,51 +355,72 @@ fn stream_batches(n: usize, batch: usize) -> Vec<AuRelation> {
     out
 }
 
-fn stream_subscription(cutoff: usize) -> MaintainedQuery {
+fn stream_subscription(sql: &str, table: &AuRelation, cutoff: usize) -> MaintainedQuery {
     let catalog = SharedCatalog::new();
-    catalog.register("s", AuRelation::empty(stream_schema()));
+    catalog.register("s", table.clone());
     Session::with_catalog(Engine::native(), catalog)
-        .subscribe(STREAM_SQL)
+        .subscribe(sql)
         .expect("streaming SQL compiles")
         .with_cutoff(cutoff)
 }
 
-/// Measure the streaming block: the same append sequence absorbed
-/// incrementally and by full recompute, per configured size.
-pub fn measure_streaming(cfg: &BenchConfig) -> Vec<StreamingRun> {
+/// Appends the `streaming-topk` block times onto its `n`-row table: the
+/// cost of an append *at* `n` rows. (Streamed from empty the recompute arm
+/// averages half the table, and the one-shot top-k's own band makes that a
+/// 3–5 × ratio at 16 000 rows, not the 9 × an append onto them reads.)
+const TOPK_APPENDS: usize = 64;
+
+/// Measure one streaming block: the same append sequence absorbed by a
+/// subscription to `sql` incrementally and by full recompute, per
+/// configured size `n`. With `onto = None` the `n` rows stream into an
+/// empty table; with `Some(appends)` they are the subscribed table, one
+/// untimed append seeds the incremental state over them, and `appends`
+/// more are timed.
+pub fn measure_streaming(cfg: &BenchConfig, sql: &str, onto: Option<usize>) -> Vec<StreamingRun> {
     cfg.sizes
         .iter()
         .map(|&n| {
-            let batches = stream_batches(n, STREAM_BATCH);
+            // With `onto`: the first n rows are the table, the next batch
+            // the untimed seed, the rest timed.
+            let (extra, head, seed) = onto.map_or((0, 0, 0), |appends| {
+                ((appends + 1) * STREAM_BATCH, n / STREAM_BATCH, 1)
+            });
+            let mut batches = stream_batches(n + extra, STREAM_BATCH);
+            let tail = batches.split_off(head);
+            let mut table = AuRelation::empty(stream_schema());
+            batches.iter_mut().for_each(|b| table.append(b));
+            let timed = &tail[seed..];
+            // One arm: total milliseconds, per-append microseconds, and how
+            // many appends went incremental.
+            let absorb = |cutoff: usize| {
+                let mut q = stream_subscription(sql, &table, cutoff);
+                for b in &tail[..seed] {
+                    q.append(b).expect("in-order append");
+                }
+                let mut lat = Vec::with_capacity(timed.len());
+                let started = Instant::now();
+                for b in timed {
+                    let t = Instant::now();
+                    std::hint::black_box(q.append(b).expect("in-order append"));
+                    lat.push(t.elapsed().as_secs_f64() * 1e6);
+                }
+                let total_ms = started.elapsed().as_secs_f64() * 1e3;
+                lat.sort_by(f64::total_cmp);
+                (total_ms, lat, q.strategy_counts().0)
+            };
 
-            let mut q = stream_subscription(STREAM_BATCH);
-            let mut lat = Vec::with_capacity(batches.len());
-            let started = Instant::now();
-            for b in &batches {
-                let t = Instant::now();
-                std::hint::black_box(q.append(b).expect("in-order append"));
-                lat.push(t.elapsed().as_secs_f64() * 1e6);
-            }
-            let incremental_ms = started.elapsed().as_secs_f64() * 1e3;
-            let (incr, _) = q.strategy_counts();
+            let (incremental_ms, lat, incr) = absorb(STREAM_BATCH);
             assert!(incr > 0, "streaming bench fell off the incremental path");
-            lat.sort_by(f64::total_cmp);
             let p50_us = lat[lat.len() / 2];
             let p99_us = lat[(lat.len() - 1) * 99 / 100];
-
             // Same batches, strategy forced to recompute: the cutoff is
             // never reached, so every append re-runs the full plan.
-            let mut q = stream_subscription(usize::MAX);
-            let started = Instant::now();
-            for b in &batches {
-                std::hint::black_box(q.append(b).expect("in-order append"));
-            }
-            let recompute_ms = started.elapsed().as_secs_f64() * 1e3;
+            let (recompute_ms, _, _) = absorb(usize::MAX);
 
             StreamingRun {
                 n,
-                appends: batches.len(),
-                appends_per_sec: batches.len() as f64 * 1e3 / incremental_ms,
+                appends: timed.len(),
+                appends_per_sec: timed.len() as f64 * 1e3 / incremental_ms,
                 p50_us,
                 p99_us,
                 incremental_ms,
@@ -571,17 +600,19 @@ pub fn measure_scaling(cfg: &BenchConfig) -> Vec<ScalingRun> {
 }
 
 /// Where one native sort of 32 768 rows spends its time: median
-/// milliseconds per stage of `sort_native_staged` (DESIGN.md §3.3 has the
-/// table). The clock is read here, as each stage ends — never in the
-/// kernel.
+/// milliseconds per stage of `sort_native_staged` over the columns the
+/// engine would hand it (DESIGN.md §3.3 has the table). The clock is read
+/// here, as each stage ends — never in the kernel.
 pub fn measure_sort_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     const STAGES: [&str; 5] = ["encode", "rank", "merge", "sweep", "materialise"];
     let runs = if cfg.quick { 3 } else { 7 };
-    let rel = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3)).to_au_relation();
+    let cols = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3))
+        .to_au_relation()
+        .to_columns();
     let mut samples = vec![Vec::with_capacity(runs); STAGES.len()];
     for _ in 0..runs {
         let mut last = Instant::now();
-        let sorted = sort_native_staged(&rel, &[0, 1], "pos", None, &mut |ended| {
+        let sorted = sort_native_staged(&cols, &[0, 1], "pos", None, &mut |ended| {
             let now = Instant::now();
             if let Some(s) = STAGES.iter().position(|&stage| stage == ended) {
                 samples[s].push((now - last).as_secs_f64() * 1e3);
@@ -647,6 +678,8 @@ pub struct Report {
     pub kernels: Vec<KernelSweep>,
     /// The streaming block.
     pub streaming: Vec<StreamingRun>,
+    /// The `streaming-topk` block.
+    pub streaming_topk: Vec<StreamingRun>,
     /// The pruning block.
     pub pruning: Vec<PruningRun>,
     /// The `sort/scaling` block.
@@ -799,6 +832,16 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                 .map(|r| streaming(r, STREAMING_MIN_SPEEDUP)),
         ),
         gate(
+            "streaming-topk",
+            format!(
+                "LIMIT 10: incremental ≥ {STREAMING_MIN_SPEEDUP} × recompute at {GATE_ROWS} rows"
+            ),
+            true,
+            gate_rows,
+            (report.streaming_topk.iter().filter(|r| r.n == GATE_ROWS))
+                .map(|r| streaming(r, STREAMING_MIN_SPEEDUP)),
+        ),
+        gate(
             "pruning-skips",
             format!("batches skipped > 0 at 1 % past one {ZONE_ROWS}-row zone"),
             false,
@@ -908,10 +951,17 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             k.n, k.kernel, k.typed_rows_per_sec, k.generic_rows_per_sec
         );
     }
-    let streaming = measure_streaming(cfg);
+    let streaming = measure_streaming(cfg, STREAM_SQL, None);
     for r in &streaming {
         println!(
             "{:>7} rows  streaming {:>8.0} appends/s  p50 {:>8.1} us  p99 {:>8.1} us  {:>6.2}x vs recompute",
+            r.n, r.appends_per_sec, r.p50_us, r.p99_us, r.speedup
+        );
+    }
+    let streaming_topk = measure_streaming(cfg, STREAM_TOPK_SQL, Some(TOPK_APPENDS));
+    for r in &streaming_topk {
+        println!(
+            "{:>7} rows  streaming-topk {:>8.0} appends/s  p50 {:>8.1} us  p99 {:>8.1} us  {:>6.2}x vs recompute",
             r.n, r.appends_per_sec, r.p50_us, r.p99_us, r.speedup
         );
     }
@@ -948,6 +998,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         footprints,
         kernels,
         streaming,
+        streaming_topk,
         pruning,
         scaling,
         append,
@@ -1014,6 +1065,7 @@ mod tests {
                 streaming(1_000, 2.0, 10.0),
                 streaming(16_000, 35.0, 3_000.0),
             ],
+            streaming_topk: vec![streaming(16_000, 40.0, 560.0)],
             pruning: vec![
                 pruning(4_000, 1, 0.02, 0.04, 3),
                 pruning(16_000, 1, 0.03, 0.17, 15),
@@ -1036,7 +1088,7 @@ mod tests {
     #[test]
     fn a_passing_report_passes_every_gate() {
         let gates = check(&passing());
-        assert_eq!(gates.len(), 9);
+        assert_eq!(gates.len(), 10);
         for g in &gates {
             assert_eq!(g.verdict, Verdict::Ok, "{g:?}");
         }
@@ -1046,9 +1098,16 @@ mod tests {
     fn gates_needing_16k_cells_are_skipped_without_them() {
         let mut report = passing();
         report.streaming.retain(|r| r.n != 16_000);
+        report.streaming_topk.clear();
         report.pruning.retain(|p| p.n != 16_000);
         for g in check(&report) {
-            let needs_16k = ["streaming-16k", "pruning-16k", "pruning-16k-share"].contains(&g.gate);
+            let needs_16k = [
+                "streaming-16k",
+                "streaming-topk",
+                "pruning-16k",
+                "pruning-16k-share",
+            ]
+            .contains(&g.gate);
             let want = if needs_16k {
                 Verdict::Skipped
             } else {
@@ -1090,6 +1149,13 @@ mod tests {
     #[test]
     fn streaming_16k_gate_fails_alone() {
         fails_alone("streaming-16k", true, |r| r.streaming[1].speedup = 2.0);
+    }
+
+    #[test]
+    fn streaming_topk_gate_fails_alone() {
+        fails_alone("streaming-topk", true, |r| {
+            r.streaming_topk[0].speedup = 2.0
+        });
     }
 
     #[test]
@@ -1173,7 +1239,7 @@ mod tests {
             quick: true,
             sizes: vec![1_000],
         };
-        let streaming = measure_streaming(&cfg);
+        let streaming = measure_streaming(&cfg, STREAM_SQL, None);
         assert_eq!(streaming.len(), 1);
         let r = &streaming[0];
         assert_eq!((r.n, r.appends), (1_000, 1_000usize.div_ceil(STREAM_BATCH)));

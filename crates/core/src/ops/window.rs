@@ -34,7 +34,7 @@ use crate::range_value::{RangeValue, TruthRange};
 use crate::relation::AuRelation;
 use crate::tuple::AuTuple;
 use audb_rel::ops::sort::total_order;
-use audb_rel::ops::window::sliding_aggregate;
+use audb_rel::ops::window::{clamp_frame_offset, sliding_aggregate};
 use audb_rel::{AggFunc, Value};
 
 /// Window aggregate functions supported over AU-DBs.
@@ -109,7 +109,9 @@ pub struct AuWindowSpec {
 }
 
 impl AuWindowSpec {
-    /// `ROWS BETWEEN -l PRECEDING AND u FOLLOWING` over `order`.
+    /// `ROWS BETWEEN -l PRECEDING AND u FOLLOWING` over `order`, offsets
+    /// clamped to [`audb_rel::ops::window::MAX_FRAME_OFFSET`] (no
+    /// `τ ± offset` of the sweeps can overflow under it).
     pub fn rows(order: Vec<usize>, lower: i64, upper: i64) -> Self {
         assert!(
             lower <= 0 && upper >= 0,
@@ -118,8 +120,8 @@ impl AuWindowSpec {
         AuWindowSpec {
             partition: Vec::new(),
             order,
-            lower,
-            upper,
+            lower: clamp_frame_offset(lower),
+            upper: clamp_frame_offset(upper),
         }
     }
 

@@ -80,8 +80,9 @@ impl Table {
     }
 
     /// This version grown by a non-empty `batch` of its schema: every
-    /// sealed segment shared, the tail rebuilt.
-    fn appended(&self, batch: AuColumns) -> Arc<Table> {
+    /// sealed segment shared, the tail rebuilt. The one append — a catalog
+    /// publishes the result, a subscription keeps it as its accumulator.
+    pub(crate) fn appended(&self, batch: AuColumns) -> Arc<Table> {
         let rows = self.rows + batch.len();
         let (sealed, tail) = match self.segments.split_last() {
             Some((open, sealed)) if !sealed.is_empty() && open.cols.len() < SEGMENT_ROWS => {

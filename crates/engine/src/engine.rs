@@ -1,11 +1,11 @@
 //! The [`Engine`] handle: backend selection, per-query [`Explain`] output,
 //! and cross-backend [`Engine::run_all`] agreement runs.
 
-use crate::backend::{Backend, Native, Reference, Rewrite};
+use crate::backend::{Reference, Rewrite};
 use crate::error::EngineError;
 use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
-use crate::plan::Plan;
+use crate::plan::{Op, Plan};
 use audb_core::{AuRelation, CmpSemantics};
 use std::fmt;
 use std::time::Duration;
@@ -30,15 +30,21 @@ impl BackendChoice {
         BackendChoice::Native,
         BackendChoice::Rewrite,
     ];
+
+    /// Stable backend name (used in explain output and disagreement
+    /// reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendChoice::Reference => "reference",
+            BackendChoice::Native => "native",
+            BackendChoice::Rewrite => "rewrite",
+        }
+    }
 }
 
 impl fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendChoice::Reference => write!(f, "reference"),
-            BackendChoice::Native => write!(f, "native"),
-            BackendChoice::Rewrite => write!(f, "rewrite"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -71,7 +77,7 @@ pub struct Engine {
     semantics: CmpSemantics,
     /// `Some` once [`Engine::with_batch_size`] pinned a size.
     batch_size: Option<usize>,
-    pruning: bool,
+    pub(crate) pruning: bool,
 }
 
 /// At and above this many source rows batches widen to
@@ -102,7 +108,8 @@ impl Engine {
     /// (interval-lex comparison). The rewrite backend always probes the
     /// interval index in its window self-join; the paper's plain `Rewr`
     /// nested loop is run by the figure code that reports it
-    /// ([`crate::Rewrite`] with a strategy, through [`crate::exec::execute`]).
+    /// ([`crate::Rewrite`] with a strategy, through
+    /// [`crate::exec::run_materialized`]).
     pub fn new(choice: BackendChoice) -> Self {
         Engine {
             choice,
@@ -195,18 +202,75 @@ impl Engine {
         }
     }
 
-    fn backend_for(&self, choice: BackendChoice) -> Box<dyn Backend> {
+    /// The reference oracle under this engine's comparison semantics.
+    fn reference_oracle(&self) -> Reference {
+        Reference {
+            semantics: self.semantics,
+        }
+    }
+
+    /// Run `plan` the one way `choice` runs plans: the native method is
+    /// the pipelined executor, the two row oracles go through the row loop.
+    fn run(&self, choice: BackendChoice, plan: &Plan) -> (AuRelation, ExecTrace) {
+        let batch_size = self.choose_exec(plan).batch_size;
         match choice {
-            BackendChoice::Reference => Box::new(Reference {
-                semantics: self.semantics,
-            }),
-            BackendChoice::Native => Box::new(Native),
-            BackendChoice::Rewrite => Box::new(Rewrite::default()),
+            BackendChoice::Native => exec::run_pipelined(plan, batch_size, self.pruning),
+            BackendChoice::Reference => {
+                exec::run_materialized(&self.reference_oracle(), plan, batch_size)
+            }
+            BackendChoice::Rewrite => exec::run_materialized(&Rewrite::default(), plan, batch_size),
+        }
+    }
+
+    /// One-line cost/strategy note of `method` for a step of a plan (`None`:
+    /// its scan), shown by [`Engine::explain`]. Selection and projection
+    /// are the shared operators on every method.
+    fn note(&self, method: BackendChoice, step: Option<&Op>) -> String {
+        use BackendChoice::{Native, Reference, Rewrite};
+        match (method, step) {
+            (_, Some(Op::Select { .. } | Op::Project { .. })) => {
+                "shared AU-DB operator ([24] semantics)".into()
+            }
+            (Native, None) => "read the stored columnar segments in place".into(),
+            (Native, Some(Op::Sort { limit: None, .. })) => {
+                "one-pass corner sweep (Algorithm 1), O(n log n)".into()
+            }
+            (Native, Some(Op::Sort { .. })) => {
+                "one-pass sweep with early termination at rank↓ ≥ k (Algorithm 1)".into()
+            }
+            (Native, Some(Op::Window { .. })) => "connected-heap sweep (Algorithm 3), \
+                 O(N·n log n); falls back to reference on uncertain PARTITION BY \
+                 or duplicate multiplicities"
+                .into(),
+            (Reference, None) => {
+                "rebuild rows from the stored columns (the row operators' form)".into()
+            }
+            (Reference, Some(Op::Sort { limit: None, .. })) => format!(
+                "Def. 2 pairwise position bounds, O(n²), {:?} comparison",
+                self.semantics
+            ),
+            (Reference, Some(Op::Sort { .. })) => {
+                "Def. 2 sort + σ_{τ<k}, positions capped at k".into()
+            }
+            (Reference, Some(Op::Window { .. })) => {
+                "Def. 3 per-target membership scan, O(n²)–O(n³)".into()
+            }
+            (Rewrite, None) => "relational-encoding round-trip (3·arity + 3 flat columns)".into(),
+            (Rewrite, Some(Op::Sort { limit: None, .. })) => {
+                "Fig. 7 endpoint union + running sums over the encoding".into()
+            }
+            (Rewrite, Some(Op::Sort { .. })) => {
+                "Fig. 7 endpoint rewrite + σ_{τ<k}, positions capped at k".into()
+            }
+            (Rewrite, Some(Op::Window { .. })) => format!(
+                "Fig. 8 range-overlap self-join ({:?} strategy)",
+                crate::JoinStrategy::default()
+            ),
         }
     }
 
     /// Execute a plan on the effective backend (through the physical
-    /// execution layer, in the backend's mode).
+    /// execution layer, the one way that backend runs plans).
     pub fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
         self.execute_traced(plan).map(|(rel, _)| rel)
     }
@@ -214,33 +278,32 @@ impl Engine {
     /// Execute a plan, also returning the executor's per-operator wall
     /// times and batch counts.
     pub fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
-        let backend = self.backend_for(self.effective());
-        let batch_size = self.choose_exec(plan).batch_size;
-        exec::execute(&*backend, plan, batch_size, self.pruning)
+        Ok(self.run(self.effective(), plan))
     }
 
     /// Describe how this engine would run the plan: chosen backend (after
     /// fallbacks), operator chain, per-operator schemas and cost notes.
     pub fn explain(&self, plan: &Plan) -> Explain {
         let effective = self.effective();
-        let backend = self.backend_for(effective);
         let mut steps = Vec::with_capacity(plan.ops().len() + 1);
         steps.push(ExplainStep {
             op: format!("scan [{} rows]", plan.source_columns().len()),
             schema: plan.schemas()[0].to_string(),
-            note: backend.scan_note(),
+            note: self.note(effective, None),
         });
         for (op, schema) in plan.ops().iter().zip(&plan.schemas()[1..]) {
             steps.push(ExplainStep {
                 op: op.to_string(),
                 schema: schema.to_string(),
-                note: backend.op_note(op),
+                note: self.note(effective, Some(op)),
             });
         }
-        let mode = backend.mode();
-        let pipelines = match mode {
-            ExecMode::Pipelined => exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
-            ExecMode::Materialized => Vec::new(),
+        let (mode, pipelines) = match effective {
+            BackendChoice::Native => (
+                ExecMode::Pipelined,
+                exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
+            ),
+            _ => (ExecMode::Materialized, Vec::new()),
         };
         Explain {
             requested: self.choice,
@@ -273,11 +336,9 @@ impl Engine {
         };
         let mut output: Option<AuRelation> = None;
         let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
-        let batch_size = comparable.choose_exec(plan).batch_size;
         for choice in BackendChoice::ALL {
-            let backend = comparable.backend_for(choice);
             let start = std::time::Instant::now();
-            let (out, trace) = exec::execute(&*backend, plan, batch_size, comparable.pruning)?;
+            let (out, trace) = comparable.run(choice, plan);
             let elapsed = start.elapsed();
             runs.push(BackendRun {
                 backend: choice,
@@ -292,7 +353,7 @@ impl Engine {
                     if !baseline.bag_eq(&out) {
                         return Err(EngineError::BackendDisagreement {
                             baseline: "reference",
-                            other: backend.name(),
+                            other: choice.name(),
                             baseline_output: baseline.to_string(),
                             other_output: out.to_string(),
                         });

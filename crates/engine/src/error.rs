@@ -48,7 +48,7 @@ pub enum PlanError {
         /// Window end offset.
         upper: i64,
     },
-    /// [`crate::Plan::with_source`] was given a relation whose schema
+    /// [`crate::Plan::with_table`] was given a table whose schema
     /// differs from the one the plan was compiled against (appended rows
     /// must match the subscribed table's schema exactly).
     SourceSchemaMismatch {

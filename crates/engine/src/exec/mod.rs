@@ -1,16 +1,18 @@
 //! The physical execution layer between [`Plan`](crate::Plan) and the
-//! backends. One entry point, [`execute`], and one way to run a plan per
-//! backend — nothing selects between them:
+//! methods. One way to run a plan per method — nothing selects between
+//! them — and one relation form per runner:
 //!
-//! * [`Reference`](crate::Reference) runs the operator-at-a-time loop over
-//!   the Defs. 2–3 row operators of `audb-core`, a full
-//!   [`AuRelation`](audb_core::AuRelation) between steps. It is the
-//!   oracle, and shares no select/project code with what it checks.
-//! * [`Native`](crate::Native) and [`Rewrite`](crate::Rewrite) run the
-//!   batch-streaming executor at every input size: a [`lower`] pass splits
-//!   the chain into [`Pipeline`]s, fusing adjacent `select`/`project`
-//!   operators into a single per-batch closure chain, and marking the
-//!   order-based operators (`sort` — limited or not — and `window`:
+//! * The row oracles ([`Reference`](crate::Reference),
+//!   [`Rewrite`](crate::Rewrite)) run [`run_materialized`]: the
+//!   operator-at-a-time loop over the Defs. 2–3 row operators of
+//!   `audb-core` and the oracle's own breaker hooks, a full
+//!   [`AuRelation`](audb_core::AuRelation) between steps. It shares no
+//!   select/project code with what it checks.
+//! * The native method is [`run_pipelined`], the batch-streaming executor
+//!   at every input size: a [`lower`] pass splits the chain into
+//!   [`Pipeline`]s, fusing adjacent `select`/`project` operators into a
+//!   single per-batch closure chain, and marking the order-based
+//!   operators (`sort` — limited or not — and `window`:
 //!   [`Op::is_breaker`](crate::Op::is_breaker)) as **pipeline breakers** —
 //!   the only points where state is materialized. Each fused stage's
 //!   input is columns ([`audb_core::AuColumns`] — the table's stored
@@ -19,18 +21,19 @@
 //!   column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
 //!   fused chain in parallel (via `audb-par`, with deterministic output
 //!   order) as vectorized column sweeps; the single materialized build
-//!   side goes to the backend's breaker hook.
+//!   side goes to `audb-native`'s columnar kernel.
 //!
 //! Per-operator wall times and batch counts are collected in an
 //! [`ExecTrace`], surfaced by `Engine::run_all` and the `repro bench`
 //! harness.
 //!
 //! The semantic contract, property-tested in
-//! `tests/pipeline_equivalence.rs`: for every plan and batch size, `Native`
-//! and `Rewrite` are bag-equal to `Reference`.
+//! `tests/pipeline_equivalence.rs`: for every plan and batch size, the
+//! native method and `Rewrite` are bag-equal to `Reference`.
 
 mod lower;
 mod run;
 
 pub use lower::{lower, Pipeline};
-pub use run::{execute, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+pub(crate) use run::run_row_wise;
+pub use run::{run_materialized, run_pipelined, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

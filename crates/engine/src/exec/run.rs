@@ -1,35 +1,39 @@
-//! The two plan runners behind [`execute`], one per [`ExecMode`]: which
-//! one runs is a fact about the [`Backend`] ([`Backend::mode`]), not a
-//! setting. The module docs of [`crate::exec`] describe both.
+//! The two plan runners, one per [`ExecMode`]. Which one runs is a fact
+//! about the method, not a setting: the native method *is*
+//! [`run_pipelined`], the row oracles ([`Backend`]) run through
+//! [`run_materialized`]. Each reads one relation form.
 //!
-//! * `run_materialized` — the operator-at-a-time loop over the Defs. 2–3
-//!   row operators of `audb-core`, a full [`AuRelation`] between steps
-//!   (the first rebuilt from the stored columns, once per execution).
-//! * `run_pipelined` — the lowered [`Pipeline`]s. A fused stage reads
-//!   columns ([`AuColumns`]): the scanned table's stored segments when it
-//!   reads the source unchanged ([`Plan::source_columns`] — segment by
-//!   segment, each batch under its own segment's zone maps), a
-//!   transposition of the current rows after a breaker or a rewriting
-//!   scan. Its batches ([`AuBatch`]) are swept morsel-parallel through
-//!   [`audb_par::par_map`] in deterministic order (batch `i`'s rows
-//!   always precede batch `i + 1`'s) and its output **stays columnar**:
-//!   the relation between stages is rows *or* columns, a breaker takes
-//!   either ([`BreakerInput`] — of a source stored in several segments,
-//!   one concatenation per execution), and rows are built from columns
-//!   only where a row operator asks ([`BreakerInput::rows`]) and for the
-//!   final result.
+//! * [`run_materialized`] — the operator-at-a-time loop over the Defs. 2–3
+//!   row operators of `audb-core` and the oracle's breaker hooks, a full
+//!   [`AuRelation`] between steps (the first made by the oracle's scan,
+//!   once per execution). Rows throughout.
+//! * [`run_pipelined`] — the lowered [`Pipeline`]s over columns
+//!   ([`AuColumns`]) throughout. A fused stage reads the scanned table's
+//!   stored segments when it reads the source unchanged
+//!   ([`Plan::source_columns`] — segment by segment, each batch under its
+//!   own segment's zone maps) or the columns before it; its batches
+//!   ([`AuBatch`]) are swept morsel-parallel through
+//!   [`audb_par::par_map`] in deterministic order (batch `i`'s rows always
+//!   precede batch `i + 1`'s) and its output stays columnar. A breaker is
+//!   `audb-native`'s columnar kernel (of a source stored in several
+//!   segments, over one concatenation per execution). The kernels emit
+//!   rows: a breaker's are the plan's result when it is last, and are
+//!   transposed — at the one site that does so — when anything follows.
 //!
 //! Both collect an [`ExecTrace`]: per-operator wall time, batch count and
 //! output cardinality.
 
 use super::lower::{fuse_label, lower, Pipeline};
-use crate::backend::{Backend, BreakerInput};
-use crate::catalog::Table;
-use crate::error::EngineError;
+use crate::backend::Backend;
+use crate::catalog::Segment;
 use crate::plan::{Op, Plan};
-use audb_core::{range_verdict, AuBatch, AuColumns, AuRelation, Mult3, TableStats, ZoneVerdict};
+use audb_core::{
+    range_verdict, window_ref, AuBatch, AuColumns, AuRelation, CmpSemantics, Mult3, TableStats,
+    ZoneVerdict,
+};
 use audb_rel::Schema;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default number of rows per batch: small enough that a batch of tuples
@@ -37,8 +41,8 @@ use std::time::{Duration, Instant};
 /// amortize per-batch dispatch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// How a backend runs plans — reported in traces and `explain`, never
-/// chosen: see [`Backend::mode`].
+/// How a plan ran — reported in traces and `explain`, never chosen: the
+/// native method pipelines, the row oracles materialize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Operator-at-a-time with a materialized relation between steps.
@@ -94,57 +98,16 @@ pub struct ExecTrace {
     pub ops: Vec<OpTiming>,
 }
 
-/// Execute `plan` the way `backend` runs plans, collecting a trace.
-/// `prune` switches zone-map batch skipping (the disabled arm is the
-/// within-run comparison baseline of `repro bench` and the pruned ≡
-/// unpruned property test); it and `batch_size` matter to the pipelined
-/// executor only.
-pub fn execute<B: Backend + ?Sized>(
+/// The operator-at-a-time loop of a row oracle: every step materializes.
+/// `batch_size` only sets the nominal scan batch count of the trace.
+pub fn run_materialized<B: Backend + ?Sized>(
     backend: &B,
     plan: &Plan,
     batch_size: usize,
-    prune: bool,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
-    match backend.mode() {
-        ExecMode::Materialized => run_materialized(backend, plan, batch_size),
-        ExecMode::Pipelined => run_pipelined(backend, plan, batch_size, prune),
-    }
-}
-
-/// Dispatch one breaker operator to its backend hook.
-fn run_breaker<B: Backend + ?Sized>(
-    backend: &B,
-    op: &Op,
-    input: BreakerInput<'_>,
-) -> Result<AuRelation, EngineError> {
-    match op {
-        Op::Sort {
-            order,
-            pos_name,
-            limit,
-        } => backend.sort(input, order, pos_name, *limit),
-        Op::Window {
-            spec,
-            agg,
-            out_name,
-        } => backend.window(input, spec, *agg, out_name),
-        _ => unreachable!("only order-based operators are pipeline breakers"),
-    }
-}
-
-/// The operator-at-a-time loop: every step materializes.
-fn run_materialized<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
-    batch_size: usize,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
+) -> (AuRelation, ExecTrace) {
     let mut ops = Vec::with_capacity(plan.ops().len() + 1);
     let start = Instant::now();
-    let source = plan.source_columns();
-    let mut cur: AuRelation = match backend.scan(source)? {
-        Some(rows) => rows,
-        None => source.contiguous().to_rows(),
-    };
+    let mut cur = backend.scan(plan.source_columns());
     ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
@@ -153,16 +116,24 @@ fn run_materialized<B: Backend + ?Sized>(
     });
     for op in plan.ops() {
         let start = Instant::now();
-        let next = match op {
+        cur = match op {
             Op::Select { pred } => audb_core::au_select(&cur, pred),
             Op::Project { exprs } => {
                 let borrowed: Vec<(audb_core::RangeExpr, &str)> =
                     exprs.iter().map(|(e, n)| (e.clone(), n.as_str())).collect();
                 audb_core::au_project(&cur, &borrowed)
             }
-            breaker => run_breaker(backend, breaker, BreakerInput::Rows(&cur))?,
+            Op::Sort {
+                order,
+                pos_name,
+                limit,
+            } => backend.sort(&cur, order, pos_name, *limit),
+            Op::Window {
+                spec,
+                agg,
+                out_name,
+            } => backend.window(&cur, spec, *agg, out_name),
         };
-        cur = next;
         ops.push(OpTiming {
             label: op.name().to_string(),
             elapsed: start.elapsed(),
@@ -170,17 +141,15 @@ fn run_materialized<B: Backend + ?Sized>(
             rows_out: cur.len(),
         });
     }
-    Ok((
-        cur,
-        ExecTrace {
-            mode: ExecMode::Materialized,
-            batch_size,
-            pipelines: 0,
-            batches_skipped: 0,
-            batches_scanned: 0,
-            ops,
-        },
-    ))
+    let trace = ExecTrace {
+        mode: ExecMode::Materialized,
+        batch_size,
+        pipelines: 0,
+        batches_skipped: 0,
+        batches_scanned: 0,
+        ops,
+    };
+    (cur, trace)
 }
 
 /// Zone-map verdicts for one batch of the first fused stage: whether the
@@ -356,129 +325,168 @@ fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     (keep, mults)
 }
 
-/// The pipelined executor's current relation: the stored source while
-/// nothing has touched it, rows (a rewriting scan's, a breaker's output)
-/// or the columns a fused stage produced.
-enum Current<'a> {
-    Source(&'a Table),
-    Rows(AuRelation),
-    Columns(AuColumns),
+/// What one fused stage did: its output and its batch counts.
+struct FusedRun {
+    out: AuColumns,
+    batches: usize,
+    skipped: usize,
 }
 
-impl Current<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Current::Source(table) => table.len(),
-            Current::Rows(rel) => rel.len(),
-            Current::Columns(cols) => cols.len(),
-        }
-    }
-
-    /// The plan's result: a plan ending in a fused stage — or in its scan
-    /// — builds its rows here.
-    fn into_rows(self) -> AuRelation {
-        match self {
-            Current::Source(table) => table.contiguous().to_rows(),
-            Current::Rows(rel) => rel,
-            Current::Columns(cols) => cols.to_rows(),
-        }
-    }
-}
-
-/// The batch-streaming executor: fused stages morsel-parallel per batch,
-/// breakers via the backend hooks.
-fn run_pipelined<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
+/// Run one fused stage over `parts`, each with the zone maps to judge its
+/// batches by (`None`: nothing to ask — pruning is off, or the columns are
+/// this execution's own). Every step inside the stage is a vectorized
+/// column sweep; batch `i` of a part covers its rows `[i·batch, i·batch +
+/// len)`, and no batch spans two parts.
+fn run_fused(
+    steps: &[(&Op, &Schema)],
+    parts: &[(&AuColumns, Option<&TableStats>)],
     batch_size: usize,
-    prune: bool,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
+) -> FusedRun {
+    // A skipped batch costs its verdict and nothing else: it never becomes
+    // a unit of work.
+    let mut batches = 0;
+    let mut work: Vec<(AuBatch<'_>, Vec<bool>)> = Vec::new();
+    for &(cols, stats) in parts {
+        batches += cols.batch_count(batch_size);
+        for batch in cols.batches(batch_size) {
+            let verdict = stats.map_or_else(BatchVerdict::default, |stats| {
+                batch_verdict(steps, stats, batch.index() * batch_size, batch.len())
+            });
+            if !verdict.skip {
+                work.push((batch, verdict.all_true));
+            }
+        }
+    }
+    // Morsel-parallel: each batch runs the whole fused chain independently;
+    // par_map guarantees chunk `i`'s rows land before chunk `i + 1`'s, so
+    // the output order is exactly the sequential one.
+    let chunks = audb_par::par_map(&work, |(batch, all_true)| {
+        apply_fused(steps, batch, all_true)
+    });
+    // Output schema of the last fused operator.
+    let mut out = AuColumns::empty(steps[steps.len() - 1].1.clone());
+    for chunk in chunks {
+        out.append(chunk);
+    }
+    FusedRun {
+        out,
+        batches,
+        skipped: batches - work.len(),
+    }
+}
+
+/// The stored segments as the parts of a fused stage, under their zone
+/// maps when `prune`.
+fn segment_parts(segments: &[Arc<Segment>], prune: bool) -> Vec<(&AuColumns, Option<&TableStats>)> {
+    (segments.iter())
+        .map(|s| (s.columns(), prune.then(|| s.stats())))
+        .collect()
+}
+
+/// Each operator of `ops` (indices into the plan) with its output schema
+/// (`schemas()[i + 1]` is the schema *after* operator `i`).
+fn steps_of(plan: &Plan, ops: impl Iterator<Item = usize>) -> Vec<(&Op, &Schema)> {
+    ops.map(|i| (&plan.ops()[i], &plan.schemas()[i + 1]))
+        .collect()
+}
+
+/// A plan of streamable operators only — the row-wise prefix a maintained
+/// query runs over each appended batch — as one fused stage over its
+/// source, columns out.
+pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize, prune: bool) -> AuColumns {
+    debug_assert!(!plan.ops().iter().any(Op::is_breaker));
+    let source = plan.source_columns();
+    if plan.ops().is_empty() {
+        return source.contiguous().into_owned();
+    }
+    let steps = steps_of(plan, 0..plan.ops().len());
+    run_fused(&steps, &segment_parts(source.segments(), prune), batch_size).out
+}
+
+/// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8).
+///
+/// The native window requires certain `PARTITION BY` attributes and treats
+/// duplicate multiplicities by position offsets — tighter than, but
+/// different from, the expand-first Def. 3 reference the engine promises.
+/// The sweep reports both conditions itself — duplicates as its fused
+/// normalisation merged them (identical rows stored separately included) —
+/// so the input is neither copied nor sorted to ask, and either one sends
+/// the rows to the reference. The duplicate case costs one discarded
+/// O(n log n) sweep before the O(n²) reference.
+fn run_breaker(op: &Op, cols: &AuColumns) -> AuRelation {
+    match op {
+        Op::Sort {
+            order,
+            pos_name,
+            limit,
+        } => audb_native::sort_columns_native(cols, order, pos_name, *limit),
+        Op::Window {
+            spec,
+            agg,
+            out_name,
+        } => match audb_native::window_columns_native(cols, spec, *agg, out_name) {
+            Ok(out) if !out.merged_duplicates => out.rel,
+            _ => window_ref(
+                &cols.to_rows(),
+                spec,
+                *agg,
+                out_name,
+                CmpSemantics::IntervalLex,
+            ),
+        },
+        _ => unreachable!("only order-based operators are pipeline breakers"),
+    }
+}
+
+/// The native method: fused stages morsel-parallel per batch, breakers by
+/// `audb-native`'s columnar kernels. `prune` switches zone-map batch
+/// skipping (the disabled arm is the within-run comparison baseline of
+/// `repro bench` and the pruned ≡ unpruned property test).
+pub fn run_pipelined(plan: &Plan, batch_size: usize, prune: bool) -> (AuRelation, ExecTrace) {
     let pipelines: Vec<Pipeline> = lower(plan);
-    let mut ops = Vec::with_capacity(plan.ops().len() + 1);
-    let mut batches_skipped = 0usize;
-    let mut batches_scanned = 0usize;
+    let mut trace = ExecTrace {
+        mode: ExecMode::Pipelined,
+        batch_size,
+        pipelines: pipelines.len(),
+        batches_skipped: 0,
+        batches_scanned: 0,
+        ops: Vec::with_capacity(plan.ops().len() + 1),
+    };
     let start = Instant::now();
     let source = plan.source_columns();
-    let (mut cur, batches) = match backend.scan(source)? {
-        None => (Current::Source(source), source.batch_count(batch_size)),
-        Some(rows) => {
-            let batches = rows.batch_count(batch_size);
-            (Current::Rows(rows), batches)
-        }
-    };
-    ops.push(OpTiming {
+    // The current relation: this execution's own columns, or — while
+    // nothing has touched it — the stored source.
+    let mut cur: Option<AuColumns> = None;
+    trace.ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
-        batches,
-        rows_out: cur.len(),
+        batches: source.batch_count(batch_size),
+        rows_out: source.len(),
     });
     for pipeline in &pipelines {
         if !pipeline.fused.is_empty() {
             let start = Instant::now();
-            // Each fused step carries its output schema (`schemas()[i + 1]`
-            // is the schema *after* operator `i`).
-            let steps: Vec<(&Op, &Schema)> = pipeline
-                .fused
-                .iter()
-                .map(|&i| (&plan.ops()[i], &plan.schemas()[i + 1]))
-                .collect();
-            // Every step inside the stage is a vectorized column sweep. A
-            // stage that reads the plan's source unchanged (the common
+            let steps = steps_of(plan, pipeline.fused.iter().copied());
+            // A stage that reads the plan's source unchanged (the common
             // scan → select/project head) reads the table's stored
             // segments, each with the zone maps swept over exactly its
-            // rows — batch `i` of a segment covers its rows
-            // `[i·batch, i·batch + len)`, and no batch spans two. Only a
-            // stage behind a breaker or a rewriting scan transposes here,
-            // and then its input is this execution's alone and there are
-            // no statistics to ask.
-            let cols_local;
-            let parts: Vec<(&AuColumns, Option<&TableStats>)> = match &cur {
-                Current::Source(table) => (table.segments().iter())
-                    .map(|s| (s.columns(), prune.then(|| s.stats())))
-                    .collect(),
-                Current::Rows(rel) => {
-                    cols_local = rel.to_columns();
-                    vec![(&cols_local, None)]
-                }
-                // Lowering never puts two fused stages back to back.
-                Current::Columns(cols) => vec![(cols, None)],
+            // rows. Behind a breaker the input is this execution's alone
+            // and there are no statistics to ask. (Lowering never puts two
+            // fused stages back to back.)
+            let parts = match &cur {
+                None => segment_parts(source.segments(), prune),
+                Some(cols) => vec![(cols, None)],
             };
-            // A skipped batch costs its verdict and nothing else: it never
-            // becomes a unit of work.
-            let mut n_batches = 0;
-            let mut work: Vec<(AuBatch<'_>, Vec<bool>)> = Vec::new();
-            for (cols, stats) in parts {
-                n_batches += cols.batch_count(batch_size);
-                for batch in cols.batches(batch_size) {
-                    let verdict = stats.map_or_else(BatchVerdict::default, |stats| {
-                        batch_verdict(&steps, stats, batch.index() * batch_size, batch.len())
-                    });
-                    if !verdict.skip {
-                        work.push((batch, verdict.all_true));
-                    }
-                }
-            }
-            batches_skipped += n_batches - work.len();
-            batches_scanned += work.len();
-            // Morsel-parallel: each batch runs the whole fused chain
-            // independently; par_map guarantees chunk `i`'s rows land
-            // before chunk `i + 1`'s, so the output order is exactly the
-            // sequential one.
-            let chunks = audb_par::par_map(&work, |(batch, all_true)| {
-                apply_fused(&steps, batch, all_true)
-            });
-            // Output schema of the last fused operator.
-            let mut merged = AuColumns::empty(steps[steps.len() - 1].1.clone());
-            for chunk in chunks {
-                merged.append(chunk);
-            }
-            cur = Current::Columns(merged);
-            ops.push(OpTiming {
+            let run = run_fused(&steps, &parts, batch_size);
+            trace.batches_skipped += run.skipped;
+            trace.batches_scanned += run.batches - run.skipped;
+            trace.ops.push(OpTiming {
                 label: fuse_label(steps.iter().map(|(op, _)| op.name())),
                 elapsed: start.elapsed(),
-                batches: n_batches,
-                rows_out: cur.len(),
+                batches: run.batches,
+                rows_out: run.out.len(),
             });
+            cur = Some(run.out);
         }
         if let Some(b) = pipeline.breaker {
             let start = Instant::now();
@@ -486,42 +494,38 @@ fn run_pipelined<B: Backend + ?Sized>(
             // A breaker over the untouched source reads it as one
             // `AuColumns`: the segment when there is one, else a copy of
             // the lanes made here — O(n) ahead of an Ω(n log n) operator.
-            let whole;
-            let input = match &cur {
-                Current::Source(table) => {
-                    whole = table.contiguous();
-                    BreakerInput::Columns(&whole)
-                }
-                Current::Rows(rel) => BreakerInput::Rows(rel),
-                Current::Columns(cols) => BreakerInput::Columns(cols),
+            let rows = match &cur {
+                None => run_breaker(op, &source.contiguous()),
+                Some(cols) => run_breaker(op, cols),
             };
-            let next = run_breaker(backend, op, input)?;
-            cur = Current::Rows(next);
-            ops.push(OpTiming {
+            // The kernels emit rows. Last in the plan, they are its result
+            // as they stand; else this is where they become columns again.
+            let last = b + 1 == plan.ops().len();
+            cur = (!last).then(|| rows.to_columns());
+            trace.ops.push(OpTiming {
                 label: op.name().to_string(),
                 elapsed: start.elapsed(),
                 batches: 1,
-                rows_out: cur.len(),
+                rows_out: rows.len(),
             });
+            if last {
+                return (rows, trace);
+            }
         }
     }
-    Ok((
-        cur.into_rows(),
-        ExecTrace {
-            mode: ExecMode::Pipelined,
-            batch_size,
-            pipelines: pipelines.len(),
-            batches_skipped,
-            batches_scanned,
-            ops,
-        },
-    ))
+    // The plan ends in a fused stage — or in its scan — and builds its
+    // rows here.
+    let rows = match cur {
+        None => source.contiguous().to_rows(),
+        Some(cols) => cols.to_rows(),
+    };
+    (rows, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Native, Reference, Rewrite};
+    use crate::backend::{Reference, Rewrite};
     use crate::plan::{Agg, Query, WindowSpec};
     use audb_core::{AuTuple, Mult3, RangeExpr, RangeValue};
     use audb_rel::Schema;
@@ -561,41 +565,52 @@ mod tests {
             .unwrap()
     }
 
+    /// The row loop on `oracle`: one trace entry per operator, under their
+    /// own names.
+    fn materialized(oracle: &dyn Backend, plan: &Plan) -> AuRelation {
+        let (out, trace) = run_materialized(oracle, plan, DEFAULT_BATCH_SIZE);
+        assert_eq!(trace.mode, ExecMode::Materialized);
+        let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
+        let names: Vec<&str> = plan.ops().iter().map(Op::name).collect();
+        assert_eq!(labels, [&["scan"], &names[..]].concat());
+        out
+    }
+
     /// The oracle arm of every comparison below: the operator-at-a-time
     /// loop on the reference backend.
     fn reference(plan: &Plan) -> AuRelation {
-        let (out, trace) = execute(&Reference::default(), plan, DEFAULT_BATCH_SIZE, true).unwrap();
-        assert_eq!(trace.mode, ExecMode::Materialized);
-        assert_eq!(trace.ops.len(), plan.ops().len() + 1);
-        out
+        materialized(&Reference::default(), plan)
+    }
+
+    /// The native method with pruning on: the output, and the trace.
+    fn execute(plan: &Plan, batch_size: usize) -> (AuRelation, ExecTrace) {
+        run_pipelined(plan, batch_size, true)
     }
 
     /// The batch-boundary contract: batch size 1 (every row its own
     /// morsel), exactly n (one full batch), and > n (one short batch) all
-    /// produce the reference result, on both pipelined backends.
+    /// produce the reference result on the native method — as does the
+    /// rewrite oracle through the row loop, where no batch exists.
     #[test]
     fn batch_boundaries_are_bag_equal_to_materialized() {
         let n = 23;
         let plan = fused_plan(n);
         let oracle = reference(&plan);
-        let backends: [&dyn Backend; 2] = [&Native, &Rewrite::default()];
-        for backend in backends {
-            for batch_size in [1, n, n + 10] {
-                let (pipelined, trace) = execute(backend, &plan, batch_size, true).unwrap();
-                assert!(
-                    pipelined.bag_eq(&oracle),
-                    "backend {} batch {batch_size}:\n{pipelined}\nvs\n{oracle}",
-                    backend.name()
-                );
-                assert_eq!(trace.mode, ExecMode::Pipelined);
-                assert_eq!(trace.pipelines, 1);
-                // scan, fused stage, breaker.
-                assert_eq!(trace.ops.len(), 3);
-                assert_eq!(trace.ops[1].label, "fuse(select · project)");
-                assert_eq!(trace.ops[2].label, "topk");
-                let expected_batches = if batch_size == 1 { n } else { 1 };
-                assert_eq!(trace.ops[1].batches, expected_batches);
-            }
+        assert!(materialized(&Rewrite::default(), &plan).bag_eq(&oracle));
+        for batch_size in [1, n, n + 10] {
+            let (pipelined, trace) = execute(&plan, batch_size);
+            assert!(
+                pipelined.bag_eq(&oracle),
+                "batch {batch_size}:\n{pipelined}\nvs\n{oracle}"
+            );
+            assert_eq!(trace.mode, ExecMode::Pipelined);
+            assert_eq!(trace.pipelines, 1);
+            // scan, fused stage, breaker.
+            assert_eq!(trace.ops.len(), 3);
+            assert_eq!(trace.ops[1].label, "fuse(select · project)");
+            assert_eq!(trace.ops[2].label, "topk");
+            let expected_batches = if batch_size == 1 { n } else { 1 };
+            assert_eq!(trace.ops[1].batches, expected_batches);
         }
     }
 
@@ -615,12 +630,12 @@ mod tests {
         );
         // Zero-annotation rows survive an empty chain (no pipeline at all)…
         let plan = Query::scan(rel.clone()).build().unwrap();
-        let (out, trace) = execute(&Native, &plan, 2, true).unwrap();
+        let (out, trace) = execute(&plan, 2);
         assert_eq!(out.len(), 3);
         assert_eq!(trace.pipelines, 0);
         // …but a projection drops them, exactly like au_project_cols.
         let plan = Query::scan(rel.clone()).project(["a"]).build().unwrap();
-        let (out, _) = execute(&Native, &plan, 2, true).unwrap();
+        let (out, _) = execute(&plan, 2);
         assert!(out.bag_eq(&audb_core::au_project_cols(&rel, &[0])));
         assert_eq!(out.len(), 2);
         // A select ahead of the projection drops non-matching rows first.
@@ -629,7 +644,7 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, 1, true).unwrap();
+        let (out, _) = execute(&plan, 1);
         let step = audb_core::au_select(&rel, &RangeExpr::col(0).lt(RangeExpr::lit(5)));
         assert!(out.bag_eq(&audb_core::au_project_cols(&step, &[0])));
         assert_eq!(out.len(), 1);
@@ -653,7 +668,7 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, 8, true).unwrap();
+        let (out, _) = execute(&plan, 8);
         // Possibly-true predicate: certain multiplicity drops to 0.
         assert_eq!(out.rows()[0].mult, Mult3::new(0, 2, 2));
         let by_rows = audb_core::au_project_cols(&audb_core::au_select(&rel, &pred), &[0]);
@@ -687,10 +702,10 @@ mod tests {
             .project(["t", "v"])
             .build()
             .unwrap();
-        let (pruned, trace) = execute(&Native, &plan, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&plan, ZONE_ROWS);
         assert_eq!(trace.batches_skipped, 3);
         assert_eq!(trace.batches_scanned, 1);
-        let (unpruned, off) = execute(&Native, &plan, ZONE_ROWS, false).unwrap();
+        let (unpruned, off) = run_pipelined(&plan, ZONE_ROWS, false);
         assert_eq!(off.batches_skipped, 0);
         assert_eq!(off.batches_scanned, 4);
         assert!(pruned.bag_eq(&unpruned));
@@ -703,13 +718,13 @@ mod tests {
             .project(["t"])
             .build()
             .unwrap();
-        let (pruned, trace) = execute(&Native, &plan2, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&plan2, ZONE_ROWS);
         assert_eq!(trace.batches_skipped, 0);
         assert!(pruned.bag_eq(&reference(&plan2)));
 
         // A batch size misaligned with the zones stays correct: verdicts
         // combine every overlapping zone.
-        let (odd, trace) = execute(&Native, &plan, ZONE_ROWS / 3 + 11, true).unwrap();
+        let (odd, trace) = execute(&plan, ZONE_ROWS / 3 + 11);
         assert!(odd.bag_eq(&unpruned));
         assert!(trace.batches_skipped > 0);
     }
@@ -743,7 +758,7 @@ mod tests {
         session.shared_catalog().append("c", &tail).unwrap();
         let run = |sql: &str, batch_size: usize, prune: bool| {
             let prepared = session.prepare(sql).unwrap();
-            let (out, trace) = execute(&Native, prepared.plan(), batch_size, prune).unwrap();
+            let (out, trace) = run_pipelined(prepared.plan(), batch_size, prune);
             assert!(out.bag_eq(&reference(prepared.plan())), "{sql}");
             (out, trace.batches_skipped, trace.batches_scanned)
         };
@@ -771,31 +786,42 @@ mod tests {
     }
 
     /// Multi-breaker plans: every pipeline runs, intermediate fused stages
-    /// see the previous breaker's output schema.
+    /// see the previous breaker's output schema — and so does a breaker
+    /// that follows a breaker directly: what a breaker emits reaches
+    /// whatever comes next through the one post-breaker transposition, and
+    /// is the result as it stands when nothing does.
     #[test]
     fn multi_breaker_plan_pipelines_end_to_end() {
-        let plan = Query::scan(rel(17))
+        let window = || {
+            WindowSpec::rows(-1, 0)
+                .order_by(["a"])
+                .aggregate(Agg::sum("b"))
+                .output("s")
+        };
+        let staged = Query::scan(rel(17))
             .sort_by_as(["b"], "r1")
             .select(RangeExpr::col(2).lt(RangeExpr::lit(10)))
-            .window(
-                WindowSpec::rows(-1, 0)
-                    .order_by(["a"])
-                    .aggregate(Agg::sum("b"))
-                    .output("s"),
-            )
-            .project(["a", "s"])
-            .build()
-            .unwrap();
-        let oracle = reference(&plan);
-        for backend in [&Native as &dyn Backend, &Rewrite::default()] {
-            let (pipelined, trace) = execute(backend, &plan, 4, true).unwrap();
-            assert!(pipelined.bag_eq(&oracle), "{}", backend.name());
-            assert_eq!(trace.pipelines, 3);
-            let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
-            assert_eq!(
-                labels,
-                ["scan", "sort", "fuse(select)", "window", "fuse(project)"]
-            );
+            .window(window())
+            .project(["a", "s"]);
+        let adjacent = Query::scan(rel(17))
+            .sort_by_as(["b"], "r1")
+            .window(window());
+        for (query, pipelines, labels) in [
+            (
+                staged,
+                3,
+                &["scan", "sort", "fuse(select)", "window", "fuse(project)"][..],
+            ),
+            (adjacent, 2, &["scan", "sort", "window"][..]),
+        ] {
+            let plan = query.build().unwrap();
+            let oracle = reference(&plan);
+            assert!(materialized(&Rewrite::default(), &plan).bag_eq(&oracle));
+            let (pipelined, trace) = execute(&plan, 4);
+            assert!(pipelined.bag_eq(&oracle), "{labels:?}");
+            assert_eq!(trace.pipelines, pipelines);
+            let ran: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
+            assert_eq!(ran, labels);
         }
     }
 }

@@ -10,11 +10,12 @@
 //!   `.window(spec)`) that validates schemas and column references at
 //!   build time and returns structured [`PlanError`]s instead of operator
 //!   panics;
-//! * [`Backend`] — the physical-implementation trait (the order-based
-//!   operator hooks plus the mode the backend runs plans in), implemented
-//!   by [`Reference`], [`Native`] (with fallback rules for the cases the
-//!   one-pass operators do not cover) and [`Rewrite`] (which scans through
-//!   the relational encoding, as a DBMS executing Figs. 7–8 would);
+//! * [`Backend`] — the row oracles' trait (a scan and the order-based
+//!   operator hooks, over rows), implemented by [`Reference`] and
+//!   [`Rewrite`] (which scans through the relational encoding, as a DBMS
+//!   executing Figs. 7–8 would); the native method is no implementation of
+//!   it but the pipelined executor itself ([`exec::run_pipelined`], with
+//!   fallback rules for the cases the one-pass operators do not cover);
 //! * [`SharedCatalog`] / [`Table`] — what a FROM name maps to: a table
 //!   stored as `Arc`'d columnar [`Segment`]s and nothing else, so an
 //!   append costs its batch and every plan over one version shares one
@@ -27,11 +28,11 @@
 //!   select/project stages run morsel-parallel as vectorized column
 //!   sweeps over cache-sized columnar [`audb_core::AuBatch`] views
 //!   ([`audb_core::AuColumns`] storage), with the order-based operators
-//!   as the only materializing pipeline breakers. The production backends
-//!   (native, rewrite) execute pipelined at every input size; the
-//!   reference oracle runs operator-at-a-time over `audb-core`'s row
-//!   operators; nothing selects between the two, and they are
-//!   property-tested bag-equal on every plan.
+//!   as the only materializing pipeline breakers. The native method
+//!   executes pipelined at every input size; the two row oracles run
+//!   operator-at-a-time over `audb-core`'s row operators; nothing selects
+//!   between the two runners, and they are property-tested bag-equal on
+//!   every plan.
 //!
 //! Everything downstream of the operator crates — examples, workload
 //! drivers, benchmarks — constructs its sort/top-k/window queries through
@@ -50,7 +51,7 @@ mod plancache;
 mod print;
 mod session;
 
-pub use backend::{Backend, BreakerInput, Native, Reference, Rewrite};
+pub use backend::{Backend, Reference, Rewrite};
 pub use catalog::{Catalog, CatalogAppendError, Segment, SharedCatalog, Table, SEGMENT_ROWS};
 pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
@@ -335,7 +336,7 @@ mod tests {
         );
 
         // Without SQL provenance and without fallback: no query line, bare
-        // backend line. The production backend pipelines at every size,
+        // backend line. The native method pipelines at every size,
         // and the physical pipeline plan (fused stages and breaker
         // annotations) is printed.
         let plan = Query::scan(example6())
@@ -423,7 +424,7 @@ mod tests {
     }
 
     /// `run_all` executes each backend the one way it runs plans — the
-    /// reference operator-at-a-time, the production backends pipelined,
+    /// two row oracles operator-at-a-time, the native method pipelined,
     /// whatever the input size — and carries per-operator timings for
     /// every run.
     #[test]
@@ -443,7 +444,7 @@ mod tests {
                 [
                     ExecMode::Materialized,
                     ExecMode::Pipelined,
-                    ExecMode::Pipelined
+                    ExecMode::Materialized
                 ]
             );
             for run in &all.runs {

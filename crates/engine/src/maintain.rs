@@ -35,21 +35,20 @@
 //!   accepts appends in any order and never rebuilds.
 //!
 //! Ground truth is always the engine itself: the recompute path *is*
-//! `engine.execute(plan.with_source(accumulated))`, and the property tests
+//! `engine.execute(plan.with_table(accumulated))`, and the property tests
 //! pin the incremental path bag-equal to it on all three backends.
 //!
-//! ## Rows here, columns in the catalog
+//! ## One append, two callers
 //!
-//! A subscription's append is not a catalog append. The catalog stores
-//! columnar segments and grows them at the cost of the batch
-//! ([`crate::SharedCatalog::append`]); a subscription pins the table
-//! version current when it was made, copies its rows out **once** into
-//! the accumulator below, and from then on is fed only through
-//! [`MaintainedQuery::append`]. The accumulator is rows because the
-//! incremental states are: the window sweep's frontier check and the
-//! top-k indexes read `AuRow`s, and a recompute hands the whole
-//! accumulator to [`Plan::with_source`], which transposes it for that
-//! execution.
+//! A subscription's accumulator is a table handle like the catalog's: the
+//! plan's own [`Table`] at `subscribe` — shared, not copied — grown by the
+//! append the catalog publishes with (sealed segments shared, the open
+//! tail rebuilt: the cost of the batch, whatever has accumulated). The
+//! two do not see each other's rows: a subscription pins the version
+//! current when it was made and from then on is fed only through
+//! [`MaintainedQuery::append`]. A recompute binds the plan to the grown
+//! handle ([`Plan::with_table`], nothing read); the incremental states
+//! take the row-wise prefix's output over the batch as columns.
 //!
 //! ## Delta semantics
 //!
@@ -59,12 +58,15 @@
 //! removed + added`. Replaying every delta from subscription onward
 //! reconstructs [`MaintainedQuery::value`].
 
-use crate::engine::Engine;
+use crate::catalog::Table;
+use crate::engine::{BackendChoice, Engine};
 use crate::error::SessionError;
+use crate::exec;
 use crate::plan::{Op, Plan};
-use audb_core::{AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
+use audb_core::{AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Accumulated row count below which an append recomputes instead of
 /// maintaining sweep state (override per subscription with
@@ -123,6 +125,26 @@ enum MaintainKind {
     },
 }
 
+impl MaintainKind {
+    /// What is maintained, as `explain` and the fallback reasons call it.
+    fn name(&self) -> &'static str {
+        match self {
+            MaintainKind::Window { .. } => "window",
+            MaintainKind::TopK { .. } => "top-k",
+            MaintainKind::AlwaysRecompute { .. } => "nothing",
+        }
+    }
+
+    /// Drop the live state: the next append past the cutoff rebuilds it.
+    fn clear(&mut self) {
+        match self {
+            MaintainKind::Window { state } => *state = None,
+            MaintainKind::TopK { state } => *state = None,
+            MaintainKind::AlwaysRecompute { .. } => {}
+        }
+    }
+}
+
 /// A subscribed query: a compiled [`Plan`] whose result stays current
 /// under [`MaintainedQuery::append`]ed rows. Obtain one from
 /// [`crate::Session::subscribe`].
@@ -133,8 +155,9 @@ pub struct MaintainedQuery {
     pre: Plan,
     kind: MaintainKind,
     cutoff: usize,
-    /// Raw accumulated source rows (initial relation + every batch).
-    accum: AuRelation,
+    /// The accumulated source: the subscribed table version grown by
+    /// every batch.
+    accum: Arc<Table>,
     /// The normalized current result: row key → (row, multiplicity).
     current: BTreeMap<SortKey, (AuTuple, Mult3)>,
     /// Open (provisional) window rows contributed to `current` by the last
@@ -163,7 +186,7 @@ impl MaintainedQuery {
             },
         };
         let pre = plan.prefix(plan.ops().len().saturating_sub(1));
-        let accum = plan.source_columns().contiguous().to_rows();
+        let accum = Arc::clone(plan.source_columns());
         let mut q = MaintainedQuery {
             engine,
             pre,
@@ -180,14 +203,17 @@ impl MaintainedQuery {
         };
         // Conditions that can only be observed, never un-observed, are
         // checked once up front so explain() is honest from the start.
-        if matches!(q.kind, MaintainKind::Window { .. }) {
-            if q.engine.effective() != crate::engine::BackendChoice::Native {
+        let effective = q.engine.effective();
+        match (&q.kind, q.plan.ops().last()) {
+            (MaintainKind::AlwaysRecompute { .. }, _) => {}
+            (kind, _) if effective != BackendChoice::Native => {
                 q.fallback_forever = Some(format!(
-                    "window maintenance requires the native backend (engine runs {})",
-                    q.engine.effective()
+                    "{} maintenance requires the native backend (engine runs {effective})",
+                    kind.name()
                 ));
-            } else if let Some(Op::Window { spec, .. }) = q.plan.ops().last() {
-                let pre_rel = q.engine.execute(&q.pre)?.normalize();
+            }
+            (_, Some(Op::Window { spec, .. })) => {
+                let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize();
                 if window_needs_reference(&pre_rel, spec) {
                     q.fallback_forever = Some(
                         "initial relation needs the reference window \
@@ -196,13 +222,7 @@ impl MaintainedQuery {
                     );
                 }
             }
-        } else if matches!(q.kind, MaintainKind::TopK { .. })
-            && q.engine.effective() != crate::engine::BackendChoice::Native
-        {
-            q.fallback_forever = Some(format!(
-                "top-k maintenance requires the native backend (engine runs {})",
-                q.engine.effective()
-            ));
+            _ => {}
         }
         q.recompute_current()?;
         Ok(q)
@@ -225,9 +245,9 @@ impl MaintainedQuery {
         AuRelation::from_rows(self.plan.schema().clone(), self.current.values().cloned())
     }
 
-    /// Raw accumulated source rows (initial relation plus every appended
-    /// batch, in arrival order).
-    pub fn accumulated(&self) -> &AuRelation {
+    /// The accumulated source (initial relation plus every appended
+    /// batch, in arrival order), as the table handle recomputes scan.
+    pub fn accumulated(&self) -> &Arc<Table> {
         &self.accum
     }
 
@@ -239,6 +259,7 @@ impl MaintainedQuery {
     /// Append a batch of source rows and return the changed output rows.
     /// The batch must carry the subscribed table's exact schema.
     pub fn append(&mut self, batch: &AuRelation) -> Result<Delta, SessionError> {
+        let rows = batch.len();
         if batch.schema != self.plan.schemas()[0] {
             return Err(SessionError::Plan(
                 crate::error::PlanError::SourceSchemaMismatch {
@@ -247,8 +268,10 @@ impl MaintainedQuery {
                 },
             ));
         }
-        for row in batch.rows() {
-            self.accum.push(row.tuple.clone(), row.mult);
+        // The subscription's batch door: rows in, columns from here on.
+        let batch = batch.to_columns();
+        if !batch.is_empty() {
+            self.accum = self.accum.appended(batch.clone());
         }
         let strategy = self.try_incremental(batch)?;
         let delta = match strategy {
@@ -263,7 +286,7 @@ impl MaintainedQuery {
                 diff_maps(&before, &self.current)
             }
         };
-        self.last = Some((strategy, batch.rows().len()));
+        self.last = Some((strategy, rows));
         Ok(Delta { strategy, ..delta })
     }
 
@@ -279,12 +302,7 @@ impl MaintainedQuery {
                 format!("always recompute — {reason}")
             }
             (_, Some(reason)) => format!("always recompute — {reason}"),
-            (MaintainKind::Window { .. }, None) => {
-                format!("window incremental (cutoff {})", self.cutoff)
-            }
-            (MaintainKind::TopK { .. }, None) => {
-                format!("top-k incremental (cutoff {})", self.cutoff)
-            }
+            (kind, None) => format!("{} incremental (cutoff {})", kind.name(), self.cutoff),
         };
         s.push_str(&format!("maintain: {mode}\n"));
         s.push_str(&format!(
@@ -299,8 +317,14 @@ impl MaintainedQuery {
 
     /// Decide the batch's strategy and, when incremental, absorb it into
     /// the live state. The accumulated raw rows are already updated.
-    fn try_incremental(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
+    fn try_incremental(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
         if self.fallback_forever.is_some() {
+            return Ok(Strategy::Recompute);
+        }
+        if self.accum.len() < self.cutoff {
+            // Tiny relation: recompute, and drop any stale state so the
+            // next crossing of the cutoff rebuilds from scratch.
+            self.kind.clear();
             return Ok(Strategy::Recompute);
         }
         match &self.kind {
@@ -310,15 +334,16 @@ impl MaintainedQuery {
         }
     }
 
-    fn try_incremental_window(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
-        if self.accum.rows().len() < self.cutoff {
-            // Tiny relation: recompute, and drop any stale state so the
-            // next crossing of the cutoff rebuilds from scratch.
-            if let MaintainKind::Window { state } = &mut self.kind {
-                *state = None;
-            }
-            return Ok(Strategy::Recompute);
-        }
+    /// The row-wise prefix over `source`, on the native method (the only
+    /// one that maintains) — over a batch alone, its contribution to the
+    /// prefix over the accumulated table.
+    fn prefix_over(&self, source: Arc<Table>) -> Result<AuColumns, SessionError> {
+        let plan = self.pre.with_table(source)?;
+        let batch_size = self.engine.choose_exec(&plan).batch_size;
+        Ok(exec::run_row_wise(&plan, batch_size, self.engine.pruning))
+    }
+
+    fn try_incremental_window(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
         let Some(Op::Window {
             spec,
             agg,
@@ -327,18 +352,13 @@ impl MaintainedQuery {
         else {
             unreachable!("kind is Window only for window plans");
         };
-        // Row-wise prefix over the batch alone ≡ its contribution to the
-        // prefix over the accumulated relation.
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch)?)?;
-        let pre_batch = pre_batch.normalize();
+        let pre_batch = self.prefix_over(Table::sealed(batch))?.normalize();
         // The native window's documented fallbacks are sticky: a duplicate
         // multiplicity or uncertain partition value stays in the data.
-        if pre_batch.rows().iter().any(|r| r.mult.ub > 1) {
+        if pre_batch.mult_ub().iter().any(|&ub| ub > 1) {
             self.fallback_forever =
                 Some("appended rows carry duplicate multiplicities (k↑ > 1)".to_string());
-            if let MaintainKind::Window { state } = &mut self.kind {
-                *state = None;
-            }
+            self.kind.clear();
             return Ok(Strategy::Recompute);
         }
         let MaintainKind::Window { state } = &mut self.kind else {
@@ -364,10 +384,7 @@ impl MaintainedQuery {
         // Build (or rebuild) the sweep from everything seen so far as one
         // batch; this append is answered by recompute, the next in-order
         // batch goes incremental.
-        let pre_all = self
-            .engine
-            .execute(&self.pre.with_source(&self.accum)?)?
-            .normalize();
+        let pre_all = self.prefix_over(Arc::clone(&self.accum))?.normalize();
         if window_needs_reference(&pre_all, &spec) {
             self.fallback_forever = Some(
                 "accumulated relation needs the reference window \
@@ -376,7 +393,7 @@ impl MaintainedQuery {
             );
             return Ok(Strategy::Recompute);
         }
-        let mut m = MaintainedWindow::new(pre_all.schema.clone(), spec, agg, &out_name);
+        let mut m = MaintainedWindow::new(pre_all.schema().clone(), spec, agg, &out_name);
         m.apply(&pre_all);
         // This round's recompute covers everything the fresh sweep has
         // already closed — mark it drained so the next incremental append
@@ -390,13 +407,7 @@ impl MaintainedQuery {
         Ok(Strategy::Recompute)
     }
 
-    fn try_incremental_topk(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
-        if self.accum.rows().len() < self.cutoff {
-            if let MaintainKind::TopK { state } = &mut self.kind {
-                *state = None;
-            }
-            return Ok(Strategy::Recompute);
-        }
+    fn try_incremental_topk(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
         let Some(Op::Sort {
             order,
             pos_name,
@@ -405,19 +416,16 @@ impl MaintainedQuery {
         else {
             unreachable!("kind is TopK only for top-k plans");
         };
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch)?)?;
-        let MaintainKind::TopK { state } = &mut self.kind else {
-            unreachable!();
-        };
-        if let Some(m) = state {
+        let pre_batch = self.prefix_over(Table::sealed(batch))?;
+        if let MaintainKind::TopK { state: Some(m) } = &mut self.kind {
             m.apply(&pre_batch);
             return Ok(Strategy::Incremental);
         }
         // First crossing of the cutoff: seed from the accumulated rows.
-        let pre_all = self.engine.execute(&self.pre.with_source(&self.accum)?)?;
-        let mut m = TopKMaintain::new(pre_all.schema.clone(), order, k, &pos_name);
+        let pre_all = self.prefix_over(Arc::clone(&self.accum))?;
+        let mut m = TopKMaintain::new(pre_all.schema().clone(), order, k, &pos_name);
         m.apply(&pre_all);
-        *state = Some(m);
+        self.kind = MaintainKind::TopK { state: Some(m) };
         Ok(Strategy::Recompute)
     }
 
@@ -426,7 +434,7 @@ impl MaintainedQuery {
     fn recompute_current(&mut self) -> Result<(), SessionError> {
         let out = self
             .engine
-            .execute(&self.plan.with_source(&self.accum)?)?
+            .execute(&self.plan.with_table(Arc::clone(&self.accum))?)?
             .normalize();
         self.current = keyed_rows(out);
         // The map no longer tracks which entries came from open windows;
@@ -499,7 +507,7 @@ impl MaintainedQuery {
 impl std::fmt::Debug for MaintainedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaintainedQuery")
-            .field("rows", &self.accum.rows().len())
+            .field("rows", &self.accum.len())
             .field("result_rows", &self.current.len())
             .field("incremental", &self.incremental_appends)
             .field("recompute", &self.recompute_appends)
@@ -511,17 +519,13 @@ impl std::fmt::Debug for MaintainedQuery {
 /// an uncertain `PARTITION BY` value, a duplicate multiplicity — decided
 /// for window *maintenance* before any sweep state is built (a one-shot
 /// window learns them from its sweep). Callers pass a **normalized**
-/// relation: separately stored copies of one hypercube merge into a
-/// duplicate multiplicity, so checking raw rows would miss them.
-fn window_needs_reference(rel: &AuRelation, spec: &AuWindowSpec) -> bool {
+/// relation (zero-free, so every stored row exists): separately stored
+/// copies of one hypercube merge into a duplicate multiplicity, so
+/// checking raw rows would miss them.
+fn window_needs_reference(rel: &AuColumns, spec: &AuWindowSpec) -> bool {
     debug_assert!(rel.is_normalized());
-    rel.rows().iter().any(|row| {
-        row.mult.ub > 1
-            || spec
-                .partition
-                .iter()
-                .any(|&g| !row.tuple.get(g).is_certain())
-    })
+    rel.mult_ub().iter().any(|&ub| ub > 1)
+        || (spec.partition.iter()).any(|&g| (0..rel.len()).any(|row| !rel.col(g).certain_at(row)))
 }
 
 /// The maintained-value map of a normalized result; the rows move in.
@@ -642,7 +646,7 @@ mod tests {
                 add_entry(&mut replay, SortKey::of_row(t), t.clone(), *m);
             }
             // Ground truth: full recompute over the accumulated rows.
-            session.register("s", q.accumulated().clone());
+            session.register("s", q.accumulated().contiguous().to_rows());
             let truth = session.sql(ROLLING_SQL).unwrap();
             let value = q.value();
             assert!(value.bag_eq(&truth), "value:\n{value}\ntruth:\n{truth}");
@@ -703,7 +707,7 @@ mod tests {
             Strategy::Incremental
         );
         let session = Session::new(Engine::native());
-        session.register("s", q.accumulated().clone());
+        session.register("s", q.accumulated().contiguous().to_rows());
         let truth = session.sql(ROLLING_SQL).unwrap();
         assert!(q.value().bag_eq(&truth));
     }
@@ -733,7 +737,7 @@ mod tests {
         );
         assert!(q.explain().contains("always recompute"), "{}", q.explain());
         let session = Session::new(Engine::native());
-        session.register("s", q.accumulated().clone());
+        session.register("s", q.accumulated().contiguous().to_rows());
         assert!(q.value().bag_eq(&session.sql(ROLLING_SQL).unwrap()));
     }
 
@@ -751,7 +755,7 @@ mod tests {
         for chunk in chunks {
             let d = q.append(&rel_of(chunk)).unwrap();
             saw_incremental |= d.strategy == Strategy::Incremental;
-            session.register("s", q.accumulated().clone());
+            session.register("s", q.accumulated().contiguous().to_rows());
             let truth = session.sql(sql).unwrap();
             assert!(q.value().bag_eq(&truth), "{}\nvs\n{truth}", q.value());
         }
@@ -787,7 +791,7 @@ mod tests {
         );
         assert!(q.explain().contains("requires the native backend"));
         let check = Session::new(Engine::reference());
-        check.register("s", q.accumulated().clone());
+        check.register("s", q.accumulated().contiguous().to_rows());
         assert!(q.value().bag_eq(&check.sql(ROLLING_SQL).unwrap()));
     }
 

@@ -29,6 +29,7 @@ use crate::catalog::Table;
 use crate::error::PlanError;
 use crate::optimize::OptInfo;
 use audb_core::{AuRelation, AuWindowSpec, RangeExpr, WinAgg};
+use audb_rel::ops::window::clamp_frame_offset;
 use audb_rel::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -428,8 +429,8 @@ pub struct Plan {
     /// The scanned table's handle: its columnar segments and their
     /// statistics. A plan bound through a catalog holds the catalog's
     /// handle, so every plan over one published version of a table reads
-    /// the same segments; [`Query::scan`] and [`Plan::with_source`]
-    /// transpose their relation into a private handle.
+    /// the same segments; [`Query::scan`] transposes its relation into a
+    /// private handle.
     source: Arc<Table>,
     ops: Vec<Op>,
     /// Schema after each op: `schemas\[0\]` is the source schema,
@@ -527,21 +528,21 @@ impl Plan {
         self.ops == other.ops && self.schemas == other.schemas
     }
 
-    /// The same operator chain over a different source relation
-    /// (transposed here) — the plan a maintained query recomputes against
-    /// its accumulated rows, and the pre-operator plan it runs over each
-    /// appended batch. The resolved IR is index-based, so the only thing
-    /// to re-validate is that the new source carries the schema the chain
-    /// was compiled against.
-    pub fn with_source(&self, source: &AuRelation) -> Result<Plan, PlanError> {
-        if source.schema != self.schemas[0] {
+    /// The same operator chain over another table handle — the plan a
+    /// maintained query recomputes against its accumulated table, and the
+    /// pre-operator plan it runs over each appended batch. Nothing of the
+    /// table is read or copied. The resolved IR is index-based, so the
+    /// only thing to re-validate is that the new source carries the schema
+    /// the chain was compiled against.
+    pub fn with_table(&self, source: Arc<Table>) -> Result<Plan, PlanError> {
+        if source.schema() != &self.schemas[0] {
             return Err(PlanError::SourceSchemaMismatch {
                 expected: self.schemas[0].to_string(),
-                got: source.schema.to_string(),
+                got: source.schema().to_string(),
             });
         }
         Ok(Plan {
-            source: Table::sealed(source.to_columns()),
+            source,
             ops: self.ops.clone(),
             schemas: self.schemas.clone(),
             sql: self.sql.clone(),
@@ -711,12 +712,13 @@ impl Query {
         self.try_push(|schema| {
             Ok(Op::Window {
                 // Built field by field: the frame is `output_schema`'s to
-                // judge, and `AuWindowSpec::rows` would assert on it.
+                // judge, and `AuWindowSpec::rows` would assert on it — so
+                // its clamp is applied here.
                 spec: AuWindowSpec {
                     order: resolve_all(&spec.order, schema)?,
                     partition: resolve_all(&spec.partition, schema)?,
-                    lower: spec.lower,
-                    upper: spec.upper,
+                    lower: clamp_frame_offset(spec.lower),
+                    upper: clamp_frame_offset(spec.upper),
                 },
                 agg: spec.agg.resolve(schema)?,
                 out_name: spec.out_name,

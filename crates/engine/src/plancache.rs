@@ -20,9 +20,13 @@
 //! snapshot.) A lookup that raced a publication and still holds an older
 //! version compiles its plan and returns it without inserting.
 //!
-//! A raw-text alias map (`whitespace-flattened text → canonical key`)
-//! fronts the canonical map, so the common case — the *same* string
-//! arriving again — is a single hash probe with no parsing at all.
+//! A raw-text alias map (`text as sent → canonical key`) fronts the
+//! canonical map, so the common case — the *same* string arriving again —
+//! is a single hash probe with no parsing at all. The alias key is the
+//! text itself, less what surrounds the statement (outer whitespace, a
+//! trailing `;`): nothing inside it is touched, because whitespace inside
+//! a quoted literal is data. Formatting differences are the canonical
+//! level's to unify, at one parse + bind per distinct text.
 //!
 //! Eviction is LRU at a fixed capacity. All state sits behind one
 //! [`Mutex`]; compilation of a missing entry and the freeing of
@@ -36,7 +40,7 @@ use audb_sql::ast;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Cache key: canonical (or flattened) text.
+/// Cache key: canonical text, or the text as sent.
 type Key = String;
 
 /// Hit/miss counters plus occupancy, as surfaced in server responses.
@@ -60,7 +64,7 @@ struct Entries {
     plans: HashMap<Key, Prepared>,
     /// LRU order over `plans` keys: front = coldest, back = hottest.
     order: VecDeque<Key>,
-    /// Raw-text fast path: flattened text → canonical key.
+    /// Raw-text fast path: text as sent → canonical key.
     aliases: HashMap<Key, Key>,
 }
 
@@ -142,7 +146,7 @@ impl PlanCache {
         snapshot: &Catalog,
         sql: &str,
     ) -> Result<(Prepared, bool), SessionError> {
-        let raw_key = flatten(sql);
+        let raw_key = as_sent(sql).to_string();
 
         let mut s = self.lock();
         let superseded = s.advance_to(version);
@@ -240,15 +244,11 @@ impl Entries {
     }
 }
 
-/// Collapse all whitespace runs to single spaces and trim, so the byte-y
-/// fast path tolerates the formatting differences clients actually send.
-fn flatten(sql: &str) -> String {
-    sql.split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
-        .trim_end_matches(';')
-        .trim()
-        .to_string()
+/// The statement text without what surrounds it: outer whitespace and a
+/// trailing `;`. Interior whitespace stays — inside a quoted literal it is
+/// part of the value (`'a  b'` is not `'a b'`).
+fn as_sent(sql: &str) -> &str {
+    sql.trim().trim_end_matches(';').trim_end()
 }
 
 /// The innermost FROM table: the scan the whole operator chain hangs off,
@@ -296,7 +296,7 @@ mod tests {
             .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
             .unwrap();
         assert!(hit);
-        // Whitespace / trailing-semicolon variants flatten to the same key.
+        // Whitespace / trailing-semicolon variants are one canonical text.
         let (_, hit) = s
             .prepare_cached(&cache, "  SELECT   x\nFROM a\tWHERE x < 2 ; ")
             .unwrap();
@@ -329,6 +329,31 @@ mod tests {
             pb.plan().source_columns()
         ));
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// Whitespace inside a quoted literal is data: two statements that
+    /// differ only there are two plans, never an alias hit of one another.
+    #[test]
+    fn literals_differing_in_inner_whitespace_do_not_alias() {
+        let s = Session::new(Engine::native());
+        let named = |v: &str| {
+            let name = RangeValue::certain(audb_rel::Value::str(v));
+            (AuTuple::from([name]), Mult3::ONE)
+        };
+        let names = [named("a  b"), named("a b")];
+        s.register("t", AuRelation::from_rows(Schema::new(["name"]), names));
+        let cache = PlanCache::new(8);
+        let run = |sql: &str| {
+            let (prepared, hit) = s.prepare_cached(&cache, sql).unwrap();
+            (s.execute(&prepared).unwrap(), hit)
+        };
+        let (two_spaces, _) = run("SELECT * FROM t WHERE name = 'a  b'");
+        let (one_space, hit) = run("SELECT * FROM t WHERE name = 'a b'");
+        assert!(!hit, "a different literal is a different statement");
+        assert_eq!((two_spaces.len(), one_space.len()), (1, 1));
+        assert!(!two_spaces.bag_eq(&one_space));
+        // What surrounds the statement is not part of it.
+        assert!(run("  SELECT * FROM t WHERE name = 'a b' ;\n").1);
     }
 
     #[test]

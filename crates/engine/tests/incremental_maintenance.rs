@@ -8,9 +8,10 @@
 //! (permanent fallback).
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
-use audb_engine::{BackendChoice, Delta, Engine, Session, SharedCatalog, Strategy};
+use audb_engine::{BackendChoice, Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
 use audb_rel::Schema;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Deterministic xorshift64* stream — tests must not depend on ambient
 /// randomness.
@@ -70,7 +71,7 @@ fn session_with(sql_table: &AuRelation) -> Session {
 fn recompute_on(q: &audb_engine::MaintainedQuery, choice: BackendChoice) -> AuRelation {
     let plan = q
         .plan()
-        .with_source(q.accumulated())
+        .with_table(Arc::clone(q.accumulated()))
         .expect("accumulated rows always match the plan schema");
     Engine::new(choice).execute(&plan).unwrap().normalize()
 }
@@ -339,32 +340,72 @@ fn topk_subscription_is_exact_in_any_order() {
     );
 }
 
+/// Subscribing to the already-grown table must equal, row for row, the
+/// value carried by a subscription that lived through every append: small
+/// batches, then uneven pieces that take the accumulator across the
+/// segment seal (the `appended_in_pieces` property, for subscriptions) —
+/// on the recompute strategy and on the incremental one. And the
+/// accumulator grows the way the catalog's tables do: an append shares
+/// every sealed segment and makes one new one (the open tail plus the
+/// batch), and a recompute binds the plan to the accumulator's own handle.
 #[test]
 fn maintained_value_matches_a_fresh_subscription_midstream() {
-    // Subscribing to the already-grown table must equal the value carried
-    // by a subscription that lived through every append.
     let mut rng = Rng::new(0xCAFE);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut live = session.subscribe(ROLLING).unwrap().with_cutoff(4);
-
+    let sizes: Vec<usize> = (0..15)
+        .map(|_| 2 + rng.below(3) as usize)
+        .chain([1, 700, SEGMENT_ROWS - 600, SEGMENT_ROWS + 1, 3, 64])
+        .collect();
     let mut t = 0i64;
-    let mut all: Vec<(AuTuple, Mult3)> = Vec::new();
-    for _ in 0..15 {
-        let rows: Vec<_> = (0..2 + rng.below(3))
-            .map(|_| {
+    let pieces: Vec<Vec<(AuTuple, Mult3)>> = (sizes.iter())
+        .map(|&n| {
+            let mut next = || {
                 t += 4;
                 reading(&mut rng, 0, t, true)
-            })
-            .collect();
-        all.extend(rows.iter().cloned());
-        live.append(&AuRelation::from_rows(sensor_schema(), rows))
-            .unwrap();
-    }
+            };
+            (0..n).map(|_| next()).collect()
+        })
+        .collect();
 
-    let fresh_session = session_with(&AuRelation::from_rows(sensor_schema(), all));
-    let fresh = fresh_session.subscribe(ROLLING).unwrap();
-    assert!(
-        live.value().normalize().bag_eq(&fresh.value().normalize()),
-        "live subscription diverged from a fresh one over the same rows"
-    );
+    let session = session_with(&AuRelation::empty(sensor_schema()));
+    // The top-k stays below its cutoff: every append recomputes.
+    let recomputed = session.subscribe(TOPK).unwrap().with_cutoff(usize::MAX);
+    let maintained = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    for (mut live, want) in [
+        (recomputed, Strategy::Recompute),
+        (maintained, Strategy::Incremental),
+    ] {
+        let mut all: Vec<(AuTuple, Mult3)> = Vec::new();
+        for (i, piece) in pieces.iter().enumerate() {
+            let before = Arc::clone(live.accumulated());
+            let delta = live
+                .append(&AuRelation::from_rows(sensor_schema(), piece.clone()))
+                .unwrap();
+            all.extend(piece.iter().cloned());
+            // (The append that crosses the cutoff seeds the live state.)
+            assert!(
+                delta.strategy == want || i < 2,
+                "piece {i}: {}",
+                delta.strategy
+            );
+            let after = live.accumulated();
+            assert_eq!(after.len(), all.len());
+            let sealed = after.segments().len() - 1;
+            assert!(sealed + 1 >= before.segments().len());
+            for (old, new) in before.segments().iter().zip(&after.segments()[..sealed]) {
+                assert!(Arc::ptr_eq(old, new), "piece {i} copied a sealed segment");
+            }
+        }
+        let grown = live.accumulated();
+        assert!(grown.segments().len() >= 4, "the seal was crossed");
+        let bound = live.plan().with_table(Arc::clone(grown)).unwrap();
+        assert!(Arc::ptr_eq(bound.source_columns(), grown));
+
+        let whole = session_with(&AuRelation::from_rows(sensor_schema(), all));
+        let fresh = whole.subscribe(live.plan().sql().unwrap()).unwrap();
+        assert_eq!(
+            live.value().rows(),
+            fresh.value().rows(),
+            "{want}: live subscription diverged from a fresh one over the same rows"
+        );
+    }
 }

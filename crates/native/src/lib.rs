@@ -7,22 +7,25 @@
 //! of the quadratic reference semantics in `audb-core` — a property
 //! enforced by the cross-crate test-suite.
 //!
-//! * [`sort::sort_native`] / [`sort::topk_native`] — Algorithm 1 + `split`
-//!   (Algorithm 2): a single sweep over the relation sorted by the
-//!   lower-bound corner, with a `todo` min-heap on upper-bound corners;
+//! * [`sort::sort_columns_native`] — Algorithm 1 + `split` (Algorithm 2),
+//!   with a limit top-k: a single sweep over the relation sorted by the
+//!   lower-bound corner, with a `todo` min-heap on upper-bound corners. It
+//!   reads typed column lanes and builds only the tuples it emits;
 //!   [`sort::sort_native_staged`] is the same run reporting where its
-//!   stages end, for the `sort/stages` bench;
-//!   [`sort::sort_columns_native`] the same run over a columnar input,
-//!   which reads typed lanes and builds only the tuples it emits.
-//! * [`window::window_native`] — Algorithm 3 (+`compBounds`, Algorithms
-//!   4–6): a sweep over uncertain positions with a `cert` position index
-//!   and a three-way [`audb_conheap::ConnectedHeap`] over the possible
-//!   window members; [`window::window_columns_native`] the same run over a
-//!   columnar input.
+//!   stages end, for the `sort/stages` bench.
+//! * [`window::window_columns_native`] — Algorithm 3 (+`compBounds`,
+//!   Algorithms 4–6): a sweep over uncertain positions with a `cert`
+//!   position index and a three-way [`audb_conheap::ConnectedHeap`] over
+//!   the possible window members.
 //! * [`maintain::MaintainedWindow`] / [`maintain::TopKMaintain`] — the same
-//!   sweeps kept alive between batches: in-order appends update the bounds
-//!   in `O(log n)` per row instead of recomputing the full `O(n log n)`
-//!   pass, with already-closed windows provably final.
+//!   sweeps kept alive between column batches: in-order appends update the
+//!   bounds in `O(log n)` per row instead of recomputing the full
+//!   `O(n log n)` pass, with already-closed windows provably final.
+//!
+//! Every kernel reads [`audb_core::AuColumns`]. [`sort::sort_native`],
+//! [`sort::topk_native`] and [`window::window_native`] are doors for
+//! callers that hold an [`audb_core::AuRelation`]: they transpose it and
+//! call the columnar entry.
 
 pub mod maintain;
 pub mod sort;
@@ -30,4 +33,4 @@ pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
 pub use sort::{sort_columns_native, sort_native, sort_native_staged, topk_native};
-pub use window::{window_columns_native, window_native, window_native_checked, NativeWindow};
+pub use window::{window_columns_native, window_native, NativeWindow};

@@ -21,7 +21,7 @@
 //!   the accumulated certain mass (`τ↓ += Σ k↓`) and possible mass
 //!   (`τ↑ += Σ k↑`).
 //!
-//! So a batch is ranked locally by the sort sweep (`sort::sort_positions`
+//! So a batch is ranked locally by the sort sweep (`sort::positions`
 //! — positions only, no sorted relation is materialised), its positions
 //! are offset, and the rows are fed to the *same* sweep loop the one-shot
 //! operator runs — `window_native` itself is the one-batch special case,
@@ -38,9 +38,8 @@
 //!
 //! ## Sweep state
 //!
-//! A row is read from the input once — rows or columns, through the
-//! sort's `SortInput` — into a base tuple with room for the output
-//! attribute, which moves into the result when its window closes, and
+//! A row is read from the input columns once, into a base tuple with room
+//! for the output attribute, which moves into the result when its window closes, and
 //! everything the sweep compares is copied out of it into a flat `Item`:
 //! `τ↓`, `τ↑`, the aggregated attribute's range, `k↓ ≥ 1`. Items are
 //! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
@@ -69,7 +68,7 @@
 //! [`TopKMaintain`] accepts appends in *any* order: it maintains the
 //! accumulated rows in three `O(log n)` ordered indexes (by whole-row
 //! identity, by lower-bound corner key, by upper-bound corner key) and
-//! answers a query by running [`crate::sort::topk_native`] over the
+//! answers a query by running [`crate::sort::sort_columns_native`] over the
 //! candidate band of DESIGN.md §3.3 — rows whose lower-bound key is at
 //! most `M`, the largest upper-bound key among rows not certainly ranked
 //! below `k` — read off the ordered indexes. The pruned run is *exactly*
@@ -81,16 +80,16 @@
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
 //! appends perform no allocation inside the connected heap.
 
-use crate::sort::{sort_positions, topk_native, SortInput};
+use crate::sort::{base_tuple, positions, sort_columns_native};
+use crate::window::partitions;
 use audb_conheap::ConnectedHeap;
 use audb_core::{
-    sg_ordered_inputs, AuRelation, AuRow, AuTuple, AuWindowSpec, Corner, Mult3, RangeValue,
-    SortKey, WinAgg,
+    sg_ordered_inputs, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner, KeyArena, Mult3,
+    RangeValue, SortKey, WinAgg,
 };
 use audb_rel::ops::sort::total_order;
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
-use std::borrow::Borrow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
@@ -161,9 +160,9 @@ pub struct WindowMaintain {
     /// Accumulated certain / possible input mass (the position offsets).
     total_lb: u64,
     total_ub: u64,
-    /// The accumulated row with the greatest upper-bound corner on the
-    /// ORDER BY attributes.
-    frontier: Option<AuTuple>,
+    /// The greatest upper-bound corner on the ORDER BY attributes among
+    /// the accumulated rows, as its key.
+    frontier: Option<SortKey>,
     /// Some batch merged into a duplicate multiplicity (`k↑ > 1`).
     merged_duplicates: bool,
     // Sweep state, live between batches.
@@ -241,36 +240,36 @@ impl WindowMaintain {
 
     /// Would `batch` be in order after the accumulated rows? (Trivially
     /// true while the state is empty — the first batch seeds the sweep.)
-    pub fn batch_in_order(&self, batch: &AuRelation) -> bool {
-        self.rows_in_order(batch.rows())
+    pub fn batch_in_order(&self, batch: &AuColumns) -> bool {
+        self.rows_in_order(batch, &existing_rows(batch))
     }
 
-    fn rows_in_order<R: Borrow<AuRow>>(&self, rows: &[R]) -> bool {
+    pub(crate) fn rows_in_order(&self, cols: &AuColumns, rows: &[usize]) -> bool {
         let Some(frontier) = &self.frontier else {
             return true;
         };
-        rows.iter().all(|r| {
-            frontier
-                .cmp_ub_vs_lb_on(&r.borrow().tuple, &self.spec.order)
-                .is_lt()
+        let mut lb = KeyArena::with_capacity(rows.len(), self.spec.order.len());
+        rows.iter().all(|&row| {
+            lb.push_corner_at(cols, row, Corner::Lb, &self.spec.order);
+            frontier.as_bytes() < lb.key(lb.len() - 1)
         })
     }
 
     /// Feed one in-order batch through the sweep (the caller checks
     /// [`WindowMaintain::batch_in_order`] first; feeding an out-of-order
     /// batch silently computes bounds for the wrong relation).
-    pub fn apply(&mut self, batch: &AuRelation) {
-        self.apply_rows(batch.rows(), batch.is_normalized());
+    pub fn apply(&mut self, batch: &AuColumns) {
+        self.apply_rows(batch, &existing_rows(batch), batch.is_normalized());
     }
 
-    /// [`WindowMaintain::apply`] over any sort input — rows, columns, a
-    /// partition of either (`normalized`: its rows are distinct and
+    /// [`WindowMaintain::apply`] over the rows `rows` of `cols` — one
+    /// partition of a batch (`normalized`: they are distinct and
     /// zero-free).
-    pub(crate) fn apply_rows<I: SortInput + ?Sized>(&mut self, input: &I, normalized: bool) {
-        let arity = self.schema.arity();
+    pub(crate) fn apply_rows(&mut self, cols: &AuColumns, rows: &[usize], normalized: bool) {
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
-        let mut pos = sort_positions(input, arity, &self.spec.order, normalized, None);
+        let rows = rows.iter().copied();
+        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
         if pos.is_empty() {
             return;
         }
@@ -290,7 +289,7 @@ impl WindowMaintain {
         let first_new = self.items.len();
         let mut prev_row = None;
         for p in &pos {
-            let base = input.base_tuple(p.row as usize);
+            let base = base_tuple(cols, p.row as usize);
             self.merged_duplicates |= p.dup > 0;
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
@@ -308,8 +307,9 @@ impl WindowMaintain {
         let top = (new_rows.iter().map(|(tuple, _)| tuple))
             .max_by(|a, b| a.cmp_ub_on(b, &self.spec.order))
             .expect("the batch ranked at least one row");
-        if (self.frontier.as_ref()).is_none_or(|f| f.cmp_ub_on(top, &self.spec.order).is_lt()) {
-            self.frontier = Some(top.clone());
+        let top = SortKey::of_corner(top, Corner::Ub, &self.spec.order);
+        if self.frontier.as_ref().is_none_or(|f| *f < top) {
+            self.frontier = Some(top);
         }
         let mut sg_block: Vec<(usize, &AuTuple)> = (new_rows.iter().enumerate())
             .filter(|(_, (_, mult))| mult.sg > 0)
@@ -670,15 +670,11 @@ impl std::fmt::Debug for WindowMaintain {
     }
 }
 
-/// Stable-sort `rows` by the selected guess of the `partition` attributes
-/// and split them into one slice per partition value, in value order
-/// (input order within a partition).
-fn partition_runs<'a, 'r>(
-    rows: &'a mut [&'r AuRow],
-    partition: &'a [usize],
-) -> impl Iterator<Item = &'a [&'r AuRow]> {
-    rows.sort_by(|a, b| a.tuple.cmp_sg_on(&b.tuple, partition));
-    rows.chunk_by(|a, b| a.tuple.cmp_sg_on(&b.tuple, partition).is_eq())
+/// The rows of `cols` that exist (`k↑ > 0`).
+fn existing_rows(cols: &AuColumns) -> Vec<usize> {
+    (0..cols.len())
+        .filter(|&row| !cols.mult(row).is_zero())
+        .collect()
 }
 
 /// Append maintenance of a (possibly partitioned) window query: routes
@@ -690,8 +686,9 @@ pub struct MaintainedWindow {
     inner: AuWindowSpec,
     agg: WinAgg,
     out_name: String,
-    /// Per-partition sweep + count of closed rows already drained.
-    parts: BTreeMap<SortKey, (WindowMaintain, usize)>,
+    /// Per-partition sweep + count of closed rows already drained, by the
+    /// key of the partition value ([`partitions`]).
+    parts: BTreeMap<Vec<u8>, (WindowMaintain, usize)>,
 }
 
 impl MaintainedWindow {
@@ -731,20 +728,10 @@ impl MaintainedWindow {
     /// Can `batch` be absorbed incrementally? Every row needs certain
     /// PARTITION BY attributes and every touched partition must receive
     /// its rows strictly after its frontier.
-    pub fn check_batch(&self, batch: &AuRelation) -> Result<(), String> {
-        for row in batch.rows() {
-            for &g in &self.spec.partition {
-                if !row.tuple.get(g).is_certain() {
-                    return Err(format!(
-                        "appended row has an uncertain PARTITION BY attribute {g}"
-                    ));
-                }
-            }
-        }
-        let mut rows: Vec<&AuRow> = batch.rows().iter().collect();
-        for part in partition_runs(&mut rows, &self.spec.partition) {
-            if let Some((sweep, _)) = self.parts.get(&self.key_of(part)) {
-                if !sweep.rows_in_order(part) {
+    pub fn check_batch(&self, batch: &AuColumns) -> Result<(), String> {
+        for (value, rows) in partitions(batch, &self.spec.partition)? {
+            if let Some((sweep, _)) = self.parts.get(&value) {
+                if !sweep.rows_in_order(batch, &rows) {
                     return Err(
                         "appended rows do not sit strictly after the accumulated rows \
                          in ORDER BY (frontier overlap)"
@@ -756,11 +743,12 @@ impl MaintainedWindow {
         Ok(())
     }
 
-    /// Absorb one batch (the caller ran [`MaintainedWindow::check_batch`]).
-    pub fn apply(&mut self, batch: &AuRelation) {
-        let mut rows: Vec<&AuRow> = batch.rows().iter().collect();
-        for part in partition_runs(&mut rows, &self.spec.partition) {
-            let (sweep, _) = self.parts.entry(self.key_of(part)).or_insert_with(|| {
+    /// Absorb one batch. The caller ran [`MaintainedWindow::check_batch`]:
+    /// an uncertain PARTITION BY value panics here.
+    pub fn apply(&mut self, batch: &AuColumns) {
+        let parts = partitions(batch, &self.spec.partition).expect("check_batch accepted it");
+        for (value, rows) in parts {
+            let (sweep, _) = self.parts.entry(value).or_insert_with(|| {
                 (
                     WindowMaintain::new(
                         self.schema.clone(),
@@ -771,13 +759,8 @@ impl MaintainedWindow {
                     0,
                 )
             });
-            sweep.apply_rows(part, batch.is_normalized());
+            sweep.apply_rows(batch, &rows, batch.is_normalized());
         }
-    }
-
-    /// The partition a (non-empty) run of [`partition_runs`] belongs to.
-    fn key_of(&self, part: &[&AuRow]) -> SortKey {
-        SortKey::of_corner(&part[0].tuple, Corner::Sg, &self.spec.partition)
     }
 
     /// The full current output over all partitions, in deterministic
@@ -839,7 +822,7 @@ struct TopEntry {
     ub_key: SortKey,
 }
 
-/// Append maintenance of `topk_native`: ordered corner-key indexes prune
+/// Append maintenance of the native top-k: ordered corner-key indexes prune
 /// each query down to the rows that can influence the top-k band (module
 /// docs). Appends may arrive in any order.
 pub struct TopKMaintain {
@@ -881,37 +864,34 @@ impl TopKMaintain {
 
     /// Absorb one batch (any order; duplicate hypercubes merge their
     /// multiplicities exactly as normalization would).
-    pub fn apply(&mut self, batch: &AuRelation) {
-        for row in batch.normalized().rows() {
-            if row.mult.ub == 0 {
+    pub fn apply(&mut self, batch: &AuColumns) {
+        for (row, rk) in SortKey::of_columns(batch).into_iter().enumerate() {
+            let mult = batch.mult(row);
+            if mult.ub == 0 {
                 continue;
             }
-            let rk = SortKey::of_row(&row.tuple);
             if let Some(e) = self.rows.get_mut(&rk) {
-                e.mult = Mult3::new(
-                    e.mult.lb + row.mult.lb,
-                    e.mult.sg + row.mult.sg,
-                    e.mult.ub + row.mult.ub,
-                );
+                e.mult = e.mult + mult;
                 continue;
             }
-            let lbk = SortKey::of_corner(&row.tuple, Corner::Lb, &self.key_cols);
-            let ubk = SortKey::of_corner(&row.tuple, Corner::Ub, &self.key_cols);
+            let tuple = batch.tuple(row);
+            let lbk = SortKey::of_corner(&tuple, Corner::Lb, &self.key_cols);
+            let ubk = SortKey::of_corner(&tuple, Corner::Ub, &self.key_cols);
             self.by_lb.insert((lbk, rk.clone()));
             self.by_ub.insert((ubk.clone(), rk.clone()));
             self.rows.insert(
                 rk,
                 TopEntry {
-                    tuple: row.tuple.clone(),
-                    mult: row.mult,
+                    tuple,
+                    mult,
                     ub_key: ubk,
                 },
             );
         }
     }
 
-    /// Current top-k output — `topk_native` over the pruned candidate set,
-    /// exactly bag-equal to a run over all accumulated rows.
+    /// Current top-k output — the native top-k over the pruned candidate
+    /// set, exactly bag-equal to a run over all accumulated rows.
     pub fn result(&self) -> AuRelation {
         // K: the upper-bound corner key at which the certain mass reaches
         // k (rows beyond it are certainly out of the top k).
@@ -948,14 +928,12 @@ impl TopKMaintain {
                     .collect()
             }
         };
-        let rel = AuRelation::from_rows(
-            self.schema.clone(),
-            cand.iter().map(|(_, rk)| {
-                let e = self.rows.get(*rk).expect("indexed row");
-                (e.tuple.clone(), e.mult)
-            }),
-        );
-        topk_native(&rel, &self.order, self.k, &self.pos_name)
+        let mut band = AuColumns::with_capacity(self.schema.clone(), cand.len());
+        for (_, rk) in cand {
+            let e = self.rows.get(rk).expect("indexed row");
+            band.push_row(&e.tuple, e.mult);
+        }
+        sort_columns_native(&band, &self.order, &self.pos_name, Some(self.k))
     }
 }
 
@@ -971,6 +949,7 @@ impl std::fmt::Debug for TopKMaintain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort::topk_native;
     use crate::window::window_native;
     use audb_core::{window_ref, CmpSemantics};
 
@@ -1028,7 +1007,7 @@ mod tests {
                 let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), agg, "x");
                 // Feed in uneven batches.
                 for chunk in rows.chunks(7) {
-                    let batch = rel_of(chunk);
+                    let batch = rel_of(chunk).to_columns();
                     assert!(m.batch_in_order(&batch));
                     m.apply(&batch);
                 }
@@ -1051,7 +1030,7 @@ mod tests {
         let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
         let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
         for chunk in rows.chunks(3) {
-            m.apply(&rel_of(chunk));
+            m.apply(&rel_of(chunk).to_columns());
             acc.extend(chunk.iter().cloned());
             let inc = m.result().normalize();
             let full = window_native(&rel_of(&acc), &spec, WinAgg::Sum(1), "x");
@@ -1070,7 +1049,7 @@ mod tests {
         let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Max(1), "x");
         let mut snapshot: Vec<(AuTuple, Mult3)> = Vec::new();
         for chunk in rows.chunks(5) {
-            m.apply(&rel_of(chunk));
+            m.apply(&rel_of(chunk).to_columns());
             // Previously closed rows never change.
             assert_eq!(&m.closed_rows()[..snapshot.len()], &snapshot[..]);
             snapshot = m.closed_rows().to_vec();
@@ -1087,12 +1066,12 @@ mod tests {
         let rows = stream_rows(20, 1);
         let spec = AuWindowSpec::rows(vec![0], -1, 0);
         let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec, WinAgg::Sum(1), "x");
-        m.apply(&rel_of(&rows[..10]));
-        assert!(m.batch_in_order(&rel_of(&rows[10..])));
+        m.apply(&rel_of(&rows[..10]).to_columns());
+        assert!(m.batch_in_order(&rel_of(&rows[10..]).to_columns()));
         // A row at an order position already covered overlaps the frontier.
-        assert!(!m.batch_in_order(&rel_of(&rows[..1])));
+        assert!(!m.batch_in_order(&rel_of(&rows[..1]).to_columns()));
         let overlap = vec![(AuTuple::new([rv(85, 95, 300), rv(0, 0, 0)]), Mult3::ONE)];
-        assert!(!m.batch_in_order(&rel_of(&overlap)));
+        assert!(!m.batch_in_order(&rel_of(&overlap).to_columns()));
     }
 
     #[test]
@@ -1117,9 +1096,10 @@ mod tests {
                     ));
                 }
             }
-            let batch_rel = AuRelation::from_rows(schema.clone(), batch.iter().cloned());
-            m.check_batch(&batch_rel).expect("in order");
-            m.apply(&batch_rel);
+            let batch_cols =
+                AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
+            m.check_batch(&batch_cols).expect("in order");
+            m.apply(&batch_cols);
             acc.extend(batch);
             let inc = m.result().normalize();
             let full = window_native(
@@ -1138,7 +1118,7 @@ mod tests {
                 Mult3::ONE,
             )],
         );
-        assert!(m.check_batch(&bad).is_err());
+        assert!(m.check_batch(&bad.to_columns()).is_err());
     }
 
     #[test]
@@ -1168,10 +1148,7 @@ mod tests {
             let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
             // Appends arrive in arbitrary (generation) order.
             for chunk in rows.chunks(11) {
-                m.apply(&AuRelation::from_rows(
-                    schema.clone(),
-                    chunk.iter().cloned(),
-                ));
+                m.apply(&AuRelation::from_rows(schema.clone(), chunk.iter().cloned()).to_columns());
                 acc.extend(chunk.iter().cloned());
                 let inc = m.result();
                 let full = topk_native(
@@ -1196,7 +1173,7 @@ mod tests {
         let rows = stream_rows(64, 9);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
         let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
-        m.apply(&rel_of(&rows));
+        m.apply(&rel_of(&rows).to_columns());
         let first = m.result().normalize();
         // Eviction keeps the pool small: the arena high-water mark is the
         // sweep band, not the relation size.
@@ -1205,7 +1182,7 @@ mod tests {
         m.reset();
         assert!(m.is_empty());
         assert_eq!(m.poss.arena_slots(), slots, "clear() keeps the arena");
-        m.apply(&rel_of(&rows));
+        m.apply(&rel_of(&rows).to_columns());
         assert_eq!(m.poss.arena_slots(), slots, "refill reuses freed slots");
         assert!(m.result().normalize().bag_eq(&first));
     }

@@ -51,27 +51,20 @@
 //!
 //! From there on every comparison is an integer compare.
 //!
-//! ## Rows or columns
+//! ## Columns in, rows out
 //!
-//! Only the first stage and the last read the input — `encode` its
-//! annotations, certainty and corner keys, `materialise` the tuples of the
-//! positions the sweep emitted — and both do so through one crate-private
-//! trait (`SortInput`) with two implementations: a slice of rows (what
-//! [`sort_native`] and [`topk_native`] pass) and [`AuColumns`]
-//! ([`sort_columns_native`], what the engine's catalog stores and its
-//! fused stages hand over). The window sweep ([`crate::window`]) ranks and
-//! reads its input through the same trait, so it takes either form too.
-//! The columnar side fills the arena straight from the typed lanes, takes
-//! per-row certainty from the column bitmaps and rebuilds a tuple per
-//! *emitted* position only: a top-10 over 13 000 surviving rows builds
-//! ten-odd tuples, not 13 000. Band, rank, merge and sweep are the same
-//! code either way, so both entries return the same rows in the same
-//! order.
+//! The kernel reads [`AuColumns`] — what the engine's catalog stores and
+//! its fused stages hand over — and nothing else: `encode` fills the arena
+//! straight from the typed lanes and takes per-row certainty from the
+//! column bitmaps, `materialise` rebuilds a tuple per *emitted* position
+//! only (a top-10 over 13 000 surviving rows builds ten-odd tuples, not
+//! 13 000). The window sweep ([`crate::window`]) ranks an index view of
+//! the same columns — one partition — through the same code.
+//! [`sort_native`] and [`topk_native`] are doors for callers that hold
+//! rows: they transpose and call the columnar entry.
 
-use audb_core::{AuColumns, AuRelation, AuRow, AuTuple, Corner, KeyArena, Mult3, RangeValue};
+use audb_core::{AuColumns, AuRelation, AuTuple, Corner, KeyArena, Mult3, RangeValue};
 use audb_rel::ops::sort::total_order;
-use audb_rel::Schema;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -83,11 +76,11 @@ type Pending = (u32, u32, u64);
 /// One output row of the sweep before it is materialised: which input row
 /// backs it, which of that row's possible duplicates it is (`split`,
 /// Algorithm 2), its position bounds and its own multiplicity triple.
-/// [`sort_native`] / [`topk_native`] append the position to a copy of the
-/// tuple; the window sweep ([`crate::maintain`]) consumes these directly.
+/// The sort appends the position to the row's tuple; the window sweep
+/// ([`crate::maintain`]) consumes these directly.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Position {
-    /// Index into the input rows of the (first stored copy of the) row.
+    /// Index into the input columns of the (first stored copy of the) row.
     pub row: u32,
     /// Duplicate index within the row's merged possible multiplicity
     /// (`> 0` only where the fused normalisation found `k↑ > 1`).
@@ -99,126 +92,50 @@ pub(crate) struct Position {
 }
 
 /// `sort_{O→τ}(R)` — one-pass equivalent of [`audb_core::sort_ref`] under
-/// interval-lex comparison. Identical hypercubes stored as separate rows
-/// are merged on the way (duplicate offsets presuppose one row per
-/// hypercube); the input is neither copied nor normalized.
+/// interval-lex comparison — for a caller that holds rows: they are
+/// transposed here, once, for [`sort_columns_native`].
 pub fn sort_native(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelation {
-    sort_native_staged(rel, order, pos_name, None, &mut |_| {})
+    sort_columns_native(&rel.to_columns(), order, pos_name, None)
 }
 
-/// Top-k: sort + AU-selection `σ_{τ < k}` fused into the scan with early
-/// termination; position bounds capped at `k` (paper Algorithm 1, `emit`).
+/// Top-k for a caller that holds rows: [`sort_columns_native`] with a
+/// limit over their transposition.
 pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
-    sort_native_staged(rel, order, pos_name, Some(k), &mut |_| {})
+    sort_columns_native(&rel.to_columns(), order, pos_name, Some(k))
 }
 
-/// [`sort_native`] (`k = None`) or [`topk_native`], calling `stage` with a
-/// stage's name as it ends: `"encode"`, `"band"` (top-k only), `"rank"`,
-/// `"merge"`, `"sweep"`, `"materialise"`. `repro bench`'s `sort/stages` block
-/// reads a clock there; the kernel itself never does.
-pub fn sort_native_staged(
-    rel: &AuRelation,
-    order: &[usize],
-    pos_name: &str,
-    k: Option<u64>,
-    stage: &mut dyn FnMut(&'static str),
-) -> AuRelation {
-    let schema = rel.schema.with(pos_name);
-    sort_input(rel.rows(), schema, rel.is_normalized(), order, k, stage)
-}
-
-/// [`sort_native`] (`k = None`) or [`topk_native`] over a columnar
-/// relation: the same rows in the same order as the row entry returns for
-/// `cols.to_rows()`, without building those rows (module docs, "Rows or
-/// columns").
+/// `sort_{O→τ}(R)` over a columnar relation — one-pass equivalent of
+/// [`audb_core::sort_ref`] under interval-lex comparison. Identical
+/// hypercubes stored as separate rows are merged on the way (duplicate
+/// offsets presuppose one row per hypercube); the input is neither copied
+/// nor normalized. With `k`, top-k: the sort and the AU-selection
+/// `σ_{τ < k}` fused into the scan with early termination, position bounds
+/// capped at `k` (paper Algorithm 1, `emit`).
 pub fn sort_columns_native(
     cols: &AuColumns,
     order: &[usize],
     pos_name: &str,
     k: Option<u64>,
 ) -> AuRelation {
-    let schema = cols.schema().with(pos_name);
-    sort_input(cols, schema, cols.is_normalized(), order, k, &mut |_| {})
+    sort_native_staged(cols, order, pos_name, k, &mut |_| {})
 }
 
-/// What the sort and the window sweep read of their input, row by row:
-/// rows as stored, or columns.
-pub(crate) trait SortInput {
-    /// Stored rows, zero-annotated ones included.
-    fn len(&self) -> usize;
-    fn mult(&self, row: usize) -> Mult3;
-    /// Is every attribute of `row` a point?
-    fn is_certain(&self, row: usize) -> bool;
-    /// Is attribute `col` of `row` a point?
-    fn attr_is_certain(&self, row: usize, col: usize) -> bool;
-    /// Append `row`'s `corner` key over `idxs` to `arena`.
-    fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]);
-    /// `row`'s tuple, with room for the one attribute an operator appends.
-    fn base_tuple(&self, row: usize) -> AuTuple;
-}
-
-impl<R: Borrow<AuRow>> SortInput for [R] {
-    fn len(&self) -> usize {
-        <[R]>::len(self)
-    }
-    fn mult(&self, row: usize) -> Mult3 {
-        self[row].borrow().mult
-    }
-    fn is_certain(&self, row: usize) -> bool {
-        self[row].borrow().tuple.is_certain()
-    }
-    fn attr_is_certain(&self, row: usize, col: usize) -> bool {
-        self[row].borrow().tuple.get(col).is_certain()
-    }
-    fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]) {
-        arena.push_corner(&self[row].borrow().tuple, corner, idxs);
-    }
-    fn base_tuple(&self, row: usize) -> AuTuple {
-        let tuple = &self[row].borrow().tuple;
-        let mut vals = Vec::with_capacity(tuple.arity() + 1);
-        vals.extend_from_slice(&tuple.0);
-        AuTuple(vals)
-    }
-}
-
-impl SortInput for AuColumns {
-    fn len(&self) -> usize {
-        AuColumns::len(self)
-    }
-    fn mult(&self, row: usize) -> Mult3 {
-        AuColumns::mult(self, row)
-    }
-    fn is_certain(&self, row: usize) -> bool {
-        self.row_is_certain(row)
-    }
-    fn attr_is_certain(&self, row: usize, col: usize) -> bool {
-        self.col(col).certain_at(row)
-    }
-    fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]) {
-        arena.push_corner_at(self, row, corner, idxs);
-    }
-    fn base_tuple(&self, row: usize) -> AuTuple {
-        let mut vals = Vec::with_capacity(self.arity() + 1);
-        vals.extend((0..self.arity()).map(|c| self.col(c).range_value(row)));
-        AuTuple(vals)
-    }
-}
-
-/// Rank `input` and materialise the emitted positions under `schema` (the
-/// input's, extended by the position column).
-fn sort_input<I: SortInput + ?Sized>(
-    input: &I,
-    schema: Schema,
-    normalized: bool,
+/// [`sort_columns_native`], calling `stage` with a stage's name as it
+/// ends: `"encode"`, `"band"` (top-k only), `"rank"`, `"merge"`, `"sweep"`,
+/// `"materialise"`. `repro bench`'s `sort/stages` block reads a clock
+/// there; the kernel itself never does.
+pub fn sort_native_staged(
+    cols: &AuColumns,
     order: &[usize],
+    pos_name: &str,
     k: Option<u64>,
     stage: &mut dyn FnMut(&'static str),
 ) -> AuRelation {
-    let ranked = positions(input, schema.arity() - 1, order, normalized, k, stage);
+    let ranked = positions(cols, 0..cols.len(), order, cols.is_normalized(), k, stage);
     let out = AuRelation::from_rows(
-        schema,
+        cols.schema().with(pos_name),
         ranked.iter().map(|p| {
-            let mut tuple = input.base_tuple(p.row as usize);
+            let mut tuple = base_tuple(cols, p.row as usize);
             tuple.0.push(RangeValue::from_i64s(
                 p.tau_lb as i64,
                 p.tau_sg as i64,
@@ -231,23 +148,18 @@ fn sort_input<I: SortInput + ?Sized>(
     out
 }
 
-/// The rank computation of Algorithm 1 + `split` over `input`, in emission
-/// order. `normalized` asserts the rows are distinct and zero-free, which
-/// skips the merge.
-pub(crate) fn sort_positions<I: SortInput + ?Sized>(
-    input: &I,
-    arity: usize,
-    order: &[usize],
-    normalized: bool,
-    k: Option<u64>,
-) -> Vec<Position> {
-    positions(input, arity, order, normalized, k, &mut |_| {})
+/// Row `row` of `cols` as a tuple, with room for the one attribute an
+/// operator appends.
+pub(crate) fn base_tuple(cols: &AuColumns, row: usize) -> AuTuple {
+    let mut vals = Vec::with_capacity(cols.arity() + 1);
+    vals.extend((0..cols.arity()).map(|c| cols.col(c).range_value(row)));
+    AuTuple(vals)
 }
 
 /// A row taking part in the sort: where its keys are, and — once ranked —
 /// how they compare.
 struct Cand {
-    /// Index into the input rows.
+    /// Index into the input columns.
     row: u32,
     /// Arena slot of the `O↓` key. An uncertain row's selected-guess and
     /// `O↑` keys are the next two slots; a certain row has this one only.
@@ -278,9 +190,13 @@ struct KeyRef {
     cand: u32,
 }
 
-fn positions<I: SortInput + ?Sized>(
-    input: &I,
-    arity: usize,
+/// The rank computation of Algorithm 1 + `split` over the rows `rows` of
+/// `cols` — all of them, or one partition — in emission order.
+/// `normalized` asserts those rows are distinct and zero-free, which skips
+/// the merge.
+pub(crate) fn positions(
+    cols: &AuColumns,
+    rows: impl ExactSizeIterator<Item = usize>,
     order: &[usize],
     normalized: bool,
     k: Option<u64>,
@@ -289,7 +205,7 @@ fn positions<I: SortInput + ?Sized>(
     if k == Some(0) {
         return Vec::new(); // every position is ≥ 0
     }
-    let (arena, mut cands) = encode(input, &total_order(arity, order));
+    let (arena, mut cands) = encode(cols, rows, &total_order(cols.arity(), order));
     stage("encode");
     if let Some(k) = k {
         band(&arena, &mut cands, k);
@@ -317,23 +233,27 @@ fn positions<I: SortInput + ?Sized>(
     out
 }
 
-/// Stage 1: the corner keys over `idxs` of every row with a non-zero
-/// annotation, a certain row's once.
-fn encode<I: SortInput + ?Sized>(input: &I, idxs: &[usize]) -> (KeyArena, Vec<Cand>) {
-    let n = input.len();
+/// Stage 1: the corner keys over `idxs` of every one of `rows` with a
+/// non-zero annotation, a certain row's once.
+fn encode(
+    cols: &AuColumns,
+    rows: impl ExactSizeIterator<Item = usize>,
+    idxs: &[usize],
+) -> (KeyArena, Vec<Cand>) {
+    let n = rows.len();
     let mut arena = KeyArena::with_capacity(n + n / 4, idxs.len());
     let mut cands = Vec::with_capacity(n);
-    for r in 0..n {
-        let mult = input.mult(r);
+    for r in rows {
+        let mult = cols.mult(r);
         if mult.is_zero() {
             continue;
         }
-        let uncertain = !input.is_certain(r);
+        let uncertain = !cols.row_is_certain(r);
         let slot = arena.len() as u32;
-        input.push_corner(&mut arena, r, Corner::Lb, idxs);
+        arena.push_corner_at(cols, r, Corner::Lb, idxs);
         if uncertain {
-            input.push_corner(&mut arena, r, Corner::Sg, idxs);
-            input.push_corner(&mut arena, r, Corner::Ub, idxs);
+            arena.push_corner_at(cols, r, Corner::Sg, idxs);
+            arena.push_corner_at(cols, r, Corner::Ub, idxs);
         }
         cands.push(Cand {
             row: r as u32,
@@ -733,7 +653,8 @@ mod tests {
     #[test]
     fn stages_end_in_pipeline_order() {
         let mut seen = Vec::new();
-        let top = sort_native_staged(&example6(), &[0, 1], "pos", Some(2), &mut |s| seen.push(s));
+        let cols = example6().to_columns();
+        let top = sort_native_staged(&cols, &[0, 1], "pos", Some(2), &mut |s| seen.push(s));
         assert!(top.bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
         assert_eq!(
             seen,

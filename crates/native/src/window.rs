@@ -1,7 +1,7 @@
 //! One-pass ranged windowed aggregation (paper Algorithm 3, with the
 //! `compBounds` family of Algorithms 4–6) built on connected heaps.
 //!
-//! The input rows are first ranked by the sort sweep (`sort::sort_positions`:
+//! The input rows are first ranked by the sort sweep (`sort::positions`:
 //! `τ` ranges per row, every entry's possible multiplicity is 1 — no sorted
 //! relation is built), then swept in ascending `τ↓` order:
 //!
@@ -46,20 +46,17 @@
 //! concatenated in deterministic partition-value order before the final
 //! normalize.
 //!
-//! ## Rows or columns
+//! ## Columns in
 //!
-//! The operator reads its input through the sort's `SortInput` (module
-//! docs of [`crate::sort`]): [`window_native`] over a row relation,
-//! [`window_columns_native`] over [`AuColumns`] as the engine stores them
-//! — same partitions, same sweep, the same rows out in the same order,
-//! and no row form of the input is ever built.
+//! The operator reads [`AuColumns`] as the engine stores them
+//! ([`window_columns_native`]); a partition is an index view of them
+//! (`partitions`), never a copy. [`window_native`] is the door for a
+//! caller that holds rows: it transposes them, once.
 
 use crate::maintain::WindowMaintain;
-use crate::sort::SortInput;
-use audb_core::{AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner, KeyArena, Mult3, WinAgg};
-use audb_rel::Schema;
+use audb_core::{AuColumns, AuRelation, AuWindowSpec, Corner, KeyArena, WinAgg};
 
-/// What [`window_native_checked`] computed, and whether it is the bounds
+/// What [`window_columns_native`] computed, and whether it is the bounds
 /// the engine promises.
 #[derive(Debug)]
 pub struct NativeWindow {
@@ -73,118 +70,72 @@ pub struct NativeWindow {
 }
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
-/// [`audb_core::window_ref`]. Panics if partition attributes are uncertain
-/// (see module docs).
+/// [`audb_core::window_ref`] — for a caller that holds rows: they are
+/// transposed here for [`window_columns_native`]. Panics if partition
+/// attributes are uncertain (see module docs).
 pub fn window_native(
     rel: &AuRelation,
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
 ) -> AuRelation {
-    match window_native_checked(rel, spec, agg, out_name) {
+    match window_columns_native(&rel.to_columns(), spec, agg, out_name) {
         Ok(out) => out.rel,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`window_native`] for callers that must know when its bounds are not
-/// the reference's: reports an uncertain `PARTITION BY` value as an error
-/// instead of panicking, and duplicate multiplicities — as the sweep's own
-/// fused normalisation found them, so the input need not be normalized to
-/// ask — beside the result.
-pub fn window_native_checked(
-    rel: &AuRelation,
-    spec: &AuWindowSpec,
-    agg: WinAgg,
-    out_name: &str,
-) -> Result<NativeWindow, String> {
-    let normalized = rel.is_normalized();
-    window_input(rel.rows(), &rel.schema, normalized, spec, agg, out_name)
+/// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
+/// `partition` attributes: `(key of the value, row indices)` in value
+/// order, stored order within. An uncertain partition value among them is
+/// an error — the sweep is per partition, and such a row has none.
+pub(crate) fn partitions(
+    cols: &AuColumns,
+    partition: &[usize],
+) -> Result<Vec<(Vec<u8>, Vec<usize>)>, String> {
+    let mut rows: Vec<usize> = Vec::with_capacity(cols.len());
+    let mut keys = KeyArena::with_capacity(cols.len(), partition.len());
+    for row in (0..cols.len()).filter(|&row| !cols.mult(row).is_zero()) {
+        if let Some(g) = (partition.iter()).find(|&&g| !cols.col(g).certain_at(row)) {
+            return Err(format!(
+                "window_native requires certain PARTITION BY attributes \
+                 (attribute {g} of {} is a range); use audb_core::window_ref \
+                 or the rewrite method for uncertain partitions",
+                cols.tuple(row)
+            ));
+        }
+        keys.push_corner_at(cols, row, Corner::Sg, partition);
+        rows.push(row);
+    }
+    // Without a PARTITION BY the rows are one run as they stand, and their
+    // keys — all empty — are not compared (2 ms of an 8 192-row window went
+    // into memcmp over nothing).
+    if partition.is_empty() {
+        return Ok(vec![(Vec::new(), rows)]);
+    }
+    // The sort is stable: stored order within a value.
+    let mut by_value: Vec<usize> = (0..rows.len()).collect();
+    by_value.sort_by(|&a, &b| keys.key(a).cmp(keys.key(b)));
+    Ok((by_value.chunk_by(|&a, &b| keys.key(a) == keys.key(b)))
+        .map(|run| {
+            let value = keys.key(run[0]).to_vec();
+            (value, run.iter().map(|&slot| rows[slot]).collect())
+        })
+        .collect())
 }
 
-/// [`window_native_checked`] over a columnar relation: what it returns for
-/// `cols.to_rows()`, without building those rows (module docs, "Rows or
-/// columns").
+/// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation, for callers that
+/// must know when its bounds are not the reference's: an uncertain
+/// `PARTITION BY` value is an error, and duplicate multiplicities — as the
+/// sweep's own fused normalisation found them, so the input need not be
+/// normalized to ask — are reported beside the result.
 pub fn window_columns_native(
     cols: &AuColumns,
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
 ) -> Result<NativeWindow, String> {
-    let normalized = cols.is_normalized();
-    window_input(cols, cols.schema(), normalized, spec, agg, out_name)
-}
-
-/// Some rows of an input, as an input of their own: one partition.
-struct Picked<'a, I: ?Sized> {
-    input: &'a I,
-    rows: &'a [usize],
-}
-
-impl<I: SortInput + ?Sized> SortInput for Picked<'_, I> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-    fn mult(&self, row: usize) -> Mult3 {
-        self.input.mult(self.rows[row])
-    }
-    fn is_certain(&self, row: usize) -> bool {
-        self.input.is_certain(self.rows[row])
-    }
-    fn attr_is_certain(&self, row: usize, col: usize) -> bool {
-        self.input.attr_is_certain(self.rows[row], col)
-    }
-    fn push_corner(&self, arena: &mut KeyArena, row: usize, corner: Corner, idxs: &[usize]) {
-        self.input.push_corner(arena, self.rows[row], corner, idxs);
-    }
-    fn base_tuple(&self, row: usize) -> AuTuple {
-        self.input.base_tuple(self.rows[row])
-    }
-}
-
-fn window_input<I: SortInput + Sync + ?Sized>(
-    input: &I,
-    schema: &Schema,
-    normalized: bool,
-    spec: &AuWindowSpec,
-    agg: WinAgg,
-    out_name: &str,
-) -> Result<NativeWindow, String> {
-    // Rows that exist, and the key of each one's (certain) partition values.
-    let mut rows: Vec<usize> = Vec::with_capacity(input.len());
-    let mut keys = KeyArena::with_capacity(input.len(), spec.partition.len());
-    for row in (0..input.len()).filter(|&row| !input.mult(row).is_zero()) {
-        if let Some(g) = (spec.partition.iter()).find(|&&g| !input.attr_is_certain(row, g)) {
-            return Err(format!(
-                "window_native requires certain PARTITION BY attributes \
-                 (attribute {g} of {} is a range); use audb_core::window_ref \
-                 or the rewrite method for uncertain partitions",
-                input.base_tuple(row)
-            ));
-        }
-        input.push_corner(&mut keys, row, Corner::Sg, &spec.partition);
-        rows.push(row);
-    }
-    // One run of rows per partition value, in value order, stored order
-    // within (the sort is stable). Without a PARTITION BY the rows are one
-    // run as they stand, and their keys — all empty — are not compared
-    // (2 ms of an 8 192-row window went into memcmp over nothing).
-    let mut runs = vec![rows.len()];
-    if !spec.partition.is_empty() {
-        let mut by_value: Vec<usize> = (0..rows.len()).collect();
-        by_value.sort_by(|&a, &b| keys.key(a).cmp(keys.key(b)));
-        runs = (by_value.chunk_by(|&a, &b| keys.key(a) == keys.key(b)))
-            .map(<[usize]>::len)
-            .collect();
-        rows = by_value.iter().map(|&slot| rows[slot]).collect();
-    }
-    let mut parts: Vec<Picked<'_, I>> = Vec::with_capacity(runs.len());
-    let mut rest = &rows[..];
-    for len in runs {
-        let (rows, later) = rest.split_at(len);
-        parts.push(Picked { input, rows });
-        rest = later;
-    }
+    let parts = partitions(cols, &spec.partition)?;
     let inner = AuWindowSpec {
         partition: Vec::new(),
         order: spec.order.clone(),
@@ -196,13 +147,13 @@ fn window_input<I: SortInput + Sync + ?Sized>(
     // one-shot operator and the incremental maintenance on the *same* code
     // path is what guarantees they can never disagree. Partitions come in
     // deterministic order; their sweeps are embarrassingly parallel.
-    let sweeps = audb_par::par_map(&parts, |part| {
-        let mut m = WindowMaintain::new(schema.clone(), inner.clone(), agg, out_name);
-        m.apply_rows(part, normalized);
+    let sweeps = audb_par::par_map(&parts, |(_, rows)| {
+        let mut m = WindowMaintain::new(cols.schema().clone(), inner.clone(), agg, out_name);
+        m.apply_rows(cols, rows, cols.is_normalized());
         let merged_duplicates = m.merged_duplicates();
         (m.into_result(), merged_duplicates)
     });
-    let mut out = AuRelation::empty(schema.with(out_name));
+    let mut out = AuRelation::empty(cols.schema().with(out_name));
     let mut merged_duplicates = false;
     for (mut part_out, part_merged) in sweeps {
         out.append(&mut part_out);

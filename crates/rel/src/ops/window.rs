@@ -33,14 +33,28 @@ pub struct WindowSpec {
     pub upper: i64,
 }
 
+/// The largest frame offset kept, in rows: `2⁶¹`. A frame reaching further
+/// is clamped to it where the frame is constructed, which changes no
+/// answer — a position is a count of stored multiplicity, far below `2⁶¹`,
+/// so such a frame already holds every row on that side — and leaves
+/// `position ± offset` and `size([l,u])` without an `i64` overflow
+/// (`… AND 9223372036854775807 FOLLOWING` wrapped to a one-row window).
+pub const MAX_FRAME_OFFSET: i64 = 1 << 61;
+
+/// `offset` held to `±`[`MAX_FRAME_OFFSET`].
+pub fn clamp_frame_offset(offset: i64) -> i64 {
+    offset.clamp(-MAX_FRAME_OFFSET, MAX_FRAME_OFFSET)
+}
+
 impl WindowSpec {
-    /// `ROWS BETWEEN -l PRECEDING AND u FOLLOWING` ordered on `order`.
+    /// `ROWS BETWEEN -l PRECEDING AND u FOLLOWING` ordered on `order`,
+    /// offsets clamped to [`MAX_FRAME_OFFSET`].
     pub fn rows(order: Vec<usize>, lower: i64, upper: i64) -> Self {
         WindowSpec {
             partition: Vec::new(),
             order,
-            lower,
-            upper,
+            lower: clamp_frame_offset(lower),
+            upper: clamp_frame_offset(upper),
         }
     }
 

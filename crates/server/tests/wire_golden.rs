@@ -104,6 +104,32 @@ fn repeated_query_reports_a_cache_hit() {
     assert_eq!(first.get("rows"), second.get("rows"));
 }
 
+/// Whitespace inside a quoted literal is data: the second statement is
+/// not the first reformatted, and gets its own plan and its own rows.
+#[test]
+fn literals_differing_in_inner_whitespace_are_different_statements() {
+    let state = state();
+    let mut conn = ConnState::default();
+    let (status, _) = roundtrip(
+        &state,
+        &mut conn,
+        &post("/register?name=labels", "id,name\n1,a  b\n2,a b\n"),
+    );
+    assert_eq!(status, 200);
+    let (_, two_spaces) = roundtrip(
+        &state,
+        &mut conn,
+        &post("/query", "SELECT id FROM labels WHERE name = 'a  b'"),
+    );
+    assert_eq!(two_spaces, "{\"schema\":[\"id\"],\"row_count\":1,\"rows\":[[[1,1,1]]],\"mults\":[[1,1,1]],\"cache\":{\"hit\":false,\"hits\":0,\"misses\":1},\"elapsed_us\":0}");
+    let (_, one_space) = roundtrip(
+        &state,
+        &mut conn,
+        &post("/query", "SELECT id FROM labels WHERE name = 'a b'"),
+    );
+    assert_eq!(one_space, "{\"schema\":[\"id\"],\"row_count\":1,\"rows\":[[[2,2,2]]],\"mults\":[[1,1,1]],\"cache\":{\"hit\":false,\"hits\":0,\"misses\":2},\"elapsed_us\":0}");
+}
+
 #[test]
 fn parse_error_shape_carries_position() {
     let state = state();
@@ -172,7 +198,7 @@ fn run_all_reports_every_backend() {
     );
     assert_eq!(status, 200);
     // Each backend reports the one mode it runs plans in.
-    assert_eq!(body, "{\"schema\":[\"sku\",\"pos\"],\"row_count\":2,\"rows\":[[[1,1,1],[0,0,0]],[[2,2,2],[1,1,1]]],\"mults\":[[1,1,1],[1,1,1]],\"backends\":[{\"backend\":\"reference\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"native\",\"mode\":\"pipelined\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"rewrite\",\"mode\":\"pipelined\",\"elapsed_us\":0,\"rows\":2}],\"elapsed_us\":0}");
+    assert_eq!(body, "{\"schema\":[\"sku\",\"pos\"],\"row_count\":2,\"rows\":[[[1,1,1],[0,0,0]],[[2,2,2],[1,1,1]]],\"mults\":[[1,1,1],[1,1,1]],\"backends\":[{\"backend\":\"reference\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"native\",\"mode\":\"pipelined\",\"elapsed_us\":0,\"rows\":2},{\"backend\":\"rewrite\",\"mode\":\"materialized\",\"elapsed_us\":0,\"rows\":2}],\"elapsed_us\":0}");
 }
 
 #[test]

@@ -242,8 +242,8 @@ pub fn imp_window(
 
 /// `Rewr` / `Rewr(index)`: the Fig. 8 rewrite. The engine's rewrite
 /// backend always probes the interval index; the strategy is the figure's
-/// argument, so this driver hands the plan to the executor itself under the
-/// [`Rewrite`] backend it names.
+/// argument, so this driver hands the plan to the row oracles' runner itself
+/// under the [`Rewrite`] backend it names.
 pub fn rewrite_window(
     table: &XTupleTable,
     order: &[usize],
@@ -265,9 +265,7 @@ pub fn rewrite_window(
 /// `strategy`, at the engine's default batch size.
 pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuRelation {
     let batch_size = Engine::rewrite().choose_exec(plan).batch_size;
-    let (out, _) = exec::execute(&Rewrite { strategy }, plan, batch_size, true)
-        .expect("workload plan executes");
-    out
+    exec::run_materialized(&Rewrite { strategy }, plan, batch_size).0
 }
 
 /// `MCDB`: sampled window-aggregate envelopes.

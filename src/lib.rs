@@ -102,8 +102,8 @@ pub use audb_worlds as worlds;
 // paths.
 pub use audb_engine::{
     plan_to_sql, Agg, Backend, BackendChoice, BackendRun, Catalog, CmpSemantics, ColRef, Engine,
-    EngineError, Explain, ExplainStep, IntervalIndex, JoinStrategy, Native, Op, Plan, PlanError,
-    Prepared, Query, Reference, Rewrite, RunAll, Session, SessionError, WindowSpec,
+    EngineError, Explain, ExplainStep, IntervalIndex, JoinStrategy, Op, Plan, PlanError, Prepared,
+    Query, Reference, Rewrite, RunAll, Session, SessionError, WindowSpec,
 };
 pub use audb_engine::{CacheStats, PlanCache, SharedCatalog};
 pub use audb_engine::{

@@ -223,6 +223,58 @@ fn check_worlds(table: &XTupleTable, stmt: &Statement, answers: &[(String, AuRel
     }
 }
 
+/// Frame offsets at the `i64` edge (`… AND 9223372036854775807
+/// FOLLOWING`): `τ ± offset` used to wrap into a one-row window on every
+/// backend, so `run_all` agreed on bounds that excluded the truth. Such a
+/// frame is a frame wider than the table — the same answer as one, on each
+/// backend, and every world within it.
+#[test]
+fn frames_at_the_i64_edge_are_frames_wider_than_the_table() {
+    let alt = |a: i64, b: i64, prob: f64| Alternative {
+        tuple: Tuple::from([a, b]),
+        prob,
+    };
+    let table = XTupleTable::new(
+        Schema::new(["a", "b"]),
+        vec![
+            XTuple::new(vec![alt(1, 5, 0.5), alt(3, 2, 0.5)]),
+            XTuple::new(vec![alt(2, 7, 1.0)]),
+            XTuple::new(vec![alt(2, 1, 0.25), alt(6, 4, 0.25)]),
+            XTuple::new(vec![alt(4, 4, 1.0)]),
+            XTuple::new(vec![alt(0, 3, 0.5), alt(5, 6, 0.5)]),
+        ],
+    );
+    let catalog = SharedCatalog::new();
+    catalog.register("t", table.to_au_relation());
+    for (l, u) in [(2, i64::MAX), (i64::MAX, 0), (i64::MAX, i64::MAX)] {
+        for agg in ["SUM", "MIN", "COUNT"] {
+            let window = |l, u| Statement {
+                filter: (0, 100),
+                filter_below: true,
+                over: Over::Window {
+                    order: 0,
+                    agg,
+                    l,
+                    u,
+                },
+            };
+            let (edge, wide) = (window(l, u), window(l.min(100), u.min(100)));
+            for choice in BackendChoice::ALL {
+                let session = Session::with_catalog(Engine::new(choice), catalog.clone());
+                let out = session.sql(&edge.sql()).expect("an i64 offset parses");
+                let as_wide = session.sql(&wide.sql()).unwrap();
+                assert!(
+                    out.bag_eq(&as_wide),
+                    "{choice}: {}\n{out}\nvs {}\n{as_wide}",
+                    edge.sql(),
+                    wide.sql()
+                );
+                check_worlds(&table, &edge, &[(choice.to_string(), out)]);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

@@ -84,6 +84,11 @@ fn concurrent_sessions_match_single_threaded_reference() {
             let reference = reference.clone();
             let checked = Arc::clone(&checked);
             std::thread::spawn(move || {
+                // Queries start once the publisher has published: on a busy
+                // host the workers could otherwise finish before it ran.
+                while catalog.version() <= 2 {
+                    std::thread::yield_now();
+                }
                 let session = Session::with_catalog(Engine::native(), catalog);
                 for i in 0..ITERS {
                     let pick = (tid + i) % QUERIES.len();

@@ -9,12 +9,10 @@ use audb::core::{
     au_select, sort_ref, topk_ref, window_ref, AuRelation, AuTuple, AuWindowSpec, CmpSemantics,
     Mult3, RangeExpr, RangeValue, WinAgg,
 };
-use audb::engine::{
-    Agg, Backend, BreakerInput, Engine, Plan, Query, Reference, Rewrite, WindowSpec,
-};
+use audb::engine::{Agg, Backend, Engine, Plan, Query, Reference, Rewrite, WindowSpec};
 use audb::native::{
     sort_columns_native, sort_native, topk_native, window_columns_native, window_native,
-    window_native_checked, MaintainedWindow,
+    MaintainedWindow,
 };
 use audb::rel::{Schema, Value};
 use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
@@ -160,12 +158,11 @@ proptest! {
 
         // The engine's one sort hook, limited, is that σ_{τ<k} + cap on
         // both oracle backends — and the plain sort when it is not.
-        let input = BreakerInput::Rows(&rel);
-        let by_reference = Reference::default().sort(input, &[0], "pos", Some(k)).unwrap();
+        let by_reference = Reference::default().sort(&rel, &[0], "pos", Some(k));
         prop_assert_eq!(by_reference.rows(), reference.rows());
-        let by_rewrite = Rewrite::default().sort(input, &[0], "pos", Some(k)).unwrap();
+        let by_rewrite = Rewrite::default().sort(&rel, &[0], "pos", Some(k));
         prop_assert!(by_rewrite.bag_eq(&reference), "k={k}\nrewr:\n{by_rewrite}\nref:\n{reference}");
-        let unlimited = Reference::default().sort(input, &[0], "pos", None).unwrap();
+        let unlimited = Reference::default().sort(&rel, &[0], "pos", None);
         prop_assert_eq!(unlimited.rows(), sort_ref(&rel, &[0], "pos", CmpSemantics::IntervalLex).rows());
     }
 
@@ -426,7 +423,8 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                         assert!(batches.len() > 8, "{} batches: {what}", batches.len());
                         for batch in batches {
                             let batch =
-                                AuRelation::from_rows(schema.clone(), batch.iter().cloned());
+                                AuRelation::from_rows(schema.clone(), batch.iter().cloned())
+                                    .to_columns();
                             maintained.check_batch(&batch).expect("batch is in order");
                             maintained.apply(&batch);
                         }
@@ -632,17 +630,18 @@ fn admit_to_f64(cols: &audb::core::AuColumns, c: usize) -> audb::core::AuColumns
     AuColumns::from_cols(cols.schema().clone(), columns, &mults)
 }
 
-/// The columnar entry is the row entry, row for row: over `to_columns()`
-/// of the mid-size rank tables — typed `i64` lanes (`Ints`), `Generic`
-/// lanes (`Mixed`: every column mixes classes or holds `NULL`s), and the
-/// `Ints` table with its first order column re-stored the way the csv
-/// loader admits integers to an `f64` lane — `sort_columns_native`
-/// returns the rows `sort_native` / `topk_native` return, in the same
-/// order, under the same `normalized` flag, for every `k`; as stored
-/// (duplicates apart, zero annotations present: the fused merge runs) and
-/// normalized first (it is skipped).
+/// The columnar kernel against the row reference: over `to_columns()` of
+/// mid-size rank tables — typed `i64` lanes (`Ints`), `Generic` lanes
+/// (`Mixed`: every column mixes classes or holds `NULL`s), and the `Ints`
+/// table with its first order column re-stored the way the csv loader
+/// admits integers to an `f64` lane — `sort_columns_native` returns the
+/// bag `sort_ref` returns over `cols.to_rows()`, for every `k` its capped
+/// `σ_{τ < k}` — and that top-k is the full columnar sort filtered and
+/// capped, row for row in the same order; as stored (duplicates apart,
+/// zero annotations present: the fused merge runs) and normalized first
+/// (it is skipped).
 #[test]
-fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
+fn columnar_sort_and_topk_equal_the_row_reference() {
     use audb::core::PhysType;
 
     let schema = Schema::new(["a", "b", "c"]);
@@ -653,27 +652,10 @@ fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
         (KeyKind::Mixed, false),
         (KeyKind::Ints, true),
     ] {
-        let stored = 2048 + rng.below(1025) as usize;
-        let mut rows = rank_rows(&mut rng, stored, 30, kind);
+        // The reference is quadratic and runs once per table and form.
+        let stored = 1024 + rng.below(513) as usize;
+        let rows = rank_rows(&mut rng, stored, 30, kind);
         assert!(rows.iter().any(|(_, m)| m.is_zero()));
-        // Where a zero-annotated row would show if the encode kept it: a
-        // copy of the last hypercube stored first, and between the two a
-        // hypercube that ties with them on both corners. Kept, the copy
-        // would draw the last row's merge to the front of the tie and the
-        // two would come out in the other order.
-        let far = 4 * stored as i64 + 1000;
-        let cube = |sg: i64| {
-            let mut t = rows[0].0.clone();
-            t.0[0] = RangeValue::new(far, far + sg, far + 4);
-            t
-        };
-        let tie = [
-            (cube(1), Mult3::ZERO),
-            (cube(2), Mult3::ONE),
-            (cube(1), Mult3::ONE),
-        ];
-        rows.insert(0, tie[0].clone());
-        rows.extend_from_slice(&tie[1..]);
         let rel = AuRelation::from_rows(schema.clone(), rows);
         for rel in [rel.clone(), rel.normalize()] {
             let cols = match f64_lane {
@@ -692,32 +674,37 @@ fn columnar_sort_and_topk_equal_the_row_entry_row_for_row() {
                 rel.is_normalized()
             );
 
-            let by_rows = sort_native(&rel, &order, "pos");
+            let reference = sort_ref(&cols.to_rows(), &order, "pos", CmpSemantics::IntervalLex);
             let by_cols = sort_columns_native(&cols, &order, "pos", None);
-            assert_eq!(by_cols.schema, by_rows.schema, "{what}");
-            assert_eq!(by_cols.rows(), by_rows.rows(), "sort: {what}");
-            assert_eq!(by_cols.is_normalized(), by_rows.is_normalized());
+            assert_eq!(by_cols.schema, reference.schema, "{what}");
+            assert!(by_cols.bag_eq(&reference), "sort: {what}");
 
             let n = rel.len() as u64;
             for k in [0, 1, 10, n / 2, n, n + 5] {
-                let by_rows = topk_native(&rel, &order, k, "pos");
-                let by_cols = sort_columns_native(&cols, &order, "pos", Some(k));
-                assert_eq!(by_cols.rows(), by_rows.rows(), "top-{k}: {what}");
-                assert_eq!(by_cols.is_normalized(), by_rows.is_normalized());
+                let top = sort_columns_native(&cols, &order, "pos", Some(k));
+                assert!(
+                    top.bag_eq(&capped_topk_of(&reference, k)),
+                    "top-{k} ≠ reference: {what}"
+                );
+                assert_eq!(
+                    top.rows(),
+                    capped_topk_of(&by_cols, k).rows(),
+                    "top-{k} ≠ filtered columnar sort, row for row: {what}"
+                );
             }
         }
     }
 }
 
-/// The same for the window: [`window_columns_native`] returns what
-/// [`window_native_checked`] returns over the same data — the same rows in
-/// the same order, the same `merged_duplicates`, the same refusal of an
-/// uncertain partition value — for every aggregate and frame, with and
-/// without a (certain) `PARTITION BY`, over `i64`, generic and
-/// Int-admitted-`f64` lanes, as stored (zero annotations present,
-/// duplicates apart: the fused merge runs) and normalized first.
+/// The same for the window: where [`window_columns_native`] reports no
+/// merged duplicates it returns the bag [`window_ref`] returns over
+/// `cols.to_rows()` — for every aggregate and frame, with and without a
+/// (certain) `PARTITION BY`, over `i64`, generic and Int-admitted-`f64`
+/// lanes, as stored (zero annotations present: the fused merge runs) and
+/// normalized first. Identical hypercubes stored apart are reported as
+/// merged, stored or normalized; an uncertain partition value is refused.
 #[test]
-fn columnar_window_equals_the_row_entry_row_for_row() {
+fn columnar_window_equals_the_row_reference() {
     use audb::core::PhysType;
 
     let schema = Schema::new(["g", "o", "o2", "v", "id"]);
@@ -731,18 +718,23 @@ fn columnar_window_equals_the_row_entry_row_for_row() {
     ];
     let mut rng = Seeded(0xC01_3023);
     let mut merged = [0usize; 2];
-    for (kind, f64_lanes, duplicates) in [
+    for (table, (kind, f64_lanes, duplicates)) in [
         (ValueKind::Int, false, false),
         (ValueKind::Int, false, true),
         (ValueKind::IntWithNulls, false, false),
         (ValueKind::Int, true, false),
-    ] {
-        let stored = 300 + rng.below(101) as usize;
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        // The reference runs once per case and is cubic under PARTITION
+        // BY: that takes one aggregate and frame per table.
+        let stored = 160 + rng.below(41) as usize;
         let mut rows = mid_size_rows(&mut rng, stored, 30, kind, 3);
         rows.insert(0, (rows[5].0.clone(), Mult3::ZERO));
         rows.push((rows[9].0.clone(), Mult3::ZERO));
         if duplicates {
-            rows.extend([rows[40].clone(), rows[41].clone(), rows[200].clone()]);
+            rows.extend([rows[40].clone(), rows[41].clone(), rows[100].clone()]);
         }
         let rel = AuRelation::from_rows(schema.clone(), rows);
         for rel in [rel.clone(), rel.clone().normalize()] {
@@ -757,9 +749,14 @@ fn columnar_window_equals_the_row_entry_row_for_row() {
                 _ => PhysType::I64,
             };
             assert_eq!(cols.col(3).phys_type(), want_lane);
-            for agg in aggs {
-                for (l, u) in frames {
-                    for partition in [vec![], vec![0]] {
+            let by_rows = cols.to_rows();
+            for (a, &agg) in aggs.iter().enumerate() {
+                for (f, &(l, u)) in frames.iter().enumerate() {
+                    let mut partitions = vec![vec![]];
+                    if duplicates || (a, f) == (table % aggs.len(), table % frames.len()) {
+                        partitions.push(vec![0]);
+                    }
+                    for partition in partitions {
                         let spec = AuWindowSpec::rows(vec![1, 2], l, u).partition_by(partition);
                         let what = format!(
                             "{kind:?}, {want_lane} lanes, {} rows, normalized: {}, {agg:?} \
@@ -768,36 +765,36 @@ fn columnar_window_equals_the_row_entry_row_for_row() {
                             rel.is_normalized(),
                             spec.partition
                         );
-                        let by_rows = window_native_checked(&rel, &spec, agg, "x").expect(&what);
                         let by_cols = window_columns_native(&cols, &spec, agg, "x").expect(&what);
-                        assert_eq!(by_cols.rel.schema, by_rows.rel.schema, "{what}");
-                        assert_eq!(by_cols.rel.rows(), by_rows.rel.rows(), "{what}");
-                        assert_eq!(by_cols.merged_duplicates, by_rows.merged_duplicates);
                         // A duplicate is a duplicate stored or merged.
-                        assert_eq!(by_rows.merged_duplicates, duplicates, "{what}");
+                        assert_eq!(by_cols.merged_duplicates, duplicates, "{what}");
                         merged[usize::from(duplicates)] += 1;
+                        if !duplicates {
+                            let reference =
+                                window_ref(&by_rows, &spec, agg, "x", CmpSemantics::IntervalLex);
+                            assert_eq!(by_cols.rel.schema, reference.schema, "{what}");
+                            assert!(by_cols.rel.bag_eq(&reference), "{what}");
+                        }
                     }
                 }
             }
         }
 
-        // One uncertain partition value: both entries refuse, in the same
-        // words (the row they name prints alike unless its lanes differ).
+        // One uncertain partition value: the kernel refuses, naming the
+        // row.
         if !f64_lanes {
             let mut unsure: Vec<(AuTuple, Mult3)> = (rel.rows().iter())
                 .map(|row| (row.tuple.clone(), row.mult))
                 .collect();
             unsure[17].0 .0[0] = RangeValue::new(0, 1, 2);
-            let rel = AuRelation::from_rows(schema.clone(), unsure);
+            let cols = AuRelation::from_rows(schema.clone(), unsure).to_columns();
             let spec = AuWindowSpec::rows(vec![1, 2], -1, 0).partition_by(vec![0]);
-            let by_rows = window_native_checked(&rel, &spec, WinAgg::Count, "x").unwrap_err();
-            let by_cols =
-                window_columns_native(&rel.to_columns(), &spec, WinAgg::Count, "x").unwrap_err();
-            assert!(by_rows.contains("certain PARTITION BY"), "{by_rows}");
-            assert_eq!(by_cols, by_rows);
+            let refused = window_columns_native(&cols, &spec, WinAgg::Count, "x").unwrap_err();
+            assert!(refused.contains("certain PARTITION BY"), "{refused}");
+            assert!(refused.contains(&cols.tuple(17).to_string()), "{refused}");
             // Without the PARTITION BY the same rows sweep.
             let spec = AuWindowSpec::rows(vec![1, 2], -1, 0);
-            assert!(window_columns_native(&rel.to_columns(), &spec, WinAgg::Count, "x").is_ok());
+            assert!(window_columns_native(&cols, &spec, WinAgg::Count, "x").is_ok());
         }
     }
     assert!(merged[0] > 0 && merged[1] > 0, "{merged:?}");
@@ -881,7 +878,8 @@ fn native_window_fallbacks_route_to_the_reference() {
     split.extend([rows[7].clone(), rows[20].clone(), rows[33].clone()]);
     let rel = AuRelation::from_rows(schema.clone(), split);
     let spec = AuWindowSpec::rows(vec![1, 2], -1, 2);
-    let swept = window_native_checked(&rel, &spec, WinAgg::Sum(3), "x").expect("no partition");
+    let swept =
+        window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x").expect("no partition");
     assert!(swept.merged_duplicates);
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(
@@ -899,7 +897,7 @@ fn native_window_fallbacks_route_to_the_reference() {
     unsure[11].0 .0[0] = RangeValue::new(0, 0, 1);
     let rel = AuRelation::from_rows(schema, unsure);
     let spec = spec.partition_by(vec![0]);
-    let refused = window_native_checked(&rel, &spec, WinAgg::Sum(3), "x").unwrap_err();
+    let refused = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x").unwrap_err();
     assert!(refused.contains("certain PARTITION BY"), "{refused}");
     let plan = Query::scan(rel.clone())
         .window(window(true))
