@@ -24,7 +24,12 @@
 //! * **append** — a 64-row catalog append onto a 16 384-row and onto a
 //!   131 072-row table: the cost of the batch, not of the table;
 //! * **sort stages** — where one 32 768-row native sort spends its time;
-//!   **cmp-semantics** and **window aggregates** — ablations.
+//!   **window stages** — the same for the two windows of the repo
+//!   benchmark's `window_scan` over 8 192 rows;
+//!   **cmp-semantics** and **window aggregates** — ablations;
+//! * **window scaling** — ns per row of the native window from 16 384 to
+//!   131 072 rows (1 048 576 printed, not gated), with the size of the
+//!   possible-member pool a closing window scans.
 //!
 //! [`run`] prints every block, then one line per gate of [`check`] — the
 //! only place a threshold is written (DESIGN.md §7 repeats them in prose)
@@ -32,11 +37,12 @@
 //! count here as it does everywhere else.
 
 use audb_core::{
-    AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg, ZONE_ROWS,
+    AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
+    ZONE_ROWS,
 };
 use audb_engine::{CmpSemantics, Engine, MaintainedQuery, Plan, Query, Session, SharedCatalog};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
-use audb_native::sort_native_staged;
+use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
 use audb_rel::Schema;
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
@@ -57,9 +63,15 @@ pub const SCALING_ROWS: [usize; 3] = [32_768, 262_144, 1_048_576];
 /// table a [`STREAM_BATCH`]-row batch is appended to.
 pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
 
-/// Rows of the `sort/stages`, `sort/cmp-semantics` (the quadratic
+/// Row counts of the `window/scaling` block, whatever `--sizes` says; the
+/// largest (not under `--quick`) is printed once and carries no gate.
+pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
+
+/// Rows of the `sort/stages`, `window/stages` (the repo benchmark's
+/// `window_scan` table size), `sort/cmp-semantics` (the quadratic
 /// reference backend) and `window/aggregates` blocks.
 const STAGE_ROWS: usize = 32_768;
+const WINDOW_STAGE_ROWS: usize = 8_192;
 const CMP_ROWS: usize = 600;
 const AGGREGATE_ROWS: usize = 4_000;
 
@@ -627,6 +639,114 @@ pub fn measure_sort_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
+/// The window the repo benchmark's `window_scan` runs over
+/// `gen_window_table`'s `(o, g, v, id)`: `SUM(v)` over the two preceding
+/// rows and the current one in `o` order, per `g` or over the whole table.
+fn scan_window(partitioned: bool) -> (AuWindowSpec, WinAgg) {
+    let spec = AuWindowSpec::rows(vec![0], -2, 0);
+    let partition = if partitioned { vec![1] } else { Vec::new() };
+    (spec.partition_by(partition), WinAgg::Sum(2))
+}
+
+fn window_columns(n: usize) -> AuColumns {
+    gen_window_table(&SyntheticConfig::default().rows(n).seed(3))
+        .to_au_relation()
+        .to_columns()
+}
+
+/// Where one `window_scan` operation — the partitioned window, then the
+/// partitionless one, over 8 192 rows — spends its time: median over the
+/// runs of each stage's milliseconds summed over both statements and every
+/// partition (DESIGN.md §3.4 has the table). Stages are listed as the
+/// kernel names them; the clock is read here, never there.
+pub fn measure_window_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
+    let runs = if cfg.quick { 3 } else { 7 };
+    let cols = window_columns(WINDOW_STAGE_ROWS);
+    let mut stages: Vec<(&'static str, Vec<f64>)> = Vec::new();
+    for run in 0..runs {
+        let mut last = Instant::now();
+        for partitioned in [true, false] {
+            let (spec, agg) = scan_window(partitioned);
+            let out = window_native_staged(&cols, &spec, agg, "s", &mut |ended| {
+                let now = Instant::now();
+                let at =
+                    (stages.iter().position(|(stage, _)| *stage == ended)).unwrap_or_else(|| {
+                        stages.push((ended, Vec::new()));
+                        stages.len() - 1
+                    });
+                let samples = &mut stages[at].1;
+                samples.resize(run + 1, 0.0);
+                samples[run] += (now - last).as_secs_f64() * 1e3;
+                last = now;
+            });
+            std::hint::black_box(out.expect("certain partitions"));
+            last = Instant::now();
+        }
+    }
+    (stages.into_iter())
+        .map(|(stage, samples)| (stage, median(samples)))
+        .collect()
+}
+
+/// One `window/scaling` cell: the native window over `n` rows.
+#[derive(Clone, Debug, Default)]
+pub struct WindowScalingRun {
+    /// Input rows.
+    pub n: usize,
+    /// `PARTITION BY g` (eight values) or one sweep over the table.
+    pub partitioned: bool,
+    /// Median milliseconds per window.
+    pub ms: f64,
+    /// `ms` over `n`, in nanoseconds.
+    pub ns_per_row: f64,
+    /// Mean and maximum size of the possible-member pool where a window
+    /// closes (the partitionless cells; zero on the partitioned ones).
+    pub pool: (f64, usize),
+}
+
+/// Measure the native window — partitions swept one after another, so the
+/// figure does not move with `AUDB_THREADS` — at [`WINDOW_SCALING_ROWS`]:
+/// median of 5 (3 under `--quick`), the largest size once and only without
+/// `--quick`. The uncertain order ranges are as wide at every size
+/// ([`SyntheticConfig::range`]) while the domain grows with the table, so
+/// the pool a closing window scans should not: if its residency grows with
+/// `n`, ns per row will, and the line says so beside the gate.
+pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
+    let sizes = &WINDOW_SCALING_ROWS[..if cfg.quick { 2 } else { 3 }];
+    let mut out = Vec::new();
+    for &n in sizes {
+        let runs = match (n == WINDOW_SCALING_ROWS[2], cfg.quick) {
+            (true, _) => 1,
+            (false, true) => 3,
+            (false, false) => 5,
+        };
+        let cols = window_columns(n);
+        for partitioned in [false, true] {
+            let (spec, agg) = scan_window(partitioned);
+            let window = || {
+                let out = window_native_staged(&cols, &spec, agg, "s", &mut |_| {});
+                std::hint::black_box(out.expect("certain partitions"));
+            };
+            let ms = time_median(window, runs);
+            let pool = if partitioned {
+                (0.0, 0)
+            } else {
+                let mut sweep = WindowMaintain::new(spec, agg);
+                sweep.apply(&cols, 0);
+                sweep.pool_residency()
+            };
+            out.push(WindowScalingRun {
+                n,
+                partitioned,
+                ms,
+                ns_per_row: ms * 1e6 / n as f64,
+                pool,
+            });
+        }
+    }
+    out
+}
+
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
 /// quadratic reference (DESIGN.md §3.2). Both run the same plan on the
 /// reference backend, differing only in the comparison semantics.
@@ -686,6 +806,8 @@ pub struct Report {
     pub scaling: Vec<ScalingRun>,
     /// The `append/flat` block.
     pub append: Vec<AppendRun>,
+    /// The `window/scaling` block.
+    pub window_scaling: Vec<WindowScalingRun>,
 }
 
 /// How one gate came out.
@@ -765,6 +887,10 @@ const PRUNING_MIN_SPEEDUP: f64 = 2.0;
 const PRUNING_MIN_SPREAD: f64 = 10.0;
 /// ns per row at `SCALING_ROWS[1]` over ns per row at `SCALING_ROWS[0]`.
 const SCALING_MAX_RATIO: f64 = 2.5;
+/// ns per row of the native window at `WINDOW_SCALING_ROWS[1]` over ns per
+/// row at `WINDOW_SCALING_ROWS[0]`, partitioned and not (ROADMAP item 2b;
+/// it read 1.25 × when the gate was set).
+const WINDOW_SCALING_MAX_RATIO: f64 = 2.0;
 /// An append onto `APPEND_ROWS[1]` rows over one onto `APPEND_ROWS[0]`
 /// (ROADMAP item 1: "`engine.catalog_append_ms` flat between 16k and 128k
 /// rows"; linear in the table it would read 8).
@@ -789,6 +915,10 @@ pub fn check(report: &Report) -> Vec<GateResult> {
     };
     let scaling_at = |i: usize| report.scaling.iter().find(move |s| s.n == SCALING_ROWS[i]);
     let append_at = |i: usize| report.append.iter().find(move |a| a.n == APPEND_ROWS[i]);
+    let window_at = |i: usize, partitioned: bool| {
+        (report.window_scaling.iter())
+            .find(move |w| w.n == WINDOW_SCALING_ROWS[i] && w.partitioned == partitioned)
+    };
     vec![
         gate(
             "footprint",
@@ -899,6 +1029,22 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             }),
         ),
         gate(
+            "window-scaling",
+            format!(
+                "window ns/row at {} ≤ {WINDOW_SCALING_MAX_RATIO} × ns/row at {}",
+                WINDOW_SCALING_ROWS[1], WINDOW_SCALING_ROWS[0]
+            ),
+            true,
+            "the window/scaling block",
+            [false, true].into_iter().filter_map(|partitioned| {
+                let (large, small) = window_at(1, partitioned).zip(window_at(0, partitioned))?;
+                let (large, small) = (large.ns_per_row, small.ns_per_row);
+                let how = if partitioned { "partitioned" } else { "flat" };
+                let shown = format!("{how}: {large:.1} vs {small:.1} ({:.2} ×)", large / small);
+                Some((large <= WINDOW_SCALING_MAX_RATIO * small, shown))
+            }),
+        ),
+        gate(
             "append-flat",
             format!(
                 "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
@@ -979,8 +1125,25 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             a.n, a.us
         );
     }
+    let window_scaling = measure_window_scaling(cfg);
+    for w in &window_scaling {
+        let how = if w.partitioned { "partitioned" } else { "flat" };
+        print!(
+            "{:>7} rows  window/scaling {how:<11} {:>10.3} ms  {:>8.1} ns/row",
+            w.n, w.ms, w.ns_per_row
+        );
+        match w.partitioned {
+            false => println!("  pool at a close: mean {:.1}, max {}", w.pool.0, w.pool.1),
+            true => println!(),
+        }
+    }
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg)),
+        (
+            "window/stages",
+            WINDOW_STAGE_ROWS,
+            measure_window_stages(cfg),
+        ),
         ("sort/cmp-semantics", CMP_ROWS, measure_cmp_semantics(cfg)),
         (
             "window/aggregates",
@@ -1002,6 +1165,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         pruning,
         scaling,
         append,
+        window_scaling,
     });
     for g in &gates {
         let verdict = match g.verdict {
@@ -1082,13 +1246,24 @@ mod tests {
                     us: 170.0,
                 },
             ],
+            window_scaling: [(16_384, 1_100.0), (131_072, 1_400.0)]
+                .into_iter()
+                .flat_map(|(n, ns_per_row)| {
+                    [false, true].map(|partitioned| WindowScalingRun {
+                        n,
+                        partitioned,
+                        ns_per_row,
+                        ..WindowScalingRun::default()
+                    })
+                })
+                .collect(),
         }
     }
 
     #[test]
     fn a_passing_report_passes_every_gate() {
         let gates = check(&passing());
-        assert_eq!(gates.len(), 10);
+        assert_eq!(gates.len(), 11);
         for g in &gates {
             assert_eq!(g.verdict, Verdict::Ok, "{g:?}");
         }
@@ -1176,6 +1351,14 @@ mod tests {
     #[test]
     fn sort_scaling_gate_fails_alone() {
         fails_alone("sort-scaling", true, |r| r.scaling[1].ns_per_row = 5_000.0);
+    }
+
+    #[test]
+    fn window_scaling_gate_fails_alone() {
+        // The partitioned cell alone: either shape past the ratio fails it.
+        fails_alone("window-scaling", true, |r| {
+            r.window_scaling[3].ns_per_row = 2_300.0
+        });
     }
 
     #[test]

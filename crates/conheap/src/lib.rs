@@ -44,9 +44,24 @@ use std::cmp::Ordering;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RecordId(usize);
 
+/// The `H` orders of a [`ConnectedHeap`]: `cmp(h, a, b)` is a total order
+/// per component heap `h`. Every `Fn(usize, &T, &T) -> Ordering` is one; a
+/// heap held in a struct field names a type of its own instead
+/// ([`ConnectedHeap::with_order`]), whose `cmp` inlines into the sifts
+/// where a `fn` pointer is an indirect call per comparison.
+pub trait HeapOrder<T> {
+    /// Compare two records in component heap `h`.
+    fn cmp(&self, h: usize, a: &T, b: &T) -> Ordering;
+}
+
+impl<T, F: Fn(usize, &T, &T) -> Ordering> HeapOrder<T> for F {
+    #[inline]
+    fn cmp(&self, h: usize, a: &T, b: &T) -> Ordering {
+        self(h, a, b)
+    }
+}
+
 /// A set of `H` min-heaps over one shared record arena with back pointers.
-///
-/// `cmp(h, a, b)` must implement a total order per component heap `h`.
 ///
 /// Back pointers live in **one flat stride-`H` vector** (`pos[rec * H + h]`
 /// = node index of record `rec` inside component heap `h`) rather than a
@@ -56,7 +71,7 @@ pub struct RecordId(usize);
 /// per record instead of chasing a heap-allocated side vector.
 pub struct ConnectedHeap<T, C>
 where
-    C: Fn(usize, &T, &T) -> Ordering,
+    C: HeapOrder<T>,
 {
     payload: Vec<Option<T>>,
     /// Flat back pointers, stride `heaps.len()`.
@@ -67,26 +82,30 @@ where
     len: usize,
 }
 
+// The closure constructors keep the `Fn` bound: a closure literal's
+// parameter types are inferred from it, not from `HeapOrder`'s blanket impl.
 impl<T, C> ConnectedHeap<T, C>
 where
     C: Fn(usize, &T, &T) -> Ordering,
 {
     /// Create a connected heap with `h` component orders.
     pub fn new(h: usize, cmp: C) -> Self {
-        assert!(h >= 1, "need at least one component heap");
-        ConnectedHeap {
-            payload: Vec::new(),
-            pos: Vec::new(),
-            free: Vec::new(),
-            heaps: vec![Vec::new(); h],
-            cmp,
-            len: 0,
-        }
+        Self::with_order(h, 0, cmp)
     }
 
     /// Create with capacity for `cap` simultaneous records (no further
     /// allocation until the live count first exceeds `cap`).
     pub fn with_capacity(h: usize, cap: usize, cmp: C) -> Self {
+        Self::with_order(h, cap, cmp)
+    }
+}
+
+impl<T, C> ConnectedHeap<T, C>
+where
+    C: HeapOrder<T>,
+{
+    /// [`ConnectedHeap::with_capacity`] for any [`HeapOrder`].
+    pub fn with_order(h: usize, cap: usize, cmp: C) -> Self {
         assert!(h >= 1, "need at least one component heap");
         ConnectedHeap {
             payload: Vec::with_capacity(cap),
@@ -169,7 +188,7 @@ where
     }
 
     fn less(&self, h: usize, a: usize, b: usize) -> bool {
-        (self.cmp)(h, self.payload(a), self.payload(b)) == Ordering::Less
+        self.cmp.cmp(h, self.payload(a), self.payload(b)) == Ordering::Less
     }
 
     /// Insert a record into every component heap in `O(H log n)` — and
@@ -347,7 +366,7 @@ where
 /// never touch the other `n − k` nodes (no copy of the component).
 pub struct SortedIter<'a, T, C, S = Vec<usize>>
 where
-    C: Fn(usize, &T, &T) -> Ordering,
+    C: HeapOrder<T>,
 {
     owner: &'a ConnectedHeap<T, C>,
     h: usize,
@@ -357,7 +376,7 @@ where
 
 impl<'a, T, C, S> Iterator for SortedIter<'a, T, C, S>
 where
-    C: Fn(usize, &T, &T) -> Ordering,
+    C: HeapOrder<T>,
     S: AsMut<Vec<usize>>,
 {
     type Item = &'a T;

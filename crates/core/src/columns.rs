@@ -36,8 +36,8 @@
 use crate::mult::Mult3;
 use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
 use crate::range_value::RangeValue;
-use crate::relation::{AuRelation, AuRow};
-use crate::sortkey::{Corner, SortKey};
+use crate::relation::{canonical_order, AuRelation, AuRow};
+use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
 use std::fmt;
@@ -610,32 +610,28 @@ impl AuColumns {
         }
     }
 
-    /// Canonical form, computed entirely columnar: whole-row [`SortKey`]s
-    /// are encoded straight from the column slices (corner-major sweeps —
-    /// no per-row tuple is ever materialized), rows are stably ordered by
-    /// key, adjacent equal keys merge by adding annotations, and zero
-    /// annotations are dropped first. Produces exactly the row sequence
-    /// [`AuRelation::normalize`] produces (property-tested).
+    /// Canonical form, computed entirely columnar: the keys of
+    /// [`canonical_order`] are encoded straight from the typed lanes (no
+    /// per-row tuple is ever materialized) and the surviving rows gathered.
+    /// Produces exactly the row sequence [`AuRelation::normalize`] produces
+    /// (property-tested).
     pub fn normalize(self) -> AuColumns {
         if self.normalized {
             return self;
         }
-        let keys = SortKey::of_columns(&self);
-        // Stable order by key among surviving (k↑ > 0) rows.
-        let mut order: Vec<usize> = (0..self.len).filter(|&i| self.mult_ub[i] > 0).collect();
-        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        // Merge adjacent equal keys: first occurrence is the representative.
-        let mut idxs: Vec<usize> = Vec::with_capacity(order.len());
-        let mut mults: Vec<Mult3> = Vec::with_capacity(order.len());
-        for &i in &order {
-            match (idxs.last(), mults.last_mut()) {
-                (Some(&j), Some(m)) if keys[j] == keys[i] => *m = *m + self.mult(i),
-                _ => {
-                    idxs.push(i);
-                    mults.push(self.mult(i));
-                }
-            }
-        }
+        let all: Vec<usize> = (0..self.arity()).collect();
+        let (idxs, mults): (Vec<usize>, Vec<Mult3>) = canonical_order(
+            self.len,
+            all.len(),
+            |row| self.mult(row),
+            |keys, row| keys.extend_corner_at(&self, row, Corner::Lb, &all),
+            |keys, row| {
+                keys.extend_corner_at(&self, row, Corner::Ub, &all);
+                keys.extend_corner_at(&self, row, Corner::Sg, &all);
+            },
+        )
+        .into_iter()
+        .unzip();
         let mut out = self.gather(&idxs, &mults);
         out.normalized = true;
         out

@@ -2,7 +2,7 @@
 
 use crate::mult::Mult3;
 use crate::range_value::RangeValue;
-use crate::sortkey::SortKey;
+use crate::sortkey::{KeyArena, SortKey};
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
 use std::borrow::Cow;
@@ -168,24 +168,19 @@ impl AuRelation {
     /// `(0,0,0)` rows, sort deterministically. Bag equality after
     /// `normalize` is row equality.
     ///
-    /// Already-normalized inputs return immediately. The sort precomputes
-    /// one [`SortKey`] per row — the old implementation materialized three
-    /// corner tuples (three `Vec<Value>` allocations) *per comparison*.
+    /// Already-normalized inputs return immediately. The order is
+    /// [`canonical_order`]'s: keys in one arena, the surviving tuples moved.
     pub fn normalize(mut self) -> Self {
         if self.normalized {
             return self;
         }
-        let rows = std::mem::take(&mut self.rows);
-        let keyed: Vec<(SortKey, AuRow)> = rows
-            .into_iter()
-            .filter(|r| !r.mult.is_zero())
-            .map(|row| (SortKey::of_row(&row.tuple), row))
+        let rows = (self.canonical_order().into_iter())
+            .map(|(row, mult)| AuRow {
+                tuple: std::mem::replace(&mut self.rows[row].tuple, AuTuple(Vec::new())),
+                mult,
+            })
             .collect();
-        AuRelation {
-            schema: self.schema,
-            rows: merge_sorted(keyed),
-            normalized: true,
-        }
+        AuRelation::from_parts(self.schema, rows, true)
     }
 
     /// Borrow-or-owned normalization: already-canonical relations are
@@ -196,17 +191,40 @@ impl AuRelation {
         if self.normalized {
             return Cow::Borrowed(self);
         }
-        let keyed: Vec<(SortKey, AuRow)> = self
-            .rows
-            .iter()
-            .filter(|r| !r.mult.is_zero())
-            .map(|row| (SortKey::of_row(&row.tuple), row.clone()))
+        let rows = (self.canonical_order().into_iter())
+            .map(|(row, mult)| AuRow {
+                tuple: self.rows[row].tuple.clone(),
+                mult,
+            })
             .collect();
-        Cow::Owned(AuRelation {
-            schema: self.schema.clone(),
-            rows: merge_sorted(keyed),
-            normalized: true,
-        })
+        Cow::Owned(AuRelation::from_parts(self.schema.clone(), rows, true))
+    }
+
+    /// [`canonical_order`] of the stored rows, keyed from their tuples.
+    fn canonical_order(&self) -> Vec<(usize, Mult3)> {
+        let rows = &self.rows;
+        canonical_order(
+            rows.len(),
+            self.schema.arity(),
+            |row| rows[row].mult,
+            |keys, row| (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.lb)),
+            |keys, row| {
+                (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.ub));
+                (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.sg));
+            },
+        )
+    }
+
+    /// Rows already in canonical form — ascending on [`SortKey::of_row`],
+    /// no two equal, none annotated `(0,0,0)` — flagged normalized without
+    /// the pass: the door for an operator that emits in that order (the
+    /// native window). Debug builds check the claim.
+    pub fn from_canonical_rows(schema: Schema, rows: Vec<AuRow>) -> Self {
+        debug_assert!(rows.iter().all(|r| !r.mult.is_zero()));
+        debug_assert!(rows
+            .windows(2)
+            .all(|w| SortKey::of_row(&w[0].tuple) < SortKey::of_row(&w[1].tuple)));
+        AuRelation::from_parts(schema, rows, true)
     }
 
     /// Bag equality up to normalization. Normalized operands are compared
@@ -263,25 +281,73 @@ impl AuRelation {
     }
 }
 
-/// Canonicalize pre-keyed rows: stable-sort by whole-row [`SortKey`]
-/// (computed once per row — the old implementation materialized three
-/// corner tuples per *comparison*), then merge adjacent equal keys by
-/// adding annotations. Equal keys mean value-equal tuples, so this is the
-/// same merge a tuple-keyed hash map performed — without hashing a single
-/// tuple, and with the first occurrence as the deterministic representative.
-fn merge_sorted(mut keyed: Vec<(SortKey, AuRow)>) -> Vec<AuRow> {
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out: Vec<AuRow> = Vec::with_capacity(keyed.len());
-    let mut last_key: Option<SortKey> = None;
-    for (key, row) in keyed {
-        match (&last_key, out.last_mut()) {
-            (Some(k), Some(last)) if *k == key => {
-                last.mult = last.mult + row.mult;
+/// The canonical order of a bag of `n` rows — the one `normalize` of both
+/// layouts and the native window's output share: rows annotated `(0,0,0)`
+/// dropped, the rest ascending on the whole-row key (every attribute's
+/// `lb`, then every `ub`, then every `sg`: [`SortKey::of_row`]), rows with
+/// equal keys merged into the first stored of them, annotations added.
+/// Returns `(representative row, merged annotation)` in that order.
+///
+/// The key comes in two pieces so that the common case encodes a third of
+/// it, and no key is a heap allocation: `head` appends a row's leading
+/// section (the lower-bound corner, `width` values) to the arena, `tail`
+/// the rest, and `tail` is asked only for rows whose heads tie. What is
+/// sorted are 16-byte `(prefix, row)` references; the arena is read when
+/// prefixes tie.
+pub fn canonical_order(
+    n: usize,
+    width: usize,
+    mult: impl Fn(usize) -> Mult3,
+    mut head: impl FnMut(&mut KeyArena, usize),
+    mut tail: impl FnMut(&mut KeyArena, usize),
+) -> Vec<(usize, Mult3)> {
+    // Slot = row: a dropped row keeps an empty slot and gets no reference.
+    let mut heads = KeyArena::with_capacity(n, width);
+    let mut refs: Vec<(u64, u32)> = Vec::with_capacity(n);
+    for row in 0..n {
+        if mult(row).is_zero() {
+            heads.end_key();
+            continue;
+        }
+        head(&mut heads, row);
+        heads.end_key();
+        refs.push((heads.prefix(row), row as u32));
+    }
+    // Two steps, so the sort of everything compares integers inline: by
+    // `(prefix, row)`, then the rows of one prefix by the rest of the head.
+    let head_of = |r: &(u64, u32)| heads.key(r.1 as usize);
+    refs.sort_unstable();
+    for run in refs.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            run.sort_by(|a, b| head_of(a).cmp(head_of(b)));
+        }
+    }
+    let mut out: Vec<(usize, Mult3)> = Vec::with_capacity(refs.len());
+    let mut tails = KeyArena::with_capacity(0, 0);
+    for run in refs.chunk_by(|a, b| a.0 == b.0 && head_of(a) == head_of(b)) {
+        if let [(_, row)] = run {
+            out.push((*row as usize, mult(*row as usize)));
+            continue;
+        }
+        // Equal heads: the rest of the key decides, stored order among
+        // equal keys (the sort is stable), which then merge.
+        let first = tails.len();
+        for &(_, row) in run {
+            tail(&mut tails, row as usize);
+            tails.end_key();
+        }
+        let mut by_tail: Vec<usize> = (first..first + run.len()).collect();
+        by_tail.sort_by(|&a, &b| tails.key(a).cmp(tails.key(b)));
+        let mut last = None;
+        for slot in by_tail {
+            let row = run[slot - first].1 as usize;
+            match (last, out.last_mut()) {
+                (Some(prev), Some((_, merged))) if tails.key(prev) == tails.key(slot) => {
+                    *merged = *merged + mult(row);
+                }
+                _ => out.push((row, mult(row))),
             }
-            _ => {
-                out.push(row);
-                last_key = Some(key);
-            }
+            last = Some(slot);
         }
     }
     out
@@ -321,6 +387,52 @@ mod tests {
         .normalize();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].mult, Mult3::new(1, 2, 3));
+    }
+
+    /// Rows that tie on every lower bound fall to `ub…`, then `sg…`; equal
+    /// throughout they merge into the first stored, a zero row between
+    /// them or not — and both `normalize`s and the borrowing one agree.
+    #[test]
+    fn ties_on_the_lower_bounds_fall_to_the_rest_of_the_key() {
+        let row = |a: RangeValue, b: i64, mult| (AuTuple::new([a, RangeValue::certain(b)]), mult);
+        let r = AuRelation::from_rows(
+            Schema::new(["a", "b"]),
+            [
+                row(rv(1, 3, 9), 7, Mult3::ONE),
+                row(rv(1, 2, 5), 7, Mult3::new(0, 1, 1)),
+                row(rv(1, 1, 5), 7, Mult3::ONE),
+                row(rv(1, 3, 9), 7, Mult3::ZERO),
+                row(rv(0, 0, 0), 9, Mult3::ONE),
+                row(rv(1, 2, 5), 7, Mult3::new(1, 1, 2)),
+                row(rv(1, 1, 1), 6, Mult3::ONE),
+            ],
+        );
+        let want = [
+            row(rv(0, 0, 0), 9, Mult3::ONE),
+            row(rv(1, 1, 1), 6, Mult3::ONE),
+            row(rv(1, 1, 5), 7, Mult3::ONE),
+            row(rv(1, 2, 5), 7, Mult3::new(1, 2, 3)),
+            row(rv(1, 3, 9), 7, Mult3::ONE),
+        ]
+        .map(|(tuple, mult)| AuRow { tuple, mult });
+        assert_eq!(r.normalized().rows(), want);
+        assert_eq!(r.to_columns().normalize().to_rows().rows(), want);
+        let r = r.normalize();
+        assert_eq!(r.rows(), want);
+        assert!(r.is_normalized());
+        let again = AuRelation::from_canonical_rows(r.schema.clone(), r.rows().to_vec());
+        assert!(again.is_normalized());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn from_canonical_rows_checks_its_claim() {
+        let rows = [rv(2, 2, 2), rv(1, 1, 1)].map(|a| AuRow {
+            tuple: AuTuple::new([a]),
+            mult: Mult3::ONE,
+        });
+        AuRelation::from_canonical_rows(Schema::new(["a"]), rows.to_vec());
     }
 
     #[test]

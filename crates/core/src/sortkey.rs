@@ -189,6 +189,21 @@ impl KeyArena {
         corner: Corner,
         idxs: &[usize],
     ) {
+        self.extend_corner_at(cols, row, corner, idxs);
+        self.end_key();
+    }
+
+    /// [`KeyArena::push_corner_at`] without ending the key: a key made of
+    /// several pieces (the whole-row key of [`crate::canonical_order`])
+    /// grows by this and [`KeyArena::extend_value`] until
+    /// [`KeyArena::end_key`] gives it its slot.
+    pub fn extend_corner_at(
+        &mut self,
+        cols: &crate::columns::AuColumns,
+        row: usize,
+        corner: Corner,
+        idxs: &[usize],
+    ) {
         use crate::physical::PhysSlice;
         for &i in idxs {
             match cols.col(i).corner(corner) {
@@ -198,6 +213,16 @@ impl KeyArena {
                 PhysSlice::Generic(vals) => encode_value(&vals[row], &mut self.bytes),
             }
         }
+    }
+
+    /// Append one value to the key under construction.
+    pub fn extend_value(&mut self, v: &Value) {
+        encode_value(v, &mut self.bytes);
+    }
+
+    /// End the key under construction (empty if nothing was appended); its
+    /// slot is the [`KeyArena::len`] of before.
+    pub fn end_key(&mut self) {
         self.ends.push(self.bytes.len());
     }
 

@@ -31,6 +31,6 @@ pub mod maintain;
 pub mod sort;
 pub mod window;
 
-pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain};
+pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain, WindowRow};
 pub use sort::{sort_columns_native, sort_native, sort_native_staged, topk_native};
-pub use window::{window_columns_native, window_native, NativeWindow};
+pub use window::{window_columns_native, window_native, window_native_staged, NativeWindow};

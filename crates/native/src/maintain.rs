@@ -32,33 +32,42 @@
 //! certainly precede that tuple, so the guaranteed-slot count of
 //! [`audb_core::guaranteed_extra_slots`] is saturated and no future row
 //! can enter `s`'s certain set, possible pool, or selected-guess frame.
-//! Open windows are closed *non-destructively* by [`WindowMaintain::result`]
-//! — their provisional bounds equal what a full recompute over the data
-//! seen so far would produce.
+//! Open windows are closed *non-destructively* by
+//! [`WindowMaintain::open_rows`] — their provisional bounds equal what a
+//! full recompute over the data seen so far would produce.
 //!
 //! ## Sweep state
 //!
-//! A row is read from the input columns once, into a base tuple with room
-//! for the output attribute, which moves into the result when its window closes, and
-//! everything the sweep compares is copied out of it into a flat `Item`:
-//! `τ↓`, `τ↑`, the aggregated attribute's range, `k↓ ≥ 1`. Items are
-//! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
+//! The sweep holds no tuple. What it compares is read from the lanes once,
+//! into a flat `Item` per split row: `τ↓`, `τ↑`, the aggregated
+//! attribute's range, `k↓ ≥ 1`, `k_sg ≥ 1`, and where the input row is
+//! (the number of the batch that fed it, the row there). A closing window
+//! leaves a [`WindowRow`] — that address, the annotation and the aggregate
+//! `X` — and whoever wants the output tuple builds it from the columns
+//! ([`WindowRow::build`]): the one-shot operator once per row, already in
+//! its output order; [`MaintainedWindow`], which keeps the batches it was
+//! fed, when it drains. Items are indexed by arrival order, which is
+//! `(τ↓, τ↑)`-ascending, so
 //!
 //! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
 //!   still-open item* — a cursor that only moves forward;
 //! * the certain tuples form a `τ↓`-ordered deque: the range scan of
 //!   `compBounds` binary-searches its start, eviction pops the front;
 //! * the possible pool is the three-order connected heap of the paper,
-//!   its `A↓`/`A↑` orders comparing the bounds as [`Value`]s, scanned
-//!   through a scratch frontier the sweep owns
-//!   ([`ConnectedHeap::sorted_iter_in`]).
+//!   its orders a type the heap inlines ([`HeapOrder`]), its `A↓`/`A↑`
+//!   orders comparing the bounds as [`Value`]s, scanned through a scratch
+//!   frontier the sweep owns ([`ConnectedHeap::sorted_iter_in`]).
 //!
 //! ## Selected guesses
 //!
 //! The selected-guess component is the deterministic window operator over
 //! the selected-guess world in the order [`audb_core::sg_ordered_inputs`]
-//! defines (shared with [`audb_core::sg_window_values`]). In-order batches
-//! extend that order at its end, so it is kept as a bounded tail of
+//! defines (shared with [`audb_core::sg_window_values`]). The ranking has
+//! that order already — `τ_sg` less the duplicate index is one number per
+//! distinct selected guess under `<total_O` — so a batch's entries are
+//! sorted on it and `sg_ordered_inputs` is asked about the runs that tie
+//! (equal selected guesses on every attribute: content decides). In-order
+//! batches extend the order at its end, so it is kept as a bounded tail of
 //! `(item, value)` pairs: an entry's aggregate is final once `u` later
 //! entries exist, after which only `−l` entries of left context are
 //! retained.
@@ -82,7 +91,7 @@
 
 use crate::sort::{base_tuple, positions, sort_columns_native};
 use crate::window::partitions;
-use audb_conheap::ConnectedHeap;
+use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
     sg_ordered_inputs, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner, KeyArena, Mult3,
     RangeValue, SortKey, WinAgg,
@@ -94,7 +103,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// One split row in flight through the sweep: everything the sweep
-/// compares, copied out of the tuple once.
+/// compares, read from the lanes once — no tuple is built for it.
 struct Item {
     tlo: i64,
     thi: i64,
@@ -102,33 +111,78 @@ struct Item {
     attr: RangeValue,
     /// Certainly exists (`k↓ ≥ 1`).
     cert: bool,
+    /// Exists in the selected-guess world (`k_sg ≥ 1`).
+    in_sg: bool,
     /// The previous item is another duplicate of the same input row.
     dup_of_prev: bool,
     /// Its window has closed for good.
     closed: bool,
     /// Selected-guess window aggregate, once final.
     sg: Option<Value>,
+    /// Its input row: which batch fed it, and the row there.
+    batch: u32,
+    row: u32,
 }
 
-/// Pool payload: everything the three heap orders compare, copied out of
-/// the item so the comparator is a plain `fn` (a struct that owns its heap
-/// cannot hand the heap a closure borrowing the struct's own item arena).
+impl Item {
+    /// A split row's annotation: `k↑ = 1`.
+    fn mult(&self) -> Mult3 {
+        Mult3::new(u64::from(self.cert), u64::from(self.in_sg), 1)
+    }
+}
+
+/// One output row of the sweep, not yet a tuple: row `row` of the
+/// `batch`-th batch fed, extended by its window's aggregate `x`. Whoever
+/// wants the tuple builds it from the columns ([`WindowRow::build`]) — the
+/// one-shot operator once per row, in its output order; a subscription when
+/// it drains.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WindowRow {
+    /// Which of the batches fed so far holds the input row.
+    pub batch: u32,
+    /// The input row within that batch.
+    pub row: u32,
+    /// The split row's annotation (`k↑ = 1`).
+    pub mult: Mult3,
+    /// The window aggregate: the output attribute.
+    pub x: RangeValue,
+}
+
+impl WindowRow {
+    /// The output row as a tuple, read from the batches that were fed.
+    pub fn build(&self, batches: &[AuColumns]) -> (AuTuple, Mult3) {
+        let mut tuple = base_tuple(&batches[self.batch as usize], self.row as usize);
+        tuple.0.push(self.x.clone());
+        (tuple, self.mult)
+    }
+}
+
+/// Pool payload: everything the three heap orders and the membership test
+/// of `compBounds` read, copied out of the item.
 struct PoolItem {
+    tlo: i64,
     thi: i64,
     id: usize,
+    cert: bool,
     alo: Value,
     ahi: Value,
 }
 
-type PoolCmp = fn(usize, &PoolItem, &PoolItem) -> Ordering;
+/// The pool's three orders — heap 0: `τ↑` ascending (eviction order);
+/// heap 1: `A↓` ascending (min-k candidates); heap 2: `A↑` descending
+/// (max-k candidates) — as a type, so the heap's sifts inline it (a struct
+/// that owns its heap cannot hand the heap a closure borrowing the struct's
+/// own item arena, and a `fn` pointer is a call per comparison).
+struct PoolOrder;
 
-/// Heap 0: `τ↑` ascending (eviction order); heap 1: `A↓` ascending (min-k
-/// candidates); heap 2: `A↑` descending (max-k candidates).
-fn pool_cmp(h: usize, a: &PoolItem, b: &PoolItem) -> Ordering {
-    match h {
-        0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
-        1 => a.alo.cmp(&b.alo).then(a.id.cmp(&b.id)),
-        _ => b.ahi.cmp(&a.ahi).then(a.id.cmp(&b.id)),
+impl HeapOrder<PoolItem> for PoolOrder {
+    #[inline]
+    fn cmp(&self, h: usize, a: &PoolItem, b: &PoolItem) -> Ordering {
+        match h {
+            0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
+            1 => a.alo.cmp(&b.alo).then(a.id.cmp(&b.id)),
+            _ => b.ahi.cmp(&a.ahi).then(a.id.cmp(&b.id)),
+        }
     }
 }
 
@@ -145,24 +199,19 @@ struct Scratch {
 
 /// Resumable partitionless window sweep (see the module docs).
 ///
-/// `window_native` runs one of these per partition with the whole
+/// `window_columns_native` runs one of these per partition with the whole
 /// partition as a single batch; a subscription keeps it alive and feeds it
-/// in-order batches.
+/// in-order batches. It holds no tuple: its output is [`WindowRow`]s.
 pub struct WindowMaintain {
-    schema: Schema,
     spec: AuWindowSpec,
     agg: WinAgg,
-    out_name: String,
-    /// Base tuple (capacity for the output attribute; emptied when its
-    /// window closes and the tuple moves to `closed`) + split mult.
-    rows: Vec<(AuTuple, Mult3)>,
     items: Vec<Item>,
     /// Accumulated certain / possible input mass (the position offsets).
     total_lb: u64,
     total_ub: u64,
     /// The greatest upper-bound corner on the ORDER BY attributes among
-    /// the accumulated rows, as its key.
-    frontier: Option<SortKey>,
+    /// the accumulated rows, as its key's bytes.
+    frontier: Option<Vec<u8>>,
     /// Some batch merged into a duplicate multiplicity (`k↑ > 1`).
     merged_duplicates: bool,
     // Sweep state, live between batches.
@@ -171,10 +220,14 @@ pub struct WindowMaintain {
     oldest_open: usize,
     /// Certain items `(τ↓, τ↑, id)` in arrival (= `τ↓`) order.
     cert: VecDeque<(i64, i64, usize)>,
-    poss: ConnectedHeap<PoolItem, PoolCmp>,
+    poss: ConnectedHeap<PoolItem, PoolOrder>,
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
-    closed: Vec<(AuTuple, Mult3)>,
+    closed: Vec<WindowRow>,
+    /// Pool size summed over the closes of [`WindowMaintain::step`], and
+    /// its maximum there.
+    pool_sum: u64,
+    pool_max: usize,
     // Selected-guess tail, in SG order: item ids and the values the
     // deterministic aggregate slides over. Entries before `sg_pending` are
     // final and kept as left context only.
@@ -184,20 +237,17 @@ pub struct WindowMaintain {
 }
 
 impl WindowMaintain {
-    /// Fresh state for a partitionless window over `schema`.
+    /// Fresh state for a partitionless window.
     ///
     /// Panics if `spec` carries PARTITION BY attributes — partitioning is
     /// routed above this type (see [`MaintainedWindow`]).
-    pub fn new(schema: Schema, spec: AuWindowSpec, agg: WinAgg, out_name: &str) -> WindowMaintain {
+    pub fn new(spec: AuWindowSpec, agg: WinAgg) -> WindowMaintain {
         assert!(
             spec.partition.is_empty(),
             "WindowMaintain is partitionless; use MaintainedWindow"
         );
         WindowMaintain {
-            schema,
             agg,
-            out_name: out_name.to_string(),
-            rows: Vec::new(),
             items: Vec::new(),
             total_lb: 0,
             total_ub: 0,
@@ -206,9 +256,11 @@ impl WindowMaintain {
             openw: BinaryHeap::new(),
             oldest_open: 0,
             cert: VecDeque::new(),
-            poss: ConnectedHeap::with_capacity(3, 1024, pool_cmp as PoolCmp),
+            poss: ConnectedHeap::with_order(3, 1024, PoolOrder),
             scratch: Scratch::default(),
             closed: Vec::new(),
+            pool_sum: 0,
+            pool_max: 0,
             sg_ids: Vec::new(),
             sg_vals: Vec::new(),
             sg_pending: 0,
@@ -226,8 +278,9 @@ impl WindowMaintain {
         self.items.is_empty()
     }
 
-    /// Output rows already closed (final regardless of future appends).
-    pub fn closed_rows(&self) -> &[(AuTuple, Mult3)] {
+    /// Output rows already closed (final regardless of future appends), in
+    /// close order.
+    pub fn closed_rows(&self) -> &[WindowRow] {
         &self.closed
     }
 
@@ -236,6 +289,14 @@ impl WindowMaintain {
     /// position offsets — sound, but not the expand-first Def. 3 bounds.
     pub fn merged_duplicates(&self) -> bool {
         self.merged_duplicates
+    }
+
+    /// Mean and maximum size of the possible-member pool over the windows
+    /// closed by an arriving row — what a sorted pool scan has under it
+    /// (`repro bench`'s `window/scaling` residency line).
+    pub fn pool_residency(&self) -> (f64, usize) {
+        let closes = self.closed.len().max(1) as f64;
+        (self.pool_sum as f64 / closes, self.pool_max)
     }
 
     /// Would `batch` be in order after the accumulated rows? (Trivially
@@ -251,21 +312,31 @@ impl WindowMaintain {
         let mut lb = KeyArena::with_capacity(rows.len(), self.spec.order.len());
         rows.iter().all(|&row| {
             lb.push_corner_at(cols, row, Corner::Lb, &self.spec.order);
-            frontier.as_bytes() < lb.key(lb.len() - 1)
+            frontier.as_slice() < lb.key(lb.len() - 1)
         })
     }
 
-    /// Feed one in-order batch through the sweep (the caller checks
-    /// [`WindowMaintain::batch_in_order`] first; feeding an out-of-order
-    /// batch silently computes bounds for the wrong relation).
-    pub fn apply(&mut self, batch: &AuColumns) {
-        self.apply_rows(batch, &existing_rows(batch), batch.is_normalized());
+    /// Feed batch number `batch` — counted by the caller, who keeps the
+    /// batches if it wants tuples later — through the sweep, in order (the
+    /// caller checks [`WindowMaintain::batch_in_order`] first; feeding an
+    /// out-of-order batch silently computes bounds for the wrong relation).
+    pub fn apply(&mut self, cols: &AuColumns, batch: u32) {
+        let normalized = cols.is_normalized();
+        self.apply_rows(cols, batch, &existing_rows(cols), normalized, &mut |_| {});
     }
 
     /// [`WindowMaintain::apply`] over the rows `rows` of `cols` — one
     /// partition of a batch (`normalized`: they are distinct and
-    /// zero-free).
-    pub(crate) fn apply_rows(&mut self, cols: &AuColumns, rows: &[usize], normalized: bool) {
+    /// zero-free) — calling `stage` as `"rank"`, `"items"`,
+    /// `"selected-guess"` and `"sweep"` end.
+    pub(crate) fn apply_rows(
+        &mut self,
+        cols: &AuColumns,
+        batch: u32,
+        rows: &[usize],
+        normalized: bool,
+        stage: &mut dyn FnMut(&'static str),
+    ) {
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
         let rows = rows.iter().copied();
@@ -274,6 +345,7 @@ impl WindowMaintain {
             return;
         }
         pos.sort_unstable_by_key(|p| (p.tau_lb, p.tau_ub, p.row, p.dup));
+        stage("rank");
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
         // (the one-shot sweep's guaranteed-slot math sees the full total).
@@ -283,80 +355,106 @@ impl WindowMaintain {
             self.total_lb += p.mult.lb;
             self.total_ub += p.mult.ub;
         }
-        // The one time the input is read: each split row's base tuple.
-        // Everything below — the aggregated attribute, the frontier, the
-        // selected-guess block — comes out of it.
+        // The one time the input is read: the aggregated attribute's range,
+        // straight from the lanes.
         let first_new = self.items.len();
+        let attr = self.agg.input_col().map(|c| cols.col(c));
         let mut prev_row = None;
         for p in &pos {
-            let base = base_tuple(cols, p.row as usize);
             self.merged_duplicates |= p.dup > 0;
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
                 thi: p.tau_ub as i64 + off_ub,
-                attr: self.agg.attr_range(&base),
+                attr: attr.map_or_else(
+                    || RangeValue::certain(1i64),
+                    |col| col.range_value(p.row as usize),
+                ),
                 cert: p.mult.lb >= 1,
+                in_sg: p.mult.sg >= 1,
                 dup_of_prev: prev_row == Some(p.row),
                 closed: false,
                 sg: None,
+                batch,
+                row: p.row,
             });
             prev_row = Some(p.row);
-            self.rows.push((base, p.mult));
         }
-        let new_rows = &self.rows[first_new..];
-        let top = (new_rows.iter().map(|(tuple, _)| tuple))
-            .max_by(|a, b| a.cmp_ub_on(b, &self.spec.order))
-            .expect("the batch ranked at least one row");
-        let top = SortKey::of_corner(top, Corner::Ub, &self.spec.order);
+        // The frontier moves to the batch's greatest ORDER BY upper-bound
+        // corner. Every row's lower-bound corner is at or below that one, so
+        // no row has more possible predecessors than its row: only the rows
+        // of greatest `τ↑` are encoded to find it.
+        let last = pos.iter().map(|p| p.tau_ub).max();
+        let greatest_ub = |rows: &mut dyn Iterator<Item = u32>| {
+            let mut ub = KeyArena::with_capacity(1, self.spec.order.len());
+            rows.for_each(|row| {
+                ub.push_corner_at(cols, row as usize, Corner::Ub, &self.spec.order)
+            });
+            let top = (0..ub.len()).map(|slot| ub.key(slot)).max();
+            top.expect("the batch ranked at least one row").to_vec()
+        };
+        let at_last = pos.iter().filter(|p| Some(p.tau_ub) == last);
+        let top = greatest_ub(&mut at_last.map(|p| p.row));
+        debug_assert_eq!(top, greatest_ub(&mut pos.iter().map(|p| p.row)));
         if self.frontier.as_ref().is_none_or(|f| *f < top) {
             self.frontier = Some(top);
         }
-        let mut sg_block: Vec<(usize, &AuTuple)> = (new_rows.iter().enumerate())
-            .filter(|(_, (_, mult))| mult.sg > 0)
-            .map(|(i, (tuple, _))| (first_new + i, tuple))
+        stage("items");
+        // The selected-guess order of the batch. The ranking already holds
+        // it: entries of different selected guesses under `<total_O` differ
+        // in the base of `τ_sg`. Only among equal ones — one base — does
+        // content decide, and that is `sg_ordered_inputs`' to say.
+        let mut sg_block: Vec<(u64, usize)> = (pos.iter().enumerate())
+            .filter(|(_, p)| p.mult.sg >= 1)
+            .map(|(i, p)| (p.tau_sg - u64::from(p.dup), first_new + i))
             .collect();
-        let sg_vals = sg_ordered_inputs(&mut sg_block, &self.spec.order, self.agg);
-        let sg_ids: Vec<usize> = sg_block.iter().map(|&(id, _)| id).collect();
+        sg_block.sort_unstable();
+        for run in sg_block.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                let tuples: Vec<AuTuple> = (run.iter())
+                    .map(|&(_, id)| cols.tuple(self.items[id].row as usize))
+                    .collect();
+                let mut tied: Vec<(usize, &AuTuple)> =
+                    run.iter().map(|&(_, id)| id).zip(&tuples).collect();
+                sg_ordered_inputs(&mut tied, &self.spec.order, self.agg);
+                for (entry, (id, _)) in run.iter_mut().zip(tied) {
+                    entry.1 = id;
+                }
+            }
+        }
+        let sg_ids: Vec<usize> = sg_block.iter().map(|&(_, id)| id).collect();
+        let sg_vals = (sg_ids.iter())
+            .map(|&id| self.items[id].attr.sg.clone())
+            .collect();
         self.ingest_sg(sg_ids, sg_vals);
+        stage("selected-guess");
         for t in first_new..self.items.len() {
             self.step(t);
         }
-    }
-
-    /// The full current output: closed rows followed by a non-destructive
-    /// flush of the still-open windows, in the exact row order the
-    /// one-shot sweep would produce over the accumulated relation.
-    /// Unnormalized, like the one-shot partitionless sweep.
-    pub fn result(&self) -> AuRelation {
-        let mut rows = self.closed.clone();
-        rows.extend(self.open_result());
-        AuRelation::from_rows(self.schema.with(&self.out_name), rows)
-    }
-
-    /// [`WindowMaintain::result`], consuming the sweep: the open windows
-    /// close for good and every row *moves* into the output.
-    pub fn into_result(mut self) -> AuRelation {
-        let provisional = self.provisional_sg();
-        while let Some(Reverse((_, sid))) = self.openw.pop() {
-            self.close(sid, &provisional);
-        }
-        AuRelation::from_rows(self.schema.with(&self.out_name), self.closed)
+        stage("sweep");
     }
 
     /// Provisional output rows of the still-open windows (the rows that
-    /// may change on a future append), in flush order.
-    pub fn open_result(&self) -> Vec<(AuTuple, Mult3)> {
+    /// may change on a future append), in flush order: after
+    /// [`WindowMaintain::closed_rows`] they complete the exact row order
+    /// the one-shot sweep produces over the accumulated relation.
+    pub fn open_rows(&self) -> Vec<WindowRow> {
         let provisional = self.provisional_sg();
         let mut open: Vec<(i64, usize)> = self.openw.iter().map(|w| w.0).collect();
         open.sort_unstable();
         let mut scratch = Scratch::default();
         open.into_iter()
-            .map(|(_, sid)| {
-                let x = self.comp_bounds(sid, self.sg_raw(sid, &provisional), &mut scratch);
-                let (base, mult) = &self.rows[sid];
-                (base.with(x), *mult)
-            })
+            .map(|(_, sid)| self.window_row(sid, &provisional, &mut scratch))
             .collect()
+    }
+
+    /// Consume the sweep: the open windows close for good, in the order of
+    /// [`WindowMaintain::open_rows`], and every output row is handed over.
+    pub fn finish(mut self) -> Vec<WindowRow> {
+        let provisional = self.provisional_sg();
+        while let Some(Reverse((_, sid))) = self.openw.pop() {
+            self.close(sid, &provisional);
+        }
+        self.closed
     }
 
     /// Advance the sweep over item `t` (arrival in global `(τ↓, τ↑)`
@@ -384,9 +482,11 @@ impl WindowMaintain {
                 self.cert.pop_front();
             }
             debug_assert!(
-                self.rows[sid].1.sg == 0 || self.items[sid].sg.is_some(),
+                !self.items[sid].in_sg || self.items[sid].sg.is_some(),
                 "sg value of a closing window must be final"
             );
+            self.pool_sum += self.poss.len() as u64;
+            self.pool_max = self.pool_max.max(self.poss.len());
             self.close(sid, &[]);
             // Evict pool tuples below every remaining window: the minimum
             // τ↓ over the windows still open (a later-closing window may
@@ -408,23 +508,37 @@ impl WindowMaintain {
             self.cert.push_back((it_tlo, it_thi, t));
         }
         self.poss.insert(PoolItem {
+            tlo: it_tlo,
             thi: it_thi,
             id: t,
+            cert: it_cert,
             alo: it.attr.lb.clone(),
             ahi: it.attr.ub.clone(),
         });
     }
 
-    /// Close window `id` for good: its base tuple takes the output
-    /// attribute and moves to the closed rows.
+    /// Close window `id` for good: its output row joins the closed rows.
     fn close(&mut self, id: usize, provisional: &[(usize, Value)]) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let x = self.comp_bounds(id, self.sg_raw(id, provisional), &mut scratch);
+        let row = self.window_row(id, provisional, &mut scratch);
         self.scratch = scratch;
-        let (base, mult) = &mut self.rows[id];
-        let mut tuple = std::mem::replace(base, AuTuple(Vec::new()));
-        tuple.0.push(x);
-        self.closed.push((tuple, *mult));
+        self.closed.push(row);
+    }
+
+    /// The output row of window `id` from the current sweep state.
+    fn window_row(
+        &self,
+        id: usize,
+        provisional: &[(usize, Value)],
+        scratch: &mut Scratch,
+    ) -> WindowRow {
+        let it = &self.items[id];
+        WindowRow {
+            batch: it.batch,
+            row: it.row,
+            mult: it.mult(),
+            x: self.comp_bounds(id, self.sg_raw(id, provisional), scratch),
+        }
     }
 
     /// `compBounds` (paper Algorithms 4–6): the output attribute of window
@@ -471,12 +585,8 @@ impl WindowMaintain {
 
         // A pool candidate is a possible-but-not-certain member ≠ self.
         let valid = |p: &&PoolItem| -> bool {
-            if p.id == id {
-                return false;
-            }
-            let it = &items[p.id];
-            let certainly = it.cert && it.tlo >= cs.0 && it.thi <= cs.1;
-            !certainly && it.tlo <= ps.1 && it.thi >= ps.0
+            let certainly = p.cert && p.tlo >= cs.0 && p.thi <= cs.1;
+            p.id != id && !certainly && p.tlo <= ps.1 && p.thi >= ps.0
         };
         let cert_lb = || cert.iter().map(|&c| &items[c].attr.lb);
         let cert_ub = || cert.iter().map(|&c| &items[c].attr.ub);
@@ -486,6 +596,13 @@ impl WindowMaintain {
             WinAgg::Sum(_) | WinAgg::Count => {
                 let lo = cert_lb().fold(Value::Int(0), |acc, v| acc.add(v));
                 let hi = cert_ub().fold(Value::Int(0), |acc, v| acc.add(v));
+                // A frame already full of certain members takes nothing
+                // from the pool (every window of certain data): no scan,
+                // where each would walk its heap order to the first
+                // candidate to stop there.
+                if possn == 0 {
+                    return clamped(lo, sg_raw, hi);
+                }
                 // min-k over the A↓-ordered component with the guaranteed
                 // floor: the j = clamp(#negatives, q, possn) smallest lower
                 // bounds (see audb_core::aggregate_window) — the scan stops
@@ -557,19 +674,7 @@ impl WindowMaintain {
             }
         };
 
-        // Selected guess, clamped into the bounds (DESIGN.md §3.4).
-        let sg = if sg_raw.is_null() || sg_raw < xlo {
-            xlo.clone()
-        } else if sg_raw > xhi {
-            xhi.clone()
-        } else {
-            sg_raw
-        };
-        RangeValue {
-            lb: xlo,
-            sg,
-            ub: xhi,
-        }
+        clamped(xlo, sg_raw, xhi)
     }
 
     /// Append a batch's selected-guess-world entries — item ids and the
@@ -642,7 +747,6 @@ impl WindowMaintain {
     /// Reset to the empty state, retaining every allocation (the connected
     /// heap keeps its arena via [`ConnectedHeap::clear`]).
     pub fn reset(&mut self) {
-        self.rows.clear();
         self.items.clear();
         self.total_lb = 0;
         self.total_ub = 0;
@@ -653,10 +757,24 @@ impl WindowMaintain {
         self.cert.clear();
         self.poss.clear();
         self.closed.clear();
+        (self.pool_sum, self.pool_max) = (0, 0);
         self.sg_ids.clear();
         self.sg_vals.clear();
         self.sg_pending = 0;
     }
+}
+
+/// `[lb / sg / ub]` with the selected guess clamped into the bounds
+/// (DESIGN.md §3.4).
+fn clamped(lb: Value, sg_raw: Value, ub: Value) -> RangeValue {
+    let sg = if sg_raw.is_null() || sg_raw < lb {
+        lb.clone()
+    } else if sg_raw > ub {
+        ub.clone()
+    } else {
+        sg_raw
+    };
+    RangeValue { lb, sg, ub }
 }
 
 impl std::fmt::Debug for WindowMaintain {
@@ -679,13 +797,16 @@ fn existing_rows(cols: &AuColumns) -> Vec<usize> {
 
 /// Append maintenance of a (possibly partitioned) window query: routes
 /// batches to per-partition [`WindowMaintain`] sweeps, creating sweeps for
-/// partitions as they first appear (partition churn).
+/// partitions as they first appear (partition churn), and keeps the batches
+/// — columns, as they were fed — to build output tuples from when asked.
 pub struct MaintainedWindow {
-    schema: Schema,
+    /// The output's schema: the input's and the aggregate.
+    out_schema: Schema,
     spec: AuWindowSpec,
     inner: AuWindowSpec,
     agg: WinAgg,
-    out_name: String,
+    /// Every batch fed, by the number its [`WindowRow`]s carry.
+    batches: Vec<AuColumns>,
     /// Per-partition sweep + count of closed rows already drained, by the
     /// key of the partition value ([`partitions`]).
     parts: BTreeMap<Vec<u8>, (WindowMaintain, usize)>,
@@ -706,10 +827,10 @@ impl MaintainedWindow {
             upper: spec.upper,
         };
         MaintainedWindow {
-            schema,
+            out_schema: schema.with(out_name),
             inner,
             agg,
-            out_name: out_name.to_string(),
+            batches: Vec::new(),
             parts: BTreeMap::new(),
             spec,
         }
@@ -747,41 +868,37 @@ impl MaintainedWindow {
     /// an uncertain PARTITION BY value panics here.
     pub fn apply(&mut self, batch: &AuColumns) {
         let parts = partitions(batch, &self.spec.partition).expect("check_batch accepted it");
+        let number = self.batches.len() as u32;
         for (value, rows) in parts {
-            let (sweep, _) = self.parts.entry(value).or_insert_with(|| {
-                (
-                    WindowMaintain::new(
-                        self.schema.clone(),
-                        self.inner.clone(),
-                        self.agg,
-                        &self.out_name,
-                    ),
-                    0,
-                )
-            });
-            sweep.apply_rows(batch, &rows, batch.is_normalized());
+            let (sweep, _) = (self.parts.entry(value))
+                .or_insert_with(|| (WindowMaintain::new(self.inner.clone(), self.agg), 0));
+            sweep.apply_rows(batch, number, &rows, batch.is_normalized(), &mut |_| {});
         }
+        self.batches.push(batch.clone());
     }
 
     /// The full current output over all partitions, in deterministic
-    /// partition-key order. Unnormalized (callers normalize, exactly like
-    /// `window_native`).
+    /// partition-key order: per partition the closed rows, then a
+    /// non-destructive flush of the still-open windows. Unnormalized.
     pub fn result(&self) -> AuRelation {
-        let mut out = AuRelation::empty(self.schema.with(&self.out_name));
+        let mut out = AuRelation::empty(self.out_schema.clone());
         for (part, _) in self.parts.values() {
-            out.append(&mut part.result());
+            for row in part.closed_rows().iter().chain(&part.open_rows()) {
+                let (tuple, mult) = row.build(&self.batches);
+                out.push(tuple, mult);
+            }
         }
         out
     }
 
-    /// [`MaintainedWindow::result`], consuming the sweeps: rows move into
-    /// the output instead of being cloned.
+    /// [`MaintainedWindow::result`], consuming the sweeps: the open
+    /// windows close for good.
     pub fn into_result(self) -> AuRelation {
-        let mut out = AuRelation::empty(self.schema.with(&self.out_name));
-        for (part, _) in self.parts.into_values() {
-            out.append(&mut part.into_result());
-        }
-        out
+        let batches = &self.batches;
+        let rows = (self.parts.into_values())
+            .flat_map(|(part, _)| part.finish())
+            .map(|row| row.build(batches));
+        AuRelation::from_rows(self.out_schema, rows)
     }
 
     /// Output rows closed (finalized) since the last drain, across all
@@ -789,7 +906,8 @@ impl MaintainedWindow {
     pub fn drain_new_closed(&mut self) -> Vec<(AuTuple, Mult3)> {
         let mut out = Vec::new();
         for (part, drained) in self.parts.values_mut() {
-            out.extend(part.closed_rows()[*drained..].iter().cloned());
+            let closed = &part.closed_rows()[*drained..];
+            out.extend(closed.iter().map(|row| row.build(&self.batches)));
             *drained = part.closed_rows().len();
         }
         out
@@ -798,11 +916,10 @@ impl MaintainedWindow {
     /// Provisional rows of every still-open window, across all partitions
     /// in partition-key order.
     pub fn open_result(&self) -> Vec<(AuTuple, Mult3)> {
-        let mut out = Vec::new();
-        for (part, _) in self.parts.values() {
-            out.extend(part.open_result());
-        }
-        out
+        (self.parts.values())
+            .flat_map(|(part, _)| part.open_rows())
+            .map(|row| row.build(&self.batches))
+            .collect()
     }
 }
 
@@ -1004,11 +1121,11 @@ mod tests {
         ] {
             for (l, u) in [(-2i64, 0i64), (-1, 1), (0, 2), (-4, 0)] {
                 let spec = AuWindowSpec::rows(vec![0], l, u);
-                let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), agg, "x");
+                let mut m = MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), agg, "x");
                 // Feed in uneven batches.
                 for chunk in rows.chunks(7) {
                     let batch = rel_of(chunk).to_columns();
-                    assert!(m.batch_in_order(&batch));
+                    m.check_batch(&batch).expect("in order");
                     m.apply(&batch);
                 }
                 let inc = m.result().normalize();
@@ -1027,7 +1144,8 @@ mod tests {
     fn per_append_results_match_full_recompute() {
         let rows = stream_rows(40, 13);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
-        let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
+        let mut m =
+            MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
         let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
         for chunk in rows.chunks(3) {
             m.apply(&rel_of(chunk).to_columns());
@@ -1046,10 +1164,10 @@ mod tests {
     fn closed_rows_are_final() {
         let rows = stream_rows(50, 3);
         let spec = AuWindowSpec::rows(vec![0], -1, 1);
-        let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Max(1), "x");
-        let mut snapshot: Vec<(AuTuple, Mult3)> = Vec::new();
-        for chunk in rows.chunks(5) {
-            m.apply(&rel_of(chunk).to_columns());
+        let mut m = WindowMaintain::new(spec.clone(), WinAgg::Max(1));
+        let mut snapshot: Vec<WindowRow> = Vec::new();
+        for (batch, chunk) in rows.chunks(5).enumerate() {
+            m.apply(&rel_of(chunk).to_columns(), batch as u32);
             // Previously closed rows never change.
             assert_eq!(&m.closed_rows()[..snapshot.len()], &snapshot[..]);
             snapshot = m.closed_rows().to_vec();
@@ -1061,12 +1179,52 @@ mod tests {
         );
     }
 
+    /// A drained row is built from the batch its input row arrived in,
+    /// however many batches later its window closes or it is drained:
+    /// uneven batches, drained at uneven times, add up to the one-shot
+    /// result over everything fed.
+    #[test]
+    fn rows_drained_late_are_built_from_their_own_batch() {
+        let rows = stream_rows(90, 21);
+        let all = rel_of(&rows);
+        for (l, u) in [(-2i64, 0i64), (0, 3)] {
+            let spec = AuWindowSpec::rows(vec![0], l, u);
+            let mut m =
+                MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
+            let mut drained: Vec<(AuTuple, Mult3)> = Vec::new();
+            let mut fed = 0;
+            for (batch, size) in [1usize, 13, 2, 2, 30, 5, 1, 36].into_iter().enumerate() {
+                m.apply(&rel_of(&rows[fed..fed + size]).to_columns());
+                fed += size;
+                // Windows closed two and three batches ago are drained now.
+                if batch % 3 == 2 {
+                    drained.extend(m.drain_new_closed());
+                }
+            }
+            assert_eq!(fed, rows.len());
+            assert!(
+                drained.len() > 20,
+                "{} rows drained on the way",
+                drained.len()
+            );
+            drained.extend(m.drain_new_closed());
+            drained.extend(m.open_result());
+            let streamed = AuRelation::from_rows(Schema::new(["o", "v", "x"]), drained);
+            let one_shot = window_native(&all, &spec, WinAgg::Sum(1), "x");
+            assert!(
+                streamed.bag_eq(&one_shot),
+                "l={l} u={u}\nstreamed:\n{streamed}\none-shot:\n{one_shot}"
+            );
+            assert!(m.result().bag_eq(&one_shot));
+        }
+    }
+
     #[test]
     fn frontier_rejects_out_of_order_batches() {
         let rows = stream_rows(20, 1);
         let spec = AuWindowSpec::rows(vec![0], -1, 0);
-        let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec, WinAgg::Sum(1), "x");
-        m.apply(&rel_of(&rows[..10]).to_columns());
+        let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
+        m.apply(&rel_of(&rows[..10]).to_columns(), 0);
         assert!(m.batch_in_order(&rel_of(&rows[10..]).to_columns()));
         // A row at an order position already covered overlaps the frontier.
         assert!(!m.batch_in_order(&rel_of(&rows[..1]).to_columns()));
@@ -1172,9 +1330,9 @@ mod tests {
     fn reset_reuses_the_pool_arena() {
         let rows = stream_rows(64, 9);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
-        let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
-        m.apply(&rel_of(&rows).to_columns());
-        let first = m.result().normalize();
+        let mut m = WindowMaintain::new(spec.clone(), WinAgg::Sum(1));
+        m.apply(&rel_of(&rows).to_columns(), 0);
+        let first = (m.closed_rows().to_vec(), m.open_rows());
         // Eviction keeps the pool small: the arena high-water mark is the
         // sweep band, not the relation size.
         let slots = m.poss.arena_slots();
@@ -1182,8 +1340,8 @@ mod tests {
         m.reset();
         assert!(m.is_empty());
         assert_eq!(m.poss.arena_slots(), slots, "clear() keeps the arena");
-        m.apply(&rel_of(&rows).to_columns());
+        m.apply(&rel_of(&rows).to_columns(), 0);
         assert_eq!(m.poss.arena_slots(), slots, "refill reuses freed slots");
-        assert!(m.result().normalize().bag_eq(&first));
+        assert_eq!((m.closed_rows().to_vec(), m.open_rows()), first);
     }
 }

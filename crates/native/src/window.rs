@@ -37,14 +37,27 @@
 //! ## Performance notes
 //!
 //! The sweep itself lives in [`crate::maintain`] (its module docs describe
-//! the state). An input row is built once, as the tuple its output row is
-//! finished in; the pool entries carry the aggregated attribute's bounds
+//! the state) and holds no tuple: it reads the aggregated attribute's range
+//! from the lanes and leaves, per closed window, the input row's number and
+//! the aggregate. The pool entries carry the aggregated attribute's bounds
 //! as plain values (an `Int`/`Int` compare is a branch, cloning a `Str` an
 //! `Arc` bump), and a sorted pool scan visits only the heap nodes it
 //! yields. Partitions are index views over the input, not copies; their
-//! sweeps are independent and run in parallel (`audb_par`), with results
-//! concatenated in deterministic partition-value order before the final
-//! normalize.
+//! sweeps are independent and run in parallel (`audb_par`), their rows
+//! concatenated in deterministic partition-value order.
+//!
+//! ## One ranking, one tuple per row
+//!
+//! The output is normalized without a tuple being sorted: its canonical
+//! order ([`audb_core::canonical_order`], what `normalize` would sort by)
+//! is taken from 16-byte `(prefix, row)` references to the lower-bound
+//! corner of the *input* lanes; the aggregate and the other corners are
+//! encoded only for rows that tie on it — split duplicates of one
+//! hypercube, hypercubes equal on every lower bound — which merge when
+//! equal throughout. Each output tuple is then built once, in its place,
+//! and the relation flagged normalized through
+//! [`AuRelation::from_canonical_rows`], which checks the claim in debug
+//! builds. [`window_native_staged`] names where the stages end.
 //!
 //! ## Columns in
 //!
@@ -53,8 +66,10 @@
 //! (`partitions`), never a copy. [`window_native`] is the door for a
 //! caller that holds rows: it transposes them, once.
 
-use crate::maintain::WindowMaintain;
-use audb_core::{AuColumns, AuRelation, AuWindowSpec, Corner, KeyArena, WinAgg};
+use crate::maintain::{WindowMaintain, WindowRow};
+use audb_core::{
+    canonical_order, AuColumns, AuRelation, AuRow, AuWindowSpec, Corner, KeyArena, WinAgg,
+};
 
 /// What [`window_columns_native`] computed, and whether it is the bounds
 /// the engine promises.
@@ -135,7 +150,37 @@ pub fn window_columns_native(
     agg: WinAgg,
     out_name: &str,
 ) -> Result<NativeWindow, String> {
+    run(cols, spec, agg, out_name, None)
+}
+
+/// [`window_columns_native`] with its partitions swept one after another,
+/// calling `stage` with a stage's name as it ends: `"partition"`, then per
+/// partition `"rank"`, `"items"`, `"selected-guess"`, `"sweep"`, then
+/// `"order"` and `"materialise"`. `repro bench`'s `window/stages` block
+/// reads a clock there; the kernel itself never does.
+pub fn window_native_staged(
+    cols: &AuColumns,
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    out_name: &str,
+    stage: &mut dyn FnMut(&'static str),
+) -> Result<NativeWindow, String> {
+    run(cols, spec, agg, out_name, Some(stage))
+}
+
+fn run(
+    cols: &AuColumns,
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    out_name: &str,
+    stage: Option<&mut dyn FnMut(&'static str)>,
+) -> Result<NativeWindow, String> {
+    // Someone listening for stages gets them one partition after another.
+    let parallel = stage.is_none();
+    let mut nobody = |_| {};
+    let stage = stage.unwrap_or(&mut nobody);
     let parts = partitions(cols, &spec.partition)?;
+    stage("partition");
     let inner = AuWindowSpec {
         partition: Vec::new(),
         order: spec.order.clone(),
@@ -147,20 +192,52 @@ pub fn window_columns_native(
     // one-shot operator and the incremental maintenance on the *same* code
     // path is what guarantees they can never disagree. Partitions come in
     // deterministic order; their sweeps are embarrassingly parallel.
-    let sweeps = audb_par::par_map(&parts, |(_, rows)| {
-        let mut m = WindowMaintain::new(cols.schema().clone(), inner.clone(), agg, out_name);
-        m.apply_rows(cols, rows, cols.is_normalized());
+    let sweep = |rows: &[usize], stage: &mut dyn FnMut(&'static str)| {
+        let mut m = WindowMaintain::new(inner.clone(), agg);
+        m.apply_rows(cols, 0, rows, cols.is_normalized(), stage);
         let merged_duplicates = m.merged_duplicates();
-        (m.into_result(), merged_duplicates)
-    });
-    let mut out = AuRelation::empty(cols.schema().with(out_name));
-    let mut merged_duplicates = false;
-    for (mut part_out, part_merged) in sweeps {
-        out.append(&mut part_out);
-        merged_duplicates |= part_merged;
-    }
+        (m.finish(), merged_duplicates)
+    };
+    let sweeps: Vec<(Vec<WindowRow>, bool)> = if parallel {
+        audb_par::par_map(&parts, |(_, rows)| sweep(rows, &mut |_| {}))
+    } else {
+        parts.iter().map(|(_, rows)| sweep(rows, stage)).collect()
+    };
+    let merged_duplicates = sweeps.iter().any(|(_, merged)| *merged);
+    let rows: Vec<WindowRow> = sweeps.into_iter().flat_map(|(rows, _)| rows).collect();
+    // The output's canonical order — what `normalize` would sort these rows
+    // into — from the lower-bound corner of the input lanes; the aggregate
+    // and the other corners are encoded for the rows that tie on it only
+    // (split duplicates of one hypercube, hypercubes equal on every lower
+    // bound), which merge when equal throughout as they would there.
+    let all: Vec<usize> = (0..cols.arity()).collect();
+    let order = canonical_order(
+        rows.len(),
+        all.len(),
+        |out| rows[out].mult,
+        |keys, out| keys.extend_corner_at(cols, rows[out].row as usize, Corner::Lb, &all),
+        |keys, out| {
+            let WindowRow { row, x, .. } = &rows[out];
+            keys.extend_value(&x.lb);
+            keys.extend_corner_at(cols, *row as usize, Corner::Ub, &all);
+            keys.extend_value(&x.ub);
+            keys.extend_corner_at(cols, *row as usize, Corner::Sg, &all);
+            keys.extend_value(&x.sg);
+        },
+    );
+    stage("order");
+    // Each output row is built here, once, where it stays.
+    let batch = std::slice::from_ref(cols);
+    let out = (order.into_iter())
+        .map(|(out, mult)| AuRow {
+            tuple: rows[out].build(batch).0,
+            mult,
+        })
+        .collect();
+    let rel = AuRelation::from_canonical_rows(cols.schema().with(out_name), out);
+    stage("materialise");
     Ok(NativeWindow {
-        rel: out.normalize(),
+        rel,
         merged_duplicates,
     })
 }
@@ -169,7 +246,7 @@ pub fn window_columns_native(
 mod tests {
     use super::*;
     use audb_core::{window_ref, AuTuple, CmpSemantics, Mult3, RangeValue};
-    use audb_rel::Schema;
+    use audb_rel::{Schema, Value};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)
@@ -210,6 +287,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rows that tie on `τ_sg` — equal selected guesses on every
+    /// attribute — are ordered by content, as `sg_ordered_inputs` says, not
+    /// by arrival: `b` arrives first (fewer possible predecessors), `a`
+    /// comes first (smaller lower bounds), and which of them is first
+    /// decides whose selected-guess sum spans one row and whose two.
+    #[test]
+    fn tied_selected_guesses_are_ordered_by_content() {
+        let rel = AuRelation::from_rows(
+            Schema::new(["o", "v"]),
+            [
+                (AuTuple::new([rv(4, 5, 6), rv(1, 2, 3)]), Mult3::ONE), // b
+                (AuTuple::new([rv(0, 5, 9), rv(2, 2, 2)]), Mult3::ONE), // a
+                (AuTuple::new([rv(7, 7, 7), rv(10, 10, 10)]), Mult3::ONE),
+            ],
+        );
+        let spec = AuWindowSpec::rows(vec![0], -1, 0);
+        let native = window_native(&rel, &spec, WinAgg::Sum(1), "x");
+        let sg_of = |o_lb: i64| {
+            let row = (native.rows().iter()).find(|r| r.tuple.get(0).lb == Value::Int(o_lb));
+            row.expect("one row per input row").tuple.get(2).sg.clone()
+        };
+        assert_eq!((sg_of(0), sg_of(4)), (Value::Int(2), Value::Int(4)));
+        let reference = window_ref(&rel, &spec, WinAgg::Sum(1), "x", CmpSemantics::IntervalLex);
+        assert!(
+            native.bag_eq(&reference),
+            "native:\n{native}\nreference:\n{reference}"
+        );
     }
 
     #[test]

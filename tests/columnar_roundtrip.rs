@@ -13,7 +13,7 @@
 //!   predicate-in-arithmetic and comparison-of-predicates corners the
 //!   `ColVals` lowering special-cases.
 
-use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, RangeExpr, RangeValue};
+use audb::core::{AuColumns, AuRelation, AuRow, AuTuple, Mult3, RangeExpr, RangeValue, SortKey};
 use audb::rel::{CmpOp, Schema, Value};
 use proptest::prelude::*;
 
@@ -64,6 +64,44 @@ fn au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
                 .map(|((a, b, c), m)| (AuTuple::new([a, b, c]), m)),
         )
     })
+}
+
+/// `rel` and, after it, three more copies of each of its first rows: one
+/// as it is (equal in everything: they merge), one with the last
+/// attribute's upper bound raised (equal on every `lb`, differing in a
+/// `ub`), one with its selected guess raised as well (differing from that
+/// one in an `sg` only). A string bounds every value from above.
+fn with_ties(rel: &AuRelation) -> AuRelation {
+    let mut out = rel.clone();
+    for row in rel.rows().iter().take(4) {
+        let last = row.tuple.arity() - 1;
+        let top = Value::str("zz");
+        let mut wider = row.tuple.clone();
+        wider.0[last].ub = top.clone();
+        let mut guessed = wider.clone();
+        guessed.0[last].sg = top;
+        for tuple in [row.tuple.clone(), wider, guessed] {
+            out.push(tuple, Mult3::new(0, 1, 1));
+        }
+    }
+    out
+}
+
+/// `normalize` as it was first written: one whole-row [`SortKey`] per
+/// row, a stable sort on it, adjacent equal keys merged into the first.
+fn normalize_by_whole_row_keys(rel: &AuRelation) -> Vec<AuRow> {
+    let mut rows: Vec<&AuRow> = rel.rows().iter().filter(|r| !r.mult.is_zero()).collect();
+    rows.sort_by_key(|r| SortKey::of_row(&r.tuple));
+    let mut out: Vec<AuRow> = Vec::new();
+    for row in rows {
+        match out.last_mut() {
+            Some(last) if SortKey::of_row(&last.tuple) == SortKey::of_row(&row.tuple) => {
+                last.mult = last.mult + row.mult
+            }
+            _ => out.push(row.clone()),
+        }
+    }
+    out
 }
 
 /// Numeric-only relations for expression parity (arithmetic over
@@ -160,10 +198,17 @@ proptest! {
     /// and the result is flagged canonical on both sides.
     #[test]
     fn columnar_normalize_matches_row_normalize(rel in au_relation(10)) {
-        let via_cols = rel.to_columns().normalize();
-        let via_rows = rel.normalize();
-        prop_assert!(via_cols.is_normalized());
-        prop_assert_eq!(via_cols.to_rows().rows(), via_rows.rows());
+        // As generated, and with ties on the lower-bound corner — where
+        // the keyed routine reads the rest of the key — crafted in.
+        for rel in [with_ties(&rel), rel] {
+            let want = normalize_by_whole_row_keys(&rel);
+            let via_cols = rel.to_columns().normalize();
+            prop_assert_eq!(rel.normalized().rows(), want.as_slice());
+            let via_rows = rel.normalize();
+            prop_assert!(via_cols.is_normalized());
+            prop_assert_eq!(via_cols.to_rows().rows(), via_rows.rows());
+            prop_assert_eq!(via_rows.rows(), want.as_slice());
+        }
     }
 
     /// Vectorized ≡ per-row expression evaluation, across batch sizes and

@@ -768,6 +768,13 @@ fn columnar_window_equals_the_row_reference() {
                         let by_cols = window_columns_native(&cols, &spec, agg, "x").expect(&what);
                         // A duplicate is a duplicate stored or merged.
                         assert_eq!(by_cols.merged_duplicates, duplicates, "{what}");
+                        // What the kernel reads off typed lanes — the
+                        // aggregated attribute, the keys of its output order,
+                        // the rows it builds — it reads off `Value` lanes alike.
+                        let generic = window_columns_native(&cols.to_generic(), &spec, agg, "x");
+                        let generic = generic.expect(&what).rel;
+                        assert!(generic.is_normalized() && by_cols.rel.is_normalized());
+                        assert_eq!(generic.rows(), by_cols.rel.rows(), "generic lanes: {what}");
                         merged[usize::from(duplicates)] += 1;
                         if !duplicates {
                             let reference =
@@ -801,8 +808,8 @@ fn columnar_window_equals_the_row_reference() {
 }
 
 /// `SUM` over values within a frame's reach of `i64::MAX` / `i64::MIN`:
-/// both implementations add through `Value::add` (checked, widening to
-/// float on overflow) and must keep agreeing — wrapping `i64` arithmetic
+/// all three implementations add through `Value::add` (checked, widening
+/// to float on overflow) and must keep agreeing — wrapping `i64` arithmetic
 /// anywhere in the sweep would show here. Every value is within 512 of its
 /// edge, so it and every partial sum are exact in `f64` whatever order
 /// the members are added in; zeros keep the two edges out of each other's
@@ -841,6 +848,11 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
             native.bag_eq(&reference),
             "[{l}, {u}]\nnative:\n{native}\nreference:\n{reference}"
         );
+        let rewrite = rewr_window(&rel, &spec, WinAgg::Sum(1), "x", JoinStrategy::default());
+        assert!(
+            rewrite.bag_eq(&reference),
+            "[{l}, {u}]\nrewrite:\n{rewrite}\nreference:\n{reference}"
+        );
         let overflowed = native
             .rows()
             .iter()
@@ -851,6 +863,70 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
             "only {overflowed} sums left i64 over [{l}, {u}]"
         );
     }
+}
+
+/// The kernel emits its rows in canonical order without sorting tuples:
+/// they are, row for row, what `normalize` makes of the same sweep's rows
+/// in close order ([`MaintainedWindow::into_result`] of one batch). The
+/// table is built of what that order has to get right: runs of hypercubes
+/// equal on every lower bound — the order falls to `X` and the other
+/// corners there, and the upper bounds and the selected guesses disagree
+/// about it — and multiplicities above one, stored merged or as copies
+/// apart, whose split rows re-merge where their windows agree (`COUNT`
+/// over the current row; paper Example 7's `k = 2` row) and stay apart
+/// where they do not.
+#[test]
+fn native_window_rows_are_the_normalized_rows() {
+    let schema = Schema::new(["g", "o", "v"]);
+    let rv = |lb: i64, sg: i64, ub: i64| RangeValue::new(lb, sg, ub);
+    let mut rows: Vec<(AuTuple, Mult3)> = Vec::new();
+    for i in 0..40i64 {
+        let g = RangeValue::certain((i / 4) % 2);
+        let o = 10 * (i / 4);
+        // Four rows equal on every lower bound: two identical, and two that
+        // the upper bounds order one way and the selected guesses the other.
+        let (o, v) = match i % 4 {
+            0 | 1 => (rv(o, o, o), rv(3, 3, 3)),
+            2 => (rv(o, o + 2, o + 8), rv(3, 3, 5)),
+            _ => (rv(o, o + 5, o + 6), rv(3, 4, 5)),
+        };
+        let mult = match i % 7 {
+            0 => Mult3::new(2, 2, 2),
+            3 => Mult3::new(1, 2, 3),
+            5 => Mult3::new(0, 1, 1),
+            _ => Mult3::ONE,
+        };
+        rows.push((AuTuple::new([g, o, v]), mult));
+    }
+    // Copies stored apart: the fused normalisation merges them.
+    rows.extend([rows[1].clone(), rows[18].clone(), rows[39].clone()]);
+    let rel = AuRelation::from_rows(schema.clone(), rows);
+    let cols = rel.to_columns();
+    let mut merged_back = 0;
+    for agg in [WinAgg::Count, WinAgg::Sum(2), WinAgg::Min(2)] {
+        for (l, u) in [(0i64, 0i64), (-2, 0), (-1, 1)] {
+            for partition in [vec![], vec![0]] {
+                let spec = AuWindowSpec::rows(vec![1], l, u).partition_by(partition);
+                let what = format!("{agg:?} over [{l}, {u}], partition by {:?}", spec.partition);
+                let kernel = window_columns_native(&cols, &spec, agg, "x").expect(&what);
+                assert!(
+                    kernel.merged_duplicates && kernel.rel.is_normalized(),
+                    "{what}"
+                );
+                let mut swept = MaintainedWindow::new(schema.clone(), spec, agg, "x");
+                swept.apply(&cols);
+                let in_close_order = swept.into_result();
+                assert!(!in_close_order.is_normalized(), "{what}");
+                merged_back += in_close_order.len() - kernel.rel.len();
+                assert_eq!(
+                    kernel.rel.rows(),
+                    in_close_order.normalize().rows(),
+                    "{what}"
+                );
+            }
+        }
+    }
+    assert!(merged_back > 0, "no split rows merged back");
 }
 
 /// The two inputs the native window does not answer — identical hypercubes
