@@ -385,6 +385,7 @@ pub fn fig15(opts: ReproOptions) {
             .build()
             .expect("index-build sort plan");
         let sorted = Engine::native().execute(&sort_plan).expect("native sort");
+        let sorted = sorted.to_rows();
         let pos_col = sorted.schema.arity() - 1;
         let intervals: Vec<(i64, i64)> = sorted
             .rows()

@@ -87,7 +87,8 @@ pub fn make_records(rows: usize, uncertainty: f64, range: i64, seed: u64) -> Vec
         .expect("heap-trace sort plan");
     let sorted = audb_engine::Engine::native()
         .execute(&plan)
-        .expect("native sort");
+        .expect("native sort")
+        .to_rows();
     let pos_col = sorted.schema.arity() - 1;
     let mut recs: Vec<Rec> = sorted
         .rows()

@@ -886,7 +886,11 @@ const PRUNING_MIN_SPEEDUP: f64 = 2.0;
 /// (the transposition, before PR 18).
 const PRUNING_MIN_SPREAD: f64 = 10.0;
 /// ns per row at `SCALING_ROWS[1]` over ns per row at `SCALING_ROWS[0]`.
-const SCALING_MAX_RATIO: f64 = 2.5;
+/// It reads 1.36–1.44 × since the sort stopped building tuples (PR 24:
+/// five runs; 2.5 until then — `materialise` was the stage that did not
+/// scale): the 1.5 × ROADMAP item 1 asked is reached as a reading, and the
+/// gate keeps a fifth above it for a host that is noisy by that much.
+const SCALING_MAX_RATIO: f64 = 1.7;
 /// ns per row of the native window at `WINDOW_SCALING_ROWS[1]` over ns per
 /// row at `WINDOW_SCALING_ROWS[0]`, partitioned and not (ROADMAP item 2b;
 /// it read 1.25 × when the gate was set).
@@ -1235,7 +1239,7 @@ mod tests {
                 pruning(16_000, 1, 0.03, 0.17, 15),
                 pruning(16_000, 50, 0.86, 0.96, 8),
             ],
-            scaling: vec![scaling(32_768, 550.0), scaling(262_144, 900.0)],
+            scaling: vec![scaling(32_768, 162.0), scaling(262_144, 222.0)],
             append: vec![
                 AppendRun {
                     n: 16_384,
@@ -1350,7 +1354,9 @@ mod tests {
 
     #[test]
     fn sort_scaling_gate_fails_alone() {
-        fails_alone("sort-scaling", true, |r| r.scaling[1].ns_per_row = 5_000.0);
+        // 1.9 × the small cell: inside the 2.5 × this gate allowed until
+        // PR 24, outside what it allows now.
+        fails_alone("sort-scaling", true, |r| r.scaling[1].ns_per_row = 307.8);
     }
 
     #[test]

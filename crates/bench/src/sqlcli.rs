@@ -94,7 +94,7 @@ fn run_prepared(
         write!(out, "{}", session.engine().explain(prepared.plan()))?;
     }
     match session.execute(prepared) {
-        Ok(result) => write!(out, "{}", result.normalize())?,
+        Ok(result) => write!(out, "{}", result.normalize().to_rows())?,
         Err(e) => writeln!(out, "error: {e}")?,
     }
     Ok(())

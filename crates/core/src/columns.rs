@@ -37,9 +37,9 @@ use crate::mult::Mult3;
 use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
 use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
-use crate::sortkey::Corner;
+use crate::sortkey::{Corner, SortKey};
 use crate::tuple::AuTuple;
-use audb_rel::Schema;
+use audb_rel::{Schema, Value};
 use std::fmt;
 
 pub(crate) use crate::physical::value_heap_bytes;
@@ -137,6 +137,24 @@ impl AuColumn {
                 sg: sg.value(row),
                 ub: ub.value(row),
             },
+        }
+    }
+
+    /// An integer column from its three bound lanes (the sort's position
+    /// column: the sweep fills them) — no `Value` is built. The certainty
+    /// bits are read off the lanes in one pass; the column collapses to
+    /// the certain fast path when every row is a point.
+    pub fn from_i64_lanes(lb: Vec<i64>, sg: Vec<i64>, ub: Vec<i64>) -> AuColumn {
+        debug_assert!(lb.len() == sg.len() && sg.len() == ub.len());
+        let certain = CertBitmap::from_fn(sg.len(), |i| lb[i] == sg[i] && sg[i] == ub[i]);
+        if certain.count_certain() == certain.len() {
+            return AuColumn::Certain(PhysVec::I64(sg));
+        }
+        AuColumn::Ranged {
+            lb: PhysVec::I64(lb),
+            sg: PhysVec::I64(sg),
+            ub: PhysVec::I64(ub),
+            certain,
         }
     }
 
@@ -300,6 +318,43 @@ impl AuColumn {
     }
 }
 
+/// One column as [`AuColumns::to_rows`] reads it: integer lanes — most
+/// cells of most results — as the slices they are, so a cell costs one
+/// dispatch and no lane lookup; anything else through the column.
+enum CellReader<'a> {
+    CertainI64(&'a [i64]),
+    RangedI64([&'a [i64]; 3]),
+    Other(&'a AuColumn),
+}
+
+impl<'a> CellReader<'a> {
+    fn of(col: &'a AuColumn) -> Self {
+        match col {
+            AuColumn::Certain(PhysVec::I64(v)) => CellReader::CertainI64(v),
+            AuColumn::Ranged {
+                lb: PhysVec::I64(lb),
+                sg: PhysVec::I64(sg),
+                ub: PhysVec::I64(ub),
+                ..
+            } => CellReader::RangedI64([lb, sg, ub]),
+            other => CellReader::Other(other),
+        }
+    }
+
+    #[inline]
+    fn range_value(&self, i: usize) -> RangeValue {
+        match self {
+            CellReader::CertainI64(v) => RangeValue::certain(v[i]),
+            CellReader::RangedI64([lb, sg, ub]) => RangeValue {
+                lb: Value::Int(lb[i]),
+                sg: Value::Int(sg[i]),
+                ub: Value::Int(ub[i]),
+            },
+            CellReader::Other(col) => col.range_value(i),
+        }
+    }
+}
+
 /// A columnar AU-relation: the same bag an [`AuRelation`] holds, stored
 /// struct-of-arrays. See the module docs for the layout and the
 /// encapsulation contract.
@@ -388,35 +443,14 @@ impl AuColumns {
 
     /// Materialize back to the row representation, preserving the
     /// normalized flag (the inverse of [`AuColumns::from_relation`]).
-    /// Column-major: tuples are pre-allocated, then each bound vector is
-    /// swept contiguously into them.
+    /// Row-major: each tuple is allocated at its arity and filled once, in
+    /// one pass over the row — no tuple is revisited per column — through
+    /// readers that resolved each column's layout before the first row.
     pub fn to_rows(&self) -> AuRelation {
-        let mut tuples: Vec<Vec<RangeValue>> = (0..self.len)
-            .map(|_| Vec::with_capacity(self.arity()))
-            .collect();
-        for col in &self.cols {
-            match col {
-                AuColumn::Certain(v) => {
-                    for (k, t) in tuples.iter_mut().enumerate() {
-                        t.push(RangeValue::certain(v.value(k)));
-                    }
-                }
-                AuColumn::Ranged { lb, sg, ub, .. } => {
-                    for (k, t) in tuples.iter_mut().enumerate() {
-                        t.push(RangeValue {
-                            lb: lb.value(k),
-                            sg: sg.value(k),
-                            ub: ub.value(k),
-                        });
-                    }
-                }
-            }
-        }
-        let rows = tuples
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| AuRow {
-                tuple: AuTuple(t),
+        let readers: Vec<CellReader<'_>> = self.cols.iter().map(CellReader::of).collect();
+        let rows = (0..self.len)
+            .map(|i| AuRow {
+                tuple: AuTuple(readers.iter().map(|r| r.range_value(i)).collect()),
                 mult: self.mult(i),
             })
             .collect();
@@ -610,6 +644,47 @@ impl AuColumns {
         }
     }
 
+    /// What an order-based operator emits: the rows at `idxs` (in that
+    /// order, repeats allowed — a split row appears once per duplicate)
+    /// under the annotation lanes `mults` (`[k↓, k_sg, k↑]`, moved in),
+    /// extended by the one attribute the operator computes. Typed lanes
+    /// gather as primitive copies; no tuple is built.
+    pub fn gather_extended(
+        &self,
+        idxs: &[usize],
+        mults: [Vec<u64>; 3],
+        name: &str,
+        extra: AuColumn,
+    ) -> AuColumns {
+        debug_assert!(mults.iter().all(|lane| lane.len() == idxs.len()));
+        debug_assert_eq!(extra.len(), idxs.len());
+        let [mult_lb, mult_sg, mult_ub] = mults;
+        let mut cols: Vec<AuColumn> = Vec::with_capacity(self.arity() + 1);
+        cols.extend(self.cols.iter().map(|c| c.gather(idxs)));
+        cols.push(extra);
+        AuColumns {
+            schema: self.schema.with(name),
+            len: idxs.len(),
+            cols,
+            mult_lb,
+            mult_sg,
+            mult_ub,
+            normalized: false,
+        }
+    }
+
+    /// Columns already in canonical form — ascending on the whole-row key
+    /// ([`SortKey::of_columns`]), no two rows equal, none annotated
+    /// `(0,0,0)` — flagged normalized without the pass: the door for an
+    /// operator that emits in that order (the native window). Debug builds
+    /// check the claim.
+    pub fn assume_canonical(mut self) -> AuColumns {
+        debug_assert!((0..self.len).all(|i| !self.mult(i).is_zero()));
+        debug_assert!(SortKey::of_columns(&self).windows(2).all(|w| w[0] < w[1]));
+        self.normalized = true;
+        self
+    }
+
     /// Canonical form, computed entirely columnar: the keys of
     /// [`canonical_order`] are encoded straight from the typed lanes (no
     /// per-row tuple is ever materialized) and the surviving rows gathered.
@@ -795,6 +870,77 @@ mod tests {
         assert_eq!(cols.to_rows().rows(), rows.rows());
         // Idempotent: a second normalize is the identity fast path.
         assert_eq!(cols.clone().normalize().to_rows().rows(), rows.rows());
+    }
+
+    /// What a breaker emits: the input gathered by an index with repeats,
+    /// fresh annotation lanes, one computed column — the position column
+    /// from its `i64` lanes, collapsed when every row is a point.
+    #[test]
+    fn gather_extended_appends_the_computed_column() {
+        let cols = sample().to_columns();
+        let lanes = |v: [i64; 3]| v.to_vec();
+        let pos = AuColumn::from_i64_lanes(lanes([0, 1, 3]), lanes([0, 2, 3]), lanes([0, 2, 3]));
+        assert!(!pos.is_certain() && pos.certain_at(0) && !pos.certain_at(1) && pos.certain_at(2));
+        let mults = [vec![1, 0, 0], vec![1, 1, 0], vec![1, 1, 1]];
+        let out = cols.gather_extended(&[1, 1, 0], mults, "pos", pos);
+        assert!(!out.is_normalized());
+        assert_eq!(out.schema().cols(), &["a", "b", "pos"]);
+        let rows = out.to_rows();
+        assert_eq!(rows.rows()[1].tuple.get(0), &RangeValue::certain(5i64));
+        assert_eq!(rows.rows()[1].tuple.get(2), &rv(1, 2, 2));
+        assert_eq!(rows.rows()[1].mult, Mult3::new(0, 1, 1));
+        assert_eq!(rows.rows()[2].tuple.get(0), &rv(1, 2, 3));
+        assert_eq!(rows.rows()[2].mult, Mult3::new(0, 0, 1));
+        let all = AuColumn::from_i64_lanes(lanes([4, 5, 6]), lanes([4, 5, 6]), lanes([4, 5, 6]));
+        assert!(all.is_certain());
+        assert_eq!(all.range_value(2), RangeValue::certain(6i64));
+    }
+
+    /// `assume_canonical` takes the caller's word in release builds and
+    /// checks it in debug builds: canonical columns pass and are flagged…
+    #[test]
+    fn assume_canonical_flags_canonical_columns() {
+        let canonical = sample().normalize();
+        let mut unflagged = AuColumns::empty(canonical.schema.clone());
+        for row in canonical.rows() {
+            unflagged.push_row(&row.tuple, row.mult);
+        }
+        assert!(!unflagged.is_normalized());
+        let flagged = unflagged.assume_canonical();
+        assert!(flagged.is_normalized());
+        assert_eq!(flagged.to_rows().rows(), canonical.rows());
+    }
+
+    /// …and each way of not being canonical panics there.
+    #[cfg(debug_assertions)]
+    mod assume_canonical_checks_its_claim {
+        use super::*;
+
+        fn of(rows: [(i64, Mult3); 2]) -> AuColumns {
+            let mut cols = AuColumns::empty(Schema::new(["a"]));
+            for (a, mult) in rows {
+                cols.push_row(&AuTuple::new([RangeValue::certain(a)]), mult);
+            }
+            cols
+        }
+
+        #[test]
+        #[should_panic]
+        fn out_of_order() {
+            of([(2, Mult3::ONE), (1, Mult3::ONE)]).assume_canonical();
+        }
+
+        #[test]
+        #[should_panic]
+        fn duplicate() {
+            of([(1, Mult3::ONE), (1, Mult3::ONE)]).assume_canonical();
+        }
+
+        #[test]
+        #[should_panic]
+        fn zero_annotated() {
+            of([(1, Mult3::ONE), (2, Mult3::ZERO)]).assume_canonical();
+        }
     }
 
     #[test]

@@ -162,6 +162,19 @@ impl CertBitmap {
         CertBitmap { bits, len: n }
     }
 
+    /// The bitmap of `n` rows whose bit `i` is `certain(i)`, a word at a
+    /// time (a producer that holds its lanes whole asks once, in one tight
+    /// loop, instead of pushing a bit per row as it goes).
+    pub fn from_fn(n: usize, certain: impl Fn(usize) -> bool) -> CertBitmap {
+        let bits = (0..n.div_ceil(64))
+            .map(|w| {
+                let rows = w * 64..n.min(w * 64 + 64);
+                rows.fold(0u64, |word, i| word | u64::from(certain(i)) << (i % 64))
+            })
+            .collect();
+        CertBitmap { bits, len: n }
+    }
+
     /// Number of rows covered.
     pub fn len(&self) -> usize {
         self.len
@@ -688,6 +701,12 @@ mod tests {
             assert_eq!(bm.get(i), i % 3 == 0, "bit {i}");
         }
         assert_eq!(bm.count_certain(), (0..130).filter(|i| i % 3 == 0).count());
+        assert_eq!(CertBitmap::from_fn(130, |i| i % 3 == 0), bm);
+        assert_eq!(
+            CertBitmap::from_fn(64, |_| true),
+            CertBitmap::all_certain(64)
+        );
+        assert_eq!(CertBitmap::from_fn(0, |_| true), CertBitmap::new());
         let g = bm.gather(&[0, 1, 129]);
         assert_eq!((g.get(0), g.get(1), g.get(2)), (true, false, true));
         let mut all = CertBitmap::all_certain(70);

@@ -2,7 +2,7 @@
 
 use crate::mult::Mult3;
 use crate::range_value::RangeValue;
-use crate::sortkey::{KeyArena, SortKey};
+use crate::sortkey::KeyArena;
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
 use std::borrow::Cow;
@@ -215,18 +215,6 @@ impl AuRelation {
         )
     }
 
-    /// Rows already in canonical form — ascending on [`SortKey::of_row`],
-    /// no two equal, none annotated `(0,0,0)` — flagged normalized without
-    /// the pass: the door for an operator that emits in that order (the
-    /// native window). Debug builds check the claim.
-    pub fn from_canonical_rows(schema: Schema, rows: Vec<AuRow>) -> Self {
-        debug_assert!(rows.iter().all(|r| !r.mult.is_zero()));
-        debug_assert!(rows
-            .windows(2)
-            .all(|w| SortKey::of_row(&w[0].tuple) < SortKey::of_row(&w[1].tuple)));
-        AuRelation::from_parts(schema, rows, true)
-    }
-
     /// Bag equality up to normalization. Normalized operands are compared
     /// in place — no clone, no re-normalization.
     pub fn bag_eq(&self, other: &AuRelation) -> bool {
@@ -284,7 +272,7 @@ impl AuRelation {
 /// The canonical order of a bag of `n` rows — the one `normalize` of both
 /// layouts and the native window's output share: rows annotated `(0,0,0)`
 /// dropped, the rest ascending on the whole-row key (every attribute's
-/// `lb`, then every `ub`, then every `sg`: [`SortKey::of_row`]), rows with
+/// `lb`, then every `ub`, then every `sg`: [`crate::SortKey::of_row`]), rows with
 /// equal keys merged into the first stored of them, annotations added.
 /// Returns `(representative row, merged annotation)` in that order.
 ///
@@ -420,19 +408,6 @@ mod tests {
         let r = r.normalize();
         assert_eq!(r.rows(), want);
         assert!(r.is_normalized());
-        let again = AuRelation::from_canonical_rows(r.schema.clone(), r.rows().to_vec());
-        assert!(again.is_normalized());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic]
-    fn from_canonical_rows_checks_its_claim() {
-        let rows = [rv(2, 2, 2), rv(1, 1, 1)].map(|a| AuRow {
-            tuple: AuTuple::new([a]),
-            mult: Mult3::ONE,
-        });
-        AuRelation::from_canonical_rows(Schema::new(["a"]), rows.to_vec());
     }
 
     #[test]

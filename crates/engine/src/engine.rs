@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
 use crate::plan::{Op, Plan};
-use audb_core::{AuRelation, CmpSemantics};
+use audb_core::{AuColumns, CmpSemantics};
 use std::fmt;
 use std::time::Duration;
 
@@ -66,9 +66,9 @@ impl fmt::Display for BackendChoice {
 /// );
 /// let plan = Query::scan(rel).sort_by(["sales"]).topk(1).build()?;
 /// let engine = Engine::native();
-/// let top = engine.execute(&plan)?;                // one backend
+/// let top = engine.execute(&plan)?;                // one backend: columns
 /// let agreed = engine.run_all(&plan)?;             // all three + agreement
-/// assert!(top.bag_eq(&agreed.output));
+/// assert!(top.to_rows().bag_eq(&agreed.output.to_rows()));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -211,7 +211,11 @@ impl Engine {
 
     /// Run `plan` the one way `choice` runs plans: the native method is
     /// the pipelined executor, the two row oracles go through the row loop.
-    fn run(&self, choice: BackendChoice, plan: &Plan) -> (AuRelation, ExecTrace) {
+    fn run(
+        &self,
+        choice: BackendChoice,
+        plan: &Plan,
+    ) -> Result<(AuColumns, ExecTrace), EngineError> {
         let batch_size = self.choose_exec(plan).batch_size;
         match choice {
             BackendChoice::Native => exec::run_pipelined(plan, batch_size, self.pruning),
@@ -270,15 +274,17 @@ impl Engine {
     }
 
     /// Execute a plan on the effective backend (through the physical
-    /// execution layer, the one way that backend runs plans).
-    pub fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
-        self.execute_traced(plan).map(|(rel, _)| rel)
+    /// execution layer, the one way that backend runs plans). The result
+    /// is columnar; [`AuColumns::to_rows`] is the door for a caller that
+    /// wants tuples.
+    pub fn execute(&self, plan: &Plan) -> Result<AuColumns, EngineError> {
+        self.execute_traced(plan).map(|(cols, _)| cols)
     }
 
     /// Execute a plan, also returning the executor's per-operator wall
     /// times and batch counts.
-    pub fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
-        Ok(self.run(self.effective(), plan))
+    pub fn execute_traced(&self, plan: &Plan) -> Result<(AuColumns, ExecTrace), EngineError> {
+        self.run(self.effective(), plan)
     }
 
     /// Describe how this engine would run the plan: chosen backend (after
@@ -334,11 +340,12 @@ impl Engine {
             semantics: CmpSemantics::IntervalLex,
             ..*self
         };
-        let mut output: Option<AuRelation> = None;
+        // Compared as rows — `bag_eq` is theirs — and kept as columns.
+        let mut output = None;
         let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
         for choice in BackendChoice::ALL {
             let start = std::time::Instant::now();
-            let (out, trace) = comparable.run(choice, plan);
+            let (out, trace) = comparable.run(choice, plan)?;
             let elapsed = start.elapsed();
             runs.push(BackendRun {
                 backend: choice,
@@ -347,24 +354,23 @@ impl Engine {
                 rows: out.len(),
                 ops: trace.ops,
             });
+            let rows = out.to_rows();
             match &output {
-                None => output = Some(out),
-                Some(baseline) => {
-                    if !baseline.bag_eq(&out) {
+                None => output = Some((out, rows)),
+                Some((_, baseline)) => {
+                    if !baseline.bag_eq(&rows) {
                         return Err(EngineError::BackendDisagreement {
                             baseline: "reference",
                             other: choice.name(),
                             baseline_output: baseline.to_string(),
-                            other_output: out.to_string(),
+                            other_output: rows.to_string(),
                         });
                     }
                 }
             }
         }
-        Ok(RunAll {
-            output: output.expect("at least one backend ran"),
-            runs,
-        })
+        let (output, _) = output.expect("at least one backend ran");
+        Ok(RunAll { output, runs })
     }
 }
 
@@ -389,7 +395,7 @@ pub struct BackendRun {
 #[derive(Clone, Debug)]
 pub struct RunAll {
     /// The (bag-equal) output, as produced by the reference backend.
-    pub output: AuRelation,
+    pub output: AuColumns,
     /// Per-backend wall-clock timings, in [`BackendChoice::ALL`] order.
     pub runs: Vec<BackendRun>,
 }

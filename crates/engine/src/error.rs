@@ -125,6 +125,13 @@ pub enum EngineError {
         /// Display form of the disagreeing output.
         other_output: String,
     },
+    /// An order-based operator would emit more rows than the kernels index
+    /// (one per possible duplicate of its input, `u32::MAX` at most):
+    /// refused before anything is allocated for them.
+    ResultTooLarge {
+        /// The rows it would emit (`u64::MAX` when the sum leaves `u64`).
+        rows: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -140,6 +147,24 @@ impl fmt::Display for EngineError {
                 f,
                 "backend {other} disagrees with {baseline}:\n--- {baseline} ---\n{baseline_output}\n--- {other} ---\n{other_output}"
             ),
+            EngineError::ResultTooLarge { rows } => write!(
+                f,
+                "an ORDER BY or window over this input would emit {rows} rows \
+                 (one per possible duplicate); at most {} are supported",
+                u32::MAX
+            ),
+        }
+    }
+}
+
+impl EngineError {
+    /// A stable machine-readable tag for this error variant (see
+    /// [`SessionError::kind`]).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            EngineError::Plan(e) => e.kind(),
+            EngineError::BackendDisagreement { .. } => "backend_disagreement",
+            EngineError::ResultTooLarge { .. } => "result_too_large",
         }
     }
 }
@@ -148,7 +173,7 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Plan(e) => Some(e),
-            EngineError::BackendDisagreement { .. } => None,
+            EngineError::BackendDisagreement { .. } | EngineError::ResultTooLarge { .. } => None,
         }
     }
 }
@@ -207,8 +232,7 @@ impl SessionError {
             SessionError::ExpressionNeedsAlias { .. } => "needs_alias",
             SessionError::InvalidRangeLiteral { .. } => "invalid_range_literal",
             SessionError::Plan(e) => e.kind(),
-            SessionError::Engine(EngineError::Plan(e)) => e.kind(),
-            SessionError::Engine(EngineError::BackendDisagreement { .. }) => "backend_disagreement",
+            SessionError::Engine(e) => e.kind(),
         }
     }
 

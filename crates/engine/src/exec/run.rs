@@ -6,7 +6,7 @@
 //! * [`run_materialized`] — the operator-at-a-time loop over the Defs. 2–3
 //!   row operators of `audb-core` and the oracle's breaker hooks, a full
 //!   [`AuRelation`] between steps (the first made by the oracle's scan,
-//!   once per execution). Rows throughout.
+//!   once per execution). Rows throughout, transposed once, at its end.
 //! * [`run_pipelined`] — the lowered [`Pipeline`]s over columns
 //!   ([`AuColumns`]) throughout. A fused stage reads the scanned table's
 //!   stored segments when it reads the source unchanged
@@ -17,20 +17,24 @@
 //!   precede batch `i + 1`'s) and its output stays columnar. A breaker is
 //!   `audb-native`'s columnar kernel (of a source stored in several
 //!   segments, over one concatenation per execution). The kernels emit
-//!   rows: a breaker's are the plan's result when it is last, and are
-//!   transposed — at the one site that does so — when anything follows.
+//!   columns, so what a breaker returns is what the next stage reads and
+//!   what the plan returns: nothing is transposed on the way.
 //!
-//! Both collect an [`ExecTrace`]: per-operator wall time, batch count and
-//! output cardinality.
+//! Both return [`AuColumns`] — whoever wants tuples calls
+//! [`AuColumns::to_rows`] at its own door — and collect an [`ExecTrace`]:
+//! per-operator wall time, batch count and output cardinality. Both ask,
+//! before a breaker allocates anything, how many rows it would emit
+//! ([`EngineError::ResultTooLarge`]).
 
 use super::lower::{fuse_label, lower, Pipeline};
 use crate::backend::Backend;
 use crate::catalog::Segment;
+use crate::error::EngineError;
 use crate::plan::{Op, Plan};
 use audb_core::{
-    range_verdict, window_ref, AuBatch, AuColumns, AuRelation, CmpSemantics, Mult3, TableStats,
-    ZoneVerdict,
+    range_verdict, window_ref, AuBatch, AuColumns, CmpSemantics, Mult3, TableStats, ZoneVerdict,
 };
+use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS};
 use audb_rel::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -98,13 +102,32 @@ pub struct ExecTrace {
     pub ops: Vec<OpTiming>,
 }
 
-/// The operator-at-a-time loop of a row oracle: every step materializes.
-/// `batch_size` only sets the nominal scan batch count of the trace.
+/// An order-based operator emits one row per possible duplicate of its
+/// input (`split`, Algorithm 2): refuse it — before it allocates anything
+/// — when that is more than the kernels' `u32` row index holds. `limit`
+/// is the `LIMIT k` that bounds the emission (the native sort stops
+/// splitting a row at `k`; the row oracles sort everything first and pass
+/// `None`).
+fn check_output_rows(
+    mult_ub: impl IntoIterator<Item = u64>,
+    limit: Option<u64>,
+) -> Result<(), EngineError> {
+    match output_rows_bound(mult_ub, limit) {
+        Some(rows) if rows <= MAX_OUTPUT_ROWS => Ok(()),
+        bound => Err(EngineError::ResultTooLarge {
+            rows: bound.unwrap_or(u64::MAX),
+        }),
+    }
+}
+
+/// The operator-at-a-time loop of a row oracle: every step materializes,
+/// and the last relation is transposed for the caller. `batch_size` only
+/// sets the nominal scan batch count of the trace.
 pub fn run_materialized<B: Backend + ?Sized>(
     backend: &B,
     plan: &Plan,
     batch_size: usize,
-) -> (AuRelation, ExecTrace) {
+) -> Result<(AuColumns, ExecTrace), EngineError> {
     let mut ops = Vec::with_capacity(plan.ops().len() + 1);
     let start = Instant::now();
     let mut cur = backend.scan(plan.source_columns());
@@ -116,6 +139,9 @@ pub fn run_materialized<B: Backend + ?Sized>(
     });
     for op in plan.ops() {
         let start = Instant::now();
+        if op.is_breaker() {
+            check_output_rows(cur.rows().iter().map(|r| r.mult.ub), None)?;
+        }
         cur = match op {
             Op::Select { pred } => audb_core::au_select(&cur, pred),
             Op::Project { exprs } => {
@@ -149,7 +175,8 @@ pub fn run_materialized<B: Backend + ?Sized>(
         batches_scanned: 0,
         ops,
     };
-    (cur, trace)
+    // lint: allow(no-transpose-between-operators) -- the row oracles' door: their operators are defined over rows, and their result joins the columnar one here, once
+    Ok((cur.to_columns(), trace))
 }
 
 /// Zone-map verdicts for one batch of the first fused stage: whether the
@@ -403,7 +430,8 @@ pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize, prune: bool) -> AuCol
     run_fused(&steps, &segment_parts(source.segments(), prune), batch_size).out
 }
 
-/// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8).
+/// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8),
+/// columns in and columns out.
 ///
 /// The native window requires certain `PARTITION BY` attributes and treats
 /// duplicate multiplicities by position offsets — tighter than, but
@@ -413,27 +441,36 @@ pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize, prune: bool) -> AuCol
 /// so the input is neither copied nor sorted to ask, and either one sends
 /// the rows to the reference. The duplicate case costs one discarded
 /// O(n log n) sweep before the O(n²) reference.
-fn run_breaker(op: &Op, cols: &AuColumns) -> AuRelation {
+fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
     match op {
         Op::Sort {
             order,
             pos_name,
             limit,
-        } => audb_native::sort_columns_native(cols, order, pos_name, *limit),
+        } => {
+            check_output_rows(cols.mult_ub().iter().copied(), *limit)?;
+            Ok(audb_native::sort_columns_native(
+                cols, order, pos_name, *limit,
+            ))
+        }
         Op::Window {
             spec,
             agg,
             out_name,
-        } => match audb_native::window_columns_native(cols, spec, *agg, out_name) {
-            Ok(out) if !out.merged_duplicates => out.rel,
-            _ => window_ref(
-                &cols.to_rows(),
-                spec,
-                *agg,
-                out_name,
-                CmpSemantics::IntervalLex,
-            ),
-        },
+        } => {
+            check_output_rows(cols.mult_ub().iter().copied(), None)?;
+            let swept = audb_native::window_columns_native(cols, spec, *agg, out_name);
+            Ok(match swept {
+                Ok(out) if !out.merged_duplicates => out.rel,
+                _ => {
+                    // lint: allow(no-transpose-between-operators) -- the reference fallback: Def. 3 is defined over rows, and a plan that takes it is already paying O(n²)
+                    let rows = cols.to_rows();
+                    let out = window_ref(&rows, spec, *agg, out_name, CmpSemantics::IntervalLex);
+                    // lint: allow(no-transpose-between-operators) -- the same fallback, on its way back
+                    out.to_columns()
+                }
+            })
+        }
         _ => unreachable!("only order-based operators are pipeline breakers"),
     }
 }
@@ -442,7 +479,11 @@ fn run_breaker(op: &Op, cols: &AuColumns) -> AuRelation {
 /// `audb-native`'s columnar kernels. `prune` switches zone-map batch
 /// skipping (the disabled arm is the within-run comparison baseline of
 /// `repro bench` and the pruned ≡ unpruned property test).
-pub fn run_pipelined(plan: &Plan, batch_size: usize, prune: bool) -> (AuRelation, ExecTrace) {
+pub fn run_pipelined(
+    plan: &Plan,
+    batch_size: usize,
+    prune: bool,
+) -> Result<(AuColumns, ExecTrace), EngineError> {
     let pipelines: Vec<Pipeline> = lower(plan);
     let mut trace = ExecTrace {
         mode: ExecMode::Pipelined,
@@ -494,32 +535,24 @@ pub fn run_pipelined(plan: &Plan, batch_size: usize, prune: bool) -> (AuRelation
             // A breaker over the untouched source reads it as one
             // `AuColumns`: the segment when there is one, else a copy of
             // the lanes made here — O(n) ahead of an Ω(n log n) operator.
-            let rows = match &cur {
-                None => run_breaker(op, &source.contiguous()),
-                Some(cols) => run_breaker(op, cols),
+            let out = match &cur {
+                None => run_breaker(op, &source.contiguous())?,
+                Some(cols) => run_breaker(op, cols)?,
             };
-            // The kernels emit rows. Last in the plan, they are its result
-            // as they stand; else this is where they become columns again.
-            let last = b + 1 == plan.ops().len();
-            cur = (!last).then(|| rows.to_columns());
             trace.ops.push(OpTiming {
                 label: op.name().to_string(),
                 elapsed: start.elapsed(),
                 batches: 1,
-                rows_out: rows.len(),
+                rows_out: out.len(),
             });
-            if last {
-                return (rows, trace);
-            }
+            cur = Some(out);
         }
     }
-    // The plan ends in a fused stage — or in its scan — and builds its
-    // rows here.
-    let rows = match cur {
-        None => source.contiguous().to_rows(),
-        Some(cols) => cols.to_rows(),
-    };
-    (rows, trace)
+    // A plan that is only its scan returns the stored lanes, copied.
+    Ok((
+        cur.unwrap_or_else(|| source.contiguous().into_owned()),
+        trace,
+    ))
 }
 
 #[cfg(test)]
@@ -527,7 +560,7 @@ mod tests {
     use super::*;
     use crate::backend::{Reference, Rewrite};
     use crate::plan::{Agg, Query, WindowSpec};
-    use audb_core::{AuTuple, Mult3, RangeExpr, RangeValue};
+    use audb_core::{AuRelation, AuTuple, Mult3, RangeExpr, RangeValue};
     use audb_rel::Schema;
 
     fn rel(n: usize) -> AuRelation {
@@ -568,12 +601,12 @@ mod tests {
     /// The row loop on `oracle`: one trace entry per operator, under their
     /// own names.
     fn materialized(oracle: &dyn Backend, plan: &Plan) -> AuRelation {
-        let (out, trace) = run_materialized(oracle, plan, DEFAULT_BATCH_SIZE);
+        let (out, trace) = run_materialized(oracle, plan, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(trace.mode, ExecMode::Materialized);
         let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
         let names: Vec<&str> = plan.ops().iter().map(Op::name).collect();
         assert_eq!(labels, [&["scan"], &names[..]].concat());
-        out
+        out.to_rows()
     }
 
     /// The oracle arm of every comparison below: the operator-at-a-time
@@ -582,9 +615,11 @@ mod tests {
         materialized(&Reference::default(), plan)
     }
 
-    /// The native method with pruning on: the output, and the trace.
+    /// The native method with pruning on: the output — as rows, this
+    /// module's door — and the trace.
     fn execute(plan: &Plan, batch_size: usize) -> (AuRelation, ExecTrace) {
-        run_pipelined(plan, batch_size, true)
+        let (out, trace) = run_pipelined(plan, batch_size, true).unwrap();
+        (out.to_rows(), trace)
     }
 
     /// The batch-boundary contract: batch size 1 (every row its own
@@ -705,7 +740,8 @@ mod tests {
         let (pruned, trace) = execute(&plan, ZONE_ROWS);
         assert_eq!(trace.batches_skipped, 3);
         assert_eq!(trace.batches_scanned, 1);
-        let (unpruned, off) = run_pipelined(&plan, ZONE_ROWS, false);
+        let (unpruned, off) = run_pipelined(&plan, ZONE_ROWS, false).unwrap();
+        let unpruned = unpruned.to_rows();
         assert_eq!(off.batches_skipped, 0);
         assert_eq!(off.batches_scanned, 4);
         assert!(pruned.bag_eq(&unpruned));
@@ -758,7 +794,8 @@ mod tests {
         session.shared_catalog().append("c", &tail).unwrap();
         let run = |sql: &str, batch_size: usize, prune: bool| {
             let prepared = session.prepare(sql).unwrap();
-            let (out, trace) = run_pipelined(prepared.plan(), batch_size, prune);
+            let (out, trace) = run_pipelined(prepared.plan(), batch_size, prune).unwrap();
+            let out = out.to_rows();
             assert!(out.bag_eq(&reference(prepared.plan())), "{sql}");
             (out, trace.batches_skipped, trace.batches_scanned)
         };
@@ -785,11 +822,57 @@ mod tests {
         );
     }
 
+    /// The refusal sits exactly at the kernels' index width, and a `LIMIT`
+    /// counts no more than `k` duplicates of a row.
+    #[test]
+    fn output_rows_are_checked_at_the_index_width() {
+        let edge = u64::from(u32::MAX);
+        assert!(check_output_rows([edge - 1, 1], None).is_ok());
+        let over = check_output_rows([edge, 1], None).unwrap_err();
+        assert!(matches!(over, EngineError::ResultTooLarge { rows } if rows == edge + 1));
+        assert!(check_output_rows([u64::MAX, u64::MAX], Some(3)).is_ok());
+        assert!(check_output_rows([u64::MAX, 1], Some(edge)).is_err());
+        let wrapped = check_output_rows([u64::MAX, 1], None).unwrap_err();
+        assert!(matches!(
+            wrapped,
+            EngineError::ResultTooLarge { rows: u64::MAX }
+        ));
+    }
+
+    /// `sort → select → window`: what the sort emits is what the fused
+    /// stage reads, what that emits is what the window reads, and what the
+    /// window emits is the result — its lanes and its canonical-order flag
+    /// arrive as the kernel left them, nothing transposed on the way.
+    #[test]
+    fn columns_flow_from_breaker_to_breaker_untransposed() {
+        let plan = Query::scan(rel(29))
+            .sort_by_as(["b", "a"], "r1")
+            .select(RangeExpr::col(2).lt(RangeExpr::lit(20)))
+            .window(
+                WindowSpec::rows(-2, 0)
+                    .order_by(["r1"])
+                    .aggregate(Agg::sum("a"))
+                    .output("s"),
+            )
+            .build()
+            .unwrap();
+        for batch_size in [1, 7, 64] {
+            let (out, trace) = run_pipelined(&plan, batch_size, true).unwrap();
+            let ran: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
+            assert_eq!(ran, ["scan", "sort", "fuse(select)", "window"]);
+            assert_eq!(trace.ops[3].rows_out, out.len());
+            assert!(out.is_normalized(), "the window's flag is the result's");
+            assert_eq!(out.schema(), plan.schema());
+            let rows = out.to_rows();
+            assert!(rows.is_normalized());
+            assert_eq!(rows.rows(), reference(&plan).normalize().rows());
+        }
+    }
+
     /// Multi-breaker plans: every pipeline runs, intermediate fused stages
     /// see the previous breaker's output schema — and so does a breaker
-    /// that follows a breaker directly: what a breaker emits reaches
-    /// whatever comes next through the one post-breaker transposition, and
-    /// is the result as it stands when nothing does.
+    /// that follows a breaker directly: what a breaker emits is what the
+    /// next stage reads, and the result as it stands when there is none.
     #[test]
     fn multi_breaker_plan_pipelines_end_to_end() {
         let window = || {

@@ -32,7 +32,10 @@
 //!   executes pipelined at every input size; the two row oracles run
 //!   operator-at-a-time over `audb-core`'s row operators; nothing selects
 //!   between the two runners, and they are property-tested bag-equal on
-//!   every plan.
+//!   every plan. Either way a result is [`audb_core::AuColumns`] — the
+//!   native breakers emit columns, the oracles transpose once at their
+//!   end — and `to_rows()` is the caller's door ([`Session::sql`] opens
+//!   it; the server encodes from the lanes and never does).
 //!
 //! Everything downstream of the operator crates — examples, workload
 //! drivers, benchmarks — constructs its sort/top-k/window queries through
@@ -145,8 +148,8 @@ mod tests {
         let all = engine.run_all(&plan).unwrap();
         assert_eq!(all.runs.len(), 3);
         // The agreed output is the reference output.
-        let reference = Engine::reference().execute(&plan).unwrap();
-        assert!(all.output.bag_eq(&reference));
+        let reference = Engine::reference().execute(&plan).unwrap().to_rows();
+        assert!(all.output.to_rows().bag_eq(&reference));
     }
 
     #[test]
@@ -205,8 +208,8 @@ mod tests {
             )
             .build()
             .unwrap();
-        let native = Engine::native().execute(&plan).unwrap();
-        let reference = Engine::reference().execute(&plan).unwrap();
+        let native = Engine::native().execute(&plan).unwrap().to_rows();
+        let reference = Engine::reference().execute(&plan).unwrap().to_rows();
         assert!(
             native.bag_eq(&reference),
             "native:\n{native}\nreference:\n{reference}"
@@ -240,9 +243,9 @@ mod tests {
         let all = engine.run_all(&plan).expect("run_all compares IntervalLex");
         // The agreed output is the IntervalLex result, not the looser
         // Syntactic one the same engine's execute() produces.
-        let interval = Engine::reference().execute(&plan).unwrap();
-        assert!(all.output.bag_eq(&interval));
-        let syntactic = engine.execute(&plan).unwrap();
+        let interval = Engine::reference().execute(&plan).unwrap().to_rows();
+        assert!(all.output.to_rows().bag_eq(&interval));
+        let syntactic = engine.execute(&plan).unwrap().to_rows();
         assert!(!syntactic.bag_eq(&interval), "inputs chosen to differ");
     }
 
@@ -277,8 +280,8 @@ mod tests {
             )
             .build()
             .unwrap();
-        let native = Engine::native().execute(&plan).unwrap();
-        let reference = Engine::reference().execute(&plan).unwrap();
+        let native = Engine::native().execute(&plan).unwrap().to_rows();
+        let reference = Engine::reference().execute(&plan).unwrap().to_rows();
         assert!(native.bag_eq(&reference));
     }
 
@@ -304,7 +307,8 @@ mod tests {
         assert!(engine
             .execute(&plan)
             .unwrap()
-            .bag_eq(&reference.execute(&plan).unwrap()));
+            .to_rows()
+            .bag_eq(&reference.execute(&plan).unwrap().to_rows()));
     }
 
     /// The engine's operator chain matches hand-wired operator calls — the
@@ -376,7 +380,7 @@ mod tests {
         use crate::exec::{ExecMode, OpTiming};
         use std::time::Duration;
         let report = RunAll {
-            output: example6(),
+            output: example6().to_columns(),
             runs: vec![
                 BackendRun {
                     backend: BackendChoice::Reference,
@@ -468,10 +472,10 @@ mod tests {
             .sort_by_as(["a", "b"], "pos")
             .build()
             .unwrap();
-        let native = Engine::native().execute(&plan).unwrap();
+        let native = Engine::native().execute(&plan).unwrap().to_rows();
         assert!(native.bag_eq(&audb_native::sort_native(&rel, &[0, 1], "pos")));
 
-        let rewrite = Engine::rewrite().execute(&plan).unwrap();
+        let rewrite = Engine::rewrite().execute(&plan).unwrap().to_rows();
         assert!(rewrite.bag_eq(&audb_rewrite::rewr_sort(&rel, &[0, 1], "pos")));
 
         let win_plan = Query::scan(rel.clone())
@@ -483,7 +487,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let reference = Engine::reference().execute(&win_plan).unwrap();
+        let reference = Engine::reference().execute(&win_plan).unwrap().to_rows();
         assert!(reference.bag_eq(&audb_core::window_ref(
             &rel,
             &audb_core::AuWindowSpec::rows(vec![1], -1, 0),
@@ -513,10 +517,78 @@ mod tests {
         assert_eq!(plan.schema().cols(), &["a", "b", "neg_b", "rank"]);
         let all = Engine::native().run_all(&plan).unwrap();
         assert!(!all.output.is_empty());
-        for row in all.output.rows() {
+        for row in all.output.to_rows().rows() {
             let (lb, _, _) = row.tuple.get(3).as_i64_triple();
             assert!(lb < 2, "top-2 rows sit possibly below rank 2");
         }
+    }
+
+    /// One output row per possible duplicate: a breaker whose input could
+    /// be more than `u32::MAX` rows is refused on every method before it
+    /// allocates anything (this test allocates three rows). Only the
+    /// native `LIMIT k` sort is bounded by its band — a row stops being
+    /// split at `k` — and keeps answering; the row oracles sort everything
+    /// first.
+    #[test]
+    fn a_result_past_the_row_index_is_refused_not_allocated() {
+        let dup = |k: u64| {
+            AuRelation::from_rows(
+                Schema::new(["a"]),
+                [(AuTuple::new([rv(7, 7, 7)]), Mult3::new(1, 1, k))],
+            )
+        };
+        let window = || {
+            WindowSpec::rows(-1, 0)
+                .order_by(["a"])
+                .aggregate(Agg::count())
+                .output("c")
+        };
+        let many = 5_000_000_000;
+        let refused = |engine: Engine, plan: &Plan, rows: u64| {
+            let e = engine.execute(plan).unwrap_err();
+            assert!(
+                matches!(e, EngineError::ResultTooLarge { rows: r } if r == rows),
+                "{e}"
+            );
+            assert_eq!(SessionError::from(e).kind(), "result_too_large");
+        };
+        let sort = Query::scan(dup(many)).sort_by(["a"]).build().unwrap();
+        let windowed = Query::scan(dup(many)).window(window()).build().unwrap();
+        let top3 = Query::scan(dup(many))
+            .sort_by(["a"])
+            .topk(3)
+            .build()
+            .unwrap();
+        for choice in BackendChoice::ALL {
+            refused(Engine::new(choice), &sort, many);
+            refused(Engine::new(choice), &windowed, many);
+        }
+        assert_eq!(Engine::native().execute(&top3).unwrap().len(), 3);
+        refused(Engine::reference(), &top3, many);
+        refused(Engine::rewrite(), &top3, many);
+        // A limit past the index bounds nothing.
+        let top = Query::scan(dup(many))
+            .sort_by(["a"])
+            .topk(many)
+            .build()
+            .unwrap();
+        refused(Engine::native(), &top, many);
+        // A sum that leaves `u64` is reported as `u64::MAX`.
+        let two = AuRelation::from_rows(
+            Schema::new(["a"]),
+            [1i64, 2].map(|a| (AuTuple::new([rv(a, a, a)]), Mult3::new(0, 0, u64::MAX))),
+        );
+        let sort = Query::scan(two).sort_by(["a"]).build().unwrap();
+        refused(Engine::native(), &sort, u64::MAX);
+        // A subscription's ground truth is the engine: it refuses alike.
+        let session = Session::new(Engine::native());
+        session.register("dup", dup(many));
+        let e = session.subscribe("SELECT * FROM dup ORDER BY a AS pos LIMIT 3");
+        assert_eq!(e.unwrap().value().len(), 3);
+        let e = session
+            .sql("SELECT * FROM dup ORDER BY a AS pos")
+            .unwrap_err();
+        assert_eq!(e.kind(), "result_too_large");
     }
 
     #[test]

@@ -436,7 +436,8 @@ impl MaintainedQuery {
             .engine
             .execute(&self.plan.with_table(Arc::clone(&self.accum))?)?
             .normalize();
-        self.current = keyed_rows(out);
+        // The result map is keyed rows: this is the subscription's door.
+        self.current = keyed_rows(out.to_rows());
         // The map no longer tracks which entries came from open windows;
         // the next incremental append resyncs from the live state.
         self.open_prev = Vec::new();
@@ -461,7 +462,7 @@ impl MaintainedQuery {
             MaintainKind::TopK { state: Some(m) } => {
                 // The whole top-k band is the changed region; diff it
                 // against the previous map wholesale (O(k), not O(n)).
-                let next = keyed_rows(m.result().normalize());
+                let next = keyed_rows(m.result().normalize().to_rows());
                 let before = std::mem::replace(&mut self.current, next);
                 return diff_maps(&before, &self.current);
             }

@@ -345,7 +345,7 @@ mod tests {
         let cache = PlanCache::new(8);
         let run = |sql: &str| {
             let (prepared, hit) = s.prepare_cached(&cache, sql).unwrap();
-            (s.execute(&prepared).unwrap(), hit)
+            (s.execute(&prepared).unwrap().to_rows(), hit)
         };
         let (two_spaces, _) = run("SELECT * FROM t WHERE name = 'a  b'");
         let (one_space, hit) = run("SELECT * FROM t WHERE name = 'a b'");
@@ -388,14 +388,14 @@ mod tests {
         let s = session();
         let cache = PlanCache::new(8);
         let (p, _) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
-        assert_eq!(s.execute(&p).unwrap().rows().len(), 3);
+        assert_eq!(s.execute(&p).unwrap().len(), 3);
 
         s.register("a", rel(5));
         let (p2, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         assert!(!hit, "version bump must invalidate cached plans");
-        assert_eq!(s.execute(&p2).unwrap().rows().len(), 5);
+        assert_eq!(s.execute(&p2).unwrap().len(), 5);
         // The old prepared statement still runs on its pinned snapshot.
-        assert_eq!(s.execute(&p).unwrap().rows().len(), 3);
+        assert_eq!(s.execute(&p).unwrap().len(), 3);
     }
 
     /// Publication empties the cache: after an `append`, the first lookup
@@ -419,9 +419,9 @@ mod tests {
         assert!(!hit);
         let stats = cache.stats();
         assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 4));
-        assert_eq!(s.execute(&after).unwrap().rows().len(), 5);
+        assert_eq!(s.execute(&after).unwrap().len(), 5);
         // The visibility rule: the in-flight statement still sees 3 rows…
-        assert_eq!(s.execute(&before).unwrap().rows().len(), 3);
+        assert_eq!(s.execute(&before).unwrap().len(), 3);
         // …and is the only thing keeping the superseded table alive.
         drop(before);
         assert!(pinned.upgrade().is_none(), "cache still pins the old table");

@@ -26,7 +26,7 @@ use crate::error::SessionError;
 use crate::maintain::MaintainedQuery;
 use crate::plan::Plan;
 use crate::plancache::PlanCache;
-use audb_core::AuRelation;
+use audb_core::{AuColumns, AuRelation};
 use std::sync::Arc;
 
 /// A compiled, reusable statement: the validated [`Plan`] plus its source
@@ -157,15 +157,17 @@ impl Session {
             .collect()
     }
 
-    /// Execute a prepared statement on the session's engine.
-    pub fn execute(&self, prepared: &Prepared) -> Result<AuRelation, SessionError> {
+    /// Execute a prepared statement on the session's engine: the result
+    /// as the executor leaves it, columnar (what the server encodes).
+    pub fn execute(&self, prepared: &Prepared) -> Result<AuColumns, SessionError> {
         Ok(self.engine.execute(prepared.plan())?)
     }
 
-    /// Parse, bind and execute one statement.
+    /// Parse, bind and execute one statement — the library's row door:
+    /// the columnar result is transposed here, once.
     pub fn sql(&self, sql: &str) -> Result<AuRelation, SessionError> {
         let prepared = self.prepare(sql)?;
-        self.execute(&prepared)
+        Ok(self.execute(&prepared)?.to_rows())
     }
 
     /// Explain how the engine would run a statement (includes the SQL text
@@ -244,7 +246,7 @@ mod tests {
             .topk(2)
             .build()
             .unwrap();
-        let via_builder = Engine::native().execute(&plan).unwrap();
+        let via_builder = Engine::native().execute(&plan).unwrap().to_rows();
         assert!(via_sql.bag_eq(&via_builder), "{via_sql}\n{via_builder}");
     }
 
@@ -255,8 +257,8 @@ mod tests {
             .prepare("SELECT sku, price FROM products WHERE price < 12;")
             .unwrap();
         assert_eq!(p.sql(), "SELECT sku, price FROM products WHERE price < 12");
-        let a = s.execute(&p).unwrap();
-        let b = s.execute(&p).unwrap();
+        let a = s.execute(&p).unwrap().to_rows();
+        let b = s.execute(&p).unwrap().to_rows();
         assert!(a.bag_eq(&b));
         // The prepared plan shares the catalog's table handle, no copy.
         assert!(Arc::ptr_eq(
@@ -275,7 +277,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(all.runs.len(), 3);
-        assert_eq!(all.output.schema.cols(), &["sku", "price", "roll"]);
+        assert_eq!(all.output.schema().cols(), &["sku", "price", "roll"]);
     }
 
     #[test]
@@ -367,7 +369,7 @@ mod tests {
     fn registration_publishes_snapshots_without_disturbing_prepared_plans() {
         let s = session();
         let p = s.prepare("SELECT sku FROM products").unwrap();
-        let before = s.execute(&p).unwrap();
+        let before = s.execute(&p).unwrap().to_rows();
         assert_eq!(before.rows().len(), 3);
 
         // Re-register under the same name with one row: the prepared plan
@@ -383,12 +385,12 @@ mod tests {
         peer.register("products", one_row);
         assert!(s.shared_catalog().same_catalog(peer.shared_catalog()));
 
-        assert_eq!(s.execute(&p).unwrap().rows().len(), 3);
+        assert_eq!(s.execute(&p).unwrap().len(), 3);
         assert_eq!(s.sql("SELECT sku FROM products").unwrap().rows().len(), 1);
 
         // Deregistration likewise only affects future preparations.
         s.deregister("products");
-        assert_eq!(s.execute(&p).unwrap().rows().len(), 3);
+        assert_eq!(s.execute(&p).unwrap().len(), 3);
         assert!(matches!(
             peer.sql("SELECT sku FROM products").unwrap_err(),
             SessionError::UnknownTable { .. }

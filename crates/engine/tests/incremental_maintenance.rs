@@ -73,7 +73,11 @@ fn recompute_on(q: &audb_engine::MaintainedQuery, choice: BackendChoice) -> AuRe
         .plan()
         .with_table(Arc::clone(q.accumulated()))
         .expect("accumulated rows always match the plan schema");
-    Engine::new(choice).execute(&plan).unwrap().normalize()
+    Engine::new(choice)
+        .execute(&plan)
+        .unwrap()
+        .to_rows()
+        .normalize()
 }
 
 fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {

@@ -98,6 +98,15 @@ pub const RULES: &[Rule] = &[
                box/`?` it uniformly",
     },
     Rule {
+        id: "no-transpose-between-operators",
+        summary: "no `.to_rows()` / `.to_columns()` in the executor (engine exec/), the \
+                  native sort and window kernels or the wire encoder: a result is \
+                  columns from the scan to the reply",
+        hint: "keep the value columnar (AuColumns in, AuColumns out) and transpose at the \
+               caller's door, or justify with \
+               `// lint: allow(no-transpose-between-operators) -- reason`",
+    },
+    Rule {
         id: "allow-malformed",
         summary: "`lint: allow(...)` directives must name a known rule and carry a \
                   ` -- reason`",
@@ -129,6 +138,7 @@ pub fn check_workspace(ws: &Workspace) -> Vec<Diagnostic> {
         check_no_raw_spawn(file, &mut out);
         check_no_direct_backend_call(file, &mut out);
         check_no_wallclock(file, &mut out);
+        check_no_transpose(file, &mut out);
         for (line, col, message) in &file.bad_allows {
             out.push(Diagnostic {
                 rule: "allow-malformed",
@@ -222,6 +232,19 @@ fn in_backend_scope(path: &str) -> bool {
 /// `audb_core` plus the fused-stage builders.
 fn in_kernel_clock_scope(path: &str) -> bool {
     path.starts_with("crates/core/src/") || path == "crates/engine/src/exec/lower.rs"
+}
+
+/// Where a result must stay columnar: the executor, the two one-shot
+/// kernels and the reply encoder. (`native/src/maintain.rs` is out: a
+/// subscription's drained rows are tuples by contract — `Delta`.)
+fn in_columnar_scope(path: &str) -> bool {
+    path.starts_with("crates/engine/src/exec/")
+        || matches!(
+            path,
+            "crates/native/src/sort.rs"
+                | "crates/native/src/window.rs"
+                | "crates/server/src/wire.rs"
+        )
 }
 
 // ------------------------------------------------------------------- rules
@@ -421,6 +444,31 @@ fn check_no_wallclock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 t.line,
                 t.col,
                 format!("wall-clock type `{}` inside a kernel layer", t.text),
+            );
+        }
+    }
+}
+
+/// Rule 9: `no-transpose-between-operators`.
+fn check_no_transpose(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if !in_columnar_scope(&file.rel_path) {
+        return;
+    }
+    let toks = &file.code;
+    for (i, t) in toks.iter().enumerate() {
+        let prev = i.checked_sub(1).map(|j| toks[j].text.as_str());
+        let next = toks.get(i + 1).map(|t| t.text.as_str());
+        if matches!(t.text.as_str(), "to_rows" | "to_columns")
+            && prev == Some(".")
+            && next == Some("(")
+        {
+            push(
+                out,
+                "no-transpose-between-operators",
+                file,
+                t.line,
+                t.col,
+                format!("`.{}()` between the scan and the reply", t.text),
             );
         }
     }
@@ -636,6 +684,31 @@ mod tests {
         assert_eq!(diags_for("crates/core/src/expr.rs", src).len(), 1);
         assert_eq!(diags_for("crates/engine/src/exec/lower.rs", src).len(), 1);
         assert!(diags_for("crates/engine/src/exec/run.rs", src).is_empty());
+    }
+
+    #[test]
+    fn transpose_rule_scopes_to_executor_kernels_and_encoder() {
+        let src = "fn f(c: &AuColumns) { let r = c.to_rows(); r.to_columns(); }";
+        for path in [
+            "crates/engine/src/exec/run.rs",
+            "crates/native/src/sort.rs",
+            "crates/native/src/window.rs",
+            "crates/server/src/wire.rs",
+        ] {
+            assert_eq!(diags_for(path, src).len(), 2, "{path}");
+        }
+        // The doors: the session, the row oracles, a subscription.
+        for path in [
+            "crates/engine/src/session.rs",
+            "crates/engine/src/backend.rs",
+            "crates/native/src/maintain.rs",
+        ] {
+            assert!(diags_for(path, src).is_empty(), "{path}");
+        }
+        // Tests compare rows; defining such a method is not calling it.
+        let tests =
+            "#[cfg(test)]\nmod tests { fn t(c: &AuColumns) { c.to_rows(); } }\nfn to_rows() {}";
+        assert!(diags_for("crates/server/src/wire.rs", tests).is_empty());
     }
 
     #[test]

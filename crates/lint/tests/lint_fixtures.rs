@@ -103,6 +103,11 @@ fn fires_no_wallclock_in_kernels() {
 }
 
 #[test]
+fn fires_no_transpose_between_operators() {
+    check_golden("transpose.rs");
+}
+
+#[test]
 fn fires_error_impls_std_error() {
     check_golden("error_impl.rs");
 }

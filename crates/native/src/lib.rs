@@ -10,7 +10,7 @@
 //! * [`sort::sort_columns_native`] — Algorithm 1 + `split` (Algorithm 2),
 //!   with a limit top-k: a single sweep over the relation sorted by the
 //!   lower-bound corner, with a `todo` min-heap on upper-bound corners. It
-//!   reads typed column lanes and builds only the tuples it emits;
+//!   reads typed column lanes and writes typed column lanes — no tuple;
 //!   [`sort::sort_native_staged`] is the same run reporting where its
 //!   stages end, for the `sort/stages` bench.
 //! * [`window::window_columns_native`] — Algorithm 3 (+`compBounds`,
@@ -22,15 +22,20 @@
 //!   bounds in `O(log n)` per row instead of recomputing the full
 //!   `O(n log n)` pass, with already-closed windows provably final.
 //!
-//! Every kernel reads [`audb_core::AuColumns`]. [`sort::sort_native`],
-//! [`sort::topk_native`] and [`window::window_native`] are doors for
-//! callers that hold an [`audb_core::AuRelation`]: they transpose it and
-//! call the columnar entry.
+//! Every kernel reads and returns [`audb_core::AuColumns`].
+//! [`sort::sort_native`], [`sort::topk_native`] and
+//! [`window::window_native`] are doors for callers that hold an
+//! [`audb_core::AuRelation`] and want one back: they transpose around the
+//! columnar entry. [`sort::output_rows_bound`] says, before anything is
+//! allocated, how many rows a breaker would emit.
 
 pub mod maintain;
 pub mod sort;
 pub mod window;
 
 pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain, WindowRow};
-pub use sort::{sort_columns_native, sort_native, sort_native_staged, topk_native};
+pub use sort::{
+    output_rows_bound, sort_columns_native, sort_native, sort_native_staged, topk_native,
+    MAX_OUTPUT_ROWS,
+};
 pub use window::{window_columns_native, window_native, window_native_staged, NativeWindow};

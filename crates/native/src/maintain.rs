@@ -89,7 +89,7 @@
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
 //! appends perform no allocation inside the connected heap.
 
-use crate::sort::{base_tuple, positions, sort_columns_native};
+use crate::sort::{positions, sort_columns_native};
 use crate::window::partitions;
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
@@ -151,9 +151,11 @@ pub struct WindowRow {
 impl WindowRow {
     /// The output row as a tuple, read from the batches that were fed.
     pub fn build(&self, batches: &[AuColumns]) -> (AuTuple, Mult3) {
-        let mut tuple = base_tuple(&batches[self.batch as usize], self.row as usize);
-        tuple.0.push(self.x.clone());
-        (tuple, self.mult)
+        let cols = &batches[self.batch as usize];
+        let mut vals = Vec::with_capacity(cols.arity() + 1);
+        vals.extend((0..cols.arity()).map(|c| cols.col(c).range_value(self.row as usize)));
+        vals.push(self.x.clone());
+        (AuTuple(vals), self.mult)
     }
 }
 
@@ -1009,7 +1011,7 @@ impl TopKMaintain {
 
     /// Current top-k output — the native top-k over the pruned candidate
     /// set, exactly bag-equal to a run over all accumulated rows.
-    pub fn result(&self) -> AuRelation {
+    pub fn result(&self) -> AuColumns {
         // K: the upper-bound corner key at which the certain mass reaches
         // k (rows beyond it are certainly out of the top k).
         let mut cum = 0u64;
@@ -1308,7 +1310,7 @@ mod tests {
             for chunk in rows.chunks(11) {
                 m.apply(&AuRelation::from_rows(schema.clone(), chunk.iter().cloned()).to_columns());
                 acc.extend(chunk.iter().cloned());
-                let inc = m.result();
+                let inc = m.result().to_rows();
                 let full = topk_native(
                     &AuRelation::from_rows(schema.clone(), acc.iter().cloned()),
                     &[0, 1],

@@ -51,19 +51,28 @@
 //!
 //! From there on every comparison is an integer compare.
 //!
-//! ## Columns in, rows out
+//! ## Columns in, columns out
 //!
 //! The kernel reads [`AuColumns`] — what the engine's catalog stores and
-//! its fused stages hand over — and nothing else: `encode` fills the arena
+//! its fused stages hand over — and returns them: `encode` fills the arena
 //! straight from the typed lanes and takes per-row certainty from the
-//! column bitmaps, `materialise` rebuilds a tuple per *emitted* position
-//! only (a top-10 over 13 000 surviving rows builds ten-odd tuples, not
-//! 13 000). The window sweep ([`crate::window`]) ranks an index view of
-//! the same columns — one partition — through the same code.
-//! [`sort_native`] and [`topk_native`] are doors for callers that hold
-//! rows: they transpose and call the columnar entry.
+//! column bitmaps, and `materialise` is one pass that splits the sweep's
+//! emissions into lanes — the emission-order row index, three `i64`
+//! position lanes, three multiplicity lanes — and one
+//! [`AuColumns::gather_extended`]: the input's lanes copied in that order,
+//! the position lanes appended as they stand. No tuple is built here;
+//! whoever wants rows calls [`AuColumns::to_rows`] at its own door. (A
+//! sweep that pushed onto the seven lanes itself was measured: its heap
+//! loop with seven write streams read 1.9–2.0 ms where emitting one
+//! 56-byte record reads 1.3, the split pass costs 0.3, and ns per row at
+//! 262 144 rows read 1.8 × the 32 768-row figure against 1.4 ×.) The
+//! window sweep ([`crate::window`]) ranks an index view of the same
+//! columns — one partition — through the same code and reads the same
+//! emissions. [`sort_native`] and [`topk_native`] are doors for callers
+//! that hold rows and want rows: they transpose, call the columnar entry
+//! and transpose back.
 
-use audb_core::{AuColumns, AuRelation, AuTuple, Corner, KeyArena, Mult3, RangeValue};
+use audb_core::{AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3};
 use audb_rel::ops::sort::total_order;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -73,11 +82,11 @@ use std::collections::BinaryHeap;
 /// and FIFO among equal `O↑` keys. `Copy`: pushing allocates nothing.
 type Pending = (u32, u32, u64);
 
-/// One output row of the sweep before it is materialised: which input row
-/// backs it, which of that row's possible duplicates it is (`split`,
-/// Algorithm 2), its position bounds and its own multiplicity triple.
-/// The sort appends the position to the row's tuple; the window sweep
-/// ([`crate::maintain`]) consumes these directly.
+/// One output row of the sweep: which input row backs it, which of that
+/// row's possible duplicates it is (`split`, Algorithm 2), its position
+/// bounds and its own multiplicity triple. The sort splits these into the
+/// lanes of its output; the window sweep ([`crate::maintain`]) consumes
+/// them directly.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Position {
     /// Index into the input columns of the (first stored copy of the) row.
@@ -91,17 +100,36 @@ pub(crate) struct Position {
     pub mult: Mult3,
 }
 
+/// The largest output a breaker emits: row indices are `u32` throughout
+/// the kernels, and one output row is emitted per possible duplicate.
+pub const MAX_OUTPUT_ROWS: u64 = u32::MAX as u64;
+
+/// How many rows an order-based operator emits over input of possible
+/// multiplicities `mult_ub`, at most: one per possible duplicate (`split`),
+/// under `LIMIT k` no more than `k` of one row (a duplicate's `τ↓` grows
+/// with its index). `None` when the sum leaves `u64`. The engine refuses a
+/// breaker whose bound exceeds [`MAX_OUTPUT_ROWS`] before it runs; the
+/// sweep sizes its output by it.
+pub fn output_rows_bound(mult_ub: impl IntoIterator<Item = u64>, k: Option<u64>) -> Option<u64> {
+    let cap = k.unwrap_or(u64::MAX);
+    mult_ub
+        .into_iter()
+        .try_fold(0u64, |sum, ub| sum.checked_add(ub.min(cap)))
+}
+
 /// `sort_{O→τ}(R)` — one-pass equivalent of [`audb_core::sort_ref`] under
-/// interval-lex comparison — for a caller that holds rows: they are
-/// transposed here, once, for [`sort_columns_native`].
+/// interval-lex comparison — for a caller that holds rows and wants rows:
+/// transposed here, once each way, around [`sort_columns_native`].
 pub fn sort_native(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelation {
-    sort_columns_native(&rel.to_columns(), order, pos_name, None)
+    // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
+    sort_columns_native(&rel.to_columns(), order, pos_name, None).to_rows()
 }
 
 /// Top-k for a caller that holds rows: [`sort_columns_native`] with a
-/// limit over their transposition.
+/// limit between the two transpositions.
 pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
-    sort_columns_native(&rel.to_columns(), order, pos_name, Some(k))
+    // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
+    sort_columns_native(&rel.to_columns(), order, pos_name, Some(k)).to_rows()
 }
 
 /// `sort_{O→τ}(R)` over a columnar relation — one-pass equivalent of
@@ -110,13 +138,15 @@ pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) ->
 /// offsets presuppose one row per hypercube); the input is neither copied
 /// nor normalized. With `k`, top-k: the sort and the AU-selection
 /// `σ_{τ < k}` fused into the scan with early termination, position bounds
-/// capped at `k` (paper Algorithm 1, `emit`).
+/// capped at `k` (paper Algorithm 1, `emit`). Panics if more than
+/// [`MAX_OUTPUT_ROWS`] rows would come out ([`output_rows_bound`]: the
+/// engine asks first).
 pub fn sort_columns_native(
     cols: &AuColumns,
     order: &[usize],
     pos_name: &str,
     k: Option<u64>,
-) -> AuRelation {
+) -> AuColumns {
     sort_native_staged(cols, order, pos_name, k, &mut |_| {})
 }
 
@@ -130,30 +160,27 @@ pub fn sort_native_staged(
     pos_name: &str,
     k: Option<u64>,
     stage: &mut dyn FnMut(&'static str),
-) -> AuRelation {
+) -> AuColumns {
     let ranked = positions(cols, 0..cols.len(), order, cols.is_normalized(), k, stage);
-    let out = AuRelation::from_rows(
-        cols.schema().with(pos_name),
-        ranked.iter().map(|p| {
-            let mut tuple = base_tuple(cols, p.row as usize);
-            tuple.0.push(RangeValue::from_i64s(
-                p.tau_lb as i64,
-                p.tau_sg as i64,
-                p.tau_ub as i64,
-            ));
-            (tuple, p.mult)
-        }),
-    );
+    // The emissions, a lane per quantity.
+    let n = ranked.len();
+    let mut rows = Vec::with_capacity(n);
+    let mut tau = [0; 3].map(|_| Vec::with_capacity(n));
+    let mut mults = [0; 3].map(|_| Vec::with_capacity(n));
+    for p in &ranked {
+        rows.push(p.row as usize);
+        tau[LB].push(p.tau_lb as i64);
+        tau[SG].push(p.tau_sg as i64);
+        tau[UB].push(p.tau_ub as i64);
+        mults[LB].push(p.mult.lb);
+        mults[SG].push(p.mult.sg);
+        mults[UB].push(p.mult.ub);
+    }
+    let [lb, sg, ub] = tau;
+    let pos = AuColumn::from_i64_lanes(lb, sg, ub);
+    let out = cols.gather_extended(&rows, mults, pos_name, pos);
     stage("materialise");
     out
-}
-
-/// Row `row` of `cols` as a tuple, with room for the one attribute an
-/// operator appends.
-pub(crate) fn base_tuple(cols: &AuColumns, row: usize) -> AuTuple {
-    let mut vals = Vec::with_capacity(cols.arity() + 1);
-    vals.extend((0..cols.arity()).map(|c| cols.col(c).range_value(row)));
-    AuTuple(vals)
 }
 
 /// A row taking part in the sort: where its keys are, and — once ranked —
@@ -398,7 +425,16 @@ fn merge(cands: &mut [Cand], scan: &mut Vec<u32>) {
 /// Algorithm 1 over ranked candidates in `O↓` order, with `split`
 /// (Algorithm 2) and, under top-k, the fused `σ_{τ < k}` and cap in `emit`.
 fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
-    let mut out: Vec<Position> = Vec::with_capacity(scan.len());
+    // One output row per possible duplicate, decided before anything is
+    // allocated for them.
+    let bound = output_rows_bound(scan.iter().map(|&c| cands[c as usize].mult.ub), k);
+    let rows = bound.filter(|&rows| rows <= MAX_OUTPUT_ROWS);
+    // The engine refuses such a breaker before it runs (`ResultTooLarge`); a
+    // direct caller gets a message instead of an aborted allocation.
+    let rows =
+        rows.unwrap_or_else(|| panic!("the sort would emit more than {MAX_OUTPUT_ROWS} rows"));
+    // Without a limit exactly that many come out; a top-k emits about `k`.
+    let mut out = Vec::with_capacity(rows.min(k.unwrap_or(rows)) as usize);
     let mut todo: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
     // Σ k↓ of emitted tuples and Σ k↑ of processed tuples.
     let (mut rank_lb, mut rank_ub) = (0u64, 0u64);
@@ -455,10 +491,7 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
             if plb > psg {
                 psg = plb; // can only happen via capping; keep the invariant
             }
-            debug_assert!(
-                i <= u64::from(u32::MAX),
-                "duplicate index {i} overflows u32"
-            );
+            // `i < rows ≤ u32::MAX`: the bound above counted this duplicate.
             out.push(Position {
                 row: cand.row,
                 dup: i as u32,
@@ -501,7 +534,7 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{sort_ref, topk_ref, AuTuple, CmpSemantics};
+    use audb_core::{sort_ref, topk_ref, AuTuple, CmpSemantics, RangeValue};
     use audb_rel::Schema;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -655,7 +688,9 @@ mod tests {
         let mut seen = Vec::new();
         let cols = example6().to_columns();
         let top = sort_native_staged(&cols, &[0, 1], "pos", Some(2), &mut |s| seen.push(s));
-        assert!(top.bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
+        assert!(top
+            .to_rows()
+            .bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
         assert_eq!(
             seen,
             ["encode", "band", "rank", "merge", "sweep", "materialise"]

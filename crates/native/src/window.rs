@@ -46,29 +46,32 @@
 //! sweeps are independent and run in parallel (`audb_par`), their rows
 //! concatenated in deterministic partition-value order.
 //!
-//! ## One ranking, one tuple per row
+//! ## One ranking, no tuple
 //!
-//! The output is normalized without a tuple being sorted: its canonical
-//! order ([`audb_core::canonical_order`], what `normalize` would sort by)
-//! is taken from 16-byte `(prefix, row)` references to the lower-bound
-//! corner of the *input* lanes; the aggregate and the other corners are
-//! encoded only for rows that tie on it — split duplicates of one
-//! hypercube, hypercubes equal on every lower bound — which merge when
-//! equal throughout. Each output tuple is then built once, in its place,
-//! and the relation flagged normalized through
-//! [`AuRelation::from_canonical_rows`], which checks the claim in debug
-//! builds. [`window_native_staged`] names where the stages end.
+//! The output is normalized without a tuple being sorted — or built: its
+//! canonical order ([`audb_core::canonical_order`], what `normalize` would
+//! sort by) is taken from 16-byte `(prefix, row)` references to the
+//! lower-bound corner of the *input* lanes; the aggregate and the other
+//! corners are encoded only for rows that tie on it — split duplicates of
+//! one hypercube, hypercubes equal on every lower bound — which merge when
+//! equal throughout. The result is then the input's lanes gathered in that
+//! order plus one aggregate column ([`AuColumns::gather_extended`]),
+//! flagged normalized through [`AuColumns::assume_canonical`], which
+//! checks the claim in debug builds. [`window_native_staged`] names where
+//! the stages end.
 //!
-//! ## Columns in
+//! ## Columns in, columns out
 //!
 //! The operator reads [`AuColumns`] as the engine stores them
-//! ([`window_columns_native`]); a partition is an index view of them
-//! (`partitions`), never a copy. [`window_native`] is the door for a
-//! caller that holds rows: it transposes them, once.
+//! ([`window_columns_native`]) and returns them; a partition is an index
+//! view of the input (`partitions`), never a copy. [`window_native`] is
+//! the door for a caller that holds rows and wants rows: it transposes
+//! once each way.
 
 use crate::maintain::{WindowMaintain, WindowRow};
 use audb_core::{
-    canonical_order, AuColumns, AuRelation, AuRow, AuWindowSpec, Corner, KeyArena, WinAgg,
+    canonical_order, AuColumn, AuColumns, AuRelation, AuWindowSpec, Corner, KeyArena, RangeValue,
+    WinAgg,
 };
 
 /// What [`window_columns_native`] computed, and whether it is the bounds
@@ -76,7 +79,7 @@ use audb_core::{
 #[derive(Debug)]
 pub struct NativeWindow {
     /// The sweep's output, normalized.
-    pub rel: AuRelation,
+    pub rel: AuColumns,
     /// Identical hypercubes merged into a duplicate multiplicity (`k↑ > 1`)
     /// somewhere in the input. The sweep then treats duplicates by position
     /// offsets — sound, tighter on positions, but *not* the expand-first
@@ -85,17 +88,20 @@ pub struct NativeWindow {
 }
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
-/// [`audb_core::window_ref`] — for a caller that holds rows: they are
-/// transposed here for [`window_columns_native`]. Panics if partition
-/// attributes are uncertain (see module docs).
+/// [`audb_core::window_ref`] — for a caller that holds rows and wants
+/// rows: transposed here, once each way, around
+/// [`window_columns_native`]. Panics if partition attributes are uncertain
+/// (see module docs).
 pub fn window_native(
     rel: &AuRelation,
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
 ) -> AuRelation {
+    // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
     match window_columns_native(&rel.to_columns(), spec, agg, out_name) {
-        Ok(out) => out.rel,
+        // lint: allow(no-transpose-between-operators) -- the same door, on its way out
+        Ok(out) => out.rel.to_rows(),
         Err(e) => panic!("{e}"),
     }
 }
@@ -226,15 +232,17 @@ fn run(
         },
     );
     stage("order");
-    // Each output row is built here, once, where it stays.
-    let batch = std::slice::from_ref(cols);
-    let out = (order.into_iter())
-        .map(|(out, mult)| AuRow {
-            tuple: rows[out].build(batch).0,
-            mult,
-        })
-        .collect();
-    let rel = AuRelation::from_canonical_rows(cols.schema().with(out_name), out);
+    // The input's lanes in that order, and the aggregates as one column.
+    let x = aggregate_column(order.iter().map(|&(out, _)| &rows[out].x));
+    let mut idxs = Vec::with_capacity(order.len());
+    let mut mults = [0; 3].map(|_| Vec::with_capacity(order.len()));
+    for (out, mult) in order {
+        idxs.push(rows[out].row as usize);
+        mults[0].push(mult.lb);
+        mults[1].push(mult.sg);
+        mults[2].push(mult.ub);
+    }
+    let rel = (cols.gather_extended(&idxs, mults, out_name, x)).assume_canonical();
     stage("materialise");
     Ok(NativeWindow {
         rel,
@@ -242,10 +250,28 @@ fn run(
     })
 }
 
+/// The aggregates `xs`, in output order, as the output's last column:
+/// three `i64` lanes and their certainty bits written in one pass while
+/// every bound is an integer (any aggregate of integer data short of a
+/// `SUM` that left `i64`), else whatever layout the values infer.
+fn aggregate_column<'a>(xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone) -> AuColumn {
+    let mut lanes = [0; 3].map(|_| Vec::with_capacity(xs.len()));
+    for x in xs.clone() {
+        let (Some(lb), Some(sg), Some(ub)) = (x.lb.as_i64(), x.sg.as_i64(), x.ub.as_i64()) else {
+            return AuColumns::column_from_values(xs.cloned().collect());
+        };
+        lanes[0].push(lb);
+        lanes[1].push(sg);
+        lanes[2].push(ub);
+    }
+    let [lb, sg, ub] = lanes;
+    AuColumn::from_i64_lanes(lb, sg, ub)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{window_ref, AuTuple, CmpSemantics, Mult3, RangeValue};
+    use audb_core::{window_ref, AuTuple, CmpSemantics, Mult3};
     use audb_rel::{Schema, Value};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {

@@ -115,18 +115,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => write_int(out, *i),
-            Json::Float(x) => {
-                // Writing to a `String` cannot fail.
-                let _ = if !x.is_finite() {
-                    // JSON has no NaN/Infinity; null is the least-bad spelling.
-                    out.write_str("null")
-                } else if x.fract() == 0.0 && x.abs() < 1e15 {
-                    // Keep a decimal point so the value re-parses as Float.
-                    write!(out, "{x:.1}")
-                } else {
-                    write!(out, "{x}")
-                };
-            }
+            Json::Float(x) => write_float(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -164,24 +153,56 @@ impl fmt::Display for Json {
     }
 }
 
+/// Append `x` as [`Json::Float`] spells it.
+pub fn write_float(out: &mut String, x: f64) {
+    // Writing to a `String` cannot fail.
+    let _ = if !x.is_finite() {
+        // JSON has no NaN/Infinity; null is the least-bad spelling.
+        out.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        // Keep a decimal point so the value re-parses as Float.
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    };
+}
+
 /// Decimal digits of `i`, without the formatting machinery: a result body
 /// is mostly integers.
-fn write_int(out: &mut String, i: i64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
+pub fn write_int(out: &mut String, i: i64) {
+    // ASCII by construction.
+    out.push_str(std::str::from_utf8(int_text(i, &mut [0; 21])).unwrap_or_default());
+}
+
+/// The decimal digits of `i` (ASCII), two per division, at the end of
+/// `text`: 19 digits of `i64::MAX`, one more for `i64::MIN`, a sign.
+pub fn int_text(i: i64, text: &mut [u8; 21]) -> &[u8] {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                2021222324252627282930313233343536373839\
+                                4041424344454647484950515253545556575859\
+                                6061626364656667686970717273747576777879\
+                                8081828384858687888990919293949596979899";
+    let mut at = text.len();
     let mut rest = i.unsigned_abs();
-    loop {
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        text[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        at -= 2;
+        text[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+        text[at] = b'0' + rest as u8;
     }
     if i < 0 {
-        out.push('-');
+        at -= 1;
+        text[at] = b'-';
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    &text[at..]
 }
 
 /// Append `s` as a JSON string literal.

@@ -10,8 +10,9 @@
 //! H, "misses": M}, "elapsed_us": T}` — every attribute is always the
 //! `[lb, sg, ub]` triple (certain values repeat), rows are normalized, so
 //! equal requests encode byte-identically (modulo `elapsed_us`). `rows`
-//! and `mults` are encoded straight into text ([`Json::Raw`]), not into a
-//! node per cell.
+//! and `mults` are encoded straight from the result's typed lanes into
+//! text ([`Json::Raw`]): no node per cell, no tuple per row, no `Value`
+//! per integer.
 //!
 //! Ingest (`/register`, `/append`) parses AU-CSV straight into columns —
 //! the catalog's stored form — so no row form of a served table is ever
@@ -23,9 +24,9 @@
 //! [`SessionError::kind`](audb_engine::SessionError::kind).
 
 use crate::http::Request;
-use crate::json::{write_string, Json};
+use crate::json::{int_text, write_float, write_int, write_string, Json};
 use crate::state::{ConnState, ServerState};
-use audb_core::AuRelation;
+use audb_core::{AuColumn, AuColumns, Corner, PhysSlice, PhysType};
 use audb_engine::{BackendRun, RunAll, SessionError};
 use audb_rel::Value;
 use std::time::Instant;
@@ -303,68 +304,125 @@ fn backends_body(runs: &[BackendRun]) -> Json {
     )
 }
 
-/// Encode a result relation. Rows are normalized first, so two bag-equal
-/// results encode identically — the property the golden tests and the
-/// concurrency stress test lean on. `rows` and `mults` are each written
-/// into one pre-sized string.
-pub fn relation_body(rel: AuRelation) -> Json {
-    let rel = rel.normalize();
-    let schema = Json::Arr(rel.schema.cols().iter().map(Json::str).collect());
+/// Encode a result. It is put in canonical order first
+/// ([`AuColumns::normalize`]), so two bag-equal results encode identically
+/// — the property the golden tests and the concurrency stress test lean
+/// on. `rows` and `mults` are each written into one pre-sized buffer,
+/// row by row from the lanes: a point — every cell of a certain column, a
+/// cell of a ranged one whose certainty bit is set — is formatted once and
+/// copied twice.
+pub fn relation_body(cols: AuColumns) -> Json {
+    let cols = cols.normalize();
+    let schema = Json::Arr(cols.schema().cols().iter().map(Json::str).collect());
+    let lanes: Vec<ColumnLanes<'_>> = (0..cols.arity())
+        .map(|c| ColumnLanes::of(&cols, c))
+        .collect();
     // An integer triple with its punctuation is about this many bytes.
     const TRIPLE: usize = 24;
-    let mut rows = String::with_capacity(rel.len() * (rel.schema.arity() * TRIPLE + 3) + 2);
-    let mut mults = String::with_capacity(rel.len() * TRIPLE + 2);
-    rows.push('[');
-    mults.push('[');
-    for (i, row) in rel.rows().iter().enumerate() {
+    let mut rows = Vec::with_capacity(cols.len() * (cols.arity() * TRIPLE + 3) + 2);
+    let mut mults = Vec::with_capacity(cols.len() * TRIPLE + 2);
+    let mut scratch = String::new();
+    let mult_lanes = [cols.mult_lb(), cols.mult_sg(), cols.mult_ub()];
+    rows.push(b'[');
+    mults.push(b'[');
+    for i in 0..cols.len() {
         if i > 0 {
-            rows.push(',');
-            mults.push(',');
+            rows.push(b',');
+            mults.push(b',');
         }
-        rows.push('[');
-        for (c, v) in row.tuple.0.iter().enumerate() {
+        rows.push(b'[');
+        for (c, col) in lanes.iter().enumerate() {
             if c > 0 {
-                rows.push(',');
+                rows.push(b',');
             }
-            write_triple(&mut rows, [&v.lb, &v.sg, &v.ub], write_value);
+            col.write_triple(i, &mut rows, &mut scratch);
         }
-        rows.push(']');
-        let m = row.mult;
-        write_triple(&mut mults, [m.lb, m.sg, m.ub], |k, out| {
-            Json::Int(k as i64).write(out)
-        });
+        rows.push(b']');
+        for (k, lane) in mult_lanes.iter().enumerate() {
+            mults.push(if k == 0 { b'[' } else { b',' });
+            mults.extend_from_slice(int_text(lane[i] as i64, &mut [0; 21]));
+        }
+        mults.push(b']');
     }
-    rows.push(']');
-    mults.push(']');
+    rows.push(b']');
+    mults.push(b']');
     Json::obj([
         ("schema", schema),
-        ("row_count", Json::Int(rel.len() as i64)),
-        ("rows", Json::Raw(rows)),
-        ("mults", Json::Raw(mults)),
+        ("row_count", Json::Int(cols.len() as i64)),
+        ("rows", Json::Raw(text(rows))),
+        ("mults", Json::Raw(text(mults))),
     ])
 }
 
-/// `[lb,sg,ub]`, each member written by `write`.
-fn write_triple<T>(out: &mut String, triple: [T; 3], write: impl Fn(T, &mut String)) {
-    out.push('[');
-    for (i, v) in triple.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write(v, out);
-    }
-    out.push(']');
+/// An encoder's buffer as the text it is: every piece written to it was
+/// ASCII punctuation, ASCII digits, or the bytes of a `str`.
+fn text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
-/// A cell value, as the scalar [`Json`] of its kind writes it.
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => Json::Null.write(out),
-        Value::Bool(b) => Json::Bool(*b).write(out),
-        Value::Int(i) => Json::Int(*i).write(out),
-        Value::Float(f) => Json::Float(*f).write(out),
-        Value::Str(s) => write_string(out, s),
+/// One attribute's three bound lanes, as the encoder reads them.
+struct ColumnLanes<'a> {
+    col: &'a AuColumn,
+    bounds: [PhysSlice<'a>; 3],
+    /// A point's three members are the same *bytes*, not just equal
+    /// values: true of a certain column (one vector is all three) and of
+    /// integer or string lanes. Equal floats need not print alike (`-0.0`
+    /// and `0.0`), nor equal values of a `Generic` lane (`3` and `3.0`).
+    points_copy: bool,
+}
+
+impl<'a> ColumnLanes<'a> {
+    fn of(cols: &'a AuColumns, c: usize) -> Self {
+        let col = cols.col(c);
+        let points_copy =
+            col.is_certain() || matches!(col.phys_type(), PhysType::I64 | PhysType::Str);
+        ColumnLanes {
+            col,
+            bounds: [Corner::Lb, Corner::Sg, Corner::Ub].map(|corner| col.corner(corner)),
+            points_copy,
+        }
     }
+
+    /// `[lb,sg,ub]` of row `i`.
+    fn write_triple(&self, i: usize, out: &mut Vec<u8>, scratch: &mut String) {
+        out.push(b'[');
+        let start = out.len();
+        write_cell(&self.bounds[0], i, out, scratch);
+        if self.points_copy && self.col.certain_at(i) {
+            let end = out.len();
+            for _ in 0..2 {
+                out.push(b',');
+                out.extend_from_within(start..end);
+            }
+        } else {
+            for bound in &self.bounds[1..] {
+                out.push(b',');
+                write_cell(bound, i, out, scratch);
+            }
+        }
+        out.push(b']');
+    }
+}
+
+/// Cell `i` of a lane, as the scalar [`Json`] of its kind writes it: an
+/// `i64` straight from the lane into the buffer — no `Value`, no
+/// formatter —, anything else through `scratch` and the scalar's own
+/// writer (a dictionary string escaped from the pool).
+fn write_cell(lane: &PhysSlice<'_>, i: usize, out: &mut Vec<u8>, scratch: &mut String) {
+    scratch.clear();
+    match lane {
+        PhysSlice::I64(v) => return out.extend_from_slice(int_text(v[i], &mut [0; 21])),
+        PhysSlice::F64(v) => write_float(scratch, v[i]),
+        PhysSlice::Str { codes, pool } => write_string(scratch, pool.get(codes[i])),
+        PhysSlice::Generic(v) => match &v[i] {
+            Value::Null => Json::Null.write(scratch),
+            Value::Bool(b) => Json::Bool(*b).write(scratch),
+            Value::Int(k) => write_int(scratch, *k),
+            Value::Float(f) => write_float(scratch, *f),
+            Value::Str(s) => write_string(scratch, s),
+        },
+    }
+    out.extend_from_slice(scratch.as_bytes());
 }
 
 /// Map a [`SessionError`] onto `(status, body)`: text/plan/semantic

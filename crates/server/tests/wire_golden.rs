@@ -292,6 +292,36 @@ fn unknown_route_and_bad_method_are_structured() {
     );
 }
 
+/// A stored row that may exist five billion times makes an unlimited
+/// ranking, or any window, emit one row per possible duplicate: the engine
+/// refuses — nothing is allocated, the server keeps answering — where the
+/// `LIMIT 3` form, bounded by its band, returns its rows.
+#[test]
+fn a_result_past_the_row_index_is_a_400_and_the_server_lives() {
+    let state = state();
+    let mut conn = ConnState::default();
+    let csv = "a,mult_lb,mult_sg,mult_ub\n7,1,1,5000000000\n";
+    let (status, _) = roundtrip(&state, &mut conn, &post("/register?name=dup", csv));
+    assert_eq!(status, 200);
+    let too_large = "{\"error\":{\"kind\":\"result_too_large\",\"message\":\"execution failed: an ORDER BY or window over this input would emit 5000000000 rows (one per possible duplicate); at most 4294967295 are supported\"}}";
+    for sql in [
+        "SELECT * FROM dup ORDER BY a AS pos",
+        "SELECT *, COUNT(*) OVER (ORDER BY a ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS c FROM dup",
+    ] {
+        let (status, body) = roundtrip(&state, &mut conn, &post("/query", sql));
+        assert_eq!((status, body.as_str()), (400, too_large), "{sql}");
+        let (status, body) = roundtrip(&state, &mut conn, &request("GET", "/health", ""));
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    }
+    let (status, body) = roundtrip(
+        &state,
+        &mut conn,
+        &post("/query", "SELECT * FROM dup ORDER BY a AS pos LIMIT 3"),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(body, "{\"schema\":[\"a\",\"pos\"],\"row_count\":3,\"rows\":[[[7,7,7],[0,0,0]],[[7,7,7],[1,1,1]],[[7,7,7],[2,2,2]]],\"mults\":[[1,1,1],[0,0,1],[0,0,1]],\"cache\":{\"hit\":false,\"hits\":0,\"misses\":3},\"elapsed_us\":0}");
+}
+
 #[test]
 fn health_and_stats_shapes() {
     let state = state();

@@ -13,7 +13,7 @@
 //! (order columns, position/aggregate output names, top-k capping) is
 //! written once and shared with the examples and benchmarks.
 
-use audb_core::{AuRelation, WinAgg};
+use audb_core::{AuColumns, Corner, WinAgg};
 use audb_engine::{
     exec, Agg, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
     WindowSpec as EngineWindowSpec,
@@ -50,18 +50,20 @@ fn val_f(v: &Value) -> f64 {
     v.as_f64().unwrap_or(f64::NAN)
 }
 
-/// Extract per-id bounds from an AU sort/window output: `id_col` holds the
-/// certain provenance id, `val_col` the range-annotated answer. Multiple
-/// rows per id (duplicates) hull together.
-pub fn au_bounds_by_id(out: &AuRelation, id_col: usize, val_col: usize, n: usize) -> Bounds {
+/// Extract per-id bounds from an AU sort/window output, as the engine
+/// returns it: `id_col` holds the certain provenance id, `val_col` the
+/// range-annotated answer, both read from their lanes. Multiple rows per
+/// id (duplicates) hull together.
+pub fn au_bounds_by_id(out: &AuColumns, id_col: usize, val_col: usize, n: usize) -> Bounds {
     let mut bounds: Bounds = vec![None; n];
-    for row in out.rows() {
-        if row.mult.is_zero() {
-            continue;
-        }
-        let id = row.tuple.get(id_col).sg.as_i64().expect("certain id") as usize;
-        let rv = row.tuple.get(val_col);
-        let (lo, hi) = (val_f(&rv.lb), val_f(&rv.ub));
+    let ids = out.col(id_col).corner(Corner::Sg);
+    let (los, his) = (
+        out.col(val_col).corner(Corner::Lb),
+        out.col(val_col).corner(Corner::Ub),
+    );
+    for row in (0..out.len()).filter(|&row| !out.mult(row).is_zero()) {
+        let id = ids.value(row).as_i64().expect("certain id") as usize;
+        let (lo, hi) = (val_f(&los.value(row)), val_f(&his.value(row)));
         bounds[id] = Some(match bounds[id] {
             None => (lo, hi),
             Some((a, b)) => (a.min(lo), b.max(hi)),
@@ -127,7 +129,7 @@ pub fn window_plan(table: &XTupleTable, order: &[usize], agg: WinAgg, l: i64, u:
 fn engine_bounds(engine: Engine, plan: &Plan, id_col: usize, n_ids: usize) -> Timed<Bounds> {
     time(move || {
         let out = engine.execute(plan).expect("workload plan executes");
-        au_bounds_by_id(&out, id_col, out.schema.arity() - 1, n_ids)
+        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids)
     })
 }
 
@@ -151,7 +153,7 @@ pub fn sql_bounds(
     let out = run.value?;
     Ok(Timed {
         elapsed: run.elapsed,
-        value: au_bounds_by_id(&out, id_col, out.schema.arity() - 1, n_ids),
+        value: au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids),
     })
 }
 
@@ -257,15 +259,16 @@ pub fn rewrite_window(
     let n_ids = plan.source_columns().len() + 1;
     time(|| {
         let out = rewrite_execute(&plan, strategy);
-        au_bounds_by_id(&out, id_col, out.schema.arity() - 1, n_ids)
+        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids)
     })
 }
 
 /// One plan on the rewrite backend under an explicit window join
 /// `strategy`, at the engine's default batch size.
-pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuRelation {
+pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuColumns {
     let batch_size = Engine::rewrite().choose_exec(plan).batch_size;
-    exec::run_materialized(&Rewrite { strategy }, plan, batch_size).0
+    let run = exec::run_materialized(&Rewrite { strategy }, plan, batch_size);
+    run.expect("workload plan executes").0
 }
 
 /// `MCDB`: sampled window-aggregate envelopes.

@@ -107,7 +107,7 @@ fn main() {
             "SELECT * FROM scores ORDER BY score AS rank LIMIT {k}"
         ))
         .expect("backends agree");
-    let podium = all.output;
+    let podium = all.output.to_rows();
     println!("\nAU-DB top-{k} (score range, player, rank range, certainty):");
     for row in podium.rows() {
         let player = name(row.tuple.get(1).sg.as_i64().unwrap() as usize);

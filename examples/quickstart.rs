@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let top2_sql =
         session.sql("SELECT * FROM products WHERE price < 14 ORDER BY price AS rank LIMIT 2")?;
-    assert!(top2_sql.bag_eq(&top2.output));
+    assert!(top2_sql.bag_eq(&top2.output.to_rows()));
     println!(
         "SQL says the same:\n  SELECT * FROM products WHERE price < 14 \
          ORDER BY price AS rank LIMIT 2\n{top2_sql}"

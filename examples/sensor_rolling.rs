@@ -128,6 +128,7 @@ fn main() {
             ))
             .expect("backends agree")
             .output
+            .to_rows()
     };
     println!();
     for (name, agg) in [

@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "SELECT *, SUM(price) OVER (ORDER BY price \
          ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS rolling FROM products",
     )?;
-    let first = session.execute(&prepared)?;
-    let second = session.execute(&prepared)?;
+    let first = session.execute(&prepared)?.to_rows();
+    let second = session.execute(&prepared)?.to_rows();
     assert!(first.bag_eq(&second));
     println!("prepared [{}]:\n{}", prepared.sql(), first.normalize());
 

@@ -98,11 +98,11 @@ fn concurrent_sessions_match_single_threaded_reference() {
                         0 => session.sql(sql).unwrap(),
                         1 => {
                             let prepared = session.prepare(sql).unwrap();
-                            session.execute(&prepared).unwrap()
+                            session.execute(&prepared).unwrap().to_rows()
                         }
                         _ => {
                             let (prepared, _hit) = session.prepare_cached(&cache, sql).unwrap();
-                            session.execute(&prepared).unwrap()
+                            session.execute(&prepared).unwrap().to_rows()
                         }
                     };
                     assert!(
@@ -137,7 +137,7 @@ fn prepared_statements_survive_concurrent_republication() {
     let prepared = session
         .prepare("SELECT * FROM products ORDER BY price AS rank LIMIT 2")
         .unwrap();
-    let expected = session.execute(&prepared).unwrap();
+    let expected = session.execute(&prepared).unwrap().to_rows();
 
     let publisher = {
         let catalog = catalog.clone();
@@ -150,7 +150,7 @@ fn prepared_statements_survive_concurrent_republication() {
     // The prepared plan is pinned to its bind-time snapshot: concurrent
     // publication of the same contents never perturbs its output.
     for _ in 0..200 {
-        let got = session.execute(&prepared).unwrap();
+        let got = session.execute(&prepared).unwrap().to_rows();
         assert!(got.bag_eq(&expected));
     }
     publisher.join().unwrap();
@@ -249,7 +249,7 @@ fn racing_readers_share_one_columnar_form_per_version() {
                 loop {
                     let last = done.load(Ordering::Acquire);
                     let prepared = session.prepare(SQL).unwrap();
-                    let answer = session.execute(&prepared).unwrap();
+                    let answer = session.execute(&prepared).unwrap().to_rows();
                     seen.push((prepared, answer));
                     if last {
                         return seen;
@@ -422,7 +422,7 @@ fn a_pinned_version_keeps_its_rows_while_appends_seal_segments() {
     catalog.append("t", &rows(BASE_ROWS, 5)).unwrap();
     let session = Session::with_catalog(Engine::native(), catalog.clone());
     let pinned = session.prepare(SQL).unwrap();
-    let expected = session.execute(&pinned).unwrap();
+    let expected = session.execute(&pinned).unwrap().to_rows();
     assert_eq!(expected.len(), BASE_ROWS + 5 - 200);
     let first = catalog.snapshot();
 
@@ -444,7 +444,11 @@ fn a_pinned_version_keeps_its_rows_while_appends_seal_segments() {
     };
     loop {
         let last = done.load(Ordering::Acquire);
-        assert!(session.execute(&pinned).unwrap().bag_eq(&expected));
+        assert!(session
+            .execute(&pinned)
+            .unwrap()
+            .to_rows()
+            .bag_eq(&expected));
         if last {
             break;
         }
@@ -477,5 +481,9 @@ fn a_pinned_version_keeps_its_rows_while_appends_seal_segments() {
     assert!(sealed >= 2, "{sealed} sealed appended segments");
     // A fresh statement reads them all; the pinned one never did.
     assert_eq!(session.sql(SQL).unwrap().len(), last.len() - 200);
-    assert!(session.execute(&pinned).unwrap().bag_eq(&expected));
+    assert!(session
+        .execute(&pinned)
+        .unwrap()
+        .to_rows()
+        .bag_eq(&expected));
 }

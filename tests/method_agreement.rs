@@ -127,9 +127,9 @@ proptest! {
     fn engine_backends_agree_on_random_plans(plan in plan_strategy()) {
         let all = Engine::native().run_all(&plan).expect("backends agree");
         // The agreed output is exactly the single-backend result.
-        let native = Engine::native().execute(&plan).expect("native executes");
-        prop_assert!(all.output.bag_eq(&native));
-        prop_assert!(all.output.schema.cols().last().is_some_and(|c| c == "tau" || c == "x"));
+        let native = Engine::native().execute(&plan).expect("native executes").to_rows();
+        prop_assert!(all.output.to_rows().bag_eq(&native));
+        prop_assert!(all.output.schema().cols().last().is_some_and(|c| c == "tau" || c == "x"));
     }
 
     /// Native sort ≡ reference sort ≡ rewrite sort, arbitrary multiplicities.
@@ -675,13 +675,13 @@ fn columnar_sort_and_topk_equal_the_row_reference() {
             );
 
             let reference = sort_ref(&cols.to_rows(), &order, "pos", CmpSemantics::IntervalLex);
-            let by_cols = sort_columns_native(&cols, &order, "pos", None);
+            let by_cols = sort_columns_native(&cols, &order, "pos", None).to_rows();
             assert_eq!(by_cols.schema, reference.schema, "{what}");
             assert!(by_cols.bag_eq(&reference), "sort: {what}");
 
             let n = rel.len() as u64;
             for k in [0, 1, 10, n / 2, n, n + 5] {
-                let top = sort_columns_native(&cols, &order, "pos", Some(k));
+                let top = sort_columns_native(&cols, &order, "pos", Some(k)).to_rows();
                 assert!(
                     top.bag_eq(&capped_topk_of(&reference, k)),
                     "top-{k} ≠ reference: {what}"
@@ -774,13 +774,15 @@ fn columnar_window_equals_the_row_reference() {
                         let generic = window_columns_native(&cols.to_generic(), &spec, agg, "x");
                         let generic = generic.expect(&what).rel;
                         assert!(generic.is_normalized() && by_cols.rel.is_normalized());
-                        assert_eq!(generic.rows(), by_cols.rel.rows(), "generic lanes: {what}");
+                        let (generic, by_cols) = (generic.to_rows(), by_cols.rel.to_rows());
+                        assert!(by_cols.is_normalized(), "{what}");
+                        assert_eq!(generic.rows(), by_cols.rows(), "generic lanes: {what}");
                         merged[usize::from(duplicates)] += 1;
                         if !duplicates {
                             let reference =
                                 window_ref(&by_rows, &spec, agg, "x", CmpSemantics::IntervalLex);
-                            assert_eq!(by_cols.rel.schema, reference.schema, "{what}");
-                            assert!(by_cols.rel.bag_eq(&reference), "{what}");
+                            assert_eq!(by_cols.schema, reference.schema, "{what}");
+                            assert!(by_cols.bag_eq(&reference), "{what}");
                         }
                     }
                 }
@@ -862,6 +864,12 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
             overflowed >= 8,
             "only {overflowed} sums left i64 over [{l}, {u}]"
         );
+        // Those `Float` bounds sit in the kernel's aggregate column beside
+        // `Int` ones: no `i64` lane holds it, and its values are the rows'.
+        let kernel = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(1), "x");
+        let kernel = kernel.expect("no partition").rel;
+        assert_ne!(kernel.col(2).phys_type(), audb::core::PhysType::I64);
+        assert_eq!(kernel.to_rows().rows(), native.rows(), "[{l}, {u}]");
     }
 }
 
@@ -919,7 +927,7 @@ fn native_window_rows_are_the_normalized_rows() {
                 assert!(!in_close_order.is_normalized(), "{what}");
                 merged_back += in_close_order.len() - kernel.rel.len();
                 assert_eq!(
-                    kernel.rel.rows(),
+                    kernel.rel.to_rows().rows(),
                     in_close_order.normalize().rows(),
                     "{what}"
                 );
@@ -959,12 +967,12 @@ fn native_window_fallbacks_route_to_the_reference() {
     assert!(swept.merged_duplicates);
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(
-        !swept.rel.bag_eq(&reference),
+        !swept.rel.to_rows().bag_eq(&reference),
         "the duplicate offsets were meant to show in these bounds"
     );
     let plan = Query::scan(rel).window(window(false)).build().unwrap();
     let all = Engine::native().run_all(&plan).expect("backends agree");
-    assert!(all.output.bag_eq(&reference));
+    assert!(all.output.to_rows().bag_eq(&reference));
     let explain = Engine::native().explain(&plan).to_string();
     assert!(explain.contains("falls back to reference"), "{explain}");
 
@@ -981,5 +989,5 @@ fn native_window_fallbacks_route_to_the_reference() {
         .unwrap();
     let all = Engine::native().run_all(&plan).expect("backends agree");
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
-    assert!(all.output.bag_eq(&reference));
+    assert!(all.output.to_rows().bag_eq(&reference));
 }

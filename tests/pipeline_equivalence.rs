@@ -213,12 +213,12 @@ proptest! {
         plan in plan_strategy(),
         batch_size in prop_oneof![Just(1usize), Just(2), Just(7), Just(1024)],
     ) {
-        let materialized = Engine::reference().execute(&plan).expect("reference run");
+        let materialized = Engine::reference().execute(&plan).expect("reference run").to_rows();
         for choice in [BackendChoice::Native, BackendChoice::Rewrite] {
             let pipelined = Engine::new(choice)
                 .with_batch_size(batch_size)
                 .execute(&plan)
-                .expect("pipelined run");
+                .expect("pipelined run").to_rows();
             prop_assert!(
                 pipelined.bag_eq(&materialized),
                 "{choice} batch {batch_size}:\npipelined:\n{pipelined}\nreference:\n{materialized}"
@@ -231,8 +231,8 @@ proptest! {
     #[test]
     fn run_all_agrees_through_the_pipeline_executor(plan in plan_strategy()) {
         let all = Engine::native().run_all(&plan).expect("backends agree");
-        let direct = Engine::native().execute(&plan).expect("native executes");
-        prop_assert!(all.output.bag_eq(&direct));
+        let direct = Engine::native().execute(&plan).expect("native executes").to_rows();
+        prop_assert!(all.output.to_rows().bag_eq(&direct));
     }
 
     /// The optimizer's contract: every rewrite (select reordering, select
@@ -242,8 +242,8 @@ proptest! {
     fn optimized_equals_unoptimized_on_all_backends(plan in plan_strategy()) {
         let optimized = optimize(&plan);
         for choice in BackendChoice::ALL {
-            let plain = Engine::new(choice).execute(&plan).expect("unoptimized run");
-            let opt = Engine::new(choice).execute(&optimized).expect("optimized run");
+            let plain = Engine::new(choice).execute(&plan).expect("unoptimized run").to_rows();
+            let opt = Engine::new(choice).execute(&optimized).expect("optimized run").to_rows();
             prop_assert!(
                 opt.bag_eq(&plain),
                 "{choice}:\noptimized:\n{opt}\nunoptimized:\n{plain}\nrewrites: {:?}",
@@ -281,11 +281,11 @@ proptest! {
                 .with_batch_size(batch_size)
                 .with_pruning(false)
                 .execute(&plan)
-                .expect("unpruned run");
+                .expect("unpruned run").to_rows();
             let pruned = Engine::new(choice)
                 .with_batch_size(batch_size)
                 .execute(&plan)
-                .expect("pruned run");
+                .expect("pruned run").to_rows();
             prop_assert!(
                 pruned.bag_eq(&unpruned),
                 "{choice} batch {batch_size}:\npruned:\n{pruned}\nunpruned:\n{unpruned}"
@@ -341,8 +341,8 @@ fn frame_unsafe_window_pushdown_is_refused() {
         .iter()
         .any(|r| r.rule == "pushdown-select-below-window"));
     for choice in BackendChoice::ALL {
-        let plain = Engine::new(choice).execute(&safe_plan).unwrap();
-        let opt = Engine::new(choice).execute(&optimized).unwrap();
+        let plain = Engine::new(choice).execute(&safe_plan).unwrap().to_rows();
+        let opt = Engine::new(choice).execute(&optimized).unwrap().to_rows();
         assert!(opt.bag_eq(&plain), "{choice}");
     }
 }
@@ -479,8 +479,8 @@ fn dead_column_pruning_renumbers_through_breakers() {
     );
     assert_eq!(optimized.schema(), plan.schema());
     for choice in BackendChoice::ALL {
-        let plain = Engine::new(choice).execute(&plan).unwrap();
-        let opt = Engine::new(choice).execute(&optimized).unwrap();
+        let plain = Engine::new(choice).execute(&plan).unwrap().to_rows();
+        let opt = Engine::new(choice).execute(&optimized).unwrap().to_rows();
         assert!(!plain.is_empty());
         assert!(opt.bag_eq(&plain), "{choice}:\n{opt}\nvs\n{plain}");
     }
@@ -590,7 +590,7 @@ mod appended_in_pieces {
                     let (out, trace) = (session.engine())
                         .execute_traced(prepared.plan())
                         .expect("generated SQL runs");
-                    (prepared, out, trace)
+                    (prepared, out.to_rows(), trace)
                 };
                 let (_, want, _) = run(whole);
                 let (prepared, got, trace) = run(pieces);

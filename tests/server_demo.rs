@@ -121,7 +121,8 @@ fn demo_script_over_localhost_matches_golden_semantics() {
                 // The oracle result, pushed through the same wire encoder,
                 // must match field-for-field (rows are normalized on both
                 // sides, so bag-equal means byte-equal).
-                let expected = Json::parse(&wire::relation_body(expected).to_string()).unwrap();
+                let expected =
+                    Json::parse(&wire::relation_body(expected.to_columns()).to_string()).unwrap();
                 for field in ["schema", "row_count", "rows", "mults"] {
                     assert_eq!(
                         reply.get(field),
@@ -247,7 +248,7 @@ mod encoding {
                     (tuple, Mult3::new(k, k + dk, k + dk + dk2))
                 }),
             );
-            let text = wire::relation_body(rel.clone()).to_string();
+            let text = wire::relation_body(rel.to_columns()).to_string();
             let parsed = Json::parse(&text).expect("a result body is JSON");
 
             let rel = rel.normalize();

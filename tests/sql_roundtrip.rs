@@ -246,9 +246,10 @@ proptest! {
         let back = roundtrip(&plan);
         let original = Engine::native().run_all(&plan).expect("backends agree on original");
         let reparsed = Engine::native().run_all(&back).expect("backends agree on reparsed");
+        let (original, reparsed) = (original.output.to_rows(), reparsed.output.to_rows());
         prop_assert!(
-            original.output.bag_eq(&reparsed.output),
-            "original:\n{}\nreparsed:\n{}", original.output, reparsed.output
+            original.bag_eq(&reparsed),
+            "original:\n{}\nreparsed:\n{}", original, reparsed
         );
     }
 }
