@@ -23,7 +23,9 @@
 //!   skipping on and off, prepared and executed afresh per timed run;
 //! * **append** — a 64-row catalog append onto a 16 384-row and onto a
 //!   131 072-row table: the cost of the batch, not of the table;
-//! * **sort stages** — where one 32 768-row native sort spends its time;
+//! * **sort stages** — where one 32 768-row native sort spends its time,
+//!   and the same sort led by a 4-valued column (every prefix tied) or by
+//!   strings that share ten key bytes;
 //!   **window stages** — the same for the two windows of the repo
 //!   benchmark's `window_scan` over 8 192 rows;
 //!   **cmp-semantics** and **window aggregates** — ablations;
@@ -43,7 +45,7 @@ use audb_core::{
 use audb_engine::{CmpSemantics, Engine, MaintainedQuery, Plan, Query, Session, SharedCatalog};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
-use audb_rel::Schema;
+use audb_rel::{Schema, Value};
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use std::time::Instant;
@@ -614,17 +616,34 @@ pub fn measure_scaling(cfg: &BenchConfig) -> Vec<ScalingRun> {
 /// Where one native sort of 32 768 rows spends its time: median
 /// milliseconds per stage of `sort_native_staged` over the columns the
 /// engine would hand it (DESIGN.md §3.3 has the table). The clock is read
-/// here, as each stage ends — never in the kernel.
-pub fn measure_sort_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
+/// here, as each stage ends — never in the kernel. `lead`: the same table
+/// with a certain `g = lead(row)` put ahead of it and sorted `ORDER BY g,
+/// b`. With `tied_lead` every key shares its prefix with a quarter of
+/// the others — the worst case of a ranking that encodes key bytes only
+/// where prefixes tie; with `string_lead` all of them do.
+pub fn measure_sort_stages(
+    cfg: &BenchConfig,
+    lead: Option<fn(usize) -> Value>,
+) -> Vec<(&'static str, f64)> {
     const STAGES: [&str; 5] = ["encode", "rank", "merge", "sweep", "materialise"];
     let runs = if cfg.quick { 3 } else { 7 };
-    let cols = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3))
-        .to_au_relation()
-        .to_columns();
+    let rel = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3)).to_au_relation();
+    let (cols, order) = match lead {
+        Some(lead) => {
+            let rows = (rel.rows().iter().enumerate()).map(|(i, row)| {
+                let g = RangeValue::certain(lead(i));
+                let tuple = AuTuple::new(std::iter::once(g).chain(row.tuple.0.iter().cloned()));
+                (tuple, row.mult)
+            });
+            let schema = Schema::new(["g", "a", "b", "id"]);
+            (AuRelation::from_rows(schema, rows).to_columns(), [0, 2])
+        }
+        None => (rel.to_columns(), [0, 1]),
+    };
     let mut samples = vec![Vec::with_capacity(runs); STAGES.len()];
     for _ in 0..runs {
         let mut last = Instant::now();
-        let sorted = sort_native_staged(&cols, &[0, 1], "pos", None, &mut |ended| {
+        let sorted = sort_native_staged(&cols, &order, "pos", None, &mut |ended| {
             let now = Instant::now();
             if let Some(s) = STAGES.iter().position(|&stage| stage == ended) {
                 samples[s].push((now - last).as_secs_f64() * 1e3);
@@ -637,6 +656,17 @@ pub fn measure_sort_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
         .into_iter()
         .zip(samples.into_iter().map(median))
         .collect()
+}
+
+/// The `sort/tied-stages` lead: four integers.
+fn tied_lead(row: usize) -> Value {
+    Value::Int((row % 4) as i64)
+}
+
+/// The `sort/str-stages` lead: 4 096 sensor names whose keys share their
+/// first ten bytes — past the prefix.
+fn string_lead(row: usize) -> Value {
+    Value::str(format!("sensor-{:06}", row % 4096))
 }
 
 /// The window the repo benchmark's `window_scan` runs over
@@ -1142,7 +1172,17 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         }
     }
     let blocks = [
-        ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg)),
+        ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
+        (
+            "sort/tied-stages",
+            STAGE_ROWS,
+            measure_sort_stages(cfg, Some(tied_lead)),
+        ),
+        (
+            "sort/str-stages",
+            STAGE_ROWS,
+            measure_sort_stages(cfg, Some(string_lead)),
+        ),
         (
             "window/stages",
             WINDOW_STAGE_ROWS,

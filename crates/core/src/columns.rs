@@ -37,7 +37,7 @@ use crate::mult::Mult3;
 use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
 use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
-use crate::sortkey::{Corner, SortKey};
+use crate::sortkey::{prefix_at, Corner, SortKey};
 use crate::tuple::AuTuple;
 use audb_rel::{Schema, Value};
 use std::fmt;
@@ -685,9 +685,10 @@ impl AuColumns {
         self
     }
 
-    /// Canonical form, computed entirely columnar: the keys of
-    /// [`canonical_order`] are encoded straight from the typed lanes (no
-    /// per-row tuple is ever materialized) and the surviving rows gathered.
+    /// Canonical form, computed entirely columnar: the prefixes of
+    /// [`canonical_order`] are read off the typed lanes, its keys — for
+    /// tied prefixes only — encoded from them (no per-row tuple is ever
+    /// materialized), and the surviving rows gathered.
     /// Produces exactly the row sequence [`AuRelation::normalize`] produces
     /// (property-tested).
     pub fn normalize(self) -> AuColumns {
@@ -697,8 +698,8 @@ impl AuColumns {
         let all: Vec<usize> = (0..self.arity()).collect();
         let (idxs, mults): (Vec<usize>, Vec<Mult3>) = canonical_order(
             self.len,
-            all.len(),
             |row| self.mult(row),
+            |row| prefix_at(&self, row, Corner::Lb, &all),
             |keys, row| keys.extend_corner_at(&self, row, Corner::Lb, &all),
             |keys, row| {
                 keys.extend_corner_at(&self, row, Corner::Ub, &all);

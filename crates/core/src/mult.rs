@@ -65,6 +65,16 @@ impl Mult3 {
         self.lb <= n && n <= self.ub
     }
 
+    /// Component-wise `+`, each component stopping at `u64::MAX`. Exact
+    /// wherever a component is read through `min(·, k)`.
+    pub fn saturating_add(self, rhs: Mult3) -> Mult3 {
+        Mult3 {
+            lb: self.lb.saturating_add(rhs.lb),
+            sg: self.sg.saturating_add(rhs.sg),
+            ub: self.ub.saturating_add(rhs.ub),
+        }
+    }
+
     /// Filter by a selection condition's truth triple (\[24\] selection
     /// semantics): the certain multiplicity survives only if the condition
     /// certainly holds, the possible multiplicity only if it possibly holds.

@@ -2,7 +2,7 @@
 
 use crate::mult::Mult3;
 use crate::range_value::RangeValue;
-use crate::sortkey::KeyArena;
+use crate::sortkey::{prefix_of, sort_prefixes, KeyArena};
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
 use std::borrow::Cow;
@@ -169,7 +169,8 @@ impl AuRelation {
     /// `normalize` is row equality.
     ///
     /// Already-normalized inputs return immediately. The order is
-    /// [`canonical_order`]'s: keys in one arena, the surviving tuples moved.
+    /// [`canonical_order`]'s: prefixes from the first values, keys where
+    /// they tie, the surviving tuples moved.
     pub fn normalize(mut self) -> Self {
         if self.normalized {
             return self;
@@ -200,13 +201,14 @@ impl AuRelation {
         Cow::Owned(AuRelation::from_parts(self.schema.clone(), rows, true))
     }
 
-    /// [`canonical_order`] of the stored rows, keyed from their tuples.
+    /// [`canonical_order`] of the stored rows, prefixed and keyed from
+    /// their tuples.
     fn canonical_order(&self) -> Vec<(usize, Mult3)> {
         let rows = &self.rows;
         canonical_order(
             rows.len(),
-            self.schema.arity(),
             |row| rows[row].mult,
+            |row| prefix_of(rows[row].tuple.0.iter().map(|r| &r.lb)),
             |keys, row| (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.lb)),
             |keys, row| {
                 (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.ub));
@@ -276,66 +278,61 @@ impl AuRelation {
 /// equal keys merged into the first stored of them, annotations added.
 /// Returns `(representative row, merged annotation)` in that order.
 ///
-/// The key comes in two pieces so that the common case encodes a third of
-/// it, and no key is a heap allocation: `head` appends a row's leading
-/// section (the lower-bound corner, `width` values) to the arena, `tail`
-/// the rest, and `tail` is asked only for rows whose heads tie. What is
-/// sorted are 16-byte `(prefix, row)` references; the arena is read when
-/// prefixes tie.
+/// The key comes in three pieces so that the common case encodes none of
+/// it: `prefix` is the first eight bytes of a row's key as a word
+/// ([`crate::prefix_at`] off the lanes), `head` appends the leading section
+/// (the lower-bound corner) to an arena, `tail` the rest. What is sorted
+/// are `(prefix, row)` pairs ([`crate::sort_prefixes`]); `head` is asked
+/// only for rows whose prefixes tie, and `tail` for rows whose heads do.
 pub fn canonical_order(
     n: usize,
-    width: usize,
     mult: impl Fn(usize) -> Mult3,
+    prefix: impl Fn(usize) -> u64,
     mut head: impl FnMut(&mut KeyArena, usize),
     mut tail: impl FnMut(&mut KeyArena, usize),
 ) -> Vec<(usize, Mult3)> {
-    // Slot = row: a dropped row keeps an empty slot and gets no reference.
-    let mut heads = KeyArena::with_capacity(n, width);
-    let mut refs: Vec<(u64, u32)> = Vec::with_capacity(n);
-    for row in 0..n {
-        if mult(row).is_zero() {
-            heads.end_key();
-            continue;
-        }
-        head(&mut heads, row);
-        heads.end_key();
-        refs.push((heads.prefix(row), row as u32));
-    }
-    // Two steps, so the sort of everything compares integers inline: by
-    // `(prefix, row)`, then the rows of one prefix by the rest of the head.
-    let head_of = |r: &(u64, u32)| heads.key(r.1 as usize);
-    refs.sort_unstable();
-    for run in refs.chunk_by_mut(|a, b| a.0 == b.0) {
-        if run.len() > 1 {
-            run.sort_by(|a, b| head_of(a).cmp(head_of(b)));
-        }
-    }
+    let mut refs: Vec<(u64, u32)> = (0..n)
+        .filter(|&row| !mult(row).is_zero())
+        .map(|row| (prefix(row), row as u32))
+        .collect();
+    sort_prefixes(&mut refs);
     let mut out: Vec<(usize, Mult3)> = Vec::with_capacity(refs.len());
-    let mut tails = KeyArena::with_capacity(0, 0);
-    for run in refs.chunk_by(|a, b| a.0 == b.0 && head_of(a) == head_of(b)) {
+    let (mut heads, mut tails) = (KeyArena::with_capacity(0, 0), KeyArena::with_capacity(0, 0));
+    for run in refs.chunk_by(|a, b| a.0 == b.0) {
         if let [(_, row)] = run {
             out.push((*row as usize, mult(*row as usize)));
             continue;
         }
-        // Equal heads: the rest of the key decides, stored order among
-        // equal keys (the sort is stable), which then merge.
-        let first = tails.len();
+        heads.clear();
         for &(_, row) in run {
-            tail(&mut tails, row as usize);
-            tails.end_key();
+            head(&mut heads, row as usize);
+            heads.end_key();
         }
-        let mut by_tail: Vec<usize> = (first..first + run.len()).collect();
-        by_tail.sort_by(|&a, &b| tails.key(a).cmp(tails.key(b)));
-        let mut last = None;
-        for slot in by_tail {
-            let row = run[slot - first].1 as usize;
-            match (last, out.last_mut()) {
-                (Some(prev), Some((_, merged))) if tails.key(prev) == tails.key(slot) => {
-                    *merged = *merged + mult(row);
-                }
-                _ => out.push((row, mult(row))),
+        let by_head = heads.sorted_slots();
+        for tied in by_head.chunk_by(|&a, &b| heads.key(a) == heads.key(b)) {
+            if let [slot] = tied {
+                let row = run[*slot].1 as usize;
+                out.push((row, mult(row)));
+                continue;
             }
-            last = Some(slot);
+            // Equal heads: the rest of the key decides, stored order among
+            // equal keys (every sort is stable), which then merge.
+            tails.clear();
+            for &slot in tied {
+                tail(&mut tails, run[slot].1 as usize);
+                tails.end_key();
+            }
+            let mut last = None;
+            for slot in tails.sorted_slots() {
+                let row = run[tied[slot]].1 as usize;
+                match (last, out.last_mut()) {
+                    (Some(prev), Some((_, merged))) if tails.key(prev) == tails.key(slot) => {
+                        *merged = *merged + mult(row);
+                    }
+                    _ => out.push((row, mult(row))),
+                }
+                last = Some(slot);
+            }
         }
     }
     out

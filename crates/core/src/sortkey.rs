@@ -11,6 +11,12 @@
 //! [`KeyArena`] holds the same bytes for many keys in one vector — what a
 //! sort over all the corner keys of a relation wants.
 //!
+//! Most sorts need less: a key's first eight bytes as a word
+//! ([`prefix_at`], [`prefix_of`] — read off the values, nothing encoded)
+//! decide almost every comparison. Such sorts order `(prefix, slot)` pairs
+//! with [`sort_prefixes`] and encode whole keys, into a small arena, only
+//! for the runs whose prefixes tie ([`KeyArena::sorted_slots`]).
+//!
 //! ## Encoding
 //!
 //! Each value is encoded self-delimitingly (the scheme is prefix-free, so
@@ -146,7 +152,7 @@ impl SortKey {
 }
 
 /// Corner keys of many tuples in one allocation: the memcmp bytes of
-/// [`encode_value`] end to end, addressed by *slot* — the order they were
+/// [`SortKey`] end to end, addressed by *slot* — the order they were
 /// pushed in — through an offset table. `Ord` on [`KeyArena::key`] is
 /// [`SortKey`]'s order, without a heap allocation per key.
 #[derive(Debug)]
@@ -204,14 +210,8 @@ impl KeyArena {
         corner: Corner,
         idxs: &[usize],
     ) {
-        use crate::physical::PhysSlice;
         for &i in idxs {
-            match cols.col(i).corner(corner) {
-                PhysSlice::I64(lane) => encode_i64(lane[row], &mut self.bytes),
-                PhysSlice::F64(lane) => encode_f64(lane[row], &mut self.bytes),
-                PhysSlice::Str { codes, pool } => encode_str(pool.get(codes[row]), &mut self.bytes),
-                PhysSlice::Generic(vals) => encode_value(&vals[row], &mut self.bytes),
-            }
+            encode_at(cols.col(i).corner(corner), row, &mut self.bytes);
         }
     }
 
@@ -240,11 +240,49 @@ impl KeyArena {
     /// beside the slot numbers and reads the arena on ties only.
     #[inline]
     pub fn prefix(&self, slot: usize) -> u64 {
-        let key = self.key(slot);
-        let mut head = [0u8; 8];
-        let n = key.len().min(8);
-        head[..n].copy_from_slice(&key[..n]);
-        u64::from_be_bytes(head)
+        self.word_at(slot, 0)
+    }
+
+    /// Bytes `at..` of the key in `slot` as [`KeyArena::prefix`] reads the
+    /// first eight.
+    fn word_at(&self, slot: usize, at: usize) -> u64 {
+        let mut head = Head::default();
+        head.put(self.key(slot).get(at..).unwrap_or_default());
+        head.word
+    }
+
+    /// The slots in key order, equal keys in slot order: how a run of
+    /// references that tie on their prefixes is put in order. The bytes
+    /// every key shares are skipped; [`sort_prefixes`] orders the word
+    /// after them, as [`KeyArena::prefix`] orders a key, and a stable
+    /// comparator sort — one memcmp per comparison, however long the keys —
+    /// only the slots whose words tie.
+    pub fn sorted_slots(&self) -> Vec<usize> {
+        if self.is_empty() {
+            return Vec::new();
+        }
+        let first = self.key(0);
+        let shared = (1..self.len()).fold(first.len(), |shared, slot| {
+            let (head, key) = (&first[..shared], self.key(slot));
+            match key.starts_with(head) {
+                true => shared,
+                false => (head.iter().zip(key)).take_while(|(a, b)| a == b).count(),
+            }
+        });
+        let mut refs: Vec<(u64, u32)> = (0..self.len())
+            .map(|slot| (self.word_at(slot, shared), slot as u32))
+            .collect();
+        sort_prefixes(&mut refs);
+        for run in refs.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_by(|a, b| self.key(a.1 as usize).cmp(self.key(b.1 as usize)));
+        }
+        refs.into_iter().map(|(_, slot)| slot as usize).collect()
+    }
+
+    /// Forget every key and keep the memory, for the next tied run.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.truncate(1);
     }
 
     /// Slots pushed so far.
@@ -258,6 +296,135 @@ impl KeyArena {
     }
 }
 
+/// [`KeyArena::prefix`] of the key [`KeyArena::push_corner_at`] would
+/// encode for row `row` of `cols` at `corner` over `idxs`, read off the
+/// lanes without an arena or an allocation: the values are encoded until
+/// eight bytes are in. A number leading the key decides it alone (tag and
+/// seven bytes of its double); `NULL`, `Bool`, NaN and a short string leave
+/// room for the next value.
+pub fn prefix_at(
+    cols: &crate::columns::AuColumns,
+    row: usize,
+    corner: Corner,
+    idxs: &[usize],
+) -> u64 {
+    let mut head = Head::default();
+    for &i in idxs {
+        if head.len == 8 {
+            break;
+        }
+        encode_at(cols.col(i).corner(corner), row, &mut head);
+    }
+    head.word
+}
+
+/// [`KeyArena::prefix`] of the key of the values `vals`, in order.
+pub fn prefix_of<'a>(vals: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut head = Head::default();
+    for v in vals {
+        if head.len == 8 {
+            break;
+        }
+        encode_value(v, &mut head);
+    }
+    head.word
+}
+
+/// Where encoded bytes go: a whole key, or only its first eight bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The first eight bytes of a key as a big-endian word, zero-padded; the
+/// rest is dropped.
+#[derive(Default)]
+struct Head {
+    word: u64,
+    len: u32,
+}
+
+impl Sink for Head {
+    /// At most one word per call is kept: an encoder puts at most eight
+    /// bytes at a time, a length the compiler sees.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len == 8 {
+            return;
+        }
+        let mut word = [0u8; 8];
+        let n = bytes.len().min(8);
+        word[..n].copy_from_slice(&bytes[..n]);
+        let word = u64::from_be_bytes(word).checked_shr(8 * self.len);
+        self.word |= word.unwrap_or(0);
+        self.len = (self.len + n as u32).min(8);
+    }
+}
+
+/// At most this many pairs are ordered by insertion: [`sort_prefixes`]'
+/// base case.
+const RADIX_BASE: usize = 32;
+
+/// Sort `(prefix, slot)` pairs by prefix, stably — equal prefixes keep
+/// their order. LSD radix over the eight bytes of the prefix, a pass
+/// skipped where one bucket holds every pair (a byte all prefixes share);
+/// up to 32 pairs by insertion.
+pub fn sort_prefixes(refs: &mut [(u64, u32)]) {
+    let n = refs.len();
+    if n <= RADIX_BASE {
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && refs[j - 1].0 > refs[j].0 {
+                refs.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        return;
+    }
+    let first = refs[0].0;
+    if refs.iter().all(|&(p, _)| p == first) {
+        return; // a tied run's next word, most often
+    }
+    let digit = |p: u64, byte: usize| (p >> (8 * byte)) as u8 as usize;
+    let mut counts = [[0usize; 256]; 8];
+    for &(p, _) in refs.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[digit(p, byte)] += 1;
+        }
+    }
+    let mut buf = Vec::new();
+    let mut in_buf = false;
+    for (byte, count) in counts.iter().enumerate() {
+        if count[digit(first, byte)] == n {
+            continue;
+        }
+        let mut at = [0usize; 256];
+        for d in 1..256 {
+            at[d] = at[d - 1] + count[d - 1];
+        }
+        buf.resize(n, (0, 0));
+        let (src, dst) = match in_buf {
+            false => (&refs[..], &mut buf[..]),
+            true => (&buf[..], &mut refs[..]),
+        };
+        for &pair in src {
+            let d = digit(pair.0, byte);
+            dst[at[d]] = pair;
+            at[d] += 1;
+        }
+        in_buf = !in_buf;
+    }
+    if in_buf {
+        refs.copy_from_slice(&buf);
+    }
+}
+
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x08;
 const TAG_TRUE: u8 = 0x09;
@@ -266,48 +433,61 @@ const TAG_NAN: u8 = 0x18;
 const TAG_STR: u8 = 0x20;
 
 /// Append the order-preserving encoding of `v` to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, out: &mut impl Sink) {
     match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
+        Value::Null => out.put(&[TAG_NULL]),
+        Value::Bool(false) => out.put(&[TAG_FALSE]),
+        Value::Bool(true) => out.put(&[TAG_TRUE]),
         Value::Int(i) => encode_i64(*i, out),
         Value::Float(f) => encode_f64(*f, out),
         Value::Str(s) => encode_str(s, out),
     }
 }
 
+/// Append the encoding of row `row` of one lane: `i64`, `f64` and
+/// dictionary lanes never construct a `Value`.
+#[inline]
+fn encode_at(slice: crate::physical::PhysSlice<'_>, row: usize, out: &mut impl Sink) {
+    use crate::physical::PhysSlice;
+    match slice {
+        PhysSlice::I64(lane) => encode_i64(lane[row], out),
+        PhysSlice::F64(lane) => encode_f64(lane[row], out),
+        PhysSlice::Str { codes, pool } => encode_str(pool.get(codes[row]), out),
+        PhysSlice::Generic(vals) => encode_value(&vals[row], out),
+    }
+}
+
 /// The `Int` arm of [`encode_value`], monomorphic.
 #[inline]
-fn encode_i64(i: i64, out: &mut Vec<u8>) {
-    out.push(TAG_NUM);
-    out.extend_from_slice(&mono_f64(i as f64).to_be_bytes());
-    out.extend_from_slice(&flip_i64(i).to_be_bytes());
+fn encode_i64(i: i64, out: &mut impl Sink) {
+    out.put(&[TAG_NUM]);
+    out.put(&mono_f64(i as f64).to_be_bytes());
+    out.put(&flip_i64(i).to_be_bytes());
 }
 
 /// The `Float` arm of [`encode_value`], monomorphic.
 #[inline]
-fn encode_f64(f: f64, out: &mut Vec<u8>) {
+fn encode_f64(f: f64, out: &mut impl Sink) {
     if f.is_nan() {
-        out.push(TAG_NAN);
+        out.put(&[TAG_NAN]);
     } else {
-        out.push(TAG_NUM);
-        out.extend_from_slice(&mono_f64(f).to_be_bytes());
-        out.extend_from_slice(&float_residual(f).to_be_bytes());
+        out.put(&[TAG_NUM]);
+        out.put(&mono_f64(f).to_be_bytes());
+        out.put(&float_residual(f).to_be_bytes());
     }
 }
 
 /// The `Str` arm of [`encode_value`], monomorphic.
 #[inline]
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    out.push(TAG_STR);
+fn encode_str(s: &str, out: &mut impl Sink) {
+    out.put(&[TAG_STR]);
     for &b in s.as_bytes() {
-        out.push(b);
-        if b == 0 {
-            out.push(0xFF);
+        match b {
+            0 => out.put(&[0, 0xFF]),
+            b => out.put(&[b]),
         }
     }
-    out.extend_from_slice(&[0, 0]);
+    out.put(&[0, 0]);
 }
 
 /// Append one column corner's encoding to every row buffer: a monomorphic
@@ -473,6 +653,135 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` pairs in slot order whose prefixes come from `pool`, picked by
+    /// a xorshift stream.
+    fn pairs(n: usize, pool: &[u64]) -> Vec<(u64, u32)> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n as u32)
+            .map(|slot| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (pool[(x % pool.len() as u64) as usize], slot)
+            })
+            .collect()
+    }
+
+    /// [`sort_prefixes`] against the standard library's stable sort.
+    fn assert_sorts(mut refs: Vec<(u64, u32)>) {
+        let mut want = refs.clone();
+        want.sort_by_key(|&(prefix, _)| prefix);
+        sort_prefixes(&mut refs);
+        assert_eq!(refs, want);
+    }
+
+    /// Prefixes that differ in one byte each, in every byte, and in all.
+    const SPREAD: [u64; 8] = [
+        0,
+        1,
+        0xFF00,
+        0x0001_0000_0000,
+        0x0100_0000_0000_0000,
+        0x10C0_0000_0000_0000,
+        0x10C0_0000_0000_0001,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn radix_sort_below_at_and_above_its_base_case() {
+        for n in [
+            0,
+            1,
+            2,
+            RADIX_BASE - 1,
+            RADIX_BASE,
+            RADIX_BASE + 1,
+            3 * RADIX_BASE,
+        ] {
+            assert_sorts(pairs(n, &SPREAD));
+            assert_sorts(pairs(n, &SPREAD[5..7]));
+        }
+    }
+
+    /// One bucket holds every pair at every byte: no pass runs, and the
+    /// order is the stored one.
+    #[test]
+    fn radix_sort_of_equal_prefixes_keeps_slot_order() {
+        for n in [RADIX_BASE, RADIX_BASE + 1, 2 * RADIX_BASE + 7] {
+            let mut refs = pairs(n, &[0x10C0_1234_5678_9ABC]);
+            sort_prefixes(&mut refs);
+            assert!(refs
+                .iter()
+                .enumerate()
+                .all(|(i, &(_, slot))| slot == i as u32));
+        }
+    }
+
+    #[test]
+    fn radix_sort_of_reversed_input() {
+        for n in [RADIX_BASE, RADIX_BASE + 1, 2 * RADIX_BASE + 7] {
+            let refs: Vec<(u64, u32)> = (0..n as u32)
+                .map(|slot| {
+                    (
+                        u64::MAX - u64::from(slot).wrapping_mul(0x0101_0101_0101),
+                        slot,
+                    )
+                })
+                .collect();
+            assert_sorts(refs);
+        }
+    }
+
+    /// Equal prefixes come out in slot order, across passes that move them.
+    #[test]
+    fn radix_sort_is_stable() {
+        for n in [RADIX_BASE - 1, RADIX_BASE + 1, 3 * RADIX_BASE] {
+            let mut refs = pairs(n, &SPREAD[..4]);
+            sort_prefixes(&mut refs);
+            for run in refs.chunk_by(|a, b| a.0 == b.0) {
+                assert!(run.windows(2).all(|w| w[0].1 < w[1].1), "{run:?}");
+            }
+        }
+    }
+
+    /// `sorted_slots` is the stable byte sort: over keys that share their
+    /// leading bytes (every key but the empty one, or none), tie past the
+    /// word after them (numbers past 2⁵³ differ in the residual only),
+    /// repeat, and run out at different lengths — `[s, 1]` is a proper
+    /// prefix of `[s, 1, NULL]`, which differs from it by a zero byte.
+    #[test]
+    fn sorted_slots_is_the_stable_byte_sort() {
+        let vals = [
+            Value::Int((1 << 60) + 1),
+            Value::Null,
+            Value::Int(1 << 60),
+            Value::str("ab\0"),
+            Value::Int(1),
+            Value::str("ab"),
+        ];
+        for lead in [None, Some(Value::str("a shared lead"))] {
+            for first in 0..2 {
+                let mut arena = KeyArena::with_capacity(0, 0);
+                for i in first..60 {
+                    if i > 0 {
+                        lead.iter().for_each(|v| arena.extend_value(v));
+                    }
+                    for v in [&vals[i % 6], &vals[i * 7 % 6], &vals[i / 6 % 6]]
+                        .into_iter()
+                        .take(i % 4)
+                    {
+                        arena.extend_value(v);
+                    }
+                    arena.end_key();
+                }
+                let mut want: Vec<usize> = (0..arena.len()).collect();
+                want.sort_by(|&a, &b| arena.key(a).cmp(arena.key(b)));
+                assert_eq!(arena.sorted_slots(), want);
+            }
+        }
+        assert!(KeyArena::with_capacity(0, 0).sorted_slots().is_empty());
     }
 
     #[test]

@@ -591,6 +591,46 @@ mod tests {
         assert_eq!(e.kind(), "result_too_large");
     }
 
+    /// Under `LIMIT k` the native sort counts a row's multiplicity as
+    /// `min(·, k)` in every position sum, so possible multiplicities of
+    /// `u64::MAX` — whose true sums leave `u64` — still answer: every
+    /// position ordered and at most `k`, and the answer is the reference's
+    /// over the same rows with each multiplicity capped at `k` (all the
+    /// reference can expand; under the limit the cap changes nothing).
+    #[test]
+    fn topk_position_sums_stay_in_u64() {
+        let k = 3;
+        let two = |m: Mult3| {
+            AuRelation::from_rows(
+                Schema::new(["a"]),
+                [1i64, 2].map(|a| (AuTuple::new([rv(a, a, a)]), m)),
+            )
+        };
+        for m in [
+            Mult3::new(0, 0, u64::MAX),
+            Mult3::new(0, u64::MAX, u64::MAX),
+        ] {
+            let session = Session::new(Engine::native());
+            session.register("t", two(m));
+            let top = session
+                .sql("SELECT * FROM t ORDER BY a AS pos LIMIT 3")
+                .unwrap();
+            assert_eq!(top.len(), 6, "{m}: {top}");
+            for row in top.rows() {
+                let (lb, sg, ub) = row.tuple.get(1).as_i64_triple();
+                assert!(lb <= sg && sg <= ub && ub <= k as i64, "{m}: {top}");
+            }
+            let capped = Mult3::new(m.lb.min(k), m.sg.min(k), m.ub.min(k));
+            let mut reference =
+                audb_core::topk_ref(&two(capped), &[0], k, CmpSemantics::IntervalLex);
+            for row in reference.rows_mut() {
+                let (lb, sg, ub) = row.tuple.0[1].as_i64_triple();
+                row.tuple.0[1] = RangeValue::from_i64s(lb, sg.min(k as i64), ub.min(k as i64));
+            }
+            assert!(top.bag_eq(&reference), "{m}: {top}\nvs\n{reference}");
+        }
+    }
+
     #[test]
     fn plan_is_cheap_to_share() {
         let session = Session::new(Engine::native());

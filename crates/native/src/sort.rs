@@ -27,34 +27,44 @@
 //! when comparing). Uses the exact interval-lexicographic comparison
 //! semantics ([`audb_core::CmpSemantics::IntervalLex`]).
 //!
-//! ## Flat keys, one rank space
+//! ## Keys are words until they tie
 //!
 //! Everything ahead of the sweep runs on flat state (DESIGN.md §3.3 has
 //! the stage table):
 //!
-//! 1. **Encode.** Corner keys over `<total_O` go into one [`KeyArena`] —
-//!    one growing byte vector, no allocation per key. A row that is
-//!    certain on every attribute has one key for all three corners and is
-//!    encoded once; zero-multiplicity rows are dropped here.
-//! 2. **Rank.** One sort of `(prefix, slot)` references — each row's `O↓`
-//!    key plus the selected-guess and `O↑` keys of uncertain rows —
-//!    assigns one dense rank space to all three corners, and leaves the
-//!    `O↓` scan order behind (ties in stored order).
+//! 1. **Encode.** The eight-byte prefix of every corner key over
+//!    `<total_O`, read off the lanes ([`prefix_at`]) beside `3 · row +
+//!    corner` — no key is encoded here. A row that is certain on every
+//!    attribute has one key for all three corners and one prefix;
+//!    zero-multiplicity rows are dropped here.
+//! 2. **Rank.** One stable radix sort of those `(prefix, id)` pairs
+//!    ([`sort_prefixes`]) — each row's `O↓` key plus the selected-guess and
+//!    `O↑` keys of uncertain rows — assigns one dense rank space to all
+//!    three corners, and leaves the `O↓` scan order behind (ties in stored
+//!    order). Only a run of equal prefixes has its keys encoded, into a
+//!    small [`KeyArena`] reused run after run, and ordered by `(key, stored
+//!    order)`; a rank steps where the prefix changes, or the key inside a
+//!    tied run.
 //! 3. **Merge, selected guess.** Identical hypercubes stored apart share
 //!    their rank triple and sit in one run of the scan order; they fold
 //!    into the first stored copy. Selected-guess positions (Equation (2))
 //!    are a prefix sum of `k_sg` mass per rank.
 //! 4. **Band** (top-k only, ahead of ranking). Rows that cannot reach
 //!    rank `k` and cannot move the bounds of a row that can are dropped by
-//!    linear passes over the arena — the candidate band of DESIGN.md §3.3,
-//!    the one [`crate::maintain::TopKMaintain`] keeps for streams.
+//!    linear passes over the prefixes — the candidate band of DESIGN.md
+//!    §3.3, the one [`crate::maintain::TopKMaintain`] keeps for streams;
+//!    on prefixes it is a superset of the band on keys, and what it keeps
+//!    beyond that is certainly out and precedes no row that is not.
 //!
-//! From there on every comparison is an integer compare.
+//! From there on every comparison is an integer compare. Under `LIMIT k`
+//! every mass the ranks add up counts a row's multiplicity as `min(·, k)`:
+//! exact once positions are capped at `k`, and inside `u64` whatever the
+//! annotations.
 //!
 //! ## Columns in, columns out
 //!
 //! The kernel reads [`AuColumns`] — what the engine's catalog stores and
-//! its fused stages hand over — and returns them: `encode` fills the arena
+//! its fused stages hand over — and returns them: `encode` reads prefixes
 //! straight from the typed lanes and takes per-row certainty from the
 //! column bitmaps, and `materialise` is one pass that splits the sweep's
 //! emissions into lanes — the emission-order row index, three `i64`
@@ -72,7 +82,9 @@
 //! that hold rows and want rows: they transpose, call the columnar entry
 //! and transpose back.
 
-use audb_core::{AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3};
+use audb_core::{
+    prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3,
+};
 use audb_rel::ops::sort::total_order;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -183,14 +195,11 @@ pub fn sort_native_staged(
     out
 }
 
-/// A row taking part in the sort: where its keys are, and — once ranked —
-/// how they compare.
+/// A row taking part in the sort and — once ranked — how its keys compare.
 struct Cand {
     /// Index into the input columns.
     row: u32,
-    /// Arena slot of the `O↓` key. An uncertain row's selected-guess and
-    /// `O↑` keys are the next two slots; a certain row has this one only.
-    slot: u32,
+    /// A certain row has one key for its three corners.
     uncertain: bool,
     /// Dense ranks of the three corner keys, by [`LB`] / [`SG`] / [`UB`].
     ranks: [u32; 3],
@@ -202,20 +211,11 @@ struct Cand {
 const LB: usize = 0;
 const SG: usize = 1;
 const UB: usize = 2;
+const CORNERS: [Corner; 3] = [Corner::Lb, Corner::Sg, Corner::Ub];
 
-impl Cand {
-    fn slot(&self, corner: usize) -> usize {
-        self.slot as usize + if self.uncertain { corner } else { 0 }
-    }
-}
-
-/// One key to be ranked: compared by `prefix`, then by the arena's key in
-/// `slot`, then by `slot` — so equal keys keep their stored order.
-struct KeyRef {
-    prefix: u64,
-    slot: u32,
-    cand: u32,
-}
+/// One key to be ranked: its prefix ([`prefix_at`]) and `3 · cand +
+/// corner` — which orders the keys of equal prefix as they were stored.
+type KeyRef = (u64, u32);
 
 /// The rank computation of Algorithm 1 + `split` over the rows `rows` of
 /// `cols` — all of them, or one partition — in emission order.
@@ -232,13 +232,14 @@ pub(crate) fn positions(
     if k == Some(0) {
         return Vec::new(); // every position is ≥ 0
     }
-    let (arena, mut cands) = encode(cols, rows, &total_order(cols.arity(), order));
+    let idxs = total_order(cols.arity(), order);
+    let (mut cands, mut refs) = encode(cols, rows, &idxs, k);
     stage("encode");
     if let Some(k) = k {
-        band(&arena, &mut cands, k);
+        band(&cands, &mut refs, k);
         stage("band");
     }
-    let (mut scan, rank_count) = rank(&arena, &mut cands);
+    let (mut scan, rank_count) = rank(cols, &idxs, &mut cands, &mut refs);
     stage("rank");
     if !normalized {
         merge(&mut cands, &mut scan);
@@ -249,10 +250,11 @@ pub(crate) fn positions(
     let mut sg_base = vec![0u64; rank_count + 1];
     for &c in &scan {
         let c = &cands[c as usize];
-        sg_base[c.ranks[SG] as usize + 1] += c.mult.sg;
+        let base = &mut sg_base[c.ranks[SG] as usize + 1];
+        *base = checked(base.checked_add(c.mult.sg));
     }
     for r in 0..rank_count {
-        sg_base[r + 1] += sg_base[r];
+        sg_base[r + 1] = checked(sg_base[r + 1].checked_add(sg_base[r]));
     }
     stage("merge");
     let out = sweep(&cands, &scan, &sg_base, k);
@@ -260,58 +262,82 @@ pub(crate) fn positions(
     out
 }
 
-/// Stage 1: the corner keys over `idxs` of every one of `rows` with a
-/// non-zero annotation, a certain row's once.
+/// A count of output rows the engine's [`output_rows_bound`] check keeps
+/// within [`MAX_OUTPUT_ROWS`]; past it, a direct caller's panic.
+fn checked(sum: Option<u64>) -> u64 {
+    sum.unwrap_or_else(|| panic!("the sort would emit more than {MAX_OUTPUT_ROWS} rows"))
+}
+
+/// Stage 1: the prefixes of the corner keys over `idxs` of every one of
+/// `rows` with a non-zero annotation, a certain row's once, in stored
+/// order; no key is encoded. Under `LIMIT k` an annotation is kept as
+/// `min(·, k)`: every mass the ranking adds up then reaches `k` iff the
+/// true one does and is exact below it — all a position capped at `k`
+/// reads — and stays within the output bound, where the true one may
+/// leave `u64`.
 fn encode(
     cols: &AuColumns,
     rows: impl ExactSizeIterator<Item = usize>,
     idxs: &[usize],
-) -> (KeyArena, Vec<Cand>) {
+    k: Option<u64>,
+) -> (Vec<Cand>, Vec<KeyRef>) {
     let n = rows.len();
-    let mut arena = KeyArena::with_capacity(n + n / 4, idxs.len());
+    let cap = k.unwrap_or(u64::MAX);
     let mut cands = Vec::with_capacity(n);
+    let mut refs = Vec::with_capacity(n + n / 4);
     for r in rows {
-        let mult = cols.mult(r);
+        let Mult3 { lb, sg, ub } = cols.mult(r);
+        let (lb, sg, ub) = (lb.min(cap), sg.min(cap), ub.min(cap));
+        let mult = Mult3 { lb, sg, ub };
         if mult.is_zero() {
             continue;
         }
         let uncertain = !cols.row_is_certain(r);
-        let slot = arena.len() as u32;
-        arena.push_corner_at(cols, r, Corner::Lb, idxs);
+        let id = u32::try_from(3 * cands.len() + 2).expect("under 2³² keys") - 2;
+        refs.push((prefix_at(cols, r, Corner::Lb, idxs), id));
         if uncertain {
-            arena.push_corner_at(cols, r, Corner::Sg, idxs);
-            arena.push_corner_at(cols, r, Corner::Ub, idxs);
+            refs.push((prefix_at(cols, r, Corner::Sg, idxs), id + 1));
+            refs.push((prefix_at(cols, r, Corner::Ub, idxs), id + 2));
         }
         cands.push(Cand {
             row: r as u32,
-            slot,
             uncertain,
             ranks: [0; 3],
             mult,
         });
     }
-    (arena, cands)
+    (cands, refs)
 }
 
-/// Stage 4, top-k: keep the candidate band (DESIGN.md §3.3). `K` is the
-/// `O↑` key by which certain mass `k` has accumulated — a row whose `O↓`
-/// lies beyond it has `τ↓ ≥ k`. `M` is the largest `O↑` among the rows
-/// not beyond `K`; a row whose `O↓` lies beyond `M` precedes none of them
-/// in any world, so their bounds are the same without it. With fewer than
-/// `k` certain rows every row may reach the top k.
-fn band(arena: &KeyArena, cands: &mut Vec<Cand>, k: u64) {
+/// Stage 4, top-k: keep the references of the candidate band (DESIGN.md
+/// §3.3), on prefixes alone. `K` is the `O↑` prefix by which certain mass
+/// `k` has accumulated — a row whose `O↓` prefix lies beyond it has `τ↓ ≥
+/// k`. `M` is the largest `O↑` prefix among the rows not beyond `K`; a row
+/// whose `O↓` prefix lies beyond `M` precedes none of them in any world,
+/// so their bounds are the same without it. With fewer than `k` certain
+/// rows every row may reach the top k. A cut candidate keeps its place in
+/// `cands` and is never ranked.
+fn band(cands: &[Cand], refs: &mut Vec<KeyRef>, k: u64) {
     let certain = cands
         .iter()
         .fold(0u64, |mass, c| mass.saturating_add(c.mult.lb));
     if certain < k {
         return;
     }
-    let key = |slot: usize| (arena.prefix(slot), arena.key(slot));
-    // The smallest `O↑` keys of certain rows, as few as hold mass ≥ k.
+    // `(cand, O↓ prefix, O↑ prefix)`: a certain row's one reference is both.
+    let corners = || {
+        (refs.chunk_by(|a, b| a.1 / 3 == b.1 / 3)).map(|keys| {
+            (
+                &cands[keys[0].1 as usize / 3],
+                keys[0].0,
+                keys[keys.len() - 1].0,
+            )
+        })
+    };
+    // The smallest `O↑` prefixes of certain rows, as few as hold mass ≥ k.
     let mut smallest = BinaryHeap::new();
     let mut mass = 0u64;
-    for c in cands.iter().filter(|c| c.mult.lb > 0) {
-        let ub = key(c.slot(UB));
+    for (c, _, ub) in corners().filter(|(c, ..)| c.mult.lb > 0) {
         if mass >= k && smallest.peek().is_some_and(|&(top, _)| top <= ub) {
             continue;
         }
@@ -328,59 +354,73 @@ fn band(arena: &KeyArena, cands: &mut Vec<Cand>, k: u64) {
     let Some(&(threshold, _)) = smallest.peek() else {
         return;
     };
-    let Some(reach) = cands
-        .iter()
-        .filter(|c| key(c.slot(LB)) <= threshold)
-        .map(|c| key(c.slot(UB)))
+    let Some(reach) = corners()
+        .filter(|&(_, lb, _)| lb <= threshold)
+        .map(|(.., ub)| ub)
         .max()
     else {
         return;
     };
-    cands.retain(|c| key(c.slot(LB)) <= reach);
+    // A row's `O↓` reference comes first and decides for its other two.
+    let mut keep = false;
+    refs.retain(|&(prefix, id)| {
+        if id % 3 == LB as u32 {
+            keep = prefix <= reach;
+        }
+        keep
+    });
 }
 
 /// Stage 2: one dense rank space for all three corners — `rank(x) <
 /// rank(y)` iff the keys compare that way, whichever corners they belong
-/// to. Returns the candidates in `O↓` order (ties in stored order) and
-/// the number of ranks.
-fn rank(arena: &KeyArena, cands: &mut [Cand]) -> (Vec<u32>, usize) {
-    let mut refs: Vec<KeyRef> = Vec::with_capacity(cands.len() + cands.len() / 4);
-    for (c, cand) in cands.iter().enumerate() {
-        for slot in cand.slot(LB)..=cand.slot(UB) {
-            refs.push(KeyRef {
-                prefix: arena.prefix(slot),
-                slot: slot as u32,
-                cand: c as u32,
-            });
-        }
-    }
-    refs.sort_unstable_by(|a, b| {
-        a.prefix
-            .cmp(&b.prefix)
-            .then_with(|| arena.key(a.slot as usize).cmp(arena.key(b.slot as usize)))
-            .then(a.slot.cmp(&b.slot))
-    });
+/// to. The references are radix-sorted on their prefixes; only a run of
+/// equal prefixes has its keys encoded (over `idxs`, into a small arena)
+/// and ordered by `(key, stored order)`. Returns the ranked candidates in
+/// `O↓` order (ties in stored order) and the number of ranks.
+fn rank(
+    cols: &AuColumns,
+    idxs: &[usize],
+    cands: &mut [Cand],
+    refs: &mut [KeyRef],
+) -> (Vec<u32>, usize) {
+    sort_prefixes(refs);
     let mut scan = Vec::with_capacity(cands.len());
-    let mut rank = 0u32;
-    for i in 0..refs.len() {
-        let (at, before) = (&refs[i], &refs[i.saturating_sub(1)]);
-        if at.prefix != before.prefix
-            || arena.key(at.slot as usize) != arena.key(before.slot as usize)
-        {
-            rank += 1;
-        }
-        let cand = &mut cands[at.cand as usize];
-        let corner = (at.slot - cand.slot) as usize;
+    let mut place = |cands: &mut [Cand], id: u32, rank: u32| {
+        let (c, corner) = (id / 3, id as usize % 3);
+        let cand = &mut cands[c as usize];
         if cand.uncertain {
             cand.ranks[corner] = rank;
         } else {
             cand.ranks = [rank; 3];
         }
         if corner == LB {
-            scan.push(at.cand);
+            scan.push(c);
         }
+    };
+    let mut ties = KeyArena::with_capacity(0, 0);
+    let mut next = 0u32;
+    for run in refs.chunk_by(|a, b| a.0 == b.0) {
+        if let [(_, id)] = run {
+            place(cands, *id, next);
+            next += 1;
+            continue;
+        }
+        ties.clear();
+        for &(_, id) in run {
+            let row = cands[id as usize / 3].row as usize;
+            ties.push_corner_at(cols, row, CORNERS[id as usize % 3], idxs);
+        }
+        let mut last = None;
+        for slot in ties.sorted_slots() {
+            if last.is_some_and(|prev| ties.key(prev) != ties.key(slot)) {
+                next += 1;
+            }
+            place(cands, run[slot].1, next);
+            last = Some(slot);
+        }
+        next += 1;
     }
-    (scan, rank as usize + 1)
+    (scan, next as usize)
 }
 
 /// Stage 3: normalisation, fused. Identical hypercubes must be merged for
@@ -407,7 +447,7 @@ fn merge(cands: &mut [Cand], scan: &mut Vec<u32>) {
             for &c in &group[1..] {
                 let c = c as usize;
                 if cands[c].ranks == cands[first].ranks {
-                    cands[first].mult = cands[first].mult + cands[c].mult;
+                    cands[first].mult = cands[first].mult.saturating_add(cands[c].mult);
                     cands[c].mult = Mult3::ZERO;
                     folded = true;
                 } else {
@@ -428,11 +468,9 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
     // One output row per possible duplicate, decided before anything is
     // allocated for them.
     let bound = output_rows_bound(scan.iter().map(|&c| cands[c as usize].mult.ub), k);
-    let rows = bound.filter(|&rows| rows <= MAX_OUTPUT_ROWS);
     // The engine refuses such a breaker before it runs (`ResultTooLarge`); a
     // direct caller gets a message instead of an aborted allocation.
-    let rows =
-        rows.unwrap_or_else(|| panic!("the sort would emit more than {MAX_OUTPUT_ROWS} rows"));
+    let rows = checked(bound.filter(|&rows| rows <= MAX_OUTPUT_ROWS));
     // Without a limit exactly that many come out; a top-k emits about `k`.
     let mut out = Vec::with_capacity(rows.min(k.unwrap_or(rows)) as usize);
     let mut todo: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();

@@ -44,16 +44,20 @@
 //! `Arc` bump), and a sorted pool scan visits only the heap nodes it
 //! yields. Partitions are index views over the input, not copies; their
 //! sweeps are independent and run in parallel (`audb_par`), their rows
-//! concatenated in deterministic partition-value order.
+//! concatenated in deterministic partition-value order. Partition values
+//! are ordered like every key here: `(prefix, row)` pairs radix-sorted
+//! ([`audb_core::sort_prefixes`]), key bytes encoded for the rows of one
+//! prefix only.
 //!
 //! ## One ranking, no tuple
 //!
 //! The output is normalized without a tuple being sorted — or built: its
 //! canonical order ([`audb_core::canonical_order`], what `normalize` would
-//! sort by) is taken from 16-byte `(prefix, row)` references to the
-//! lower-bound corner of the *input* lanes; the aggregate and the other
-//! corners are encoded only for rows that tie on it — split duplicates of
-//! one hypercube, hypercubes equal on every lower bound — which merge when
+//! sort by) is taken from the prefixes of the lower-bound corner of the
+//! *input* lanes ([`audb_core::prefix_at`]); that corner is encoded only
+//! for rows whose prefixes tie, and the aggregate and the other corners
+//! only for rows that tie on the whole corner — split duplicates of one
+//! hypercube, hypercubes equal on every lower bound — which merge when
 //! equal throughout. The result is then the input's lanes gathered in that
 //! order plus one aggregate column ([`AuColumns::gather_extended`]),
 //! flagged normalized through [`AuColumns::assume_canonical`], which
@@ -70,8 +74,8 @@
 
 use crate::maintain::{WindowMaintain, WindowRow};
 use audb_core::{
-    canonical_order, AuColumn, AuColumns, AuRelation, AuWindowSpec, Corner, KeyArena, RangeValue,
-    WinAgg,
+    canonical_order, prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, AuWindowSpec,
+    Corner, KeyArena, RangeValue, WinAgg,
 };
 
 /// What [`window_columns_native`] computed, and whether it is the bounds
@@ -108,14 +112,14 @@ pub fn window_native(
 
 /// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
 /// `partition` attributes: `(key of the value, row indices)` in value
-/// order, stored order within. An uncertain partition value among them is
-/// an error — the sweep is per partition, and such a row has none.
+/// order, stored order within — sorted by prefix, by key bytes only where
+/// prefixes tie. An uncertain partition value among them is an error —
+/// the sweep is per partition, and such a row has none.
 pub(crate) fn partitions(
     cols: &AuColumns,
     partition: &[usize],
 ) -> Result<Vec<(Vec<u8>, Vec<usize>)>, String> {
     let mut rows: Vec<usize> = Vec::with_capacity(cols.len());
-    let mut keys = KeyArena::with_capacity(cols.len(), partition.len());
     for row in (0..cols.len()).filter(|&row| !cols.mult(row).is_zero()) {
         if let Some(g) = (partition.iter()).find(|&&g| !cols.col(g).certain_at(row)) {
             return Err(format!(
@@ -125,7 +129,6 @@ pub(crate) fn partitions(
                 cols.tuple(row)
             ));
         }
-        keys.push_corner_at(cols, row, Corner::Sg, partition);
         rows.push(row);
     }
     // Without a PARTITION BY the rows are one run as they stand, and their
@@ -134,15 +137,25 @@ pub(crate) fn partitions(
     if partition.is_empty() {
         return Ok(vec![(Vec::new(), rows)]);
     }
-    // The sort is stable: stored order within a value.
-    let mut by_value: Vec<usize> = (0..rows.len()).collect();
-    by_value.sort_by(|&a, &b| keys.key(a).cmp(keys.key(b)));
-    Ok((by_value.chunk_by(|&a, &b| keys.key(a) == keys.key(b)))
-        .map(|run| {
-            let value = keys.key(run[0]).to_vec();
-            (value, run.iter().map(|&slot| rows[slot]).collect())
-        })
-        .collect())
+    // Every sort is stable: stored order within a value.
+    let mut refs: Vec<(u64, u32)> = (rows.iter().enumerate())
+        .map(|(slot, &row)| (prefix_at(cols, row, Corner::Sg, partition), slot as u32))
+        .collect();
+    sort_prefixes(&mut refs);
+    let mut parts = Vec::new();
+    let mut keys = KeyArena::with_capacity(0, 0);
+    for run in refs.chunk_by(|a, b| a.0 == b.0) {
+        keys.clear();
+        for &(_, slot) in run {
+            keys.push_corner_at(cols, rows[slot as usize], Corner::Sg, partition);
+        }
+        let by_value = keys.sorted_slots();
+        for value in by_value.chunk_by(|&a, &b| keys.key(a) == keys.key(b)) {
+            let members = value.iter().map(|&at| rows[run[at].1 as usize]).collect();
+            parts.push((keys.key(value[0]).to_vec(), members));
+        }
+    }
+    Ok(parts)
 }
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation, for callers that
@@ -219,8 +232,8 @@ fn run(
     let all: Vec<usize> = (0..cols.arity()).collect();
     let order = canonical_order(
         rows.len(),
-        all.len(),
         |out| rows[out].mult,
+        |out| prefix_at(cols, rows[out].row as usize, Corner::Lb, &all),
         |keys, out| keys.extend_corner_at(cols, rows[out].row as usize, Corner::Lb, &all),
         |keys, out| {
             let WindowRow { row, x, .. } = &rows[out];

@@ -809,6 +809,202 @@ fn columnar_window_equals_the_row_reference() {
     assert!(merged[0] > 0 && merged[1] > 0, "{merged:?}");
 }
 
+/// The numbers of a tie-heavy `a` column, as levels of equal value, each
+/// with its spellings: `2⁵⁰` and `2⁵⁰ + 1` differ only in the byte of their
+/// double the eight-byte prefix drops, `2⁶⁰` and `2⁶⁰ + 1` share a double
+/// and differ only in the residual, and `Int(3)` / `Float(3.0)` and `0` /
+/// `-0.0` are one key each, spelled apart.
+fn tied_level(level: usize, int_only: bool, rng: &mut Seeded) -> Value {
+    let ints = [0i64, 3, 1 << 50, (1 << 50) + 1, 1 << 60, (1 << 60) + 1];
+    let float = match level {
+        0 => Some(-0.0),
+        1 => Some(3.0),
+        2 => Some((1u64 << 50) as f64),
+        4 => Some((1u64 << 60) as f64),
+        _ => None,
+    };
+    match float {
+        Some(f) if !int_only && rng.below(2) == 0 => Value::Float(f),
+        _ => Value::Int(ints[level]),
+    }
+}
+
+/// `(g, a, b, id)` where ranking ties on prefixes everywhere: `g` is a
+/// certain 4-valued column (an ORDER BY led by it has four prefixes in
+/// all), `a` a range over [`tied_level`]s, `b` a small integer, `id` unique.
+/// With `unit`, annotations of possible multiplicity one and no hypercube
+/// stored twice (what the window is held to the reference on); without,
+/// copies stored apart, zero annotations and multiplicities above one.
+fn tied_rows(rng: &mut Seeded, rows: usize, int_only: bool, unit: bool) -> Vec<(AuTuple, Mult3)> {
+    let mut out: Vec<(AuTuple, Mult3)> = Vec::with_capacity(rows);
+    for id in 0..rows as i64 {
+        if !unit && id > 8 && rng.below(10) == 0 {
+            out.push(out[rng.below(out.len() as u64) as usize].clone());
+            continue;
+        }
+        let mut levels = [0; 3].map(|_| rng.below(6) as usize);
+        if rng.below(3) > 0 {
+            levels = [levels[1]; 3];
+        }
+        levels.sort_unstable();
+        let [lo, sg, hi] = levels.map(|l| tied_level(l, int_only, rng));
+        let b = rng.below(3);
+        let b = match rng.below(4) {
+            0 => RangeValue::new(b, b, b + 1),
+            _ => RangeValue::certain(b),
+        };
+        let g = RangeValue::certain(rng.below(4));
+        let mult = match (unit, rng.below(12)) {
+            (_, 0) => Mult3::new(0, 1, 1),
+            (_, 1) => Mult3::new(0, 0, 1),
+            (false, 2) => Mult3::new(1, 2, 3),
+            (false, 3) => Mult3::ZERO,
+            _ => Mult3::ONE,
+        };
+        let tuple = AuTuple::new([
+            g,
+            RangeValue { lb: lo, sg, ub: hi },
+            b,
+            RangeValue::certain(id),
+        ]);
+        out.push((tuple, mult));
+    }
+    out
+}
+
+/// Sort, top-k and window where prefixes tie and keys do not — the rows
+/// whose key bytes the ranking encodes, the band's threshold rows, the
+/// partitions and the output order of the window — against their
+/// references over `i64`, `f64` and `Generic` lanes: ORDER BY `g, a` (every
+/// prefix one of four) and `a, b` (the [`tied_level`]s).
+#[test]
+fn prefix_ties_agree_with_the_references() {
+    use audb::core::PhysType;
+
+    let schema = Schema::new(["g", "a", "b", "id"]);
+    let mut rng = Seeded(0x7135_2025);
+    for lane in [PhysType::I64, PhysType::F64, PhysType::Generic] {
+        let int_only = lane != PhysType::Generic;
+        let lanes = |rows: Vec<(AuTuple, Mult3)>| {
+            let cols = AuRelation::from_rows(schema.clone(), rows).to_columns();
+            let cols = match lane {
+                PhysType::F64 => admit_to_f64(&cols, 1),
+                _ => cols,
+            };
+            assert_eq!(cols.col(1).phys_type(), lane);
+            cols
+        };
+        let cols = lanes(tied_rows(&mut rng, 320, int_only, false));
+        let rows = cols.to_rows();
+        for order in [[0usize, 1], [1, 2]] {
+            let what = format!("{lane} lane, ORDER BY {order:?}");
+            let reference = sort_ref(&rows, &order, "pos", CmpSemantics::IntervalLex);
+            let sorted = sort_columns_native(&cols, &order, "pos", None).to_rows();
+            assert!(sorted.bag_eq(&reference), "sort: {what}");
+            for k in [1, 6, 40, 150] {
+                let top = sort_columns_native(&cols, &order, "pos", Some(k)).to_rows();
+                assert!(
+                    top.bag_eq(&capped_topk_of(&reference, k)),
+                    "top-{k}: {what}"
+                );
+            }
+        }
+
+        let cols = lanes(tied_rows(&mut rng, 160, int_only, true));
+        let rows = cols.to_rows();
+        for (order, partition) in [(vec![1, 2], vec![0]), (vec![0, 1], vec![])] {
+            let spec = AuWindowSpec::rows(order, -2, 1).partition_by(partition);
+            let what = format!("{lane} lane, {spec:?}");
+            let native = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x").expect(&what);
+            assert!(!native.merged_duplicates, "{what}");
+            let reference =
+                window_ref(&rows, &spec, WinAgg::Sum(2), "x", CmpSemantics::IntervalLex);
+            assert!(native.rel.to_rows().bag_eq(&reference), "window: {what}");
+        }
+    }
+}
+
+/// Keys 100 KB long that agree on every byte but the last: their prefixes
+/// tie, and so does everything a word-at-a-time sort would read up to the
+/// final word. `normalize` of both layouts, sort, top-k and the window's
+/// partitions order them by one comparison per pair and agree with the
+/// references.
+#[test]
+fn long_keys_that_differ_in_the_last_byte() {
+    let long = |last: char| Value::str(format!("{}{last}", "x".repeat(100_000)));
+    let [a, b, c] = ['a', 'b', 'c'].map(long);
+    let row =
+        |s: RangeValue, id: i64, mult: Mult3| (AuTuple::new([s, RangeValue::certain(id)]), mult);
+    let rel = AuRelation::from_rows(
+        Schema::new(["s", "id"]),
+        [
+            row(RangeValue::certain(c.clone()), 0, Mult3::ONE),
+            row(
+                RangeValue {
+                    lb: a.clone(),
+                    sg: b.clone(),
+                    ub: c,
+                },
+                1,
+                Mult3::new(0, 1, 1),
+            ),
+            row(RangeValue::certain(b.clone()), 2, Mult3::ONE),
+            row(RangeValue::certain(a), 3, Mult3::new(1, 1, 2)),
+            row(RangeValue::certain(b), 2, Mult3::ONE),
+        ],
+    );
+    let cols = rel.to_columns();
+
+    // Ascending on the lower bounds `(s, id)`: ids 1, 3, 2 (both copies
+    // merged), 0.
+    let ids = |rel: &AuRelation| -> Vec<(Value, Mult3)> {
+        (rel.rows().iter())
+            .map(|r| (r.tuple.0[1].lb.clone(), r.mult))
+            .collect()
+    };
+    let want: Vec<(Value, Mult3)> = [(1, Mult3::new(0, 1, 1)), (3, Mult3::new(1, 1, 2))]
+        .into_iter()
+        .chain([(2, Mult3::certain(2)), (0, Mult3::ONE)])
+        .map(|(id, mult)| (Value::Int(id), mult))
+        .collect();
+    assert_eq!(ids(&cols.clone().normalize().to_rows()), want);
+    assert_eq!(ids(&rel.clone().normalize()), want);
+
+    let reference = sort_ref(&rel, &[0], "pos", CmpSemantics::IntervalLex);
+    assert!(sort_columns_native(&cols, &[0], "pos", None)
+        .to_rows()
+        .bag_eq(&reference));
+    for k in [1, 2, 3] {
+        let top = sort_columns_native(&cols, &[0], "pos", Some(k)).to_rows();
+        assert!(top.bag_eq(&capped_topk_of(&reference, k)), "top-{k}");
+    }
+
+    // The window partitions on the string, which must be certain; no
+    // hypercube is stored twice.
+    let certain = AuRelation::from_rows(
+        rel.schema.clone(),
+        (rel.rows().iter().enumerate())
+            .filter(|(_, r)| r.tuple.0[0].lb == r.tuple.0[0].ub)
+            .map(|(id, r)| {
+                let s = r.tuple.0[0].clone();
+                (
+                    AuTuple::new([s, RangeValue::certain(id as i64)]),
+                    Mult3::ONE,
+                )
+            }),
+    );
+    let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
+    let native = window_columns_native(&certain.to_columns(), &spec, WinAgg::Count, "x").unwrap();
+    let reference = window_ref(
+        &certain,
+        &spec,
+        WinAgg::Count,
+        "x",
+        CmpSemantics::IntervalLex,
+    );
+    assert!(native.rel.to_rows().bag_eq(&reference));
+}
+
 /// `SUM` over values within a frame's reach of `i64::MAX` / `i64::MIN`:
 /// all three implementations add through `Value::add` (checked, widening
 /// to float on overflow) and must keep agreeing — wrapping `i64` arithmetic

@@ -10,8 +10,8 @@
 //!   borrow-or-owned fast path) ≡ the original semantics: merge identical
 //!   hypercubes additively, drop `(0,0,0)` rows, deterministic total order.
 
-use audb::core::sortkey::{Corner, KeyArena, SortKey};
-use audb::core::{AuRelation, AuTuple, Mult3, RangeValue};
+use audb::core::sortkey::{prefix_at, prefix_of, Corner, KeyArena, SortKey};
+use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, RangeValue};
 use audb::rel::{Schema, Tuple, Value};
 use proptest::prelude::*;
 
@@ -281,51 +281,57 @@ fn range_of(draws: impl Strategy<Value = Value>) -> impl Strategy<Value = RangeV
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The lane-wise arena fill ≡ the tuple-wise one, byte for byte: over
-    /// an `i64` lane (edges and beyond 2⁵³), an `f64` lane (NaNs, signed
-    /// zeros, infinities, and whole numbers — what the loader admits
-    /// integers as), a dictionary lane (embedded NULs, prefixes) and a
-    /// `Generic` one, `push_corner_at` on row `i` of the columns writes
-    /// the bytes `push_corner` writes for `cols.tuple(i)`, at every corner.
-    #[test]
-    fn lane_wise_arena_fill_matches_push_corner(
-        rows in proptest::collection::vec(
-            (
-                range_of(int_strategy().prop_map(Value::Int)),
-                range_of(prop_oneof![
-                    int_strategy().prop_map(|i| Value::Float(i as f64)),
-                    (-24i64..24).prop_map(|i| Value::Float(i as f64 / 4.0)),
-                    Just(Value::Float(-0.0)),
-                    Just(Value::Float(f64::NAN)),
-                    Just(Value::Float(f64::NEG_INFINITY)),
-                ]),
-                range_of((0u8..4, 0u8..3).prop_map(|(c, n)| {
-                    let ch = [b'a', b'b', b'\0', b'z'][c as usize] as char;
-                    Value::str(ch.to_string().repeat(n as usize))
-                })),
-                rv_strategy(),
-            ),
-            1..12,
+/// Columns `(i, f, s, g)` that infer an `i64` lane (edges and beyond 2⁵³),
+/// an `f64` lane (NaNs, signed zeros, infinities, and whole numbers — what
+/// the loader admits integers as), a dictionary lane (empty, short and long
+/// strings, embedded NULs, prefixes) and a `Generic` one (every kind of
+/// value, `NULL` and `Bool` among them) — one row certain on every
+/// attribute, so the bitmaps are probed both ways.
+fn lane_columns() -> impl Strategy<Value = (AuColumns, usize)> {
+    let rows = proptest::collection::vec(
+        (
+            range_of(int_strategy().prop_map(Value::Int)),
+            range_of(prop_oneof![
+                int_strategy().prop_map(|i| Value::Float(i as f64)),
+                (-24i64..24).prop_map(|i| Value::Float(i as f64 / 4.0)),
+                Just(Value::Float(-0.0)),
+                Just(Value::Float(f64::NAN)),
+                Just(Value::Float(f64::NEG_INFINITY)),
+                Just(Value::Float(f64::INFINITY)),
+            ]),
+            range_of((0u8..4, prop_oneof![0u8..3, Just(9u8)]).prop_map(|(c, n)| {
+                let ch = [b'a', b'b', b'\0', b'z'][c as usize] as char;
+                Value::str(ch.to_string().repeat(n as usize))
+            })),
+            rv_strategy(),
         ),
-        certain_row in 0usize..12,
-    ) {
-        use audb::core::PhysType;
+        1..12,
+    );
+    (rows, 0usize..12).prop_map(|(rows, certain_row)| {
         let mut rows: Vec<AuTuple> = rows
             .into_iter()
             .map(|(i, f, s, g)| AuTuple::new([i, f, s, g]))
             .collect();
-        // One row certain on every attribute, so the bitmaps are probed on
-        // both sides.
         let at = certain_row % rows.len();
         rows[at] = AuTuple::new(rows[at].0.iter().map(|r| RangeValue::certain(r.sg.clone())));
         let rel = AuRelation::from_rows(
             Schema::new(["i", "f", "s", "g"]),
             rows.into_iter().map(|t| (t, Mult3::ONE)),
         );
-        let cols = rel.to_columns();
+        (rel.to_columns(), at)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lane-wise arena fill ≡ the tuple-wise one, byte for byte:
+    /// `push_corner_at` on row `i` of [`lane_columns`] writes the bytes
+    /// `push_corner` writes for `cols.tuple(i)`, at every corner.
+    #[test]
+    fn lane_wise_arena_fill_matches_push_corner(lanes in lane_columns()) {
+        use audb::core::PhysType;
+        let (cols, at) = lanes;
         let lanes: Vec<PhysType> = (0..3).map(|c| cols.col(c).phys_type()).collect();
         prop_assert_eq!(lanes, vec![PhysType::I64, PhysType::F64, PhysType::Str]);
 
@@ -342,6 +348,29 @@ proptest! {
                 let slot = by_lane.len() - 1;
                 prop_assert_eq!(by_lane.key(slot), by_tuple.key(slot), "row {}, {:?}", i, corner);
                 prop_assert_eq!(by_lane.prefix(slot), by_tuple.prefix(slot));
+            }
+        }
+    }
+
+    /// What a ranking sorts by is the prefix of the key it stands for:
+    /// `prefix_at` over the lanes — and `prefix_of` over the corner's
+    /// values — equals [`KeyArena::prefix`] of the key `push_corner_at`
+    /// encodes, at every corner, whichever column leads the key: a number
+    /// alone, or a `NULL`, `Bool`, NaN or short string and what follows it.
+    #[test]
+    fn prefix_at_is_the_prefix_of_the_encoded_key(lanes in lane_columns()) {
+        let cols = lanes.0;
+        for idxs in [[0usize, 1, 2, 3], [1, 2, 0, 3], [2, 3, 1, 0], [3, 2, 1, 0], [2, 2, 3, 0]] {
+            let mut keys = KeyArena::with_capacity(0, 0);
+            for i in 0..cols.len() {
+                for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
+                    keys.push_corner_at(&cols, i, corner, &idxs);
+                    let want = keys.prefix(keys.len() - 1);
+                    prop_assert_eq!(prefix_at(&cols, i, corner, &idxs), want, "row {}, {:?}, {:?}", i, corner, idxs);
+                    let t = cols.tuple(i);
+                    let vals = idxs.iter().map(|&c| corner.of(&t.0[c]));
+                    prop_assert_eq!(prefix_of(vals), want);
+                }
             }
         }
     }
