@@ -32,7 +32,7 @@
 //! Absolute times will differ from the paper's Postgres-on-Opteron testbed;
 //! the shapes (method ordering, growth rates, quality relationships) are
 //! the reproduction target: `repro all` prints the paper's numbers beside
-//! ours (committing that record is ROADMAP item 3).
+//! ours (committing that record is ROADMAP item 1).
 
 use audb_bench::figures::{self, ReproOptions};
 

@@ -3,7 +3,7 @@
 //! Regenerates **every table and figure** of the paper's evaluation
 //! (Sec. 8.2 + Sec. 9): the `repro` binary prints the paper's numbers
 //! beside ours (`cargo run --release -p audb-bench --bin repro -- all`;
-//! committing that record is ROADMAP item 3). `repro bench` ([`perf`]) is
+//! committing that record is ROADMAP item 1). `repro bench` ([`perf`]) is
 //! the in-repo performance harness: it measures what the repo benchmark
 //! (`benchmark/`) does not, checks its within-run gates and fails on them.
 

@@ -27,7 +27,9 @@
 //!   and the same sort led by a 4-valued column (every prefix tied) or by
 //!   strings that share ten key bytes;
 //!   **window stages** — the same for the two windows of the repo
-//!   benchmark's `window_scan` over 8 192 rows;
+//!   benchmark's `window_scan` over 8 192 rows, and for `serve_mix`'s
+//!   window over an append-only series of 2 048, where no frame is full of
+//!   certain members and every close scans the pool;
 //!   **cmp-semantics** and **window aggregates** — ablations;
 //! * **window scaling** — ns per row of the native window from 16 384 to
 //!   131 072 rows (1 048 576 printed, not gated), with the size of the
@@ -74,6 +76,7 @@ pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
 /// reference backend) and `window/aggregates` blocks.
 const STAGE_ROWS: usize = 32_768;
 const WINDOW_STAGE_ROWS: usize = 8_192;
+const SERIES_STAGE_ROWS: usize = 2_048;
 const CMP_ROWS: usize = 600;
 const AGGREGATE_ROWS: usize = 4_000;
 
@@ -687,17 +690,85 @@ fn window_columns(n: usize) -> AuColumns {
 /// Where one `window_scan` operation — the partitioned window, then the
 /// partitionless one, over 8 192 rows — spends its time: median over the
 /// runs of each stage's milliseconds summed over both statements and every
-/// partition (DESIGN.md §3.4 has the table). Stages are listed as the
-/// kernel names them; the clock is read here, never there.
+/// partition (DESIGN.md §3.4 has the table).
 pub fn measure_window_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
-    let runs = if cfg.quick { 3 } else { 7 };
-    let cols = window_columns(WINDOW_STAGE_ROWS);
+    let windows = [scan_window(true), scan_window(false)];
+    window_stages(cfg, &window_columns(WINDOW_STAGE_ROWS), &windows)
+}
+
+/// An append-only series `(o, v)` of `n` rows, the shape of the repo
+/// benchmark's served window table: row `i`'s `o` lies in the `i`-th stride
+/// of 200, one row in twenty has a range of `o` (the hull of four draws in
+/// 1 000), one in a hundred — a fifth of those — may be absent, and one in
+/// twenty has a range of `v`. Every possibly absent row widens the position
+/// range of every row after it (DESIGN.md §13.1), so past the first few no
+/// frame is full of certain members.
+fn series_columns(n: usize) -> AuColumns {
+    let mut state = 0x005E_41E5u64;
+    let mut draw = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below) as i64
+    };
+    let hull = |draw: &mut dyn FnMut(u64) -> i64, base: i64| {
+        let alts = [0; 4].map(|_| base + draw(1_000));
+        let (lo, hi) = (alts.iter().min(), alts.iter().max());
+        RangeValue::new(*lo.expect("four"), alts[0], *hi.expect("four"))
+    };
+    let rows = (0..n as i64).map(|i| {
+        let base = 200 * i + draw(200);
+        let uncertain_o = draw(20) == 0;
+        let o = match uncertain_o {
+            true => hull(&mut draw, base),
+            false => RangeValue::certain(base),
+        };
+        let v = draw(200 * n as u64);
+        let v = match draw(20) {
+            0 => hull(&mut draw, v),
+            _ => RangeValue::certain(v),
+        };
+        let mult = match uncertain_o && draw(5) == 0 {
+            true => Mult3::new(0, 1, 1),
+            false => Mult3::ONE,
+        };
+        (AuTuple::new([o, v]), mult)
+    });
+    AuRelation::from_rows(Schema::new(["o", "v"]), rows).to_columns()
+}
+
+/// `serve_mix`'s window — `SUM(v)` over the two preceding rows in `o`
+/// order, no partition — over a 2 048-row append-only series, stage by
+/// stage as [`measure_window_stages`] splits `window_scan`, and the size of
+/// the pool where a window closes (mean, maximum).
+pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
+    let cols = series_columns(SERIES_STAGE_ROWS);
+    let (spec, agg) = (AuWindowSpec::rows(vec![0], -2, 0), WinAgg::Sum(1));
+    let stages = window_stages(cfg, &cols, &[(spec.clone(), agg)]);
+    let mut sweep = WindowMaintain::new(spec, agg);
+    sweep.apply(&cols, 0);
+    (stages, sweep.pool_residency())
+}
+
+/// Median over the runs of each stage's milliseconds, summed over the
+/// `windows` over `cols` and every partition; stages are listed as the
+/// kernel names them, and the clock is read here, never there.
+fn window_stages(
+    cfg: &BenchConfig,
+    cols: &AuColumns,
+    windows: &[(AuWindowSpec, WinAgg)],
+) -> Vec<(&'static str, f64)> {
+    // Stages of a 2 048-row window last tens of microseconds: more runs.
+    let runs = match (cfg.quick, cols.len() < WINDOW_STAGE_ROWS) {
+        (true, _) => 3,
+        (false, false) => 7,
+        (false, true) => 41,
+    };
     let mut stages: Vec<(&'static str, Vec<f64>)> = Vec::new();
     for run in 0..runs {
         let mut last = Instant::now();
-        for partitioned in [true, false] {
-            let (spec, agg) = scan_window(partitioned);
-            let out = window_native_staged(&cols, &spec, agg, "s", &mut |ended| {
+        for (spec, agg) in windows {
+            let out = window_native_staged(cols, spec, *agg, "s", &mut |ended| {
                 let now = Instant::now();
                 let at =
                     (stages.iter().position(|(stage, _)| *stage == ended)).unwrap_or_else(|| {
@@ -1171,6 +1242,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             true => println!(),
         }
     }
+    let (series_stages, (pool_mean, pool_max)) = measure_series_stages(cfg);
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
         (
@@ -1188,6 +1260,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             WINDOW_STAGE_ROWS,
             measure_window_stages(cfg),
         ),
+        ("window/series-stages", SERIES_STAGE_ROWS, series_stages),
         ("sort/cmp-semantics", CMP_ROWS, measure_cmp_semantics(cfg)),
         (
             "window/aggregates",
@@ -1200,6 +1273,9 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
         }
     }
+    println!(
+        "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}"
+    );
     let gates = check(&Report {
         cells,
         footprints,

@@ -93,8 +93,11 @@ fn run_prepared(
     if explain {
         write!(out, "{}", session.engine().explain(prepared.plan()))?;
     }
-    match session.execute(prepared) {
-        Ok(result) => write!(out, "{}", result.normalize().to_rows())?,
+    match session
+        .execute(prepared)
+        .and_then(|result| Ok(result.normalize()?))
+    {
+        Ok(result) => write!(out, "{}", result.to_rows())?,
         Err(e) => writeln!(out, "error: {e}")?,
     }
     Ok(())

@@ -37,6 +37,12 @@
 //! assert_eq!(h.peek(1), Some(&(2, 10)));
 //! assert_eq!(h.len(), 2);
 //! ```
+//!
+//! The window sweep's pool compares *words*: its [`HeapOrder`] gives each
+//! record a `u64` per component that orders ahead of the full comparison,
+//! and reads the records it orders — owned by the sweep, not the heap — only
+//! where two words tie. That order is passed per call ([`ConnectedHeap::insert_with`]
+//! and its siblings), since it borrows state the heap cannot own.
 
 use std::cmp::Ordering;
 
@@ -49,7 +55,26 @@ pub struct RecordId(usize);
 /// heap held in a struct field names a type of its own instead
 /// ([`ConnectedHeap::with_order`]), whose `cmp` inlines into the sifts
 /// where a `fn` pointer is an indirect call per comparison.
+///
+/// An order may also give a record one **word** per component, a `u64`
+/// that orders ahead of `cmp`: `word(h, a) < word(h, b)` implies
+/// `cmp(h, a, b) == Less`. The heap keeps each node's word beside the node
+/// and compares words; `cmp` — and the record behind a node — is read only
+/// where two words are equal, so a word need not be exact (the first eight
+/// bytes of a longer key are one). An order without words (`WORDS =
+/// false`, the default, and every closure) stores and compares none.
 pub trait HeapOrder<T> {
+    /// Whether [`HeapOrder::word`] is an image of the order. A constant, so
+    /// the word stores and compares compile away where it is `false`.
+    const WORDS: bool = false;
+
+    /// The word of `item` in component heap `h`, monotone in
+    /// [`HeapOrder::cmp`]; read only when [`HeapOrder::WORDS`].
+    fn word(&self, h: usize, item: &T) -> u64 {
+        let _ = (h, item);
+        0
+    }
+
     /// Compare two records in component heap `h`.
     fn cmp(&self, h: usize, a: &T, b: &T) -> Ordering;
 }
@@ -69,16 +94,29 @@ impl<T, F: Fn(usize, &T, &T) -> Ordering> HeapOrder<T> for F {
 /// the arena has warmed up (amortized one `Vec` growth each), and the
 /// pointer updates in `sift_up`/`sift_down` hit one contiguous cache line
 /// per record instead of chasing a heap-allocated side vector.
-pub struct ConnectedHeap<T, C>
-where
-    C: HeapOrder<T>,
-{
+///
+/// The heap owns an order `C` that `insert`, `pop`, `remove`, `sorted_iter*`
+/// and `validate` use — or owns `()` and is handed one per call
+/// (`insert_with`, `pop_with`, `sorted_iter_with`): an
+/// order that reads state outside the heap, such as the item arena of the
+/// struct that owns it. Every call on such a heap passes the same order.
+pub struct ConnectedHeap<T, C> {
+    arena: Arena<T>,
+    order: C,
+}
+
+/// Everything of a [`ConnectedHeap`] but its owned order, so an owned and
+/// a borrowed order drive the same code.
+struct Arena<T> {
     payload: Vec<Option<T>>,
     /// Flat back pointers, stride `heaps.len()`.
     pos: Vec<usize>,
     free: Vec<usize>,
-    heaps: Vec<Vec<usize>>, // heap position -> record index
-    cmp: C,
+    /// Per component: heap position → record index.
+    heaps: Vec<Vec<usize>>,
+    /// Per component: heap position → that node's order word (empty under
+    /// an order without words).
+    words: Vec<Vec<u64>>,
     len: usize,
 }
 
@@ -100,33 +138,32 @@ where
     }
 }
 
-impl<T, C> ConnectedHeap<T, C>
-where
-    C: HeapOrder<T>,
-{
-    /// [`ConnectedHeap::with_capacity`] for any [`HeapOrder`].
-    pub fn with_order(h: usize, cap: usize, cmp: C) -> Self {
+impl<T, C> ConnectedHeap<T, C> {
+    /// [`ConnectedHeap::with_capacity`] for any [`HeapOrder`] — or `()`, for
+    /// a heap whose every call passes its order.
+    pub fn with_order(h: usize, cap: usize, order: C) -> Self {
         assert!(h >= 1, "need at least one component heap");
-        ConnectedHeap {
+        let arena = Arena {
             payload: Vec::with_capacity(cap),
             pos: Vec::with_capacity(cap * h),
             free: Vec::with_capacity(cap),
             heaps: vec![Vec::with_capacity(cap); h],
-            cmp,
+            words: vec![Vec::new(); h],
             len: 0,
-        }
+        };
+        ConnectedHeap { arena, order }
     }
 
     /// Number of component heaps `H`.
     pub fn components(&self) -> usize {
-        self.heaps.len()
+        self.arena.heaps.len()
     }
 
     /// Arena slots currently allocated (live + free). Together with
     /// [`ConnectedHeap::len`] this exposes how much of the arena a
     /// long-lived heap is actually reusing.
     pub fn arena_slots(&self) -> usize {
-        self.payload.len()
+        self.arena.payload.len()
     }
 
     /// Drop every record but keep the arena, back-pointer vector, free
@@ -135,43 +172,134 @@ where
     /// calls this instead of constructing a new heap, so steady-state
     /// appends never reallocate.
     pub fn clear(&mut self) {
-        self.free.clear();
-        for (i, slot) in self.payload.iter_mut().enumerate() {
+        let arena = &mut self.arena;
+        arena.free.clear();
+        for (i, slot) in arena.payload.iter_mut().enumerate() {
             *slot = None;
-            self.free.push(i);
+            arena.free.push(i);
         }
         // `free` pops from the back: reverse so refills reuse slot 0 first.
-        self.free.reverse();
-        for heap in &mut self.heaps {
-            heap.clear();
-        }
-        self.len = 0;
+        arena.free.reverse();
+        arena.heaps.iter_mut().for_each(Vec::clear);
+        arena.words.iter_mut().for_each(Vec::clear);
+        arena.len = 0;
     }
 
     /// Ensure the arena can hold `additional` more live records without
     /// reallocating any of its vectors.
     pub fn reserve(&mut self, additional: usize) {
-        let hn = self.heaps.len();
-        let spare = self.payload.len() - self.len;
+        let arena = &mut self.arena;
+        let hn = arena.heaps.len();
+        let spare = arena.payload.len() - arena.len;
         let grow = additional.saturating_sub(spare);
-        self.payload.reserve(grow);
-        self.pos.reserve(grow * hn);
-        self.free.reserve(grow);
-        for heap in &mut self.heaps {
+        arena.payload.reserve(grow);
+        arena.pos.reserve(grow * hn);
+        arena.free.reserve(grow);
+        for heap in &mut arena.heaps {
             heap.reserve(additional.saturating_sub(heap.capacity() - heap.len()));
+        }
+        // Words are kept by the components of an order that has them.
+        for words in arena.words.iter_mut().filter(|w| w.capacity() > 0) {
+            words.reserve(additional.saturating_sub(words.capacity() - words.len()));
         }
     }
 
     /// Number of live records.
     pub fn len(&self) -> usize {
-        self.len
+        self.arena.len
     }
 
     /// True iff no records are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.arena.len == 0
     }
 
+    /// Smallest element of component heap `h` in `O(1)`.
+    pub fn peek(&self, h: usize) -> Option<&T> {
+        let arena = &self.arena;
+        arena.heaps[h].first().map(|&rec| arena.payload(rec))
+    }
+
+    /// Borrow a record by id.
+    pub fn get(&self, id: RecordId) -> Option<&T> {
+        self.arena.payload.get(id.0).and_then(|s| s.as_ref())
+    }
+}
+
+/// A heap that owns no order (`()`) is ordered per call — and only so: a
+/// heap that owns one cannot be driven by another.
+impl<T> ConnectedHeap<T, ()> {
+    /// [`ConnectedHeap::insert`] under `order`.
+    pub fn insert_with<O: HeapOrder<T>>(&mut self, item: T, order: &O) -> RecordId {
+        self.arena.insert(item, order)
+    }
+
+    /// [`ConnectedHeap::pop`] under `order`.
+    pub fn pop_with<O: HeapOrder<T>>(&mut self, h: usize, order: &O) -> Option<T> {
+        self.arena.pop(h, order)
+    }
+
+    /// [`ConnectedHeap::sorted_iter_in`] under `order`.
+    pub fn sorted_iter_with<'a, O: HeapOrder<T>>(
+        &'a self,
+        h: usize,
+        scratch: &'a mut Vec<usize>,
+        order: &'a O,
+    ) -> SortedIter<'a, T, O, &'a mut Vec<usize>> {
+        self.arena.sorted_iter(h, scratch, order)
+    }
+}
+
+impl<T, C> ConnectedHeap<T, C>
+where
+    C: HeapOrder<T>,
+{
+    /// Insert a record into every component heap in `O(H log n)` — and
+    /// zero allocations when a freed arena slot is available.
+    pub fn insert(&mut self, item: T) -> RecordId {
+        self.arena.insert(item, &self.order)
+    }
+
+    /// Pop the root of component heap `h`, removing the record from every
+    /// other heap via its back pointers (`O(H log n)`).
+    pub fn pop(&mut self, h: usize) -> Option<T> {
+        self.arena.pop(h, &self.order)
+    }
+
+    /// Remove a specific record from all heaps.
+    pub fn remove(&mut self, id: RecordId) -> Option<T> {
+        self.get(id)?;
+        self.arena.remove(id.0, &self.order)
+    }
+
+    /// Iterate component heap `h` in sorted order without disturbing the
+    /// structure. Allocates a fresh frontier per call; loops that scan a
+    /// component again and again use [`ConnectedHeap::sorted_iter_in`].
+    pub fn sorted_iter(&self, h: usize) -> SortedIter<'_, T, C> {
+        self.arena.sorted_iter(h, Vec::new(), &self.order)
+    }
+
+    /// [`ConnectedHeap::sorted_iter`] through a caller-owned scratch buffer
+    /// (cleared first; its capacity is reused, so a warmed-up buffer makes
+    /// the scan allocation-free). The min-k / max-k pool scans of the
+    /// window algorithm run this twice per closing window.
+    pub fn sorted_iter_in<'a>(
+        &'a self,
+        h: usize,
+        scratch: &'a mut Vec<usize>,
+    ) -> SortedIter<'a, T, C, &'a mut Vec<usize>> {
+        self.arena.sorted_iter(h, scratch, &self.order)
+    }
+
+    /// Debug validation: every back pointer agrees with the heap arrays,
+    /// every stored word with the order, and every component satisfies the
+    /// heap property.
+    pub fn validate(&self) -> bool {
+        self.arena.validate(&self.order)
+    }
+}
+
+impl<T> Arena<T> {
     fn payload(&self, rec: usize) -> &T {
         self.payload[rec].as_ref().expect("live record")
     }
@@ -181,19 +309,21 @@ where
         self.pos[rec * self.heaps.len() + h]
     }
 
+    /// Component `h`, borrowed apart from the rest of the arena: what a
+    /// sift moves through.
     #[inline]
-    fn set_pos(&mut self, rec: usize, h: usize, at: usize) {
-        let stride = self.heaps.len();
-        self.pos[rec * stride + h] = at;
+    fn component(&mut self, h: usize) -> Component<'_, T> {
+        Component {
+            h,
+            stride: self.heaps.len(),
+            nodes: &mut self.heaps[h],
+            words: &mut self.words[h],
+            pos: &mut self.pos,
+            payload: &self.payload,
+        }
     }
 
-    fn less(&self, h: usize, a: usize, b: usize) -> bool {
-        self.cmp.cmp(h, self.payload(a), self.payload(b)) == Ordering::Less
-    }
-
-    /// Insert a record into every component heap in `O(H log n)` — and
-    /// zero allocations when a freed arena slot is available.
-    pub fn insert(&mut self, item: T) -> RecordId {
+    fn insert<O: HeapOrder<T>>(&mut self, item: T, order: &O) -> RecordId {
         let hn = self.heaps.len();
         let rec = match self.free.pop() {
             Some(i) => {
@@ -209,50 +339,38 @@ where
         for h in 0..hn {
             let at = self.heaps[h].len();
             self.heaps[h].push(rec);
-            self.set_pos(rec, h, at);
-            self.sift_up(h, at);
+            if O::WORDS {
+                let word = order.word(h, self.payload(rec));
+                self.words[h].push(word);
+            }
+            self.pos[rec * hn + h] = at;
+            self.component(h).sift_up(order, at);
         }
         self.len += 1;
         RecordId(rec)
     }
 
-    /// Smallest element of component heap `h` in `O(1)`.
-    pub fn peek(&self, h: usize) -> Option<&T> {
-        self.heaps[h].first().map(|&rec| self.payload(rec))
-    }
-
-    /// Pop the root of component heap `h`, removing the record from every
-    /// other heap via its back pointers (`O(H log n)`).
-    pub fn pop(&mut self, h: usize) -> Option<T> {
+    fn pop<O: HeapOrder<T>>(&mut self, h: usize, order: &O) -> Option<T> {
         let &rec = self.heaps[h].first()?;
-        self.remove_record(rec)
+        self.remove(rec, order)
     }
 
-    /// Borrow a record by id.
-    pub fn get(&self, id: RecordId) -> Option<&T> {
-        self.payload.get(id.0).and_then(|s| s.as_ref())
-    }
-
-    /// Remove a specific record from all heaps.
-    pub fn remove(&mut self, id: RecordId) -> Option<T> {
-        self.payload.get(id.0).and_then(|s| s.as_ref())?;
-        self.remove_record(id.0)
-    }
-
-    fn remove_record(&mut self, rec: usize) -> Option<T> {
+    fn remove<O: HeapOrder<T>>(&mut self, rec: usize, order: &O) -> Option<T> {
         for h in 0..self.heaps.len() {
             let at = self.pos_of(rec, h);
             debug_assert!(self.heaps[h][at] == rec);
             let last = self.heaps[h].len() - 1;
-            self.heaps[h].swap(at, last);
-            let moved = self.heaps[h][at];
-            self.set_pos(moved, h, at);
+            self.component(h).swap::<O>(at, last);
             self.heaps[h].pop();
-            if at <= last && at < self.heaps[h].len() {
+            if O::WORDS {
+                self.words[h].pop();
+            }
+            if at < last {
                 // The replacement may violate the heap property either
                 // upward or downward (never both; see paper Sec. 8.2).
-                self.sift_down(h, at);
-                self.sift_up(h, at);
+                let mut component = self.component(h);
+                component.sift_down(order, at);
+                component.sift_up(order, at);
             }
         }
         self.len -= 1;
@@ -260,99 +378,126 @@ where
         self.payload[rec].take()
     }
 
-    fn sift_up(&mut self, h: usize, mut at: usize) {
-        while at > 0 {
-            let parent = (at - 1) / 2;
-            let (a, b) = (self.heaps[h][at], self.heaps[h][parent]);
-            if self.less(h, a, b) {
-                self.heaps[h].swap(at, parent);
-                self.set_pos(a, h, parent);
-                self.set_pos(b, h, at);
-                at = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, h: usize, mut at: usize) {
-        let n = self.heaps[h].len();
-        loop {
-            let (l, r) = (2 * at + 1, 2 * at + 2);
-            let mut smallest = at;
-            if l < n && self.less(h, self.heaps[h][l], self.heaps[h][smallest]) {
-                smallest = l;
-            }
-            if r < n && self.less(h, self.heaps[h][r], self.heaps[h][smallest]) {
-                smallest = r;
-            }
-            if smallest == at {
-                break;
-            }
-            let (a, b) = (self.heaps[h][smallest], self.heaps[h][at]);
-            self.heaps[h].swap(at, smallest);
-            self.set_pos(a, h, at);
-            self.set_pos(b, h, smallest);
-            at = smallest;
-        }
-    }
-
-    /// Iterate component heap `h` in sorted order without disturbing the
-    /// structure. Allocates a fresh frontier per call; loops that scan a
-    /// component again and again use [`ConnectedHeap::sorted_iter_in`].
-    pub fn sorted_iter(&self, h: usize) -> SortedIter<'_, T, C> {
-        self.sorted_iter_over(h, Vec::new())
-    }
-
-    /// [`ConnectedHeap::sorted_iter`] through a caller-owned scratch buffer
-    /// (cleared first; its capacity is reused, so a warmed-up buffer makes
-    /// the scan allocation-free). The min-k / max-k pool scans of the
-    /// window algorithm run this twice per closing window.
-    pub fn sorted_iter_in<'a>(
+    fn sorted_iter<'a, O: HeapOrder<T>, S: AsMut<Vec<usize>>>(
         &'a self,
         h: usize,
-        scratch: &'a mut Vec<usize>,
-    ) -> SortedIter<'a, T, C, &'a mut Vec<usize>> {
-        self.sorted_iter_over(h, scratch)
-    }
-
-    fn sorted_iter_over<S: AsMut<Vec<usize>>>(
-        &self,
-        h: usize,
         mut frontier: S,
-    ) -> SortedIter<'_, T, C, S> {
+        order: &'a O,
+    ) -> SortedIter<'a, T, O, S> {
         let f = frontier.as_mut();
         f.clear();
         if !self.heaps[h].is_empty() {
             f.push(0);
         }
         SortedIter {
-            owner: self,
             h,
+            nodes: &self.heaps[h],
+            words: &self.words[h],
+            payload: &self.payload,
+            order,
             frontier,
         }
     }
 
-    /// Debug validation: every back pointer agrees with the heap arrays and
-    /// every component satisfies the heap property.
-    pub fn validate(&self) -> bool {
-        for (h, heap) in self.heaps.iter().enumerate() {
-            if heap.len() != self.len {
+    fn validate<O: HeapOrder<T>>(&self, order: &O) -> bool {
+        for (h, (nodes, words)) in self.heaps.iter().zip(&self.words).enumerate() {
+            if nodes.len() != self.len || (O::WORDS && words.len() != self.len) {
                 return false;
             }
-            for (i, &rec) in heap.iter().enumerate() {
-                if self.pos_of(rec, h) != i || self.payload[rec].is_none() {
+            for (i, &rec) in nodes.iter().enumerate() {
+                let Some(item) = &self.payload[rec] else {
+                    return false;
+                };
+                if self.pos_of(rec, h) != i || (O::WORDS && words[i] != order.word(h, item)) {
                     return false;
                 }
-                if i > 0 {
-                    let parent = heap[(i - 1) / 2];
-                    if self.less(h, rec, parent) {
-                        return false;
-                    }
+                if i > 0 && less(order, h, nodes, words, &self.payload, i, (i - 1) / 2) {
+                    return false;
                 }
             }
         }
         true
+    }
+}
+
+/// Does node `a` of component `h` — records `nodes`, their words `words` —
+/// order before node `b`? The words decide unless equal; the records only
+/// then.
+#[inline]
+fn less<T, O: HeapOrder<T>>(
+    order: &O,
+    h: usize,
+    nodes: &[usize],
+    words: &[u64],
+    payload: &[Option<T>],
+    a: usize,
+    b: usize,
+) -> bool {
+    if O::WORDS && words[a] != words[b] {
+        return words[a] < words[b];
+    }
+    let record = |i: usize| payload[nodes[i]].as_ref().expect("live record");
+    order.cmp(h, record(a), record(b)) == Ordering::Less
+}
+
+/// One component heap of an [`Arena`] and the back pointers into it,
+/// borrowed apart: a sift reads and writes no other state.
+struct Component<'a, T> {
+    h: usize,
+    /// Back pointers per record (`heaps.len()`).
+    stride: usize,
+    nodes: &'a mut Vec<usize>,
+    words: &'a mut Vec<u64>,
+    pos: &'a mut Vec<usize>,
+    payload: &'a [Option<T>],
+}
+
+impl<T> Component<'_, T> {
+    #[inline]
+    fn less<O: HeapOrder<T>>(&self, order: &O, a: usize, b: usize) -> bool {
+        less(order, self.h, self.nodes, self.words, self.payload, a, b)
+    }
+
+    /// Swap nodes `a` and `b`, their words with them, and point their
+    /// records at their new places.
+    #[inline]
+    fn swap<O: HeapOrder<T>>(&mut self, a: usize, b: usize) {
+        self.nodes.swap(a, b);
+        if O::WORDS {
+            self.words.swap(a, b);
+        }
+        self.pos[self.nodes[a] * self.stride + self.h] = a;
+        self.pos[self.nodes[b] * self.stride + self.h] = b;
+    }
+
+    fn sift_up<O: HeapOrder<T>>(&mut self, order: &O, mut at: usize) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !self.less(order, at, parent) {
+                break;
+            }
+            self.swap::<O>(at, parent);
+            at = parent;
+        }
+    }
+
+    fn sift_down<O: HeapOrder<T>>(&mut self, order: &O, mut at: usize) {
+        let n = self.nodes.len();
+        loop {
+            let (l, r) = (2 * at + 1, 2 * at + 2);
+            let mut smallest = at;
+            if l < n && self.less(order, l, smallest) {
+                smallest = l;
+            }
+            if r < n && self.less(order, r, smallest) {
+                smallest = r;
+            }
+            if smallest == at {
+                break;
+            }
+            self.swap::<O>(at, smallest);
+            at = smallest;
+        }
     }
 }
 
@@ -364,27 +509,26 @@ where
 /// were all yielded already — pops its minimum and pushes that node's two
 /// children. The first `k` elements cost `O(k log k)` comparisons and
 /// never touch the other `n − k` nodes (no copy of the component).
-pub struct SortedIter<'a, T, C, S = Vec<usize>>
-where
-    C: HeapOrder<T>,
-{
-    owner: &'a ConnectedHeap<T, C>,
+pub struct SortedIter<'a, T, O, S = Vec<usize>> {
     h: usize,
-    /// Min-heap (by payload order) of node positions inside component `h`.
+    nodes: &'a [usize],
+    words: &'a [u64],
+    payload: &'a [Option<T>],
+    order: &'a O,
+    /// Min-heap (by the component's order) of node positions inside it.
     frontier: S,
 }
 
-impl<'a, T, C, S> Iterator for SortedIter<'a, T, C, S>
+impl<'a, T, O, S> Iterator for SortedIter<'a, T, O, S>
 where
-    C: HeapOrder<T>,
+    O: HeapOrder<T>,
     S: AsMut<Vec<usize>>,
 {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
-        let owner = self.owner;
-        let nodes = &owner.heaps[self.h];
-        let less = |a: usize, b: usize| owner.less(self.h, nodes[a], nodes[b]);
+        let (nodes, words, payload) = (self.nodes, self.words, self.payload);
+        let less = |a: usize, b: usize| less(self.order, self.h, nodes, words, payload, a, b);
         let f = self.frontier.as_mut();
         if f.is_empty() {
             return None;
@@ -418,7 +562,7 @@ where
                 at = (at - 1) / 2;
             }
         }
-        Some(owner.payload(nodes[top]))
+        Some(payload[nodes[top]].as_ref().expect("live record"))
     }
 }
 
@@ -558,6 +702,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn three_key_cmp(h: usize, a: &(i64, i64, i64), b: &(i64, i64, i64)) -> Ordering {
         match h {
@@ -654,8 +799,8 @@ mod tests {
         assert!(ch.validate());
         assert_eq!(ch.len(), 100);
         // No more than 100 arena slots should ever have been allocated.
-        assert!(ch.payload.len() <= 100);
-        assert_eq!(ch.pos.len(), ch.payload.len() * ch.components());
+        assert!(ch.arena.payload.len() <= 100);
+        assert_eq!(ch.arena.pos.len(), ch.arena.payload.len() * ch.components());
     }
 
     #[test]
@@ -690,17 +835,120 @@ mod tests {
         let mut ch = ConnectedHeap::new(3, three_key_cmp);
         ch.insert((1, 2, 3));
         ch.reserve(100);
-        let slots_before = ch.payload.capacity();
+        let slots_before = ch.arena.payload.capacity();
         for i in 0..100i64 {
             ch.insert((i, i * 3 % 101, i * 7 % 103));
         }
         assert!(ch.validate());
         assert_eq!(
-            ch.payload.capacity(),
+            ch.arena.payload.capacity(),
             slots_before,
             "reserve covered the fill"
         );
         assert_eq!(ch.len(), 101);
+    }
+
+    type Triple = (i64, i64, i64);
+
+    /// The window pool's shape of order — two components ascending, one
+    /// descending, each made total by the other keys — with words that are
+    /// a lossy image of it: the leading key's sign-flipped bits past their
+    /// lowest byte, so keys within 256 of each other tie on their words.
+    struct Lossy;
+
+    fn total3(h: usize, a: &Triple, b: &Triple) -> Ordering {
+        match h {
+            0 => a.cmp(b),
+            1 => (a.1, a.2, a.0).cmp(&(b.1, b.2, b.0)),
+            _ => (b.2, a.0, a.1).cmp(&(a.2, b.0, b.1)),
+        }
+    }
+
+    impl HeapOrder<Triple> for Lossy {
+        const WORDS: bool = true;
+
+        fn word(&self, h: usize, a: &Triple) -> u64 {
+            let flip = |key: i64| (key as u64) ^ (1 << 63);
+            match h {
+                0 => flip(a.0) >> 8,
+                1 => flip(a.1) >> 8,
+                _ => !flip(a.2) >> 8,
+            }
+        }
+
+        fn cmp(&self, h: usize, a: &Triple, b: &Triple) -> Ordering {
+            total3(h, a, b)
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Insert(Triple),
+        Pop(usize),
+        Remove(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Keys over five words each; eight inserts to three pops to three
+        // removals.
+        (0u8..14, -600i64..600, -600i64..600, -600i64..600).prop_map(|(pick, a, b, c)| match pick {
+            0..=2 => Step::Pop(pick as usize),
+            3..=5 => Step::Remove(a.unsigned_abs() as usize),
+            _ => Step::Insert((a, b, c)),
+        })
+    }
+
+    proptest! {
+        // Sized for Miri (CI runs this crate's unit tests under it).
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Words that tie more often than not change nothing: the same
+        /// interleaved inserts, pops and removals through a heap that owns
+        /// the lossy order and one handed it per call pop, remove and
+        /// sorted-iterate exactly what the order without words does, and
+        /// every heap validates after every step.
+        #[test]
+        fn lossy_words_order_like_no_words(steps in proptest::collection::vec(step(), 1..40)) {
+            let mut plain = ConnectedHeap::new(3, total3);
+            let mut owned = ConnectedHeap::with_order(3, 0, Lossy);
+            let mut per_call = ConnectedHeap::with_order(3, 0, ());
+            let mut live: Vec<RecordId> = Vec::new();
+            let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+            for step in steps {
+                match step {
+                    Step::Insert(item) => {
+                        let id = plain.insert(item);
+                        prop_assert_eq!(owned.insert(item), id);
+                        prop_assert_eq!(per_call.insert_with(item, &Lossy), id);
+                        live.push(id);
+                    }
+                    Step::Pop(h) => {
+                        let want = plain.pop(h);
+                        prop_assert_eq!(owned.pop(h), want);
+                        prop_assert_eq!(per_call.pop_with(h, &Lossy), want);
+                        live.retain(|&id| plain.get(id).is_some());
+                    }
+                    Step::Remove(k) if !live.is_empty() => {
+                        let id = live.swap_remove(k % live.len());
+                        let want = plain.remove(id);
+                        prop_assert!(want.is_some());
+                        prop_assert_eq!(owned.remove(id), want);
+                        prop_assert_eq!(per_call.arena.remove(id.0, &Lossy), want);
+                    }
+                    Step::Remove(_) => {}
+                }
+                prop_assert!(plain.validate() && owned.validate() && per_call.arena.validate(&Lossy));
+                prop_assert_eq!((owned.len(), per_call.len()), (plain.len(), plain.len()));
+                for h in 0..3 {
+                    let want: Vec<Triple> = plain.sorted_iter_in(h, &mut a).copied().collect();
+                    let got: Vec<Triple> = owned.sorted_iter_in(h, &mut b).copied().collect();
+                    prop_assert_eq!(&got, &want);
+                    let got: Vec<Triple> =
+                        per_call.sorted_iter_with(h, &mut c, &Lossy).copied().collect();
+                    prop_assert_eq!(&got, &want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! surface for the reference operators while the pipeline executor runs
 //! columnar and typed.
 
-use crate::mult::Mult3;
+use crate::mult::{Mult3, MultOverflow};
 use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
 use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
@@ -690,10 +690,11 @@ impl AuColumns {
     /// tied prefixes only — encoded from them (no per-row tuple is ever
     /// materialized), and the surviving rows gathered.
     /// Produces exactly the row sequence [`AuRelation::normalize`] produces
-    /// (property-tested).
-    pub fn normalize(self) -> AuColumns {
+    /// (property-tested) — or [`MultOverflow`] where identical rows add up
+    /// to a multiplicity past `u64`.
+    pub fn normalize(self) -> Result<AuColumns, MultOverflow> {
         if self.normalized {
-            return self;
+            return Ok(self);
         }
         let all: Vec<usize> = (0..self.arity()).collect();
         let (idxs, mults): (Vec<usize>, Vec<Mult3>) = canonical_order(
@@ -705,12 +706,12 @@ impl AuColumns {
                 keys.extend_corner_at(&self, row, Corner::Ub, &all);
                 keys.extend_corner_at(&self, row, Corner::Sg, &all);
             },
-        )
+        )?
         .into_iter()
         .unzip();
         let mut out = self.gather(&idxs, &mults);
         out.normalized = true;
-        out
+        Ok(out)
     }
 
     /// The same logical relation with every lane demoted to the
@@ -865,12 +866,13 @@ mod tests {
                 (AuTuple::new([rv(7, 7, 7)]), Mult3::ZERO),
             ],
         );
-        let cols = rel.to_columns().normalize();
+        let cols = rel.to_columns().normalize().expect("small multiplicities");
         assert!(cols.is_normalized());
         let rows = rel.normalize();
         assert_eq!(cols.to_rows().rows(), rows.rows());
         // Idempotent: a second normalize is the identity fast path.
-        assert_eq!(cols.clone().normalize().to_rows().rows(), rows.rows());
+        let again = cols.clone().normalize().expect("normalized already");
+        assert_eq!(again.to_rows().rows(), rows.rows());
     }
 
     /// What a breaker emits: the input gathered by an index with repeats,

@@ -62,9 +62,9 @@ pub use batch::{AuBatch, Batches};
 pub use cmp::{tuple_lt, CmpSemantics};
 pub use columns::{AuColumn, AuColumns};
 pub use expr::RangeExpr;
-pub use mult::Mult3;
+pub use mult::{Mult3, MultOverflow};
 pub use ops::aggregate::aggregate as au_aggregate;
-pub use ops::project::{project as au_project, project_cols as au_project_cols};
+pub use ops::project::project as au_project;
 pub use ops::select::select as au_select;
 pub use ops::sort::{sort_ref, topk_ref};
 pub use ops::window::{

@@ -8,6 +8,7 @@
 //! Fig. 2 lifts it through ℕ.
 
 use crate::range_value::TruthRange;
+use std::error::Error;
 use std::fmt;
 use std::ops::{Add, Mul};
 
@@ -65,6 +66,15 @@ impl Mult3 {
         self.lb <= n && n <= self.ub
     }
 
+    /// Component-wise `+`, `None` where a component leaves `u64`.
+    pub fn checked_add(self, rhs: Mult3) -> Option<Mult3> {
+        Some(Mult3 {
+            lb: self.lb.checked_add(rhs.lb)?,
+            sg: self.sg.checked_add(rhs.sg)?,
+            ub: self.ub.checked_add(rhs.ub)?,
+        })
+    }
+
     /// Component-wise `+`, each component stopping at `u64::MAX`. Exact
     /// wherever a component is read through `min(·, k)`.
     pub fn saturating_add(self, rhs: Mult3) -> Mult3 {
@@ -109,6 +119,24 @@ impl Mul for Mult3 {
     }
 }
 
+/// Identical hypercubes whose merged multiplicity would leave `u64`:
+/// refused, neither wrapped nor saturated — either would understate `k↑`,
+/// and with it the bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MultOverflow;
+
+impl fmt::Display for MultOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "identical rows add up to a multiplicity past {}",
+            u64::MAX
+        )
+    }
+}
+
+impl Error for MultOverflow {}
+
 impl fmt::Display for Mult3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({},{},{})", self.lb, self.sg, self.ub)
@@ -131,6 +159,28 @@ mod tests {
         assert_eq!(a + Mult3::ZERO, a);
         assert_eq!(a * Mult3::ONE, a);
         assert_eq!(a * Mult3::ZERO, Mult3::ZERO);
+    }
+
+    /// The merge's check, at the edge of `u64` in each component.
+    #[test]
+    fn checked_add_refuses_past_u64() {
+        let top = |m: Mult3| m.checked_add(Mult3::new(0, 0, 1));
+        assert_eq!(
+            top(Mult3::new(0, 0, u64::MAX - 1)),
+            Some(Mult3::new(0, 0, u64::MAX))
+        );
+        assert_eq!(top(Mult3::new(0, 0, u64::MAX)), None);
+        let all = Mult3::certain(u64::MAX);
+        assert_eq!(
+            Mult3::ONE.checked_add(Mult3::new(u64::MAX - 1, u64::MAX - 1, u64::MAX - 1)),
+            Some(all)
+        );
+        assert_eq!(all.checked_add(Mult3::new(1, 1, 1)), None);
+        assert_eq!(
+            Mult3::new(0, u64::MAX, u64::MAX).checked_add(Mult3::new(0, 1, 1)),
+            None
+        );
+        assert_eq!(Mult3::ZERO.checked_add(all), Some(all));
     }
 
     #[test]

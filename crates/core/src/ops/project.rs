@@ -21,18 +21,6 @@ pub fn project(rel: &AuRelation, exprs: &[(RangeExpr, &str)]) -> AuRelation {
     AuRelation::from_rows(schema, rows)
 }
 
-/// Projection onto existing columns by index.
-pub fn project_cols(rel: &AuRelation, idxs: &[usize]) -> AuRelation {
-    let schema = Schema::new(idxs.iter().map(|&i| rel.schema.cols()[i].clone()));
-    let rows = rel
-        .rows()
-        .iter()
-        .filter(|r| !r.mult.is_zero())
-        .map(|r| (r.tuple.project(idxs), r.mult))
-        .collect::<Vec<_>>();
-    AuRelation::from_rows(schema, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +42,7 @@ mod tests {
                 ),
             ],
         );
-        let p = project_cols(&rel, &[0]).normalize();
+        let p = project(&rel, &[(RangeExpr::col(0), "a")]).normalize();
         assert_eq!(p.rows().len(), 1);
         assert_eq!(p.rows()[0].mult, Mult3::new(1, 2, 2));
     }

@@ -1,6 +1,6 @@
 //! AU-DB relations: bags of range-annotated tuples with `ℕ³` annotations.
 
-use crate::mult::Mult3;
+use crate::mult::{Mult3, MultOverflow};
 use crate::range_value::RangeValue;
 use crate::sortkey::{prefix_of, sort_prefixes, KeyArena};
 use crate::tuple::AuTuple;
@@ -170,7 +170,8 @@ impl AuRelation {
     ///
     /// Already-normalized inputs return immediately. The order is
     /// [`canonical_order`]'s: prefixes from the first values, keys where
-    /// they tie, the surviving tuples moved.
+    /// they tie, the surviving tuples moved. Panics where identical rows
+    /// add up past `u64` ([`MultOverflow`]).
     pub fn normalize(mut self) -> Self {
         if self.normalized {
             return self;
@@ -205,7 +206,7 @@ impl AuRelation {
     /// their tuples.
     fn canonical_order(&self) -> Vec<(usize, Mult3)> {
         let rows = &self.rows;
-        canonical_order(
+        let order = canonical_order(
             rows.len(),
             |row| rows[row].mult,
             |row| prefix_of(rows[row].tuple.0.iter().map(|r| &r.lb)),
@@ -214,7 +215,8 @@ impl AuRelation {
                 (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.ub));
                 (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.sg));
             },
-        )
+        );
+        order.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Bag equality up to normalization. Normalized operands are compared
@@ -276,7 +278,8 @@ impl AuRelation {
 /// dropped, the rest ascending on the whole-row key (every attribute's
 /// `lb`, then every `ub`, then every `sg`: [`crate::SortKey::of_row`]), rows with
 /// equal keys merged into the first stored of them, annotations added.
-/// Returns `(representative row, merged annotation)` in that order.
+/// Returns `(representative row, merged annotation)` in that order, or
+/// [`MultOverflow`] where a merged annotation would leave `u64`.
 ///
 /// The key comes in three pieces so that the common case encodes none of
 /// it: `prefix` is the first eight bytes of a row's key as a word
@@ -290,7 +293,7 @@ pub fn canonical_order(
     prefix: impl Fn(usize) -> u64,
     mut head: impl FnMut(&mut KeyArena, usize),
     mut tail: impl FnMut(&mut KeyArena, usize),
-) -> Vec<(usize, Mult3)> {
+) -> Result<Vec<(usize, Mult3)>, MultOverflow> {
     let mut refs: Vec<(u64, u32)> = (0..n)
         .filter(|&row| !mult(row).is_zero())
         .map(|row| (prefix(row), row as u32))
@@ -327,7 +330,7 @@ pub fn canonical_order(
                 let row = run[tied[slot]].1 as usize;
                 match (last, out.last_mut()) {
                     (Some(prev), Some((_, merged))) if tails.key(prev) == tails.key(slot) => {
-                        *merged = *merged + mult(row);
+                        *merged = merged.checked_add(mult(row)).ok_or(MultOverflow)?;
                     }
                     _ => out.push((row, mult(row))),
                 }
@@ -335,7 +338,7 @@ pub fn canonical_order(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 impl fmt::Display for AuRelation {
@@ -401,10 +404,35 @@ mod tests {
         ]
         .map(|(tuple, mult)| AuRow { tuple, mult });
         assert_eq!(r.normalized().rows(), want);
-        assert_eq!(r.to_columns().normalize().to_rows().rows(), want);
+        let cols = r.to_columns().normalize().expect("small multiplicities");
+        assert_eq!(cols.to_rows().rows(), want);
         let r = r.normalize();
         assert_eq!(r.rows(), want);
         assert!(r.is_normalized());
+    }
+
+    /// Identical rows whose `k↑`s add up past `u64` are refused, not
+    /// wrapped; at `u64::MAX` exactly they merge.
+    #[test]
+    fn a_merge_past_u64_is_refused() {
+        let t = AuTuple::new([rv(1, 1, 1)]);
+        let rel = |ub: u64| {
+            AuRelation::from_rows(
+                Schema::new(["a"]),
+                [
+                    (t.clone(), Mult3::new(0, 0, ub)),
+                    (t.clone(), Mult3::new(0, 0, 1)),
+                ],
+            )
+        };
+        let fits = rel(u64::MAX - 1).to_columns().normalize().unwrap();
+        assert_eq!(fits.mult(0), Mult3::new(0, 0, u64::MAX));
+        assert_eq!(
+            rel(u64::MAX).to_columns().normalize().unwrap_err(),
+            MultOverflow
+        );
+        let refused = std::panic::catch_unwind(|| rel(u64::MAX).normalize());
+        assert!(refused.is_err(), "the row form refuses too");
     }
 
     #[test]

@@ -328,7 +328,8 @@ impl Engine {
     /// that all outputs agree bag-wise — the cross-implementation
     /// invariant the paper's evaluation rests on. Returns the agreed
     /// output plus per-backend timings; disagreement is an
-    /// [`EngineError::BackendDisagreement`].
+    /// [`EngineError::BackendDisagreement`], and an output whose identical
+    /// rows add up past `u64` an [`EngineError::MultiplicityOverflow`].
     ///
     /// The invariant is defined under [`CmpSemantics::IntervalLex`] — the
     /// only semantics all three methods implement — so `run_all` pins the
@@ -340,7 +341,8 @@ impl Engine {
             semantics: CmpSemantics::IntervalLex,
             ..*self
         };
-        // Compared as rows — `bag_eq` is theirs — and kept as columns.
+        // Compared as rows in canonical order — `bag_eq` is theirs; putting
+        // them there refuses a merge past `u64` — and kept as columns.
         let mut output = None;
         let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
         for choice in BackendChoice::ALL {
@@ -354,7 +356,7 @@ impl Engine {
                 rows: out.len(),
                 ops: trace.ops,
             });
-            let rows = out.to_rows();
+            let rows = out.clone().normalize()?.to_rows();
             match &output {
                 None => output = Some((out, rows)),
                 Some((_, baseline)) => {

@@ -8,6 +8,7 @@
 //! builder turns all of these into values of [`PlanError`] at plan-build
 //! time; backends report execution-level problems as [`EngineError`].
 
+use audb_core::MultOverflow;
 use std::error::Error;
 use std::fmt;
 
@@ -132,6 +133,16 @@ pub enum EngineError {
         /// The rows it would emit (`u64::MAX` when the sum leaves `u64`).
         rows: u64,
     },
+    /// Identical rows of a result add up to a multiplicity past `u64` where
+    /// it is put in canonical form: refused, neither wrapped nor saturated.
+    MultiplicityOverflow(MultOverflow),
+    /// An order-based operator over more rows than one ranking numbers
+    /// (`audb_native::MAX_RANKED_ROWS`: three keys a row in a `u32`):
+    /// refused before anything is allocated for them.
+    InputTooLarge {
+        /// The rows it would rank.
+        rows: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -153,6 +164,12 @@ impl fmt::Display for EngineError {
                  (one per possible duplicate); at most {} are supported",
                 u32::MAX
             ),
+            EngineError::MultiplicityOverflow(e) => write!(f, "{e}"),
+            EngineError::InputTooLarge { rows } => write!(
+                f,
+                "an ORDER BY or window would rank {rows} rows; at most {} are supported",
+                u64::from(u32::MAX) / 3
+            ),
         }
     }
 }
@@ -165,6 +182,8 @@ impl EngineError {
             EngineError::Plan(e) => e.kind(),
             EngineError::BackendDisagreement { .. } => "backend_disagreement",
             EngineError::ResultTooLarge { .. } => "result_too_large",
+            EngineError::MultiplicityOverflow(_) => "multiplicity_overflow",
+            EngineError::InputTooLarge { .. } => "input_too_large",
         }
     }
 }
@@ -173,7 +192,10 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Plan(e) => Some(e),
-            EngineError::BackendDisagreement { .. } | EngineError::ResultTooLarge { .. } => None,
+            EngineError::MultiplicityOverflow(e) => Some(e),
+            EngineError::BackendDisagreement { .. }
+            | EngineError::ResultTooLarge { .. }
+            | EngineError::InputTooLarge { .. } => None,
         }
     }
 }
@@ -181,6 +203,12 @@ impl Error for EngineError {
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {
         EngineError::Plan(e)
+    }
+}
+
+impl From<MultOverflow> for EngineError {
+    fn from(e: MultOverflow) -> Self {
+        EngineError::MultiplicityOverflow(e)
     }
 }
 
@@ -298,5 +326,11 @@ impl From<PlanError> for SessionError {
 impl From<EngineError> for SessionError {
     fn from(e: EngineError) -> Self {
         SessionError::Engine(e)
+    }
+}
+
+impl From<MultOverflow> for SessionError {
+    fn from(e: MultOverflow) -> Self {
+        SessionError::Engine(e.into())
     }
 }

@@ -24,7 +24,8 @@
 //! [`AuColumns::to_rows`] at its own door — and collect an [`ExecTrace`]:
 //! per-operator wall time, batch count and output cardinality. Both ask,
 //! before a breaker allocates anything, how many rows it would emit
-//! ([`EngineError::ResultTooLarge`]).
+//! ([`EngineError::ResultTooLarge`]) and rank
+//! ([`EngineError::InputTooLarge`]).
 
 use super::lower::{fuse_label, lower, Pipeline};
 use crate::backend::Backend;
@@ -34,7 +35,7 @@ use crate::plan::{Op, Plan};
 use audb_core::{
     range_verdict, window_ref, AuBatch, AuColumns, CmpSemantics, Mult3, TableStats, ZoneVerdict,
 };
-use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS};
+use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -103,17 +104,29 @@ pub struct ExecTrace {
 }
 
 /// An order-based operator emits one row per possible duplicate of its
-/// input (`split`, Algorithm 2): refuse it — before it allocates anything
-/// — when that is more than the kernels' `u32` row index holds. `limit`
-/// is the `LIMIT k` that bounds the emission (the native sort stops
-/// splitting a row at `k`; the row oracles sort everything first and pass
-/// `None`).
+/// input (`split`, Algorithm 2) and ranks every row that may exist: refuse
+/// it — before it allocates anything — when either is more than the
+/// kernels' `u32` indexes hold. `limit` is the `LIMIT k` that bounds the
+/// emission (the native sort stops splitting a row at `k`; the row oracles
+/// sort everything first and pass `None`).
 fn check_output_rows(
     mult_ub: impl IntoIterator<Item = u64>,
     limit: Option<u64>,
 ) -> Result<(), EngineError> {
-    match output_rows_bound(mult_ub, limit) {
-        Some(rows) if rows <= MAX_OUTPUT_ROWS => Ok(()),
+    let mut ranked = 0;
+    let mult_ub = mult_ub
+        .into_iter()
+        .inspect(|&ub| ranked += u64::from(ub > 0));
+    let bound = output_rows_bound(mult_ub, limit);
+    check_breaker_size(ranked, bound)
+}
+
+/// [`check_output_rows`] on the counts: `ranked` rows go into the ranking,
+/// and `bound` rows come out (`None` past `u64`).
+fn check_breaker_size(ranked: u64, bound: Option<u64>) -> Result<(), EngineError> {
+    match bound {
+        Some(rows) if rows <= MAX_OUTPUT_ROWS && ranked <= MAX_RANKED_ROWS => Ok(()),
+        Some(rows) if rows <= MAX_OUTPUT_ROWS => Err(EngineError::InputTooLarge { rows: ranked }),
         bound => Err(EngineError::ResultTooLarge {
             rows: bound.unwrap_or(u64::MAX),
         }),
@@ -668,10 +681,11 @@ mod tests {
         let (out, trace) = execute(&plan, 2);
         assert_eq!(out.len(), 3);
         assert_eq!(trace.pipelines, 0);
-        // …but a projection drops them, exactly like au_project_cols.
+        // …but a projection drops them, exactly like au_project.
+        let a = [(RangeExpr::col(0), "a")];
         let plan = Query::scan(rel.clone()).project(["a"]).build().unwrap();
         let (out, _) = execute(&plan, 2);
-        assert!(out.bag_eq(&audb_core::au_project_cols(&rel, &[0])));
+        assert!(out.bag_eq(&audb_core::au_project(&rel, &a)));
         assert_eq!(out.len(), 2);
         // A select ahead of the projection drops non-matching rows first.
         let plan = Query::scan(rel.clone())
@@ -681,7 +695,7 @@ mod tests {
             .unwrap();
         let (out, _) = execute(&plan, 1);
         let step = audb_core::au_select(&rel, &RangeExpr::col(0).lt(RangeExpr::lit(5)));
-        assert!(out.bag_eq(&audb_core::au_project_cols(&step, &[0])));
+        assert!(out.bag_eq(&audb_core::au_project(&step, &a)));
         assert_eq!(out.len(), 1);
     }
 
@@ -706,7 +720,8 @@ mod tests {
         let (out, _) = execute(&plan, 8);
         // Possibly-true predicate: certain multiplicity drops to 0.
         assert_eq!(out.rows()[0].mult, Mult3::new(0, 2, 2));
-        let by_rows = audb_core::au_project_cols(&audb_core::au_select(&rel, &pred), &[0]);
+        let a = [(RangeExpr::col(0), "a")];
+        let by_rows = audb_core::au_project(&audb_core::au_select(&rel, &pred), &a);
         assert!(out.bag_eq(&by_rows));
     }
 
@@ -805,7 +820,8 @@ mod tests {
         let (out, skipped, scanned) = run(&sql, ZONE_ROWS, true);
         assert_eq!((skipped, scanned), (2, 2));
         // (A projection keeps what is not zero-annotated.)
-        assert!(out.bag_eq(&audb_core::au_project_cols(&tail, &[0, 1])));
+        let t_v = [(RangeExpr::col(0), "t"), (RangeExpr::col(1), "v")];
+        assert!(out.bag_eq(&audb_core::au_project(&tail, &t_v)));
         assert_eq!(run(&sql, ZONE_ROWS, false).1, 0);
         // Only the first registered zone.
         let sql = format!("SELECT t, v FROM c WHERE t < {ZONE_ROWS}");
@@ -836,6 +852,16 @@ mod tests {
         assert!(matches!(
             wrapped,
             EngineError::ResultTooLarge { rows: u64::MAX }
+        ));
+        // More rows than a ranking numbers keys for, each emitting one.
+        let most = MAX_RANKED_ROWS;
+        assert!(check_breaker_size(most, Some(most)).is_ok());
+        let over = check_breaker_size(most + 1, Some(most + 1)).unwrap_err();
+        assert!(matches!(over, EngineError::InputTooLarge { rows } if rows == most + 1));
+        assert_eq!(over.kind(), "input_too_large");
+        assert!(matches!(
+            check_breaker_size(most + 1, Some(edge + 1)),
+            Err(EngineError::ResultTooLarge { .. })
         ));
     }
 

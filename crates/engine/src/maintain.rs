@@ -213,7 +213,7 @@ impl MaintainedQuery {
                 ));
             }
             (_, Some(Op::Window { spec, .. })) => {
-                let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize();
+                let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize()?;
                 if window_needs_reference(&pre_rel, spec) {
                     q.fallback_forever = Some(
                         "initial relation needs the reference window \
@@ -352,7 +352,7 @@ impl MaintainedQuery {
         else {
             unreachable!("kind is Window only for window plans");
         };
-        let pre_batch = self.prefix_over(Table::sealed(batch))?.normalize();
+        let pre_batch = self.prefix_over(Table::sealed(batch))?.normalize()?;
         // The native window's documented fallbacks are sticky: a duplicate
         // multiplicity or uncertain partition value stays in the data.
         if pre_batch.mult_ub().iter().any(|&ub| ub > 1) {
@@ -384,7 +384,7 @@ impl MaintainedQuery {
         // Build (or rebuild) the sweep from everything seen so far as one
         // batch; this append is answered by recompute, the next in-order
         // batch goes incremental.
-        let pre_all = self.prefix_over(Arc::clone(&self.accum))?.normalize();
+        let pre_all = self.prefix_over(Arc::clone(&self.accum))?.normalize()?;
         if window_needs_reference(&pre_all, &spec) {
             self.fallback_forever = Some(
                 "accumulated relation needs the reference window \
@@ -435,7 +435,7 @@ impl MaintainedQuery {
         let out = self
             .engine
             .execute(&self.plan.with_table(Arc::clone(&self.accum))?)?
-            .normalize();
+            .normalize()?;
         // The result map is keyed rows: this is the subscription's door.
         self.current = keyed_rows(out.to_rows());
         // The map no longer tracks which entries came from open windows;
@@ -462,7 +462,9 @@ impl MaintainedQuery {
             MaintainKind::TopK { state: Some(m) } => {
                 // The whole top-k band is the changed region; diff it
                 // against the previous map wholesale (O(k), not O(n)).
-                let next = keyed_rows(m.result().normalize().to_rows());
+                let band = m.result().normalize();
+                let band = band.expect("a top-k emits no more than k rows of one hypercube");
+                let next = keyed_rows(band.to_rows());
                 let before = std::mem::replace(&mut self.current, next);
                 return diff_maps(&before, &self.current);
             }

@@ -31,11 +31,12 @@
 //!    ([`audb_core::estimate_selectivity`]), most
 //!    selective first. Adjacent AU-DB selections commute
 //!    (`Mult3::filter` is componentwise), so this is always sound.
-//! 3. **Dead-column pruning**: source columns that no downstream operator
-//!    reads and that cannot reach the output schema are projected away
-//!    right after the leading selections. When the plan has no
-//!    projection, every source column reaches the output and the pass is
-//!    automatically a no-op.
+//! 3. **Dead-column pruning**: source columns that no operator reads and
+//!    that cannot reach the output schema are projected away right behind
+//!    the last breaker. Never ahead of a breaker: a sort or window reads
+//!    every column that reaches it, since `<total_O` breaks order-key ties
+//!    on all of them (Def. 1) — pruning one there reorders tied rows. A
+//!    plan without a breaker, or without a projection, is left as it is.
 //!
 //! The passes never match on the operator variants to learn a schema, a
 //! column set or breaker-ness — they ask the operator ([`Op::reads`],
@@ -264,29 +265,32 @@ fn reorder_selects(ops: &mut [Op], stats: &Table, rules: &mut Vec<AppliedRule>) 
 // Pass 3: dead-column pruning
 // ---------------------------------------------------------------------
 
-/// Project away source columns no downstream operator reads and that
-/// cannot reach the output schema, inserting one `Project` right after
-/// the leading selections and remapping every later column index.
+/// Project away the source columns no operator reads and that cannot
+/// reach the output schema, inserting one `Project` right behind the last
+/// breaker and remapping every later column index.
 fn prune_dead_columns(
     ops: &mut Vec<Op>,
     src_schema: &audb_rel::Schema,
     rules: &mut Vec<AppliedRule>,
 ) {
-    let src_arity = src_schema.arity();
-    let p = leading_selects(ops);
-    if p == ops.len() {
-        return; // no downstream op: the full source schema is the output
-    }
-    if matches!(ops[p], Op::Project { .. }) {
-        return; // the plan already prunes at the first opportunity
+    let Some(last_breaker) = ops.iter().rposition(Op::is_breaker) else {
+        return;
+    };
+    let p = last_breaker + 1;
+    if p == ops.len() || matches!(ops[p], Op::Project { .. }) {
+        return; // every column is the output's, or the plan prunes there itself
     }
 
-    // Walk ops[p..] tracking, for every current column, which source
-    // column it passes through unchanged (None for appended/computed
-    // columns), and mark every source column any operator reads.
-    let mut used = vec![false; src_arity];
-    let mut origin: Vec<Option<usize>> = (0..src_arity).map(Some).collect();
-    for op in &ops[p..] {
+    // Walk the chain tracking, for every current column, which source
+    // column it passes through unchanged (None for appended or computed
+    // ones), and mark every source column any operator reads.
+    let mut used = vec![false; src_schema.arity()];
+    let mut origin: Vec<Option<usize>> = (0..src_schema.arity()).map(Some).collect();
+    let mut at_p = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        if i == p {
+            at_p.clone_from(&origin);
+        }
         for c in op.reads() {
             if let Some(src) = origin[c] {
                 used[src] = true;
@@ -309,25 +313,33 @@ fn prune_dead_columns(
         used[src] = true;
     }
 
-    let live: Vec<usize> = (0..src_arity).filter(|&c| used[c]).collect();
-    if live.len() == src_arity || live.is_empty() {
+    // The columns at `p` that are dead source columns go.
+    let dead = |c: usize| at_p[c].is_some_and(|src| !used[src]);
+    let live: Vec<usize> = (0..at_p.len()).filter(|&c| !dead(c)).collect();
+    if live.len() == at_p.len() {
         return;
+    }
+    let mut schema = src_schema.clone();
+    for op in &ops[..p] {
+        let Ok(next) = op.output_schema(&schema) else {
+            return;
+        };
+        schema = next;
     }
 
     // Remap ops[p..] through the pruned schema: `m[old] = Some(new)` for
     // surviving columns at the current point in the chain. An operator
     // that reads a pruned column would be a bug of the walk above — the
     // pass is then abandoned, never the plan corrupted.
-    let mut m: Vec<Option<usize>> = vec![None; src_arity];
+    let mut m: Vec<Option<usize>> = vec![None; at_p.len()];
     for (new, &old) in live.iter().enumerate() {
         m[old] = Some(new);
     }
-    let mut new_arity = live.len();
     let mut rewritten = ops[..p].to_vec();
     rewritten.push(Op::Project {
         exprs: live
             .iter()
-            .map(|&c| (RangeExpr::Col(c), src_schema.cols()[c].clone()))
+            .map(|&c| (RangeExpr::Col(c), schema.cols()[c].clone()))
             .collect(),
     });
     for op in &ops[p..] {
@@ -336,19 +348,14 @@ fn prune_dead_columns(
         };
         if let Op::Project { exprs } = &op {
             // Its outputs are numbered as before, whatever fed them.
-            new_arity = exprs.len();
-            m = (0..new_arity).map(Some).collect();
-        } else if op.is_breaker() {
-            // The appended column sits behind the surviving ones.
-            m.push(Some(new_arity));
-            new_arity += 1;
+            m = (0..exprs.len()).map(Some).collect();
         }
         rewritten.push(op);
     }
 
-    let dropped: Vec<&str> = (0..src_arity)
-        .filter(|&c| !used[c])
-        .map(|c| src_schema.cols()[c].as_str())
+    let dropped: Vec<&str> = (0..at_p.len())
+        .filter(|&c| dead(c))
+        .map(|c| schema.cols()[c].as_str())
         .collect();
     *ops = rewritten;
     rules.push(AppliedRule {
@@ -557,23 +564,33 @@ mod tests {
 
     #[test]
     fn dead_columns_are_pruned_behind_a_projection() {
-        // `v` is never read: select on t, sort by t, project t + pos.
+        // A sort reads every column that reaches it (`<total_O` breaks ties
+        // on all of them): nothing is dead ahead of one, though only `t`
+        // and `pos` are projected.
         let plan = Query::scan(rel(8))
             .select(RangeExpr::col(0).lt(RangeExpr::lit(6)))
             .sort_by(["t"])
             .project(["t", "pos"])
             .build()
             .unwrap();
+        assert!(optimize(&plan).opt().is_none());
+
+        // Behind it, `g` is never read: a select on `v`, then t + pos.
+        let plan = Query::scan(rel(8))
+            .sort_by(["t"])
+            .select(RangeExpr::col(1).lt(RangeExpr::lit(6)))
+            .project(["t", "pos"])
+            .build()
+            .unwrap();
         let opt = optimize(&plan);
-        assert_eq!(op_names(&opt), ["select", "project", "sort", "project"]);
+        assert_eq!(op_names(&opt), ["sort", "project", "select", "project"]);
         let cols = |names: &[(usize, &str)]| Op::Project {
             exprs: (names.iter())
                 .map(|&(i, n)| (RangeExpr::Col(i), n.to_string()))
                 .collect(),
         };
-        assert_eq!(opt.ops()[1], cols(&[(0, "t")]));
-        assert!(matches!(&opt.ops()[2], Op::Sort { order, .. } if order == &[0]));
-        assert_eq!(opt.ops()[3], cols(&[(0, "t"), (1, "pos")]));
+        assert_eq!(opt.ops()[1], cols(&[(0, "t"), (1, "v"), (3, "pos")]));
+        assert_eq!(opt.ops()[3], cols(&[(0, "t"), (2, "pos")]));
         assert_eq!(opt.schema().cols(), plan.schema().cols());
         let info = opt.opt().unwrap();
         assert!(info.rules.iter().any(|r| r.rule == "prune-dead-columns"));

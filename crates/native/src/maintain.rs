@@ -53,10 +53,13 @@
 //!   still-open item* — a cursor that only moves forward;
 //! * the certain tuples form a `τ↓`-ordered deque: the range scan of
 //!   `compBounds` binary-searches its start, eviction pops the front;
-//! * the possible pool is the three-order connected heap of the paper,
-//!   its orders a type the heap inlines ([`HeapOrder`]), its `A↓`/`A↑`
-//!   orders comparing the bounds as [`Value`]s, scanned through a scratch
-//!   frontier the sweep owns ([`ConnectedHeap::sorted_iter_in`]).
+//! * the possible pool is the three-order connected heap of the paper. Its
+//!   entries hold no [`Value`]: the heap compares words — `τ↑`, and the
+//!   eight-byte prefixes of the `A↓` / `A↑` bounds ([`prefix_of`]) — and
+//!   its order ([`HeapOrder`], passed per call because it reads the
+//!   sweep's items) compares the bounds as values only where two prefixes
+//!   tie. A scan runs through a scratch frontier the sweep owns
+//!   ([`ConnectedHeap::sorted_iter_with`]).
 //!
 //! ## Selected guesses
 //!
@@ -93,8 +96,8 @@ use crate::sort::{positions, sort_columns_native};
 use crate::window::partitions;
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
-    sg_ordered_inputs, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner, KeyArena, Mult3,
-    RangeValue, SortKey, WinAgg,
+    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuRelation, AuTuple, AuWindowSpec,
+    Corner, KeyArena, Mult3, RangeValue, SortKey, WinAgg,
 };
 use audb_rel::ops::sort::total_order;
 use audb_rel::ops::window::sliding_aggregate;
@@ -160,30 +163,48 @@ impl WindowRow {
 }
 
 /// Pool payload: everything the three heap orders and the membership test
-/// of `compBounds` read, copied out of the item.
+/// of `compBounds` read, copied out of the item — as words: the bounds of
+/// the aggregated attribute are their prefixes ([`prefix_of`]), which
+/// order them wherever they differ; the values stay with the item.
 struct PoolItem {
     tlo: i64,
     thi: i64,
     id: usize,
     cert: bool,
-    alo: Value,
-    ahi: Value,
+    /// Prefix of `A↓`.
+    alo: u64,
+    /// Prefix of `A↑`.
+    ahi: u64,
 }
 
 /// The pool's three orders — heap 0: `τ↑` ascending (eviction order);
 /// heap 1: `A↓` ascending (min-k candidates); heap 2: `A↑` descending
-/// (max-k candidates) — as a type, so the heap's sifts inline it (a struct
-/// that owns its heap cannot hand the heap a closure borrowing the struct's
-/// own item arena, and a `fn` pointer is a call per comparison).
-struct PoolOrder;
+/// (max-k candidates), each made total by the item id. The heap compares
+/// their words — `τ↑` (a position: never negative), `A↓`'s prefix, `A↑`'s
+/// prefix inverted — and asks `cmp` only where two tie, which reads the
+/// bounds from the sweep's own items: the order borrows them, so the sweep
+/// hands it to the heap per call. A type, so the heap's sifts inline it.
+struct PoolOrder<'a>(&'a [Item]);
 
-impl HeapOrder<PoolItem> for PoolOrder {
+impl HeapOrder<PoolItem> for PoolOrder<'_> {
+    const WORDS: bool = true;
+
+    #[inline]
+    fn word(&self, h: usize, p: &PoolItem) -> u64 {
+        match h {
+            0 => p.thi as u64,
+            1 => p.alo,
+            _ => !p.ahi,
+        }
+    }
+
     #[inline]
     fn cmp(&self, h: usize, a: &PoolItem, b: &PoolItem) -> Ordering {
+        let attr = |p: &PoolItem| &self.0[p.id].attr;
         match h {
             0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
-            1 => a.alo.cmp(&b.alo).then(a.id.cmp(&b.id)),
-            _ => b.ahi.cmp(&a.ahi).then(a.id.cmp(&b.id)),
+            1 => attr(a).lb.cmp(&attr(b).lb).then(a.id.cmp(&b.id)),
+            _ => attr(b).ub.cmp(&attr(a).ub).then(a.id.cmp(&b.id)),
         }
     }
 }
@@ -222,7 +243,8 @@ pub struct WindowMaintain {
     oldest_open: usize,
     /// Certain items `(τ↓, τ↑, id)` in arrival (= `τ↓`) order.
     cert: VecDeque<(i64, i64, usize)>,
-    poss: ConnectedHeap<PoolItem, PoolOrder>,
+    /// Ordered per call, by a [`PoolOrder`] over `items`.
+    poss: ConnectedHeap<PoolItem, ()>,
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
     closed: Vec<WindowRow>,
@@ -258,7 +280,7 @@ impl WindowMaintain {
             openw: BinaryHeap::new(),
             oldest_open: 0,
             cert: VecDeque::new(),
-            poss: ConnectedHeap::with_order(3, 1024, PoolOrder),
+            poss: ConnectedHeap::with_order(3, 1024, ()),
             scratch: Scratch::default(),
             closed: Vec::new(),
             pool_sum: 0,
@@ -342,11 +364,24 @@ impl WindowMaintain {
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
         let rows = rows.iter().copied();
-        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
+        let pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
         if pos.is_empty() {
             return;
         }
-        pos.sort_unstable_by_key(|p| (p.tau_lb, p.tau_ub, p.row, p.dup));
+        // Arrival order `(τ↓, τ↑, row, dup)`: one radix sort of `(τ↓, τ↑)`
+        // words — batch-local positions, under 2³² as the output is — and
+        // `(row, dup)` only where two tie.
+        let mut refs: Vec<(u64, u32)> = (pos.iter().enumerate())
+            .map(|(i, p)| (p.tau_lb << 32 | p.tau_ub, i as u32))
+            .collect();
+        sort_prefixes(&mut refs);
+        for run in refs
+            .chunk_by_mut(|a, b| a.0 == b.0)
+            .filter(|run| run.len() > 1)
+        {
+            run.sort_unstable_by_key(|&(_, i)| (pos[i as usize].row, pos[i as usize].dup));
+        }
+        let pos: Vec<_> = refs.iter().map(|&(_, i)| pos[i as usize]).collect();
         stage("rank");
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
@@ -405,11 +440,14 @@ impl WindowMaintain {
         // it: entries of different selected guesses under `<total_O` differ
         // in the base of `τ_sg`. Only among equal ones — one base — does
         // content decide, and that is `sg_ordered_inputs`' to say.
-        let mut sg_block: Vec<(u64, usize)> = (pos.iter().enumerate())
+        let mut bases: Vec<(u64, u32)> = (pos.iter().enumerate())
             .filter(|(_, p)| p.mult.sg >= 1)
-            .map(|(i, p)| (p.tau_sg - u64::from(p.dup), first_new + i))
+            .map(|(i, p)| (p.tau_sg - u64::from(p.dup), i as u32))
             .collect();
-        sg_block.sort_unstable();
+        sort_prefixes(&mut bases);
+        let mut sg_block: Vec<(u64, usize)> = (bases.into_iter())
+            .map(|(base, i)| (base, first_new + i as usize))
+            .collect();
         for run in sg_block.chunk_by_mut(|a, b| a.0 == b.0) {
             if run.len() > 1 {
                 let tuples: Vec<AuTuple> = (run.iter())
@@ -501,22 +539,23 @@ impl WindowMaintain {
             };
             let watermark = open_tlo.min(stlo) + l;
             while self.poss.peek(0).is_some_and(|p| p.thi < watermark) {
-                self.poss.pop(0);
+                self.poss.pop_with(0, &PoolOrder(&self.items));
             }
         }
         self.openw.push(Reverse((it_thi, t)));
-        let it = &self.items[t];
         if it_cert {
             self.cert.push_back((it_tlo, it_thi, t));
         }
-        self.poss.insert(PoolItem {
+        let attr = &self.items[t].attr;
+        let item = PoolItem {
             tlo: it_tlo,
             thi: it_thi,
             id: t,
             cert: it_cert,
-            alo: it.attr.lb.clone(),
-            ahi: it.attr.ub.clone(),
-        });
+            alo: prefix_of([&attr.lb]),
+            ahi: prefix_of([&attr.ub]),
+        };
+        self.poss.insert_with(item, &PoolOrder(&self.items));
     }
 
     /// Close window `id` for good: its output row joins the closed rows.
@@ -592,12 +631,17 @@ impl WindowMaintain {
         };
         let cert_lb = || cert.iter().map(|&c| &items[c].attr.lb);
         let cert_ub = || cert.iter().map(|&c| &items[c].attr.ub);
+        let order = PoolOrder(items);
+        // The sign of a pool bound: its prefix against zero's, the value
+        // where they tie.
         let zero = Value::Int(0);
+        let zero_word = prefix_of([&zero]);
+        let sign = |word: u64, v: &Value| word.cmp(&zero_word).then_with(|| v.cmp(&zero));
 
         let (xlo, xhi) = match self.agg {
             WinAgg::Sum(_) | WinAgg::Count => {
-                let lo = cert_lb().fold(Value::Int(0), |acc, v| acc.add(v));
-                let hi = cert_ub().fold(Value::Int(0), |acc, v| acc.add(v));
+                let lo = sum(Value::Int(0), cert_lb());
+                let hi = sum(Value::Int(0), cert_ub());
                 // A frame already full of certain members takes nothing
                 // from the pool (every window of certain data): no scan,
                 // where each would walk its heap order to the first
@@ -610,37 +654,52 @@ impl WindowMaintain {
                 // bounds (see audb_core::aggregate_window) — the scan stops
                 // at the first candidate that is neither owed nor negative.
                 picked.clear();
-                for p in self.poss.sorted_iter_in(1, frontier).filter(valid) {
-                    if picked.len() == possn || (picked.len() >= q && p.alo >= zero) {
+                for p in self
+                    .poss
+                    .sorted_iter_with(1, frontier, &order)
+                    .filter(valid)
+                {
+                    let negative = || sign(p.alo, &items[p.id].attr.lb).is_lt();
+                    if picked.len() == possn || (picked.len() >= q && !negative()) {
                         break;
                     }
                     picked.push(p.id);
                 }
-                let lo = picked.iter().fold(lo, |acc, &p| acc.add(&items[p].attr.lb));
+                let lo = sum(lo, picked.iter().map(|&p| &items[p].attr.lb));
                 // max-k over the A↑-descending component, mirrored.
                 picked.clear();
-                for p in self.poss.sorted_iter_in(2, frontier).filter(valid) {
-                    if picked.len() == possn || (picked.len() >= q && p.ahi <= zero) {
+                for p in self
+                    .poss
+                    .sorted_iter_with(2, frontier, &order)
+                    .filter(valid)
+                {
+                    let positive = || sign(p.ahi, &items[p.id].attr.ub).is_gt();
+                    if picked.len() == possn || (picked.len() >= q && !positive()) {
                         break;
                     }
                     picked.push(p.id);
                 }
-                let hi = picked.iter().fold(hi, |acc, &p| acc.add(&items[p].attr.ub));
+                let hi = sum(hi, picked.iter().map(|&p| &items[p].attr.ub));
                 (lo, hi)
             }
+            // Minima and maxima read the item a scan picks.
             WinAgg::Min(_) => {
                 let mut hi = cert_ub().min().expect("self").clone();
                 if q >= 1 {
                     // q-th largest pool upper bound caps the minimum.
-                    let mut pool = self.poss.sorted_iter_in(2, frontier).filter(valid);
-                    if let Some(p) = pool.nth(q - 1) {
-                        hi = hi.min(p.ahi.clone());
+                    if let Some(p) = self
+                        .poss
+                        .sorted_iter_with(2, frontier, &order)
+                        .filter(valid)
+                        .nth(q - 1)
+                    {
+                        hi = hi.min(items[p.id].attr.ub.clone());
                     }
                 }
                 let mut lo = cert_lb().min().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_in(1, frontier).find(valid) {
-                        lo = lo.min(p.alo.clone());
+                    if let Some(p) = self.poss.sorted_iter_with(1, frontier, &order).find(valid) {
+                        lo = lo.min(items[p.id].attr.lb.clone());
                     }
                 }
                 (lo, hi)
@@ -648,15 +707,19 @@ impl WindowMaintain {
             WinAgg::Max(_) => {
                 let mut lo = cert_lb().max().expect("self").clone();
                 if q >= 1 {
-                    let mut pool = self.poss.sorted_iter_in(1, frontier).filter(valid);
-                    if let Some(p) = pool.nth(q - 1) {
-                        lo = lo.max(p.alo.clone());
+                    if let Some(p) = self
+                        .poss
+                        .sorted_iter_with(1, frontier, &order)
+                        .filter(valid)
+                        .nth(q - 1)
+                    {
+                        lo = lo.max(items[p.id].attr.lb.clone());
                     }
                 }
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_in(2, frontier).find(valid) {
-                        hi = hi.max(p.ahi.clone());
+                    if let Some(p) = self.poss.sorted_iter_with(2, frontier, &order).find(valid) {
+                        hi = hi.max(items[p.id].attr.ub.clone());
                     }
                 }
                 (lo, hi)
@@ -665,11 +728,11 @@ impl WindowMaintain {
                 let mut lo = cert_lb().min().expect("self").clone();
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_in(1, frontier).find(valid) {
-                        lo = lo.min(p.alo.clone());
+                    if let Some(p) = self.poss.sorted_iter_with(1, frontier, &order).find(valid) {
+                        lo = lo.min(items[p.id].attr.lb.clone());
                     }
-                    if let Some(p) = self.poss.sorted_iter_in(2, frontier).find(valid) {
-                        hi = hi.max(p.ahi.clone());
+                    if let Some(p) = self.poss.sorted_iter_with(2, frontier, &order).find(valid) {
+                        hi = hi.max(items[p.id].attr.ub.clone());
                     }
                 }
                 (lo, hi)
@@ -764,6 +827,24 @@ impl WindowMaintain {
         self.sg_vals.clear();
         self.sg_pending = 0;
     }
+}
+
+/// `acc` plus every term, left to right, exactly as a fold of
+/// [`Value::add`] from `acc` adds them — kept as an `i64` while the sum
+/// and every term are `Int`s and no addition overflows, the fold from the
+/// first term that is not or does.
+fn sum<'a>(acc: Value, terms: impl IntoIterator<Item = &'a Value>) -> Value {
+    let mut terms = terms.into_iter();
+    let Value::Int(mut total) = acc else {
+        return terms.fold(acc, |acc, v| acc.add(v));
+    };
+    while let Some(v) = terms.next() {
+        match v {
+            Value::Int(i) if let Some(next) = total.checked_add(*i) => total = next,
+            _ => return terms.fold(Value::Int(total).add(v), |acc, v| acc.add(v)),
+        }
+    }
+    Value::Int(total)
 }
 
 /// `[lb / sg / ub]` with the selected guess clamped into the bounds

@@ -116,6 +116,26 @@ pub(crate) struct Position {
 /// the kernels, and one output row is emitted per possible duplicate.
 pub const MAX_OUTPUT_ROWS: u64 = u32::MAX as u64;
 
+/// The most rows one ranking takes: a row's three corner keys are numbered
+/// `3 · row + corner` in a `u32`. The engine refuses a breaker over more
+/// ([`output_rows_bound`]'s caller); past it, a direct caller's panic.
+pub const MAX_RANKED_ROWS: u64 = (u32::MAX as u64 + 1) / 3;
+
+/// The number of the lower-bound key of the `cand`-th ranked row — its
+/// other corners follow it — while all three fit a `u32`: `None` from the
+/// [`MAX_RANKED_ROWS`]-th row on.
+fn key_id(cand: usize) -> Option<u32> {
+    let last = cand.checked_mul(3)?.checked_add(2)?;
+    u32::try_from(last).ok().map(|last| last - 2)
+}
+
+/// The duplicate index `i` of a row's split: under the row's emission
+/// count, which [`output_rows_bound`] kept within [`MAX_OUTPUT_ROWS`] — a
+/// `u32` — before the sweep began.
+fn dup_index(i: u64) -> u32 {
+    u32::try_from(i).expect("a duplicate index under the output bound, which fits a u32")
+}
+
 /// How many rows an order-based operator emits over input of possible
 /// multiplicities `mult_ub`, at most: one per possible duplicate (`split`),
 /// under `LIMIT k` no more than `k` of one row (a duplicate's `τ↓` grows
@@ -293,7 +313,8 @@ fn encode(
             continue;
         }
         let uncertain = !cols.row_is_certain(r);
-        let id = u32::try_from(3 * cands.len() + 2).expect("under 2³² keys") - 2;
+        let id = key_id(cands.len())
+            .unwrap_or_else(|| panic!("the sort would rank more than {MAX_RANKED_ROWS} rows"));
         refs.push((prefix_at(cols, r, Corner::Lb, idxs), id));
         if uncertain {
             refs.push((prefix_at(cols, r, Corner::Sg, idxs), id + 1));
@@ -529,10 +550,9 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
             if plb > psg {
                 psg = plb; // can only happen via capping; keep the invariant
             }
-            // `i < rows ≤ u32::MAX`: the bound above counted this duplicate.
             out.push(Position {
                 row: cand.row,
-                dup: i as u32,
+                dup: dup_index(i),
                 tau_lb: plb,
                 tau_sg: psg,
                 tau_ub: pub_,
@@ -733,6 +753,24 @@ mod tests {
             seen,
             ["encode", "band", "rank", "merge", "sweep", "materialise"]
         );
+    }
+
+    /// The key numbering at the edge of a `u32`, checked without a row
+    /// behind it.
+    #[test]
+    fn key_ids_stop_at_u32() {
+        let last = MAX_RANKED_ROWS as usize - 1;
+        assert_eq!(key_id(0), Some(0));
+        assert_eq!(key_id(last), Some(u32::MAX - 3));
+        assert_eq!(key_id(last + 1), None);
+        assert_eq!(key_id(usize::MAX), None);
+        assert_eq!(dup_index(u64::from(u32::MAX)), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "fits a u32")]
+    fn a_duplicate_index_past_u32_is_refused() {
+        dup_index(u64::from(u32::MAX) + 1);
     }
 
     #[test]

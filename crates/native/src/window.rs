@@ -39,12 +39,12 @@
 //! The sweep itself lives in [`crate::maintain`] (its module docs describe
 //! the state) and holds no tuple: it reads the aggregated attribute's range
 //! from the lanes and leaves, per closed window, the input row's number and
-//! the aggregate. The pool entries carry the aggregated attribute's bounds
-//! as plain values (an `Int`/`Int` compare is a branch, cloning a `Str` an
-//! `Arc` bump), and a sorted pool scan visits only the heap nodes it
-//! yields. Partitions are index views over the input, not copies; their
-//! sweeps are independent and run in parallel (`audb_par`), their rows
-//! concatenated in deterministic partition-value order. Partition values
+//! the aggregate. The pool compares the prefixes of the aggregated
+//! attribute's bounds, and the values only where two prefixes tie; a sorted
+//! pool scan visits only the heap nodes it yields. Partitions are index
+//! views over the input, not copies; their sweeps are independent and run
+//! in parallel (`audb_par`), their rows concatenated in deterministic
+//! partition-value order. Partition values
 //! are ordered like every key here: `(prefix, row)` pairs radix-sorted
 //! ([`audb_core::sort_prefixes`]), key bytes encoded for the rows of one
 //! prefix only.
@@ -243,7 +243,8 @@ fn run(
             keys.extend_corner_at(cols, *row as usize, Corner::Sg, &all);
             keys.extend_value(&x.sg);
         },
-    );
+    )
+    .expect("split rows have k↑ = 1, and no more of them than a u64 counts");
     stage("order");
     // The input's lanes in that order, and the aggregates as one column.
     let x = aggregate_column(order.iter().map(|&(out, _)| &rows[out].x));

@@ -177,13 +177,22 @@ pub fn write_int(out: &mut String, i: i64) {
 /// The decimal digits of `i` (ASCII), two per division, at the end of
 /// `text`: 19 digits of `i64::MAX`, one more for `i64::MIN`, a sign.
 pub fn int_text(i: i64, text: &mut [u8; 21]) -> &[u8] {
+    decimal(i.unsigned_abs(), i < 0, text)
+}
+
+/// [`int_text`] of an unsigned number: the 20 digits of `u64::MAX` fit.
+pub fn uint_text(u: u64, text: &mut [u8; 21]) -> &[u8] {
+    decimal(u, false, text)
+}
+
+/// The digits of `rest`, signed by `negative`, at the end of `text`.
+fn decimal(mut rest: u64, negative: bool, text: &mut [u8; 21]) -> &[u8] {
     const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
                                 2021222324252627282930313233343536373839\
                                 4041424344454647484950515253545556575859\
                                 6061626364656667686970717273747576777879\
                                 8081828384858687888990919293949596979899";
     let mut at = text.len();
-    let mut rest = i.unsigned_abs();
     while rest >= 100 {
         let pair = (rest % 100) as usize * 2;
         rest /= 100;
@@ -198,7 +207,7 @@ pub fn int_text(i: i64, text: &mut [u8; 21]) -> &[u8] {
         at -= 1;
         text[at] = b'0' + rest as u8;
     }
-    if i < 0 {
+    if negative {
         at -= 1;
         text[at] = b'-';
     }
@@ -473,6 +482,9 @@ mod tests {
     fn integers_and_raw_text_are_written_verbatim() {
         for i in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN] {
             assert_eq!(Json::Int(i).to_string(), format!("{i}"));
+        }
+        for u in [0, 9, i64::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(uint_text(u, &mut [0; 21]), format!("{u}").as_bytes());
         }
         let doc = Json::obj([
             ("n", Json::Int(2)),

@@ -21,10 +21,13 @@
 //! Errors: `{"error": {"kind": <machine tag>, "message": <human text>}}`
 //! plus `"line"`/`"col"` members when the failure has a position in the
 //! query text. The `kind` values come from
-//! [`SessionError::kind`](audb_engine::SessionError::kind).
+//! [`SessionError::kind`](audb_engine::SessionError::kind) — among them
+//! `multiplicity_overflow`, a result whose identical rows add up past
+//! `u64` where it is normalized for the reply — but for the request-level
+//! ones of this module.
 
 use crate::http::Request;
-use crate::json::{int_text, write_float, write_int, write_string, Json};
+use crate::json::{int_text, uint_text, write_float, write_int, write_string, Json};
 use crate::state::{ConnState, ServerState};
 use audb_core::{AuColumn, AuColumns, Corner, PhysSlice, PhysType};
 use audb_engine::{BackendRun, RunAll, SessionError};
@@ -75,13 +78,13 @@ fn query(state: &ServerState, req: &Request, started: Instant) -> Reply {
         Ok(p) => p,
         Err(e) => return session_error(&e),
     };
-    match session.execute(&prepared) {
-        Ok(rel) => {
-            let mut body = relation_body(rel);
+    match session.execute(&prepared).map(result_body) {
+        Ok(Ok(mut body)) => {
             body.set("cache", cache_body(state, hit));
             body.set("elapsed_us", Json::Int(elapsed_us(started)));
             (200, body)
         }
+        Ok(Err(refused)) => refused,
         Err(e) => session_error(&e),
     }
 }
@@ -139,12 +142,12 @@ fn execute(state: &ServerState, conn: &mut ConnState, req: &Request, started: In
             ),
         );
     };
-    match state.session().execute(&prepared) {
-        Ok(rel) => {
-            let mut body = relation_body(rel);
+    match state.session().execute(&prepared).map(result_body) {
+        Ok(Ok(mut body)) => {
             body.set("elapsed_us", Json::Int(elapsed_us(started)));
             (200, body)
         }
+        Ok(Err(refused)) => refused,
         Err(e) => session_error(&e),
     }
 }
@@ -164,12 +167,14 @@ fn explain(state: &ServerState, req: &Request) -> Reply {
 
 fn run_all(state: &ServerState, req: &Request, started: Instant) -> Reply {
     match state.session().run_all_sql(&req.body_text()) {
-        Ok(RunAll { output, runs }) => {
-            let mut body = relation_body(output);
-            body.set("backends", backends_body(&runs));
-            body.set("elapsed_us", Json::Int(elapsed_us(started)));
-            (200, body)
-        }
+        Ok(RunAll { output, runs }) => match result_body(output) {
+            Ok(mut body) => {
+                body.set("backends", backends_body(&runs));
+                body.set("elapsed_us", Json::Int(elapsed_us(started)));
+                (200, body)
+            }
+            Err(refused) => refused,
+        },
         Err(e) => session_error(&e),
     }
 }
@@ -304,15 +309,29 @@ fn backends_body(runs: &[BackendRun]) -> Json {
     )
 }
 
-/// Encode a result. It is put in canonical order first
+/// A query's reply body, or — where identical rows of the result add up to
+/// a multiplicity past `u64` — its refusal (`multiplicity_overflow`).
+fn result_body(cols: AuColumns) -> Result<Json, Reply> {
+    match cols.normalize() {
+        Ok(cols) => Ok(encode(cols)),
+        Err(e) => Err(session_error(&e.into())),
+    }
+}
+
+/// Encode a result — or the body of its refusal, where its identical rows
+/// add up past `u64`. It is put in canonical order first
 /// ([`AuColumns::normalize`]), so two bag-equal results encode identically
 /// — the property the golden tests and the concurrency stress test lean
-/// on. `rows` and `mults` are each written into one pre-sized buffer,
-/// row by row from the lanes: a point — every cell of a certain column, a
-/// cell of a ranged one whose certainty bit is set — is formatted once and
-/// copied twice.
+/// on.
 pub fn relation_body(cols: AuColumns) -> Json {
-    let cols = cols.normalize();
+    result_body(cols).unwrap_or_else(|(_, refused)| refused)
+}
+
+/// [`relation_body`] of a result in canonical order. `rows` and `mults` are
+/// each written into one pre-sized buffer, row by row from the lanes: a
+/// point — every cell of a certain column, a cell of a ranged one whose
+/// certainty bit is set — is formatted once and copied twice.
+fn encode(cols: AuColumns) -> Json {
     let schema = Json::Arr(cols.schema().cols().iter().map(Json::str).collect());
     let lanes: Vec<ColumnLanes<'_>> = (0..cols.arity())
         .map(|c| ColumnLanes::of(&cols, c))
@@ -340,7 +359,7 @@ pub fn relation_body(cols: AuColumns) -> Json {
         rows.push(b']');
         for (k, lane) in mult_lanes.iter().enumerate() {
             mults.push(if k == 0 { b'[' } else { b',' });
-            mults.extend_from_slice(int_text(lane[i] as i64, &mut [0; 21]));
+            mults.extend_from_slice(uint_text(lane[i], &mut [0; 21]));
         }
         mults.push(b']');
     }

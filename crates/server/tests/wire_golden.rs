@@ -322,6 +322,39 @@ fn a_result_past_the_row_index_is_a_400_and_the_server_lives() {
     assert_eq!(body, "{\"schema\":[\"a\",\"pos\"],\"row_count\":3,\"rows\":[[[7,7,7],[0,0,0]],[[7,7,7],[1,1,1]],[[7,7,7],[2,2,2]]],\"mults\":[[1,1,1],[0,0,1],[0,0,1]],\"cache\":{\"hit\":false,\"hits\":0,\"misses\":3},\"elapsed_us\":0}");
 }
 
+/// Three identical rows of `k↑ = 2⁶³ − 1` add up past `u64` when the
+/// reply normalizes them, or `/run_all` compares its backends: refused
+/// with a kind of its own — neither a wrapped `k↑` (below the true sum,
+/// which broke the bound) nor a panic — and the server answers after; two
+/// of them merge exactly.
+#[test]
+fn merged_multiplicities_past_u64_are_a_400_and_the_server_lives() {
+    let state = state();
+    let mut conn = ConnState::default();
+    let row = "1,1,1,9223372036854775807\n";
+    let csv = format!("a,mult_lb,mult_sg,mult_ub\n{}", row.repeat(3));
+    let (status, _) = roundtrip(&state, &mut conn, &post("/register?name=big", &csv));
+    assert_eq!(status, 200);
+    for path in ["/query", "/run_all"] {
+        let (status, body) = roundtrip(&state, &mut conn, &post(path, "SELECT * FROM big"));
+        assert_eq!(
+            (status, body.as_str()),
+            (400, "{\"error\":{\"kind\":\"multiplicity_overflow\",\"message\":\"execution failed: identical rows add up to a multiplicity past 18446744073709551615\"}}"),
+            "{path}"
+        );
+        let (status, body) = roundtrip(&state, &mut conn, &request("GET", "/health", ""));
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    }
+    let two = format!("a,mult_lb,mult_sg,mult_ub\n{}", row.repeat(2));
+    roundtrip(&state, &mut conn, &post("/register?name=pair", &two));
+    let (status, body) = roundtrip(&state, &mut conn, &post("/query", "SELECT * FROM pair"));
+    assert_eq!(status, 200);
+    assert!(
+        body.contains("\"mults\":[[2,2,18446744073709551614]]"),
+        "{body}"
+    );
+}
+
 #[test]
 fn health_and_stats_shapes() {
     let state = state();

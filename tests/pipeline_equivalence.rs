@@ -162,13 +162,42 @@ fn keyed_plan_strategy() -> impl Strategy<Value = Plan> {
         })
 }
 
-/// A random plan: [`keyed_plan_strategy`], or [`chained_plan_strategy`]
-/// twice as often.
+/// `t(dead, a, b)` through one breaker on `a` alone, then projected onto
+/// `[a, b, x]`: `dead` is never read and `a` ties often. `<total_O` breaks
+/// those ties on `dead` before `b`, so a plan that pruned `dead` ahead of
+/// the breaker would order tied rows — their positions, their frames — by
+/// `b` instead.
+fn dead_column_plan_strategy() -> impl Strategy<Value = Plan> {
+    let a = (0i64..3, 0i64..3).prop_map(|(lb, w)| RangeValue::new(lb, lb, lb + w / 2));
+    let row = (a, 0i64..6, 0i64..6, mult_strategy());
+    (proptest::collection::vec(row, 0..=8), breaker_strategy()).prop_map(|(rows, breaker)| {
+        let c = RangeValue::certain;
+        let rows = (rows.into_iter()).map(|(a, dead, b, m)| (AuTuple::new([c(dead), a, c(b)]), m));
+        let q = Query::scan(AuRelation::from_rows(Schema::new(["dead", "a", "b"]), rows));
+        let q = match breaker {
+            Breaker::Sort => q.sort_by_as(["a"], "x"),
+            Breaker::TopK(k) => q.sort_by_as(["a"], "x").topk(k),
+            Breaker::Window { lower, upper } => q.window(
+                WindowSpec::rows(lower, upper)
+                    .order_by(["a"])
+                    .aggregate(Agg::sum("b"))
+                    .output("x"),
+            ),
+        };
+        q.project(["a", "b", "x"])
+            .build()
+            .expect("generated plan is valid")
+    })
+}
+
+/// A random plan: [`keyed_plan_strategy`] or [`dead_column_plan_strategy`],
+/// or [`chained_plan_strategy`] twice as often as either.
 fn plan_strategy() -> impl Strategy<Value = Plan> {
     prop_oneof![
         chained_plan_strategy(),
         chained_plan_strategy(),
         keyed_plan_strategy(),
+        dead_column_plan_strategy(),
     ]
 }
 
@@ -413,12 +442,10 @@ fn builder_and_output_schema_report_the_same_errors() {
 }
 
 /// Dead-column pruning renumbers every later operator through
-/// [`Op::remapped`]: the columns a breaker reads (a window's aggregate
-/// input included) survive, the column each breaker appends is found again
-/// behind fewer columns, and answers do not move. (No two corners of the
-/// order key `k` coincide, so `<total_O` never consults the remaining
-/// attributes to break a tie — where it does, dropping one changes the
-/// order, pruned or not.)
+/// [`Op::remapped`]: the never-read column goes behind the last breaker —
+/// ahead of one every column is read, to break ties — the columns the
+/// breakers appended are found again behind fewer columns, and answers do
+/// not move.
 #[test]
 fn dead_column_pruning_renumbers_through_breakers() {
     let rel = AuRelation::from_rows(
@@ -439,9 +466,10 @@ fn dead_column_pruning_renumbers_through_breakers() {
             (AuTuple::new(row), mult)
         }),
     );
-    // top-k → window → projection: `dead` is never read, `v` is read by
-    // the aggregate alone and `g` by PARTITION BY alone; the projection
-    // reads both appended columns.
+    // top-k → window → selection → projection: `dead` is never read, `v`
+    // is read by the aggregate alone and `g` by PARTITION BY alone; the
+    // selection reads the window's `w`, the projection both appended
+    // columns.
     let plan = Query::scan(rel)
         .sort_by_as(["k"], "p")
         .topk(9)
@@ -452,6 +480,7 @@ fn dead_column_pruning_renumbers_through_breakers() {
                 .aggregate(Agg::sum("v"))
                 .output("w"),
         )
+        .select(RangeExpr::col(5).le(RangeExpr::lit(12)))
         .project_exprs([
             (RangeExpr::col(5), "w"),
             (RangeExpr::Neg(Box::new(RangeExpr::col(4))), "neg_p"),
@@ -471,12 +500,16 @@ fn dead_column_pruning_renumbers_through_breakers() {
     assert_eq!(
         rendered,
         [
-            "project [k, g, v]",
-            "topk k=9 [0] → p",
-            "window [-1, 1] Sum(2) over [0] partition [1] → w",
+            "topk k=9 [1] → p",
+            "window [-1, 1] Sum(3) over [1] partition [2] → w",
+            "project [k, g, v, p, w]",
+            "select σ",
             "project [w, neg_p]",
         ]
     );
+    let select = &optimized.ops()[3];
+    let renumbered = RangeExpr::col(4).le(RangeExpr::lit(12));
+    assert_eq!(select, &Op::Select { pred: renumbered });
     assert_eq!(optimized.schema(), plan.schema());
     for choice in BackendChoice::ALL {
         let plain = Engine::new(choice).execute(&plan).unwrap().to_rows();

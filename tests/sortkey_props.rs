@@ -267,6 +267,63 @@ proptest! {
     }
 }
 
+/// Values whose prefixes tie where they differ as well as where they do
+/// not: every kind of [`value_strategy`], integers a step apart near 2⁶⁰
+/// (one double, so the prefix drops their difference) and strings that
+/// share their first eight bytes.
+fn tying_value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        value_strategy(),
+        (0i64..4).prop_map(|d| Value::Int((1 << 60) + d)),
+        Just(Value::Float((1u64 << 60) as f64)),
+        (0u8..3).prop_map(|c| Value::str(format!("sensor-0{}", (b'a' + c) as char))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// What the window pool's heaps compare before any value: a value's
+    /// prefix orders it wherever two prefixes differ, and equal values —
+    /// `0` and `-0.0`, `3` and `3.0`, NaNs of any payload — have equal
+    /// prefixes.
+    #[test]
+    fn prefix_of_orders_values_where_prefixes_differ(
+        a in tying_value_strategy(),
+        b in tying_value_strategy(),
+    ) {
+        let (pa, pb) = (prefix_of([&a]), prefix_of([&b]));
+        if pa != pb {
+            prop_assert_eq!(pa.cmp(&pb), a.cmp(&b), "{:?} vs {:?}", a, b);
+        }
+        if a.cmp(&b).is_eq() {
+            prop_assert_eq!(pa, pb, "{:?} vs {:?}", a, b);
+        }
+    }
+}
+
+/// The pairs the property is about, spelled out: equal values spelled
+/// apart share a prefix, and values whose prefixes tie are told apart by
+/// their values alone.
+#[test]
+fn prefixes_of_equal_and_of_tied_values() {
+    let p = |v: Value| prefix_of([&v]);
+    assert_eq!(p(Value::Float(-0.0)), p(Value::Int(0)));
+    assert_eq!(p(Value::Int(3)), p(Value::Float(3.0)));
+    assert_eq!(p(Value::Float(f64::NAN)), p(Value::Float(-f64::NAN)));
+    assert!(p(Value::Null) < p(Value::Bool(false)));
+    assert!(p(Value::Bool(true)) < p(Value::Int(i64::MIN)));
+    assert!(p(Value::Float(f64::INFINITY)) < p(Value::Float(f64::NAN)));
+    assert!(p(Value::Float(f64::NAN)) < p(Value::str("")));
+    for (a, b) in [
+        (Value::Int(1 << 60), Value::Int((1 << 60) + 1)),
+        (Value::str("sensor-0a"), Value::str("sensor-0b")),
+    ] {
+        assert_eq!(p(a.clone()), p(b.clone()));
+        assert!(a < b);
+    }
+}
+
 /// Three sorted draws as one range.
 fn range_of(draws: impl Strategy<Value = Value>) -> impl Strategy<Value = RangeValue> {
     proptest::collection::vec(draws, 3).prop_map(|mut v| {
