@@ -322,9 +322,9 @@ const STREAM_SQL: &str = "SELECT *, SUM(v) OVER (ORDER BY o \
                           ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS roll FROM s";
 
 /// The top-k subscription of the `streaming-topk` block: its incremental
-/// state is [`audb_native::TopKMaintain`]'s ordered indexes — the
-/// candidate band kept across appends — and the block is what says they
-/// earn their keep over re-running the one-shot top-k per append.
+/// state is [`audb_native::TopKMaintain`]'s candidate band, kept across
+/// appends, and the block is what says it earns its keep over re-running
+/// the one-shot top-k per append.
 const STREAM_TOPK_SQL: &str = "SELECT * FROM s ORDER BY o AS rank LIMIT 10";
 
 fn stream_schema() -> Schema {

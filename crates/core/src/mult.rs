@@ -2,15 +2,16 @@
 //!
 //! A triple `(k↓, k_sg, k↑)` encodes a lower bound on a tuple's certain
 //! multiplicity, its multiplicity in the selected-guess world, and an upper
-//! bound on its possible multiplicity. Addition and multiplication act
-//! component-wise, making `ℕ³` a commutative semiring; the AU-DB query
-//! semantics of \[23, 24\] lift `RA+` through these operations exactly as
-//! Fig. 2 lifts it through ℕ.
+//! bound on its possible multiplicity. The semiring's operations act
+//! component-wise, and the AU-DB query semantics of \[23, 24\] lift `RA+`
+//! through them exactly as Fig. 2 lifts it through ℕ. The operators this
+//! engine runs only ever add annotations, never multiply them, and a sum
+//! is never wrapped: [`Mult3::checked_add`] refuses one past `u64`, and
+//! [`Mult3::saturating_add`] stops there where only `min(·, k)` is read.
 
 use crate::range_value::TruthRange;
 use std::error::Error;
 use std::fmt;
-use std::ops::{Add, Mul};
 
 /// A multiplicity triple `(k↓, k_sg, k↑)` with `k↓ ≤ k_sg ≤ k↑`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -97,28 +98,6 @@ impl Mult3 {
     }
 }
 
-impl Add for Mult3 {
-    type Output = Mult3;
-    fn add(self, rhs: Mult3) -> Mult3 {
-        Mult3 {
-            lb: self.lb + rhs.lb,
-            sg: self.sg + rhs.sg,
-            ub: self.ub + rhs.ub,
-        }
-    }
-}
-
-impl Mul for Mult3 {
-    type Output = Mult3;
-    fn mul(self, rhs: Mult3) -> Mult3 {
-        Mult3 {
-            lb: self.lb * rhs.lb,
-            sg: self.sg * rhs.sg,
-            ub: self.ub * rhs.ub,
-        }
-    }
-}
-
 /// Identical hypercubes whose merged multiplicity would leave `u64`:
 /// refused, neither wrapped nor saturated — either would understate `k↑`,
 /// and with it the bound.
@@ -152,13 +131,11 @@ mod tests {
         let a = Mult3::new(1, 2, 3);
         let b = Mult3::new(0, 1, 4);
         let c = Mult3::new(2, 2, 2);
-        assert_eq!(a + b, b + a);
-        assert_eq!((a + b) + c, a + (b + c));
-        assert_eq!(a * b, b * a);
-        assert_eq!(a * (b + c), a * b + a * c);
-        assert_eq!(a + Mult3::ZERO, a);
-        assert_eq!(a * Mult3::ONE, a);
-        assert_eq!(a * Mult3::ZERO, Mult3::ZERO);
+        let add = |x: Mult3, y: Mult3| x.checked_add(y).expect("small sums");
+        assert_eq!(add(a, b), add(b, a));
+        assert_eq!(add(add(a, b), c), add(a, add(b, c)));
+        assert_eq!(add(a, Mult3::ZERO), a);
+        assert_eq!(a.saturating_add(b), add(a, b));
     }
 
     /// The merge's check, at the edge of `u64` in each component.

@@ -766,6 +766,28 @@ mod tests {
         assert!(q.explain().contains("top-k incremental"), "{}", q.explain());
     }
 
+    /// One row of `k↑ = 2⁶³` appended twice: merged in the band, where each
+    /// copy counts as `min(k↑, k)`, it neither wraps to `k↑ = 0` (and drops
+    /// out of the answer) nor overflows — the value is the recompute's.
+    #[test]
+    fn topk_subscription_merges_multiplicities_past_u64() {
+        let schema = Schema::new(["a"]);
+        let row = |a: i64, mult| (AuTuple::new([RangeValue::certain(a)]), mult);
+        let session = Session::new(Engine::native());
+        let certain = (10..20).map(|a| row(a, Mult3::ONE));
+        session.register("s", AuRelation::from_rows(schema.clone(), certain));
+        let sql = "SELECT * FROM s ORDER BY a AS pos LIMIT 3";
+        let mut q = session.subscribe(sql).unwrap().with_cutoff(1);
+        let huge = AuRelation::from_rows(schema, [row(1, Mult3::new(0, 0, 1 << 63))]);
+        for _ in 0..2 {
+            q.append(&huge).unwrap();
+            session.register("s", q.accumulated().contiguous().to_rows());
+            let truth = session.sql(sql).unwrap();
+            assert!(q.value().bag_eq(&truth), "{}\nvs\n{truth}", q.value());
+        }
+        assert_eq!(q.strategy_counts(), (1, 1));
+    }
+
     #[test]
     fn non_maintainable_and_non_native_shapes_always_recompute() {
         let rows = stream_rows(20, 29);

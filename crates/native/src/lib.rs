@@ -17,10 +17,11 @@
 //!   Algorithms 4–6): a sweep over uncertain positions with a `cert`
 //!   position index and a three-way [`audb_conheap::ConnectedHeap`] over
 //!   the possible window members.
-//! * [`maintain::MaintainedWindow`] / [`maintain::TopKMaintain`] — the same
-//!   sweeps kept alive between column batches: in-order appends update the
-//!   bounds in `O(log n)` per row instead of recomputing the full
-//!   `O(n log n)` pass, with already-closed windows provably final.
+//! * [`maintain::MaintainedWindow`] — the window sweep kept alive between
+//!   column batches: in-order appends update the bounds in `O(log n)` per
+//!   row instead of recomputing the full `O(n log n)` pass, with
+//!   already-closed windows provably final. [`maintain::TopKMaintain`]
+//!   keeps only the top-k's candidate band between batches, in any order.
 //!
 //! Every kernel reads and returns [`audb_core::AuColumns`].
 //! [`sort::sort_native`], [`sort::topk_native`] and

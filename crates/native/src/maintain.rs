@@ -77,33 +77,33 @@
 //!
 //! ## Top-k
 //!
-//! [`TopKMaintain`] accepts appends in *any* order: it maintains the
-//! accumulated rows in three `O(log n)` ordered indexes (by whole-row
-//! identity, by lower-bound corner key, by upper-bound corner key) and
-//! answers a query by running [`crate::sort::sort_columns_native`] over the
-//! candidate band of DESIGN.md §3.3 — rows whose lower-bound key is at
-//! most `M`, the largest upper-bound key among rows not certainly ranked
-//! below `k` — read off the ordered indexes. The pruned run is *exactly*
-//! equal to the full run (the argument is stated there once, for this and
-//! for the one-shot sort's own band; see also the unit tests), while its
-//! cost scales with the uncertain band around rank `k`, not with `n`.
+//! [`TopKMaintain`] accepts appends in *any* order. Its state is one
+//! [`AuColumns`]: the candidate band of DESIGN.md §3.3 over everything
+//! appended — rows whose lower-bound key is at most `M`, the largest
+//! upper-bound key among rows not certainly ranked below `k` — as the
+//! native top-k's own stages compute it ([`band_rows`]). An append
+//! recomputes the band over the band and the batch; identical hypercubes
+//! merge in the kernel, each annotation counted as `min(·, k)`. A row the
+//! band drops is never needed again, whatever arrives later (§3.3, (iv)),
+//! so the state and the cost of an append scale with the uncertain band
+//! around rank `k`, not with `n`; a query is
+//! [`crate::sort::sort_columns_native`] over the band.
 //!
 //! The pool heaps reuse their arena across the life of a subscription
 //! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
 //! appends perform no allocation inside the connected heap.
 
-use crate::sort::{positions, sort_columns_native};
+use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::window::partitions;
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuRelation, AuTuple, AuWindowSpec,
-    Corner, KeyArena, Mult3, RangeValue, SortKey, WinAgg,
+    Corner, KeyArena, Mult3, RangeValue, WinAgg,
 };
-use audb_rel::ops::sort::total_order;
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// One split row in flight through the sweep: everything the sweep
 /// compares, read from the lanes once — no tuple is built for it.
@@ -1015,132 +1015,60 @@ impl std::fmt::Debug for MaintainedWindow {
     }
 }
 
-/// Row bookkeeping for [`TopKMaintain`].
-struct TopEntry {
-    tuple: AuTuple,
-    mult: Mult3,
-    ub_key: SortKey,
-}
-
-/// Append maintenance of the native top-k: ordered corner-key indexes prune
-/// each query down to the rows that can influence the top-k band (module
-/// docs). Appends may arrive in any order.
+/// Append maintenance of the native top-k: the state is the candidate band
+/// of everything appended, and nothing else (module docs). Appends may
+/// arrive in any order.
 pub struct TopKMaintain {
-    schema: Schema,
     order: Vec<usize>,
-    key_cols: Vec<usize>,
     k: u64,
     pos_name: String,
-    rows: BTreeMap<SortKey, TopEntry>,
-    by_lb: BTreeSet<(SortKey, SortKey)>,
-    by_ub: BTreeSet<(SortKey, SortKey)>,
+    /// The rows [`band_rows`] keeps over everything appended so far, under
+    /// the annotations it merged.
+    band: AuColumns,
 }
 
 impl TopKMaintain {
     /// Fresh state for `topk(k)` ordered on `order` over `schema`.
     pub fn new(schema: Schema, order: Vec<usize>, k: u64, pos_name: &str) -> TopKMaintain {
-        let key_cols = total_order(schema.arity(), &order);
         TopKMaintain {
-            key_cols,
-            schema,
+            order,
             k,
             pos_name: pos_name.to_string(),
-            rows: BTreeMap::new(),
-            by_lb: BTreeSet::new(),
-            by_ub: BTreeSet::new(),
-            order,
+            band: AuColumns::empty(schema),
         }
     }
 
-    /// Distinct accumulated hypercube rows.
+    /// Distinct hypercube rows in the band.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.band.len()
     }
 
-    /// True before the first non-empty batch.
+    /// True while the band is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.band.is_empty()
     }
 
-    /// Absorb one batch (any order; duplicate hypercubes merge their
-    /// multiplicities exactly as normalization would).
+    /// Absorb one batch (any order): the band of the band and the batch
+    /// becomes the band, with identical hypercubes merged.
     pub fn apply(&mut self, batch: &AuColumns) {
-        for (row, rk) in SortKey::of_columns(batch).into_iter().enumerate() {
-            let mult = batch.mult(row);
-            if mult.ub == 0 {
-                continue;
-            }
-            if let Some(e) = self.rows.get_mut(&rk) {
-                e.mult = e.mult + mult;
-                continue;
-            }
-            let tuple = batch.tuple(row);
-            let lbk = SortKey::of_corner(&tuple, Corner::Lb, &self.key_cols);
-            let ubk = SortKey::of_corner(&tuple, Corner::Ub, &self.key_cols);
-            self.by_lb.insert((lbk, rk.clone()));
-            self.by_ub.insert((ubk.clone(), rk.clone()));
-            self.rows.insert(
-                rk,
-                TopEntry {
-                    tuple,
-                    mult,
-                    ub_key: ubk,
-                },
-            );
-        }
+        self.band.append(batch.clone());
+        let (rows, mults): (Vec<usize>, Vec<Mult3>) = band_rows(&self.band, &self.order, self.k)
+            .into_iter()
+            .unzip();
+        self.band = self.band.gather(&rows, &mults);
     }
 
-    /// Current top-k output — the native top-k over the pruned candidate
-    /// set, exactly bag-equal to a run over all accumulated rows.
+    /// Current top-k output: the native top-k over the band, exactly
+    /// bag-equal to a run over all accumulated rows.
     pub fn result(&self) -> AuColumns {
-        // K: the upper-bound corner key at which the certain mass reaches
-        // k (rows beyond it are certainly out of the top k).
-        let mut cum = 0u64;
-        let mut threshold: Option<&SortKey> = None;
-        for (ubk, rk) in &self.by_ub {
-            cum += self.rows.get(rk).expect("indexed row").mult.lb;
-            if cum >= self.k {
-                threshold = Some(ubk);
-                break;
-            }
-        }
-        let cand: Vec<(&SortKey, &SortKey)> = match threshold {
-            // Fewer than k certain rows: everything may rank in the top k.
-            None => self.by_lb.iter().map(|(a, b)| (a, b)).collect(),
-            Some(kk) => {
-                // M: the largest upper-bound key among rows not certainly
-                // below rank k (DESIGN.md §3.3: rows beyond it change nothing).
-                let mut m: Option<&SortKey> = None;
-                for (lbk, rk) in &self.by_lb {
-                    if lbk > kk {
-                        break;
-                    }
-                    let ub = &self.rows.get(rk).expect("indexed row").ub_key;
-                    if m.is_none_or(|x| x < ub) {
-                        m = Some(ub);
-                    }
-                }
-                let m = m.expect("threshold row is its own candidate");
-                self.by_lb
-                    .iter()
-                    .take_while(|(lbk, _)| lbk <= m)
-                    .map(|(a, b)| (a, b))
-                    .collect()
-            }
-        };
-        let mut band = AuColumns::with_capacity(self.schema.clone(), cand.len());
-        for (_, rk) in cand {
-            let e = self.rows.get(rk).expect("indexed row");
-            band.push_row(&e.tuple, e.mult);
-        }
-        sort_columns_native(&band, &self.order, &self.pos_name, Some(self.k))
+        sort_columns_native(&self.band, &self.order, &self.pos_name, Some(self.k))
     }
 }
 
 impl std::fmt::Debug for TopKMaintain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKMaintain")
-            .field("rows", &self.rows.len())
+            .field("rows", &self.band.len())
             .field("k", &self.k)
             .finish()
     }
@@ -1407,6 +1335,40 @@ mod tests {
             // The pruned run really pruned (certain rows beyond the band).
             assert!(m.len() == 80 || m.len() < 80);
         }
+    }
+
+    /// Identical hypercubes merge in the band however many times they are
+    /// appended: the state stays one row, and the answer is the top-k of
+    /// them all.
+    #[test]
+    fn a_repeated_row_stays_one_band_row() {
+        let schema = Schema::new(["a"]);
+        let one = AuRelation::from_rows(
+            schema.clone(),
+            [(
+                AuTuple::new([RangeValue::certain(0i64)]),
+                Mult3::new(0, 1, 1),
+            )],
+        )
+        .to_columns();
+        let mut m = TopKMaintain::new(schema, vec![0], 3, "pos");
+        for _ in 0..5000 {
+            m.apply(&one);
+        }
+        assert_eq!(m.len(), 1);
+        let top = m.result().to_rows();
+        let got: Vec<_> = (top.rows().iter())
+            .map(|r| (r.tuple.get(1).as_i64_triple(), r.mult))
+            .collect();
+        let possible = Mult3::new(0, 1, 1);
+        assert_eq!(
+            got,
+            [
+                ((0, 0, 0), possible),
+                ((1, 1, 1), possible),
+                ((2, 2, 2), possible)
+            ]
+        );
     }
 
     #[test]

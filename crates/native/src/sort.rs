@@ -52,9 +52,10 @@
 //! 4. **Band** (top-k only, ahead of ranking). Rows that cannot reach
 //!    rank `k` and cannot move the bounds of a row that can are dropped by
 //!    linear passes over the prefixes — the candidate band of DESIGN.md
-//!    §3.3, the one [`crate::maintain::TopKMaintain`] keeps for streams;
-//!    on prefixes it is a superset of the band on keys, and what it keeps
-//!    beyond that is certainly out and precedes no row that is not.
+//!    §3.3; on prefixes it is a superset of the band on keys, and what it
+//!    keeps beyond that is certainly out and precedes no row that is not.
+//!    A subscription ([`crate::maintain::TopKMaintain`]) keeps these rows,
+//!    merged, and nothing else between appends ([`band_rows`]).
 //!
 //! From there on every comparison is an integer compare. Under `LIMIT k`
 //! every mass the ranks add up counts a row's multiplicity as `min(·, k)`:
@@ -286,6 +287,22 @@ pub(crate) fn positions(
 /// within [`MAX_OUTPUT_ROWS`]; past it, a direct caller's panic.
 fn checked(sum: Option<u64>) -> u64 {
     sum.unwrap_or_else(|| panic!("the sort would emit more than {MAX_OUTPUT_ROWS} rows"))
+}
+
+/// The rows a top-k over `cols` reads, with their annotations: stages 1–4
+/// without the sweep. Identical hypercubes are folded into their first
+/// stored copy, and every annotation counts `min(·, k)` per stored copy —
+/// so a top-k over these rows is the top-k over `cols`, and so is the band
+/// of these rows and more appended to them (DESIGN.md §3.3).
+pub fn band_rows(cols: &AuColumns, order: &[usize], k: u64) -> Vec<(usize, Mult3)> {
+    let idxs = total_order(cols.arity(), order);
+    let (mut cands, mut refs) = encode(cols, 0..cols.len(), &idxs, Some(k));
+    band(&cands, &mut refs, k);
+    let (mut scan, _) = rank(cols, &idxs, &mut cands, &mut refs);
+    merge(&mut cands, &mut scan);
+    (scan.iter())
+        .map(|&c| (cands[c as usize].row as usize, cands[c as usize].mult))
+        .collect()
 }
 
 /// Stage 1: the prefixes of the corner keys over `idxs` of every one of

@@ -9,8 +9,16 @@
 //!   tests.
 //! * **Integers and floats stay distinct** (`Int(i64)` vs `Float(f64)`),
 //!   so a round trip never turns `16000` into `16000.0`.
+//!
+//! Nesting is bounded ([`MAX_DEPTH`]): the parser, the writer and the drop
+//! of a document all recurse over it, and a request body nested past what a
+//! worker's stack holds must be refused, not crash the server.
 
 use std::fmt::{self, Write as _};
+
+/// The most arrays and objects a parsed document may have open at once;
+/// past it, [`Json::parse`] refuses the document.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Construct with the variants or [`Json::obj`]; render
 /// with [`Json::write`] or `to_string()` (compact); read with
@@ -97,6 +105,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -254,6 +263,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -302,11 +313,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// `parse` one array or object further in — refused at its bracket
+    /// where [`MAX_DEPTH`] are open already.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -507,6 +533,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// A document nested [`MAX_DEPTH`] deep parses; one level more is
+    /// refused at the bracket that opens it.
+    #[test]
+    fn nesting_past_the_bound_is_refused_at_its_bracket() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        let e = Json::parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).unwrap_err();
+        assert_eq!(e.offset, "{\"a\":".len() + MAX_DEPTH - 1);
     }
 
     #[test]

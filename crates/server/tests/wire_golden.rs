@@ -355,6 +355,104 @@ fn merged_multiplicities_past_u64_are_a_400_and_the_server_lives() {
     );
 }
 
+/// Every nesting shape that once overflowed a worker's stack and aborted
+/// the server — parentheses, a `+` chain, an `OR` chain, `NOT`s, unary
+/// minuses, subqueries, and arrays in an `/execute` body: as deep as its
+/// parser allows it is answered, far past that it is a 400 whose position
+/// lies inside the text, and the server answers after. Run on a thread of
+/// the default stack size, as a worker is.
+#[test]
+fn nesting_at_the_bound_is_answered_and_far_past_it_refused() {
+    std::thread::spawn(|| {
+        let state = state();
+        let mut conn = ConnState::default();
+        let health = |conn: &mut ConnState| roundtrip(&state, conn, &request("GET", "/health", ""));
+        let max = audb_sql::MAX_DEPTH;
+        let nest = |open: &str, n: usize, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+        };
+        let filter = |predicate: String| format!("SELECT * FROM readings WHERE {predicate}");
+        let shapes: [(&str, &dyn Fn(usize) -> String, usize); 6] = [
+            (
+                "parentheses",
+                &|n| filter(nest("(", n, "t", ")") + " < 2"),
+                max,
+            ),
+            (
+                "a + chain",
+                &|n| filter("t + ".repeat(n) + "t < 2"),
+                max - 2,
+            ),
+            (
+                "an OR chain",
+                &|n| filter("t < 2 OR ".repeat(n) + "t < 2"),
+                max - 2,
+            ),
+            ("NOTs", &|n| filter("NOT ".repeat(n) + "t < 2"), max - 2),
+            (
+                "unary minuses",
+                &|n| filter(format!("t < {}t", "- ".repeat(n))),
+                max - 2,
+            ),
+            (
+                "subqueries",
+                &|n| {
+                    format!(
+                        "SELECT * FROM {}",
+                        nest("(SELECT * FROM ", n, "readings", ")")
+                    )
+                },
+                max,
+            ),
+        ];
+        for (shape, sql, at_bound) in shapes {
+            let (status, body) = roundtrip(&state, &mut conn, &post("/query", &sql(at_bound)));
+            assert_eq!(status, 200, "{shape} at the bound: {body}");
+            for n in [at_bound + 1, 100_000] {
+                let sql = sql(n);
+                let e = audb_sql::parse(&sql).unwrap_err();
+                assert_eq!(e.kind, audb_sql::SqlErrorKind::TooDeep, "{shape} × {n}");
+                assert!(e.span.offset < sql.len(), "{shape} × {n}: {e}");
+                let (status, body) = roundtrip(&state, &mut conn, &post("/query", &sql));
+                assert_eq!(status, 400, "{shape} × {n}: {body}");
+                let error = Json::parse(&body).unwrap();
+                let error = error.get("error").unwrap();
+                assert_eq!(error.get("kind"), Some(&Json::str("sql")));
+                assert_eq!(error.get("line"), Some(&Json::Int(1)));
+                let col = error.get("col").and_then(Json::as_i64).unwrap();
+                assert!(
+                    (1..=sql.len() as i64).contains(&col),
+                    "{shape} × {n}: {body}"
+                );
+                assert_eq!(health(&mut conn).0, 200);
+            }
+        }
+        // An `/execute` body nested as deep as JSON may be still names its
+        // statement; one nested far past that names none.
+        let max = audb_server::json::MAX_DEPTH;
+        let (status, _) = roundtrip(
+            &state,
+            &mut conn,
+            &post("/prepare", "SELECT * FROM products"),
+        );
+        assert_eq!(status, 200);
+        let body = |n| format!("{{\"id\": 0, \"x\": {}}}", nest("[", n, "", "]"));
+        let (status, reply) = roundtrip(&state, &mut conn, &post("/execute", &body(max - 1)));
+        assert_eq!(status, 200, "{reply}");
+        for n in [max, 20_000] {
+            let body = body(n);
+            let e = Json::parse(&body).unwrap_err();
+            assert!(e.offset < body.len(), "[ × {n}: {e}");
+            let (status, reply) = roundtrip(&state, &mut conn, &post("/execute", &body));
+            assert_eq!(status, 400, "[ × {n}: {reply}");
+            assert!(reply.contains("\"kind\":\"bad_request\""), "{reply}");
+            assert_eq!(health(&mut conn).0, 200);
+        }
+    })
+    .join()
+    .expect("every nesting assertion holds");
+}
+
 #[test]
 fn health_and_stats_shapes() {
     let state = state();

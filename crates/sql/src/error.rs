@@ -58,6 +58,8 @@ pub enum SqlErrorKind {
     TrailingInput,
     /// An empty script where a statement was required.
     EmptyStatement,
+    /// Nesting past [`crate::MAX_DEPTH`] levels.
+    TooDeep,
 }
 
 /// A lexing or parsing error, pinned to its source position.
@@ -88,6 +90,9 @@ impl fmt::Display for SqlError {
             }
             SqlErrorKind::TrailingInput => write!(f, "trailing input after statement"),
             SqlErrorKind::EmptyStatement => write!(f, "empty statement"),
+            SqlErrorKind::TooDeep => {
+                write!(f, "nested deeper than {} levels", crate::MAX_DEPTH)
+            }
         }
     }
 }

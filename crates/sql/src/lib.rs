@@ -31,4 +31,4 @@ mod parser;
 
 pub use error::{Span, SqlError, SqlErrorKind};
 pub use lexer::is_keyword;
-pub use parser::{parse, parse_script};
+pub use parser::{parse, parse_script, MAX_DEPTH};

@@ -24,19 +24,46 @@
 //! Window frames default to `ROWS BETWEEN CURRENT ROW AND CURRENT ROW`.
 //! Aggregate names and `RANGE` are contextual (only special before `(`), so
 //! they remain usable as column names.
+//!
+//! Nesting is bounded at parse time ([`MAX_DEPTH`]): everything downstream
+//! — the binder, the optimizer, the executor, the plan printer, and the
+//! drop of the tree — recurses over it, and a statement nested past what a
+//! thread's stack holds must be refused, not crash the process.
 
 use crate::ast::*;
 use crate::error::{Span, SqlError, SqlErrorKind};
 use crate::lexer::{lex, Kw, Spanned, Tok};
 use audb_rel::{CmpOp, Value};
 
+/// The deepest nesting a statement may have: at most this many levels open
+/// at once — parentheses, `NOT`s, unary minuses and subqueries — and no
+/// expression tree higher than this many nodes, the levels open around it
+/// counted. A left-deep chain like `a + b + … + z` is as high as it is
+/// long. A statement at the bound parses, binds, optimizes, executes and
+/// prints on a 2 MiB thread stack in a debug build; past it, parsing stops
+/// with [`SqlErrorKind::TooDeep`].
+pub const MAX_DEPTH: usize = 100;
+
 struct Parser<'a> {
     src: &'a str,
     toks: Vec<Spanned>,
     pos: usize,
+    /// Levels open around the token at `pos`.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, SqlError>;
+
+/// An expression and its height: the nodes on its longest root-to-leaf
+/// path.
+type Tree = (Expr, usize);
+
+/// A binary node over its two operands.
+type Build = fn(Box<Expr>, Box<Expr>) -> Expr;
+
+fn too_deep<T>(at: Span) -> PResult<T> {
+    Err(SqlError::new(SqlErrorKind::TooDeep, at))
+}
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> PResult<Self> {
@@ -44,6 +71,7 @@ impl<'a> Parser<'a> {
             src,
             toks: lex(src)?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -75,6 +103,29 @@ impl<'a> Parser<'a> {
             },
             self.span(),
         ))
+    }
+
+    /// Past the token that opens it, `parse` one level further in —
+    /// refused at that token where [`MAX_DEPTH`] levels are open already.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_DEPTH {
+            return too_deep(self.span());
+        }
+        self.bump();
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of the node the token at `at` builds over children at
+    /// most `below` high — refused there where the node and the levels
+    /// open around it pass [`MAX_DEPTH`].
+    fn node(&self, at: Span, below: usize) -> PResult<usize> {
+        if self.depth + below >= MAX_DEPTH {
+            return too_deep(at);
+        }
+        Ok(below + 1)
     }
 
     fn expect_kw(&mut self, kw: Kw) -> PResult<()> {
@@ -174,8 +225,7 @@ impl<'a> Parser<'a> {
 
     fn table_ref(&mut self) -> PResult<TableRef> {
         if self.peek() == &Tok::LParen {
-            self.bump();
-            let inner = self.select()?;
+            let inner = self.nested(Self::select)?;
             self.expect(Tok::RParen, "')' closing the subquery")?;
             Ok(TableRef::Subquery(Box::new(inner)))
         } else {
@@ -321,35 +371,53 @@ impl<'a> Parser<'a> {
     // ----------------------------------------------------------- expressions
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.and_expr()?;
-        while self.eat_kw(Kw::Or) {
-            e = Expr::Or(Box::new(e), Box::new(self.and_expr()?));
+    /// A left-deep chain `operand (op operand)*`: `op` says whether a token
+    /// is one of this level's operators, and builds its node.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> PResult<Tree>,
+        op: fn(&Tok) -> Option<Build>,
+    ) -> PResult<Tree> {
+        let (mut e, mut h) = operand(self)?;
+        while let Some(build) = op(self.peek()) {
+            let at = self.span();
+            self.bump();
+            let (rhs, rh) = operand(self)?;
+            h = self.node(at, h.max(rh))?;
+            e = build(Box::new(e), Box::new(rhs));
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.not_expr()?;
-        while self.eat_kw(Kw::And) {
-            e = Expr::And(Box::new(e), Box::new(self.not_expr()?));
-        }
-        Ok(e)
+    fn or_expr(&mut self) -> PResult<Tree> {
+        self.chain(Self::and_expr, |t| match t {
+            Tok::Kw(Kw::Or) => Some(Expr::Or),
+            _ => None,
+        })
     }
 
-    fn not_expr(&mut self) -> PResult<Expr> {
-        if self.eat_kw(Kw::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+    fn and_expr(&mut self) -> PResult<Tree> {
+        self.chain(Self::not_expr, |t| match t {
+            Tok::Kw(Kw::And) => Some(Expr::And),
+            _ => None,
+        })
+    }
+
+    fn not_expr(&mut self) -> PResult<Tree> {
+        if self.peek() == &Tok::Kw(Kw::Not) {
+            let at = self.span();
+            let (e, h) = self.nested(Self::not_expr)?;
+            Ok((Expr::Not(Box::new(e)), self.node(at, h)?))
         } else {
             self.cmp_expr()
         }
     }
 
-    fn cmp_expr(&mut self) -> PResult<Expr> {
-        let lhs = self.add_expr()?;
+    fn cmp_expr(&mut self) -> PResult<Tree> {
+        let (lhs, lh) = self.add_expr()?;
         let op = match self.peek() {
             Tok::Lt => CmpOp::Lt,
             Tok::Le => CmpOp::Le,
@@ -357,54 +425,55 @@ impl<'a> Parser<'a> {
             Tok::Ge => CmpOp::Ge,
             Tok::Eq => CmpOp::Eq,
             Tok::Ne => CmpOp::Ne,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, lh)),
         };
+        let at = self.span();
         self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
+        let (rhs, rh) = self.add_expr()?;
+        let h = self.node(at, lh.max(rh))?;
+        Ok((Expr::Cmp(op, Box::new(lhs), Box::new(rhs)), h))
     }
 
-    fn add_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(e),
-            };
-            self.bump();
-            e = Expr::Bin(op, Box::new(e), Box::new(self.mul_expr()?));
-        }
+    fn add_expr(&mut self) -> PResult<Tree> {
+        self.chain(Self::mul_expr, |t| match t {
+            Tok::Plus => Some(|a, b| Expr::Bin(BinOp::Add, a, b)),
+            Tok::Minus => Some(|a, b| Expr::Bin(BinOp::Sub, a, b)),
+            _ => None,
+        })
     }
 
-    fn mul_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.unary()?;
-        while self.peek() == &Tok::Star {
-            self.bump();
-            e = Expr::Bin(BinOp::Mul, Box::new(e), Box::new(self.unary()?));
-        }
-        Ok(e)
+    fn mul_expr(&mut self) -> PResult<Tree> {
+        self.chain(Self::unary, |t| match t {
+            Tok::Star => Some(|a, b| Expr::Bin(BinOp::Mul, a, b)),
+            _ => None,
+        })
     }
 
-    fn unary(&mut self) -> PResult<Expr> {
+    fn unary(&mut self) -> PResult<Tree> {
         if self.peek() == &Tok::Minus {
-            self.bump();
             // A minus directly before a numeric literal folds into the
             // literal (`-5` is a value, not `Neg(5)`), matching what the
             // plan pretty-printer emits for negative constants.
-            match self.peek().clone() {
-                Tok::Int(i) => {
-                    self.bump();
-                    return Ok(Expr::Lit(Value::Int(-i)));
-                }
-                Tok::Float(v) => {
-                    self.bump();
-                    return Ok(Expr::Lit(Value::Float(-v)));
-                }
-                _ => return Ok(Expr::Neg(Box::new(self.unary()?))),
+            let folded = match self.peek2() {
+                Tok::Int(i) => Some(Value::Int(-i)),
+                Tok::Float(v) => Some(Value::Float(-v)),
+                _ => None,
+            };
+            if let Some(v) = folded {
+                self.bump();
+                self.bump();
+                return Ok((Expr::Lit(v), 1));
             }
+            let at = self.span();
+            let (e, h) = self.nested(Self::unary)?;
+            return Ok((Expr::Neg(Box::new(e)), self.node(at, h)?));
         }
-        self.atom()
+        if self.peek() == &Tok::LParen {
+            let tree = self.nested(Self::or_expr)?;
+            self.expect(Tok::RParen, "')'")?;
+            return Ok(tree);
+        }
+        Ok((self.atom()?, 1))
     }
 
     /// Is the current token `RANGE` directly followed by `(`? (Contextual,
@@ -429,12 +498,6 @@ impl<'a> Parser<'a> {
             return Ok(Expr::Range(lb, sg, ub));
         }
         match self.peek().clone() {
-            Tok::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::RParen, "')'")?;
-                Ok(e)
-            }
             Tok::Ident(s) | Tok::QuotedIdent(s) => {
                 self.bump();
                 Ok(Expr::Col(s))
@@ -683,6 +746,26 @@ mod tests {
             (e.span.line, e.span.col as usize, e.span.offset),
             (1, at + 1, at)
         );
+    }
+
+    /// Nesting one past [`MAX_DEPTH`] is refused at the token that opens
+    /// the level, or builds the node, one too many.
+    #[test]
+    fn nesting_past_the_bound_is_refused_where_it_goes_too_deep() {
+        let prefix = "SELECT * FROM t WHERE ";
+        let parens = |n| format!("{prefix}{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_DEPTH)).is_ok());
+        let e = parse(&parens(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.kind, SqlErrorKind::TooDeep);
+        assert_eq!(e.span.offset, prefix.len() + MAX_DEPTH);
+        // A chain of `n` additions is `n + 1` nodes high.
+        let chain = |n| format!("{prefix}a{}", " + a".repeat(n));
+        assert!(parse(&chain(MAX_DEPTH - 1)).is_ok());
+        let sql = chain(MAX_DEPTH);
+        let e = parse(&sql).unwrap_err();
+        assert_eq!(e.kind, SqlErrorKind::TooDeep);
+        assert_eq!(e.span.offset, sql.rfind('+').unwrap());
+        assert!(e.to_string().ends_with("nested deeper than 100 levels"));
     }
 
     /// Trailing semicolons and blank `;;` statements are accepted

@@ -96,7 +96,10 @@ fn normalize_by_whole_row_keys(rel: &AuRelation) -> Vec<AuRow> {
     for row in rows {
         match out.last_mut() {
             Some(last) if SortKey::of_row(&last.tuple) == SortKey::of_row(&row.tuple) => {
-                last.mult = last.mult + row.mult
+                last.mult = last
+                    .mult
+                    .checked_add(row.mult)
+                    .expect("small multiplicities")
             }
             _ => out.push(row.clone()),
         }

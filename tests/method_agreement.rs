@@ -12,7 +12,7 @@ use audb::core::{
 use audb::engine::{Agg, Backend, Engine, Plan, Query, Reference, Rewrite, WindowSpec};
 use audb::native::{
     sort_columns_native, sort_native, topk_native, window_columns_native, window_native,
-    MaintainedWindow,
+    MaintainedWindow, TopKMaintain,
 };
 use audb::rel::{Schema, Value};
 use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
@@ -257,6 +257,55 @@ proptest! {
             }
         }
         let _ = RangeValue::certain(0i64);
+    }
+}
+
+/// The batches of a top-k subscription: narrow rows over a small domain —
+/// mostly certain, so the band drops rows early, and often equal, so one
+/// hypercube arrives again and again — beside wide rows whose `O↑` reaches
+/// far past the `O↓` of rows dropped before they arrive, every kind of
+/// annotation, existence-uncertain ones among them.
+fn topk_batches() -> impl Strategy<Value = Vec<AuRelation>> {
+    let a = prop_oneof![
+        (0i64..12).prop_map(RangeValue::certain),
+        (0i64..12).prop_map(RangeValue::certain),
+        (0i64..12, 1i64..3).prop_map(|(lb, w)| RangeValue::new(lb, lb, lb + w)),
+        (0i64..12, 15i64..40).prop_map(|(lb, w)| RangeValue::new(lb, lb + w / 2, lb + w)),
+    ];
+    let row = (a, 0i64..2, mult_strategy(), 1usize..4);
+    let batch = proptest::collection::vec(row, 1..6).prop_map(|rows| {
+        let rows = rows.into_iter().flat_map(|(a, b, mult, copies)| {
+            let tuple = AuTuple::new([a, RangeValue::certain(b)]);
+            std::iter::repeat_n((tuple, mult), copies)
+        });
+        AuRelation::from_rows(Schema::new(["a", "b"]), rows)
+    });
+    proptest::collection::vec(batch, 1..12)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A top-k subscription keeps only the candidate band between appends,
+    /// yet after every append answers exactly what the native top-k over
+    /// everything appended so far answers.
+    #[test]
+    fn maintained_topk_equals_topk_over_the_stream(batches in topk_batches()) {
+        for k in [1u64, 3, 10] {
+            let mut maintained = TopKMaintain::new(Schema::new(["a", "b"]), vec![0, 1], k, "pos");
+            let mut all = AuRelation::empty(Schema::new(["a", "b"]));
+            for batch in &batches {
+                maintained.apply(&batch.to_columns());
+                all.append(&mut batch.clone());
+                let want = sort_columns_native(&all.to_columns(), &[0, 1], "pos", Some(k));
+                let got = maintained.result().to_rows();
+                prop_assert!(
+                    got.bag_eq(&want.to_rows()),
+                    "k={k} after {} rows\nmaintained:\n{got}\nover the stream:\n{want}",
+                    all.len()
+                );
+            }
+        }
     }
 }
 

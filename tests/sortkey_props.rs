@@ -78,7 +78,7 @@ fn normalize_reference(rel: &AuRelation) -> Vec<(AuTuple, Mult3)> {
             continue;
         }
         match map.iter_mut().find(|(t, _)| *t == row.tuple) {
-            Some((_, m)) => *m = *m + row.mult,
+            Some((_, m)) => *m = m.checked_add(row.mult).expect("small multiplicities"),
             None => map.push((row.tuple.clone(), row.mult)),
         }
     }
