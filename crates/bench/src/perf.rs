@@ -23,6 +23,9 @@
 //!   skipping on and off, prepared and executed afresh per timed run;
 //! * **append** — a 64-row catalog append onto a 16 384-row and onto a
 //!   131 072-row table: the cost of the batch, not of the table;
+//! * **ingest** — ns per row of the AU-CSV loader on `serve_mix`'s
+//!   registered table and on one of its append batches, beside `to_rows`
+//!   of the same table;
 //! * **sort stages** — where one 32 768-row native sort spends its time,
 //!   and the same sort led by a 4-valued column (every prefix tied) or by
 //!   strings that share ten key bytes;
@@ -48,8 +51,10 @@ use audb_engine::{CmpSemantics, Engine, MaintainedQuery, Plan, Query, Session, S
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
 use audb_rel::{Schema, Value};
+use audb_workloads::read_au_csv_columns;
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Row counts of the cell, streaming and pruning sweeps by default.
@@ -70,6 +75,9 @@ pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
 /// Row counts of the `window/scaling` block, whatever `--sizes` says; the
 /// largest (not under `--quick`) is printed once and carries no gate.
 pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
+
+/// Rows of the `ingest/csv` table: `serve_mix`'s registered `w`.
+const INGEST_ROWS: usize = 16_384;
 
 /// Rows of the `sort/stages`, `window/stages` (the repo benchmark's
 /// `window_scan` table size), `sort/cmp-semantics` (the quadratic
@@ -581,6 +589,67 @@ pub fn measure_append(cfg: &BenchConfig) -> Vec<AppendRun> {
             }
         })
         .collect()
+}
+
+/// AU-CSV of rows `from..from + n` of an append-only series shaped like
+/// the repo benchmark's served table `w(o, g, v, id)`: row `i`'s `o` in the
+/// `i`-th stride of 200, ranged (the hull of four draws in 1 000) on one
+/// row in twenty, a fifth of those possibly absent; `g` one of eight; `v`
+/// ranged on one row in twenty — what `/register` and `/append` parse.
+fn served_csv(from: usize, n: usize) -> String {
+    let mut state = 0x0C57_10ADu64 ^ from as u64;
+    let mut draw = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below) as i64
+    };
+    let ranged = |base: i64, draw: &mut dyn FnMut(u64) -> i64| match draw(20) {
+        0 => {
+            let alts = [0; 4].map(|_| base + draw(1_000));
+            let (lo, hi) = (alts.iter().min(), alts.iter().max());
+            [*lo.expect("four"), alts[0], *hi.expect("four")]
+        }
+        _ => [base; 3],
+    };
+    let mut out = String::from("o_lb,o,o_ub,g,v_lb,v,v_ub,id,mult_lb,mult_sg,mult_ub\n");
+    for id in from..from + n {
+        let o = ranged(200 * id as i64 + draw(200), &mut draw);
+        let g = draw(8);
+        let v = ranged(draw(200 * INGEST_ROWS as u64), &mut draw);
+        let mult = match o[0] != o[2] && draw(5) == 0 {
+            true => "0,1,1",
+            false => "1,1,1",
+        };
+        let (o, v) = (o.map(|x| x.to_string()), v.map(|x| x.to_string()));
+        let _ = writeln!(out, "{},{g},{},{id},{mult}", o.join(","), v.join(","));
+    }
+    out
+}
+
+/// The `ingest/csv` block: `(rows, what, ns per row)` of
+/// `read_au_csv_columns` over a 16 384-row table shaped like the repo
+/// benchmark's served `w` (`load`), of `to_rows` over the columns it loads
+/// — the within-run yardstick — and of `read_au_csv_columns` over one
+/// [`STREAM_BATCH`]-row batch of it, timed 100 loads at a time. Medians of
+/// the runs.
+pub fn measure_ingest(cfg: &BenchConfig) -> Vec<(usize, &'static str, f64)> {
+    let runs = if cfg.quick { 5 } else { 21 };
+    let load = |csv: &str| read_au_csv_columns(csv.as_bytes()).expect("generated AU-CSV loads");
+    let table = served_csv(0, INGEST_ROWS);
+    let batch = served_csv(INGEST_ROWS, STREAM_BATCH);
+    let cols = load(&table);
+    let ns_per_row = |rows: usize, f: &mut dyn FnMut()| time_median(f, runs) * 1e6 / rows as f64;
+    let table_ns = ns_per_row(INGEST_ROWS, &mut || drop(load(&table)));
+    let to_rows_ns = ns_per_row(INGEST_ROWS, &mut || drop(cols.to_rows()));
+    let batch_ns = ns_per_row(100 * STREAM_BATCH, &mut || {
+        (0..100).for_each(|_| drop(load(&batch)));
+    });
+    vec![
+        (INGEST_ROWS, "load", table_ns),
+        (INGEST_ROWS, "to_rows", to_rows_ns),
+        (STREAM_BATCH, "load", batch_ns),
+    ]
 }
 
 /// One `sort/scaling` cell: `sort/imp` over `n` rows.
@@ -1229,6 +1298,9 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             "{:>7} rows  append/flat {STREAM_BATCH}-row batch {:>10.1} µs",
             a.n, a.us
         );
+    }
+    for (n, what, ns) in measure_ingest(cfg) {
+        println!("{n:>7} rows  ingest/csv {what:<8} {ns:>10.1} ns/row");
     }
     let window_scaling = measure_window_scaling(cfg);
     for w in &window_scaling {

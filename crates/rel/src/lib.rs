@@ -29,7 +29,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use csv::{read_csv, read_csv_lines, write_csv};
+pub use csv::{read_csv, write_csv};
 pub use expr::{CmpOp, Expr};
 pub use ops::aggregate::{aggregate, AggFunc};
 pub use ops::project::project;

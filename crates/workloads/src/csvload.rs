@@ -1,45 +1,39 @@
-//! CSV → AU-relation loading for the SQL frontend (`repro sql`) and
-//! scripted workloads.
+//! CSV → AU-relation loading for the SQL frontend (`repro sql`), the
+//! server's `/register` and `/append`, and scripted workloads.
 //!
-//! Builds on `audb_rel::csv` (dependency-free RFC-4180 reader) and folds a
-//! flat header convention into range annotations:
+//! Reads with `audb_rel::csv`'s one tokenizer and folds a flat header
+//! convention into range annotations:
 //!
 //! * a column `c` with sibling columns `c_lb` / `c_ub` becomes the
 //!   range-annotated attribute `[c_lb / c / c_ub]` (either sibling may be
 //!   omitted — the missing bound defaults to the base value);
 //! * the column triple `mult_lb, mult_sg, mult_ub` (all three present)
-//!   becomes the row's `ℕ³` multiplicity (default `(1,1,1)`);
+//!   becomes the row's `ℕ³` multiplicity (default `(1,1,1)`), read as `u64`s;
 //! * every other column is a certain attribute.
 //!
-//! Since the columnar refactor the loader builds [`AuColumns`] **directly**,
-//! one attribute at a time: a column with no bound siblings becomes a
-//! certain-collapsed column with zero per-cell work, a bounded column
-//! builds its three bound vectors in one sweep (collapsing back to the
-//! certain fast path when every cell turns out to be a point). The row
-//! representation is derived from it on demand.
+//! Bytes become [`AuColumns`] in one pass with no row form: each source
+//! column is read into `i64` lanes while every cell is an integer (no
+//! `Value` is built for one) and into `Value`s from the first that is not.
+//! An all-integer attribute is checked and built on its `i64` lanes and
+//! collapses to the certain fast path when every cell is a point. Any other
+//! attribute's **physical layout is inferred** from its cells, jointly over
+//! its bound lanes so they share one layout: all-string attributes
+//! dictionary-encode, and an attribute mixing integer and float cells
+//! promotes to `f64` — the only place an integer is ever rewritten as a
+//! float; one beyond ±2⁵³ is an error, never a silent rounding. Anything
+//! else (booleans, nulls, string/number mixes) stays generic `Value`s. An
+//! unquoted integer literal past `i64` is an error too.
 //!
-//! The loader also **infers each attribute's physical layout** from its
-//! cells (across all bound lanes jointly, so a ranged column's three
-//! lanes always share one layout): all-integer attributes load as `i64`
-//! lanes, all-string attributes dictionary-encode, and an attribute
-//! mixing integer and float cells promotes to `f64` — the load boundary
-//! is the *only* place an integer is ever rewritten as a float, and an
-//! integer beyond ±2⁵³ contradicts the inferred `f64` layout and is a
-//! spanned error rather than a silent rounding. Anything else (booleans,
-//! nulls, string/number mixes) falls back to generic `Value` storage.
-//!
-//! Invalid input is reported as an `io::Error` spanning the offending
-//! source location — ragged rows as `line N: ragged row …` (from
-//! [`audb_rel::read_csv_lines`], which tracks real file lines across
-//! skipped blanks), and `lb ≤ sg ≤ ub` violations (including `lb > ub`)
-//! as `line N, column "c" (cols X–Y): …` naming the folded source
-//! columns (`row N` instead of `line N` when the input is a
-//! programmatic [`Relation`] with no tracked source lines). Nothing
-//! panics and nothing is silently clamped.
+//! Invalid input is an `io::Error` naming its source line (`line N`, blank
+//! lines counted): ragged rows, and cell errors such as `lb ≤ sg ≤ ub`
+//! violations with the folded source columns (`column "c" (cols X–Y)`).
+//! Nothing panics and nothing is silently clamped.
 
 use audb_core::physical::{int_fits_f64, CertBitmap, PhysVec};
 use audb_core::{AuColumn, AuColumns, AuRelation, Mult3};
-use audb_rel::{read_csv_lines, Relation, Schema, Value};
+use audb_rel::csv::{Cell, Records};
+use audb_rel::{Schema, Value};
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
@@ -53,18 +47,16 @@ struct ColPlan {
 }
 
 impl ColPlan {
-    /// `cols X–Y` — the 1-based span of source columns folded into this
-    /// attribute (for error messages).
-    fn col_span(&self) -> (usize, usize) {
-        let idxs = [Some(self.sg), self.lb, self.ub];
-        let mut it = idxs.iter().flatten();
-        let first = *it.next().expect("sg always present");
-        let (mut lo, mut hi) = (first, first);
-        for &i in it {
-            lo = lo.min(i);
-            hi = hi.max(i);
-        }
-        (lo + 1, hi + 1)
+    fn cols(&self) -> impl Iterator<Item = usize> {
+        [Some(self.sg), self.lb, self.ub].into_iter().flatten()
+    }
+
+    /// `column "c" (cols X–Y)`: the 1-based span of the source columns
+    /// folded into this attribute.
+    fn span(&self) -> String {
+        let (lo, hi) = (self.cols().min(), self.cols().max());
+        let [lo, hi] = [lo, hi].map(|c| c.unwrap_or(self.sg) + 1);
+        format!("column {:?} (cols {lo}\u{2013}{hi})", self.name)
     }
 }
 
@@ -100,10 +92,29 @@ fn plan_columns(schema: &Schema) -> (Vec<ColPlan>, Option<[usize; 3]>) {
     (plans, mult)
 }
 
-/// A location/column-spanned loading error (`loc` is `line N` for CSV
-/// input with tracked source lines, `row N` for programmatic relations).
-fn bad_cell(loc: &str, span: &str, msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{loc}, {span}: {msg}"))
+/// A line/column-spanned loading error.
+fn bad_cell(line: usize, span: &str, msg: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("line {line}, {span}: {msg}"),
+    )
+}
+
+/// One source column's cells: `i64`s while every cell is an integer,
+/// `Value`s from the first that is not.
+#[derive(Clone)]
+enum Lane {
+    Int(Vec<i64>),
+    Values(Vec<Value>),
+}
+
+impl Lane {
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            Lane::Int(ints) => ints.into_iter().map(Value::Int).collect(),
+            Lane::Values(vals) => vals,
+        }
+    }
 }
 
 /// True iff the cells span both integers and floats but nothing else —
@@ -125,12 +136,7 @@ fn mixed_numeric<'a>(vals: impl Iterator<Item = &'a Value>) -> bool {
 /// builds its `f64` vector directly, erroring on any integer `f64`
 /// cannot represent exactly (a cell contradicting the inferred type);
 /// otherwise [`PhysVec::from_values`] picks the class-strict layout.
-fn load_lane(
-    vals: Vec<Value>,
-    promote: bool,
-    p: &ColPlan,
-    loc_of: &dyn Fn(usize) -> String,
-) -> io::Result<PhysVec> {
+fn load_lane(vals: Vec<Value>, promote: bool, p: &ColPlan, lines: &[usize]) -> io::Result<PhysVec> {
     if !promote {
         return Ok(PhysVec::from_values(vals));
     }
@@ -140,15 +146,11 @@ fn load_lane(
             Value::Float(f) => *f,
             Value::Int(i) if int_fits_f64(*i) => *i as f64,
             Value::Int(i) => {
-                let (a, b) = p.col_span();
-                return Err(bad_cell(
-                    &loc_of(ri),
-                    &format!("column {:?} (cols {a}\u{2013}{b})", p.name),
-                    format!(
-                        "column inferred as f64 (mixed int/float cells), \
-                         but integer {i} is not exactly representable"
-                    ),
-                ));
+                let msg = format!(
+                    "column inferred as f64 (mixed int/float cells), \
+                     but integer {i} is not exactly representable"
+                );
+                return Err(bad_cell(lines[ri], &p.span(), msg));
             }
             _ => unreachable!("promotion requires an all-numeric attribute"),
         });
@@ -156,129 +158,179 @@ fn load_lane(
     Ok(PhysVec::F64(out))
 }
 
-/// Build one output attribute column from its source columns, validating
-/// `lb ≤ sg ≤ ub` per cell and inferring the physical layout from the
-/// cells (see the module docs). Bound-free attributes collapse to the
-/// certain fast path; bounded attributes whose every cell is a point
-/// collapse after the sweep.
-fn build_attr_column(
-    rel: &Relation,
+/// `lb ≤ sg ≤ ub` on every row, or an error naming the first that breaks it.
+fn check_order<T: PartialOrd + Display>(
     p: &ColPlan,
-    loc_of: &dyn Fn(usize) -> String,
-) -> io::Result<AuColumn> {
-    let rows = &rel.rows;
-    if p.lb.is_none() && p.ub.is_none() {
-        let vals: Vec<Value> = rows.iter().map(|r| r.tuple.get(p.sg).clone()).collect();
-        let promote = mixed_numeric(vals.iter());
-        return Ok(AuColumn::Certain(load_lane(vals, promote, p, loc_of)?));
-    }
-    let mut lb: Vec<Value> = Vec::with_capacity(rows.len());
-    let mut ub: Vec<Value> = Vec::with_capacity(rows.len());
-    let mut sg: Vec<Value> = Vec::with_capacity(rows.len());
-    let mut certain = CertBitmap::new();
-    let mut all_certain = true;
-    for (ri, row) in rows.iter().enumerate() {
-        let s = row.tuple.get(p.sg);
-        let l = p.lb.map_or(s, |i| row.tuple.get(i));
-        let u = p.ub.map_or(s, |i| row.tuple.get(i));
+    [lb, sg, ub]: [&[T]; 3],
+    lines: &[usize],
+) -> io::Result<()> {
+    for (ri, ((l, s), u)) in lb.iter().zip(sg).zip(ub).enumerate() {
         if !(l <= s && s <= u) {
-            let (a, b) = p.col_span();
-            return Err(bad_cell(
-                &loc_of(ri),
-                &format!("column {:?} (cols {a}\u{2013}{b})", p.name),
-                format!("lb \u{2264} sg \u{2264} ub violated: [{l} / {s} / {u}]"),
-            ));
+            let msg = format!("lb \u{2264} sg \u{2264} ub violated: [{l} / {s} / {u}]");
+            return Err(bad_cell(lines[ri], &p.span(), msg));
         }
-        let point = l == u;
-        all_certain = all_certain && point;
-        certain.push(point);
-        lb.push(l.clone());
-        sg.push(s.clone());
-        ub.push(u.clone());
     }
+    Ok(())
+}
+
+/// Build one output attribute column from its source lanes (a missing
+/// bound is the selected guess), validating `lb ≤ sg ≤ ub` per cell and
+/// inferring the layout (see the module docs).
+fn fold_attr(
+    p: &ColPlan,
+    sg: Lane,
+    [lb, ub]: [Option<Lane>; 2],
+    lines: &[usize],
+) -> io::Result<AuColumn> {
+    if lb.is_none() && ub.is_none() {
+        return Ok(AuColumn::Certain(match sg {
+            Lane::Int(ints) if !ints.is_empty() => PhysVec::I64(ints),
+            sg => {
+                let vals = sg.into_values();
+                let promote = mixed_numeric(vals.iter());
+                load_lane(vals, promote, p, lines)?
+            }
+        }));
+    }
+    let [lb, ub] = [lb, ub].map(|b| b.unwrap_or_else(|| sg.clone()));
+    let [lb, sg, ub] = match (lb, sg, ub) {
+        (Lane::Int(lb), Lane::Int(sg), Lane::Int(ub)) if !sg.is_empty() => {
+            check_order(p, [&lb[..], &sg, &ub], lines)?;
+            return Ok(AuColumn::from_i64_lanes(lb, sg, ub));
+        }
+        lanes => <[Lane; 3]>::from(lanes).map(Lane::into_values),
+    };
+    check_order(p, [&lb[..], &sg, &ub], lines)?;
     // The three bound lanes share one inferred class, so a ranged
     // column's lanes always land in the same physical layout.
-    let promote = mixed_numeric(lb.iter().chain(sg.iter()).chain(ub.iter()));
-    Ok(if all_certain {
-        AuColumn::Certain(load_lane(sg, promote, p, loc_of)?)
+    let promote = mixed_numeric(lb.iter().chain(&sg).chain(&ub));
+    let certain = CertBitmap::from_fn(sg.len(), |i| lb[i] == ub[i]);
+    Ok(if certain.count_certain() == sg.len() {
+        AuColumn::Certain(load_lane(sg, promote, p, lines)?)
     } else {
         AuColumn::Ranged {
-            lb: load_lane(lb, promote, p, loc_of)?,
-            sg: load_lane(sg, promote, p, loc_of)?,
-            ub: load_lane(ub, promote, p, loc_of)?,
+            lb: load_lane(lb, promote, p, lines)?,
+            sg: load_lane(sg, promote, p, lines)?,
+            ub: load_lane(ub, promote, p, lines)?,
             certain,
         }
     })
 }
 
-/// Fold a deterministic relation (as read from CSV) straight into a
-/// columnar AU-relation under the `_lb`/`_ub` + `mult_*` header
-/// convention, building one [`AuColumn`] per output attribute.
-/// `loc_of` renders a data-row index as its source location (`line N`
-/// when real file lines are known, `row N` otherwise — used in error
-/// spans).
-fn build_columns(rel: &Relation, loc_of: &dyn Fn(usize) -> String) -> io::Result<AuColumns> {
-    let (plans, mult_cols) = plan_columns(&rel.schema);
-    let schema = Schema::new(plans.iter().map(|p| p.name.clone()));
-    let mut cols = Vec::with_capacity(plans.len());
-    for p in &plans {
-        cols.push(build_attr_column(rel, p, loc_of)?);
-    }
-    let mults: Vec<Mult3> = match mult_cols {
-        None => rel.rows.iter().map(|r| Mult3::certain(r.mult)).collect(),
-        Some([l, s, u]) => {
-            let (lo, hi) = (l.min(s).min(u) + 1, l.max(s).max(u) + 1);
-            let span = format!("columns mult_lb\u{2013}mult_ub (cols {lo}\u{2013}{hi})");
-            let mut mults = Vec::with_capacity(rel.rows.len());
-            for (ri, row) in rel.rows.iter().enumerate() {
-                let get = |i: usize, what: &str| -> io::Result<u64> {
-                    row.tuple
-                        .get(i)
-                        .as_i64()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or_else(|| {
-                            bad_cell(
-                                &loc_of(ri),
-                                &span,
-                                format!("{what} is not a non-negative integer"),
-                            )
-                        })
-                };
-                let (l, s, u) = (get(l, "mult_lb")?, get(s, "mult_sg")?, get(u, "mult_ub")?);
-                if !(l <= s && s <= u) {
-                    return Err(bad_cell(
-                        &loc_of(ri),
-                        &span,
-                        format!("multiplicity violates lb \u{2264} sg \u{2264} ub: ({l},{s},{u})"),
-                    ));
-                }
-                mults.push(Mult3::new(l, s, u));
+/// The rows' multiplicities from the `mult_*` columns `cols` read as
+/// `lanes`, `lb ≤ sg ≤ ub` checked per row; `bad` is each lane's first row
+/// whose cell was no `u64`.
+fn fold_mults(
+    [l, s, u]: [usize; 3],
+    lanes: &[Vec<u64>; 3],
+    bad: [Option<usize>; 3],
+    lines: &[usize],
+) -> io::Result<Vec<Mult3>> {
+    let (lo, hi) = (l.min(s).min(u) + 1, l.max(s).max(u) + 1);
+    let span = format!("columns mult_lb\u{2013}mult_ub (cols {lo}\u{2013}{hi})");
+    let mut out = Vec::with_capacity(lines.len());
+    for (ri, &line) in lines.iter().enumerate() {
+        let get = |k: usize| match bad[k] == Some(ri) {
+            true => {
+                let what = ["mult_lb", "mult_sg", "mult_ub"][k];
+                let msg = format!("{what} is not a non-negative integer");
+                Err(bad_cell(line, &span, msg))
             }
-            mults
+            false => Ok(lanes[k][ri]),
+        };
+        let (l, s, u) = (get(0)?, get(1)?, get(2)?);
+        if !(l <= s && s <= u) {
+            let msg = format!("multiplicity violates lb \u{2264} sg \u{2264} ub: ({l},{s},{u})");
+            return Err(bad_cell(line, &span, msg));
+        }
+        out.push(Mult3::new(l, s, u));
+    }
+    Ok(out)
+}
+
+/// Read a columnar AU-relation from CSV text, in one pass from bytes to
+/// lanes (errors carry exact source line numbers).
+pub fn read_au_csv_columns(mut reader: impl Read) -> io::Result<AuColumns> {
+    let mut input = Vec::new();
+    reader.read_to_end(&mut input)?;
+    let (header, mut records) = Records::new(&input)?;
+    let mut uses = vec![0usize; header.len()];
+    let (plans, mult_cols) = plan_columns(&Schema::new(header));
+    // How many attributes read each source column (duplicate names share).
+    plans
+        .iter()
+        .flat_map(ColPlan::cols)
+        .for_each(|c| uses[c] += 1);
+    // Every line after the header may be a row: size the lanes read once,
+    // so none is copied as it grows and none keeps growth slack. (Newlines
+    // are counted into a `u8` per 255 bytes, a loop the compiler
+    // vectorizes.)
+    let newlines = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    let rows: usize = input
+        .chunks(255)
+        .map(|run| usize::from(newlines(run)))
+        .sum();
+    let cap = |read: bool| if read { rows } else { 0 };
+    let mut lanes: Vec<_> = uses
+        .iter()
+        .map(|&u| Lane::Int(Vec::with_capacity(cap(u > 0))))
+        .collect();
+    // The `mult_*` cells as `u64`s, and the first row where each is none.
+    let mut mults = [(); 3].map(|_| Vec::with_capacity(cap(mult_cols.is_some())));
+    let mut bad = [None; 3];
+    let (mut fields, mut lines) = (Vec::new(), Vec::with_capacity(rows));
+    while let Some(line) = records.next_into(&mut fields)? {
+        for (c, (lane, f)) in lanes.iter_mut().zip(&fields).enumerate() {
+            if uses[c] == 0 {
+                continue;
+            }
+            match (f.cell(), &mut *lane) {
+                (Cell::Int(i), Lane::Int(ints)) => ints.push(i),
+                (Cell::BigInt(t), _) => {
+                    let p = plans.iter().find(|p| p.cols().any(|pc| pc == c));
+                    let span = p.map(ColPlan::span).unwrap_or_default();
+                    let msg = format!("integer {t} out of range for i64");
+                    return Err(bad_cell(line, &span, msg));
+                }
+                (Cell::Int(i), Lane::Values(vals)) => vals.push(Value::Int(i)),
+                (Cell::Other(v), Lane::Values(vals)) => vals.push(v),
+                (Cell::Other(v), Lane::Int(ints)) => {
+                    let vals = ints.drain(..).map(Value::Int).chain([v]).collect();
+                    *lane = Lane::Values(vals);
+                }
+            }
+        }
+        for (k, c) in mult_cols.into_iter().flatten().enumerate() {
+            let m = match fields[c].cell() {
+                Cell::Int(i) => u64::try_from(i).ok(),
+                Cell::BigInt(t) => t.parse().ok(),
+                Cell::Other(_) => None,
+            };
+            if m.is_none() {
+                bad[k].get_or_insert(lines.len());
+            }
+            mults[k].push(m.unwrap_or(0));
+        }
+        lines.push(line);
+    }
+    let mut take = |c: usize| {
+        uses[c] -= 1;
+        match uses[c] {
+            0 => std::mem::replace(&mut lanes[c], Lane::Int(Vec::new())),
+            _ => lanes[c].clone(),
         }
     };
+    let mut cols = Vec::with_capacity(plans.len());
+    for p in &plans {
+        let bounds = [p.lb.map(&mut take), p.ub.map(&mut take)];
+        cols.push(fold_attr(p, take(p.sg), bounds, &lines)?);
+    }
+    let mults = match mult_cols {
+        None => vec![Mult3::ONE; lines.len()],
+        Some(cols) => fold_mults(cols, &mults, bad, &lines)?,
+    };
+    let schema = Schema::new(plans.iter().map(|p| p.name.clone()));
     Ok(AuColumns::from_cols(schema, cols, &mults))
-}
-
-/// Fold a deterministic relation into a columnar AU-relation. Errors
-/// name the offending 1-based data row (`row N`) — the relation may be
-/// programmatic, so no file line is fabricated; use
-/// [`read_au_csv_columns`] for exact source lines.
-pub fn au_columns_from_relation(rel: &Relation) -> io::Result<AuColumns> {
-    build_columns(rel, &|ri| format!("row {}", ri + 1))
-}
-
-/// Fold a deterministic relation into a (row-layout) AU-relation — the
-/// compatibility wrapper over [`au_columns_from_relation`].
-pub fn au_from_relation(rel: &Relation) -> io::Result<AuRelation> {
-    au_columns_from_relation(rel).map(|c| c.to_rows())
-}
-
-/// Read a columnar AU-relation from CSV text (errors carry exact source
-/// line numbers).
-pub fn read_au_csv_columns(reader: impl Read) -> io::Result<AuColumns> {
-    let (rel, lines) = read_csv_lines(reader)?;
-    build_columns(&rel, &|ri| format!("line {}", lines[ri]))
 }
 
 /// Read an AU-relation from CSV text.
@@ -443,14 +495,49 @@ mod tests {
         assert!(e.to_string().contains("cols 1\u{2013}2"), "{e}");
     }
 
+    /// An integer literal past `i64` in an attribute is refused with its
+    /// line and span, never rounded into an `f64` lane.
     #[test]
-    fn programmatic_relations_report_rows_not_lines() {
-        // No file behind the relation: the error names the data row, not
-        // a fabricated source line.
-        let rel = audb_rel::read_csv("a_lb,a,a_ub\n5,4,6\n".as_bytes()).unwrap();
-        let e = au_from_relation(&rel).unwrap_err();
-        assert!(e.to_string().contains("row 1"), "{e}");
-        assert!(!e.to_string().contains("line"), "{e}");
+    fn an_integer_past_i64_is_refused_not_rounded() {
+        let e = read_au_csv_columns("a\n1\n99999999999999999999\n".as_bytes()).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 3, column \"a\" (cols 1\u{2013}1): integer 99999999999999999999 out of range for i64"
+        );
+    }
+
+    #[test]
+    fn an_integer_past_i64_in_a_bound_is_refused() {
+        let csv = "a_lb,a,a_ub\n1,2,99999999999999999999\n";
+        let e = read_au_csv_columns(csv.as_bytes()).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 2, column \"a\" (cols 1\u{2013}3): integer 99999999999999999999 out of range for i64"
+        );
+    }
+
+    /// A multiplicity is a `u64`: one past `i64::MAX` loads.
+    #[test]
+    fn a_multiplicity_past_i64_loads() {
+        let csv = "a,mult_lb,mult_sg,mult_ub\n1,1,1,18446744073709551615\n";
+        let cols = read_au_csv_columns(csv.as_bytes()).unwrap();
+        assert_eq!(cols.mult(0), Mult3::new(1, 1, u64::MAX));
+        let csv = "a,mult_lb,mult_sg,mult_ub\n1,1,1,18446744073709551616\n";
+        let e = read_au_csv_columns(csv.as_bytes()).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("mult_ub is not a non-negative integer"),
+            "{e}"
+        );
+    }
+
+    /// A leading NUL byte is data, in a cell and in a header name.
+    #[test]
+    fn a_leading_nul_is_kept() {
+        let cols = read_au_csv_columns("a\n\u{0}x\n".as_bytes()).unwrap();
+        assert_eq!(cols.col(0).range_value(0), RangeValue::certain("\u{0}x"));
+        let cols = read_au_csv_columns("\u{0}a\n1\n".as_bytes()).unwrap();
+        assert_eq!(cols.schema().cols(), &["\u{0}a"]);
     }
 
     #[test]

@@ -24,10 +24,7 @@ pub mod runner;
 pub mod synthetic;
 
 pub use convert::xtuple_from_au;
-pub use csvload::{
-    au_columns_from_relation, au_from_relation, load_au_csv, load_au_dir, read_au_csv,
-    read_au_csv_columns,
-};
+pub use csvload::{load_au_csv, load_au_dir, read_au_csv, read_au_csv_columns};
 pub use metrics::{aggregate_quality, bound_quality, BoundQuality, QualityStats};
 pub use real::{all_datasets, crimes, healthcare, iceberg, RankQuery, RealDataset, WindowQuery};
 pub use synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
