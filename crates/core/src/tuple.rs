@@ -44,14 +44,6 @@ impl AuTuple {
         AuTuple(vals)
     }
 
-    /// Concatenate.
-    pub fn concat(&self, other: &AuTuple) -> AuTuple {
-        let mut vals = Vec::with_capacity(self.0.len() + other.0.len());
-        vals.extend_from_slice(&self.0);
-        vals.extend_from_slice(&other.0);
-        AuTuple(vals)
-    }
-
     /// Extend with one attribute. Pre-sized: `clone()` + `push` would
     /// reallocate on every call (clone capacity equals length).
     pub fn with(&self, v: RangeValue) -> AuTuple {

@@ -24,10 +24,11 @@
 //! * **Window maintenance needs the native fast path.** If the engine's
 //!   effective backend is not `Native`, or the data hits the documented
 //!   native-window fallbacks (duplicate multiplicities after
-//!   normalization, uncertain `PARTITION BY` values), maintenance is
-//!   disabled *permanently* for the subscription — those conditions don't
-//!   un-happen — and every append recomputes on the engine, preserving the
-//!   engine's bound-agreement promise.
+//!   normalization, uncertain `PARTITION BY` values — both checked on the
+//!   normalized batch itself, never read off an error message),
+//!   maintenance is disabled *permanently* for the subscription — those
+//!   conditions don't un-happen — and every append recomputes on the
+//!   engine, preserving the engine's bound-agreement promise.
 //! * **Out-of-order appends rebuild.** The window sweep consumes rows in
 //!   ascending ORDER BY position; a batch overlapping the accumulated
 //!   frontier forces one recompute and a state rebuild (the rebuilt sweep
@@ -50,13 +51,26 @@
 //! handle ([`Plan::with_table`], nothing read); the incremental states
 //! take the row-wise prefix's output over the batch as columns.
 //!
+//! ## One answer, one diff
+//!
+//! The maintained value is the normalized output bag, and it is held once.
+//! While a window sweep is live the sweep holds it — what it has closed is
+//! final (paper Sec. 8) — and the subscription keeps only the open rows it
+//! emitted last; otherwise it is one normalized [`AuColumns`], the last
+//! recompute's output or the top-k band's.
+//!
 //! ## Delta semantics
 //!
-//! The maintained value is the normalized output bag. A [`Delta`] lists
-//! `removed` (key's old row/multiplicity) and `added` (new) for exactly
-//! the keys whose normalized entry changed: `value_after = value_before −
-//! removed + added`. Replaying every delta from subscription onward
-//! reconstructs [`MaintainedQuery::value`].
+//! A [`Delta`] lists `removed` (key's old row/multiplicity) and `added`
+//! (new) for exactly the keys whose normalized entry changed:
+//! `value_after = value_before − removed + added`. Replaying every delta
+//! from subscription onward reconstructs [`MaintainedQuery::value`]. Every
+//! delta is one merge walk over two normalized relations in canonical
+//! order: the answer before and the recompute's output; the band before and
+//! after a top-k append (`O(k)`); the open rows emitted last and the rows
+//! closed since plus the open rows now, after a window append
+//! (`O(changed)` — the window's output rows are distinct, so no key is in
+//! both the closed and the open rows).
 
 use crate::catalog::Table;
 use crate::engine::{BackendChoice, Engine};
@@ -65,7 +79,7 @@ use crate::exec;
 use crate::plan::{Op, Plan};
 use audb_core::{AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Accumulated row count below which an append recomputes instead of
@@ -111,36 +125,24 @@ impl Delta {
     }
 }
 
-/// The final maintainable operator of the subscribed plan.
+/// The final maintainable operator of the subscribed plan, and its live
+/// state once the accumulated relation has crossed the cutoff.
 enum MaintainKind {
-    Window {
-        state: Option<MaintainedWindow>,
-    },
-    TopK {
-        state: Option<TopKMaintain>,
-    },
-    /// The plan's shape is not maintainable; every append recomputes.
-    AlwaysRecompute {
-        reason: String,
-    },
+    Window(Option<MaintainedWindow>),
+    TopK(Option<TopKMaintain>),
+    /// Never maintained, and why: the plan's shape, the engine's backend,
+    /// or data the native window hands to the reference — none of which
+    /// un-happens. Every append recomputes.
+    Never(String),
 }
 
 impl MaintainKind {
     /// What is maintained, as `explain` and the fallback reasons call it.
     fn name(&self) -> &'static str {
         match self {
-            MaintainKind::Window { .. } => "window",
-            MaintainKind::TopK { .. } => "top-k",
-            MaintainKind::AlwaysRecompute { .. } => "nothing",
-        }
-    }
-
-    /// Drop the live state: the next append past the cutoff rebuilds it.
-    fn clear(&mut self) {
-        match self {
-            MaintainKind::Window { state } => *state = None,
-            MaintainKind::TopK { state } => *state = None,
-            MaintainKind::AlwaysRecompute { .. } => {}
+            MaintainKind::Window(_) => "window",
+            MaintainKind::TopK(_) => "top-k",
+            MaintainKind::Never(_) => "nothing",
         }
     }
 }
@@ -158,13 +160,10 @@ pub struct MaintainedQuery {
     /// The accumulated source: the subscribed table version grown by
     /// every batch.
     accum: Arc<Table>,
-    /// The normalized current result: row key → (row, multiplicity).
-    current: BTreeMap<SortKey, (AuTuple, Mult3)>,
-    /// Open (provisional) window rows contributed to `current` by the last
-    /// incremental append — removed again on the next one.
-    open_prev: Vec<(AuTuple, Mult3)>,
-    /// Maintenance permanently disabled for this subscription, and why.
-    fallback_forever: Option<String>,
+    /// The answer, normalized — except while a window sweep is live: the
+    /// sweep holds the answer then, and this is only the open rows it was
+    /// last asked for, which the next append may change.
+    answer: AuColumns,
     incremental_appends: u64,
     recompute_appends: u64,
     last: Option<(Strategy, usize)>,
@@ -173,58 +172,47 @@ pub struct MaintainedQuery {
 impl MaintainedQuery {
     pub(crate) fn new(engine: Engine, plan: Plan) -> Result<MaintainedQuery, SessionError> {
         let row_wise = |pre: &[Op]| !pre.iter().any(Op::is_breaker);
-        let kind = match plan.ops().split_last() {
-            Some((Op::Window { .. }, pre)) if row_wise(pre) => MaintainKind::Window { state: None },
+        let mut kind = match plan.ops().split_last() {
+            Some((Op::Window { .. }, pre)) if row_wise(pre) => MaintainKind::Window(None),
             Some((Op::Sort { limit: Some(_), .. }, pre)) if row_wise(pre) => {
-                MaintainKind::TopK { state: None }
+                MaintainKind::TopK(None)
             }
-            Some((op, _)) => MaintainKind::AlwaysRecompute {
-                reason: format!("final operator `{}` is not maintainable", op.name()),
-            },
-            None => MaintainKind::AlwaysRecompute {
-                reason: "plan has no maintainable operator".to_string(),
-            },
+            Some((op, _)) => MaintainKind::Never(format!(
+                "final operator `{}` is not maintainable",
+                op.name()
+            )),
+            None => MaintainKind::Never("plan has no maintainable operator".to_string()),
         };
-        let pre = plan.prefix(plan.ops().len().saturating_sub(1));
-        let accum = Arc::clone(plan.source_columns());
+        let effective = engine.effective();
+        if effective != BackendChoice::Native && !matches!(kind, MaintainKind::Never(_)) {
+            kind = MaintainKind::Never(format!(
+                "{} maintenance requires the native backend (engine runs {effective})",
+                kind.name()
+            ));
+        }
         let mut q = MaintainedQuery {
             engine,
-            pre,
+            pre: plan.prefix(plan.ops().len().saturating_sub(1)),
             kind,
             cutoff: DEFAULT_INCREMENTAL_CUTOFF,
-            accum,
-            current: BTreeMap::new(),
-            open_prev: Vec::new(),
-            fallback_forever: None,
+            accum: Arc::clone(plan.source_columns()),
+            answer: AuColumns::empty(plan.schema().clone()),
             incremental_appends: 0,
             recompute_appends: 0,
             last: None,
             plan,
         };
-        // Conditions that can only be observed, never un-observed, are
-        // checked once up front so explain() is honest from the start.
-        let effective = q.engine.effective();
-        match (&q.kind, q.plan.ops().last()) {
-            (MaintainKind::AlwaysRecompute { .. }, _) => {}
-            (kind, _) if effective != BackendChoice::Native => {
-                q.fallback_forever = Some(format!(
-                    "{} maintenance requires the native backend (engine runs {effective})",
-                    kind.name()
-                ));
+        // Data the native window refers to the reference is checked up
+        // front too, so explain() is honest from the start.
+        if let (MaintainKind::Window(_), Some(Op::Window { spec, .. })) =
+            (&q.kind, q.plan.ops().last())
+        {
+            let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize()?;
+            if let Some(what) = needs_reference(&pre_rel, spec) {
+                q.kind = MaintainKind::Never(format!("initial relation carries {what}"));
             }
-            (_, Some(Op::Window { spec, .. })) => {
-                let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize()?;
-                if window_needs_reference(&pre_rel, spec) {
-                    q.fallback_forever = Some(
-                        "initial relation needs the reference window \
-                         (duplicate multiplicities or uncertain PARTITION BY)"
-                            .to_string(),
-                    );
-                }
-            }
-            _ => {}
         }
-        q.recompute_current()?;
+        q.recompute()?;
         Ok(q)
     }
 
@@ -242,7 +230,10 @@ impl MaintainedQuery {
 
     /// The current result, normalized, in deterministic row-key order.
     pub fn value(&self) -> AuRelation {
-        AuRelation::from_rows(self.plan.schema().clone(), self.current.values().cloned())
+        match &self.kind {
+            MaintainKind::Window(Some(m)) => window_answer(m).to_rows(),
+            _ => self.answer.to_rows(),
+        }
     }
 
     /// The accumulated source (initial relation plus every appended
@@ -273,17 +264,14 @@ impl MaintainedQuery {
         if !batch.is_empty() {
             self.accum = self.accum.appended(batch.clone());
         }
-        let strategy = self.try_incremental(batch)?;
-        let delta = match strategy {
-            Strategy::Incremental => {
+        let (strategy, delta) = match self.try_incremental(batch)? {
+            Some(delta) => {
                 self.incremental_appends += 1;
-                self.incremental_delta()
+                (Strategy::Incremental, delta)
             }
-            Strategy::Recompute => {
+            None => {
                 self.recompute_appends += 1;
-                let before = std::mem::take(&mut self.current);
-                self.recompute_current()?;
-                diff_maps(&before, &self.current)
+                (Strategy::Recompute, self.recompute()?)
             }
         };
         self.last = Some((strategy, rows));
@@ -297,12 +285,9 @@ impl MaintainedQuery {
         if !s.ends_with('\n') {
             s.push('\n');
         }
-        let mode = match (&self.kind, &self.fallback_forever) {
-            (MaintainKind::AlwaysRecompute { reason }, _) => {
-                format!("always recompute — {reason}")
-            }
-            (_, Some(reason)) => format!("always recompute — {reason}"),
-            (kind, None) => format!("{} incremental (cutoff {})", kind.name(), self.cutoff),
+        let mode = match &self.kind {
+            MaintainKind::Never(reason) => format!("always recompute — {reason}"),
+            kind => format!("{} incremental (cutoff {})", kind.name(), self.cutoff),
         };
         s.push_str(&format!("maintain: {mode}\n"));
         s.push_str(&format!(
@@ -315,22 +300,20 @@ impl MaintainedQuery {
         s
     }
 
-    /// Decide the batch's strategy and, when incremental, absorb it into
-    /// the live state. The accumulated raw rows are already updated.
-    fn try_incremental(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
-        if self.fallback_forever.is_some() {
-            return Ok(Strategy::Recompute);
-        }
+    /// Absorb the batch into the live state and return its delta — or
+    /// `None`: this append recomputes. The accumulated rows already hold
+    /// the batch.
+    fn try_incremental(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
         if self.accum.len() < self.cutoff {
-            // Tiny relation: recompute, and drop any stale state so the
-            // next crossing of the cutoff rebuilds from scratch.
-            self.kind.clear();
-            return Ok(Strategy::Recompute);
+            // Tiny relation: recompute, and drop any state so the next
+            // crossing of the cutoff rebuilds from scratch.
+            self.drop_state();
+            return Ok(None);
         }
         match &self.kind {
-            MaintainKind::AlwaysRecompute { .. } => Ok(Strategy::Recompute),
-            MaintainKind::Window { .. } => self.try_incremental_window(batch),
-            MaintainKind::TopK { .. } => self.try_incremental_topk(batch),
+            MaintainKind::Never(_) => Ok(None),
+            MaintainKind::Window(_) => self.try_incremental_window(batch),
+            MaintainKind::TopK(_) => self.try_incremental_topk(batch),
         }
     }
 
@@ -343,7 +326,26 @@ impl MaintainedQuery {
         Ok(exec::run_row_wise(&plan, batch_size, self.engine.pruning))
     }
 
-    fn try_incremental_window(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
+    /// Drop the live state — a window sweep hands its answer back first.
+    fn drop_state(&mut self) {
+        match &mut self.kind {
+            MaintainKind::Window(state) => {
+                if let Some(m) = state.take() {
+                    self.answer = window_answer(&m);
+                }
+            }
+            MaintainKind::TopK(state) => *state = None,
+            MaintainKind::Never(_) => {}
+        }
+    }
+
+    /// Stop maintaining for good.
+    fn never(&mut self, reason: String) {
+        self.drop_state();
+        self.kind = MaintainKind::Never(reason);
+    }
+
+    fn try_incremental_window(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
         let Some(Op::Window {
             spec,
             agg,
@@ -354,60 +356,40 @@ impl MaintainedQuery {
         };
         let pre_batch = self.prefix_over(Table::sealed(batch))?.normalize()?;
         // The native window's documented fallbacks are sticky: a duplicate
-        // multiplicity or uncertain partition value stays in the data.
-        if pre_batch.mult_ub().iter().any(|&ub| ub > 1) {
-            self.fallback_forever =
-                Some("appended rows carry duplicate multiplicities (k↑ > 1)".to_string());
-            self.kind.clear();
-            return Ok(Strategy::Recompute);
+        // multiplicity or an uncertain partition value stays in the data.
+        if let Some(what) = needs_reference(&pre_batch, &spec) {
+            self.never(format!("appended rows carry {what}"));
+            return Ok(None);
         }
-        let MaintainKind::Window { state } = &mut self.kind else {
-            unreachable!();
-        };
-        if let Some(m) = state {
-            match m.check_batch(&pre_batch) {
-                Ok(()) => {
-                    m.apply(&pre_batch);
-                    return Ok(Strategy::Incremental);
-                }
-                Err(reason) => {
-                    if reason.contains("PARTITION BY") {
-                        self.fallback_forever = Some(reason);
-                        *state = None;
-                        return Ok(Strategy::Recompute);
-                    }
-                    // Frontier overlap: rebuild below, recompute this round.
-                    *state = None;
-                }
+        if let MaintainKind::Window(Some(m)) = &mut self.kind {
+            if m.in_order(&pre_batch) {
+                m.apply(&pre_batch);
+                // What changed: the rows closed since, and the open rows
+                // now against the open rows last emitted.
+                let open = m.open_result().normalize()?;
+                let mut now = m.drain_new_closed();
+                now.append(open.clone());
+                let delta = diff(&self.answer, &now.normalize()?);
+                self.answer = open;
+                return Ok(Some(delta));
             }
         }
-        // Build (or rebuild) the sweep from everything seen so far as one
-        // batch; this append is answered by recompute, the next in-order
-        // batch goes incremental.
+        // No sweep yet, or a frontier overlap: build one from everything
+        // seen so far as one batch. This append recomputes; the next
+        // in-order batch goes incremental.
+        self.drop_state();
         let pre_all = self.prefix_over(Arc::clone(&self.accum))?.normalize()?;
-        if window_needs_reference(&pre_all, &spec) {
-            self.fallback_forever = Some(
-                "accumulated relation needs the reference window \
-                 (duplicate multiplicities or uncertain PARTITION BY)"
-                    .to_string(),
-            );
-            return Ok(Strategy::Recompute);
+        if let Some(what) = needs_reference(&pre_all, &spec) {
+            self.never(format!("accumulated relation carries {what}"));
+            return Ok(None);
         }
         let mut m = MaintainedWindow::new(pre_all.schema().clone(), spec, agg, &out_name);
         m.apply(&pre_all);
-        // This round's recompute covers everything the fresh sweep has
-        // already closed — mark it drained so the next incremental append
-        // emits only genuinely new closes.
-        let _ = m.drain_new_closed();
-        let MaintainKind::Window { state } = &mut self.kind else {
-            unreachable!();
-        };
-        *state = Some(m);
-        self.open_prev = Vec::new();
-        Ok(Strategy::Recompute)
+        self.kind = MaintainKind::Window(Some(m));
+        Ok(None)
     }
 
-    fn try_incremental_topk(&mut self, batch: AuColumns) -> Result<Strategy, SessionError> {
+    fn try_incremental_topk(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
         let Some(Op::Sort {
             order,
             pos_name,
@@ -417,93 +399,39 @@ impl MaintainedQuery {
             unreachable!("kind is TopK only for top-k plans");
         };
         let pre_batch = self.prefix_over(Table::sealed(batch))?;
-        if let MaintainKind::TopK { state: Some(m) } = &mut self.kind {
+        if let MaintainKind::TopK(Some(m)) = &mut self.kind {
             m.apply(&pre_batch);
-            return Ok(Strategy::Incremental);
+            // The band is the whole answer: diff it in O(k), not O(n).
+            let band = m.result().normalize()?;
+            let delta = diff(&self.answer, &band);
+            self.answer = band;
+            return Ok(Some(delta));
         }
         // First crossing of the cutoff: seed from the accumulated rows.
         let pre_all = self.prefix_over(Arc::clone(&self.accum))?;
         let mut m = TopKMaintain::new(pre_all.schema().clone(), order, k, &pos_name);
         m.apply(&pre_all);
-        self.kind = MaintainKind::TopK { state: Some(m) };
-        Ok(Strategy::Recompute)
+        self.kind = MaintainKind::TopK(Some(m));
+        Ok(None)
     }
 
-    /// Rebuild the result map via the ground-truth path: the full plan
-    /// over the accumulated relation, normalized.
-    fn recompute_current(&mut self) -> Result<(), SessionError> {
-        let out = self
-            .engine
+    /// The ground-truth path: the full plan over the accumulated relation,
+    /// normalized, diffed against the answer before. A window sweep built
+    /// this append keeps what it has closed — the recompute answered it —
+    /// and leaves only its open rows here.
+    fn recompute(&mut self) -> Result<Delta, SessionError> {
+        let out = (self.engine)
             .execute(&self.plan.with_table(Arc::clone(&self.accum))?)?
             .normalize()?;
-        // The result map is keyed rows: this is the subscription's door.
-        self.current = keyed_rows(out.to_rows());
-        // The map no longer tracks which entries came from open windows;
-        // the next incremental append resyncs from the live state.
-        self.open_prev = Vec::new();
-        if let MaintainKind::Window { state: Some(m) } = &self.kind {
-            self.open_prev = m.open_result();
-        }
-        Ok(())
-    }
-
-    /// After an incremental window/top-k apply: retract the previous open
-    /// rows, add the newly closed and currently open rows, and report the
-    /// keys whose normalized entry changed. `O(changed)`, not `O(n)`.
-    fn incremental_delta(&mut self) -> Delta {
-        let (additions, removals) = match &mut self.kind {
-            MaintainKind::Window { state: Some(m) } => {
-                let mut additions = m.drain_new_closed();
-                let open_now = m.open_result();
-                additions.extend(open_now.iter().cloned());
-                let removals = std::mem::replace(&mut self.open_prev, open_now);
-                (additions, removals)
+        let delta = diff(&self.answer, &out);
+        self.answer = match &mut self.kind {
+            MaintainKind::Window(Some(m)) => {
+                m.drain_new_closed();
+                m.open_result().normalize()?
             }
-            MaintainKind::TopK { state: Some(m) } => {
-                // The whole top-k band is the changed region; diff it
-                // against the previous map wholesale (O(k), not O(n)).
-                let band = m.result().normalize();
-                let band = band.expect("a top-k emits no more than k rows of one hypercube");
-                let next = keyed_rows(band.to_rows());
-                let before = std::mem::replace(&mut self.current, next);
-                return diff_maps(&before, &self.current);
-            }
-            _ => unreachable!("incremental_delta requires live state"),
+            _ => out,
         };
-        let mut touched: BTreeMap<SortKey, Option<(AuTuple, Mult3)>> = BTreeMap::new();
-        let touch = |current: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-                     touched: &mut BTreeMap<SortKey, Option<(AuTuple, Mult3)>>,
-                     key: &SortKey| {
-            if !touched.contains_key(key) {
-                touched.insert(key.clone(), current.get(key).cloned());
-            }
-        };
-        for (t, mult) in removals {
-            let key = SortKey::of_row(&t);
-            touch(&self.current, &mut touched, &key);
-            sub_entry(&mut self.current, key, &t, mult);
-        }
-        for (t, mult) in additions {
-            let key = SortKey::of_row(&t);
-            touch(&self.current, &mut touched, &key);
-            add_entry(&mut self.current, key, t, mult);
-        }
-        let mut delta = Delta::default();
-        for (key, before) in touched {
-            let after = self.current.get(&key);
-            match (before, after) {
-                (Some(b), Some(a)) if &b == a => {}
-                (before, after) => {
-                    if let Some(b) = before {
-                        delta.removed.push(b);
-                    }
-                    if let Some(a) = after {
-                        delta.added.push(a.clone());
-                    }
-                }
-            }
-        }
-        delta
+        Ok(delta)
     }
 }
 
@@ -511,7 +439,6 @@ impl std::fmt::Debug for MaintainedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaintainedQuery")
             .field("rows", &self.accum.len())
-            .field("result_rows", &self.current.len())
             .field("incremental", &self.incremental_appends)
             .field("recompute", &self.recompute_appends)
             .finish()
@@ -519,65 +446,60 @@ impl std::fmt::Debug for MaintainedQuery {
 }
 
 /// The native window's two fallbacks to the reference (DESIGN.md §5.2) —
-/// an uncertain `PARTITION BY` value, a duplicate multiplicity — decided
+/// a duplicate multiplicity, an uncertain `PARTITION BY` value — decided
 /// for window *maintenance* before any sweep state is built (a one-shot
-/// window learns them from its sweep). Callers pass a **normalized**
-/// relation (zero-free, so every stored row exists): separately stored
-/// copies of one hypercube merge into a duplicate multiplicity, so
-/// checking raw rows would miss them.
-fn window_needs_reference(rel: &AuColumns, spec: &AuWindowSpec) -> bool {
+/// window learns them from its sweep), and named. Callers pass a
+/// **normalized** relation (zero-free, so every stored row exists):
+/// separately stored copies of one hypercube merge into a duplicate
+/// multiplicity, so checking raw rows would miss them.
+fn needs_reference(rel: &AuColumns, spec: &AuWindowSpec) -> Option<&'static str> {
     debug_assert!(rel.is_normalized());
-    rel.mult_ub().iter().any(|&ub| ub > 1)
-        || (spec.partition.iter()).any(|&g| (0..rel.len()).any(|row| !rel.col(g).certain_at(row)))
-}
-
-/// The maintained-value map of a normalized result; the rows move in.
-fn keyed_rows(normalized: AuRelation) -> BTreeMap<SortKey, (AuTuple, Mult3)> {
-    normalized
-        .into_rows()
-        .into_iter()
-        .map(|row| (SortKey::of_row(&row.tuple), (row.tuple, row.mult)))
-        .collect()
-}
-
-fn add_entry(map: &mut BTreeMap<SortKey, (AuTuple, Mult3)>, key: SortKey, t: AuTuple, mult: Mult3) {
-    let e = map.entry(key).or_insert_with(|| (t, Mult3::new(0, 0, 0)));
-    e.1 = Mult3::new(e.1.lb + mult.lb, e.1.sg + mult.sg, e.1.ub + mult.ub);
-}
-
-fn sub_entry(
-    map: &mut BTreeMap<SortKey, (AuTuple, Mult3)>,
-    key: SortKey,
-    t: &AuTuple,
-    mult: Mult3,
-) {
-    let e = map
-        .get_mut(&key)
-        .unwrap_or_else(|| panic!("retracting a row that is not in the maintained result: {t:?}"));
-    e.1 = Mult3::new(e.1.lb - mult.lb, e.1.sg - mult.sg, e.1.ub - mult.ub);
-    if e.1.ub == 0 {
-        map.remove(&key);
+    if rel.mult_ub().iter().any(|&ub| ub > 1) {
+        Some("duplicate multiplicities (k↑ > 1)")
+    } else if (spec.partition.iter())
+        .any(|&g| (0..rel.len()).any(|row| !rel.col(g).certain_at(row)))
+    {
+        Some("an uncertain PARTITION BY value")
+    } else {
+        None
     }
 }
 
-/// Full map diff (the recompute path's delta): every key present in either
-/// map whose entry changed.
-fn diff_maps(
-    before: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-    after: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-) -> Delta {
+/// A live window's answer, normalized: its rows are distinct (the input
+/// rows are, and each is extended by one aggregate), each of `k↑ = 1`.
+fn window_answer(m: &MaintainedWindow) -> AuColumns {
+    m.result()
+        .normalize()
+        .expect("a window's rows are distinct")
+}
+
+/// `after − before` as a [`Delta`]: one merge walk over two normalized
+/// relations in their canonical order, compared by whole-row key. A key on
+/// one side only is removed or added; a key on both under another
+/// multiplicity is removed at the old one and added at the new.
+fn diff(before: &AuColumns, after: &AuColumns) -> Delta {
+    debug_assert!(before.is_normalized() && after.is_normalized());
+    let (old, new) = (SortKey::of_columns(before), SortKey::of_columns(after));
+    let row = |cols: &AuColumns, i: usize| (cols.tuple(i), cols.mult(i));
     let mut delta = Delta::default();
-    for (key, b) in before {
-        match after.get(key) {
-            Some(a) if a == b => {}
-            _ => delta.removed.push(b.clone()),
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() || j < new.len() {
+        let ord = match (old.get(i), new.get(j)) {
+            (Some(a), Some(b)) => a.cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
+        };
+        match ord {
+            Ordering::Less => delta.removed.push(row(before, i)),
+            Ordering::Greater => delta.added.push(row(after, j)),
+            Ordering::Equal if before.mult(i) != after.mult(j) => {
+                delta.removed.push(row(before, i));
+                delta.added.push(row(after, j));
+            }
+            Ordering::Equal => {}
         }
-    }
-    for (key, a) in after {
-        match before.get(key) {
-            Some(b) if a == b => {}
-            _ => delta.added.push(a.clone()),
-        }
+        i += usize::from(ord.is_le());
+        j += usize::from(ord.is_ge());
     }
     delta
 }
@@ -589,6 +511,7 @@ mod tests {
     use crate::session::Session;
     use audb_core::RangeValue;
     use audb_rel::Schema;
+    use std::collections::BTreeMap;
     use std::sync::Arc as StdArc;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -638,22 +561,33 @@ mod tests {
         let rows = stream_rows(60, 5);
         let mut q = subscribe(&rows[..20], 16);
         let session = Session::new(Engine::native());
-        // Replay target: apply every delta to the initial value's map.
-        let mut replay: BTreeMap<SortKey, (AuTuple, Mult3)> = q.current.clone();
+        // Replay target: every delta applied to the initial value, by key.
+        let entries = |value: AuRelation| -> BTreeMap<SortKey, (AuTuple, Mult3)> {
+            (value.into_rows().into_iter())
+                .map(|row| (SortKey::of_row(&row.tuple), (row.tuple, row.mult)))
+                .collect()
+        };
+        let mut replay = entries(q.value());
         for chunk in rows[20..].chunks(7) {
             let delta = q.append(&rel_of(chunk)).unwrap();
             for (t, m) in &delta.removed {
-                sub_entry(&mut replay, SortKey::of_row(t), t, *m);
+                let old = replay.remove(&SortKey::of_row(t));
+                assert_eq!(
+                    old,
+                    Some((t.clone(), *m)),
+                    "removed at its old multiplicity"
+                );
             }
             for (t, m) in &delta.added {
-                add_entry(&mut replay, SortKey::of_row(t), t.clone(), *m);
+                let old = replay.insert(SortKey::of_row(t), (t.clone(), *m));
+                assert_eq!(old, None, "added over a live entry");
             }
             // Ground truth: full recompute over the accumulated rows.
             session.register("s", q.accumulated().contiguous().to_rows());
             let truth = session.sql(ROLLING_SQL).unwrap();
             let value = q.value();
             assert!(value.bag_eq(&truth), "value:\n{value}\ntruth:\n{truth}");
-            assert_eq!(replay, q.current, "deltas must replay to the value");
+            assert_eq!(replay, entries(value), "deltas must replay to the value");
         }
         let (inc, rec) = q.strategy_counts();
         assert!(inc >= 4, "expected mostly incremental appends, got {inc}");

@@ -307,6 +307,119 @@ fn duplicate_multiplicities_fall_back_for_good() {
     assert!(q.explain().contains("always recompute"), "{}", q.explain());
 }
 
+/// An uncertain `PARTITION BY` value arriving while the sweep is live ends
+/// maintenance for good: the sweep cannot place the row, and the value
+/// stays in the data.
+#[test]
+fn an_uncertain_partition_value_falls_back_for_good() {
+    let mut rng = Rng::new(0x6A0);
+    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut q = session.subscribe(PARTITIONED).unwrap().with_cutoff(6);
+    let mut replay = Replay::from_value(&q.value());
+
+    let mut t = 0i64;
+    for batch in 0..10 {
+        let mut rows: Vec<_> = (0..3)
+            .map(|_| {
+                t += 4;
+                let g = rng.below(3) as i64;
+                reading(&mut rng, g, t, true)
+            })
+            .collect();
+        if batch == 5 {
+            rows[1].0 .0[0] = RangeValue::new(0, 0, 1);
+        }
+        let delta = q
+            .append(&AuRelation::from_rows(sensor_schema(), rows))
+            .unwrap();
+        let want = match batch {
+            2..=4 => Strategy::Incremental,
+            _ => Strategy::Recompute,
+        };
+        assert_eq!(delta.strategy, want, "batch {batch}");
+        replay.apply(&delta);
+        assert_matches_all_backends(&q, &format!("partition batch {batch}"));
+        assert!(
+            replay
+                .value(q.value().schema.clone())
+                .bag_eq(&q.value().normalize()),
+            "partition batch {batch}: delta replay diverged"
+        );
+    }
+    let explain = q.explain();
+    assert!(
+        explain.contains("always recompute — appended rows carry an uncertain PARTITION BY"),
+        "{explain}"
+    );
+}
+
+/// Raising the cutoff past the accumulated rows drops the live sweep: every
+/// later append recomputes, and the answer the sweep held is the one the
+/// deltas go on from.
+#[test]
+fn raising_the_cutoff_midstream_drops_the_live_state() {
+    let mut rng = Rng::new(0xC07);
+    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut replay = Replay::from_value(&q.value());
+
+    let mut t = 0i64;
+    for batch in 0..12 {
+        if batch == 6 {
+            q = q.with_cutoff(usize::MAX);
+        }
+        let rows: Vec<_> = (0..3)
+            .map(|_| {
+                t += 4;
+                reading(&mut rng, 0, t, true)
+            })
+            .collect();
+        let delta = q
+            .append(&AuRelation::from_rows(sensor_schema(), rows))
+            .unwrap();
+        let want = match batch {
+            2..=5 => Strategy::Incremental,
+            _ => Strategy::Recompute,
+        };
+        assert_eq!(delta.strategy, want, "batch {batch}");
+        replay.apply(&delta);
+        assert_matches_all_backends(&q, &format!("cutoff batch {batch}"));
+        assert!(
+            replay
+                .value(q.value().schema.clone())
+                .bag_eq(&q.value().normalize()),
+            "cutoff batch {batch}: delta replay diverged"
+        );
+    }
+}
+
+/// Rows appended again are the same keys at new multiplicities: the delta
+/// removes each old entry and adds the merged one. (A selection recomputes
+/// every append, so this is the diff of the whole answer.)
+#[test]
+fn a_repeated_row_is_removed_and_added_at_its_new_multiplicity() {
+    let mut rng = Rng::new(0x2E9);
+    let rows: Vec<_> = (0..4).map(|i| reading(&mut rng, 0, 4 * i, true)).collect();
+    let session = session_with(&AuRelation::from_rows(sensor_schema(), rows.clone()));
+    let mut q = session.subscribe("SELECT * FROM s WHERE v < 100").unwrap();
+    let mut replay = Replay::from_value(&q.value());
+    let again = AuRelation::from_rows(sensor_schema(), rows[1..3].iter().cloned());
+    let delta = q.append(&again).unwrap();
+    assert_eq!(
+        (delta.removed.len(), delta.added.len()),
+        (2, 2),
+        "{delta:?}"
+    );
+    replay.apply(&delta);
+    assert_matches_all_backends(&q, "repeated rows");
+    assert!(
+        replay
+            .value(q.value().schema.clone())
+            .bag_eq(&q.value().normalize()),
+        "repeated rows: delta replay diverged"
+    );
+}
+
 #[test]
 fn topk_subscription_is_exact_in_any_order() {
     let mut rng = Rng::new(0x70CC);

@@ -27,6 +27,12 @@
 //! operator runs — `window_native` itself is the one-batch special case,
 //! which keeps the two permanently in agreement.
 //!
+//! [`MaintainedWindow::in_order`] asks this per partition, as a `bool`: a
+//! row with an uncertain PARTITION BY value belongs to no partition, so its
+//! batch is never in order. Why a batch cannot be absorbed — a frontier
+//! overlap to rebuild after, or data the native window hands to the
+//! reference for good — is its caller's to tell, from the batch.
+//!
 //! Already-closed windows are final: when the sweep closes `s` because an
 //! incoming tuple has `τ↓ > s.τ↑ + u`, at least `s.τ↑ + u + 1` rows
 //! certainly precede that tuple, so the guaranteed-slot count of
@@ -34,7 +40,9 @@
 //! can enter `s`'s certain set, possible pool, or selected-guess frame.
 //! Open windows are closed *non-destructively* by
 //! [`WindowMaintain::open_rows`] — their provisional bounds equal what a
-//! full recompute over the data seen so far would produce.
+//! full recompute over the data seen so far would produce. Closed rows and
+//! open rows together are the answer; a subscription keeps no other copy
+//! of it.
 //!
 //! ## Sweep state
 //!
@@ -43,10 +51,10 @@
 //! attribute's range, `k↓ ≥ 1`, `k_sg ≥ 1`, and where the input row is
 //! (the number of the batch that fed it, the row there). A closing window
 //! leaves a [`WindowRow`] — that address, the annotation and the aggregate
-//! `X` — and whoever wants the output tuple builds it from the columns
-//! ([`WindowRow::build`]): the one-shot operator once per row, already in
-//! its output order; [`MaintainedWindow`], which keeps the batches it was
-//! fed, when it drains. Items are indexed by arrival order, which is
+//! `X` — and whoever wants the output gathers it from the input lanes,
+//! extended by one aggregate column: the one-shot operator once, already
+//! in its output order; [`MaintainedWindow`], which keeps the rows it was
+//! fed, whenever it is asked. Items are indexed by arrival order, which is
 //! `(τ↓, τ↑)`-ascending, so
 //!
 //! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
@@ -94,11 +102,11 @@
 //! appends perform no allocation inside the connected heap.
 
 use crate::sort::{band_rows, positions, sort_columns_native};
-use crate::window::partitions;
+use crate::window::{aggregate_column, partitions};
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
-    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuRelation, AuTuple, AuWindowSpec,
-    Corner, KeyArena, Mult3, RangeValue, WinAgg,
+    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
+    KeyArena, Mult3, RangeValue, WinAgg,
 };
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
@@ -136,9 +144,8 @@ impl Item {
 
 /// One output row of the sweep, not yet a tuple: row `row` of the
 /// `batch`-th batch fed, extended by its window's aggregate `x`. Whoever
-/// wants the tuple builds it from the columns ([`WindowRow::build`]) — the
-/// one-shot operator once per row, in its output order; a subscription when
-/// it drains.
+/// wants the output gathers it from the input lanes — the one-shot
+/// operator once, in its output order; [`MaintainedWindow`] when asked.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WindowRow {
     /// Which of the batches fed so far holds the input row.
@@ -149,17 +156,6 @@ pub struct WindowRow {
     pub mult: Mult3,
     /// The window aggregate: the output attribute.
     pub x: RangeValue,
-}
-
-impl WindowRow {
-    /// The output row as a tuple, read from the batches that were fed.
-    pub fn build(&self, batches: &[AuColumns]) -> (AuTuple, Mult3) {
-        let cols = &batches[self.batch as usize];
-        let mut vals = Vec::with_capacity(cols.arity() + 1);
-        vals.extend((0..cols.arity()).map(|c| cols.col(c).range_value(self.row as usize)));
-        vals.push(self.x.clone());
-        (AuTuple(vals), self.mult)
-    }
 }
 
 /// Pool payload: everything the three heap orders and the membership test
@@ -880,16 +876,16 @@ fn existing_rows(cols: &AuColumns) -> Vec<usize> {
 
 /// Append maintenance of a (possibly partitioned) window query: routes
 /// batches to per-partition [`WindowMaintain`] sweeps, creating sweeps for
-/// partitions as they first appear (partition churn), and keeps the batches
-/// — columns, as they were fed — to build output tuples from when asked.
+/// partitions as they first appear (partition churn), and keeps the rows
+/// fed — columns, batch after batch — to gather its output from when asked.
 pub struct MaintainedWindow {
-    /// The output's schema: the input's and the aggregate.
-    out_schema: Schema,
     spec: AuWindowSpec,
     inner: AuWindowSpec,
     agg: WinAgg,
-    /// Every batch fed, by the number its [`WindowRow`]s carry.
-    batches: Vec<AuColumns>,
+    out_name: String,
+    /// Every row fed; the batch numbered `b` starts at row `starts[b]`.
+    fed: AuColumns,
+    starts: Vec<usize>,
     /// Per-partition sweep + count of closed rows already drained, by the
     /// key of the partition value ([`partitions`]).
     parts: BTreeMap<Vec<u8>, (WindowMaintain, usize)>,
@@ -910,10 +906,11 @@ impl MaintainedWindow {
             upper: spec.upper,
         };
         MaintainedWindow {
-            out_schema: schema.with(out_name),
             inner,
             agg,
-            batches: Vec::new(),
+            out_name: out_name.to_string(),
+            fed: AuColumns::empty(schema),
+            starts: Vec::new(),
             parts: BTreeMap::new(),
             spec,
         }
@@ -929,80 +926,85 @@ impl MaintainedWindow {
         self.len() == 0
     }
 
-    /// Can `batch` be absorbed incrementally? Every row needs certain
-    /// PARTITION BY attributes and every touched partition must receive
-    /// its rows strictly after its frontier.
-    pub fn check_batch(&self, batch: &AuColumns) -> Result<(), String> {
-        for (value, rows) in partitions(batch, &self.spec.partition)? {
-            if let Some((sweep, _)) = self.parts.get(&value) {
-                if !sweep.rows_in_order(batch, &rows) {
-                    return Err(
-                        "appended rows do not sit strictly after the accumulated rows \
-                         in ORDER BY (frontier overlap)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        Ok(())
+    /// Can `batch` be absorbed incrementally: does every partition it
+    /// touches receive its rows strictly after that partition's frontier?
+    /// A row with an uncertain PARTITION BY value has no partition to go
+    /// to: such a batch is never in order.
+    pub fn in_order(&self, batch: &AuColumns) -> bool {
+        partitions(batch, &self.spec.partition).is_ok_and(|parts| {
+            (parts.iter()).all(|(value, rows)| {
+                (self.parts.get(value)).is_none_or(|(sweep, _)| sweep.rows_in_order(batch, rows))
+            })
+        })
     }
 
-    /// Absorb one batch. The caller ran [`MaintainedWindow::check_batch`]:
+    /// Absorb one batch. The caller asked [`MaintainedWindow::in_order`]:
     /// an uncertain PARTITION BY value panics here.
     pub fn apply(&mut self, batch: &AuColumns) {
-        let parts = partitions(batch, &self.spec.partition).expect("check_batch accepted it");
-        let number = self.batches.len() as u32;
+        let parts = partitions(batch, &self.spec.partition).expect("in_order accepted it");
+        let number = self.starts.len() as u32;
         for (value, rows) in parts {
             let (sweep, _) = (self.parts.entry(value))
                 .or_insert_with(|| (WindowMaintain::new(self.inner.clone(), self.agg), 0));
             sweep.apply_rows(batch, number, &rows, batch.is_normalized(), &mut |_| {});
         }
-        self.batches.push(batch.clone());
+        self.starts.push(self.fed.len());
+        self.fed.append(batch.clone());
     }
 
     /// The full current output over all partitions, in deterministic
     /// partition-key order: per partition the closed rows, then a
     /// non-destructive flush of the still-open windows. Unnormalized.
-    pub fn result(&self) -> AuRelation {
-        let mut out = AuRelation::empty(self.out_schema.clone());
-        for (part, _) in self.parts.values() {
-            for row in part.closed_rows().iter().chain(&part.open_rows()) {
-                let (tuple, mult) = row.build(&self.batches);
-                out.push(tuple, mult);
-            }
-        }
-        out
+    pub fn result(&self) -> AuColumns {
+        let open: Vec<Vec<WindowRow>> = self.parts.values().map(|(p, _)| p.open_rows()).collect();
+        let rows = (self.parts.values().zip(&open))
+            .flat_map(|((part, _), open)| part.closed_rows().iter().chain(open));
+        self.gather(rows.collect())
     }
 
     /// [`MaintainedWindow::result`], consuming the sweeps: the open
     /// windows close for good.
-    pub fn into_result(self) -> AuRelation {
-        let batches = &self.batches;
-        let rows = (self.parts.into_values())
-            .flat_map(|(part, _)| part.finish())
-            .map(|row| row.build(batches));
-        AuRelation::from_rows(self.out_schema, rows)
+    pub fn into_result(mut self) -> AuColumns {
+        let parts = std::mem::take(&mut self.parts);
+        let rows: Vec<WindowRow> = parts.into_values().flat_map(|(p, _)| p.finish()).collect();
+        self.gather(rows.iter().collect())
     }
 
     /// Output rows closed (finalized) since the last drain, across all
     /// partitions in partition-key order.
-    pub fn drain_new_closed(&mut self) -> Vec<(AuTuple, Mult3)> {
-        let mut out = Vec::new();
-        for (part, drained) in self.parts.values_mut() {
-            let closed = &part.closed_rows()[*drained..];
-            out.extend(closed.iter().map(|row| row.build(&self.batches)));
-            *drained = part.closed_rows().len();
-        }
-        out
+    pub fn drain_new_closed(&mut self) -> AuColumns {
+        let from: Vec<usize> = (self.parts.values_mut())
+            .map(|(part, drained)| std::mem::replace(drained, part.closed_rows().len()))
+            .collect();
+        let rows = (self.parts.values().zip(from))
+            .flat_map(|((part, _), from)| &part.closed_rows()[from..]);
+        self.gather(rows.collect())
     }
 
     /// Provisional rows of every still-open window, across all partitions
     /// in partition-key order.
-    pub fn open_result(&self) -> Vec<(AuTuple, Mult3)> {
-        (self.parts.values())
-            .flat_map(|(part, _)| part.open_rows())
-            .map(|row| row.build(&self.batches))
-            .collect()
+    pub fn open_result(&self) -> AuColumns {
+        let rows: Vec<WindowRow> = self
+            .parts
+            .values()
+            .flat_map(|(p, _)| p.open_rows())
+            .collect();
+        self.gather(rows.iter().collect())
+    }
+
+    /// The output rows `rows`: the fed lanes gathered at their input rows,
+    /// extended by their aggregates.
+    fn gather(&self, rows: Vec<&WindowRow>) -> AuColumns {
+        let mut idxs = Vec::with_capacity(rows.len());
+        let mut mults = [0; 3].map(|_| Vec::with_capacity(rows.len()));
+        for r in &rows {
+            idxs.push(self.starts[r.batch as usize] + r.row as usize);
+            mults[0].push(r.mult.lb);
+            mults[1].push(r.mult.sg);
+            mults[2].push(r.mult.ub);
+        }
+        let x = aggregate_column(rows.iter().map(|r| &r.x));
+        self.fed.gather_extended(&idxs, mults, &self.out_name, x)
     }
 }
 
@@ -1079,7 +1081,7 @@ mod tests {
     use super::*;
     use crate::sort::topk_native;
     use crate::window::window_native;
-    use audb_core::{window_ref, CmpSemantics};
+    use audb_core::{window_ref, AuRelation, CmpSemantics};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)
@@ -1136,10 +1138,10 @@ mod tests {
                 // Feed in uneven batches.
                 for chunk in rows.chunks(7) {
                     let batch = rel_of(chunk).to_columns();
-                    m.check_batch(&batch).expect("in order");
+                    assert!(m.in_order(&batch));
                     m.apply(&batch);
                 }
-                let inc = m.result().normalize();
+                let inc = m.result().to_rows();
                 let one_shot = window_native(&all, &spec, agg, "x");
                 assert!(
                     inc.bag_eq(&one_shot),
@@ -1161,7 +1163,7 @@ mod tests {
         for chunk in rows.chunks(3) {
             m.apply(&rel_of(chunk).to_columns());
             acc.extend(chunk.iter().cloned());
-            let inc = m.result().normalize();
+            let inc = m.result().to_rows();
             let full = window_native(&rel_of(&acc), &spec, WinAgg::Sum(1), "x");
             assert!(
                 inc.bag_eq(&full),
@@ -1202,14 +1204,14 @@ mod tests {
             let spec = AuWindowSpec::rows(vec![0], l, u);
             let mut m =
                 MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
-            let mut drained: Vec<(AuTuple, Mult3)> = Vec::new();
+            let mut drained = AuColumns::empty(Schema::new(["o", "v", "x"]));
             let mut fed = 0;
             for (batch, size) in [1usize, 13, 2, 2, 30, 5, 1, 36].into_iter().enumerate() {
                 m.apply(&rel_of(&rows[fed..fed + size]).to_columns());
                 fed += size;
                 // Windows closed two and three batches ago are drained now.
                 if batch % 3 == 2 {
-                    drained.extend(m.drain_new_closed());
+                    drained.append(m.drain_new_closed());
                 }
             }
             assert_eq!(fed, rows.len());
@@ -1218,15 +1220,15 @@ mod tests {
                 "{} rows drained on the way",
                 drained.len()
             );
-            drained.extend(m.drain_new_closed());
-            drained.extend(m.open_result());
-            let streamed = AuRelation::from_rows(Schema::new(["o", "v", "x"]), drained);
+            drained.append(m.drain_new_closed());
+            drained.append(m.open_result());
+            let streamed = drained.to_rows();
             let one_shot = window_native(&all, &spec, WinAgg::Sum(1), "x");
             assert!(
                 streamed.bag_eq(&one_shot),
                 "l={l} u={u}\nstreamed:\n{streamed}\none-shot:\n{one_shot}"
             );
-            assert!(m.result().bag_eq(&one_shot));
+            assert!(m.result().to_rows().bag_eq(&one_shot));
         }
     }
 
@@ -1267,10 +1269,10 @@ mod tests {
             }
             let batch_cols =
                 AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-            m.check_batch(&batch_cols).expect("in order");
+            assert!(m.in_order(&batch_cols));
             m.apply(&batch_cols);
             acc.extend(batch);
-            let inc = m.result().normalize();
+            let inc = m.result().to_rows();
             let full = window_native(
                 &AuRelation::from_rows(schema.clone(), acc.iter().cloned()),
                 &spec,
@@ -1279,7 +1281,7 @@ mod tests {
             );
             assert!(inc.bag_eq(&full), "batch {b}\ninc:\n{inc}\nfull:\n{full}");
         }
-        // Uncertain partition value is rejected, not swept.
+        // A batch with an uncertain partition value is never in order.
         let bad = AuRelation::from_rows(
             schema,
             [(
@@ -1287,7 +1289,7 @@ mod tests {
                 Mult3::ONE,
             )],
         );
-        assert!(m.check_batch(&bad.to_columns()).is_err());
+        assert!(!m.in_order(&bad.to_columns()));
     }
 
     #[test]

@@ -268,7 +268,9 @@ fn run(
 /// three `i64` lanes and their certainty bits written in one pass while
 /// every bound is an integer (any aggregate of integer data short of a
 /// `SUM` that left `i64`), else whatever layout the values infer.
-fn aggregate_column<'a>(xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone) -> AuColumn {
+pub(crate) fn aggregate_column<'a>(
+    xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone,
+) -> AuColumn {
     let mut lanes = [0; 3].map(|_| Vec::with_capacity(xs.len()));
     for x in xs.clone() {
         let (Some(lb), Some(sg), Some(ub)) = (x.lb.as_i64(), x.sg.as_i64(), x.ub.as_i64()) else {

@@ -38,20 +38,9 @@ impl Schema {
             .unwrap_or_else(|| panic!("schema {:?} has no column {name:?}", self.cols))
     }
 
-    /// Concatenate two schemas (`Sch(R) ∘ X`).
-    pub fn concat(&self, other: &Schema) -> Schema {
-        Schema::new(self.cols.iter().chain(other.cols.iter()).cloned())
-    }
-
     /// Extend with one more attribute.
     pub fn with(&self, name: impl Into<String>) -> Schema {
         Schema::new(self.cols.iter().cloned().chain([name.into()]))
-    }
-
-    /// Indices of all attributes *not* in `subset` (used for the `<total_O`
-    /// tie-breaker which extends the order-by list by the remaining columns).
-    pub fn complement(&self, subset: &[usize]) -> Vec<usize> {
-        (0..self.arity()).filter(|i| !subset.contains(i)).collect()
     }
 }
 
@@ -71,16 +60,7 @@ mod tests {
         assert_eq!(s.arity(), 2);
         assert_eq!(s.col("b"), 1);
         assert_eq!(s.index_of("z"), None);
-        let t = s.concat(&Schema::new(["c"]));
-        assert_eq!(t.cols(), &["a", "b", "c"]);
         assert_eq!(s.with("pos").cols(), &["a", "b", "pos"]);
-    }
-
-    #[test]
-    fn complement_indices() {
-        let s = Schema::new(["a", "b", "c", "d"]);
-        assert_eq!(s.complement(&[1, 3]), vec![0, 2]);
-        assert_eq!(s.complement(&[]), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -31,14 +31,6 @@ impl Tuple {
         Tuple(vals)
     }
 
-    /// Concatenate with another tuple (`t ∘ t'`).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut vals = Vec::with_capacity(self.0.len() + other.0.len());
-        vals.extend_from_slice(&self.0);
-        vals.extend_from_slice(&other.0);
-        Tuple(vals)
-    }
-
     /// Extend with one more value. Pre-sized: `clone()` + `push` would
     /// reallocate on every call (clone capacity equals length).
     pub fn with(&self, v: Value) -> Tuple {
@@ -94,7 +86,6 @@ mod tests {
     fn project_and_concat() {
         let a = t(&[1, 2, 3]);
         assert_eq!(a.project(&[2, 0]), t(&[3, 1]));
-        assert_eq!(a.concat(&t(&[9])), t(&[1, 2, 3, 9]));
         assert_eq!(a.with(Value::Int(7)), t(&[1, 2, 3, 7]));
     }
 

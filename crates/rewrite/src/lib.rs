@@ -6,8 +6,8 @@
 //! and evaluated by any deterministic DBMS. This crate implements those
 //! rewrites against the `audb-rel` engine:
 //!
-//! * [`sort::rewr_sort`] / [`sort::rewr_topk`] — Fig. 7: endpoint union +
-//!   running sums + group-merge.
+//! * [`sort::rewr_sort`] — Fig. 7: endpoint union + running sums +
+//!   group-merge.
 //! * [`window::rewr_window`] — Fig. 8: range-overlap self-join + per-tuple
 //!   window classification; [`window::JoinStrategy::IntervalIndex`] is the
 //!   paper's `Rewr(index)` variant backed by [`index::IntervalIndex`].
@@ -22,5 +22,5 @@ pub mod sort;
 pub mod window;
 
 pub use index::IntervalIndex;
-pub use sort::{endpoint_union, rewr_sort, rewr_topk};
+pub use sort::{endpoint_union, rewr_sort};
 pub use window::{rewr_window, JoinStrategy};

@@ -19,7 +19,7 @@
 //! reference and to the native algorithm (property-tested).
 
 use audb_core::encode::{encode, lb_col, mult_cols, sg_col, ub_col};
-use audb_core::{AuRelation, Mult3, RangeExpr, RangeValue};
+use audb_core::{AuRelation, Mult3, RangeValue};
 use audb_rel::ops::project::project;
 use audb_rel::ops::sort::total_order;
 use audb_rel::{union, Expr, Relation, Tuple};
@@ -214,21 +214,10 @@ pub fn rewr_sort(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelatio
     out
 }
 
-/// Top-k via the rewrite: `σ_{τ < k}` over [`rewr_sort`] with the AU-DB
-/// selection semantics (same output as [`audb_core::topk_ref`]).
-pub fn rewr_topk(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
-    let sorted = rewr_sort(rel, order, pos_name);
-    let pos_col = sorted.schema.arity() - 1;
-    audb_core::au_select(
-        &sorted,
-        &RangeExpr::col(pos_col).lt(RangeExpr::lit(k as i64)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{sort_ref, topk_ref, AuTuple, CmpSemantics};
+    use audb_core::{sort_ref, AuTuple, CmpSemantics};
     use audb_rel::Schema;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -260,15 +249,6 @@ mod tests {
         let got = rewr_sort(&example6(), &[0, 1], "pos");
         let want = sort_ref(&example6(), &[0, 1], "pos", CmpSemantics::IntervalLex);
         assert!(got.bag_eq(&want), "got:\n{got}\nwant:\n{want}");
-    }
-
-    #[test]
-    fn rewrite_topk_matches_reference() {
-        for k in 0..5 {
-            let got = rewr_topk(&example6(), &[0, 1], k, "pos");
-            let want = topk_ref(&example6(), &[0, 1], k, CmpSemantics::IntervalLex);
-            assert!(got.bag_eq(&want), "k={k}\ngot:\n{got}\nwant:\n{want}");
-        }
     }
 
     #[test]

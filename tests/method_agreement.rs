@@ -15,7 +15,7 @@ use audb::native::{
     MaintainedWindow, TopKMaintain,
 };
 use audb::rel::{Schema, Value};
-use audb::rewrite::{rewr_sort, rewr_topk, rewr_window, JoinStrategy};
+use audb::rewrite::{rewr_sort, rewr_window, JoinStrategy};
 use proptest::prelude::*;
 
 /// Random range value over a small domain.
@@ -150,11 +150,6 @@ proptest! {
         cap_positions(&mut reference, k);
         let native = topk_native(&rel, &[0], k, "pos");
         prop_assert!(native.bag_eq(&reference), "k={k}\nnative:\n{native}\nref:\n{reference}");
-
-        // The rewrite keeps reference (uncapped) semantics.
-        let rewrite = rewr_topk(&rel, &[0], k, "pos");
-        let reference_raw = topk_ref(&rel, &[0], k, CmpSemantics::IntervalLex);
-        prop_assert!(rewrite.bag_eq(&reference_raw));
 
         // The engine's one sort hook, limited, is that σ_{τ<k} + cap on
         // both oracle backends — and the plain sort when it is not.
@@ -474,15 +469,15 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                             let batch =
                                 AuRelation::from_rows(schema.clone(), batch.iter().cloned())
                                     .to_columns();
-                            maintained.check_batch(&batch).expect("batch is in order");
+                            assert!(maintained.in_order(&batch), "batch is in order");
                             maintained.apply(&batch);
                         }
                         assert!(
-                            maintained.result().bag_eq(&native),
+                            maintained.result().to_rows().bag_eq(&native),
                             "maintained ≠ one-shot: {what}"
                         );
                         assert!(
-                            maintained.into_result().bag_eq(&native),
+                            maintained.into_result().to_rows().bag_eq(&native),
                             "maintained (consumed) ≠ one-shot: {what}"
                         );
                     }
@@ -578,7 +573,7 @@ fn window_pool_words_that_tie_agree_with_the_reference() {
                     maintained.apply(&batch.to_columns());
                 }
                 assert!(
-                    maintained.result().bag_eq(&reference),
+                    maintained.result().to_rows().bag_eq(&reference),
                     "maintained ≠ reference: {what}"
                 );
                 overflowed += (native.rows().iter())
@@ -1274,7 +1269,7 @@ fn native_window_rows_are_the_normalized_rows() {
                 merged_back += in_close_order.len() - kernel.rel.len();
                 assert_eq!(
                     kernel.rel.to_rows().rows(),
-                    in_close_order.normalize().rows(),
+                    in_close_order.to_rows().normalize().rows(),
                     "{what}"
                 );
             }
