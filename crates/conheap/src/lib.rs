@@ -423,7 +423,7 @@ impl<T> Arena<T> {
 /// Does node `a` of component `h` — records `nodes`, their words `words` —
 /// order before node `b`? The words decide unless equal; the records only
 /// then.
-#[inline]
+#[inline(always)]
 fn less<T, O: HeapOrder<T>>(
     order: &O,
     h: usize,
@@ -460,7 +460,7 @@ impl<T> Component<'_, T> {
 
     /// Swap nodes `a` and `b`, their words with them, and point their
     /// records at their new places.
-    #[inline]
+    #[inline(always)]
     fn swap<O: HeapOrder<T>>(&mut self, a: usize, b: usize) {
         self.nodes.swap(a, b);
         if O::WORDS {

@@ -71,7 +71,7 @@ impl fmt::Display for BackendChoice {
 /// assert!(top.to_rows().bag_eq(&agreed.output.to_rows()));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Engine {
     choice: BackendChoice,
     semantics: CmpSemantics,

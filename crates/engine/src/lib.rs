@@ -62,7 +62,7 @@ pub use exec::{ExecMode, ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
 pub use maintain::{Delta, MaintainedQuery, Strategy, DEFAULT_INCREMENTAL_CUTOFF};
 pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
-pub use plancache::{CacheStats, PlanCache};
+pub use plancache::{CacheStats, PlanCache, MAX_ANSWER_BYTES};
 pub use print::plan_to_sql;
 pub use session::{Prepared, Session};
 

@@ -9,16 +9,26 @@
 //! over different tables can never collide (the table name is part of the
 //! canonical text).
 //!
-//! Invalidation: the cache carries one catalog-version stamp, and every
-//! resident plan was compiled at that version. Lookups key on the
-//! catalog's *current* version and versions only grow, so the first lookup
-//! after a `register`/`deregister`/`append` drops every resident plan at
-//! once — a plan can never serve stale data, and a superseded table
-//! version (its tail; sealed segments live on in the next version) is
-//! pinned by the cache no longer than until the next lookup.
-//! (Statements already handed out keep executing on their pinned
+//! Invalidation is per table. A plan reads exactly one table version — the
+//! `Arc<Table>` it was bound to — so it is valid as long as that handle is
+//! still the one its table's name maps to. The cache remembers the catalog
+//! version it last checked its plans against; the first lookup at a newer
+//! version drops exactly the plans whose table handle is no longer the
+//! published one (`Arc::ptr_eq`), and keeps every other plan with its
+//! aliases and LRU position. So an `append` to `w` drops the plans that
+//! read `w` and none that read `r`; a plan can never serve stale data; and
+//! a superseded table version (its tail; sealed segments live on in the
+//! next version) is pinned by the cache no longer than until the next
+//! lookup. (Statements already handed out keep executing on their pinned
 //! snapshot.) A lookup that raced a publication and still holds an older
 //! version compiles its plan and returns it without inserting.
+//!
+//! Answers: a plan reads one immutable table version, so every execution
+//! of it returns the same bag. [`PlanCache::answer`] keeps a statement's
+//! normalized answer in the statement itself — shared by every clone of
+//! the [`Prepared`], the cached one included — when it is at most
+//! [`MAX_ANSWER_BYTES`], and serves it from there on. A dropped plan takes
+//! its answer with it.
 //!
 //! A raw-text alias map (`text as sent → canonical key`) fronts the
 //! canonical map, so the common case — the *same* string arriving again —
@@ -29,16 +39,26 @@
 //! level's to unify, at one parse + bind per distinct text.
 //!
 //! Eviction is LRU at a fixed capacity. All state sits behind one
-//! [`Mutex`]; compilation of a missing entry and the freeing of
-//! superseded plans happen *outside* the lock, so neither a slow bind nor
-//! a large drop blocks other sessions' cache hits.
+//! [`Mutex`]; compilation of a missing entry, execution of a missing
+//! answer and the freeing of superseded plans happen *outside* the lock,
+//! so neither a slow bind nor a large drop blocks other sessions' cache
+//! hits.
 
 use crate::catalog::{Catalog, SharedCatalog};
+use crate::engine::Engine;
 use crate::error::SessionError;
 use crate::session::Prepared;
+use audb_core::AuColumns;
 use audb_sql::ast;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The largest answer a statement keeps, by [`AuColumns::heap_bytes`]: a
+/// page of ≈ 1 000 ranked rows fits, and a full cache of
+/// [`PlanCache::DEFAULT_CAPACITY`] statements holds at most 64 MiB of
+/// answers. A larger answer is recomputed on every request.
+pub const MAX_ANSWER_BYTES: usize = 256 << 10;
 
 /// Cache key: canonical text, or the text as sent.
 type Key = String;
@@ -51,17 +71,38 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that compiled a fresh plan.
     pub misses: u64,
-    /// Plans currently resident (all of the current catalog version).
+    /// Answers served from a statement's kept answer, not executed.
+    pub answered: u64,
+    /// Plans dropped at a publication because their table changed.
+    pub dropped: u64,
+    /// Plans currently resident (each reading the current version of its
+    /// table, as of the last lookup).
     pub len: usize,
     /// Maximum resident plans before LRU eviction.
     pub capacity: usize,
 }
 
-/// The resident plans, all compiled at one catalog version.
+/// One resident plan and the name of the table it reads.
+#[derive(Debug)]
+struct Entry {
+    table: String,
+    prepared: Prepared,
+}
+
+impl Entry {
+    /// Is the table version this plan reads still the published one?
+    fn is_current(&self, snapshot: &Catalog) -> bool {
+        snapshot
+            .get(&self.table)
+            .is_some_and(|t| Arc::ptr_eq(t, self.prepared.plan().source_columns()))
+    }
+}
+
+/// The resident plans, each valid at the cache's catalog version.
 #[derive(Debug, Default)]
 struct Entries {
     /// Canonical key → compiled plan.
-    plans: HashMap<Key, Prepared>,
+    plans: HashMap<Key, Entry>,
     /// LRU order over `plans` keys: front = coldest, back = hottest.
     order: VecDeque<Key>,
     /// Raw-text fast path: text as sent → canonical key.
@@ -70,11 +111,13 @@ struct Entries {
 
 #[derive(Debug, Default)]
 struct CacheState {
-    /// Catalog version `entries` were compiled at.
+    /// Catalog version `entries` were last checked against.
     version: u64,
     entries: Entries,
     hits: u64,
     misses: u64,
+    answered: u64,
+    dropped: u64,
 }
 
 /// A bounded LRU of compiled plans keyed on normalized SQL; see the
@@ -121,6 +164,8 @@ impl PlanCache {
         CacheStats {
             hits: s.hits,
             misses: s.misses,
+            answered: s.answered,
+            dropped: s.dropped,
             len: s.entries.plans.len(),
             capacity: self.capacity,
         }
@@ -149,7 +194,7 @@ impl PlanCache {
         let raw_key = as_sent(sql).to_string();
 
         let mut s = self.lock();
-        let superseded = s.advance_to(version);
+        let superseded = s.advance_to(version, snapshot);
         let hit = if s.version == version {
             s.entries.lookup(&raw_key)
         } else {
@@ -172,7 +217,8 @@ impl PlanCache {
         // so a stale optimization can never be served.
         let stmt = audb_sql::parse(sql)?;
         let plan = crate::bind::compile(&stmt, snapshot)?;
-        let canonical = plan.to_sql(root_table(&stmt));
+        let table = root_table(&stmt);
+        let canonical = plan.to_sql(table);
         let prepared = Prepared::from_plan(crate::optimize::optimize(&plan));
 
         let mut s = self.lock();
@@ -184,14 +230,19 @@ impl PlanCache {
         }
         s.entries
             .remember_alias(raw_key, canonical.clone(), self.capacity);
-        if let Some(existing) = s.entries.plans.get(&canonical).cloned() {
+        if let Some(existing) = s.entries.plans.get(&canonical) {
             // A normalized-equivalent text (or a racing thread) already
             // resident: reuse its plan, count the normalization hit.
+            let existing = existing.prepared.clone();
             s.entries.touch(&canonical);
             s.hits += 1;
             return Ok((existing, true));
         }
-        s.entries.plans.insert(canonical.clone(), prepared.clone());
+        let entry = Entry {
+            table: table.to_string(),
+            prepared: prepared.clone(),
+        };
+        s.entries.plans.insert(canonical.clone(), entry);
         s.entries.order.push_back(canonical);
         s.misses += 1;
         while s.entries.plans.len() > self.capacity {
@@ -202,18 +253,44 @@ impl PlanCache {
         }
         Ok((prepared, false))
     }
+
+    /// The normalized answer of `prepared` on `engine`: the answer the
+    /// statement kept (counted in [`CacheStats::answered`]), or executed
+    /// and normalized now, then kept if it is at most
+    /// [`MAX_ANSWER_BYTES`]. Sound because the plan reads one immutable
+    /// table version; the kept answer is tagged with the engine that
+    /// computed it, and another engine executes. Execution runs outside
+    /// the cache lock.
+    pub fn answer<'p>(
+        &self,
+        engine: &Engine,
+        prepared: &'p Prepared,
+    ) -> Result<Cow<'p, AuColumns>, SessionError> {
+        if let Some(kept) = prepared.kept_answer(engine) {
+            self.lock().answered += 1;
+            return Ok(Cow::Borrowed(kept));
+        }
+        let cols = engine.execute(prepared.plan())?.normalize()?;
+        if cols.heap_bytes() > MAX_ANSWER_BYTES {
+            return Ok(Cow::Owned(cols));
+        }
+        Ok(prepared.keep_answer(engine, cols))
+    }
 }
 
 impl CacheState {
-    /// Move the cache to a newer catalog version, handing back the
-    /// entries of the superseded one for the caller to drop outside the
-    /// lock: no lookup can hit them again. A `version` at or below the
-    /// cache's leaves it untouched.
-    fn advance_to(&mut self, version: u64) -> Option<Entries> {
-        (version > self.version).then(|| {
-            self.version = version;
-            std::mem::take(&mut self.entries)
-        })
+    /// Move the cache to a newer catalog version, handing back the plans
+    /// whose table changed for the caller to drop outside the lock: each
+    /// pins a superseded table version, and no lookup can hit it again.
+    /// A `version` at or below the cache's leaves it untouched.
+    fn advance_to(&mut self, version: u64, snapshot: &Catalog) -> Vec<Entry> {
+        if version <= self.version {
+            return Vec::new();
+        }
+        self.version = version;
+        let stale = self.entries.drop_stale(snapshot);
+        self.dropped += stale.len() as u64;
+        stale
     }
 }
 
@@ -221,9 +298,26 @@ impl Entries {
     /// The raw-text fast path: alias → canonical key → plan, touched.
     fn lookup(&mut self, raw: &Key) -> Option<Prepared> {
         let canonical = self.aliases.get(raw)?.clone();
-        let prepared = self.plans.get(&canonical)?.clone();
+        let prepared = self.plans.get(&canonical)?.prepared.clone();
         self.touch(&canonical);
         Some(prepared)
+    }
+
+    /// Take out every plan whose table version is no longer the one
+    /// `snapshot` publishes, with its LRU position and aliases; the rest
+    /// stay as they were.
+    fn drop_stale(&mut self, snapshot: &Catalog) -> Vec<Entry> {
+        let stale: Vec<Entry> = self
+            .plans
+            .extract_if(|_, entry| !entry.is_current(snapshot))
+            .map(|(_, entry)| entry)
+            .collect();
+        if !stale.is_empty() {
+            let plans = &self.plans;
+            self.order.retain(|key| plans.contains_key(key));
+            self.aliases.retain(|_, key| plans.contains_key(key));
+        }
+        stale
     }
 
     /// Move `key` to the hot end of the LRU order.
@@ -398,33 +492,109 @@ mod tests {
         assert_eq!(s.execute(&p).unwrap().len(), 3);
     }
 
-    /// Publication empties the cache: after an `append`, the first lookup
-    /// drops every plan of the superseded version (they could never be
-    /// hit again, and each pins a table snapshot), `len` counts
-    /// current-version entries only, and a statement handed out before
-    /// the append keeps executing on the snapshot it pinned.
+    /// An `append` drops exactly the plans of the appended table: the
+    /// first lookup after it frees the plans that read `a`'s superseded
+    /// version (they could never be hit again, and each pins it), keeps
+    /// `b`'s plan with its answer, and a statement handed out before the
+    /// append keeps executing on the snapshot it pinned.
     #[test]
     fn append_drops_superseded_plans_but_not_prepared_statements() {
         let s = session();
+        let engine = *s.engine();
         let cache = PlanCache::new(8);
         let (before, _) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
             .unwrap();
-        s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
-        assert_eq!(cache.stats().len, 3);
-        let pinned = std::sync::Arc::downgrade(before.plan().source_columns());
+        let (of_b, _) = s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
+        let answer = cache.answer(&engine, &of_b).unwrap();
+        assert!(matches!(answer, Cow::Borrowed(_)), "kept");
+        assert_eq!((cache.stats().len, cache.stats().answered), (3, 0));
+        let pinned = Arc::downgrade(before.plan().source_columns());
 
         s.shared_catalog().append("a", &rel(2)).unwrap();
         let (after, hit) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         assert!(!hit);
         let stats = cache.stats();
-        assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 4));
+        assert_eq!((stats.len, stats.hits, stats.misses), (2, 0, 4));
+        assert_eq!(
+            stats.dropped, 2,
+            "both plans over `a`, not the one over `b`"
+        );
         assert_eq!(s.execute(&after).unwrap().len(), 5);
         // The visibility rule: the in-flight statement still sees 3 rows…
         assert_eq!(s.execute(&before).unwrap().len(), 3);
         // …and is the only thing keeping the superseded table alive.
         drop(before);
         assert!(pinned.upgrade().is_none(), "cache still pins the old table");
+
+        // `b`'s plan survived, its answer with it.
+        let (again, hit) = s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
+        assert!(hit);
+        assert_eq!(cache.answer(&engine, &again).unwrap().len(), 3);
+        assert_eq!(cache.stats().answered, 1, "served from the kept answer");
+    }
+
+    /// Registering, re-registering and dropping tables drop the plans of
+    /// exactly the tables named; a new table drops none.
+    #[test]
+    fn publications_drop_only_the_plans_of_their_table() {
+        let s = session();
+        let cache = PlanCache::new(8);
+        let lookup = |sql: &str| s.prepare_cached(&cache, sql).unwrap().1;
+        lookup("SELECT x FROM a");
+        lookup("SELECT x FROM b");
+        s.register("c", rel(1));
+        assert!(lookup("SELECT x FROM a") && lookup("SELECT x FROM b"));
+        assert_eq!(cache.stats().dropped, 0);
+
+        s.register("b", rel(3));
+        assert!(lookup("SELECT x FROM a"));
+        assert!(!lookup("SELECT x FROM b"), "re-registered: a new version");
+        s.deregister("a");
+        assert!(s.prepare_cached(&cache, "SELECT x FROM a").is_err());
+        assert!(lookup("SELECT x FROM b"));
+        let stats = cache.stats();
+        assert_eq!((stats.dropped, stats.len), (2, 1));
+    }
+
+    /// A statement's answer is computed once and served from then on by
+    /// every clone of it; an answer past [`MAX_ANSWER_BYTES`] is computed
+    /// every time, and a kept answer is served to its own engine only.
+    #[test]
+    fn answers_are_kept_once_under_the_bound_and_per_engine() {
+        let s = session();
+        s.register("big", rel(20_000));
+        let engine = *s.engine();
+        let cache = PlanCache::new(8);
+
+        let (small, _) = s
+            .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
+            .unwrap();
+        let first = cache.answer(&engine, &small).unwrap();
+        assert_eq!(cache.stats().answered, 0);
+        let (clone, _) = s
+            .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
+            .unwrap();
+        let second = cache.answer(&engine, &clone).unwrap();
+        assert_eq!(cache.stats().answered, 1, "a clone reads the kept answer");
+        assert!(std::ptr::eq(&*first, &*second));
+        assert!(first
+            .to_rows()
+            .bag_eq(&s.execute(&small).unwrap().to_rows()));
+
+        let (big, _) = s.prepare_cached(&cache, "SELECT x FROM big").unwrap();
+        for _ in 0..2 {
+            let answer = cache.answer(&engine, &big).unwrap();
+            assert!(answer.heap_bytes() > MAX_ANSWER_BYTES);
+            assert!(matches!(answer, Cow::Owned(_)));
+        }
+        assert_eq!(cache.stats().answered, 1);
+
+        let other = Engine::reference();
+        let answer = cache.answer(&other, &small).unwrap();
+        assert!(matches!(answer, Cow::Owned(_)));
+        assert!(answer.to_rows().bag_eq(&first.to_rows()));
+        assert_eq!(cache.stats().answered, 1);
     }
 
     /// A lookup that read the catalog before a publication and reaches

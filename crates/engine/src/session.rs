@@ -27,7 +27,8 @@ use crate::maintain::MaintainedQuery;
 use crate::plan::Plan;
 use crate::plancache::PlanCache;
 use audb_core::{AuColumns, AuRelation};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// A compiled, reusable statement: the validated [`Plan`] plus its source
 /// text. Prepare once, execute many times (the plan shares its scanned
@@ -35,11 +36,38 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct Prepared {
     plan: Plan,
+    /// The normalized answer and the engine that computed it, once
+    /// [`PlanCache::answer`] has kept one: shared by every clone.
+    answer: Arc<OnceLock<(Engine, AuColumns)>>,
 }
 
 impl Prepared {
     pub(crate) fn from_plan(plan: Plan) -> Prepared {
-        Prepared { plan }
+        Prepared {
+            plan,
+            answer: Arc::default(),
+        }
+    }
+
+    /// The answer kept for `engine`, if one is.
+    pub(crate) fn kept_answer(&self, engine: &Engine) -> Option<&AuColumns> {
+        let (by, cols) = self.answer.get()?;
+        (by == engine).then_some(cols)
+    }
+
+    /// Keep `cols` as the answer `engine` computed, and return the kept
+    /// answer — a racing call's, if it kept one first on the same engine:
+    /// the plan reads one table version, so the two are the same bag.
+    /// Where another engine's answer is kept, `cols` comes back.
+    pub(crate) fn keep_answer(&self, engine: &Engine, cols: AuColumns) -> Cow<'_, AuColumns> {
+        let mut ours = Some(cols);
+        let (by, kept) = self
+            .answer
+            .get_or_init(|| (*engine, ours.take().expect("an initializer runs once")));
+        match ours {
+            Some(cols) if by != engine => Cow::Owned(cols),
+            _ => Cow::Borrowed(kept),
+        }
     }
 
     /// The compiled plan.
@@ -126,9 +154,9 @@ impl Session {
     /// ([`crate::optimize::optimize`]).
     pub fn prepare(&self, sql: &str) -> Result<Prepared, SessionError> {
         let stmt = audb_sql::parse(sql)?;
-        Ok(Prepared {
-            plan: crate::optimize::optimize(&bind::compile(&stmt, &self.catalog.snapshot())?),
-        })
+        Ok(Prepared::from_plan(crate::optimize::optimize(
+            &bind::compile(&stmt, &self.catalog.snapshot())?,
+        )))
     }
 
     /// Compile one statement through a shared [`PlanCache`], so repeated
@@ -150,9 +178,9 @@ impl Session {
         audb_sql::parse_script(sql)?
             .iter()
             .map(|stmt| {
-                Ok(Prepared {
-                    plan: crate::optimize::optimize(&bind::compile(stmt, &snapshot)?),
-                })
+                Ok(Prepared::from_plan(crate::optimize::optimize(
+                    &bind::compile(stmt, &snapshot)?,
+                )))
             })
             .collect()
     }

@@ -12,7 +12,9 @@
 //! equal requests encode byte-identically (modulo `elapsed_us`). `rows`
 //! and `mults` are encoded straight from the result's typed lanes into
 //! text ([`Json::Raw`]): no node per cell, no tuple per row, no `Value`
-//! per integer.
+//! per integer. `/query` and `/execute` read a statement's normalized
+//! answer through [`audb_engine::PlanCache::answer`]: a statement over an
+//! unchanged table version is executed once, and encoded per reply.
 //!
 //! Ingest (`/register`, `/append`) parses AU-CSV straight into columns —
 //! the catalog's stored form — so no row form of a served table is ever
@@ -30,7 +32,7 @@ use crate::http::Request;
 use crate::json::{int_text, uint_text, write_float, write_int, write_string, Json};
 use crate::state::{ConnState, ServerState};
 use audb_core::{AuColumn, AuColumns, Corner, PhysSlice, PhysType};
-use audb_engine::{BackendRun, RunAll, SessionError};
+use audb_engine::{BackendRun, Prepared, RunAll, SessionError};
 use audb_rel::Value;
 use std::time::Instant;
 
@@ -78,14 +80,13 @@ fn query(state: &ServerState, req: &Request, started: Instant) -> Reply {
         Ok(p) => p,
         Err(e) => return session_error(&e),
     };
-    match session.execute(&prepared).map(result_body) {
-        Ok(Ok(mut body)) => {
+    match answer_body(state, &prepared) {
+        Ok(mut body) => {
             body.set("cache", cache_body(state, hit));
             body.set("elapsed_us", Json::Int(elapsed_us(started)));
             (200, body)
         }
-        Ok(Err(refused)) => refused,
-        Err(e) => session_error(&e),
+        Err(refused) => refused,
     }
 }
 
@@ -142,13 +143,12 @@ fn execute(state: &ServerState, conn: &mut ConnState, req: &Request, started: In
             ),
         );
     };
-    match state.session().execute(&prepared).map(result_body) {
-        Ok(Ok(mut body)) => {
+    match answer_body(state, &prepared) {
+        Ok(mut body) => {
             body.set("elapsed_us", Json::Int(elapsed_us(started)));
             (200, body)
         }
-        Ok(Err(refused)) => refused,
-        Err(e) => session_error(&e),
+        Err(refused) => refused,
     }
 }
 
@@ -216,10 +216,11 @@ fn append(state: &ServerState, req: &Request) -> Reply {
     };
     let appended = batch.len();
     match state.catalog.append_columns(&name, batch) {
-        // The publish bumps the catalog version, which invalidates every
-        // cached plan pinned to the pre-append snapshot — the next /query
-        // re-binds against the grown table. (An empty batch publishes
-        // nothing: same rows, same version.)
+        // The publish bumps the catalog version: the next lookup drops the
+        // cached plans that read this table's pre-append version — the
+        // next /query over it re-binds against the grown table — and keeps
+        // every other. (An empty batch publishes nothing: same rows, same
+        // version.)
         Ok((rows, version)) => (
             200,
             Json::obj([
@@ -278,6 +279,8 @@ fn stats_body(state: &ServerState) -> Json {
             Json::obj([
                 ("hits", Json::Int(cache.hits as i64)),
                 ("misses", Json::Int(cache.misses as i64)),
+                ("answered", Json::Int(cache.answered as i64)),
+                ("dropped", Json::Int(cache.dropped as i64)),
                 ("len", Json::Int(cache.len as i64)),
                 ("capacity", Json::Int(cache.capacity as i64)),
             ]),
@@ -309,11 +312,21 @@ fn backends_body(runs: &[BackendRun]) -> Json {
     )
 }
 
+/// The reply body of a prepared statement's answer — the one the statement
+/// kept, or one executed and normalized now, and kept if small enough
+/// ([`audb_engine::PlanCache::answer`]) — or its refusal.
+fn answer_body(state: &ServerState, prepared: &Prepared) -> Result<Json, Reply> {
+    match state.plan_cache.answer(&state.engine, prepared) {
+        Ok(cols) => Ok(encode(&cols)),
+        Err(e) => Err(session_error(&e)),
+    }
+}
+
 /// A query's reply body, or — where identical rows of the result add up to
 /// a multiplicity past `u64` — its refusal (`multiplicity_overflow`).
 fn result_body(cols: AuColumns) -> Result<Json, Reply> {
     match cols.normalize() {
-        Ok(cols) => Ok(encode(cols)),
+        Ok(cols) => Ok(encode(&cols)),
         Err(e) => Err(session_error(&e.into())),
     }
 }
@@ -331,10 +344,10 @@ pub fn relation_body(cols: AuColumns) -> Json {
 /// each written into one pre-sized buffer, row by row from the lanes: a
 /// point — every cell of a certain column, a cell of a ranged one whose
 /// certainty bit is set — is formatted once and copied twice.
-fn encode(cols: AuColumns) -> Json {
+fn encode(cols: &AuColumns) -> Json {
     let schema = Json::Arr(cols.schema().cols().iter().map(Json::str).collect());
     let lanes: Vec<ColumnLanes<'_>> = (0..cols.arity())
-        .map(|c| ColumnLanes::of(&cols, c))
+        .map(|c| ColumnLanes::of(cols, c))
         .collect();
     // An integer triple with its punctuation is about this many bytes.
     const TRIPLE: usize = 24;

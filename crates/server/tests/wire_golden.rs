@@ -465,7 +465,7 @@ fn health_and_stats_shapes() {
     // zones summed over its segments, and the segments), and whether each
     // segment's statistics describe its rows.
     let (_, body) = roundtrip(&state, &mut conn, &request("GET", "/stats", ""));
-    assert_eq!(body, "{\"requests\":1,\"errors\":0,\"threads\":1,\"catalog_version\":2,\"tables\":[{\"name\":\"products\",\"rows\":5,\"cols\":2,\"zones\":1,\"segments\":1,\"stats_fresh\":true},{\"name\":\"readings\",\"rows\":8,\"cols\":3,\"zones\":1,\"segments\":1,\"stats_fresh\":true}],\"plan_cache\":{\"hits\":0,\"misses\":0,\"len\":0,\"capacity\":256}}");
+    assert_eq!(body, "{\"requests\":1,\"errors\":0,\"threads\":1,\"catalog_version\":2,\"tables\":[{\"name\":\"products\",\"rows\":5,\"cols\":2,\"zones\":1,\"segments\":1,\"stats_fresh\":true},{\"name\":\"readings\",\"rows\":8,\"cols\":3,\"zones\":1,\"segments\":1,\"stats_fresh\":true}],\"plan_cache\":{\"hits\":0,\"misses\":0,\"answered\":0,\"dropped\":0,\"len\":0,\"capacity\":256}}");
 
     // An append adds a segment of its own, and its zones.
     let batch = "sku,price_lb,price,price_ub,mult_lb,mult_sg,mult_ub\n6,20,21,22,1,1,1\n";
