@@ -15,7 +15,8 @@
 //! * **footprints** — the measured per-row heap bytes of each cell's AU
 //!   input in the row, generic-columnar and typed-columnar layouts;
 //! * **kernel sweeps** — `truth_batch` / `eval_batch` on typed lanes against
-//!   the same columns demoted to generic `Value` lanes;
+//!   the same columns demoted to generic `Value` lanes, which the kernels
+//!   leave to the row semantics, cell by cell;
 //! * **streaming** — a window subscription, and a `LIMIT 10` one, each
 //!   absorbing 64-row appends incrementally against a forced recompute per
 //!   append;
@@ -250,7 +251,8 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
 
 /// One typed-vs-generic vectorized kernel sweep: the same expression over
 /// the same columns, once on the typed lanes and once after demoting them
-/// to generic `Value` lanes.
+/// to generic `Value` lanes, where the typed tier declines and the row
+/// semantics runs cell by cell.
 #[derive(Clone, Debug)]
 pub struct KernelSweep {
     /// `truth_batch` (the `sort_sel` selection predicate) or `eval_batch`
@@ -260,7 +262,8 @@ pub struct KernelSweep {
     pub n: usize,
     /// Rows per second on the typed lanes.
     pub typed_rows_per_sec: f64,
-    /// Rows per second on the demoted generic lanes.
+    /// Rows per second on the demoted generic lanes (the cell-by-cell
+    /// row semantics).
     pub generic_rows_per_sec: f64,
 }
 
@@ -1109,7 +1112,7 @@ pub fn check(report: &Report) -> Vec<GateResult> {
         ),
         gate(
             "kernels",
-            "typed ≥ generic rows/s".into(),
+            "typed ≥ generic lanes' cell-by-cell rows/s".into(),
             true,
             "a kernel sweep",
             report.kernels.iter().map(|k| {

@@ -14,13 +14,17 @@
 //! The view adds no ownership and no copying — [`AuColumns::batches`] is
 //! just a schema-carrying range chunking. The vectorized expression
 //! kernels over batches ([`crate::RangeExpr::eval_batch`] /
-//! [`crate::RangeExpr::truth_batch`]) live in [`crate::expr`]; the gather
-//! steps that materialize a kernel's surviving rows into fresh columns are
-//! [`AuBatch::gather`] / [`AuBatch::gather_col`].
+//! [`crate::RangeExpr::truth_batch`]) live in [`crate::expr`]: they sweep
+//! typed lanes through [`AuBatch::corner`], and an expression the lanes
+//! cannot carry reads its cells one at a time through
+//! `AuBatch::range_value`. The gather steps that materialize a kernel's
+//! surviving rows into fresh columns are [`AuBatch::gather`] /
+//! [`AuBatch::gather_col`].
 
 use crate::columns::AuColumns;
 use crate::mult::Mult3;
 use crate::physical::PhysSlice;
+use crate::range_value::RangeValue;
 use crate::relation::AuRelation;
 use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
@@ -72,6 +76,12 @@ impl<'a> AuBatch<'a> {
             .col(c)
             .corner(corner)
             .subslice(self.start, self.len)
+    }
+
+    /// Attribute `c` of batch-relative row `i` (one cell: the expression
+    /// kernels' fallback reads only the cells an expression names).
+    pub(crate) fn range_value(&self, c: usize, i: usize) -> RangeValue {
+        self.rel.col(c).range_value(self.start + i)
     }
 
     /// The `ℕ³` annotation of batch-relative row `i`.

@@ -9,7 +9,8 @@
 //! multiplicity vectors for the `ℕ³` annotations. Batch kernels
 //! ([`crate::batch`], `RangeExpr::{eval_batch, truth_batch}`,
 //! [`AuColumns::normalize`]) sweep these vectors directly instead of
-//! materializing per-row tuples.
+//! materializing per-row tuples; where an expression's lanes are not
+//! typed, it reads the cells it names one at a time, never a whole row.
 //!
 //! Since PR 6 each bound vector is a *typed physical* vector
 //! ([`PhysVec`]): all-integer columns store flat `i64` lanes, numeric

@@ -6,7 +6,11 @@
 //! tuple `t ⊑ t` the deterministic result `⟦e⟧_t` is guaranteed to lie
 //! within the range result `⟦e⟧_t` (paper Sec. 3.2).
 //!
-//! ## Two-tier vectorized evaluation
+//! ## Vectorized evaluation: typed lanes, else the row semantics
+//!
+//! The row semantics is written once, as a recursion over a cell reader
+//! (`eval_with` / `truth_with`): [`RangeExpr::eval`] and
+//! [`RangeExpr::truth`] read a tuple's cells, and it is the oracle.
 //!
 //! The batch kernels (`eval_batch` / `truth_batch` / `eval_batch_at` /
 //! `eval_batch_column`) try a **typed fast path** first: when every
@@ -18,13 +22,13 @@
 //! triples come straight off the lanes. Whenever *any* node cannot stay
 //! typed (a `Generic` column, a boolean literal, `Mul`'s four-corner
 //! extrema, `i64` overflow that the `Value` semantics would promote to
-//! float, a comparison of predicates), the expression falls back to the
-//! **generic path** — the historical `Vec<Value>`-sweeping kernels, which
-//! remain the semantics oracle. Typed ≡ generic parity is property-pinned
-//! in `tests/typed_columns.rs`; the exact `Value` semantics the typed
-//! loops must reproduce (NaN ordering, `-0.0`, int–float cross
-//! comparison) are [`audb_rel::cmp_float_float`] /
-//! [`audb_rel::cmp_int_float`].
+//! float, a comparison of predicates), the whole expression falls back to
+//! the **row semantics, cell by cell**: per selected row, the same
+//! recursion reads only the cells the expression names
+//! (`AuBatch::range_value`). Typed ≡ row parity is property-pinned in
+//! `tests/typed_columns.rs`; the exact `Value` semantics the typed loops
+//! must reproduce (NaN ordering, `-0.0`, int–float cross comparison) are
+//! [`audb_rel::cmp_float_float`] / [`audb_rel::cmp_int_float`].
 
 use crate::batch::AuBatch;
 use crate::columns::{AuColumn, AuColumns};
@@ -33,7 +37,6 @@ use crate::range_value::{RangeValue, TruthRange};
 use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
 use audb_rel::{cmp_float_float, cmp_int_float, CmpOp, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -138,23 +141,37 @@ impl RangeExpr {
     /// Evaluate to a range value. Predicates evaluate to boolean ranges
     /// (`lb/sg/ub ∈ {false, true}` with `false < true`).
     pub fn eval(&self, t: &AuTuple) -> RangeValue {
-        match self {
-            RangeExpr::Col(i) => t.get(*i).clone(),
-            RangeExpr::Lit(v) => v.clone(),
-            RangeExpr::Add(a, b) => a.eval(t).add(&b.eval(t)),
-            RangeExpr::Sub(a, b) => a.eval(t).sub(&b.eval(t)),
-            RangeExpr::Mul(a, b) => a.eval(t).mul(&b.eval(t)),
-            RangeExpr::Neg(a) => a.eval(t).neg(),
-            RangeExpr::Cmp(op, a, b) => truth_to_range(eval_cmp(*op, &a.eval(t), &b.eval(t))),
-            RangeExpr::And(a, b) => truth_to_range(a.truth(t).and(b.truth(t))),
-            RangeExpr::Or(a, b) => truth_to_range(a.truth(t).or(b.truth(t))),
-            RangeExpr::Not(a) => truth_to_range(a.truth(t).not()),
-        }
+        self.eval_with(&|i| t.get(i).clone())
     }
 
     /// Evaluate as a predicate.
     pub fn truth(&self, t: &AuTuple) -> TruthRange {
-        let v = self.eval(t);
+        self.truth_with(&|i| t.get(i).clone())
+    }
+
+    /// The row semantics, written once: `cell(i)` reads attribute `i` of
+    /// the row at hand — a tuple's cell for [`RangeExpr::eval`], one batch
+    /// cell for the batch kernels' fallback.
+    fn eval_with(&self, cell: &impl Fn(usize) -> RangeValue) -> RangeValue {
+        match self {
+            RangeExpr::Col(i) => cell(*i),
+            RangeExpr::Lit(v) => v.clone(),
+            RangeExpr::Add(a, b) => a.eval_with(cell).add(&b.eval_with(cell)),
+            RangeExpr::Sub(a, b) => a.eval_with(cell).sub(&b.eval_with(cell)),
+            RangeExpr::Mul(a, b) => a.eval_with(cell).mul(&b.eval_with(cell)),
+            RangeExpr::Neg(a) => a.eval_with(cell).neg(),
+            RangeExpr::Cmp(op, a, b) => {
+                truth_to_range(eval_cmp(*op, &a.eval_with(cell), &b.eval_with(cell)))
+            }
+            RangeExpr::And(a, b) => truth_to_range(a.truth_with(cell).and(b.truth_with(cell))),
+            RangeExpr::Or(a, b) => truth_to_range(a.truth_with(cell).or(b.truth_with(cell))),
+            RangeExpr::Not(a) => truth_to_range(a.truth_with(cell).not()),
+        }
+    }
+
+    /// [`RangeExpr::eval_with`] as a predicate.
+    fn truth_with(&self, cell: &impl Fn(usize) -> RangeValue) -> TruthRange {
+        let v = self.eval_with(cell);
         TruthRange {
             lb: v.lb.is_true(),
             sg: v.sg.is_true(),
@@ -166,9 +183,9 @@ impl RangeExpr {
     /// producing one [`RangeValue`] per row (in row order).
     ///
     /// This is the vectorized twin of [`RangeExpr::eval`]: typed lanes
-    /// evaluate monomorphically, everything else sweeps whole column
-    /// slices of `Value`s (see the module docs). Row/columnar parity is
-    /// pinned by property tests in `tests/columnar_roundtrip.rs` and
+    /// evaluate monomorphically, anything else runs the row semantics
+    /// cell by cell (see the module docs). Row/columnar parity is pinned
+    /// by property tests in `tests/columnar_roundtrip.rs` and
     /// `tests/typed_columns.rs`.
     pub fn eval_batch(&self, b: &AuBatch<'_>) -> Vec<RangeValue> {
         self.eval_batch_sel(b, Sel::All(b.len()))
@@ -187,26 +204,20 @@ impl RangeExpr {
         if let Some(tv) = self.eval_typed(b, sel) {
             return tv.into_range_values(n, sel);
         }
-        match self.eval_cols(b, sel) {
-            cv @ ColVals::Slices { .. } => (0..n).map(|k| cv.rv(k, sel)).collect(),
-            ColVals::Owned(vals) => vals,
-            ColVals::Truths(ts) => ts.into_iter().map(truth_to_range).collect(),
-            ColVals::Const(c) => vec![c; n],
-        }
+        (0..n)
+            .map(|k| self.eval_with(&|i| b.range_value(i, sel.abs(k))))
+            .collect()
     }
 
     /// Evaluate the expression as a predicate over every row of a
     /// columnar batch, producing one [`TruthRange`] per row (in row
-    /// order). Predicate roots (comparisons, boolean connectives) stay in
-    /// truth-triple form end to end — no boolean is ever boxed into a
-    /// [`Value`] — and comparisons over typed lanes are monomorphic
-    /// primitive sweeps.
+    /// order). On typed lanes, predicate roots (comparisons, boolean
+    /// connectives) stay in truth-triple form end to end — no boolean is
+    /// ever boxed into a [`Value`] — and comparisons are monomorphic
+    /// primitive sweeps; anything else runs [`RangeExpr::truth`]'s
+    /// recursion cell by cell.
     pub fn truth_batch(&self, b: &AuBatch<'_>) -> Vec<TruthRange> {
-        let sel = Sel::All(b.len());
-        if let Some(tv) = self.eval_typed(b, sel) {
-            return tv.into_truth_vec(sel.count(), sel);
-        }
-        self.eval_cols(b, sel).into_truths(sel)
+        self.truth_batch_sel(b, Sel::All(b.len()))
     }
 
     /// Evaluate the predicate over the rows at the given batch-relative
@@ -214,11 +225,17 @@ impl RangeExpr {
     /// `idxs`) — the fused executor's path for a selection chained after
     /// another selection, so already-dropped rows are never re-evaluated.
     pub fn truth_batch_at(&self, b: &AuBatch<'_>, idxs: &[usize]) -> Vec<TruthRange> {
-        let sel = Sel::At(idxs);
+        self.truth_batch_sel(b, Sel::At(idxs))
+    }
+
+    fn truth_batch_sel(&self, b: &AuBatch<'_>, sel: Sel<'_>) -> Vec<TruthRange> {
+        let n = sel.count();
         if let Some(tv) = self.eval_typed(b, sel) {
-            return tv.into_truth_vec(sel.count(), sel);
+            return tv.into_truth_vec(n, sel);
         }
-        self.eval_cols(b, sel).into_truths(sel)
+        (0..n)
+            .map(|k| self.truth_with(&|i| b.range_value(i, sel.abs(k))))
+            .collect()
     }
 
     /// Evaluate a computed projection straight into an output
@@ -238,7 +255,7 @@ impl RangeExpr {
 
     /// Typed evaluation core: `Some` iff this node (and its whole
     /// subtree) is expressible over typed physical lanes; `None` sends
-    /// the **entire expression** down the generic path, so a partially
+    /// the **entire expression** to the row semantics, so a partially
     /// typed tree never mixes semantics mid-expression.
     fn eval_typed<'a>(&'a self, b: &AuBatch<'a>, sel: Sel<'_>) -> Option<TypedVals<'a>> {
         let n = sel.count();
@@ -290,7 +307,7 @@ impl RangeExpr {
                     },
                 })),
                 // A Generic lane — or a ranged column whose three bounds
-                // landed in different layouts — goes generic.
+                // landed in different layouts — leaves the typed tier.
                 _ => None,
             },
             RangeExpr::Lit(v) => match (&v.lb, &v.sg, &v.ub) {
@@ -316,7 +333,7 @@ impl RangeExpr {
             // Addition and subtraction: i64 lanes use checked arithmetic —
             // an overflow is exactly the case where the Value semantics
             // promote that element to float, so the whole node bails to
-            // the generic path. Mixed i64/f64 promotes unconditionally via
+            // the row semantics. Mixed i64/f64 promotes unconditionally via
             // `as f64`, precisely what `numeric_binop` does for a genuine
             // Int-class/Float-class pair.
             RangeExpr::Add(x, y) => {
@@ -362,7 +379,7 @@ impl RangeExpr {
                 }
             }
             // Four-corner extrema over mixed-sign ranges: rare enough on
-            // hot paths that it stays generic.
+            // hot paths that it stays with the row semantics.
             RangeExpr::Mul(..) => None,
             RangeExpr::Neg(x) => match x.eval_typed(b, sel)? {
                 // Value::neg is wrapping for ints; negation swaps bounds.
@@ -402,79 +419,6 @@ impl RangeExpr {
                 Some(TypedVals::Truths(
                     a.into_iter().map(TruthRange::not).collect(),
                 ))
-            }
-        }
-    }
-
-    /// Vectorized evaluation core of the generic fallback: one
-    /// [`ColVals`] per node, computed by sweeping the children's column
-    /// forms over the selected rows.
-    fn eval_cols<'a>(&'a self, b: &AuBatch<'a>, sel: Sel<'_>) -> ColVals<'a> {
-        let n = sel.count();
-        match self {
-            RangeExpr::Col(i) => ColVals::Slices {
-                lb: b.corner(*i, Corner::Lb).to_values(),
-                sg: b.corner(*i, Corner::Sg).to_values(),
-                ub: b.corner(*i, Corner::Ub).to_values(),
-            },
-            RangeExpr::Lit(v) => ColVals::Const(v.clone()),
-            // Addition and subtraction sweep per corner with `&Value`
-            // operands — no intermediate RangeValue is cloned (the rules
-            // mirror RangeValue::{add, sub}: subtraction is antitone in
-            // its right argument).
-            RangeExpr::Add(x, y) => {
-                let a = x.eval_cols(b, sel).materialized();
-                let c = y.eval_cols(b, sel).materialized();
-                ColVals::Owned(
-                    (0..n)
-                        .map(|k| RangeValue {
-                            lb: a.lb(k, sel).add(c.lb(k, sel)),
-                            sg: a.sg(k, sel).add(c.sg(k, sel)),
-                            ub: a.ub(k, sel).add(c.ub(k, sel)),
-                        })
-                        .collect(),
-                )
-            }
-            RangeExpr::Sub(x, y) => {
-                let a = x.eval_cols(b, sel).materialized();
-                let c = y.eval_cols(b, sel).materialized();
-                ColVals::Owned(
-                    (0..n)
-                        .map(|k| RangeValue {
-                            lb: a.lb(k, sel).sub(c.ub(k, sel)),
-                            sg: a.sg(k, sel).sub(c.sg(k, sel)),
-                            ub: a.ub(k, sel).sub(c.lb(k, sel)),
-                        })
-                        .collect(),
-                )
-            }
-            RangeExpr::Mul(x, y) => {
-                let a = x.eval_cols(b, sel).materialized();
-                let c = y.eval_cols(b, sel).materialized();
-                ColVals::Owned((0..n).map(|k| a.rv(k, sel).mul(&c.rv(k, sel))).collect())
-            }
-            RangeExpr::Neg(x) => {
-                let a = x.eval_cols(b, sel).materialized();
-                ColVals::Owned((0..n).map(|k| a.rv(k, sel).neg()).collect())
-            }
-            RangeExpr::Cmp(op, x, y) => {
-                let a = x.eval_cols(b, sel).materialized();
-                let c = y.eval_cols(b, sel).materialized();
-                ColVals::Truths((0..n).map(|k| cmp_at(*op, &a, &c, k, sel)).collect())
-            }
-            RangeExpr::And(x, y) => {
-                let a = x.eval_cols(b, sel).into_truths(sel);
-                let c = y.eval_cols(b, sel).into_truths(sel);
-                ColVals::Truths(a.into_iter().zip(c).map(|(s, t)| s.and(t)).collect())
-            }
-            RangeExpr::Or(x, y) => {
-                let a = x.eval_cols(b, sel).into_truths(sel);
-                let c = y.eval_cols(b, sel).into_truths(sel);
-                ColVals::Truths(a.into_iter().zip(c).map(|(s, t)| s.or(t)).collect())
-            }
-            RangeExpr::Not(x) => {
-                let a = x.eval_cols(b, sel).into_truths(sel);
-                ColVals::Truths(a.into_iter().map(TruthRange::not).collect())
             }
         }
     }
@@ -888,7 +832,7 @@ fn cmp_typed(
     })
 }
 
-/// The monomorphic truth-triple sweep (mirrors [`cmp_at`] /
+/// The monomorphic truth-triple sweep (mirrors [`eval_cmp`] /
 /// `RangeValue::{lt, le, eq_range}`): `Gt`/`Ge` must be canonicalized
 /// away by the caller. The `eq` upper bound uses the total order:
 /// `y↓ ≤ x↑ ⇔ ¬(x↑ < y↓)`.
@@ -939,127 +883,6 @@ fn cmp_lanes<X: TriView, Y: TriView>(
             }
         }
         CmpOp::Gt | CmpOp::Ge => unreachable!("canonicalized to Lt/Le before dispatch"),
-    }
-}
-
-/// The column-level value of one expression node over a batch: bound
-/// slices for attribute references (zero-copy when the lane is already
-/// `Vec<Value>`-backed, materialized once per node for typed lanes that
-/// fell back), owned range values for computed nodes, truth triples for
-/// predicate nodes, and a broadcast constant for literals.
-enum ColVals<'a> {
-    /// Bound slices (a certain column repeats one slice).
-    Slices {
-        lb: Cow<'a, [Value]>,
-        sg: Cow<'a, [Value]>,
-        ub: Cow<'a, [Value]>,
-    },
-    /// Computed per-row range values.
-    Owned(Vec<RangeValue>),
-    /// Predicate node: per-row truth triples (never boxed into values
-    /// unless a parent arithmetic node demands it).
-    Truths(Vec<TruthRange>),
-    /// Literal broadcast over the whole batch.
-    Const(RangeValue),
-}
-
-impl<'a> ColVals<'a> {
-    /// Convert a predicate node's truths into value form so the `lb`/
-    /// `sg`/`ub` accessors are total (parents that compare or compute over
-    /// predicate results call this first — exactly the boxing the row
-    /// path's `truth_to_range` performs).
-    fn materialized(self) -> ColVals<'a> {
-        match self {
-            ColVals::Truths(ts) => ColVals::Owned(ts.into_iter().map(truth_to_range).collect()),
-            other => other,
-        }
-    }
-
-    /// Lower bound at selection position `k` (borrowed forms index the
-    /// batch through `sel`; owned forms are already selection-aligned).
-    fn lb(&self, k: usize, sel: Sel<'_>) -> &Value {
-        match self {
-            ColVals::Slices { lb, .. } => &lb[sel.abs(k)],
-            ColVals::Owned(v) => &v[k].lb,
-            ColVals::Const(c) => &c.lb,
-            ColVals::Truths(_) => unreachable!("materialized() before access"),
-        }
-    }
-
-    fn sg(&self, k: usize, sel: Sel<'_>) -> &Value {
-        match self {
-            ColVals::Slices { sg, .. } => &sg[sel.abs(k)],
-            ColVals::Owned(v) => &v[k].sg,
-            ColVals::Const(c) => &c.sg,
-            ColVals::Truths(_) => unreachable!("materialized() before access"),
-        }
-    }
-
-    fn ub(&self, k: usize, sel: Sel<'_>) -> &Value {
-        match self {
-            ColVals::Slices { ub, .. } => &ub[sel.abs(k)],
-            ColVals::Owned(v) => &v[k].ub,
-            ColVals::Const(c) => &c.ub,
-            ColVals::Truths(_) => unreachable!("materialized() before access"),
-        }
-    }
-
-    /// Selection position `k` as an owned [`RangeValue`] (clones three
-    /// values — cheap for numerics, a reference bump for strings).
-    fn rv(&self, k: usize, sel: Sel<'_>) -> RangeValue {
-        RangeValue {
-            lb: self.lb(k, sel).clone(),
-            sg: self.sg(k, sel).clone(),
-            ub: self.ub(k, sel).clone(),
-        }
-    }
-
-    fn is_certain_at(&self, k: usize, sel: Sel<'_>) -> bool {
-        self.lb(k, sel) == self.sg(k, sel) && self.sg(k, sel) == self.ub(k, sel)
-    }
-
-    /// This node as per-row truth triples (`is_true` of each bound for
-    /// value nodes — the same lowering [`RangeExpr::truth`] applies).
-    fn into_truths(self, sel: Sel<'_>) -> Vec<TruthRange> {
-        match self {
-            ColVals::Truths(ts) => ts,
-            other => (0..sel.count())
-                .map(|k| TruthRange {
-                    lb: other.lb(k, sel).is_true(),
-                    sg: other.sg(k, sel).is_true(),
-                    ub: other.ub(k, sel).is_true(),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// One comparison over two column forms at selection position `k`, by
-/// reference — the zero-clone mirror of [`eval_cmp`] /
-/// `RangeValue::{lt, le, eq_range}`.
-fn cmp_at(op: CmpOp, a: &ColVals<'_>, b: &ColVals<'_>, k: usize, sel: Sel<'_>) -> TruthRange {
-    let lt = |x: &ColVals<'_>, y: &ColVals<'_>| TruthRange {
-        lb: x.ub(k, sel) < y.lb(k, sel),
-        sg: x.sg(k, sel) < y.sg(k, sel),
-        ub: x.lb(k, sel) < y.ub(k, sel),
-    };
-    let le = |x: &ColVals<'_>, y: &ColVals<'_>| TruthRange {
-        lb: x.ub(k, sel) <= y.lb(k, sel),
-        sg: x.sg(k, sel) <= y.sg(k, sel),
-        ub: x.lb(k, sel) <= y.ub(k, sel),
-    };
-    let eq = || TruthRange {
-        lb: a.is_certain_at(k, sel) && b.is_certain_at(k, sel) && a.lb(k, sel) == b.lb(k, sel),
-        sg: a.sg(k, sel) == b.sg(k, sel),
-        ub: a.lb(k, sel) <= b.ub(k, sel) && b.lb(k, sel) <= a.ub(k, sel),
-    };
-    match op {
-        CmpOp::Lt => lt(a, b),
-        CmpOp::Le => le(a, b),
-        CmpOp::Gt => lt(b, a),
-        CmpOp::Ge => le(b, a),
-        CmpOp::Eq => eq(),
-        CmpOp::Ne => eq().not(),
     }
 }
 
@@ -1267,7 +1090,7 @@ mod tests {
         }
     }
 
-    /// i64 overflow falls back to the generic path, which promotes the
+    /// i64 overflow falls back to the row semantics, which promote the
     /// overflowing element to float — exactly what per-row eval does.
     #[test]
     fn overflow_falls_back_to_value_semantics() {

@@ -12,7 +12,7 @@
 //! * [`PhysVec::F64`] — all cells are `Value::Float`: one `Vec<f64>`
 //!   (mixed int/float columns deliberately stay `Generic` — rewriting an
 //!   `Int` as a double would silently change *arithmetic* over it, since
-//!   the generic path adds `i64`s exactly while `f64` sums round past
+//!   `Value` arithmetic adds `i64`s exactly while `f64` sums round past
 //!   2⁵³; the csv loader may still choose `F64` for mixed numeric
 //!   *text*, where it owns the load boundary and can reject
 //!   non-representable integers);
@@ -32,7 +32,6 @@
 //! kernels answer "is this cell a point?" without touching the lanes.
 
 use audb_rel::Value;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -573,16 +572,6 @@ impl<'a> PhysSlice<'a> {
                 pool,
             },
             PhysSlice::Generic(v) => PhysSlice::Generic(&v[start..start + len]),
-        }
-    }
-
-    /// The view as `Value`s: zero-copy for the `Generic` layout, an owned
-    /// materialization otherwise (the generic-fallback boundary of the
-    /// expression kernels).
-    pub fn to_values(&self) -> Cow<'a, [Value]> {
-        match self {
-            PhysSlice::Generic(v) => Cow::Borrowed(v),
-            other => Cow::Owned((0..other.len()).map(|i| other.value(i)).collect()),
         }
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * **Column level** ([`ColumnStats`]): row and certain counts — what
 //!   the optimizer's pushdown conditions ask (`all_certain`).
-//! * **Zone level** ([`ZoneMap`], one per [`ZONE_ROWS`]-row block): bound
-//!   box and certain count per zone, aligned with the executor's batch
+//! * **Zone level** ([`ZoneMap`], one per [`ZONE_ROWS`]-row block): row
+//!   count and bound box per zone, aligned with the executor's batch
 //!   chunking so a fused select stage can skip whole batches and
 //!   selectivity is estimated from zone verdicts.
 //!
@@ -49,7 +49,7 @@ use audb_rel::{CmpOp, Value};
 /// consult every overlapping zone.
 pub const ZONE_ROWS: usize = 1024;
 
-/// Per-zone summary of one column: the bound box and certain count of one
+/// Per-zone summary of one column: the row count and bound box of one
 /// contiguous [`ZONE_ROWS`]-row block.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ZoneMap {
@@ -59,8 +59,6 @@ pub struct ZoneMap {
     pub min_lb: Value,
     /// Maximum of the ub lane over the zone.
     pub max_ub: Value,
-    /// Rows whose cell is a point (`lb ≡ sg ≡ ub`).
-    pub certain: usize,
 }
 
 /// One column's statistics block: whole-column aggregates plus the
@@ -98,7 +96,6 @@ struct ColBuilder {
     certain: usize,
     zones: Vec<ZoneMap>,
     zone_rows: usize,
-    zone_certain: usize,
     zone_min: Option<Value>,
     zone_max: Option<Value>,
 }
@@ -110,7 +107,6 @@ impl ColBuilder {
             certain: 0,
             zones: Vec::new(),
             zone_rows: 0,
-            zone_certain: 0,
             zone_min: None,
             zone_max: None,
         }
@@ -120,7 +116,6 @@ impl ColBuilder {
         self.rows += 1;
         if is_certain {
             self.certain += 1;
-            self.zone_certain += 1;
         }
         min_into(&mut self.zone_min, lb);
         max_into(&mut self.zone_max, ub);
@@ -138,10 +133,8 @@ impl ColBuilder {
             rows: self.zone_rows,
             min_lb: self.zone_min.take().unwrap_or(Value::Null),
             max_ub: self.zone_max.take().unwrap_or(Value::Null),
-            certain: self.zone_certain,
         });
         self.zone_rows = 0;
-        self.zone_certain = 0;
     }
 
     fn finish(mut self) -> ColumnStats {

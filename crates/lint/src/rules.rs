@@ -46,7 +46,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "no-panic-hot-path",
         summary: "no unwrap/expect/panic!/todo!/unimplemented! in audb_core kernels \
-                  (physical, columns, sortkey) or the audb-server request path",
+                  (physical, columns, sortkey, expr, batch) or the audb-server request path",
         hint: "return a structured error (kernels: propagate; server: SessionError -> \
                HTTP status), or justify with `// lint: allow(no-panic-hot-path) -- reason`",
     },
@@ -190,7 +190,9 @@ fn push(
 // ------------------------------------------------------------------ scopes
 
 /// The files whose panics would kill a query or a worker thread: the
-/// typed-kernel layer of `audb_core` and the whole server request path.
+/// typed-kernel layer of `audb_core` (storage, keys, and the expression
+/// kernels behind every fused select and project) and the whole server
+/// request path.
 fn in_panic_scope(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || matches!(
@@ -198,6 +200,8 @@ fn in_panic_scope(path: &str) -> bool {
             "crates/core/src/physical.rs"
                 | "crates/core/src/columns.rs"
                 | "crates/core/src/sortkey.rs"
+                | "crates/core/src/expr.rs"
+                | "crates/core/src/batch.rs"
         )
 }
 
@@ -607,6 +611,7 @@ mod tests {
         let src = "fn f(o: Option<u8>) -> u8 { o.unwrap() }";
         assert_eq!(diags_for("crates/server/src/wire.rs", src).len(), 1);
         assert_eq!(diags_for("crates/core/src/physical.rs", src).len(), 1);
+        assert_eq!(diags_for("crates/core/src/expr.rs", src).len(), 1);
         assert!(diags_for("crates/bench/src/perf.rs", src).is_empty());
     }
 

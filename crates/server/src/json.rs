@@ -162,18 +162,21 @@ impl fmt::Display for Json {
     }
 }
 
-/// Append `x` as [`Json::Float`] spells it.
+/// Append `x` as [`Json::Float`] spells it: the shortest text that reads
+/// back as `x`, always with a point or an exponent.
 pub fn write_float(out: &mut String, x: f64) {
-    // Writing to a `String` cannot fail.
-    let _ = if !x.is_finite() {
+    if !x.is_finite() {
         // JSON has no NaN/Infinity; null is the least-bad spelling.
-        out.write_str("null")
-    } else if x.fract() == 0.0 && x.abs() < 1e15 {
-        // Keep a decimal point so the value re-parses as Float.
-        write!(out, "{x:.1}")
-    } else {
-        write!(out, "{x}")
-    };
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{x:?}");
+    // Keep a decimal point so the value re-parses as Float.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
 }
 
 /// Decimal digits of `i`, without the formatting machinery: a result body
@@ -416,16 +419,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via char_indices logic).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or backslash,
+                    // checking only the run: both are ASCII, so it ends on
+                    // a char boundary (the input is a `&str`).
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -456,16 +460,20 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("bad number"))
-        } else {
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Json::Int(i));
+            }
             // Integers too large for i64 degrade to Float rather than fail.
-            text.parse::<i64>()
-                .map(Json::Int)
-                .or_else(|_| text.parse::<f64>().map(Json::Float))
-                .map_err(|_| self.err("bad number"))
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+            // `1e999` would parse as infinity and be written as `null`.
+            Ok(_) => Err(JsonError {
+                message: "number out of range".to_string(),
+                offset: start,
+            }),
+            Err(_) => Err(self.err("bad number")),
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   `eval_batch_at`) agree with per-row `eval` / `truth` on every row,
 //!   every batch size, and every expression shape — including the
 //!   predicate-in-arithmetic and comparison-of-predicates corners the
-//!   `ColVals` lowering special-cases.
+//!   typed tier declines.
 
 use audb::core::{AuColumns, AuRelation, AuRow, AuTuple, Mult3, RangeExpr, RangeValue, SortKey};
 use audb::rel::{CmpOp, Schema, Value};

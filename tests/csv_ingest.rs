@@ -16,10 +16,10 @@
 
 use audb::core::physical::{int_fits_f64, CertBitmap, PhysVec};
 use audb::core::{AuColumn, AuColumns, Mult3};
-use audb::engine::{Engine, SharedCatalog};
+use audb::engine::{Engine, Session, SharedCatalog};
 use audb::rel::{Relation, Schema, Tuple, Value};
 use audb::server::http::Request;
-use audb::server::{wire, ConnState, ServerState};
+use audb::server::{wire, ConnState, Json, ServerState};
 use audb::workloads::read_au_csv_columns;
 use proptest::prelude::*;
 use std::io::{self, BufRead, BufReader, Read};
@@ -840,4 +840,38 @@ fn a_multiplicity_past_i64_is_served() {
     let (status, body) = call(&state, "POST", "/query", b"SELECT * FROM big");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("18446744073709551615"), "{body}");
+}
+
+/// AU-CSV with cells of a megabyte — keys that differ only in their last
+/// byte, one of them a range, one row stored twice — registered through
+/// `/register` and ordered by those cells over `/query`: the reply's rows
+/// are a fresh `Session`'s answer, normalized.
+#[test]
+fn a_served_query_ordered_by_megabyte_strings_equals_a_session() {
+    let key = |last: char| format!("{}{last}", "y".repeat(1 << 20));
+    let [a, b, c] = ['a', 'b', 'c'].map(key);
+    let csv = format!(
+        "s_lb,s,s_ub,id,mult_lb,mult_sg,mult_ub\n\
+         {c},{c},{c},0,1,1,1\n{a},{b},{c},1,0,1,1\n{b},{b},{b},2,1,1,1\n\
+         {a},{a},{a},3,1,1,2\n{b},{b},{b},2,1,1,1\n"
+    );
+    let state = ServerState::new(Engine::native(), SharedCatalog::new(), 1);
+    let (status, body) = call(&state, "POST", "/register?name=words", csv.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let catalog = SharedCatalog::new();
+    catalog.register_columns("words", read_au_csv_columns(csv.as_bytes()).unwrap());
+    let session = Session::with_catalog(Engine::native(), catalog);
+    for sql in [
+        "SELECT * FROM words ORDER BY s AS pos",
+        "SELECT * FROM words ORDER BY s, id AS pos LIMIT 2",
+    ] {
+        let (status, body) = call(&state, "POST", "/query", sql.as_bytes());
+        assert_eq!(status, 200, "{sql}: {}", &body[..body.len().min(400)]);
+        let reply = Json::parse(&body).unwrap();
+        let want = session.sql(sql).unwrap().normalize().to_columns();
+        let want = Json::parse(&wire::relation_body(want).to_string()).unwrap();
+        for field in ["schema", "row_count", "rows", "mults"] {
+            assert!(reply.get(field) == want.get(field), "{field} of {sql}");
+        }
+    }
 }

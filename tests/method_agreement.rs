@@ -1150,6 +1150,47 @@ fn long_keys_that_differ_in_the_last_byte() {
     assert!(native.rel.to_rows().bag_eq(&reference));
 }
 
+/// A window ordered by keys of a megabyte that differ only in their last
+/// byte — some of them ranges over such keys, every multiplicity at most
+/// one — with and without a `PARTITION BY` on another column of such
+/// keys: the native window's bag is the reference's.
+#[test]
+fn a_window_ordered_by_megabyte_keys_agrees_with_the_reference() {
+    let key = |last: char| Value::str(format!("{}{last}", "x".repeat(1 << 20)));
+    let [a, b, c, d, e] = ['a', 'b', 'c', 'd', 'e'].map(key);
+    let range = |lb: &Value, sg: &Value, ub: &Value| RangeValue {
+        lb: lb.clone(),
+        sg: sg.clone(),
+        ub: ub.clone(),
+    };
+    let point = |v: &Value| RangeValue::certain(v.clone());
+    let rows = [
+        (point(&c), &a, Mult3::ONE),
+        (range(&a, &b, &d), &b, Mult3::new(0, 1, 1)),
+        (point(&b), &a, Mult3::ONE),
+        (point(&a), &b, Mult3::new(0, 0, 1)),
+        (point(&e), &a, Mult3::ONE),
+        (range(&b, &c, &c), &a, Mult3::ONE),
+        (point(&b), &b, Mult3::ONE),
+    ];
+    let rel = AuRelation::from_rows(
+        Schema::new(["s", "g", "id"]),
+        rows.into_iter().enumerate().map(|(id, (s, g, mult))| {
+            let id = RangeValue::certain(id as i64);
+            (AuTuple::new([s, point(g), id]), mult)
+        }),
+    );
+    let cols = rel.to_columns();
+    for (partition, agg) in [(vec![], WinAgg::Sum(2)), (vec![1], WinAgg::Count)] {
+        let spec = AuWindowSpec::rows(vec![0], -1, 1).partition_by(partition);
+        let what = format!("{agg:?}, partition by {:?}", spec.partition);
+        let native = window_columns_native(&cols, &spec, agg, "x").expect(&what);
+        assert!(!native.merged_duplicates, "{what}");
+        let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
+        assert!(native.rel.to_rows().bag_eq(&reference), "{what}");
+    }
+}
+
 /// `SUM` over values within a frame's reach of `i64::MAX` / `i64::MIN`:
 /// all three implementations add through `Value::add` (checked, widening
 /// to float on overflow) and must keep agreeing — wrapping `i64` arithmetic

@@ -1,14 +1,15 @@
-//! Property tests pinning the typed physical layer (PR 6) to the generic
-//! `Value` path it accelerates. The oracle is [`AuColumns::to_generic`]:
+//! Property tests pinning the typed physical layer to the `Value`
+//! semantics it accelerates. The oracle is [`AuColumns::to_generic`]:
 //! demoting every column to `Generic(Vec<Value>)` lanes forces every
-//! kernel down the historical `Value`-sweeping path, so for any relation
-//! the typed and demoted columns must agree on
+//! kernel off its typed path — the expression kernels onto the row
+//! semantics (`RangeExpr::eval` / `truth`'s own recursion, cell by cell)
+//! — so for any relation the typed and demoted columns must agree on
 //!
 //! * the vectorized expression kernels (`eval_batch` / `truth_batch` /
 //!   `eval_batch_at` / `truth_batch_at` / `eval_batch_column`) — across
 //!   monomorphic `i64` / `f64` / dictionary-string sweeps, the int–float
-//!   cross-comparison kernels, overflow fallback, and plain generic
-//!   fallback expressions;
+//!   cross-comparison kernels, overflow fallback, and expressions the
+//!   typed tier declines;
 //! * `SortKey::of_columns` (typed slices encode the same memcmp keys the
 //!   per-value encoder produces — NaN, `-0.0`, and int/float alignment
 //!   included);
@@ -18,7 +19,7 @@
 //!
 //! The value pools deliberately include the adversarial corners: NaN
 //! (one equivalence class above every other number), `-0.0 ≡ 0.0`,
-//! `i64::MAX` (typed add bails to the generic overflow-to-float
+//! `i64::MAX` (typed add bails to the row semantics' overflow-to-float
 //! promotion), and `±2⁵³`-scale floats.
 
 use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, SortKey};
@@ -194,8 +195,8 @@ proptest! {
         prop_assert_eq!(pushed.to_rows().rows(), rel.rows());
     }
 
-    /// Typed kernels ≡ generic kernels on every expression shape, batch
-    /// size, and selection, including `eval_batch_column`'s direct
+    /// Typed kernels ≡ the row semantics over the demoted lanes, on every
+    /// expression shape, batch size, and selection, including `eval_batch_column`'s direct
     /// column materialization (certain-collapse decision included).
     #[test]
     fn typed_kernels_match_generic_kernels(
