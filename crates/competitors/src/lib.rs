@@ -23,4 +23,4 @@ pub mod symb;
 pub use mcdb::{mcdb_sort_bounds, mcdb_topk_frequencies, mcdb_window_bounds};
 pub use ptk::{ptk_certain, ptk_possible, ptk_query, ptk_topk_probs};
 pub use ranks::{expected_rank_topk, expected_ranks, global_topk, urank, utop};
-pub use symb::{symb_sort_bounds, symb_window_bounds};
+pub use symb::symb_sort_bounds;

@@ -10,15 +10,15 @@
 //!   possibilities — a generic `O(n²·A²)` computation that yields *tight*
 //!   position bounds (the same values as the closed form in
 //!   `audb_worlds::exact`, which is what we test it against);
-//! * [`symb_window_bounds`] delegates to the capped local enumeration of
-//!   [`audb_worlds::exact_window_bounds`] — exact, exponential in local
+//! * the window side is the capped local enumeration of
+//!   [`audb_worlds::exact_window_bounds`], called as it stands (the
+//!   workloads' `runner::symb_window`) — exact, exponential in local
 //!   uncertainty, and prone to blowing its budget exactly like Z3 blew its
 //!   stack in the paper's Fig. 15 setup.
 
-use audb_core::WinAgg;
 use audb_rel::ops::sort::total_order;
 use audb_rel::Tuple;
-use audb_worlds::{exact_window_bounds, WindowTruth, XTupleTable};
+use audb_worlds::XTupleTable;
 
 /// Tight `[pos_min, pos_max]` per tuple by pairwise precedence reasoning
 /// (deliberately generic and quadratic — the exact-competitor cost profile).
@@ -79,20 +79,6 @@ pub fn symb_sort_bounds(table: &XTupleTable, order: &[usize]) -> Vec<Option<(u64
             Some((lo, hi))
         })
         .collect()
-}
-
-/// Tight window-aggregate bounds (exact local enumeration, capped).
-/// Returns `None` for tuples without alternatives, [`WindowTruth::Skipped`]
-/// when the local neighbourhood exceeds `enum_cap` joint outcomes.
-pub fn symb_window_bounds(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-    enum_cap: u128,
-) -> Vec<Option<WindowTruth>> {
-    exact_window_bounds(table, order, agg, l, u, enum_cap)
 }
 
 #[cfg(test)]

@@ -166,44 +166,6 @@ impl<T, C> ConnectedHeap<T, C> {
         self.arena.payload.len()
     }
 
-    /// Drop every record but keep the arena, back-pointer vector, free
-    /// list and per-component index vectors allocated. A maintenance
-    /// sweep that rebuilds its state (e.g. after a recompute fallback)
-    /// calls this instead of constructing a new heap, so steady-state
-    /// appends never reallocate.
-    pub fn clear(&mut self) {
-        let arena = &mut self.arena;
-        arena.free.clear();
-        for (i, slot) in arena.payload.iter_mut().enumerate() {
-            *slot = None;
-            arena.free.push(i);
-        }
-        // `free` pops from the back: reverse so refills reuse slot 0 first.
-        arena.free.reverse();
-        arena.heaps.iter_mut().for_each(Vec::clear);
-        arena.words.iter_mut().for_each(Vec::clear);
-        arena.len = 0;
-    }
-
-    /// Ensure the arena can hold `additional` more live records without
-    /// reallocating any of its vectors.
-    pub fn reserve(&mut self, additional: usize) {
-        let arena = &mut self.arena;
-        let hn = arena.heaps.len();
-        let spare = arena.payload.len() - arena.len;
-        let grow = additional.saturating_sub(spare);
-        arena.payload.reserve(grow);
-        arena.pos.reserve(grow * hn);
-        arena.free.reserve(grow);
-        for heap in &mut arena.heaps {
-            heap.reserve(additional.saturating_sub(heap.capacity() - heap.len()));
-        }
-        // Words are kept by the components of an order that has them.
-        for words in arena.words.iter_mut().filter(|w| w.capacity() > 0) {
-            words.reserve(additional.saturating_sub(words.capacity() - words.len()));
-        }
-    }
-
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.arena.len
@@ -801,51 +763,6 @@ mod tests {
         // No more than 100 arena slots should ever have been allocated.
         assert!(ch.arena.payload.len() <= 100);
         assert_eq!(ch.arena.pos.len(), ch.arena.payload.len() * ch.components());
-    }
-
-    #[test]
-    fn clear_retains_capacity_and_reuses_slots() {
-        let mut ch =
-            ConnectedHeap::with_capacity(2, 64, |h, a: &(i64, i64), b: &(i64, i64)| match h {
-                0 => a.0.cmp(&b.0),
-                _ => a.1.cmp(&b.1),
-            });
-        for i in 0..64i64 {
-            ch.insert((i, 63 - i));
-        }
-        // Leave the heap mid-life (some slots on the free list).
-        for _ in 0..10 {
-            ch.pop(0);
-        }
-        assert_eq!(ch.len(), 54);
-        ch.clear();
-        assert!(ch.is_empty());
-        assert_eq!(ch.arena_slots(), 64, "arena survives clear()");
-        // Refill to the same size: every insert reuses a freed slot.
-        for i in 0..64i64 {
-            ch.insert((i * 7 % 64, i));
-        }
-        assert!(ch.validate());
-        assert_eq!(ch.arena_slots(), 64, "no realloc on refill");
-        assert_eq!(ch.pop(0), Some((0, 0)));
-    }
-
-    #[test]
-    fn reserve_preallocates_for_appends() {
-        let mut ch = ConnectedHeap::new(3, three_key_cmp);
-        ch.insert((1, 2, 3));
-        ch.reserve(100);
-        let slots_before = ch.arena.payload.capacity();
-        for i in 0..100i64 {
-            ch.insert((i, i * 3 % 101, i * 7 % 103));
-        }
-        assert!(ch.validate());
-        assert_eq!(
-            ch.arena.payload.capacity(),
-            slots_before,
-            "reserve covered the fill"
-        );
-        assert_eq!(ch.len(), 101);
     }
 
     type Triple = (i64, i64, i64);

@@ -151,7 +151,8 @@ impl RangeExpr {
 
     /// The row semantics, written once: `cell(i)` reads attribute `i` of
     /// the row at hand — a tuple's cell for [`RangeExpr::eval`], one batch
-    /// cell for the batch kernels' fallback.
+    /// cell for the batch kernels' fallback, a zone's bound box for
+    /// [`crate::stats::zone_truth`].
     fn eval_with(&self, cell: &impl Fn(usize) -> RangeValue) -> RangeValue {
         match self {
             RangeExpr::Col(i) => cell(*i),
@@ -170,7 +171,7 @@ impl RangeExpr {
     }
 
     /// [`RangeExpr::eval_with`] as a predicate.
-    fn truth_with(&self, cell: &impl Fn(usize) -> RangeValue) -> TruthRange {
+    pub(crate) fn truth_with(&self, cell: &impl Fn(usize) -> RangeValue) -> TruthRange {
         let v = self.eval_with(cell);
         TruthRange {
             lb: v.lb.is_true(),

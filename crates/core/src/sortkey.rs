@@ -333,12 +333,21 @@ pub fn prefix_of<'a>(vals: impl IntoIterator<Item = &'a Value>) -> u64 {
 /// Where encoded bytes go: a whole key, or only its first eight bytes.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
+
+    /// How many more bytes the sink keeps: an encoder need read no more
+    /// of a value than that.
+    fn room(&self) -> usize;
 }
 
 impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn room(&self) -> usize {
+        usize::MAX
     }
 }
 
@@ -351,8 +360,8 @@ struct Head {
 }
 
 impl Sink for Head {
-    /// At most one word per call is kept: an encoder puts at most eight
-    /// bytes at a time, a length the compiler sees.
+    /// At most one word per call is kept: bytes past the first eight are
+    /// never read.
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         if self.len == 8 {
@@ -364,6 +373,11 @@ impl Sink for Head {
         let word = u64::from_be_bytes(word).checked_shr(8 * self.len);
         self.word |= word.unwrap_or(0);
         self.len = (self.len + n as u32).min(8);
+    }
+
+    #[inline]
+    fn room(&self) -> usize {
+        8 - self.len as usize
     }
 }
 
@@ -477,15 +491,21 @@ fn encode_f64(f: f64, out: &mut impl Sink) {
     }
 }
 
-/// The `Str` arm of [`encode_value`], monomorphic.
+/// The `Str` arm of [`encode_value`], monomorphic: the runs between NUL
+/// bytes go in as slices, each NUL as `0 FF`. A byte never encodes to
+/// fewer than one, so a sink with `room` bytes left needs no more than the
+/// first `room` bytes of the string — a key's head reads eight, not the
+/// whole string.
 #[inline]
 fn encode_str(s: &str, out: &mut impl Sink) {
     out.put(&[TAG_STR]);
-    for &b in s.as_bytes() {
-        match b {
-            0 => out.put(&[0, 0xFF]),
-            b => out.put(&[b]),
+    let bytes = s.as_bytes();
+    let read = &bytes[..bytes.len().min(out.room())];
+    for (k, run) in read.split(|&b| b == 0).enumerate() {
+        if k > 0 {
+            out.put(&[0, 0xFF]);
         }
+        out.put(run);
     }
     out.put(&[0, 0]);
 }

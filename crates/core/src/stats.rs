@@ -28,21 +28,32 @@
 //!   untouched — no value is rewritten).
 //! * [`ZoneVerdict::Mixed`] — no conclusion; evaluate normally.
 //!
-//! Soundness leans on the same bound-preservation argument as
-//! [`crate::RangeExpr::eval`]: a comparison `a < b` is certainly true for
-//! every row when `max(a.ub) < min(b.lb)` over the zone, and certainly
-//! not-even-possibly true when `min(a.lb) ≥ max(b.ub)`; connectives
-//! combine verdicts by Kleene logic. Anything the interval analysis
-//! cannot bound (multiplication, string/float arithmetic, predicates
-//! used as values) degrades to `Mixed`, never to a wrong verdict —
-//! property-pinned against per-row [`crate::RangeExpr::truth`] in this
-//! module's tests and in `tests/pipeline_equivalence.rs`.
+//! There is no second interval analysis: a zone's bound box is itself a
+//! range value `[min lb / min lb / max ub]`, and the verdict is the row
+//! semantics ([`crate::RangeExpr::truth`]) with every column's cell read as
+//! its box — `TRUE` on the lower bound is `AllTrue`, `FALSE` on the upper
+//! is `AllFalse`. That is sound because every row's cell lies inside its
+//! box and, on the admitted fragment, the truth triple's lower bound only
+//! falls and its upper bound only rises as operand ranges widen. The
+//! fragment is comparisons whose operands are columns or literals,
+//! combined by `AND` / `OR` / `NOT`, which combine the bounds
+//! componentwise. Everything else reads as unknown, because it is not
+//! monotone in the `Value` order: arithmetic (`NULL` absorbs, so `10 −
+//! NULL` is `NULL`, below `10 − 5`; `i64` overflow promotes to float)
+//! and a bare column used as a predicate (only `Bool(true)` is true, so a
+//! box `[false, 5]` reads false while a `true` row lies inside it). No
+//! workload, figure, example or `repro bench` cell prunes on arithmetic;
+//! an unknown node degrades the verdict to `Mixed`, never to a wrong
+//! one — property-pinned against per-row [`crate::RangeExpr::truth`] in
+//! `tests/zone_verdicts.rs` and end to end in
+//! `tests/pipeline_equivalence.rs`.
 
 use crate::columns::AuColumns;
 use crate::expr::RangeExpr;
+use crate::range_value::{RangeValue, TruthRange};
 use crate::relation::AuRelation;
 use crate::sortkey::Corner;
-use audb_rel::{CmpOp, Value};
+use audb_rel::Value;
 
 /// Rows per statistics zone. Matches the executor's default batch size so
 /// batch `i` at the default size is exactly zone `i`; other batch sizes
@@ -223,166 +234,48 @@ pub enum ZoneVerdict {
     AllTrue,
 }
 
-impl ZoneVerdict {
-    /// Kleene conjunction.
-    fn and(self, other: ZoneVerdict) -> ZoneVerdict {
-        use ZoneVerdict::*;
-        match (self, other) {
-            (AllFalse, _) | (_, AllFalse) => AllFalse,
-            (AllTrue, AllTrue) => AllTrue,
-            _ => Mixed,
-        }
-    }
-
-    /// Kleene disjunction.
-    fn or(self, other: ZoneVerdict) -> ZoneVerdict {
-        use ZoneVerdict::*;
-        match (self, other) {
-            (AllTrue, _) | (_, AllTrue) => AllTrue,
-            (AllFalse, AllFalse) => AllFalse,
-            _ => Mixed,
-        }
-    }
-
-    /// Negation (swaps the definite verdicts).
-    fn not(self) -> ZoneVerdict {
-        match self {
-            ZoneVerdict::AllFalse => ZoneVerdict::AllTrue,
-            ZoneVerdict::AllTrue => ZoneVerdict::AllFalse,
-            ZoneVerdict::Mixed => ZoneVerdict::Mixed,
-        }
-    }
-}
-
-/// A conservative interval enclosing every bound of an expression's value
-/// over every row of one zone.
-struct ZoneBox {
-    lo: Value,
-    hi: Value,
-}
-
-/// Interval of a value expression over one zone, `None` when the analysis
-/// cannot bound it (which degrades the verdict to `Mixed`, never to a
-/// wrong answer). Arithmetic stays integer-only and checked: overflow in
-/// `Value` semantics promotes to float mid-expression, which would break
-/// endpoint monotonicity, so it bails instead.
-fn zone_box(e: &RangeExpr, stats: &TableStats, z: usize) -> Option<ZoneBox> {
-    match e {
-        RangeExpr::Col(i) => {
-            let zone = stats.cols.get(*i)?.zones.get(z)?;
-            Some(ZoneBox {
-                lo: zone.min_lb.clone(),
-                hi: zone.max_ub.clone(),
-            })
-        }
-        RangeExpr::Lit(v) => Some(ZoneBox {
-            lo: v.lb.clone(),
-            hi: v.ub.clone(),
-        }),
-        RangeExpr::Add(a, b) => {
-            let (a, b) = (zone_box(a, stats, z)?, zone_box(b, stats, z)?);
-            Some(ZoneBox {
-                lo: int_add(&a.lo, &b.lo)?,
-                hi: int_add(&a.hi, &b.hi)?,
-            })
-        }
-        RangeExpr::Sub(a, b) => {
-            let (a, b) = (zone_box(a, stats, z)?, zone_box(b, stats, z)?);
-            Some(ZoneBox {
-                lo: int_sub(&a.lo, &b.hi)?,
-                hi: int_sub(&a.hi, &b.lo)?,
-            })
-        }
-        RangeExpr::Neg(a) => {
-            let a = zone_box(a, stats, z)?;
-            Some(ZoneBox {
-                lo: int_neg(&a.hi)?,
-                hi: int_neg(&a.lo)?,
-            })
-        }
-        // Multiplication mixes signs (four-corner extrema) and predicates
-        // evaluate to boolean ranges; neither is worth bounding here.
-        _ => None,
-    }
-}
-
-fn int_add(a: &Value, b: &Value) -> Option<Value> {
-    match (a, b) {
-        (Value::Int(a), Value::Int(b)) => a.checked_add(*b).map(Value::Int),
-        _ => None,
-    }
-}
-
-fn int_sub(a: &Value, b: &Value) -> Option<Value> {
-    match (a, b) {
-        (Value::Int(a), Value::Int(b)) => a.checked_sub(*b).map(Value::Int),
-        _ => None,
-    }
-}
-
-fn int_neg(a: &Value) -> Option<Value> {
-    match a {
-        Value::Int(a) => a.checked_neg().map(Value::Int),
-        _ => None,
-    }
-}
-
-/// Evaluate a predicate over zone `z`'s bound boxes. Sound for every row
-/// of the zone (see the module docs); anything unbounded is `Mixed`.
+/// Evaluate a predicate over zone `z`'s bound boxes: the row semantics
+/// ([`RangeExpr::truth`]) with every column's cell read as the zone's box
+/// `[min lb, max ub]`. Sound for every row of the zone (see the module
+/// docs); what lies outside the monotone fragment is `Mixed`.
 pub fn zone_truth(pred: &RangeExpr, stats: &TableStats, z: usize) -> ZoneVerdict {
-    match pred {
-        RangeExpr::Cmp(op, a, b) => {
-            let (Some(a), Some(b)) = (zone_box(a, stats, z), zone_box(b, stats, z)) else {
-                return ZoneVerdict::Mixed;
-            };
-            cmp_verdict(*op, &a, &b)
+    let t = box_truth(pred, stats, z);
+    if t.lb {
+        ZoneVerdict::AllTrue
+    } else if !t.ub {
+        ZoneVerdict::AllFalse
+    } else {
+        ZoneVerdict::Mixed
+    }
+}
+
+/// The truth triple of `e` over zone `z`'s boxes. A comparison of columns
+/// and literals is the row semantics over the boxes; connectives combine
+/// like the row semantics' own; anything else is unknown (`false`/`true`).
+fn box_truth(e: &RangeExpr, stats: &TableStats, z: usize) -> TruthRange {
+    let operand = |e: &RangeExpr| match e {
+        RangeExpr::Col(c) => stats.cols.get(*c).is_some_and(|col| z < col.zones.len()),
+        RangeExpr::Lit(_) => true,
+        _ => false,
+    };
+    let zone_box = |c: usize| {
+        let zone = &stats.cols[c].zones[z];
+        RangeValue {
+            lb: zone.min_lb.clone(),
+            sg: zone.min_lb.clone(),
+            ub: zone.max_ub.clone(),
         }
-        RangeExpr::And(a, b) => zone_truth(a, stats, z).and(zone_truth(b, stats, z)),
-        RangeExpr::Or(a, b) => zone_truth(a, stats, z).or(zone_truth(b, stats, z)),
-        RangeExpr::Not(a) => zone_truth(a, stats, z).not(),
-        _ => ZoneVerdict::Mixed,
-    }
-}
-
-/// Verdict of one comparison over two zone boxes, mirroring the per-row
-/// truth semantics ([`crate::RangeValue::lt`] and friends) over the same
-/// total `Value` order.
-fn cmp_verdict(op: CmpOp, a: &ZoneBox, b: &ZoneBox) -> ZoneVerdict {
-    match op {
-        CmpOp::Lt => lt_verdict(a, b, true),
-        CmpOp::Le => lt_verdict(a, b, false),
-        CmpOp::Gt => lt_verdict(b, a, true),
-        CmpOp::Ge => lt_verdict(b, a, false),
-        CmpOp::Eq => eq_verdict(a, b),
-        CmpOp::Ne => eq_verdict(a, b).not(),
-    }
-}
-
-/// `a < b` (`strict`) or `a ≤ b`: certainly true for every row when even
-/// the largest possible left value beats the smallest possible right one;
-/// certainly impossible when even the smallest left never does.
-fn lt_verdict(a: &ZoneBox, b: &ZoneBox, strict: bool) -> ZoneVerdict {
-    let all_true = if strict { a.hi < b.lo } else { a.hi <= b.lo };
-    let all_false = if strict { a.lo >= b.hi } else { a.lo > b.hi };
-    if all_true {
-        ZoneVerdict::AllTrue
-    } else if all_false {
-        ZoneVerdict::AllFalse
-    } else {
-        ZoneVerdict::Mixed
-    }
-}
-
-/// `a = b`: impossible when the boxes are disjoint; certain only when both
-/// boxes collapse to the same single point (then every row is that exact
-/// certain value).
-fn eq_verdict(a: &ZoneBox, b: &ZoneBox) -> ZoneVerdict {
-    if a.hi < b.lo || b.hi < a.lo {
-        ZoneVerdict::AllFalse
-    } else if a.lo == a.hi && b.lo == b.hi && a.lo == b.lo {
-        ZoneVerdict::AllTrue
-    } else {
-        ZoneVerdict::Mixed
+    };
+    match e {
+        RangeExpr::Cmp(_, a, b) if operand(a) && operand(b) => e.truth_with(&zone_box),
+        RangeExpr::And(a, b) => box_truth(a, stats, z).and(box_truth(b, stats, z)),
+        RangeExpr::Or(a, b) => box_truth(a, stats, z).or(box_truth(b, stats, z)),
+        RangeExpr::Not(a) => box_truth(a, stats, z).not(),
+        _ => TruthRange {
+            lb: false,
+            sg: false,
+            ub: true,
+        },
     }
 }
 
@@ -447,7 +340,7 @@ mod tests {
     use crate::mult::Mult3;
     use crate::range_value::RangeValue;
     use crate::tuple::AuTuple;
-    use audb_rel::Schema;
+    use audb_rel::{CmpOp, Schema};
 
     fn rel(rows: &[(i64, i64, i64)]) -> AuRelation {
         AuRelation::from_rows(

@@ -97,9 +97,10 @@
 //! around rank `k`, not with `n`; a query is
 //! [`crate::sort::sort_columns_native`] over the band.
 //!
-//! The pool heaps reuse their arena across the life of a subscription
-//! ([`audb_conheap::ConnectedHeap::clear`] / `reserve`): steady-state
-//! appends perform no allocation inside the connected heap.
+//! Within one window sweep the pool heap reuses its arena: a popped record's
+//! slot goes on the free list and the next insert takes it, so the arena
+//! holds the sweep band, not the relation. A sweep that is rebuilt (a
+//! recompute fallback) is a new heap.
 
 use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::window::{aggregate_column, partitions};
@@ -804,25 +805,6 @@ impl WindowMaintain {
             i -= 1;
         }
     }
-
-    /// Reset to the empty state, retaining every allocation (the connected
-    /// heap keeps its arena via [`ConnectedHeap::clear`]).
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.total_lb = 0;
-        self.total_ub = 0;
-        self.frontier = None;
-        self.merged_duplicates = false;
-        self.openw.clear();
-        self.oldest_open = 0;
-        self.cert.clear();
-        self.poss.clear();
-        self.closed.clear();
-        (self.pool_sum, self.pool_max) = (0, 0);
-        self.sg_ids.clear();
-        self.sg_vals.clear();
-        self.sg_pending = 0;
-    }
 }
 
 /// `acc` plus every term, left to right, exactly as a fold of
@@ -1373,22 +1355,16 @@ mod tests {
         );
     }
 
+    /// Within one sweep a popped pool record's slot goes on the free list
+    /// and the next insert takes it: the arena's high-water mark is the
+    /// sweep band, not the relation size.
     #[test]
-    fn reset_reuses_the_pool_arena() {
+    fn the_pool_arena_is_the_sweep_band() {
         let rows = stream_rows(64, 9);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
-        let mut m = WindowMaintain::new(spec.clone(), WinAgg::Sum(1));
+        let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
         m.apply(&rel_of(&rows).to_columns(), 0);
-        let first = (m.closed_rows().to_vec(), m.open_rows());
-        // Eviction keeps the pool small: the arena high-water mark is the
-        // sweep band, not the relation size.
         let slots = m.poss.arena_slots();
         assert!(slots > 0 && slots < 64, "band-sized arena, got {slots}");
-        m.reset();
-        assert!(m.is_empty());
-        assert_eq!(m.poss.arena_slots(), slots, "clear() keeps the arena");
-        m.apply(&rel_of(&rows).to_columns(), 0);
-        assert_eq!(m.poss.arena_slots(), slots, "refill reuses freed slots");
-        assert_eq!((m.closed_rows().to_vec(), m.open_rows()), first);
     }
 }

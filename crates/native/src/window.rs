@@ -110,24 +110,42 @@ pub fn window_native(
     }
 }
 
+/// The native window's refusal: the sweep is per partition, and the row
+/// `row` has none — its `PARTITION BY` attribute `attr` is a range.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UncertainPartitionError {
+    /// The first existing row with an uncertain partition value.
+    pub row: usize,
+    /// The partition attribute that is a range there.
+    pub attr: usize,
+}
+
+impl std::fmt::Display for UncertainPartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "window_native requires certain PARTITION BY attributes (attribute {} of \
+             row {} is a range); use audb_core::window_ref or the rewrite method for \
+             uncertain partitions",
+            self.attr, self.row
+        )
+    }
+}
+
+impl std::error::Error for UncertainPartitionError {}
+
 /// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
 /// `partition` attributes: `(key of the value, row indices)` in value
 /// order, stored order within — sorted by prefix, by key bytes only where
-/// prefixes tie. An uncertain partition value among them is an error —
-/// the sweep is per partition, and such a row has none.
+/// prefixes tie. An uncertain partition value among them is an error.
 pub(crate) fn partitions(
     cols: &AuColumns,
     partition: &[usize],
-) -> Result<Vec<(Vec<u8>, Vec<usize>)>, String> {
+) -> Result<Vec<(Vec<u8>, Vec<usize>)>, UncertainPartitionError> {
     let mut rows: Vec<usize> = Vec::with_capacity(cols.len());
     for row in (0..cols.len()).filter(|&row| !cols.mult(row).is_zero()) {
-        if let Some(g) = (partition.iter()).find(|&&g| !cols.col(g).certain_at(row)) {
-            return Err(format!(
-                "window_native requires certain PARTITION BY attributes \
-                 (attribute {g} of {} is a range); use audb_core::window_ref \
-                 or the rewrite method for uncertain partitions",
-                cols.tuple(row)
-            ));
+        if let Some(&attr) = (partition.iter()).find(|&&g| !cols.col(g).certain_at(row)) {
+            return Err(UncertainPartitionError { row, attr });
         }
         rows.push(row);
     }
@@ -168,7 +186,7 @@ pub fn window_columns_native(
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
-) -> Result<NativeWindow, String> {
+) -> Result<NativeWindow, UncertainPartitionError> {
     run(cols, spec, agg, out_name, None)
 }
 
@@ -183,7 +201,7 @@ pub fn window_native_staged(
     agg: WinAgg,
     out_name: &str,
     stage: &mut dyn FnMut(&'static str),
-) -> Result<NativeWindow, String> {
+) -> Result<NativeWindow, UncertainPartitionError> {
     run(cols, spec, agg, out_name, Some(stage))
 }
 
@@ -193,7 +211,7 @@ fn run(
     agg: WinAgg,
     out_name: &str,
     stage: Option<&mut dyn FnMut(&'static str)>,
-) -> Result<NativeWindow, String> {
+) -> Result<NativeWindow, UncertainPartitionError> {
     // Someone listening for stages gets them one partition after another.
     let parallel = stage.is_none();
     let mut nobody = |_| {};

@@ -433,6 +433,65 @@ proptest! {
     }
 }
 
+/// The unit case of `prefix_at_is_the_prefix_of_the_encoded_key` at a
+/// megabyte: strings whose NUL falls before, at and after the eighth key
+/// byte (or nowhere), leading the key or behind a number. The head is the
+/// encoded key's head, and the key still holds every byte of the string —
+/// one escape per NUL, then the terminator.
+#[test]
+fn prefix_at_is_the_prefix_of_a_megabyte_key() {
+    let mb = 1 << 20;
+    let nuls = [
+        None,
+        Some(0),
+        Some(3),
+        Some(6),
+        Some(7),
+        Some(8),
+        Some(mb / 2),
+        Some(mb - 1),
+    ];
+    let strings: Vec<Value> = (nuls.iter())
+        .map(|nul| {
+            let mut bytes = vec![b'k'; mb];
+            if let Some(at) = *nul {
+                bytes[at] = 0;
+            }
+            Value::str(String::from_utf8(bytes).unwrap())
+        })
+        .collect();
+    let rel = AuRelation::from_rows(
+        Schema::new(["s", "i"]),
+        (strings.iter().enumerate()).map(|(i, s)| {
+            let i = i as i64;
+            (
+                AuTuple::new([RangeValue::certain(s.clone()), RangeValue::new(i, i, 9)]),
+                Mult3::ONE,
+            )
+        }),
+    );
+    let cols = rel.to_columns();
+    let number_key = 1 + 8 + 8;
+    for idxs in [[0usize, 1], [1, 0]] {
+        for (row, nul) in nuls.iter().enumerate() {
+            for corner in [Corner::Lb, Corner::Ub] {
+                let mut keys = KeyArena::with_capacity(0, 0);
+                keys.push_corner_at(&cols, row, corner, &idxs);
+                let want = keys.prefix(0);
+                assert_eq!(
+                    prefix_at(&cols, row, corner, &idxs),
+                    want,
+                    "row {row}, {idxs:?}"
+                );
+                let t = cols.tuple(row);
+                assert_eq!(prefix_of(idxs.iter().map(|&c| corner.of(&t.0[c]))), want);
+                let string_key = 1 + mb + usize::from(nul.is_some()) + 2;
+                assert_eq!(keys.key(0).len(), string_key + number_key, "row {row}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
