@@ -7,8 +7,9 @@
 //!
 //! * **sort scaling** — ns per row of `sort/imp` from cache-resident to far
 //!   past cache;
-//! * **cells** — `det` (the deterministic engine on the most-likely world),
-//!   `imp` (the one-pass native algorithms) and `rewr` (the SQL-style
+//! * **cells** — `det` (the native kernels on the most-likely world, lifted
+//!   to a certain AU-DB), `imp` (the one-pass native algorithms) and `rewr`
+//!   (the SQL-style
 //!   rewrite) for sorting, windowed aggregation and a select/project-
 //!   carrying ranking plan (`sort_sel`: `scan → select → project → sort`)
 //!   at n ∈ {1k, 4k, 16k} by default (`--sizes` overrides);
@@ -48,12 +49,14 @@ use audb_core::{
     AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
     ZONE_ROWS,
 };
-use audb_engine::{CmpSemantics, Engine, MaintainedQuery, Plan, Query, Session, SharedCatalog};
+use audb_engine::{
+    exec, CmpSemantics, Engine, MaintainedQuery, Plan, Query, Reference, Session, SharedCatalog,
+};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
 use audb_rel::{Schema, Value};
 use audb_workloads::read_au_csv_columns;
-use audb_workloads::runner::{sort_plan, window_plan};
+use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -206,13 +209,12 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
     };
     for &n in &cfg.sizes {
         let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-        let world = table.most_likely_world();
         let order = [0usize, 1];
-        let det_sort = || {
-            std::hint::black_box(audb_rel::sort_to_pos(&world, &order, "pos"));
-        };
+        let det_plan = sort_plan(selected_guess(&table), &order, None);
+        let det_sort = || execute(&Engine::Native, &det_plan);
         cells.push(cell("sort", "det", n, det_sort, runs));
-        au_cells(&mut cells, "sort", n, &sort_plan(&table, &order, None));
+        let plan = sort_plan(table.to_au_relation(), &order, None);
+        au_cells(&mut cells, "sort", n, &plan);
 
         // Streamable stages ahead of the breaker (≈50% selectivity on the
         // certain `b` attribute, then a computed projection): one fused
@@ -233,17 +235,10 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
         au_cells(&mut cells, "sort_sel", n, &sel_plan);
 
         let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
-        let wworld = wtable.most_likely_world();
-        let det_window = || {
-            std::hint::black_box(audb_rel::window_rows(
-                &wworld,
-                &audb_rel::WindowSpec::rows(vec![0], -2, 0),
-                audb_rel::AggFunc::Sum(2),
-                "x",
-            ));
-        };
+        let det_plan = window_plan(selected_guess(&wtable), &[0], WinAgg::Sum(2), -2, 0);
+        let det_window = || execute(&Engine::Native, &det_plan);
         cells.push(cell("window", "det", n, det_window, runs));
-        let wplan = window_plan(&wtable, &[0], WinAgg::Sum(2), -2, 0);
+        let wplan = window_plan(wtable.to_au_relation(), &[0], WinAgg::Sum(2), -2, 0);
         au_cells(&mut cells, "window", n, &wplan);
     }
     (cells, footprints)
@@ -472,8 +467,8 @@ pub struct PruningRun {
     pub sel_pct: u32,
     /// Median wall milliseconds with zone-map pruning (the default path).
     pub pruned_ms: f64,
-    /// Median wall milliseconds with pruning disabled
-    /// (`Engine::with_pruning(false)`) — same statement, same catalog.
+    /// Median wall milliseconds with pruning disabled (`prune = false` to
+    /// `exec::run_pipelined`) — same statement, same catalog, same path.
     pub unpruned_ms: f64,
     /// `unpruned_ms / pruned_ms`.
     pub speedup: f64,
@@ -513,8 +508,9 @@ fn clustered_table(n: usize) -> AuRelation {
 /// `prepare` + `execute` of the statement text** — no run holds a warm
 /// plan. The statement is the filter-scan shape zone maps accelerate
 /// (`scan → select → project_exprs`) with the selection on the clustered
-/// key at each of [`SELECTIVITIES`], on a pruned and a
-/// `with_pruning(false)` engine over the same catalog within one run.
+/// key at each of [`SELECTIVITIES`]. Both arms run `prepare` +
+/// `exec::run_pipelined` at the engine's batch size + `to_rows` over the
+/// same catalog within one run, and differ only in `prune`.
 /// Deliberately no trailing breaker: a sort's cost scales with the
 /// *surviving* rows, identical in both arms, and at 1% selectivity it
 /// would dominate both sides and dilute the measured contrast into noise.
@@ -524,27 +520,30 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
     for &n in &cfg.sizes {
         let catalog = SharedCatalog::new();
         catalog.register("c", clustered_table(n));
-        let pruned = Session::with_catalog(Engine::native(), catalog.clone());
-        let unpruned = Session::with_catalog(Engine::native().with_pruning(false), catalog);
+        let session = Session::with_catalog(Engine::Native, catalog);
         for pct in SELECTIVITIES {
             let threshold = (n as i64 * pct as i64) / 100;
             let sql = format!("SELECT t, v + 1 AS v1 FROM c WHERE t < {threshold}");
+            let statement = |prune: bool| {
+                let prepared = session.prepare(&sql).expect("pruning statement compiles");
+                let plan = prepared.plan();
+                let batch_size = session.engine().choose_exec(plan).batch_size;
+                let run = exec::run_pipelined(plan, batch_size, prune);
+                let (out, trace) = run.expect("pruning statement runs");
+                (out.to_rows(), trace)
+            };
             // One traced statement collects the skip counters.
-            let prepared = pruned.prepare(&sql).expect("pruning statement compiles");
-            let (_, trace) = pruned
-                .engine()
-                .execute_traced(prepared.plan())
-                .expect("pruning statement executes");
-            let statement_ms = |session: &Session| {
+            let (_, trace) = statement(true);
+            let statement_ms = |prune: bool| {
                 time_median(
                     || {
-                        std::hint::black_box(session.sql(&sql).expect("pruning statement runs"));
+                        std::hint::black_box(statement(prune));
                     },
                     runs,
                 )
             };
-            let pruned_ms = statement_ms(&pruned);
-            let unpruned_ms = statement_ms(&unpruned);
+            let pruned_ms = statement_ms(true);
+            let unpruned_ms = statement_ms(false);
             out.push(PruningRun {
                 n,
                 sel_pct: pct,
@@ -677,7 +676,7 @@ pub fn measure_scaling(cfg: &BenchConfig) -> Vec<ScalingRun> {
         .iter()
         .map(|&n| {
             let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-            let plan = sort_plan(&table, &[0, 1], None);
+            let plan = sort_plan(table.to_au_relation(), &[0, 1], None);
             let ms = time_median(|| execute(&engine, &plan), runs);
             ScalingRun {
                 n,
@@ -921,21 +920,26 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
 }
 
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
-/// quadratic reference (DESIGN.md §3.2). Both run the same plan on the
-/// reference backend, differing only in the comparison semantics.
+/// quadratic reference (DESIGN.md §3.2). Both run the same plan through
+/// the reference oracle's runner, differing only in the oracle's
+/// comparison semantics.
 pub fn measure_cmp_semantics(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     let runs = if cfg.quick { 3 } else { 7 };
     let table = gen_sort_table(&SyntheticConfig::default().rows(CMP_ROWS).seed(4));
-    let plan = sort_plan(&table, &[0, 1], None);
+    let plan = sort_plan(table.to_au_relation(), &[0, 1], None);
     [
-        ("interval-lex", Engine::reference()),
-        (
-            "syntactic",
-            Engine::reference().with_semantics(CmpSemantics::Syntactic),
-        ),
+        ("interval-lex", CmpSemantics::IntervalLex),
+        ("syntactic", CmpSemantics::Syntactic),
     ]
     .into_iter()
-    .map(|(name, engine)| (name, time_median(|| execute(&engine, &plan), runs)))
+    .map(|(name, semantics)| {
+        let oracle = Reference { semantics };
+        let run = || {
+            let out = exec::run_materialized(&oracle, &plan).expect("bench plan executes");
+            std::hint::black_box(out);
+        };
+        (name, time_median(run, runs))
+    })
     .collect()
 }
 
@@ -953,7 +957,7 @@ pub fn measure_window_aggregates(cfg: &BenchConfig) -> Vec<(&'static str, f64)> 
     ]
     .into_iter()
     .map(|(name, agg)| {
-        let plan = window_plan(&table, &[0], agg, -2, 0);
+        let plan = window_plan(table.to_au_relation(), &[0], agg, -2, 0);
         (name, time_median(|| execute(&engine, &plan), runs))
     })
     .collect()

@@ -13,7 +13,7 @@
 //! the output is deterministic and CI can diff it against a golden file.
 //! `--repl` reads statements interactively instead.
 
-use audb_engine::{BackendChoice, Engine, Session};
+use audb_engine::{Engine, Session};
 use audb_workloads::csvload;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -26,8 +26,8 @@ pub struct SqlOptions {
     pub data_dir: String,
     /// Extra `(name, csv path)` registrations.
     pub tables: Vec<(String, String)>,
-    /// Backend executing the statements.
-    pub backend: BackendChoice,
+    /// Method executing the statements.
+    pub backend: Engine,
     /// Print `EXPLAIN` output before each result.
     pub explain: bool,
     /// Interactive line-by-line mode.
@@ -40,7 +40,7 @@ impl Default for SqlOptions {
             script: None,
             data_dir: "workloads".to_string(),
             tables: Vec::new(),
-            backend: BackendChoice::Native,
+            backend: Engine::Native,
             explain: false,
             repl: false,
         }
@@ -48,7 +48,7 @@ impl Default for SqlOptions {
 }
 
 fn build_session(opts: &SqlOptions, out: &mut dyn Write) -> io::Result<Session> {
-    let session = Session::new(Engine::new(opts.backend));
+    let session = Session::new(opts.backend);
     if Path::new(&opts.data_dir).is_dir() {
         for (name, rel) in csvload::load_au_dir(&opts.data_dir)? {
             session.register(name, rel);
@@ -189,14 +189,7 @@ pub fn cli(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("--table {spec:?} is not name=path.csv"))?;
                 opts.tables.push((name.to_string(), path.to_string()));
             }
-            "--backend" => {
-                opts.backend = match it.next().map(String::as_str) {
-                    Some("reference") => BackendChoice::Reference,
-                    Some("native") => BackendChoice::Native,
-                    Some("rewrite") => BackendChoice::Rewrite,
-                    other => return Err(format!("unknown backend {other:?}")),
-                }
-            }
+            "--backend" => opts.backend = it.next().ok_or("--backend needs a method")?.parse()?,
             "--explain" => opts.explain = true,
             "--repl" => opts.repl = true,
             "--help" | "-h" => {

@@ -38,11 +38,7 @@ fn demo_script_agrees_across_backends() {
     let script = std::fs::read_to_string(dir.join("demo.sql")).expect("demo.sql exists");
     let strip_header = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
     let mut outputs = Vec::new();
-    for backend in [
-        audb_engine::BackendChoice::Reference,
-        audb_engine::BackendChoice::Native,
-        audb_engine::BackendChoice::Rewrite,
-    ] {
+    for backend in audb_engine::Engine::ALL {
         let opts = SqlOptions {
             data_dir: dir.to_string_lossy().into_owned(),
             backend,

@@ -25,7 +25,6 @@ use crate::columns::AuColumns;
 use crate::mult::Mult3;
 use crate::physical::PhysSlice;
 use crate::range_value::RangeValue;
-use crate::relation::AuRelation;
 use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
@@ -178,18 +177,11 @@ impl AuColumns {
     }
 }
 
-impl AuRelation {
-    /// Number of batches the relation's columnar form spans at the given
-    /// batch size (the scan-stage batch count the executor reports).
-    pub fn batch_count(&self, size: usize) -> usize {
-        self.len().div_ceil(size.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::range_value::RangeValue;
+    use crate::relation::AuRelation;
     use crate::RangeExpr;
     use audb_rel::Value;
 
@@ -207,7 +199,6 @@ mod tests {
         for size in [1, 3, 10, 64] {
             let batches: Vec<_> = cols.batches(size).collect();
             assert_eq!(batches.len(), cols.batch_count(size));
-            assert_eq!(batches.len(), r.batch_count(size));
             let total: usize = batches.iter().map(AuBatch::len).sum();
             assert_eq!(total, 10);
             let mut flat = 0i64;

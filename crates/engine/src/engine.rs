@@ -1,56 +1,19 @@
-//! The [`Engine`] handle: backend selection, per-query [`Explain`] output,
-//! and cross-backend [`Engine::run_all`] agreement runs.
+//! The [`Engine`]: the method a plan runs on, per-query [`Explain`]
+//! output, and cross-method [`Engine::run_all`] agreement runs.
 
 use crate::backend::{Reference, Rewrite};
 use crate::error::EngineError;
-use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+use crate::exec::{self, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
 use crate::plan::{Op, Plan};
-use audb_core::{AuColumns, CmpSemantics};
+use audb_core::AuColumns;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Which physical implementation executes plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Quadratic Defs. 2–3 reference semantics (`audb-core`).
-    Reference,
-    /// One-pass Sec. 8 algorithms (`audb-native`) — the paper's `Imp`.
-    Native,
-    /// Sec. 7 SQL-style rewrites over the relational encoding
-    /// (`audb-rewrite`) — the paper's `Rewr`.
-    Rewrite,
-}
-
-impl BackendChoice {
-    /// All backends, in baseline-first order (used by
-    /// [`Engine::run_all`]).
-    pub const ALL: [BackendChoice; 3] = [
-        BackendChoice::Reference,
-        BackendChoice::Native,
-        BackendChoice::Rewrite,
-    ];
-
-    /// Stable backend name (used in explain output and disagreement
-    /// reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendChoice::Reference => "reference",
-            BackendChoice::Native => "native",
-            BackendChoice::Rewrite => "rewrite",
-        }
-    }
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The single entry point for every method: owns backend selection (with
-/// the documented fallback rules), executes validated [`Plan`]s, explains
-/// them, and cross-checks all backends against each other.
+/// The single entry point for every method: an engine *is* the method a
+/// plan runs on, and nothing else. It executes validated [`Plan`]s,
+/// explains them, and cross-checks all methods against each other.
 ///
 /// ```
 /// use audb_engine::{Engine, Query};
@@ -66,18 +29,26 @@ impl fmt::Display for BackendChoice {
 /// );
 /// let plan = Query::scan(rel).sort_by(["sales"]).topk(1).build()?;
 /// let engine = Engine::native();
-/// let top = engine.execute(&plan)?;                // one backend: columns
+/// let top = engine.execute(&plan)?;                // one method: columns
 /// let agreed = engine.run_all(&plan)?;             // all three + agreement
 /// assert!(top.to_rows().bag_eq(&agreed.output.to_rows()));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Engine {
-    choice: BackendChoice,
-    semantics: CmpSemantics,
-    /// `Some` once [`Engine::with_batch_size`] pinned a size.
-    batch_size: Option<usize>,
-    pub(crate) pruning: bool,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// Quadratic Defs. 2–3 reference semantics (`audb-core`), under
+    /// interval-lex comparison.
+    Reference,
+    /// One-pass Sec. 8 algorithms (`audb-native`) — the paper's `Imp`, and
+    /// the usual production choice.
+    #[default]
+    Native,
+    /// Sec. 7 SQL-style rewrites over the relational encoding
+    /// (`audb-rewrite`) — the paper's `Rewr`. Its window self-join always
+    /// probes the interval index; the paper's plain nested loop is run by
+    /// the figure code that reports it ([`crate::Rewrite`] with a
+    /// strategy, through [`crate::exec::run_materialized`]).
+    Rewrite,
 }
 
 /// At and above this many source rows batches widen to
@@ -95,143 +66,61 @@ pub struct ExecChoice {
     pub batch_size: usize,
 }
 
-impl Default for Engine {
-    /// The native backend with default settings — the usual production
-    /// choice (used by `Session::default()`).
-    fn default() -> Self {
-        Engine::native()
-    }
-}
-
 impl Engine {
-    /// An engine executing on the given backend with default settings
-    /// (interval-lex comparison). The rewrite backend always probes the
-    /// interval index in its window self-join; the paper's plain `Rewr`
-    /// nested loop is run by the figure code that reports it
-    /// ([`crate::Rewrite`] with a strategy, through
-    /// [`crate::exec::run_materialized`]).
-    pub fn new(choice: BackendChoice) -> Self {
-        Engine {
-            choice,
-            semantics: CmpSemantics::default(),
-            batch_size: None,
-            pruning: true,
+    /// All methods, in baseline-first order (used by [`Engine::run_all`]).
+    pub const ALL: [Engine; 3] = [Engine::Reference, Engine::Native, Engine::Rewrite];
+
+    /// The quadratic reference method.
+    pub fn reference() -> Self {
+        Engine::Reference
+    }
+
+    /// The one-pass native method (the usual production choice).
+    pub fn native() -> Self {
+        Engine::Native
+    }
+
+    /// The SQL-rewrite method.
+    pub fn rewrite() -> Self {
+        Engine::Rewrite
+    }
+
+    /// Stable method name (used in explain output, disagreement reports
+    /// and the `--backend` flags; [`Engine::from_str`] is its inverse).
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Reference => "reference",
+            Engine::Native => "native",
+            Engine::Rewrite => "rewrite",
         }
     }
 
-    /// The quadratic reference backend.
-    pub fn reference() -> Self {
-        Engine::new(BackendChoice::Reference)
+    /// How this method runs plans, as traces and `explain` report it: the
+    /// native method pipelines, the row oracles materialize.
+    pub fn mode(self) -> &'static str {
+        match self {
+            Engine::Native => "pipelined",
+            Engine::Reference | Engine::Rewrite => "materialized",
+        }
     }
 
-    /// The one-pass native backend (the usual production choice).
-    pub fn native() -> Self {
-        Engine::new(BackendChoice::Native)
-    }
-
-    /// The SQL-rewrite backend.
-    pub fn rewrite() -> Self {
-        Engine::new(BackendChoice::Rewrite)
-    }
-
-    /// Override the uncertain-comparison semantics. Only the reference
-    /// implements [`CmpSemantics::Syntactic`]; requesting it reroutes every
-    /// plan to the reference backend (a fallback visible in
-    /// [`Engine::explain`]).
-    pub fn with_semantics(mut self, semantics: CmpSemantics) -> Self {
-        self.semantics = semantics;
-        self
-    }
-
-    /// Pin the pipeline executor's batch size (unpinned, the engine picks
-    /// per plan: see [`Engine::choose_exec`]). Any batch size produces the
-    /// same bounds — this knob trades per-batch dispatch against cache
-    /// residency, and lets tests pin degenerate sizes (1, n, > n).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size.max(1));
-        self
-    }
-
-    /// Enable or disable zone-map batch pruning (default: enabled). The
-    /// disabled engine is the within-run comparison baseline of
-    /// `repro bench` and the pruned ≡ unpruned property test.
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// The batch size this plan runs at: a size pinned with
-    /// [`Engine::with_batch_size`] wins, else 4 096 from 65 536 source
-    /// rows up, else [`DEFAULT_BATCH_SIZE`].
-    pub fn choose_exec(&self, plan: &Plan) -> ExecChoice {
-        let batch_size = self.batch_size.unwrap_or_else(|| {
-            if plan.source_columns().len() >= LARGE_ROWS {
-                LARGE_BATCH_SIZE
-            } else {
-                DEFAULT_BATCH_SIZE
-            }
-        });
+    /// The batch size this plan runs at: 4 096 from 65 536 source rows up,
+    /// else [`DEFAULT_BATCH_SIZE`].
+    pub fn choose_exec(self, plan: &Plan) -> ExecChoice {
+        let batch_size = if plan.source_columns().len() >= LARGE_ROWS {
+            LARGE_BATCH_SIZE
+        } else {
+            DEFAULT_BATCH_SIZE
+        };
         ExecChoice { batch_size }
     }
 
-    /// The backend the engine was asked for.
-    pub fn requested(&self) -> BackendChoice {
-        self.choice
-    }
-
-    /// The backend that will actually run, after fallback rules: syntactic
-    /// comparison semantics exist only in the reference implementation.
-    pub fn effective(&self) -> BackendChoice {
-        if self.semantics != CmpSemantics::IntervalLex {
-            BackendChoice::Reference
-        } else {
-            self.choice
-        }
-    }
-
-    /// Why the effective backend differs from the requested one, if it
-    /// does — the reason string `explain()` renders.
-    pub fn fallback_reason(&self) -> Option<String> {
-        if self.effective() != self.choice {
-            Some(format!(
-                "{:?} comparison semantics are implemented by the reference backend only",
-                self.semantics
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// The reference oracle under this engine's comparison semantics.
-    fn reference_oracle(&self) -> Reference {
-        Reference {
-            semantics: self.semantics,
-        }
-    }
-
-    /// Run `plan` the one way `choice` runs plans: the native method is
-    /// the pipelined executor, the two row oracles go through the row loop.
-    fn run(
-        &self,
-        choice: BackendChoice,
-        plan: &Plan,
-    ) -> Result<(AuColumns, ExecTrace), EngineError> {
-        let batch_size = self.choose_exec(plan).batch_size;
-        match choice {
-            BackendChoice::Native => exec::run_pipelined(plan, batch_size, self.pruning),
-            BackendChoice::Reference => {
-                exec::run_materialized(&self.reference_oracle(), plan, batch_size)
-            }
-            BackendChoice::Rewrite => exec::run_materialized(&Rewrite::default(), plan, batch_size),
-        }
-    }
-
-    /// One-line cost/strategy note of `method` for a step of a plan (`None`:
-    /// its scan), shown by [`Engine::explain`]. Selection and projection
-    /// are the shared operators on every method.
-    fn note(&self, method: BackendChoice, step: Option<&Op>) -> String {
-        use BackendChoice::{Native, Reference, Rewrite};
-        match (method, step) {
+    /// One-line cost/strategy note of this method for a step of a plan
+    /// (`None`: its scan), shown by [`Engine::explain`]. Selection and
+    /// projection are the shared operators on every method.
+    fn note(self, step: Option<&Op>) -> String {
+        use Engine::{Native, Reference, Rewrite};
+        match (self, step) {
             (_, Some(Op::Select { .. } | Op::Project { .. })) => {
                 "shared AU-DB operator ([24] semantics)".into()
             }
@@ -249,10 +138,9 @@ impl Engine {
             (Reference, None) => {
                 "rebuild rows from the stored columns (the row operators' form)".into()
             }
-            (Reference, Some(Op::Sort { limit: None, .. })) => format!(
-                "Def. 2 pairwise position bounds, O(n²), {:?} comparison",
-                self.semantics
-            ),
+            (Reference, Some(Op::Sort { limit: None, .. })) => {
+                "Def. 2 pairwise position bounds, O(n²), IntervalLex comparison".into()
+            }
             (Reference, Some(Op::Sort { .. })) => {
                 "Def. 2 sort + σ_{τ<k}, positions capped at k".into()
             }
@@ -273,85 +161,71 @@ impl Engine {
         }
     }
 
-    /// Execute a plan on the effective backend (through the physical
-    /// execution layer, the one way that backend runs plans). The result
-    /// is columnar; [`AuColumns::to_rows`] is the door for a caller that
-    /// wants tuples.
-    pub fn execute(&self, plan: &Plan) -> Result<AuColumns, EngineError> {
+    /// Execute a plan on this method (through the physical execution
+    /// layer, the one way the method runs plans). The result is columnar;
+    /// [`AuColumns::to_rows`] is the door for a caller that wants tuples.
+    pub fn execute(self, plan: &Plan) -> Result<AuColumns, EngineError> {
         self.execute_traced(plan).map(|(cols, _)| cols)
     }
 
     /// Execute a plan, also returning the executor's per-operator wall
-    /// times and batch counts.
-    pub fn execute_traced(&self, plan: &Plan) -> Result<(AuColumns, ExecTrace), EngineError> {
-        self.run(self.effective(), plan)
+    /// times and batch counts: the native method is the pipelined
+    /// executor, the two row oracles go through the row loop.
+    pub fn execute_traced(self, plan: &Plan) -> Result<(AuColumns, ExecTrace), EngineError> {
+        match self {
+            Engine::Native => exec::run_pipelined(plan, self.choose_exec(plan).batch_size, true),
+            Engine::Reference => exec::run_materialized(&Reference::default(), plan),
+            Engine::Rewrite => exec::run_materialized(&Rewrite::default(), plan),
+        }
     }
 
-    /// Describe how this engine would run the plan: chosen backend (after
-    /// fallbacks), operator chain, per-operator schemas and cost notes.
-    pub fn explain(&self, plan: &Plan) -> Explain {
-        let effective = self.effective();
+    /// Describe how this method would run the plan: operator chain,
+    /// per-operator schemas and cost notes, and the lowered pipelines.
+    pub fn explain(self, plan: &Plan) -> Explain {
         let mut steps = Vec::with_capacity(plan.ops().len() + 1);
         steps.push(ExplainStep {
             op: format!("scan [{} rows]", plan.source_columns().len()),
             schema: plan.schemas()[0].to_string(),
-            note: self.note(effective, None),
+            note: self.note(None),
         });
         for (op, schema) in plan.ops().iter().zip(&plan.schemas()[1..]) {
             steps.push(ExplainStep {
                 op: op.to_string(),
                 schema: schema.to_string(),
-                note: self.note(effective, Some(op)),
+                note: self.note(Some(op)),
             });
         }
-        let (mode, pipelines) = match effective {
-            BackendChoice::Native => (
-                ExecMode::Pipelined,
-                exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
-            ),
-            _ => (ExecMode::Materialized, Vec::new()),
+        let pipelines = match self {
+            Engine::Native => exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
+            _ => Vec::new(),
         };
         Explain {
-            requested: self.choice,
-            backend: effective,
-            fallback: self.fallback_reason(),
+            backend: self,
             sql: plan.sql().map(str::to_string),
             steps,
             opt: plan.opt().cloned(),
-            mode,
             batch_size: self.choose_exec(plan).batch_size,
             pipelines,
         }
     }
 
-    /// Execute the plan on **every** backend, timing each run, and assert
+    /// Execute the plan on **every** method, timing each run, and assert
     /// that all outputs agree bag-wise — the cross-implementation
     /// invariant the paper's evaluation rests on. Returns the agreed
-    /// output plus per-backend timings; disagreement is an
+    /// output plus per-method timings; disagreement is an
     /// [`EngineError::BackendDisagreement`], and an output whose identical
     /// rows add up past `u64` an [`EngineError::MultiplicityOverflow`].
-    ///
-    /// The invariant is defined under [`CmpSemantics::IntervalLex`] — the
-    /// only semantics all three methods implement — so `run_all` pins the
-    /// reference to it regardless of [`Engine::with_semantics`] (under
-    /// `Syntactic`, every backend reroutes to the same reference run and
-    /// there would be nothing cross-implementation to compare).
-    pub fn run_all(&self, plan: &Plan) -> Result<RunAll, EngineError> {
-        let comparable = Engine {
-            semantics: CmpSemantics::IntervalLex,
-            ..*self
-        };
+    pub fn run_all(self, plan: &Plan) -> Result<RunAll, EngineError> {
         // Compared as rows in canonical order — `bag_eq` is theirs; putting
         // them there refuses a merge past `u64` — and kept as columns.
         let mut output = None;
-        let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
-        for choice in BackendChoice::ALL {
+        let mut runs = Vec::with_capacity(Engine::ALL.len());
+        for method in Engine::ALL {
             let start = std::time::Instant::now();
-            let (out, trace) = comparable.run(choice, plan)?;
+            let (out, trace) = method.execute_traced(plan)?;
             let elapsed = start.elapsed();
             runs.push(BackendRun {
-                backend: choice,
-                mode: trace.mode,
+                backend: method,
                 elapsed,
                 rows: out.len(),
                 ops: trace.ops,
@@ -363,7 +237,7 @@ impl Engine {
                     if !baseline.bag_eq(&rows) {
                         return Err(EngineError::BackendDisagreement {
                             baseline: "reference",
-                            other: choice.name(),
+                            other: method.name(),
                             baseline_output: baseline.to_string(),
                             other_output: rows.to_string(),
                         });
@@ -371,18 +245,33 @@ impl Engine {
                 }
             }
         }
-        let (output, _) = output.expect("at least one backend ran");
+        let (output, _) = output.expect("at least one method ran");
         Ok(RunAll { output, runs })
     }
 }
 
-/// One backend's timing in a [`RunAll`].
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Engine {
+    type Err = String;
+
+    /// The method named `s`, as [`Engine::name`] spells it.
+    fn from_str(s: &str) -> Result<Engine, String> {
+        (Engine::ALL.into_iter())
+            .find(|method| method.name() == s)
+            .ok_or_else(|| format!("unknown method {s:?} (reference|native|rewrite)"))
+    }
+}
+
+/// One method's timing in a [`RunAll`].
 #[derive(Clone, Debug)]
 pub struct BackendRun {
-    /// Which backend ran.
-    pub backend: BackendChoice,
-    /// Execution mode the backend ran under.
-    pub mode: ExecMode,
+    /// Which method ran (its [`Engine::mode`] is how).
+    pub backend: Engine,
     /// Wall-clock execution time of the whole plan.
     pub elapsed: Duration,
     /// Output rows produced (pre-normalization).
@@ -392,23 +281,23 @@ pub struct BackendRun {
     pub ops: Vec<OpTiming>,
 }
 
-/// Result of [`Engine::run_all`]: the agreed output and per-backend
+/// Result of [`Engine::run_all`]: the agreed output and per-method
 /// timings.
 #[derive(Clone, Debug)]
 pub struct RunAll {
-    /// The (bag-equal) output, as produced by the reference backend.
+    /// The (bag-equal) output, as produced by the reference method.
     pub output: AuColumns,
-    /// Per-backend wall-clock timings, in [`BackendChoice::ALL`] order.
+    /// Per-method wall-clock timings, in [`Engine::ALL`] order.
     pub runs: Vec<BackendRun>,
 }
 
 impl RunAll {
-    /// The timing entry for one backend.
-    pub fn run(&self, backend: BackendChoice) -> &BackendRun {
+    /// The timing entry for one method.
+    pub fn run(&self, backend: Engine) -> &BackendRun {
         self.runs
             .iter()
             .find(|r| r.backend == backend)
-            .expect("run_all executes every backend")
+            .expect("run_all executes every method")
     }
 }
 
@@ -427,8 +316,8 @@ impl fmt::Display for RunAll {
             writeln!(
                 f,
                 "  {:<9} {:<12} {:>12.3?}",
-                r.backend.to_string(),
-                r.mode.to_string(),
+                r.backend.name(),
+                r.backend.mode(),
                 r.elapsed
             )?;
             for op in &r.ops {
@@ -450,20 +339,19 @@ pub struct ExplainStep {
     pub op: String,
     /// Output schema of the step.
     pub schema: String,
-    /// Backend cost/strategy note.
+    /// Method cost/strategy note.
     pub note: String,
 }
 
 /// Human-readable plan explanation: originating SQL (when the plan came
-/// through the SQL frontend), chosen backend with any fallback reason, and
-/// the operator chain with schemas and cost notes.
+/// through the SQL frontend), the method, and the operator chain with
+/// schemas and cost notes.
 ///
 /// The rendered format is stable (tested in `explain_format_is_stable`):
 ///
 /// ```text
 /// query:   <sql, whitespace-flattened to one line>       (only when present)
-/// backend: <effective>                                   (no fallback)
-/// backend: <effective> (requested <requested>; rerouted: <reason>)
+/// backend: <method>
 ///  0. scan [N rows]
 ///       schema: (...)
 ///       note:   ...
@@ -473,12 +361,8 @@ pub struct ExplainStep {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Explain {
-    /// Backend the engine was configured with.
-    pub requested: BackendChoice,
-    /// Backend that actually executes (after fallback rules).
-    pub backend: BackendChoice,
-    /// Why `backend` differs from `requested`, when it does.
-    pub fallback: Option<String>,
+    /// The method that executes (its [`Engine::mode`] is how).
+    pub backend: Engine,
     /// The SQL text the plan was compiled from, when it came through the
     /// SQL frontend.
     pub sql: Option<String>,
@@ -487,8 +371,6 @@ pub struct Explain {
     /// Optimizer provenance when the plan was rewritten: the
     /// pre-optimization operator chain and the applied rules.
     pub opt: Option<OptInfo>,
-    /// Execution mode the effective backend runs plans in.
-    pub mode: ExecMode,
     /// Batch size of the pipeline executor.
     pub batch_size: usize,
     /// The lowered physical pipelines (fused stages + breaker
@@ -508,14 +390,7 @@ impl fmt::Display for Explain {
         if let Some(sql) = &self.sql {
             writeln!(f, "query:   {}", one_line(sql))?;
         }
-        match &self.fallback {
-            None => writeln!(f, "backend: {}", self.backend)?,
-            Some(reason) => writeln!(
-                f,
-                "backend: {} (requested {}; rerouted: {reason})",
-                self.backend, self.requested
-            )?,
-        }
+        writeln!(f, "backend: {}", self.backend)?;
         for (i, step) in self.steps.iter().enumerate() {
             writeln!(f, "{:>2}. {}", i, step.op)?;
             writeln!(f, "      schema: {}", step.schema)?;
@@ -535,22 +410,18 @@ impl fmt::Display for Explain {
                 writeln!(f, "      · {}: {}", rule.rule, rule.reason)?;
             }
         }
-        match self.mode {
-            ExecMode::Materialized => {
-                writeln!(f, "exec:    materialized (operator-at-a-time)")?;
-            }
-            ExecMode::Pipelined => {
-                writeln!(
-                    f,
-                    "exec:    pipelined · batch {} · {} pipeline{}",
-                    self.batch_size,
-                    self.pipelines.len(),
-                    if self.pipelines.len() == 1 { "" } else { "s" }
-                )?;
-                for (i, p) in self.pipelines.iter().enumerate() {
-                    writeln!(f, "      p{i}: {p}")?;
-                }
-            }
+        if self.backend != Engine::Native {
+            return writeln!(f, "exec:    materialized (operator-at-a-time)");
+        }
+        writeln!(
+            f,
+            "exec:    pipelined · batch {} · {} pipeline{}",
+            self.batch_size,
+            self.pipelines.len(),
+            if self.pipelines.len() == 1 { "" } else { "s" }
+        )?;
+        for (i, p) in self.pipelines.iter().enumerate() {
+            writeln!(f, "      p{i}: {p}")?;
         }
         Ok(())
     }

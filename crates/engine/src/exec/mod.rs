@@ -23,6 +23,14 @@
 //!   order) as vectorized column sweeps; the single materialized build
 //!   side goes to `audb-native`'s columnar kernel.
 //!
+//! What varies within a method is an argument of its runner:
+//! `run_materialized(backend, plan)` takes the oracle — and with it the
+//! reference's comparison semantics or the rewrite's join strategy —
+//! and `run_pipelined(plan, batch_size, prune)` the batch size and
+//! zone-map pruning. An [`Engine`](crate::Engine) passes the defaults;
+//! the ablations, within-run baselines and tests that vary one call the
+//! runner themselves.
+//!
 //! Per-operator wall times and batch counts are collected in an
 //! [`ExecTrace`], surfaced by `Engine::run_all` and the `repro bench`
 //! harness.
@@ -36,4 +44,4 @@ mod run;
 
 pub use lower::{lower, Pipeline};
 pub(crate) use run::run_row_wise;
-pub use run::{run_materialized, run_pipelined, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+pub use run::{run_materialized, run_pipelined, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

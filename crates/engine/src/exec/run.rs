@@ -1,7 +1,7 @@
-//! The two plan runners, one per [`ExecMode`]. Which one runs is a fact
-//! about the method, not a setting: the native method *is*
-//! [`run_pipelined`], the row oracles ([`Backend`]) run through
-//! [`run_materialized`]. Each reads one relation form.
+//! The two plan runners. Which one runs is a fact about the method, not a
+//! setting: the native method *is* [`run_pipelined`], the row oracles
+//! ([`Backend`]) run through [`run_materialized`]. Each reads one relation
+//! form.
 //!
 //! * [`run_materialized`] — the operator-at-a-time loop over the Defs. 2–3
 //!   row operators of `audb-core` and the oracle's breaker hooks, a full
@@ -37,7 +37,6 @@ use audb_core::{
 };
 use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,26 +44,6 @@ use std::time::{Duration, Instant};
 /// plus its fused-stage output stays cache-resident, large enough to
 /// amortize per-batch dispatch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// How a plan ran — reported in traces and `explain`, never chosen: the
-/// native method pipelines, the row oracles materialize.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Operator-at-a-time with a materialized relation between steps.
-    Materialized,
-    /// Batch-streaming pipelines with fused stages and breaker-only
-    /// materialization.
-    Pipelined,
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Materialized => write!(f, "materialized"),
-            ExecMode::Pipelined => write!(f, "pipelined"),
-        }
-    }
-}
 
 /// One physical operator's measured execution.
 #[derive(Clone, Debug)]
@@ -84,11 +63,6 @@ pub struct OpTiming {
 /// The measured physical execution of one plan on one backend.
 #[derive(Clone, Debug)]
 pub struct ExecTrace {
-    /// Mode the plan ran under.
-    pub mode: ExecMode,
-    /// Batch size used (also reported for materialized runs, where it only
-    /// affects the nominal scan batch count).
-    pub batch_size: usize,
     /// Number of pipelines the plan lowered to (0 for materialized runs
     /// and scan-only plans).
     pub pipelines: usize,
@@ -134,12 +108,11 @@ fn check_breaker_size(ranked: u64, bound: Option<u64>) -> Result<(), EngineError
 }
 
 /// The operator-at-a-time loop of a row oracle: every step materializes,
-/// and the last relation is transposed for the caller. `batch_size` only
-/// sets the nominal scan batch count of the trace.
+/// and the last relation is transposed for the caller. Each step —
+/// the scan included — is one batch in the trace.
 pub fn run_materialized<B: Backend + ?Sized>(
     backend: &B,
     plan: &Plan,
-    batch_size: usize,
 ) -> Result<(AuColumns, ExecTrace), EngineError> {
     let mut ops = Vec::with_capacity(plan.ops().len() + 1);
     let start = Instant::now();
@@ -147,7 +120,7 @@ pub fn run_materialized<B: Backend + ?Sized>(
     ops.push(OpTiming {
         label: "scan".to_string(),
         elapsed: start.elapsed(),
-        batches: cur.batch_count(batch_size),
+        batches: 1,
         rows_out: cur.len(),
     });
     for op in plan.ops() {
@@ -181,8 +154,6 @@ pub fn run_materialized<B: Backend + ?Sized>(
         });
     }
     let trace = ExecTrace {
-        mode: ExecMode::Materialized,
-        batch_size,
         pipelines: 0,
         batches_skipped: 0,
         batches_scanned: 0,
@@ -432,15 +403,15 @@ fn steps_of(plan: &Plan, ops: impl Iterator<Item = usize>) -> Vec<(&Op, &Schema)
 
 /// A plan of streamable operators only — the row-wise prefix a maintained
 /// query runs over each appended batch — as one fused stage over its
-/// source, columns out.
-pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize, prune: bool) -> AuColumns {
+/// source, pruned by the segments' zone maps, columns out.
+pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize) -> AuColumns {
     debug_assert!(!plan.ops().iter().any(Op::is_breaker));
     let source = plan.source_columns();
     if plan.ops().is_empty() {
         return source.contiguous().into_owned();
     }
     let steps = steps_of(plan, 0..plan.ops().len());
-    run_fused(&steps, &segment_parts(source.segments(), prune), batch_size).out
+    run_fused(&steps, &segment_parts(source.segments(), true), batch_size).out
 }
 
 /// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8),
@@ -499,8 +470,6 @@ pub fn run_pipelined(
 ) -> Result<(AuColumns, ExecTrace), EngineError> {
     let pipelines: Vec<Pipeline> = lower(plan);
     let mut trace = ExecTrace {
-        mode: ExecMode::Pipelined,
-        batch_size,
         pipelines: pipelines.len(),
         batches_skipped: 0,
         batches_scanned: 0,
@@ -614,8 +583,8 @@ mod tests {
     /// The row loop on `oracle`: one trace entry per operator, under their
     /// own names.
     fn materialized(oracle: &dyn Backend, plan: &Plan) -> AuRelation {
-        let (out, trace) = run_materialized(oracle, plan, DEFAULT_BATCH_SIZE).unwrap();
-        assert_eq!(trace.mode, ExecMode::Materialized);
+        let (out, trace) = run_materialized(oracle, plan).unwrap();
+        assert!(trace.ops.iter().all(|o| o.batches == 1));
         let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
         let names: Vec<&str> = plan.ops().iter().map(Op::name).collect();
         assert_eq!(labels, [&["scan"], &names[..]].concat());
@@ -626,6 +595,50 @@ mod tests {
     /// loop on the reference backend.
     fn reference(plan: &Plan) -> AuRelation {
         materialized(&Reference::default(), plan)
+    }
+
+    /// The comparison-semantics ablation runs the reference's own runner:
+    /// on `cmp.rs`'s example — `([1/1/2], 2) < ([2/3/3], 15)` is certain
+    /// only through a possible tie — the syntactic recursion is the
+    /// `sort_ref` it names, differs from interval-lex, and is looser on
+    /// every row.
+    #[test]
+    fn syntactic_reference_is_sort_ref_and_looser_than_interval_lex() {
+        use audb_core::{sort_ref, CmpSemantics};
+        let rel = AuRelation::from_rows(
+            Schema::new(["a", "b"]),
+            [
+                (
+                    AuTuple::new([RangeValue::new(1, 1, 2), RangeValue::certain(2i64)]),
+                    Mult3::ONE,
+                ),
+                (
+                    AuTuple::new([RangeValue::new(2, 3, 3), RangeValue::certain(15i64)]),
+                    Mult3::ONE,
+                ),
+            ],
+        );
+        let plan = Query::scan(rel.clone())
+            .sort_by_as(["a", "b"], "pos")
+            .build()
+            .unwrap();
+        let syntactic = Reference {
+            semantics: CmpSemantics::Syntactic,
+        };
+        let loose = run_materialized(&syntactic, &plan).unwrap().0.to_rows();
+        let exact = reference(&plan);
+        let by_definition = sort_ref(&rel, &[0, 1], "pos", CmpSemantics::Syntactic);
+        assert!(loose.bag_eq(&by_definition), "{loose}\nvs\n{by_definition}");
+        assert!(!loose.bag_eq(&exact), "inputs chosen to differ");
+        assert_eq!(loose.len(), exact.len());
+        for row in exact.rows() {
+            let (lb, ub) = (row.tuple.get(2).lb.clone(), row.tuple.get(2).ub.clone());
+            let wider = (loose.rows().iter())
+                .find(|r| r.tuple.0[..2] == row.tuple.0[..2])
+                .expect("one row per input");
+            let pos = wider.tuple.get(2);
+            assert!(pos.lb <= lb && ub <= pos.ub, "{wider:?} ⊉ {row:?}");
+        }
     }
 
     /// The native method with pruning on: the output — as rows, this
@@ -651,7 +664,6 @@ mod tests {
                 pipelined.bag_eq(&oracle),
                 "batch {batch_size}:\n{pipelined}\nvs\n{oracle}"
             );
-            assert_eq!(trace.mode, ExecMode::Pipelined);
             assert_eq!(trace.pipelines, 1);
             // scan, fused stage, breaker.
             assert_eq!(trace.ops.len(), 3);

@@ -20,9 +20,10 @@
 //!   stored as `Arc`'d columnar [`Segment`]s and nothing else, so an
 //!   append costs its batch and every plan over one version shares one
 //!   handle;
-//! * [`Engine`] — the handle that owns backend selection, renders
-//!   per-query [`Engine::explain`] output, and cross-checks every backend
-//!   against every other via [`Engine::run_all`].
+//! * [`Engine`] — the method itself (`Reference`, `Native`, `Rewrite`):
+//!   it executes plans, renders per-query [`Engine::explain`] output, and
+//!   cross-checks every method against every other via
+//!   [`Engine::run_all`].
 //! * [`exec`] — the physical execution layer between plans and backends:
 //!   logical chains lower to batch-streaming [`Pipeline`]s whose fused
 //!   select/project stages run morsel-parallel as vectorized column
@@ -56,9 +57,9 @@ mod session;
 
 pub use backend::{Backend, Reference, Rewrite};
 pub use catalog::{Catalog, CatalogAppendError, Segment, SharedCatalog, Table, SEGMENT_ROWS};
-pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
+pub use engine::{BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
-pub use exec::{ExecMode, ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
+pub use exec::{ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
 pub use maintain::{Delta, MaintainedQuery, Strategy, DEFAULT_INCREMENTAL_CUTOFF};
 pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
@@ -139,7 +140,7 @@ mod tests {
 
         let engine = Engine::native();
         let explain = engine.explain(&plan);
-        assert_eq!(explain.backend, BackendChoice::Native);
+        assert_eq!(explain.backend, Engine::Native);
         let text = explain.to_string();
         assert!(text.contains("backend: native"), "{text}");
         assert!(text.contains("sort"), "{text}");
@@ -217,38 +218,6 @@ mod tests {
         Engine::native().run_all(&plan).expect("backends agree");
     }
 
-    /// Regression: `run_all` compares the IntervalLex invariant even when
-    /// the engine is configured with Syntactic semantics (under which the
-    /// reference alone computes looser bounds — previously a spurious
-    /// BackendDisagreement).
-    #[test]
-    fn run_all_pins_interval_lex_under_syntactic_semantics() {
-        // Certainty flows through a possible tie: IntervalLex sees it,
-        // Syntactic does not (cmp.rs doc example).
-        let rel = AuRelation::from_rows(
-            Schema::new(["a", "b"]),
-            [
-                (
-                    AuTuple::new([rv(1, 1, 2), RangeValue::certain(2i64)]),
-                    Mult3::ONE,
-                ),
-                (
-                    AuTuple::new([rv(2, 3, 3), RangeValue::certain(15i64)]),
-                    Mult3::ONE,
-                ),
-            ],
-        );
-        let plan = Query::scan(rel).sort_by(["a", "b"]).build().unwrap();
-        let engine = Engine::native().with_semantics(CmpSemantics::Syntactic);
-        let all = engine.run_all(&plan).expect("run_all compares IntervalLex");
-        // The agreed output is the IntervalLex result, not the looser
-        // Syntactic one the same engine's execute() produces.
-        let interval = Engine::reference().execute(&plan).unwrap().to_rows();
-        assert!(all.output.to_rows().bag_eq(&interval));
-        let syntactic = engine.execute(&plan).unwrap().to_rows();
-        assert!(!syntactic.bag_eq(&interval), "inputs chosen to differ");
-    }
-
     #[test]
     fn native_window_falls_back_on_uncertain_partition() {
         // Uncertain partition attribute: window_native would assert; the
@@ -285,51 +254,20 @@ mod tests {
         assert!(native.bag_eq(&reference));
     }
 
-    #[test]
-    fn syntactic_semantics_reroute_to_reference() {
-        let engine = Engine::native().with_semantics(CmpSemantics::Syntactic);
-        assert_eq!(engine.effective(), BackendChoice::Reference);
-        let plan = Query::scan(example6()).sort_by(["a"]).build().unwrap();
-        let explain = engine.explain(&plan);
-        assert_eq!(explain.requested, BackendChoice::Native);
-        assert_eq!(explain.backend, BackendChoice::Reference);
-        assert!(explain.to_string().contains("rerouted"), "{explain}");
-        assert!(
-            explain.to_string().contains(
-                "backend: reference (requested native; rerouted: \
-                 Syntactic comparison semantics are implemented by the reference backend only)"
-            ),
-            "{explain}"
-        );
-        // And the output matches the reference run under the same
-        // semantics.
-        let reference = Engine::reference().with_semantics(CmpSemantics::Syntactic);
-        assert!(engine
-            .execute(&plan)
-            .unwrap()
-            .to_rows()
-            .bag_eq(&reference.execute(&plan).unwrap().to_rows()));
-    }
-
     /// The engine's operator chain matches hand-wired operator calls — the
     /// backends are thin adapters, not re-implementations.
     /// The satellite contract: explain output has ONE stable shape —
     /// optional `query:` line (the originating SQL), then the `backend:`
-    /// line carrying the fallback reason when rerouted, then numbered
-    /// steps. Consumers (CI golden files, scripts) may rely on it.
+    /// line, then numbered steps. Consumers (CI golden files, scripts) may rely on it.
     #[test]
     fn explain_format_is_stable() {
-        let session = Session::new(Engine::native().with_semantics(CmpSemantics::Syntactic));
+        let session = Session::new(Engine::reference());
         session.register("r", example6());
         let explain = session.explain_sql("SELECT * FROM r ORDER BY a").unwrap();
         let text = explain.to_string();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "query:   SELECT * FROM r ORDER BY a");
-        assert_eq!(
-            lines[1],
-            "backend: reference (requested native; rerouted: Syntactic comparison \
-             semantics are implemented by the reference backend only)"
-        );
+        assert_eq!(lines[1], "backend: reference");
         assert_eq!(lines[2], " 0. scan [3 rows]");
         assert!(lines[3].starts_with("      schema: "), "{text}");
         assert!(lines[4].starts_with("      note:   "), "{text}");
@@ -339,8 +277,7 @@ mod tests {
             &"exec:    materialized (operator-at-a-time)"
         );
 
-        // Without SQL provenance and without fallback: no query line, bare
-        // backend line. The native method pipelines at every size,
+        // Without SQL provenance: no query line. The native method pipelines at every size,
         // and the physical pipeline plan (fused stages and breaker
         // annotations) is printed.
         let plan = Query::scan(example6())
@@ -358,17 +295,15 @@ mod tests {
         assert_eq!(tail[0], "      p0: fuse(select · project) ⇒ breaker sort");
     }
 
-    /// The batch-size rule: a pinned size wins — also when it equals the
-    /// default — else 4 096 from 65 536 source rows up, else 1 024.
+    /// The batch-size rule: 4 096 from 65 536 source rows up, else 1 024 —
+    /// on every method.
     #[test]
-    fn batch_size_is_pinned_or_chosen_from_source_rows() {
+    fn batch_size_is_chosen_from_source_rows() {
         let large = large_plan(65_536);
         let pick = |engine: Engine, plan: &Plan| engine.choose_exec(plan).batch_size;
         assert_eq!(pick(Engine::native(), &large), 4096);
-        assert_eq!(pick(Engine::native().with_batch_size(1024), &large), 1024);
-        assert_eq!(pick(Engine::native().with_batch_size(7), &large), 7);
         assert_eq!(pick(Engine::native(), &large_plan(65_535)), 1024);
-        assert_eq!(pick(Engine::native().with_batch_size(0), &large), 1);
+        assert_eq!(pick(Engine::reference(), &large), 4096);
     }
 
     /// The satellite contract for `run_all`: ONE stable report format —
@@ -377,14 +312,13 @@ mod tests {
     /// timings so the golden string is exact.
     #[test]
     fn run_all_report_format_is_stable() {
-        use crate::exec::{ExecMode, OpTiming};
+        use crate::exec::OpTiming;
         use std::time::Duration;
         let report = RunAll {
             output: example6().to_columns(),
             runs: vec![
                 BackendRun {
-                    backend: BackendChoice::Reference,
-                    mode: ExecMode::Materialized,
+                    backend: Engine::Reference,
                     elapsed: Duration::from_micros(1500),
                     rows: 3,
                     ops: vec![
@@ -403,8 +337,7 @@ mod tests {
                     ],
                 },
                 BackendRun {
-                    backend: BackendChoice::Native,
-                    mode: ExecMode::Pipelined,
+                    backend: Engine::Native,
                     elapsed: Duration::from_micros(800),
                     rows: 3,
                     ops: vec![OpTiming {
@@ -433,7 +366,6 @@ mod tests {
     /// every run.
     #[test]
     fn run_all_reports_modes_and_op_timings() {
-        use crate::exec::ExecMode;
         let small = Query::scan(example6())
             .select(audb_core::RangeExpr::col(0).le(audb_core::RangeExpr::lit(9)))
             .project(["a", "b"])
@@ -442,24 +374,15 @@ mod tests {
             .unwrap();
         for plan in [small, large_plan(1024)] {
             let all = Engine::native().run_all(&plan).unwrap();
-            let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
-            assert_eq!(
-                modes,
-                [
-                    ExecMode::Materialized,
-                    ExecMode::Pipelined,
-                    ExecMode::Materialized
-                ]
-            );
+            let modes: Vec<&str> = all.runs.iter().map(|r| r.backend.mode()).collect();
+            assert_eq!(modes, ["materialized", "pipelined", "materialized"]);
             for run in &all.runs {
                 let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
-                match run.mode {
-                    ExecMode::Materialized => {
-                        assert_eq!(labels, ["scan", "select", "project", "sort"])
-                    }
-                    ExecMode::Pipelined => {
+                match run.backend {
+                    Engine::Native => {
                         assert_eq!(labels, ["scan", "fuse(select · project)", "sort"])
                     }
+                    _ => assert_eq!(labels, ["scan", "select", "project", "sort"]),
                 }
             }
         }
@@ -559,9 +482,9 @@ mod tests {
             .topk(3)
             .build()
             .unwrap();
-        for choice in BackendChoice::ALL {
-            refused(Engine::new(choice), &sort, many);
-            refused(Engine::new(choice), &windowed, many);
+        for method in Engine::ALL {
+            refused(method, &sort, many);
+            refused(method, &windowed, many);
         }
         assert_eq!(Engine::native().execute(&top3).unwrap().len(), 3);
         refused(Engine::reference(), &top3, many);

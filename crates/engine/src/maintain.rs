@@ -21,8 +21,8 @@
 //!   [`DEFAULT_INCREMENTAL_CUTOFF`] accumulated rows) a full recompute is
 //!   cheaper than maintaining sweep state; the maintained state is built
 //!   lazily the first time the relation crosses the cutoff.
-//! * **Window maintenance needs the native fast path.** If the engine's
-//!   effective backend is not `Native`, or the data hits the documented
+//! * **Window maintenance needs the native fast path.** If the engine is
+//!   not [`Engine::Native`], or the data hits the documented
 //!   native-window fallbacks (duplicate multiplicities after
 //!   normalization, uncertain `PARTITION BY` values — both checked on the
 //!   normalized batch itself, never read off an error message),
@@ -73,7 +73,7 @@
 //! both the closed and the open rows).
 
 use crate::catalog::Table;
-use crate::engine::{BackendChoice, Engine};
+use crate::engine::Engine;
 use crate::error::SessionError;
 use crate::exec;
 use crate::plan::{Op, Plan};
@@ -183,10 +183,9 @@ impl MaintainedQuery {
             )),
             None => MaintainKind::Never("plan has no maintainable operator".to_string()),
         };
-        let effective = engine.effective();
-        if effective != BackendChoice::Native && !matches!(kind, MaintainKind::Never(_)) {
+        if engine != Engine::Native && !matches!(kind, MaintainKind::Never(_)) {
             kind = MaintainKind::Never(format!(
-                "{} maintenance requires the native backend (engine runs {effective})",
+                "{} maintenance requires the native backend (engine runs {engine})",
                 kind.name()
             ));
         }
@@ -323,7 +322,7 @@ impl MaintainedQuery {
     fn prefix_over(&self, source: Arc<Table>) -> Result<AuColumns, SessionError> {
         let plan = self.pre.with_table(source)?;
         let batch_size = self.engine.choose_exec(&plan).batch_size;
-        Ok(exec::run_row_wise(&plan, batch_size, self.engine.pruning))
+        Ok(exec::run_row_wise(&plan, batch_size))
     }
 
     /// Drop the live state — a window sweep hands its answer back first.

@@ -1,4 +1,5 @@
-//! The [`Session`] handle: a [`Catalog`] plus an [`Engine`], speaking SQL.
+//! The [`Session`] handle: a [`Catalog`] plus an [`Engine`] — the method
+//! every statement runs on — speaking SQL.
 //!
 //! ```
 //! use audb_engine::{Engine, Session};
@@ -85,9 +86,9 @@ impl Prepared {
 
 /// A catalog of named AU-relations bound to an engine: the textual front
 /// door. `register` relations, then drive everything with SQL strings —
-/// `sql` executes, `prepare` compiles for reuse, `explain_sql` shows the
-/// chosen backend/fallbacks, `run_all_sql` cross-checks all three
-/// backends.
+/// `sql` executes, `prepare` compiles for reuse, `explain_sql` shows how
+/// the session's method runs a statement, `run_all_sql` cross-checks all
+/// three methods.
 ///
 /// The catalog is a [`SharedCatalog`]: cloning a `Session` (or building
 /// several via [`Session::with_catalog`]) yields sessions over the *same*
@@ -198,8 +199,8 @@ impl Session {
         Ok(self.execute(&prepared)?.to_rows())
     }
 
-    /// Explain how the engine would run a statement (includes the SQL text
-    /// and any backend-fallback reason).
+    /// Explain how the engine would run a statement (includes the SQL
+    /// text).
     pub fn explain_sql(&self, sql: &str) -> Result<Explain, SessionError> {
         let prepared = self.prepare(sql)?;
         Ok(self.engine.explain(prepared.plan()))
@@ -231,7 +232,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BackendChoice;
     use crate::error::PlanError;
     use audb_core::{AuTuple, Mult3, RangeValue};
     use audb_rel::Schema;
@@ -530,7 +530,7 @@ mod tests {
         let ex = s
             .explain_sql("SELECT * FROM products ORDER BY price")
             .unwrap();
-        assert_eq!(ex.backend, BackendChoice::Native);
+        assert_eq!(ex.backend, Engine::Native);
         let text = ex.to_string();
         assert!(
             text.contains("query:   SELECT * FROM products ORDER BY price"),

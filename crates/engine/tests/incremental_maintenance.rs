@@ -8,7 +8,7 @@
 //! (permanent fallback).
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
-use audb_engine::{BackendChoice, Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
+use audb_engine::{Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
 use audb_rel::Schema;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,30 +67,22 @@ fn session_with(sql_table: &AuRelation) -> Session {
 }
 
 /// Full recompute of the subscription's plan over its accumulated rows on
-/// `choice` — the ground truth the maintained value is pinned against.
-fn recompute_on(q: &audb_engine::MaintainedQuery, choice: BackendChoice) -> AuRelation {
+/// `method` — the ground truth the maintained value is pinned against.
+fn recompute_on(q: &audb_engine::MaintainedQuery, method: Engine) -> AuRelation {
     let plan = q
         .plan()
         .with_table(Arc::clone(q.accumulated()))
         .expect("accumulated rows always match the plan schema");
-    Engine::new(choice)
-        .execute(&plan)
-        .unwrap()
-        .to_rows()
-        .normalize()
+    method.execute(&plan).unwrap().to_rows().normalize()
 }
 
 fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {
     let value = q.value().normalize();
-    for choice in [
-        BackendChoice::Reference,
-        BackendChoice::Native,
-        BackendChoice::Rewrite,
-    ] {
-        let truth = recompute_on(q, choice);
+    for method in Engine::ALL {
+        let truth = recompute_on(q, method);
         assert!(
             value.clone().bag_eq(&truth),
-            "{ctx}: maintained value diverged from {choice} recompute\n\
+            "{ctx}: maintained value diverged from {method} recompute\n\
              maintained:\n{value}\ntruth:\n{truth}"
         );
     }

@@ -303,7 +303,7 @@ fn backends_body(runs: &[BackendRun]) -> Json {
             .map(|run| {
                 Json::obj([
                     ("backend", Json::str(run.backend.to_string())),
-                    ("mode", Json::str(run.mode.to_string())),
+                    ("mode", Json::str(run.backend.mode())),
                     ("elapsed_us", Json::Int(run.elapsed.as_micros() as i64)),
                     ("rows", Json::Int(run.rows as i64)),
                 ])

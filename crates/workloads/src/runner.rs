@@ -7,19 +7,20 @@
 //! returns `Vec<Option<(f64, f64)>>` of per-x-tuple bounds keyed by the
 //! table's trailing `id` attribute, ready for [`crate::metrics`].
 //!
-//! The AU-DB methods (`Imp`, `Rewr`) are driven exclusively through the
-//! unified [`audb_engine`] API: each driver builds one logical plan and
-//! executes it on the corresponding backend, so the plan construction
-//! (order columns, position/aggregate output names, top-k capping) is
-//! written once and shared with the examples and benchmarks.
+//! The engine methods (`Det`, `Imp`, `Rewr`) are driven exclusively
+//! through the unified [`audb_engine`] API: each driver builds one logical
+//! plan and executes it on the corresponding method, so the plan
+//! construction (order columns, position/aggregate output names, top-k
+//! capping) is written once and shared with the examples and benchmarks.
+//! `Det` runs `Imp`'s plan and kernels over the selected-guess world, lifted
+//! to a certain AU-DB, and reads the `Sg` corner as its point answer.
 
-use audb_core::{AuColumns, Corner, WinAgg};
+use audb_core::{AuColumns, AuRelation, Corner, WinAgg};
 use audb_engine::{
     exec, Agg, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
     WindowSpec as EngineWindowSpec,
 };
-use audb_rel::ops::sort::topk_with_pos;
-use audb_rel::{sort_to_pos, window_rows, Value, WindowSpec};
+use audb_rel::Value;
 use audb_worlds::{WindowTruth, XTupleTable};
 use std::time::{Duration, Instant};
 
@@ -50,17 +51,27 @@ fn val_f(v: &Value) -> f64 {
     v.as_f64().unwrap_or(f64::NAN)
 }
 
+/// The AU methods' answer: the range between the lower and upper corner.
+const RANGE: (Corner, Corner) = (Corner::Lb, Corner::Ub);
+
+/// `Det`'s answer: the selected-guess corner, as a point.
+const POINT: (Corner, Corner) = (Corner::Sg, Corner::Sg);
+
 /// Extract per-id bounds from an AU sort/window output, as the engine
 /// returns it: `id_col` holds the certain provenance id, `val_col` the
-/// range-annotated answer, both read from their lanes. Multiple rows per
-/// id (duplicates) hull together.
-pub fn au_bounds_by_id(out: &AuColumns, id_col: usize, val_col: usize, n: usize) -> Bounds {
+/// range-annotated answer, both read from their lanes, the answer between
+/// its corners `lo` and `hi`. Multiple rows per id (duplicates) hull
+/// together.
+pub fn au_bounds_by_id(
+    out: &AuColumns,
+    id_col: usize,
+    val_col: usize,
+    n: usize,
+    (lo, hi): (Corner, Corner),
+) -> Bounds {
     let mut bounds: Bounds = vec![None; n];
     let ids = out.col(id_col).corner(Corner::Sg);
-    let (los, his) = (
-        out.col(val_col).corner(Corner::Lb),
-        out.col(val_col).corner(Corner::Ub),
-    );
+    let (los, his) = (out.col(val_col).corner(lo), out.col(val_col).corner(hi));
     for row in (0..out.len()).filter(|&row| !out.mult(row).is_zero()) {
         let id = ids.value(row).as_i64().expect("certain id") as usize;
         let (lo, hi) = (val_f(&los.value(row)), val_f(&his.value(row)));
@@ -74,35 +85,18 @@ pub fn au_bounds_by_id(out: &AuColumns, id_col: usize, val_col: usize, n: usize)
 
 // ---------------------------------------------------------------- sorting
 
-/// `Det`: deterministic sort of the most likely world (no bounds — returns
-/// the positions as point "bounds" for uniformity).
-pub fn det_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let world = table.most_likely_world();
-    let id_col = table.schema.arity() - 1;
-    time(move || {
-        let sorted = match k {
-            Some(k) => topk_with_pos(&world, order, k),
-            None => sort_to_pos(&world, order, "pos"),
-        };
-        let pos_col = sorted.schema.arity() - 1;
-        let mut bounds: Bounds = vec![None; world.total_mult() as usize + 1];
-        for row in &sorted.rows {
-            let id = row.tuple.get(id_col).as_i64().unwrap() as usize;
-            let p = val_f(row.tuple.get(pos_col));
-            if id < bounds.len() {
-                bounds[id] = Some((p, p));
-            }
-        }
-        bounds
-    })
+/// The most likely world of `table` — the paper's selected-guess world —
+/// as a certain AU-DB: what `Det` runs the engine's kernels over.
+pub fn selected_guess(table: &XTupleTable) -> AuRelation {
+    AuRelation::certain(&table.most_likely_world())
 }
 
-/// Build the shared sort / top-k plan over a table's derived AU-DB.
-/// Written once for every AU method driver (and reused by the perf bench):
-/// positions land in a trailing `"pos"` column; `k` turns the sort into a
-/// top-k with position bounds capped at `k`.
-pub fn sort_plan(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Plan {
-    let q = Query::scan(table.to_au_relation()).sort_by(order.iter().copied());
+/// Build the shared sort / top-k plan over `rel` (a table's derived AU-DB,
+/// or its [`selected_guess`]). Written once for every method driver (and
+/// reused by the perf bench): positions land in a trailing `"pos"` column;
+/// `k` turns the sort into a top-k with position bounds capped at `k`.
+pub fn sort_plan(rel: AuRelation, order: &[usize], k: Option<u64>) -> Plan {
+    let q = Query::scan(rel).sort_by(order.iter().copied());
     let q = match k {
         Some(k) => q.topk(k),
         None => q,
@@ -110,10 +104,10 @@ pub fn sort_plan(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Plan {
     q.build().expect("workload sort plan is valid")
 }
 
-/// Build the shared row-window plan over a table's derived AU-DB
+/// Build the shared row-window plan over `rel`, as [`sort_plan`] does
 /// (aggregate lands in a trailing `"x"` column).
-pub fn window_plan(table: &XTupleTable, order: &[usize], agg: WinAgg, l: i64, u: i64) -> Plan {
-    Query::scan(table.to_au_relation())
+pub fn window_plan(rel: AuRelation, order: &[usize], agg: WinAgg, l: i64, u: i64) -> Plan {
+    Query::scan(rel)
         .window(
             EngineWindowSpec::rows(l, u)
                 .order_by(order.iter().copied())
@@ -124,12 +118,20 @@ pub fn window_plan(table: &XTupleTable, order: &[usize], agg: WinAgg, l: i64, u:
         .expect("workload window plan is valid")
 }
 
-/// Time one engine execution of a sort/window plan, extracting per-id
-/// bounds from the trailing output column.
-fn engine_bounds(engine: Engine, plan: &Plan, id_col: usize, n_ids: usize) -> Timed<Bounds> {
+/// Time one engine execution of a sort/window plan over `table`,
+/// extracting per-id bounds between `corners` of the trailing output
+/// column, one slot per id of the table. The plan is built by the caller,
+/// outside the timed closure.
+fn engine_bounds(
+    engine: Engine,
+    plan: &Plan,
+    table: &XTupleTable,
+    corners: (Corner, Corner),
+) -> Timed<Bounds> {
+    let (id_col, n_ids) = (table.schema.arity() - 1, table.len() + 1);
     time(move || {
         let out = engine.execute(plan).expect("workload plan executes");
-        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids)
+        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, corners)
     })
 }
 
@@ -153,24 +155,27 @@ pub fn sql_bounds(
     let out = run.value?;
     Ok(Timed {
         elapsed: run.elapsed,
-        value: au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids),
+        value: au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, RANGE),
     })
+}
+
+/// `Det`: the native sort / top-k over the selected-guess world; the
+/// positions (certain there) are point "bounds".
+pub fn det_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
+    let plan = sort_plan(selected_guess(table), order, k);
+    engine_bounds(Engine::Native, &plan, table, POINT)
 }
 
 /// `Imp`: the native one-pass sort / top-k over the derived AU-DB.
 pub fn imp_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let plan = sort_plan(table, order, k);
-    let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source_columns().len() + 1;
-    engine_bounds(Engine::native(), &plan, id_col, n_ids)
+    let plan = sort_plan(table.to_au_relation(), order, k);
+    engine_bounds(Engine::Native, &plan, table, RANGE)
 }
 
 /// `Rewr`: the Fig. 7 rewrite.
 pub fn rewrite_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let plan = sort_plan(table, order, k);
-    let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source_columns().len() + 1;
-    engine_bounds(Engine::rewrite(), &plan, id_col, n_ids)
+    let plan = sort_plan(table.to_au_relation(), order, k);
+    engine_bounds(Engine::Rewrite, &plan, table, RANGE)
 }
 
 /// `MCDB`: sampled position envelopes.
@@ -202,7 +207,9 @@ pub fn ptk_sort(table: &XTupleTable, order: &[usize], k: u64) -> Timed<Vec<f64>>
 
 // ---------------------------------------------------------------- windows
 
-/// `Det`: deterministic windowed aggregation on the most likely world.
+/// `Det`: the native window over the selected-guess world, its aggregate
+/// (the `Sg` corner: for certain input an `AVG`'s range is the frame's
+/// `[min, max]`, its selected guess the average) as a point "bound".
 pub fn det_window(
     table: &XTupleTable,
     order: &[usize],
@@ -210,22 +217,8 @@ pub fn det_window(
     l: i64,
     u: i64,
 ) -> Timed<Bounds> {
-    let world = table.most_likely_world();
-    let id_col = table.schema.arity() - 1;
-    let dagg = agg.det();
-    time(move || {
-        let out = window_rows(&world, &WindowSpec::rows(order.to_vec(), l, u), dagg, "x");
-        let x_col = out.schema.arity() - 1;
-        let mut bounds: Bounds = vec![None; world.total_mult() as usize + 1];
-        for row in &out.rows {
-            let id = row.tuple.get(id_col).as_i64().unwrap() as usize;
-            let v = val_f(row.tuple.get(x_col));
-            if id < bounds.len() {
-                bounds[id] = Some((v, v));
-            }
-        }
-        bounds
-    })
+    let plan = window_plan(selected_guess(table), order, agg, l, u);
+    engine_bounds(Engine::Native, &plan, table, POINT)
 }
 
 /// `Imp`: the native one-pass window algorithm.
@@ -236,10 +229,8 @@ pub fn imp_window(
     l: i64,
     u: i64,
 ) -> Timed<Bounds> {
-    let plan = window_plan(table, order, agg, l, u);
-    let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source_columns().len() + 1;
-    engine_bounds(Engine::native(), &plan, id_col, n_ids)
+    let plan = window_plan(table.to_au_relation(), order, agg, l, u);
+    engine_bounds(Engine::Native, &plan, table, RANGE)
 }
 
 /// `Rewr` / `Rewr(index)`: the Fig. 8 rewrite. The engine's rewrite
@@ -254,20 +245,18 @@ pub fn rewrite_window(
     u: i64,
     strategy: JoinStrategy,
 ) -> Timed<Bounds> {
-    let plan = window_plan(table, order, agg, l, u);
-    let id_col = table.schema.arity() - 1;
-    let n_ids = plan.source_columns().len() + 1;
+    let plan = window_plan(table.to_au_relation(), order, agg, l, u);
+    let (id_col, n_ids) = (table.schema.arity() - 1, table.len() + 1);
     time(|| {
         let out = rewrite_execute(&plan, strategy);
-        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids)
+        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, RANGE)
     })
 }
 
-/// One plan on the rewrite backend under an explicit window join
-/// `strategy`, at the engine's default batch size.
+/// One plan on the rewrite oracle under an explicit window join
+/// `strategy`.
 pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuColumns {
-    let batch_size = Engine::rewrite().choose_exec(plan).batch_size;
-    let run = exec::run_materialized(&Rewrite { strategy }, plan, batch_size);
+    let run = exec::run_materialized(&Rewrite { strategy }, plan);
     run.expect("workload plan executes").0
 }
 

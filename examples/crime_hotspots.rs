@@ -27,7 +27,7 @@ fn main() {
     // let run_all assert that reference, native and rewrite bounds agree on
     // this real-world-shaped data.
     let rq = &ds.rank;
-    let plan = runner::sort_plan(&rq.table, &rq.order, Some(rq.k));
+    let plan = runner::sort_plan(rq.table.to_au_relation(), &rq.order, Some(rq.k));
     let agreement = Engine::native().run_all(&plan).expect("backends agree");
     println!("cross-backend check on the rank query: {agreement}");
 

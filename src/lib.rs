@@ -101,9 +101,9 @@ pub use audb_worlds as worlds;
 // `use audb::{Engine, Session, Query, SqlError, ...}` works without module
 // paths.
 pub use audb_engine::{
-    plan_to_sql, Agg, Backend, BackendChoice, BackendRun, Catalog, CmpSemantics, ColRef, Engine,
-    EngineError, Explain, ExplainStep, IntervalIndex, JoinStrategy, Op, Plan, PlanError, Prepared,
-    Query, Reference, Rewrite, RunAll, Session, SessionError, WindowSpec,
+    plan_to_sql, Agg, Backend, BackendRun, Catalog, CmpSemantics, ColRef, Engine, EngineError,
+    Explain, ExplainStep, IntervalIndex, JoinStrategy, Op, Plan, PlanError, Prepared, Query,
+    Reference, Rewrite, RunAll, Session, SessionError, WindowSpec,
 };
 pub use audb_engine::{CacheStats, PlanCache, SharedCatalog};
 pub use audb_engine::{

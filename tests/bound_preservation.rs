@@ -8,7 +8,7 @@
 //! bind → optimizer rewrites → zone pruning → the executor of each backend.
 
 use audb::core::{AuRelation, AuWindowSpec, WinAgg};
-use audb::engine::{BackendChoice, Engine, Session, SharedCatalog};
+use audb::engine::{exec, Engine, Session, SharedCatalog};
 use audb::rel::ops::sort::topk_with_pos;
 use audb::rel::{
     select, sort_to_pos, window_rows, AggFunc, Expr, Relation, Schema, Tuple, Value, WindowSpec,
@@ -180,32 +180,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Theorems 1 and 2 through the path users run: a registered table,
-    /// SQL text, the optimizer, zone pruning and each backend's executor
-    /// at the degenerate and the default batch size. Every world's
-    /// deterministic answer lies within the returned bounds.
+    /// SQL text, the optimizer, zone pruning and each method's executor —
+    /// the native one at the degenerate and the default batch size. Every
+    /// world's deterministic answer lies within the returned bounds.
     #[test]
     fn sql_answers_bound_every_world(
         table in table_strategy(),
         stmt in statement_strategy(),
     ) {
         let sql = stmt.sql();
-        // Backends and batch sizes must agree bag-wise; each distinct
+        // Methods and batch sizes must agree bag-wise; each distinct
         // answer is checked against the worlds once.
         let mut answers: Vec<(String, AuRelation)> = Vec::new();
         let catalog = SharedCatalog::new();
         catalog.register("t", table.to_au_relation());
-        for choice in BackendChoice::ALL {
-            for batch_size in [1, 1024] {
-                let engine = Engine::new(choice).with_batch_size(batch_size);
-                let session = Session::with_catalog(engine, catalog.clone());
-                let out = session.sql(&sql).expect("generated SQL runs");
+        for method in Engine::ALL {
+            let session = Session::with_catalog(method, catalog.clone());
+            for &batch_size in batch_sizes(method) {
+                let out = run_sql(&session, &sql, batch_size);
                 if !answers.iter().any(|(_, seen)| seen.bag_eq(&out)) {
-                    answers.push((format!("{choice} batch {batch_size}"), out));
+                    answers.push((format!("{method} batch {batch_size}"), out));
                 }
             }
         }
         check_worlds(&table, &stmt, &answers);
     }
+}
+
+/// The batch sizes `method` runs at: the native one at the degenerate and
+/// the default size; the oracles' runner has no batch size.
+fn batch_sizes(method: Engine) -> &'static [usize] {
+    match method {
+        Engine::Native => &[1, 1024],
+        _ => &[1024],
+    }
+}
+
+/// `sql` through `session`'s method, as rows — the native one at
+/// `batch_size`, through its runner.
+fn run_sql(session: &Session, sql: &str, batch_size: usize) -> AuRelation {
+    let prepared = session.prepare(sql).expect("generated SQL compiles");
+    let plan = prepared.plan();
+    let out = match session.engine() {
+        Engine::Native => exec::run_pipelined(plan, batch_size, true).map(|(out, _)| out),
+        oracle => oracle.execute(plan),
+    };
+    out.expect("generated SQL runs").to_rows()
 }
 
 /// Every world of `table` under `stmt` lies within each of `answers`.
@@ -259,17 +279,17 @@ fn frames_at_the_i64_edge_are_frames_wider_than_the_table() {
                 },
             };
             let (edge, wide) = (window(l, u), window(l.min(100), u.min(100)));
-            for choice in BackendChoice::ALL {
-                let session = Session::with_catalog(Engine::new(choice), catalog.clone());
+            for method in Engine::ALL {
+                let session = Session::with_catalog(method, catalog.clone());
                 let out = session.sql(&edge.sql()).expect("an i64 offset parses");
                 let as_wide = session.sql(&wide.sql()).unwrap();
                 assert!(
                     out.bag_eq(&as_wide),
-                    "{choice}: {}\n{out}\nvs {}\n{as_wide}",
+                    "{method}: {}\n{out}\nvs {}\n{as_wide}",
                     edge.sql(),
                     wide.sql()
                 );
-                check_worlds(&table, &edge, &[(choice.to_string(), out)]);
+                check_worlds(&table, &edge, &[(method.to_string(), out)]);
             }
         }
     }
@@ -303,21 +323,18 @@ proptest! {
         let head = 1 + cuts.0 % table.len();
         let mid = head + cuts.1 % (table.len() - head + 1);
         let registered = part(0..head);
-        // One answer list per step; backends and batch sizes that agree
+        // One answer list per step; methods and batch sizes that agree
         // bag-wise are checked against the worlds once.
         let mut steps: [Vec<(String, AuRelation)>; 3] = Default::default();
-        for choice in [BackendChoice::Native, BackendChoice::Rewrite] {
-            for batch_size in [1, 1024] {
+        for method in [Engine::Native, Engine::Rewrite] {
+            for &batch_size in batch_sizes(method) {
                 let catalog = SharedCatalog::new();
                 catalog.register("t", registered.to_au_relation());
-                let session = Session::with_catalog(
-                    Engine::new(choice).with_batch_size(batch_size),
-                    catalog.clone(),
-                );
+                let session = Session::with_catalog(method, catalog.clone());
                 let mut run = |step: usize, stmt: &Statement| {
-                    let out = session.sql(&stmt.sql()).expect("generated SQL runs");
+                    let out = run_sql(&session, &stmt.sql(), batch_size);
                     if !steps[step].iter().any(|(_, seen)| seen.bag_eq(&out)) {
-                        steps[step].push((format!("{choice} batch {batch_size}"), out));
+                        steps[step].push((format!("{method} batch {batch_size}"), out));
                     }
                 };
                 run(0, &topk);

@@ -1379,3 +1379,78 @@ fn native_window_fallbacks_route_to_the_reference() {
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(all.output.to_rows().bag_eq(&reference));
 }
+
+/// `Det`'s answer as `audb-rel`'s deterministic operators give it over the
+/// most likely world: the trailing column per id (the id column precedes
+/// it), one slot per x-tuple of the table.
+fn rel_point_bounds(out: &audb::rel::Relation, n: usize) -> Vec<Option<(f64, f64)>> {
+    let (id_col, val_col) = (out.schema.arity() - 2, out.schema.arity() - 1);
+    let mut bounds = vec![None; n];
+    for row in &out.rows {
+        let id = row.tuple.get(id_col).as_i64().expect("certain id") as usize;
+        let v = row.tuple.get(val_col).as_f64().expect("numeric answer");
+        bounds[id] = Some((v, v));
+    }
+    bounds
+}
+
+/// `Det` runs `Imp`'s plans and native kernels over the selected-guess
+/// world, lifted to a certain AU-DB, and reads the `Sg` corner: its answers
+/// are exactly those of the deterministic operators over that world —
+/// sort, top-k and every window aggregate — also when x-tuples are absent
+/// from it (their ids are then past the present rows' count).
+fn det_answers_are_the_deterministic_ones(seed: u64, absent: bool, l: i64, u: i64) {
+    use audb::rel::ops::sort::topk_with_pos;
+    use audb::rel::{sort_to_pos, window_rows, WindowSpec as RelWindowSpec};
+    use audb::workloads::runner::{det_sort, det_window};
+    use audb::workloads::{gen_sort_table, gen_window_table, SyntheticConfig};
+
+    // A small domain and a high uncertainty rate: ties on the order
+    // attributes, and (with `absent`) x-tuples the world leaves out.
+    let cfg = SyntheticConfig {
+        uncertainty: 0.4,
+        domain: 40,
+        absent_prob: if absent { 0.5 } else { 0.0 },
+        ..SyntheticConfig::default().rows(80).seed(seed)
+    };
+    let sorted = gen_sort_table(&cfg);
+    let world = sorted.most_likely_world();
+    let n = sorted.len() + 1;
+    let order = [0usize, 1];
+    let want = rel_point_bounds(&sort_to_pos(&world, &order, "pos"), n);
+    assert_eq!(det_sort(&sorted, &order, None).value, want, "sort");
+    let want = rel_point_bounds(&topk_with_pos(&world, &order, 10), n);
+    assert_eq!(det_sort(&sorted, &order, Some(10)).value, want, "top-10");
+
+    let windowed = gen_window_table(&cfg);
+    let world = windowed.most_likely_world();
+    let n = windowed.len() + 1;
+    let spec = RelWindowSpec::rows(vec![0], l, u);
+    for agg in [
+        WinAgg::Sum(2),
+        WinAgg::Count,
+        WinAgg::Min(2),
+        WinAgg::Max(2),
+        WinAgg::Avg(2),
+    ] {
+        let want = rel_point_bounds(&window_rows(&world, &spec, agg.det(), "x"), n);
+        let got = det_window(&windowed, &[0], agg, l, u).value;
+        assert_eq!(got, want, "{agg:?} over [{l}, {u}]");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// [`det_answers_are_the_deterministic_ones`] on seeded synthetic
+    /// tables, with and without absent x-tuples.
+    #[test]
+    fn det_on_the_native_kernels_equals_the_deterministic_operators(
+        seed in 0u64..1_000,
+        absent in proptest::bool::ANY,
+        l in -3i64..=0,
+        u in 0i64..=2,
+    ) {
+        det_answers_are_the_deterministic_ones(seed, absent, l, u);
+    }
+}

@@ -1,8 +1,10 @@
 //! The pipeline executor's semantic contract: for **every** plan and
-//! batch size, the backends that run it (native, rewrite — fused
-//! select/project stages, morsel-parallel, breakers materializing) are
-//! bag-equal to the reference backend's operator-at-a-time run over the
-//! Defs. 2–3 row operators, which shares no select/project code with them.
+//! batch size, the native method (`exec::run_pipelined` — fused
+//! select/project stages, morsel-parallel, breakers materializing) and the
+//! rewrite oracle are bag-equal to the reference's operator-at-a-time run
+//! over the Defs. 2–3 row operators, which shares no select/project code
+//! with the pipeline. The batch size is the native runner's argument; the
+//! oracles' runner has none, so they run once.
 //!
 //! Plans here are deliberately richer than the cross-backend agreement
 //! suite's: multiple streamable operators in a row (so fusion chains have
@@ -14,7 +16,7 @@
 //! the native sort as dictionary, generic and `f64` lanes.
 
 use audb::core::{AuRelation, AuTuple, AuWindowSpec, Mult3, RangeExpr, RangeValue, WinAgg};
-use audb::engine::{optimize, Agg, BackendChoice, Engine, Op, Plan, PlanError, Query, WindowSpec};
+use audb::engine::{exec, optimize, Agg, Engine, Op, Plan, PlanError, Query, WindowSpec};
 use audb::rel::{Schema, Value};
 use proptest::prelude::*;
 
@@ -234,25 +236,26 @@ fn chained_plan_strategy() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// THE executor invariant: the pipelined backends ≡ the materialized
-    /// reference, bag-wise, across batch sizes including the degenerate
-    /// ones.
+    /// THE executor invariant: the pipelined native method ≡ the
+    /// materialized reference, bag-wise, across batch sizes including the
+    /// degenerate ones — and so is the rewrite oracle.
     #[test]
     fn pipelined_equals_materialized_on_all_backends(
         plan in plan_strategy(),
         batch_size in prop_oneof![Just(1usize), Just(2), Just(7), Just(1024)],
     ) {
         let materialized = Engine::reference().execute(&plan).expect("reference run").to_rows();
-        for choice in [BackendChoice::Native, BackendChoice::Rewrite] {
-            let pipelined = Engine::new(choice)
-                .with_batch_size(batch_size)
-                .execute(&plan)
-                .expect("pipelined run").to_rows();
-            prop_assert!(
-                pipelined.bag_eq(&materialized),
-                "{choice} batch {batch_size}:\npipelined:\n{pipelined}\nreference:\n{materialized}"
-            );
-        }
+        let (pipelined, _) = exec::run_pipelined(&plan, batch_size, true).expect("pipelined run");
+        let pipelined = pipelined.to_rows();
+        prop_assert!(
+            pipelined.bag_eq(&materialized),
+            "native batch {batch_size}:\npipelined:\n{pipelined}\nreference:\n{materialized}"
+        );
+        let rewrite = Engine::rewrite().execute(&plan).expect("rewrite run").to_rows();
+        prop_assert!(
+            rewrite.bag_eq(&materialized),
+            "rewrite:\n{rewrite}\nreference:\n{materialized}"
+        );
     }
 
     /// The same invariant through `run_all` (native/rewrite pipelined,
@@ -270,12 +273,12 @@ proptest! {
     #[test]
     fn optimized_equals_unoptimized_on_all_backends(plan in plan_strategy()) {
         let optimized = optimize(&plan);
-        for choice in BackendChoice::ALL {
-            let plain = Engine::new(choice).execute(&plan).expect("unoptimized run").to_rows();
-            let opt = Engine::new(choice).execute(&optimized).expect("optimized run").to_rows();
+        for method in Engine::ALL {
+            let plain = method.execute(&plan).expect("unoptimized run").to_rows();
+            let opt = method.execute(&optimized).expect("optimized run").to_rows();
             prop_assert!(
                 opt.bag_eq(&plain),
-                "{choice}:\noptimized:\n{opt}\nunoptimized:\n{plain}\nrewrites: {:?}",
+                "{method}:\noptimized:\n{opt}\nunoptimized:\n{plain}\nrewrites: {:?}",
                 optimized.opt().map(|o| &o.rules)
             );
         }
@@ -298,28 +301,19 @@ proptest! {
     }
 
     /// Zone-map batch skipping is invisible in the output: pruned
-    /// pipelined execution is bag-equal to pruning-disabled execution on
-    /// every backend and batch size.
+    /// pipelined execution is bag-equal to pruning-disabled execution at
+    /// every batch size. (Only the pipeline batches, so only it prunes.)
     #[test]
-    fn pruned_equals_unpruned_on_all_backends(
+    fn pruned_equals_unpruned_at_every_batch_size(
         plan in plan_strategy(),
         batch_size in prop_oneof![Just(1usize), Just(2), Just(7), Just(1024)],
     ) {
-        for choice in BackendChoice::ALL {
-            let unpruned = Engine::new(choice)
-                .with_batch_size(batch_size)
-                .with_pruning(false)
-                .execute(&plan)
-                .expect("unpruned run").to_rows();
-            let pruned = Engine::new(choice)
-                .with_batch_size(batch_size)
-                .execute(&plan)
-                .expect("pruned run").to_rows();
-            prop_assert!(
-                pruned.bag_eq(&unpruned),
-                "{choice} batch {batch_size}:\npruned:\n{pruned}\nunpruned:\n{unpruned}"
-            );
-        }
+        let run = |prune| exec::run_pipelined(&plan, batch_size, prune).expect("pipelined run");
+        let (unpruned, pruned) = (run(false).0.to_rows(), run(true).0.to_rows());
+        prop_assert!(
+            pruned.bag_eq(&unpruned),
+            "batch {batch_size}:\npruned:\n{pruned}\nunpruned:\n{unpruned}"
+        );
     }
 }
 
@@ -369,10 +363,10 @@ fn frame_unsafe_window_pushdown_is_refused() {
     assert!(rules
         .iter()
         .any(|r| r.rule == "pushdown-select-below-window"));
-    for choice in BackendChoice::ALL {
-        let plain = Engine::new(choice).execute(&safe_plan).unwrap().to_rows();
-        let opt = Engine::new(choice).execute(&optimized).unwrap().to_rows();
-        assert!(opt.bag_eq(&plain), "{choice}");
+    for method in Engine::ALL {
+        let plain = method.execute(&safe_plan).unwrap().to_rows();
+        let opt = method.execute(&optimized).unwrap().to_rows();
+        assert!(opt.bag_eq(&plain), "{method}");
     }
 }
 
@@ -511,11 +505,11 @@ fn dead_column_pruning_renumbers_through_breakers() {
     let renumbered = RangeExpr::col(4).le(RangeExpr::lit(12));
     assert_eq!(select, &Op::Select { pred: renumbered });
     assert_eq!(optimized.schema(), plan.schema());
-    for choice in BackendChoice::ALL {
-        let plain = Engine::new(choice).execute(&plan).unwrap().to_rows();
-        let opt = Engine::new(choice).execute(&optimized).unwrap().to_rows();
+    for method in Engine::ALL {
+        let plain = method.execute(&plan).unwrap().to_rows();
+        let opt = method.execute(&optimized).unwrap().to_rows();
         assert!(!plain.is_empty());
-        assert!(opt.bag_eq(&plain), "{choice}:\n{opt}\nvs\n{plain}");
+        assert!(opt.bag_eq(&plain), "{method}:\n{opt}\nvs\n{plain}");
     }
 }
 
@@ -526,7 +520,7 @@ fn dead_column_pruning_renumbers_through_breakers() {
 mod appended_in_pieces {
     use super::au_relation;
     use audb::core::{AuRelation, AuTuple, Mult3, RangeValue};
-    use audb::engine::{BackendChoice, Engine, Session, SharedCatalog, SEGMENT_ROWS};
+    use audb::engine::{exec, Engine, Session, SharedCatalog, SEGMENT_ROWS};
     use audb::rel::{Schema, Value};
     use audb::workloads::read_au_csv_columns;
     use proptest::prelude::*;
@@ -601,34 +595,42 @@ mod appended_in_pieces {
         catalog
     }
 
-    /// `sql` over `pieces` against `sql` over `whole`, on every backend at
-    /// every batch size: the same rows in the same order on native, the
-    /// same bag elsewhere; and on native every batch of every segment is
-    /// accounted for, skipped or scanned, when `source_fused_only` says
-    /// the statement's one fused stage is the one over the source.
+    /// `sql` over `pieces` against `sql` over `whole`, on every method —
+    /// the native one at every batch size, through its runner; the
+    /// oracles, whose runner has no batch size, once: the same rows in the
+    /// same order on native, the same bag elsewhere; and on native every
+    /// batch of every segment is accounted for, skipped or scanned, when
+    /// `source_fused_only` says the statement's one fused stage is the one
+    /// over the source.
     fn assert_same_answers(
         whole: &SharedCatalog,
         pieces: &SharedCatalog,
         sql: &str,
         batch_sizes: &[usize],
-        backends: &[BackendChoice],
+        methods: &[Engine],
         source_fused_only: bool,
     ) {
-        for &choice in backends {
-            for &batch_size in batch_sizes {
-                let engine = Engine::new(choice).with_batch_size(batch_size);
+        for &method in methods {
+            let sizes = if method == Engine::Native {
+                batch_sizes
+            } else {
+                &batch_sizes[..1]
+            };
+            for &batch_size in sizes {
                 let run = |catalog: &SharedCatalog| {
-                    let session = Session::with_catalog(engine, catalog.clone());
+                    let session = Session::with_catalog(method, catalog.clone());
                     let prepared = session.prepare(sql).expect("generated SQL compiles");
-                    let (out, trace) = (session.engine())
-                        .execute_traced(prepared.plan())
-                        .expect("generated SQL runs");
+                    let ran = match method {
+                        Engine::Native => exec::run_pipelined(prepared.plan(), batch_size, true),
+                        oracle => oracle.execute_traced(prepared.plan()),
+                    };
+                    let (out, trace) = ran.expect("generated SQL runs");
                     (prepared, out.to_rows(), trace)
                 };
                 let (_, want, _) = run(whole);
                 let (prepared, got, trace) = run(pieces);
-                let what = format!("{sql}\non {choice}, batch {batch_size}");
-                if choice == BackendChoice::Native {
+                let what = format!("{sql}\non {method}, batch {batch_size}");
+                if method == Engine::Native {
                     assert_eq!(got.rows(), want.rows(), "{what}");
                     if source_fused_only {
                         let layout = prepared.plan().source_columns().segments();
@@ -681,7 +683,7 @@ mod appended_in_pieces {
                 &pieces,
                 &sql,
                 &[1, 7, 1024],
-                &BackendChoice::ALL,
+                &Engine::ALL,
                 source_fused_only,
             );
         }
@@ -765,7 +767,7 @@ mod appended_in_pieces {
                 &appended,
                 &sql,
                 &[7, 1024],
-                &[BackendChoice::Native],
+                &[Engine::Native],
                 source_fused_only,
             );
         }
@@ -777,7 +779,7 @@ mod appended_in_pieces {
             ),
             "SELECT id FROM t WHERE id < 9".to_string(),
         ] {
-            let oracles = [BackendChoice::Rewrite, BackendChoice::Reference];
+            let oracles = [Engine::Rewrite, Engine::Reference];
             assert_same_answers(&whole, &appended, &sql, &[1024], &oracles, false);
         }
     }
@@ -835,14 +837,7 @@ mod appended_in_pieces {
         let window = "SELECT *, SUM(b) OVER (ORDER BY a ROWS BETWEEN 1 PRECEDING \
                       AND CURRENT ROW) AS x FROM t";
         for sql in [sort, window] {
-            assert_same_answers(
-                &whole,
-                &pieces,
-                sql,
-                &EVERY_BATCH,
-                &BackendChoice::ALL,
-                false,
-            );
+            assert_same_answers(&whole, &pieces, sql, &EVERY_BATCH, &Engine::ALL, false);
         }
         let native = Session::with_catalog(Engine::native(), pieces.clone());
         let reference = Session::with_catalog(Engine::reference(), pieces);
@@ -884,7 +879,7 @@ mod appended_in_pieces {
                 &pieces,
                 sql,
                 &EVERY_BATCH,
-                &BackendChoice::ALL,
+                &Engine::ALL,
                 source_fused_only,
             );
         }
@@ -944,7 +939,7 @@ mod appended_in_pieces {
                 &pieces,
                 sql,
                 &EVERY_BATCH,
-                &BackendChoice::ALL,
+                &Engine::ALL,
                 source_fused_only,
             );
         }
@@ -990,14 +985,7 @@ mod appended_in_pieces {
         let [whole, pieces] = register_then_append(&base, &batch);
         let sql = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o ROWS BETWEEN 1 PRECEDING \
                    AND CURRENT ROW) AS x FROM t";
-        assert_same_answers(
-            &whole,
-            &pieces,
-            sql,
-            &EVERY_BATCH,
-            &BackendChoice::ALL,
-            false,
-        );
+        assert_same_answers(&whole, &pieces, sql, &EVERY_BATCH, &Engine::ALL, false);
         let native = Session::with_catalog(Engine::native(), pieces.clone());
         let reference = Session::with_catalog(Engine::reference(), pieces.clone());
         assert!(native
@@ -1010,13 +998,6 @@ mod appended_in_pieces {
         let plan = native.prepare(&around).unwrap();
         let ops: Vec<&str> = plan.plan().ops().iter().map(|op| op.name()).collect();
         assert_eq!(ops, ["window", "select"]);
-        assert_same_answers(
-            &whole,
-            &pieces,
-            &around,
-            &EVERY_BATCH,
-            &BackendChoice::ALL,
-            false,
-        );
+        assert_same_answers(&whole, &pieces, &around, &EVERY_BATCH, &Engine::ALL, false);
     }
 }
