@@ -19,8 +19,8 @@
 //!   the same columns demoted to generic `Value` lanes, which the kernels
 //!   leave to the row semantics, cell by cell;
 //! * **streaming** — a window subscription, and a `LIMIT 10` one, each
-//!   absorbing 64-row appends incrementally against a forced recompute per
-//!   append;
+//!   absorbing 64-row appends incrementally against the statement re-run
+//!   over the catalog after each append;
 //! * **pruning** — a clustered filter-scan statement with zone-map batch
 //!   skipping on and off, prepared and executed afresh per timed run;
 //! * **append** — a 64-row catalog append onto a 16 384-row and onto a
@@ -49,9 +49,7 @@ use audb_core::{
     AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
     ZONE_ROWS,
 };
-use audb_engine::{
-    exec, CmpSemantics, Engine, MaintainedQuery, Plan, Query, Reference, Session, SharedCatalog,
-};
+use audb_engine::{exec, CmpSemantics, Engine, Plan, Query, Reference, Session, SharedCatalog};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
 use audb_rel::{Schema, Value};
@@ -296,8 +294,9 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
 }
 
 /// One streaming cell: `n` rows pushed through a subscription in
-/// [`STREAM_BATCH`]-row appends, measured on both strategy arms within one run so
-/// the speedup is immune to cross-run noise.
+/// [`STREAM_BATCH`]-row appends, and through the catalog with the statement
+/// re-run after each, within one run so the speedup is immune to cross-run
+/// noise.
 #[derive(Clone, Debug, Default)]
 pub struct StreamingRun {
     /// Rows streamed — or, for `streaming-topk`, held when the timed
@@ -313,7 +312,8 @@ pub struct StreamingRun {
     pub p99_us: f64,
     /// Wall total of the incremental arm, milliseconds.
     pub incremental_ms: f64,
-    /// Wall total of the forced-recompute arm over the same batches.
+    /// Wall total of the at-rest arm over the same batches: each appended
+    /// to the catalog, and the statement prepared, executed and normalized.
     pub recompute_ms: f64,
     /// `recompute_ms / incremental_ms`.
     pub speedup: f64,
@@ -378,15 +378,6 @@ fn stream_batches(n: usize, batch: usize) -> Vec<AuRelation> {
     out
 }
 
-fn stream_subscription(sql: &str, table: &AuRelation, cutoff: usize) -> MaintainedQuery {
-    let catalog = SharedCatalog::new();
-    catalog.register("s", table.clone());
-    Session::with_catalog(Engine::native(), catalog)
-        .subscribe(sql)
-        .expect("streaming SQL compiles")
-        .with_cutoff(cutoff)
-}
-
 /// Appends the `streaming-topk` block times onto its `n`-row table: the
 /// cost of an append *at* `n` rows. (Streamed from empty the recompute arm
 /// averages half the table, and the one-shot top-k's own band makes that a
@@ -394,51 +385,57 @@ fn stream_subscription(sql: &str, table: &AuRelation, cutoff: usize) -> Maintain
 const TOPK_APPENDS: usize = 64;
 
 /// Measure one streaming block: the same append sequence absorbed by a
-/// subscription to `sql` incrementally and by full recompute, per
-/// configured size `n`. With `onto = None` the `n` rows stream into an
-/// empty table; with `Some(appends)` they are the subscribed table, one
-/// untimed append seeds the incremental state over them, and `appends`
-/// more are timed.
+/// subscription to `sql` incrementally and — the baseline, what a client
+/// without a subscription does — appended to the catalog with `sql` re-run
+/// after each append, per configured size `n`. With `onto = None` the `n`
+/// rows stream into an empty table; with `Some(appends)` they are the
+/// subscribed table, and `appends` more are timed.
 pub fn measure_streaming(cfg: &BenchConfig, sql: &str, onto: Option<usize>) -> Vec<StreamingRun> {
     cfg.sizes
         .iter()
         .map(|&n| {
-            // With `onto`: the first n rows are the table, the next batch
-            // the untimed seed, the rest timed.
-            let (extra, head, seed) = onto.map_or((0, 0, 0), |appends| {
-                ((appends + 1) * STREAM_BATCH, n / STREAM_BATCH, 1)
-            });
-            let mut batches = stream_batches(n + extra, STREAM_BATCH);
-            let tail = batches.split_off(head);
+            let (extra, head) =
+                onto.map_or((0, 0), |appends| (appends * STREAM_BATCH, n / STREAM_BATCH));
+            let mut timed = stream_batches(n + extra, STREAM_BATCH);
             let mut table = AuRelation::empty(stream_schema());
-            batches.iter_mut().for_each(|b| table.append(b));
-            let timed = &tail[seed..];
-            // One arm: total milliseconds, per-append microseconds, and how
-            // many appends went incremental.
-            let absorb = |cutoff: usize| {
-                let mut q = stream_subscription(sql, &table, cutoff);
-                for b in &tail[..seed] {
-                    q.append(b).expect("in-order append");
-                }
+            (timed.drain(..head)).for_each(|mut b| table.append(&mut b));
+            let session = || {
+                let catalog = SharedCatalog::new();
+                catalog.register("s", table.clone());
+                Session::with_catalog(Engine::native(), catalog)
+            };
+            // One arm: total milliseconds and sorted per-append microseconds.
+            let time = |append: &mut dyn FnMut(&AuRelation)| {
                 let mut lat = Vec::with_capacity(timed.len());
                 let started = Instant::now();
-                for b in timed {
+                for b in &timed {
                     let t = Instant::now();
-                    std::hint::black_box(q.append(b).expect("in-order append"));
+                    append(b);
                     lat.push(t.elapsed().as_secs_f64() * 1e6);
                 }
                 let total_ms = started.elapsed().as_secs_f64() * 1e3;
                 lat.sort_by(f64::total_cmp);
-                (total_ms, lat, q.strategy_counts().0)
+                (total_ms, lat)
             };
 
-            let (incremental_ms, lat, incr) = absorb(STREAM_BATCH);
-            assert!(incr > 0, "streaming bench fell off the incremental path");
+            let mut q = session().subscribe(sql).expect("streaming SQL compiles");
+            let (incremental_ms, lat) = time(&mut |b| {
+                std::hint::black_box(q.append(b).expect("in-order append"));
+            });
+            assert_eq!(
+                q.strategy_counts(),
+                (timed.len() as u64, 0),
+                "streaming bench fell off the incremental path"
+            );
             let p50_us = lat[lat.len() / 2];
             let p99_us = lat[(lat.len() - 1) * 99 / 100];
-            // Same batches, strategy forced to recompute: the cutoff is
-            // never reached, so every append re-runs the full plan.
-            let (recompute_ms, _, _) = absorb(usize::MAX);
+            let at_rest = session();
+            let (recompute_ms, _) = time(&mut |b| {
+                (at_rest.shared_catalog().append("s", b)).expect("schema matches");
+                let prepared = at_rest.prepare(sql).expect("streaming SQL compiles");
+                let out = at_rest.execute(&prepared).expect("streaming SQL runs");
+                std::hint::black_box(out.normalize().expect("no overflow"));
+            });
 
             StreamingRun {
                 n,

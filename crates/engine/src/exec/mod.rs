@@ -43,5 +43,5 @@ mod lower;
 mod run;
 
 pub use lower::{lower, Pipeline};
-pub(crate) use run::run_row_wise;
+pub(crate) use run::{check_output_rows, run_row_wise};
 pub use run::{run_materialized, run_pipelined, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

@@ -83,7 +83,7 @@ pub struct ExecTrace {
 /// kernels' `u32` indexes hold. `limit` is the `LIMIT k` that bounds the
 /// emission (the native sort stops splitting a row at `k`; the row oracles
 /// sort everything first and pass `None`).
-fn check_output_rows(
+pub(crate) fn check_output_rows(
     mult_ub: impl IntoIterator<Item = u64>,
     limit: Option<u64>,
 ) -> Result<(), EngineError> {

@@ -60,7 +60,7 @@ pub use catalog::{Catalog, CatalogAppendError, Segment, SharedCatalog, Table, SE
 pub use engine::{BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
 pub use exec::{ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
-pub use maintain::{Delta, MaintainedQuery, Strategy, DEFAULT_INCREMENTAL_CUTOFF};
+pub use maintain::{Delta, MaintainedQuery, Strategy};
 pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
 pub use plancache::{CacheStats, PlanCache, MAX_ANSWER_BYTES};

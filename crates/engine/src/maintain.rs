@@ -14,13 +14,11 @@
 //!
 //! ## Strategy selection
 //!
-//! Each append batch picks [`Strategy::Incremental`] or
-//! [`Strategy::Recompute`], visible in [`MaintainedQuery::explain`]:
+//! `subscribe` builds the maintained state over the subscribed table and
+//! reads the initial value off it; the plan runs once. Each append batch
+//! then picks [`Strategy::Incremental`] or [`Strategy::Recompute`], visible
+//! in [`MaintainedQuery::explain`]:
 //!
-//! * **Tiny relations recompute.** Below the cutoff (default
-//!   [`DEFAULT_INCREMENTAL_CUTOFF`] accumulated rows) a full recompute is
-//!   cheaper than maintaining sweep state; the maintained state is built
-//!   lazily the first time the relation crosses the cutoff.
 //! * **Window maintenance needs the native fast path.** If the engine is
 //!   not [`Engine::Native`], or the data hits the documented
 //!   native-window fallbacks (duplicate multiplicities after
@@ -31,13 +29,16 @@
 //!   engine, preserving the engine's bound-agreement promise.
 //! * **Out-of-order appends rebuild.** The window sweep consumes rows in
 //!   ascending ORDER BY position; a batch overlapping the accumulated
-//!   frontier forces one recompute and a state rebuild (the rebuilt sweep
-//!   absorbs everything seen so far as a single batch). Top-k maintenance
-//!   accepts appends in any order and never rebuilds.
+//!   frontier rebuilds the sweep from everything seen so far as a single
+//!   batch, and the append (a recompute) answers from the rebuilt sweep.
+//!   Top-k maintenance accepts appends in any order and never rebuilds.
 //!
-//! Ground truth is always the engine itself: the recompute path *is*
-//! `engine.execute(plan.with_table(accumulated))`, and the property tests
-//! pin the incremental path bag-equal to it on all three backends.
+//! Ground truth is always the engine itself: the property tests pin every
+//! maintained value bag-equal to `engine.execute(plan.with_table(accumulated))`
+//! on all three backends — which is what a subscription that is never
+//! maintained holds. A top-k band is refused as the engine refuses a sort
+//! of the same rows, and an append that fails changes nothing: whatever can
+//! fail runs before the state is replaced.
 //!
 //! ## One append, two callers
 //!
@@ -66,11 +67,11 @@
 //! `value_after = value_before − removed + added`. Replaying every delta
 //! from subscription onward reconstructs [`MaintainedQuery::value`]. Every
 //! delta is one merge walk over two normalized relations in canonical
-//! order: the answer before and the recompute's output; the band before and
-//! after a top-k append (`O(k)`); the open rows emitted last and the rows
-//! closed since plus the open rows now, after a window append
-//! (`O(changed)` — the window's output rows are distinct, so no key is in
-//! both the closed and the open rows).
+//! order: the whole answer before and after a recompute or a rebuild; the
+//! band before and after a top-k append (`O(k)`); the open rows emitted
+//! last and the rows closed since plus the open rows now, after a window
+//! append (`O(changed)` — the window's output rows are distinct, so no key
+//! is in both the closed and the open rows).
 
 use crate::catalog::Table;
 use crate::engine::Engine;
@@ -79,13 +80,9 @@ use crate::exec;
 use crate::plan::{Op, Plan};
 use audb_core::{AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
-
-/// Accumulated row count below which an append recomputes instead of
-/// maintaining sweep state (override per subscription with
-/// [`MaintainedQuery::with_cutoff`]).
-pub const DEFAULT_INCREMENTAL_CUTOFF: usize = 256;
 
 /// How one append batch was absorbed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,26 +122,15 @@ impl Delta {
     }
 }
 
-/// The final maintainable operator of the subscribed plan, and its live
-/// state once the accumulated relation has crossed the cutoff.
+/// The final maintainable operator of the subscribed plan, with its live
+/// state.
 enum MaintainKind {
-    Window(Option<MaintainedWindow>),
-    TopK(Option<TopKMaintain>),
+    Window(MaintainedWindow),
+    TopK(TopKMaintain),
     /// Never maintained, and why: the plan's shape, the engine's backend,
     /// or data the native window hands to the reference — none of which
     /// un-happens. Every append recomputes.
     Never(String),
-}
-
-impl MaintainKind {
-    /// What is maintained, as `explain` and the fallback reasons call it.
-    fn name(&self) -> &'static str {
-        match self {
-            MaintainKind::Window(_) => "window",
-            MaintainKind::TopK(_) => "top-k",
-            MaintainKind::Never(_) => "nothing",
-        }
-    }
 }
 
 /// A subscribed query: a compiled [`Plan`] whose result stays current
@@ -156,7 +142,6 @@ pub struct MaintainedQuery {
     /// The row-wise prefix of the plan (everything before the final op).
     pre: Plan,
     kind: MaintainKind,
-    cutoff: usize,
     /// The accumulated source: the subscribed table version grown by
     /// every batch.
     accum: Arc<Table>,
@@ -172,28 +157,22 @@ pub struct MaintainedQuery {
 impl MaintainedQuery {
     pub(crate) fn new(engine: Engine, plan: Plan) -> Result<MaintainedQuery, SessionError> {
         let row_wise = |pre: &[Op]| !pre.iter().any(Op::is_breaker);
-        let mut kind = match plan.ops().split_last() {
-            Some((Op::Window { .. }, pre)) if row_wise(pre) => MaintainKind::Window(None),
+        let never = match plan.ops().split_last() {
+            Some((Op::Window { .. }, pre)) if row_wise(pre) => native_only("window", engine),
             Some((Op::Sort { limit: Some(_), .. }, pre)) if row_wise(pre) => {
-                MaintainKind::TopK(None)
+                native_only("top-k", engine)
             }
-            Some((op, _)) => MaintainKind::Never(format!(
+            Some((op, _)) => Some(format!(
                 "final operator `{}` is not maintainable",
                 op.name()
             )),
-            None => MaintainKind::Never("plan has no maintainable operator".to_string()),
+            None => Some("plan has no maintainable operator".to_string()),
         };
-        if engine != Engine::Native && !matches!(kind, MaintainKind::Never(_)) {
-            kind = MaintainKind::Never(format!(
-                "{} maintenance requires the native backend (engine runs {engine})",
-                kind.name()
-            ));
-        }
         let mut q = MaintainedQuery {
             engine,
             pre: plan.prefix(plan.ops().len().saturating_sub(1)),
-            kind,
-            cutoff: DEFAULT_INCREMENTAL_CUTOFF,
+            // Replaced by the state built below.
+            kind: MaintainKind::Never(String::new()),
             accum: Arc::clone(plan.source_columns()),
             answer: AuColumns::empty(plan.schema().clone()),
             incremental_appends: 0,
@@ -201,25 +180,9 @@ impl MaintainedQuery {
             last: None,
             plan,
         };
-        // Data the native window refers to the reference is checked up
-        // front too, so explain() is honest from the start.
-        if let (MaintainKind::Window(_), Some(Op::Window { spec, .. })) =
-            (&q.kind, q.plan.ops().last())
-        {
-            let pre_rel = q.prefix_over(Arc::clone(&q.accum))?.normalize()?;
-            if let Some(what) = needs_reference(&pre_rel, spec) {
-                q.kind = MaintainKind::Never(format!("initial relation carries {what}"));
-            }
-        }
-        q.recompute()?;
+        let (kind, whole) = q.build(&q.accum, never)?;
+        q.settle(kind, whole);
         Ok(q)
-    }
-
-    /// Override the tiny-relation cutoff (accumulated rows below which
-    /// appends recompute instead of maintaining sweep state).
-    pub fn with_cutoff(mut self, cutoff: usize) -> Self {
-        self.cutoff = cutoff;
-        self
     }
 
     /// The compiled plan this subscription maintains.
@@ -229,10 +192,7 @@ impl MaintainedQuery {
 
     /// The current result, normalized, in deterministic row-key order.
     pub fn value(&self) -> AuRelation {
-        match &self.kind {
-            MaintainKind::Window(Some(m)) => window_answer(m).to_rows(),
-            _ => self.answer.to_rows(),
-        }
+        self.whole().to_rows()
     }
 
     /// The accumulated source (initial relation plus every appended
@@ -247,7 +207,9 @@ impl MaintainedQuery {
     }
 
     /// Append a batch of source rows and return the changed output rows.
-    /// The batch must carry the subscribed table's exact schema.
+    /// The batch must carry the subscribed table's exact schema. An error
+    /// leaves the subscription as it was: nothing is replaced before
+    /// everything that can fail has run.
     pub fn append(&mut self, batch: &AuRelation) -> Result<Delta, SessionError> {
         let rows = batch.len();
         if batch.schema != self.plan.schemas()[0] {
@@ -260,33 +222,47 @@ impl MaintainedQuery {
         }
         // The subscription's batch door: rows in, columns from here on.
         let batch = batch.to_columns();
-        if !batch.is_empty() {
-            self.accum = self.accum.appended(batch.clone());
-        }
-        let (strategy, delta) = match self.try_incremental(batch)? {
-            Some(delta) => {
-                self.incremental_appends += 1;
+        let accum = match batch.is_empty() {
+            true => Arc::clone(&self.accum),
+            false => self.accum.appended(batch.clone()),
+        };
+        let (strategy, delta) = match &self.kind {
+            MaintainKind::Never(reason) => (
+                Strategy::Recompute,
+                self.rebuild(&accum, Some(reason.clone()))?,
+            ),
+            MaintainKind::TopK(m) => {
+                // The band absorbs the batch — on a copy, kept once its
+                // answer is not refused — and is diffed in O(k), not O(n).
+                let mut m = m.clone();
+                m.apply(&self.prefix_over(Table::sealed(batch))?);
+                let band = topk_answer(&m)?;
+                let delta = diff(&self.answer, &band);
+                self.settle(MaintainKind::TopK(m), band);
                 (Strategy::Incremental, delta)
             }
-            None => {
-                self.recompute_appends += 1;
-                (Strategy::Recompute, self.recompute()?)
-            }
+            MaintainKind::Window(_) => self.append_window(&accum, batch)?,
         };
+        self.accum = accum;
+        match strategy {
+            Strategy::Incremental => self.incremental_appends += 1,
+            Strategy::Recompute => self.recompute_appends += 1,
+        }
         self.last = Some((strategy, rows));
         Ok(Delta { strategy, ..delta })
     }
 
     /// The engine's explain output for the subscribed plan, followed by
-    /// stable maintenance lines (strategy, cutoff, append counts).
+    /// stable maintenance lines (strategy, append counts).
     pub fn explain(&self) -> String {
         let mut s = self.engine.explain(&self.plan).to_string();
         if !s.ends_with('\n') {
             s.push('\n');
         }
         let mode = match &self.kind {
+            MaintainKind::Window(_) => "window incremental".to_string(),
+            MaintainKind::TopK(_) => "top-k incremental".to_string(),
             MaintainKind::Never(reason) => format!("always recompute — {reason}"),
-            kind => format!("{} incremental (cutoff {})", kind.name(), self.cutoff),
         };
         s.push_str(&format!("maintain: {mode}\n"));
         s.push_str(&format!(
@@ -299,23 +275,6 @@ impl MaintainedQuery {
         s
     }
 
-    /// Absorb the batch into the live state and return its delta — or
-    /// `None`: this append recomputes. The accumulated rows already hold
-    /// the batch.
-    fn try_incremental(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
-        if self.accum.len() < self.cutoff {
-            // Tiny relation: recompute, and drop any state so the next
-            // crossing of the cutoff rebuilds from scratch.
-            self.drop_state();
-            return Ok(None);
-        }
-        match &self.kind {
-            MaintainKind::Never(_) => Ok(None),
-            MaintainKind::Window(_) => self.try_incremental_window(batch),
-            MaintainKind::TopK(_) => self.try_incremental_topk(batch),
-        }
-    }
-
     /// The row-wise prefix over `source`, on the native method (the only
     /// one that maintains) — over a batch alone, its contribution to the
     /// prefix over the accumulated table.
@@ -325,112 +284,125 @@ impl MaintainedQuery {
         Ok(exec::run_row_wise(&plan, batch_size))
     }
 
-    /// Drop the live state — a window sweep hands its answer back first.
-    fn drop_state(&mut self) {
-        match &mut self.kind {
-            MaintainKind::Window(state) => {
-                if let Some(m) = state.take() {
-                    self.answer = window_answer(&m);
-                }
-            }
-            MaintainKind::TopK(state) => *state = None,
-            MaintainKind::Never(_) => {}
+    /// The engine's answer over `source`, normalized: what a subscription
+    /// that is never maintained holds.
+    fn recompute(&self, source: &Arc<Table>) -> Result<AuColumns, SessionError> {
+        let plan = self.plan.with_table(Arc::clone(source))?;
+        Ok(self.engine.execute(&plan)?.normalize()?)
+    }
+
+    /// The whole answer, normalized.
+    fn whole(&self) -> Cow<'_, AuColumns> {
+        match &self.kind {
+            MaintainKind::Window(m) => Cow::Owned(normalized(m.result())),
+            _ => Cow::Borrowed(&self.answer),
         }
     }
 
-    /// Stop maintaining for good.
-    fn never(&mut self, reason: String) {
-        self.drop_state();
-        self.kind = MaintainKind::Never(reason);
+    /// A fresh state over `source` and its whole answer, normalized: the
+    /// engine's, for a subscription that is never maintained (`never` says
+    /// why); otherwise the final operator's, over the prefix's rows.
+    fn build(
+        &self,
+        source: &Arc<Table>,
+        never: Option<String>,
+    ) -> Result<(MaintainKind, AuColumns), SessionError> {
+        if let Some(reason) = never {
+            return Ok((MaintainKind::Never(reason), self.recompute(source)?));
+        }
+        let rows = self.prefix_over(Arc::clone(source))?;
+        match self.plan.ops().last() {
+            Some(Op::Window {
+                spec,
+                agg,
+                out_name,
+            }) => {
+                let rows = rows.normalize()?;
+                if let Some(what) = needs_reference(&rows, spec) {
+                    let never = format!("accumulated relation carries {what}");
+                    return self.build(source, Some(never));
+                }
+                let mut m =
+                    MaintainedWindow::new(rows.schema().clone(), spec.clone(), *agg, out_name);
+                m.apply(&rows);
+                let whole = normalized(m.result());
+                Ok((MaintainKind::Window(m), whole))
+            }
+            Some(Op::Sort {
+                order,
+                pos_name,
+                limit: Some(k),
+            }) => {
+                let mut m = TopKMaintain::new(rows.schema().clone(), order.clone(), *k, pos_name);
+                m.apply(&rows);
+                let band = topk_answer(&m)?;
+                Ok((MaintainKind::TopK(m), band))
+            }
+            _ => unreachable!("only window and top-k plans are maintained"),
+        }
     }
 
-    fn try_incremental_window(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
-        let Some(Op::Window {
-            spec,
-            agg,
-            out_name,
-        }) = self.plan.ops().last().cloned()
-        else {
+    /// Take `kind` as the state and `whole` as its answer. A window sweep
+    /// keeps what it has closed and leaves only its open rows here.
+    fn settle(&mut self, kind: MaintainKind, whole: AuColumns) {
+        self.kind = kind;
+        self.answer = match &mut self.kind {
+            MaintainKind::Window(m) => {
+                m.drain_new_closed();
+                normalized(m.open_result())
+            }
+            _ => whole,
+        };
+    }
+
+    /// Replace the state with one built afresh over `accum` (see
+    /// [`MaintainedQuery::build`]): the delta is the diff of the whole
+    /// answers before and after.
+    fn rebuild(
+        &mut self,
+        accum: &Arc<Table>,
+        never: Option<String>,
+    ) -> Result<Delta, SessionError> {
+        let (kind, whole) = self.build(accum, never)?;
+        let delta = diff(&self.whole(), &whole);
+        self.settle(kind, whole);
+        Ok(delta)
+    }
+
+    /// A window append: absorbed by the live sweep if it lands past the
+    /// frontier; otherwise the sweep is rebuilt over everything — or, for
+    /// data the native window refers to the reference, never maintained
+    /// again.
+    fn append_window(
+        &mut self,
+        accum: &Arc<Table>,
+        batch: AuColumns,
+    ) -> Result<(Strategy, Delta), SessionError> {
+        let rows = self.prefix_over(Table::sealed(batch))?.normalize()?;
+        let Some(Op::Window { spec, .. }) = self.plan.ops().last() else {
             unreachable!("kind is Window only for window plans");
         };
-        let pre_batch = self.prefix_over(Table::sealed(batch))?.normalize()?;
         // The native window's documented fallbacks are sticky: a duplicate
         // multiplicity or an uncertain partition value stays in the data.
-        if let Some(what) = needs_reference(&pre_batch, &spec) {
-            self.never(format!("appended rows carry {what}"));
-            return Ok(None);
+        if let Some(what) = needs_reference(&rows, spec) {
+            let never = Some(format!("appended rows carry {what}"));
+            return Ok((Strategy::Recompute, self.rebuild(accum, never)?));
         }
-        if let MaintainKind::Window(Some(m)) = &mut self.kind {
-            if m.in_order(&pre_batch) {
-                m.apply(&pre_batch);
-                // What changed: the rows closed since, and the open rows
-                // now against the open rows last emitted.
-                let open = m.open_result().normalize()?;
-                let mut now = m.drain_new_closed();
-                now.append(open.clone());
-                let delta = diff(&self.answer, &now.normalize()?);
-                self.answer = open;
-                return Ok(Some(delta));
-            }
-        }
-        // No sweep yet, or a frontier overlap: build one from everything
-        // seen so far as one batch. This append recomputes; the next
-        // in-order batch goes incremental.
-        self.drop_state();
-        let pre_all = self.prefix_over(Arc::clone(&self.accum))?.normalize()?;
-        if let Some(what) = needs_reference(&pre_all, &spec) {
-            self.never(format!("accumulated relation carries {what}"));
-            return Ok(None);
-        }
-        let mut m = MaintainedWindow::new(pre_all.schema().clone(), spec, agg, &out_name);
-        m.apply(&pre_all);
-        self.kind = MaintainKind::Window(Some(m));
-        Ok(None)
-    }
-
-    fn try_incremental_topk(&mut self, batch: AuColumns) -> Result<Option<Delta>, SessionError> {
-        let Some(Op::Sort {
-            order,
-            pos_name,
-            limit: Some(k),
-        }) = self.plan.ops().last().cloned()
-        else {
-            unreachable!("kind is TopK only for top-k plans");
+        let MaintainKind::Window(m) = &mut self.kind else {
+            unreachable!("append_window is called on window states");
         };
-        let pre_batch = self.prefix_over(Table::sealed(batch))?;
-        if let MaintainKind::TopK(Some(m)) = &mut self.kind {
-            m.apply(&pre_batch);
-            // The band is the whole answer: diff it in O(k), not O(n).
-            let band = m.result().normalize()?;
-            let delta = diff(&self.answer, &band);
-            self.answer = band;
-            return Ok(Some(delta));
+        if !m.in_order(&rows) {
+            return Ok((Strategy::Recompute, self.rebuild(accum, None)?));
         }
-        // First crossing of the cutoff: seed from the accumulated rows.
-        let pre_all = self.prefix_over(Arc::clone(&self.accum))?;
-        let mut m = TopKMaintain::new(pre_all.schema().clone(), order, k, &pos_name);
-        m.apply(&pre_all);
-        self.kind = MaintainKind::TopK(Some(m));
-        Ok(None)
-    }
-
-    /// The ground-truth path: the full plan over the accumulated relation,
-    /// normalized, diffed against the answer before. A window sweep built
-    /// this append keeps what it has closed — the recompute answered it —
-    /// and leaves only its open rows here.
-    fn recompute(&mut self) -> Result<Delta, SessionError> {
-        let out = (self.engine)
-            .execute(&self.plan.with_table(Arc::clone(&self.accum))?)?
-            .normalize()?;
-        let delta = diff(&self.answer, &out);
-        self.answer = match &mut self.kind {
-            MaintainKind::Window(Some(m)) => {
-                m.drain_new_closed();
-                m.open_result().normalize()?
-            }
-            _ => out,
-        };
-        Ok(delta)
+        m.apply(&rows);
+        // What changed: the rows closed since, and the open rows now
+        // against the open rows last emitted.
+        let open = normalized(m.open_result());
+        let mut now = m.drain_new_closed();
+        now.append(open.clone());
+        let delta = diff(&self.answer, &normalized(now));
+        self.answer = open;
+        Ok((Strategy::Incremental, delta))
     }
 }
 
@@ -442,6 +414,12 @@ impl std::fmt::Debug for MaintainedQuery {
             .field("recompute", &self.recompute_appends)
             .finish()
     }
+}
+
+/// Why a `what` subscription on `engine` is never maintained, if it is not.
+fn native_only(what: &str, engine: Engine) -> Option<String> {
+    (engine != Engine::Native)
+        .then(|| format!("{what} maintenance requires the native backend (engine runs {engine})"))
 }
 
 /// The native window's two fallbacks to the reference (DESIGN.md §5.2) —
@@ -464,12 +442,18 @@ fn needs_reference(rel: &AuColumns, spec: &AuWindowSpec) -> Option<&'static str>
     }
 }
 
-/// A live window's answer, normalized: its rows are distinct (the input
-/// rows are, and each is extended by one aggregate), each of `k↑ = 1`.
-fn window_answer(m: &MaintainedWindow) -> AuColumns {
-    m.result()
-        .normalize()
-        .expect("a window's rows are distinct")
+/// Window output rows, normalized: they are distinct (the input rows are,
+/// and each is extended by one aggregate), each of `k↑ = 1`.
+fn normalized(rows: AuColumns) -> AuColumns {
+    rows.normalize().expect("a window's rows are distinct")
+}
+
+/// The top-k answer over the band, normalized — refused as the engine
+/// refuses a sort of the same rows under the same `k`.
+fn topk_answer(m: &TopKMaintain) -> Result<AuColumns, SessionError> {
+    let (band, k) = m.band();
+    exec::check_output_rows(band.mult_ub().iter().copied(), Some(k))?;
+    Ok(m.result().normalize()?)
 }
 
 /// `after − before` as a [`Delta`]: one merge walk over two normalized
@@ -549,16 +533,16 @@ mod tests {
     const ROLLING_SQL: &str = "SELECT *, SUM(v) OVER (ORDER BY o \
          ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS roll FROM s";
 
-    fn subscribe(rows: &[(AuTuple, Mult3)], cutoff: usize) -> MaintainedQuery {
+    fn subscribe(rows: &[(AuTuple, Mult3)]) -> MaintainedQuery {
         let session = Session::new(Engine::native());
         session.register("s", rel_of(rows));
-        session.subscribe(ROLLING_SQL).unwrap().with_cutoff(cutoff)
+        session.subscribe(ROLLING_SQL).unwrap()
     }
 
     #[test]
     fn value_tracks_recompute_and_deltas_replay() {
         let rows = stream_rows(60, 5);
-        let mut q = subscribe(&rows[..20], 16);
+        let mut q = subscribe(&rows[..20]);
         let session = Session::new(Engine::native());
         // Replay target: every delta applied to the initial value, by key.
         let entries = |value: AuRelation| -> BTreeMap<SortKey, (AuTuple, Mult3)> {
@@ -588,44 +572,26 @@ mod tests {
             assert!(value.bag_eq(&truth), "value:\n{value}\ntruth:\n{truth}");
             assert_eq!(replay, entries(value), "deltas must replay to the value");
         }
-        let (inc, rec) = q.strategy_counts();
-        assert!(inc >= 4, "expected mostly incremental appends, got {inc}");
-        assert!(rec >= 1, "cutoff crossing recomputes once, got {rec}");
-    }
-
-    #[test]
-    fn cutoff_governs_strategy_and_explain_reports_it() {
-        let rows = stream_rows(40, 11);
-        let mut q = subscribe(&rows[..4], 12);
-        // Below the cutoff: recompute.
-        let d = q.append(&rel_of(&rows[4..8])).unwrap();
-        assert_eq!(d.strategy, Strategy::Recompute);
-        // Crossing the cutoff: one recompute that seeds the state...
-        let d = q.append(&rel_of(&rows[8..16])).unwrap();
-        assert_eq!(d.strategy, Strategy::Recompute);
-        // ...then in-order appends go incremental.
-        let d = q.append(&rel_of(&rows[16..24])).unwrap();
-        assert_eq!(d.strategy, Strategy::Incremental);
+        // The state is built at subscribe: an in-order stream never
+        // recomputes.
+        assert_eq!(q.strategy_counts(), (6, 0));
         let text = q.explain();
+        assert!(text.contains("maintain: window incremental\n"), "{text}");
         assert!(
-            text.contains("maintain: window incremental (cutoff 12)"),
+            text.contains("appends: 6 incremental, 0 recompute"),
             "{text}"
         );
-        assert!(
-            text.contains("appends: 1 incremental, 2 recompute"),
-            "{text}"
-        );
-        assert!(text.contains("last append: incremental (8 rows)"), "{text}");
+        assert!(text.contains("last append: incremental (5 rows)"), "{text}");
     }
 
     #[test]
     fn out_of_order_appends_recompute_then_resume_incremental() {
         let rows = stream_rows(40, 3);
-        let mut q = subscribe(&rows[..24], 8);
+        let mut q = subscribe(&rows[..24]);
         assert_eq!(
             q.append(&rel_of(&rows[24..30])).unwrap().strategy,
-            Strategy::Recompute,
-            "first append seeds the state"
+            Strategy::Incremental,
+            "subscribe built the state"
         );
         assert_eq!(
             q.append(&rel_of(&rows[30..34])).unwrap().strategy,
@@ -651,7 +617,7 @@ mod tests {
     #[test]
     fn duplicate_multiplicities_disable_maintenance_permanently() {
         let rows = stream_rows(30, 17);
-        let mut q = subscribe(&rows[..20], 8);
+        let mut q = subscribe(&rows[..20]);
         q.append(&rel_of(&rows[20..24])).unwrap();
         assert_eq!(
             q.append(&rel_of(&rows[24..26])).unwrap().strategy,
@@ -683,7 +649,7 @@ mod tests {
         let session = Session::new(Engine::native());
         session.register("s", rel_of(&rows[..20]));
         let sql = "SELECT * FROM s ORDER BY v AS rank LIMIT 5";
-        let mut q = session.subscribe(sql).unwrap().with_cutoff(8);
+        let mut q = session.subscribe(sql).unwrap();
         // Appends in reverse order: top-k maintenance has no frontier.
         let mut chunks: Vec<&[(AuTuple, Mult3)]> = rows[20..].chunks(6).collect();
         chunks.reverse();
@@ -710,7 +676,7 @@ mod tests {
         let certain = (10..20).map(|a| row(a, Mult3::ONE));
         session.register("s", AuRelation::from_rows(schema.clone(), certain));
         let sql = "SELECT * FROM s ORDER BY a AS pos LIMIT 3";
-        let mut q = session.subscribe(sql).unwrap().with_cutoff(1);
+        let mut q = session.subscribe(sql).unwrap();
         let huge = AuRelation::from_rows(schema, [row(1, Mult3::new(0, 0, 1 << 63))]);
         for _ in 0..2 {
             q.append(&huge).unwrap();
@@ -718,7 +684,7 @@ mod tests {
             let truth = session.sql(sql).unwrap();
             assert!(q.value().bag_eq(&truth), "{}\nvs\n{truth}", q.value());
         }
-        assert_eq!(q.strategy_counts(), (1, 1));
+        assert_eq!(q.strategy_counts(), (2, 0));
     }
 
     #[test]
@@ -729,8 +695,7 @@ mod tests {
         // Final op is a plain sort — not maintainable.
         let mut q = session
             .subscribe("SELECT * FROM s ORDER BY o AS p")
-            .unwrap()
-            .with_cutoff(1);
+            .unwrap();
         let d = q.append(&rel_of(&rows[10..15])).unwrap();
         assert_eq!(d.strategy, Strategy::Recompute);
         assert!(
@@ -742,7 +707,7 @@ mod tests {
         // Reference engine: window maintenance requires the native backend.
         let ref_session = Session::new(Engine::reference());
         ref_session.register("s", rel_of(&rows[..10]));
-        let mut q = ref_session.subscribe(ROLLING_SQL).unwrap().with_cutoff(1);
+        let mut q = ref_session.subscribe(ROLLING_SQL).unwrap();
         assert_eq!(
             q.append(&rel_of(&rows[10..15])).unwrap().strategy,
             Strategy::Recompute
@@ -756,7 +721,7 @@ mod tests {
     #[test]
     fn append_rejects_mismatched_schemas() {
         let rows = stream_rows(10, 31);
-        let mut q = subscribe(&rows, 8);
+        let mut q = subscribe(&rows);
         let bad = AuRelation::empty(Schema::new(["o", "v", "extra"]));
         let e = q.append(&bad).unwrap_err();
         assert_eq!(e.kind(), "schema_mismatch");

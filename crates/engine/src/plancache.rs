@@ -124,30 +124,15 @@ struct CacheState {
 /// module docs for the keying and invalidation rules. Share one per
 /// engine/server (e.g. behind an `Arc`) and call
 /// [`crate::Session::prepare_cached`] instead of `prepare`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PlanCache {
-    capacity: usize,
     state: Mutex<CacheState>,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new(PlanCache::DEFAULT_CAPACITY)
-    }
-}
-
 impl PlanCache {
-    /// Default bound: plenty for a dashboard-style workload of repeated
+    /// The bound: plenty for a dashboard-style workload of repeated
     /// statements, small enough that eviction is exercised in tests.
     pub const DEFAULT_CAPACITY: usize = 256;
-
-    /// A cache holding at most `capacity` plans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            state: Mutex::new(CacheState::default()),
-        }
-    }
 
     /// The guarded state, recovered if a thread panicked while holding the
     /// lock: every mutation is a whole-value map or counter operation, so
@@ -167,7 +152,7 @@ impl PlanCache {
             answered: s.answered,
             dropped: s.dropped,
             len: s.entries.plans.len(),
-            capacity: self.capacity,
+            capacity: Self::DEFAULT_CAPACITY,
         }
     }
 
@@ -228,8 +213,7 @@ impl PlanCache {
             s.misses += 1;
             return Ok((prepared, false));
         }
-        s.entries
-            .remember_alias(raw_key, canonical.clone(), self.capacity);
+        s.entries.remember_alias(raw_key, canonical.clone());
         if let Some(existing) = s.entries.plans.get(&canonical) {
             // A normalized-equivalent text (or a racing thread) already
             // resident: reuse its plan, count the normalization hit.
@@ -245,7 +229,7 @@ impl PlanCache {
         s.entries.plans.insert(canonical.clone(), entry);
         s.entries.order.push_back(canonical);
         s.misses += 1;
-        while s.entries.plans.len() > self.capacity {
+        while s.entries.plans.len() > Self::DEFAULT_CAPACITY {
             if let Some(coldest) = s.entries.order.pop_front() {
                 s.entries.plans.remove(&coldest);
                 s.entries.aliases.retain(|_, v| *v != coldest);
@@ -328,10 +312,10 @@ impl Entries {
         }
     }
 
-    fn remember_alias(&mut self, raw: Key, canonical: Key, capacity: usize) {
+    fn remember_alias(&mut self, raw: Key, canonical: Key) {
         // The alias map is only a fast path; re-derivable, so bound it by
         // wholesale reset rather than its own LRU bookkeeping.
-        if self.aliases.len() >= capacity * 4 {
+        if self.aliases.len() >= PlanCache::DEFAULT_CAPACITY * 4 {
             self.aliases.clear();
         }
         self.aliases.insert(raw, canonical);
@@ -379,7 +363,7 @@ mod tests {
     #[test]
     fn hits_on_identical_and_normalized_equivalent_sql() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
 
         let (_, hit) = s
             .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
@@ -411,7 +395,7 @@ mod tests {
     #[test]
     fn no_cross_table_false_hits() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let (pa, hit_a) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         let (pb, hit_b) = s.prepare_cached(&cache, "SELECT x FROM b").unwrap();
         assert!(
@@ -436,7 +420,7 @@ mod tests {
         };
         let names = [named("a  b"), named("a b")];
         s.register("t", AuRelation::from_rows(Schema::new(["name"]), names));
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let run = |sql: &str| {
             let (prepared, hit) = s.prepare_cached(&cache, sql).unwrap();
             (s.execute(&prepared).unwrap().to_rows(), hit)
@@ -453,34 +437,25 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_at_capacity() {
         let s = session();
-        let cache = PlanCache::new(2);
-        s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 1")
-            .unwrap();
-        s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
-            .unwrap();
+        let cache = PlanCache::default();
+        let prepare = |x: usize| {
+            let sql = format!("SELECT x FROM a WHERE x < {x}");
+            s.prepare_cached(&cache, &sql).unwrap().1
+        };
+        (0..PlanCache::DEFAULT_CAPACITY).for_each(|x| assert!(!prepare(x)));
         // Touch the first so the second is coldest...
-        let (_, hit) = s
-            .prepare_cached(&cache, "SELECT x FROM a WHERE x < 1")
-            .unwrap();
-        assert!(hit);
-        // ...then a third entry evicts `x < 2`.
-        s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 3")
-            .unwrap();
-        assert_eq!(cache.stats().len, 2);
-        let (_, hit) = s
-            .prepare_cached(&cache, "SELECT x FROM a WHERE x < 1")
-            .unwrap();
-        assert!(hit, "recently used entry should survive eviction");
-        let (_, hit) = s
-            .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
-            .unwrap();
-        assert!(!hit, "coldest entry should have been evicted");
+        assert!(prepare(0));
+        // ...then one statement more evicts `x < 1`.
+        assert!(!prepare(PlanCache::DEFAULT_CAPACITY));
+        assert_eq!(cache.stats().len, PlanCache::DEFAULT_CAPACITY);
+        assert!(prepare(0), "recently used entry should survive eviction");
+        assert!(!prepare(1), "coldest entry should have been evicted");
     }
 
     #[test]
     fn registration_invalidates_by_version() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let (p, _) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         assert_eq!(s.execute(&p).unwrap().len(), 3);
 
@@ -501,7 +476,7 @@ mod tests {
     fn append_drops_superseded_plans_but_not_prepared_statements() {
         let s = session();
         let engine = *s.engine();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let (before, _) = s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
         s.prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
             .unwrap();
@@ -539,7 +514,7 @@ mod tests {
     #[test]
     fn publications_drop_only_the_plans_of_their_table() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let lookup = |sql: &str| s.prepare_cached(&cache, sql).unwrap().1;
         lookup("SELECT x FROM a");
         lookup("SELECT x FROM b");
@@ -565,7 +540,7 @@ mod tests {
         let s = session();
         s.register("big", rel(20_000));
         let engine = *s.engine();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
 
         let (small, _) = s
             .prepare_cached(&cache, "SELECT x FROM a WHERE x < 2")
@@ -603,7 +578,7 @@ mod tests {
     #[test]
     fn older_version_lookup_compiles_without_inserting() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let (old_version, old_snapshot) = s.shared_catalog().snapshot_versioned();
 
         s.register("a", rel(5));
@@ -643,7 +618,7 @@ mod tests {
     #[test]
     fn stats_change_invalidates_optimized_plans() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let sql = "SELECT * FROM (SELECT * FROM a ORDER BY x) WHERE x < 1";
 
         // `x` is certain in `a`, so the keep-small select is pushed below
@@ -687,7 +662,7 @@ mod tests {
     #[test]
     fn a_panic_under_the_lock_does_not_poison_the_cache() {
         let s = session();
-        let cache = std::sync::Arc::new(PlanCache::new(8));
+        let cache = std::sync::Arc::new(PlanCache::default());
         s.prepare_cached(&cache, "SELECT x FROM a").unwrap();
 
         let holder = std::sync::Arc::clone(&cache);
@@ -711,7 +686,7 @@ mod tests {
     #[test]
     fn parse_and_bind_errors_are_not_cached() {
         let s = session();
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         assert!(s.prepare_cached(&cache, "SELECT nope FROM a").is_err());
         assert!(s.prepare_cached(&cache, "SELEKT").is_err());
         let stats = cache.stats();

@@ -71,29 +71,36 @@ fn cmp_sql(op: CmpOp) -> &'static str {
     }
 }
 
-/// Render a resolved expression. Compound sub-expressions are fully
-/// parenthesized — redundant parens cost nothing and make the reparse
-/// unambiguous regardless of precedence.
-fn expr_sql(e: &RangeExpr, schema: &Schema) -> String {
+/// Render a resolved expression with the parentheses the parser needs and
+/// no others — the text nests no deeper than any statement that binds to
+/// the same expression, so what parses under `audb_sql::MAX_DEPTH` prints
+/// as text that parses too — and how tightly it binds, loosest first as
+/// the parser's precedence climbs: `OR` < `AND` < `NOT` < comparison <
+/// `+ -` < `*` < unary minus < atom.
+fn expr_sql(e: &RangeExpr, schema: &Schema) -> (u8, String) {
+    // An operand that binds looser than `min` goes in parentheses.
+    let arg = |a: &RangeExpr, min: u8| match expr_sql(a, schema) {
+        (prec, s) if prec < min => format!("({s})"),
+        (_, s) => s,
+    };
     match e {
-        RangeExpr::Col(i) => sql_ident(&schema.cols()[*i]),
-        RangeExpr::Lit(rv) => range_value_sql(rv),
-        // The inner parens are load-bearing: `(-5)` would fold into the
-        // literal -5 on reparse, but `(-(5))` reparses as Neg(Lit(5)) —
-        // keeping Neg-of-literal round-trip exact.
-        RangeExpr::Neg(a) => format!("(-({}))", expr_sql(a, schema)),
-        RangeExpr::Not(a) => format!("(NOT {})", expr_sql(a, schema)),
-        RangeExpr::Add(a, b) => format!("({} + {})", expr_sql(a, schema), expr_sql(b, schema)),
-        RangeExpr::Sub(a, b) => format!("({} - {})", expr_sql(a, schema), expr_sql(b, schema)),
-        RangeExpr::Mul(a, b) => format!("({} * {})", expr_sql(a, schema), expr_sql(b, schema)),
-        RangeExpr::And(a, b) => format!("({} AND {})", expr_sql(a, schema), expr_sql(b, schema)),
-        RangeExpr::Or(a, b) => format!("({} OR {})", expr_sql(a, schema), expr_sql(b, schema)),
-        RangeExpr::Cmp(op, a, b) => format!(
-            "({} {} {})",
-            expr_sql(a, schema),
-            cmp_sql(*op),
-            expr_sql(b, schema)
-        ),
+        RangeExpr::Col(i) => (8, sql_ident(&schema.cols()[*i])),
+        RangeExpr::Lit(rv) => (8, range_value_sql(rv)),
+        // A minus directly before a number folds into the literal — `-5`
+        // is a value, `-(5)` the negation of one — and `--` starts a
+        // comment.
+        RangeExpr::Neg(a) => match arg(a, 7) {
+            s if s.starts_with(|c: char| c.is_ascii_digit()) => (7, format!("-({s})")),
+            s if s.starts_with('-') => (7, format!("- {s}")),
+            s => (7, format!("-{s}")),
+        },
+        RangeExpr::Not(a) => (3, format!("NOT {}", arg(a, 3))),
+        RangeExpr::Add(a, b) => (5, format!("{} + {}", arg(a, 5), arg(b, 6))),
+        RangeExpr::Sub(a, b) => (5, format!("{} - {}", arg(a, 5), arg(b, 6))),
+        RangeExpr::Mul(a, b) => (6, format!("{} * {}", arg(a, 6), arg(b, 7))),
+        RangeExpr::And(a, b) => (2, format!("{} AND {}", arg(a, 2), arg(b, 3))),
+        RangeExpr::Or(a, b) => (1, format!("{} OR {}", arg(a, 1), arg(b, 2))),
+        RangeExpr::Cmp(op, a, b) => (4, format!("{} {} {}", arg(a, 5), cmp_sql(*op), arg(b, 5))),
     }
 }
 
@@ -173,7 +180,7 @@ pub fn plan_to_sql(plan: &Plan, table: &str) -> String {
         let mut tail = String::new();
 
         if let Op::Select { pred } = &ops[i] {
-            where_sql = format!(" WHERE {}", expr_sql(pred, &schemas[i]));
+            where_sql = format!(" WHERE {}", expr_sql(pred, &schemas[i]).1);
             i += 1;
         }
         while i < ops.len() {
@@ -196,7 +203,7 @@ pub fn plan_to_sql(plan: &Plan, table: &str) -> String {
             // `(expression, name)` pair.
             let item = |(e, n): &(RangeExpr, String)| match e {
                 RangeExpr::Col(c) if &s.cols()[*c] == n => sql_ident(n),
-                _ => format!("{} AS {}", expr_sql(e, s), sql_ident(n)),
+                _ => format!("{} AS {}", expr_sql(e, s).1, sql_ident(n)),
             };
             list = Some(exprs.iter().map(item).collect::<Vec<_>>().join(", "));
             i += 1;
@@ -273,7 +280,7 @@ mod tests {
         // LIMIT share one block.
         assert_eq!(
             plan.to_sql("t"),
-            "SELECT * FROM t WHERE (\"select\" < 5) ORDER BY \"select\", a AS rank LIMIT 2"
+            "SELECT * FROM t WHERE \"select\" < 5 ORDER BY \"select\", a AS rank LIMIT 2"
         );
     }
 
@@ -304,7 +311,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             plan.to_sql("t"),
-            "SELECT * FROM t WHERE (a <= RANGE(1, 2, 4))"
+            "SELECT * FROM t WHERE a <= RANGE(1, 2, 4)"
         );
     }
 }

@@ -449,7 +449,7 @@ mod tests {
             assert!(Arc::ptr_eq(p.plan().source_columns(), &stored));
         }
 
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::default();
         let sql = "SELECT sku FROM products WHERE price < 11";
         let (miss, hit) = s.prepare_cached(&cache, sql).unwrap();
         assert!(!hit);

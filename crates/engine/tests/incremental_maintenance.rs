@@ -1,11 +1,12 @@
 //! Property tests for the incremental-maintenance layer: under random
 //! interleaved append/query sequences, [`MaintainedQuery`]'s value must
 //! stay bag-equal to a full recompute of the same plan over the
-//! accumulated rows — on all three backends — and replaying the emitted
-//! deltas must reconstruct the value exactly. The generators cover
-//! in-order streams (incremental fast path), out-of-order batches
-//! (rebuild and recompute), partition churn, and duplicate multiplicities
-//! (permanent fallback).
+//! accumulated rows — on all three backends, from the value `subscribe`
+//! reads off the state it builds onward — and replaying the emitted deltas
+//! must reconstruct the value exactly. The generators cover in-order
+//! streams (incremental fast path), out-of-order batches (rebuild),
+//! partition churn, duplicate multiplicities (permanent fallback) and a
+//! top-k the engine refuses.
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
 use audb_engine::{Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
@@ -88,6 +89,17 @@ fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {
     }
 }
 
+/// [`assert_matches_all_backends`], and the deltas replayed so far
+/// reconstruct the value.
+fn assert_exact(q: &audb_engine::MaintainedQuery, replay: &Replay, ctx: &str) {
+    assert_matches_all_backends(q, ctx);
+    let value = q.value().normalize();
+    assert!(
+        replay.value(value.schema.clone()).bag_eq(&value),
+        "{ctx}: delta replay diverged from value()"
+    );
+}
+
 /// Replays deltas over a snapshot: `value_after = value_before − removed +
 /// added`, keyed on the row's full triple-of-bounds identity.
 #[derive(Default)]
@@ -136,7 +148,8 @@ const TOPK: &str = "SELECT g, v FROM s ORDER BY v AS pos LIMIT 4";
 fn in_order_stream_stays_incremental_and_exact() {
     let mut rng = Rng::new(0xA11CE);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(8);
+    let mut q = session.subscribe(ROLLING).unwrap();
+    assert_matches_all_backends(&q, "rolling at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -153,24 +166,22 @@ fn in_order_stream_stays_incremental_and_exact() {
         // Interleave full checks with cheap delta-only steps so the test
         // also covers appends nobody queries between.
         if rng.below(3) == 0 || step > 35 {
-            assert_matches_all_backends(&q, &format!("rolling step {step}"));
-            assert!(
-                replay
-                    .value(q.value().schema.clone())
-                    .bag_eq(&q.value().normalize()),
-                "rolling step {step}: delta replay diverged from value()"
-            );
+            assert_exact(&q, &replay, &format!("rolling step {step}"));
         }
     }
-    let (incr, rec) = q.strategy_counts();
+    assert_eq!(
+        q.strategy_counts(),
+        (40, 0),
+        "an in-order stream never recomputes"
+    );
+    let explain = q.explain();
     assert!(
-        incr > rec,
-        "an in-order stream over the cutoff should mostly maintain ({incr} incremental, {rec} recompute)"
+        explain.contains("maintain: window incremental\n"),
+        "{explain}"
     );
     assert!(
-        q.explain().contains("window incremental"),
-        "{}",
-        q.explain()
+        explain.contains("appends: 40 incremental, 0 recompute"),
+        "{explain}"
     );
 }
 
@@ -178,7 +189,8 @@ fn in_order_stream_stays_incremental_and_exact() {
 fn out_of_order_and_in_order_interleave_exactly() {
     let mut rng = Rng::new(0xB0B);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut q = session.subscribe(ROLLING).unwrap();
+    assert_matches_all_backends(&q, "interleaved at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -207,13 +219,7 @@ fn out_of_order_and_in_order_interleave_exactly() {
             );
         }
         replay.apply(&delta);
-        assert_matches_all_backends(&q, &format!("interleaved step {step}"));
-        assert!(
-            replay
-                .value(q.value().schema.clone())
-                .bag_eq(&q.value().normalize()),
-            "interleaved step {step}: delta replay diverged"
-        );
+        assert_exact(&q, &replay, &format!("interleaved step {step}"));
     }
     let (incr, _) = q.strategy_counts();
     assert!(incr > 0, "in-order stretches should resume maintenance");
@@ -223,7 +229,8 @@ fn out_of_order_and_in_order_interleave_exactly() {
 fn partition_churn_stays_exact() {
     let mut rng = Rng::new(0x5EED);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(PARTITIONED).unwrap().with_cutoff(6);
+    let mut q = session.subscribe(PARTITIONED).unwrap();
+    assert_matches_all_backends(&q, "churn at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -242,13 +249,7 @@ fn partition_churn_stays_exact() {
         let delta = q.append(&batch).unwrap();
         replay.apply(&delta);
         if rng.below(2) == 0 || step > 25 {
-            assert_matches_all_backends(&q, &format!("churn step {step}"));
-            assert!(
-                replay
-                    .value(q.value().schema.clone())
-                    .bag_eq(&q.value().normalize()),
-                "churn step {step}: delta replay diverged"
-            );
+            assert_exact(&q, &replay, &format!("churn step {step}"));
         }
     }
     let (incr, _) = q.strategy_counts();
@@ -262,7 +263,8 @@ fn partition_churn_stays_exact() {
 fn duplicate_multiplicities_fall_back_for_good() {
     let mut rng = Rng::new(0xD0D0);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut q = session.subscribe(ROLLING).unwrap();
+    assert_matches_all_backends(&q, "dup-mult at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -280,21 +282,16 @@ fn duplicate_multiplicities_fall_back_for_good() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
-        if step >= 7 {
-            assert_eq!(
-                delta.strategy,
-                Strategy::Recompute,
-                "step {step}: duplicate multiplicities disable maintenance permanently"
-            );
-        }
-        replay.apply(&delta);
-        assert_matches_all_backends(&q, &format!("dup-mult step {step}"));
-        assert!(
-            replay
-                .value(q.value().schema.clone())
-                .bag_eq(&q.value().normalize()),
-            "dup-mult step {step}: delta replay diverged"
+        let want = match step {
+            ..7 => Strategy::Incremental,
+            _ => Strategy::Recompute,
+        };
+        assert_eq!(
+            delta.strategy, want,
+            "step {step}: duplicate multiplicities disable maintenance permanently"
         );
+        replay.apply(&delta);
+        assert_exact(&q, &replay, &format!("dup-mult step {step}"));
     }
     assert!(q.explain().contains("always recompute"), "{}", q.explain());
 }
@@ -306,7 +303,8 @@ fn duplicate_multiplicities_fall_back_for_good() {
 fn an_uncertain_partition_value_falls_back_for_good() {
     let mut rng = Rng::new(0x6A0);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(PARTITIONED).unwrap().with_cutoff(6);
+    let mut q = session.subscribe(PARTITIONED).unwrap();
+    assert_matches_all_backends(&q, "partition at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -325,64 +323,22 @@ fn an_uncertain_partition_value_falls_back_for_good() {
             .append(&AuRelation::from_rows(sensor_schema(), rows))
             .unwrap();
         let want = match batch {
-            2..=4 => Strategy::Incremental,
+            ..5 => Strategy::Incremental,
             _ => Strategy::Recompute,
         };
         assert_eq!(delta.strategy, want, "batch {batch}");
         replay.apply(&delta);
-        assert_matches_all_backends(&q, &format!("partition batch {batch}"));
-        assert!(
-            replay
-                .value(q.value().schema.clone())
-                .bag_eq(&q.value().normalize()),
-            "partition batch {batch}: delta replay diverged"
-        );
+        assert_exact(&q, &replay, &format!("partition batch {batch}"));
     }
     let explain = q.explain();
     assert!(
         explain.contains("always recompute — appended rows carry an uncertain PARTITION BY"),
         "{explain}"
     );
-}
-
-/// Raising the cutoff past the accumulated rows drops the live sweep: every
-/// later append recomputes, and the answer the sweep held is the one the
-/// deltas go on from.
-#[test]
-fn raising_the_cutoff_midstream_drops_the_live_state() {
-    let mut rng = Rng::new(0xC07);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
-    let mut replay = Replay::from_value(&q.value());
-
-    let mut t = 0i64;
-    for batch in 0..12 {
-        if batch == 6 {
-            q = q.with_cutoff(usize::MAX);
-        }
-        let rows: Vec<_> = (0..3)
-            .map(|_| {
-                t += 4;
-                reading(&mut rng, 0, t, true)
-            })
-            .collect();
-        let delta = q
-            .append(&AuRelation::from_rows(sensor_schema(), rows))
-            .unwrap();
-        let want = match batch {
-            2..=5 => Strategy::Incremental,
-            _ => Strategy::Recompute,
-        };
-        assert_eq!(delta.strategy, want, "batch {batch}");
-        replay.apply(&delta);
-        assert_matches_all_backends(&q, &format!("cutoff batch {batch}"));
-        assert!(
-            replay
-                .value(q.value().schema.clone())
-                .bag_eq(&q.value().normalize()),
-            "cutoff batch {batch}: delta replay diverged"
-        );
-    }
+    assert!(
+        explain.contains("appends: 5 incremental, 5 recompute"),
+        "{explain}"
+    );
 }
 
 /// Rows appended again are the same keys at new multiplicities: the delta
@@ -394,6 +350,7 @@ fn a_repeated_row_is_removed_and_added_at_its_new_multiplicity() {
     let rows: Vec<_> = (0..4).map(|i| reading(&mut rng, 0, 4 * i, true)).collect();
     let session = session_with(&AuRelation::from_rows(sensor_schema(), rows.clone()));
     let mut q = session.subscribe("SELECT * FROM s WHERE v < 100").unwrap();
+    assert_matches_all_backends(&q, "repeated rows at subscribe");
     let mut replay = Replay::from_value(&q.value());
     let again = AuRelation::from_rows(sensor_schema(), rows[1..3].iter().cloned());
     let delta = q.append(&again).unwrap();
@@ -403,20 +360,15 @@ fn a_repeated_row_is_removed_and_added_at_its_new_multiplicity() {
         "{delta:?}"
     );
     replay.apply(&delta);
-    assert_matches_all_backends(&q, "repeated rows");
-    assert!(
-        replay
-            .value(q.value().schema.clone())
-            .bag_eq(&q.value().normalize()),
-        "repeated rows: delta replay diverged"
-    );
+    assert_exact(&q, &replay, "repeated rows");
 }
 
 #[test]
 fn topk_subscription_is_exact_in_any_order() {
     let mut rng = Rng::new(0x70CC);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(TOPK).unwrap().with_cutoff(6);
+    let mut q = session.subscribe(TOPK).unwrap();
+    assert_matches_all_backends(&q, "topk at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     for step in 0..30 {
@@ -433,27 +385,19 @@ fn topk_subscription_is_exact_in_any_order() {
         let delta = q.append(&batch).unwrap();
         replay.apply(&delta);
         if rng.below(2) == 0 || step > 25 {
-            assert_matches_all_backends(&q, &format!("topk step {step}"));
-            assert!(
-                replay
-                    .value(q.value().schema.clone())
-                    .bag_eq(&q.value().normalize()),
-                "topk step {step}: delta replay diverged"
-            );
+            assert_exact(&q, &replay, &format!("topk step {step}"));
         }
     }
-    let (incr, _) = q.strategy_counts();
-    assert!(
-        incr > 0,
-        "top-k over the cutoff should maintain incrementally"
-    );
+    assert_eq!(q.strategy_counts(), (30, 0), "top-k never recomputes");
+    assert!(q.explain().contains("maintain: top-k incremental\n"));
 }
 
 /// Subscribing to the already-grown table must equal, row for row, the
 /// value carried by a subscription that lived through every append: small
 /// batches, then uneven pieces that take the accumulator across the
 /// segment seal (the `appended_in_pieces` property, for subscriptions) —
-/// on the recompute strategy and on the incremental one. And the
+/// on a statement that is never maintained (an unlimited sort) and on one
+/// that is. And the
 /// accumulator grows the way the catalog's tables do: an append shares
 /// every sealed segment and makes one new one (the open tail plus the
 /// batch), and a recompute binds the plan to the accumulator's own handle.
@@ -476,13 +420,15 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
         .collect();
 
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    // The top-k stays below its cutoff: every append recomputes.
-    let recomputed = session.subscribe(TOPK).unwrap().with_cutoff(usize::MAX);
-    let maintained = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let recomputed = session
+        .subscribe("SELECT g, v FROM s ORDER BY v AS pos")
+        .unwrap();
+    let maintained = session.subscribe(ROLLING).unwrap();
     for (mut live, want) in [
         (recomputed, Strategy::Recompute),
         (maintained, Strategy::Incremental),
     ] {
+        assert_matches_all_backends(&live, &format!("{want} at subscribe"));
         let mut all: Vec<(AuTuple, Mult3)> = Vec::new();
         for (i, piece) in pieces.iter().enumerate() {
             let before = Arc::clone(live.accumulated());
@@ -490,12 +436,7 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
                 .append(&AuRelation::from_rows(sensor_schema(), piece.clone()))
                 .unwrap();
             all.extend(piece.iter().cloned());
-            // (The append that crosses the cutoff seeds the live state.)
-            assert!(
-                delta.strategy == want || i < 2,
-                "piece {i}: {}",
-                delta.strategy
-            );
+            assert_eq!(delta.strategy, want, "piece {i}");
             let after = live.accumulated();
             assert_eq!(after.len(), all.len());
             let sealed = after.segments().len() - 1;
@@ -517,4 +458,75 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
             "{want}: live subscription diverged from a fresh one over the same rows"
         );
     }
+}
+
+/// A subscription over a table grown past the segment seal starts from the
+/// state `subscribe` built over both segments: its value is the engine's,
+/// and every append after it maintains.
+#[test]
+fn a_subscription_over_a_sealed_table_maintains_from_subscribe() {
+    let mut rng = Rng::new(0x5EA1);
+    let mut t = 0i64;
+    let mut rows = |n: usize| {
+        let rows: Vec<_> = (0..n)
+            .map(|_| {
+                t += 4;
+                reading(&mut rng, 0, t, true)
+            })
+            .collect();
+        AuRelation::from_rows(sensor_schema(), rows)
+    };
+    let session = session_with(&rows(SEGMENT_ROWS - 3));
+    session.shared_catalog().append("s", &rows(10)).unwrap();
+    // The selection keeps the oracles' windows small (≈ 1 row in 8).
+    let rolling = format!("{ROLLING} WHERE v > 15");
+    for sql in [&rolling, TOPK] {
+        let mut q = session.subscribe(sql).unwrap();
+        assert_eq!(q.accumulated().segments().len(), 2, "the seal was crossed");
+        assert_matches_all_backends(&q, &format!("{sql} at subscribe"));
+        let mut replay = Replay::from_value(&q.value());
+        for step in 0..3 {
+            let delta = q.append(&rows(5)).unwrap();
+            assert_eq!(delta.strategy, Strategy::Incremental, "{sql} step {step}");
+            replay.apply(&delta);
+            assert_exact(&q, &replay, &format!("{sql} step {step}"));
+        }
+    }
+}
+
+/// A top-k subscription refuses what the engine refuses — a sort that would
+/// emit more rows than the kernels' row index holds — at subscribe and at
+/// append, and an append it refuses changes nothing: the next one goes on
+/// from the state before it.
+#[test]
+fn a_topk_past_the_row_index_is_refused_and_changes_nothing() {
+    const SQL: &str = "SELECT * FROM s ORDER BY a AS pos LIMIT 1000000000000";
+    let schema = Schema::new(["a"]);
+    let row = |a: i64, mult| (AuTuple::new([RangeValue::certain(a)]), mult);
+    let certain: Vec<_> = (10..20).map(|a| row(a, Mult3::ONE)).collect();
+    let huge = row(0, Mult3::new(0, 0, 1 << 40));
+
+    let held = certain.iter().cloned().chain([huge.clone()]);
+    let refused = session_with(&AuRelation::from_rows(schema.clone(), held)).subscribe(SQL);
+    assert_eq!(refused.unwrap_err().kind(), "result_too_large");
+
+    let session = session_with(&AuRelation::from_rows(schema.clone(), certain));
+    let mut q = session.subscribe(SQL).unwrap();
+    assert_matches_all_backends(&q, "ten certain rows");
+    let mut replay = Replay::from_value(&q.value());
+    let (accumulated, value) = (Arc::clone(q.accumulated()), q.value());
+    let e = q
+        .append(&AuRelation::from_rows(schema.clone(), [huge]))
+        .unwrap_err();
+    assert_eq!(e.kind(), "result_too_large");
+    assert!(Arc::ptr_eq(q.accumulated(), &accumulated));
+    assert_eq!(q.value().rows(), value.rows());
+    assert_eq!(q.strategy_counts(), (0, 0));
+
+    let delta = q
+        .append(&AuRelation::from_rows(schema, [row(5, Mult3::ONE)]))
+        .unwrap();
+    assert_eq!(delta.strategy, Strategy::Incremental);
+    replay.apply(&delta);
+    assert_exact(&q, &replay, "after the refused append");
 }

@@ -1002,6 +1002,7 @@ impl std::fmt::Debug for MaintainedWindow {
 /// Append maintenance of the native top-k: the state is the candidate band
 /// of everything appended, and nothing else (module docs). Appends may
 /// arrive in any order.
+#[derive(Clone)]
 pub struct TopKMaintain {
     order: Vec<usize>,
     k: u64,
@@ -1040,6 +1041,12 @@ impl TopKMaintain {
             .into_iter()
             .unzip();
         self.band = self.band.gather(&rows, &mults);
+    }
+
+    /// The rows [`TopKMaintain::result`] sorts, and the `k` it sorts them
+    /// under.
+    pub fn band(&self) -> (&AuColumns, u64) {
+        (&self.band, self.k)
     }
 
     /// Current top-k output: the native top-k over the band, exactly

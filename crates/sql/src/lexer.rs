@@ -375,9 +375,11 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SqlError> {
                     }
                 }
                 if is_float {
+                    // A literal past the largest finite `f64` is refused,
+                    // not read as infinity (which prints as no literal).
                     match s.parse::<f64>() {
-                        Ok(v) => Tok::Float(v),
-                        Err(_) => return Err(SqlError::new(SqlErrorKind::BadNumber(s), span)),
+                        Ok(v) if v.is_finite() => Tok::Float(v),
+                        _ => return Err(SqlError::new(SqlErrorKind::BadNumber(s), span)),
                     }
                 } else {
                     match s.parse::<i64>() {

@@ -57,16 +57,15 @@ fn main() {
     session.register("readings", AuRelation::empty(day.schema.clone()));
 
     // Subscribe to the one-hour rolling max (current + 1 preceding
-    // reading): the statement compiles once, and each appended batch
-    // re-emits only the output rows whose bounds changed. The cutoff is
-    // lowered so even this toy stream crosses onto the incremental path.
+    // reading): the statement compiles and its sweep is built once, and
+    // each in-order batch extends the sweep and re-emits only the output
+    // rows whose bounds changed.
     let mut live = session
         .subscribe(
             "SELECT *, MAX(temp) OVER (ORDER BY ts \
              ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS x FROM readings",
         )
-        .expect("subscription compiles")
-        .with_cutoff(16);
+        .expect("subscription compiles");
 
     // Stream the day in six-hour batches. Appends go to the shared
     // catalog too (the server's `POST /append` path), so the at-rest SQL

@@ -106,7 +106,5 @@ pub use audb_engine::{
     Reference, Rewrite, RunAll, Session, SessionError, WindowSpec,
 };
 pub use audb_engine::{CacheStats, PlanCache, SharedCatalog};
-pub use audb_engine::{
-    CatalogAppendError, Delta, MaintainedQuery, Strategy, DEFAULT_INCREMENTAL_CUTOFF,
-};
+pub use audb_engine::{CatalogAppendError, Delta, MaintainedQuery, Strategy};
 pub use audb_sql::{is_keyword, parse, parse_script, Span, SqlError, SqlErrorKind};

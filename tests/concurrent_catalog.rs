@@ -44,7 +44,7 @@ fn load_catalog() -> (SharedCatalog, Arc<AuRelation>, Arc<AuRelation>) {
 #[test]
 fn concurrent_sessions_match_single_threaded_reference() {
     let (catalog, products, readings) = load_catalog();
-    let cache = Arc::new(PlanCache::new(32));
+    let cache = Arc::new(PlanCache::default());
 
     // Single-threaded reference, computed up front on a private session.
     let reference: Vec<AuRelation> = {
