@@ -52,7 +52,7 @@ use audb_core::{
 use audb_engine::{exec, CmpSemantics, Engine, Plan, Query, Reference, Session, SharedCatalog};
 // lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
 use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
-use audb_rel::{Schema, Value};
+use audb_rel::{CmpOp, Schema, Value};
 use audb_workloads::read_au_csv_columns;
 use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
@@ -248,8 +248,8 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
 /// semantics runs cell by cell.
 #[derive(Clone, Debug)]
 pub struct KernelSweep {
-    /// `truth_batch` (the `sort_sel` selection predicate) or `eval_batch`
-    /// (its computed projection).
+    /// `truth_batch` (the `sort_sel` selection predicate), `eval_batch`
+    /// (its computed projection) or `conjunction` (two column compares).
     pub kernel: &'static str,
     /// Input rows per sweep.
     pub n: usize,
@@ -262,8 +262,9 @@ pub struct KernelSweep {
 
 /// Time the vectorized kernels of the `sort_sel` plan's expressions —
 /// the selection predicate through `truth_batch` and the computed
-/// projection through `eval_batch` — on typed vs demoted-generic columns
-/// of the same relation.
+/// projection through `eval_batch` — and `filter_scan`'s conjunction of
+/// two column-vs-column compares, per executor batch, on typed vs
+/// demoted-generic columns of the same relation.
 pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     let runs = if cfg.quick { 5 } else { 15 };
     let n = cfg.sizes.iter().copied().max().unwrap_or(16_000);
@@ -273,6 +274,9 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     let mid = (n as i64 * 20) / 2;
     let pred = RangeExpr::col(1).le(RangeExpr::lit(mid));
     let proj = RangeExpr::Add(Box::new(RangeExpr::col(1)), Box::new(RangeExpr::col(2)));
+    // `filter_scan`'s shape: ranged `a` against certain `b` and `id`.
+    let conj = (RangeExpr::col(0).lt(RangeExpr::col(1)))
+        .and(RangeExpr::col(0).cmp(CmpOp::Gt, RangeExpr::col(2)));
     let mut out = Vec::new();
     let mut sweep = |kernel: &'static str, f: &mut dyn FnMut(&AuColumns)| {
         let t_ms = time_median(|| f(&typed), runs);
@@ -289,6 +293,11 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     });
     sweep("eval_batch", &mut |cols| {
         std::hint::black_box(proj.eval_batch(&cols.as_batch()));
+    });
+    sweep("conjunction", &mut |cols| {
+        for b in cols.batches(exec::DEFAULT_BATCH_SIZE) {
+            std::hint::black_box(conj.truth_batch(&b));
+        }
     });
     out
 }
@@ -1413,7 +1422,7 @@ mod tests {
                 typed: 48.0,
                 phys: vec![PhysType::I64; 3],
             }],
-            kernels: (["truth_batch", "eval_batch"].into_iter())
+            kernels: (["truth_batch", "eval_batch", "conjunction"].into_iter())
                 .map(|kernel| KernelSweep {
                     kernel,
                     n: 16_000,
@@ -1601,7 +1610,7 @@ mod tests {
             sizes: vec![4_000],
         };
         let kernels = measure_kernels(&cfg);
-        assert_eq!(kernels.len(), 2);
+        assert_eq!(kernels.len(), 3);
         for s in &kernels {
             assert!(s.typed_rows_per_sec > 0.0 && s.generic_rows_per_sec > 0.0);
         }

@@ -236,7 +236,7 @@ mod tests {
         let vals = RangeExpr::col(0).eval_batch(&b);
         assert_eq!(truths.len(), 5);
         for (i, row) in r.rows().iter().enumerate() {
-            assert_eq!(truths[i], e.truth(&row.tuple));
+            assert_eq!(truths.get(i), e.truth(&row.tuple));
             assert_eq!(vals[i], *row.tuple.get(0));
         }
     }

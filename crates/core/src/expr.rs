@@ -17,26 +17,33 @@
 //! attribute the expression touches has typed physical lanes
 //! ([`crate::physical`]) and every node is expressible over them, the
 //! whole expression lowers to monomorphic sweeps over `i64` / `f64` /
-//! dictionary-code slices — comparisons are branch-predictable primitive
-//! compares, bound arithmetic never constructs a [`Value`], and truth
-//! triples come straight off the lanes. Whenever *any* node cannot stay
-//! typed (a `Generic` column, a boolean literal, `Mul`'s four-corner
-//! extrema, `i64` overflow that the `Value` semantics would promote to
-//! float, a comparison of predicates), the whole expression falls back to
-//! the **row semantics, cell by cell**: per selected row, the same
-//! recursion reads only the cells the expression names
-//! (`AuBatch::range_value`). Typed ≡ row parity is property-pinned in
+//! dictionary-code slices. Every lane of a typed node follows the
+//! selection — element `k` is the `k`-th selected row: a column borrows
+//! its batch slice when every row is selected and gathers the selected
+//! rows once otherwise, a literal is broadcast once per node — so
+//! arithmetic and comparisons are loops over plain slices and bound
+//! arithmetic never constructs a [`Value`]. A predicate's truth triples
+//! are three bit masks ([`TruthMasks`]): a comparison writes 64 rows per
+//! word, `AND` / `OR` combine words, `NOT` swaps and complements them.
+//! Whenever *any* node cannot stay typed (a `Generic` column, a boolean
+//! literal, `Mul`'s four-corner extrema, `i64` overflow that the `Value`
+//! semantics would promote to float, a comparison of predicates), the
+//! whole expression falls back to the **row semantics, cell by cell**:
+//! per selected row, the same recursion reads only the cells the
+//! expression names (`AuBatch::range_value`), and a predicate's triples
+//! are packed into the same masks. Typed ≡ row parity is property-pinned in
 //! `tests/typed_columns.rs`; the exact `Value` semantics the typed loops
 //! must reproduce (NaN ordering, `-0.0`, int–float cross comparison) are
 //! [`audb_rel::cmp_float_float`] / [`audb_rel::cmp_int_float`].
 
 use crate::batch::AuBatch;
 use crate::columns::{AuColumn, AuColumns};
-use crate::physical::{CertBitmap, PhysSlice, PhysVec, StrPool};
+use crate::physical::{pack_bits, CertBitmap, PhysSlice, PhysVec, StrPool};
 use crate::range_value::{RangeValue, TruthRange};
 use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
 use audb_rel::{cmp_float_float, cmp_int_float, CmpOp, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -201,42 +208,36 @@ impl RangeExpr {
     }
 
     fn eval_batch_sel(&self, b: &AuBatch<'_>, sel: Sel<'_>) -> Vec<RangeValue> {
-        let n = sel.count();
-        if let Some(tv) = self.eval_typed(b, sel) {
-            return tv.into_range_values(n, sel);
+        match self.eval_typed(b, sel) {
+            Some(tv) => tv.into_range_values(sel.count()),
+            None => sel.map(|i| self.eval_with(&|c| b.range_value(c, i))),
         }
-        (0..n)
-            .map(|k| self.eval_with(&|i| b.range_value(i, sel.abs(k))))
-            .collect()
     }
 
     /// Evaluate the expression as a predicate over every row of a
-    /// columnar batch, producing one [`TruthRange`] per row (in row
-    /// order). On typed lanes, predicate roots (comparisons, boolean
-    /// connectives) stay in truth-triple form end to end — no boolean is
-    /// ever boxed into a [`Value`] — and comparisons are monomorphic
-    /// primitive sweeps; anything else runs [`RangeExpr::truth`]'s
-    /// recursion cell by cell.
-    pub fn truth_batch(&self, b: &AuBatch<'_>) -> Vec<TruthRange> {
+    /// columnar batch: bit `i` of the masks is row `i`'s truth triple. On
+    /// typed lanes, predicate roots (comparisons, boolean connectives)
+    /// stay masks end to end — a comparison writes 64 rows per word, a
+    /// connective combines words, no boolean is ever boxed into a
+    /// [`Value`]; anything else runs [`RangeExpr::truth`]'s recursion
+    /// cell by cell and packs its triples into the same masks.
+    pub fn truth_batch(&self, b: &AuBatch<'_>) -> TruthMasks {
         self.truth_batch_sel(b, Sel::All(b.len()))
     }
 
     /// Evaluate the predicate over the rows at the given batch-relative
-    /// indices only, producing one [`TruthRange`] per index (aligned with
-    /// `idxs`) — the fused executor's path for a selection chained after
-    /// another selection, so already-dropped rows are never re-evaluated.
-    pub fn truth_batch_at(&self, b: &AuBatch<'_>, idxs: &[usize]) -> Vec<TruthRange> {
+    /// indices only (bit `k` is the row at `idxs[k]`) — the fused
+    /// executor's path for a selection chained after another selection,
+    /// so already-dropped rows are never re-evaluated.
+    pub fn truth_batch_at(&self, b: &AuBatch<'_>, idxs: &[usize]) -> TruthMasks {
         self.truth_batch_sel(b, Sel::At(idxs))
     }
 
-    fn truth_batch_sel(&self, b: &AuBatch<'_>, sel: Sel<'_>) -> Vec<TruthRange> {
-        let n = sel.count();
-        if let Some(tv) = self.eval_typed(b, sel) {
-            return tv.into_truth_vec(n, sel);
+    fn truth_batch_sel(&self, b: &AuBatch<'_>, sel: Sel<'_>) -> TruthMasks {
+        match self.eval_typed(b, sel) {
+            Some(tv) => tv.into_truths(sel.count()),
+            None => TruthMasks::pack(&sel.map(|i| self.truth_with(&|c| b.range_value(c, i)))),
         }
-        (0..n)
-            .map(|k| self.truth_with(&|i| b.range_value(i, sel.abs(k))))
-            .collect()
     }
 
     /// Evaluate a computed projection straight into an output
@@ -247,188 +248,242 @@ impl RangeExpr {
     /// Collapses to the certain fast path exactly when every produced
     /// cell is a point, matching the fallback's rule.
     pub fn eval_batch_column(&self, b: &AuBatch<'_>, idxs: &[usize]) -> AuColumn {
-        let sel = Sel::At(idxs);
-        if let Some(tv) = self.eval_typed(b, sel) {
-            return tv.into_column(idxs.len(), sel);
+        match self.eval_typed(b, Sel::At(idxs)) {
+            Some(tv) => tv.into_column(idxs.len()),
+            None => AuColumns::column_from_values(self.eval_batch_at(b, idxs)),
         }
-        AuColumns::column_from_values(self.eval_batch_at(b, idxs))
     }
 
     /// Typed evaluation core: `Some` iff this node (and its whole
     /// subtree) is expressible over typed physical lanes; `None` sends
     /// the **entire expression** to the row semantics, so a partially
-    /// typed tree never mixes semantics mid-expression.
-    fn eval_typed<'a>(&'a self, b: &AuBatch<'a>, sel: Sel<'_>) -> Option<TypedVals<'a>> {
+    /// typed tree never mixes semantics mid-expression. Every lane of the
+    /// result follows `sel`: element `k` is the `k`-th selected row.
+    fn eval_typed<'a>(&self, b: &AuBatch<'a>, sel: Sel<'_>) -> Option<TypedVals<'a>> {
         let n = sel.count();
         match self {
-            RangeExpr::Col(i) => match (
-                b.corner(*i, Corner::Lb),
-                b.corner(*i, Corner::Sg),
-                b.corner(*i, Corner::Ub),
-            ) {
-                (PhysSlice::I64(l), PhysSlice::I64(s), PhysSlice::I64(u)) => {
-                    Some(TypedVals::I64(TriLanes {
-                        lb: Lane::Slice(l),
-                        sg: Lane::Slice(s),
-                        ub: Lane::Slice(u),
-                    }))
-                }
-                (PhysSlice::F64(l), PhysSlice::F64(s), PhysSlice::F64(u)) => {
-                    Some(TypedVals::F64(TriLanes {
-                        lb: Lane::Slice(l),
-                        sg: Lane::Slice(s),
-                        ub: Lane::Slice(u),
-                    }))
-                }
-                (
-                    PhysSlice::Str {
-                        codes: lc,
-                        pool: lp,
-                    },
-                    PhysSlice::Str {
-                        codes: sc,
-                        pool: sp,
-                    },
-                    PhysSlice::Str {
-                        codes: uc,
-                        pool: up,
-                    },
-                ) => Some(TypedVals::Str(TriStr {
-                    lb: StrLane::Dict {
-                        codes: lc,
-                        pool: lp,
-                    },
-                    sg: StrLane::Dict {
-                        codes: sc,
-                        pool: sp,
-                    },
-                    ub: StrLane::Dict {
-                        codes: uc,
-                        pool: up,
-                    },
-                })),
-                // A Generic lane — or a ranged column whose three bounds
-                // landed in different layouts — leaves the typed tier.
-                _ => None,
-            },
-            RangeExpr::Lit(v) => match (&v.lb, &v.sg, &v.ub) {
-                (Value::Int(l), Value::Int(s), Value::Int(u)) => Some(TypedVals::I64(TriLanes {
-                    lb: Lane::Const(*l),
-                    sg: Lane::Const(*s),
-                    ub: Lane::Const(*u),
-                })),
-                (Value::Float(l), Value::Float(s), Value::Float(u)) => {
-                    Some(TypedVals::F64(TriLanes {
-                        lb: Lane::Const(*l),
-                        sg: Lane::Const(*s),
-                        ub: Lane::Const(*u),
-                    }))
-                }
-                (Value::Str(l), Value::Str(s), Value::Str(u)) => Some(TypedVals::Str(TriStr {
-                    lb: StrLane::Const(l),
-                    sg: StrLane::Const(s),
-                    ub: StrLane::Const(u),
-                })),
-                _ => None,
-            },
-            // Addition and subtraction: i64 lanes use checked arithmetic —
-            // an overflow is exactly the case where the Value semantics
-            // promote that element to float, so the whole node bails to
-            // the row semantics. Mixed i64/f64 promotes unconditionally via
-            // `as f64`, precisely what `numeric_binop` does for a genuine
-            // Int-class/Float-class pair.
-            RangeExpr::Add(x, y) => {
-                let a = x.eval_typed(b, sel)?;
-                let c = y.eval_typed(b, sel)?;
-                match (a, c) {
-                    (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(TriLanes {
-                        lb: zip_lanes(n, sel, &p.lb, &q.lb, i64::checked_add)?,
-                        sg: zip_lanes(n, sel, &p.sg, &q.sg, i64::checked_add)?,
-                        ub: zip_lanes(n, sel, &p.ub, &q.ub, i64::checked_add)?,
-                    })),
-                    (p, q) => {
-                        let p = tri_to_f64(p, n, sel)?;
-                        let q = tri_to_f64(q, n, sel)?;
-                        Some(TypedVals::F64(TriLanes {
-                            lb: zip_lanes(n, sel, &p.lb, &q.lb, |s, t| Some(s + t))?,
-                            sg: zip_lanes(n, sel, &p.sg, &q.sg, |s, t| Some(s + t))?,
-                            ub: zip_lanes(n, sel, &p.ub, &q.ub, |s, t| Some(s + t))?,
-                        }))
+            RangeExpr::Col(i) => {
+                match [Corner::Lb, Corner::Sg, Corner::Ub].map(|c| b.corner(*i, c)) {
+                    [PhysSlice::I64(l), PhysSlice::I64(s), PhysSlice::I64(u)] => {
+                        Some(TypedVals::I64(Tri::of(sel, [l, s, u])))
                     }
+                    [PhysSlice::F64(l), PhysSlice::F64(s), PhysSlice::F64(u)] => {
+                        Some(TypedVals::F64(Tri::of(sel, [l, s, u])))
+                    }
+                    [PhysSlice::Str {
+                        codes: lc,
+                        pool: lp,
+                    }, PhysSlice::Str {
+                        codes: sc,
+                        pool: sp,
+                    }, PhysSlice::Str {
+                        codes: uc,
+                        pool: up,
+                    }] => Some(TypedVals::Str(Box::new(Tri {
+                        lb: Dict::of(sel, lc, lp),
+                        sg: Dict::of(sel, sc, sp),
+                        ub: Dict::of(sel, uc, up),
+                    }))),
+                    // A Generic lane — or a ranged column whose three bounds
+                    // landed in different layouts — leaves the typed tier.
+                    _ => None,
                 }
             }
+            RangeExpr::Lit(v) => match (&v.lb, &v.sg, &v.ub) {
+                (Value::Int(l), Value::Int(s), Value::Int(u)) => {
+                    Some(TypedVals::I64(Tri::splat(n, [*l, *s, *u])))
+                }
+                (Value::Float(l), Value::Float(s), Value::Float(u)) => {
+                    Some(TypedVals::F64(Tri::splat(n, [*l, *s, *u])))
+                }
+                (Value::Str(l), Value::Str(s), Value::Str(u)) => {
+                    Some(TypedVals::Str(Box::new(Tri {
+                        lb: Dict::splat(n, l),
+                        sg: Dict::splat(n, s),
+                        ub: Dict::splat(n, u),
+                    })))
+                }
+                _ => None,
+            },
+            // Addition and subtraction: an i64 overflow is exactly the
+            // case where the Value semantics promote that element to
+            // float, so the whole node bails to the row semantics. Mixed
+            // i64/f64 promotes unconditionally via `as f64`, precisely what
+            // `numeric_binop` does for a genuine Int-class/Float-class pair.
+            RangeExpr::Add(x, y) => match (x.eval_typed(b, sel)?, y.eval_typed(b, sel)?) {
+                (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(Tri {
+                    lb: zip_lanes(&p.lb, &q.lb, i64::overflowing_add)?,
+                    sg: zip_lanes(&p.sg, &q.sg, i64::overflowing_add)?,
+                    ub: zip_lanes(&p.ub, &q.ub, i64::overflowing_add)?,
+                })),
+                (p, q) => {
+                    let (p, q) = (tri_to_f64(p)?, tri_to_f64(q)?);
+                    Some(TypedVals::F64(Tri {
+                        lb: zip_lanes(&p.lb, &q.lb, |s, t| (s + t, false))?,
+                        sg: zip_lanes(&p.sg, &q.sg, |s, t| (s + t, false))?,
+                        ub: zip_lanes(&p.ub, &q.ub, |s, t| (s + t, false))?,
+                    }))
+                }
+            },
             // Subtraction is antitone in its right argument (mirrors
             // RangeValue::sub): lb = a↓ − c↑, ub = a↑ − c↓.
-            RangeExpr::Sub(x, y) => {
-                let a = x.eval_typed(b, sel)?;
-                let c = y.eval_typed(b, sel)?;
-                match (a, c) {
-                    (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(TriLanes {
-                        lb: zip_lanes(n, sel, &p.lb, &q.ub, i64::checked_sub)?,
-                        sg: zip_lanes(n, sel, &p.sg, &q.sg, i64::checked_sub)?,
-                        ub: zip_lanes(n, sel, &p.ub, &q.lb, i64::checked_sub)?,
-                    })),
-                    (p, q) => {
-                        let p = tri_to_f64(p, n, sel)?;
-                        let q = tri_to_f64(q, n, sel)?;
-                        Some(TypedVals::F64(TriLanes {
-                            lb: zip_lanes(n, sel, &p.lb, &q.ub, |s, t| Some(s - t))?,
-                            sg: zip_lanes(n, sel, &p.sg, &q.sg, |s, t| Some(s - t))?,
-                            ub: zip_lanes(n, sel, &p.ub, &q.lb, |s, t| Some(s - t))?,
-                        }))
-                    }
+            RangeExpr::Sub(x, y) => match (x.eval_typed(b, sel)?, y.eval_typed(b, sel)?) {
+                (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(Tri {
+                    lb: zip_lanes(&p.lb, &q.ub, i64::overflowing_sub)?,
+                    sg: zip_lanes(&p.sg, &q.sg, i64::overflowing_sub)?,
+                    ub: zip_lanes(&p.ub, &q.lb, i64::overflowing_sub)?,
+                })),
+                (p, q) => {
+                    let (p, q) = (tri_to_f64(p)?, tri_to_f64(q)?);
+                    Some(TypedVals::F64(Tri {
+                        lb: zip_lanes(&p.lb, &q.ub, |s, t| (s - t, false))?,
+                        sg: zip_lanes(&p.sg, &q.sg, |s, t| (s - t, false))?,
+                        ub: zip_lanes(&p.ub, &q.lb, |s, t| (s - t, false))?,
+                    }))
                 }
-            }
+            },
             // Four-corner extrema over mixed-sign ranges: rare enough on
             // hot paths that it stays with the row semantics.
             RangeExpr::Mul(..) => None,
             RangeExpr::Neg(x) => match x.eval_typed(b, sel)? {
                 // Value::neg is wrapping for ints; negation swaps bounds.
-                TypedVals::I64(p) => Some(TypedVals::I64(TriLanes {
-                    lb: map_lane(&p.ub, n, sel, i64::wrapping_neg),
-                    sg: map_lane(&p.sg, n, sel, i64::wrapping_neg),
-                    ub: map_lane(&p.lb, n, sel, i64::wrapping_neg),
+                TypedVals::I64(p) => Some(TypedVals::I64(Tri {
+                    lb: map_lane(&p.ub, i64::wrapping_neg),
+                    sg: map_lane(&p.sg, i64::wrapping_neg),
+                    ub: map_lane(&p.lb, i64::wrapping_neg),
                 })),
-                TypedVals::F64(p) => Some(TypedVals::F64(TriLanes {
-                    lb: map_lane(&p.ub, n, sel, |v| -v),
-                    sg: map_lane(&p.sg, n, sel, |v| -v),
-                    ub: map_lane(&p.lb, n, sel, |v| -v),
+                TypedVals::F64(p) => Some(TypedVals::F64(Tri {
+                    lb: map_lane(&p.ub, |v: f64| -v),
+                    sg: map_lane(&p.sg, |v: f64| -v),
+                    ub: map_lane(&p.lb, |v: f64| -v),
                 })),
                 _ => None,
             },
             RangeExpr::Cmp(op, x, y) => {
-                let a = x.eval_typed(b, sel)?;
-                let c = y.eval_typed(b, sel)?;
-                cmp_typed(*op, a, c, n, sel).map(TypedVals::Truths)
+                cmp_typed(*op, x.eval_typed(b, sel)?, y.eval_typed(b, sel)?, n)
+                    .map(TypedVals::Truths)
             }
             RangeExpr::And(x, y) => {
-                let a = x.eval_typed(b, sel)?.into_truth_vec(n, sel);
-                let c = y.eval_typed(b, sel)?.into_truth_vec(n, sel);
-                Some(TypedVals::Truths(
-                    a.into_iter().zip(c).map(|(s, t)| s.and(t)).collect(),
-                ))
+                let a = x.eval_typed(b, sel)?.into_truths(n);
+                let c = y.eval_typed(b, sel)?.into_truths(n);
+                Some(TypedVals::Truths(a.zip(&c, |s, t| s & t)))
             }
             RangeExpr::Or(x, y) => {
-                let a = x.eval_typed(b, sel)?.into_truth_vec(n, sel);
-                let c = y.eval_typed(b, sel)?.into_truth_vec(n, sel);
-                Some(TypedVals::Truths(
-                    a.into_iter().zip(c).map(|(s, t)| s.or(t)).collect(),
-                ))
+                let a = x.eval_typed(b, sel)?.into_truths(n);
+                let c = y.eval_typed(b, sel)?.into_truths(n);
+                Some(TypedVals::Truths(a.zip(&c, |s, t| s | t)))
             }
-            RangeExpr::Not(x) => {
-                let a = x.eval_typed(b, sel)?.into_truth_vec(n, sel);
-                Some(TypedVals::Truths(
-                    a.into_iter().map(TruthRange::not).collect(),
-                ))
+            RangeExpr::Not(x) => Some(TypedVals::Truths(
+                x.eval_typed(b, sel)?.into_truths(n).not(),
+            )),
+        }
+    }
+}
+
+/// A predicate's truth triples over the `n` rows a batch kernel covers,
+/// as three bit masks: bit `k % 64` of word `k / 64` is the `k`-th row's
+/// bound. No bit at or past `n` is set.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TruthMasks {
+    /// Certainly true.
+    lb: Vec<u64>,
+    /// True in the selected-guess world.
+    sg: Vec<u64>,
+    /// Possibly true.
+    ub: Vec<u64>,
+    n: usize,
+}
+
+impl TruthMasks {
+    /// Per-row triples, 64 rows to a word.
+    fn pack(ts: &[TruthRange]) -> TruthMasks {
+        let n = ts.len();
+        TruthMasks {
+            lb: pack_bits(n, |k| ts[k].lb),
+            sg: pack_bits(n, |k| ts[k].sg),
+            ub: pack_bits(n, |k| ts[k].ub),
+            n,
+        }
+    }
+
+    /// Number of rows covered.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// True iff no rows are covered.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The `lb`, `sg` and `ub` words, `n.div_ceil(64)` each.
+    pub fn words(&self) -> [&[u64]; 3] {
+        [&self.lb, &self.sg, &self.ub]
+    }
+
+    /// Row `k`'s truth triple.
+    pub fn get(&self, k: usize) -> TruthRange {
+        debug_assert!(k < self.n, "row past the masks");
+        let bit = |ws: &[u64]| ws[k / 64] >> (k % 64) & 1 == 1;
+        TruthRange {
+            lb: bit(&self.lb),
+            sg: bit(&self.sg),
+            ub: bit(&self.ub),
+        }
+    }
+
+    /// The rows with some bound true, in order, with their triples —
+    /// the set bits of `lb | sg | ub`. A selection filters every other
+    /// row's annotation to zero, so it visits these only.
+    pub fn any_true(&self) -> impl Iterator<Item = (usize, TruthRange)> + '_ {
+        (0..self.lb.len())
+            .flat_map(move |w| {
+                let mut any = self.lb[w] | self.sg[w] | self.ub[w];
+                std::iter::from_fn(move || {
+                    let j = any.trailing_zeros() as usize;
+                    any &= any.wrapping_sub(1);
+                    (j < 64).then_some(w * 64 + j)
+                })
+            })
+            .map(|k| (k, self.get(k)))
+    }
+
+    /// `f` of every pair of words (`AND`: `&`, `OR`: `|`).
+    fn zip(mut self, other: &TruthMasks, f: impl Fn(u64, u64) -> u64) -> TruthMasks {
+        for (a, b) in [
+            (&mut self.lb, &other.lb),
+            (&mut self.sg, &other.sg),
+            (&mut self.ub, &other.ub),
+        ] {
+            a.iter_mut().zip(b).for_each(|(s, &t)| *s = f(*s, t));
+        }
+        self
+    }
+
+    /// Negation swaps and complements the bounds (`¬[l/s/u] =
+    /// [¬u/¬s/¬l]`); the complement's bits past `n` are cleared.
+    fn not(self) -> TruthMasks {
+        let n = self.n;
+        let neg = |mut ws: Vec<u64>| {
+            ws.iter_mut().for_each(|w| *w = !*w);
+            if let (Some(last), 1..) = (ws.last_mut(), n % 64) {
+                *last &= (1 << (n % 64)) - 1;
             }
+            ws
+        };
+        TruthMasks {
+            lb: neg(self.ub),
+            sg: neg(self.sg),
+            ub: neg(self.lb),
+            n,
         }
     }
 }
 
 /// The row subset an expression sweep covers: every row of the batch, or
 /// an explicit batch-relative index list (the surviving rows of a pending
-/// selection). Borrowed column slices index through [`Sel::abs`]; owned
-/// per-node vectors are aligned with the selection positions.
+/// selection). Every lane of a typed node follows it: element `k` is the
+/// `k`-th selected row.
 #[derive(Clone, Copy)]
 enum Sel<'r> {
     /// All `n` rows, in order.
@@ -445,136 +500,153 @@ impl Sel<'_> {
         }
     }
 
-    #[inline]
-    fn abs(&self, k: usize) -> usize {
+    /// `f` of every selected batch row, in selection order.
+    fn map<T>(self, mut f: impl FnMut(usize) -> T) -> Vec<T> {
         match self {
-            Sel::All(_) => k,
-            Sel::At(idxs) => idxs[k],
+            Sel::All(n) => (0..n).map(f).collect(),
+            Sel::At(idxs) => idxs.iter().map(|&i| f(i)).collect(),
+        }
+    }
+
+    /// A batch lane as the selection sees it: borrowed whole, or
+    /// gathered once.
+    fn lane<T: Copy>(self, s: &[T]) -> Cow<'_, [T]> {
+        match self {
+            Sel::All(_) => Cow::Borrowed(s),
+            Sel::At(_) => Cow::Owned(self.map(|i| s[i])),
         }
     }
 }
 
-/// One bound vector of a typed node: a borrowed physical lane
-/// (batch-absolute, indexed through [`Sel::abs`]), an owned computed lane
-/// (selection-aligned), or a broadcast literal corner.
-enum Lane<'a, T: Copy> {
-    Slice(&'a [T]),
-    Owned(Vec<T>),
-    Const(T),
+/// The three bounds of a typed node.
+struct Tri<L> {
+    lb: L,
+    sg: L,
+    ub: L,
 }
 
-impl<T: Copy> Lane<'_, T> {
-    #[inline]
-    fn at(&self, k: usize, sel: Sel<'_>) -> T {
-        match self {
-            Lane::Slice(s) => s[sel.abs(k)],
-            Lane::Owned(v) => v[k],
-            Lane::Const(c) => *c,
+impl<L> Tri<L> {
+    fn map<'s, M>(&'s self, mut f: impl FnMut(&'s L) -> M) -> Tri<M> {
+        Tri {
+            lb: f(&self.lb),
+            sg: f(&self.sg),
+            ub: f(&self.ub),
         }
     }
 }
 
-/// Three bound lanes of a numeric typed node.
-struct TriLanes<'a, T: Copy> {
-    lb: Lane<'a, T>,
-    sg: Lane<'a, T>,
-    ub: Lane<'a, T>,
-}
-
-/// One bound vector of a string-typed node: dictionary codes into an
-/// interned pool, or a broadcast literal. (No operator *computes* new
-/// strings, so there is no owned lane.)
-enum StrLane<'a> {
-    Dict { codes: &'a [u32], pool: &'a StrPool },
-    Const(&'a Arc<str>),
-}
-
-impl<'a> StrLane<'a> {
-    #[inline]
-    fn at(&self, k: usize, sel: Sel<'_>) -> &'a str {
-        match self {
-            StrLane::Dict { codes, pool } => pool.get(codes[sel.abs(k)]),
-            StrLane::Const(s) => s,
+impl<'a, T: Copy> Tri<Cow<'a, [T]>> {
+    /// A column's three batch lanes, as the selection sees them.
+    fn of(sel: Sel<'_>, [l, s, u]: [&'a [T]; 3]) -> Self {
+        Tri {
+            lb: sel.lane(l),
+            sg: sel.lane(s),
+            ub: sel.lane(u),
         }
     }
 
-    fn arc_at(&self, k: usize, sel: Sel<'_>) -> Arc<str> {
-        match self {
-            StrLane::Dict { codes, pool } => pool.arc(codes[sel.abs(k)]).clone(),
-            StrLane::Const(s) => Arc::clone(s),
+    /// A literal's three bounds, each broadcast to `n` rows.
+    fn splat(n: usize, [l, s, u]: [T; 3]) -> Self {
+        Tri {
+            lb: Cow::Owned(vec![l; n]),
+            sg: Cow::Owned(vec![s; n]),
+            ub: Cow::Owned(vec![u; n]),
         }
+    }
+
+    fn slices(&self) -> Tri<&[T]> {
+        self.map(|l| &**l)
     }
 }
 
-/// Three bound lanes of a string-typed node.
-struct TriStr<'a> {
-    lb: StrLane<'a>,
-    sg: StrLane<'a>,
-    ub: StrLane<'a>,
+/// One bound of a string node: dictionary codes and the pool they index
+/// (a literal's own pool holds its one string).
+struct Dict<'a> {
+    codes: Cow<'a, [u32]>,
+    pool: Cow<'a, StrPool>,
+}
+
+impl<'a> Dict<'a> {
+    fn of(sel: Sel<'_>, codes: &'a [u32], pool: &'a StrPool) -> Dict<'a> {
+        Dict {
+            codes: sel.lane(codes),
+            pool: Cow::Borrowed(pool),
+        }
+    }
+
+    fn splat(n: usize, s: &Arc<str>) -> Dict<'a> {
+        let mut pool = StrPool::new();
+        let code = pool.intern(s);
+        Dict {
+            codes: Cow::Owned(vec![code; n]),
+            pool: Cow::Owned(pool),
+        }
+    }
+
+    fn arc(&self, k: usize) -> Arc<str> {
+        Arc::clone(self.pool.arc(self.codes[k]))
+    }
 }
 
 /// The typed column-level value of one expression node over a batch.
 enum TypedVals<'a> {
-    I64(TriLanes<'a, i64>),
-    F64(TriLanes<'a, f64>),
-    Str(TriStr<'a>),
-    /// Predicate node: per-row truth triples.
-    Truths(Vec<TruthRange>),
+    I64(Tri<Cow<'a, [i64]>>),
+    F64(Tri<Cow<'a, [f64]>>),
+    /// Boxed: a literal's bounds own their one-string pools.
+    Str(Box<Tri<Dict<'a>>>),
+    /// Predicate node.
+    Truths(TruthMasks),
 }
 
 impl TypedVals<'_> {
-    /// This node as per-row truth triples: predicate nodes pass through;
-    /// numeric and string lanes are never `Bool(true)`, so their
-    /// truth-lowering (`Value::is_true` per corner) is constant `false`.
-    fn into_truth_vec(self, n: usize, _sel: Sel<'_>) -> Vec<TruthRange> {
+    /// This node as truth masks: predicate nodes pass through; numeric
+    /// and string lanes are never `Bool(true)`, so their truth-lowering
+    /// (`Value::is_true` per corner) is constant `false`.
+    fn into_truths(self, n: usize) -> TruthMasks {
         match self {
             TypedVals::Truths(ts) => ts,
-            _ => vec![TruthRange::FALSE; n],
+            _ => TruthMasks::pack(&vec![TruthRange::FALSE; n]),
         }
     }
 
     /// Materialize per-row [`RangeValue`]s (the root of `eval_batch` on
     /// the typed path — the only place the typed kernels box a `Value`).
-    fn into_range_values(self, n: usize, sel: Sel<'_>) -> Vec<RangeValue> {
+    fn into_range_values(self, n: usize) -> Vec<RangeValue> {
+        fn rows<T: Copy>(t: Tri<Cow<'_, [T]>>, v: impl Fn(T) -> Value) -> Vec<RangeValue> {
+            (t.lb.iter().zip(t.sg.iter()).zip(t.ub.iter()))
+                .map(|((&l, &s), &u)| RangeValue {
+                    lb: v(l),
+                    sg: v(s),
+                    ub: v(u),
+                })
+                .collect()
+        }
         match self {
-            TypedVals::I64(t) => (0..n)
-                .map(|k| RangeValue {
-                    lb: Value::Int(t.lb.at(k, sel)),
-                    sg: Value::Int(t.sg.at(k, sel)),
-                    ub: Value::Int(t.ub.at(k, sel)),
-                })
-                .collect(),
-            TypedVals::F64(t) => (0..n)
-                .map(|k| RangeValue {
-                    lb: Value::Float(t.lb.at(k, sel)),
-                    sg: Value::Float(t.sg.at(k, sel)),
-                    ub: Value::Float(t.ub.at(k, sel)),
-                })
-                .collect(),
+            TypedVals::I64(t) => rows(t, Value::Int),
+            TypedVals::F64(t) => rows(t, Value::Float),
             TypedVals::Str(t) => (0..n)
                 .map(|k| RangeValue {
-                    lb: Value::Str(t.lb.arc_at(k, sel)),
-                    sg: Value::Str(t.sg.arc_at(k, sel)),
-                    ub: Value::Str(t.ub.arc_at(k, sel)),
+                    lb: Value::Str(t.lb.arc(k)),
+                    sg: Value::Str(t.sg.arc(k)),
+                    ub: Value::Str(t.ub.arc(k)),
                 })
                 .collect(),
-            TypedVals::Truths(ts) => ts.into_iter().map(truth_to_range).collect(),
+            TypedVals::Truths(ts) => (0..n).map(|k| truth_to_range(ts.get(k))).collect(),
         }
     }
 
     /// Build the output [`AuColumn`] of a computed projection directly
-    /// from the typed lanes, with the certainty bitmap computed in the
-    /// same sweep. Per-row certainty uses the type's `Value`-equality
+    /// from the typed lanes, with the certainty bitmap read off them.
+    /// Per-row certainty uses the type's `Value`-equality
     /// (`cmp_float_float == Equal` for floats — NaN ≡ NaN, `-0.0 ≡ 0.0`),
     /// so the certain-collapse decision matches
     /// [`AuColumns::column_from_values`] exactly.
-    fn into_column(self, n: usize, sel: Sel<'_>) -> AuColumn {
+    fn into_column(self, n: usize) -> AuColumn {
         match self {
-            TypedVals::I64(t) => tri_column(n, sel, &t, |a, b| a == b, PhysVec::I64),
+            TypedVals::I64(t) => tri_column(n, t, |a, b| a == b, PhysVec::I64),
             TypedVals::F64(t) => tri_column(
                 n,
-                sel,
-                &t,
+                t,
                 |a, b| cmp_float_float(a, b) == Ordering::Equal,
                 PhysVec::F64,
             ),
@@ -586,21 +658,14 @@ impl TypedVals<'_> {
                 let mut sc = Vec::with_capacity(n);
                 let mut uc = Vec::with_capacity(n);
                 let mut certain = CertBitmap::new();
-                let mut all = true;
                 for k in 0..n {
-                    let (l, s, u) = (
-                        t.lb.arc_at(k, sel),
-                        t.sg.arc_at(k, sel),
-                        t.ub.arc_at(k, sel),
-                    );
-                    let c = l == s && s == u;
-                    all &= c;
-                    certain.push(c);
+                    let (l, s, u) = (t.lb.arc(k), t.sg.arc(k), t.ub.arc(k));
+                    certain.push(l == s && s == u);
                     lc.push(lp.intern(&l));
                     sc.push(sp.intern(&s));
                     uc.push(up.intern(&u));
                 }
-                if all {
+                if certain.count_certain() == n {
                     AuColumn::Certain(PhysVec::Str {
                         codes: sc,
                         pool: sp,
@@ -623,145 +688,97 @@ impl TypedVals<'_> {
                     }
                 }
             }
-            TypedVals::Truths(ts) => {
-                AuColumns::column_from_values(ts.into_iter().map(truth_to_range).collect())
-            }
+            truths => AuColumns::column_from_values(truths.into_range_values(n)),
         }
     }
 }
 
-/// Sweep three bound lanes into an output column, collapsing to the
-/// certain representation when every row is a point under `eq`.
+/// Three bound lanes into an output column, collapsing to the certain
+/// representation when every row is a point under `eq`.
 fn tri_column<T: Copy>(
     n: usize,
-    sel: Sel<'_>,
-    t: &TriLanes<'_, T>,
+    t: Tri<Cow<'_, [T]>>,
     eq: impl Fn(T, T) -> bool,
     mk: impl Fn(Vec<T>) -> PhysVec,
 ) -> AuColumn {
-    let mut lb = Vec::with_capacity(n);
-    let mut sg = Vec::with_capacity(n);
-    let mut ub = Vec::with_capacity(n);
-    let mut certain = CertBitmap::new();
-    let mut all = true;
-    for k in 0..n {
-        let (l, s, u) = (t.lb.at(k, sel), t.sg.at(k, sel), t.ub.at(k, sel));
-        let c = eq(l, s) && eq(s, u);
-        all &= c;
-        certain.push(c);
-        lb.push(l);
-        sg.push(s);
-        ub.push(u);
-    }
-    if all {
-        AuColumn::Certain(mk(sg))
+    let (l, s, u) = (&*t.lb, &*t.sg, &*t.ub);
+    let certain = CertBitmap::from_fn(n, |k| eq(l[k], s[k]) && eq(s[k], u[k]));
+    if certain.count_certain() == n {
+        AuColumn::Certain(mk(t.sg.into_owned()))
     } else {
         AuColumn::Ranged {
-            lb: mk(lb),
-            sg: mk(sg),
-            ub: mk(ub),
+            lb: mk(t.lb.into_owned()),
+            sg: mk(t.sg.into_owned()),
+            ub: mk(t.ub.into_owned()),
             certain,
         }
     }
 }
 
-/// Zip two lanes element-wise; `None` from `f` (i64 overflow) aborts the
-/// typed path for the whole expression.
+/// Zip two lanes element-wise; `f` answers the value and whether it
+/// overflowed, and one overflow anywhere aborts the typed path for the
+/// whole expression.
 fn zip_lanes<T: Copy>(
-    n: usize,
-    sel: Sel<'_>,
-    a: &Lane<'_, T>,
-    b: &Lane<'_, T>,
-    f: impl Fn(T, T) -> Option<T>,
-) -> Option<Lane<'static, T>> {
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        out.push(f(a.at(k, sel), b.at(k, sel))?);
-    }
-    Some(Lane::Owned(out))
+    a: &[T],
+    b: &[T],
+    f: impl Fn(T, T) -> (T, bool),
+) -> Option<Cow<'static, [T]>> {
+    let mut over = false;
+    let out: Vec<T> = (a.iter().zip(b))
+        .map(|(&s, &t)| {
+            let (v, o) = f(s, t);
+            over |= o;
+            v
+        })
+        .collect();
+    (!over).then_some(Cow::Owned(out))
 }
 
-/// Map a lane element-wise (constants stay constants).
-fn map_lane<T: Copy, U: Copy>(
-    lane: &Lane<'_, T>,
-    n: usize,
-    sel: Sel<'_>,
-    f: impl Fn(T) -> U,
-) -> Lane<'static, U> {
-    match lane {
-        Lane::Const(c) => Lane::Const(f(*c)),
-        l => Lane::Owned((0..n).map(|k| f(l.at(k, sel))).collect()),
-    }
+/// Map a lane element-wise.
+fn map_lane<T: Copy, U: Copy>(a: &[T], f: impl Fn(T) -> U) -> Cow<'static, [U]> {
+    Cow::Owned(a.iter().map(|&v| f(v)).collect())
 }
 
 /// Promote a numeric node to `f64` lanes for mixed arithmetic — the
 /// unconditional `as f64` promotion `numeric_binop` applies to a genuine
 /// Int/Float pair.
-fn tri_to_f64<'a>(t: TypedVals<'a>, n: usize, sel: Sel<'_>) -> Option<TriLanes<'a, f64>> {
+fn tri_to_f64(t: TypedVals<'_>) -> Option<Tri<Cow<'_, [f64]>>> {
     match t {
         TypedVals::F64(x) => Some(x),
-        TypedVals::I64(x) => Some(TriLanes {
-            lb: map_lane(&x.lb, n, sel, |v| v as f64),
-            sg: map_lane(&x.sg, n, sel, |v| v as f64),
-            ub: map_lane(&x.ub, n, sel, |v| v as f64),
-        }),
+        TypedVals::I64(x) => Some(x.map(|l| map_lane(l, |v| v as f64))),
         _ => None,
     }
 }
 
-/// Corner access shared by numeric and string typed triples, so the
-/// comparison kernel is written once and monomorphized per lane-type
-/// pair.
-trait TriView {
+/// Positional reads of one selection-aligned bound — a numeric slice, or
+/// dictionary codes through their pool — so the comparison kernel is
+/// written once and monomorphized per pair.
+trait Elems: Copy {
     type Item: Copy;
-    fn lb_at(&self, k: usize, sel: Sel<'_>) -> Self::Item;
-    fn sg_at(&self, k: usize, sel: Sel<'_>) -> Self::Item;
-    fn ub_at(&self, k: usize, sel: Sel<'_>) -> Self::Item;
+    fn get(self, k: usize) -> Self::Item;
 }
 
-impl<T: Copy> TriView for TriLanes<'_, T> {
+impl<T: Copy> Elems for &[T] {
     type Item = T;
     #[inline]
-    fn lb_at(&self, k: usize, sel: Sel<'_>) -> T {
-        self.lb.at(k, sel)
-    }
-    #[inline]
-    fn sg_at(&self, k: usize, sel: Sel<'_>) -> T {
-        self.sg.at(k, sel)
-    }
-    #[inline]
-    fn ub_at(&self, k: usize, sel: Sel<'_>) -> T {
-        self.ub.at(k, sel)
+    fn get(self, k: usize) -> T {
+        self[k]
     }
 }
 
-impl<'a> TriView for TriStr<'a> {
-    type Item = &'a str;
+impl<'s> Elems for &'s Dict<'_> {
+    type Item = &'s str;
     #[inline]
-    fn lb_at(&self, k: usize, sel: Sel<'_>) -> &'a str {
-        self.lb.at(k, sel)
-    }
-    #[inline]
-    fn sg_at(&self, k: usize, sel: Sel<'_>) -> &'a str {
-        self.sg.at(k, sel)
-    }
-    #[inline]
-    fn ub_at(&self, k: usize, sel: Sel<'_>) -> &'a str {
-        self.ub.at(k, sel)
+    fn get(self, k: usize) -> &'s str {
+        self.pool.get(self.codes[k])
     }
 }
 
 /// Typed comparison dispatch: canonicalizes `Gt`/`Ge` by swapping sides,
-/// then monomorphizes the truth-triple sweep per physical pair. `None`
-/// for pairs the typed layer does not cover (cross-class like
-/// string-vs-number, or comparisons of predicates).
-fn cmp_typed(
-    op: CmpOp,
-    a: TypedVals<'_>,
-    c: TypedVals<'_>,
-    n: usize,
-    sel: Sel<'_>,
-) -> Option<Vec<TruthRange>> {
+/// then monomorphizes the mask sweep per physical pair. `None` for pairs
+/// the typed layer does not cover (cross-class like string-vs-number, or
+/// comparisons of predicates).
+fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<TruthMasks> {
     let eq_f = |p: f64, q: f64| cmp_float_float(p, q) == Ordering::Equal;
     let (op, a, c) = match op {
         CmpOp::Gt => (CmpOp::Lt, c, a),
@@ -769,60 +786,55 @@ fn cmp_typed(
         op => (op, a, c),
     };
     Some(match (&a, &c) {
-        (TypedVals::I64(x), TypedVals::I64(y)) => cmp_lanes(
+        (TypedVals::I64(x), TypedVals::I64(y)) => cmp_masks(
             op,
             n,
-            sel,
-            x,
-            y,
+            x.slices(),
+            y.slices(),
             |p, q| p < q,
             |p, q| p <= q,
             |p, q| p == q,
             |p, q| p == q,
             |p, q| p == q,
         ),
-        (TypedVals::F64(x), TypedVals::F64(y)) => cmp_lanes(
+        (TypedVals::F64(x), TypedVals::F64(y)) => cmp_masks(
             op,
             n,
-            sel,
-            x,
-            y,
+            x.slices(),
+            y.slices(),
             |p, q| cmp_float_float(p, q) == Ordering::Less,
             |p, q| cmp_float_float(p, q) != Ordering::Greater,
             eq_f,
             eq_f,
             eq_f,
         ),
-        (TypedVals::I64(x), TypedVals::F64(y)) => cmp_lanes(
+        (TypedVals::I64(x), TypedVals::F64(y)) => cmp_masks(
             op,
             n,
-            sel,
-            x,
-            y,
+            x.slices(),
+            y.slices(),
             |p, q| cmp_int_float(p, q) == Ordering::Less,
             |p, q| cmp_int_float(p, q) != Ordering::Greater,
             |p, q| cmp_int_float(p, q) == Ordering::Equal,
             |p, q| p == q,
             eq_f,
         ),
-        (TypedVals::F64(x), TypedVals::I64(y)) => cmp_lanes(
+        (TypedVals::F64(x), TypedVals::I64(y)) => cmp_masks(
             op,
             n,
-            sel,
-            x,
-            y,
+            x.slices(),
+            y.slices(),
             |p, q| cmp_int_float(q, p) == Ordering::Greater,
             |p, q| cmp_int_float(q, p) != Ordering::Less,
             |p, q| cmp_int_float(q, p) == Ordering::Equal,
             eq_f,
             |p, q| p == q,
         ),
-        (TypedVals::Str(x), TypedVals::Str(y)) => cmp_lanes(
+        (TypedVals::Str(x), TypedVals::Str(y)) => cmp_masks(
             op,
             n,
-            sel,
-            x,
-            y,
+            x.map(|d| d),
+            y.map(|d| d),
             |p, q| p < q,
             |p, q| p <= q,
             |p, q| p == q,
@@ -833,54 +845,53 @@ fn cmp_typed(
     })
 }
 
-/// The monomorphic truth-triple sweep (mirrors [`eval_cmp`] /
-/// `RangeValue::{lt, le, eq_range}`): `Gt`/`Ge` must be canonicalized
-/// away by the caller. The `eq` upper bound uses the total order:
-/// `y↓ ≤ x↑ ⇔ ¬(x↑ < y↓)`.
+/// The monomorphic mask sweep (mirrors [`eval_cmp`] /
+/// `RangeValue::{lt, le, eq_range}`), 64 rows to a word: `Gt`/`Ge` must
+/// be canonicalized away by the caller. The `eq` upper bound uses the
+/// total order: `y↓ ≤ x↑ ⇔ ¬(x↑ < y↓)`.
 #[allow(clippy::too_many_arguments)]
-fn cmp_lanes<X: TriView, Y: TriView>(
+fn cmp_masks<X: Elems, Y: Elems>(
     op: CmpOp,
     n: usize,
-    sel: Sel<'_>,
-    x: &X,
-    y: &Y,
+    x: Tri<X>,
+    y: Tri<Y>,
     lt: impl Fn(X::Item, Y::Item) -> bool,
     le: impl Fn(X::Item, Y::Item) -> bool,
     eq: impl Fn(X::Item, Y::Item) -> bool,
     eq_x: impl Fn(X::Item, X::Item) -> bool,
     eq_y: impl Fn(Y::Item, Y::Item) -> bool,
-) -> Vec<TruthRange> {
+) -> TruthMasks {
+    let (xl, xs, xu, yl, ys, yu) = (x.lb, x.sg, x.ub, y.lb, y.sg, y.ub);
     match op {
-        CmpOp::Lt => (0..n)
-            .map(|k| TruthRange {
-                lb: lt(x.ub_at(k, sel), y.lb_at(k, sel)),
-                sg: lt(x.sg_at(k, sel), y.sg_at(k, sel)),
-                ub: lt(x.lb_at(k, sel), y.ub_at(k, sel)),
-            })
-            .collect(),
-        CmpOp::Le => (0..n)
-            .map(|k| TruthRange {
-                lb: le(x.ub_at(k, sel), y.lb_at(k, sel)),
-                sg: le(x.sg_at(k, sel), y.sg_at(k, sel)),
-                ub: le(x.lb_at(k, sel), y.ub_at(k, sel)),
-            })
-            .collect(),
+        CmpOp::Lt => TruthMasks {
+            lb: pack_bits(n, |k| lt(xu.get(k), yl.get(k))),
+            sg: pack_bits(n, |k| lt(xs.get(k), ys.get(k))),
+            ub: pack_bits(n, |k| lt(xl.get(k), yu.get(k))),
+            n,
+        },
+        CmpOp::Le => TruthMasks {
+            lb: pack_bits(n, |k| le(xu.get(k), yl.get(k))),
+            sg: pack_bits(n, |k| le(xs.get(k), ys.get(k))),
+            ub: pack_bits(n, |k| le(xl.get(k), yu.get(k))),
+            n,
+        },
         CmpOp::Eq | CmpOp::Ne => {
-            let ts = (0..n).map(|k| {
-                let (xl, xs, xu) = (x.lb_at(k, sel), x.sg_at(k, sel), x.ub_at(k, sel));
-                let (yl, ys, yu) = (y.lb_at(k, sel), y.sg_at(k, sel), y.ub_at(k, sel));
-                let cx = eq_x(xl, xs) && eq_x(xs, xu);
-                let cy = eq_y(yl, ys) && eq_y(ys, yu);
-                TruthRange {
-                    lb: cx && cy && eq(xl, yl),
-                    sg: eq(xs, ys),
-                    ub: le(xl, yu) && !lt(xu, yl),
-                }
-            });
+            let certain = |k| {
+                eq_x(xl.get(k), xs.get(k))
+                    && eq_x(xs.get(k), xu.get(k))
+                    && eq_y(yl.get(k), ys.get(k))
+                    && eq_y(ys.get(k), yu.get(k))
+            };
+            let ts = TruthMasks {
+                lb: pack_bits(n, |k| certain(k) && eq(xl.get(k), yl.get(k))),
+                sg: pack_bits(n, |k| eq(xs.get(k), ys.get(k))),
+                ub: pack_bits(n, |k| le(xl.get(k), yu.get(k)) && !lt(xu.get(k), yl.get(k))),
+                n,
+            };
             if op == CmpOp::Ne {
-                ts.map(TruthRange::not).collect()
+                ts.not()
             } else {
-                ts.collect()
+                ts
             }
         }
         CmpOp::Gt | CmpOp::Ge => unreachable!("canonicalized to Lt/Le before dispatch"),
@@ -1050,7 +1061,7 @@ mod tests {
         ] {
             let truths = e.truth_batch(&b);
             for (i, row) in rel.rows().iter().enumerate() {
-                assert_eq!(truths[i], e.truth(&row.tuple), "{e:?} row {i}");
+                assert_eq!(truths.get(i), e.truth(&row.tuple), "{e:?} row {i}");
             }
         }
     }

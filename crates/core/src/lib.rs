@@ -61,7 +61,7 @@ pub mod tuple;
 pub use batch::{AuBatch, Batches};
 pub use cmp::{tuple_lt, CmpSemantics};
 pub use columns::{AuColumn, AuColumns};
-pub use expr::RangeExpr;
+pub use expr::{RangeExpr, TruthMasks};
 pub use mult::{Mult3, MultOverflow};
 pub use ops::aggregate::aggregate as au_aggregate;
 pub use ops::project::project as au_project;

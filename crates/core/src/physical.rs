@@ -132,6 +132,17 @@ impl PartialEq for StrPool {
     }
 }
 
+/// Bit `i % 64` of word `i / 64` is `bit(i)`, for every `i < n`: one
+/// tight loop per word, no bit past `n`.
+pub(crate) fn pack_bits(n: usize, bit: impl Fn(usize) -> bool) -> Vec<u64> {
+    (0..n.div_ceil(64))
+        .map(|w| {
+            let rows = w * 64..n.min(w * 64 + 64);
+            rows.fold(0u64, |word, i| word | u64::from(bit(i)) << (i % 64))
+        })
+        .collect()
+}
+
 /// Per-row certainty bits of a ranged column: bit `i` set iff row `i`'s
 /// range is a single point (`lb ≡ sg ≡ ub`). Maintained by construction
 /// everywhere a ranged column is built, so kernels (and the storage
@@ -165,13 +176,10 @@ impl CertBitmap {
     /// time (a producer that holds its lanes whole asks once, in one tight
     /// loop, instead of pushing a bit per row as it goes).
     pub fn from_fn(n: usize, certain: impl Fn(usize) -> bool) -> CertBitmap {
-        let bits = (0..n.div_ceil(64))
-            .map(|w| {
-                let rows = w * 64..n.min(w * 64 + 64);
-                rows.fold(0u64, |word, i| word | u64::from(certain(i)) << (i % 64))
-            })
-            .collect();
-        CertBitmap { bits, len: n }
+        CertBitmap {
+            bits: pack_bits(n, certain),
+            len: n,
+        }
     }
 
     /// Number of rows covered.

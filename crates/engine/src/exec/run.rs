@@ -33,7 +33,8 @@ use crate::catalog::Segment;
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
 use audb_core::{
-    range_verdict, window_ref, AuBatch, AuColumns, CmpSemantics, Mult3, TableStats, ZoneVerdict,
+    range_verdict, window_ref, AuBatch, AuColumns, CmpSemantics, Mult3, TableStats, TruthMasks,
+    ZoneVerdict,
 };
 use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
@@ -219,9 +220,11 @@ fn batch_verdict(
 /// Semantics mirror the row operators the reference loop runs exactly
 /// (pinned against [`Reference`](crate::Reference) by
 /// `tests/pipeline_equivalence.rs`):
-/// * `select` filters the multiplicity triple by the predicate's
-///   vectorized truth column and drops rows whose filtered annotation is
-///   `(0, 0, 0)`;
+/// * `select` evaluates the predicate's truth masks and visits only the
+///   rows whose `lb | sg | ub` bit is set, reading their multiplicity
+///   triples there: each is filtered by the row's truth triple and the
+///   row dropped if that leaves `(0, 0, 0)`. A row with all three bits
+///   clear filters to `(0, 0, 0)` and is dropped unread;
 /// * `project` drops rows whose (current) annotation is zero, then
 ///   gathers / recomputes columns — a bare column reference copies the
 ///   column instead of re-evaluating per cell.
@@ -258,37 +261,18 @@ fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool])
                         }
                     }
                 }
-                Op::Select { pred } => match pending.take() {
-                    // Fold into the previous selection: evaluate the
-                    // predicate over its surviving rows only and
-                    // re-filter their annotations.
-                    Some((sel, mults)) => {
-                        let truths = pred.truth_batch_at(&base, &sel);
-                        let mut keep = Vec::with_capacity(sel.len());
-                        let mut kept_mults = Vec::with_capacity(sel.len());
-                        for ((&i, m), truth) in sel.iter().zip(&mults).zip(truths) {
-                            let m = m.filter(truth);
-                            if !m.is_zero() {
-                                keep.push(i);
-                                kept_mults.push(m);
-                            }
+                Op::Select { pred } => {
+                    let (keep, mults) = match pending.take() {
+                        // Fold into the previous selection: evaluate the
+                        // predicate over its surviving rows only and
+                        // re-filter their annotations.
+                        Some((sel, mults)) => {
+                            kept(&pred.truth_batch_at(&base, &sel), |k| (sel[k], mults[k]))
                         }
-                        StepOut::Selected(keep, kept_mults)
-                    }
-                    None => {
-                        let truths = pred.truth_batch(&base);
-                        let mut keep = Vec::with_capacity(base.len());
-                        let mut mults = Vec::with_capacity(base.len());
-                        for (i, truth) in truths.into_iter().enumerate() {
-                            let m = base.mult(i).filter(truth);
-                            if !m.is_zero() {
-                                keep.push(i);
-                                mults.push(m);
-                            }
-                        }
-                        StepOut::Selected(keep, mults)
-                    }
-                },
+                        None => kept(&pred.truth_batch(&base), |i| (i, base.mult(i))),
+                    };
+                    StepOut::Selected(keep, mults)
+                }
                 Op::Project { exprs } => {
                     let (keep, mults) = pending.take().unwrap_or_else(|| nonzero_rows(&base));
                     let cols = exprs
@@ -319,6 +303,21 @@ fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool])
         (Some(cols), None) => cols,
         (None, None) => unreachable!("fused chains are non-empty"),
     }
+}
+
+/// The rows a selection keeps: `row(k)` names the `k`-th evaluated row
+/// and its annotation, and only the set bits of `lb | sg | ub` are read —
+/// every other row's filtered annotation is `(0, 0, 0)`. Drops what
+/// filters to zero, as the materialized select does.
+fn kept(truths: &TruthMasks, row: impl Fn(usize) -> (usize, Mult3)) -> (Vec<usize>, Vec<Mult3>) {
+    truths
+        .any_true()
+        .filter_map(|(k, truth)| {
+            let (i, m) = row(k);
+            let m = m.filter(truth);
+            (!m.is_zero()).then_some((i, m))
+        })
+        .unzip()
 }
 
 /// The batch-relative indices and annotations of the rows a projection

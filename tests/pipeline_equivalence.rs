@@ -37,18 +37,18 @@ fn mult_strategy() -> impl Strategy<Value = Mult3> {
     ]
 }
 
-fn au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
-    proptest::collection::vec(
-        ((rv_strategy(), rv_strategy()), mult_strategy()),
-        0..=max_rows,
+fn au_relation(
+    rows: impl Into<proptest::collection::SizeRange>,
+) -> impl Strategy<Value = AuRelation> {
+    proptest::collection::vec(((rv_strategy(), rv_strategy()), mult_strategy()), rows).prop_map(
+        |rows| {
+            AuRelation::from_rows(
+                Schema::new(["a", "b"]),
+                rows.into_iter()
+                    .map(|((a, b), m)| (AuTuple::new([a, b]), m)),
+            )
+        },
     )
-    .prop_map(|rows| {
-        AuRelation::from_rows(
-            Schema::new(["a", "b"]),
-            rows.into_iter()
-                .map(|((a, b), m)| (AuTuple::new([a, b]), m)),
-        )
-    })
 }
 
 /// One streamable operator appended to the chain: a selection on the
@@ -192,15 +192,35 @@ fn dead_column_plan_strategy() -> impl Strategy<Value = Plan> {
     })
 }
 
-/// A random plan: [`keyed_plan_strategy`] or [`dead_column_plan_strategy`],
-/// or [`chained_plan_strategy`] twice as often as either.
+/// A random plan: [`keyed_plan_strategy`], [`dead_column_plan_strategy`]
+/// or [`select_chain_plan_strategy`], or [`chained_plan_strategy`] twice
+/// as often as any.
 fn plan_strategy() -> impl Strategy<Value = Plan> {
     prop_oneof![
         chained_plan_strategy(),
         chained_plan_strategy(),
         keyed_plan_strategy(),
         dead_column_plan_strategy(),
+        select_chain_plan_strategy(),
     ]
+}
+
+/// Two or three selections in a row over 65–150 rows (one batch at the
+/// widest batch size, its length no multiple of 64): every selection after
+/// the first evaluates its masks over the survivors of the ones before.
+fn select_chain_plan_strategy() -> impl Strategy<Value = Plan> {
+    let bounds = proptest::collection::vec((0i64..12, 0i64..12), 2..=3);
+    (au_relation(65..=150), bounds).prop_map(|(rel, bounds)| {
+        let mut q = Query::scan(rel);
+        for (a, b) in bounds {
+            let not_below = RangeExpr::Not(Box::new(RangeExpr::col(1).lt(RangeExpr::lit(b))));
+            q = q.select(RangeExpr::Or(
+                Box::new(RangeExpr::col(0).le(RangeExpr::lit(a))),
+                Box::new(not_below),
+            ));
+        }
+        q.build().expect("generated plan is valid")
+    })
 }
 
 /// Up to three segments of (0–2 streamable ops, breaker), closed by a
@@ -208,7 +228,7 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
 /// fusion chains, consecutive breakers and trailing output pipelines.
 fn chained_plan_strategy() -> impl Strategy<Value = Plan> {
     (
-        au_relation(9),
+        au_relation(0..=9),
         proptest::collection::vec(
             (
                 proptest::collection::vec(streamable_strategy(), 0..=2),
@@ -656,7 +676,7 @@ mod appended_in_pieces {
         /// registered whole do.
         #[test]
         fn appended_in_pieces_equals_registered_whole(
-            rel in au_relation(14),
+            rel in au_relation(0..=14),
             cuts in proptest::collection::vec(0usize..15, 1..=4),
             sql in statement_strategy(),
         ) {

@@ -22,7 +22,10 @@
 //! `i64::MAX` (typed add bails to the row semantics' overflow-to-float
 //! promotion), and `±2⁵³`-scale floats.
 
-use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, SortKey};
+use audb::core::{
+    AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, SortKey, TruthMasks,
+    TruthRange,
+};
 use audb::rel::{CmpOp, Schema, Value};
 use proptest::prelude::*;
 
@@ -86,9 +89,12 @@ fn mult_strategy() -> impl Strategy<Value = Mult3> {
     ]
 }
 
-/// Four-attribute relations: one column per typed layout (`i64`, `f64`,
-/// dictionary string) plus a mixed-class generic column.
-fn typed_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
+/// Seven-attribute relations: one column per typed layout (`i64`, `f64`,
+/// dictionary string), a mixed-class generic column, then the three typed
+/// layouts again with every cell certain (one lane for all three bounds).
+fn typed_relation(
+    rows: impl Into<proptest::collection::SizeRange>,
+) -> impl Strategy<Value = AuRelation> {
     proptest::collection::vec(
         (
             (
@@ -97,17 +103,52 @@ fn typed_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
                 rv_of(str_val),
                 rv_of(mixed_val),
             ),
+            (i64_val(), f64_val(), str_val()),
             mult_strategy(),
         ),
-        0..=max_rows,
+        rows,
     )
     .prop_map(|rows| {
         AuRelation::from_rows(
-            Schema::new(["i", "f", "s", "g"]),
-            rows.into_iter()
-                .map(|((a, b, c, d), m)| (AuTuple::new([a, b, c, d]), m)),
+            Schema::new(["i", "f", "s", "g", "ci", "cf", "cs"]),
+            rows.into_iter().map(|((a, b, c, d), (e, f, g), m)| {
+                let certain = [e, f, g].map(RangeValue::certain);
+                (AuTuple::new([a, b, c, d].into_iter().chain(certain)), m)
+            }),
         )
     })
+}
+
+/// A relation and the batch size to sweep it at: up to nine rows at one,
+/// three or all rows a batch, or one batch of 63, 64, 65 or 1000 rows —
+/// masks one bit short of a word, a whole word, one bit into the next,
+/// and many words.
+fn sized_relation() -> impl Strategy<Value = (AuRelation, usize)> {
+    prop_oneof![
+        (
+            typed_relation(0..=9),
+            prop_oneof![Just(1usize), Just(3), Just(1024)]
+        ),
+        typed_relation(63).prop_map(|r| (r, 1024)),
+        typed_relation(64).prop_map(|r| (r, 1024)),
+        typed_relation(65).prop_map(|r| (r, 1024)),
+        typed_relation(1000).prop_map(|r| (r, 1000)),
+    ]
+}
+
+/// `masks` holds `want`, row for row, and no bit at or past its length.
+fn assert_masks(masks: &TruthMasks, want: &[TruthRange], e: &RangeExpr) {
+    let n = want.len();
+    assert_eq!(masks.len(), n, "expr {e:?}");
+    for (k, t) in want.iter().enumerate() {
+        assert_eq!(masks.get(k), *t, "expr {e:?} row {k}");
+    }
+    for words in masks.words() {
+        assert_eq!(words.len(), n.div_ceil(64), "expr {e:?}");
+        if let (Some(last), 1..) = (words.last(), n % 64) {
+            assert_eq!(last >> (n % 64), 0, "expr {e:?}: a bit past row {n}");
+        }
+    }
 }
 
 /// Expression shapes whose typed lowering covers every kernel: pure
@@ -155,6 +196,27 @@ fn exprs() -> Vec<RangeExpr> {
             Box::new(col(1).lt(RangeExpr::lit(Value::Float(1.0)))),
         ),
         RangeExpr::Not(Box::new(col(0).le(col(1)))),
+        // NOT / OR / AND nests over ranged and certain lanes of every
+        // typed layout.
+        RangeExpr::Not(Box::new(col(0).lt(col(4)).and(RangeExpr::Or(
+            Box::new(col(1).le(col(5))),
+            Box::new(RangeExpr::Not(Box::new(col(2).lt(col(6))))),
+        )))),
+        RangeExpr::Or(
+            Box::new(RangeExpr::Not(Box::new(col(4).eq(col(0))))),
+            Box::new(
+                col(6)
+                    .cmp(CmpOp::Ge, col(2))
+                    .and(col(5).cmp(CmpOp::Gt, col(0))),
+            ),
+        ),
+        RangeExpr::Not(Box::new(RangeExpr::Or(
+            Box::new(col(2).eq(RangeExpr::lit(Value::str("b")))),
+            Box::new(col(1).cmp(CmpOp::Ne, col(5))),
+        )))
+        .and(RangeExpr::Not(Box::new(RangeExpr::Not(Box::new(
+            col(4).le(lit(2)),
+        ))))),
         // Fallback shapes: generic column, Mul, cross-class comparison,
         // predicate under arithmetic.
         col(3).lt(col(0)),
@@ -170,7 +232,7 @@ proptest! {
     /// Load-time inference picks the typed layouts, and rows survive the
     /// round-trip exactly — dictionary-encoded string columns included.
     #[test]
-    fn typed_layouts_roundtrip_rows(rel in typed_relation(10)) {
+    fn typed_layouts_roundtrip_rows(rel in typed_relation(0..=10)) {
         let cols = rel.to_columns();
         if !rel.is_empty() {
             let t = cols.col_phys_types();
@@ -197,21 +259,27 @@ proptest! {
 
     /// Typed kernels ≡ the row semantics over the demoted lanes, on every
     /// expression shape, batch size, and selection, including `eval_batch_column`'s direct
-    /// column materialization (certain-collapse decision included).
+    /// column materialization (certain-collapse decision included). Truth
+    /// masks hold `RangeExpr::truth` of each covered row and no bit past
+    /// the last.
     #[test]
-    fn typed_kernels_match_generic_kernels(
-        rel in typed_relation(9),
-        batch_size in prop_oneof![Just(1usize), Just(3), Just(1024)],
-    ) {
+    fn typed_kernels_match_generic_kernels(sized in sized_relation()) {
+        let (rel, batch_size) = sized;
         let cols = rel.to_columns();
         let generic = cols.to_generic();
         for e in exprs() {
-            for (tb, gb) in cols.batches(batch_size).zip(generic.batches(batch_size)) {
+            let batches = cols.batches(batch_size).zip(generic.batches(batch_size));
+            for (bi, (tb, gb)) in batches.enumerate() {
+                let rows = &rel.rows()[bi * batch_size..][..tb.len()];
                 let vals = e.eval_batch(&tb);
                 let truths = e.truth_batch(&tb);
                 prop_assert_eq!(&vals, &e.eval_batch(&gb), "expr {:?}", e);
                 prop_assert_eq!(&truths, &e.truth_batch(&gb), "expr {:?}", e);
+                let want: Vec<TruthRange> = rows.iter().map(|r| e.truth(&r.tuple)).collect();
+                assert_masks(&truths, &want, &e);
                 let idxs: Vec<usize> = (0..tb.len()).step_by(2).collect();
+                let want_at: Vec<TruthRange> = idxs.iter().map(|&i| want[i]).collect();
+                assert_masks(&e.truth_batch_at(&tb, &idxs), &want_at, &e);
                 prop_assert_eq!(
                     e.eval_batch_at(&tb, &idxs),
                     e.eval_batch_at(&gb, &idxs),
@@ -240,7 +308,7 @@ proptest! {
     /// are byte-identical, so every downstream order (sort, top-k,
     /// normalize) is unchanged by the physical layout.
     #[test]
-    fn sortkey_of_columns_parity(rel in typed_relation(10)) {
+    fn sortkey_of_columns_parity(rel in typed_relation(0..=10)) {
         let cols = rel.to_columns();
         prop_assert_eq!(
             SortKey::of_columns(&cols),
@@ -251,7 +319,7 @@ proptest! {
     /// Columnar normalize is layout-independent and agrees with the row
     /// oracle.
     #[test]
-    fn normalize_parity(rel in typed_relation(10)) {
+    fn normalize_parity(rel in typed_relation(0..=10)) {
         let typed = rel.to_columns().normalize().expect("small multiplicities");
         let generic = rel.to_columns().to_generic().normalize().expect("small multiplicities");
         prop_assert_eq!(typed.to_rows().rows(), generic.to_rows().rows());
@@ -262,7 +330,7 @@ proptest! {
     /// — the typed no-clone path picks exactly the rows the generic path
     /// picks.
     #[test]
-    fn gather_parity(rel in typed_relation(10)) {
+    fn gather_parity(rel in typed_relation(0..=10)) {
         let cols = rel.to_columns();
         let idxs: Vec<usize> = (0..rel.len()).step_by(2).collect();
         let mults: Vec<Mult3> = idxs.iter().map(|_| Mult3::ONE).collect();
