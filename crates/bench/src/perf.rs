@@ -38,7 +38,10 @@
 //!   **cmp-semantics** and **window aggregates** — ablations;
 //! * **window scaling** — ns per row of the native window from 16 384 to
 //!   131 072 rows (1 048 576 printed, not gated), with the size of the
-//!   possible-member pool a closing window scans.
+//!   possible-member pool a closing window scans;
+//! * **window dup-scaling** — a partitioned SQL window over tables with
+//!   duplicated rows and uncertain partition values, at 2 048 and 16 384
+//!   rows.
 //!
 //! [`run`] prints every block, then one line per gate of [`check`] — the
 //! only place a threshold is written (DESIGN.md §7 repeats them in prose)
@@ -77,6 +80,9 @@ pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
 /// Row counts of the `window/scaling` block, whatever `--sizes` says; the
 /// largest (not under `--quick`) is printed once and carries no gate.
 pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
+
+/// Row counts of the `window/dup-scaling` block, whatever `--sizes` says.
+pub const WINDOW_DUP_ROWS: [usize; 2] = [2_048, 16_384];
 
 /// Rows of the `ingest/csv` table: `serve_mix`'s registered `w`.
 const INGEST_ROWS: usize = 16_384;
@@ -857,7 +863,7 @@ fn window_stages(
                 samples[run] += (now - last).as_secs_f64() * 1e3;
                 last = now;
             });
-            std::hint::black_box(out.expect("certain partitions"));
+            std::hint::black_box(out);
             last = Instant::now();
         }
     }
@@ -903,7 +909,7 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
             let (spec, agg) = scan_window(partitioned);
             let window = || {
                 let out = window_native_staged(&cols, &spec, agg, "s", &mut |_| {});
-                std::hint::black_box(out.expect("certain partitions"));
+                std::hint::black_box(out);
             };
             let ms = time_median(window, runs);
             let pool = if partitioned {
@@ -923,6 +929,39 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
         }
     }
     out
+}
+
+/// The `window/dup-scaling` statement: eight partitions, three-row frames.
+const WINDOW_DUP_SQL: &str = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
+                              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t";
+
+/// The `window/dup-scaling` block: [`WINDOW_DUP_SQL`] through `Session::sql`
+/// on the native engine — the path users run — over the rows of
+/// [`window_columns`], one in a hundred annotated `(2,2,2)` and another one
+/// in a hundred with `g = [g, g+1]`: `(rows, median ms)` at
+/// [`WINDOW_DUP_ROWS`], of 5 runs (3 under `--quick`).
+pub fn measure_window_dup(cfg: &BenchConfig) -> Vec<(usize, f64)> {
+    let runs = if cfg.quick { 3 } else { 5 };
+    (WINDOW_DUP_ROWS.iter())
+        .map(|&n| {
+            let mut table = window_columns(n).to_rows();
+            for (i, row) in table.rows_mut().iter_mut().enumerate() {
+                let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
+                match i % 100 {
+                    0 => row.mult = Mult3::certain(2),
+                    50 => row.tuple.0[1] = RangeValue::new(g, g, g + 1),
+                    _ => {}
+                }
+            }
+            let session = Session::new(Engine::native());
+            session.register("t", table);
+            let window = || {
+                let out = session.sql(WINDOW_DUP_SQL).expect("bench statement runs");
+                std::hint::black_box(out);
+            };
+            (n, time_median(window, runs))
+        })
+        .collect()
 }
 
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
@@ -991,6 +1030,8 @@ pub struct Report {
     pub append: Vec<AppendRun>,
     /// The `window/scaling` block.
     pub window_scaling: Vec<WindowScalingRun>,
+    /// The `window/dup-scaling` block: `(rows, ms)`.
+    pub window_dup: Vec<(usize, f64)>,
 }
 
 /// How one gate came out.
@@ -1078,6 +1119,10 @@ const SCALING_MAX_RATIO: f64 = 1.7;
 /// row at `WINDOW_SCALING_ROWS[0]`, partitioned and not (ROADMAP item 2b;
 /// it read 1.25 × when the gate was set).
 const WINDOW_SCALING_MAX_RATIO: f64 = 2.0;
+/// The `window/dup-scaling` cell at `WINDOW_DUP_ROWS[1]` over the one at
+/// `WINDOW_DUP_ROWS[0]`: 8 × the rows in at most this many times the time
+/// (ROADMAP item 9; a cubic window would read 512).
+const WINDOW_DUP_MAX_RATIO: f64 = 9.0;
 /// An append onto `APPEND_ROWS[1]` rows over one onto `APPEND_ROWS[0]`
 /// (ROADMAP item 1: "`engine.catalog_append_ms` flat between 16k and 128k
 /// rows"; linear in the table it would read 8).
@@ -1102,6 +1147,8 @@ pub fn check(report: &Report) -> Vec<GateResult> {
     };
     let scaling_at = |i: usize| report.scaling.iter().find(move |s| s.n == SCALING_ROWS[i]);
     let append_at = |i: usize| report.append.iter().find(move |a| a.n == APPEND_ROWS[i]);
+    let window_dup_at =
+        |i: usize| (report.window_dup.iter()).find(move |w| w.0 == WINDOW_DUP_ROWS[i]);
     let window_at = |i: usize, partitioned: bool| {
         (report.window_scaling.iter())
             .find(move |w| w.n == WINDOW_SCALING_ROWS[i] && w.partitioned == partitioned)
@@ -1232,6 +1279,20 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             }),
         ),
         gate(
+            "window-dup-scaling",
+            format!(
+                "duplicates and ranged g: ms at {} ≤ {WINDOW_DUP_MAX_RATIO} × ms at {}",
+                WINDOW_DUP_ROWS[1], WINDOW_DUP_ROWS[0]
+            ),
+            true,
+            "the window/dup-scaling block",
+            (window_dup_at(1).zip(window_dup_at(0)).into_iter()).map(|(large, small)| {
+                let (large, small) = (large.1, small.1);
+                let shown = format!("{large:.2} ms vs {small:.2} ms ({:.2} ×)", large / small);
+                (large <= WINDOW_DUP_MAX_RATIO * small, shown)
+            }),
+        ),
+        gate(
             "append-flat",
             format!(
                 "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
@@ -1327,6 +1388,10 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             true => println!(),
         }
     }
+    let window_dup = measure_window_dup(cfg);
+    for (n, ms) in &window_dup {
+        println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
+    }
     let (series_stages, (pool_mean, pool_max)) = measure_series_stages(cfg);
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
@@ -1371,6 +1436,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         scaling,
         append,
         window_scaling,
+        window_dup,
     });
     for g in &gates {
         let verdict = match g.verdict {
@@ -1462,13 +1528,14 @@ mod tests {
                     })
                 })
                 .collect(),
+            window_dup: vec![(2_048, 3.0), (16_384, 25.0)],
         }
     }
 
     #[test]
     fn a_passing_report_passes_every_gate() {
         let gates = check(&passing());
-        assert_eq!(gates.len(), 11);
+        assert_eq!(gates.len(), 12);
         for g in &gates {
             assert_eq!(g.verdict, Verdict::Ok, "{g:?}");
         }
@@ -1566,6 +1633,12 @@ mod tests {
         fails_alone("window-scaling", true, |r| {
             r.window_scaling[3].ns_per_row = 2_300.0
         });
+    }
+
+    #[test]
+    fn window_dup_scaling_gate_fails_alone() {
+        // 9.5 × the time for 8 × the rows.
+        fails_alone("window-dup-scaling", true, |r| r.window_dup[1].1 = 28.5);
     }
 
     #[test]

@@ -62,6 +62,17 @@ impl Mult3 {
         self.ub == 0
     }
 
+    /// The annotation of copy `i` when a row so annotated is split into
+    /// `k↑` rows of possible multiplicity 1 (`split`, Algorithm 2): the
+    /// first `k↓` copies certain, up to `k_sg` in the selected-guess world.
+    pub fn copy(&self, i: u64) -> Mult3 {
+        Mult3 {
+            lb: u64::from(i < self.lb),
+            sg: u64::from(i < self.sg),
+            ub: 1,
+        }
+    }
+
     /// Does a deterministic multiplicity fall inside the triple?
     pub fn bounds(&self, n: u64) -> bool {
         self.lb <= n && n <= self.ub

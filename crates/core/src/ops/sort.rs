@@ -12,7 +12,6 @@
 
 use crate::cmp::CmpSemantics;
 use crate::expr::RangeExpr;
-use crate::mult::Mult3;
 use crate::ops::select::select;
 use crate::pos::all_pos_bounds;
 use crate::range_value::RangeValue;
@@ -41,14 +40,7 @@ pub fn sort_ref(
         for i in 0..row.mult.ub {
             let p = base.shift(i);
             let pos = RangeValue::from_i64s(p.lb as i64, p.sg as i64, p.ub as i64);
-            let mult = if i < row.mult.lb {
-                Mult3::ONE
-            } else if i < row.mult.sg {
-                Mult3::new(0, 1, 1)
-            } else {
-                Mult3::new(0, 0, 1)
-            };
-            out.push(row.tuple.with(pos), mult);
+            out.push(row.tuple.with(pos), row.mult.copy(i));
         }
     }
     out
@@ -70,6 +62,7 @@ pub fn topk_ref(rel: &AuRelation, order: &[usize], k: u64, sem: CmpSemantics) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mult::Mult3;
     use crate::tuple::AuTuple;
     use audb_rel::Schema;
 

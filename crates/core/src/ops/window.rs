@@ -4,7 +4,10 @@
 //! The computation follows the paper's four steps:
 //!
 //! 1. **expand** — split every row into rows of possible multiplicity 1
-//!    (the aggregate may differ between duplicates);
+//!    (the aggregate may differ between duplicates). Copies of one
+//!    hypercube have no order between them: each counts toward every other
+//!    copy's possible position and never toward its certain one
+//!    ([`crate::pos`]);
 //! 2. **partition** — per target tuple `t`, filter every row's multiplicity
 //!    triple by the truth of `G = t.G` (\[24\] selection semantics);
 //! 3. **window membership** — a tuple is *certainly* in `t`'s window if all
@@ -28,9 +31,10 @@
 //! This module is the *semantic reference*: `O(n²)`–`O(n³)`. The one-pass
 //! equivalent lives in `audb_native::window`.
 
-use crate::cmp::{tuple_lt, CmpSemantics};
+use crate::cmp::CmpSemantics;
 use crate::mult::Mult3;
-use crate::range_value::{RangeValue, TruthRange};
+use crate::pos::all_pos_bounds;
+use crate::range_value::RangeValue;
 use crate::relation::AuRelation;
 use crate::tuple::AuTuple;
 use audb_rel::ops::sort::total_order;
@@ -137,19 +141,18 @@ impl AuWindowSpec {
     }
 }
 
-/// Per-window member data from which aggregate bounds are computed.
-/// Public so that the rewrite method (`audb-rewrite`) shares the exact
-/// same bounds math as this reference implementation.
-pub struct WindowMembers {
+/// Per-window member data from which aggregate bounds are computed
+/// ([`window_value`]).
+struct WindowMembers {
     /// Attribute ranges of tuples certainly in the window (incl. self).
-    pub cert: Vec<RangeValue>,
+    cert: Vec<RangeValue>,
     /// Attribute ranges of tuples possibly (but not certainly) in the window.
-    pub poss: Vec<RangeValue>,
+    poss: Vec<RangeValue>,
     /// Selected-guess aggregate for this row (computed deterministically
     /// over the SG world; see [`sg_window_values`]).
-    pub sg: Value,
+    sg: Value,
     /// Remaining window capacity for possible members.
-    pub possn: usize,
+    possn: usize,
     /// Slots of the window that are *guaranteed occupied* beyond the
     /// certain members: in every world the window of `t` holds
     /// `min(−l, pos↓(t))` preceding and `min(u, N_cert − 1 − pos↑(t))`
@@ -158,10 +161,10 @@ pub struct WindowMembers {
     /// individual one is certain. The paper's Fig. 1g derives its term-2
     /// lower bound of 6 from exactly this slot argument (its Sec. 6.1
     /// formulas alone yield 2); see DESIGN.md §3.4.
-    pub guaranteed_extra: usize,
+    guaranteed_extra: usize,
 }
 
-/// Compute [`WindowMembers::guaranteed_extra`] from a window's geometry.
+/// Compute `WindowMembers::guaranteed_extra` from a window's geometry.
 pub fn guaranteed_extra_slots(
     l: i64,
     u: i64,
@@ -260,7 +263,7 @@ pub fn sg_window_values(exp: &AuRelation, spec: &AuWindowSpec, agg: WinAgg) -> V
 /// Compute bounds + sg for one window from its member sets (Sec. 6.1:
 /// certain members always contribute; at most `possn` possible members
 /// contribute via min-k/max-k selection).
-pub fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
+fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
     // Guaranteed-occupied slots never exceed the pool (every occupant is a
     // possible member by soundness of the possible set).
     let q = m.guaranteed_extra.min(m.poss.len());
@@ -348,6 +351,48 @@ pub fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
     RangeValue { lb, sg, ub }
 }
 
+/// The aggregate over the window of a row at positions `(lo, hi)` of its
+/// partition, its aggregated attribute `own` and selected-guess value `sg`:
+/// Fig. 6's interval tests sort the partition's other rows — `(positions,
+/// annotation within the partition, attribute)` — into certain and
+/// possible members, and Sec. 6.1 bounds the aggregate over them, with
+/// `n_cert` rows (this one included) certainly in the partition. The
+/// reference and the rewrite (`audb-rewrite`) share it.
+pub fn window_value(
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    (lo, hi): (i64, i64),
+    own: RangeValue,
+    sg: Value,
+    n_cert: u64,
+    others: impl IntoIterator<Item = ((i64, i64), Mult3, RangeValue)>,
+) -> RangeValue {
+    let (l, u) = (spec.lower, spec.upper);
+    // Sort positions certainly / possibly covered by the window (Fig. 5).
+    let (cert_span, poss_span) = ((hi + l, lo + u), (lo + l, hi + u));
+    let mut members = WindowMembers {
+        cert: vec![own],
+        poss: Vec::new(),
+        sg,
+        possn: 0,
+        guaranteed_extra: 0,
+    };
+    for ((plo, phi), m, attr) in others {
+        if m.is_zero() || phi < poss_span.0 || plo > poss_span.1 {
+            continue;
+        }
+        match m.lb >= 1 && plo >= cert_span.0 && phi <= cert_span.1 {
+            true => members.cert.push(attr),
+            false => members.poss.push(attr),
+        }
+    }
+    let (cert, possn) = (members.cert.len(), spec.size() as usize);
+    members.possn = possn.saturating_sub(cert);
+    members.guaranteed_extra =
+        guaranteed_extra_slots(l, u, lo as u64, hi as u64, n_cert, cert, members.possn);
+    aggregate_window(&members, agg)
+}
+
 fn clamp(v: Value, lo: &Value, hi: &Value) -> Value {
     if v.is_null() || &v < lo {
         lo.clone()
@@ -376,21 +421,13 @@ pub fn window_ref(
     let mut out = AuRelation::empty(schema);
 
     // Partition truth of row j relative to target row ti.
-    let part_truth = |j: usize, ti: usize| -> TruthRange {
-        spec.partition.iter().fold(TruthRange::TRUE, |acc, &g| {
-            acc.and(
-                exp.rows()[j]
-                    .tuple
-                    .get(g)
-                    .eq_range(exp.rows()[ti].tuple.get(g)),
-            )
-        })
-    };
+    let part_truth =
+        |j: usize, ti: usize| (exp.rows()[j].tuple).eq_on(&exp.rows()[ti].tuple, &spec.partition);
 
     // Fast path: with no PARTITION BY the filtered multiplicities and hence
     // all position bounds are target-independent.
     let global_pos = if spec.partition.is_empty() {
-        Some(crate::pos::all_pos_bounds(&exp, &total_idxs, sem))
+        Some(all_pos_bounds(&exp, &total_idxs, sem))
     } else {
         None
     };
@@ -407,71 +444,27 @@ pub fn window_ref(
         // Position bounds of every row within the partition.
         let pos: Vec<crate::pos::PosBounds> = match &global_pos {
             Some(p) => p.clone(),
-            None => (0..n)
-                .map(|j| {
-                    let t = &exp.rows()[j].tuple;
-                    let (mut lb, mut sg, mut ub) = (0u64, 0u64, 0u64);
-                    for j2 in 0..n {
-                        if j2 == j {
-                            continue;
-                        }
-                        let r = tuple_lt(&exp.rows()[j2].tuple, t, &total_idxs, sem);
-                        if r.lb {
-                            lb += fm[j2].lb;
-                        }
-                        if r.sg {
-                            sg += fm[j2].sg;
-                        }
-                        if r.ub {
-                            ub += fm[j2].ub;
-                        }
-                    }
-                    crate::pos::PosBounds { lb, sg, ub }
-                })
-                .collect(),
+            None => {
+                let mut part = exp.clone();
+                (part.rows_mut().iter_mut().zip(&fm)).for_each(|(row, m)| row.mult = *m);
+                all_pos_bounds(&part, &total_idxs, sem)
+            }
         };
 
-        let tp = pos[ti];
-        let (l, u) = (spec.lower, spec.upper);
-        // Sort positions certainly / possibly covered by t's window (Fig. 5).
-        let cert_span = (tp.ub as i64 + l, tp.lb as i64 + u);
-        let poss_span = (tp.lb as i64 + l, tp.ub as i64 + u);
-
-        let self_attr = agg.attr_range(&exp.rows()[ti].tuple);
-        let mut members = WindowMembers {
-            cert: vec![self_attr.clone()],
-            poss: Vec::new(),
-            sg: sg_vals[ti].clone(),
-            possn: 0,
-            guaranteed_extra: 0,
-        };
-        for j in 0..n {
-            if j == ti || fm[j].is_zero() {
-                continue;
-            }
-            let (plo, phi) = (pos[j].lb as i64, pos[j].ub as i64);
-            let attr = agg.attr_range(&exp.rows()[j].tuple);
-            let certainly = fm[j].lb >= 1 && plo >= cert_span.0 && phi <= cert_span.1;
-            if certainly {
-                members.cert.push(attr.clone());
-            } else if phi >= poss_span.0 && plo <= poss_span.1 {
-                members.poss.push(attr.clone());
-            }
-        }
-        members.possn = (spec.size() as usize).saturating_sub(members.cert.len());
         // Rows certainly in this partition (incl. the conditional self).
         let n_cert: u64 = (0..n).filter(|&j| j != ti).map(|j| fm[j].lb).sum::<u64>() + 1;
-        members.guaranteed_extra = guaranteed_extra_slots(
-            l,
-            u,
-            tp.lb,
-            tp.ub,
+        let at = |j: usize| (pos[j].lb as i64, pos[j].ub as i64);
+        let attr = |j: usize| agg.attr_range(&exp.rows()[j].tuple);
+        let others = (0..n).filter(|&j| j != ti).map(|j| (at(j), fm[j], attr(j)));
+        let x = window_value(
+            spec,
+            agg,
+            at(ti),
+            attr(ti),
+            sg_vals[ti].clone(),
             n_cert,
-            members.cert.len(),
-            members.possn,
+            others,
         );
-
-        let x = aggregate_window(&members, agg);
         out.push(exp.rows()[ti].tuple.with(x), exp.rows()[ti].mult);
     }
     out.normalize()

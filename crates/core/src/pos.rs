@@ -6,8 +6,12 @@
 //! *possibly* precede it; the selected-guess position counts selected-guess
 //! multiplicities of selected-guess predecessors. The `i`-th duplicate adds
 //! `i` to all three (Def. 2). The sums range over tuples *other than* `t`
-//! itself — duplicate self-interleaving is entirely captured by `i`
-//! (paper Example 6 confirms self-exclusion).
+//! itself (paper Example 6 confirms self-exclusion): over one row per
+//! hypercube, as the sort ranks, duplicate self-interleaving is entirely
+//! captured by `i`. In an expanded relation, as the window ranks, the
+//! copies of one hypercube are separate rows with no order between them —
+//! in a world either may come first — so each counts toward every other
+//! copy's possible position and never toward its certain one.
 
 use crate::cmp::{tuple_lt, CmpSemantics};
 use crate::relation::AuRelation;
@@ -52,7 +56,9 @@ pub fn pos_bounds(
         if j == target {
             continue;
         }
-        let r = tuple_lt(&row.tuple, t, total_idxs, sem);
+        let mut r = tuple_lt(&row.tuple, t, total_idxs, sem);
+        // Another copy of `t` possibly precedes it (module docs).
+        r.ub |= row.tuple == *t;
         if r.lb {
             lb += row.mult.lb;
         }

@@ -252,16 +252,9 @@ impl AuRelation {
         let mut rows = Vec::with_capacity(self.total_possible() as usize);
         for row in &self.rows {
             for i in 0..row.mult.ub {
-                let mult = if i < row.mult.lb {
-                    Mult3::ONE
-                } else if i < row.mult.sg {
-                    Mult3::new(0, 1, 1)
-                } else {
-                    Mult3::new(0, 0, 1)
-                };
                 rows.push(AuRow {
                     tuple: row.tuple.clone(),
-                    mult,
+                    mult: row.mult.copy(i),
                 });
             }
         }

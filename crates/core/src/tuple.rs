@@ -1,6 +1,6 @@
 //! Range-annotated tuples: hypercubes in the attribute space.
 
-use crate::range_value::RangeValue;
+use crate::range_value::{RangeValue, TruthRange};
 use audb_rel::{Tuple, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -100,6 +100,14 @@ impl AuTuple {
     /// on `idxs`: `Less` means `self` possibly precedes `other`.
     pub fn cmp_lb_vs_ub_on(&self, other: &AuTuple, idxs: &[usize]) -> Ordering {
         cmp_proj(idxs, |i| &self.0[i].lb, |i| &other.0[i].ub)
+    }
+
+    /// `⟦self = other⟧` on `idxs`: whether the two certainly, in the
+    /// selected guess and possibly agree there (a window's partition truth).
+    pub fn eq_on(&self, other: &AuTuple, idxs: &[usize]) -> TruthRange {
+        (idxs.iter()).fold(TruthRange::TRUE, |acc, &i| {
+            acc.and(self.0[i].eq_range(&other.0[i]))
+        })
     }
 }
 

@@ -131,10 +131,9 @@ impl Engine {
             (Native, Some(Op::Sort { .. })) => {
                 "one-pass sweep with early termination at rank↓ ≥ k (Algorithm 1)".into()
             }
-            (Native, Some(Op::Window { .. })) => "connected-heap sweep (Algorithm 3), \
-                 O(N·n log n); falls back to reference on uncertain PARTITION BY \
-                 or duplicate multiplicities"
-                .into(),
+            (Native, Some(Op::Window { .. })) => {
+                "connected-heap sweep (Algorithm 3), O(N·n log n)".into()
+            }
             (Reference, None) => {
                 "rebuild rows from the stored columns (the row operators' form)".into()
             }

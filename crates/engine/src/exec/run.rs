@@ -32,10 +32,7 @@ use crate::backend::Backend;
 use crate::catalog::Segment;
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
-use audb_core::{
-    range_verdict, window_ref, AuBatch, AuColumns, CmpSemantics, Mult3, TableStats, TruthMasks,
-    ZoneVerdict,
-};
+use audb_core::{range_verdict, AuBatch, AuColumns, Mult3, TableStats, TruthMasks, ZoneVerdict};
 use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
 use std::sync::Arc;
@@ -414,16 +411,9 @@ pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize) -> AuColumns {
 }
 
 /// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8),
-/// columns in and columns out.
-///
-/// The native window requires certain `PARTITION BY` attributes and treats
-/// duplicate multiplicities by position offsets — tighter than, but
-/// different from, the expand-first Def. 3 reference the engine promises.
-/// The sweep reports both conditions itself — duplicates as its fused
-/// normalisation merged them (identical rows stored separately included) —
-/// so the input is neither copied nor sorted to ask, and either one sends
-/// the rows to the reference. The duplicate case costs one discarded
-/// O(n log n) sweep before the O(n²) reference.
+/// columns in and columns out. The window kernel answers every input —
+/// duplicate multiplicities and uncertain `PARTITION BY` values included —
+/// with the bounds of the Def. 3 reference.
 fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
     match op {
         Op::Sort {
@@ -442,17 +432,9 @@ fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
             out_name,
         } => {
             check_output_rows(cols.mult_ub().iter().copied(), None)?;
-            let swept = audb_native::window_columns_native(cols, spec, *agg, out_name);
-            Ok(match swept {
-                Ok(out) if !out.merged_duplicates => out.rel,
-                _ => {
-                    // lint: allow(no-transpose-between-operators) -- the reference fallback: Def. 3 is defined over rows, and a plan that takes it is already paying O(n²)
-                    let rows = cols.to_rows();
-                    let out = window_ref(&rows, spec, *agg, out_name, CmpSemantics::IntervalLex);
-                    // lint: allow(no-transpose-between-operators) -- the same fallback, on its way back
-                    out.to_columns()
-                }
-            })
+            Ok(audb_native::window_columns_native(
+                cols, spec, *agg, out_name,
+            ))
         }
         _ => unreachable!("only order-based operators are pipeline breakers"),
     }

@@ -14,8 +14,7 @@
 //!   operator hooks, over rows), implemented by [`Reference`] and
 //!   [`Rewrite`] (which scans through the relational encoding, as a DBMS
 //!   executing Figs. 7–8 would); the native method is no implementation of
-//!   it but the pipelined executor itself ([`exec::run_pipelined`], with
-//!   fallback rules for the cases the one-pass operators do not cover);
+//!   it but the pipelined executor itself ([`exec::run_pipelined`]);
 //! * [`SharedCatalog`] / [`Table`] — what a FROM name maps to: a table
 //!   stored as `Arc`'d columnar [`Segment`]s and nothing else, so an
 //!   append costs its batch and every plan over one version shares one
@@ -173,19 +172,17 @@ mod tests {
             )
             .build()
             .unwrap();
-        // example6 has a duplicate multiplicity (1,1,2): the native backend
-        // must reroute that window to the reference semantics, keeping
-        // run_all's exact agreement.
+        // example6 has a duplicate multiplicity (1,1,2): the native sweep
+        // answers it with the reference's bounds.
         Engine::native()
             .run_all(&win)
             .expect("window backends agree");
     }
 
-    /// Regression: identical rows *stored separately* with unit
-    /// multiplicities normalize into one row with a duplicate multiplicity
-    /// inside the native operators — the fallback check must look at the
-    /// normalized relation, or the native backend silently diverges from
-    /// the reference bounds.
+    /// Identical rows *stored separately* normalize into one row of `k↑ = 2`
+    /// inside the native operators. The name keeps the reference fallback
+    /// these rows once took; the native sweep answers them now, with the
+    /// reference's bounds.
     #[test]
     fn native_window_falls_back_on_split_duplicate_rows() {
         let dup = AuTuple::new([rv(1, 2, 4), RangeValue::certain(10i64)]);
@@ -218,10 +215,11 @@ mod tests {
         Engine::native().run_all(&plan).expect("backends agree");
     }
 
+    /// An uncertain partition value among certain ones. As above, the name
+    /// keeps the fallback this input once took; the native sweep gives the
+    /// range value a group of its own, with the reference's bounds.
     #[test]
     fn native_window_falls_back_on_uncertain_partition() {
-        // Uncertain partition attribute: window_native would assert; the
-        // engine reroutes to the reference instead of panicking.
         let rel = AuRelation::from_rows(
             Schema::new(["g", "o", "v"]),
             [
@@ -251,7 +249,11 @@ mod tests {
             .unwrap();
         let native = Engine::native().execute(&plan).unwrap().to_rows();
         let reference = Engine::reference().execute(&plan).unwrap().to_rows();
-        assert!(native.bag_eq(&reference));
+        assert!(
+            native.bag_eq(&reference),
+            "native:\n{native}\nreference:\n{reference}"
+        );
+        Engine::native().run_all(&plan).expect("backends agree");
     }
 
     /// The engine's operator chain matches hand-wired operator calls — the

@@ -19,14 +19,14 @@
 //! then picks [`Strategy::Incremental`] or [`Strategy::Recompute`], visible
 //! in [`MaintainedQuery::explain`]:
 //!
-//! * **Window maintenance needs the native fast path.** If the engine is
-//!   not [`Engine::Native`], or the data hits the documented
-//!   native-window fallbacks (duplicate multiplicities after
-//!   normalization, uncertain `PARTITION BY` values — both checked on the
-//!   normalized batch itself, never read off an error message),
-//!   maintenance is disabled *permanently* for the subscription — those
-//!   conditions don't un-happen — and every append recomputes on the
-//!   engine, preserving the engine's bound-agreement promise.
+//! * **Window maintenance needs the native sweep, one per partition.** If
+//!   the engine is not [`Engine::Native`], or the data holds an uncertain
+//!   `PARTITION BY` value (checked on the normalized batch itself) —
+//!   a row that may join every partition its range overlaps, which no
+//!   per-partition sweep can absorb — maintenance is disabled
+//!   *permanently* for the subscription: neither condition un-happens.
+//!   Every append then recomputes on the engine. Duplicate multiplicities
+//!   are maintained like any other rows.
 //! * **Out-of-order appends rebuild.** The window sweep consumes rows in
 //!   ascending ORDER BY position; a batch overlapping the accumulated
 //!   frontier rebuilds the sweep from everything seen so far as a single
@@ -70,8 +70,9 @@
 //! order: the whole answer before and after a recompute or a rebuild; the
 //! band before and after a top-k append (`O(k)`); the open rows emitted
 //! last and the rows closed since plus the open rows now, after a window
-//! append (`O(changed)` — the window's output rows are distinct, so no key
-//! is in both the closed and the open rows).
+//! append (`O(changed)` — the copies of one input row share their position
+//! range and close together, so no key is in both the closed and the open
+//! rows).
 
 use crate::catalog::Table;
 use crate::engine::Engine;
@@ -128,7 +129,7 @@ enum MaintainKind {
     Window(MaintainedWindow),
     TopK(TopKMaintain),
     /// Never maintained, and why: the plan's shape, the engine's backend,
-    /// or data the native window hands to the reference — none of which
+    /// or an uncertain partition value in the data — none of which
     /// un-happens. Every append recomputes.
     Never(String),
 }
@@ -318,8 +319,9 @@ impl MaintainedQuery {
                 out_name,
             }) => {
                 let rows = rows.normalize()?;
-                if let Some(what) = needs_reference(&rows, spec) {
-                    let never = format!("accumulated relation carries {what}");
+                if let Some(never) =
+                    uncertain_partition(&rows, spec, "accumulated relation carries")
+                {
                     return self.build(source, Some(never));
                 }
                 let mut m =
@@ -371,8 +373,7 @@ impl MaintainedQuery {
 
     /// A window append: absorbed by the live sweep if it lands past the
     /// frontier; otherwise the sweep is rebuilt over everything — or, for
-    /// data the native window refers to the reference, never maintained
-    /// again.
+    /// an uncertain partition value, never maintained again.
     fn append_window(
         &mut self,
         accum: &Arc<Table>,
@@ -382,11 +383,9 @@ impl MaintainedQuery {
         let Some(Op::Window { spec, .. }) = self.plan.ops().last() else {
             unreachable!("kind is Window only for window plans");
         };
-        // The native window's documented fallbacks are sticky: a duplicate
-        // multiplicity or an uncertain partition value stays in the data.
-        if let Some(what) = needs_reference(&rows, spec) {
-            let never = Some(format!("appended rows carry {what}"));
-            return Ok((Strategy::Recompute, self.rebuild(accum, never)?));
+        // An uncertain partition value stays in the data.
+        if let Some(never) = uncertain_partition(&rows, spec, "appended rows carry") {
+            return Ok((Strategy::Recompute, self.rebuild(accum, Some(never))?));
         }
         let MaintainKind::Window(m) = &mut self.kind else {
             unreachable!("append_window is called on window states");
@@ -422,30 +421,21 @@ fn native_only(what: &str, engine: Engine) -> Option<String> {
         .then(|| format!("{what} maintenance requires the native backend (engine runs {engine})"))
 }
 
-/// The native window's two fallbacks to the reference (DESIGN.md §5.2) —
-/// a duplicate multiplicity, an uncertain `PARTITION BY` value — decided
-/// for window *maintenance* before any sweep state is built (a one-shot
-/// window learns them from its sweep), and named. Callers pass a
-/// **normalized** relation (zero-free, so every stored row exists):
-/// separately stored copies of one hypercube merge into a duplicate
-/// multiplicity, so checking raw rows would miss them.
-fn needs_reference(rel: &AuColumns, spec: &AuWindowSpec) -> Option<&'static str> {
+/// Why window maintenance ends for good, if it does: a row of `rel` — the
+/// `rows` that carry it — holds an uncertain `PARTITION BY` value
+/// (DESIGN.md §13.2). Callers pass a **normalized** relation: zero-free,
+/// so every stored row exists.
+fn uncertain_partition(rel: &AuColumns, spec: &AuWindowSpec, rows: &str) -> Option<String> {
     debug_assert!(rel.is_normalized());
-    if rel.mult_ub().iter().any(|&ub| ub > 1) {
-        Some("duplicate multiplicities (k↑ > 1)")
-    } else if (spec.partition.iter())
+    (spec.partition.iter())
         .any(|&g| (0..rel.len()).any(|row| !rel.col(g).certain_at(row)))
-    {
-        Some("an uncertain PARTITION BY value")
-    } else {
-        None
-    }
+        .then(|| format!("{rows} an uncertain PARTITION BY value"))
 }
 
-/// Window output rows, normalized: they are distinct (the input rows are,
-/// and each is extended by one aggregate), each of `k↑ = 1`.
+/// Window output rows, normalized: each of `k↑ = 1`, the copies of one
+/// input row merging where their aggregates agree.
 fn normalized(rows: AuColumns) -> AuColumns {
-    rows.normalize().expect("a window's rows are distinct")
+    rows.normalize().expect("split rows have k↑ = 1")
 }
 
 /// The top-k answer over the band, normalized — refused as the engine
@@ -614,33 +604,28 @@ mod tests {
         assert!(q.value().bag_eq(&truth));
     }
 
+    /// In-order appends that carry duplicate multiplicities — a row of
+    /// `k↑ = 2`, a row stored twice — are absorbed by the live sweep, and
+    /// the value is the engine's over the accumulated table.
     #[test]
-    fn duplicate_multiplicities_disable_maintenance_permanently() {
-        let rows = stream_rows(30, 17);
+    fn in_order_duplicates_are_maintained() {
+        let rows = stream_rows(40, 17);
         let mut q = subscribe(&rows[..20]);
-        q.append(&rel_of(&rows[20..24])).unwrap();
-        assert_eq!(
-            q.append(&rel_of(&rows[24..26])).unwrap().strategy,
-            Strategy::Incremental
-        );
-        // k↑ = 2 hits the native window's documented fallback — sticky.
-        let dup = vec![(
-            AuTuple::new([rv(400, 400, 400), rv(1, 1, 1)]),
-            Mult3::new(1, 1, 2),
-        )];
-        assert_eq!(
-            q.append(&rel_of(&dup)).unwrap().strategy,
-            Strategy::Recompute
-        );
-        assert_eq!(
-            q.append(&rel_of(&rows[26..28])).unwrap().strategy,
-            Strategy::Recompute,
-            "fallback is permanent"
-        );
-        assert!(q.explain().contains("always recompute"), "{}", q.explain());
         let session = Session::new(Engine::native());
-        session.register("s", q.accumulated().contiguous().to_rows());
-        assert!(q.value().bag_eq(&session.sql(ROLLING_SQL).unwrap()));
+        for (i, chunk) in rows[20..].chunks(5).enumerate() {
+            let mut batch = chunk.to_vec();
+            batch[0].1 = [Mult3::new(2, 2, 2), Mult3::new(0, 1, 2)][i % 2];
+            batch.push(batch[3].clone());
+            let delta = q.append(&rel_of(&batch)).unwrap();
+            assert_eq!(delta.strategy, Strategy::Incremental, "batch {i}");
+            session.register("s", q.accumulated().contiguous().to_rows());
+            assert!(q.value().bag_eq(&session.sql(ROLLING_SQL).unwrap()));
+        }
+        assert!(
+            q.explain().contains("window incremental"),
+            "{}",
+            q.explain()
+        );
     }
 
     #[test]

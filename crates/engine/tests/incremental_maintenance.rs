@@ -5,8 +5,8 @@
 //! reads off the state it builds onward — and replaying the emitted deltas
 //! must reconstruct the value exactly. The generators cover in-order
 //! streams (incremental fast path), out-of-order batches (rebuild),
-//! partition churn, duplicate multiplicities (permanent fallback) and a
-//! top-k the engine refuses.
+//! partition churn, duplicate multiplicities, an uncertain partition value
+//! (permanent recompute) and a top-k the engine refuses.
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
 use audb_engine::{Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
@@ -259,8 +259,10 @@ fn partition_churn_stays_exact() {
     );
 }
 
+/// A batch carrying duplicate multiplicities (`k↑ > 1`) is absorbed like
+/// any other: the copies of a row rank with no order between them.
 #[test]
-fn duplicate_multiplicities_fall_back_for_good() {
+fn duplicate_multiplicities_stay_incremental() {
     let mut rng = Rng::new(0xD0D0);
     let session = session_with(&AuRelation::empty(sensor_schema()));
     let mut q = session.subscribe(ROLLING).unwrap();
@@ -269,36 +271,33 @@ fn duplicate_multiplicities_fall_back_for_good() {
 
     let mut t = 0i64;
     for step in 0..20 {
-        let poison = step == 7; // one batch with k↑ > 1
         let rows: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|i| {
                 t += 4;
                 let (tuple, mut mult) = reading(&mut rng, 0, t, true);
-                if poison {
-                    mult = Mult3::new(0, 1, 2);
+                if (step + i) % 3 == 0 {
+                    mult = [Mult3::new(0, 1, 2), Mult3::new(2, 2, 2)][step % 2];
                 }
                 (tuple, mult)
             })
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
-        let want = match step {
-            ..7 => Strategy::Incremental,
-            _ => Strategy::Recompute,
-        };
-        assert_eq!(
-            delta.strategy, want,
-            "step {step}: duplicate multiplicities disable maintenance permanently"
-        );
+        assert_eq!(delta.strategy, Strategy::Incremental, "step {step}");
         replay.apply(&delta);
         assert_exact(&q, &replay, &format!("dup-mult step {step}"));
     }
-    assert!(q.explain().contains("always recompute"), "{}", q.explain());
+    assert!(
+        q.explain().contains("window incremental"),
+        "{}",
+        q.explain()
+    );
 }
 
 /// An uncertain `PARTITION BY` value arriving while the sweep is live ends
-/// maintenance for good: the sweep cannot place the row, and the value
-/// stays in the data.
+/// maintenance for good: the row may join every partition its range
+/// overlaps, and the value stays in the data. Every append then recomputes
+/// on the engine.
 #[test]
 fn an_uncertain_partition_value_falls_back_for_good() {
     let mut rng = Rng::new(0x6A0);

@@ -39,7 +39,4 @@ pub use sort::{
     output_rows_bound, sort_columns_native, sort_native, sort_native_staged, topk_native,
     MAX_OUTPUT_ROWS, MAX_RANKED_ROWS,
 };
-pub use window::{
-    window_columns_native, window_native, window_native_staged, NativeWindow,
-    UncertainPartitionError,
-};
+pub use window::{window_columns_native, window_native, window_native_staged};

@@ -28,10 +28,11 @@
 //! which keeps the two permanently in agreement.
 //!
 //! [`MaintainedWindow::in_order`] asks this per partition, as a `bool`: a
-//! row with an uncertain PARTITION BY value belongs to no partition, so its
-//! batch is never in order. Why a batch cannot be absorbed — a frontier
-//! overlap to rebuild after, or data the native window hands to the
-//! reference for good — is its caller's to tell, from the batch.
+//! row with an uncertain PARTITION BY value may join every partition its
+//! range overlaps, so its batch is never in order. Why a batch cannot be
+//! absorbed — a frontier overlap to rebuild after, or an uncertain
+//! partition value that stays in the data — is its caller's to tell, from
+//! the batch.
 //!
 //! Already-closed windows are final: when the sweep closes `s` because an
 //! incoming tuple has `τ↓ > s.τ↑ + u`, at least `s.τ↑ + u + 1` rows
@@ -47,8 +48,9 @@
 //! ## Sweep state
 //!
 //! The sweep holds no tuple. What it compares is read from the lanes once,
-//! into a flat `Item` per split row: `τ↓`, `τ↑`, the aggregated
-//! attribute's range, `k↓ ≥ 1`, `k_sg ≥ 1`, and where the input row is
+//! into a flat `Item` per split row: `τ↓`, `τ↑` (the copies of one row
+//! share the hull of their ranges), the aggregated attribute's range,
+//! `k↓ ≥ 1`, `k_sg ≥ 1`, which copy it is, and where the input row is
 //! (the number of the batch that fed it, the row there). A closing window
 //! leaves a [`WindowRow`] — that address, the annotation and the aggregate
 //! `X` — and whoever wants the output gathers it from the input lanes,
@@ -103,7 +105,7 @@
 //! recompute fallback) is a new heap.
 
 use crate::sort::{band_rows, positions, sort_columns_native};
-use crate::window::{aggregate_column, partitions};
+use crate::window::{aggregate_column, partitions, ranged};
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
@@ -125,8 +127,8 @@ struct Item {
     cert: bool,
     /// Exists in the selected-guess world (`k_sg ≥ 1`).
     in_sg: bool,
-    /// The previous item is another duplicate of the same input row.
-    dup_of_prev: bool,
+    /// Which copy of its input row it is: copies arrive one after another.
+    dup: u32,
     /// Its window has closed for good.
     closed: bool,
     /// Selected-guess window aggregate, once final.
@@ -153,6 +155,8 @@ pub struct WindowRow {
     pub batch: u32,
     /// The input row within that batch.
     pub row: u32,
+    /// Which of the input row's copies (`split`, Algorithm 2) it is.
+    pub dup: u32,
     /// The split row's annotation (`k↑ = 1`).
     pub mult: Mult3,
     /// The window aggregate: the output attribute.
@@ -232,8 +236,6 @@ pub struct WindowMaintain {
     /// The greatest upper-bound corner on the ORDER BY attributes among
     /// the accumulated rows, as its key's bytes.
     frontier: Option<Vec<u8>>,
-    /// Some batch merged into a duplicate multiplicity (`k↑ > 1`).
-    merged_duplicates: bool,
     // Sweep state, live between batches.
     openw: BinaryHeap<Reverse<(i64, usize)>>,
     /// No item before this one is still open.
@@ -245,6 +247,8 @@ pub struct WindowMaintain {
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
     closed: Vec<WindowRow>,
+    /// Only the windows of input rows below this one are opened.
+    emit_below: u32,
     /// Pool size summed over the closes of [`WindowMaintain::step`], and
     /// its maximum there.
     pool_sum: u64,
@@ -273,13 +277,13 @@ impl WindowMaintain {
             total_lb: 0,
             total_ub: 0,
             frontier: None,
-            merged_duplicates: false,
             openw: BinaryHeap::new(),
             oldest_open: 0,
             cert: VecDeque::new(),
             poss: ConnectedHeap::with_order(3, 1024, ()),
             scratch: Scratch::default(),
             closed: Vec::new(),
+            emit_below: u32::MAX,
             pool_sum: 0,
             pool_max: 0,
             sg_ids: Vec::new(),
@@ -299,17 +303,19 @@ impl WindowMaintain {
         self.items.is_empty()
     }
 
+    /// Compute the windows of the input rows below `rows` only — a group's
+    /// own rows, when the members after them only fill its windows.
+    pub(crate) fn emitting_below(self, rows: u32) -> WindowMaintain {
+        WindowMaintain {
+            emit_below: rows,
+            ..self
+        }
+    }
+
     /// Output rows already closed (final regardless of future appends), in
     /// close order.
     pub fn closed_rows(&self) -> &[WindowRow] {
         &self.closed
-    }
-
-    /// Did any batch hold identical hypercubes that merged into a
-    /// duplicate multiplicity (`k↑ > 1`)? The sweep treats duplicates by
-    /// position offsets — sound, but not the expand-first Def. 3 bounds.
-    pub fn merged_duplicates(&self) -> bool {
-        self.merged_duplicates
     }
 
     /// Mean and maximum size of the possible-member pool over the windows
@@ -361,9 +367,19 @@ impl WindowMaintain {
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
         let rows = rows.iter().copied();
-        let pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
+        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
         if pos.is_empty() {
             return;
+        }
+        // Copies of one input row have no order between them — in a world
+        // either may come first — so where the sort offsets copy `i` by `i`
+        // (Algorithm 2), each takes the hull of their ranges: `τ↓` of the
+        // first, `τ↑` of the last. They tie, and arrive one after another.
+        for copies in pos.chunk_by_mut(|a, b| a.row == b.row) {
+            let (lo, hi) = (copies[0].tau_lb, copies[copies.len() - 1].tau_ub);
+            for p in copies {
+                (p.tau_lb, p.tau_ub) = (lo, hi);
+            }
         }
         // Arrival order `(τ↓, τ↑, row, dup)`: one radix sort of `(τ↓, τ↑)`
         // words — batch-local positions, under 2³² as the output is — and
@@ -393,9 +409,7 @@ impl WindowMaintain {
         // straight from the lanes.
         let first_new = self.items.len();
         let attr = self.agg.input_col().map(|c| cols.col(c));
-        let mut prev_row = None;
         for p in &pos {
-            self.merged_duplicates |= p.dup > 0;
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
                 thi: p.tau_ub as i64 + off_ub,
@@ -405,13 +419,12 @@ impl WindowMaintain {
                 ),
                 cert: p.mult.lb >= 1,
                 in_sg: p.mult.sg >= 1,
-                dup_of_prev: prev_row == Some(p.row),
+                dup: p.dup,
                 closed: false,
                 sg: None,
                 batch,
                 row: p.row,
             });
-            prev_row = Some(p.row);
         }
         // The frontier moves to the batch's greatest ORDER BY upper-bound
         // corner. Every row's lower-bound corner is at or below that one, so
@@ -539,7 +552,12 @@ impl WindowMaintain {
                 self.poss.pop_with(0, &PoolOrder(&self.items));
             }
         }
-        self.openw.push(Reverse((it_thi, t)));
+        // A window nobody reads is never opened: it never closes, and it
+        // keeps no pool member from eviction.
+        match self.items[t].row < self.emit_below {
+            true => self.openw.push(Reverse((it_thi, t))),
+            false => self.items[t].closed = true,
+        }
         if it_cert {
             self.cert.push_back((it_tlo, it_thi, t));
         }
@@ -574,6 +592,7 @@ impl WindowMaintain {
         WindowRow {
             batch: it.batch,
             row: it.row,
+            dup: it.dup,
             mult: it.mult(),
             x: self.comp_bounds(id, self.sg_raw(id, provisional), scratch),
         }
@@ -799,7 +818,7 @@ impl WindowMaintain {
             if let Ok(at) = provisional.binary_search_by_key(&i, |&(j, _)| j) {
                 return provisional[at].1.clone();
             }
-            if !it.dup_of_prev {
+            if it.dup == 0 {
                 return it.attr.sg.clone();
             }
             i -= 1;
@@ -910,20 +929,19 @@ impl MaintainedWindow {
 
     /// Can `batch` be absorbed incrementally: does every partition it
     /// touches receive its rows strictly after that partition's frontier?
-    /// A row with an uncertain PARTITION BY value has no partition to go
-    /// to: such a batch is never in order.
+    /// A row with an uncertain PARTITION BY value may join any partition
+    /// its range overlaps: such a batch is never in order.
     pub fn in_order(&self, batch: &AuColumns) -> bool {
-        partitions(batch, &self.spec.partition).is_ok_and(|parts| {
-            (parts.iter()).all(|(value, rows)| {
-                (self.parts.get(value)).is_none_or(|(sweep, _)| sweep.rows_in_order(batch, rows))
-            })
+        (partitions(batch, &self.spec.partition).iter()).all(|(value, rows)| {
+            !(rows.first()).is_some_and(|&row| ranged(batch, &self.spec.partition, row))
+                && (self.parts.get(value)).is_none_or(|(sweep, _)| sweep.rows_in_order(batch, rows))
         })
     }
 
     /// Absorb one batch. The caller asked [`MaintainedWindow::in_order`]:
-    /// an uncertain PARTITION BY value panics here.
+    /// a range PARTITION BY value would be swept as a partition of its own.
     pub fn apply(&mut self, batch: &AuColumns) {
-        let parts = partitions(batch, &self.spec.partition).expect("in_order accepted it");
+        let parts = partitions(batch, &self.spec.partition);
         let number = self.starts.len() as u32;
         for (value, rows) in parts {
             let (sweep, _) = (self.parts.entry(value))

@@ -543,13 +543,7 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
         // split (Algorithm 2): one output row per possible duplicate.
         for i in 0..rmult.ub {
             let (plb, mut psg, mut pub_) = (tau_lb + i, tau_sg + i, tau_ub + i);
-            let mut m = if i < rmult.lb {
-                Mult3::ONE
-            } else if i < rmult.sg {
-                Mult3::new(0, 1, 1)
-            } else {
-                Mult3::new(0, 0, 1)
-            };
+            let mut m = rmult.copy(i);
             if let Some(k) = k {
                 // Fused σ_{τ < k} with [24] selection semantics.
                 if plb >= k {

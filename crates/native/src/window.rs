@@ -29,10 +29,18 @@
 //! window operator over the selected-guess world in the one order
 //! [`audb_core::sg_ordered_inputs`] defines, shared with the reference.
 //!
-//! `PARTITION BY` is supported natively for *certain* partition attributes
-//! (one sweep per partition value, an extension over the paper's
-//! benchmarked configuration); uncertain partition attributes require the
-//! reference semantics or the rewrite method, as in the paper.
+//! The copies of one input row (`k↑ > 1`) have no order between them: in a
+//! world either may come first, so each takes the hull of the copies'
+//! position ranges (`maintain`), which is the reference's rule that a copy
+//! counts toward every other copy's possible position and never toward its
+//! certain one.
+//!
+//! `PARTITION BY` runs one sweep per partition value, an extension over
+//! the paper's benchmarked configuration. A value that is a range is a
+//! value of its own, and then every value's sweep runs over the rows whose
+//! value possibly equals it, annotated by the truth of that equality — the
+//! `Q_part` join of the rewrite (Fig. 8) — and emits only its own rows
+//! (`groups`).
 //!
 //! ## Performance notes
 //!
@@ -41,9 +49,10 @@
 //! from the lanes and leaves, per closed window, the input row's number and
 //! the aggregate. The pool compares the prefixes of the aggregated
 //! attribute's bounds, and the values only where two prefixes tie; a sorted
-//! pool scan visits only the heap nodes it yields. Partitions are index
-//! views over the input, not copies; their sweeps are independent and run
-//! in parallel (`audb_par`), their rows concatenated in deterministic
+//! pool scan visits only the heap nodes it yields. Partitions of point
+//! values are index views over the input, not copies (a range value's
+//! members are gathered); their sweeps are independent and run in
+//! parallel (`audb_par`), their rows concatenated in deterministic
 //! partition-value order. Partition values
 //! are ordered like every key here: `(prefix, row)` pairs radix-sorted
 //! ([`audb_core::sort_prefixes`]), key bytes encoded for the rows of one
@@ -67,35 +76,21 @@
 //! ## Columns in, columns out
 //!
 //! The operator reads [`AuColumns`] as the engine stores them
-//! ([`window_columns_native`]) and returns them; a partition is an index
-//! view of the input (`partitions`), never a copy. [`window_native`] is
-//! the door for a caller that holds rows and wants rows: it transposes
-//! once each way.
+//! ([`window_columns_native`]) and returns them; a partition of point
+//! values is an index view of the input (`partitions`), never a copy.
+//! [`window_native`] is the door for a caller that holds rows and wants
+//! rows: it transposes once each way.
 
 use crate::maintain::{WindowMaintain, WindowRow};
 use audb_core::{
-    canonical_order, prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, AuWindowSpec,
-    Corner, KeyArena, RangeValue, WinAgg,
+    canonical_order, prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple,
+    AuWindowSpec, Corner, KeyArena, Mult3, RangeValue, WinAgg,
 };
-
-/// What [`window_columns_native`] computed, and whether it is the bounds
-/// the engine promises.
-#[derive(Debug)]
-pub struct NativeWindow {
-    /// The sweep's output, normalized.
-    pub rel: AuColumns,
-    /// Identical hypercubes merged into a duplicate multiplicity (`k↑ > 1`)
-    /// somewhere in the input. The sweep then treats duplicates by position
-    /// offsets — sound, tighter on positions, but *not* the expand-first
-    /// Def. 3 bounds of [`audb_core::window_ref`].
-    pub merged_duplicates: bool,
-}
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
 /// [`audb_core::window_ref`] — for a caller that holds rows and wants
 /// rows: transposed here, once each way, around
-/// [`window_columns_native`]. Panics if partition attributes are uncertain
-/// (see module docs).
+/// [`window_columns_native`].
 pub fn window_native(
     rel: &AuRelation,
     spec: &AuWindowSpec,
@@ -103,57 +98,29 @@ pub fn window_native(
     out_name: &str,
 ) -> AuRelation {
     // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
-    match window_columns_native(&rel.to_columns(), spec, agg, out_name) {
-        // lint: allow(no-transpose-between-operators) -- the same door, on its way out
-        Ok(out) => out.rel.to_rows(),
-        Err(e) => panic!("{e}"),
-    }
+    let out = window_columns_native(&rel.to_columns(), spec, agg, out_name);
+    // lint: allow(no-transpose-between-operators) -- the same door, on its way out
+    out.to_rows()
 }
 
-/// The native window's refusal: the sweep is per partition, and the row
-/// `row` has none — its `PARTITION BY` attribute `attr` is a range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UncertainPartitionError {
-    /// The first existing row with an uncertain partition value.
-    pub row: usize,
-    /// The partition attribute that is a range there.
-    pub attr: usize,
+/// Is row `row`'s value of the `partition` attributes a range?
+pub(crate) fn ranged(cols: &AuColumns, partition: &[usize], row: usize) -> bool {
+    partition.iter().any(|&g| !cols.col(g).certain_at(row))
 }
-
-impl std::fmt::Display for UncertainPartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "window_native requires certain PARTITION BY attributes (attribute {} of \
-             row {} is a range); use audb_core::window_ref or the rewrite method for \
-             uncertain partitions",
-            self.attr, self.row
-        )
-    }
-}
-
-impl std::error::Error for UncertainPartitionError {}
 
 /// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
 /// `partition` attributes: `(key of the value, row indices)` in value
 /// order, stored order within — sorted by prefix, by key bytes only where
-/// prefixes tie. An uncertain partition value among them is an error.
-pub(crate) fn partitions(
-    cols: &AuColumns,
-    partition: &[usize],
-) -> Result<Vec<(Vec<u8>, Vec<usize>)>, UncertainPartitionError> {
-    let mut rows: Vec<usize> = Vec::with_capacity(cols.len());
-    for row in (0..cols.len()).filter(|&row| !cols.mult(row).is_zero()) {
-        if let Some(&attr) = (partition.iter()).find(|&&g| !cols.col(g).certain_at(row)) {
-            return Err(UncertainPartitionError { row, attr });
-        }
-        rows.push(row);
-    }
+/// prefixes tie. A range is a value of its own, keyed by all its corners.
+pub(crate) fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>, Vec<usize>)> {
+    let rows: Vec<usize> = (0..cols.len())
+        .filter(|&row| !cols.mult(row).is_zero())
+        .collect();
     // Without a PARTITION BY the rows are one run as they stand, and their
     // keys — all empty — are not compared (2 ms of an 8 192-row window went
     // into memcmp over nothing).
     if partition.is_empty() {
-        return Ok(vec![(Vec::new(), rows)]);
+        return vec![(Vec::new(), rows)];
     }
     // Every sort is stable: stored order within a value.
     let mut refs: Vec<(u64, u32)> = (rows.iter().enumerate())
@@ -165,7 +132,13 @@ pub(crate) fn partitions(
     for run in refs.chunk_by(|a, b| a.0 == b.0) {
         keys.clear();
         for &(_, slot) in run {
-            keys.push_corner_at(cols, rows[slot as usize], Corner::Sg, partition);
+            let row = rows[slot as usize];
+            keys.extend_corner_at(cols, row, Corner::Sg, partition);
+            if ranged(cols, partition, row) {
+                keys.extend_corner_at(cols, row, Corner::Lb, partition);
+                keys.extend_corner_at(cols, row, Corner::Ub, partition);
+            }
+            keys.end_key();
         }
         let by_value = keys.sorted_slots();
         for value in by_value.chunk_by(|&a, &b| keys.key(a) == keys.key(b)) {
@@ -173,20 +146,59 @@ pub(crate) fn partitions(
             parts.push((keys.key(value[0]).to_vec(), members));
         }
     }
-    Ok(parts)
+    parts
 }
 
-/// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation, for callers that
-/// must know when its bounds are not the reference's: an uncertain
-/// `PARTITION BY` value is an error, and duplicate multiplicities — as the
-/// sweep's own fused normalisation found them, so the input need not be
-/// normalized to ask — are reported beside the result.
+/// The rows one sweep of the window runs over (`groups`): indices into
+/// the input and, where some partition value is a range, the annotations
+/// they take there and how many of them, the first, are the group's own.
+type Group = (Vec<usize>, Option<(Vec<Mult3>, usize)>);
+
+/// One group per partition value ([`partitions`]). While every value is a
+/// point, a group is its value's rows. Otherwise a group's members are the
+/// rows whose value possibly equals its own, annotations filtered by the
+/// truth of that equality — `Q_part`'s range-overlap join, filtered as
+/// [`audb_core::window_ref`] filters — and only its own rows take its
+/// answer.
+fn groups(cols: &AuColumns, partition: &[usize]) -> Vec<Group> {
+    let parts = partitions(cols, partition);
+    let ranges: Vec<usize> = (0..parts.len())
+        .filter(|&p| (parts[p].1.first()).is_some_and(|&row| ranged(cols, partition, row)))
+        .collect();
+    if ranges.is_empty() {
+        return parts.into_iter().map(|(_, rows)| (rows, None)).collect();
+    }
+    let values: Vec<AuTuple> = parts.iter().map(|(_, rows)| cols.tuple(rows[0])).collect();
+    let all: Vec<usize> = (0..parts.len()).collect();
+    (0..parts.len())
+        .map(|p| {
+            // Two points are equal or not; a range may equal anything.
+            let others = if ranges.binary_search(&p).is_ok() {
+                &all
+            } else {
+                &ranges
+            };
+            let (mut rows, mut mults) = (Vec::new(), Vec::new());
+            for &q in std::iter::once(&p).chain(others.iter().filter(|&&q| q != p)) {
+                let truth = values[q].eq_on(&values[p], partition);
+                if truth.ub {
+                    rows.extend(&parts[q].1);
+                    mults.extend(parts[q].1.iter().map(|&r| cols.mult(r).filter(truth)));
+                }
+            }
+            (rows, Some((mults, parts[p].1.len())))
+        })
+        .collect()
+}
+
+/// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation: the one-pass
+/// equivalent of [`audb_core::window_ref`], columns in and columns out.
 pub fn window_columns_native(
     cols: &AuColumns,
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
-) -> Result<NativeWindow, UncertainPartitionError> {
+) -> AuColumns {
     run(cols, spec, agg, out_name, None)
 }
 
@@ -201,7 +213,7 @@ pub fn window_native_staged(
     agg: WinAgg,
     out_name: &str,
     stage: &mut dyn FnMut(&'static str),
-) -> Result<NativeWindow, UncertainPartitionError> {
+) -> AuColumns {
     run(cols, spec, agg, out_name, Some(stage))
 }
 
@@ -211,12 +223,28 @@ fn run(
     agg: WinAgg,
     out_name: &str,
     stage: Option<&mut dyn FnMut(&'static str)>,
-) -> Result<NativeWindow, UncertainPartitionError> {
+) -> AuColumns {
     // Someone listening for stages gets them one partition after another.
     let parallel = stage.is_none();
     let mut nobody = |_| {};
     let stage = stage.unwrap_or(&mut nobody);
-    let parts = partitions(cols, &spec.partition)?;
+    // A group restores its own rows' annotations from the input, which
+    // must hold them merged: where a partition value is a range, identical
+    // rows stored apart are merged first. The engine's output bound counts
+    // every merged multiplicity, so none overflows.
+    let merged;
+    let ranges =
+        (0..cols.len()).any(|r| ranged(cols, &spec.partition, r) && !cols.mult(r).is_zero());
+    let cols = if cols.is_normalized() || !ranges {
+        cols
+    } else {
+        merged = cols
+            .clone()
+            .normalize()
+            .expect("multiplicities within the output bound");
+        &merged
+    };
+    let groups = groups(cols, &spec.partition);
     stage("partition");
     let inner = AuWindowSpec {
         partition: Vec::new(),
@@ -225,23 +253,37 @@ fn run(
         upper: spec.upper,
     };
     // The one-batch special case of the resumable sweep: construct a
-    // `WindowMaintain`, feed it the whole partition, flush. Keeping the
+    // `WindowMaintain`, feed it the whole group, flush. Keeping the
     // one-shot operator and the incremental maintenance on the *same* code
-    // path is what guarantees they can never disagree. Partitions come in
+    // path is what guarantees they can never disagree. Groups come in
     // deterministic order; their sweeps are embarrassingly parallel.
-    let sweep = |rows: &[usize], stage: &mut dyn FnMut(&'static str)| {
+    let sweep = |(rows, filtered): &Group, stage: &mut dyn FnMut(&'static str)| {
         let mut m = WindowMaintain::new(inner.clone(), agg);
-        m.apply_rows(cols, 0, rows, cols.is_normalized(), stage);
-        let merged_duplicates = m.merged_duplicates();
-        (m.finish(), merged_duplicates)
+        let Some((mults, own)) = filtered else {
+            m.apply_rows(cols, 0, rows, cols.is_normalized(), stage);
+            return m.finish();
+        };
+        let members = cols.gather(rows, mults);
+        let mut m = m.emitting_below(*own as u32);
+        m.apply_rows(&members, 0, &Vec::from_iter(0..members.len()), true, stage);
+        // The group's own rows, each under its own annotation.
+        (m.finish().into_iter().map(|r| {
+            let row = rows[r.row as usize];
+            let mult = cols.mult(row).copy(u64::from(r.dup));
+            WindowRow {
+                row: row as u32,
+                mult,
+                ..r
+            }
+        }))
+        .collect()
     };
-    let sweeps: Vec<(Vec<WindowRow>, bool)> = if parallel {
-        audb_par::par_map(&parts, |(_, rows)| sweep(rows, &mut |_| {}))
+    let sweeps: Vec<Vec<WindowRow>> = if parallel {
+        audb_par::par_map(&groups, |group| sweep(group, &mut |_| {}))
     } else {
-        parts.iter().map(|(_, rows)| sweep(rows, stage)).collect()
+        groups.iter().map(|group| sweep(group, stage)).collect()
     };
-    let merged_duplicates = sweeps.iter().any(|(_, merged)| *merged);
-    let rows: Vec<WindowRow> = sweeps.into_iter().flat_map(|(rows, _)| rows).collect();
+    let rows: Vec<WindowRow> = sweeps.into_iter().flatten().collect();
     // The output's canonical order — what `normalize` would sort these rows
     // into — from the lower-bound corner of the input lanes; the aggregate
     // and the other corners are encoded for the rows that tie on it only
@@ -276,10 +318,7 @@ fn run(
     }
     let rel = (cols.gather_extended(&idxs, mults, out_name, x)).assume_canonical();
     stage("materialise");
-    Ok(NativeWindow {
-        rel,
-        merged_duplicates,
-    })
+    rel
 }
 
 /// The aggregates `xs`, in output order, as the output's last column:
@@ -305,7 +344,7 @@ pub(crate) fn aggregate_column<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{window_ref, AuTuple, CmpSemantics, Mult3};
+    use audb_core::{window_ref, CmpSemantics};
     use audb_rel::{Schema, Value};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -438,15 +477,32 @@ mod tests {
         }
     }
 
+    /// A range partition value is a group of its own, over the rows whose
+    /// value possibly equals it; a point value's group takes in the ranges
+    /// that cover it. Each row keeps its own annotation.
     #[test]
-    #[should_panic(expected = "certain PARTITION BY")]
-    fn uncertain_partition_rejected() {
+    fn uncertain_partition_values_match_reference() {
+        let row =
+            |g: RangeValue, o: i64, v: i64, m| (AuTuple::new([g, rv(o - 1, o, o), rv(v, v, v)]), m);
         let rel = AuRelation::from_rows(
-            Schema::new(["g", "o"]),
-            [(AuTuple::new([rv(1, 1, 2), rv(1, 1, 1)]), Mult3::ONE)],
+            Schema::new(["g", "o", "v"]),
+            [
+                row(rv(1, 1, 2), 1, 5, Mult3::new(1, 1, 2)),
+                row(rv(1, 1, 2), 3, 2, Mult3::ONE),
+                row(rv(1, 1, 1), 2, 7, Mult3::ONE),
+                row(rv(2, 2, 2), 1, 1, Mult3::new(0, 1, 1)),
+                row(rv(3, 3, 3), 2, 9, Mult3::ONE),
+            ],
         );
-        let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
-        window_native(&rel, &spec, WinAgg::Count, "c");
+        for agg in [WinAgg::Sum(2), WinAgg::Count, WinAgg::Min(2)] {
+            let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
+            let native = window_native(&rel, &spec, agg, "x");
+            let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
+            assert!(
+                native.bag_eq(&reference),
+                "{agg:?}\nnative:\n{native}\nreference:\n{reference}"
+            );
+        }
     }
 
     #[test]

@@ -85,19 +85,26 @@ pub(crate) fn positions_by_endpoints(
     let mut i = 0;
     while i < endpoints.len() {
         let mut j = i;
-        let (mut group_end_lb, mut group_start_ub) = (0u64, 0u64);
         while j < endpoints.len() && key_of(&endpoints[j]) == key_of(&endpoints[i]) {
-            let (is_end, r) = endpoints[j];
+            j += 1;
+        }
+        let group = &endpoints[i..j];
+        // Rows with no range on the total order start and end here, and
+        // those are the copies of one hypercube (an expanded relation's):
+        // with no order between them, each possibly precedes every other.
+        let points: u64 = (group.iter())
+            .filter(|&&(is_end, r)| !is_end && keys_lb[r] == keys_ub[r])
+            .map(|&(_, r)| mults[r].ub)
+            .sum();
+        let (mut group_end_lb, mut group_start_ub) = (0u64, 0u64);
+        for &(is_end, r) in group {
             if is_end {
                 // Equation (3): possible predecessors are start corners
-                // strictly before this end corner; the row's own start is
-                // excluded (Def. 2 sums over t' ≠ t).
-                let own = if keys_lb[r] == keys_ub[r] {
-                    0 // own start ties this key group — not counted anyway
-                } else {
-                    mults[r].ub
-                };
-                pos.ub[r] = cum_start_ub - own;
+                // strictly before this end corner, and a point row's
+                // copies; the row's own start is excluded (Def. 2 sums
+                // over t' ≠ t).
+                let before = cum_start_ub + if keys_lb[r] == keys_ub[r] { points } else { 0 };
+                pos.ub[r] = before - mults[r].ub;
                 group_end_lb += mults[r].lb;
             } else {
                 // Equation (1): certain predecessors are end corners
@@ -105,7 +112,6 @@ pub(crate) fn positions_by_endpoints(
                 pos.lb[r] = cum_end_lb;
                 group_start_ub += mults[r].ub;
             }
-            j += 1;
         }
         cum_end_lb += group_end_lb;
         cum_start_ub += group_start_ub;

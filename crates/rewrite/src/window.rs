@@ -19,15 +19,12 @@
 //! [`crate::index::IntervalIndex`] over the position ranges, reproducing
 //! the paper's indexed variant (Fig. 15). The member classification and
 //! bounds math are shared with the reference implementation
-//! ([`audb_core::aggregate_window`]), so outputs are identical to
+//! ([`audb_core::window_value`]), so outputs are identical to
 //! [`audb_core::window_ref`] — property-tested.
 
 use crate::index::IntervalIndex;
 use crate::sort::positions_by_endpoints;
-use audb_core::{
-    aggregate_window, guaranteed_extra_slots, sg_window_values, AuRelation, AuWindowSpec, Mult3,
-    RangeValue, TruthRange, WinAgg, WindowMembers,
-};
+use audb_core::{sg_window_values, window_value, AuRelation, AuWindowSpec, Mult3, WinAgg};
 use audb_rel::ops::sort::total_order;
 use audb_rel::Tuple;
 
@@ -42,9 +39,9 @@ pub enum JoinStrategy {
     IntervalIndex,
 }
 
-/// `rewr(ω[l,u]_{f(A)→X; G; O}(R))`: Fig. 8. Supports uncertain partition
-/// attributes (unlike the native algorithm). Output equals
-/// [`audb_core::window_ref`] under interval-lex comparison.
+/// `rewr(ω[l,u]_{f(A)→X; G; O}(R))`: Fig. 8, uncertain partition
+/// attributes included. Output equals [`audb_core::window_ref`] under
+/// interval-lex comparison.
 pub fn rewr_window(
     rel: &AuRelation,
     spec: &AuWindowSpec,
@@ -78,14 +75,7 @@ pub fn rewr_window(
 
     let sg_vals = sg_window_values(&exp, spec, agg);
     let (l, u) = (spec.lower, spec.upper);
-    let size = spec.size() as usize;
-
-    let attr_of = |j: usize| -> RangeValue {
-        match agg.input_col() {
-            Some(c) => exp.rows()[j].tuple.get(c).clone(),
-            None => RangeValue::certain(1i64),
-        }
-    };
+    let attr_of = |j: usize| agg.attr_range(&exp.rows()[j].tuple);
 
     if spec.partition.is_empty() {
         // Positions are global; the self-join is on position-range overlap.
@@ -102,56 +92,19 @@ pub fn rewr_window(
         let total_lb: u64 = mults.iter().map(|m| m.lb).sum();
         let mut scratch: Vec<u32> = Vec::new();
         for ti in 0..n {
+            // The rows whose positions possibly meet the window's.
             let (tlo, thi) = intervals[ti];
-            let ps = (tlo + l, thi + u); // possibly covered positions
-            let cs = (thi + l, tlo + u); // certainly covered positions
-            let mut members = WindowMembers {
-                cert: vec![attr_of(ti)],
-                poss: Vec::new(),
-                sg: sg_vals[ti].clone(),
-                possn: 0,
-                guaranteed_extra: 0,
-            };
-            let mut classify = |j: usize| {
-                if j == ti {
-                    return;
-                }
-                let (jlo, jhi) = intervals[j];
-                if jhi < ps.0 || jlo > ps.1 {
-                    return;
-                }
-                if exp.rows()[j].mult.lb >= 1 && jlo >= cs.0 && jhi <= cs.1 {
-                    members.cert.push(attr_of(j));
-                } else {
-                    members.poss.push(attr_of(j));
-                }
-            };
+            scratch.clear();
             match &index {
-                Some(idx) => {
-                    scratch.clear();
-                    idx.query_overlap(ps.0, ps.1, &mut scratch);
-                    for &j in scratch.iter() {
-                        classify(j as usize);
-                    }
-                }
-                None => {
-                    for j in 0..n {
-                        classify(j);
-                    }
-                }
+                Some(idx) => idx.query_overlap(tlo + l, thi + u, &mut scratch),
+                None => scratch.extend(0..n as u32),
             }
-            members.possn = size.saturating_sub(members.cert.len());
+            let others = (scratch.iter().map(|&j| j as usize))
+                .filter(|&j| j != ti)
+                .map(|j| (intervals[j], exp.rows()[j].mult, attr_of(j)));
             let n_cert = total_lb - exp.rows()[ti].mult.lb + 1;
-            members.guaranteed_extra = guaranteed_extra_slots(
-                l,
-                u,
-                tlo as u64,
-                thi as u64,
-                n_cert,
-                members.cert.len(),
-                members.possn,
-            );
-            let x = aggregate_window(&members, agg);
+            let (own, sg) = (attr_of(ti), sg_vals[ti].clone());
+            let x = window_value(spec, agg, intervals[ti], own, sg, n_cert, others);
             out.push(exp.rows()[ti].tuple.with(x), exp.rows()[ti].mult);
         }
         return out.normalize();
@@ -167,14 +120,7 @@ pub fn rewr_window(
         let fms: Vec<Mult3> = cand
             .iter()
             .map(|&j| {
-                let truth = spec.partition.iter().fold(TruthRange::TRUE, |acc, &g| {
-                    acc.and(
-                        exp.rows()[j]
-                            .tuple
-                            .get(g)
-                            .eq_range(exp.rows()[ti].tuple.get(g)),
-                    )
-                });
+                let truth = (exp.rows()[j].tuple).eq_on(&exp.rows()[ti].tuple, &spec.partition);
                 exp.rows()[j].mult.filter(truth)
             })
             .collect();
@@ -188,48 +134,12 @@ pub fn rewr_window(
             .iter()
             .position(|&j| j == ti)
             .expect("target is a candidate of its own partition");
-        let (tlo, thi) = (pos.lb[self_at] as i64, pos.ub[self_at] as i64);
-        let ps = (tlo + l, thi + u);
-        let cs = (thi + l, tlo + u);
-        let mut members = WindowMembers {
-            cert: vec![attr_of(ti)],
-            poss: Vec::new(),
-            sg: sg_vals[ti].clone(),
-            possn: 0,
-            guaranteed_extra: 0,
-        };
-        for (ci, &j) in cand.iter().enumerate() {
-            if j == ti || fms[ci].is_zero() {
-                continue;
-            }
-            let (jlo, jhi) = (pos.lb[ci] as i64, pos.ub[ci] as i64);
-            if jhi < ps.0 || jlo > ps.1 {
-                continue;
-            }
-            if fms[ci].lb >= 1 && jlo >= cs.0 && jhi <= cs.1 {
-                members.cert.push(attr_of(j));
-            } else {
-                members.poss.push(attr_of(j));
-            }
-        }
-        members.possn = size.saturating_sub(members.cert.len());
-        let n_cert: u64 = cand
-            .iter()
-            .enumerate()
-            .filter(|(_, &j)| j != ti)
-            .map(|(ci, _)| fms[ci].lb)
-            .sum::<u64>()
-            + 1;
-        members.guaranteed_extra = guaranteed_extra_slots(
-            l,
-            u,
-            tlo as u64,
-            thi as u64,
-            n_cert,
-            members.cert.len(),
-            members.possn,
-        );
-        let x = aggregate_window(&members, agg);
+        let at = |ci: usize| (pos.lb[ci] as i64, pos.ub[ci] as i64);
+        let others = (0..cand.len()).filter(|&ci| ci != self_at);
+        let n_cert = others.clone().map(|ci| fms[ci].lb).sum::<u64>() + 1;
+        let others = others.map(|ci| (at(ci), fms[ci], attr_of(cand[ci])));
+        let (own, sg) = (attr_of(ti), sg_vals[ti].clone());
+        let x = window_value(spec, agg, at(self_at), own, sg, n_cert, others);
         out.push(exp.rows()[ti].tuple.with(x), exp.rows()[ti].mult);
     }
     out.normalize()
@@ -289,7 +199,7 @@ fn partition_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{window_ref, AuTuple, CmpSemantics};
+    use audb_core::{window_ref, AuTuple, CmpSemantics, RangeValue};
     use audb_rel::Schema;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {

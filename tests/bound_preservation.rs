@@ -18,7 +18,10 @@ use proptest::prelude::*;
 
 /// Random small x-tuple tables: ≤ 6 tuples, ≤ 3 alternatives each over a
 /// tiny value domain (collisions and ties actively exercised), optional
-/// absence, and occasionally a declared range wider than the hull.
+/// absence, and occasionally a declared range wider than the hull. A
+/// quarter of the tables end in a second copy of their first x-tuple, so
+/// normalization merges the two into one row of `k↑ = 2` (`k↓ = 2` where
+/// both certainly exist) — in half of them a certain point.
 fn table_strategy() -> impl Strategy<Value = XTupleTable> {
     let alt = (0i64..8, 0i64..8);
     let xtuple = (
@@ -50,8 +53,18 @@ fn table_strategy() -> impl Strategy<Value = XTupleTable> {
                 xt
             }
         });
-    proptest::collection::vec(xtuple, 1..=6)
-        .prop_map(|tuples| XTupleTable::new(Schema::new(["a", "b"]), tuples))
+    (proptest::collection::vec(xtuple, 1..=6), 0..8).prop_map(|(mut tuples, repeat)| {
+        if repeat < 2 && tuples.len() > 1 {
+            if repeat == 1 {
+                // A certain point: its two copies merge into `(2,2,2)`.
+                let tuple = tuples[0].alternatives[0].tuple.clone();
+                tuples[0] = XTuple::new(vec![Alternative { tuple, prob: 1.0 }]);
+            }
+            let first = tuples[0].clone();
+            *tuples.last_mut().expect("two x-tuples") = first;
+        }
+        XTupleTable::new(Schema::new(["a", "b"]), tuples)
+    })
 }
 
 /// One statement of the supported grammar over the table `t(a, b)`, held
@@ -74,10 +87,12 @@ enum Over {
     Nothing,
     /// `ORDER BY <order> AS pos [LIMIT k]`.
     Rank { order: Vec<usize>, k: Option<u64> },
-    /// `<agg> OVER (ORDER BY <order> ROWS BETWEEN l PRECEDING AND u
-    /// FOLLOWING) AS x`, aggregating the other column.
+    /// `<agg> OVER ([PARTITION BY <other>] ORDER BY <order> ROWS BETWEEN l
+    /// PRECEDING AND u FOLLOWING) AS x`, aggregating the other column —
+    /// which is a range wherever an x-tuple's alternatives differ on it.
     Window {
         order: usize,
+        partitioned: bool,
         agg: &'static str,
         l: i64,
         u: i64,
@@ -96,10 +111,17 @@ fn statement_strategy() -> impl Strategy<Value = Statement> {
             .prop_map(|(order, k)| Over::Rank { order, k }),
         (
             0usize..2,
+            proptest::bool::ANY,
             prop_oneof![Just("SUM"), Just("MIN"), Just("MAX"), Just("COUNT")],
             prop_oneof![Just((0i64, 0i64)), Just((1, 0)), Just((2, 0)), Just((1, 1))],
         )
-            .prop_map(|(order, agg, (l, u))| Over::Window { order, agg, l, u }),
+            .prop_map(|(order, partitioned, agg, (l, u))| Over::Window {
+                order,
+                partitioned,
+                agg,
+                l,
+                u
+            }),
     ];
     // Literals reach past both ends of the value domain, so zone maps
     // prove some predicates false, and some true, over the whole table.
@@ -125,16 +147,26 @@ impl Statement {
                     format!(" ORDER BY {} AS pos{limit}", cols.join(", ")),
                 )
             }
-            Over::Window { order, agg, l, u } => {
+            Over::Window {
+                order,
+                partitioned,
+                agg,
+                l,
+                u,
+            } => {
                 let arg = if *agg == "COUNT" {
                     "*"
                 } else {
                     COLS[1 - order]
                 };
+                let partition = match partitioned {
+                    true => format!("PARTITION BY {} ", COLS[1 - order]),
+                    false => String::new(),
+                };
                 (
                     format!(
-                        "*, {agg}({arg}) OVER (ORDER BY {} ROWS BETWEEN {l} PRECEDING \
-                         AND {u} FOLLOWING) AS x",
+                        "*, {agg}({arg}) OVER ({partition}ORDER BY {} ROWS BETWEEN {l} \
+                         PRECEDING AND {u} FOLLOWING) AS x",
                         COLS[*order]
                     ),
                     String::new(),
@@ -157,7 +189,13 @@ impl Statement {
             Over::Nothing => rel.clone(),
             Over::Rank { order, k: None } => sort_to_pos(rel, order, "pos"),
             Over::Rank { order, k: Some(k) } => topk_with_pos(rel, order, *k),
-            Over::Window { order, agg, l, u } => {
+            Over::Window {
+                order,
+                partitioned,
+                agg,
+                l,
+                u,
+            } => {
                 let arg = 1 - order;
                 let agg = match *agg {
                     "SUM" => AggFunc::Sum(arg),
@@ -165,7 +203,9 @@ impl Statement {
                     "MAX" => AggFunc::Max(arg),
                     _ => AggFunc::Count,
                 };
-                window_rows(rel, &WindowSpec::rows(vec![*order], -l, *u), agg, "x")
+                let partition = if *partitioned { vec![arg] } else { vec![] };
+                let spec = WindowSpec::rows(vec![*order], -l, *u).partition_by(partition);
+                window_rows(rel, &spec, agg, "x")
             }
         };
         if self.filter_below {
@@ -273,6 +313,7 @@ fn frames_at_the_i64_edge_are_frames_wider_than_the_table() {
                 filter_below: true,
                 over: Over::Window {
                     order: 0,
+                    partitioned: false,
                     agg,
                     l,
                     u,
@@ -404,7 +445,7 @@ proptest! {
         let au = table.to_au_relation();
         let spec = AuWindowSpec::rows(vec![0], l, u);
         let out = audb::native::window_native(&au, &spec, au_agg, "x");
-        for w in enumerate_worlds(&table, 2048) {
+        for w in enumerate_worlds(&table, 4096) {
             let det = window_rows(&w.relation, &WindowSpec::rows(vec![0], l, u), det_agg, "x");
             prop_assert!(
                 bounds_world(&out, &det),
@@ -426,7 +467,7 @@ proptest! {
             "x",
             audb::rewrite::JoinStrategy::IntervalIndex,
         );
-        for w in enumerate_worlds(&table, 2048) {
+        for w in enumerate_worlds(&table, 4096) {
             let det = window_rows(&w.relation, &WindowSpec::rows(vec![0], -1, 0), AggFunc::Sum(1), "x");
             prop_assert!(bounds_world(&out, &det));
         }

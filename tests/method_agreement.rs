@@ -1,9 +1,8 @@
 //! Cross-implementation agreement: the one-pass native algorithms (Sec. 8)
 //! and the SQL rewrites (Sec. 7) must produce **exactly** the bounds of the
 //! quadratic reference semantics (Defs. 2 and 3) under interval-lex
-//! comparison — on arbitrary inputs, including multiplicities > 1 for
-//! sorting and unit multiplicities for windows (where the duplicate
-//! treatments provably coincide; see DESIGN.md §3.4).
+//! comparison — on arbitrary inputs, multiplicities > 1 and uncertain
+//! `PARTITION BY` values included (see DESIGN.md §3.4 and §5.2).
 
 use audb::core::{
     au_select, sort_ref, topk_ref, window_ref, AuRelation, AuTuple, AuWindowSpec, CmpSemantics,
@@ -31,6 +30,9 @@ fn mult_strategy() -> impl Strategy<Value = Mult3> {
         Just(Mult3::new(0, 0, 1)),
         Just(Mult3::new(1, 1, 2)),
         Just(Mult3::new(1, 2, 3)),
+        Just(Mult3::new(2, 2, 2)),
+        Just(Mult3::new(2, 2, 3)),
+        Just(Mult3::new(3, 3, 3)),
     ]
 }
 
@@ -56,10 +58,24 @@ fn au_relation(max_rows: usize, unit_mults: bool) -> impl Strategy<Value = AuRel
     )
 }
 
+/// [`au_relation`] over arbitrary multiplicities whose values are points
+/// half the time, so a row is a point on both attributes — its copies
+/// then tie on every corner — a quarter of the time.
+fn au_relation_with_points(max_rows: usize) -> impl Strategy<Value = AuRelation> {
+    let value = || prop_oneof![(0i64..10).prop_map(RangeValue::certain), rv_strategy()];
+    let row = ((value(), value()), mult_strategy());
+    proptest::collection::vec(row, 1..=max_rows).prop_map(|rows| {
+        let rows = rows
+            .into_iter()
+            .map(|((a, b), m)| (AuTuple::new([a, b]), m));
+        AuRelation::from_rows(Schema::new(["a", "b"]), rows)
+    })
+}
+
 /// A random logical plan over a random relation, exercised through the
-/// unified engine API: sort / top-k plans over arbitrary multiplicities
-/// (optionally behind a selection), window plans over unit multiplicities
-/// (matching the coverage of the direct-operator tests below).
+/// unified engine API: sort / top-k plans (optionally behind a selection)
+/// and window plans (optionally partitioned by the aggregated column,
+/// whose values are mostly ranges), over arbitrary multiplicities.
 fn plan_strategy() -> impl Strategy<Value = Plan> {
     let maybe_k = prop_oneof![Just(None), (0u64..6).prop_map(Some),];
     let sortish = (
@@ -86,7 +102,8 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
             .expect("generated sort plan is valid")
         });
     let windowish = (
-        au_relation(7, true),
+        au_relation(7, false),
+        proptest::bool::ANY,
         prop_oneof![
             Just((0i64, 0i64)),
             Just((-1, 0)),
@@ -101,14 +118,16 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
             Just(WinAgg::Avg(1)),
         ],
     )
-        .prop_map(|(rel, (l, u), agg)| {
+        .prop_map(|(rel, partitioned, (l, u), agg)| {
+            let spec = WindowSpec::rows(l, u).order_by(["a"]);
+            let spec = if partitioned {
+                spec.partition_by(["b"])
+            } else {
+                spec
+            };
+            let spec = spec.aggregate(Agg::from(agg)).output("x");
             Query::scan(rel)
-                .window(
-                    WindowSpec::rows(l, u)
-                        .order_by(["a"])
-                        .aggregate(Agg::from(agg))
-                        .output("x"),
-                )
+                .window(spec)
                 .build()
                 .expect("generated window plan is valid")
         });
@@ -121,8 +140,7 @@ proptest! {
     /// The unified-API agreement property: for random plans built through
     /// `Query`, `run_all` executes the reference, native and rewrite
     /// backends and asserts their bounds are bag-identical — so one
-    /// assertion covers the whole backend matrix, including the engine's
-    /// fallback rules (e.g. native windows on duplicate multiplicities).
+    /// assertion covers the whole backend matrix.
     #[test]
     fn engine_backends_agree_on_random_plans(plan in plan_strategy()) {
         let all = Engine::native().run_all(&plan).expect("backends agree");
@@ -192,17 +210,32 @@ proptest! {
         }
     }
 
-    /// For multiplicities > 1 the native window (duplicate position
-    /// offsets) and the reference (expand-first, which collapses duplicate
-    /// positions) produce *incomparable but individually sound* bounds:
-    /// offsets are tighter on positions, expansion retains more duplicate
-    /// correlation. Verify both against a grid of worlds realized from the
-    /// AU relation (corner/sg values × extreme multiplicities).
+    /// For multiplicities > 1 — `(2,2,2)`, `(2,2,3)` and `(3,3,3)` among
+    /// them — the native window, the reference and both rewrites give one
+    /// bag, whose copies of a hypercube may precede each other in either
+    /// order, and it bounds every world realized from the AU relation
+    /// (corner/sg values × extreme multiplicities).
     #[test]
-    fn native_and_reference_windows_sound_on_duplicates(rel in au_relation(4, false)) {
-        let spec = AuWindowSpec::rows(vec![0], -1, 0);
-        let reference = window_ref(&rel, &spec, WinAgg::Sum(1), "x", CmpSemantics::IntervalLex);
-        let native = window_native(&rel, &spec, WinAgg::Sum(1), "x");
+    fn native_and_reference_windows_sound_on_duplicates(
+        rel in au_relation_with_points(4),
+        lu in prop_oneof![Just((0i64, 0i64)), Just((-1, 0)), Just((-1, 1)), Just((-2, 0))],
+        agg in prop_oneof![
+            Just((WinAgg::Sum(1), audb::rel::AggFunc::Sum(1))),
+            Just((WinAgg::Count, audb::rel::AggFunc::Count)),
+            Just((WinAgg::Min(1), audb::rel::AggFunc::Min(1))),
+            Just((WinAgg::Max(1), audb::rel::AggFunc::Max(1))),
+            Just((WinAgg::Avg(1), audb::rel::AggFunc::Avg(1))),
+        ],
+    ) {
+        let ((l, u), (agg, det_agg)) = (lu, agg);
+        let spec = AuWindowSpec::rows(vec![0], l, u);
+        let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
+        let native = window_native(&rel, &spec, agg, "x");
+        prop_assert!(native.bag_eq(&reference), "native:\n{native}\nref:\n{reference}");
+        for strategy in [JoinStrategy::NestedLoop, JoinStrategy::IntervalIndex] {
+            let rewrite = rewr_window(&rel, &spec, agg, "x", strategy);
+            prop_assert!(rewrite.bag_eq(&reference), "{strategy:?}:\n{rewrite}\nref:\n{reference}");
+        }
         // Realize worlds: per row pick a corner (lb/sg/ub tuple) and an
         // extreme multiplicity (lb or ub).
         let n = rel.rows().len();
@@ -222,17 +255,13 @@ proptest! {
             }
             let det = audb::rel::window_rows(
                 &world,
-                &audb::rel::WindowSpec::rows(vec![0], -1, 0),
-                audb::rel::AggFunc::Sum(1),
+                &audb::rel::WindowSpec::rows(vec![0], l, u),
+                det_agg,
                 "x",
             );
             prop_assert!(
-                audb::worlds::bounds_world(&native, &det),
-                "native unsound on world {det}\nnative:\n{native}"
-            );
-            prop_assert!(
                 audb::worlds::bounds_world(&reference, &det),
-                "reference unsound on world {det}\nref:\n{reference}"
+                "unsound on world {det}\nref:\n{reference}"
             );
             // Next choice vector (base-6 counter).
             let mut i = 0;
@@ -251,8 +280,53 @@ proptest! {
                 break;
             }
         }
-        let _ = RangeValue::certain(0i64);
     }
+}
+
+/// Two copies of one certain tuple: in the only world either may come
+/// first, so the running sum over `(1, 10), (1, 10), (5, 3)` is 10, 20 and
+/// 13 — and each copy's bounds take in both of the copies' answers.
+#[test]
+fn certain_copies_of_a_tuple_bound_both_orders() {
+    let schema = Schema::new(["o", "v"]);
+    let row = |o: i64, v: i64| {
+        (
+            AuTuple::new([RangeValue::certain(o), RangeValue::certain(v)]),
+            Mult3::ONE,
+        )
+    };
+    let session = audb::engine::Session::new(Engine::native());
+    session.register(
+        "t",
+        AuRelation::from_rows(schema, [row(1, 10), row(1, 10), row(5, 3)]),
+    );
+    let sql = "SELECT *, SUM(v) OVER (ORDER BY o ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS x \
+               FROM t";
+    let served = session.sql(sql).unwrap();
+    let with = |o: i64, v: i64, x: RangeValue| {
+        (
+            AuTuple::new([RangeValue::certain(o), RangeValue::certain(v), x]),
+            Mult3::ONE,
+        )
+    };
+    let want = AuRelation::from_rows(
+        Schema::new(["o", "v", "x"]),
+        [
+            with(1, 10, RangeValue::new(10, 10, 20)),
+            with(1, 10, RangeValue::new(10, 20, 20)),
+            with(5, 3, RangeValue::certain(13i64)),
+        ],
+    );
+    assert!(served.bag_eq(&want), "served:\n{served}");
+    let world = audb::rel::Relation::from_values(
+        Schema::new(["o", "v", "x"]),
+        [[1i64, 10, 10], [1, 10, 20], [5, 3, 13]],
+    );
+    assert!(audb::worlds::bounds_world(&served, &world));
+    let plan = session.prepare(sql).unwrap();
+    Engine::native()
+        .run_all(plan.plan())
+        .expect("every method gives this bag");
 }
 
 /// The batches of a top-k subscription: narrow rows over a small domain —
@@ -564,8 +638,7 @@ fn window_pool_words_that_tie_agree_with_the_reference() {
                 let what = format!("{family}: {agg:?} over [{l}, {u}]");
                 let spec = AuWindowSpec::rows(vec![1, 2], l, u);
                 let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
-                let native = window_columns_native(&cols, &spec, agg, "x").expect(&what);
-                let native = native.rel.to_rows();
+                let native = window_columns_native(&cols, &spec, agg, "x").to_rows();
                 assert!(native.bag_eq(&reference), "native ≠ reference: {what}");
                 let mut maintained = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 for batch in in_order_batches(&mut rng, &rows) {
@@ -840,13 +913,12 @@ fn columnar_sort_and_topk_equal_the_row_reference() {
     }
 }
 
-/// The same for the window: where [`window_columns_native`] reports no
-/// merged duplicates it returns the bag [`window_ref`] returns over
-/// `cols.to_rows()` — for every aggregate and frame, with and without a
-/// (certain) `PARTITION BY`, over `i64`, generic and Int-admitted-`f64`
-/// lanes, as stored (zero annotations present: the fused merge runs) and
-/// normalized first. Identical hypercubes stored apart are reported as
-/// merged, stored or normalized; an uncertain partition value is refused.
+/// The same for the window: [`window_columns_native`] returns the bag
+/// [`window_ref`] returns over `cols.to_rows()` — for every aggregate and
+/// frame, with and without a (certain) `PARTITION BY`, over `i64`, generic
+/// and Int-admitted-`f64` lanes, as stored (zero annotations present: the
+/// fused merge runs) and normalized first, identical hypercubes stored
+/// apart included. An uncertain partition value is answered alike.
 #[test]
 fn columnar_window_equals_the_row_reference() {
     use audb::core::PhysType;
@@ -861,7 +933,7 @@ fn columnar_window_equals_the_row_reference() {
         WinAgg::Avg(3),
     ];
     let mut rng = Seeded(0xC01_3023);
-    let mut merged = [0usize; 2];
+    let mut cases = [0usize; 2];
     for (table, (kind, f64_lanes, duplicates)) in [
         (ValueKind::Int, false, false),
         (ValueKind::Int, false, true),
@@ -909,51 +981,40 @@ fn columnar_window_equals_the_row_reference() {
                             rel.is_normalized(),
                             spec.partition
                         );
-                        let by_cols = window_columns_native(&cols, &spec, agg, "x").expect(&what);
-                        // A duplicate is a duplicate stored or merged.
-                        assert_eq!(by_cols.merged_duplicates, duplicates, "{what}");
+                        let by_cols = window_columns_native(&cols, &spec, agg, "x");
                         // What the kernel reads off typed lanes — the
                         // aggregated attribute, the keys of its output order,
                         // the rows it builds — it reads off `Value` lanes alike.
                         let generic = window_columns_native(&cols.to_generic(), &spec, agg, "x");
-                        let generic = generic.expect(&what).rel;
-                        assert!(generic.is_normalized() && by_cols.rel.is_normalized());
-                        let (generic, by_cols) = (generic.to_rows(), by_cols.rel.to_rows());
+                        assert!(generic.is_normalized() && by_cols.is_normalized());
+                        let (generic, by_cols) = (generic.to_rows(), by_cols.to_rows());
                         assert!(by_cols.is_normalized(), "{what}");
                         assert_eq!(generic.rows(), by_cols.rows(), "generic lanes: {what}");
-                        merged[usize::from(duplicates)] += 1;
-                        if !duplicates {
-                            let reference =
-                                window_ref(&by_rows, &spec, agg, "x", CmpSemantics::IntervalLex);
-                            assert_eq!(by_cols.schema, reference.schema, "{what}");
-                            assert!(by_cols.bag_eq(&reference), "{what}");
-                        }
+                        cases[usize::from(duplicates)] += 1;
+                        let reference =
+                            window_ref(&by_rows, &spec, agg, "x", CmpSemantics::IntervalLex);
+                        assert_eq!(by_cols.schema, reference.schema, "{what}");
+                        assert!(by_cols.bag_eq(&reference), "{what}");
                     }
                 }
             }
         }
 
-        // One uncertain partition value: the kernel refuses, naming the
-        // row.
+        // One uncertain partition value, as stored: the kernel's answer is
+        // the reference's.
         if !f64_lanes {
             let mut unsure: Vec<(AuTuple, Mult3)> = (rel.rows().iter())
                 .map(|row| (row.tuple.clone(), row.mult))
                 .collect();
             unsure[17].0 .0[0] = RangeValue::new(0, 1, 2);
-            let cols = AuRelation::from_rows(schema.clone(), unsure).to_columns();
+            let rel = AuRelation::from_rows(schema.clone(), unsure);
             let spec = AuWindowSpec::rows(vec![1, 2], -1, 0).partition_by(vec![0]);
-            let refused = window_columns_native(&cols, &spec, WinAgg::Count, "x").unwrap_err();
-            assert!(
-                refused.to_string().contains("certain PARTITION BY"),
-                "{refused}"
-            );
-            assert_eq!((refused.row, refused.attr), (17, 0), "{refused}");
-            // Without the PARTITION BY the same rows sweep.
-            let spec = AuWindowSpec::rows(vec![1, 2], -1, 0);
-            assert!(window_columns_native(&cols, &spec, WinAgg::Count, "x").is_ok());
+            let by_cols = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
+            let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
+            assert!(by_cols.to_rows().bag_eq(&reference), "{kind:?}, a range g");
         }
     }
-    assert!(merged[0] > 0 && merged[1] > 0, "{merged:?}");
+    assert!(cases[0] > 0 && cases[1] > 0, "{cases:?}");
 }
 
 /// The numbers of a tie-heavy `a` column, as levels of equal value, each
@@ -1062,11 +1123,10 @@ fn prefix_ties_agree_with_the_references() {
         for (order, partition) in [(vec![1, 2], vec![0]), (vec![0, 1], vec![])] {
             let spec = AuWindowSpec::rows(order, -2, 1).partition_by(partition);
             let what = format!("{lane} lane, {spec:?}");
-            let native = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x").expect(&what);
-            assert!(!native.merged_duplicates, "{what}");
+            let native = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x");
             let reference =
                 window_ref(&rows, &spec, WinAgg::Sum(2), "x", CmpSemantics::IntervalLex);
-            assert!(native.rel.to_rows().bag_eq(&reference), "window: {what}");
+            assert!(native.to_rows().bag_eq(&reference), "window: {what}");
         }
     }
 }
@@ -1142,7 +1202,7 @@ fn long_keys_that_differ_in_the_last_byte() {
             }),
     );
     let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
-    let native = window_columns_native(&certain.to_columns(), &spec, WinAgg::Count, "x").unwrap();
+    let native = window_columns_native(&certain.to_columns(), &spec, WinAgg::Count, "x");
     let reference = window_ref(
         &certain,
         &spec,
@@ -1150,7 +1210,7 @@ fn long_keys_that_differ_in_the_last_byte() {
         "x",
         CmpSemantics::IntervalLex,
     );
-    assert!(native.rel.to_rows().bag_eq(&reference));
+    assert!(native.to_rows().bag_eq(&reference));
 }
 
 /// A window ordered by keys of a megabyte that differ only in their last
@@ -1187,10 +1247,9 @@ fn a_window_ordered_by_megabyte_keys_agrees_with_the_reference() {
     for (partition, agg) in [(vec![], WinAgg::Sum(2)), (vec![1], WinAgg::Count)] {
         let spec = AuWindowSpec::rows(vec![0], -1, 1).partition_by(partition);
         let what = format!("{agg:?}, partition by {:?}", spec.partition);
-        let native = window_columns_native(&cols, &spec, agg, "x").expect(&what);
-        assert!(!native.merged_duplicates, "{what}");
+        let native = window_columns_native(&cols, &spec, agg, "x");
         let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
-        assert!(native.rel.to_rows().bag_eq(&reference), "{what}");
+        assert!(native.to_rows().bag_eq(&reference), "{what}");
     }
 }
 
@@ -1252,7 +1311,6 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
         // Those `Float` bounds sit in the kernel's aggregate column beside
         // `Int` ones: no `i64` lane holds it, and its values are the rows'.
         let kernel = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(1), "x");
-        let kernel = kernel.expect("no partition").rel;
         assert_ne!(kernel.col(2).phys_type(), audb::core::PhysType::I64);
         assert_eq!(kernel.to_rows().rows(), native.rows(), "[{l}, {u}]");
     }
@@ -1301,18 +1359,15 @@ fn native_window_rows_are_the_normalized_rows() {
             for partition in [vec![], vec![0]] {
                 let spec = AuWindowSpec::rows(vec![1], l, u).partition_by(partition);
                 let what = format!("{agg:?} over [{l}, {u}], partition by {:?}", spec.partition);
-                let kernel = window_columns_native(&cols, &spec, agg, "x").expect(&what);
-                assert!(
-                    kernel.merged_duplicates && kernel.rel.is_normalized(),
-                    "{what}"
-                );
+                let kernel = window_columns_native(&cols, &spec, agg, "x");
+                assert!(kernel.is_normalized(), "{what}");
                 let mut swept = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 swept.apply(&cols);
                 let in_close_order = swept.into_result();
                 assert!(!in_close_order.is_normalized(), "{what}");
-                merged_back += in_close_order.len() - kernel.rel.len();
+                merged_back += in_close_order.len() - kernel.len();
                 assert_eq!(
-                    kernel.rel.to_rows().rows(),
+                    kernel.to_rows().rows(),
                     in_close_order.to_rows().normalize().rows(),
                     "{what}"
                 );
@@ -1322,13 +1377,12 @@ fn native_window_rows_are_the_normalized_rows() {
     assert!(merged_back > 0, "no split rows merged back");
 }
 
-/// The two inputs the native window does not answer — identical hypercubes
-/// stored as separate rows (they merge into `k↑ > 1`, where the sweep's
-/// duplicate offsets give different bounds) and an uncertain `PARTITION BY`
-/// value — still reach the reference through the engine, now that the
-/// decision comes from the sweep and not from normalizing the input first.
+/// The two inputs the native window once handed to the reference —
+/// identical hypercubes stored as separate rows (they merge into `k↑ > 1`)
+/// and an uncertain `PARTITION BY` value — are the sweep's to answer: its
+/// bounds are the reference's, through the kernel and through the engine.
 #[test]
-fn native_window_fallbacks_route_to_the_reference() {
+fn the_native_window_answers_duplicates_and_uncertain_partitions() {
     let schema = Schema::new(["g", "o", "o2", "v", "id"]);
     let window = |partitioned: bool| {
         let spec = WindowSpec::rows(-1, 2).order_by(["o", "o2"]);
@@ -1347,36 +1401,28 @@ fn native_window_fallbacks_route_to_the_reference() {
     split.extend([rows[7].clone(), rows[20].clone(), rows[33].clone()]);
     let rel = AuRelation::from_rows(schema.clone(), split);
     let spec = AuWindowSpec::rows(vec![1, 2], -1, 2);
-    let swept =
-        window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x").expect("no partition");
-    assert!(swept.merged_duplicates);
+    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
-    assert!(
-        !swept.rel.to_rows().bag_eq(&reference),
-        "the duplicate offsets were meant to show in these bounds"
-    );
+    assert!(swept.to_rows().bag_eq(&reference));
     let plan = Query::scan(rel).window(window(false)).build().unwrap();
     let all = Engine::native().run_all(&plan).expect("backends agree");
     assert!(all.output.to_rows().bag_eq(&reference));
     let explain = Engine::native().explain(&plan).to_string();
-    assert!(explain.contains("falls back to reference"), "{explain}");
+    assert!(!explain.contains("reference"), "{explain}");
 
     // One uncertain partition value among certain ones.
     let mut unsure = rows;
     unsure[11].0 .0[0] = RangeValue::new(0, 0, 1);
     let rel = AuRelation::from_rows(schema, unsure);
     let spec = spec.partition_by(vec![0]);
-    let refused = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x").unwrap_err();
-    assert!(
-        refused.to_string().contains("certain PARTITION BY"),
-        "{refused}"
-    );
+    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
+    let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
+    assert!(swept.to_rows().bag_eq(&reference));
     let plan = Query::scan(rel.clone())
         .window(window(true))
         .build()
         .unwrap();
     let all = Engine::native().run_all(&plan).expect("backends agree");
-    let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(all.output.to_rows().bag_eq(&reference));
 }
 
