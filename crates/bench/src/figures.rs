@@ -662,7 +662,7 @@ pub fn fig17(opts: ReproOptions) {
         ]);
     }
     t.print(&format!(
-        "Fig 17: real-world performance at scale {} (paper shape: Det < Imp < MCDB20; Rewr worst for windows; exact methods slow/infeasible)",
+        "Fig 17: real-world performance at scale {} (paper shape: Det < Imp < MCDB20; Rewr above Imp on every rank query and on Healthcare's window, below it on Iceberg's and Crimes' windows; exact methods slow/infeasible)",
         opts.scale
     ));
 }

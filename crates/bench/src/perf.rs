@@ -49,17 +49,19 @@
 //! count here as it does everywhere else.
 
 use audb_core::{
-    AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
-    ZONE_ROWS,
+    AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg, ZONE_ROWS,
 };
-use audb_engine::{exec, CmpSemantics, Engine, Plan, Query, Reference, Session, SharedCatalog};
-// lint: allow(no-direct-backend-call) -- a stage split is by definition below the engine: only the kernel can say where its stages end
-use audb_native::{sort_native_staged, window_native_staged, WindowMaintain};
+use audb_engine::{
+    exec, CmpSemantics, Engine, Op, Plan, Query, Reference, Session, SharedCatalog, WindowSpec,
+};
+// lint: allow(no-direct-backend-call) -- the window/scaling residency line reads the pool of a sweep the kernel keeps to itself
+use audb_native::WindowMaintain;
 use audb_rel::{CmpOp, Schema, Value};
 use audb_workloads::read_au_csv_columns;
 use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Row counts of the cell, streaming and pruning sweeps by default.
@@ -540,12 +542,13 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
                 let prepared = session.prepare(&sql).expect("pruning statement compiles");
                 let plan = prepared.plan();
                 let batch_size = session.engine().choose_exec(plan).batch_size;
-                let run = exec::run_pipelined(plan, batch_size, prune);
-                let (out, trace) = run.expect("pruning statement runs");
-                (out.to_rows(), trace)
+                let run = exec::run_pipelined(plan, batch_size, prune, &());
+                run.expect("pruning statement runs").to_rows()
             };
             // One traced statement collects the skip counters.
-            let (_, trace) = statement(true);
+            let prepared = session.prepare(&sql).expect("pruning statement compiles");
+            let traced = session.engine().execute_traced(prepared.plan());
+            let (_, trace) = traced.expect("pruning statement runs");
             let statement_ms = |prune: bool| {
                 time_median(
                     || {
@@ -700,21 +703,18 @@ pub fn measure_scaling(cfg: &BenchConfig) -> Vec<ScalingRun> {
 }
 
 /// Where one native sort of 32 768 rows spends its time: median
-/// milliseconds per stage of `sort_native_staged` over the columns the
-/// engine would hand it (DESIGN.md §3.3 has the table). The clock is read
-/// here, as each stage ends — never in the kernel. `lead`: the same table
-/// with a certain `g = lead(row)` put ahead of it and sorted `ORDER BY g,
-/// b`. With `tied_lead` every key shares its prefix with a quarter of
-/// the others — the worst case of a ranking that encodes key bytes only
-/// where prefixes tie; with `string_lead` all of them do.
+/// milliseconds per stage of the kernel, as the executor's recorder hears
+/// it (DESIGN.md §3.3 has the table). `lead`: the same table with a
+/// certain `g = lead(row)` put ahead of it and sorted `ORDER BY g, b`.
+/// With `tied_lead` every key shares its prefix with a quarter of the
+/// others — the worst case of a ranking that encodes key bytes only where
+/// prefixes tie; with `string_lead` all of them do.
 pub fn measure_sort_stages(
     cfg: &BenchConfig,
     lead: Option<fn(usize) -> Value>,
 ) -> Vec<(&'static str, f64)> {
-    const STAGES: [&str; 5] = ["encode", "rank", "merge", "sweep", "materialise"];
-    let runs = if cfg.quick { 3 } else { 7 };
     let rel = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3)).to_au_relation();
-    let (cols, order) = match lead {
+    let plan = match lead {
         Some(lead) => {
             let rows = (rel.rows().iter().enumerate()).map(|(i, row)| {
                 let g = RangeValue::certain(lead(i));
@@ -722,25 +722,40 @@ pub fn measure_sort_stages(
                 (tuple, row.mult)
             });
             let schema = Schema::new(["g", "a", "b", "id"]);
-            (AuRelation::from_rows(schema, rows).to_columns(), [0, 2])
+            sort_plan(AuRelation::from_rows(schema, rows), &[0, 2], None)
         }
-        None => (rel.to_columns(), [0, 1]),
+        None => sort_plan(rel, &[0, 1], None),
     };
-    let mut samples = vec![Vec::with_capacity(runs); STAGES.len()];
-    for _ in 0..runs {
-        let mut last = Instant::now();
-        let sorted = sort_native_staged(&cols, &order, "pos", None, &mut |ended| {
-            let now = Instant::now();
-            if let Some(s) = STAGES.iter().position(|&stage| stage == ended) {
-                samples[s].push((now - last).as_secs_f64() * 1e3);
+    stage_medians(cfg, &[plan])
+}
+
+/// Median over the runs of each kernel stage's milliseconds, as one
+/// [`exec::Recorder`] per run hears the native executor run every plan of
+/// `plans`: summed over the plans and every window partition, in the order
+/// the stages were first reported — the same in every run.
+fn stage_medians(cfg: &BenchConfig, plans: &[Plan]) -> Vec<(&'static str, f64)> {
+    // Stages of a 2 048-row window last tens of microseconds: more runs.
+    let small = plans[0].source_columns().len() < WINDOW_STAGE_ROWS;
+    let runs = match (cfg.quick, small) {
+        (true, _) => 3,
+        (false, false) => 7,
+        (false, true) => 41,
+    };
+    let heard: Vec<_> = (0..runs)
+        .map(|_| {
+            let recorder = exec::Recorder::default();
+            for plan in plans {
+                let out = exec::run_pipelined(plan, exec::DEFAULT_BATCH_SIZE, true, &recorder);
+                std::hint::black_box(out.expect("bench plan executes"));
             }
-            last = now;
-        });
-        std::hint::black_box(sorted);
-    }
-    STAGES
-        .into_iter()
-        .zip(samples.into_iter().map(median))
+            recorder.finish().stages
+        })
+        .collect();
+    (0..heard[0].len())
+        .map(|s| {
+            let ms = heard.iter().map(|run| run[s].1.as_secs_f64() * 1e3);
+            (heard[0][s].0, median(ms.collect()))
+        })
         .collect()
 }
 
@@ -755,19 +770,29 @@ fn string_lead(row: usize) -> Value {
     Value::str(format!("sensor-{:06}", row % 4096))
 }
 
-/// The window the repo benchmark's `window_scan` runs over
-/// `gen_window_table`'s `(o, g, v, id)`: `SUM(v)` over the two preceding
-/// rows and the current one in `o` order, per `g` or over the whole table.
-fn scan_window(partitioned: bool) -> (AuWindowSpec, WinAgg) {
-    let spec = AuWindowSpec::rows(vec![0], -2, 0);
-    let partition = if partitioned { vec![1] } else { Vec::new() };
-    (spec.partition_by(partition), WinAgg::Sum(2))
+/// `agg` over the two preceding rows and the current one in column 0's
+/// order, per `partition` or over the whole of `rel`, as an engine plan.
+/// Over `gen_window_table`'s `(o, g, v, id)` with `SUM(v)` — per `g` or
+/// not — it is the window the repo benchmark's `window_scan` runs.
+fn window_over(rel: Arc<AuRelation>, partition: Option<usize>, agg: WinAgg) -> Plan {
+    let window = (WindowSpec::rows(-2, 0).order_by([0])).partition_by(partition);
+    let query = Query::scan(rel).window(window.aggregate(agg).output("s"));
+    query.build().expect("bench window plan is valid")
 }
 
-fn window_columns(n: usize) -> AuColumns {
-    gen_window_table(&SyntheticConfig::default().rows(n).seed(3))
-        .to_au_relation()
-        .to_columns()
+fn window_table(n: usize) -> AuRelation {
+    gen_window_table(&SyntheticConfig::default().rows(n).seed(3)).to_au_relation()
+}
+
+/// Mean and maximum size of the possible-member pool where a window of
+/// `plan` — one window, no partition — closes, over its source.
+fn pool_residency(plan: &Plan) -> (f64, usize) {
+    let Op::Window { spec, agg, .. } = &plan.ops()[0] else {
+        unreachable!("a window plan")
+    };
+    let mut sweep = WindowMaintain::new(spec.clone(), *agg);
+    sweep.apply(&plan.source_columns().contiguous(), 0);
+    sweep.pool_residency()
 }
 
 /// Where one `window_scan` operation — the partitioned window, then the
@@ -775,8 +800,9 @@ fn window_columns(n: usize) -> AuColumns {
 /// runs of each stage's milliseconds summed over both statements and every
 /// partition (DESIGN.md §3.4 has the table).
 pub fn measure_window_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
-    let windows = [scan_window(true), scan_window(false)];
-    window_stages(cfg, &window_columns(WINDOW_STAGE_ROWS), &windows)
+    let rel = Arc::new(window_table(WINDOW_STAGE_ROWS));
+    let scan = |partition| window_over(rel.clone(), partition, WinAgg::Sum(2));
+    stage_medians(cfg, &[scan(Some(1)), scan(None)])
 }
 
 /// An append-only series `(o, v)` of `n` rows, the shape of the repo
@@ -786,7 +812,7 @@ pub fn measure_window_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
 /// twenty has a range of `v`. Every possibly absent row widens the position
 /// range of every row after it (DESIGN.md §13.1), so past the first few no
 /// frame is full of certain members.
-fn series_columns(n: usize) -> AuColumns {
+fn series_table(n: usize) -> AuRelation {
     let mut state = 0x005E_41E5u64;
     let mut draw = move |below: u64| {
         state ^= state << 13;
@@ -817,7 +843,7 @@ fn series_columns(n: usize) -> AuColumns {
         };
         (AuTuple::new([o, v]), mult)
     });
-    AuRelation::from_rows(Schema::new(["o", "v"]), rows).to_columns()
+    AuRelation::from_rows(Schema::new(["o", "v"]), rows)
 }
 
 /// `serve_mix`'s window — `SUM(v)` over the two preceding rows in `o`
@@ -825,51 +851,9 @@ fn series_columns(n: usize) -> AuColumns {
 /// stage as [`measure_window_stages`] splits `window_scan`, and the size of
 /// the pool where a window closes (mean, maximum).
 pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
-    let cols = series_columns(SERIES_STAGE_ROWS);
-    let (spec, agg) = (AuWindowSpec::rows(vec![0], -2, 0), WinAgg::Sum(1));
-    let stages = window_stages(cfg, &cols, &[(spec.clone(), agg)]);
-    let mut sweep = WindowMaintain::new(spec, agg);
-    sweep.apply(&cols, 0);
-    (stages, sweep.pool_residency())
-}
-
-/// Median over the runs of each stage's milliseconds, summed over the
-/// `windows` over `cols` and every partition; stages are listed as the
-/// kernel names them, and the clock is read here, never there.
-fn window_stages(
-    cfg: &BenchConfig,
-    cols: &AuColumns,
-    windows: &[(AuWindowSpec, WinAgg)],
-) -> Vec<(&'static str, f64)> {
-    // Stages of a 2 048-row window last tens of microseconds: more runs.
-    let runs = match (cfg.quick, cols.len() < WINDOW_STAGE_ROWS) {
-        (true, _) => 3,
-        (false, false) => 7,
-        (false, true) => 41,
-    };
-    let mut stages: Vec<(&'static str, Vec<f64>)> = Vec::new();
-    for run in 0..runs {
-        let mut last = Instant::now();
-        for (spec, agg) in windows {
-            let out = window_native_staged(cols, spec, *agg, "s", &mut |ended| {
-                let now = Instant::now();
-                let at =
-                    (stages.iter().position(|(stage, _)| *stage == ended)).unwrap_or_else(|| {
-                        stages.push((ended, Vec::new()));
-                        stages.len() - 1
-                    });
-                let samples = &mut stages[at].1;
-                samples.resize(run + 1, 0.0);
-                samples[run] += (now - last).as_secs_f64() * 1e3;
-                last = now;
-            });
-            std::hint::black_box(out);
-            last = Instant::now();
-        }
-    }
-    (stages.into_iter())
-        .map(|(stage, samples)| (stage, median(samples)))
-        .collect()
+    let plan = window_over(series_table(SERIES_STAGE_ROWS).into(), None, WinAgg::Sum(1));
+    let pool = pool_residency(&plan);
+    (stage_medians(cfg, &[plan]), pool)
 }
 
 /// One `window/scaling` cell: the native window over `n` rows.
@@ -888,8 +872,8 @@ pub struct WindowScalingRun {
     pub pool: (f64, usize),
 }
 
-/// Measure the native window — partitions swept one after another, so the
-/// figure does not move with `AUDB_THREADS` — at [`WINDOW_SCALING_ROWS`]:
+/// Measure the native window as the engine runs it — partitions swept in
+/// parallel, on `AUDB_THREADS` workers — at [`WINDOW_SCALING_ROWS`]:
 /// median of 5 (3 under `--quick`), the largest size once and only without
 /// `--quick`. The uncertain order ranges are as wide at every size
 /// ([`SyntheticConfig::range`]) while the domain grows with the table, so
@@ -904,20 +888,20 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
             (false, true) => 3,
             (false, false) => 5,
         };
-        let cols = window_columns(n);
-        for partitioned in [false, true] {
-            let (spec, agg) = scan_window(partitioned);
+        let rel = Arc::new(window_table(n));
+        let plans = [None, Some(1)].map(|g| window_over(rel.clone(), g, WinAgg::Sum(2)));
+        drop(rel);
+        for (partitioned, plan) in [false, true].into_iter().zip(plans) {
             let window = || {
-                let out = window_native_staged(&cols, &spec, agg, "s", &mut |_| {});
+                let out = Engine::native()
+                    .execute(&plan)
+                    .expect("bench plan executes");
                 std::hint::black_box(out);
             };
             let ms = time_median(window, runs);
-            let pool = if partitioned {
-                (0.0, 0)
-            } else {
-                let mut sweep = WindowMaintain::new(spec, agg);
-                sweep.apply(&cols, 0);
-                sweep.pool_residency()
+            let pool = match partitioned {
+                true => (0.0, 0),
+                false => pool_residency(&plan),
             };
             out.push(WindowScalingRun {
                 n,
@@ -935,16 +919,16 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
 const WINDOW_DUP_SQL: &str = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
                               ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t";
 
-/// The `window/dup-scaling` block: [`WINDOW_DUP_SQL`] through `Session::sql`
+/// The `window/dup-scaling` block: `WINDOW_DUP_SQL` through `Session::sql`
 /// on the native engine — the path users run — over the rows of
-/// [`window_columns`], one in a hundred annotated `(2,2,2)` and another one
+/// `window_table`, one in a hundred annotated `(2,2,2)` and another one
 /// in a hundred with `g = [g, g+1]`: `(rows, median ms)` at
 /// [`WINDOW_DUP_ROWS`], of 5 runs (3 under `--quick`).
 pub fn measure_window_dup(cfg: &BenchConfig) -> Vec<(usize, f64)> {
     let runs = if cfg.quick { 3 } else { 5 };
     (WINDOW_DUP_ROWS.iter())
         .map(|&n| {
-            let mut table = window_columns(n).to_rows();
+            let mut table = window_table(n);
             for (i, row) in table.rows_mut().iter_mut().enumerate() {
                 let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
                 match i % 100 {
@@ -980,7 +964,7 @@ pub fn measure_cmp_semantics(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     .map(|(name, semantics)| {
         let oracle = Reference { semantics };
         let run = || {
-            let out = exec::run_materialized(&oracle, &plan).expect("bench plan executes");
+            let out = exec::run_materialized(&oracle, &plan, &()).expect("bench plan executes");
             std::hint::black_box(out);
         };
         (name, time_median(run, runs))
@@ -1376,7 +1360,10 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     for (n, what, ns) in measure_ingest(cfg) {
         println!("{n:>7} rows  ingest/csv {what:<8} {ns:>10.1} ns/row");
     }
+    // The window cells time the production sweep, partitions in parallel.
+    let threads = audb_par::num_threads();
     let window_scaling = measure_window_scaling(cfg);
+    println!("window/scaling, threads: {threads}");
     for w in &window_scaling {
         let how = if w.partitioned { "partitioned" } else { "flat" };
         print!(
@@ -1418,6 +1405,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             measure_window_aggregates(cfg),
         ),
     ];
+    println!("stages, threads: {threads} (a window stage sums its partitions)");
     for (block, n, lines) in blocks {
         for (name, ms) in lines {
             println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");

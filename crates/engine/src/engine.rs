@@ -3,7 +3,7 @@
 
 use crate::backend::{Reference, Rewrite};
 use crate::error::EngineError;
-use crate::exec::{self, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+use crate::exec::{self, ExecTrace, OpTiming, Recorder, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
 use crate::plan::{Op, Plan};
 use audb_core::AuColumns;
@@ -163,18 +163,28 @@ impl Engine {
     /// Execute a plan on this method (through the physical execution
     /// layer, the one way the method runs plans). The result is columnar;
     /// [`AuColumns::to_rows`] is the door for a caller that wants tuples.
+    /// It reads no clock.
     pub fn execute(self, plan: &Plan) -> Result<AuColumns, EngineError> {
-        self.execute_traced(plan).map(|(cols, _)| cols)
+        self.run(plan, &())
     }
 
-    /// Execute a plan, also returning the executor's per-operator wall
-    /// times and batch counts: the native method is the pipelined
-    /// executor, the two row oracles go through the row loop.
+    /// Execute a plan, also returning what the executor's [`Recorder`]
+    /// heard: per-operator wall times and batch counts, and the native
+    /// kernels' stage times.
     pub fn execute_traced(self, plan: &Plan) -> Result<(AuColumns, ExecTrace), EngineError> {
+        let recorder = Recorder::default();
+        let out = self.run(plan, &recorder)?;
+        Ok((out, recorder.finish()))
+    }
+
+    /// The native method is the pipelined executor, the row oracles go
+    /// through the row loop.
+    fn run(self, plan: &Plan, stages: &impl exec::Stages) -> Result<AuColumns, EngineError> {
+        let batch_size = self.choose_exec(plan).batch_size;
         match self {
-            Engine::Native => exec::run_pipelined(plan, self.choose_exec(plan).batch_size, true),
-            Engine::Reference => exec::run_materialized(&Reference::default(), plan),
-            Engine::Rewrite => exec::run_materialized(&Rewrite::default(), plan),
+            Engine::Native => exec::run_pipelined(plan, batch_size, true, stages),
+            Engine::Reference => exec::run_materialized(&Reference::default(), plan, stages),
+            Engine::Rewrite => exec::run_materialized(&Rewrite::default(), plan, stages),
         }
     }
 

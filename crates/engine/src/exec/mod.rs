@@ -24,16 +24,18 @@
 //!   side goes to `audb-native`'s columnar kernel.
 //!
 //! What varies within a method is an argument of its runner:
-//! `run_materialized(backend, plan)` takes the oracle — and with it the
-//! reference's comparison semantics or the rewrite's join strategy —
-//! and `run_pipelined(plan, batch_size, prune)` the batch size and
-//! zone-map pruning. An [`Engine`](crate::Engine) passes the defaults;
-//! the ablations, within-run baselines and tests that vary one call the
-//! runner themselves.
+//! `run_materialized(backend, plan, stages)` takes the oracle — and with
+//! it the reference's comparison semantics or the rewrite's join
+//! strategy — and `run_pipelined(plan, batch_size, prune, stages)` the
+//! batch size and zone-map pruning. An [`Engine`](crate::Engine) passes
+//! the defaults; the ablations, within-run baselines and tests that vary
+//! one call the runner themselves.
 //!
-//! Per-operator wall times and batch counts are collected in an
-//! [`ExecTrace`], surfaced by `Engine::run_all` and the `repro bench`
-//! harness.
+//! Both report each operator — and the native kernels their stages — to
+//! the one generic sink they take ([`Stages`]): `Engine::execute` hands
+//! them `()`, for which no clock is read and nothing is recorded;
+//! `Engine::execute_traced` the [`Recorder`], whose [`ExecTrace`]
+//! `Engine::run_all` and `repro bench` read.
 //!
 //! The semantic contract, property-tested in
 //! `tests/pipeline_equivalence.rs`: for every plan and batch size, the
@@ -43,5 +45,6 @@ mod lower;
 mod run;
 
 pub use lower::{lower, Pipeline};
-pub(crate) use run::{check_output_rows, run_row_wise};
+pub(crate) use run::check_output_rows;
 pub use run::{run_materialized, run_pipelined, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+pub use run::{Recorder, Stages};

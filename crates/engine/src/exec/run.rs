@@ -1,30 +1,18 @@
-//! The two plan runners. Which one runs is a fact about the method, not a
-//! setting: the native method *is* [`run_pipelined`], the row oracles
-//! ([`Backend`]) run through [`run_materialized`]. Each reads one relation
-//! form.
-//!
-//! * [`run_materialized`] — the operator-at-a-time loop over the Defs. 2–3
-//!   row operators of `audb-core` and the oracle's breaker hooks, a full
-//!   [`AuRelation`] between steps (the first made by the oracle's scan,
-//!   once per execution). Rows throughout, transposed once, at its end.
-//! * [`run_pipelined`] — the lowered [`Pipeline`]s over columns
-//!   ([`AuColumns`]) throughout. A fused stage reads the scanned table's
-//!   stored segments when it reads the source unchanged
-//!   ([`Plan::source_columns`] — segment by segment, each batch under its
-//!   own segment's zone maps) or the columns before it; its batches
-//!   ([`AuBatch`]) are swept morsel-parallel through
-//!   [`audb_par::par_map`] in deterministic order (batch `i`'s rows always
-//!   precede batch `i + 1`'s) and its output stays columnar. A breaker is
-//!   `audb-native`'s columnar kernel (of a source stored in several
-//!   segments, over one concatenation per execution). The kernels emit
-//!   columns, so what a breaker returns is what the next stage reads and
-//!   what the plan returns: nothing is transposed on the way.
+//! The two plan runners ([`super`] says which method runs which).
+//! [`run_materialized`] walks rows from the oracle's scan — once per
+//! execution — and transposes once, at its end. In [`run_pipelined`] a
+//! fused stage reads the scanned table's stored segments when it reads the
+//! source unchanged ([`Plan::source_columns`] — each batch under its own
+//! segment's zone maps) or the columns before it, batch `i`'s rows always
+//! ahead of batch `i + 1`'s; a breaker over a source stored in several
+//! segments reads one concatenation per execution. The kernels emit
+//! columns, so what a breaker returns is what the next stage reads and what
+//! the plan returns: nothing is transposed on the way.
 //!
 //! Both return [`AuColumns`] — whoever wants tuples calls
-//! [`AuColumns::to_rows`] at its own door — and collect an [`ExecTrace`]:
-//! per-operator wall time, batch count and output cardinality. Both ask,
-//! before a breaker allocates anything, how many rows it would emit
-//! ([`EngineError::ResultTooLarge`]) and rank
+//! [`AuColumns::to_rows`] at its own door — and report to the [`Stages`]
+//! sink they are handed. Both ask, before a breaker allocates anything, how
+//! many rows it would emit ([`EngineError::ResultTooLarge`]) and rank
 //! ([`EngineError::InputTooLarge`]).
 
 use super::lower::{fuse_label, lower, Pipeline};
@@ -33,9 +21,11 @@ use crate::catalog::Segment;
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
 use audb_core::{range_verdict, AuBatch, AuColumns, Mult3, TableStats, TruthMasks, ZoneVerdict};
+pub use audb_native::Stages;
 use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default number of rows per batch: small enough that a batch of tuples
@@ -58,12 +48,9 @@ pub struct OpTiming {
     pub rows_out: usize,
 }
 
-/// The measured physical execution of one plan on one backend.
-#[derive(Clone, Debug)]
+/// What the [`Recorder`] heard of one plan's execution.
+#[derive(Clone, Debug, Default)]
 pub struct ExecTrace {
-    /// Number of pipelines the plan lowered to (0 for materialized runs
-    /// and scan-only plans).
-    pub pipelines: usize,
     /// Batches the pipelined executor skipped outright because the source
     /// zone maps proved a fused selection false over the whole batch
     /// (always 0 for materialized runs and with pruning disabled).
@@ -73,6 +60,59 @@ pub struct ExecTrace {
     pub batches_scanned: usize,
     /// Per-operator timings, in execution order (first entry is the scan).
     pub ops: Vec<OpTiming>,
+    /// Kernel stages, first reported first, each summed over its reports.
+    pub stages: Vec<(&'static str, Duration)>,
+}
+
+/// The one sink that reads a clock: it keeps what it hears — from the
+/// runner and the kernels' workers alike — as an [`ExecTrace`].
+#[derive(Debug, Default)]
+pub struct Recorder(Mutex<ExecTrace>);
+
+impl Recorder {
+    /// What was heard.
+    pub fn finish(self) -> ExecTrace {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every update is one push or one sum, so a poisoned trace is whole.
+    fn trace(&self) -> MutexGuard<'_, ExecTrace> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Stages for Recorder {
+    type Mark = Instant;
+
+    fn mark(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn stage(&self, since: Instant, name: &'static str) -> Instant {
+        let now = Instant::now();
+        let mut trace = self.trace();
+        match trace.stages.iter_mut().find(|(stage, _)| *stage == name) {
+            Some((_, elapsed)) => *elapsed += now - since,
+            None => trace.stages.push((name, now - since)),
+        }
+        now
+    }
+
+    fn op(&self, since: Instant, label: impl FnOnce() -> String, batches: usize, rows: usize) {
+        let (elapsed, label) = (since.elapsed(), label());
+        (self.trace().ops).push(OpTiming {
+            label,
+            elapsed,
+            batches,
+            rows_out: rows,
+        });
+    }
+
+    fn batches(&self, skipped: usize, scanned: usize) {
+        let mut trace = self.trace();
+        trace.batches_skipped += skipped;
+        trace.batches_scanned += scanned;
+    }
 }
 
 /// An order-based operator emits one row per possible duplicate of its
@@ -107,22 +147,17 @@ fn check_breaker_size(ranked: u64, bound: Option<u64>) -> Result<(), EngineError
 
 /// The operator-at-a-time loop of a row oracle: every step materializes,
 /// and the last relation is transposed for the caller. Each step —
-/// the scan included — is one batch in the trace.
-pub fn run_materialized<B: Backend + ?Sized>(
+/// the scan included — is one batch to `stages`.
+pub fn run_materialized<B: Backend + ?Sized, S: Stages>(
     backend: &B,
     plan: &Plan,
-) -> Result<(AuColumns, ExecTrace), EngineError> {
-    let mut ops = Vec::with_capacity(plan.ops().len() + 1);
-    let start = Instant::now();
+    stages: &S,
+) -> Result<AuColumns, EngineError> {
+    let at = stages.mark();
     let mut cur = backend.scan(plan.source_columns());
-    ops.push(OpTiming {
-        label: "scan".to_string(),
-        elapsed: start.elapsed(),
-        batches: 1,
-        rows_out: cur.len(),
-    });
+    stages.op(at, || "scan".to_string(), 1, cur.len());
     for op in plan.ops() {
-        let start = Instant::now();
+        let at = stages.mark();
         if op.is_breaker() {
             check_output_rows(cur.rows().iter().map(|r| r.mult.ub), None)?;
         }
@@ -144,21 +179,10 @@ pub fn run_materialized<B: Backend + ?Sized>(
                 out_name,
             } => backend.window(&cur, spec, *agg, out_name),
         };
-        ops.push(OpTiming {
-            label: op.name().to_string(),
-            elapsed: start.elapsed(),
-            batches: 1,
-            rows_out: cur.len(),
-        });
+        stages.op(at, || op.name().to_string(), 1, cur.len());
     }
-    let trace = ExecTrace {
-        pipelines: 0,
-        batches_skipped: 0,
-        batches_scanned: 0,
-        ops,
-    };
     // lint: allow(no-transpose-between-operators) -- the row oracles' door: their operators are defined over rows, and their result joins the columnar one here, once
-    Ok((cur.to_columns(), trace))
+    Ok(cur.to_columns())
 }
 
 /// Zone-map verdicts for one batch of the first fused stage: whether the
@@ -332,23 +356,19 @@ fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     (keep, mults)
 }
 
-/// What one fused stage did: its output and its batch counts.
-struct FusedRun {
-    out: AuColumns,
-    batches: usize,
-    skipped: usize,
-}
-
 /// Run one fused stage over `parts`, each with the zone maps to judge its
 /// batches by (`None`: nothing to ask — pruning is off, or the columns are
 /// this execution's own). Every step inside the stage is a vectorized
 /// column sweep; batch `i` of a part covers its rows `[i·batch, i·batch +
-/// len)`, and no batch spans two parts.
-fn run_fused(
+/// len)`, and no batch spans two parts. The stage and its batches are
+/// reported to `stages`.
+fn run_fused<S: Stages>(
     steps: &[(&Op, &Schema)],
     parts: &[(&AuColumns, Option<&TableStats>)],
     batch_size: usize,
-) -> FusedRun {
+    stages: &S,
+) -> AuColumns {
+    let at = stages.mark();
     // A skipped batch costs its verdict and nothing else: it never becomes
     // a unit of work.
     let mut batches = 0;
@@ -375,11 +395,10 @@ fn run_fused(
     for chunk in chunks {
         out.append(chunk);
     }
-    FusedRun {
-        out,
-        batches,
-        skipped: batches - work.len(),
-    }
+    stages.batches(batches - work.len(), work.len());
+    let label = || fuse_label(steps.iter().map(|(op, _)| op.name()));
+    stages.op(at, label, batches, out.len());
+    out
 }
 
 /// The stored segments as the parts of a fused stage, under their zone
@@ -397,24 +416,11 @@ fn steps_of(plan: &Plan, ops: impl Iterator<Item = usize>) -> Vec<(&Op, &Schema)
         .collect()
 }
 
-/// A plan of streamable operators only — the row-wise prefix a maintained
-/// query runs over each appended batch — as one fused stage over its
-/// source, pruned by the segments' zone maps, columns out.
-pub(crate) fn run_row_wise(plan: &Plan, batch_size: usize) -> AuColumns {
-    debug_assert!(!plan.ops().iter().any(Op::is_breaker));
-    let source = plan.source_columns();
-    if plan.ops().is_empty() {
-        return source.contiguous().into_owned();
-    }
-    let steps = steps_of(plan, 0..plan.ops().len());
-    run_fused(&steps, &segment_parts(source.segments(), true), batch_size).out
-}
-
 /// One breaker over `cols`: `audb-native`'s one-pass kernels (Sec. 8),
 /// columns in and columns out. The window kernel answers every input —
 /// duplicate multiplicities and uncertain `PARTITION BY` values included —
 /// with the bounds of the Def. 3 reference.
-fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
+fn run_breaker(op: &Op, cols: &AuColumns, stages: &impl Stages) -> Result<AuColumns, EngineError> {
     match op {
         Op::Sort {
             order,
@@ -423,7 +429,7 @@ fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
         } => {
             check_output_rows(cols.mult_ub().iter().copied(), *limit)?;
             Ok(audb_native::sort_columns_native(
-                cols, order, pos_name, *limit,
+                cols, order, pos_name, *limit, stages,
             ))
         }
         Op::Window {
@@ -433,7 +439,7 @@ fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
         } => {
             check_output_rows(cols.mult_ub().iter().copied(), None)?;
             Ok(audb_native::window_columns_native(
-                cols, spec, *agg, out_name,
+                cols, spec, *agg, out_name, stages,
             ))
         }
         _ => unreachable!("only order-based operators are pipeline breakers"),
@@ -444,32 +450,22 @@ fn run_breaker(op: &Op, cols: &AuColumns) -> Result<AuColumns, EngineError> {
 /// `audb-native`'s columnar kernels. `prune` switches zone-map batch
 /// skipping (the disabled arm is the within-run comparison baseline of
 /// `repro bench` and the pruned ≡ unpruned property test).
-pub fn run_pipelined(
+pub fn run_pipelined<S: Stages>(
     plan: &Plan,
     batch_size: usize,
     prune: bool,
-) -> Result<(AuColumns, ExecTrace), EngineError> {
+    stages: &S,
+) -> Result<AuColumns, EngineError> {
     let pipelines: Vec<Pipeline> = lower(plan);
-    let mut trace = ExecTrace {
-        pipelines: pipelines.len(),
-        batches_skipped: 0,
-        batches_scanned: 0,
-        ops: Vec::with_capacity(plan.ops().len() + 1),
-    };
-    let start = Instant::now();
+    let at = stages.mark();
     let source = plan.source_columns();
     // The current relation: this execution's own columns, or — while
     // nothing has touched it — the stored source.
     let mut cur: Option<AuColumns> = None;
-    trace.ops.push(OpTiming {
-        label: "scan".to_string(),
-        elapsed: start.elapsed(),
-        batches: source.batch_count(batch_size),
-        rows_out: source.len(),
-    });
+    let batches = source.batch_count(batch_size);
+    stages.op(at, || "scan".to_string(), batches, source.len());
     for pipeline in &pipelines {
         if !pipeline.fused.is_empty() {
-            let start = Instant::now();
             let steps = steps_of(plan, pipeline.fused.iter().copied());
             // A stage that reads the plan's source unchanged (the common
             // scan → select/project head) reads the table's stored
@@ -481,41 +477,22 @@ pub fn run_pipelined(
                 None => segment_parts(source.segments(), prune),
                 Some(cols) => vec![(cols, None)],
             };
-            let run = run_fused(&steps, &parts, batch_size);
-            trace.batches_skipped += run.skipped;
-            trace.batches_scanned += run.batches - run.skipped;
-            trace.ops.push(OpTiming {
-                label: fuse_label(steps.iter().map(|(op, _)| op.name())),
-                elapsed: start.elapsed(),
-                batches: run.batches,
-                rows_out: run.out.len(),
-            });
-            cur = Some(run.out);
+            cur = Some(run_fused(&steps, &parts, batch_size, stages));
         }
         if let Some(b) = pipeline.breaker {
-            let start = Instant::now();
+            let at = stages.mark();
             let op = &plan.ops()[b];
             // A breaker over the untouched source reads it as one
             // `AuColumns`: the segment when there is one, else a copy of
             // the lanes made here — O(n) ahead of an Ω(n log n) operator.
-            let out = match &cur {
-                None => run_breaker(op, &source.contiguous())?,
-                Some(cols) => run_breaker(op, cols)?,
-            };
-            trace.ops.push(OpTiming {
-                label: op.name().to_string(),
-                elapsed: start.elapsed(),
-                batches: 1,
-                rows_out: out.len(),
-            });
+            let input = cur.take().map_or_else(|| source.contiguous(), Cow::Owned);
+            let out = run_breaker(op, &input, stages)?;
+            stages.op(at, || op.name().to_string(), 1, out.len());
             cur = Some(out);
         }
     }
     // A plan that is only its scan returns the stored lanes, copied.
-    Ok((
-        cur.unwrap_or_else(|| source.contiguous().into_owned()),
-        trace,
-    ))
+    Ok(cur.unwrap_or_else(|| source.contiguous().into_owned()))
 }
 
 #[cfg(test)]
@@ -561,10 +538,16 @@ mod tests {
             .unwrap()
     }
 
+    /// A run and what the recorder heard of it.
+    fn traced<T>(run: impl FnOnce(&Recorder) -> Result<T, EngineError>) -> (T, ExecTrace) {
+        let recorder = Recorder::default();
+        (run(&recorder).unwrap(), recorder.finish())
+    }
+
     /// The row loop on `oracle`: one trace entry per operator, under their
     /// own names.
     fn materialized(oracle: &dyn Backend, plan: &Plan) -> AuRelation {
-        let (out, trace) = run_materialized(oracle, plan).unwrap();
+        let (out, trace) = traced(|stages| run_materialized(oracle, plan, stages));
         assert!(trace.ops.iter().all(|o| o.batches == 1));
         let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
         let names: Vec<&str> = plan.ops().iter().map(Op::name).collect();
@@ -606,7 +589,7 @@ mod tests {
         let syntactic = Reference {
             semantics: CmpSemantics::Syntactic,
         };
-        let loose = run_materialized(&syntactic, &plan).unwrap().0.to_rows();
+        let loose = run_materialized(&syntactic, &plan, &()).unwrap().to_rows();
         let exact = reference(&plan);
         let by_definition = sort_ref(&rel, &[0, 1], "pos", CmpSemantics::Syntactic);
         assert!(loose.bag_eq(&by_definition), "{loose}\nvs\n{by_definition}");
@@ -625,7 +608,7 @@ mod tests {
     /// The native method with pruning on: the output — as rows, this
     /// module's door — and the trace.
     fn execute(plan: &Plan, batch_size: usize) -> (AuRelation, ExecTrace) {
-        let (out, trace) = run_pipelined(plan, batch_size, true).unwrap();
+        let (out, trace) = traced(|stages| run_pipelined(plan, batch_size, true, stages));
         (out.to_rows(), trace)
     }
 
@@ -645,7 +628,7 @@ mod tests {
                 pipelined.bag_eq(&oracle),
                 "batch {batch_size}:\n{pipelined}\nvs\n{oracle}"
             );
-            assert_eq!(trace.pipelines, 1);
+            assert_eq!(lower(&plan).len(), 1);
             // scan, fused stage, breaker.
             assert_eq!(trace.ops.len(), 3);
             assert_eq!(trace.ops[1].label, "fuse(select · project)");
@@ -673,7 +656,8 @@ mod tests {
         let plan = Query::scan(rel.clone()).build().unwrap();
         let (out, trace) = execute(&plan, 2);
         assert_eq!(out.len(), 3);
-        assert_eq!(trace.pipelines, 0);
+        assert_eq!(lower(&plan).len(), 0);
+        assert_eq!(trace.ops.len(), 1);
         // …but a projection drops them, exactly like au_project.
         let a = [(RangeExpr::col(0), "a")];
         let plan = Query::scan(rel.clone()).project(["a"]).build().unwrap();
@@ -748,7 +732,7 @@ mod tests {
         let (pruned, trace) = execute(&plan, ZONE_ROWS);
         assert_eq!(trace.batches_skipped, 3);
         assert_eq!(trace.batches_scanned, 1);
-        let (unpruned, off) = run_pipelined(&plan, ZONE_ROWS, false).unwrap();
+        let (unpruned, off) = traced(|stages| run_pipelined(&plan, ZONE_ROWS, false, stages));
         let unpruned = unpruned.to_rows();
         assert_eq!(off.batches_skipped, 0);
         assert_eq!(off.batches_scanned, 4);
@@ -802,7 +786,7 @@ mod tests {
         session.shared_catalog().append("c", &tail).unwrap();
         let run = |sql: &str, batch_size: usize, prune: bool| {
             let prepared = session.prepare(sql).unwrap();
-            let (out, trace) = run_pipelined(prepared.plan(), batch_size, prune).unwrap();
+            let (out, trace) = traced(|s| run_pipelined(prepared.plan(), batch_size, prune, s));
             let out = out.to_rows();
             assert!(out.bag_eq(&reference(prepared.plan())), "{sql}");
             (out, trace.batches_skipped, trace.batches_scanned)
@@ -876,7 +860,7 @@ mod tests {
             .build()
             .unwrap();
         for batch_size in [1, 7, 64] {
-            let (out, trace) = run_pipelined(&plan, batch_size, true).unwrap();
+            let (out, trace) = traced(|stages| run_pipelined(&plan, batch_size, true, stages));
             let ran: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
             assert_eq!(ran, ["scan", "sort", "fuse(select)", "window"]);
             assert_eq!(trace.ops[3].rows_out, out.len());
@@ -921,7 +905,7 @@ mod tests {
             assert!(materialized(&Rewrite::default(), &plan).bag_eq(&oracle));
             let (pipelined, trace) = execute(&plan, 4);
             assert!(pipelined.bag_eq(&oracle), "{labels:?}");
-            assert_eq!(trace.pipelines, pipelines);
+            assert_eq!(lower(&plan).len(), pipelines);
             let ran: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
             assert_eq!(ran, labels);
         }

@@ -280,9 +280,7 @@ impl MaintainedQuery {
     /// one that maintains) — over a batch alone, its contribution to the
     /// prefix over the accumulated table.
     fn prefix_over(&self, source: Arc<Table>) -> Result<AuColumns, SessionError> {
-        let plan = self.pre.with_table(source)?;
-        let batch_size = self.engine.choose_exec(&plan).batch_size;
-        Ok(exec::run_row_wise(&plan, batch_size))
+        Ok(Engine::Native.execute(&self.pre.with_table(source)?)?)
     }
 
     /// The engine's answer over `source`, normalized: what a subscription

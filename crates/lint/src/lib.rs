@@ -17,7 +17,7 @@
 //! | `no-raw-spawn` | threads come from `audb-par` or the server pool, nowhere else |
 //! | `no-direct-backend-call` | all execution flows through `Engine`/`Session` (PR 2) |
 //! | `zero-dep-crates` | per-crate external-dependency allowlist (sql/server/par/lint std-only) |
-//! | `no-wallclock-in-kernels` | kernels are pure; timing lives at ExecTrace breaker boundaries |
+//! | `no-wallclock-in-kernels` | kernels read no clock; they report stages to a `Stages` sink |
 //! | `error-impls-std-error` | every public error type is a real `std::error::Error` |
 //!
 //! Escape hatch: `// lint: allow(rule-id) -- reason` on (or directly

@@ -86,10 +86,10 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "no-wallclock-in-kernels",
-        summary: "no Instant::now/SystemTime inside audb_core or the fused-stage \
-                  builders (timing belongs to the ExecTrace breaker boundaries)",
-        hint: "move timing to engine::exec::run's per-op trace, or thread a clock in \
-               from the caller",
+        summary: "no Instant::now/SystemTime inside audb_core, audb_native or the \
+                  fused-stage builders (a kernel reports its stages to a Stages sink)",
+        hint: "end a stage with `stages.stage(mark, name)` on the sink the kernel is \
+               handed; the engine's Recorder is the one sink that reads a clock",
     },
     Rule {
         id: "error-impls-std-error",
@@ -233,9 +233,11 @@ fn in_backend_scope(path: &str) -> bool {
 }
 
 /// Files where wall-clock reads would distort kernels: all of
-/// `audb_core` plus the fused-stage builders.
+/// `audb_core` and `audb_native` plus the fused-stage builders.
 fn in_kernel_clock_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path == "crates/engine/src/exec/lower.rs"
+    path.starts_with("crates/core/src/")
+        || path.starts_with("crates/native/src/")
+        || path == "crates/engine/src/exec/lower.rs"
 }
 
 /// Where a result must stay columnar: the executor, the two one-shot
@@ -688,6 +690,7 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(diags_for("crates/core/src/expr.rs", src).len(), 1);
         assert_eq!(diags_for("crates/engine/src/exec/lower.rs", src).len(), 1);
+        assert_eq!(diags_for("crates/native/src/window.rs", src).len(), 1);
         assert!(diags_for("crates/engine/src/exec/run.rs", src).is_empty());
     }
 

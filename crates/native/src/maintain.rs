@@ -106,6 +106,7 @@
 
 use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::window::{aggregate_column, partitions, ranged};
+use crate::Stages;
 use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
@@ -349,25 +350,26 @@ impl WindowMaintain {
     /// out-of-order batch silently computes bounds for the wrong relation).
     pub fn apply(&mut self, cols: &AuColumns, batch: u32) {
         let normalized = cols.is_normalized();
-        self.apply_rows(cols, batch, &existing_rows(cols), normalized, &mut |_| {});
+        self.apply_rows(cols, batch, &existing_rows(cols), normalized, &());
     }
 
     /// [`WindowMaintain::apply`] over the rows `rows` of `cols` — one
     /// partition of a batch (`normalized`: they are distinct and
-    /// zero-free) — calling `stage` as `"rank"`, `"items"`,
-    /// `"selected-guess"` and `"sweep"` end.
-    pub(crate) fn apply_rows(
+    /// zero-free) — reporting `"rank"`, `"items"`, `"selected-guess"` and
+    /// `"sweep"` to `stages`.
+    pub(crate) fn apply_rows<S: Stages>(
         &mut self,
         cols: &AuColumns,
         batch: u32,
         rows: &[usize],
         normalized: bool,
-        stage: &mut dyn FnMut(&'static str),
+        stages: &S,
     ) {
+        let at = stages.mark();
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
         let rows = rows.iter().copied();
-        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &mut |_| {});
+        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &());
         if pos.is_empty() {
             return;
         }
@@ -395,7 +397,7 @@ impl WindowMaintain {
             run.sort_unstable_by_key(|&(_, i)| (pos[i as usize].row, pos[i as usize].dup));
         }
         let pos: Vec<_> = refs.iter().map(|&(_, i)| pos[i as usize]).collect();
-        stage("rank");
+        let at = stages.stage(at, "rank");
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
         // (the one-shot sweep's guaranteed-slot math sees the full total).
@@ -445,7 +447,7 @@ impl WindowMaintain {
         if self.frontier.as_ref().is_none_or(|f| *f < top) {
             self.frontier = Some(top);
         }
-        stage("items");
+        let at = stages.stage(at, "items");
         // The selected-guess order of the batch. The ranking already holds
         // it: entries of different selected guesses under `<total_O` differ
         // in the base of `τ_sg`. Only among equal ones — one base — does
@@ -476,11 +478,11 @@ impl WindowMaintain {
             .map(|&id| self.items[id].attr.sg.clone())
             .collect();
         self.ingest_sg(sg_ids, sg_vals);
-        stage("selected-guess");
+        let at = stages.stage(at, "selected-guess");
         for t in first_new..self.items.len() {
             self.step(t);
         }
-        stage("sweep");
+        stages.stage(at, "sweep");
     }
 
     /// Provisional output rows of the still-open windows (the rows that
@@ -946,7 +948,7 @@ impl MaintainedWindow {
         for (value, rows) in parts {
             let (sweep, _) = (self.parts.entry(value))
                 .or_insert_with(|| (WindowMaintain::new(self.inner.clone(), self.agg), 0));
-            sweep.apply_rows(batch, number, &rows, batch.is_normalized(), &mut |_| {});
+            sweep.apply_rows(batch, number, &rows, batch.is_normalized(), &());
         }
         self.starts.push(self.fed.len());
         self.fed.append(batch.clone());
@@ -1070,7 +1072,7 @@ impl TopKMaintain {
     /// Current top-k output: the native top-k over the band, exactly
     /// bag-equal to a run over all accumulated rows.
     pub fn result(&self) -> AuColumns {
-        sort_columns_native(&self.band, &self.order, &self.pos_name, Some(self.k))
+        sort_columns_native(&self.band, &self.order, &self.pos_name, Some(self.k), &())
     }
 }
 

@@ -72,17 +72,15 @@
 //! position lanes, three multiplicity lanes — and one
 //! [`AuColumns::gather_extended`]: the input's lanes copied in that order,
 //! the position lanes appended as they stand. No tuple is built here;
-//! whoever wants rows calls [`AuColumns::to_rows`] at its own door. (A
-//! sweep that pushed onto the seven lanes itself was measured: its heap
-//! loop with seven write streams read 1.9–2.0 ms where emitting one
-//! 56-byte record reads 1.3, the split pass costs 0.3, and ns per row at
-//! 262 144 rows read 1.8 × the 32 768-row figure against 1.4 ×.) The
-//! window sweep ([`crate::window`]) ranks an index view of the same
+//! whoever wants rows calls [`AuColumns::to_rows`] at its own door
+//! (DESIGN.md §3.3 has why the sweep emits one record, not seven lanes).
+//! The window sweep ([`crate::window`]) ranks an index view of the same
 //! columns — one partition — through the same code and reads the same
 //! emissions. [`sort_native`] and [`topk_native`] are doors for callers
 //! that hold rows and want rows: they transpose, call the columnar entry
 //! and transpose back.
 
+use crate::Stages;
 use audb_core::{
     prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3,
 };
@@ -155,14 +153,14 @@ pub fn output_rows_bound(mult_ub: impl IntoIterator<Item = u64>, k: Option<u64>)
 /// transposed here, once each way, around [`sort_columns_native`].
 pub fn sort_native(rel: &AuRelation, order: &[usize], pos_name: &str) -> AuRelation {
     // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
-    sort_columns_native(&rel.to_columns(), order, pos_name, None).to_rows()
+    sort_columns_native(&rel.to_columns(), order, pos_name, None, &()).to_rows()
 }
 
 /// Top-k for a caller that holds rows: [`sort_columns_native`] with a
 /// limit between the two transpositions.
 pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) -> AuRelation {
     // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
-    sort_columns_native(&rel.to_columns(), order, pos_name, Some(k)).to_rows()
+    sort_columns_native(&rel.to_columns(), order, pos_name, Some(k), &()).to_rows()
 }
 
 /// `sort_{O→τ}(R)` over a columnar relation — one-pass equivalent of
@@ -173,28 +171,17 @@ pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) ->
 /// `σ_{τ < k}` fused into the scan with early termination, position bounds
 /// capped at `k` (paper Algorithm 1, `emit`). Panics if more than
 /// [`MAX_OUTPUT_ROWS`] rows would come out ([`output_rows_bound`]: the
-/// engine asks first).
-pub fn sort_columns_native(
+/// engine asks first). Reports `"encode"`, `"band"` (top-k only),
+/// `"rank"`, `"merge"`, `"sweep"` and `"materialise"` to `stages`.
+pub fn sort_columns_native<S: Stages>(
     cols: &AuColumns,
     order: &[usize],
     pos_name: &str,
     k: Option<u64>,
+    stages: &S,
 ) -> AuColumns {
-    sort_native_staged(cols, order, pos_name, k, &mut |_| {})
-}
-
-/// [`sort_columns_native`], calling `stage` with a stage's name as it
-/// ends: `"encode"`, `"band"` (top-k only), `"rank"`, `"merge"`, `"sweep"`,
-/// `"materialise"`. `repro bench`'s `sort/stages` block reads a clock
-/// there; the kernel itself never does.
-pub fn sort_native_staged(
-    cols: &AuColumns,
-    order: &[usize],
-    pos_name: &str,
-    k: Option<u64>,
-    stage: &mut dyn FnMut(&'static str),
-) -> AuColumns {
-    let ranked = positions(cols, 0..cols.len(), order, cols.is_normalized(), k, stage);
+    let ranked = positions(cols, 0..cols.len(), order, cols.is_normalized(), k, stages);
+    let at = stages.mark();
     // The emissions, a lane per quantity.
     let n = ranked.len();
     let mut rows = Vec::with_capacity(n);
@@ -212,7 +199,7 @@ pub fn sort_native_staged(
     let [lb, sg, ub] = tau;
     let pos = AuColumn::from_i64_lanes(lb, sg, ub);
     let out = cols.gather_extended(&rows, mults, pos_name, pos);
-    stage("materialise");
+    stages.stage(at, "materialise");
     out
 }
 
@@ -241,27 +228,29 @@ type KeyRef = (u64, u32);
 /// The rank computation of Algorithm 1 + `split` over the rows `rows` of
 /// `cols` — all of them, or one partition — in emission order.
 /// `normalized` asserts those rows are distinct and zero-free, which skips
-/// the merge.
-pub(crate) fn positions(
+/// the merge. Reports `"encode"`, `"band"` (top-k only), `"rank"`,
+/// `"merge"` and `"sweep"` to `stages`.
+pub(crate) fn positions<S: Stages>(
     cols: &AuColumns,
     rows: impl ExactSizeIterator<Item = usize>,
     order: &[usize],
     normalized: bool,
     k: Option<u64>,
-    stage: &mut dyn FnMut(&'static str),
+    stages: &S,
 ) -> Vec<Position> {
     if k == Some(0) {
         return Vec::new(); // every position is ≥ 0
     }
+    let at = stages.mark();
     let idxs = total_order(cols.arity(), order);
     let (mut cands, mut refs) = encode(cols, rows, &idxs, k);
-    stage("encode");
+    let mut at = stages.stage(at, "encode");
     if let Some(k) = k {
         band(&cands, &mut refs, k);
-        stage("band");
+        at = stages.stage(at, "band");
     }
     let (mut scan, rank_count) = rank(cols, &idxs, &mut cands, &mut refs);
-    stage("rank");
+    let at = stages.stage(at, "rank");
     if !normalized {
         merge(&mut cands, &mut scan);
     }
@@ -277,9 +266,9 @@ pub(crate) fn positions(
     for r in 0..rank_count {
         sg_base[r + 1] = checked(sg_base[r + 1].checked_add(sg_base[r]));
     }
-    stage("merge");
+    let at = stages.stage(at, "merge");
     let out = sweep(&cands, &scan, &sg_base, k);
-    stage("sweep");
+    stages.stage(at, "sweep");
     out
 }
 
@@ -754,14 +743,14 @@ mod tests {
 
     #[test]
     fn stages_end_in_pipeline_order() {
-        let mut seen = Vec::new();
+        let heard = std::sync::Mutex::default();
         let cols = example6().to_columns();
-        let top = sort_native_staged(&cols, &[0, 1], "pos", Some(2), &mut |s| seen.push(s));
+        let top = sort_columns_native(&cols, &[0, 1], "pos", Some(2), &heard);
         assert!(top
             .to_rows()
             .bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
         assert_eq!(
-            seen,
+            heard.into_inner().unwrap(),
             ["encode", "band", "rank", "merge", "sweep", "materialise"]
         );
     }

@@ -70,18 +70,13 @@
 //! equal throughout. The result is then the input's lanes gathered in that
 //! order plus one aggregate column ([`AuColumns::gather_extended`]),
 //! flagged normalized through [`AuColumns::assume_canonical`], which
-//! checks the claim in debug builds. [`window_native_staged`] names where
-//! the stages end.
-//!
-//! ## Columns in, columns out
-//!
-//! The operator reads [`AuColumns`] as the engine stores them
-//! ([`window_columns_native`]) and returns them; a partition of point
-//! values is an index view of the input (`partitions`), never a copy.
-//! [`window_native`] is the door for a caller that holds rows and wants
-//! rows: it transposes once each way.
+//! checks the claim in debug builds. The kernel reports where each stage
+//! ends to the [`Stages`] sink it is handed, a group's stages from the
+//! worker that sweeps it. [`window_native`] is the door for a caller that
+//! holds rows and wants rows: it transposes once each way.
 
 use crate::maintain::{WindowMaintain, WindowRow};
+use crate::Stages;
 use audb_core::{
     canonical_order, prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple,
     AuWindowSpec, Corner, KeyArena, Mult3, RangeValue, WinAgg,
@@ -98,7 +93,7 @@ pub fn window_native(
     out_name: &str,
 ) -> AuRelation {
     // lint: allow(no-transpose-between-operators) -- the row door `benchmark/`'s bench-trace imports (ROADMAP item 5b removes it); no operator calls it
-    let out = window_columns_native(&rel.to_columns(), spec, agg, out_name);
+    let out = window_columns_native(&rel.to_columns(), spec, agg, out_name, &());
     // lint: allow(no-transpose-between-operators) -- the same door, on its way out
     out.to_rows()
 }
@@ -193,41 +188,17 @@ fn groups(cols: &AuColumns, partition: &[usize]) -> Vec<Group> {
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation: the one-pass
 /// equivalent of [`audb_core::window_ref`], columns in and columns out.
-pub fn window_columns_native(
+/// Reports `"partition"`, then per group `"rank"`, `"items"`,
+/// `"selected-guess"` and `"sweep"` — from the worker that sweeps it —
+/// then `"order"` and `"materialise"` to `stages`.
+pub fn window_columns_native<S: Stages>(
     cols: &AuColumns,
     spec: &AuWindowSpec,
     agg: WinAgg,
     out_name: &str,
+    stages: &S,
 ) -> AuColumns {
-    run(cols, spec, agg, out_name, None)
-}
-
-/// [`window_columns_native`] with its partitions swept one after another,
-/// calling `stage` with a stage's name as it ends: `"partition"`, then per
-/// partition `"rank"`, `"items"`, `"selected-guess"`, `"sweep"`, then
-/// `"order"` and `"materialise"`. `repro bench`'s `window/stages` block
-/// reads a clock there; the kernel itself never does.
-pub fn window_native_staged(
-    cols: &AuColumns,
-    spec: &AuWindowSpec,
-    agg: WinAgg,
-    out_name: &str,
-    stage: &mut dyn FnMut(&'static str),
-) -> AuColumns {
-    run(cols, spec, agg, out_name, Some(stage))
-}
-
-fn run(
-    cols: &AuColumns,
-    spec: &AuWindowSpec,
-    agg: WinAgg,
-    out_name: &str,
-    stage: Option<&mut dyn FnMut(&'static str)>,
-) -> AuColumns {
-    // Someone listening for stages gets them one partition after another.
-    let parallel = stage.is_none();
-    let mut nobody = |_| {};
-    let stage = stage.unwrap_or(&mut nobody);
+    let at = stages.mark();
     // A group restores its own rows' annotations from the input, which
     // must hold them merged: where a partition value is a range, identical
     // rows stored apart are merged first. The engine's output bound counts
@@ -245,7 +216,7 @@ fn run(
         &merged
     };
     let groups = groups(cols, &spec.partition);
-    stage("partition");
+    stages.stage(at, "partition");
     let inner = AuWindowSpec {
         partition: Vec::new(),
         order: spec.order.clone(),
@@ -257,15 +228,15 @@ fn run(
     // one-shot operator and the incremental maintenance on the *same* code
     // path is what guarantees they can never disagree. Groups come in
     // deterministic order; their sweeps are embarrassingly parallel.
-    let sweep = |(rows, filtered): &Group, stage: &mut dyn FnMut(&'static str)| {
+    let sweep = |(rows, filtered): &Group| {
         let mut m = WindowMaintain::new(inner.clone(), agg);
         let Some((mults, own)) = filtered else {
-            m.apply_rows(cols, 0, rows, cols.is_normalized(), stage);
+            m.apply_rows(cols, 0, rows, cols.is_normalized(), stages);
             return m.finish();
         };
         let members = cols.gather(rows, mults);
         let mut m = m.emitting_below(*own as u32);
-        m.apply_rows(&members, 0, &Vec::from_iter(0..members.len()), true, stage);
+        m.apply_rows(&members, 0, &Vec::from_iter(0..members.len()), true, stages);
         // The group's own rows, each under its own annotation.
         (m.finish().into_iter().map(|r| {
             let row = rows[r.row as usize];
@@ -278,11 +249,8 @@ fn run(
         }))
         .collect()
     };
-    let sweeps: Vec<Vec<WindowRow>> = if parallel {
-        audb_par::par_map(&groups, |group| sweep(group, &mut |_| {}))
-    } else {
-        groups.iter().map(|group| sweep(group, stage)).collect()
-    };
+    let sweeps = audb_par::par_map(&groups, sweep);
+    let at = stages.mark();
     let rows: Vec<WindowRow> = sweeps.into_iter().flatten().collect();
     // The output's canonical order — what `normalize` would sort these rows
     // into — from the lower-bound corner of the input lanes; the aggregate
@@ -305,7 +273,7 @@ fn run(
         },
     )
     .expect("split rows have k↑ = 1, and no more of them than a u64 counts");
-    stage("order");
+    let at = stages.stage(at, "order");
     // The input's lanes in that order, and the aggregates as one column.
     let x = aggregate_column(order.iter().map(|&(out, _)| &rows[out].x));
     let mut idxs = Vec::with_capacity(order.len());
@@ -317,7 +285,7 @@ fn run(
         mults[2].push(mult.ub);
     }
     let rel = (cols.gather_extended(&idxs, mults, out_name, x)).assume_canonical();
-    stage("materialise");
+    stages.stage(at, "materialise");
     rel
 }
 
@@ -502,6 +470,30 @@ mod tests {
                 native.bag_eq(&reference),
                 "{agg:?}\nnative:\n{native}\nreference:\n{reference}"
             );
+        }
+    }
+
+    /// Groups swept in parallel report their stages from their workers:
+    /// the whole run's once, a group's once per group — and listening
+    /// changes nothing in the output. Five groups: `g` = 0…3 and `[1, 2]`.
+    #[test]
+    fn a_parallel_window_reports_its_stages() {
+        let row = |g, o| (AuTuple::new([g, rv(o, o, o + 1), rv(o, o, o)]), Mult3::ONE);
+        let mut rows: Vec<_> = (0..32).map(|i| row(rv(i % 4, i % 4, i % 4), i)).collect();
+        rows.push(row(rv(1, 1, 2), 7));
+        let cols = AuRelation::from_rows(Schema::new(["g", "o", "v"]), rows).to_columns();
+        let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
+        let heard = std::sync::Mutex::default();
+        let listened = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x", &heard);
+        let quiet = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x", &());
+        assert_eq!(format!("{listened:?}"), format!("{quiet:?}"));
+        let names: Vec<&str> = heard.into_inner().unwrap();
+        let count = |name| names.iter().filter(|&&n| n == name).count();
+        for name in ["partition", "order", "materialise"] {
+            assert_eq!(count(name), 1, "{name} in {names:?}");
+        }
+        for name in ["rank", "items", "selected-guess", "sweep"] {
+            assert_eq!(count(name), 5, "{name} in {names:?}");
         }
     }
 

@@ -256,8 +256,8 @@ pub fn rewrite_window(
 /// One plan on the rewrite oracle under an explicit window join
 /// `strategy`.
 pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuColumns {
-    let run = exec::run_materialized(&Rewrite { strategy }, plan);
-    run.expect("workload plan executes").0
+    let run = exec::run_materialized(&Rewrite { strategy }, plan, &());
+    run.expect("workload plan executes")
 }
 
 /// `MCDB`: sampled window-aggregate envelopes.

@@ -262,7 +262,7 @@ fn run_sql(session: &Session, sql: &str, batch_size: usize) -> AuRelation {
     let prepared = session.prepare(sql).expect("generated SQL compiles");
     let plan = prepared.plan();
     let out = match session.engine() {
-        Engine::Native => exec::run_pipelined(plan, batch_size, true).map(|(out, _)| out),
+        Engine::Native => exec::run_pipelined(plan, batch_size, true, &()),
         oracle => oracle.execute(plan),
     };
     out.expect("generated SQL runs").to_rows()

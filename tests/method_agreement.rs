@@ -366,7 +366,7 @@ proptest! {
             for batch in &batches {
                 maintained.apply(&batch.to_columns());
                 all.append(&mut batch.clone());
-                let want = sort_columns_native(&all.to_columns(), &[0, 1], "pos", Some(k));
+                let want = sort_columns_native(&all.to_columns(), &[0, 1], "pos", Some(k), &());
                 let got = maintained.result().to_rows();
                 prop_assert!(
                     got.bag_eq(&want.to_rows()),
@@ -638,7 +638,7 @@ fn window_pool_words_that_tie_agree_with_the_reference() {
                 let what = format!("{family}: {agg:?} over [{l}, {u}]");
                 let spec = AuWindowSpec::rows(vec![1, 2], l, u);
                 let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
-                let native = window_columns_native(&cols, &spec, agg, "x").to_rows();
+                let native = window_columns_native(&cols, &spec, agg, "x", &()).to_rows();
                 assert!(native.bag_eq(&reference), "native ≠ reference: {what}");
                 let mut maintained = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 for batch in in_order_batches(&mut rng, &rows) {
@@ -892,13 +892,13 @@ fn columnar_sort_and_topk_equal_the_row_reference() {
             );
 
             let reference = sort_ref(&cols.to_rows(), &order, "pos", CmpSemantics::IntervalLex);
-            let by_cols = sort_columns_native(&cols, &order, "pos", None).to_rows();
+            let by_cols = sort_columns_native(&cols, &order, "pos", None, &()).to_rows();
             assert_eq!(by_cols.schema, reference.schema, "{what}");
             assert!(by_cols.bag_eq(&reference), "sort: {what}");
 
             let n = rel.len() as u64;
             for k in [0, 1, 10, n / 2, n, n + 5] {
-                let top = sort_columns_native(&cols, &order, "pos", Some(k)).to_rows();
+                let top = sort_columns_native(&cols, &order, "pos", Some(k), &()).to_rows();
                 assert!(
                     top.bag_eq(&capped_topk_of(&reference, k)),
                     "top-{k} ≠ reference: {what}"
@@ -981,11 +981,12 @@ fn columnar_window_equals_the_row_reference() {
                             rel.is_normalized(),
                             spec.partition
                         );
-                        let by_cols = window_columns_native(&cols, &spec, agg, "x");
+                        let by_cols = window_columns_native(&cols, &spec, agg, "x", &());
                         // What the kernel reads off typed lanes — the
                         // aggregated attribute, the keys of its output order,
                         // the rows it builds — it reads off `Value` lanes alike.
-                        let generic = window_columns_native(&cols.to_generic(), &spec, agg, "x");
+                        let generic =
+                            window_columns_native(&cols.to_generic(), &spec, agg, "x", &());
                         assert!(generic.is_normalized() && by_cols.is_normalized());
                         let (generic, by_cols) = (generic.to_rows(), by_cols.to_rows());
                         assert!(by_cols.is_normalized(), "{what}");
@@ -1009,7 +1010,7 @@ fn columnar_window_equals_the_row_reference() {
             unsure[17].0 .0[0] = RangeValue::new(0, 1, 2);
             let rel = AuRelation::from_rows(schema.clone(), unsure);
             let spec = AuWindowSpec::rows(vec![1, 2], -1, 0).partition_by(vec![0]);
-            let by_cols = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
+            let by_cols = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x", &());
             let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
             assert!(by_cols.to_rows().bag_eq(&reference), "{kind:?}, a range g");
         }
@@ -1107,10 +1108,10 @@ fn prefix_ties_agree_with_the_references() {
         for order in [[0usize, 1], [1, 2]] {
             let what = format!("{lane} lane, ORDER BY {order:?}");
             let reference = sort_ref(&rows, &order, "pos", CmpSemantics::IntervalLex);
-            let sorted = sort_columns_native(&cols, &order, "pos", None).to_rows();
+            let sorted = sort_columns_native(&cols, &order, "pos", None, &()).to_rows();
             assert!(sorted.bag_eq(&reference), "sort: {what}");
             for k in [1, 6, 40, 150] {
-                let top = sort_columns_native(&cols, &order, "pos", Some(k)).to_rows();
+                let top = sort_columns_native(&cols, &order, "pos", Some(k), &()).to_rows();
                 assert!(
                     top.bag_eq(&capped_topk_of(&reference, k)),
                     "top-{k}: {what}"
@@ -1123,7 +1124,7 @@ fn prefix_ties_agree_with_the_references() {
         for (order, partition) in [(vec![1, 2], vec![0]), (vec![0, 1], vec![])] {
             let spec = AuWindowSpec::rows(order, -2, 1).partition_by(partition);
             let what = format!("{lane} lane, {spec:?}");
-            let native = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x");
+            let native = window_columns_native(&cols, &spec, WinAgg::Sum(2), "x", &());
             let reference =
                 window_ref(&rows, &spec, WinAgg::Sum(2), "x", CmpSemantics::IntervalLex);
             assert!(native.to_rows().bag_eq(&reference), "window: {what}");
@@ -1179,11 +1180,11 @@ fn long_keys_that_differ_in_the_last_byte() {
     assert_eq!(ids(&rel.clone().normalize()), want);
 
     let reference = sort_ref(&rel, &[0], "pos", CmpSemantics::IntervalLex);
-    assert!(sort_columns_native(&cols, &[0], "pos", None)
+    assert!(sort_columns_native(&cols, &[0], "pos", None, &())
         .to_rows()
         .bag_eq(&reference));
     for k in [1, 2, 3] {
-        let top = sort_columns_native(&cols, &[0], "pos", Some(k)).to_rows();
+        let top = sort_columns_native(&cols, &[0], "pos", Some(k), &()).to_rows();
         assert!(top.bag_eq(&capped_topk_of(&reference, k)), "top-{k}");
     }
 
@@ -1202,7 +1203,7 @@ fn long_keys_that_differ_in_the_last_byte() {
             }),
     );
     let spec = AuWindowSpec::rows(vec![1], -1, 0).partition_by(vec![0]);
-    let native = window_columns_native(&certain.to_columns(), &spec, WinAgg::Count, "x");
+    let native = window_columns_native(&certain.to_columns(), &spec, WinAgg::Count, "x", &());
     let reference = window_ref(
         &certain,
         &spec,
@@ -1247,7 +1248,7 @@ fn a_window_ordered_by_megabyte_keys_agrees_with_the_reference() {
     for (partition, agg) in [(vec![], WinAgg::Sum(2)), (vec![1], WinAgg::Count)] {
         let spec = AuWindowSpec::rows(vec![0], -1, 1).partition_by(partition);
         let what = format!("{agg:?}, partition by {:?}", spec.partition);
-        let native = window_columns_native(&cols, &spec, agg, "x");
+        let native = window_columns_native(&cols, &spec, agg, "x", &());
         let reference = window_ref(&rel, &spec, agg, "x", CmpSemantics::IntervalLex);
         assert!(native.to_rows().bag_eq(&reference), "{what}");
     }
@@ -1310,7 +1311,7 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
         );
         // Those `Float` bounds sit in the kernel's aggregate column beside
         // `Int` ones: no `i64` lane holds it, and its values are the rows'.
-        let kernel = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(1), "x");
+        let kernel = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(1), "x", &());
         assert_ne!(kernel.col(2).phys_type(), audb::core::PhysType::I64);
         assert_eq!(kernel.to_rows().rows(), native.rows(), "[{l}, {u}]");
     }
@@ -1359,7 +1360,7 @@ fn native_window_rows_are_the_normalized_rows() {
             for partition in [vec![], vec![0]] {
                 let spec = AuWindowSpec::rows(vec![1], l, u).partition_by(partition);
                 let what = format!("{agg:?} over [{l}, {u}], partition by {:?}", spec.partition);
-                let kernel = window_columns_native(&cols, &spec, agg, "x");
+                let kernel = window_columns_native(&cols, &spec, agg, "x", &());
                 assert!(kernel.is_normalized(), "{what}");
                 let mut swept = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 swept.apply(&cols);
@@ -1401,7 +1402,7 @@ fn the_native_window_answers_duplicates_and_uncertain_partitions() {
     split.extend([rows[7].clone(), rows[20].clone(), rows[33].clone()]);
     let rel = AuRelation::from_rows(schema.clone(), split);
     let spec = AuWindowSpec::rows(vec![1, 2], -1, 2);
-    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
+    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x", &());
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(swept.to_rows().bag_eq(&reference));
     let plan = Query::scan(rel).window(window(false)).build().unwrap();
@@ -1415,7 +1416,7 @@ fn the_native_window_answers_duplicates_and_uncertain_partitions() {
     unsure[11].0 .0[0] = RangeValue::new(0, 0, 1);
     let rel = AuRelation::from_rows(schema, unsure);
     let spec = spec.partition_by(vec![0]);
-    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x");
+    let swept = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(3), "x", &());
     let reference = window_ref(&rel, &spec, WinAgg::Sum(3), "x", CmpSemantics::IntervalLex);
     assert!(swept.to_rows().bag_eq(&reference));
     let plan = Query::scan(rel.clone())

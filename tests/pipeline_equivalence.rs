@@ -265,7 +265,7 @@ proptest! {
         batch_size in prop_oneof![Just(1usize), Just(2), Just(7), Just(1024)],
     ) {
         let materialized = Engine::reference().execute(&plan).expect("reference run").to_rows();
-        let (pipelined, _) = exec::run_pipelined(&plan, batch_size, true).expect("pipelined run");
+        let pipelined = exec::run_pipelined(&plan, batch_size, true, &()).expect("pipelined run");
         let pipelined = pipelined.to_rows();
         prop_assert!(
             pipelined.bag_eq(&materialized),
@@ -285,6 +285,12 @@ proptest! {
         let all = Engine::native().run_all(&plan).expect("backends agree");
         let direct = Engine::native().execute(&plan).expect("native executes").to_rows();
         prop_assert!(all.output.to_rows().bag_eq(&direct));
+        // Listening changes nothing: the recorder's run is the silent one.
+        for method in Engine::ALL {
+            let (traced, _) = method.execute_traced(&plan).expect("traced run");
+            let silent = method.execute(&plan).expect("silent run");
+            prop_assert_eq!(silent.to_rows().rows(), traced.to_rows().rows(), "{}", method);
+        }
     }
 
     /// The optimizer's contract: every rewrite (select reordering, select
@@ -328,8 +334,8 @@ proptest! {
         plan in plan_strategy(),
         batch_size in prop_oneof![Just(1usize), Just(2), Just(7), Just(1024)],
     ) {
-        let run = |prune| exec::run_pipelined(&plan, batch_size, prune).expect("pipelined run");
-        let (unpruned, pruned) = (run(false).0.to_rows(), run(true).0.to_rows());
+        let run = |prune| exec::run_pipelined(&plan, batch_size, prune, &()).expect("pipelined run");
+        let (unpruned, pruned) = (run(false).to_rows(), run(true).to_rows());
         prop_assert!(
             pruned.bag_eq(&unpruned),
             "batch {batch_size}:\npruned:\n{pruned}\nunpruned:\n{unpruned}"
@@ -640,12 +646,15 @@ mod appended_in_pieces {
                 let run = |catalog: &SharedCatalog| {
                     let session = Session::with_catalog(method, catalog.clone());
                     let prepared = session.prepare(sql).expect("generated SQL compiles");
+                    let recorder = exec::Recorder::default();
                     let ran = match method {
-                        Engine::Native => exec::run_pipelined(prepared.plan(), batch_size, true),
-                        oracle => oracle.execute_traced(prepared.plan()),
+                        Engine::Native => {
+                            exec::run_pipelined(prepared.plan(), batch_size, true, &recorder)
+                        }
+                        oracle => oracle.execute(prepared.plan()),
                     };
-                    let (out, trace) = ran.expect("generated SQL runs");
-                    (prepared, out.to_rows(), trace)
+                    let out = ran.expect("generated SQL runs");
+                    (prepared, out.to_rows(), recorder.finish())
                 };
                 let (_, want, _) = run(whole);
                 let (prepared, got, trace) = run(pieces);
