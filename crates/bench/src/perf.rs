@@ -30,7 +30,7 @@
 //!   of the same table;
 //! * **sort stages** — where one 32 768-row native sort spends its time,
 //!   and the same sort led by a 4-valued column (every prefix tied) or by
-//!   strings that share ten key bytes;
+//!   strings that share ten key bytes, or Iceberg's sightings by date;
 //!   **window stages** — the same for the two windows of the repo
 //!   benchmark's `window_scan` over 8 192 rows, and for `serve_mix`'s
 //!   window over an append-only series of 2 048, where no frame is full of
@@ -759,6 +759,15 @@ fn stage_medians(cfg: &BenchConfig, plans: &[Plan]) -> Vec<(&'static str, f64)> 
         .collect()
 }
 
+/// The rows and the stage split of a sort by `date` of the simulated
+/// Iceberg sightings (scale 0.1, the figures' seed): about 15 rows to each
+/// of 1 095 dates, the tie density of the paper's window queries.
+pub fn measure_iceberg_stages(cfg: &BenchConfig) -> (usize, Vec<(&'static str, f64)>) {
+    let iceberg = audb_workloads::iceberg(0.1, 123);
+    let plan = sort_plan(iceberg.window.table.to_au_relation(), &[0], None);
+    (iceberg.rows, stage_medians(cfg, &[plan]))
+}
+
 /// The `sort/tied-stages` lead: four integers.
 fn tied_lead(row: usize) -> Value {
     Value::Int((row % 4) as i64)
@@ -1380,6 +1389,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
     }
     let (series_stages, (pool_mean, pool_max)) = measure_series_stages(cfg);
+    let (iceberg_rows, iceberg_stages) = measure_iceberg_stages(cfg);
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
         (
@@ -1392,6 +1402,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             STAGE_ROWS,
             measure_sort_stages(cfg, Some(string_lead)),
         ),
+        ("sort/iceberg-stages", iceberg_rows, iceberg_stages),
         (
             "window/stages",
             WINDOW_STAGE_ROWS,

@@ -38,7 +38,7 @@ use crate::mult::{Mult3, MultOverflow};
 use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
 use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
-use crate::sortkey::{prefix_at, Corner, SortKey};
+use crate::sortkey::{Corner, PrefixReader, SortKey};
 use crate::tuple::AuTuple;
 use audb_rel::{Schema, Value};
 use std::fmt;
@@ -698,10 +698,11 @@ impl AuColumns {
             return Ok(self);
         }
         let all: Vec<usize> = (0..self.arity()).collect();
+        let prefix = PrefixReader::new(&self, Corner::Lb, &all);
         let (idxs, mults): (Vec<usize>, Vec<Mult3>) = canonical_order(
             self.len,
             |row| self.mult(row),
-            |row| prefix_at(&self, row, Corner::Lb, &all),
+            |row| prefix.at(row),
             |keys, row| keys.extend_corner_at(&self, row, Corner::Lb, &all),
             |keys, row| {
                 keys.extend_corner_at(&self, row, Corner::Ub, &all);

@@ -75,7 +75,7 @@ pub use physical::{CertBitmap, PhysSlice, PhysType, PhysVec, StrPool};
 pub use pos::{all_pos_bounds, pos_bounds, PosBounds};
 pub use range_value::{RangeValue, TruthRange};
 pub use relation::{canonical_order, AuRelation, AuRow};
-pub use sortkey::{prefix_at, prefix_of, sort_prefixes, Corner, KeyArena, SortKey};
+pub use sortkey::{prefix_of, sort_prefixes, Corner, KeyArena, PrefixReader, SortKey};
 pub use stats::{
     estimate_selectivity, range_verdict, zone_truth, ColumnStats, TableStats, ZoneMap, ZoneVerdict,
     ZONE_ROWS,

@@ -276,7 +276,7 @@ impl AuRelation {
 ///
 /// The key comes in three pieces so that the common case encodes none of
 /// it: `prefix` is the first eight bytes of a row's key as a word
-/// ([`crate::prefix_at`] off the lanes), `head` appends the leading section
+/// ([`crate::PrefixReader`] off the lanes), `head` appends the leading section
 /// (the lower-bound corner) to an arena, `tail` the rest. What is sorted
 /// are `(prefix, row)` pairs ([`crate::sort_prefixes`]); `head` is asked
 /// only for rows whose prefixes tie, and `tail` for rows whose heads do.

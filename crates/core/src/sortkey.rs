@@ -12,7 +12,7 @@
 //! sort over all the corner keys of a relation wants.
 //!
 //! Most sorts need less: a key's first eight bytes as a word
-//! ([`prefix_at`], [`prefix_of`] — read off the values, nothing encoded)
+//! ([`PrefixReader`], [`prefix_of`] — read off the values, nothing encoded)
 //! decide almost every comparison. Such sorts order `(prefix, slot)` pairs
 //! with [`sort_prefixes`] and encode whole keys, into a small arena, only
 //! for the runs whose prefixes tie ([`KeyArena::sorted_slots`]).
@@ -47,6 +47,7 @@
 //! comparison and the NaN / `-0.0` equivalences) is pinned by property
 //! tests in `tests/sortkey_props.rs`.
 
+use crate::physical::PhysSlice;
 use crate::range_value::RangeValue;
 use crate::tuple::AuTuple;
 use audb_rel::{Tuple, Value};
@@ -296,26 +297,40 @@ impl KeyArena {
     }
 }
 
-/// [`KeyArena::prefix`] of the key [`KeyArena::push_corner_at`] would
-/// encode for row `row` of `cols` at `corner` over `idxs`, read off the
-/// lanes without an arena or an allocation: the values are encoded until
-/// eight bytes are in. A number leading the key decides it alone (tag and
-/// seven bytes of its double); `NULL`, `Bool`, NaN and a short string leave
-/// room for the next value.
-pub fn prefix_at(
-    cols: &crate::columns::AuColumns,
-    row: usize,
-    corner: Corner,
-    idxs: &[usize],
-) -> u64 {
-    let mut head = Head::default();
-    for &i in idxs {
-        if head.len == 8 {
-            break;
-        }
-        encode_at(cols.col(i).corner(corner), row, &mut head);
+/// [`KeyArena::prefix`] of the keys [`KeyArena::push_corner_at`] would
+/// encode for the rows of `cols` at `corner` over `idxs`, read off the
+/// lanes — resolved once — without an arena or an allocation per key. A
+/// number leading the key decides it alone (tag and seven bytes of its
+/// double): an `i64` or non-NaN `f64` lead is read in closed form. Anything
+/// else is encoded until eight bytes are in; `NULL`, `Bool`, NaN and a
+/// short string leave room for the next value.
+pub struct PrefixReader<'a>(Vec<PhysSlice<'a>>);
+
+impl<'a> PrefixReader<'a> {
+    /// The reader of the `corner` keys of `cols` over `idxs`.
+    pub fn new(cols: &'a crate::columns::AuColumns, corner: Corner, idxs: &[usize]) -> Self {
+        PrefixReader(idxs.iter().map(|&i| cols.col(i).corner(corner)).collect())
     }
-    head.word
+
+    /// The prefix of row `row`'s key.
+    #[inline]
+    pub fn at(&self, row: usize) -> u64 {
+        let number = match self.0.first() {
+            Some(PhysSlice::I64(lane)) => lane[row] as f64,
+            Some(PhysSlice::F64(lane)) if !lane[row].is_nan() => lane[row],
+            _ => {
+                let mut head = Head::default();
+                for &lane in &self.0 {
+                    if head.len == 8 {
+                        break;
+                    }
+                    encode_at(lane, row, &mut head);
+                }
+                return head.word;
+            }
+        };
+        u64::from(TAG_NUM) << 56 | mono_f64(number) >> 8
+    }
 }
 
 /// [`KeyArena::prefix`] of the key of the values `vals`, in order.
@@ -461,8 +476,7 @@ fn encode_value(v: &Value, out: &mut impl Sink) {
 /// Append the encoding of row `row` of one lane: `i64`, `f64` and
 /// dictionary lanes never construct a `Value`.
 #[inline]
-fn encode_at(slice: crate::physical::PhysSlice<'_>, row: usize, out: &mut impl Sink) {
-    use crate::physical::PhysSlice;
+fn encode_at(slice: PhysSlice<'_>, row: usize, out: &mut impl Sink) {
     match slice {
         PhysSlice::I64(lane) => encode_i64(lane[row], out),
         PhysSlice::F64(lane) => encode_f64(lane[row], out),
@@ -513,8 +527,7 @@ fn encode_str(s: &str, out: &mut impl Sink) {
 /// Append one column corner's encoding to every row buffer: a monomorphic
 /// sweep per physical layout. Dictionary lanes pre-encode each distinct
 /// string once and append bytes by code.
-fn encode_slice(slice: crate::physical::PhysSlice<'_>, bufs: &mut [Vec<u8>]) {
-    use crate::physical::PhysSlice;
+fn encode_slice(slice: PhysSlice<'_>, bufs: &mut [Vec<u8>]) {
     match slice {
         PhysSlice::I64(lane) => {
             for (buf, &i) in bufs.iter_mut().zip(lane) {

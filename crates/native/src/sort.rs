@@ -1,30 +1,29 @@
 //! One-pass non-deterministic sort and top-k (paper Algorithm 1 + the
 //! `split` of Algorithm 2).
 //!
-//! The input is scanned in ascending order of the *lower-bound corner* of
-//! the order-by key (`O↓`); a min-heap `todo` keyed on the upper-bound
-//! corner (`O↑`) holds tuples whose position upper bound is not yet known.
-//! When an incoming tuple's `O↓` exceeds a heap tuple's `O↑`, that heap
-//! tuple's window of possible predecessors is complete and it is *emitted*:
+//! Algorithm 1 scans its input in `O↓` order (the lower-bound corner of the
+//! order-by key) and holds the tuples whose upper bound is not yet known in
+//! a min-heap on `O↑`, because a sorted input has no ranks. Here the three
+//! corners of every row share one dense rank space (stage 2 below), and
+//! each bound of Equations (1)–(3) is a count of certainly or possibly
+//! preceding tuples — a prefix sum over it:
 //!
-//! * its position lower bound was fixed at insertion time (`rank↓` = total
-//!   certain multiplicity of tuples emitted before it — exactly the tuples
-//!   `u` with `u.O↑ <lex t.O↓`, i.e. Equation (1));
-//! * its position upper bound is derived from `rank↑` (total possible
-//!   multiplicity processed so far). Unlike the paper's pseudocode, which
-//!   over-counts by the tuple's own multiplicity and by processed tuples
-//!   whose `O↓` *equals* the emitted tuple's `O↑` (not strict predecessors),
-//!   we subtract both — tracked per distinct lower-bound key — so the
-//!   emitted bound equals Equation (3) exactly. The result is
-//!   property-tested to be *identical* to the Def. 2 reference.
+//! * `τ↓(t)`: the certain mass `Σ k↓` of the rows whose `O↑` rank is below
+//!   `t`'s `O↓` rank (`u.O↑ <lex t.O↓`, Equation (1));
+//! * `τ↑(t)`: the possible mass `Σ k↑` of the rows whose `O↓` rank is below
+//!   `t`'s `O↑` rank, less `t`'s own `k↑` where its two ranks differ —
+//!   Equation (3) exactly, where the paper's pseudocode over-counts by the
+//!   tuple's own multiplicity and by tuples whose `O↓` *equals* its `O↑`;
+//! * `τ_sg(t)`: the selected-guess mass of strictly smaller selected-guess
+//!   corners (Equation (2)).
 //!
-//! Selected-guess positions are deterministic: the selected-guess mass of
-//! strictly smaller selected-guess corners (Equation (2)).
-//!
-//! With `k` given, the scan stops once `rank↓ ≥ k` (all further tuples are
-//! certainly out of the top-k); position bounds of survivors are capped at
-//! `k` as in the paper's `emit` (both are applied to the reference, too,
-//! when comparing). Uses the exact interval-lexicographic comparison
+//! Rows come out in the heap's pop order — `O↑` rank, then `O↓` scan order
+//! — by one counting sort, property-tested *identical* to the Def. 2
+//! reference. With `k` given, a row with `τ↓ ≥ k` is certainly out and
+//! skipped — the suffix of the scan Algorithm 1 stops before — and position
+//! bounds are capped at `k` as in the paper's `emit` (both are applied to
+//! the reference, too, when comparing); DESIGN.md §3.3 has why the output
+//! is the heap loop's. Uses the exact interval-lexicographic comparison
 //! semantics ([`audb_core::CmpSemantics::IntervalLex`]).
 //!
 //! ## Keys are words until they tie
@@ -33,7 +32,7 @@
 //! the stage table):
 //!
 //! 1. **Encode.** The eight-byte prefix of every corner key over
-//!    `<total_O`, read off the lanes ([`prefix_at`]) beside `3 · row +
+//!    `<total_O`, read off the lanes ([`PrefixReader`]) beside `3 · row +
 //!    corner` — no key is encoded here. A row that is certain on every
 //!    attribute has one key for all three corners and one prefix;
 //!    zero-multiplicity rows are dropped here.
@@ -82,16 +81,10 @@
 
 use crate::Stages;
 use audb_core::{
-    prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3,
+    sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3, PrefixReader,
 };
 use audb_rel::ops::sort::total_order;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Heap entry: `(O↑ rank, scan sequence, rank↓ at insertion)`. The scan
-/// sequence is unique, so this is a total order: pops are deterministic
-/// and FIFO among equal `O↑` keys. `Copy`: pushing allocates nothing.
-type Pending = (u32, u32, u64);
 
 /// One output row of the sweep: which input row backs it, which of that
 /// row's possible duplicates it is (`split`, Algorithm 2), its position
@@ -204,11 +197,10 @@ pub fn sort_columns_native<S: Stages>(
 }
 
 /// A row taking part in the sort and — once ranked — how its keys compare.
+#[derive(Clone, Copy)]
 struct Cand {
     /// Index into the input columns.
     row: u32,
-    /// A certain row has one key for its three corners.
-    uncertain: bool,
     /// Dense ranks of the three corner keys, by [`LB`] / [`SG`] / [`UB`].
     ranks: [u32; 3],
     /// Its annotation; after the merge, summed over the stored copies.
@@ -221,7 +213,7 @@ const SG: usize = 1;
 const UB: usize = 2;
 const CORNERS: [Corner; 3] = [Corner::Lb, Corner::Sg, Corner::Ub];
 
-/// One key to be ranked: its prefix ([`prefix_at`]) and `3 · cand +
+/// One key to be ranked: its prefix ([`PrefixReader`]) and `3 · cand +
 /// corner` — which orders the keys of equal prefix as they were stored.
 type KeyRef = (u64, u32);
 
@@ -249,17 +241,16 @@ pub(crate) fn positions<S: Stages>(
         band(&cands, &mut refs, k);
         at = stages.stage(at, "band");
     }
-    let (mut scan, rank_count) = rank(cols, &idxs, &mut cands, &mut refs);
+    let (mut scanned, rank_count) = rank(cols, &idxs, &mut cands, &mut refs);
     let at = stages.stage(at, "rank");
     if !normalized {
-        merge(&mut cands, &mut scan);
+        merge(&mut scanned);
     }
     // Selected-guess positions (Equation (2)): the `k_sg` mass of strictly
     // smaller selected-guess keys — tuples with equal keys do not precede
     // each other, so a whole rank shares one base.
     let mut sg_base = vec![0u64; rank_count + 1];
-    for &c in &scan {
-        let c = &cands[c as usize];
+    for c in &scanned {
         let base = &mut sg_base[c.ranks[SG] as usize + 1];
         *base = checked(base.checked_add(c.mult.sg));
     }
@@ -267,7 +258,7 @@ pub(crate) fn positions<S: Stages>(
         sg_base[r + 1] = checked(sg_base[r + 1].checked_add(sg_base[r]));
     }
     let at = stages.stage(at, "merge");
-    let out = sweep(&cands, &scan, &sg_base, k);
+    let out = sweep(&scanned, &sg_base, k);
     stages.stage(at, "sweep");
     out
 }
@@ -287,11 +278,9 @@ pub fn band_rows(cols: &AuColumns, order: &[usize], k: u64) -> Vec<(usize, Mult3
     let idxs = total_order(cols.arity(), order);
     let (mut cands, mut refs) = encode(cols, 0..cols.len(), &idxs, Some(k));
     band(&cands, &mut refs, k);
-    let (mut scan, _) = rank(cols, &idxs, &mut cands, &mut refs);
-    merge(&mut cands, &mut scan);
-    (scan.iter())
-        .map(|&c| (cands[c as usize].row as usize, cands[c as usize].mult))
-        .collect()
+    let (mut scanned, _) = rank(cols, &idxs, &mut cands, &mut refs);
+    merge(&mut scanned);
+    (scanned.iter()).map(|c| (c.row as usize, c.mult)).collect()
 }
 
 /// Stage 1: the prefixes of the corner keys over `idxs` of every one of
@@ -311,6 +300,7 @@ fn encode(
     let cap = k.unwrap_or(u64::MAX);
     let mut cands = Vec::with_capacity(n);
     let mut refs = Vec::with_capacity(n + n / 4);
+    let [lb_key, sg_key, ub_key] = CORNERS.map(|corner| PrefixReader::new(cols, corner, idxs));
     for r in rows {
         let Mult3 { lb, sg, ub } = cols.mult(r);
         let (lb, sg, ub) = (lb.min(cap), sg.min(cap), ub.min(cap));
@@ -318,17 +308,15 @@ fn encode(
         if mult.is_zero() {
             continue;
         }
-        let uncertain = !cols.row_is_certain(r);
         let id = key_id(cands.len())
             .unwrap_or_else(|| panic!("the sort would rank more than {MAX_RANKED_ROWS} rows"));
-        refs.push((prefix_at(cols, r, Corner::Lb, idxs), id));
-        if uncertain {
-            refs.push((prefix_at(cols, r, Corner::Sg, idxs), id + 1));
-            refs.push((prefix_at(cols, r, Corner::Ub, idxs), id + 2));
+        refs.push((lb_key.at(r), id));
+        if !cols.row_is_certain(r) {
+            refs.push((sg_key.at(r), id + 1));
+            refs.push((ub_key.at(r), id + 2));
         }
         cands.push(Cand {
             row: r as u32,
-            uncertain,
             ranks: [0; 3],
             mult,
         });
@@ -409,19 +397,19 @@ fn rank(
     idxs: &[usize],
     cands: &mut [Cand],
     refs: &mut [KeyRef],
-) -> (Vec<u32>, usize) {
+) -> (Vec<Cand>, usize) {
     sort_prefixes(refs);
     let mut scan = Vec::with_capacity(cands.len());
     let mut place = |cands: &mut [Cand], id: u32, rank: u32| {
         let (c, corner) = (id / 3, id as usize % 3);
         let cand = &mut cands[c as usize];
-        if cand.uncertain {
-            cand.ranks[corner] = rank;
-        } else {
-            cand.ranks = [rank; 3];
-        }
+        // A row's `O↓` key is ranked before its others (it is the least,
+        // and numbered first among equals), and a certain row has no other.
         if corner == LB {
+            cand.ranks = [rank; 3];
             scan.push(c);
+        } else {
+            cand.ranks[corner] = rank;
         }
     };
     let mut ties = KeyArena::with_capacity(0, 0);
@@ -447,92 +435,95 @@ fn rank(
         }
         next += 1;
     }
-    (scan, next as usize)
+    // Every pass from here on reads the candidates in turn, and the ranks
+    // they index mostly ascend.
+    let scanned = scan.iter().map(|&c| cands[c as usize]).collect();
+    (scanned, next as usize)
 }
 
 /// Stage 3: normalisation, fused. Identical hypercubes must be merged for
 /// duplicate offsets to be meaningful (see `sort_ref`). `<total_O` covers
 /// every attribute, so equal rank triples mean equal tuples — and equal
-/// `O↓` ranks put them in one run of `scan`. Each run of more than one row
-/// folds its equal triples into the first stored copy; `scan` keeps its
-/// order and loses the folded copies.
-fn merge(cands: &mut [Cand], scan: &mut Vec<u32>) {
-    let mut group: Vec<u32> = Vec::new();
+/// `O↓` ranks put them in one run of the scan order. Each run of more than
+/// one row folds its equal triples into the first stored copy; `scanned`
+/// keeps its order and loses the folded copies.
+fn merge(scanned: &mut Vec<Cand>) {
+    let mut group: Vec<usize> = Vec::new();
     let mut folded = false;
-    let mut start = 0;
-    while start < scan.len() {
-        let lb = cands[scan[start] as usize].ranks[LB];
-        let len = scan[start..]
-            .iter()
-            .take_while(|&&c| cands[c as usize].ranks[LB] == lb)
-            .count();
-        if len > 1 {
-            group.clear();
-            group.extend_from_slice(&scan[start..start + len]);
-            group.sort_unstable_by_key(|&c| (cands[c as usize].ranks, c));
-            let mut first = group[0] as usize;
-            for &c in &group[1..] {
-                let c = c as usize;
-                if cands[c].ranks == cands[first].ranks {
-                    cands[first].mult = cands[first].mult.saturating_add(cands[c].mult);
-                    cands[c].mult = Mult3::ZERO;
-                    folded = true;
-                } else {
-                    first = c;
-                }
+    let runs = scanned.chunk_by_mut(|a, b| a.ranks[LB] == b.ranks[LB]);
+    for run in runs.filter(|run| run.len() > 1) {
+        // A run is in stored order.
+        group.clear();
+        group.extend(0..run.len());
+        group.sort_unstable_by_key(|&c| (run[c].ranks, c));
+        let mut first = group[0];
+        for &c in &group[1..] {
+            if run[c].ranks == run[first].ranks {
+                run[first].mult = run[first].mult.saturating_add(run[c].mult);
+                run[c].mult = Mult3::ZERO;
+                folded = true;
+            } else {
+                first = c;
             }
         }
-        start += len;
     }
     if folded {
-        scan.retain(|&c| !cands[c as usize].mult.is_zero());
+        scanned.retain(|c| !c.mult.is_zero());
     }
 }
 
-/// Algorithm 1 over ranked candidates in `O↓` order, with `split`
-/// (Algorithm 2) and, under top-k, the fused `σ_{τ < k}` and cap in `emit`.
-fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
+/// Algorithm 1 over ranked candidates in `O↓` order, as passes over the
+/// rank space, with `split` (Algorithm 2) and, under top-k, the fused
+/// `σ_{τ < k}` and cap in `emit`.
+fn sweep(scanned: &[Cand], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
     // One output row per possible duplicate, decided before anything is
     // allocated for them.
-    let bound = output_rows_bound(scan.iter().map(|&c| cands[c as usize].mult.ub), k);
+    let bound = output_rows_bound(scanned.iter().map(|c| c.mult.ub), k);
     // The engine refuses such a breaker before it runs (`ResultTooLarge`); a
-    // direct caller gets a message instead of an aborted allocation.
+    // direct caller gets a message instead of an aborted allocation. Every
+    // sum below is at most the engine's bound, which counts `min(k↑, k)`
+    // per stored copy as `encode` does.
     let rows = checked(bound.filter(|&rows| rows <= MAX_OUTPUT_ROWS));
     // Without a limit exactly that many come out; a top-k emits about `k`.
     let mut out = Vec::with_capacity(rows.min(k.unwrap_or(rows)) as usize);
-    let mut todo: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-    // Σ k↓ of emitted tuples and Σ k↑ of processed tuples.
-    let (mut rank_lb, mut rank_ub) = (0u64, 0u64);
-    // Σ k↑ of processed tuples per distinct lower-bound key: emitted upper
-    // bounds must not count tuples whose O↓ merely *ties* the emitted O↑.
-    // Indexed by dense key rank.
-    let mut processed_by_lb: Vec<u64> = vec![0; sg_base.len()];
-
-    let emit = |p: Pending,
-                rank_lb: &mut u64,
-                rank_ub: u64,
-                processed_by_lb: &[u64],
-                out: &mut Vec<Position>| {
-        let (ub_rank, seq, tau_lb) = p;
-        let cand = &cands[scan[seq as usize] as usize];
-        let rmult = cand.mult;
+    // Per rank `r`, summed over the rows ranked below it: the certain mass
+    // and the number of the rows whose `O↑` is, and the possible mass of
+    // the rows whose `O↓` is.
+    const CERTAIN: usize = 0;
+    const POSSIBLE: usize = 1;
+    const ROWS: usize = 2;
+    let mut below = vec![[0u64; 3]; sg_base.len()];
+    for c in scanned {
+        let [lb, ub] = [c.ranks[LB], c.ranks[UB]].map(|rank| rank as usize + 1);
+        below[ub][CERTAIN] += c.mult.lb;
+        below[ub][ROWS] += 1;
+        below[lb][POSSIBLE] += c.mult.ub;
+    }
+    for r in 1..below.len() {
+        below[r] = [CERTAIN, POSSIBLE, ROWS].map(|sum| below[r][sum] + below[r - 1][sum]);
+    }
+    // Emission order, the heap's of Algorithm 1: by `O↑` rank, then in scan
+    // order — one counting sort.
+    let mut order = vec![0u32; scanned.len()];
+    for (i, c) in scanned.iter().enumerate() {
+        let at = &mut below[c.ranks[UB] as usize][ROWS];
+        order[*at as usize] = i as u32;
+        *at += 1;
+    }
+    for i in order {
+        let cand = &scanned[i as usize];
+        // Equation (1): the rows whose `O↑` is below `t.O↓`. Equation (3):
+        // the rows whose `O↓` is below `t.O↑`, `t` itself aside.
+        let tau_lb = below[cand.ranks[LB] as usize][CERTAIN];
         let tau_sg = sg_base[cand.ranks[SG] as usize];
-        let bucket = processed_by_lb[ub_rank as usize];
-        let self_extra = if cand.ranks[LB] != cand.ranks[UB] {
-            rmult.ub
-        } else {
-            0
-        };
-        let tau_ub = rank_ub - bucket - self_extra;
-        // Without early termination the bounds are exact and ordered; with
-        // top-k early termination the raw sg rank (computed globally) can
-        // exceed the partially-computed upper bound — the cap below restores
-        // the invariant (both then equal k; see module docs).
-        debug_assert!(k.is_some() || (tau_lb <= tau_sg && tau_sg <= tau_ub));
-        // split (Algorithm 2): one output row per possible duplicate.
-        for i in 0..rmult.ub {
+        let own = cand.mult.ub * u64::from(cand.ranks[LB] != cand.ranks[UB]);
+        let tau_ub = below[cand.ranks[UB] as usize][POSSIBLE] - own;
+        debug_assert!(tau_lb <= tau_sg && tau_sg <= tau_ub);
+        // split (Algorithm 2): one output row per possible duplicate. Under
+        // `LIMIT k` a row with `τ↓ ≥ k` emits none: certainly out.
+        for i in 0..cand.mult.ub {
             let (plb, mut psg, mut pub_) = (tau_lb + i, tau_sg + i, tau_ub + i);
-            let mut m = rmult.copy(i);
+            let mut m = cand.mult.copy(i);
             if let Some(k) = k {
                 // Fused σ_{τ < k} with [24] selection semantics.
                 if plb >= k {
@@ -547,9 +538,6 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
                 psg = psg.min(k);
                 pub_ = pub_.min(k);
             }
-            if plb > psg {
-                psg = plb; // can only happen via capping; keep the invariant
-            }
             out.push(Position {
                 row: cand.row,
                 dup: dup_index(i),
@@ -559,32 +547,6 @@ fn sweep(cands: &[Cand], scan: &[u32], sg_base: &[u64], k: Option<u64>) -> Vec<P
                 mult: m,
             });
         }
-        *rank_lb += rmult.lb;
-    };
-
-    for (seq, &c) in scan.iter().enumerate() {
-        let cand = &cands[c as usize];
-        // Emit every pending tuple certainly ordered before the incoming one.
-        while let Some(&Reverse(p)) = todo.peek() {
-            if p.0 < cand.ranks[LB] {
-                todo.pop();
-                emit(p, &mut rank_lb, rank_ub, &processed_by_lb, &mut out);
-            } else {
-                break;
-            }
-        }
-        if k.is_some_and(|k| rank_lb >= k) {
-            // Everything from here on is certainly out of the top-k.
-            break;
-        }
-        rank_ub += cand.mult.ub;
-        processed_by_lb[cand.ranks[LB] as usize] += cand.mult.ub;
-        todo.push(Reverse((cand.ranks[UB], seq as u32, rank_lb)));
-    }
-
-    // Flush remaining pending tuples (Algorithm 1, lines 10–11).
-    while let Some(Reverse(p)) = todo.pop() {
-        emit(p, &mut rank_lb, rank_ub, &processed_by_lb, &mut out);
     }
     out
 }
@@ -737,6 +699,44 @@ mod tests {
                 ((1, 1, 1), Mult3::new(0, 0, 1)),
                 ((2, 2, 2), Mult3::new(0, 0, 1)),
                 ((1, 1, 3), Mult3::new(0, 1, 1)),
+            ]
+        );
+    }
+
+    /// Rows come out by `O↑` key, and rows of one `O↑` key in `O↓` scan
+    /// order — `O↓` key, then stored order — each row's split duplicates
+    /// together: the order SQL results show. The last row is a copy of the
+    /// second, so that one merges into two duplicates.
+    #[test]
+    fn emission_order_is_upper_key_then_scan_order() {
+        let rel = AuRelation::from_rows(
+            Schema::new(["a"]),
+            [
+                rv(1, 2, 5),
+                rv(2, 2, 3),
+                rv(1, 1, 5),
+                rv(0, 4, 5),
+                rv(3, 3, 3),
+                rv(2, 2, 3),
+            ]
+            .into_iter()
+            .zip([1, 1, 2, 1, 1, 1])
+            .map(|(a, ub)| (AuTuple::new([a]), Mult3::new(1, 1, ub))),
+        );
+        let out = sort_columns_native(&rel.to_columns(), &[0], "pos", None, &()).to_rows();
+        let emitted: Vec<_> = (out.rows().iter())
+            .map(|r| r.tuple.get(0).as_i64_triple())
+            .collect();
+        assert_eq!(
+            emitted,
+            [
+                (2, 2, 3),
+                (2, 2, 3),
+                (3, 3, 3),
+                (0, 4, 5),
+                (1, 2, 5),
+                (1, 1, 5),
+                (1, 1, 5),
             ]
         );
     }

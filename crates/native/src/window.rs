@@ -63,7 +63,7 @@
 //! The output is normalized without a tuple being sorted — or built: its
 //! canonical order ([`audb_core::canonical_order`], what `normalize` would
 //! sort by) is taken from the prefixes of the lower-bound corner of the
-//! *input* lanes ([`audb_core::prefix_at`]); that corner is encoded only
+//! *input* lanes ([`audb_core::PrefixReader`]); that corner is encoded only
 //! for rows whose prefixes tie, and the aggregate and the other corners
 //! only for rows that tie on the whole corner — split duplicates of one
 //! hypercube, hypercubes equal on every lower bound — which merge when
@@ -78,8 +78,8 @@
 use crate::maintain::{WindowMaintain, WindowRow};
 use crate::Stages;
 use audb_core::{
-    canonical_order, prefix_at, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple,
-    AuWindowSpec, Corner, KeyArena, Mult3, RangeValue, WinAgg,
+    canonical_order, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner,
+    KeyArena, Mult3, PrefixReader, RangeValue, WinAgg,
 };
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
@@ -118,8 +118,9 @@ pub(crate) fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>,
         return vec![(Vec::new(), rows)];
     }
     // Every sort is stable: stored order within a value.
+    let prefix = PrefixReader::new(cols, Corner::Sg, partition);
     let mut refs: Vec<(u64, u32)> = (rows.iter().enumerate())
-        .map(|(slot, &row)| (prefix_at(cols, row, Corner::Sg, partition), slot as u32))
+        .map(|(slot, &row)| (prefix.at(row), slot as u32))
         .collect();
     sort_prefixes(&mut refs);
     let mut parts = Vec::new();
@@ -258,10 +259,11 @@ pub fn window_columns_native<S: Stages>(
     // (split duplicates of one hypercube, hypercubes equal on every lower
     // bound), which merge when equal throughout as they would there.
     let all: Vec<usize> = (0..cols.arity()).collect();
+    let prefix = PrefixReader::new(cols, Corner::Lb, &all);
     let order = canonical_order(
         rows.len(),
         |out| rows[out].mult,
-        |out| prefix_at(cols, rows[out].row as usize, Corner::Lb, &all),
+        |out| prefix.at(rows[out].row as usize),
         |keys, out| keys.extend_corner_at(cols, rows[out].row as usize, Corner::Lb, &all),
         |keys, out| {
             let WindowRow { row, x, .. } = &rows[out];

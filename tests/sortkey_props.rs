@@ -10,7 +10,7 @@
 //!   borrow-or-owned fast path) ≡ the original semantics: merge identical
 //!   hypercubes additively, drop `(0,0,0)` rows, deterministic total order.
 
-use audb::core::sortkey::{prefix_at, prefix_of, Corner, KeyArena, SortKey};
+use audb::core::sortkey::{prefix_of, Corner, KeyArena, PrefixReader, SortKey};
 use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, RangeValue};
 use audb::rel::{Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -410,20 +410,23 @@ proptest! {
     }
 
     /// What a ranking sorts by is the prefix of the key it stands for:
-    /// `prefix_at` over the lanes — and `prefix_of` over the corner's
+    /// [`PrefixReader`] over the lanes — and `prefix_of` over the corner's
     /// values — equals [`KeyArena::prefix`] of the key `push_corner_at`
-    /// encodes, at every corner, whichever column leads the key: a number
-    /// alone, or a `NULL`, `Bool`, NaN or short string and what follows it.
+    /// encodes, at every corner, whichever lane leads the key: `i64` and
+    /// `f64` (NaN and `-0.0` among its values), read in closed form but for
+    /// NaN, a dictionary string, or a `Generic` value — a `NULL` or `Bool`
+    /// among them — and what follows a short one.
     #[test]
     fn prefix_at_is_the_prefix_of_the_encoded_key(lanes in lane_columns()) {
         let cols = lanes.0;
         for idxs in [[0usize, 1, 2, 3], [1, 2, 0, 3], [2, 3, 1, 0], [3, 2, 1, 0], [2, 2, 3, 0]] {
             let mut keys = KeyArena::with_capacity(0, 0);
-            for i in 0..cols.len() {
-                for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
+            for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
+                let prefix = PrefixReader::new(&cols, corner, &idxs);
+                for i in 0..cols.len() {
                     keys.push_corner_at(&cols, i, corner, &idxs);
                     let want = keys.prefix(keys.len() - 1);
-                    prop_assert_eq!(prefix_at(&cols, i, corner, &idxs), want, "row {}, {:?}, {:?}", i, corner, idxs);
+                    prop_assert_eq!(prefix.at(i), want, "row {}, {:?}, {:?}", i, corner, idxs);
                     let t = cols.tuple(i);
                     let vals = idxs.iter().map(|&c| corner.of(&t.0[c]));
                     prop_assert_eq!(prefix_of(vals), want);
@@ -479,7 +482,7 @@ fn prefix_at_is_the_prefix_of_a_megabyte_key() {
                 keys.push_corner_at(&cols, row, corner, &idxs);
                 let want = keys.prefix(0);
                 assert_eq!(
-                    prefix_at(&cols, row, corner, &idxs),
+                    PrefixReader::new(&cols, corner, &idxs).at(row),
                     want,
                     "row {row}, {idxs:?}"
                 );
