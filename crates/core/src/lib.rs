@@ -18,8 +18,8 @@
 //!
 //! The operators in this crate are *reference implementations*: they follow
 //! the formal definitions literally and quadratically. The production
-//! implementations live in `audb-native` (one-pass algorithms over
-//! connected heaps) and `audb-rewrite` (SQL-style rewrites); both are
+//! implementations live in `audb-native` (one-pass sweeps over ranked
+//! positions) and `audb-rewrite` (SQL-style rewrites); both are
 //! property-tested against this crate.
 //!
 //! ## Quick example

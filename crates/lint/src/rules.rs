@@ -536,6 +536,7 @@ const EXTERNAL_DEP_ALLOWLIST: &[(&str, &[&str])] = &[
     ("audb-competitors", &["rand"]),
     ("audb-conheap", &["proptest"]),
     ("audb-core", &["proptest"]),
+    ("audb-native", &["proptest"]),
     ("audb-rel", &["proptest"]),
     ("audb-workloads", &["rand"]),
     ("audb-worlds", &["rand"]),

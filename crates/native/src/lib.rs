@@ -8,16 +8,19 @@
 //! enforced by the cross-crate test-suite.
 //!
 //! * [`sort::sort_columns_native`] — Algorithm 1 + `split` (Algorithm 2),
-//!   with a limit top-k: a single sweep over the relation sorted by the
-//!   lower-bound corner, with a `todo` min-heap on upper-bound corners. It
-//!   reads typed column lanes and writes typed column lanes — no tuple.
+//!   with a limit top-k: the three corners of every row ranked once, each
+//!   position bound a prefix sum over that rank space, where the paper
+//!   keeps a `todo` min-heap on upper-bound corners. It reads typed column
+//!   lanes and writes typed column lanes — no tuple.
 //! * [`window::window_columns_native`] — Algorithm 3 (+`compBounds`,
 //!   Algorithms 4–6): a sweep over uncertain positions with a `cert`
-//!   position index and a three-way [`audb_conheap::ConnectedHeap`] over
-//!   the possible window members.
+//!   position index, and the possible window members — the paper's
+//!   three-way connected heap — as one `τ↑` order that windows close and
+//!   leave the pool in, and two rankings of the pool whose members are a
+//!   hierarchical bitset (`rank_set`). No heap.
 //! * [`maintain::MaintainedWindow`] — the window sweep kept alive between
-//!   column batches: in-order appends update the bounds in `O(log n)` per
-//!   row instead of recomputing the full `O(n log n)` pass, with
+//!   column batches: in-order appends are ranked and swept as a batch
+//!   instead of recomputing the full `O(n log n)` pass, with
 //!   already-closed windows provably final. [`maintain::TopKMaintain`]
 //!   keeps only the top-k's candidate band between batches, in any order.
 //!
@@ -30,6 +33,7 @@
 //! report their stages to a [`Stages`] sink and read no clock.
 
 pub mod maintain;
+mod rank_set;
 pub mod sort;
 pub mod window;
 

@@ -6,7 +6,8 @@
 //! soon as no future tuple can possibly belong to it. Nothing about it
 //! requires the whole relation up front — this module keeps the sweep
 //! state ([`WindowMaintain`]) alive between batches so an appended row
-//! costs `O(log n)` heap work instead of an `O(n log n)` recompute.
+//! costs a share of its batch's ranking instead of an `O(n log n)`
+//! recompute.
 //!
 //! ## In-order appends
 //!
@@ -62,14 +63,21 @@
 //! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
 //!   still-open item* — a cursor that only moves forward;
 //! * the certain tuples form a `τ↓`-ordered deque: the range scan of
-//!   `compBounds` binary-searches its start, eviction pops the front;
-//! * the possible pool is the three-order connected heap of the paper. Its
-//!   entries hold no [`Value`]: the heap compares words — `τ↑`, and the
-//!   eight-byte prefixes of the `A↓` / `A↑` bounds ([`prefix_of`]) — and
-//!   its order ([`HeapOrder`], passed per call because it reads the
-//!   sweep's items) compares the bounds as values only where two prefixes
-//!   tie. A scan runs through a scratch frontier the sweep owns
-//!   ([`ConnectedHeap::sorted_iter_with`]).
+//!   `compBounds` binary-searches its start, eviction pops the front.
+//!
+//! The paper keeps the open windows and the possible pool in heaps; this
+//! sweep keeps none. Windows close, and items leave the pool, in one
+//! order, `(τ↑, id)`: a counting pass over each batch's `τ↑`s, appended
+//! to the order kept so far — an in-order batch's `τ↑`s all exceed the
+//! earlier ones — and two cursors walk it. `l ≤ 0 ≤ u`, so a window has
+//! arrived by the time it closes, and an item below the eviction
+//! watermark is in the pool. The pool's other two orders, `A↓` ascending
+//! and `A↑` descending, are rankings of its survivors and the next
+//! arrivals, re-ranked at every batch boundary and whenever those run out
+//! (`Pool`): its members are ranks in a hierarchical bitset
+//! (`RankSet`), and a scan walks their set bits. Eviction only saves
+//! scan visits — `compBounds`' membership test rejects whatever it evicts
+//! — so its timing cannot change an answer.
 //!
 //! ## Selected guesses
 //!
@@ -98,24 +106,19 @@
 //! so the state and the cost of an append scale with the uncertain band
 //! around rank `k`, not with `n`; a query is
 //! [`crate::sort::sort_columns_native`] over the band.
-//!
-//! Within one window sweep the pool heap reuses its arena: a popped record's
-//! slot goes on the free list and the next insert takes it, so the arena
-//! holds the sweep band, not the relation. A sweep that is rebuilt (a
-//! recompute fallback) is a new heap.
 
+use crate::rank_set::RankSet;
 use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::window::{aggregate_column, partitions, ranged};
 use crate::Stages;
-use audb_conheap::{ConnectedHeap, HeapOrder};
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
     KeyArena, Mult3, RangeValue, WinAgg,
 };
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// One split row in flight through the sweep: everything the sweep
 /// compares, read from the lanes once — no tuple is built for it.
@@ -164,58 +167,147 @@ pub struct WindowRow {
     pub x: RangeValue,
 }
 
-/// Pool payload: everything the three heap orders and the membership test
-/// of `compBounds` read, copied out of the item — as words: the bounds of
-/// the aggregated attribute are their prefixes ([`prefix_of`]), which
-/// order them wherever they differ; the values stay with the item.
-struct PoolItem {
+/// A pool candidate: what `compBounds`' membership test reads, and the
+/// words it is ranked on, read off the item once.
+#[derive(Clone, Copy)]
+struct Ranked {
+    id: usize,
     tlo: i64,
     thi: i64,
-    id: usize,
     cert: bool,
-    /// Prefix of `A↓`.
-    alo: u64,
-    /// Prefix of `A↑`.
-    ahi: u64,
+    /// Per ranking (`A↓`, `A↑`), whether the bound is an `Int`: its word
+    /// is then the sign-flipped `i64`, else its prefix ([`prefix_of`]).
+    int: [bool; 2],
+    word: [u64; 2],
 }
 
-/// The pool's three orders — heap 0: `τ↑` ascending (eviction order);
-/// heap 1: `A↓` ascending (min-k candidates); heap 2: `A↑` descending
-/// (max-k candidates), each made total by the item id. The heap compares
-/// their words — `τ↑` (a position: never negative), `A↓`'s prefix, `A↑`'s
-/// prefix inverted — and asks `cmp` only where two tie, which reads the
-/// bounds from the sweep's own items: the order borrows them, so the sweep
-/// hands it to the heap per call. A type, so the heap's sifts inline it.
-struct PoolOrder<'a>(&'a [Item]);
+/// Arrivals ranked at once beside a small pool's survivors.
+const CHUNK: usize = 1024;
 
-impl HeapOrder<PoolItem> for PoolOrder<'_> {
-    const WORDS: bool = true;
+/// The possible pool (module docs): two rankings — `A↓` ascending,
+/// `A↑` descending, ties by item id — in one rank space, `A↓`'s first.
+#[derive(Default)]
+struct Pool {
+    /// The candidates in id order: the survivors of the last re-rank, then
+    /// the arrivals the ranking serves.
+    slots: Vec<Ranked>,
+    /// Rank → `(word, slot)`.
+    ranked: Vec<(u64, u32)>,
+    live: RankSet,
+    /// Item id → its two ranks.
+    rank_of: Vec<[u32; 2]>,
+    /// Per ranking, the ranks below this hold a negative `A↓` / positive
+    /// `A↑`: the sign tests of the `SUM` scans.
+    signed: [usize; 2],
+    len: usize,
+    /// The slots' buffer for the next re-rank.
+    spare: Vec<Ranked>,
+}
 
-    #[inline]
-    fn word(&self, h: usize, p: &PoolItem) -> u64 {
-        match h {
-            0 => p.thi as u64,
-            1 => p.alo,
-            _ => !p.ahi,
+impl Pool {
+    /// Rank the members and `arrivals` afresh. The candidates are in id
+    /// order and the sort is stable, so wherever words tie only on equal
+    /// bounds, equal bounds keep the id order. A ranking whose bounds are
+    /// all `Int`s sorts their words as they are — exact —, any other the
+    /// prefixes ([`prefix_of`], numeric across `Int` and `Float`), whose
+    /// tied runs the values order.
+    fn rerank(&mut self, items: &[Item], arrivals: Range<usize>) {
+        let (live, rank_of) = (&self.live, &self.rank_of);
+        let mut slots = std::mem::take(&mut self.spare);
+        slots.clear();
+        slots.extend((self.slots.iter()).filter(|c| live.contains(rank_of[c.id][0] as usize)));
+        let survivors = slots.len();
+        self.rank_of.resize(arrivals.end, [0; 2]);
+        let flip = |i: i64| (i as u64) ^ (1 << 63);
+        slots.extend(arrivals.map(|id| {
+            let it = &items[id];
+            let bounds = [&it.attr.lb, &it.attr.ub];
+            let (tlo, thi, cert) = (it.tlo, it.thi, it.cert);
+            let int = bounds.map(|v| matches!(v, Value::Int(_)));
+            let word = bounds.map(|v| v.as_i64().map_or_else(|| prefix_of([v]), flip));
+            Ranked {
+                id,
+                tlo,
+                thi,
+                cert,
+                int,
+                word,
+            }
+        }));
+        self.spare = std::mem::replace(&mut self.slots, slots);
+        let slots = &self.slots;
+        let n = slots.len();
+        self.ranked.clear();
+        self.live.reset(2 * n);
+        let zero = Value::Int(0);
+        for h in 0..2 {
+            let bound = |at: u32| {
+                let attr = &items[slots[at as usize].id].attr;
+                [&attr.lb, &attr.ub][h]
+            };
+            let exact = slots.iter().all(|c| c.int[h]);
+            let base = h * n;
+            self.ranked.extend(slots.iter().zip(0..).map(|(c, at)| {
+                let word = match c.int[h] && !exact {
+                    true => prefix_of([&Value::Int((c.word[h] ^ 1 << 63) as i64)]),
+                    false => c.word[h],
+                };
+                (if h == 0 { word } else { !word }, at)
+            }));
+            let keys = &mut self.ranked[base..];
+            sort_prefixes(keys);
+            if !exact {
+                for run in keys.chunk_by_mut(|a, b| a.0 == b.0) {
+                    run.sort_by(|a, b| match h {
+                        0 => bound(a.1).cmp(bound(b.1)),
+                        _ => bound(b.1).cmp(bound(a.1)),
+                    });
+                }
+            }
+            self.signed[h] = base
+                + keys.partition_point(|&(_, at)| match h {
+                    0 => *bound(at) < zero,
+                    _ => *bound(at) > zero,
+                });
+            for (rank, &(_, at)) in (base..).zip(keys.iter()) {
+                self.rank_of[slots[at as usize].id][h] = rank as u32;
+                if (at as usize) < survivors {
+                    self.live.insert(rank);
+                }
+            }
         }
     }
 
-    #[inline]
-    fn cmp(&self, h: usize, a: &PoolItem, b: &PoolItem) -> Ordering {
-        let attr = |p: &PoolItem| &self.0[p.id].attr;
-        match h {
-            0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
-            1 => attr(a).lb.cmp(&attr(b).lb).then(a.id.cmp(&b.id)),
-            _ => attr(b).ub.cmp(&attr(a).ub).then(a.id.cmp(&b.id)),
+    /// Item `id` joins the pool.
+    fn insert(&mut self, id: usize) {
+        for rank in self.rank_of[id] {
+            self.live.insert(rank as usize);
         }
+        self.len += 1;
+    }
+
+    /// Item `id` leaves the pool.
+    fn remove(&mut self, id: usize) {
+        for rank in self.rank_of[id] {
+            self.live.remove(rank as usize);
+        }
+        self.len -= 1;
+    }
+
+    /// The members in ranking `h`'s order (0: `A↓` ascending, 1: `A↑`
+    /// descending), each with whether its bound is signed — negative `A↓`,
+    /// positive `A↑`.
+    fn scan(&self, h: usize) -> impl Iterator<Item = (bool, &Ranked)> {
+        let n = self.ranked.len() / 2;
+        let (ranks, signed) = (self.live.iter_from(h * n), self.signed[h]);
+        let ranks = ranks.take_while(move |&rank| rank < (h + 1) * n);
+        ranks.map(move |rank| (rank < signed, &self.slots[self.ranked[rank].1 as usize]))
     }
 }
 
 /// Buffers `compBounds` fills per window, kept across windows.
 #[derive(Default)]
 struct Scratch {
-    /// Frontier of the pool's sorted iteration.
-    frontier: Vec<usize>,
     /// Items certainly in the window (self first).
     cert: Vec<usize>,
     /// Pool items picked by the min-k / max-k scan.
@@ -238,13 +330,18 @@ pub struct WindowMaintain {
     /// the accumulated rows, as its key's bytes.
     frontier: Option<Vec<u8>>,
     // Sweep state, live between batches.
-    openw: BinaryHeap<Reverse<(i64, usize)>>,
+    /// Every item in `(τ↑, id)` order: the order windows close in and
+    /// items leave the pool in.
+    by_thi: Vec<usize>,
+    /// `by_thi[closing..]` holds every window still open; `by_thi[..evicted]`
+    /// every item evicted from the pool.
+    closing: usize,
+    evicted: usize,
     /// No item before this one is still open.
     oldest_open: usize,
     /// Certain items `(τ↓, τ↑, id)` in arrival (= `τ↓`) order.
     cert: VecDeque<(i64, i64, usize)>,
-    /// Ordered per call, by a [`PoolOrder`] over `items`.
-    poss: ConnectedHeap<PoolItem, ()>,
+    poss: Pool,
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
     closed: Vec<WindowRow>,
@@ -278,10 +375,12 @@ impl WindowMaintain {
             total_lb: 0,
             total_ub: 0,
             frontier: None,
-            openw: BinaryHeap::new(),
+            by_thi: Vec::new(),
+            closing: 0,
+            evicted: 0,
             oldest_open: 0,
             cert: VecDeque::new(),
-            poss: ConnectedHeap::with_order(3, 1024, ()),
+            poss: Pool::default(),
             scratch: Scratch::default(),
             closed: Vec::new(),
             emit_below: u32::MAX,
@@ -397,6 +496,18 @@ impl WindowMaintain {
             run.sort_unstable_by_key(|&(_, i)| (pos[i as usize].row, pos[i as usize].dup));
         }
         let pos: Vec<_> = refs.iter().map(|&(_, i)| pos[i as usize]).collect();
+        // `(τ↑, id)` order, extended: one counting pass over the batch's
+        // `τ↑`s, which are below its entry count.
+        let first_new = self.items.len();
+        let mut at_thi = vec![0; pos.len() + 1];
+        pos.iter().for_each(|p| at_thi[p.tau_ub as usize + 1] += 1);
+        (1..at_thi.len()).for_each(|thi| at_thi[thi] += at_thi[thi - 1]);
+        self.by_thi.resize(first_new + pos.len(), 0);
+        for (id, p) in (first_new..).zip(&pos) {
+            let at = &mut at_thi[p.tau_ub as usize];
+            self.by_thi[first_new + *at] = id;
+            *at += 1;
+        }
         let at = stages.stage(at, "rank");
         // Offsets shift batch-local positions into the global rank space;
         // the totals must cover the whole batch *before* any window closes
@@ -409,7 +520,6 @@ impl WindowMaintain {
         }
         // The one time the input is read: the aggregated attribute's range,
         // straight from the lanes.
-        let first_new = self.items.len();
         let attr = self.agg.input_col().map(|c| cols.col(c));
         for p in &pos {
             self.items.push(Item {
@@ -479,8 +589,17 @@ impl WindowMaintain {
             .collect();
         self.ingest_sg(sg_ids, sg_vals);
         let at = stages.stage(at, "selected-guess");
-        for t in first_new..self.items.len() {
-            self.step(t);
+        // A ranking serves [`CHUNK`] arrivals, or four times as many as it
+        // has survivors: re-ranking costs at most 1.25 entries per arrival
+        // where nothing leaves the pool.
+        let mut from = first_new;
+        while from < self.items.len() {
+            let to = self.items.len().min(from + CHUNK.max(4 * self.poss.len));
+            self.poss.rerank(&self.items, from..to);
+            for t in from..to {
+                self.step(t);
+            }
+            from = to;
         }
         stages.stage(at, "sweep");
     }
@@ -491,20 +610,31 @@ impl WindowMaintain {
     /// the one-shot sweep produces over the accumulated relation.
     pub fn open_rows(&self) -> Vec<WindowRow> {
         let provisional = self.provisional_sg();
-        let mut open: Vec<(i64, usize)> = self.openw.iter().map(|w| w.0).collect();
-        open.sort_unstable();
         let mut scratch = Scratch::default();
-        open.into_iter()
-            .map(|(_, sid)| self.window_row(sid, &provisional, &mut scratch))
+        (self.open_windows())
+            .map(|sid| self.window_row(sid, &provisional, &mut scratch))
             .collect()
+    }
+
+    /// The windows still open, in the order they close: `(τ↑, id)`.
+    fn open_windows(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.by_thi[self.closing..].iter().copied()).filter(|&sid| self.opens(sid))
+    }
+
+    /// Is item `id` a window? One nobody reads never opens.
+    fn opens(&self, id: usize) -> bool {
+        self.items[id].row < self.emit_below
     }
 
     /// Consume the sweep: the open windows close for good, in the order of
     /// [`WindowMaintain::open_rows`], and every output row is handed over.
     pub fn finish(mut self) -> Vec<WindowRow> {
         let provisional = self.provisional_sg();
-        while let Some(Reverse((_, sid))) = self.openw.pop() {
-            self.close(sid, &provisional);
+        for at in self.closing..self.by_thi.len() {
+            let sid = self.by_thi[at];
+            if self.opens(sid) {
+                self.close(sid, &provisional);
+            }
         }
         self.closed
     }
@@ -517,19 +647,22 @@ impl WindowMaintain {
             (it.tlo, it.thi, it.cert)
         };
         let (l, u) = (self.spec.lower, self.spec.upper);
-        while let Some(&Reverse((thi, sid))) = self.openw.peek() {
-            if thi + u >= it_tlo {
+        // `l ≤ 0 ≤ u`: a window that closes has arrived (`τ↓ ≤ τ↑ < t.τ↓`).
+        while let Some(&sid) = self.by_thi.get(self.closing) {
+            if !self.opens(sid) {
+                self.closing += 1;
+                continue;
+            }
+            if self.items[sid].thi + u >= it_tlo {
                 break;
             }
-            self.openw.pop();
+            debug_assert!(sid < t, "a window closes after it arrived");
+            self.closing += 1;
             self.items[sid].closed = true;
-            while self.oldest_open < t && self.items[self.oldest_open].closed {
-                self.oldest_open += 1;
-            }
-            let (stlo, sthi) = (self.items[sid].tlo, self.items[sid].thi);
             // Evict certain tuples below every range scan still to come:
-            // `openw` pops in τ↑ order and arrivals lie beyond `s.τ↑ + u`, so
-            // no window closing after `s` scans below `s.τ↑ + l`.
+            // windows close in τ↑ order and arrivals lie beyond `s.τ↑ + u`,
+            // so no window closing after `s` scans below `s.τ↑ + l`.
+            let sthi = self.items[sid].thi;
             while self.cert.front().is_some_and(|c| c.0 < sthi + l) {
                 self.cert.pop_front();
             }
@@ -537,42 +670,39 @@ impl WindowMaintain {
                 !self.items[sid].in_sg || self.items[sid].sg.is_some(),
                 "sg value of a closing window must be final"
             );
-            self.pool_sum += self.poss.len() as u64;
-            self.pool_max = self.pool_max.max(self.poss.len());
+            self.pool_sum += self.poss.len as u64;
+            self.pool_max = self.pool_max.max(self.poss.len);
             self.close(sid, &[]);
-            // Evict pool tuples below every remaining window: the minimum
-            // τ↓ over the windows still open (a later-closing window may
-            // start earlier when position ranges are wide) is the oldest
-            // open item's; the incoming tuple stands in when none is open.
-            let open_tlo = if self.oldest_open < t {
-                self.items[self.oldest_open].tlo
-            } else {
-                it_tlo
-            };
-            let watermark = open_tlo.min(stlo) + l;
-            while self.poss.peek(0).is_some_and(|p| p.thi < watermark) {
-                self.poss.pop_with(0, &PoolOrder(&self.items));
+        }
+        // Evict pool tuples below every window open or to come: the minimum
+        // τ↓ over the open windows (a later-closing window may start earlier
+        // when position ranges are wide) is the oldest open item's, `t`'s
+        // when none is open. At every arrival, lest a group whose last
+        // window closed keep its pool, and re-rank it, to the end.
+        while self.oldest_open < t && self.items[self.oldest_open].closed {
+            self.oldest_open += 1;
+        }
+        let open_tlo = match self.oldest_open < t {
+            true => self.items[self.oldest_open].tlo,
+            false => it_tlo,
+        };
+        while let Some(&e) = self.by_thi.get(self.evicted) {
+            if self.items[e].thi >= open_tlo + l {
+                break;
             }
+            debug_assert!(e < t, "an item below the watermark is in the pool");
+            self.poss.remove(e);
+            self.evicted += 1;
         }
         // A window nobody reads is never opened: it never closes, and it
         // keeps no pool member from eviction.
-        match self.items[t].row < self.emit_below {
-            true => self.openw.push(Reverse((it_thi, t))),
-            false => self.items[t].closed = true,
+        if !self.opens(t) {
+            self.items[t].closed = true;
         }
         if it_cert {
             self.cert.push_back((it_tlo, it_thi, t));
         }
-        let attr = &self.items[t].attr;
-        let item = PoolItem {
-            tlo: it_tlo,
-            thi: it_thi,
-            id: t,
-            cert: it_cert,
-            alo: prefix_of([&attr.lb]),
-            ahi: prefix_of([&attr.ub]),
-        };
-        self.poss.insert_with(item, &PoolOrder(&self.items));
+        self.poss.insert(t);
     }
 
     /// Close window `id` for good: its output row joins the closed rows.
@@ -610,11 +740,7 @@ impl WindowMaintain {
         let s = &items[id];
         let cs = (s.thi + l, s.tlo + u); // certainly covered positions
         let ps = (s.tlo + l, s.thi + u); // possibly covered positions
-        let Scratch {
-            frontier,
-            cert,
-            picked,
-        } = scratch;
+        let Scratch { cert, picked } = scratch;
 
         // Certain members: self, then the τ↓-range scan.
         cert.clear();
@@ -643,18 +769,14 @@ impl WindowMaintain {
         );
 
         // A pool candidate is a possible-but-not-certain member ≠ self.
-        let valid = |p: &&PoolItem| -> bool {
+        let valid = |&(_, p): &(bool, &Ranked)| -> bool {
             let certainly = p.cert && p.tlo >= cs.0 && p.thi <= cs.1;
             p.id != id && !certainly && p.tlo <= ps.1 && p.thi >= ps.0
         };
         let cert_lb = || cert.iter().map(|&c| &items[c].attr.lb);
         let cert_ub = || cert.iter().map(|&c| &items[c].attr.ub);
-        let order = PoolOrder(items);
-        // The sign of a pool bound: its prefix against zero's, the value
-        // where they tie.
-        let zero = Value::Int(0);
-        let zero_word = prefix_of([&zero]);
-        let sign = |word: u64, v: &Value| word.cmp(&zero_word).then_with(|| v.cmp(&zero));
+        // Pool scans: `A↓` ascending (min-k), `A↑` descending (max-k).
+        let (min_k, max_k) = (|| self.poss.scan(0), || self.poss.scan(1));
 
         let (xlo, xhi) = match self.agg {
             WinAgg::Sum(_) | WinAgg::Count => {
@@ -662,8 +784,8 @@ impl WindowMaintain {
                 let hi = sum(Value::Int(0), cert_ub());
                 // A frame already full of certain members takes nothing
                 // from the pool (every window of certain data): no scan,
-                // where each would walk its heap order to the first
-                // candidate to stop there.
+                // where each would walk its ranking to the first candidate
+                // to stop there.
                 if possn == 0 {
                     return clamped(lo, sg_raw, hi);
                 }
@@ -672,13 +794,8 @@ impl WindowMaintain {
                 // bounds (see audb_core::aggregate_window) — the scan stops
                 // at the first candidate that is neither owed nor negative.
                 picked.clear();
-                for p in self
-                    .poss
-                    .sorted_iter_with(1, frontier, &order)
-                    .filter(valid)
-                {
-                    let negative = || sign(p.alo, &items[p.id].attr.lb).is_lt();
-                    if picked.len() == possn || (picked.len() >= q && !negative()) {
+                for (negative, p) in min_k().filter(valid) {
+                    if picked.len() == possn || (picked.len() >= q && !negative) {
                         break;
                     }
                     picked.push(p.id);
@@ -686,13 +803,8 @@ impl WindowMaintain {
                 let lo = sum(lo, picked.iter().map(|&p| &items[p].attr.lb));
                 // max-k over the A↑-descending component, mirrored.
                 picked.clear();
-                for p in self
-                    .poss
-                    .sorted_iter_with(2, frontier, &order)
-                    .filter(valid)
-                {
-                    let positive = || sign(p.ahi, &items[p.id].attr.ub).is_gt();
-                    if picked.len() == possn || (picked.len() >= q && !positive()) {
+                for (positive, p) in max_k().filter(valid) {
+                    if picked.len() == possn || (picked.len() >= q && !positive) {
                         break;
                     }
                     picked.push(p.id);
@@ -705,18 +817,13 @@ impl WindowMaintain {
                 let mut hi = cert_ub().min().expect("self").clone();
                 if q >= 1 {
                     // q-th largest pool upper bound caps the minimum.
-                    if let Some(p) = self
-                        .poss
-                        .sorted_iter_with(2, frontier, &order)
-                        .filter(valid)
-                        .nth(q - 1)
-                    {
+                    if let Some((_, p)) = max_k().filter(valid).nth(q - 1) {
                         hi = hi.min(items[p.id].attr.ub.clone());
                     }
                 }
                 let mut lo = cert_lb().min().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_with(1, frontier, &order).find(valid) {
+                    if let Some((_, p)) = min_k().find(valid) {
                         lo = lo.min(items[p.id].attr.lb.clone());
                     }
                 }
@@ -725,18 +832,13 @@ impl WindowMaintain {
             WinAgg::Max(_) => {
                 let mut lo = cert_lb().max().expect("self").clone();
                 if q >= 1 {
-                    if let Some(p) = self
-                        .poss
-                        .sorted_iter_with(1, frontier, &order)
-                        .filter(valid)
-                        .nth(q - 1)
-                    {
+                    if let Some((_, p)) = min_k().filter(valid).nth(q - 1) {
                         lo = lo.max(items[p.id].attr.lb.clone());
                     }
                 }
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_with(2, frontier, &order).find(valid) {
+                    if let Some((_, p)) = max_k().find(valid) {
                         hi = hi.max(items[p.id].attr.ub.clone());
                     }
                 }
@@ -746,10 +848,10 @@ impl WindowMaintain {
                 let mut lo = cert_lb().min().expect("self").clone();
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
-                    if let Some(p) = self.poss.sorted_iter_with(1, frontier, &order).find(valid) {
+                    if let Some((_, p)) = min_k().find(valid) {
                         lo = lo.min(items[p.id].attr.lb.clone());
                     }
-                    if let Some(p) = self.poss.sorted_iter_with(2, frontier, &order).find(valid) {
+                    if let Some((_, p)) = max_k().find(valid) {
                         hi = hi.max(items[p.id].attr.ub.clone());
                     }
                 }
@@ -864,8 +966,8 @@ impl std::fmt::Debug for WindowMaintain {
         f.debug_struct("WindowMaintain")
             .field("rows", &self.items.len())
             .field("closed", &self.closed.len())
-            .field("open", &self.openw.len())
-            .field("pool_arena", &self.poss.arena_slots())
+            .field("open", &self.open_windows().count())
+            .field("pool", &self.poss.len)
             .finish()
     }
 }
@@ -1382,16 +1484,22 @@ mod tests {
         );
     }
 
-    /// Within one sweep a popped pool record's slot goes on the free list
-    /// and the next insert takes it: the arena's high-water mark is the
-    /// sweep band, not the relation size.
+    /// The pool's rankings hold its survivors and one batch — or
+    /// [`CHUNK`] arrivals — at a time: fed eight certain rows at a time,
+    /// the rankings stay the size of the sweep band, not of the relation.
     #[test]
     fn the_pool_arena_is_the_sweep_band() {
-        let rows = stream_rows(64, 9);
+        let mut rows = stream_rows(64, 9);
+        rows.iter_mut().for_each(|(_, mult)| *mult = Mult3::ONE);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
         let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
-        m.apply(&rel_of(&rows).to_columns(), 0);
-        let slots = m.poss.arena_slots();
-        assert!(slots > 0 && slots < 64, "band-sized arena, got {slots}");
+        let mut ranked = 0;
+        for (batch, chunk) in rows.chunks(8).enumerate() {
+            let survivors = m.poss.len;
+            m.apply(&rel_of(chunk).to_columns(), batch as u32);
+            ranked = m.poss.slots.len();
+            assert_eq!(ranked, survivors + chunk.len(), "batch {batch}");
+        }
+        assert!(ranked < 24, "band-sized rankings, got {ranked}");
     }
 }

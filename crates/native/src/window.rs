@@ -1,23 +1,26 @@
 //! One-pass ranged windowed aggregation (paper Algorithm 3, with the
-//! `compBounds` family of Algorithms 4–6) built on connected heaps.
+//! `compBounds` family of Algorithms 4–6) over one `τ↑` order and two
+//! rankings of the possible pool, where the paper keeps heaps.
 //!
 //! The input rows are first ranked by the sort sweep (`sort::positions`:
 //! `τ` ranges per row, every entry's possible multiplicity is 1 — no sorted
 //! relation is built), then swept in ascending `τ↓` order:
 //!
-//! * `openw` — a min-heap on `τ↑` of tuples whose windows are not yet
-//!   complete. A tuple `s` closes once the incoming `τ↓` exceeds
-//!   `s.τ↑ + u` (no future tuple can possibly belong to its window).
+//! * `by_thi` — every tuple in `(τ↑, id)` order, which is the order
+//!   windows close in: a tuple `s` closes once the incoming `τ↓` exceeds
+//!   `s.τ↑ + u` (no future tuple can possibly belong to its window). A
+//!   close cursor walks it, and an eviction cursor behind it — the
+//!   paper's open-window heap and the pool's `τ↑` heap.
 //! * `cert` — the certain tuples (`k↓ ≥ 1`) in arrival order, which is
 //!   `τ↓` order: a range scan over `τ↓ ∈ [s.τ↑ + l, s.τ↓ + u]` keeping
 //!   `τ↑ ≤ s.τ↓ + u` yields exactly the tuples *certainly* in `s`'s window
 //!   (Fig. 6). Tuples below every open window are evicted from the front.
-//! * `poss` — a **three-way connected heap** ordered by `τ↑` (eviction),
-//!   `A↓` ascending (min-k candidates) and `A↑` descending (max-k
-//!   candidates). `compBounds` scans the `A↓`/`A↑` components in sorted
-//!   order, skipping tuples that are certain members or outside `s`'s
-//!   possible window, and takes at most `possn = size([l,u]) − |certain|`
-//!   contributions — the min-k/max-k pools of Sec. 6.1.
+//! * `poss` — the pool of possible members in two rankings, `A↓`
+//!   ascending (min-k candidates) and `A↑` descending (max-k candidates),
+//!   its members a bitset over their ranks. `compBounds` walks a ranking's
+//!   members in order, skipping tuples that are certain members or outside
+//!   `s`'s possible window, and takes at most `possn = size([l,u]) −
+//!   |certain|` contributions — the min-k/max-k pools of Sec. 6.1.
 //!
 //! Two deviations from the paper's pseudocode, both strictly tighter and
 //! needed for exact agreement with the Def. 3 reference
@@ -47,9 +50,10 @@
 //! The sweep itself lives in [`crate::maintain`] (its module docs describe
 //! the state) and holds no tuple: it reads the aggregated attribute's range
 //! from the lanes and leaves, per closed window, the input row's number and
-//! the aggregate. The pool compares the prefixes of the aggregated
-//! attribute's bounds, and the values only where two prefixes tie; a sorted
-//! pool scan visits only the heap nodes it yields. Partitions of point
+//! the aggregate. The pool is ranked on the aggregated attribute's bounds —
+//! as `i64`s where all are integers, else on their prefixes and the values
+//! where two prefixes tie —, and a scan visits only the members it reads,
+//! a few bitset words each. Partitions of point
 //! values are index views over the input, not copies (a range value's
 //! members are gathered); their sweeps are independent and run in
 //! parallel (`audb_par`), their rows concatenated in deterministic
