@@ -132,7 +132,7 @@ impl Engine {
                 "one-pass sweep with early termination at rank↓ ≥ k (Algorithm 1)".into()
             }
             (Native, Some(Op::Window { .. })) => {
-                "connected-heap sweep (Algorithm 3), O(N·n log n)".into()
+                "one-pass sweep (Algorithm 3): windows close in one τ↑ order, the pool is two rankings, no heap".into()
             }
             (Reference, None) => {
                 "rebuild rows from the stored columns (the row operators' form)".into()

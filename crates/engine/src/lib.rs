@@ -180,11 +180,10 @@ mod tests {
     }
 
     /// Identical rows *stored separately* normalize into one row of `k↑ = 2`
-    /// inside the native operators. The name keeps the reference fallback
-    /// these rows once took; the native sweep answers them now, with the
-    /// reference's bounds.
+    /// inside the native operators, and the native sweep answers them with
+    /// the reference's bounds.
     #[test]
-    fn native_window_falls_back_on_split_duplicate_rows() {
+    fn native_window_answers_split_duplicate_rows() {
         let dup = AuTuple::new([rv(1, 2, 4), RangeValue::certain(10i64)]);
         let rel = AuRelation::from_rows(
             Schema::new(["a", "b"]),
@@ -215,11 +214,11 @@ mod tests {
         Engine::native().run_all(&plan).expect("backends agree");
     }
 
-    /// An uncertain partition value among certain ones. As above, the name
-    /// keeps the fallback this input once took; the native sweep gives the
-    /// range value a group of its own, with the reference's bounds.
+    /// An uncertain partition value among certain ones: the native sweep
+    /// gives the range value a group of its own, with the reference's
+    /// bounds.
     #[test]
-    fn native_window_falls_back_on_uncertain_partition() {
+    fn native_window_answers_an_uncertain_partition() {
         let rel = AuRelation::from_rows(
             Schema::new(["g", "o", "v"]),
             [
@@ -295,6 +294,28 @@ mod tests {
         assert!(tail[2].starts_with("      note:   "), "{text}");
         assert_eq!(tail[1], "exec:    pipelined · batch 1024 · 1 pipeline");
         assert_eq!(tail[0], "      p0: fuse(select · project) ⇒ breaker sort");
+
+        // The native window's step names the sweep it runs.
+        let window = Query::scan(example6())
+            .window(
+                WindowSpec::rows(-1, 0)
+                    .order_by(["a"])
+                    .aggregate(Agg::sum("b"))
+                    .output("s"),
+            )
+            .build()
+            .unwrap();
+        let text = Engine::native().explain(&window).to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[4], " 1. window [-1, 0] Sum(1) over [0] partition [] → s",
+            "{text}"
+        );
+        assert_eq!(
+            lines[6],
+            "      note:   one-pass sweep (Algorithm 3): windows close in one τ↑ order, \
+             the pool is two rankings, no heap"
+        );
     }
 
     /// The batch-size rule: 4 096 from 65 536 source rows up, else 1 024 —

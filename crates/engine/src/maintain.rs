@@ -19,19 +19,21 @@
 //! then picks [`Strategy::Incremental`] or [`Strategy::Recompute`], visible
 //! in [`MaintainedQuery::explain`]:
 //!
-//! * **Window maintenance needs the native sweep, one per partition.** If
-//!   the engine is not [`Engine::Native`], or the data holds an uncertain
-//!   `PARTITION BY` value (checked on the normalized batch itself) —
-//!   a row that may join every partition its range overlaps, which no
-//!   per-partition sweep can absorb — maintenance is disabled
-//!   *permanently* for the subscription: neither condition un-happens.
-//!   Every append then recomputes on the engine. Duplicate multiplicities
-//!   are maintained like any other rows.
-//! * **Out-of-order appends rebuild.** The window sweep consumes rows in
-//!   ascending ORDER BY position; a batch overlapping the accumulated
-//!   frontier rebuilds the sweep from everything seen so far as a single
-//!   batch, and the append (a recompute) answers from the rebuilt sweep.
-//!   Top-k maintenance accepts appends in any order and never rebuilds.
+//! * **Maintenance needs the native method and a maintainable shape.** If
+//!   the engine is not [`Engine::Native`], or the plan's shape is not one
+//!   above, the subscription is never maintained — both are fixed at
+//!   `subscribe` — and every append recomputes on the engine. Duplicate
+//!   multiplicities and uncertain `PARTITION BY` values are maintained
+//!   like any other rows.
+//! * **A batch the window cannot absorb rebuilds.** The window sweep
+//!   consumes rows in ascending ORDER BY position, one group per partition
+//!   value ([`MaintainedWindow::in_order`]): a batch overlapping a group's
+//!   frontier, holding a range partition value, or a point value a range
+//!   value fed before possibly equals rebuilds the sweep from everything
+//!   seen so far as a single batch, and the append (a recompute) answers
+//!   from the rebuilt sweep. The next batch that touches no such group is
+//!   incremental again. Top-k maintenance accepts appends in any order and
+//!   never rebuilds.
 //!
 //! Ground truth is always the engine itself: the property tests pin every
 //! maintained value bag-equal to `engine.execute(plan.with_table(accumulated))`
@@ -56,9 +58,10 @@
 //!
 //! The maintained value is the normalized output bag, and it is held once.
 //! While a window sweep is live the sweep holds it — what it has closed is
-//! final (paper Sec. 8) — and the subscription keeps only the open rows it
-//! emitted last; otherwise it is one normalized [`AuColumns`], the last
-//! recompute's output or the top-k band's.
+//! final (paper Sec. 8), and it hands its rows over normalized — and the
+//! subscription keeps only the open rows it emitted last; otherwise it is
+//! one normalized [`AuColumns`], the last recompute's output or the top-k
+//! band's.
 //!
 //! ## Delta semantics
 //!
@@ -70,16 +73,14 @@
 //! order: the whole answer before and after a recompute or a rebuild; the
 //! band before and after a top-k append (`O(k)`); the open rows emitted
 //! last and the rows closed since plus the open rows now, after a window
-//! append (`O(changed)` — the copies of one input row share their position
-//! range and close together, so no key is in both the closed and the open
-//! rows).
+//! append (`O(changed)`, one relation from [`MaintainedWindow::drain`]).
 
 use crate::catalog::Table;
 use crate::engine::Engine;
 use crate::error::SessionError;
 use crate::exec;
 use crate::plan::{Op, Plan};
-use audb_core::{AuColumns, AuRelation, AuTuple, AuWindowSpec, Mult3, SortKey};
+use audb_core::{AuColumns, AuRelation, AuTuple, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -126,11 +127,10 @@ impl Delta {
 /// The final maintainable operator of the subscribed plan, with its live
 /// state.
 enum MaintainKind {
-    Window(MaintainedWindow),
+    Window(MaintainedWindow<'static>),
     TopK(TopKMaintain),
-    /// Never maintained, and why: the plan's shape, the engine's backend,
-    /// or an uncertain partition value in the data — none of which
-    /// un-happens. Every append recomputes.
+    /// Never maintained, and why: the plan's shape or the engine's
+    /// backend, both fixed at `subscribe`. Every append recomputes.
     Never(String),
 }
 
@@ -293,7 +293,7 @@ impl MaintainedQuery {
     /// The whole answer, normalized.
     fn whole(&self) -> Cow<'_, AuColumns> {
         match &self.kind {
-            MaintainKind::Window(m) => Cow::Owned(normalized(m.result())),
+            MaintainKind::Window(m) => Cow::Owned(m.result()),
             _ => Cow::Borrowed(&self.answer),
         }
     }
@@ -317,15 +317,11 @@ impl MaintainedQuery {
                 out_name,
             }) => {
                 let rows = rows.normalize()?;
-                if let Some(never) =
-                    uncertain_partition(&rows, spec, "accumulated relation carries")
-                {
-                    return self.build(source, Some(never));
-                }
                 let mut m =
                     MaintainedWindow::new(rows.schema().clone(), spec.clone(), *agg, out_name);
                 m.apply(&rows);
-                let whole = normalized(m.result());
+                // Nothing is drained yet: the first drain is the whole answer.
+                let (whole, _) = m.drain();
                 Ok((MaintainKind::Window(m), whole))
             }
             Some(Op::Sort {
@@ -347,10 +343,7 @@ impl MaintainedQuery {
     fn settle(&mut self, kind: MaintainKind, whole: AuColumns) {
         self.kind = kind;
         self.answer = match &mut self.kind {
-            MaintainKind::Window(m) => {
-                m.drain_new_closed();
-                normalized(m.open_result())
-            }
+            MaintainKind::Window(m) => m.drain().1,
             _ => whole,
         };
     }
@@ -369,22 +362,15 @@ impl MaintainedQuery {
         Ok(delta)
     }
 
-    /// A window append: absorbed by the live sweep if it lands past the
-    /// frontier; otherwise the sweep is rebuilt over everything — or, for
-    /// an uncertain partition value, never maintained again.
+    /// A window append: absorbed by the live sweep if it is in order
+    /// ([`MaintainedWindow::in_order`]); otherwise the sweep is rebuilt
+    /// over everything.
     fn append_window(
         &mut self,
         accum: &Arc<Table>,
         batch: AuColumns,
     ) -> Result<(Strategy, Delta), SessionError> {
         let rows = self.prefix_over(Table::sealed(batch))?.normalize()?;
-        let Some(Op::Window { spec, .. }) = self.plan.ops().last() else {
-            unreachable!("kind is Window only for window plans");
-        };
-        // An uncertain partition value stays in the data.
-        if let Some(never) = uncertain_partition(&rows, spec, "appended rows carry") {
-            return Ok((Strategy::Recompute, self.rebuild(accum, Some(never))?));
-        }
         let MaintainKind::Window(m) = &mut self.kind else {
             unreachable!("append_window is called on window states");
         };
@@ -394,10 +380,8 @@ impl MaintainedQuery {
         m.apply(&rows);
         // What changed: the rows closed since, and the open rows now
         // against the open rows last emitted.
-        let open = normalized(m.open_result());
-        let mut now = m.drain_new_closed();
-        now.append(open.clone());
-        let delta = diff(&self.answer, &normalized(now));
+        let (since, open) = m.drain();
+        let delta = diff(&self.answer, &since);
         self.answer = open;
         Ok((Strategy::Incremental, delta))
     }
@@ -417,23 +401,6 @@ impl std::fmt::Debug for MaintainedQuery {
 fn native_only(what: &str, engine: Engine) -> Option<String> {
     (engine != Engine::Native)
         .then(|| format!("{what} maintenance requires the native backend (engine runs {engine})"))
-}
-
-/// Why window maintenance ends for good, if it does: a row of `rel` — the
-/// `rows` that carry it — holds an uncertain `PARTITION BY` value
-/// (DESIGN.md §13.2). Callers pass a **normalized** relation: zero-free,
-/// so every stored row exists.
-fn uncertain_partition(rel: &AuColumns, spec: &AuWindowSpec, rows: &str) -> Option<String> {
-    debug_assert!(rel.is_normalized());
-    (spec.partition.iter())
-        .any(|&g| (0..rel.len()).any(|row| !rel.col(g).certain_at(row)))
-        .then(|| format!("{rows} an uncertain PARTITION BY value"))
-}
-
-/// Window output rows, normalized: each of `k↑ = 1`, the copies of one
-/// input row merging where their aggregates agree.
-fn normalized(rows: AuColumns) -> AuColumns {
-    rows.normalize().expect("split rows have k↑ = 1")
 }
 
 /// The top-k answer over the band, normalized — refused as the engine

@@ -6,7 +6,7 @@
 //! must reconstruct the value exactly. The generators cover in-order
 //! streams (incremental fast path), out-of-order batches (rebuild),
 //! partition churn, duplicate multiplicities, an uncertain partition value
-//! (permanent recompute) and a top-k the engine refuses.
+//! (a rebuild, then incremental again) and a top-k the engine refuses.
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
 use audb_engine::{Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
@@ -294,12 +294,13 @@ fn duplicate_multiplicities_stay_incremental() {
     );
 }
 
-/// An uncertain `PARTITION BY` value arriving while the sweep is live ends
-/// maintenance for good: the row may join every partition its range
-/// overlaps, and the value stays in the data. Every append then recomputes
-/// on the engine.
+/// An uncertain `PARTITION BY` value arriving while the sweep is live
+/// rebuilds it once: the row may join every group its range overlaps.
+/// Batches of point values that no range overlaps are absorbed by the live
+/// sweep again; a point value the range overlaps rebuilds once more, and
+/// maintenance resumes after it too.
 #[test]
-fn an_uncertain_partition_value_falls_back_for_good() {
+fn a_ranged_partition_value_rebuilds_and_maintenance_resumes() {
     let mut rng = Rng::new(0x6A0);
     let session = session_with(&AuRelation::empty(sensor_schema()));
     let mut q = session.subscribe(PARTITIONED).unwrap();
@@ -307,12 +308,18 @@ fn an_uncertain_partition_value_falls_back_for_good() {
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
-    for batch in 0..10 {
+    for batch in 0..14 {
+        // `g` ∈ 0..3 until the range `[0, 1]` arrives in batch 5, then
+        // 2..5, which it does not overlap — but for batch 10's `g = 1`.
         let mut rows: Vec<_> = (0..3)
             .map(|_| {
                 t += 4;
-                let g = rng.below(3) as i64;
-                reading(&mut rng, g, t, true)
+                let g = match batch {
+                    ..5 => rng.below(3),
+                    10 => 1,
+                    _ => 2 + rng.below(3),
+                };
+                reading(&mut rng, g as i64, t, true)
             })
             .collect();
         if batch == 5 {
@@ -322,8 +329,8 @@ fn an_uncertain_partition_value_falls_back_for_good() {
             .append(&AuRelation::from_rows(sensor_schema(), rows))
             .unwrap();
         let want = match batch {
-            ..5 => Strategy::Incremental,
-            _ => Strategy::Recompute,
+            5 | 10 => Strategy::Recompute,
+            _ => Strategy::Incremental,
         };
         assert_eq!(delta.strategy, want, "batch {batch}");
         replay.apply(&delta);
@@ -331,11 +338,11 @@ fn an_uncertain_partition_value_falls_back_for_good() {
     }
     let explain = q.explain();
     assert!(
-        explain.contains("always recompute — appended rows carry an uncertain PARTITION BY"),
+        explain.contains("maintain: window incremental\n"),
         "{explain}"
     );
     assert!(
-        explain.contains("appends: 5 incremental, 5 recompute"),
+        explain.contains("appends: 12 incremental, 2 recompute"),
         "{explain}"
     );
 }

@@ -18,11 +18,12 @@
 //!   three-way connected heap — as one `τ↑` order that windows close and
 //!   leave the pool in, and two rankings of the pool whose members are a
 //!   hierarchical bitset (`rank_set`). No heap.
-//! * [`maintain::MaintainedWindow`] — the window sweep kept alive between
-//!   column batches: in-order appends are ranked and swept as a batch
-//!   instead of recomputing the full `O(n log n)` pass, with
-//!   already-closed windows provably final. [`maintain::TopKMaintain`]
-//!   keeps only the top-k's candidate band between batches, in any order.
+//! * [`window::MaintainedWindow`] — the window operator kept alive between
+//!   column batches (the one-shot window is it fed once): in-order appends
+//!   are ranked and swept as a batch instead of recomputing the full
+//!   `O(n log n)` pass, with already-closed windows provably final.
+//!   [`maintain::TopKMaintain`] keeps only the top-k's candidate band
+//!   between batches, in any order.
 //!
 //! Every kernel reads and returns [`audb_core::AuColumns`].
 //! [`sort::sort_native`], [`sort::topk_native`] and
@@ -37,12 +38,12 @@ mod rank_set;
 pub mod sort;
 pub mod window;
 
-pub use maintain::{MaintainedWindow, TopKMaintain, WindowMaintain, WindowRow};
+pub use maintain::{TopKMaintain, WindowMaintain, WindowRow};
 pub use sort::{
     output_rows_bound, sort_columns_native, sort_native, topk_native, MAX_OUTPUT_ROWS,
     MAX_RANKED_ROWS,
 };
-pub use window::{window_columns_native, window_native};
+pub use window::{window_columns_native, window_native, MaintainedWindow};
 
 /// Where a kernel reports its stages: it takes a mark where it starts — a
 /// window group its own, on the worker that sweeps it — and

@@ -25,15 +25,14 @@
 //! So a batch is ranked locally by the sort sweep (`sort::positions`
 //! — positions only, no sorted relation is materialised), its positions
 //! are offset, and the rows are fed to the *same* sweep loop the one-shot
-//! operator runs — `window_native` itself is the one-batch special case,
-//! which keeps the two permanently in agreement.
+//! operator runs — that operator is the one-batch case of
+//! [`crate::MaintainedWindow`], which keeps the two permanently in
+//! agreement.
 //!
-//! [`MaintainedWindow::in_order`] asks this per partition, as a `bool`: a
-//! row with an uncertain PARTITION BY value may join every partition its
-//! range overlaps, so its batch is never in order. Why a batch cannot be
-//! absorbed — a frontier overlap to rebuild after, or an uncertain
-//! partition value that stays in the data — is its caller's to tell, from
-//! the batch.
+//! [`crate::MaintainedWindow::in_order`] asks this per partition value
+//! (`crate::window` routes rows to one sweep each), as a `bool`, and also
+//! whether a batch touches a group a range value shares — its rows would
+//! join a group swept before them. A caller that gets `false` rebuilds.
 //!
 //! Already-closed windows are final: when the sweep closes `s` because an
 //! incoming tuple has `τ↓ > s.τ↑ + u`, at least `s.τ↑ + u + 1` rows
@@ -54,11 +53,11 @@
 //! `k↓ ≥ 1`, `k_sg ≥ 1`, which copy it is, and where the input row is
 //! (the number of the batch that fed it, the row there). A closing window
 //! leaves a [`WindowRow`] — that address, the annotation and the aggregate
-//! `X` — and whoever wants the output gathers it from the input lanes,
-//! extended by one aggregate column: the one-shot operator once, already
-//! in its output order; [`MaintainedWindow`], which keeps the rows it was
-//! fed, whenever it is asked. Items are indexed by arrival order, which is
-//! `(τ↓, τ↑)`-ascending, so
+//! `X` — and [`crate::MaintainedWindow`], which keeps the rows it was fed,
+//! gathers the output from the input lanes, extended by one aggregate
+//! column, whenever it is asked. Only a batch's rows its caller marks as
+//! the group's own open windows; the others only fill them. Items are
+//! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
 //!
 //! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
 //!   still-open item* — a cursor that only moves forward;
@@ -109,7 +108,6 @@
 
 use crate::rank_set::RankSet;
 use crate::sort::{band_rows, positions, sort_columns_native};
-use crate::window::{aggregate_column, partitions, ranged};
 use crate::Stages;
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
@@ -117,7 +115,7 @@ use audb_core::{
 };
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// One split row in flight through the sweep: everything the sweep
@@ -133,7 +131,8 @@ struct Item {
     in_sg: bool,
     /// Which copy of its input row it is: copies arrive one after another.
     dup: u32,
-    /// Its window has closed for good.
+    /// Its window has closed for good — or never opens: it is not one of
+    /// its group's own rows, and only fills their windows.
     closed: bool,
     /// Selected-guess window aggregate, once final.
     sg: Option<Value>,
@@ -150,9 +149,8 @@ impl Item {
 }
 
 /// One output row of the sweep, not yet a tuple: row `row` of the
-/// `batch`-th batch fed, extended by its window's aggregate `x`. Whoever
-/// wants the output gathers it from the input lanes — the one-shot
-/// operator once, in its output order; [`MaintainedWindow`] when asked.
+/// `batch`-th batch fed, extended by its window's aggregate `x`.
+/// [`crate::MaintainedWindow`] gathers it from the input lanes when asked.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WindowRow {
     /// Which of the batches fed so far holds the input row.
@@ -316,9 +314,9 @@ struct Scratch {
 
 /// Resumable partitionless window sweep (see the module docs).
 ///
-/// `window_columns_native` runs one of these per partition with the whole
-/// partition as a single batch; a subscription keeps it alive and feeds it
-/// in-order batches. It holds no tuple: its output is [`WindowRow`]s.
+/// [`crate::MaintainedWindow`] runs one of these per partition value and
+/// feeds it each batch's share of that value's rows — the one-shot
+/// operator one batch. It holds no tuple: its output is [`WindowRow`]s.
 pub struct WindowMaintain {
     spec: AuWindowSpec,
     agg: WinAgg,
@@ -345,8 +343,6 @@ pub struct WindowMaintain {
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
     closed: Vec<WindowRow>,
-    /// Only the windows of input rows below this one are opened.
-    emit_below: u32,
     /// Pool size summed over the closes of [`WindowMaintain::step`], and
     /// its maximum there.
     pool_sum: u64,
@@ -363,7 +359,7 @@ impl WindowMaintain {
     /// Fresh state for a partitionless window.
     ///
     /// Panics if `spec` carries PARTITION BY attributes — partitioning is
-    /// routed above this type (see [`MaintainedWindow`]).
+    /// routed above this type (see [`crate::MaintainedWindow`]).
     pub fn new(spec: AuWindowSpec, agg: WinAgg) -> WindowMaintain {
         assert!(
             spec.partition.is_empty(),
@@ -383,32 +379,12 @@ impl WindowMaintain {
             poss: Pool::default(),
             scratch: Scratch::default(),
             closed: Vec::new(),
-            emit_below: u32::MAX,
             pool_sum: 0,
             pool_max: 0,
             sg_ids: Vec::new(),
             sg_vals: Vec::new(),
             sg_pending: 0,
             spec,
-        }
-    }
-
-    /// Split rows accumulated so far.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True before the first non-empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Compute the windows of the input rows below `rows` only — a group's
-    /// own rows, when the members after them only fill its windows.
-    pub(crate) fn emitting_below(self, rows: u32) -> WindowMaintain {
-        WindowMaintain {
-            emit_below: rows,
-            ..self
         }
     }
 
@@ -448,20 +424,22 @@ impl WindowMaintain {
     /// caller checks [`WindowMaintain::batch_in_order`] first; feeding an
     /// out-of-order batch silently computes bounds for the wrong relation).
     pub fn apply(&mut self, cols: &AuColumns, batch: u32) {
-        let normalized = cols.is_normalized();
-        self.apply_rows(cols, batch, &existing_rows(cols), normalized, &());
+        let (rows, normalized) = (existing_rows(cols), cols.is_normalized());
+        self.apply_rows(cols, batch, &rows, normalized, cols.len(), &());
     }
 
     /// [`WindowMaintain::apply`] over the rows `rows` of `cols` — one
-    /// partition of a batch (`normalized`: they are distinct and
-    /// zero-free) — reporting `"rank"`, `"items"`, `"selected-guess"` and
-    /// `"sweep"` to `stages`.
+    /// group's share of a batch (`normalized`: they are distinct and
+    /// zero-free), of which the rows of `cols` below `own` are the group's
+    /// own: only their windows open, the others only fill them — reporting
+    /// `"rank"`, `"items"`, `"selected-guess"` and `"sweep"` to `stages`.
     pub(crate) fn apply_rows<S: Stages>(
         &mut self,
         cols: &AuColumns,
         batch: u32,
         rows: &[usize],
         normalized: bool,
+        own: usize,
         stages: &S,
     ) {
         let at = stages.mark();
@@ -532,7 +510,7 @@ impl WindowMaintain {
                 cert: p.mult.lb >= 1,
                 in_sg: p.mult.sg >= 1,
                 dup: p.dup,
-                closed: false,
+                closed: p.row as usize >= own,
                 sg: None,
                 batch,
                 row: p.row,
@@ -618,25 +596,25 @@ impl WindowMaintain {
 
     /// The windows still open, in the order they close: `(τ↑, id)`.
     fn open_windows(&self) -> impl Iterator<Item = usize> + '_ {
-        (self.by_thi[self.closing..].iter().copied()).filter(|&sid| self.opens(sid))
+        (self.by_thi[self.closing..].iter().copied()).filter(|&sid| !self.items[sid].closed)
     }
 
-    /// Is item `id` a window? One nobody reads never opens.
-    fn opens(&self, id: usize) -> bool {
-        self.items[id].row < self.emit_below
-    }
-
-    /// Consume the sweep: the open windows close for good, in the order of
-    /// [`WindowMaintain::open_rows`], and every output row is handed over.
-    pub fn finish(mut self) -> Vec<WindowRow> {
+    /// End the sweep: the open windows close for good, in the order of
+    /// [`WindowMaintain::open_rows`], and all but the closed rows — every
+    /// output row now — is freed. No batch may follow.
+    pub fn finish(&mut self) {
         let provisional = self.provisional_sg();
         for at in self.closing..self.by_thi.len() {
             let sid = self.by_thi[at];
-            if self.opens(sid) {
+            if !self.items[sid].closed {
                 self.close(sid, &provisional);
             }
         }
-        self.closed
+        let closed = std::mem::take(&mut self.closed);
+        *self = WindowMaintain {
+            closed,
+            ..WindowMaintain::new(self.spec.clone(), self.agg)
+        };
     }
 
     /// Advance the sweep over item `t` (arrival in global `(τ↓, τ↑)`
@@ -649,7 +627,9 @@ impl WindowMaintain {
         let (l, u) = (self.spec.lower, self.spec.upper);
         // `l ≤ 0 ≤ u`: a window that closes has arrived (`τ↓ ≤ τ↑ < t.τ↓`).
         while let Some(&sid) = self.by_thi.get(self.closing) {
-            if !self.opens(sid) {
+            // A window nobody reads never opens: it never closes, and it
+            // keeps no pool member from eviction.
+            if self.items[sid].closed {
                 self.closing += 1;
                 continue;
             }
@@ -693,11 +673,6 @@ impl WindowMaintain {
             debug_assert!(e < t, "an item below the watermark is in the pool");
             self.poss.remove(e);
             self.evicted += 1;
-        }
-        // A window nobody reads is never opened: it never closes, and it
-        // keeps no pool member from eviction.
-        if !self.opens(t) {
-            self.items[t].closed = true;
         }
         if it_cert {
             self.cert.push_back((it_tlo, it_thi, t));
@@ -961,164 +936,11 @@ fn clamped(lb: Value, sg_raw: Value, ub: Value) -> RangeValue {
     RangeValue { lb, sg, ub }
 }
 
-impl std::fmt::Debug for WindowMaintain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowMaintain")
-            .field("rows", &self.items.len())
-            .field("closed", &self.closed.len())
-            .field("open", &self.open_windows().count())
-            .field("pool", &self.poss.len)
-            .finish()
-    }
-}
-
 /// The rows of `cols` that exist (`k↑ > 0`).
-fn existing_rows(cols: &AuColumns) -> Vec<usize> {
+pub(crate) fn existing_rows(cols: &AuColumns) -> Vec<usize> {
     (0..cols.len())
         .filter(|&row| !cols.mult(row).is_zero())
         .collect()
-}
-
-/// Append maintenance of a (possibly partitioned) window query: routes
-/// batches to per-partition [`WindowMaintain`] sweeps, creating sweeps for
-/// partitions as they first appear (partition churn), and keeps the rows
-/// fed — columns, batch after batch — to gather its output from when asked.
-pub struct MaintainedWindow {
-    spec: AuWindowSpec,
-    inner: AuWindowSpec,
-    agg: WinAgg,
-    out_name: String,
-    /// Every row fed; the batch numbered `b` starts at row `starts[b]`.
-    fed: AuColumns,
-    starts: Vec<usize>,
-    /// Per-partition sweep + count of closed rows already drained, by the
-    /// key of the partition value ([`partitions`]).
-    parts: BTreeMap<Vec<u8>, (WindowMaintain, usize)>,
-}
-
-impl MaintainedWindow {
-    /// Fresh state for `ω[l,u]_{f(A)→X; G; O}` over `schema`.
-    pub fn new(
-        schema: Schema,
-        spec: AuWindowSpec,
-        agg: WinAgg,
-        out_name: &str,
-    ) -> MaintainedWindow {
-        let inner = AuWindowSpec {
-            partition: Vec::new(),
-            order: spec.order.clone(),
-            lower: spec.lower,
-            upper: spec.upper,
-        };
-        MaintainedWindow {
-            inner,
-            agg,
-            out_name: out_name.to_string(),
-            fed: AuColumns::empty(schema),
-            starts: Vec::new(),
-            parts: BTreeMap::new(),
-            spec,
-        }
-    }
-
-    /// Split rows accumulated across all partitions.
-    pub fn len(&self) -> usize {
-        self.parts.values().map(|(p, _)| p.len()).sum()
-    }
-
-    /// True before the first non-empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Can `batch` be absorbed incrementally: does every partition it
-    /// touches receive its rows strictly after that partition's frontier?
-    /// A row with an uncertain PARTITION BY value may join any partition
-    /// its range overlaps: such a batch is never in order.
-    pub fn in_order(&self, batch: &AuColumns) -> bool {
-        (partitions(batch, &self.spec.partition).iter()).all(|(value, rows)| {
-            !(rows.first()).is_some_and(|&row| ranged(batch, &self.spec.partition, row))
-                && (self.parts.get(value)).is_none_or(|(sweep, _)| sweep.rows_in_order(batch, rows))
-        })
-    }
-
-    /// Absorb one batch. The caller asked [`MaintainedWindow::in_order`]:
-    /// a range PARTITION BY value would be swept as a partition of its own.
-    pub fn apply(&mut self, batch: &AuColumns) {
-        let parts = partitions(batch, &self.spec.partition);
-        let number = self.starts.len() as u32;
-        for (value, rows) in parts {
-            let (sweep, _) = (self.parts.entry(value))
-                .or_insert_with(|| (WindowMaintain::new(self.inner.clone(), self.agg), 0));
-            sweep.apply_rows(batch, number, &rows, batch.is_normalized(), &());
-        }
-        self.starts.push(self.fed.len());
-        self.fed.append(batch.clone());
-    }
-
-    /// The full current output over all partitions, in deterministic
-    /// partition-key order: per partition the closed rows, then a
-    /// non-destructive flush of the still-open windows. Unnormalized.
-    pub fn result(&self) -> AuColumns {
-        let open: Vec<Vec<WindowRow>> = self.parts.values().map(|(p, _)| p.open_rows()).collect();
-        let rows = (self.parts.values().zip(&open))
-            .flat_map(|((part, _), open)| part.closed_rows().iter().chain(open));
-        self.gather(rows.collect())
-    }
-
-    /// [`MaintainedWindow::result`], consuming the sweeps: the open
-    /// windows close for good.
-    pub fn into_result(mut self) -> AuColumns {
-        let parts = std::mem::take(&mut self.parts);
-        let rows: Vec<WindowRow> = parts.into_values().flat_map(|(p, _)| p.finish()).collect();
-        self.gather(rows.iter().collect())
-    }
-
-    /// Output rows closed (finalized) since the last drain, across all
-    /// partitions in partition-key order.
-    pub fn drain_new_closed(&mut self) -> AuColumns {
-        let from: Vec<usize> = (self.parts.values_mut())
-            .map(|(part, drained)| std::mem::replace(drained, part.closed_rows().len()))
-            .collect();
-        let rows = (self.parts.values().zip(from))
-            .flat_map(|((part, _), from)| &part.closed_rows()[from..]);
-        self.gather(rows.collect())
-    }
-
-    /// Provisional rows of every still-open window, across all partitions
-    /// in partition-key order.
-    pub fn open_result(&self) -> AuColumns {
-        let rows: Vec<WindowRow> = self
-            .parts
-            .values()
-            .flat_map(|(p, _)| p.open_rows())
-            .collect();
-        self.gather(rows.iter().collect())
-    }
-
-    /// The output rows `rows`: the fed lanes gathered at their input rows,
-    /// extended by their aggregates.
-    fn gather(&self, rows: Vec<&WindowRow>) -> AuColumns {
-        let mut idxs = Vec::with_capacity(rows.len());
-        let mut mults = [0; 3].map(|_| Vec::with_capacity(rows.len()));
-        for r in &rows {
-            idxs.push(self.starts[r.batch as usize] + r.row as usize);
-            mults[0].push(r.mult.lb);
-            mults[1].push(r.mult.sg);
-            mults[2].push(r.mult.ub);
-        }
-        let x = aggregate_column(rows.iter().map(|r| &r.x));
-        self.fed.gather_extended(&idxs, mults, &self.out_name, x)
-    }
-}
-
-impl std::fmt::Debug for MaintainedWindow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintainedWindow")
-            .field("partitions", &self.parts.len())
-            .field("rows", &self.len())
-            .finish()
-    }
 }
 
 /// Append maintenance of the native top-k: the state is the candidate band
@@ -1191,7 +1013,7 @@ impl std::fmt::Debug for TopKMaintain {
 mod tests {
     use super::*;
     use crate::sort::topk_native;
-    use crate::window::window_native;
+    use crate::window::{window_native, MaintainedWindow};
     use audb_core::{window_ref, AuRelation, CmpSemantics};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -1320,9 +1142,16 @@ mod tests {
             for (batch, size) in [1usize, 13, 2, 2, 30, 5, 1, 36].into_iter().enumerate() {
                 m.apply(&rel_of(&rows[fed..fed + size]).to_columns());
                 fed += size;
-                // Windows closed two and three batches ago are drained now.
+                // Windows closed two and three batches ago are drained now:
+                // what a drain returns beside the open rows.
                 if batch % 3 == 2 {
-                    drained.append(m.drain_new_closed());
+                    let (since, open) = m.drain();
+                    let open: Vec<AuTuple> = (0..open.len()).map(|i| open.tuple(i)).collect();
+                    let closed: Vec<usize> = (0..since.len())
+                        .filter(|&i| !open.contains(&since.tuple(i)))
+                        .collect();
+                    let mults: Vec<Mult3> = closed.iter().map(|&i| since.mult(i)).collect();
+                    drained.append(since.gather(&closed, &mults));
                 }
             }
             assert_eq!(fed, rows.len());
@@ -1331,8 +1160,7 @@ mod tests {
                 "{} rows drained on the way",
                 drained.len()
             );
-            drained.append(m.drain_new_closed());
-            drained.append(m.open_result());
+            drained.append(m.drain().0);
             let streamed = drained.to_rows();
             let one_shot = window_native(&all, &spec, WinAgg::Sum(1), "x");
             assert!(

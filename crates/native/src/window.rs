@@ -38,27 +38,32 @@
 //! counts toward every other copy's possible position and never toward its
 //! certain one.
 //!
+//! ## One operator, fed once or in batches
+//!
 //! `PARTITION BY` runs one sweep per partition value, an extension over
 //! the paper's benchmarked configuration. A value that is a range is a
-//! value of its own, and then every value's sweep runs over the rows whose
-//! value possibly equals it, annotated by the truth of that equality — the
-//! `Q_part` join of the rewrite (Fig. 8) — and emits only its own rows
-//! (`groups`).
+//! value of its own; its sweep runs over the rows whose value possibly
+//! equals it, annotated by the truth of that equality — the `Q_part` join
+//! of the rewrite (Fig. 8) —, and so does the sweep of every point value a
+//! range possibly equals; only a group's own rows open windows, each under
+//! its own annotation (`groups`). [`MaintainedWindow`] is the operator: it
+//! routes a batch's rows to their groups, sweeps each group's share in
+//! parallel (`audb_par`) with a resumable [`WindowMaintain`], and gathers
+//! the output when asked. [`window_columns_native`] is it fed its input,
+//! borrowed, as one batch, so the one-shot operator and the incremental
+//! maintenance cannot disagree. A later batch is in order
+//! ([`MaintainedWindow::in_order`]) when each group it touches gets its
+//! rows strictly after that group's frontier (`crate::maintain` says why
+//! positions then decompose) and it touches no group a range shares; a
+//! caller told otherwise rebuilds from everything fed, as one batch.
 //!
 //! ## Performance notes
 //!
-//! The sweep itself lives in [`crate::maintain`] (its module docs describe
-//! the state) and holds no tuple: it reads the aggregated attribute's range
-//! from the lanes and leaves, per closed window, the input row's number and
-//! the aggregate. The pool is ranked on the aggregated attribute's bounds —
-//! as `i64`s where all are integers, else on their prefixes and the values
-//! where two prefixes tie —, and a scan visits only the members it reads,
-//! a few bitset words each. Partitions of point
-//! values are index views over the input, not copies (a range value's
-//! members are gathered); their sweeps are independent and run in
-//! parallel (`audb_par`), their rows concatenated in deterministic
-//! partition-value order. Partition values
-//! are ordered like every key here: `(prefix, row)` pairs radix-sorted
+//! The sweep holds no tuple ([`crate::maintain`] describes its state). A
+//! group no range shares sweeps its rows where they lie, an index view
+//! over the batch, not a copy; a group a range shares gathers its members
+//! under their filtered annotations. Partition values are ordered like
+//! every key here: `(prefix, row)` pairs radix-sorted
 //! ([`audb_core::sort_prefixes`]), key bytes encoded for the rows of one
 //! prefix only.
 //!
@@ -71,7 +76,7 @@
 //! for rows whose prefixes tie, and the aggregate and the other corners
 //! only for rows that tie on the whole corner — split duplicates of one
 //! hypercube, hypercubes equal on every lower bound — which merge when
-//! equal throughout. The result is then the input's lanes gathered in that
+//! equal throughout. The result is then the fed lanes gathered in that
 //! order plus one aggregate column ([`AuColumns::gather_extended`]),
 //! flagged normalized through [`AuColumns::assume_canonical`], which
 //! checks the claim in debug builds. The kernel reports where each stage
@@ -79,12 +84,16 @@
 //! worker that sweeps it. [`window_native`] is the door for a caller that
 //! holds rows and wants rows: it transposes once each way.
 
-use crate::maintain::{WindowMaintain, WindowRow};
+use crate::maintain::{existing_rows, WindowMaintain, WindowRow};
 use crate::Stages;
 use audb_core::{
     canonical_order, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner,
     KeyArena, Mult3, PrefixReader, RangeValue, WinAgg,
 };
+use audb_rel::Schema;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)` — one-pass equivalent of
 /// [`audb_core::window_ref`] — for a caller that holds rows and wants
@@ -102,19 +111,56 @@ pub fn window_native(
     out.to_rows()
 }
 
+/// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation: the one-pass
+/// equivalent of [`audb_core::window_ref`], columns in and columns out —
+/// a [`MaintainedWindow`] fed `cols`, borrowed, as its one batch.
+/// Reports `"partition"`, then per group `"rank"`, `"items"`,
+/// `"selected-guess"` and `"sweep"` — from the worker that sweeps it —
+/// then `"order"` and `"materialise"` to `stages`.
+pub fn window_columns_native<S: Stages>(
+    cols: &AuColumns,
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    out_name: &str,
+    stages: &S,
+) -> AuColumns {
+    let at = stages.mark();
+    let cols = merged(cols, &spec.partition);
+    let mut window = MaintainedWindow {
+        fed: Cow::Borrowed(&*cols),
+        starts: vec![0],
+        ..MaintainedWindow::new(cols.schema().clone(), spec.clone(), agg, out_name)
+    };
+    window.sweep(&cols, at, stages, true);
+    window.output(true, stages)
+}
+
 /// Is row `row`'s value of the `partition` attributes a range?
-pub(crate) fn ranged(cols: &AuColumns, partition: &[usize], row: usize) -> bool {
+fn ranged(cols: &AuColumns, partition: &[usize], row: usize) -> bool {
     partition.iter().any(|&g| !cols.col(g).certain_at(row))
+}
+
+/// `cols` as its groups read it: a group restores its own rows'
+/// annotations from the input, which must hold them merged — where a
+/// partition value is a range, identical rows stored apart are merged
+/// first. The engine's output bound counts every merged multiplicity, so
+/// none overflows.
+fn merged<'c>(cols: &'c AuColumns, partition: &[usize]) -> Cow<'c, AuColumns> {
+    let ranges = (0..cols.len()).any(|r| ranged(cols, partition, r) && !cols.mult(r).is_zero());
+    match cols.is_normalized() || !ranges {
+        true => Cow::Borrowed(cols),
+        false => {
+            Cow::Owned((cols.clone().normalize()).expect("multiplicities within the output bound"))
+        }
+    }
 }
 
 /// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
 /// `partition` attributes: `(key of the value, row indices)` in value
 /// order, stored order within — sorted by prefix, by key bytes only where
 /// prefixes tie. A range is a value of its own, keyed by all its corners.
-pub(crate) fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>, Vec<usize>)> {
-    let rows: Vec<usize> = (0..cols.len())
-        .filter(|&row| !cols.mult(row).is_zero())
-        .collect();
+fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>, Vec<usize>)> {
+    let rows = existing_rows(cols);
     // Without a PARTITION BY the rows are one run as they stand, and their
     // keys — all empty — are not compared (2 ms of an 8 192-row window went
     // into memcmp over nothing).
@@ -149,159 +195,307 @@ pub(crate) fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>,
     parts
 }
 
-/// The rows one sweep of the window runs over (`groups`): indices into
-/// the input and, where some partition value is a range, the annotations
-/// they take there and how many of them, the first, are the group's own.
-type Group = (Vec<usize>, Option<(Vec<Mult3>, usize)>);
+/// One group's share of a batch (`groups`): the key of its value, the
+/// rows of the batch its sweep runs over — its own first — and, where
+/// some of them are not its own or its value is a range, their
+/// annotations there and how many of them are its own.
+type Share = (Vec<u8>, Vec<usize>, Option<(Vec<Mult3>, usize)>);
 
-/// One group per partition value ([`partitions`]). While every value is a
-/// point, a group is its value's rows. Otherwise a group's members are the
-/// rows whose value possibly equals its own, annotations filtered by the
-/// truth of that equality — `Q_part`'s range-overlap join, filtered as
-/// [`audb_core::window_ref`] filters — and only its own rows take its
-/// answer.
-fn groups(cols: &AuColumns, partition: &[usize]) -> Vec<Group> {
+/// One share per partition value of `cols` ([`partitions`]). While every
+/// value is a point, a share is its value's rows. Otherwise a group's
+/// members are the rows whose value possibly equals its own, annotations
+/// filtered by the truth of that equality — `Q_part`'s range-overlap join,
+/// filtered as [`audb_core::window_ref`] filters —; a point value no range
+/// covers keeps its rows as they are.
+fn groups(cols: &AuColumns, partition: &[usize]) -> Vec<Share> {
     let parts = partitions(cols, partition);
     let ranges: Vec<usize> = (0..parts.len())
         .filter(|&p| (parts[p].1.first()).is_some_and(|&row| ranged(cols, partition, row)))
         .collect();
     if ranges.is_empty() {
-        return parts.into_iter().map(|(_, rows)| (rows, None)).collect();
+        return parts
+            .into_iter()
+            .map(|(key, rows)| (key, rows, None))
+            .collect();
     }
     let values: Vec<AuTuple> = parts.iter().map(|(_, rows)| cols.tuple(rows[0])).collect();
     let all: Vec<usize> = (0..parts.len()).collect();
-    (0..parts.len())
-        .map(|p| {
-            // Two points are equal or not; a range may equal anything.
-            let others = if ranges.binary_search(&p).is_ok() {
-                &all
-            } else {
-                &ranges
-            };
-            let (mut rows, mut mults) = (Vec::new(), Vec::new());
-            for &q in std::iter::once(&p).chain(others.iter().filter(|&&q| q != p)) {
-                let truth = values[q].eq_on(&values[p], partition);
-                if truth.ub {
-                    rows.extend(&parts[q].1);
-                    mults.extend(parts[q].1.iter().map(|&r| cols.mult(r).filter(truth)));
-                }
+    let shares = (0..parts.len()).map(|p| {
+        // Two points are equal or not; a range may equal anything.
+        let range = ranges.binary_search(&p).is_ok();
+        let others = if range { &all } else { &ranges };
+        let (mut rows, mut mults) = (Vec::new(), Vec::new());
+        for &q in std::iter::once(&p).chain(others.iter().filter(|&&q| q != p)) {
+            let truth = values[q].eq_on(&values[p], partition);
+            if truth.ub {
+                rows.extend(&parts[q].1);
+                mults.extend(parts[q].1.iter().map(|&r| cols.mult(r).filter(truth)));
             }
-            (rows, Some((mults, parts[p].1.len())))
-        })
-        .collect()
+        }
+        let own = parts[p].1.len();
+        let filtered = (range || rows.len() > own).then_some((mults, own));
+        (parts[p].0.clone(), rows, filtered)
+    });
+    shares.collect()
 }
 
-/// `ω[l,u]_{f(A)→X; G; O}(R)` over a columnar relation: the one-pass
-/// equivalent of [`audb_core::window_ref`], columns in and columns out.
-/// Reports `"partition"`, then per group `"rank"`, `"items"`,
-/// `"selected-guess"` and `"sweep"` — from the worker that sweeps it —
-/// then `"order"` and `"materialise"` to `stages`.
-pub fn window_columns_native<S: Stages>(
-    cols: &AuColumns,
-    spec: &AuWindowSpec,
+/// One partition value's sweep.
+struct Group {
+    sweep: WindowMaintain,
+    /// Closed rows already drained.
+    drained: usize,
+    /// Where the sweep ran over gathered members (a [`Share`]'s filtered
+    /// rows): the rows of its batch they are, its own first.
+    members: Option<Vec<usize>>,
+}
+
+/// A `ω[l,u]_{f(A)→X; G; O}` kept live under appended column batches
+/// (module docs): per partition value a resumable [`WindowMaintain`],
+/// created as its value first appears, and the rows fed — batch after
+/// batch, or one batch borrowed — to gather its output from when asked.
+pub struct MaintainedWindow<'a> {
+    spec: AuWindowSpec,
+    /// `spec` without its partition: what each group's sweep runs.
+    inner: AuWindowSpec,
     agg: WinAgg,
-    out_name: &str,
-    stages: &S,
-) -> AuColumns {
-    let at = stages.mark();
-    // A group restores its own rows' annotations from the input, which
-    // must hold them merged: where a partition value is a range, identical
-    // rows stored apart are merged first. The engine's output bound counts
-    // every merged multiplicity, so none overflows.
-    let merged;
-    let ranges =
-        (0..cols.len()).any(|r| ranged(cols, &spec.partition, r) && !cols.mult(r).is_zero());
-    let cols = if cols.is_normalized() || !ranges {
-        cols
-    } else {
-        merged = cols
-            .clone()
-            .normalize()
-            .expect("multiplicities within the output bound");
-        &merged
-    };
-    let groups = groups(cols, &spec.partition);
-    stages.stage(at, "partition");
-    let inner = AuWindowSpec {
-        partition: Vec::new(),
-        order: spec.order.clone(),
-        lower: spec.lower,
-        upper: spec.upper,
-    };
-    // The one-batch special case of the resumable sweep: construct a
-    // `WindowMaintain`, feed it the whole group, flush. Keeping the
-    // one-shot operator and the incremental maintenance on the *same* code
-    // path is what guarantees they can never disagree. Groups come in
-    // deterministic order; their sweeps are embarrassingly parallel.
-    let sweep = |(rows, filtered): &Group| {
-        let mut m = WindowMaintain::new(inner.clone(), agg);
-        let Some((mults, own)) = filtered else {
-            m.apply_rows(cols, 0, rows, cols.is_normalized(), stages);
-            return m.finish();
-        };
-        let members = cols.gather(rows, mults);
-        let mut m = m.emitting_below(*own as u32);
-        m.apply_rows(&members, 0, &Vec::from_iter(0..members.len()), true, stages);
-        // The group's own rows, each under its own annotation.
-        (m.finish().into_iter().map(|r| {
-            let row = rows[r.row as usize];
-            let mult = cols.mult(row).copy(u64::from(r.dup));
-            WindowRow {
-                row: row as u32,
-                mult,
-                ..r
-            }
-        }))
-        .collect()
-    };
-    let sweeps = audb_par::par_map(&groups, sweep);
-    let at = stages.mark();
-    let rows: Vec<WindowRow> = sweeps.into_iter().flatten().collect();
-    // The output's canonical order — what `normalize` would sort these rows
-    // into — from the lower-bound corner of the input lanes; the aggregate
-    // and the other corners are encoded for the rows that tie on it only
-    // (split duplicates of one hypercube, hypercubes equal on every lower
-    // bound), which merge when equal throughout as they would there.
-    let all: Vec<usize> = (0..cols.arity()).collect();
-    let prefix = PrefixReader::new(cols, Corner::Lb, &all);
-    let order = canonical_order(
-        rows.len(),
-        |out| rows[out].mult,
-        |out| prefix.at(rows[out].row as usize),
-        |keys, out| keys.extend_corner_at(cols, rows[out].row as usize, Corner::Lb, &all),
-        |keys, out| {
-            let WindowRow { row, x, .. } = &rows[out];
-            keys.extend_value(&x.lb);
-            keys.extend_corner_at(cols, *row as usize, Corner::Ub, &all);
-            keys.extend_value(&x.ub);
-            keys.extend_corner_at(cols, *row as usize, Corner::Sg, &all);
-            keys.extend_value(&x.sg);
-        },
-    )
-    .expect("split rows have k↑ = 1, and no more of them than a u64 counts");
-    let at = stages.stage(at, "order");
-    // The input's lanes in that order, and the aggregates as one column.
-    let x = aggregate_column(order.iter().map(|&(out, _)| &rows[out].x));
-    let mut idxs = Vec::with_capacity(order.len());
-    let mut mults = [0; 3].map(|_| Vec::with_capacity(order.len()));
-    for (out, mult) in order {
-        idxs.push(rows[out].row as usize);
-        mults[0].push(mult.lb);
-        mults[1].push(mult.sg);
-        mults[2].push(mult.ub);
+    out_name: String,
+    /// Every row fed; the batch numbered `b` starts at row `starts[b]`.
+    fed: Cow<'a, AuColumns>,
+    starts: Vec<usize>,
+    /// One sweep per partition value, by the value's key ([`partitions`]).
+    groups: BTreeMap<Vec<u8>, Group>,
+    /// The range values fed: a batch row whose value possibly equals one
+    /// would join its group.
+    ranges: Vec<AuTuple>,
+}
+
+impl<'a> MaintainedWindow<'a> {
+    /// Fresh state for `ω[l,u]_{f(A)→X; G; O}` over `schema`.
+    pub fn new(schema: Schema, spec: AuWindowSpec, agg: WinAgg, out_name: &str) -> Self {
+        MaintainedWindow {
+            inner: AuWindowSpec {
+                partition: Vec::new(),
+                ..spec.clone()
+            },
+            spec,
+            agg,
+            out_name: out_name.to_string(),
+            fed: Cow::Owned(AuColumns::empty(schema)),
+            starts: Vec::new(),
+            groups: BTreeMap::new(),
+            ranges: Vec::new(),
+        }
     }
-    let rel = (cols.gather_extended(&idxs, mults, out_name, x)).assume_canonical();
-    stages.stage(at, "materialise");
-    rel
+
+    /// Can `batch` be absorbed incrementally (module docs)? Trivially
+    /// while nothing is fed; afterwards not where it holds a range value,
+    /// or a point value that possibly equals a range value fed before,
+    /// and only if every group it touches receives its rows strictly after
+    /// that group's frontier.
+    pub fn in_order(&self, batch: &AuColumns) -> bool {
+        let partition = &self.spec.partition;
+        self.groups.is_empty()
+            || (partitions(batch, partition).iter()).all(|(value, rows)| {
+                // Only a batch without a PARTITION BY has an empty run.
+                let Some(&row) = rows.first() else {
+                    return true;
+                };
+                !ranged(batch, partition, row)
+                    && (self.ranges.is_empty() || {
+                        let point = batch.tuple(row);
+                        !(self.ranges.iter()).any(|range| point.eq_on(range, partition).ub)
+                    })
+                    && (self.groups.get(value)).is_none_or(|g| g.sweep.rows_in_order(batch, rows))
+            })
+    }
+
+    /// Absorb one batch. The caller asked [`MaintainedWindow::in_order`].
+    pub fn apply(&mut self, batch: &AuColumns) {
+        let batch = merged(batch, &self.spec.partition);
+        self.starts.push(self.fed.len());
+        self.sweep(&batch, (), &(), false);
+        self.fed.to_mut().append(batch.into_owned());
+    }
+
+    /// Route `batch` — the batch numbered `starts.len() − 1` — to its
+    /// groups and sweep their shares in parallel, each group's own rows
+    /// opening windows, and `finish` each sweep where it ran when no batch
+    /// follows; report `"partition"`, begun at `at`, and each group's
+    /// stages.
+    fn sweep<S: Stages>(&mut self, batch: &AuColumns, at: S::Mark, stages: &S, finish: bool) {
+        let number = (self.starts.len() - 1) as u32;
+        let shares = groups(batch, &self.spec.partition);
+        stages.stage(at, "partition");
+        let (inner, agg) = (&self.inner, self.agg);
+        let groups: Vec<Mutex<Group>> = (shares.iter())
+            .map(|(key, ..)| {
+                let fresh = || Group {
+                    sweep: WindowMaintain::new(inner.clone(), agg),
+                    drained: 0,
+                    members: None,
+                };
+                Mutex::new(self.groups.remove(key).unwrap_or_else(fresh))
+            })
+            .collect();
+        audb_par::par_map_indexed(&groups, |at, group| {
+            let mut group = group.lock().expect("one worker per group");
+            let (_, rows, filtered) = &shares[at];
+            match filtered {
+                None => {
+                    let normalized = batch.is_normalized();
+                    (group.sweep).apply_rows(batch, number, rows, normalized, batch.len(), stages);
+                }
+                Some((mults, own)) => {
+                    let members = batch.gather(rows, mults);
+                    let all = Vec::from_iter(0..members.len());
+                    (group.sweep).apply_rows(&members, number, &all, true, *own, stages);
+                }
+            }
+            if finish {
+                group.sweep.finish();
+            }
+        });
+        for ((key, rows, filtered), group) in shares.into_iter().zip(groups) {
+            let mut group = group.into_inner().expect("no worker panicked");
+            if filtered.is_some() {
+                if ranged(batch, &self.spec.partition, rows[0]) {
+                    self.ranges.push(batch.tuple(rows[0]));
+                }
+                group.members = Some(rows);
+            }
+            self.groups.insert(key, group);
+        }
+    }
+
+    /// The whole current output, normalized: per group the closed rows,
+    /// then a non-destructive flush of the still-open windows.
+    pub fn result(&self) -> AuColumns {
+        self.output(true, &())
+    }
+
+    /// What may have changed since the last drain — the rows closed since,
+    /// and the provisional rows of every still-open window — and those
+    /// open rows alone, each normalized. No key is in both the closed and
+    /// the open rows: the copies of one input row share their position
+    /// range and close together.
+    pub fn drain(&mut self) -> (AuColumns, AuColumns) {
+        let open: Vec<Vec<WindowRow>> = self.groups.values().map(|g| g.sweep.open_rows()).collect();
+        let since = self.gather(self.rows(&open, true), true, &());
+        for g in self.groups.values_mut() {
+            g.drained = g.sweep.closed_rows().len();
+        }
+        (since, self.gather(self.rows(&open, true), true, &()))
+    }
+
+    /// Every output row in close order: per group, in value order, the
+    /// closed rows and then the rows of the windows still open.
+    /// Unnormalized: the order [`MaintainedWindow::result`] normalizes
+    /// without a sort.
+    pub fn into_result(self) -> AuColumns {
+        self.output(false, &())
+    }
+
+    /// Every output row, in `canonical` order or in close order (see
+    /// [`MaintainedWindow::gather`]).
+    fn output<S: Stages>(&self, canonical: bool, stages: &S) -> AuColumns {
+        let open: Vec<Vec<WindowRow>> = self.groups.values().map(|g| g.sweep.open_rows()).collect();
+        self.gather(self.rows(&open, false), canonical, stages)
+    }
+
+    /// Per group, in value order, its closed rows — those since the last
+    /// drain, if `drained` — and then its rows in `open`, each with the
+    /// group's members if it gathered them.
+    fn rows<'r>(
+        &'r self,
+        open: &'r [Vec<WindowRow>],
+        drained: bool,
+    ) -> impl Iterator<Item = (Option<&'r [usize]>, &'r WindowRow)> {
+        (self.groups.values().zip(open)).flat_map(move |(g, open)| {
+            let closed = &g.sweep.closed_rows()[if drained { g.drained } else { 0 }..];
+            (closed.iter().chain(open)).map(|r| (g.members.as_deref(), r))
+        })
+    }
+
+    /// The output rows `rows` — each with its group's members, if it
+    /// gathered them — as the fed lanes gathered at their input rows under
+    /// their own annotations, extended by their aggregates: in the order
+    /// given, or in `canonical` order, merged as `normalize` would merge
+    /// them (module docs). Reports `"order"` and `"materialise"`.
+    fn gather<'r, S: Stages>(
+        &self,
+        rows: impl Iterator<Item = (Option<&'r [usize]>, &'r WindowRow)>,
+        canonical: bool,
+        stages: &S,
+    ) -> AuColumns {
+        let at = stages.mark();
+        let cols = &*self.fed;
+        let rows: Vec<(usize, Mult3, &RangeValue)> = (rows)
+            .map(|(members, r)| {
+                let start = self.starts[r.batch as usize];
+                match members {
+                    None => (start + r.row as usize, r.mult, &r.x),
+                    Some(members) => {
+                        let row = start + members[r.row as usize];
+                        (row, cols.mult(row).copy(u64::from(r.dup)), &r.x)
+                    }
+                }
+            })
+            .collect();
+        // The canonical order — what `normalize` would sort these rows into
+        // — from the lower-bound corner of the fed lanes; the aggregate and
+        // the other corners are encoded for the rows that tie on it only
+        // (split duplicates of one hypercube, hypercubes equal on every
+        // lower bound), which merge when equal throughout as they would
+        // there.
+        let order: Vec<(usize, Mult3)> = match canonical {
+            false => rows.iter().enumerate().map(|(out, r)| (out, r.1)).collect(),
+            true => {
+                let all: Vec<usize> = (0..cols.arity()).collect();
+                let prefix = PrefixReader::new(cols, Corner::Lb, &all);
+                canonical_order(
+                    rows.len(),
+                    |out| rows[out].1,
+                    |out| prefix.at(rows[out].0),
+                    |keys, out| keys.extend_corner_at(cols, rows[out].0, Corner::Lb, &all),
+                    |keys, out| {
+                        let (row, _, x) = rows[out];
+                        keys.extend_value(&x.lb);
+                        keys.extend_corner_at(cols, row, Corner::Ub, &all);
+                        keys.extend_value(&x.ub);
+                        keys.extend_corner_at(cols, row, Corner::Sg, &all);
+                        keys.extend_value(&x.sg);
+                    },
+                )
+                .expect("split rows have k↑ = 1, and no more of them than a u64 counts")
+            }
+        };
+        let at = stages.stage(at, "order");
+        // The fed lanes in that order, and the aggregates as one column.
+        let x = aggregate_column(order.iter().map(|&(out, _)| rows[out].2));
+        let mut idxs = Vec::with_capacity(order.len());
+        let mut mults = [0; 3].map(|_| Vec::with_capacity(order.len()));
+        for (out, mult) in order {
+            idxs.push(rows[out].0);
+            mults[0].push(mult.lb);
+            mults[1].push(mult.sg);
+            mults[2].push(mult.ub);
+        }
+        let rel = cols.gather_extended(&idxs, mults, &self.out_name, x);
+        let rel = if canonical {
+            rel.assume_canonical()
+        } else {
+            rel
+        };
+        stages.stage(at, "materialise");
+        rel
+    }
 }
 
 /// The aggregates `xs`, in output order, as the output's last column:
 /// three `i64` lanes and their certainty bits written in one pass while
 /// every bound is an integer (any aggregate of integer data short of a
 /// `SUM` that left `i64`), else whatever layout the values infer.
-pub(crate) fn aggregate_column<'a>(
-    xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone,
-) -> AuColumn {
+fn aggregate_column<'a>(xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone) -> AuColumn {
     let mut lanes = [0; 3].map(|_| Vec::with_capacity(xs.len()));
     for x in xs.clone() {
         let (Some(lb), Some(sg), Some(ub)) = (x.lb.as_i64(), x.sg.as_i64(), x.ub.as_i64()) else {

@@ -539,7 +539,7 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                             MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
                         let batches = in_order_batches(&mut rng, rows);
                         assert!(batches.len() > 8, "{} batches: {what}", batches.len());
-                        for batch in batches {
+                        for batch in &batches {
                             let batch =
                                 AuRelation::from_rows(schema.clone(), batch.iter().cloned())
                                     .to_columns();
@@ -554,11 +554,72 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                             maintained.into_result().to_rows().bag_eq(&native),
                             "maintained (consumed) ≠ one-shot: {what}"
                         );
+                        if !spec.partition.is_empty() {
+                            ranged_first_batch_is_maintained(rows, &batches, &spec, agg, &what);
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// [`mid_size_windows_agree_with_reference_and_maintenance`]'s rows cut
+/// into the same in-order `batches`, the first batch's every third `g` the
+/// range `[0, 1]` and every later `g` in `{2, 3}`, which it does not
+/// overlap: each batch is in order, and the maintained answer is the
+/// one-shot's and the reference's. A point `g` the range overlaps, past
+/// every frontier, is not in order: its rows would join the range's group.
+fn ranged_first_batch_is_maintained(
+    rows: &[(AuTuple, Mult3)],
+    batches: &[&[(AuTuple, Mult3)]],
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    what: &str,
+) {
+    let schema = Schema::new(["g", "o", "o2", "v", "id"]);
+    let first = batches[0].len();
+    let ranged: Vec<(AuTuple, Mult3)> = (rows.iter().enumerate())
+        .map(|(i, (t, m))| {
+            let mut t = t.clone();
+            let g = t.0[0].sg.as_i64().expect("an integer g");
+            if i >= first {
+                t.0[0] = RangeValue::certain(2 + g % 2);
+            } else if i % 3 == 0 {
+                t.0[0] = RangeValue::new(0, 0, 1);
+            }
+            (t, *m)
+        })
+        .collect();
+    let mut maintained = MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
+    let mut fed = 0;
+    for batch in batches {
+        let rows = &ranged[fed..fed + batch.len()];
+        fed += batch.len();
+        let batch = AuRelation::from_rows(schema.clone(), rows.iter().cloned()).to_columns();
+        assert!(maintained.in_order(&batch), "batch is in order: {what}");
+        maintained.apply(&batch);
+    }
+    let rel = AuRelation::from_rows(schema.clone(), ranged.iter().cloned());
+    let result = maintained.result().to_rows();
+    let native = window_columns_native(&rel.to_columns(), spec, agg, "x", &()).to_rows();
+    assert!(
+        result.bag_eq(&native),
+        "maintained ≠ one-shot, ranged: {what}"
+    );
+    let reference = window_ref(&rel, spec, agg, "x", CmpSemantics::IntervalLex);
+    assert!(
+        result.bag_eq(&reference),
+        "maintained ≠ reference, ranged: {what}"
+    );
+    let (mut overlap, mult) = ranged[ranged.len() - 1].clone();
+    overlap.0[0] = RangeValue::certain(1i64);
+    overlap.0[1] = RangeValue::certain(1_000_000i64);
+    let overlap = AuRelation::from_rows(schema, [(overlap, mult)]).to_columns();
+    assert!(
+        !maintained.in_order(&overlap),
+        "a point the range overlaps: {what}"
+    );
 }
 
 /// The window pool compares the prefixes of its candidates' bounds and

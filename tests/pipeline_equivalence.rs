@@ -987,10 +987,11 @@ mod appended_in_pieces {
     }
 
     /// A `PARTITION BY` attribute certain in every registered row and
-    /// uncertain in one appended one: the native window refuses the whole
-    /// input and the reference answers, whichever segment the range is in.
+    /// uncertain in one appended one: the native window answers it — the
+    /// range value a group of its own — with the reference's bounds,
+    /// whichever segment the range is in.
     #[test]
-    fn an_uncertain_partition_value_in_the_tail_reroutes_the_window() {
+    fn native_window_answers_an_uncertain_partition_value_in_the_tail() {
         let schema = Schema::new(["g", "o", "v"]);
         let c = |v: i64| RangeValue::certain(v);
         let base = rows(
