@@ -81,7 +81,8 @@ impl Table {
 
     /// This version grown by a non-empty `batch` of its schema: every
     /// sealed segment shared, the tail rebuilt. The one append — a catalog
-    /// publishes the result, a subscription keeps it as its accumulator.
+    /// publishes the result, a subscription that is never maintained keeps
+    /// it to recompute over.
     pub(crate) fn appended(&self, batch: AuColumns) -> Arc<Table> {
         let rows = self.rows + batch.len();
         let (sealed, tail) = match self.segments.split_last() {

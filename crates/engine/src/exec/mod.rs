@@ -45,6 +45,6 @@ mod lower;
 mod run;
 
 pub use lower::{lower, Pipeline};
-pub(crate) use run::check_output_rows;
+pub(crate) use run::{check_output_rows, count_output_rows};
 pub use run::{run_materialized, run_pipelined, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 pub use run::{Recorder, Stages};

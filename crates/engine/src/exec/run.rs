@@ -125,19 +125,24 @@ pub(crate) fn check_output_rows(
     mult_ub: impl IntoIterator<Item = u64>,
     limit: Option<u64>,
 ) -> Result<(), EngineError> {
-    let mut ranked = 0;
+    count_output_rows((0, 0), mult_ub, limit).map(drop)
+}
+
+/// [`check_output_rows`] over the rows counted in `before` and the rows of
+/// `mult_ub`: how many of them all are ranked and emitted — the counts
+/// add, so a caller fed in batches keeps them for everything fed —, or
+/// the refusal.
+pub(crate) fn count_output_rows(
+    before: (u64, u64),
+    mult_ub: impl IntoIterator<Item = u64>,
+    limit: Option<u64>,
+) -> Result<(u64, u64), EngineError> {
+    let mut ranked = before.0;
     let mult_ub = mult_ub
         .into_iter()
         .inspect(|&ub| ranked += u64::from(ub > 0));
-    let bound = output_rows_bound(mult_ub, limit);
-    check_breaker_size(ranked, bound)
-}
-
-/// [`check_output_rows`] on the counts: `ranked` rows go into the ranking,
-/// and `bound` rows come out (`None` past `u64`).
-fn check_breaker_size(ranked: u64, bound: Option<u64>) -> Result<(), EngineError> {
-    match bound {
-        Some(rows) if rows <= MAX_OUTPUT_ROWS && ranked <= MAX_RANKED_ROWS => Ok(()),
+    match output_rows_bound(mult_ub, limit).and_then(|rows| rows.checked_add(before.1)) {
+        Some(rows) if rows <= MAX_OUTPUT_ROWS && ranked <= MAX_RANKED_ROWS => Ok((ranked, rows)),
         Some(rows) if rows <= MAX_OUTPUT_ROWS => Err(EngineError::InputTooLarge { rows: ranked }),
         bound => Err(EngineError::ResultTooLarge {
             rows: bound.unwrap_or(u64::MAX),
@@ -830,14 +835,21 @@ mod tests {
             wrapped,
             EngineError::ResultTooLarge { rows: u64::MAX }
         ));
+        // Counts kept for rows fed before add to the new rows'.
+        assert_eq!(
+            count_output_rows((1, edge - 1), [1, 0], None).ok(),
+            Some((2, edge))
+        );
+        let over = count_output_rows((1, edge), [1], None).unwrap_err();
+        assert!(matches!(over, EngineError::ResultTooLarge { rows } if rows == edge + 1));
         // More rows than a ranking numbers keys for, each emitting one.
         let most = MAX_RANKED_ROWS;
-        assert!(check_breaker_size(most, Some(most)).is_ok());
-        let over = check_breaker_size(most + 1, Some(most + 1)).unwrap_err();
+        assert!(count_output_rows((most, most), [], None).is_ok());
+        let over = count_output_rows((most + 1, most + 1), [], None).unwrap_err();
         assert!(matches!(over, EngineError::InputTooLarge { rows } if rows == most + 1));
         assert_eq!(over.kind(), "input_too_large");
         assert!(matches!(
-            check_breaker_size(most + 1, Some(edge + 1)),
+            count_output_rows((most + 1, edge + 1), [], None),
             Err(EngineError::ResultTooLarge { .. })
         ));
     }

@@ -27,32 +27,33 @@
 //!   like any other rows.
 //! * **A batch the window cannot absorb rebuilds.** The window sweep
 //!   consumes rows in ascending ORDER BY position, one group per partition
-//!   value ([`MaintainedWindow::in_order`]): a batch overlapping a group's
-//!   frontier, holding a range partition value, or a point value a range
-//!   value fed before possibly equals rebuilds the sweep from everything
-//!   seen so far as a single batch, and the append (a recompute) answers
-//!   from the rebuilt sweep. The next batch that touches no such group is
+//!   value: a batch overlapping a group's frontier, holding a range
+//!   partition value, or a point value a range value fed before possibly
+//!   equals rebuilds the sweep from the rows it was fed and the batch, as
+//!   a single batch — no plan runs — and the append (a recompute) answers
+//!   from the rebuilt sweep ([`MaintainedWindow::apply`] returns the whole
+//!   answer before). The next batch that touches no such group is
 //!   incremental again. Top-k maintenance accepts appends in any order and
 //!   never rebuilds.
 //!
 //! Ground truth is always the engine itself: the property tests pin every
-//! maintained value bag-equal to `engine.execute(plan.with_table(accumulated))`
-//! on all three backends — which is what a subscription that is never
-//! maintained holds. A top-k band is refused as the engine refuses a sort
-//! of the same rows, and an append that fails changes nothing: whatever can
-//! fail runs before the state is replaced.
+//! maintained value bag-equal to the engine's answer over the subscribed
+//! table and every batch appended, on all three backends — which is what a
+//! subscription that is never maintained holds. A top-k band is refused as
+//! the engine refuses a sort of the same rows, a window as it refuses the
+//! window over every row fed, and an append that fails changes nothing:
+//! whatever can fail runs before the state is replaced.
 //!
-//! ## One append, two callers
+//! ## What a subscription keeps
 //!
-//! A subscription's accumulator is a table handle like the catalog's: the
-//! plan's own [`Table`] at `subscribe` — shared, not copied — grown by the
-//! append the catalog publishes with (sealed segments shared, the open
-//! tail rebuilt: the cost of the batch, whatever has accumulated). The
-//! two do not see each other's rows: a subscription pins the version
-//! current when it was made and from then on is fed only through
-//! [`MaintainedQuery::append`]. A recompute binds the plan to the grown
-//! handle ([`Plan::with_table`], nothing read); the incremental states
-//! take the row-wise prefix's output over the batch as columns.
+//! A subscription pins the table version current when it was made and is
+//! fed only through [`MaintainedQuery::append`]; the catalog's append and
+//! it do not see each other's rows. A maintained one keeps its native
+//! state and nothing else: the window operator keeps the rows the prefix
+//! passed, the top-k its band. Only one that is never maintained keeps a
+//! table — the subscribed version grown by every batch, as the catalog
+//! grows one (`Table::appended`) — because its recompute binds the plan
+//! to it.
 //!
 //! ## One answer, one diff
 //!
@@ -82,7 +83,6 @@ use crate::exec;
 use crate::plan::{Op, Plan};
 use audb_core::{AuColumns, AuRelation, AuTuple, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -92,7 +92,8 @@ pub enum Strategy {
     /// The batch updated live sweep state in `O(log n)` per row.
     #[default]
     Incremental,
-    /// The full plan re-ran over the accumulated relation.
+    /// The answer was computed afresh: the plan re-ran over every row, or
+    /// the window sweep was rebuilt from every row it was fed.
     Recompute,
 }
 
@@ -127,11 +128,14 @@ impl Delta {
 /// The final maintainable operator of the subscribed plan, with its live
 /// state.
 enum MaintainKind {
-    Window(MaintainedWindow<'static>),
+    /// The sweep, and how many rows the window over every row fed ranks
+    /// and emits ([`exec::count_output_rows`]).
+    Window(MaintainedWindow<'static>, (u64, u64)),
     TopK(TopKMaintain),
-    /// Never maintained, and why: the plan's shape or the engine's
-    /// backend, both fixed at `subscribe`. Every append recomputes.
-    Never(String),
+    /// Never maintained, and why — the plan's shape or the engine's
+    /// backend, both fixed at `subscribe` —, and the subscribed table
+    /// version grown by every batch, which every append recomputes over.
+    Never(String, Arc<Table>),
 }
 
 /// A subscribed query: a compiled [`Plan`] whose result stays current
@@ -143,9 +147,6 @@ pub struct MaintainedQuery {
     /// The row-wise prefix of the plan (everything before the final op).
     pre: Plan,
     kind: MaintainKind,
-    /// The accumulated source: the subscribed table version grown by
-    /// every batch.
-    accum: Arc<Table>,
     /// The answer, normalized — except while a window sweep is live: the
     /// sweep holds the answer then, and this is only the open rows it was
     /// last asked for, which the next append may change.
@@ -156,6 +157,9 @@ pub struct MaintainedQuery {
 }
 
 impl MaintainedQuery {
+    /// The state over the subscribed table and its answer: the engine's,
+    /// for a subscription that is never maintained; otherwise the final
+    /// operator's, over the prefix's rows.
     pub(crate) fn new(engine: Engine, plan: Plan) -> Result<MaintainedQuery, SessionError> {
         let row_wise = |pre: &[Op]| !pre.iter().any(Op::is_breaker);
         let never = match plan.ops().split_last() {
@@ -169,21 +173,56 @@ impl MaintainedQuery {
             )),
             None => Some("plan has no maintainable operator".to_string()),
         };
-        let mut q = MaintainedQuery {
+        let pre = plan.prefix(plan.ops().len().saturating_sub(1));
+        let (kind, answer) = match (never, plan.ops().last()) {
+            (Some(reason), _) => {
+                let accum = Arc::clone(plan.source_columns());
+                let answer = recompute(engine, &plan, &accum)?;
+                (MaintainKind::Never(reason, accum), answer)
+            }
+            (
+                None,
+                Some(Op::Window {
+                    spec,
+                    agg,
+                    out_name,
+                }),
+            ) => {
+                let rows = Engine::Native.execute(&pre)?;
+                let fed = exec::count_output_rows((0, 0), rows.mult_ub().iter().copied(), None)?;
+                let rows = rows.normalize()?;
+                let mut m =
+                    MaintainedWindow::new(rows.schema().clone(), spec.clone(), *agg, out_name);
+                m.apply(&rows);
+                let (_, open) = m.drain();
+                (MaintainKind::Window(m, fed), open)
+            }
+            (
+                None,
+                Some(Op::Sort {
+                    order,
+                    pos_name,
+                    limit: Some(k),
+                }),
+            ) => {
+                let rows = Engine::Native.execute(&pre)?;
+                let mut m = TopKMaintain::new(rows.schema().clone(), order.clone(), *k, pos_name);
+                m.apply(&rows);
+                let band = topk_answer(&m)?;
+                (MaintainKind::TopK(m), band)
+            }
+            _ => unreachable!("only window and top-k plans are maintained"),
+        };
+        Ok(MaintainedQuery {
             engine,
-            pre: plan.prefix(plan.ops().len().saturating_sub(1)),
-            // Replaced by the state built below.
-            kind: MaintainKind::Never(String::new()),
-            accum: Arc::clone(plan.source_columns()),
-            answer: AuColumns::empty(plan.schema().clone()),
+            plan,
+            pre,
+            kind,
+            answer,
             incremental_appends: 0,
             recompute_appends: 0,
             last: None,
-            plan,
-        };
-        let (kind, whole) = q.build(&q.accum, never)?;
-        q.settle(kind, whole);
-        Ok(q)
+        })
     }
 
     /// The compiled plan this subscription maintains.
@@ -193,13 +232,10 @@ impl MaintainedQuery {
 
     /// The current result, normalized, in deterministic row-key order.
     pub fn value(&self) -> AuRelation {
-        self.whole().to_rows()
-    }
-
-    /// The accumulated source (initial relation plus every appended
-    /// batch, in arrival order), as the table handle recomputes scan.
-    pub fn accumulated(&self) -> &Arc<Table> {
-        &self.accum
+        match &self.kind {
+            MaintainKind::Window(m, _) => m.result().to_rows(),
+            _ => self.answer.to_rows(),
+        }
     }
 
     /// `(incremental, recompute)` append counts so far.
@@ -223,28 +259,45 @@ impl MaintainedQuery {
         }
         // The subscription's batch door: rows in, columns from here on.
         let batch = batch.to_columns();
-        let accum = match batch.is_empty() {
-            true => Arc::clone(&self.accum),
-            false => self.accum.appended(batch.clone()),
-        };
-        let (strategy, delta) = match &self.kind {
-            MaintainKind::Never(reason) => (
-                Strategy::Recompute,
-                self.rebuild(&accum, Some(reason.clone()))?,
-            ),
+        let (strategy, delta) = match &mut self.kind {
+            MaintainKind::Never(_, accum) => {
+                let grown = match batch.is_empty() {
+                    true => Arc::clone(accum),
+                    false => accum.appended(batch),
+                };
+                let whole = recompute(self.engine, &self.plan, &grown)?;
+                *accum = grown;
+                let before = std::mem::replace(&mut self.answer, whole);
+                (Strategy::Recompute, diff(&before, &self.answer))
+            }
             MaintainKind::TopK(m) => {
                 // The band absorbs the batch — on a copy, kept once its
                 // answer is not refused — and is diffed in O(k), not O(n).
-                let mut m = m.clone();
-                m.apply(&self.prefix_over(Table::sealed(batch))?);
-                let band = topk_answer(&m)?;
-                let delta = diff(&self.answer, &band);
-                self.settle(MaintainKind::TopK(m), band);
-                (Strategy::Incremental, delta)
+                let mut grown = m.clone();
+                grown.apply(&prefix_over(&self.pre, batch)?);
+                let band = topk_answer(&grown)?;
+                *m = grown;
+                let before = std::mem::replace(&mut self.answer, band);
+                (Strategy::Incremental, diff(&before, &self.answer))
             }
-            MaintainKind::Window(_) => self.append_window(&accum, batch)?,
+            MaintainKind::Window(m, fed) => {
+                let rows = prefix_over(&self.pre, batch)?;
+                let counted = exec::count_output_rows(*fed, rows.mult_ub().iter().copied(), None)?;
+                let rows = rows.normalize()?;
+                // Absorbed, or rebuilt from everything fed; what changed:
+                // the rows closed since, and the open rows now, against the
+                // open rows last emitted — or the whole answer before.
+                let before = m.apply(&rows);
+                *fed = counted;
+                let (since, open) = m.drain();
+                let delta = diff(before.as_ref().unwrap_or(&self.answer), &since);
+                self.answer = open;
+                (
+                    before.map_or(Strategy::Incremental, |_| Strategy::Recompute),
+                    delta,
+                )
+            }
         };
-        self.accum = accum;
         match strategy {
             Strategy::Incremental => self.incremental_appends += 1,
             Strategy::Recompute => self.recompute_appends += 1,
@@ -261,9 +314,9 @@ impl MaintainedQuery {
             s.push('\n');
         }
         let mode = match &self.kind {
-            MaintainKind::Window(_) => "window incremental".to_string(),
+            MaintainKind::Window(..) => "window incremental".to_string(),
             MaintainKind::TopK(_) => "top-k incremental".to_string(),
-            MaintainKind::Never(reason) => format!("always recompute — {reason}"),
+            MaintainKind::Never(reason, _) => format!("always recompute — {reason}"),
         };
         s.push_str(&format!("maintain: {mode}\n"));
         s.push_str(&format!(
@@ -275,126 +328,30 @@ impl MaintainedQuery {
         }
         s
     }
-
-    /// The row-wise prefix over `source`, on the native method (the only
-    /// one that maintains) — over a batch alone, its contribution to the
-    /// prefix over the accumulated table.
-    fn prefix_over(&self, source: Arc<Table>) -> Result<AuColumns, SessionError> {
-        Ok(Engine::Native.execute(&self.pre.with_table(source)?)?)
-    }
-
-    /// The engine's answer over `source`, normalized: what a subscription
-    /// that is never maintained holds.
-    fn recompute(&self, source: &Arc<Table>) -> Result<AuColumns, SessionError> {
-        let plan = self.plan.with_table(Arc::clone(source))?;
-        Ok(self.engine.execute(&plan)?.normalize()?)
-    }
-
-    /// The whole answer, normalized.
-    fn whole(&self) -> Cow<'_, AuColumns> {
-        match &self.kind {
-            MaintainKind::Window(m) => Cow::Owned(m.result()),
-            _ => Cow::Borrowed(&self.answer),
-        }
-    }
-
-    /// A fresh state over `source` and its whole answer, normalized: the
-    /// engine's, for a subscription that is never maintained (`never` says
-    /// why); otherwise the final operator's, over the prefix's rows.
-    fn build(
-        &self,
-        source: &Arc<Table>,
-        never: Option<String>,
-    ) -> Result<(MaintainKind, AuColumns), SessionError> {
-        if let Some(reason) = never {
-            return Ok((MaintainKind::Never(reason), self.recompute(source)?));
-        }
-        let rows = self.prefix_over(Arc::clone(source))?;
-        match self.plan.ops().last() {
-            Some(Op::Window {
-                spec,
-                agg,
-                out_name,
-            }) => {
-                let rows = rows.normalize()?;
-                let mut m =
-                    MaintainedWindow::new(rows.schema().clone(), spec.clone(), *agg, out_name);
-                m.apply(&rows);
-                // Nothing is drained yet: the first drain is the whole answer.
-                let (whole, _) = m.drain();
-                Ok((MaintainKind::Window(m), whole))
-            }
-            Some(Op::Sort {
-                order,
-                pos_name,
-                limit: Some(k),
-            }) => {
-                let mut m = TopKMaintain::new(rows.schema().clone(), order.clone(), *k, pos_name);
-                m.apply(&rows);
-                let band = topk_answer(&m)?;
-                Ok((MaintainKind::TopK(m), band))
-            }
-            _ => unreachable!("only window and top-k plans are maintained"),
-        }
-    }
-
-    /// Take `kind` as the state and `whole` as its answer. A window sweep
-    /// keeps what it has closed and leaves only its open rows here.
-    fn settle(&mut self, kind: MaintainKind, whole: AuColumns) {
-        self.kind = kind;
-        self.answer = match &mut self.kind {
-            MaintainKind::Window(m) => m.drain().1,
-            _ => whole,
-        };
-    }
-
-    /// Replace the state with one built afresh over `accum` (see
-    /// [`MaintainedQuery::build`]): the delta is the diff of the whole
-    /// answers before and after.
-    fn rebuild(
-        &mut self,
-        accum: &Arc<Table>,
-        never: Option<String>,
-    ) -> Result<Delta, SessionError> {
-        let (kind, whole) = self.build(accum, never)?;
-        let delta = diff(&self.whole(), &whole);
-        self.settle(kind, whole);
-        Ok(delta)
-    }
-
-    /// A window append: absorbed by the live sweep if it is in order
-    /// ([`MaintainedWindow::in_order`]); otherwise the sweep is rebuilt
-    /// over everything.
-    fn append_window(
-        &mut self,
-        accum: &Arc<Table>,
-        batch: AuColumns,
-    ) -> Result<(Strategy, Delta), SessionError> {
-        let rows = self.prefix_over(Table::sealed(batch))?.normalize()?;
-        let MaintainKind::Window(m) = &mut self.kind else {
-            unreachable!("append_window is called on window states");
-        };
-        if !m.in_order(&rows) {
-            return Ok((Strategy::Recompute, self.rebuild(accum, None)?));
-        }
-        m.apply(&rows);
-        // What changed: the rows closed since, and the open rows now
-        // against the open rows last emitted.
-        let (since, open) = m.drain();
-        let delta = diff(&self.answer, &since);
-        self.answer = open;
-        Ok((Strategy::Incremental, delta))
-    }
 }
 
 impl std::fmt::Debug for MaintainedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaintainedQuery")
-            .field("rows", &self.accum.len())
             .field("incremental", &self.incremental_appends)
             .field("recompute", &self.recompute_appends)
             .finish()
     }
+}
+
+/// The row-wise prefix `pre` over `batch` alone, on the native method (the
+/// only one that maintains): its contribution to the prefix over
+/// everything appended.
+fn prefix_over(pre: &Plan, batch: AuColumns) -> Result<AuColumns, SessionError> {
+    Ok(Engine::Native.execute(&pre.with_table(Table::sealed(batch))?)?)
+}
+
+/// `engine`'s answer of `plan` over `source`, normalized: what a
+/// subscription that is never maintained holds.
+fn recompute(engine: Engine, plan: &Plan, source: &Arc<Table>) -> Result<AuColumns, SessionError> {
+    Ok(engine
+        .execute(&plan.with_table(Arc::clone(source))?)?
+        .normalize()?)
 }
 
 /// Why a `what` subscription on `engine` is never maintained, if it is not.
@@ -506,8 +463,10 @@ mod tests {
                 .collect()
         };
         let mut replay = entries(q.value());
+        let mut fed = 20;
         for chunk in rows[20..].chunks(7) {
             let delta = q.append(&rel_of(chunk)).unwrap();
+            fed += chunk.len();
             for (t, m) in &delta.removed {
                 let old = replay.remove(&SortKey::of_row(t));
                 assert_eq!(
@@ -520,8 +479,8 @@ mod tests {
                 let old = replay.insert(SortKey::of_row(t), (t.clone(), *m));
                 assert_eq!(old, None, "added over a live entry");
             }
-            // Ground truth: full recompute over the accumulated rows.
-            session.register("s", q.accumulated().contiguous().to_rows());
+            // Ground truth: full recompute over every row appended.
+            session.register("s", rel_of(&rows[..fed]));
             let truth = session.sql(ROLLING_SQL).unwrap();
             let value = q.value();
             assert!(value.bag_eq(&truth), "value:\n{value}\ntruth:\n{truth}");
@@ -541,8 +500,17 @@ mod tests {
 
     #[test]
     fn out_of_order_appends_recompute_then_resume_incremental() {
+        // A selection in front: the rebuild sweeps the rows it passed.
+        let sql = format!("{ROLLING_SQL} WHERE v > -30");
         let rows = stream_rows(40, 3);
-        let mut q = subscribe(&rows[..24]);
+        let session = Session::new(Engine::native());
+        session.register("s", rel_of(&rows[..24]));
+        let mut q = session.subscribe(&sql).unwrap();
+        let truth = |fed: &[(AuTuple, Mult3)]| {
+            assert!(fed.iter().any(|(t, _)| t.0[1].ub.as_i64() < Some(-30)));
+            session.register("s", rel_of(fed));
+            session.sql(&sql).unwrap()
+        };
         assert_eq!(
             q.append(&rel_of(&rows[24..30])).unwrap().strategy,
             Strategy::Incremental,
@@ -558,15 +526,17 @@ mod tests {
             q.append(&rel_of(&overlap)).unwrap().strategy,
             Strategy::Recompute
         );
+        assert!(q
+            .value()
+            .bag_eq(&truth(&[&rows[..34], &overlap[..]].concat())));
         // …but is not sticky: the next in-order batch is incremental again.
         assert_eq!(
             q.append(&rel_of(&rows[34..38])).unwrap().strategy,
             Strategy::Incremental
         );
-        let session = Session::new(Engine::native());
-        session.register("s", q.accumulated().contiguous().to_rows());
-        let truth = session.sql(ROLLING_SQL).unwrap();
-        assert!(q.value().bag_eq(&truth));
+        assert!(q
+            .value()
+            .bag_eq(&truth(&[&rows[..38], &overlap[..]].concat())));
     }
 
     /// In-order appends that carry duplicate multiplicities — a row of
@@ -577,13 +547,15 @@ mod tests {
         let rows = stream_rows(40, 17);
         let mut q = subscribe(&rows[..20]);
         let session = Session::new(Engine::native());
+        let mut fed = rows[..20].to_vec();
         for (i, chunk) in rows[20..].chunks(5).enumerate() {
             let mut batch = chunk.to_vec();
             batch[0].1 = [Mult3::new(2, 2, 2), Mult3::new(0, 1, 2)][i % 2];
             batch.push(batch[3].clone());
             let delta = q.append(&rel_of(&batch)).unwrap();
             assert_eq!(delta.strategy, Strategy::Incremental, "batch {i}");
-            session.register("s", q.accumulated().contiguous().to_rows());
+            fed.extend(batch);
+            session.register("s", rel_of(&fed));
             assert!(q.value().bag_eq(&session.sql(ROLLING_SQL).unwrap()));
         }
         assert!(
@@ -604,10 +576,12 @@ mod tests {
         let mut chunks: Vec<&[(AuTuple, Mult3)]> = rows[20..].chunks(6).collect();
         chunks.reverse();
         let mut saw_incremental = false;
+        let mut fed = rows[..20].to_vec();
         for chunk in chunks {
             let d = q.append(&rel_of(chunk)).unwrap();
             saw_incremental |= d.strategy == Strategy::Incremental;
-            session.register("s", q.accumulated().contiguous().to_rows());
+            fed.extend_from_slice(chunk);
+            session.register("s", rel_of(&fed));
             let truth = session.sql(sql).unwrap();
             assert!(q.value().bag_eq(&truth), "{}\nvs\n{truth}", q.value());
         }
@@ -623,14 +597,16 @@ mod tests {
         let schema = Schema::new(["a"]);
         let row = |a: i64, mult| (AuTuple::new([RangeValue::certain(a)]), mult);
         let session = Session::new(Engine::native());
-        let certain = (10..20).map(|a| row(a, Mult3::ONE));
-        session.register("s", AuRelation::from_rows(schema.clone(), certain));
+        let mut fed: Vec<_> = (10..20).map(|a| row(a, Mult3::ONE)).collect();
+        session.register("s", AuRelation::from_rows(schema.clone(), fed.clone()));
         let sql = "SELECT * FROM s ORDER BY a AS pos LIMIT 3";
         let mut q = session.subscribe(sql).unwrap();
-        let huge = AuRelation::from_rows(schema, [row(1, Mult3::new(0, 0, 1 << 63))]);
+        let huge = row(1, Mult3::new(0, 0, 1 << 63));
         for _ in 0..2 {
-            q.append(&huge).unwrap();
-            session.register("s", q.accumulated().contiguous().to_rows());
+            q.append(&AuRelation::from_rows(schema.clone(), [huge.clone()]))
+                .unwrap();
+            fed.push(huge.clone());
+            session.register("s", AuRelation::from_rows(schema.clone(), fed.clone()));
             let truth = session.sql(sql).unwrap();
             assert!(q.value().bag_eq(&truth), "{}\nvs\n{truth}", q.value());
         }
@@ -664,8 +640,51 @@ mod tests {
         );
         assert!(q.explain().contains("requires the native backend"));
         let check = Session::new(Engine::reference());
-        check.register("s", q.accumulated().contiguous().to_rows());
+        check.register("s", rel_of(&rows[..15]));
         assert!(q.value().bag_eq(&check.sql(ROLLING_SQL).unwrap()));
+    }
+
+    /// A subscription that is never maintained grows its table as the
+    /// catalog grows one: each append shares every sealed segment and makes
+    /// one new one (the open tail plus the batch), across the seal, and a
+    /// recompute binds the plan to that handle.
+    #[test]
+    fn a_recompute_subscription_grows_its_table_like_the_catalog() {
+        let rows = stream_rows(2 * crate::SEGMENT_ROWS + 200, 37);
+        let session = Session::new(Engine::native());
+        session.register("s", rel_of(&rows[..10]));
+        let accum = |q: &MaintainedQuery| match &q.kind {
+            MaintainKind::Never(_, accum) => Arc::clone(accum),
+            _ => unreachable!("a maintained subscription keeps no table"),
+        };
+        let mut q = session.subscribe("SELECT * FROM s WHERE v < 40").unwrap();
+        let mut fed = 10;
+        for size in [
+            1,
+            700,
+            crate::SEGMENT_ROWS - 600,
+            crate::SEGMENT_ROWS + 1,
+            3,
+            64,
+        ] {
+            let before = accum(&q);
+            q.append(&rel_of(&rows[fed..fed + size])).unwrap();
+            fed += size;
+            let after = accum(&q);
+            assert_eq!(after.len(), fed);
+            let sealed = after.segments().len() - 1;
+            assert!(sealed + 1 >= before.segments().len());
+            for (old, new) in before.segments().iter().zip(&after.segments()[..sealed]) {
+                assert!(Arc::ptr_eq(old, new), "{size} rows copied a sealed segment");
+            }
+        }
+        let grown = accum(&q);
+        assert!(grown.segments().len() >= 4, "the seal was crossed");
+        let bound = q.plan().with_table(Arc::clone(&grown)).unwrap();
+        assert!(Arc::ptr_eq(bound.source_columns(), &grown));
+        session.register("s", rel_of(&rows[..fed]));
+        let truth = session.sql("SELECT * FROM s WHERE v < 40").unwrap();
+        assert!(q.value().bag_eq(&truth));
     }
 
     #[test]

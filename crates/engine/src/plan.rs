@@ -529,8 +529,9 @@ impl Plan {
     }
 
     /// The same operator chain over another table handle — the plan a
-    /// maintained query recomputes against its accumulated table, and the
-    /// pre-operator plan it runs over each appended batch. Nothing of the
+    /// subscription that is never maintained recomputes against its grown
+    /// table, and the pre-operator plan a maintained one runs over each
+    /// appended batch. Nothing of the
     /// table is read or copied. The resolved IR is index-based, so the
     /// only thing to re-validate is that the new source carries the schema
     /// the chain was compiled against.

@@ -6,10 +6,11 @@
 //! must reconstruct the value exactly. The generators cover in-order
 //! streams (incremental fast path), out-of-order batches (rebuild),
 //! partition churn, duplicate multiplicities, an uncertain partition value
-//! (a rebuild, then incremental again) and a top-k the engine refuses.
+//! (a rebuild, then incremental again) and a top-k and a window the engine
+//! refuses.
 
 use audb_core::{AuRelation, AuTuple, Mult3, RangeValue};
-use audb_engine::{Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
+use audb_engine::{Catalog, Delta, Engine, Session, SharedCatalog, Strategy, SEGMENT_ROWS};
 use audb_rel::Schema;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,20 +68,23 @@ fn session_with(sql_table: &AuRelation) -> Session {
     Session::with_catalog(Engine::native(), catalog)
 }
 
-/// Full recompute of the subscription's plan over its accumulated rows on
-/// `method` — the ground truth the maintained value is pinned against.
-fn recompute_on(q: &audb_engine::MaintainedQuery, method: Engine) -> AuRelation {
+/// Full recompute of the subscription's plan on `method` over `fed` — the
+/// subscribed rows and every batch appended since — the ground truth the
+/// maintained value is pinned against.
+fn recompute_on(q: &audb_engine::MaintainedQuery, fed: &AuRelation, method: Engine) -> AuRelation {
+    let mut catalog = Catalog::new();
+    catalog.register("s", fed.clone());
     let plan = q
         .plan()
-        .with_table(Arc::clone(q.accumulated()))
-        .expect("accumulated rows always match the plan schema");
+        .with_table(Arc::clone(catalog.get("s").unwrap()))
+        .expect("the rows fed match the plan schema");
     method.execute(&plan).unwrap().to_rows().normalize()
 }
 
-fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {
+fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, fed: &AuRelation, ctx: &str) {
     let value = q.value().normalize();
     for method in Engine::ALL {
-        let truth = recompute_on(q, method);
+        let truth = recompute_on(q, fed, method);
         assert!(
             value.clone().bag_eq(&truth),
             "{ctx}: maintained value diverged from {method} recompute\n\
@@ -91,8 +95,8 @@ fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {
 
 /// [`assert_matches_all_backends`], and the deltas replayed so far
 /// reconstruct the value.
-fn assert_exact(q: &audb_engine::MaintainedQuery, replay: &Replay, ctx: &str) {
-    assert_matches_all_backends(q, ctx);
+fn assert_exact(q: &audb_engine::MaintainedQuery, fed: &AuRelation, replay: &Replay, ctx: &str) {
+    assert_matches_all_backends(q, fed, ctx);
     let value = q.value().normalize();
     assert!(
         replay.value(value.schema.clone()).bag_eq(&value),
@@ -147,9 +151,10 @@ const TOPK: &str = "SELECT g, v FROM s ORDER BY v AS pos LIMIT 4";
 #[test]
 fn in_order_stream_stays_incremental_and_exact() {
     let mut rng = Rng::new(0xA11CE);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(ROLLING).unwrap();
-    assert_matches_all_backends(&q, "rolling at subscribe");
+    assert_matches_all_backends(&q, &fed, "rolling at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -162,11 +167,12 @@ fn in_order_stream_stays_incremental_and_exact() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
+        fed.append(&mut batch.clone());
         replay.apply(&delta);
         // Interleave full checks with cheap delta-only steps so the test
         // also covers appends nobody queries between.
         if rng.below(3) == 0 || step > 35 {
-            assert_exact(&q, &replay, &format!("rolling step {step}"));
+            assert_exact(&q, &fed, &replay, &format!("rolling step {step}"));
         }
     }
     assert_eq!(
@@ -188,9 +194,10 @@ fn in_order_stream_stays_incremental_and_exact() {
 #[test]
 fn out_of_order_and_in_order_interleave_exactly() {
     let mut rng = Rng::new(0xB0B);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(ROLLING).unwrap();
-    assert_matches_all_backends(&q, "interleaved at subscribe");
+    assert_matches_all_backends(&q, &fed, "interleaved at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -211,6 +218,7 @@ fn out_of_order_and_in_order_interleave_exactly() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
+        fed.append(&mut batch.clone());
         if out_of_order {
             assert_eq!(
                 delta.strategy,
@@ -219,7 +227,7 @@ fn out_of_order_and_in_order_interleave_exactly() {
             );
         }
         replay.apply(&delta);
-        assert_exact(&q, &replay, &format!("interleaved step {step}"));
+        assert_exact(&q, &fed, &replay, &format!("interleaved step {step}"));
     }
     let (incr, _) = q.strategy_counts();
     assert!(incr > 0, "in-order stretches should resume maintenance");
@@ -228,9 +236,10 @@ fn out_of_order_and_in_order_interleave_exactly() {
 #[test]
 fn partition_churn_stays_exact() {
     let mut rng = Rng::new(0x5EED);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(PARTITIONED).unwrap();
-    assert_matches_all_backends(&q, "churn at subscribe");
+    assert_matches_all_backends(&q, &fed, "churn at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -247,9 +256,10 @@ fn partition_churn_stays_exact() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
+        fed.append(&mut batch.clone());
         replay.apply(&delta);
         if rng.below(2) == 0 || step > 25 {
-            assert_exact(&q, &replay, &format!("churn step {step}"));
+            assert_exact(&q, &fed, &replay, &format!("churn step {step}"));
         }
     }
     let (incr, _) = q.strategy_counts();
@@ -264,9 +274,10 @@ fn partition_churn_stays_exact() {
 #[test]
 fn duplicate_multiplicities_stay_incremental() {
     let mut rng = Rng::new(0xD0D0);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(ROLLING).unwrap();
-    assert_matches_all_backends(&q, "dup-mult at subscribe");
+    assert_matches_all_backends(&q, &fed, "dup-mult at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -283,9 +294,10 @@ fn duplicate_multiplicities_stay_incremental() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
+        fed.append(&mut batch.clone());
         assert_eq!(delta.strategy, Strategy::Incremental, "step {step}");
         replay.apply(&delta);
-        assert_exact(&q, &replay, &format!("dup-mult step {step}"));
+        assert_exact(&q, &fed, &replay, &format!("dup-mult step {step}"));
     }
     assert!(
         q.explain().contains("window incremental"),
@@ -302,9 +314,10 @@ fn duplicate_multiplicities_stay_incremental() {
 #[test]
 fn a_ranged_partition_value_rebuilds_and_maintenance_resumes() {
     let mut rng = Rng::new(0x6A0);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(PARTITIONED).unwrap();
-    assert_matches_all_backends(&q, "partition at subscribe");
+    assert_matches_all_backends(&q, &fed, "partition at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -325,16 +338,16 @@ fn a_ranged_partition_value_rebuilds_and_maintenance_resumes() {
         if batch == 5 {
             rows[1].0 .0[0] = RangeValue::new(0, 0, 1);
         }
-        let delta = q
-            .append(&AuRelation::from_rows(sensor_schema(), rows))
-            .unwrap();
+        let rows = AuRelation::from_rows(sensor_schema(), rows);
+        let delta = q.append(&rows).unwrap();
+        fed.append(&mut rows.clone());
         let want = match batch {
             5 | 10 => Strategy::Recompute,
             _ => Strategy::Incremental,
         };
         assert_eq!(delta.strategy, want, "batch {batch}");
         replay.apply(&delta);
-        assert_exact(&q, &replay, &format!("partition batch {batch}"));
+        assert_exact(&q, &fed, &replay, &format!("partition batch {batch}"));
     }
     let explain = q.explain();
     assert!(
@@ -354,27 +367,30 @@ fn a_ranged_partition_value_rebuilds_and_maintenance_resumes() {
 fn a_repeated_row_is_removed_and_added_at_its_new_multiplicity() {
     let mut rng = Rng::new(0x2E9);
     let rows: Vec<_> = (0..4).map(|i| reading(&mut rng, 0, 4 * i, true)).collect();
-    let session = session_with(&AuRelation::from_rows(sensor_schema(), rows.clone()));
+    let mut fed = AuRelation::from_rows(sensor_schema(), rows.clone());
+    let session = session_with(&fed);
     let mut q = session.subscribe("SELECT * FROM s WHERE v < 100").unwrap();
-    assert_matches_all_backends(&q, "repeated rows at subscribe");
+    assert_matches_all_backends(&q, &fed, "repeated rows at subscribe");
     let mut replay = Replay::from_value(&q.value());
     let again = AuRelation::from_rows(sensor_schema(), rows[1..3].iter().cloned());
     let delta = q.append(&again).unwrap();
+    fed.append(&mut again.clone());
     assert_eq!(
         (delta.removed.len(), delta.added.len()),
         (2, 2),
         "{delta:?}"
     );
     replay.apply(&delta);
-    assert_exact(&q, &replay, "repeated rows");
+    assert_exact(&q, &fed, &replay, "repeated rows");
 }
 
 #[test]
 fn topk_subscription_is_exact_in_any_order() {
     let mut rng = Rng::new(0x70CC);
-    let session = session_with(&AuRelation::empty(sensor_schema()));
+    let mut fed = AuRelation::empty(sensor_schema());
+    let session = session_with(&fed);
     let mut q = session.subscribe(TOPK).unwrap();
-    assert_matches_all_backends(&q, "topk at subscribe");
+    assert_matches_all_backends(&q, &fed, "topk at subscribe");
     let mut replay = Replay::from_value(&q.value());
 
     for step in 0..30 {
@@ -389,9 +405,10 @@ fn topk_subscription_is_exact_in_any_order() {
             .collect();
         let batch = AuRelation::from_rows(sensor_schema(), rows);
         let delta = q.append(&batch).unwrap();
+        fed.append(&mut batch.clone());
         replay.apply(&delta);
         if rng.below(2) == 0 || step > 25 {
-            assert_exact(&q, &replay, &format!("topk step {step}"));
+            assert_exact(&q, &fed, &replay, &format!("topk step {step}"));
         }
     }
     assert_eq!(q.strategy_counts(), (30, 0), "top-k never recomputes");
@@ -400,13 +417,11 @@ fn topk_subscription_is_exact_in_any_order() {
 
 /// Subscribing to the already-grown table must equal, row for row, the
 /// value carried by a subscription that lived through every append: small
-/// batches, then uneven pieces that take the accumulator across the
-/// segment seal (the `appended_in_pieces` property, for subscriptions) —
-/// on a statement that is never maintained (an unlimited sort) and on one
-/// that is. And the
-/// accumulator grows the way the catalog's tables do: an append shares
-/// every sealed segment and makes one new one (the open tail plus the
-/// batch), and a recompute binds the plan to the accumulator's own handle.
+/// batches, then uneven pieces that cross the segment seal (the
+/// `appended_in_pieces` property, for subscriptions) — on a statement that
+/// is never maintained (an unlimited sort), whose table grows as the
+/// catalog's tables do (`maintain`'s unit tests check its segments), and on
+/// one that is, which keeps no table.
 #[test]
 fn maintained_value_matches_a_fresh_subscription_midstream() {
     let mut rng = Rng::new(0xCAFE);
@@ -415,13 +430,13 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
         .chain([1, 700, SEGMENT_ROWS - 600, SEGMENT_ROWS + 1, 3, 64])
         .collect();
     let mut t = 0i64;
-    let pieces: Vec<Vec<(AuTuple, Mult3)>> = (sizes.iter())
+    let pieces: Vec<AuRelation> = (sizes.iter())
         .map(|&n| {
             let mut next = || {
                 t += 4;
                 reading(&mut rng, 0, t, true)
             };
-            (0..n).map(|_| next()).collect()
+            AuRelation::from_rows(sensor_schema(), (0..n).map(|_| next()))
         })
         .collect();
 
@@ -434,30 +449,16 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
         (recomputed, Strategy::Recompute),
         (maintained, Strategy::Incremental),
     ] {
-        assert_matches_all_backends(&live, &format!("{want} at subscribe"));
-        let mut all: Vec<(AuTuple, Mult3)> = Vec::new();
+        let mut fed = AuRelation::empty(sensor_schema());
+        assert_matches_all_backends(&live, &fed, &format!("{want} at subscribe"));
         for (i, piece) in pieces.iter().enumerate() {
-            let before = Arc::clone(live.accumulated());
-            let delta = live
-                .append(&AuRelation::from_rows(sensor_schema(), piece.clone()))
-                .unwrap();
-            all.extend(piece.iter().cloned());
+            let delta = live.append(piece).unwrap();
+            fed.append(&mut piece.clone());
             assert_eq!(delta.strategy, want, "piece {i}");
-            let after = live.accumulated();
-            assert_eq!(after.len(), all.len());
-            let sealed = after.segments().len() - 1;
-            assert!(sealed + 1 >= before.segments().len());
-            for (old, new) in before.segments().iter().zip(&after.segments()[..sealed]) {
-                assert!(Arc::ptr_eq(old, new), "piece {i} copied a sealed segment");
-            }
         }
-        let grown = live.accumulated();
-        assert!(grown.segments().len() >= 4, "the seal was crossed");
-        let bound = live.plan().with_table(Arc::clone(grown)).unwrap();
-        assert!(Arc::ptr_eq(bound.source_columns(), grown));
-
-        let whole = session_with(&AuRelation::from_rows(sensor_schema(), all));
-        let fresh = whole.subscribe(live.plan().sql().unwrap()).unwrap();
+        let fresh = session_with(&fed)
+            .subscribe(live.plan().sql().unwrap())
+            .unwrap();
         assert_eq!(
             live.value().rows(),
             fresh.value().rows(),
@@ -482,20 +483,27 @@ fn a_subscription_over_a_sealed_table_maintains_from_subscribe() {
             .collect();
         AuRelation::from_rows(sensor_schema(), rows)
     };
-    let session = session_with(&rows(SEGMENT_ROWS - 3));
-    session.shared_catalog().append("s", &rows(10)).unwrap();
+    let mut subscribed = rows(SEGMENT_ROWS - 3);
+    let session = session_with(&subscribed);
+    let mut tail = rows(10);
+    session.shared_catalog().append("s", &tail).unwrap();
+    subscribed.append(&mut tail);
+    let table = Arc::clone(session.catalog().get("s").unwrap());
+    assert_eq!(table.segments().len(), 2, "the seal was crossed");
     // The selection keeps the oracles' windows small (≈ 1 row in 8).
     let rolling = format!("{ROLLING} WHERE v > 15");
     for sql in [&rolling, TOPK] {
         let mut q = session.subscribe(sql).unwrap();
-        assert_eq!(q.accumulated().segments().len(), 2, "the seal was crossed");
-        assert_matches_all_backends(&q, &format!("{sql} at subscribe"));
+        let mut fed = subscribed.clone();
+        assert_matches_all_backends(&q, &fed, &format!("{sql} at subscribe"));
         let mut replay = Replay::from_value(&q.value());
         for step in 0..3 {
-            let delta = q.append(&rows(5)).unwrap();
+            let batch = rows(5);
+            let delta = q.append(&batch).unwrap();
+            fed.append(&mut batch.clone());
             assert_eq!(delta.strategy, Strategy::Incremental, "{sql} step {step}");
             replay.apply(&delta);
-            assert_exact(&q, &replay, &format!("{sql} step {step}"));
+            assert_exact(&q, &fed, &replay, &format!("{sql} step {step}"));
         }
     }
 }
@@ -516,23 +524,66 @@ fn a_topk_past_the_row_index_is_refused_and_changes_nothing() {
     let refused = session_with(&AuRelation::from_rows(schema.clone(), held)).subscribe(SQL);
     assert_eq!(refused.unwrap_err().kind(), "result_too_large");
 
-    let session = session_with(&AuRelation::from_rows(schema.clone(), certain));
+    let mut fed = AuRelation::from_rows(schema.clone(), certain);
+    let session = session_with(&fed);
     let mut q = session.subscribe(SQL).unwrap();
-    assert_matches_all_backends(&q, "ten certain rows");
+    assert_matches_all_backends(&q, &fed, "ten certain rows");
     let mut replay = Replay::from_value(&q.value());
-    let (accumulated, value) = (Arc::clone(q.accumulated()), q.value());
+    let value = q.value();
     let e = q
         .append(&AuRelation::from_rows(schema.clone(), [huge]))
         .unwrap_err();
     assert_eq!(e.kind(), "result_too_large");
-    assert!(Arc::ptr_eq(q.accumulated(), &accumulated));
     assert_eq!(q.value().rows(), value.rows());
     assert_eq!(q.strategy_counts(), (0, 0));
 
-    let delta = q
-        .append(&AuRelation::from_rows(schema, [row(5, Mult3::ONE)]))
-        .unwrap();
+    let mut next = AuRelation::from_rows(schema, [row(5, Mult3::ONE)]);
+    let delta = q.append(&next).unwrap();
+    fed.append(&mut next);
     assert_eq!(delta.strategy, Strategy::Incremental);
     replay.apply(&delta);
-    assert_exact(&q, &replay, "after the refused append");
+    assert_exact(&q, &fed, &replay, "after the refused append");
+}
+
+/// A window subscription refuses what the engine refuses of the window over
+/// every row fed — more output rows than the kernels' row index holds — at
+/// subscribe and at append, before the sort under the sweep is asked to
+/// rank them, and an append it refuses changes nothing: the next one is
+/// absorbed by the sweep as it was.
+#[test]
+fn a_window_past_the_row_index_is_refused_and_changes_nothing() {
+    const SQL: &str = "SELECT *, COUNT(*) OVER (ORDER BY a \
+                       ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS c FROM s";
+    let schema = Schema::new(["a"]);
+    let row = |a: i64, mult| (AuTuple::new([RangeValue::certain(a)]), mult);
+    let certain: Vec<_> = (10..20).map(|a| row(a, Mult3::ONE)).collect();
+    let huge = row(30, Mult3::new(0, 0, 1 << 32));
+
+    let held = certain.iter().cloned().chain([huge.clone()]);
+    let too_large = session_with(&AuRelation::from_rows(schema.clone(), held));
+    assert_eq!(too_large.sql(SQL).unwrap_err().kind(), "result_too_large");
+    assert_eq!(
+        too_large.subscribe(SQL).unwrap_err().kind(),
+        "result_too_large"
+    );
+
+    let mut fed = AuRelation::from_rows(schema.clone(), certain);
+    let session = session_with(&fed);
+    let mut q = session.subscribe(SQL).unwrap();
+    assert_matches_all_backends(&q, &fed, "ten certain rows");
+    let mut replay = Replay::from_value(&q.value());
+    let value = q.value();
+    let e = q
+        .append(&AuRelation::from_rows(schema.clone(), [huge]))
+        .unwrap_err();
+    assert_eq!(e.kind(), "result_too_large");
+    assert_eq!(q.value().rows(), value.rows());
+    assert_eq!(q.strategy_counts(), (0, 0));
+
+    let mut next = AuRelation::from_rows(schema, [row(40, Mult3::ONE)]);
+    let delta = q.append(&next).unwrap();
+    fed.append(&mut next);
+    assert_eq!(delta.strategy, Strategy::Incremental);
+    replay.apply(&delta);
+    assert_exact(&q, &fed, &replay, "after the refused append");
 }

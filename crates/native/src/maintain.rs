@@ -29,10 +29,11 @@
 //! [`crate::MaintainedWindow`], which keeps the two permanently in
 //! agreement.
 //!
-//! [`crate::MaintainedWindow::in_order`] asks this per partition value
-//! (`crate::window` routes rows to one sweep each), as a `bool`, and also
-//! whether a batch touches a group a range value shares — its rows would
-//! join a group swept before them. A caller that gets `false` rebuilds.
+//! [`crate::MaintainedWindow::apply`] asks this per partition value
+//! (`crate::window` routes rows to one sweep each), and also whether a
+//! batch touches a group a range value shares — its rows would join a
+//! group swept before them. A batch that is not in order rebuilds the
+//! operator from everything it was fed.
 //!
 //! Already-closed windows are final: when the sweep closes `s` because an
 //! incoming tuple has `τ↓ > s.τ↑ + u`, at least `s.τ↑ + u + 1` rows
@@ -402,12 +403,9 @@ impl WindowMaintain {
         (self.pool_sum as f64 / closes, self.pool_max)
     }
 
-    /// Would `batch` be in order after the accumulated rows? (Trivially
-    /// true while the state is empty — the first batch seeds the sweep.)
-    pub fn batch_in_order(&self, batch: &AuColumns) -> bool {
-        self.rows_in_order(batch, &existing_rows(batch))
-    }
-
+    /// Would the rows `rows` of `cols` be in order after the rows fed so
+    /// far? (Trivially true while the state is empty — the first batch
+    /// seeds the sweep.)
     pub(crate) fn rows_in_order(&self, cols: &AuColumns, rows: &[usize]) -> bool {
         let Some(frontier) = &self.frontier else {
             return true;
@@ -421,8 +419,8 @@ impl WindowMaintain {
 
     /// Feed batch number `batch` — counted by the caller, who keeps the
     /// batches if it wants tuples later — through the sweep, in order (the
-    /// caller checks [`WindowMaintain::batch_in_order`] first; feeding an
-    /// out-of-order batch silently computes bounds for the wrong relation).
+    /// caller knows its rows lie past the frontier; feeding an out-of-order
+    /// batch silently computes bounds for the wrong relation).
     pub fn apply(&mut self, cols: &AuColumns, batch: u32) {
         let (rows, normalized) = (existing_rows(cols), cols.is_normalized());
         self.apply_rows(cols, batch, &rows, normalized, cols.len(), &());
@@ -1070,9 +1068,7 @@ mod tests {
                 let mut m = MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), agg, "x");
                 // Feed in uneven batches.
                 for chunk in rows.chunks(7) {
-                    let batch = rel_of(chunk).to_columns();
-                    assert!(m.in_order(&batch));
-                    m.apply(&batch);
+                    assert!(m.apply(&rel_of(chunk).to_columns()).is_none());
                 }
                 let inc = m.result().to_rows();
                 let one_shot = window_native(&all, &spec, agg, "x");
@@ -1177,11 +1173,17 @@ mod tests {
         let spec = AuWindowSpec::rows(vec![0], -1, 0);
         let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
         m.apply(&rel_of(&rows[..10]).to_columns(), 0);
-        assert!(m.batch_in_order(&rel_of(&rows[10..]).to_columns()));
+        let in_order = |rows: &[(AuTuple, Mult3)]| {
+            let cols = rel_of(rows).to_columns();
+            m.rows_in_order(&cols, &existing_rows(&cols))
+        };
+        assert!(in_order(&rows[10..]));
         // A row at an order position already covered overlaps the frontier.
-        assert!(!m.batch_in_order(&rel_of(&rows[..1]).to_columns()));
-        let overlap = vec![(AuTuple::new([rv(85, 95, 300), rv(0, 0, 0)]), Mult3::ONE)];
-        assert!(!m.batch_in_order(&rel_of(&overlap).to_columns()));
+        assert!(!in_order(&rows[..1]));
+        assert!(!in_order(&[(
+            AuTuple::new([rv(85, 95, 300), rv(0, 0, 0)]),
+            Mult3::ONE
+        )]));
     }
 
     #[test]
@@ -1208,8 +1210,7 @@ mod tests {
             }
             let batch_cols =
                 AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-            assert!(m.in_order(&batch_cols));
-            m.apply(&batch_cols);
+            assert!(m.apply(&batch_cols).is_none());
             acc.extend(batch);
             let inc = m.result().to_rows();
             let full = window_native(
@@ -1220,15 +1221,19 @@ mod tests {
             );
             assert!(inc.bag_eq(&full), "batch {b}\ninc:\n{inc}\nfull:\n{full}");
         }
-        // A batch with an uncertain partition value is never in order.
-        let bad = AuRelation::from_rows(
-            schema,
-            [(
-                AuTuple::new([rv(0, 0, 1), rv(999, 999, 999), rv(1, 1, 1)]),
-                Mult3::ONE,
-            )],
-        );
-        assert!(!m.in_order(&bad.to_columns()));
+        // A batch with an uncertain partition value is never in order: the
+        // operator is fed everything again, and answers what it held.
+        let before = m.result().to_rows();
+        acc.push((
+            AuTuple::new([rv(0, 0, 1), rv(999, 999, 999), rv(1, 1, 1)]),
+            Mult3::ONE,
+        ));
+        let bad = AuRelation::from_rows(schema.clone(), acc[acc.len() - 1..].iter().cloned());
+        let answered = m.apply(&bad.to_columns()).expect("a rebuild");
+        assert!(answered.to_rows().bag_eq(&before));
+        let all = AuRelation::from_rows(schema, acc.iter().cloned());
+        let full = window_native(&all, &spec, WinAgg::Sum(2), "s");
+        assert!(m.result().to_rows().bag_eq(&full));
     }
 
     #[test]

@@ -50,12 +50,13 @@
 //! routes a batch's rows to their groups, sweeps each group's share in
 //! parallel (`audb_par`) with a resumable [`WindowMaintain`], and gathers
 //! the output when asked. [`window_columns_native`] is it fed its input,
-//! borrowed, as one batch, so the one-shot operator and the incremental
-//! maintenance cannot disagree. A later batch is in order
-//! ([`MaintainedWindow::in_order`]) when each group it touches gets its
-//! rows strictly after that group's frontier (`crate::maintain` says why
-//! positions then decompose) and it touches no group a range shares; a
-//! caller told otherwise rebuilds from everything fed, as one batch.
+//! borrowed, once, so the one-shot operator and the incremental
+//! maintenance cannot disagree. [`MaintainedWindow::apply`] routes a later
+//! batch once and absorbs it if it is in order: each group it touches gets
+//! its rows strictly after that group's frontier (`crate::maintain` says
+//! why positions then decompose) and it touches no group a range shares.
+//! Otherwise the operator is fed everything it holds and the batch, once,
+//! afresh.
 //!
 //! ## Performance notes
 //!
@@ -124,14 +125,8 @@ pub fn window_columns_native<S: Stages>(
     out_name: &str,
     stages: &S,
 ) -> AuColumns {
-    let at = stages.mark();
-    let cols = merged(cols, &spec.partition);
-    let mut window = MaintainedWindow {
-        fed: Cow::Borrowed(&*cols),
-        starts: vec![0],
-        ..MaintainedWindow::new(cols.schema().clone(), spec.clone(), agg, out_name)
-    };
-    window.sweep(&cols, at, stages, true);
+    let mut window = MaintainedWindow::new(cols.schema().clone(), spec.clone(), agg, out_name);
+    window.feed(Cow::Borrowed(cols), stages, true);
     window.output(true, stages)
 }
 
@@ -145,13 +140,13 @@ fn ranged(cols: &AuColumns, partition: &[usize], row: usize) -> bool {
 /// partition value is a range, identical rows stored apart are merged
 /// first. The engine's output bound counts every merged multiplicity, so
 /// none overflows.
-fn merged<'c>(cols: &'c AuColumns, partition: &[usize]) -> Cow<'c, AuColumns> {
-    let ranges = (0..cols.len()).any(|r| ranged(cols, partition, r) && !cols.mult(r).is_zero());
+fn merged<'c>(cols: Cow<'c, AuColumns>, partition: &[usize]) -> Cow<'c, AuColumns> {
+    let ranges = (0..cols.len()).any(|r| ranged(&cols, partition, r) && !cols.mult(r).is_zero());
     match cols.is_normalized() || !ranges {
-        true => Cow::Borrowed(cols),
-        false => {
-            Cow::Owned((cols.clone().normalize()).expect("multiplicities within the output bound"))
-        }
+        true => cols,
+        false => Cow::Owned(
+            (cols.into_owned().normalize()).expect("multiplicities within the output bound"),
+        ),
     }
 }
 
@@ -287,45 +282,59 @@ impl<'a> MaintainedWindow<'a> {
         }
     }
 
-    /// Can `batch` be absorbed incrementally (module docs)? Trivially
-    /// while nothing is fed; afterwards not where it holds a range value,
-    /// or a point value that possibly equals a range value fed before,
-    /// and only if every group it touches receives its rows strictly after
-    /// that group's frontier.
-    pub fn in_order(&self, batch: &AuColumns) -> bool {
+    /// Absorb one batch if it is in order (module docs): trivially while
+    /// nothing is fed; afterwards not where it holds a range value, or a
+    /// point value that possibly equals a range value fed before, and only
+    /// if every group it touches receives its rows strictly after that
+    /// group's frontier. Then the answer is `None`. Otherwise the state is
+    /// fed everything fed so far and `batch` afresh, as one batch, and the
+    /// answer is the whole output before, as [`MaintainedWindow::result`]
+    /// gave it.
+    pub fn apply(&mut self, batch: &AuColumns) -> Option<AuColumns> {
+        self.feed(Cow::Owned(batch.clone()), &(), false)
+    }
+
+    /// [`MaintainedWindow::apply`], the batch routed once, its shares swept
+    /// in parallel — each group's own rows opening windows — and each
+    /// group's sweep finished where it ran if `finish`: no batch follows.
+    /// Reports `"partition"` and each group's stages.
+    fn feed<S: Stages>(
+        &mut self,
+        batch: Cow<'a, AuColumns>,
+        stages: &S,
+        finish: bool,
+    ) -> Option<AuColumns> {
+        let at = stages.mark();
         let partition = &self.spec.partition;
-        self.groups.is_empty()
-            || (partitions(batch, partition).iter()).all(|(value, rows)| {
-                // Only a batch without a PARTITION BY has an empty run.
+        let batch = merged(batch, partition);
+        let shares = groups(&batch, partition);
+        stages.stage(at, "partition");
+        let in_order = self.groups.is_empty()
+            || (shares.iter()).all(|(value, rows, filtered)| {
+                // Only a batch without a PARTITION BY has an empty share.
                 let Some(&row) = rows.first() else {
                     return true;
                 };
-                !ranged(batch, partition, row)
+                // A share is its value's rows as they are where no range
+                // is among the batch's values.
+                filtered.is_none()
                     && (self.ranges.is_empty() || {
                         let point = batch.tuple(row);
                         !(self.ranges.iter()).any(|range| point.eq_on(range, partition).ub)
                     })
-                    && (self.groups.get(value)).is_none_or(|g| g.sweep.rows_in_order(batch, rows))
-            })
-    }
-
-    /// Absorb one batch. The caller asked [`MaintainedWindow::in_order`].
-    pub fn apply(&mut self, batch: &AuColumns) {
-        let batch = merged(batch, &self.spec.partition);
+                    && (self.groups.get(value)).is_none_or(|g| g.sweep.rows_in_order(&batch, rows))
+            });
+        if !in_order {
+            let before = self.result();
+            let (schema, spec) = (batch.schema().clone(), self.spec.clone());
+            let fresh = MaintainedWindow::new(schema, spec, self.agg, &self.out_name);
+            let mut all = std::mem::replace(self, fresh).fed.into_owned();
+            all.append(batch.into_owned());
+            self.feed(Cow::Owned(all), stages, finish);
+            return Some(before);
+        }
+        let number = self.starts.len() as u32;
         self.starts.push(self.fed.len());
-        self.sweep(&batch, (), &(), false);
-        self.fed.to_mut().append(batch.into_owned());
-    }
-
-    /// Route `batch` — the batch numbered `starts.len() − 1` — to its
-    /// groups and sweep their shares in parallel, each group's own rows
-    /// opening windows, and `finish` each sweep where it ran when no batch
-    /// follows; report `"partition"`, begun at `at`, and each group's
-    /// stages.
-    fn sweep<S: Stages>(&mut self, batch: &AuColumns, at: S::Mark, stages: &S, finish: bool) {
-        let number = (self.starts.len() - 1) as u32;
-        let shares = groups(batch, &self.spec.partition);
-        stages.stage(at, "partition");
         let (inner, agg) = (&self.inner, self.agg);
         let groups: Vec<Mutex<Group>> = (shares.iter())
             .map(|(key, ..)| {
@@ -343,7 +352,7 @@ impl<'a> MaintainedWindow<'a> {
             match filtered {
                 None => {
                     let normalized = batch.is_normalized();
-                    (group.sweep).apply_rows(batch, number, rows, normalized, batch.len(), stages);
+                    (group.sweep).apply_rows(&batch, number, rows, normalized, batch.len(), stages);
                 }
                 Some((mults, own)) => {
                     let members = batch.gather(rows, mults);
@@ -358,13 +367,18 @@ impl<'a> MaintainedWindow<'a> {
         for ((key, rows, filtered), group) in shares.into_iter().zip(groups) {
             let mut group = group.into_inner().expect("no worker panicked");
             if filtered.is_some() {
-                if ranged(batch, &self.spec.partition, rows[0]) {
+                if ranged(&batch, &self.spec.partition, rows[0]) {
                     self.ranges.push(batch.tuple(rows[0]));
                 }
                 group.members = Some(rows);
             }
             self.groups.insert(key, group);
         }
+        match self.fed.is_empty() {
+            true => self.fed = batch,
+            false => self.fed.to_mut().append(batch.into_owned()),
+        }
+        None
     }
 
     /// The whole current output, normalized: per group the closed rows,

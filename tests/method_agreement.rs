@@ -543,8 +543,7 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                             let batch =
                                 AuRelation::from_rows(schema.clone(), batch.iter().cloned())
                                     .to_columns();
-                            assert!(maintained.in_order(&batch), "batch is in order");
-                            maintained.apply(&batch);
+                            assert!(maintained.apply(&batch).is_none(), "batch is in order");
                         }
                         assert!(
                             maintained.result().to_rows().bag_eq(&native),
@@ -556,6 +555,10 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                         );
                         if !spec.partition.is_empty() {
                             ranged_first_batch_is_maintained(rows, &batches, &spec, agg, &what);
+                        }
+                        if (a, f) == (table % aggs.len(), table % frames.len()) {
+                            let mut mix = Seeded(0x0BA7_C4E5 + table as u64);
+                            mixed_batches_rebuild_exactly(&mut mix, &batches, &spec, agg, &what);
                         }
                     }
                 }
@@ -597,8 +600,10 @@ fn ranged_first_batch_is_maintained(
         let rows = &ranged[fed..fed + batch.len()];
         fed += batch.len();
         let batch = AuRelation::from_rows(schema.clone(), rows.iter().cloned()).to_columns();
-        assert!(maintained.in_order(&batch), "batch is in order: {what}");
-        maintained.apply(&batch);
+        assert!(
+            maintained.apply(&batch).is_none(),
+            "batch is in order: {what}"
+        );
     }
     let rel = AuRelation::from_rows(schema.clone(), ranged.iter().cloned());
     let result = maintained.result().to_rows();
@@ -616,9 +621,95 @@ fn ranged_first_batch_is_maintained(
     overlap.0[0] = RangeValue::certain(1i64);
     overlap.0[1] = RangeValue::certain(1_000_000i64);
     let overlap = AuRelation::from_rows(schema, [(overlap, mult)]).to_columns();
+    let before = maintained.apply(&overlap);
     assert!(
-        !maintained.in_order(&overlap),
-        "a point the range overlaps: {what}"
+        before.is_some_and(|before| before.to_rows().bag_eq(&result)),
+        "a point the range overlaps rebuilds, answering what was held: {what}"
+    );
+}
+
+/// Which batches a window sweep absorbs, decided from the rows fed alone:
+/// none while no row is fed; afterwards not a batch holding a range `g`,
+/// or a point `g` a range fed before possibly equals, nor one with a row
+/// whose `(o, o2)` lower bound is not past the upper bound of every row fed
+/// with its `g` — every row, without a `PARTITION BY`.
+fn absorbs(fed: &[(AuTuple, Mult3)], batch: &[(AuTuple, Mult3)], spec: &AuWindowSpec) -> bool {
+    fn exists(rows: &[(AuTuple, Mult3)]) -> impl Iterator<Item = &AuTuple> {
+        rows.iter().filter(|(_, m)| m.ub > 0).map(|(t, _)| t)
+    }
+    let g = &spec.partition;
+    let ranged = |t: &AuTuple| g.iter().any(|&g| !t.0[g].is_certain());
+    exists(fed).next().is_none()
+        || exists(batch).all(|t| {
+            !ranged(t)
+                && exists(fed).all(|f| {
+                    let shares = t.eq_on(f, g);
+                    !(ranged(f) && shares.ub)
+                        && (!shares.lb || f.cmp_ub_vs_lb_on(t, &spec.order).is_lt())
+                })
+        })
+}
+
+/// [`mid_size_windows_agree_with_reference_and_maintenance`]'s in-order
+/// `batches`, fed mixed with batches out of order — a batch fed before
+/// the one ahead of it — and batches with a range `g`, beside the point
+/// values (`[5, 6]`) or, in the second half, over them (`[0, 1]`, which
+/// every later batch its points share then rebuilds): the sweep absorbs exactly the
+/// batches [`absorbs`] names, a rebuild answers the output held before,
+/// and the output is the one-shot's and the reference's over everything
+/// fed.
+fn mixed_batches_rebuild_exactly(
+    rng: &mut Seeded,
+    batches: &[&[(AuTuple, Mult3)]],
+    spec: &AuWindowSpec,
+    agg: WinAgg,
+    what: &str,
+) {
+    let schema = Schema::new(["g", "o", "o2", "v", "id"]);
+    let mut mixed: Vec<Vec<(AuTuple, Mult3)>> = batches.iter().map(|b| b.to_vec()).collect();
+    for at in 1..mixed.len() {
+        match rng.below(5) {
+            0 if at + 1 < mixed.len() => mixed.swap(at, at + 1),
+            1 => {
+                let over = at >= mixed.len() / 2 && rng.below(2) == 0;
+                let (lb, ub) = if over { (0, 1) } else { (5, 6) };
+                let row = rng.below(mixed[at].len() as u64) as usize;
+                mixed[at][row].0 .0[0] = RangeValue::new(lb, lb, ub);
+            }
+            _ => {}
+        }
+    }
+    let mut maintained = MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
+    let (mut fed, mut rebuilt) = (Vec::new(), 0);
+    for (at, batch) in mixed.iter().enumerate() {
+        let absorbed = absorbs(&fed, batch, spec);
+        let before = maintained.result().to_rows();
+        let cols = AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
+        match maintained.apply(&cols) {
+            None => assert!(absorbed, "batch {at} absorbed out of order: {what}"),
+            Some(answer) => {
+                assert!(!absorbed, "batch {at} in order, yet rebuilt: {what}");
+                assert!(answer.to_rows().bag_eq(&before), "batch {at}: {what}");
+                rebuilt += 1;
+            }
+        }
+        fed.extend(batch.iter().cloned());
+    }
+    assert!(
+        rebuilt > 0 && rebuilt + 1 < mixed.len(),
+        "{rebuilt} rebuilds: {what}"
+    );
+    let rel = AuRelation::from_rows(schema, fed);
+    let result = maintained.result().to_rows();
+    let native = window_columns_native(&rel.to_columns(), spec, agg, "x", &()).to_rows();
+    assert!(
+        result.bag_eq(&native),
+        "maintained ≠ one-shot, mixed: {what}"
+    );
+    let reference = window_ref(&rel, spec, agg, "x", CmpSemantics::IntervalLex);
+    assert!(
+        result.bag_eq(&reference),
+        "maintained ≠ reference, mixed: {what}"
     );
 }
 
@@ -704,7 +795,7 @@ fn window_pool_words_that_tie_agree_with_the_reference() {
                 let mut maintained = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 for batch in in_order_batches(&mut rng, &rows) {
                     let batch = AuRelation::from_rows(schema.clone(), batch.iter().cloned());
-                    maintained.apply(&batch.to_columns());
+                    assert!(maintained.apply(&batch.to_columns()).is_none(), "{what}");
                 }
                 assert!(
                     maintained.result().to_rows().bag_eq(&reference),
@@ -804,8 +895,10 @@ fn windows_across_rerank_points_agree_with_maintenance_and_the_rewrite() {
         let mut maintained = MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
         for &batch in &batches {
             let batch = AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-            assert!(maintained.in_order(&batch), "{agg:?}: batch in order");
-            maintained.apply(&batch);
+            assert!(
+                maintained.apply(&batch).is_none(),
+                "{agg:?}: batch in order"
+            );
         }
         assert!(
             maintained.result().to_rows().bag_eq(&native),
