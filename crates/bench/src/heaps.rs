@@ -9,7 +9,7 @@
 //! and drive both structures through the identical insert / close / evict
 //! trace; only the deletion mechanics differ.
 
-use audb_conheap::{ConnectedHeap, UnconnectedHeaps};
+use audb_conheap::{ConnectedHeap, Heaps, UnconnectedHeaps};
 use audb_workloads::synthetic::{gen_window_table, SyntheticConfig};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -25,49 +25,14 @@ pub struct Rec {
     id: usize,
 }
 
+/// The three pool orders, called through a function pointer by both arms.
+type Cmp = fn(usize, &Rec, &Rec) -> Ordering;
+
 fn cmp3(h: usize, a: &Rec, b: &Rec) -> Ordering {
     match h {
         0 => (a.thi, a.id).cmp(&(b.thi, b.id)),
         1 => (a.alo, a.id).cmp(&(b.alo, b.id)),
         _ => (b.ahi, b.id).cmp(&(a.ahi, a.id)),
-    }
-}
-
-/// Common interface so both structures replay the identical trace.
-trait Pool {
-    fn insert(&mut self, r: Rec);
-    fn peek0_thi(&self) -> Option<i64>;
-    fn pop(&mut self, h: usize) -> Option<Rec>;
-    fn len(&self) -> usize;
-}
-
-impl Pool for ConnectedHeap<Rec, fn(usize, &Rec, &Rec) -> Ordering> {
-    fn insert(&mut self, r: Rec) {
-        ConnectedHeap::insert(self, r);
-    }
-    fn peek0_thi(&self) -> Option<i64> {
-        self.peek(0).map(|r| r.thi)
-    }
-    fn pop(&mut self, h: usize) -> Option<Rec> {
-        ConnectedHeap::pop(self, h)
-    }
-    fn len(&self) -> usize {
-        ConnectedHeap::len(self)
-    }
-}
-
-impl Pool for UnconnectedHeaps<Rec, fn(usize, &Rec, &Rec) -> Ordering> {
-    fn insert(&mut self, r: Rec) {
-        UnconnectedHeaps::insert(self, r);
-    }
-    fn peek0_thi(&self) -> Option<i64> {
-        self.peek(0).map(|r| r.thi)
-    }
-    fn pop(&mut self, h: usize) -> Option<Rec> {
-        UnconnectedHeaps::pop(self, h)
-    }
-    fn len(&self) -> usize {
-        UnconnectedHeaps::len(self)
     }
 }
 
@@ -114,7 +79,12 @@ pub fn make_records(rows: usize, uncertainty: f64, range: i64, seed: u64) -> Vec
 /// window, `k` min-k pops from the `A↓` order and `k` max-k pops from the
 /// `A↑` order (each a *non-root deletion* in the other heaps — the paper's
 /// point), reinsertions, and watermark evictions from the `τ↑` order.
-fn replay<P: Pool>(pool: &mut P, recs: &[Rec], n_prec: i64, k: usize) -> usize {
+fn replay<const CONNECTED: bool>(
+    pool: &mut Heaps<Rec, Cmp, CONNECTED>,
+    recs: &[Rec],
+    n_prec: i64,
+    k: usize,
+) -> usize {
     let mut open: VecDeque<(i64, i64)> = VecDeque::new(); // (thi, tlo), FIFO-ish
     let mut work = 0usize;
     let mut scratch: Vec<Rec> = Vec::with_capacity(2 * k);
@@ -141,7 +111,7 @@ fn replay<P: Pool>(pool: &mut P, recs: &[Rec], n_prec: i64, k: usize) -> usize {
             }
             // Evict records below the closing window.
             let watermark = tlo - n_prec;
-            while pool.peek0_thi().is_some_and(|thi| thi < watermark) {
+            while pool.peek(0).is_some_and(|r| r.thi < watermark) {
                 pool.pop(0);
                 work += 1;
             }
@@ -167,14 +137,12 @@ pub fn heaps_experiment(rows: usize, uncertainty: f64, range: i64, seed: u64) ->
     let recs = make_records(rows, uncertainty, range, seed);
     let (n_prec, k) = (3, 4);
 
-    let mut con: ConnectedHeap<Rec, fn(usize, &Rec, &Rec) -> Ordering> =
-        ConnectedHeap::new(3, cmp3);
+    let mut con: ConnectedHeap<Rec, Cmp> = ConnectedHeap::new(3, cmp3);
     let t0 = Instant::now();
     let w1 = replay(&mut con, &recs, n_prec, k);
     let connected = t0.elapsed();
 
-    let mut unc: UnconnectedHeaps<Rec, fn(usize, &Rec, &Rec) -> Ordering> =
-        UnconnectedHeaps::new(3, cmp3);
+    let mut unc: UnconnectedHeaps<Rec, Cmp> = UnconnectedHeaps::new(3, cmp3);
     let t0 = Instant::now();
     let w2 = replay(&mut unc, &recs, n_prec, k);
     let unconnected = t0.elapsed();

@@ -92,33 +92,6 @@ pub fn mcdb_window_bounds(
     bounds
 }
 
-/// MCDB top-k: how often each input tuple appeared in the deterministic
-/// top-k across samples (frequency estimate of `Pr[t ∈ top-k]`).
-pub fn mcdb_topk_frequencies(
-    table: &XTupleTable,
-    order: &[usize],
-    k: u64,
-    samples: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let id_col = table.schema.arity();
-    let per_sample = audb_par::par_run(samples, |s| {
-        let world = tagged_world(table, sample_rng(seed, s));
-        let top = audb_rel::ops::sort::topk_with_pos(&world, order, k);
-        top.rows
-            .iter()
-            .map(|row| row.tuple.get(id_col).as_i64().expect("provenance") as usize)
-            .collect::<Vec<_>>()
-    });
-    let mut hits = vec![0usize; table.len()];
-    for obs in per_sample {
-        for id in obs {
-            hits[id] += 1;
-        }
-    }
-    hits.iter().map(|&h| h as f64 / samples as f64).collect()
-}
-
 /// The generator for sample `s`: derived from the user seed and the sample
 /// index so every sample is reproducible independently of which thread
 /// draws it (and of how many samples precede it).
@@ -193,15 +166,5 @@ mod tests {
         let (lo, hi) = mc[0].clone().unwrap();
         assert_eq!(lo, Value::Int(1));
         assert_eq!(hi, Value::Int(3));
-    }
-
-    #[test]
-    fn topk_frequencies_sum_reasonably() {
-        let t = table();
-        let f = mcdb_topk_frequencies(&t, &[0], 1, 400, 5);
-        // Top-1 is x2 (k=5) half the time, else x1 (k=10).
-        assert!((f[1] - 0.5).abs() < 0.1, "{f:?}");
-        assert!((f[0] - 0.5).abs() < 0.1, "{f:?}");
-        assert!(f[2] < 0.01);
     }
 }

@@ -153,16 +153,6 @@ pub fn expected_ranks(table: &XTupleTable, order: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Top-k under expected-rank semantics: the `k` tuples of smallest
-/// expected rank.
-pub fn expected_rank_topk(table: &XTupleTable, order: &[usize], k: u64) -> Vec<usize> {
-    let er = expected_ranks(table, order);
-    let mut idx: Vec<usize> = (0..table.len()).collect();
-    idx.sort_by(|&a, &b| er[a].total_cmp(&er[b]).then(a.cmp(&b)));
-    idx.truncate(k as usize);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +172,7 @@ mod tests {
     fn all_semantics_agree_on_certain_data() {
         let t = certain_table();
         assert_eq!(global_topk(&t, &[0], 2), vec![0, 1]);
-        assert_eq!(expected_rank_topk(&t, &[0], 2), vec![0, 1]);
+        assert_eq!(expected_ranks(&t, &[0]), vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(urank(&t, &[0], 2), vec![Some(0), Some(1)]);
         let seq = utop(&t, &[0], 2, 10);
         assert_eq!(seq.len(), 2);

@@ -1,6 +1,7 @@
 //! Model-based property tests: a connected heap must behave like a sorted
 //! multiset under arbitrary interleavings of inserts and pops, across all
-//! component orders, and its internal invariants must hold throughout.
+//! component orders, and its internal invariants must hold throughout — on
+//! both arms of the Sec. 8.2 experiment.
 
 use audb_conheap::{ConnectedHeap, UnconnectedHeaps};
 use proptest::prelude::*;
@@ -55,37 +56,41 @@ fn op3_strategy() -> impl Strategy<Value = Op3> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The scratch-reusing sorted iteration yields exactly what
-    /// `sorted_iter` yields — the component's contents in order — after
-    /// every step of an interleaved insert/pop history, through one
-    /// scratch buffer reused for all of them, and disturbs nothing.
+    /// Three orders — the window pool's shape — under an interleaved
+    /// insert/pop history: every pop and every component's root agree with
+    /// a multiset model after every step, on both arms, and `validate()`
+    /// and `len` hold throughout.
     #[test]
-    fn sorted_iter_in_matches_sorted_iter(ops in proptest::collection::vec(op3_strategy(), 1..100)) {
+    fn three_orders_match_the_multiset_model(ops in proptest::collection::vec(op3_strategy(), 1..100)) {
         let mut ch = ConnectedHeap::new(3, cmp3);
+        let mut uh = UnconnectedHeaps::new(3, cmp3);
         let mut model: Vec<(i64, i64, i64)> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
         for op in ops {
             match op {
                 Op3::Insert(a, b, c) => {
                     ch.insert((a, b, c));
+                    uh.insert((a, b, c));
                     model.push((a, b, c));
                 }
                 Op3::Pop(h) => {
-                    if let Some(x) = ch.pop(h as usize) {
-                        let idx = model.iter().position(|&m| m == x).unwrap();
+                    let h = h as usize;
+                    let expect = model.iter().copied().min_by(|x, y| cmp3(h, x, y));
+                    prop_assert_eq!(ch.pop(h), expect);
+                    prop_assert_eq!(uh.pop(h), expect);
+                    if let Some(e) = expect {
+                        let idx = model.iter().position(|&m| m == e).unwrap();
                         model.swap_remove(idx);
                     }
                 }
             }
             for h in 0..3 {
-                let through_scratch: Vec<_> = ch.sorted_iter_in(h, &mut scratch).cloned().collect();
-                let fresh: Vec<_> = ch.sorted_iter(h).cloned().collect();
-                prop_assert_eq!(&through_scratch, &fresh);
-                model.sort_by(|a, b| cmp3(h, a, b));
-                prop_assert_eq!(&through_scratch, &model);
+                let root = model.iter().min_by(|x, y| cmp3(h, x, y));
+                prop_assert_eq!(ch.peek(h), root);
+                prop_assert_eq!(uh.peek(h), root);
             }
-            prop_assert!(ch.validate(), "heap invariants violated");
+            prop_assert!(ch.validate() && uh.validate(), "heap invariants violated");
             prop_assert_eq!(ch.len(), model.len());
+            prop_assert_eq!(uh.len(), model.len());
         }
     }
 
@@ -145,52 +150,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(ch.len(), uh.len());
+            prop_assert!(ch.validate(), "connected invariants violated");
+            prop_assert!(uh.validate(), "unconnected invariants violated");
         }
     }
-
-    /// `sorted_iter` yields each component's full contents in order without
-    /// consuming the heap.
-    #[test]
-    fn sorted_iter_is_sorted_and_nondestructive(items in proptest::collection::vec((-50i64..50, -50i64..50), 0..60)) {
-        let mut ch = ConnectedHeap::new(2, cmp2);
-        for &it in &items {
-            ch.insert(it);
-        }
-        for h in 0..2 {
-            let out: Vec<(i64, i64)> = ch.sorted_iter(h).cloned().collect();
-            prop_assert_eq!(out.len(), items.len());
-            for w in out.windows(2) {
-                prop_assert_ne!(cmp2(h, &w[0], &w[1]), Ordering::Greater);
-            }
-        }
-        prop_assert_eq!(ch.len(), items.len());
-        prop_assert!(ch.validate());
-    }
-}
-
-/// A full-size scan of each component warms the scratch buffer up; later
-/// scans of the same heap, full or partial, reuse its capacity.
-#[test]
-fn sorted_iter_in_scratch_stops_growing() {
-    let mut ch = ConnectedHeap::new(3, cmp3);
-    for i in 0..500i64 {
-        ch.insert((i * 37 % 211, i * 53 % 223, i * 71 % 227));
-    }
-    let mut scratch: Vec<usize> = Vec::new();
-    for h in 0..3 {
-        assert_eq!(ch.sorted_iter_in(h, &mut scratch).count(), 500);
-    }
-    let warmed = scratch.capacity();
-    assert!(warmed > 0 && warmed <= 500);
-    for round in 0..10 {
-        for h in 0..3 {
-            let taken = ch
-                .sorted_iter_in(h, &mut scratch)
-                .take(500 - 50 * round)
-                .count();
-            assert_eq!(taken, 500 - 50 * round);
-            assert_eq!(scratch.capacity(), warmed, "round {round}, component {h}");
-        }
-    }
-    assert!(ch.validate());
 }

@@ -193,7 +193,7 @@ impl MaintainedQuery {
                 let rows = rows.normalize()?;
                 let mut m =
                     MaintainedWindow::new(rows.schema().clone(), spec.clone(), *agg, out_name);
-                m.apply(&rows);
+                m.apply(rows);
                 let (_, open) = m.drain();
                 (MaintainKind::Window(m, fed), open)
             }
@@ -207,7 +207,7 @@ impl MaintainedQuery {
             ) => {
                 let rows = Engine::Native.execute(&pre)?;
                 let mut m = TopKMaintain::new(rows.schema().clone(), order.clone(), *k, pos_name);
-                m.apply(&rows);
+                m.apply(rows);
                 let band = topk_answer(&m)?;
                 (MaintainKind::TopK(m), band)
             }
@@ -274,7 +274,7 @@ impl MaintainedQuery {
                 // The band absorbs the batch — on a copy, kept once its
                 // answer is not refused — and is diffed in O(k), not O(n).
                 let mut grown = m.clone();
-                grown.apply(&prefix_over(&self.pre, batch)?);
+                grown.apply(prefix_over(&self.pre, batch)?);
                 let band = topk_answer(&grown)?;
                 *m = grown;
                 let before = std::mem::replace(&mut self.answer, band);
@@ -287,7 +287,7 @@ impl MaintainedQuery {
                 // Absorbed, or rebuilt from everything fed; what changed:
                 // the rows closed since, and the open rows now, against the
                 // open rows last emitted — or the whole answer before.
-                let before = m.apply(&rows);
+                let before = m.apply(rows);
                 *fed = counted;
                 let (since, open) = m.drain();
                 let delta = diff(before.as_ref().unwrap_or(&self.answer), &since);

@@ -977,8 +977,8 @@ impl TopKMaintain {
 
     /// Absorb one batch (any order): the band of the band and the batch
     /// becomes the band, with identical hypercubes merged.
-    pub fn apply(&mut self, batch: &AuColumns) {
-        self.band.append(batch.clone());
+    pub fn apply(&mut self, batch: AuColumns) {
+        self.band.append(batch);
         let (rows, mults): (Vec<usize>, Vec<Mult3>) = band_rows(&self.band, &self.order, self.k)
             .into_iter()
             .unzip();
@@ -1068,7 +1068,7 @@ mod tests {
                 let mut m = MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), agg, "x");
                 // Feed in uneven batches.
                 for chunk in rows.chunks(7) {
-                    assert!(m.apply(&rel_of(chunk).to_columns()).is_none());
+                    assert!(m.apply(rel_of(chunk).to_columns()).is_none());
                 }
                 let inc = m.result().to_rows();
                 let one_shot = window_native(&all, &spec, agg, "x");
@@ -1090,7 +1090,7 @@ mod tests {
             MaintainedWindow::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
         let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
         for chunk in rows.chunks(3) {
-            m.apply(&rel_of(chunk).to_columns());
+            m.apply(rel_of(chunk).to_columns());
             acc.extend(chunk.iter().cloned());
             let inc = m.result().to_rows();
             let full = window_native(&rel_of(&acc), &spec, WinAgg::Sum(1), "x");
@@ -1136,7 +1136,7 @@ mod tests {
             let mut drained = AuColumns::empty(Schema::new(["o", "v", "x"]));
             let mut fed = 0;
             for (batch, size) in [1usize, 13, 2, 2, 30, 5, 1, 36].into_iter().enumerate() {
-                m.apply(&rel_of(&rows[fed..fed + size]).to_columns());
+                m.apply(rel_of(&rows[fed..fed + size]).to_columns());
                 fed += size;
                 // Windows closed two and three batches ago are drained now:
                 // what a drain returns beside the open rows.
@@ -1210,7 +1210,7 @@ mod tests {
             }
             let batch_cols =
                 AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-            assert!(m.apply(&batch_cols).is_none());
+            assert!(m.apply(batch_cols).is_none());
             acc.extend(batch);
             let inc = m.result().to_rows();
             let full = window_native(
@@ -1229,7 +1229,7 @@ mod tests {
             Mult3::ONE,
         ));
         let bad = AuRelation::from_rows(schema.clone(), acc[acc.len() - 1..].iter().cloned());
-        let answered = m.apply(&bad.to_columns()).expect("a rebuild");
+        let answered = m.apply(bad.to_columns()).expect("a rebuild");
         assert!(answered.to_rows().bag_eq(&before));
         let all = AuRelation::from_rows(schema, acc.iter().cloned());
         let full = window_native(&all, &spec, WinAgg::Sum(2), "s");
@@ -1263,7 +1263,7 @@ mod tests {
             let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
             // Appends arrive in arbitrary (generation) order.
             for chunk in rows.chunks(11) {
-                m.apply(&AuRelation::from_rows(schema.clone(), chunk.iter().cloned()).to_columns());
+                m.apply(AuRelation::from_rows(schema.clone(), chunk.iter().cloned()).to_columns());
                 acc.extend(chunk.iter().cloned());
                 let inc = m.result().to_rows();
                 let full = topk_native(
@@ -1299,7 +1299,7 @@ mod tests {
         .to_columns();
         let mut m = TopKMaintain::new(schema, vec![0], 3, "pos");
         for _ in 0..5000 {
-            m.apply(&one);
+            m.apply(one.clone());
         }
         assert_eq!(m.len(), 1);
         let top = m.result().to_rows();

@@ -290,8 +290,8 @@ impl<'a> MaintainedWindow<'a> {
     /// fed everything fed so far and `batch` afresh, as one batch, and the
     /// answer is the whole output before, as [`MaintainedWindow::result`]
     /// gave it.
-    pub fn apply(&mut self, batch: &AuColumns) -> Option<AuColumns> {
-        self.feed(Cow::Owned(batch.clone()), &(), false)
+    pub fn apply(&mut self, batch: AuColumns) -> Option<AuColumns> {
+        self.feed(Cow::Owned(batch), &(), false)
     }
 
     /// [`MaintainedWindow::apply`], the batch routed once, its shares swept

@@ -1,19 +1,19 @@
-//! Minimal CSV import/export for relations (no external dependencies).
+//! Minimal CSV import for relations (no external dependencies).
 //!
-//! RFC-4180 quoting on write. On read, one tokenizer, [`Records`], serves
-//! [`read_csv`] and the AU-CSV loader (`audb_workloads::csvload`): records
-//! split on `\n` (a `\r` right before it dropped; blank ones skipped but
-//! counted as lines; UTF-8 checked), and each [`Field`] is a slice of the
-//! input that knows whether it was quoted — nothing is written into its
-//! text to say so. A quote opens only at a field's start, `""` inside is
-//! one quote, and what follows the closing quote is literal.
+//! One tokenizer, [`Records`], serves [`read_csv`] and the AU-CSV loader
+//! (`audb_workloads::csvload`): records split on `\n` (a `\r` right before
+//! it dropped; blank ones skipped but counted as lines; UTF-8 checked),
+//! and each [`Field`] is a slice of the input that knows whether it was
+//! quoted — nothing is written into its text to say so. A quote opens only
+//! at a field's start, `""` inside is one quote, and what follows the
+//! closing quote is literal.
 
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// One field of a record, as it lies in the input (quotes included).
 #[derive(Clone, Copy, Debug)]
@@ -210,43 +210,16 @@ pub fn read_csv(mut reader: impl Read) -> io::Result<Relation> {
     Ok(rel)
 }
 
-fn write_field(out: &mut impl Write, v: &Value) -> io::Result<()> {
-    match v {
-        Value::Null => Ok(()),
-        Value::Str(s) => {
-            if s.contains([',', '"', '\n']) {
-                write!(out, "\"{}\"", s.replace('"', "\"\""))
-            } else {
-                write!(out, "{s}")
-            }
-        }
-        other => write!(out, "{other}"),
-    }
-}
-
-/// Write a relation as CSV (duplicates expanded; header included).
-pub fn write_csv(rel: &Relation, mut out: impl Write) -> io::Result<()> {
-    writeln!(out, "{}", rel.schema.cols().join(","))?;
-    for row in &rel.rows {
-        for _ in 0..row.mult {
-            for (i, v) in row.tuple.0.iter().enumerate() {
-                if i > 0 {
-                    write!(out, ",")?;
-                }
-                write_field(&mut out, v)?;
-            }
-            writeln!(out)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// RFC-4180 bytes as a writer emits them — a quoted comma, an empty
+    /// field read as NULL, a repeated row — read back as the relation they
+    /// spell.
     #[test]
     fn roundtrip() {
+        let csv = "id,name,score\n1,ada,9.5\n2,\"grace, phd\",\n2,\"grace, phd\",\n";
         let rel = Relation::from_rows(
             Schema::new(["id", "name", "score"]),
             [
@@ -260,9 +233,8 @@ mod tests {
                 ),
             ],
         );
-        let mut buf = Vec::new();
-        write_csv(&rel, &mut buf).unwrap();
-        let back = read_csv(&buf[..]).unwrap();
+        let back = read_csv(csv.as_bytes()).unwrap();
+        assert_eq!(back.schema.cols(), rel.schema.cols());
         assert!(back.bag_eq(&rel), "{back}");
     }
 
@@ -279,16 +251,16 @@ mod tests {
         assert_eq!(rel.rows[1].tuple.get(3), &Value::Bool(true));
     }
 
+    /// A quoted field holds a comma and doubled quotes, each read as one.
     #[test]
     fn quoting_with_commas_and_quotes() {
+        let csv = "s\n\"he said \"\"hi, there\"\"\"\n";
+        let back = read_csv(csv.as_bytes()).unwrap();
         let rel = Relation::from_rows(
             Schema::new(["s"]),
             [(Tuple::new([Value::str("he said \"hi, there\"")]), 1)],
         );
-        let mut buf = Vec::new();
-        write_csv(&rel, &mut buf).unwrap();
-        let back = read_csv(&buf[..]).unwrap();
-        assert!(back.bag_eq(&rel));
+        assert!(back.bag_eq(&rel), "{back}");
     }
 
     #[test]

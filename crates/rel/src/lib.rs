@@ -29,12 +29,12 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use csv::{read_csv, write_csv};
+pub use csv::read_csv;
 pub use expr::{CmpOp, Expr};
 pub use ops::aggregate::{aggregate, AggFunc};
 pub use ops::project::project;
 pub use ops::select::select;
-pub use ops::sort::{sort_to_pos, topk};
+pub use ops::sort::sort_to_pos;
 pub use ops::union::union;
 pub use ops::window::{window_rows, WindowSpec};
 pub use relation::{Relation, Row};

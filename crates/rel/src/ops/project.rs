@@ -23,18 +23,6 @@ pub fn project(rel: &Relation, exprs: &[(Expr, &str)]) -> Relation {
     Relation::from_rows(schema, rows)
 }
 
-/// Projection onto existing columns by index (common fast path).
-pub fn project_cols(rel: &Relation, idxs: &[usize]) -> Relation {
-    let schema = Schema::new(idxs.iter().map(|&i| rel.schema.cols()[i].clone()));
-    let rows = rel
-        .rows
-        .iter()
-        .filter(|r| r.mult > 0)
-        .map(|r| (r.tuple.project(idxs), r.mult))
-        .collect::<Vec<_>>();
-    Relation::from_rows(schema, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,13 +42,5 @@ mod tests {
         let p = project(&r, &[(Expr::col(0).mul(Expr::lit(2)), "twice")]);
         assert_eq!(p.rows[0].tuple, Tuple::from([6i64]));
         assert_eq!(p.schema.cols(), &["twice"]);
-    }
-
-    #[test]
-    fn project_cols_by_index() {
-        let r = Relation::from_values(Schema::new(["a", "b", "c"]), [[1i64, 2, 3]]);
-        let p = project_cols(&r, &[2, 0]);
-        assert_eq!(p.schema.cols(), &["c", "a"]);
-        assert_eq!(p.rows[0].tuple, Tuple::from([3i64, 1]));
     }
 }

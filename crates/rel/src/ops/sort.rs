@@ -7,7 +7,6 @@
 //! positions). A top-k query is then just `σ_{τ < k}` over the sorted
 //! relation (paper Sec. 4.2).
 
-use crate::ops::project::project_cols;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -40,14 +39,6 @@ pub fn sort_to_pos(rel: &Relation, order: &[usize], pos_name: &str) -> Relation 
         .map(|(pos, (t, m))| (t.with(Value::Int(pos as i64)), m))
         .collect::<Vec<_>>();
     Relation::from_rows(schema, rows)
-}
-
-/// Top-k: the first `k` rows of `R` under `<total_O`, *without* the position
-/// column (`π_{Sch(R)}(σ_{τ < k}(sort_{O→τ}(R)))`).
-pub fn topk(rel: &Relation, order: &[usize], k: u64) -> Relation {
-    let sorted = topk_with_pos(rel, order, k);
-    let keep: Vec<usize> = (0..rel.schema.arity()).collect();
-    project_cols(&sorted, &keep).normalize()
 }
 
 /// Top-k retaining the position attribute `τ` (named `"pos"`).
@@ -90,13 +81,21 @@ mod tests {
         assert_eq!(n.mult_of(&Tuple::from([1i64, 9, 2])), 1);
     }
 
+    /// The rows of a top-k, in position order.
+    fn rows_of(t: &Relation) -> Vec<(Tuple, u64)> {
+        t.rows.iter().map(|r| (r.tuple.clone(), r.mult)).collect()
+    }
+
     #[test]
     fn topk_returns_k_rows() {
         let r = Relation::from_values(Schema::new(["a"]), [[5i64], [3], [1], [4]]);
-        let t = topk(&r, &[0], 2);
+        let t = topk_with_pos(&r, &[0], 2);
+        assert_eq!(t.schema.cols(), &["a", "pos"]);
         assert_eq!(t.total_mult(), 2);
-        assert_eq!(t.mult_of(&Tuple::from([1i64])), 1);
-        assert_eq!(t.mult_of(&Tuple::from([3i64])), 1);
+        assert_eq!(
+            rows_of(&t),
+            [(Tuple::from([1i64, 0]), 1), (Tuple::from([3i64, 1]), 1)]
+        );
     }
 
     #[test]
@@ -105,15 +104,20 @@ mod tests {
             Schema::new(["a"]),
             [(Tuple::from([1i64]), 3), (Tuple::from([2i64]), 1)],
         );
-        let t = topk(&r, &[0], 2);
-        assert_eq!(t.mult_of(&Tuple::from([1i64])), 2);
-        assert_eq!(t.mult_of(&Tuple::from([2i64])), 0);
+        let t = topk_with_pos(&r, &[0], 2);
+        assert_eq!(
+            rows_of(&t),
+            [(Tuple::from([1i64, 0]), 1), (Tuple::from([1i64, 1]), 1)]
+        );
     }
 
     #[test]
     fn topk_larger_than_relation() {
         let r = Relation::from_values(Schema::new(["a"]), [[2i64], [1]]);
-        let t = topk(&r, &[0], 10);
-        assert_eq!(t.total_mult(), 2);
+        let t = topk_with_pos(&r, &[0], 10);
+        assert_eq!(
+            rows_of(&t),
+            [(Tuple::from([1i64, 0]), 1), (Tuple::from([2i64, 1]), 1)]
+        );
     }
 }

@@ -8,12 +8,8 @@
 //! evaluated with prefix sums, min/max with a monotonic deque, so a full
 //! pass over a partition of `m` rows costs `O(m log m)` (the sort) —
 //! this implements the efficient deterministic baseline (`Det` in Sec. 9).
-//!
-//! A dense-rank variant `Ω` ([`window_groups`]) is provided for completeness:
-//! there, windows contain whole *tuple groups* whose dense rank lies within
-//! `[l, u]` of the defining tuple's group.
 
-use crate::ops::aggregate::{Accumulator, AggFunc};
+use crate::ops::aggregate::AggFunc;
 use crate::ops::sort::total_order;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
@@ -217,55 +213,6 @@ pub fn window_rows(rel: &Relation, spec: &WindowSpec, f: AggFunc, out_name: &str
     Relation::from_rows(schema, rows).normalize()
 }
 
-/// Dense-rank windowed aggregation `Ω[l,u]_{f(A)→X; G; O}(R)` (paper Fig. 3,
-/// top): the window of `t` contains every tuple group whose dense rank in
-/// `t`'s partition is within `[l, u]` of `t`'s group, with multiplicities
-/// taken directly from the relation.
-pub fn window_groups(rel: &Relation, spec: &WindowSpec, f: AggFunc, out_name: &str) -> Relation {
-    let mut partitions: HashMap<Tuple, Vec<(&Tuple, u64)>> = HashMap::new();
-    for row in &rel.rows {
-        if row.mult == 0 {
-            continue;
-        }
-        partitions
-            .entry(row.tuple.project(&spec.partition))
-            .or_default()
-            .push((&row.tuple, row.mult));
-    }
-
-    let schema = rel.schema.with(out_name);
-    let mut rows: Vec<(Tuple, u64)> = Vec::new();
-    for bucket in partitions.values_mut() {
-        bucket.sort_by(|a, b| a.0.cmp_on(b.0, &spec.order));
-        // Dense ranks: consecutive group index per distinct order-by value.
-        let mut ranks = Vec::with_capacity(bucket.len());
-        let mut rank = 0usize;
-        for (i, (t, _)) in bucket.iter().enumerate() {
-            if i > 0 && bucket[i - 1].0.cmp_on(t, &spec.order) != std::cmp::Ordering::Equal {
-                rank += 1;
-            }
-            ranks.push(rank);
-        }
-        for (i, (t, m)) in bucket.iter().enumerate() {
-            let mut acc = Accumulator::default();
-            for (j, (t2, m2)) in bucket.iter().enumerate() {
-                // Offset of t2's group relative to the defining tuple's
-                // group; [lower, upper] selects preceding/following groups
-                // with the same sign convention as row windows.
-                let d = ranks[j] as i64 - ranks[i] as i64;
-                if d >= spec.lower && d <= spec.upper {
-                    match f.input_col() {
-                        Some(c) => acc.add(t2.get(c), *m2),
-                        None => acc.add(&Value::Null, *m2),
-                    }
-                }
-            }
-            rows.push((t.with(acc.finish(f)), *m));
-        }
-    }
-    Relation::from_rows(schema, rows).normalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,22 +317,6 @@ mod tests {
         assert_eq!(out.mult_of(&Tuple::from([1i64, 3])), 1);
         assert_eq!(out.mult_of(&Tuple::from([2i64, 5])), 1);
         assert_eq!(out.mult_of(&Tuple::from([3i64, 3])), 1);
-    }
-
-    #[test]
-    fn dense_rank_windows() {
-        // Two tuples share order-by value 3 → same group.
-        let r = Relation::from_values(
-            Schema::new(["o", "v"]),
-            [[1i64, 10], [3, 1], [3, 2], [5, 100]],
-        );
-        let spec = WindowSpec::rows(vec![0], -1, 0);
-        let out = window_groups(&r, &spec, AggFunc::Sum(1), "s");
-        // Group ranks: 1 -> 0, 3 -> 1, 5 -> 2.
-        assert_eq!(out.mult_of(&Tuple::from([1i64, 10, 10])), 1);
-        assert_eq!(out.mult_of(&Tuple::from([3i64, 1, 13])), 1);
-        assert_eq!(out.mult_of(&Tuple::from([3i64, 2, 13])), 1);
-        assert_eq!(out.mult_of(&Tuple::from([5i64, 100, 103])), 1);
     }
 
     #[test]

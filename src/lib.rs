@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`rel`] | deterministic bag-relational engine (values, `RA+`, windows, sort) |
 //! | [`core`] | AU-DB model, `ℕ³` semiring, reference sort/top-k/window semantics |
-//! | [`conheap`] | connected heaps (Sec. 8.2) |
+//! | [`conheap`] | the Sec. 8.2 experiment's heap: deletion through back pointers or by linear search |
 //! | [`native`] | one-pass native algorithms (Sec. 8) — the paper's `Imp` |
 //! | [`rewrite`] | SQL-style rewrites over the relational encoding (Sec. 7) — `Rewr` |
 //! | [`engine`] | **the front door**: logical plans, SQL sessions + pluggable backends |

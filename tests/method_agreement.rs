@@ -364,7 +364,7 @@ proptest! {
             let mut maintained = TopKMaintain::new(Schema::new(["a", "b"]), vec![0, 1], k, "pos");
             let mut all = AuRelation::empty(Schema::new(["a", "b"]));
             for batch in &batches {
-                maintained.apply(&batch.to_columns());
+                maintained.apply(batch.to_columns());
                 all.append(&mut batch.clone());
                 let want = sort_columns_native(&all.to_columns(), &[0, 1], "pos", Some(k), &());
                 let got = maintained.result().to_rows();
@@ -543,7 +543,7 @@ fn mid_size_windows_agree_with_reference_and_maintenance() {
                             let batch =
                                 AuRelation::from_rows(schema.clone(), batch.iter().cloned())
                                     .to_columns();
-                            assert!(maintained.apply(&batch).is_none(), "batch is in order");
+                            assert!(maintained.apply(batch).is_none(), "batch is in order");
                         }
                         assert!(
                             maintained.result().to_rows().bag_eq(&native),
@@ -601,7 +601,7 @@ fn ranged_first_batch_is_maintained(
         fed += batch.len();
         let batch = AuRelation::from_rows(schema.clone(), rows.iter().cloned()).to_columns();
         assert!(
-            maintained.apply(&batch).is_none(),
+            maintained.apply(batch).is_none(),
             "batch is in order: {what}"
         );
     }
@@ -621,7 +621,7 @@ fn ranged_first_batch_is_maintained(
     overlap.0[0] = RangeValue::certain(1i64);
     overlap.0[1] = RangeValue::certain(1_000_000i64);
     let overlap = AuRelation::from_rows(schema, [(overlap, mult)]).to_columns();
-    let before = maintained.apply(&overlap);
+    let before = maintained.apply(overlap);
     assert!(
         before.is_some_and(|before| before.to_rows().bag_eq(&result)),
         "a point the range overlaps rebuilds, answering what was held: {what}"
@@ -685,7 +685,7 @@ fn mixed_batches_rebuild_exactly(
         let absorbed = absorbs(&fed, batch, spec);
         let before = maintained.result().to_rows();
         let cols = AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-        match maintained.apply(&cols) {
+        match maintained.apply(cols) {
             None => assert!(absorbed, "batch {at} absorbed out of order: {what}"),
             Some(answer) => {
                 assert!(!absorbed, "batch {at} in order, yet rebuilt: {what}");
@@ -795,7 +795,7 @@ fn window_pool_words_that_tie_agree_with_the_reference() {
                 let mut maintained = MaintainedWindow::new(schema.clone(), spec, agg, "x");
                 for batch in in_order_batches(&mut rng, &rows) {
                     let batch = AuRelation::from_rows(schema.clone(), batch.iter().cloned());
-                    assert!(maintained.apply(&batch.to_columns()).is_none(), "{what}");
+                    assert!(maintained.apply(batch.to_columns()).is_none(), "{what}");
                 }
                 assert!(
                     maintained.result().to_rows().bag_eq(&reference),
@@ -895,10 +895,7 @@ fn windows_across_rerank_points_agree_with_maintenance_and_the_rewrite() {
         let mut maintained = MaintainedWindow::new(schema.clone(), spec.clone(), agg, "x");
         for &batch in &batches {
             let batch = AuRelation::from_rows(schema.clone(), batch.iter().cloned()).to_columns();
-            assert!(
-                maintained.apply(&batch).is_none(),
-                "{agg:?}: batch in order"
-            );
+            assert!(maintained.apply(batch).is_none(), "{agg:?}: batch in order");
         }
         assert!(
             maintained.result().to_rows().bag_eq(&native),
@@ -1619,7 +1616,7 @@ fn native_window_rows_are_the_normalized_rows() {
                 let kernel = window_columns_native(&cols, &spec, agg, "x", &());
                 assert!(kernel.is_normalized(), "{what}");
                 let mut swept = MaintainedWindow::new(schema.clone(), spec, agg, "x");
-                swept.apply(&cols);
+                swept.apply(cols.clone());
                 let in_close_order = swept.into_result();
                 assert!(!in_close_order.is_normalized(), "{what}");
                 merged_back += in_close_order.len() - kernel.len();
