@@ -6,7 +6,7 @@
 //! *shapes* — who wins, by what factor, where crossovers happen — are the
 //! reproduction target (`repro all` prints both side by side).
 
-use crate::heaps::heaps_experiment;
+use crate::heaps::{heaps_experiment, REPLAYS};
 use crate::table::{fmt_ms, fmt_q, Table};
 use audb_core::WinAgg;
 use audb_engine::{Agg, Engine, JoinStrategy, Query, WindowSpec};
@@ -14,6 +14,7 @@ use audb_workloads::all_datasets;
 use audb_workloads::metrics::{aggregate_quality, QualityStats};
 use audb_workloads::runner::{self, Bounds};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
+use std::time::Duration;
 
 /// Global options for a repro run.
 #[derive(Clone, Copy, Debug)]
@@ -77,21 +78,24 @@ pub fn heaps_table(opts: ReproOptions) {
             continue;
         }
         let e = heaps_experiment(rows, u, r, 42);
+        // Median (fastest–slowest) of the arm's replays, sorted.
+        let arm = |t: &[Duration]| {
+            let (median, max) = (fmt_ms(t[REPLAYS / 2]), fmt_ms(t[REPLAYS - 1]));
+            format!("{median} ({}–{max})", fmt_ms(t[0]))
+        };
+        let (con, unc) = (e.connected[REPLAYS / 2], e.unconnected[REPLAYS / 2]);
         t.row([
             format!("{}%", (u * 100.0) as i64),
             format!("{r}"),
-            fmt_ms(e.connected),
-            fmt_ms(e.unconnected),
-            format!(
-                "{:.2}x",
-                e.unconnected.as_secs_f64() / e.connected.as_secs_f64().max(1e-9)
-            ),
+            arm(&e.connected),
+            arm(&e.unconnected),
+            format!("{:.2}x", unc.as_secs_f64() / con.as_secs_f64().max(1e-9)),
             pc.into(),
             pu.into(),
         ]);
     }
     t.print(&format!(
-        "Sec 8.2: connected vs unconnected heaps ({rows} rows; paper: 50k rows, 1.25x-10x gap growing with range)"
+        "Sec 8.2: connected vs unconnected heaps ({rows} rows, median (min–max) of {REPLAYS} alternating replays per arm; paper: 50k rows, 1.25x-10x gap growing with range)"
     ));
 }
 

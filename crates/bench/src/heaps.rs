@@ -122,36 +122,46 @@ fn replay<const CONNECTED: bool>(
     work + pool.len()
 }
 
+/// Replays per arm. The arms alternate, so a drift of the host's speed
+/// falls on both.
+pub const REPLAYS: usize = 5;
+
 /// Timings of the two structures on one workload configuration.
 pub struct HeapExperiment {
-    /// Connected (back pointers) wall time.
-    pub connected: Duration,
-    /// Unconnected (linear search) wall time.
-    pub unconnected: Duration,
+    /// Connected (back pointers) replay times, fastest first.
+    pub connected: Vec<Duration>,
+    /// Unconnected (linear search) replay times, fastest first.
+    pub unconnected: Vec<Duration>,
     /// Work-unit checksum — must be identical for both replays.
     pub checksum: usize,
 }
 
-/// Run the Sec. 8.2 experiment for one `(rows, uncertainty, range)` cell.
+/// Run the Sec. 8.2 experiment for one `(rows, uncertainty, range)` cell:
+/// [`REPLAYS`] replays per arm, connected and unconnected in turn.
 pub fn heaps_experiment(rows: usize, uncertainty: f64, range: i64, seed: u64) -> HeapExperiment {
     let recs = make_records(rows, uncertainty, range, seed);
     let (n_prec, k) = (3, 4);
+    let (mut connected, mut unconnected, mut checksum) = (Vec::new(), Vec::new(), 0);
+    for _ in 0..REPLAYS {
+        let mut con: ConnectedHeap<Rec, Cmp> = ConnectedHeap::new(3, cmp3);
+        let t0 = Instant::now();
+        let w1 = replay(&mut con, &recs, n_prec, k);
+        connected.push(t0.elapsed());
 
-    let mut con: ConnectedHeap<Rec, Cmp> = ConnectedHeap::new(3, cmp3);
-    let t0 = Instant::now();
-    let w1 = replay(&mut con, &recs, n_prec, k);
-    let connected = t0.elapsed();
+        let mut unc: UnconnectedHeaps<Rec, Cmp> = UnconnectedHeaps::new(3, cmp3);
+        let t0 = Instant::now();
+        let w2 = replay(&mut unc, &recs, n_prec, k);
+        unconnected.push(t0.elapsed());
 
-    let mut unc: UnconnectedHeaps<Rec, Cmp> = UnconnectedHeaps::new(3, cmp3);
-    let t0 = Instant::now();
-    let w2 = replay(&mut unc, &recs, n_prec, k);
-    let unconnected = t0.elapsed();
-
-    assert_eq!(w1, w2, "replays must perform identical logical work");
+        assert_eq!(w1, w2, "replays must perform identical logical work");
+        checksum = w1;
+    }
+    connected.sort();
+    unconnected.sort();
     HeapExperiment {
         connected,
         unconnected,
-        checksum: w1,
+        checksum,
     }
 }
 
@@ -163,6 +173,10 @@ mod tests {
     fn replays_do_identical_work() {
         let e = heaps_experiment(2_000, 0.05, 2_000, 1);
         assert!(e.checksum > 0);
+        for arm in [&e.connected, &e.unconnected] {
+            assert_eq!(arm.len(), REPLAYS);
+            assert!(arm.is_sorted(), "fastest first: {arm:?}");
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //!   window over an append-only series of 2 048, where no frame is full of
 //!   certain members and every close scans the pool;
 //!   **cmp-semantics** and **window aggregates** — ablations;
+//!   **filter stages** — per statement of the repo benchmark's
+//!   `filter_scan` at its size, the fused stage, the predicate sweeps
+//!   inside it and the breaker;
 //! * **window scaling** — ns per row of the native window from 16 384 to
 //!   131 072 rows (1 048 576 printed, not gated), with the size of the
 //!   possible-member pool a closing window scans;
@@ -957,6 +960,80 @@ pub fn measure_window_dup(cfg: &BenchConfig) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Rows of the `filter/stages` table: the repo benchmark's `filter_scan`.
+pub const FILTER_STAGE_ROWS: usize = 131_072;
+
+/// `filter_scan`'s table shape over `n` rows: a certain `id` in row order;
+/// `a` and `b` over `[0, 20 n)`, each ranged (`[x, x + r, x + 999]`) on one
+/// row in twenty; certain `c` over the lower six tenths and `d` over the
+/// upper.
+fn events_table(n: usize) -> AuRelation {
+    let mut state = 42u64;
+    let mut below = move |m: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % m
+    };
+    let domain = n as u64 * 20;
+    let rows = (0..n).map(|id| {
+        let mut ranged = || match (below(20), below(domain) as i64) {
+            (0, x) => RangeValue::new(x, x + below(1000) as i64, x + 999),
+            (_, x) => RangeValue::certain(x),
+        };
+        let (a, b) = (ranged(), ranged());
+        let c = RangeValue::certain(below(domain * 6 / 10) as i64);
+        let d = RangeValue::certain((domain * 4 / 10 + below(domain * 6 / 10)) as i64);
+        (
+            AuTuple::new([RangeValue::certain(id as i64), a, b, c, d]),
+            Mult3::ONE,
+        )
+    });
+    AuRelation::from_rows(Schema::new(["id", "a", "b", "c", "d"]), rows)
+}
+
+/// Where each of `filter_scan`'s statements spends its time, as
+/// `execute_traced` hears it at [`FILTER_STAGE_ROWS`] — the fused stage
+/// (`fuse(…)`), the predicate sweeps inside it (`truth_batch`, summed over
+/// batches) and the breaker: per statement, median milliseconds.
+pub fn measure_filter_stages(cfg: &BenchConfig) -> Vec<(String, f64)> {
+    let runs = if cfg.quick { 5 } else { 21 };
+    let n = FILTER_STAGE_ROWS;
+    let session = Session::new(Engine::native());
+    session.register("e", events_table(n));
+    let ranked = |t| format!("SELECT * FROM e WHERE id < {t} ORDER BY a, b AS pos LIMIT 10");
+    let conjunction =
+        "SELECT id, a + b AS c FROM e WHERE a < c AND b > d ORDER BY c AS pos LIMIT 10";
+    let mut out = Vec::new();
+    for (s, sql) in [ranked(n / 100), ranked(n / 10), conjunction.into()]
+        .iter()
+        .enumerate()
+    {
+        let prepared = session.prepare(sql).expect("filter statement compiles");
+        let heard: Vec<Vec<(String, f64)>> = (0..runs)
+            .map(|_| {
+                let traced = session.engine().execute_traced(prepared.plan());
+                let (_, trace) = traced.expect("filter statement runs");
+                let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+                let truth = trace
+                    .stages
+                    .iter()
+                    .find(|(stage, _)| *stage == "truth_batch");
+                let mut lines: Vec<_> = (trace.ops.iter().skip(1))
+                    .map(|o| (o.label.clone(), ms(o.elapsed)))
+                    .collect();
+                lines.insert(1, ("truth_batch".into(), truth.map_or(0.0, |t| ms(t.1))));
+                lines
+            })
+            .collect();
+        for (i, (name, _)) in heard[0].iter().enumerate() {
+            let ms = median(heard.iter().map(|run| run[i].1).collect());
+            out.push((format!("{} {name}", s + 1), ms));
+        }
+    }
+    out
+}
+
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
 /// quadratic reference (DESIGN.md §3.2). Both run the same plan through
 /// the reference oracle's runner, differing only in the oracle's
@@ -1425,6 +1502,9 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     println!(
         "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}"
     );
+    for (name, ms) in measure_filter_stages(cfg) {
+        println!("{FILTER_STAGE_ROWS:>7} rows  filter/stages      {name:<24} {ms:>10.3} ms");
+    }
     let gates = check(&Report {
         cells,
         footprints,

@@ -18,12 +18,13 @@
 //! typed lanes through [`AuBatch::corner`], and an expression the lanes
 //! cannot carry reads its cells one at a time through
 //! `AuBatch::range_value`. The gather steps that materialize a kernel's
-//! surviving rows into fresh columns are [`AuBatch::gather`] /
+//! surviving rows into fresh columns are [`AuColumns::gather_kept`] — every
+//! batch's survivors of a selection, copied once — and
 //! [`AuBatch::gather_col`].
 
-use crate::columns::AuColumns;
+use crate::columns::{AuColumn, AuColumns};
 use crate::mult::Mult3;
-use crate::physical::PhysSlice;
+use crate::physical::{CertBitmap, PhysSlice, Pick};
 use crate::range_value::RangeValue;
 use crate::sortkey::Corner;
 use crate::tuple::AuTuple;
@@ -34,10 +35,30 @@ use audb_rel::Schema;
 /// Carries the batch's ordinal position in its parent relation.
 #[derive(Clone, Copy, Debug)]
 pub struct AuBatch<'a> {
-    rel: &'a AuColumns,
-    start: usize,
-    len: usize,
+    pub(crate) rel: &'a AuColumns,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
     index: usize,
+}
+
+/// The rows a selection kept of one batch ([`AuColumns::gather_kept`]
+/// copies them).
+#[derive(Debug)]
+pub enum Kept {
+    /// Every row, under its own annotation.
+    All,
+    /// The rows at these batch-relative indices, under these annotations.
+    Rows(Vec<usize>, Vec<Mult3>),
+}
+
+impl Kept {
+    /// Number of rows kept of `b`.
+    pub(crate) fn len(&self, b: &AuBatch<'_>) -> usize {
+        match self {
+            Kept::All => b.len,
+            Kept::Rows(idxs, _) => idxs.len(),
+        }
+    }
 }
 
 impl<'a> AuBatch<'a> {
@@ -77,6 +98,16 @@ impl<'a> AuBatch<'a> {
             .subslice(self.start, self.len)
     }
 
+    /// Attribute `c`'s certainty bits under this batch: `None` for a
+    /// certain column (every row a point), else the ranged column's bitmap
+    /// and this batch's first row in it.
+    pub(crate) fn cert_bits(&self, c: usize) -> Option<(&'a CertBitmap, usize)> {
+        match self.rel.col(c) {
+            AuColumn::Certain(_) => None,
+            AuColumn::Ranged { certain, .. } => Some((certain, self.start)),
+        }
+    }
+
     /// Attribute `c` of batch-relative row `i` (one cell: the expression
     /// kernels' fallback reads only the cells an expression names).
     pub(crate) fn range_value(&self, c: usize, i: usize) -> RangeValue {
@@ -96,21 +127,12 @@ impl<'a> AuBatch<'a> {
         self.rel.tuple(self.start + i)
     }
 
-    /// Materialize the rows at batch-relative `idxs` with fresh
-    /// annotations into owned columns (the gather step after a vectorized
-    /// selection).
-    pub fn gather(&self, idxs: &[usize], mults: &[Mult3]) -> AuColumns {
-        let abs: Vec<usize> = idxs.iter().map(|&i| self.start + i).collect();
-        self.rel.gather(&abs, mults)
-    }
-
     /// Copy attribute `c`'s cells at batch-relative `idxs` into a fresh
     /// column (the pass-through arm of a vectorized computed projection:
     /// a bare column reference copies the column instead of re-evaluating
     /// it cell by cell).
-    pub fn gather_col(&self, c: usize, idxs: &[usize]) -> crate::columns::AuColumn {
-        let abs: Vec<usize> = idxs.iter().map(|&i| self.start + i).collect();
-        self.rel.col(c).gather(&abs)
+    pub fn gather_col(&self, c: usize, idxs: &[usize]) -> AuColumn {
+        self.rel.col(c).gather(Pick::At(self.start, idxs))
     }
 }
 
@@ -257,10 +279,17 @@ mod tests {
         );
         let cols = r.to_columns();
         let b = cols.as_batch();
-        let picked = b.gather(&[1, 3], &[Mult3::ONE, Mult3::new(0, 1, 1)]);
-        assert_eq!(picked.len(), 2);
+        // Row 1 of the first two-row batch, then all of the second.
+        let kept = [Kept::Rows(vec![1], vec![Mult3::new(0, 1, 1)]), Kept::All];
+        let parts = cols.batches(2).zip(&kept);
+        let picked = AuColumns::gather_kept(r.schema.clone(), parts);
+        assert_eq!(picked.len(), 3);
         assert_eq!(picked.tuple(0), r.rows()[1].tuple);
-        assert_eq!(picked.mult(1), Mult3::new(0, 1, 1));
+        assert_eq!(picked.mult(0), Mult3::new(0, 1, 1));
+        assert_eq!(picked.tuple(2), r.rows()[3].tuple);
+        assert_eq!(picked.mult(2), Mult3::ONE);
+        assert_eq!(picked.col_phys_types(), cols.col_phys_types());
+        assert!(picked.col(0).is_certain() && !picked.col(1).is_certain());
         let one = b.gather_col(1, &[2]);
         assert_eq!(one.len(), 1);
         assert_eq!(&one.range_value(0), r.rows()[2].tuple.get(1));

@@ -34,8 +34,9 @@
 //! surface for the reference operators while the pipeline executor runs
 //! columnar and typed.
 
+use crate::batch::{AuBatch, Kept};
 use crate::mult::{Mult3, MultOverflow};
-use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec};
+use crate::physical::{CertBitmap, PhysSlice, PhysType, PhysVec, Pick};
 use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
 use crate::sortkey::{Corner, PrefixReader, SortKey};
@@ -221,26 +222,19 @@ impl AuColumn {
     /// Copy the cells at `idxs` (in order) into a fresh column, keeping
     /// the certain fast path and the physical layout — primitive lanes
     /// copy without constructing a single `Value`.
-    pub(crate) fn gather(&self, idxs: &[usize]) -> AuColumn {
-        match self {
-            AuColumn::Certain(v) => AuColumn::Certain(v.gather(idxs)),
-            AuColumn::Ranged {
-                lb,
-                sg,
-                ub,
-                certain,
-            } => AuColumn::Ranged {
-                lb: lb.gather(idxs),
-                sg: sg.gather(idxs),
-                ub: ub.gather(idxs),
-                certain: certain.gather(idxs),
-            },
-        }
+    pub(crate) fn gather(&self, pick: Pick<'_>) -> AuColumn {
+        let mut out = AuColumn::Certain(PhysVec::new());
+        out.extend_picked(self, pick, pick.len());
+        out
     }
 
-    fn append(&mut self, other: AuColumn) {
-        match (&mut *self, other) {
-            (AuColumn::Certain(a), AuColumn::Certain(b)) => a.append(b),
+    /// Append the cells of `src` at `pick`, lane by lane as
+    /// [`PhysVec::extend_picked`] does (`cap`: the rows the column will
+    /// hold); a certain column promotes to ranged before it takes ranged
+    /// cells.
+    fn extend_picked(&mut self, src: &AuColumn, pick: Pick<'_>, cap: usize) {
+        match (&mut *self, src) {
+            (AuColumn::Certain(a), AuColumn::Certain(b)) => a.extend_picked(b, pick, cap),
             (
                 AuColumn::Ranged {
                     lb,
@@ -250,16 +244,14 @@ impl AuColumn {
                 },
                 AuColumn::Certain(b),
             ) => {
-                for _ in 0..b.len() {
-                    certain.push(true);
+                (0..pick.len()).for_each(|_| certain.push(true));
+                for lane in [lb, sg, ub] {
+                    lane.extend_picked(b, pick, cap);
                 }
-                lb.append(b.clone());
-                ub.append(b.clone());
-                sg.append(b);
             }
-            (AuColumn::Certain(_), b @ AuColumn::Ranged { .. }) => {
+            (AuColumn::Certain(_), AuColumn::Ranged { .. }) => {
                 self.promote();
-                self.append(b);
+                self.extend_picked(src, pick, cap);
             }
             (
                 AuColumn::Ranged {
@@ -275,11 +267,18 @@ impl AuColumn {
                     certain: c2,
                 },
             ) => {
-                certain.append(&c2);
-                lb.append(l2);
-                sg.append(s2);
-                ub.append(u2);
+                certain.extend_picked(c2, pick);
+                lb.extend_picked(l2, pick, cap);
+                sg.extend_picked(s2, pick, cap);
+                ub.extend_picked(u2, pick, cap);
             }
+        }
+    }
+
+    fn append(&mut self, other: AuColumn) {
+        match self {
+            AuColumn::Certain(v) if v.is_empty() => *self = other,
+            _ => self.extend_picked(&other, Pick::Span(0, other.len()), other.len()),
         }
     }
 
@@ -544,8 +543,8 @@ impl AuColumns {
         self.len += 1;
     }
 
-    /// Move every row of `other` to the end of `self` (the morsel-merge
-    /// step of the pipeline executor).
+    /// Move every row of `other` to the end of `self` (a table's tail
+    /// taking an appended batch, a subscription's drained rows).
     pub fn append(&mut self, other: AuColumns) {
         debug_assert_eq!(self.arity(), other.arity());
         if other.len == 0 {
@@ -566,34 +565,63 @@ impl AuColumns {
     /// the surviving rows, `mults` their filtered triples). Typed lanes
     /// gather as primitive copies — no `Value` is cloned.
     pub fn gather(&self, idxs: &[usize], mults: &[Mult3]) -> AuColumns {
-        self.gather_cols(
-            &(0..self.arity()).collect::<Vec<_>>(),
-            self.schema.clone(),
-            idxs,
-            mults,
-        )
+        let cols = self
+            .cols
+            .iter()
+            .map(|c| c.gather(Pick::At(0, idxs)))
+            .collect();
+        AuColumns::from_cols(self.schema.clone(), cols, mults)
     }
 
-    /// Like [`AuColumns::gather`], also projecting onto `cols` under the
-    /// given output schema (the vectorized column projection: surviving
-    /// columns are copied, dropped columns never touched).
-    pub fn gather_cols(
-        &self,
-        cols: &[usize],
+    /// The rows each batch of `parts` kept, batch after batch, copied once
+    /// into one relation under `schema` — what gathering each batch and
+    /// appending the gathers builds, layouts included. A batch that kept
+    /// [`Kept::All`] extends every lane by its slice.
+    pub fn gather_kept<'a>(
         schema: Schema,
-        idxs: &[usize],
-        mults: &[Mult3],
+        parts: impl IntoIterator<Item = (AuBatch<'a>, &'a Kept)>,
     ) -> AuColumns {
-        debug_assert_eq!(idxs.len(), mults.len());
-        debug_assert_eq!(cols.len(), schema.arity());
+        let parts: Vec<(AuBatch<'a>, &Kept)> = (parts.into_iter())
+            .filter(|(b, kept)| kept.len(b) > 0)
+            .collect();
+        let len = parts.iter().map(|(b, kept)| kept.len(b)).sum();
+        let pick = |b: &AuBatch<'_>, kept: &'a Kept| match kept {
+            Kept::All => Pick::Span(b.start, b.len),
+            Kept::Rows(idxs, _) => Pick::At(b.start, idxs),
+        };
+        let cols = (0..schema.arity())
+            .map(|c| {
+                let mut col = AuColumn::Certain(PhysVec::new());
+                for (b, kept) in &parts {
+                    col.extend_picked(b.rel.col(c), pick(b, kept), len);
+                }
+                col
+            })
+            .collect();
+        let [mut mult_lb, mut mult_sg, mut mult_ub] = [(); 3].map(|_| Vec::with_capacity(len));
+        for (b, kept) in &parts {
+            match kept {
+                Kept::All => {
+                    let rows = b.start..b.start + b.len;
+                    mult_lb.extend_from_slice(&b.rel.mult_lb[rows.clone()]);
+                    mult_sg.extend_from_slice(&b.rel.mult_sg[rows.clone()]);
+                    mult_ub.extend_from_slice(&b.rel.mult_ub[rows]);
+                }
+                Kept::Rows(_, ms) => ms.iter().for_each(|m| {
+                    mult_lb.push(m.lb);
+                    mult_sg.push(m.sg);
+                    mult_ub.push(m.ub);
+                }),
+            }
+        }
         AuColumns {
             schema,
-            len: idxs.len(),
-            cols: cols.iter().map(|&c| self.cols[c].gather(idxs)).collect(),
-            mult_lb: mults.iter().map(|m| m.lb).collect(),
-            mult_sg: mults.iter().map(|m| m.sg).collect(),
-            mult_ub: mults.iter().map(|m| m.ub).collect(),
-            normalized: false,
+            len,
+            cols,
+            mult_lb,
+            mult_sg,
+            mult_ub,
+            normalized: len == 0,
         }
     }
 
@@ -661,7 +689,7 @@ impl AuColumns {
         debug_assert_eq!(extra.len(), idxs.len());
         let [mult_lb, mult_sg, mult_ub] = mults;
         let mut cols: Vec<AuColumn> = Vec::with_capacity(self.arity() + 1);
-        cols.extend(self.cols.iter().map(|c| c.gather(idxs)));
+        cols.extend(self.cols.iter().map(|c| c.gather(Pick::At(0, idxs))));
         cols.push(extra);
         AuColumns {
             schema: self.schema.with(name),

@@ -25,6 +25,14 @@
 //! arithmetic never constructs a [`Value`]. A predicate's truth triples
 //! are three bit masks ([`TruthMasks`]): a comparison writes 64 rows per
 //! word, `AND` / `OR` combine words, `NOT` swaps and complements them.
+//! The typed tier costs in proportion to uncertainty: a node whose rows
+//! are all points (a certain column, a literal whose bounds are the same
+//! bits, arithmetic over such nodes) carries one lane for its three
+//! bounds; any other carries three and the mask of the rows that may not
+//! be points — a ranged column's certainty bitmap, or the union of its
+//! operands'. On a point row a comparison's `lb`, `sg` and `ub` are one
+//! bit, so it packs `sg` once and evaluates `lb` and `ub` at the masked
+//! rows only.
 //! Whenever *any* node cannot stay typed (a `Generic` column, a boolean
 //! literal, `Mul`'s four-corner extrema, `i64` overflow that the `Value`
 //! semantics would promote to float, a comparison of predicates), the
@@ -263,12 +271,17 @@ impl RangeExpr {
         let n = sel.count();
         match self {
             RangeExpr::Col(i) => {
+                let wide = || b.cert_bits(*i).map(|(bits, start)| sel.ranged(bits, start));
                 match [Corner::Lb, Corner::Sg, Corner::Ub].map(|c| b.corner(*i, c)) {
                     [PhysSlice::I64(l), PhysSlice::I64(s), PhysSlice::I64(u)] => {
-                        Some(TypedVals::I64(Tri::of(sel, [l, s, u])))
+                        Some(TypedVals::I64(Bounds::of(wide(), [l, s, u], |x| {
+                            sel.lane(x)
+                        })))
                     }
                     [PhysSlice::F64(l), PhysSlice::F64(s), PhysSlice::F64(u)] => {
-                        Some(TypedVals::F64(Tri::of(sel, [l, s, u])))
+                        Some(TypedVals::F64(Bounds::of(wide(), [l, s, u], |x| {
+                            sel.lane(x)
+                        })))
                     }
                     [PhysSlice::Str {
                         codes: lc,
@@ -279,30 +292,29 @@ impl RangeExpr {
                     }, PhysSlice::Str {
                         codes: uc,
                         pool: up,
-                    }] => Some(TypedVals::Str(Box::new(Tri {
-                        lb: Dict::of(sel, lc, lp),
-                        sg: Dict::of(sel, sc, sp),
-                        ub: Dict::of(sel, uc, up),
-                    }))),
+                    }] => Some(TypedVals::Str(Box::new(Bounds::of(
+                        wide(),
+                        [(lc, lp), (sc, sp), (uc, up)],
+                        |(codes, pool)| Dict::of(sel, codes, pool),
+                    )))),
                     // A Generic lane — or a ranged column whose three bounds
                     // landed in different layouts — leaves the typed tier.
                     _ => None,
                 }
             }
+            // A literal is a point when its bounds are the same bits.
             RangeExpr::Lit(v) => match (&v.lb, &v.sg, &v.ub) {
-                (Value::Int(l), Value::Int(s), Value::Int(u)) => {
-                    Some(TypedVals::I64(Tri::splat(n, [*l, *s, *u])))
-                }
+                (Value::Int(l), Value::Int(s), Value::Int(u)) => Some(TypedVals::I64(
+                    Bounds::splat(n, [*l, *s, *u], |a, b| a == b, |x| Cow::Owned(vec![x; n])),
+                )),
                 (Value::Float(l), Value::Float(s), Value::Float(u)) => {
-                    Some(TypedVals::F64(Tri::splat(n, [*l, *s, *u])))
+                    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+                    let lane = |x| Cow::Owned(vec![x; n]);
+                    Some(TypedVals::F64(Bounds::splat(n, [*l, *s, *u], same, lane)))
                 }
-                (Value::Str(l), Value::Str(s), Value::Str(u)) => {
-                    Some(TypedVals::Str(Box::new(Tri {
-                        lb: Dict::splat(n, l),
-                        sg: Dict::splat(n, s),
-                        ub: Dict::splat(n, u),
-                    })))
-                }
+                (Value::Str(l), Value::Str(s), Value::Str(u)) => Some(TypedVals::Str(Box::new(
+                    Bounds::splat(n, [l, s, u], |a, b| a == b, |x| Dict::splat(n, x)),
+                ))),
                 _ => None,
             },
             // Addition and subtraction: an i64 overflow is exactly the
@@ -310,53 +322,29 @@ impl RangeExpr {
             // float, so the whole node bails to the row semantics. Mixed
             // i64/f64 promotes unconditionally via `as f64`, precisely what
             // `numeric_binop` does for a genuine Int-class/Float-class pair.
-            RangeExpr::Add(x, y) => match (x.eval_typed(b, sel)?, y.eval_typed(b, sel)?) {
-                (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(Tri {
-                    lb: zip_lanes(&p.lb, &q.lb, i64::overflowing_add)?,
-                    sg: zip_lanes(&p.sg, &q.sg, i64::overflowing_add)?,
-                    ub: zip_lanes(&p.ub, &q.ub, i64::overflowing_add)?,
-                })),
-                (p, q) => {
-                    let (p, q) = (tri_to_f64(p)?, tri_to_f64(q)?);
-                    Some(TypedVals::F64(Tri {
-                        lb: zip_lanes(&p.lb, &q.lb, |s, t| (s + t, false))?,
-                        sg: zip_lanes(&p.sg, &q.sg, |s, t| (s + t, false))?,
-                        ub: zip_lanes(&p.ub, &q.ub, |s, t| (s + t, false))?,
-                    }))
-                }
-            },
             // Subtraction is antitone in its right argument (mirrors
             // RangeValue::sub): lb = a↓ − c↑, ub = a↑ − c↓.
-            RangeExpr::Sub(x, y) => match (x.eval_typed(b, sel)?, y.eval_typed(b, sel)?) {
-                (TypedVals::I64(p), TypedVals::I64(q)) => Some(TypedVals::I64(Tri {
-                    lb: zip_lanes(&p.lb, &q.ub, i64::overflowing_sub)?,
-                    sg: zip_lanes(&p.sg, &q.sg, i64::overflowing_sub)?,
-                    ub: zip_lanes(&p.ub, &q.lb, i64::overflowing_sub)?,
-                })),
-                (p, q) => {
-                    let (p, q) = (tri_to_f64(p)?, tri_to_f64(q)?);
-                    Some(TypedVals::F64(Tri {
-                        lb: zip_lanes(&p.lb, &q.ub, |s, t| (s - t, false))?,
-                        sg: zip_lanes(&p.sg, &q.sg, |s, t| (s - t, false))?,
-                        ub: zip_lanes(&p.ub, &q.lb, |s, t| (s - t, false))?,
-                    }))
-                }
-            },
+            RangeExpr::Add(x, y) => arith(
+                x.eval_typed(b, sel)?,
+                y.eval_typed(b, sel)?,
+                false,
+                i64::overflowing_add,
+                |s, t| s + t,
+            ),
+            RangeExpr::Sub(x, y) => arith(
+                x.eval_typed(b, sel)?,
+                y.eval_typed(b, sel)?,
+                true,
+                i64::overflowing_sub,
+                |s, t| s - t,
+            ),
             // Four-corner extrema over mixed-sign ranges: rare enough on
             // hot paths that it stays with the row semantics.
             RangeExpr::Mul(..) => None,
+            // Value::neg is wrapping for ints; negation swaps bounds.
             RangeExpr::Neg(x) => match x.eval_typed(b, sel)? {
-                // Value::neg is wrapping for ints; negation swaps bounds.
-                TypedVals::I64(p) => Some(TypedVals::I64(Tri {
-                    lb: map_lane(&p.ub, i64::wrapping_neg),
-                    sg: map_lane(&p.sg, i64::wrapping_neg),
-                    ub: map_lane(&p.lb, i64::wrapping_neg),
-                })),
-                TypedVals::F64(p) => Some(TypedVals::F64(Tri {
-                    lb: map_lane(&p.ub, |v: f64| -v),
-                    sg: map_lane(&p.sg, |v: f64| -v),
-                    ub: map_lane(&p.lb, |v: f64| -v),
-                })),
+                TypedVals::I64(p) => Some(TypedVals::I64(p.neg(i64::wrapping_neg))),
+                TypedVals::F64(p) => Some(TypedVals::F64(p.neg(|v: f64| -v))),
                 _ => None,
             },
             RangeExpr::Cmp(op, x, y) => {
@@ -402,6 +390,38 @@ impl TruthMasks {
             lb: pack_bits(n, |k| ts[k].lb),
             sg: pack_bits(n, |k| ts[k].sg),
             ub: pack_bits(n, |k| ts[k].ub),
+            n,
+        }
+    }
+
+    /// A comparison's masks from its `sg` words: where both operands are
+    /// points, `lb`, `sg` and `ub` are one bit — the three bound pairs
+    /// compared are equal under the total order. So `lb` and `ub` copy
+    /// `sg` and are re-evaluated at the set bits of `wide` only (`None`:
+    /// every row a point).
+    fn patched(
+        sg: Vec<u64>,
+        n: usize,
+        wide: Option<&[u64]>,
+        lb: impl Fn(usize) -> bool,
+        ub: impl Fn(usize) -> bool,
+    ) -> TruthMasks {
+        let (mut l, mut u) = (sg.clone(), sg.clone());
+        for (w, &rows) in wide.unwrap_or_default().iter().enumerate() {
+            let (mut left, mut lbits, mut ubits) = (rows, 0, 0);
+            while left != 0 {
+                let j = left.trailing_zeros();
+                lbits |= u64::from(lb(w * 64 + j as usize)) << j;
+                ubits |= u64::from(ub(w * 64 + j as usize)) << j;
+                left &= left - 1;
+            }
+            l[w] = sg[w] & !rows | lbits;
+            u[w] = sg[w] & !rows | ubits;
+        }
+        TruthMasks {
+            lb: l,
+            sg,
+            ub: u,
             n,
         }
     }
@@ -516,6 +536,15 @@ impl Sel<'_> {
             Sel::At(_) => Cow::Owned(self.map(|i| s[i])),
         }
     }
+
+    /// The selected rows a ranged column may not hold points at, read off
+    /// its certainty bits from the batch's first row `start`.
+    fn ranged(self, bits: &CertBitmap, start: usize) -> Vec<u64> {
+        match self {
+            Sel::All(n) => bits.ranged_words(start, n),
+            Sel::At(idxs) => pack_bits(idxs.len(), |k| !bits.get(start + idxs[k])),
+        }
+    }
 }
 
 /// The three bounds of a typed node.
@@ -535,27 +564,112 @@ impl<L> Tri<L> {
     }
 }
 
-impl<'a, T: Copy> Tri<Cow<'a, [T]>> {
-    /// A column's three batch lanes, as the selection sees them.
-    fn of(sel: Sel<'_>, [l, s, u]: [&'a [T]; 3]) -> Self {
-        Tri {
-            lb: sel.lane(l),
-            sg: sel.lane(s),
-            ub: sel.lane(u),
+/// A typed node's lanes. Where every row is a point (`lb ≡ sg ≡ ub`) one
+/// lane serves as all three bounds; otherwise three lanes, and the words
+/// of the rows that may not be points (bit `k % 64` of word `k / 64` is
+/// the `k`-th selected row; no bit past the last).
+enum Bounds<L> {
+    Point(L),
+    Ranged(Tri<L>, Vec<u64>),
+}
+
+impl<L> Bounds<L> {
+    /// Three lanes read through `lane`, or one when no row is `wide`.
+    fn of<X>(wide: Option<Vec<u64>>, [l, s, u]: [X; 3], lane: impl Fn(X) -> L) -> Self {
+        match wide {
+            None => Bounds::Point(lane(s)),
+            Some(wide) => Bounds::Ranged(
+                Tri {
+                    lb: lane(l),
+                    sg: lane(s),
+                    ub: lane(u),
+                },
+                wide,
+            ),
         }
     }
 
-    /// A literal's three bounds, each broadcast to `n` rows.
-    fn splat(n: usize, [l, s, u]: [T; 3]) -> Self {
-        Tri {
-            lb: Cow::Owned(vec![l; n]),
-            sg: Cow::Owned(vec![s; n]),
-            ub: Cow::Owned(vec![u; n]),
+    /// A literal's bounds broadcast to `n` rows through `lane`: one lane
+    /// when they are `same`, else three with every row ranged.
+    fn splat<X: Copy>(
+        n: usize,
+        [l, s, u]: [X; 3],
+        same: impl Fn(X, X) -> bool,
+        lane: impl Fn(X) -> L,
+    ) -> Self {
+        let point = same(l, s) && same(s, u);
+        Bounds::of((!point).then(|| pack_bits(n, |_| true)), [l, s, u], lane)
+    }
+
+    fn sg(&self) -> &L {
+        match self {
+            Bounds::Point(l) => l,
+            Bounds::Ranged(t, _) => &t.sg,
         }
     }
 
+    /// The three bounds, one lane thrice for a point node.
+    fn tri(&self) -> Tri<&L> {
+        match self {
+            Bounds::Point(l) => Tri {
+                lb: l,
+                sg: l,
+                ub: l,
+            },
+            Bounds::Ranged(t, _) => t.map(|l| l),
+        }
+    }
+
+    /// The rows that may not be points; `None` when every row is.
+    fn wide(&self) -> Option<&[u64]> {
+        match self {
+            Bounds::Point(_) => None,
+            Bounds::Ranged(_, wide) => Some(wide),
+        }
+    }
+
+    fn map<M>(&self, mut f: impl FnMut(&L) -> M) -> Bounds<M> {
+        match self {
+            Bounds::Point(l) => Bounds::Point(f(l)),
+            Bounds::Ranged(t, wide) => Bounds::Ranged(t.map(f), wide.clone()),
+        }
+    }
+}
+
+impl<T: Copy> Bounds<Cow<'_, [T]>> {
+    /// The three bounds as slices.
     fn slices(&self) -> Tri<&[T]> {
-        self.map(|l| &**l)
+        let t = self.tri();
+        Tri {
+            lb: t.lb,
+            sg: t.sg,
+            ub: t.ub,
+        }
+    }
+
+    /// Negation swaps the bounds.
+    fn neg(self, f: impl Fn(T) -> T) -> Bounds<Cow<'static, [T]>> {
+        match self {
+            Bounds::Point(l) => Bounds::Point(map_lane(&l, f)),
+            Bounds::Ranged(t, wide) => Bounds::Ranged(
+                Tri {
+                    lb: map_lane(&t.ub, &f),
+                    sg: map_lane(&t.sg, &f),
+                    ub: map_lane(&t.lb, &f),
+                },
+                wide,
+            ),
+        }
+    }
+}
+
+/// The rows either of two nodes may leave ranged; `None` when both are
+/// points throughout.
+fn union<'w>(a: Option<&'w [u64]>, b: Option<&'w [u64]>) -> Option<Cow<'w, [u64]>> {
+    match (a, b) {
+        (None, None) => None,
+        (Some(w), None) | (None, Some(w)) => Some(Cow::Borrowed(w)),
+        (Some(a), Some(b)) => Some(Cow::Owned(a.iter().zip(b).map(|(x, y)| x | y).collect())),
     }
 }
 
@@ -583,6 +697,10 @@ impl<'a> Dict<'a> {
         }
     }
 
+    fn codes(&self) -> (&[u32], &StrPool) {
+        (&self.codes, &self.pool)
+    }
+
     fn arc(&self, k: usize) -> Arc<str> {
         Arc::clone(self.pool.arc(self.codes[k]))
     }
@@ -590,15 +708,25 @@ impl<'a> Dict<'a> {
 
 /// The typed column-level value of one expression node over a batch.
 enum TypedVals<'a> {
-    I64(Tri<Cow<'a, [i64]>>),
-    F64(Tri<Cow<'a, [f64]>>),
+    I64(Bounds<Cow<'a, [i64]>>),
+    F64(Bounds<Cow<'a, [f64]>>),
     /// Boxed: a literal's bounds own their one-string pools.
-    Str(Box<Tri<Dict<'a>>>),
+    Str(Box<Bounds<Dict<'a>>>),
     /// Predicate node.
     Truths(TruthMasks),
 }
 
 impl TypedVals<'_> {
+    /// The rows this node may leave ranged (predicates: none asked).
+    fn wide(&self) -> Option<&[u64]> {
+        match self {
+            TypedVals::I64(t) => t.wide(),
+            TypedVals::F64(t) => t.wide(),
+            TypedVals::Str(t) => t.wide(),
+            TypedVals::Truths(_) => None,
+        }
+    }
+
     /// This node as truth masks: predicate nodes pass through; numeric
     /// and string lanes are never `Bool(true)`, so their truth-lowering
     /// (`Value::is_true` per corner) is constant `false`.
@@ -612,8 +740,9 @@ impl TypedVals<'_> {
     /// Materialize per-row [`RangeValue`]s (the root of `eval_batch` on
     /// the typed path — the only place the typed kernels box a `Value`).
     fn into_range_values(self, n: usize) -> Vec<RangeValue> {
-        fn rows<T: Copy>(t: Tri<Cow<'_, [T]>>, v: impl Fn(T) -> Value) -> Vec<RangeValue> {
-            (t.lb.iter().zip(t.sg.iter()).zip(t.ub.iter()))
+        fn rows<T: Copy>(t: &Bounds<Cow<'_, [T]>>, v: impl Fn(T) -> Value) -> Vec<RangeValue> {
+            let t = t.slices();
+            (t.lb.iter().zip(t.sg).zip(t.ub))
                 .map(|((&l, &s), &u)| RangeValue {
                     lb: v(l),
                     sg: v(s),
@@ -622,15 +751,18 @@ impl TypedVals<'_> {
                 .collect()
         }
         match self {
-            TypedVals::I64(t) => rows(t, Value::Int),
-            TypedVals::F64(t) => rows(t, Value::Float),
-            TypedVals::Str(t) => (0..n)
-                .map(|k| RangeValue {
-                    lb: Value::Str(t.lb.arc(k)),
-                    sg: Value::Str(t.sg.arc(k)),
-                    ub: Value::Str(t.ub.arc(k)),
-                })
-                .collect(),
+            TypedVals::I64(t) => rows(&t, Value::Int),
+            TypedVals::F64(t) => rows(&t, Value::Float),
+            TypedVals::Str(t) => {
+                let t = t.tri();
+                (0..n)
+                    .map(|k| RangeValue {
+                        lb: Value::Str(t.lb.arc(k)),
+                        sg: Value::Str(t.sg.arc(k)),
+                        ub: Value::Str(t.ub.arc(k)),
+                    })
+                    .collect()
+            }
             TypedVals::Truths(ts) => (0..n).map(|k| truth_to_range(ts.get(k))).collect(),
         }
     }
@@ -643,14 +775,15 @@ impl TypedVals<'_> {
     /// [`AuColumns::column_from_values`] exactly.
     fn into_column(self, n: usize) -> AuColumn {
         match self {
-            TypedVals::I64(t) => tri_column(n, t, |a, b| a == b, PhysVec::I64),
-            TypedVals::F64(t) => tri_column(
+            TypedVals::I64(t) => bounds_column(n, t, |a, b| a == b, PhysVec::I64),
+            TypedVals::F64(t) => bounds_column(
                 n,
                 t,
                 |a, b| cmp_float_float(a, b) == Ordering::Equal,
                 PhysVec::F64,
             ),
             TypedVals::Str(t) => {
+                let t = t.tri();
                 let mut lp = StrPool::new();
                 let mut sp = StrPool::new();
                 let mut up = StrPool::new();
@@ -693,14 +826,19 @@ impl TypedVals<'_> {
     }
 }
 
-/// Three bound lanes into an output column, collapsing to the certain
-/// representation when every row is a point under `eq`.
-fn tri_column<T: Copy>(
+/// A node's lanes into an output column: a point node is the certain
+/// representation; three lanes collapse to it when every row is a point
+/// under `eq`.
+fn bounds_column<T: Copy>(
     n: usize,
-    t: Tri<Cow<'_, [T]>>,
+    t: Bounds<Cow<'_, [T]>>,
     eq: impl Fn(T, T) -> bool,
     mk: impl Fn(Vec<T>) -> PhysVec,
 ) -> AuColumn {
+    let t = match t {
+        Bounds::Point(l) => return AuColumn::Certain(mk(l.into_owned())),
+        Bounds::Ranged(t, _) => t,
+    };
     let (l, s, u) = (&*t.lb, &*t.sg, &*t.ub);
     let certain = CertBitmap::from_fn(n, |k| eq(l[k], s[k]) && eq(s[k], u[k]));
     if certain.count_certain() == n {
@@ -742,12 +880,54 @@ fn map_lane<T: Copy, U: Copy>(a: &[T], f: impl Fn(T) -> U) -> Cow<'static, [U]> 
 /// Promote a numeric node to `f64` lanes for mixed arithmetic — the
 /// unconditional `as f64` promotion `numeric_binop` applies to a genuine
 /// Int/Float pair.
-fn tri_to_f64(t: TypedVals<'_>) -> Option<Tri<Cow<'_, [f64]>>> {
+fn tri_to_f64(t: TypedVals<'_>) -> Option<Bounds<Cow<'_, [f64]>>> {
     match t {
         TypedVals::F64(x) => Some(x),
         TypedVals::I64(x) => Some(x.map(|l| map_lane(l, |v| v as f64))),
         _ => None,
     }
+}
+
+/// `x + y` or `x − y` of two numeric nodes; `None` on any `i64` overflow
+/// and for a node that is not numeric.
+fn arith<'a>(
+    x: TypedVals<'a>,
+    y: TypedVals<'a>,
+    anti: bool,
+    int: fn(i64, i64) -> (i64, bool),
+    float: fn(f64, f64) -> f64,
+) -> Option<TypedVals<'a>> {
+    match (x, y) {
+        (TypedVals::I64(p), TypedVals::I64(q)) => zip_bounds(&p, &q, anti, int).map(TypedVals::I64),
+        (p, q) => {
+            let (p, q) = (tri_to_f64(p)?, tri_to_f64(q)?);
+            zip_bounds(&p, &q, anti, |s, t| (float(s, t), false)).map(TypedVals::F64)
+        }
+    }
+}
+
+/// `f` of two nodes lane by lane: the selected guesses always, the bounds
+/// only when some row may be ranged — a point `∘` a point is a point.
+/// `anti` pairs each bound with the other side's opposite one
+/// (subtraction).
+fn zip_bounds<T: Copy>(
+    x: &Bounds<Cow<'_, [T]>>,
+    y: &Bounds<Cow<'_, [T]>>,
+    anti: bool,
+    f: impl Fn(T, T) -> (T, bool) + Copy,
+) -> Option<Bounds<Cow<'static, [T]>>> {
+    let sg = zip_lanes(x.sg(), y.sg(), f)?;
+    let Some(wide) = union(x.wide(), y.wide()) else {
+        return Some(Bounds::Point(sg));
+    };
+    let (p, q) = (x.slices(), y.slices());
+    let (ql, qu) = if anti { (q.ub, q.lb) } else { (q.lb, q.ub) };
+    let tri = Tri {
+        lb: zip_lanes(p.lb, ql, f)?,
+        sg,
+        ub: zip_lanes(p.ub, qu, f)?,
+    };
+    Some(Bounds::Ranged(tri, wide.into_owned()))
 }
 
 /// Positional reads of one selection-aligned bound — a numeric slice, or
@@ -756,6 +936,8 @@ fn tri_to_f64(t: TypedVals<'_>) -> Option<Tri<Cow<'_, [f64]>>> {
 trait Elems: Copy {
     type Item: Copy;
     fn get(self, k: usize) -> Self::Item;
+    /// Elements `lo..hi`.
+    fn window(self, lo: usize, hi: usize) -> Self;
 }
 
 impl<T: Copy> Elems for &[T] {
@@ -764,14 +946,44 @@ impl<T: Copy> Elems for &[T] {
     fn get(self, k: usize) -> T {
         self[k]
     }
+    #[inline]
+    fn window(self, lo: usize, hi: usize) -> Self {
+        &self[lo..hi]
+    }
 }
 
-impl<'s> Elems for &'s Dict<'_> {
+/// A string bound: its codes and the pool they index.
+impl<'s> Elems for (&'s [u32], &'s StrPool) {
     type Item = &'s str;
     #[inline]
     fn get(self, k: usize) -> &'s str {
-        self.pool.get(self.codes[k])
+        self.1.get(self.0[k])
     }
+    #[inline]
+    fn window(self, lo: usize, hi: usize) -> Self {
+        (&self.0[lo..hi], self.1)
+    }
+}
+
+/// `f` of the `k`-th elements of `x` and `y` as bit `k`, for every `k <
+/// n`, a word at a time: each word reads two windows of at most 64
+/// elements, last to first, so the inner loop indexes within bounds it
+/// knows and shifts by one.
+fn pack_pairs<X: Elems, Y: Elems>(
+    n: usize,
+    x: X,
+    y: Y,
+    f: impl Fn(X::Item, Y::Item) -> bool,
+) -> Vec<u64> {
+    (0..n.div_ceil(64))
+        .map(|w| {
+            let (lo, hi) = (w * 64, n.min(w * 64 + 64));
+            let (x, y) = (x.window(lo, hi), y.window(lo, hi));
+            (0..hi - lo)
+                .rev()
+                .fold(0u64, |word, j| word << 1 | u64::from(f(x.get(j), y.get(j))))
+        })
+        .collect()
 }
 
 /// Typed comparison dispatch: canonicalizes `Gt`/`Ge` by swapping sides,
@@ -785,10 +997,13 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
         CmpOp::Ge => (CmpOp::Le, c, a),
         op => (op, a, c),
     };
+    let wide = union(a.wide(), c.wide());
+    let wide = wide.as_deref();
     Some(match (&a, &c) {
         (TypedVals::I64(x), TypedVals::I64(y)) => cmp_masks(
             op,
             n,
+            wide,
             x.slices(),
             y.slices(),
             |p, q| p < q,
@@ -800,6 +1015,7 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
         (TypedVals::F64(x), TypedVals::F64(y)) => cmp_masks(
             op,
             n,
+            wide,
             x.slices(),
             y.slices(),
             |p, q| cmp_float_float(p, q) == Ordering::Less,
@@ -811,6 +1027,7 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
         (TypedVals::I64(x), TypedVals::F64(y)) => cmp_masks(
             op,
             n,
+            wide,
             x.slices(),
             y.slices(),
             |p, q| cmp_int_float(p, q) == Ordering::Less,
@@ -822,6 +1039,7 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
         (TypedVals::F64(x), TypedVals::I64(y)) => cmp_masks(
             op,
             n,
+            wide,
             x.slices(),
             y.slices(),
             |p, q| cmp_int_float(q, p) == Ordering::Greater,
@@ -833,8 +1051,9 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
         (TypedVals::Str(x), TypedVals::Str(y)) => cmp_masks(
             op,
             n,
-            x.map(|d| d),
-            y.map(|d| d),
+            wide,
+            x.tri().map(|d| d.codes()),
+            y.tri().map(|d| d.codes()),
             |p, q| p < q,
             |p, q| p <= q,
             |p, q| p == q,
@@ -847,12 +1066,15 @@ fn cmp_typed(op: CmpOp, a: TypedVals<'_>, c: TypedVals<'_>, n: usize) -> Option<
 
 /// The monomorphic mask sweep (mirrors [`eval_cmp`] /
 /// `RangeValue::{lt, le, eq_range}`), 64 rows to a word: `Gt`/`Ge` must
-/// be canonicalized away by the caller. The `eq` upper bound uses the
-/// total order: `y↓ ≤ x↑ ⇔ ¬(x↑ < y↓)`.
+/// be canonicalized away by the caller. The `sg` bit is evaluated on every
+/// row, `lb` and `ub` only on the rows `wide` marks
+/// ([`TruthMasks::patched`]). The `eq` upper bound uses the total order:
+/// `y↓ ≤ x↑ ⇔ ¬(x↑ < y↓)`.
 #[allow(clippy::too_many_arguments)]
 fn cmp_masks<X: Elems, Y: Elems>(
     op: CmpOp,
     n: usize,
+    wide: Option<&[u64]>,
     x: Tri<X>,
     y: Tri<Y>,
     lt: impl Fn(X::Item, Y::Item) -> bool,
@@ -863,18 +1085,20 @@ fn cmp_masks<X: Elems, Y: Elems>(
 ) -> TruthMasks {
     let (xl, xs, xu, yl, ys, yu) = (x.lb, x.sg, x.ub, y.lb, y.sg, y.ub);
     match op {
-        CmpOp::Lt => TruthMasks {
-            lb: pack_bits(n, |k| lt(xu.get(k), yl.get(k))),
-            sg: pack_bits(n, |k| lt(xs.get(k), ys.get(k))),
-            ub: pack_bits(n, |k| lt(xl.get(k), yu.get(k))),
+        CmpOp::Lt => TruthMasks::patched(
+            pack_pairs(n, xs, ys, &lt),
             n,
-        },
-        CmpOp::Le => TruthMasks {
-            lb: pack_bits(n, |k| le(xu.get(k), yl.get(k))),
-            sg: pack_bits(n, |k| le(xs.get(k), ys.get(k))),
-            ub: pack_bits(n, |k| le(xl.get(k), yu.get(k))),
+            wide,
+            |k| lt(xu.get(k), yl.get(k)),
+            |k| lt(xl.get(k), yu.get(k)),
+        ),
+        CmpOp::Le => TruthMasks::patched(
+            pack_pairs(n, xs, ys, &le),
             n,
-        },
+            wide,
+            |k| le(xu.get(k), yl.get(k)),
+            |k| le(xl.get(k), yu.get(k)),
+        ),
         CmpOp::Eq | CmpOp::Ne => {
             let certain = |k| {
                 eq_x(xl.get(k), xs.get(k))
@@ -882,12 +1106,13 @@ fn cmp_masks<X: Elems, Y: Elems>(
                     && eq_y(yl.get(k), ys.get(k))
                     && eq_y(ys.get(k), yu.get(k))
             };
-            let ts = TruthMasks {
-                lb: pack_bits(n, |k| certain(k) && eq(xl.get(k), yl.get(k))),
-                sg: pack_bits(n, |k| eq(xs.get(k), ys.get(k))),
-                ub: pack_bits(n, |k| le(xl.get(k), yu.get(k)) && !lt(xu.get(k), yl.get(k))),
+            let ts = TruthMasks::patched(
+                pack_pairs(n, xs, ys, &eq),
                 n,
-            };
+                wide,
+                |k| certain(k) && eq(xl.get(k), yl.get(k)),
+                |k| le(xl.get(k), yu.get(k)) && !lt(xu.get(k), yl.get(k)),
+            );
             if op == CmpOp::Ne {
                 ts.not()
             } else {
@@ -1062,6 +1287,74 @@ mod tests {
             let truths = e.truth_batch(&b);
             for (i, row) in rel.rows().iter().enumerate() {
                 assert_eq!(truths.get(i), e.truth(&row.tuple), "{e:?} row {i}");
+            }
+        }
+    }
+
+    /// The patch path: `sg` packed once, `lb` and `ub` re-evaluated only
+    /// at the rows an operand leaves ranged — here every 13th row of `a`
+    /// and every 5th of `f`, whose point rows hold `-0.0` beside `0.0` —
+    /// agrees with the row semantics bit for bit at every batch offset,
+    /// word-aligned or not, and under a selection.
+    #[test]
+    fn comparisons_patch_only_ranged_rows() {
+        let n = 150;
+        let rel = AuRelation::from_rows(
+            Schema::new(["a", "c", "f"]),
+            (0..n as i64).map(|i| {
+                let a = match i % 13 {
+                    0 => rv(i - 4, i, i + 4),
+                    _ => RangeValue::certain(i),
+                };
+                let f = match i % 5 {
+                    0 => RangeValue::new(Value::Float(-1.0), Value::Float(0.5), Value::Float(2.0)),
+                    _ => RangeValue::new(Value::Float(-0.0), Value::Float(0.0), Value::Float(0.0)),
+                };
+                let tuple = AuTuple::new([a, RangeValue::certain((i * 7) % 150), f]);
+                (tuple, Mult3::ONE)
+            }),
+        );
+        let cols = rel.to_columns();
+        assert!(!cols.col(0).is_certain() && cols.col(1).is_certain());
+        let bits = match cols.col(0) {
+            AuColumn::Ranged { certain, .. } => certain,
+            AuColumn::Certain(_) => unreachable!("asserted ranged"),
+        };
+        for start in [0, 1, 63, 64, 65, 100] {
+            for len in [0, 1, 49, 50] {
+                let words = bits.ranged_words(start, len);
+                assert_eq!(words.len(), len.div_ceil(64));
+                let want = pack_bits(len, |k| !bits.get(start + k));
+                assert_eq!(words, want, "rows {start}..+{len}");
+            }
+        }
+        let (col, lit) = (RangeExpr::col, RangeExpr::lit);
+        let exprs = [
+            col(0).lt(col(1)),
+            col(0).le(col(1)),
+            col(1).cmp(CmpOp::Gt, col(0)),
+            col(0).eq(col(1)),
+            col(0).cmp(CmpOp::Ne, col(1)),
+            col(0).lt(lit(70)),
+            col(0).lt(RangeExpr::Lit(rv(60, 70, 80))),
+            RangeExpr::Add(Box::new(col(0)), Box::new(col(1))).le(lit(150)),
+            col(2).le(RangeExpr::lit(Value::Float(0.0))),
+            col(2).eq(RangeExpr::lit(Value::Float(0.0))),
+        ];
+        for size in [1, 7, 64, 65, 150] {
+            for b in cols.batches(size) {
+                let idxs: Vec<usize> = (0..b.len()).filter(|i| i % 3 != 1).collect();
+                for e in &exprs {
+                    let row = |i: usize| e.truth(&rel.rows()[b.index() * size + i].tuple);
+                    let truths = e.truth_batch(&b);
+                    for i in 0..b.len() {
+                        assert_eq!(truths.get(i), row(i), "{e:?} batch {size}·{}", b.index());
+                    }
+                    let at = e.truth_batch_at(&b, &idxs);
+                    for (k, &i) in idxs.iter().enumerate() {
+                        assert_eq!(at.get(k), row(i), "{e:?} at {i}");
+                    }
+                }
             }
         }
     }

@@ -58,7 +58,7 @@ pub mod sortkey;
 pub mod stats;
 pub mod tuple;
 
-pub use batch::{AuBatch, Batches};
+pub use batch::{AuBatch, Batches, Kept};
 pub use cmp::{tuple_lt, CmpSemantics};
 pub use columns::{AuColumn, AuColumns};
 pub use expr::{RangeExpr, TruthMasks};

@@ -216,26 +216,80 @@ impl CertBitmap {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The bits at `idxs`, in order (the gather step of a selection).
-    pub fn gather(&self, idxs: &[usize]) -> CertBitmap {
-        let mut out = CertBitmap::new();
-        out.bits.reserve(idxs.len().div_ceil(64));
-        for &i in idxs {
-            out.push(self.get(i));
+    /// The rows `start..start + n` that are *not* points, 64 to a word:
+    /// bit `k % 64` of word `k / 64` is `!get(start + k)` — the bitmap's
+    /// words shifted down to `start` and complemented, no bit past `n`.
+    pub(crate) fn ranged_words(&self, start: usize, n: usize) -> Vec<u64> {
+        debug_assert!(start + n <= self.len, "rows past the bitmap");
+        let (q, r) = (start / 64, start % 64);
+        let mut out: Vec<u64> = (0..n.div_ceil(64))
+            .map(|w| {
+                let high = match (r, self.bits.get(q + w + 1)) {
+                    (1.., Some(&next)) => next << (64 - r),
+                    _ => 0,
+                };
+                !(self.bits[q + w] >> r | high)
+            })
+            .collect();
+        if let (Some(last), 1..) = (out.last_mut(), n % 64) {
+            *last &= (1 << (n % 64)) - 1;
         }
         out
     }
 
-    /// Append every bit of `other`.
-    pub fn append(&mut self, other: &CertBitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+    /// Append the bits of `src` at `pick`: a span that starts a word on
+    /// both sides as whole words, anything else bit by bit.
+    pub(crate) fn extend_picked(&mut self, src: &CertBitmap, pick: Pick<'_>) {
+        match pick {
+            Pick::Span(start, len) if start.is_multiple_of(64) && self.len.is_multiple_of(64) => {
+                let words = &src.bits[start / 64..(start + len).div_ceil(64)];
+                self.bits.extend_from_slice(words);
+                self.len += len;
+                if let (Some(last), 1..) = (self.bits.last_mut(), self.len % 64) {
+                    *last &= (1 << (self.len % 64)) - 1;
+                }
+            }
+            _ => pick.each(|i| self.push(src.get(i))),
         }
     }
 
     /// Measured heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.bits.capacity() * 8
+    }
+}
+
+/// The rows of a stored lane to copy: `len` rows from `start`, or the row
+/// `start + i` for each batch-relative `i`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pick<'r> {
+    Span(usize, usize),
+    At(usize, &'r [usize]),
+}
+
+impl Pick<'_> {
+    /// Number of rows picked.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Pick::Span(_, len) => *len,
+            Pick::At(_, idxs) => idxs.len(),
+        }
+    }
+
+    /// `f` of every picked row, in order.
+    fn each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Pick::Span(start, len) => (start..start + len).for_each(f),
+            Pick::At(start, idxs) => idxs.iter().for_each(|&i| f(start + i)),
+        }
+    }
+
+    /// Append the picked elements of `src` to `dst`: a span in one copy.
+    fn copy<T: Copy>(self, dst: &mut Vec<T>, src: &[T]) {
+        match self {
+            Pick::Span(start, len) => dst.extend_from_slice(&src[start..start + len]),
+            Pick::At(start, idxs) => dst.extend(idxs.iter().map(|&i| src[start + i])),
+        }
     }
 }
 
@@ -434,49 +488,41 @@ impl PhysVec {
         (0..self.len()).map(|i| self.value(i)).collect()
     }
 
-    /// Copy the values at `idxs` into a fresh vector of the same layout —
-    /// primitive lanes are copied without touching a `Value`; dictionary
-    /// gathers copy codes and share the pool via `Arc` bumps.
-    pub fn gather(&self, idxs: &[usize]) -> PhysVec {
-        match self {
-            PhysVec::I64(v) => PhysVec::I64(idxs.iter().map(|&i| v[i]).collect()),
-            PhysVec::F64(v) => PhysVec::F64(idxs.iter().map(|&i| v[i]).collect()),
-            PhysVec::Str { codes, pool } => PhysVec::Str {
-                codes: idxs.iter().map(|&i| codes[i]).collect(),
-                pool: pool.clone(),
-            },
-            PhysVec::Generic(v) => PhysVec::Generic(idxs.iter().map(|&i| v[i].clone()).collect()),
+    /// Append the values of `src` at `pick`: an empty vector adopts the
+    /// source's layout — `cap` rows reserved, a dictionary starting from
+    /// the source's pool —, like layouts extend lane-wise (a dictionary
+    /// re-interns the source's strings), unlike ones demote to `Generic`.
+    pub(crate) fn extend_picked(&mut self, src: &PhysVec, pick: Pick<'_>, cap: usize) {
+        let fresh = self.is_empty();
+        if fresh {
+            *self = match src {
+                PhysVec::I64(_) => PhysVec::I64(Vec::with_capacity(cap)),
+                PhysVec::F64(_) => PhysVec::F64(Vec::with_capacity(cap)),
+                PhysVec::Str { pool, .. } => PhysVec::Str {
+                    codes: Vec::with_capacity(cap),
+                    pool: pool.clone(),
+                },
+                PhysVec::Generic(_) => PhysVec::Generic(Vec::with_capacity(cap)),
+            };
         }
-    }
-
-    /// Move every value of `other` to the end of `self`. Like layouts
-    /// extend lane-wise (dictionary appends re-intern the other pool's
-    /// codes); unlike layouts demote to `Generic` first.
-    pub fn append(&mut self, other: PhysVec) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        if other.is_empty() {
-            return;
-        }
-        match (&mut *self, other) {
-            (PhysVec::I64(a), PhysVec::I64(b)) => a.extend(b),
-            (PhysVec::F64(a), PhysVec::F64(b)) => a.extend(b),
+        match (&mut *self, src) {
+            (PhysVec::I64(a), PhysVec::I64(b)) => pick.copy(a, b),
+            (PhysVec::F64(a), PhysVec::F64(b)) => pick.copy(a, b),
+            (PhysVec::Str { codes, .. }, PhysVec::Str { codes: bc, .. }) if fresh => {
+                pick.copy(codes, bc)
+            }
             (
                 PhysVec::Str { codes, pool },
                 PhysVec::Str {
                     codes: bc,
                     pool: bp,
                 },
-            ) => codes.extend(bc.iter().map(|&c| pool.intern(bp.arc(c)))),
-            (PhysVec::Generic(a), PhysVec::Generic(b)) => a.extend(b),
-            (_, other) => {
+            ) => pick.each(|i| codes.push(pool.intern(bp.arc(bc[i])))),
+            (PhysVec::Generic(a), PhysVec::Generic(b)) => pick.each(|i| a.push(b[i].clone())),
+            _ => {
                 self.demote();
-                let mut vals = other.to_values();
-                match self {
-                    PhysVec::Generic(a) => a.append(&mut vals),
-                    _ => unreachable!("demote() produces Generic"),
+                if let PhysVec::Generic(a) = self {
+                    pick.each(|i| a.push(src.value(i)));
                 }
             }
         }
@@ -632,8 +678,9 @@ mod tests {
                 assert_eq!(&pv.value(i), v, "{vals:?} @ {i}");
             }
             assert_eq!(pv, pv.to_generic());
-            // Gather keeps the layout and the values.
-            let g = pv.gather(&[vals.len() - 1, 0]);
+            // A gather keeps the layout and the values.
+            let mut g = PhysVec::new();
+            g.extend_picked(&pv, Pick::At(0, &[vals.len() - 1, 0]), 2);
             assert_eq!(g.phys_type(), pv.phys_type());
             assert_eq!(g.value(0), vals[vals.len() - 1]);
             assert_eq!(g.value(1), vals[0]);
@@ -669,7 +716,7 @@ mod tests {
     fn append_reinterns_and_demotes() {
         let mut a = PhysVec::from_values(vec![Value::str("x"), Value::str("y")]);
         let b = PhysVec::from_values(vec![Value::str("y"), Value::str("z")]);
-        a.append(b);
+        a.extend_picked(&b, Pick::Span(0, 2), 0);
         match &a {
             PhysVec::Str { codes, pool } => {
                 assert_eq!(codes, &[0, 1, 1, 2]);
@@ -678,12 +725,20 @@ mod tests {
             _ => panic!("dictionary append stays dictionary"),
         }
         let mut a = PhysVec::from_values(vec![Value::Int(1)]);
-        a.append(PhysVec::from_values(vec![Value::str("s")]));
+        a.extend_picked(
+            &PhysVec::from_values(vec![Value::str("s")]),
+            Pick::Span(0, 1),
+            0,
+        );
         assert_eq!(a.phys_type(), PhysType::Generic);
         assert_eq!(a.to_values(), vec![Value::Int(1), Value::str("s")]);
         // Appending into an empty vector adopts the incoming layout.
         let mut e = PhysVec::new();
-        e.append(PhysVec::from_values(vec![Value::Int(9)]));
+        e.extend_picked(
+            &PhysVec::from_values(vec![Value::Int(9)]),
+            Pick::Span(0, 1),
+            1,
+        );
         assert_eq!(e.phys_type(), PhysType::I64);
     }
 
@@ -704,15 +759,33 @@ mod tests {
             CertBitmap::all_certain(64)
         );
         assert_eq!(CertBitmap::from_fn(0, |_| true), CertBitmap::new());
-        let g = bm.gather(&[0, 1, 129]);
+        let mut g = CertBitmap::new();
+        g.extend_picked(&bm, Pick::At(0, &[0, 1, 129]));
         assert_eq!((g.get(0), g.get(1), g.get(2)), (true, false, true));
         let mut all = CertBitmap::all_certain(70);
         assert_eq!(all.count_certain(), 70);
-        all.append(&g);
+        all.extend_picked(&g, Pick::Span(0, 3));
         assert_eq!(all.len(), 73);
         assert!(!all.get(71));
         assert_eq!(CertBitmap::all_certain(64).count_certain(), 64);
         assert_eq!(CertBitmap::all_certain(0).len(), 0);
+        // A span copies whole words where both sides start one — cut at
+        // its end —, else bit by bit; either way the picked bits, no more.
+        for (pre, start, len) in [
+            (0, 0, 100),
+            (0, 64, 66),
+            (64, 0, 130),
+            (0, 3, 70),
+            (5, 64, 10),
+        ] {
+            let mut out = CertBitmap::from_fn(pre, |_| true);
+            out.extend_picked(&bm, Pick::Span(start, len));
+            let want = CertBitmap::from_fn(pre + len, |i| i < pre || bm.get(start + i - pre));
+            assert_eq!(out, want, "{start}..+{len} after {pre}");
+        }
+        let mut out = CertBitmap::new();
+        out.extend_picked(&bm, Pick::At(1, &[0, 2, 128]));
+        assert_eq!(out, CertBitmap::from_fn(3, |i| i > 0), "rows 1, 3 and 129");
     }
 
     #[test]

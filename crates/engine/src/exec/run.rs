@@ -20,7 +20,9 @@ use crate::backend::Backend;
 use crate::catalog::Segment;
 use crate::error::EngineError;
 use crate::plan::{Op, Plan};
-use audb_core::{range_verdict, AuBatch, AuColumns, Mult3, TableStats, TruthMasks, ZoneVerdict};
+use audb_core::{
+    range_verdict, AuBatch, AuColumns, Kept, Mult3, TableStats, TruthMasks, ZoneVerdict,
+};
 pub use audb_native::Stages;
 use audb_native::{output_rows_bound, MAX_OUTPUT_ROWS, MAX_RANKED_ROWS};
 use audb_rel::Schema;
@@ -236,12 +238,12 @@ fn batch_verdict(
     }
 }
 
-/// Apply a fused chain of streamable operators to one columnar batch,
-/// producing the surviving (possibly reshaped) rows — as owned columns —
-/// in input order. Each `(op, output schema)` step is one vectorized
-/// column sweep over the current base (the borrowed batch view for the
-/// leading steps — zero-copy — then the owned columns of the last
-/// projection).
+/// Apply a fused chain of streamable operators to one columnar batch: the
+/// surviving (possibly reshaped) rows, in input order, as the rows
+/// [`Kept`] of their base — the borrowed batch (`None`: the chain only
+/// selects) or the owned columns of the last projection. Each `(op,
+/// output schema)` step is one vectorized column sweep over the current
+/// base.
 ///
 /// Semantics mirror the row operators the reference loop runs exactly
 /// (pinned against [`Reference`](crate::Reference) by
@@ -254,81 +256,78 @@ fn batch_verdict(
 /// * `project` drops rows whose (current) annotation is zero, then
 ///   gathers / recomputes columns — a bare column reference copies the
 ///   column instead of re-evaluating per cell.
-fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool]) -> AuColumns {
-    // Selections never copy a value: they fold into a pending selection
-    // vector (surviving batch-relative indices + filtered annotations)
-    // over the current base — the borrowed input batch, or the owned
-    // columns the last projection produced. Projections resolve the
-    // pending selection in their gather, so a `select · project` chain
-    // copies each surviving cell exactly once.
-    enum StepOut {
-        Selected(Vec<usize>, Vec<Mult3>),
-        Projected(AuColumns),
-    }
+fn apply_fused(
+    steps: &[(&Op, &Schema)],
+    batch: &AuBatch<'_>,
+    all_true: &[bool],
+    stages: &impl Stages,
+) -> (Option<AuColumns>, Kept) {
+    // Selections never copy a value: they fold into the pending rows
+    // (surviving batch-relative indices + filtered annotations) of the
+    // current base. Projections resolve them in their gather, so a
+    // `select · project` chain copies each surviving cell exactly once.
     let mut owned: Option<AuColumns> = None;
-    let mut pending: Option<(Vec<usize>, Vec<Mult3>)> = None;
+    let mut pending = Kept::All;
     for (si, (op, out_schema)) in steps.iter().enumerate() {
-        let out = {
-            let base = match &owned {
-                Some(cols) => cols.as_batch(),
-                None => *batch,
-            };
-            match op {
-                // A zone-map `AllTrue` verdict short-circuits the
-                // predicate: `Mult3::filter(TRUE)` is the identity, so the
-                // step only drops already-zero annotations (exactly the
-                // materialized select's drop rule) and never evaluates.
-                Op::Select { .. } if all_true.get(si).copied().unwrap_or(false) => {
-                    match pending.take() {
-                        Some((sel, mults)) => StepOut::Selected(sel, mults),
-                        None => {
-                            let (keep, mults) = nonzero_rows(&base);
-                            StepOut::Selected(keep, mults)
-                        }
-                    }
-                }
-                Op::Select { pred } => {
-                    let (keep, mults) = match pending.take() {
-                        // Fold into the previous selection: evaluate the
-                        // predicate over its surviving rows only and
-                        // re-filter their annotations.
-                        Some((sel, mults)) => {
-                            kept(&pred.truth_batch_at(&base, &sel), |k| (sel[k], mults[k]))
-                        }
-                        None => kept(&pred.truth_batch(&base), |i| (i, base.mult(i))),
-                    };
-                    StepOut::Selected(keep, mults)
-                }
-                Op::Project { exprs } => {
-                    let (keep, mults) = pending.take().unwrap_or_else(|| nonzero_rows(&base));
-                    let cols = exprs
-                        .iter()
-                        .map(|(e, _)| match e {
-                            // A bare column reference copies the column;
-                            // computed expressions evaluate only the kept
-                            // rows, straight into a typed output column
-                            // when the kernel stays monomorphic.
-                            audb_core::RangeExpr::Col(c) => base.gather_col(*c, &keep),
-                            computed => computed.eval_batch_column(&base, &keep),
-                        })
-                        .collect();
-                    StepOut::Projected(AuColumns::from_cols((*out_schema).clone(), cols, &mults))
-                }
-                _ => unreachable!("breakers are never fused"),
-            }
+        let base = match &owned {
+            Some(cols) => cols.as_batch(),
+            None => *batch,
         };
-        match out {
-            StepOut::Selected(keep, mults) => pending = Some((keep, mults)),
-            StepOut::Projected(cols) => owned = Some(cols),
-        }
+        let verdict = all_true.get(si).copied().unwrap_or(false);
+        pending = match (op, pending) {
+            // A zone-map `AllTrue` verdict short-circuits the predicate:
+            // `Mult3::filter(TRUE)` is the identity, so the step only
+            // drops already-zero annotations (exactly the materialized
+            // select's drop rule) and never evaluates.
+            (Op::Select { .. }, Kept::All)
+                if verdict && (0..base.len()).any(|i| base.mult(i).is_zero()) =>
+            {
+                let (keep, mults) = nonzero_rows(&base);
+                Kept::Rows(keep, mults)
+            }
+            (Op::Select { .. }, rows) if verdict => rows,
+            (Op::Select { pred }, pending) => {
+                // Fold into the previous selection: evaluate the predicate
+                // over its surviving rows only and re-filter their
+                // annotations.
+                let at = stages.mark();
+                let (keep, mults) = match pending {
+                    Kept::Rows(sel, mults) => {
+                        let truths = pred.truth_batch_at(&base, &sel);
+                        stages.stage(at, "truth_batch");
+                        kept(&truths, |k| (sel[k], mults[k]))
+                    }
+                    Kept::All => {
+                        let truths = pred.truth_batch(&base);
+                        stages.stage(at, "truth_batch");
+                        kept(&truths, |i| (i, base.mult(i)))
+                    }
+                };
+                Kept::Rows(keep, mults)
+            }
+            (Op::Project { exprs }, pending) => {
+                let (keep, mults) = match pending {
+                    Kept::Rows(keep, mults) => (keep, mults),
+                    Kept::All => nonzero_rows(&base),
+                };
+                let cols = exprs
+                    .iter()
+                    .map(|(e, _)| match e {
+                        // A bare column reference copies the column;
+                        // computed expressions evaluate only the kept
+                        // rows, straight into a typed output column when
+                        // the kernel stays monomorphic.
+                        audb_core::RangeExpr::Col(c) => base.gather_col(*c, &keep),
+                        computed => computed.eval_batch_column(&base, &keep),
+                    })
+                    .collect();
+                owned = Some(AuColumns::from_cols((*out_schema).clone(), cols, &mults));
+                Kept::All
+            }
+            _ => unreachable!("breakers are never fused"),
+        };
     }
-    match (owned, pending) {
-        // Trailing selection: resolve it with one gather from the base.
-        (Some(cols), Some((keep, mults))) => cols.as_batch().gather(&keep, &mults),
-        (None, Some((keep, mults))) => batch.gather(&keep, &mults),
-        (Some(cols), None) => cols,
-        (None, None) => unreachable!("fused chains are non-empty"),
-    }
+    (owned, pending)
 }
 
 /// The rows a selection keeps: `row(k)` names the `k`-th evaluated row
@@ -393,13 +392,16 @@ fn run_fused<S: Stages>(
     // par_map guarantees chunk `i`'s rows land before chunk `i + 1`'s, so
     // the output order is exactly the sequential one.
     let chunks = audb_par::par_map(&work, |(batch, all_true)| {
-        apply_fused(steps, batch, all_true)
+        apply_fused(steps, batch, all_true, stages)
     });
-    // Output schema of the last fused operator.
-    let mut out = AuColumns::empty(steps[steps.len() - 1].1.clone());
-    for chunk in chunks {
-        out.append(chunk);
-    }
+    // Every chunk's survivors are copied once, into the output columns of
+    // the last fused operator: from the stored batch when the chain only
+    // selects, else from the chunk's projected columns.
+    let parts = work.iter().zip(&chunks);
+    let parts = parts.map(|((batch, _), (owned, kept))| {
+        (owned.as_ref().map_or(*batch, AuColumns::as_batch), kept)
+    });
+    let out = AuColumns::gather_kept(steps[steps.len() - 1].1.clone(), parts);
     stages.batches(batches - work.len(), work.len());
     let label = || fuse_label(steps.iter().map(|(op, _)| op.name()));
     stages.op(at, label, batches, out.len());

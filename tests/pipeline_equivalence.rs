@@ -813,6 +813,63 @@ mod appended_in_pieces {
         }
     }
 
+    /// A select-only stage copies each survivor once, straight from its
+    /// stored batch. Over a clustered table registered in part and
+    /// appended to, a stage's batches are skipped, passed whole by the
+    /// zone maps — with zero-annotated rows among them, which must still
+    /// drop — or evaluated; at batch sizes 1, 64 and 4 096 the answer is
+    /// the materialized one, pruned or not, and holds no zero-annotated
+    /// row.
+    #[test]
+    fn a_selection_copies_skipped_whole_and_evaluated_batches_alike() {
+        let n = 2 * SEGMENT_ROWS + 700;
+        let rel = AuRelation::from_rows(
+            Schema::new(["id", "v"]),
+            (0..n as i64).map(|id| {
+                let v = match id % 11 {
+                    0 => RangeValue::new(id - 3, id, id + 5),
+                    _ => RangeValue::certain(id),
+                };
+                let mult = match id % 13 {
+                    0 => Mult3::ZERO,
+                    1 => Mult3::new(0, 1, 2),
+                    _ => Mult3::ONE,
+                };
+                (AuTuple::new([RangeValue::certain(id), v]), mult)
+            }),
+        );
+        let pieces = in_pieces(&rel, &[SEGMENT_ROWS + 300, SEGMENT_ROWS + 4400, n]);
+        let session = Session::with_catalog(Engine::native(), pieces);
+        for sql in [
+            "SELECT * FROM t WHERE id < 2500",
+            "SELECT * FROM t WHERE id >= 3000 AND id < 6100",
+            "SELECT * FROM t WHERE id < 7000 AND v < 5000",
+            "SELECT * FROM (SELECT * FROM t WHERE id >= 5000) WHERE v >= 100",
+            "SELECT v FROM t WHERE id < 2500",
+        ] {
+            let prepared = session.prepare(sql).expect("statement compiles");
+            let plan = prepared.plan();
+            let want = Engine::Reference.execute(plan).expect("reference runs");
+            let want = want.to_rows();
+            assert!(want.rows().iter().all(|r| !r.mult.is_zero()), "{sql}");
+            for batch_size in [1, 64, 4096] {
+                let recorder = exec::Recorder::default();
+                let pruned = exec::run_pipelined(plan, batch_size, true, &recorder);
+                let pruned = pruned.expect("pipelined run").to_rows();
+                let unpruned = exec::run_pipelined(plan, batch_size, false, &());
+                let unpruned = unpruned.expect("pipelined run").to_rows();
+                let what = format!("{sql} at batch {batch_size}");
+                assert!(pruned.bag_eq(&want), "{what}:\n{pruned}\nvs\n{want}");
+                assert_eq!(pruned.rows(), unpruned.rows(), "{what}");
+                let trace = recorder.finish();
+                assert!(
+                    trace.batches_skipped > 0 && trace.batches_scanned > 0,
+                    "{what}"
+                );
+            }
+        }
+    }
+
     fn rows(schema: &Schema, rows: &[(&[RangeValue], Mult3)]) -> AuRelation {
         AuRelation::from_rows(
             schema.clone(),

@@ -80,6 +80,23 @@ fn rv_of<S: Strategy<Value = Value> + 'static>(
     ]
 }
 
+/// Range values that are mostly points: one in twenty is drawn as
+/// [`rv_of`]'s ranged arm — the ≤ 5 % uncertainty of the paper's data,
+/// where a comparison evaluates `lb` and `ub` at those rows only.
+fn rv_sparse<S: Strategy<Value = Value> + 'static>(
+    vals: impl Fn() -> S,
+) -> impl Strategy<Value = RangeValue> {
+    (0u8..20, vals(), vals(), vals()).prop_map(|(p, a, b, c)| {
+        let mut v = [a, b, c];
+        if p != 0 {
+            return RangeValue::certain(v[0].clone());
+        }
+        v.sort_by(|x, y| x.partial_cmp(y).expect("Value order is total"));
+        let [l, s, u] = v;
+        RangeValue::new(l, s, u)
+    })
+}
+
 fn mult_strategy() -> impl Strategy<Value = Mult3> {
     prop_oneof![
         Just(Mult3::ONE),
@@ -119,10 +136,39 @@ fn typed_relation(
     })
 }
 
+/// [`typed_relation`]'s seven attributes with the ranged layouts drawn
+/// by [`rv_sparse`]: ranged columns whose rows are nearly all points.
+fn sparse_relation(
+    rows: impl Into<proptest::collection::SizeRange>,
+) -> impl Strategy<Value = AuRelation> {
+    proptest::collection::vec(
+        (
+            (
+                rv_sparse(i64_val),
+                rv_sparse(f64_val),
+                rv_sparse(str_val),
+                rv_of(mixed_val),
+            ),
+            (i64_val(), f64_val(), str_val()),
+            mult_strategy(),
+        ),
+        rows,
+    )
+    .prop_map(|rows| {
+        AuRelation::from_rows(
+            Schema::new(["i", "f", "s", "g", "ci", "cf", "cs"]),
+            rows.into_iter().map(|((a, b, c, d), (e, f, g), m)| {
+                let certain = [e, f, g].map(RangeValue::certain);
+                (AuTuple::new([a, b, c, d].into_iter().chain(certain)), m)
+            }),
+        )
+    })
+}
+
 /// A relation and the batch size to sweep it at: up to nine rows at one,
 /// three or all rows a batch, or one batch of 63, 64, 65 or 1000 rows —
 /// masks one bit short of a word, a whole word, one bit into the next,
-/// and many words.
+/// and many words — or 200 nearly-certain rows in batches of 64 or 70.
 fn sized_relation() -> impl Strategy<Value = (AuRelation, usize)> {
     prop_oneof![
         (
@@ -133,6 +179,10 @@ fn sized_relation() -> impl Strategy<Value = (AuRelation, usize)> {
         typed_relation(64).prop_map(|r| (r, 1024)),
         typed_relation(65).prop_map(|r| (r, 1024)),
         typed_relation(1000).prop_map(|r| (r, 1000)),
+        // Nearly-certain ranged columns, in batches at word-aligned and
+        // unaligned offsets of their certainty bitmaps.
+        sparse_relation(200).prop_map(|r| (r, 64)),
+        sparse_relation(200).prop_map(|r| (r, 70)),
     ]
 }
 
@@ -217,6 +267,46 @@ fn exprs() -> Vec<RangeExpr> {
         .and(RangeExpr::Not(Box::new(RangeExpr::Not(Box::new(
             col(4).le(lit(2)),
         ))))),
+        // Literals: ranged ones (every row patched), and points that are
+        // one bound under the total order but not bit for bit (`-0.0`
+        // beside `0.0`), NaN, ranged strings; in comparisons and under
+        // arithmetic.
+        col(0).lt(RangeExpr::Lit(RangeValue::new(-2i64, 0i64, 3i64))),
+        col(4).cmp(CmpOp::Ge, RangeExpr::Lit(RangeValue::new(1i64, 1i64, 2i64))),
+        col(1).le(RangeExpr::Lit(RangeValue::new(
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(0.0),
+        ))),
+        col(5).eq(RangeExpr::lit(Value::Float(f64::NAN))),
+        col(2).lt(RangeExpr::Lit(RangeValue::new(
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("b"),
+        ))),
+        RangeExpr::Add(
+            Box::new(col(4)),
+            Box::new(RangeExpr::Lit(RangeValue::new(0i64, 1i64, 2i64))),
+        )
+        .lt(col(0)),
+        RangeExpr::Sub(
+            Box::new(RangeExpr::Lit(RangeValue::new(
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Float(0.5),
+            ))),
+            Box::new(col(5)),
+        ),
+        RangeExpr::Neg(Box::new(RangeExpr::Lit(RangeValue::new(
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(0.0),
+        )))),
+        // Certain columns against each other: one lane a side, no row
+        // patched.
+        col(4).lt(col(5)),
+        col(6).cmp(CmpOp::Ne, col(6)),
+        RangeExpr::Sub(Box::new(col(4)), Box::new(col(5))).le(col(5)),
         // Fallback shapes: generic column, Mul, cross-class comparison,
         // predicate under arithmetic.
         col(3).lt(col(0)),
@@ -277,28 +367,35 @@ proptest! {
                 prop_assert_eq!(&truths, &e.truth_batch(&gb), "expr {:?}", e);
                 let want: Vec<TruthRange> = rows.iter().map(|r| e.truth(&r.tuple)).collect();
                 assert_masks(&truths, &want, &e);
-                let idxs: Vec<usize> = (0..tb.len()).step_by(2).collect();
-                let want_at: Vec<TruthRange> = idxs.iter().map(|&i| want[i]).collect();
-                assert_masks(&e.truth_batch_at(&tb, &idxs), &want_at, &e);
-                prop_assert_eq!(
-                    e.eval_batch_at(&tb, &idxs),
-                    e.eval_batch_at(&gb, &idxs),
-                    "expr {:?}", e
-                );
-                prop_assert_eq!(
-                    e.truth_batch_at(&tb, &idxs),
-                    e.truth_batch_at(&gb, &idxs),
-                    "expr {:?}", e
-                );
-                let tc = e.eval_batch_column(&tb, &idxs);
-                let gc = e.eval_batch_column(&gb, &idxs);
-                prop_assert_eq!(tc.is_certain(), gc.is_certain(), "expr {:?}", e);
-                for k in 0..idxs.len() {
+                // Selections: every other row, and two rows of three (runs
+                // that cross words unevenly).
+                let selections: [Vec<usize>; 2] = [
+                    (0..tb.len()).step_by(2).collect(),
+                    (0..tb.len()).filter(|i| i % 3 != 1).collect(),
+                ];
+                for idxs in &selections {
+                    let want_at: Vec<TruthRange> = idxs.iter().map(|&i| want[i]).collect();
+                    assert_masks(&e.truth_batch_at(&tb, idxs), &want_at, &e);
                     prop_assert_eq!(
-                        tc.range_value(k),
-                        gc.range_value(k),
-                        "expr {:?} @ {}", e, k
+                        e.eval_batch_at(&tb, idxs),
+                        e.eval_batch_at(&gb, idxs),
+                        "expr {:?}", e
                     );
+                    prop_assert_eq!(
+                        e.truth_batch_at(&tb, idxs),
+                        e.truth_batch_at(&gb, idxs),
+                        "expr {:?}", e
+                    );
+                    let tc = e.eval_batch_column(&tb, idxs);
+                    let gc = e.eval_batch_column(&gb, idxs);
+                    prop_assert_eq!(tc.is_certain(), gc.is_certain(), "expr {:?}", e);
+                    for k in 0..idxs.len() {
+                        prop_assert_eq!(
+                            tc.range_value(k),
+                            gc.range_value(k),
+                            "expr {:?} @ {}", e, k
+                        );
+                    }
                 }
             }
         }
