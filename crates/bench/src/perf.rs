@@ -65,7 +65,7 @@ use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Row counts of the cell, streaming and pruning sweeps by default.
 pub const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
@@ -735,7 +735,8 @@ pub fn measure_sort_stages(
 /// Median over the runs of each kernel stage's milliseconds, as one
 /// [`exec::Recorder`] per run hears the native executor run every plan of
 /// `plans`: summed over the plans and every window partition, in the order
-/// the stages were first reported — the same in every run.
+/// the stages were first reported — the same in every run —, and last
+/// `to_rows`, the row door (`Session::sql`'s) over each run's own outputs.
 fn stage_medians(cfg: &BenchConfig, plans: &[Plan]) -> Vec<(&'static str, f64)> {
     // Stages of a 2 048-row window last tens of microseconds: more runs.
     let small = plans[0].source_columns().len() < WINDOW_STAGE_ROWS;
@@ -746,12 +747,17 @@ fn stage_medians(cfg: &BenchConfig, plans: &[Plan]) -> Vec<(&'static str, f64)> 
     };
     let heard: Vec<_> = (0..runs)
         .map(|_| {
-            let recorder = exec::Recorder::default();
+            let (recorder, mut to_rows) = (exec::Recorder::default(), Duration::ZERO);
             for plan in plans {
                 let out = exec::run_pipelined(plan, exec::DEFAULT_BATCH_SIZE, true, &recorder);
-                std::hint::black_box(out.expect("bench plan executes"));
+                let (out, t) = (out.expect("bench plan executes"), Instant::now());
+                let rows = out.to_rows();
+                to_rows += t.elapsed();
+                std::hint::black_box(rows);
             }
-            recorder.finish().stages
+            let mut stages = recorder.finish().stages;
+            stages.push(("to_rows", to_rows));
+            stages
         })
         .collect();
     (0..heard[0].len())
@@ -1014,7 +1020,7 @@ pub fn measure_filter_stages(cfg: &BenchConfig) -> Vec<(String, f64)> {
             .map(|_| {
                 let traced = session.engine().execute_traced(prepared.plan());
                 let (_, trace) = traced.expect("filter statement runs");
-                let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+                let ms = |d: Duration| d.as_secs_f64() * 1e3;
                 let truth = trace
                     .stages
                     .iter()

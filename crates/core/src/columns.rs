@@ -318,40 +318,49 @@ impl AuColumn {
     }
 }
 
-/// One column as [`AuColumns::to_rows`] reads it: integer lanes — most
-/// cells of most results — as the slices they are, so a cell costs one
-/// dispatch and no lane lookup; anything else through the column.
-enum CellReader<'a> {
-    CertainI64(&'a [i64]),
-    RangedI64([&'a [i64]; 3]),
-    Other(&'a AuColumn),
+/// A column resolved once to what its cells are read from: its three
+/// corner lanes `[lb, sg, ub]` when every lane is `i64` — a certain
+/// column gives its one lane three times —, else the column itself, a
+/// cell at a time ([`AuColumns::to_rows`], the window sweep's items).
+#[derive(Clone, Copy)]
+pub enum Lanes<'a> {
+    /// Integer lanes, one per corner.
+    I64([&'a [i64]; 3]),
+    /// Any other layout.
+    Values(&'a AuColumn),
 }
 
-impl<'a> CellReader<'a> {
-    fn of(col: &'a AuColumn) -> Self {
+impl<'a> Lanes<'a> {
+    /// Resolve `col`'s layout.
+    pub fn of(col: &'a AuColumn) -> Self {
         match col {
-            AuColumn::Certain(PhysVec::I64(v)) => CellReader::CertainI64(v),
+            AuColumn::Certain(PhysVec::I64(v)) => Lanes::I64([v, v, v]),
             AuColumn::Ranged {
                 lb: PhysVec::I64(lb),
                 sg: PhysVec::I64(sg),
                 ub: PhysVec::I64(ub),
                 ..
-            } => CellReader::RangedI64([lb, sg, ub]),
-            other => CellReader::Other(other),
+            } => Lanes::I64([lb, sg, ub]),
+            other => Lanes::Values(other),
         }
     }
 
+    /// Cell `i` as a [`RangeValue`].
     #[inline]
-    fn range_value(&self, i: usize) -> RangeValue {
+    pub fn range_value(&self, i: usize) -> RangeValue {
         match self {
-            CellReader::CertainI64(v) => RangeValue::certain(v[i]),
-            CellReader::RangedI64([lb, sg, ub]) => RangeValue {
-                lb: Value::Int(lb[i]),
-                sg: Value::Int(sg[i]),
-                ub: Value::Int(ub[i]),
-            },
-            CellReader::Other(col) => col.range_value(i),
+            Lanes::I64(lanes) => int_cell(lanes, i),
+            Lanes::Values(col) => col.range_value(i),
         }
+    }
+}
+
+#[inline]
+fn int_cell([lb, sg, ub]: &[&[i64]; 3], i: usize) -> RangeValue {
+    RangeValue {
+        lb: Value::Int(lb[i]),
+        sg: Value::Int(sg[i]),
+        ub: Value::Int(ub[i]),
     }
 }
 
@@ -444,16 +453,30 @@ impl AuColumns {
     /// Materialize back to the row representation, preserving the
     /// normalized flag (the inverse of [`AuColumns::from_relation`]).
     /// Row-major: each tuple is allocated at its arity and filled once, in
-    /// one pass over the row — no tuple is revisited per column — through
-    /// readers that resolved each column's layout before the first row.
+    /// one pass over the row, from [`Lanes`] resolved before the first
+    /// row. Where every lane is `i64` — a sort's or a window's answer over
+    /// integers, positions included — one loop reads them with no
+    /// per-cell layout dispatch, which costs more than the reads.
     pub fn to_rows(&self) -> AuRelation {
-        let readers: Vec<CellReader<'_>> = self.cols.iter().map(CellReader::of).collect();
-        let rows = (0..self.len)
-            .map(|i| AuRow {
-                tuple: AuTuple(readers.iter().map(|r| r.range_value(i)).collect()),
-                mult: self.mult(i),
+        let lanes: Vec<Lanes<'_>> = self.cols.iter().map(Lanes::of).collect();
+        let ints: Vec<[&[i64]; 3]> = (lanes.iter())
+            .filter_map(|l| match l {
+                Lanes::I64(l) => Some(*l),
+                Lanes::Values(_) => None,
             })
             .collect();
+        let row = |i, tuple| AuRow {
+            tuple: AuTuple(tuple),
+            mult: self.mult(i),
+        };
+        let rows = match ints.len() == lanes.len() {
+            true => (0..self.len)
+                .map(|i| row(i, ints.iter().map(|l| int_cell(l, i)).collect()))
+                .collect(),
+            false => (0..self.len)
+                .map(|i| row(i, lanes.iter().map(|l| l.range_value(i)).collect()))
+                .collect(),
+        };
         AuRelation::from_parts(self.schema.clone(), rows, self.normalized)
     }
 

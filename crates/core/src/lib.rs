@@ -60,7 +60,7 @@ pub mod tuple;
 
 pub use batch::{AuBatch, Batches, Kept};
 pub use cmp::{tuple_lt, CmpSemantics};
-pub use columns::{AuColumn, AuColumns};
+pub use columns::{AuColumn, AuColumns, Lanes};
 pub use expr::{RangeExpr, TruthMasks};
 pub use mult::{Mult3, MultOverflow};
 pub use ops::aggregate::aggregate as au_aggregate;

@@ -193,7 +193,9 @@ impl Session {
     }
 
     /// Parse, bind and execute one statement — the library's row door:
-    /// the columnar result is transposed here, once.
+    /// the columnar result is transposed here, once ([`AuColumns::to_rows`]:
+    /// one loop over the lanes where every column is integer, as a sort's
+    /// or a window's answer over integers is, else a reader per cell).
     pub fn sql(&self, sql: &str) -> Result<AuRelation, SessionError> {
         let prepared = self.prepare(sql)?;
         Ok(self.execute(&prepared)?.to_rows())

@@ -112,7 +112,7 @@ use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::Stages;
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
-    KeyArena, Mult3, RangeValue, WinAgg,
+    KeyArena, Lanes, Mult3, RangeValue, WinAgg,
 };
 use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{Schema, Value};
@@ -495,15 +495,15 @@ impl WindowMaintain {
             self.total_ub += p.mult.ub;
         }
         // The one time the input is read: the aggregated attribute's range,
-        // straight from the lanes.
-        let attr = self.agg.input_col().map(|c| cols.col(c));
+        // straight from the lanes, resolved once.
+        let attr = self.agg.input_col().map(|c| Lanes::of(cols.col(c)));
         for p in &pos {
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
                 thi: p.tau_ub as i64 + off_ub,
                 attr: attr.map_or_else(
                     || RangeValue::certain(1i64),
-                    |col| col.range_value(p.row as usize),
+                    |lanes| lanes.range_value(p.row as usize),
                 ),
                 cert: p.mult.lb >= 1,
                 in_sg: p.mult.sg >= 1,

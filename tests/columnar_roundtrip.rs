@@ -11,9 +11,14 @@
 //!   `eval_batch_at`) agree with per-row `eval` / `truth` on every row,
 //!   every batch size, and every expression shape — including the
 //!   predicate-in-arithmetic and comparison-of-predicates corners the
-//!   typed tier declines.
+//!   typed tier declines;
+//! * `to_rows` reads every cell as its column does, through the one loop
+//!   over all-`i64` lanes and the per-cell reader beside other layouts.
 
-use audb::core::{AuColumns, AuRelation, AuRow, AuTuple, Mult3, RangeExpr, RangeValue, SortKey};
+use audb::core::{
+    AuColumn, AuColumns, AuRelation, AuRow, AuTuple, Mult3, PhysType, RangeExpr, RangeValue,
+    SortKey,
+};
 use audb::rel::{CmpOp, Schema, Value};
 use proptest::prelude::*;
 
@@ -107,23 +112,26 @@ fn normalize_by_whole_row_keys(rel: &AuRelation) -> Vec<AuRow> {
     out
 }
 
+/// A certain integer.
+fn certain_int() -> impl Strategy<Value = RangeValue> {
+    (-5i64..5).prop_map(RangeValue::certain)
+}
+
+/// An integer range, now and then a point.
+fn ranged_int() -> impl Strategy<Value = RangeValue> {
+    (0i64..9, 0i64..4, 0i64..4)
+        .prop_map(|(lb, d1, d2)| RangeValue::new(lb, lb + d1.min(d2), lb + d1.max(d2)))
+}
+
 /// Numeric-only relations for expression parity (arithmetic over
 /// mixed-type values has partial semantics either way; the kernels must
 /// agree wherever the row path is defined).
 fn numeric_au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
-    fn num_rv() -> impl Strategy<Value = RangeValue> {
-        (0i64..9, 0i64..4, 0i64..4)
-            .prop_map(|(lb, d1, d2)| RangeValue::new(lb, lb + d1.min(d2), lb + d1.max(d2)))
-    }
     proptest::collection::vec(
         (
             (
-                prop_oneof![
-                    (-5i64..5).prop_map(RangeValue::certain),
-                    (-5i64..5).prop_map(RangeValue::certain),
-                    num_rv(),
-                ],
-                num_rv(),
+                prop_oneof![certain_int(), certain_int(), ranged_int()],
+                ranged_int(),
             ),
             mult_strategy(),
         ),
@@ -136,6 +144,56 @@ fn numeric_au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
                 .map(|((a, b), m)| (AuTuple::new([a, b]), m)),
         )
     })
+}
+
+/// `(a, b, c)` over [`numeric_au_relation`]'s integers: `a` certain, `b`
+/// certain or ranged row by row, `c` ranged — every lane `i64`.
+fn integer_au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
+    let row = (
+        certain_int(),
+        prop_oneof![certain_int(), ranged_int()],
+        ranged_int(),
+    );
+    proptest::collection::vec((row, mult_strategy()), 0..=max_rows).prop_map(|rows| {
+        AuRelation::from_rows(
+            Schema::new(["a", "b", "c"]),
+            rows.into_iter()
+                .map(|((a, b, c), m)| (AuTuple::new([a, b, c]), m)),
+        )
+    })
+}
+
+/// `(a, b)`: `a` an integer, certain or ranged, beside `b`, never an
+/// integer: a `Float` (a point or a range), a `Str`, `NULL`, or a range
+/// from `NULL`.
+fn int_beside_other(max_rows: usize) -> impl Strategy<Value = AuRelation> {
+    let other = prop_oneof![
+        (-8i64..8).prop_map(|i| RangeValue::certain(i as f64 / 2.0)),
+        (-8i64..8).prop_map(|i| RangeValue::new(i as f64 / 2.0, i as f64 / 2.0 + 0.5, 4.5)),
+        (0u8..3).prop_map(|c| RangeValue::certain(Value::str(["", "a", "bb"][c as usize]))),
+        Just(RangeValue::certain(Value::Null)),
+        (0i64..4).prop_map(|i| RangeValue::new(Value::Null, Value::Float(i as f64), i)),
+    ];
+    let row = (prop_oneof![certain_int(), ranged_int()], other);
+    proptest::collection::vec((row, mult_strategy()), 1..=max_rows).prop_map(|rows| {
+        AuRelation::from_rows(
+            Schema::new(["a", "b"]),
+            rows.into_iter()
+                .map(|((a, b), m)| (AuTuple::new([a, b]), m)),
+        )
+    })
+}
+
+/// `cols.to_rows()` is `(cols.tuple(i), cols.mult(i))` row by row — each
+/// cell read through its column — and keeps `cols`' normalized flag.
+fn rows_are_the_cells(cols: &AuColumns) {
+    let rows = cols.to_rows();
+    assert_eq!(rows.len(), cols.len());
+    assert_eq!(rows.is_normalized(), cols.is_normalized());
+    for (i, row) in rows.rows().iter().enumerate() {
+        assert_eq!(row.tuple, cols.tuple(i), "row {i}");
+        assert_eq!(row.mult, cols.mult(i), "row {i}");
+    }
 }
 
 /// Expression shapes covering every `RangeExpr` node, including the
@@ -195,6 +253,35 @@ proptest! {
             pushed.push_row(&row.tuple, row.mult);
         }
         prop_assert_eq!(pushed.to_rows().rows(), rel.rows());
+    }
+
+    /// Where every lane is `i64` — certain columns, ranged ones, zero rows,
+    /// as stored and normalized — `to_rows` reads the lanes' cells.
+    #[test]
+    fn integer_lanes_transpose_to_their_cells(rel in integer_au_relation(10)) {
+        let int = AuColumn::from_i64_lanes(vec![], vec![], vec![]);
+        let none = AuColumns::from_cols(rel.schema.clone(), vec![int; 3], &[]);
+        let kept = rel.to_columns().gather(&[], &[]);
+        for cols in [rel.to_columns(), rel.normalize().to_columns(), none, kept] {
+            // Only a relation columnarized from no row has `Value` lanes.
+            let lanes = cols.col_phys_types();
+            let ints = lanes.iter().all(|&t| t == PhysType::I64);
+            prop_assert!(ints || cols.is_empty(), "{:?}", lanes);
+            rows_are_the_cells(&cols);
+        }
+    }
+
+    /// An integer column beside a `Float`, `Str` or `NULL` one: `to_rows`
+    /// reads each cell through its own column's lanes.
+    #[test]
+    fn integer_lanes_beside_others_transpose_to_their_cells(rel in int_beside_other(10)) {
+        // Normalizing may drop every row (all annotated zero).
+        let normalized = Some(rel.clone().normalize()).filter(|rel| !rel.is_empty());
+        for cols in std::iter::once(&rel).chain(&normalized).map(AuRelation::to_columns) {
+            prop_assert_eq!(cols.col(0).phys_type(), PhysType::I64);
+            prop_assert_ne!(cols.col(1).phys_type(), PhysType::I64);
+            rows_are_the_cells(&cols);
+        }
     }
 
     /// Columnar normalize ≡ row normalize, exactly (row order included),

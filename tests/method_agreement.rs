@@ -1171,7 +1171,10 @@ fn columnar_sort_and_topk_equal_the_row_reference() {
 /// frame, with and without a (certain) `PARTITION BY`, over `i64`, generic
 /// and Int-admitted-`f64` lanes, as stored (zero annotations present: the
 /// fused merge runs) and normalized first, identical hypercubes stored
-/// apart included. An uncertain partition value is answered alike.
+/// apart included. An uncertain partition value is answered alike. The
+/// sweep reads the aggregated attribute through its `Lanes`: the `i64`
+/// tables take the integer arm, the `NULL` and `f64` ones the per-cell arm,
+/// and `COUNT(*)` reads no attribute.
 #[test]
 fn columnar_window_equals_the_row_reference() {
     use audb::core::PhysType;
