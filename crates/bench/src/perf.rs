@@ -15,7 +15,7 @@
 //!   at n ∈ {1k, 4k, 16k} by default (`--sizes` overrides);
 //! * **footprints** — the measured per-row heap bytes of each cell's AU
 //!   input in the row, generic-columnar and typed-columnar layouts;
-//! * **kernel sweeps** — `truth_batch` / `eval_batch` on typed lanes against
+//! * **kernel sweeps** — `truth_batch` / `eval_batch_column` on typed lanes against
 //!   the same columns demoted to generic `Value` lanes, which the kernels
 //!   leave to the row semantics, cell by cell;
 //! * **streaming** — a window subscription, and a `LIMIT 10` one, each
@@ -260,7 +260,8 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
 #[derive(Clone, Debug)]
 pub struct KernelSweep {
     /// `truth_batch` (the `sort_sel` selection predicate), `eval_batch`
-    /// (its computed projection) or `conjunction` (two column compares).
+    /// (its computed projection, `eval_batch_column` over every row) or
+    /// `conjunction` (two column compares).
     pub kernel: &'static str,
     /// Input rows per sweep.
     pub n: usize,
@@ -273,7 +274,7 @@ pub struct KernelSweep {
 
 /// Time the vectorized kernels of the `sort_sel` plan's expressions —
 /// the selection predicate through `truth_batch` and the computed
-/// projection through `eval_batch` — and `filter_scan`'s conjunction of
+/// projection through `eval_batch_column` — and `filter_scan`'s conjunction of
 /// two column-vs-column compares, per executor batch, on typed vs
 /// demoted-generic columns of the same relation.
 pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
@@ -302,8 +303,9 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     sweep("truth_batch", &mut |cols| {
         std::hint::black_box(pred.truth_batch(&cols.as_batch()));
     });
+    let all: Vec<usize> = (0..n).collect();
     sweep("eval_batch", &mut |cols| {
-        std::hint::black_box(proj.eval_batch(&cols.as_batch()));
+        std::hint::black_box(proj.eval_batch_column(&cols.as_batch(), &all));
     });
     sweep("conjunction", &mut |cols| {
         for b in cols.batches(exec::DEFAULT_BATCH_SIZE) {

@@ -13,7 +13,7 @@
 //!
 //! The view adds no ownership and no copying — [`AuColumns::batches`] is
 //! just a schema-carrying range chunking. The vectorized expression
-//! kernels over batches ([`crate::RangeExpr::eval_batch`] /
+//! kernels over batches ([`crate::RangeExpr::eval_batch_column`] /
 //! [`crate::RangeExpr::truth_batch`]) live in [`crate::expr`]: they sweep
 //! typed lanes through [`AuBatch::corner`], and an expression the lanes
 //! cannot carry reads its cells one at a time through
@@ -255,11 +255,11 @@ mod tests {
         let b = cols.as_batch();
         let e = RangeExpr::col(0).le(RangeExpr::lit(2));
         let truths = e.truth_batch(&b);
-        let vals = RangeExpr::col(0).eval_batch(&b);
+        let vals = RangeExpr::col(0).eval_batch_column(&b, &[0, 1, 2, 3, 4]);
         assert_eq!(truths.len(), 5);
         for (i, row) in r.rows().iter().enumerate() {
             assert_eq!(truths.get(i), e.truth(&row.tuple));
-            assert_eq!(vals[i], *row.tuple.get(0));
+            assert_eq!(vals.range_value(i), *row.tuple.get(0));
         }
     }
 

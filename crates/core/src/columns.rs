@@ -7,7 +7,7 @@
 //! **single** vector when the column is certain (`lb ≡ sg ≡ ub`, the
 //! common case for keys and dimensions) — plus three flat `u64`
 //! multiplicity vectors for the `ℕ³` annotations. Batch kernels
-//! ([`crate::batch`], `RangeExpr::{eval_batch, truth_batch}`,
+//! ([`crate::batch`], `RangeExpr::{eval_batch_column, truth_batch}`,
 //! [`AuColumns::normalize`]) sweep these vectors directly instead of
 //! materializing per-row tuples; where an expression's lanes are not
 //! typed, it reads the cells it names one at a time, never a whole row.
@@ -19,7 +19,10 @@
 //! `Vec<Value>` — see [`crate::physical`] for the layouts and inference
 //! rules. Ranged columns additionally carry a [`CertBitmap`] marking the
 //! rows whose range is a single point, so equality kernels answer
-//! per-row certainty without re-comparing the lanes.
+//! per-row certainty without re-comparing the lanes. A column is built
+//! from values by [`AuColumns::column_from_values`] and from typed lanes
+//! by [`AuColumn::from_lanes`]; both collapse to the certain fast path by
+//! one rule — every row a point.
 //!
 //! Unlike the historical `pub rows` field on [`AuRelation`], every field
 //! here is private: mutation goes through [`AuColumns::push_row`] /
@@ -41,7 +44,8 @@ use crate::range_value::RangeValue;
 use crate::relation::{canonical_order, AuRelation, AuRow};
 use crate::sortkey::{Corner, PrefixReader, SortKey};
 use crate::tuple::AuTuple;
-use audb_rel::{Schema, Value};
+use audb_rel::{cmp_float_float, Schema, Value};
+use std::cmp::Ordering;
 use std::fmt;
 
 pub(crate) use crate::physical::value_heap_bytes;
@@ -142,20 +146,36 @@ impl AuColumn {
         }
     }
 
-    /// An integer column from its three bound lanes (the sort's position
-    /// column: the sweep fills them) — no `Value` is built. The certainty
-    /// bits are read off the lanes in one pass; the column collapses to
-    /// the certain fast path when every row is a point.
-    pub fn from_i64_lanes(lb: Vec<i64>, sg: Vec<i64>, ub: Vec<i64>) -> AuColumn {
+    /// A column from its three bound lanes `[lb, sg, ub]` — the sort's
+    /// position column, a typed projection, a loaded integer attribute:
+    /// `i64` and `f64` lanes build no `Value`. The certainty bits are read
+    /// off the lanes in one pass under `Value` equality (for floats
+    /// `cmp_float_float`: NaN ≡ NaN, `-0.0 ≡ 0.0`); the column collapses to
+    /// the certain fast path when every row is a point, the rule
+    /// [`AuColumns::column_from_values`] applies to values.
+    pub fn from_lanes([lb, sg, ub]: [PhysVec; 3]) -> AuColumn {
         debug_assert!(lb.len() == sg.len() && sg.len() == ub.len());
-        let certain = CertBitmap::from_fn(sg.len(), |i| lb[i] == sg[i] && sg[i] == ub[i]);
-        if certain.count_certain() == certain.len() {
-            return AuColumn::Certain(PhysVec::I64(sg));
+        let n = sg.len();
+        let certain = match (&lb, &sg, &ub) {
+            (PhysVec::I64(l), PhysVec::I64(s), PhysVec::I64(u)) => {
+                CertBitmap::from_fn(n, |i| l[i] == s[i] && s[i] == u[i])
+            }
+            (PhysVec::F64(l), PhysVec::F64(s), PhysVec::F64(u)) => {
+                let eq = |a, b| cmp_float_float(a, b) == Ordering::Equal;
+                CertBitmap::from_fn(n, |i| eq(l[i], s[i]) && eq(s[i], u[i]))
+            }
+            _ => CertBitmap::from_fn(n, |i| {
+                let s = sg.value(i);
+                lb.value(i) == s && s == ub.value(i)
+            }),
+        };
+        if certain.count_certain() == n {
+            return AuColumn::Certain(sg);
         }
         AuColumn::Ranged {
-            lb: PhysVec::I64(lb),
-            sg: PhysVec::I64(sg),
-            ub: PhysVec::I64(ub),
+            lb,
+            sg,
+            ub,
             certain,
         }
     }
@@ -754,11 +774,7 @@ impl AuColumns {
             self.len,
             |row| self.mult(row),
             |row| prefix.at(row),
-            |keys, row| keys.extend_corner_at(&self, row, Corner::Lb, &all),
-            |keys, row| {
-                keys.extend_corner_at(&self, row, Corner::Ub, &all);
-                keys.extend_corner_at(&self, row, Corner::Sg, &all);
-            },
+            |keys, row, corner| keys.extend_corner_at(&self, row, corner, &all),
         )?
         .into_iter()
         .unzip();
@@ -934,8 +950,9 @@ mod tests {
     #[test]
     fn gather_extended_appends_the_computed_column() {
         let cols = sample().to_columns();
-        let lanes = |v: [i64; 3]| v.to_vec();
-        let pos = AuColumn::from_i64_lanes(lanes([0, 1, 3]), lanes([0, 2, 3]), lanes([0, 2, 3]));
+        let ints =
+            |lanes: [[i64; 3]; 3]| AuColumn::from_lanes(lanes.map(|l| PhysVec::I64(l.into())));
+        let pos = ints([[0, 1, 3], [0, 2, 3], [0, 2, 3]]);
         assert!(!pos.is_certain() && pos.certain_at(0) && !pos.certain_at(1) && pos.certain_at(2));
         let mults = [vec![1, 0, 0], vec![1, 1, 0], vec![1, 1, 1]];
         let out = cols.gather_extended(&[1, 1, 0], mults, "pos", pos);
@@ -947,9 +964,27 @@ mod tests {
         assert_eq!(rows.rows()[1].mult, Mult3::new(0, 1, 1));
         assert_eq!(rows.rows()[2].tuple.get(0), &rv(1, 2, 3));
         assert_eq!(rows.rows()[2].mult, Mult3::new(0, 0, 1));
-        let all = AuColumn::from_i64_lanes(lanes([4, 5, 6]), lanes([4, 5, 6]), lanes([4, 5, 6]));
+        let all = ints([[4, 5, 6]; 3]);
         assert!(all.is_certain());
         assert_eq!(all.range_value(2), RangeValue::certain(6i64));
+    }
+
+    /// `from_lanes` reads pointness by `Value` equality on every layout:
+    /// `-0.0 ≡ 0.0` and NaN ≡ NaN are points, and so is an `Int` between
+    /// equal `Float`s.
+    #[test]
+    fn from_lanes_collapses_by_value_equality() {
+        let f = |v: [f64; 2]| PhysVec::F64(v.into());
+        let nan = f64::NAN;
+        let points = AuColumn::from_lanes([f([-0.0, nan]), f([0.0, -nan]), f([0.0, nan])]);
+        assert!(points.is_certain());
+        let g = |v: [Value; 2]| PhysVec::Generic(v.into());
+        let mixed = AuColumn::from_lanes([
+            g([Value::Float(1.0), Value::Null]),
+            g([Value::Int(1), Value::Null]),
+            g([Value::Float(1.0), Value::Int(2)]),
+        ]);
+        assert!(!mixed.is_certain() && mixed.certain_at(0) && !mixed.certain_at(1));
     }
 
     /// `assume_canonical` takes the caller's word in release builds and

@@ -12,9 +12,10 @@
 //! (`eval_with` / `truth_with`): [`RangeExpr::eval`] and
 //! [`RangeExpr::truth`] read a tuple's cells, and it is the oracle.
 //!
-//! The batch kernels (`eval_batch` / `truth_batch` / `eval_batch_at` /
-//! `eval_batch_column`) try a **typed fast path** first: when every
-//! attribute the expression touches has typed physical lanes
+//! The batch kernels — one value door, [`RangeExpr::eval_batch_column`],
+//! and the predicate doors [`RangeExpr::truth_batch`] /
+//! [`RangeExpr::truth_batch_at`] — try a **typed fast path** first: when
+//! every attribute the expression touches has typed physical lanes
 //! ([`crate::physical`]) and every node is expressible over them, the
 //! whole expression lowers to monomorphic sweeps over `i64` / `f64` /
 //! dictionary-code slices. Every lane of a typed node follows the
@@ -38,11 +39,13 @@
 //! semantics would promote to float, a comparison of predicates), the
 //! whole expression falls back to the **row semantics, cell by cell**:
 //! per selected row, the same recursion reads only the cells the
-//! expression names (`AuBatch::range_value`), and a predicate's triples
-//! are packed into the same masks. Typed ≡ row parity is property-pinned in
-//! `tests/typed_columns.rs`; the exact `Value` semantics the typed loops
-//! must reproduce (NaN ordering, `-0.0`, int–float cross comparison) are
-//! [`audb_rel::cmp_float_float`] / [`audb_rel::cmp_int_float`].
+//! expression names (`AuBatch::range_value`); a value's cells become a
+//! column through [`AuColumns::column_from_values`] and a predicate's
+//! triples are packed into the same masks. Typed ≡ row parity is
+//! property-pinned in `tests/typed_columns.rs`; the exact `Value`
+//! semantics the typed loops must reproduce (NaN ordering, `-0.0`,
+//! int–float cross comparison) are [`audb_rel::cmp_float_float`] /
+//! [`audb_rel::cmp_int_float`].
 
 use crate::batch::AuBatch;
 use crate::columns::{AuColumn, AuColumns};
@@ -195,33 +198,6 @@ impl RangeExpr {
         }
     }
 
-    /// Evaluate the expression over every row of a columnar batch,
-    /// producing one [`RangeValue`] per row (in row order).
-    ///
-    /// This is the vectorized twin of [`RangeExpr::eval`]: typed lanes
-    /// evaluate monomorphically, anything else runs the row semantics
-    /// cell by cell (see the module docs). Row/columnar parity is pinned
-    /// by property tests in `tests/columnar_roundtrip.rs` and
-    /// `tests/typed_columns.rs`.
-    pub fn eval_batch(&self, b: &AuBatch<'_>) -> Vec<RangeValue> {
-        self.eval_batch_sel(b, Sel::All(b.len()))
-    }
-
-    /// Evaluate the expression over the rows of a columnar batch at the
-    /// given batch-relative indices only, producing one [`RangeValue`]
-    /// per index (aligned with `idxs`). The fused executor uses this to
-    /// compute projections only for the rows a preceding selection kept.
-    pub fn eval_batch_at(&self, b: &AuBatch<'_>, idxs: &[usize]) -> Vec<RangeValue> {
-        self.eval_batch_sel(b, Sel::At(idxs))
-    }
-
-    fn eval_batch_sel(&self, b: &AuBatch<'_>, sel: Sel<'_>) -> Vec<RangeValue> {
-        match self.eval_typed(b, sel) {
-            Some(tv) => tv.into_range_values(sel.count()),
-            None => sel.map(|i| self.eval_with(&|c| b.range_value(c, i))),
-        }
-    }
-
     /// Evaluate the expression as a predicate over every row of a
     /// columnar batch: bit `i` of the masks is row `i`'s truth triple. On
     /// typed lanes, predicate roots (comparisons, boolean connectives)
@@ -248,17 +224,23 @@ impl RangeExpr {
         }
     }
 
-    /// Evaluate a computed projection straight into an output
-    /// [`AuColumn`] for the rows at `idxs`: the typed path builds typed
-    /// lanes (and the certainty bitmap) directly — no [`RangeValue`] is
-    /// ever materialized between the kernel and the output column — and
-    /// the fallback routes through [`AuColumns::column_from_values`].
-    /// Collapses to the certain fast path exactly when every produced
-    /// cell is a point, matching the fallback's rule.
+    /// Evaluate the expression over the rows of a columnar batch at the
+    /// given batch-relative indices, into one [`AuColumn`] whose row `k`
+    /// is the row at `idxs[k]` — the one value door of the batch kernels
+    /// (the fused executor's computed projections). Numeric typed lanes
+    /// become the column's lanes, certainty bits read off them
+    /// ([`AuColumn::from_lanes`]), with no [`RangeValue`] built; strings,
+    /// a predicate's truths and the row semantics' values go through
+    /// [`AuColumns::column_from_values`]. Either way the column collapses
+    /// to the certain fast path exactly when every cell is a point.
     pub fn eval_batch_column(&self, b: &AuBatch<'_>, idxs: &[usize]) -> AuColumn {
         match self.eval_typed(b, Sel::At(idxs)) {
             Some(tv) => tv.into_column(idxs.len()),
-            None => AuColumns::column_from_values(self.eval_batch_at(b, idxs)),
+            None => AuColumns::column_from_values(
+                (idxs.iter())
+                    .map(|&i| self.eval_with(&|c| b.range_value(c, i)))
+                    .collect(),
+            ),
         }
     }
 
@@ -737,22 +719,22 @@ impl TypedVals<'_> {
         }
     }
 
-    /// Materialize per-row [`RangeValue`]s (the root of `eval_batch` on
-    /// the typed path — the only place the typed kernels box a `Value`).
-    fn into_range_values(self, n: usize) -> Vec<RangeValue> {
-        fn rows<T: Copy>(t: &Bounds<Cow<'_, [T]>>, v: impl Fn(T) -> Value) -> Vec<RangeValue> {
-            let t = t.slices();
-            (t.lb.iter().zip(t.sg).zip(t.ub))
-                .map(|((&l, &s), &u)| RangeValue {
-                    lb: v(l),
-                    sg: v(s),
-                    ub: v(u),
-                })
-                .collect()
+    /// Build the output [`AuColumn`] of a computed projection: numeric
+    /// lanes become its lanes ([`AuColumn::from_lanes`]; a point node is
+    /// the certain representation); strings and truths are cells for
+    /// [`AuColumns::column_from_values`].
+    fn into_column(self, n: usize) -> AuColumn {
+        fn lanes<T: Copy>(t: Bounds<Cow<'_, [T]>>, lane: fn(Vec<T>) -> PhysVec) -> AuColumn {
+            match t {
+                Bounds::Point(l) => AuColumn::Certain(lane(l.into_owned())),
+                Bounds::Ranged(t, _) => {
+                    AuColumn::from_lanes([t.lb, t.sg, t.ub].map(|l| lane(l.into_owned())))
+                }
+            }
         }
-        match self {
-            TypedVals::I64(t) => rows(&t, Value::Int),
-            TypedVals::F64(t) => rows(&t, Value::Float),
+        let cells: Vec<RangeValue> = match self {
+            TypedVals::I64(t) => return lanes(t, PhysVec::I64),
+            TypedVals::F64(t) => return lanes(t, PhysVec::F64),
             TypedVals::Str(t) => {
                 let t = t.tri();
                 (0..n)
@@ -764,92 +746,8 @@ impl TypedVals<'_> {
                     .collect()
             }
             TypedVals::Truths(ts) => (0..n).map(|k| truth_to_range(ts.get(k))).collect(),
-        }
-    }
-
-    /// Build the output [`AuColumn`] of a computed projection directly
-    /// from the typed lanes, with the certainty bitmap read off them.
-    /// Per-row certainty uses the type's `Value`-equality
-    /// (`cmp_float_float == Equal` for floats — NaN ≡ NaN, `-0.0 ≡ 0.0`),
-    /// so the certain-collapse decision matches
-    /// [`AuColumns::column_from_values`] exactly.
-    fn into_column(self, n: usize) -> AuColumn {
-        match self {
-            TypedVals::I64(t) => bounds_column(n, t, |a, b| a == b, PhysVec::I64),
-            TypedVals::F64(t) => bounds_column(
-                n,
-                t,
-                |a, b| cmp_float_float(a, b) == Ordering::Equal,
-                PhysVec::F64,
-            ),
-            TypedVals::Str(t) => {
-                let t = t.tri();
-                let mut lp = StrPool::new();
-                let mut sp = StrPool::new();
-                let mut up = StrPool::new();
-                let mut lc = Vec::with_capacity(n);
-                let mut sc = Vec::with_capacity(n);
-                let mut uc = Vec::with_capacity(n);
-                let mut certain = CertBitmap::new();
-                for k in 0..n {
-                    let (l, s, u) = (t.lb.arc(k), t.sg.arc(k), t.ub.arc(k));
-                    certain.push(l == s && s == u);
-                    lc.push(lp.intern(&l));
-                    sc.push(sp.intern(&s));
-                    uc.push(up.intern(&u));
-                }
-                if certain.count_certain() == n {
-                    AuColumn::Certain(PhysVec::Str {
-                        codes: sc,
-                        pool: sp,
-                    })
-                } else {
-                    AuColumn::Ranged {
-                        lb: PhysVec::Str {
-                            codes: lc,
-                            pool: lp,
-                        },
-                        sg: PhysVec::Str {
-                            codes: sc,
-                            pool: sp,
-                        },
-                        ub: PhysVec::Str {
-                            codes: uc,
-                            pool: up,
-                        },
-                        certain,
-                    }
-                }
-            }
-            truths => AuColumns::column_from_values(truths.into_range_values(n)),
-        }
-    }
-}
-
-/// A node's lanes into an output column: a point node is the certain
-/// representation; three lanes collapse to it when every row is a point
-/// under `eq`.
-fn bounds_column<T: Copy>(
-    n: usize,
-    t: Bounds<Cow<'_, [T]>>,
-    eq: impl Fn(T, T) -> bool,
-    mk: impl Fn(Vec<T>) -> PhysVec,
-) -> AuColumn {
-    let t = match t {
-        Bounds::Point(l) => return AuColumn::Certain(mk(l.into_owned())),
-        Bounds::Ranged(t, _) => t,
-    };
-    let (l, s, u) = (&*t.lb, &*t.sg, &*t.ub);
-    let certain = CertBitmap::from_fn(n, |k| eq(l[k], s[k]) && eq(s[k], u[k]));
-    if certain.count_certain() == n {
-        AuColumn::Certain(mk(t.sg.into_owned()))
-    } else {
-        AuColumn::Ranged {
-            lb: mk(t.lb.into_owned()),
-            sg: mk(t.sg.into_owned()),
-            ub: mk(t.ub.into_owned()),
-            certain,
-        }
+        };
+        AuColumns::column_from_values(cells)
     }
 }
 
@@ -1359,9 +1257,10 @@ mod tests {
         }
     }
 
-    /// `eval_batch_column` produces the same logical column as the
-    /// generic materialization, including the certain collapse, for
-    /// typed and fallback expressions alike.
+    /// `eval_batch_column` builds the same logical column from typed lanes
+    /// as from the same lanes demoted to values, the certain collapse
+    /// included, and each cell is the row semantics' value — for typed
+    /// and fallback expressions alike, over every row and a selection.
     #[test]
     fn eval_batch_column_matches_generic_materialization() {
         let rel = AuRelation::from_rows(
@@ -1377,20 +1276,26 @@ mod tests {
             }),
         );
         let cols = rel.to_columns();
-        let b = cols.as_batch();
-        let idxs: Vec<usize> = (0..8).step_by(2).collect();
-        for e in [
-            RangeExpr::col(0),
-            RangeExpr::col(1),
-            RangeExpr::Add(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::col(1))),
-            RangeExpr::Mul(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::col(1))),
-            RangeExpr::col(0).lt(RangeExpr::col(1)),
-        ] {
-            let typed = e.eval_batch_column(&b, &idxs);
-            let generic = AuColumns::column_from_values(e.eval_batch_at(&b, &idxs));
-            assert_eq!(typed.is_certain(), generic.is_certain(), "{e:?}");
-            for k in 0..idxs.len() {
-                assert_eq!(typed.range_value(k), generic.range_value(k), "{e:?} @ {k}");
+        let generic = cols.to_generic();
+        let (b, gb) = (cols.as_batch(), generic.as_batch());
+        let strs = RangeValue::new(Value::str("a"), Value::str("ab"), Value::str("b"));
+        for idxs in [(0..8).collect::<Vec<usize>>(), (0..8).step_by(2).collect()] {
+            for e in [
+                RangeExpr::col(0),
+                RangeExpr::col(1),
+                RangeExpr::Add(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::col(1))),
+                RangeExpr::Mul(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::col(1))),
+                RangeExpr::col(0).lt(RangeExpr::col(1)),
+                RangeExpr::Lit(strs.clone()),
+            ] {
+                let typed = e.eval_batch_column(&b, &idxs);
+                let demoted = e.eval_batch_column(&gb, &idxs);
+                assert_eq!(typed.is_certain(), demoted.is_certain(), "{e:?}");
+                for (k, &i) in idxs.iter().enumerate() {
+                    let want = e.eval(&rel.rows()[i].tuple);
+                    assert_eq!(typed.range_value(k), want, "{e:?} @ {k}");
+                    assert_eq!(demoted.range_value(k), want, "{e:?} @ {k}");
+                }
             }
         }
     }
@@ -1409,11 +1314,11 @@ mod tests {
         let cols = rel.to_columns();
         let b = cols.as_batch();
         let e = RangeExpr::Add(Box::new(RangeExpr::col(0)), Box::new(RangeExpr::lit(1)));
-        let vals = e.eval_batch(&b);
+        let vals = e.eval_batch_column(&b, &[0, 1]);
         for (i, row) in rel.rows().iter().enumerate() {
-            assert_eq!(vals[i], e.eval(&row.tuple), "row {i}");
+            assert_eq!(vals.range_value(i), e.eval(&row.tuple), "row {i}");
         }
-        assert_eq!(vals[0].sg, Value::Float(i64::MAX as f64 + 1.0));
-        assert_eq!(vals[1].sg, Value::Int(2));
+        assert!(matches!(vals.range_value(0).sg, Value::Float(f) if f == i64::MAX as f64 + 1.0));
+        assert!(matches!(vals.range_value(1).sg, Value::Int(2)));
     }
 }

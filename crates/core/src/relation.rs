@@ -2,7 +2,7 @@
 
 use crate::mult::{Mult3, MultOverflow};
 use crate::range_value::RangeValue;
-use crate::sortkey::{prefix_of, sort_prefixes, KeyArena};
+use crate::sortkey::{prefix_of, sort_prefixes, Corner, KeyArena};
 use crate::tuple::AuTuple;
 use audb_rel::Schema;
 use std::borrow::Cow;
@@ -210,10 +210,8 @@ impl AuRelation {
             rows.len(),
             |row| rows[row].mult,
             |row| prefix_of(rows[row].tuple.0.iter().map(|r| &r.lb)),
-            |keys, row| (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.lb)),
-            |keys, row| {
-                (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.ub));
-                (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(&r.sg));
+            |keys, row, corner| {
+                (rows[row].tuple.0.iter()).for_each(|r| keys.extend_value(corner.of(r)))
             },
         );
         order.unwrap_or_else(|e| panic!("{e}"))
@@ -266,26 +264,32 @@ impl AuRelation {
     }
 }
 
+/// The corners of the whole-row key, in order: every attribute's `lb`,
+/// then every `ub`, then every `sg`. [`canonical_order`] and
+/// [`crate::SortKey::of_columns`] read it; nothing else spells it out.
+pub(crate) const ROW_KEY: [Corner; 3] = [Corner::Lb, Corner::Ub, Corner::Sg];
+
 /// The canonical order of a bag of `n` rows — the one `normalize` of both
 /// layouts and the native window's output share: rows annotated `(0,0,0)`
 /// dropped, the rest ascending on the whole-row key (every attribute's
-/// `lb`, then every `ub`, then every `sg`: [`crate::SortKey::of_row`]), rows with
-/// equal keys merged into the first stored of them, annotations added.
-/// Returns `(representative row, merged annotation)` in that order, or
-/// [`MultOverflow`] where a merged annotation would leave `u64`.
+/// `lb`, then every `ub`, then every `sg`: the one order `ROW_KEY`
+/// states), rows with equal keys merged into the first stored of them,
+/// annotations added. Returns `(representative
+/// row, merged annotation)` in that order, or [`MultOverflow`] where a
+/// merged annotation would leave `u64`.
 ///
-/// The key comes in three pieces so that the common case encodes none of
+/// The key is asked for in pieces so that the common case encodes none of
 /// it: `prefix` is the first eight bytes of a row's key as a word
-/// ([`crate::PrefixReader`] off the lanes), `head` appends the leading section
-/// (the lower-bound corner) to an arena, `tail` the rest. What is sorted
-/// are `(prefix, row)` pairs ([`crate::sort_prefixes`]); `head` is asked
-/// only for rows whose prefixes tie, and `tail` for rows whose heads do.
+/// ([`crate::PrefixReader`] off the lanes: the `lb` corner), and `key`
+/// appends one corner of a row's key to an arena. What is sorted are
+/// `(prefix, row)` pairs ([`crate::sort_prefixes`]); the `lb` corner is
+/// encoded only for rows whose prefixes tie, and the other two only for
+/// rows whose `lb` corners do.
 pub fn canonical_order(
     n: usize,
     mult: impl Fn(usize) -> Mult3,
     prefix: impl Fn(usize) -> u64,
-    mut head: impl FnMut(&mut KeyArena, usize),
-    mut tail: impl FnMut(&mut KeyArena, usize),
+    mut key: impl FnMut(&mut KeyArena, usize, Corner),
 ) -> Result<Vec<(usize, Mult3)>, MultOverflow> {
     let mut refs: Vec<(u64, u32)> = (0..n)
         .filter(|&row| !mult(row).is_zero())
@@ -301,7 +305,7 @@ pub fn canonical_order(
         }
         heads.clear();
         for &(_, row) in run {
-            head(&mut heads, row as usize);
+            key(&mut heads, row as usize, ROW_KEY[0]);
             heads.end_key();
         }
         let by_head = heads.sorted_slots();
@@ -315,7 +319,9 @@ pub fn canonical_order(
             // equal keys (every sort is stable), which then merge.
             tails.clear();
             for &slot in tied {
-                tail(&mut tails, run[slot].1 as usize);
+                for &corner in &ROW_KEY[1..] {
+                    key(&mut tails, run[slot].1 as usize, corner);
+                }
                 tails.end_key();
             }
             let mut last = None;

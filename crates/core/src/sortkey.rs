@@ -1,15 +1,13 @@
 //! Memcmp-comparable sort keys: order-preserving byte encoding of values.
 //!
-//! The native one-pass algorithms (`audb-native`) and `normalize()` used to
-//! compare order-by projections of corner tuples by materializing fresh
-//! [`Tuple`]s — one heap `Vec<Value>` allocation *per comparison* inside
-//! sorts and heap sifts. A [`SortKey`] instead encodes a projection of a
-//! corner of an [`AuTuple`] into a single byte string whose plain `memcmp`
-//! (`&[u8]` ordering) equals the lexicographic [`Value::cmp`] order of the
-//! projected values. Keys are built **once per row**, and every subsequent
-//! comparison is a branch-free byte compare with zero allocation. A
-//! [`KeyArena`] holds the same bytes for many keys in one vector — what a
-//! sort over all the corner keys of a relation wants.
+//! A key encodes a sequence of values into one byte string whose plain
+//! `memcmp` (`&[u8]` ordering) equals the lexicographic [`Value::cmp`]
+//! order of the values, so a sort compares bytes and allocates nothing per
+//! comparison. Keys live in a [`KeyArena`], many to one vector, each grown
+//! value by value: from a row's typed lanes ([`KeyArena::extend_corner_at`],
+//! [`KeyArena::push_corner_at`]), or from [`Value`]s
+//! ([`KeyArena::extend_value`]) — the two writers are byte-identical.
+//! [`SortKey::of_columns`] owns one whole-row key per row of a relation.
 //!
 //! Most sorts need less: a key's first eight bytes as a word
 //! ([`PrefixReader`], [`prefix_of`] — read off the values, nothing encoded)
@@ -49,8 +47,7 @@
 
 use crate::physical::PhysSlice;
 use crate::range_value::RangeValue;
-use crate::tuple::AuTuple;
-use audb_rel::{Tuple, Value};
+use audb_rel::Value;
 
 /// Which corner of the hypercube to project.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,74 +78,29 @@ impl Corner {
 pub struct SortKey(Vec<u8>);
 
 impl SortKey {
-    /// Encode the values of `t` at `idxs`, in order.
-    pub fn of_tuple(t: &Tuple, idxs: &[usize]) -> SortKey {
-        let mut out = Vec::with_capacity(idxs.len() * 17);
-        for &i in idxs {
-            encode_value(t.get(i), &mut out);
-        }
-        SortKey(out)
-    }
-
-    /// Encode one corner of `t` projected on `idxs` — without materializing
-    /// the corner tuple.
-    pub fn of_corner(t: &AuTuple, corner: Corner, idxs: &[usize]) -> SortKey {
-        let mut out = Vec::with_capacity(idxs.len() * 17);
-        for &i in idxs {
-            encode_value(corner.of(&t.0[i]), &mut out);
-        }
-        SortKey(out)
-    }
-
-    /// The canonical whole-row key used by `normalize()`: all three corners
-    /// over every attribute, `lb` first, then `ub`, then `sg` (the historic
-    /// normalize order).
-    pub fn of_row(t: &AuTuple) -> SortKey {
-        let mut out = Vec::with_capacity(t.0.len() * 3 * 17);
-        for r in &t.0 {
-            encode_value(&r.lb, &mut out);
-        }
-        for r in &t.0 {
-            encode_value(&r.ub, &mut out);
-        }
-        for r in &t.0 {
-            encode_value(&r.sg, &mut out);
-        }
-        SortKey(out)
-    }
-
     /// The canonical whole-row keys of **every** row of a columnar
     /// relation, encoded straight from the column slices in corner-major
     /// sweeps (each bound vector is walked contiguously; no per-row tuple
     /// is ever materialized). Typed lanes encode monomorphically — `i64`
     /// and `f64` lanes never construct a `Value`, and dictionary lanes
     /// encode each distinct string **once per pool** and then copy bytes
-    /// per row. Key `i` equals `SortKey::of_row(&cols.tuple(i))` byte for
-    /// byte (Int→F64 lane admission is key-exact: an integer stored in an
-    /// `f64` lane has the same mono and residual bytes as its `Int` form).
+    /// per row. Key `i` is the key [`crate::canonical_order`] sorts row
+    /// `i` by, in the same corner order: byte for byte what
+    /// [`KeyArena::extend_value`] writes for the values of `cols.tuple(i)`,
+    /// corner after corner (Int→F64 lane admission is key-exact: an
+    /// integer stored in an `f64` lane has the same mono and residual
+    /// bytes as its `Int` form).
     pub fn of_columns(cols: &crate::columns::AuColumns) -> Vec<SortKey> {
         let n = cols.len();
         let mut bufs: Vec<Vec<u8>> = (0..n)
             .map(|_| Vec::with_capacity(cols.arity() * 3 * 17))
             .collect();
-        for corner in [Corner::Lb, Corner::Ub, Corner::Sg] {
+        for corner in crate::relation::ROW_KEY {
             for c in 0..cols.arity() {
                 encode_slice(cols.col(c).corner(corner), &mut bufs);
             }
         }
         bufs.into_iter().map(SortKey).collect()
-    }
-
-    /// Encode a single value.
-    pub fn of_value(v: &Value) -> SortKey {
-        let mut out = Vec::with_capacity(17);
-        encode_value(v, &mut out);
-        SortKey(out)
-    }
-
-    /// The raw key bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
     }
 }
 
@@ -175,20 +127,12 @@ impl KeyArena {
         }
     }
 
-    /// Append the key of `t`'s `corner` over `idxs`; its slot is the
-    /// [`KeyArena::len`] of before.
-    pub fn push_corner(&mut self, t: &AuTuple, corner: Corner, idxs: &[usize]) {
-        for &i in idxs {
-            encode_value(corner.of(&t.0[i]), &mut self.bytes);
-        }
-        self.ends.push(self.bytes.len());
-    }
-
     /// Append the key of row `row` of `cols` at `corner` over `idxs`, read
     /// straight from the typed lanes: no tuple is rebuilt and `i64`, `f64`
     /// and dictionary lanes never construct a `Value`. Byte-identical to
-    /// [`KeyArena::push_corner`] on `cols.tuple(row)` (an integer admitted
-    /// to an `f64` lane included — see [`SortKey::of_columns`]).
+    /// [`KeyArena::extend_value`] of the corner's values of
+    /// `cols.tuple(row)` (an integer admitted to an `f64` lane included —
+    /// see [`SortKey::of_columns`]), then [`KeyArena::end_key`].
     pub fn push_corner_at(
         &mut self,
         cols: &crate::columns::AuColumns,
@@ -216,7 +160,8 @@ impl KeyArena {
         }
     }
 
-    /// Append one value to the key under construction.
+    /// Append one value to the key under construction: the `Value`-side
+    /// encoder, which the lane-side ones above are byte-identical to.
     pub fn extend_value(&mut self, v: &Value) {
         encode_value(v, &mut self.bytes);
     }
@@ -592,9 +537,22 @@ fn float_residual(f: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::AuColumns;
+    use crate::mult::Mult3;
+    use crate::relation::AuRelation;
+    use crate::tuple::AuTuple;
+    use audb_rel::{Schema, Tuple};
 
-    fn key(v: Value) -> SortKey {
-        SortKey::of_value(&v)
+    /// The key of `vals`, in order, through the `Value`-side encoder.
+    fn key_of<'a>(vals: impl IntoIterator<Item = &'a Value>) -> Vec<u8> {
+        let mut arena = KeyArena::with_capacity(1, 0);
+        vals.into_iter().for_each(|v| arena.extend_value(v));
+        arena.end_key();
+        arena.key(0).to_vec()
+    }
+
+    fn key(v: Value) -> Vec<u8> {
+        key_of([&v])
     }
 
     #[test]
@@ -679,11 +637,8 @@ mod tests {
         let idxs = [0usize, 1];
         for a in &tuples {
             for b in &tuples {
-                assert_eq!(
-                    SortKey::of_tuple(a, &idxs).cmp(&SortKey::of_tuple(b, &idxs)),
-                    a.cmp(b),
-                    "{a} vs {b}"
-                );
+                let of = |t: &Tuple| key_of(idxs.iter().map(|&i| t.get(i)));
+                assert_eq!(of(a).cmp(&of(b)), a.cmp(b), "{a} vs {b}");
             }
         }
     }
@@ -817,24 +772,28 @@ mod tests {
         assert!(KeyArena::with_capacity(0, 0).sorted_slots().is_empty());
     }
 
+    /// A corner's key read off the lanes is the key of the materialized
+    /// corner tuple's values.
     #[test]
     fn corner_keys_equal_materialized_corner_keys() {
         let t = AuTuple::new([
             RangeValue::new(1, 2, 3),
             RangeValue::certain(Value::str("x")),
         ]);
-        let idxs = [0usize, 1];
-        assert_eq!(
-            SortKey::of_corner(&t, Corner::Lb, &idxs),
-            SortKey::of_tuple(&t.lb_tuple(), &idxs)
-        );
-        assert_eq!(
-            SortKey::of_corner(&t, Corner::Sg, &idxs),
-            SortKey::of_tuple(&t.sg_tuple(), &idxs)
-        );
-        assert_eq!(
-            SortKey::of_corner(&t, Corner::Ub, &idxs),
-            SortKey::of_tuple(&t.ub_tuple(), &idxs)
-        );
+        let cols = AuColumns::from_relation(&AuRelation::from_rows(
+            Schema::new(["a", "s"]),
+            [(t.clone(), Mult3::ONE)],
+        ));
+        let idxs = [1usize, 0];
+        for (corner, point) in [
+            (Corner::Lb, t.lb_tuple()),
+            (Corner::Sg, t.sg_tuple()),
+            (Corner::Ub, t.ub_tuple()),
+        ] {
+            let mut lanes = KeyArena::with_capacity(1, 2);
+            lanes.push_corner_at(&cols, 0, corner, &idxs);
+            let want = key_of(idxs.iter().map(|&i| point.get(i)));
+            assert_eq!(lanes.key(0), want, "{corner:?}");
+        }
     }
 }

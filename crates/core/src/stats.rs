@@ -60,12 +60,10 @@ use audb_rel::Value;
 /// consult every overlapping zone.
 pub const ZONE_ROWS: usize = 1024;
 
-/// Per-zone summary of one column: the row count and bound box of one
-/// contiguous [`ZONE_ROWS`]-row block.
+/// Per-zone summary of one column: the bound box of one contiguous
+/// [`ZONE_ROWS`]-row block ([`TableStats::zone_rows`] counts its rows).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ZoneMap {
-    /// Rows in the zone (only the last zone may be short).
-    pub rows: usize,
     /// Minimum of the lb lane over the zone.
     pub min_lb: Value,
     /// Maximum of the ub lane over the zone.
@@ -141,7 +139,6 @@ impl ColBuilder {
             return;
         }
         self.zones.push(ZoneMap {
-            rows: self.zone_rows,
             min_lb: self.zone_min.take().unwrap_or(Value::Null),
             max_ub: self.zone_max.take().unwrap_or(Value::Null),
         });
@@ -364,7 +361,7 @@ mod tests {
         assert_eq!(a.cols[0].certain, 2);
         assert!(a.cols[1].all_certain());
         assert_eq!(a.cols[0].zones.len(), 1);
-        assert_eq!(a.cols[0].zones[0].rows, 4);
+        assert_eq!(a.zone_rows(0), 4);
         assert_eq!(a.cols[0].zones[0].min_lb, Value::Int(0));
         assert_eq!(a.cols[0].zones[0].max_ub, Value::Int(9));
     }
@@ -374,8 +371,8 @@ mod tests {
         let rows: Vec<(i64, i64, i64)> = (0..(ZONE_ROWS as i64 + 5)).map(|i| (i, i, i)).collect();
         let s = TableStats::of_relation(&rel(&rows));
         assert_eq!(s.zone_count(), 2);
-        assert_eq!(s.cols[0].zones[0].rows, ZONE_ROWS);
-        assert_eq!(s.cols[0].zones[1].rows, 5);
+        assert_eq!(s.cols[0].zones.len(), 2);
+        assert_eq!(s.zone_rows(0), ZONE_ROWS);
         assert_eq!(s.cols[0].zones[1].min_lb, Value::Int(ZONE_ROWS as i64));
         assert_eq!(s.zone_rows(1), 5);
     }

@@ -605,9 +605,10 @@ mod tests {
         let tail = t.segments()[1].stats();
         assert_eq!(tail.rows, 3);
         let zone = &tail.cols[0].zones[0];
+        assert_eq!(tail.zone_rows(0), 3);
         assert_eq!(
-            (zone.rows, zone.min_lb.as_i64(), zone.max_ub.as_i64()),
-            (3, Some(-5), Some(-3))
+            (zone.min_lb.as_i64(), zone.max_ub.as_i64()),
+            (Some(-5), Some(-3))
         );
         // Every segment's block says the same of its own rows.
         for segment in t.segments() {

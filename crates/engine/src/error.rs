@@ -111,9 +111,6 @@ impl Error for PlanError {}
 /// A plan failed at execution time.
 #[derive(Clone, Debug)]
 pub enum EngineError {
-    /// The plan itself was invalid (reported when a caller bypasses
-    /// [`crate::Query::build`] error handling, e.g. via `run_all`).
-    Plan(PlanError),
     /// `run_all` detected two backends producing different bounds for the
     /// same plan — a broken bound-agreement invariant.
     BackendDisagreement {
@@ -148,7 +145,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Plan(e) => write!(f, "invalid plan: {e}"),
             EngineError::BackendDisagreement {
                 baseline,
                 other,
@@ -179,7 +175,6 @@ impl EngineError {
     /// [`SessionError::kind`]).
     pub fn kind(&self) -> &'static str {
         match self {
-            EngineError::Plan(e) => e.kind(),
             EngineError::BackendDisagreement { .. } => "backend_disagreement",
             EngineError::ResultTooLarge { .. } => "result_too_large",
             EngineError::MultiplicityOverflow(_) => "multiplicity_overflow",
@@ -191,18 +186,11 @@ impl EngineError {
 impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            EngineError::Plan(e) => Some(e),
             EngineError::MultiplicityOverflow(e) => Some(e),
             EngineError::BackendDisagreement { .. }
             | EngineError::ResultTooLarge { .. }
             | EngineError::InputTooLarge { .. } => None,
         }
-    }
-}
-
-impl From<PlanError> for EngineError {
-    fn from(e: PlanError) -> Self {
-        EngineError::Plan(e)
     }
 }
 

@@ -81,7 +81,7 @@
 
 use crate::Stages;
 use audb_core::{
-    sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3, PrefixReader,
+    sort_prefixes, AuColumn, AuColumns, AuRelation, Corner, KeyArena, Mult3, PhysVec, PrefixReader,
 };
 use audb_rel::ops::sort::total_order;
 use std::collections::BinaryHeap;
@@ -189,8 +189,7 @@ pub fn sort_columns_native<S: Stages>(
         mults[SG].push(p.mult.sg);
         mults[UB].push(p.mult.ub);
     }
-    let [lb, sg, ub] = tau;
-    let pos = AuColumn::from_i64_lanes(lb, sg, ub);
+    let pos = AuColumn::from_lanes(tau.map(PhysVec::I64));
     let out = cols.gather_extended(&rows, mults, pos_name, pos);
     stages.stage(at, "materialise");
     out

@@ -89,7 +89,7 @@ use crate::maintain::{existing_rows, WindowMaintain, WindowRow};
 use crate::Stages;
 use audb_core::{
     canonical_order, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner,
-    KeyArena, Mult3, PrefixReader, RangeValue, WinAgg,
+    KeyArena, Mult3, PhysVec, PrefixReader, RangeValue, WinAgg,
 };
 use audb_rel::Schema;
 use std::borrow::Cow;
@@ -456,8 +456,9 @@ impl<'a> MaintainedWindow<'a> {
             })
             .collect();
         // The canonical order — what `normalize` would sort these rows into
-        // — from the lower-bound corner of the fed lanes; the aggregate and
-        // the other corners are encoded for the rows that tie on it only
+        // — from the prefixes of the fed lanes' lower-bound corner; a
+        // corner of the output row is that corner of the fed lanes, then of
+        // the aggregate, encoded only for the rows that tie before it
         // (split duplicates of one hypercube, hypercubes equal on every
         // lower bound), which merge when equal throughout as they would
         // there.
@@ -470,14 +471,10 @@ impl<'a> MaintainedWindow<'a> {
                     rows.len(),
                     |out| rows[out].1,
                     |out| prefix.at(rows[out].0),
-                    |keys, out| keys.extend_corner_at(cols, rows[out].0, Corner::Lb, &all),
-                    |keys, out| {
+                    |keys, out, corner| {
                         let (row, _, x) = rows[out];
-                        keys.extend_value(&x.lb);
-                        keys.extend_corner_at(cols, row, Corner::Ub, &all);
-                        keys.extend_value(&x.ub);
-                        keys.extend_corner_at(cols, row, Corner::Sg, &all);
-                        keys.extend_value(&x.sg);
+                        keys.extend_corner_at(cols, row, corner, &all);
+                        keys.extend_value(corner.of(x));
                     },
                 )
                 .expect("split rows have k↑ = 1, and no more of them than a u64 counts")
@@ -519,8 +516,7 @@ fn aggregate_column<'a>(xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clon
         lanes[1].push(sg);
         lanes[2].push(ub);
     }
-    let [lb, sg, ub] = lanes;
-    AuColumn::from_i64_lanes(lb, sg, ub)
+    AuColumn::from_lanes(lanes.map(PhysVec::I64))
 }
 
 #[cfg(test)]

@@ -196,7 +196,7 @@ fn fold_attr(
     let [lb, sg, ub] = match (lb, sg, ub) {
         (Lane::Int(lb), Lane::Int(sg), Lane::Int(ub)) if !sg.is_empty() => {
             check_order(p, [&lb[..], &sg, &ub], lines)?;
-            return Ok(AuColumn::from_i64_lanes(lb, sg, ub));
+            return Ok(AuColumn::from_lanes([lb, sg, ub].map(PhysVec::I64)));
         }
         lanes => <[Lane; 3]>::from(lanes).map(Lane::into_values),
     };

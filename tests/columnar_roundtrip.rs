@@ -7,17 +7,17 @@
 //! * the columnar `normalize()` (whole-row sort keys encoded straight
 //!   from column slices) produces exactly the canonical row sequence
 //!   `AuRelation::normalize` produces;
-//! * the vectorized expression kernels (`eval_batch` / `truth_batch` /
-//!   `eval_batch_at`) agree with per-row `eval` / `truth` on every row,
-//!   every batch size, and every expression shape — including the
+//! * the vectorized expression kernels (`eval_batch_column` /
+//!   `truth_batch` / `truth_batch_at`) agree with per-row `eval` / `truth`
+//!   on every row, every batch size, and every expression shape — including the
 //!   predicate-in-arithmetic and comparison-of-predicates corners the
 //!   typed tier declines;
 //! * `to_rows` reads every cell as its column does, through the one loop
 //!   over all-`i64` lanes and the per-cell reader beside other layouts.
 
 use audb::core::{
-    AuColumn, AuColumns, AuRelation, AuRow, AuTuple, Mult3, PhysType, RangeExpr, RangeValue,
-    SortKey,
+    AuColumn, AuColumns, AuRelation, AuRow, AuTuple, KeyArena, Mult3, PhysType, PhysVec, RangeExpr,
+    RangeValue,
 };
 use audb::rel::{CmpOp, Schema, Value};
 use proptest::prelude::*;
@@ -71,36 +71,53 @@ fn au_relation(max_rows: usize) -> impl Strategy<Value = AuRelation> {
     })
 }
 
-/// `rel` and, after it, three more copies of each of its first rows: one
+/// `rel` and, after it, four more copies of each of its first rows: one
 /// as it is (equal in everything: they merge), one with the last
 /// attribute's upper bound raised (equal on every `lb`, differing in a
 /// `ub`), one with its selected guess raised as well (differing from that
-/// one in an `sg` only). A string bounds every value from above.
+/// one in an `sg` only), and one whose last selected guess and upper bound
+/// both lie between (below the second on the `ub`s, above it on the
+/// `sg`s: the `ub`s must decide). Strings bound every value from above.
 fn with_ties(rel: &AuRelation) -> AuRelation {
     let mut out = rel.clone();
     for row in rel.rows().iter().take(4) {
         let last = row.tuple.arity() - 1;
-        let top = Value::str("zz");
+        let (mid, top) = (Value::str("z"), Value::str("zz"));
         let mut wider = row.tuple.clone();
         wider.0[last].ub = top.clone();
         let mut guessed = wider.clone();
         guessed.0[last].sg = top;
-        for tuple in [row.tuple.clone(), wider, guessed] {
+        let mut between = row.tuple.clone();
+        between.0[last].sg = mid.clone();
+        between.0[last].ub = mid;
+        for tuple in [row.tuple.clone(), wider, guessed, between] {
             out.push(tuple, Mult3::new(0, 1, 1));
         }
     }
     out
 }
 
-/// `normalize` as it was first written: one whole-row [`SortKey`] per
-/// row, a stable sort on it, adjacent equal keys merged into the first.
+/// A row's whole-row key as `normalize` was first written to sort by:
+/// every attribute's `lb`, then every `ub`, then every `sg`, through the
+/// `Value`-side encoder.
+fn whole_row_key(t: &AuTuple) -> Vec<u8> {
+    let mut keys = KeyArena::with_capacity(1, 3 * t.arity());
+    t.0.iter().for_each(|r| keys.extend_value(&r.lb));
+    t.0.iter().for_each(|r| keys.extend_value(&r.ub));
+    t.0.iter().for_each(|r| keys.extend_value(&r.sg));
+    keys.end_key();
+    keys.key(0).to_vec()
+}
+
+/// `normalize` as it was first written: one whole-row key per row, a
+/// stable sort on it, adjacent equal keys merged into the first.
 fn normalize_by_whole_row_keys(rel: &AuRelation) -> Vec<AuRow> {
     let mut rows: Vec<&AuRow> = rel.rows().iter().filter(|r| !r.mult.is_zero()).collect();
-    rows.sort_by_key(|r| SortKey::of_row(&r.tuple));
+    rows.sort_by_key(|r| whole_row_key(&r.tuple));
     let mut out: Vec<AuRow> = Vec::new();
     for row in rows {
         match out.last_mut() {
-            Some(last) if SortKey::of_row(&last.tuple) == SortKey::of_row(&row.tuple) => {
+            Some(last) if whole_row_key(&last.tuple) == whole_row_key(&row.tuple) => {
                 last.mult = last
                     .mult
                     .checked_add(row.mult)
@@ -259,7 +276,7 @@ proptest! {
     /// as stored and normalized — `to_rows` reads the lanes' cells.
     #[test]
     fn integer_lanes_transpose_to_their_cells(rel in integer_au_relation(10)) {
-        let int = AuColumn::from_i64_lanes(vec![], vec![], vec![]);
+        let int = AuColumn::from_lanes([(); 3].map(|_| PhysVec::I64(vec![])));
         let none = AuColumns::from_cols(rel.schema.clone(), vec![int; 3], &[]);
         let kept = rel.to_columns().gather(&[], &[]);
         for cols in [rel.to_columns(), rel.normalize().to_columns(), none, kept] {
@@ -312,23 +329,26 @@ proptest! {
         for e in exprs() {
             let mut row_cursor = 0;
             for b in cols.batches(batch_size) {
-                let vals = e.eval_batch(&b);
                 let truths = e.truth_batch(&b);
-                prop_assert_eq!(vals.len(), b.len());
                 prop_assert_eq!(truths.len(), b.len());
                 for i in 0..b.len() {
                     let tuple = &rel.rows()[row_cursor + i].tuple;
-                    prop_assert_eq!(&vals[i], &e.eval(tuple), "expr {:?} row {}", e, i);
                     prop_assert_eq!(truths.get(i), e.truth(tuple), "expr {:?} row {}", e, i);
                 }
-                // The selection-restricted sweep (every other row) agrees
-                // with the full sweep at the selected positions.
-                let idxs: Vec<usize> = (0..b.len()).step_by(2).collect();
-                let at = e.eval_batch_at(&b, &idxs);
-                let t_at = e.truth_batch_at(&b, &idxs);
-                for (k, &i) in idxs.iter().enumerate() {
-                    prop_assert_eq!(&at[k], &vals[i]);
-                    prop_assert_eq!(t_at.get(k), truths.get(i));
+                // Every row, then every other row: the column holds each
+                // selected row's value, and the restricted truth sweep
+                // agrees with the full one at the selected positions.
+                let all: Vec<usize> = (0..b.len()).collect();
+                let every_other: Vec<usize> = (0..b.len()).step_by(2).collect();
+                for idxs in [all, every_other] {
+                    let col = e.eval_batch_column(&b, &idxs);
+                    let t_at = e.truth_batch_at(&b, &idxs);
+                    prop_assert_eq!(col.len(), idxs.len());
+                    for (k, &i) in idxs.iter().enumerate() {
+                        let tuple = &rel.rows()[row_cursor + i].tuple;
+                        prop_assert_eq!(col.range_value(k), e.eval(tuple), "expr {:?} row {}", e, i);
+                        prop_assert_eq!(t_at.get(k), truths.get(i));
+                    }
                 }
                 row_cursor += b.len();
             }

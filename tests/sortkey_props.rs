@@ -1,16 +1,18 @@
 //! Property tests pinning the zero-allocation hot paths to their
 //! semantic references:
 //!
-//! * [`SortKey`] byte order ≡ [`Value::cmp`] (and its lexicographic
-//!   extension to mixed-type tuples) — the contract every heap, sweep and
-//!   normalize sort in `audb-native`/`audb-core` now relies on;
-//! * [`KeyArena`] slots hold those same bytes, and a slot's prefix orders
-//!   ahead of its key — what the native sort's one ranking sort relies on;
+//! * key byte order ≡ [`Value::cmp`] (and its lexicographic extension to
+//!   mixed-type tuples), through [`KeyArena::extend_value`], the
+//!   `Value`-side encoder — the contract every sweep and normalize sort in
+//!   `audb-native`/`audb-core` relies on;
+//! * [`KeyArena`] slots filled off the lanes hold those same bytes, and a
+//!   slot's prefix orders ahead of its key — what the native sort's one
+//!   ranking sort relies on;
 //! * the rewritten `normalize()` (precomputed keys, sort + adjacent-merge,
 //!   borrow-or-owned fast path) ≡ the original semantics: merge identical
 //!   hypercubes additively, drop `(0,0,0)` rows, deterministic total order.
 
-use audb::core::sortkey::{prefix_of, Corner, KeyArena, PrefixReader, SortKey};
+use audb::core::sortkey::{prefix_of, Corner, KeyArena, PrefixReader};
 use audb::core::{AuColumns, AuRelation, AuTuple, Mult3, RangeValue};
 use audb::rel::{Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -68,6 +70,14 @@ fn au_relation_strategy() -> impl Strategy<Value = AuRelation> {
     })
 }
 
+/// The key of `vals`, in order, through the `Value`-side encoder.
+fn key_of<'a>(vals: impl IntoIterator<Item = &'a Value>) -> Vec<u8> {
+    let mut arena = KeyArena::with_capacity(1, 0);
+    vals.into_iter().for_each(|v| arena.extend_value(v));
+    arena.end_key();
+    arena.key(0).to_vec()
+}
+
 /// The historic normalize(): hash-merge on tuple equality, drop zeros,
 /// sort by corner tuples compared element-wise. Kept here as the semantic
 /// reference for the optimized implementation.
@@ -98,7 +108,7 @@ proptest! {
     /// values (including NaN payload/sign classes and -0.0 vs Int(0)).
     #[test]
     fn sortkey_matches_value_cmp(a in value_strategy(), b in value_strategy()) {
-        let (ka, kb) = (SortKey::of_value(&a), SortKey::of_value(&b));
+        let (ka, kb) = (key_of([&a]), key_of([&b]));
         prop_assert_eq!(ka.cmp(&kb), a.cmp(&b), "{:?} vs {:?}", a, b);
     }
 
@@ -114,8 +124,8 @@ proptest! {
         let n = xs.len().min(ys.len());
         let idxs: Vec<usize> = (0..n).collect();
         let (a, b) = (Tuple::new(xs), Tuple::new(ys));
-        let ka = SortKey::of_tuple(&a, &idxs);
-        let kb = SortKey::of_tuple(&b, &idxs);
+        let ka = key_of(idxs.iter().map(|&i| a.get(i)));
+        let kb = key_of(idxs.iter().map(|&i| b.get(i)));
         let expect = idxs
             .iter()
             .map(|&i| a.get(i).cmp(b.get(i)))
@@ -124,26 +134,27 @@ proptest! {
         prop_assert_eq!(ka.cmp(&kb), expect, "{} vs {}", a, b);
     }
 
-    /// Corner keys equal the key of the materialized corner tuple — the
-    /// allocation they avoid is pure overhead, not a semantic change.
+    /// Corner keys read off the lanes equal the key of the materialized
+    /// corner tuple — the allocation they avoid is pure overhead, not a
+    /// semantic change.
     #[test]
     fn corner_keys_equal_materialized(
         rvs in proptest::collection::vec(rv_strategy(), 1..4),
     ) {
         let t = AuTuple::new(rvs);
         let idxs: Vec<usize> = (0..t.arity()).collect();
-        prop_assert_eq!(
-            SortKey::of_corner(&t, Corner::Lb, &idxs),
-            SortKey::of_tuple(&t.lb_tuple(), &idxs)
-        );
-        prop_assert_eq!(
-            SortKey::of_corner(&t, Corner::Sg, &idxs),
-            SortKey::of_tuple(&t.sg_tuple(), &idxs)
-        );
-        prop_assert_eq!(
-            SortKey::of_corner(&t, Corner::Ub, &idxs),
-            SortKey::of_tuple(&t.ub_tuple(), &idxs)
-        );
+        let names: Vec<String> = idxs.iter().map(|i| format!("c{i}")).collect();
+        let rel = AuRelation::from_rows(Schema::new(names), [(t.clone(), Mult3::ONE)]);
+        let cols = rel.to_columns();
+        for (corner, point) in [
+            (Corner::Lb, t.lb_tuple()),
+            (Corner::Sg, t.sg_tuple()),
+            (Corner::Ub, t.ub_tuple()),
+        ] {
+            let mut lanes = KeyArena::with_capacity(1, idxs.len());
+            lanes.push_corner_at(&cols, 0, corner, &idxs);
+            prop_assert_eq!(lanes.key(0), key_of(&point.0), "{:?}", corner);
+        }
     }
 }
 
@@ -177,12 +188,12 @@ fn int_or_float_strategy() -> impl Strategy<Value = Value> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arena slots ≡ stand-alone corner keys, byte for byte and hence in
-    /// order, with certain rows pushed once and uncertain ones three times
-    /// — and the order of the slots of all-`Int` tuples is the
-    /// lexicographic `Value::cmp` order of the corner tuples, at the `i64`
-    /// edges and beyond 2⁵³ too, whether or not a column also holds the
-    /// same numbers as `Float`s.
+    /// Arena slots filled off the lanes ≡ stand-alone keys of the
+    /// materialized corner tuples, byte for byte and hence in order, with
+    /// every corner of every row pushed — and the order of the slots of
+    /// all-`Int` tuples is the lexicographic `Value::cmp` order of the
+    /// corner tuples, at the `i64` edges and beyond 2⁵³ too, whether or
+    /// not a column also holds the same numbers as `Float`s.
     #[test]
     fn arena_slots_match_corner_keys_and_value_order(
         rows in proptest::collection::vec(
@@ -212,21 +223,28 @@ proptest! {
                 ])
             })
             .collect();
+        let rel = AuRelation::from_rows(
+            Schema::new(["x", "y", "z"]),
+            tuples.iter().map(|t| (t.clone(), Mult3::ONE)),
+        );
+        let cols = rel.to_columns();
         let mut arena = KeyArena::with_capacity(0, 0);
-        let mut slots: Vec<(Tuple, SortKey)> = Vec::new();
-        for t in &tuples {
+        let mut slots: Vec<(Tuple, Vec<u8>)> = Vec::new();
+        for (row, t) in tuples.iter().enumerate() {
             for (corner, point) in [
                 (Corner::Lb, t.lb_tuple()),
                 (Corner::Sg, t.sg_tuple()),
                 (Corner::Ub, t.ub_tuple()),
             ] {
                 prop_assert_eq!(arena.len(), slots.len());
-                arena.push_corner(t, corner, &idxs);
-                slots.push((point.project(&idxs), SortKey::of_corner(t, corner, &idxs)));
+                arena.push_corner_at(&cols, row, corner, &idxs);
+                let point = point.project(&idxs);
+                let key = key_of(&point.0);
+                slots.push((point, key));
             }
         }
         for (a, (ta, ka)) in slots.iter().enumerate() {
-            prop_assert_eq!(arena.key(a), ka.as_bytes());
+            prop_assert_eq!(arena.key(a), ka.as_slice());
             for (b, (tb, kb)) in slots.iter().enumerate() {
                 let by_key = arena.key(a).cmp(arena.key(b));
                 prop_assert_eq!(by_key, ka.cmp(kb));
@@ -249,8 +267,8 @@ proptest! {
         let idxs: Vec<usize> = (0..width).collect();
         let mut arena = KeyArena::with_capacity(rows.len(), width);
         for vals in rows {
-            let t = AuTuple::new(vals.into_iter().map(RangeValue::certain));
-            arena.push_corner(&t, Corner::Sg, &idxs);
+            idxs.iter().for_each(|&i| arena.extend_value(&vals[i]));
+            arena.end_key();
         }
         for a in 0..arena.len() {
             for b in 0..arena.len() {
@@ -382,9 +400,10 @@ fn lane_columns() -> impl Strategy<Value = (AuColumns, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The lane-wise arena fill ≡ the tuple-wise one, byte for byte:
+    /// The lane-wise arena fill ≡ the value-wise one, byte for byte:
     /// `push_corner_at` on row `i` of [`lane_columns`] writes the bytes
-    /// `push_corner` writes for `cols.tuple(i)`, at every corner.
+    /// `extend_value` writes for the corner's values of `cols.tuple(i)`,
+    /// at every corner.
     #[test]
     fn lane_wise_arena_fill_matches_push_corner(lanes in lane_columns()) {
         use audb::core::PhysType;
@@ -401,7 +420,9 @@ proptest! {
             prop_assert_eq!(cols.row_is_certain(i), cols.tuple(i).is_certain());
             for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
                 by_lane.push_corner_at(&cols, i, corner, &idxs);
-                by_tuple.push_corner(&cols.tuple(i), corner, &idxs);
+                let t = cols.tuple(i);
+                idxs.iter().for_each(|&c| by_tuple.extend_value(corner.of(&t.0[c])));
+                by_tuple.end_key();
                 let slot = by_lane.len() - 1;
                 prop_assert_eq!(by_lane.key(slot), by_tuple.key(slot), "row {}, {:?}", i, corner);
                 prop_assert_eq!(by_lane.prefix(slot), by_tuple.prefix(slot));

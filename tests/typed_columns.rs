@@ -5,8 +5,8 @@
 //! semantics (`RangeExpr::eval` / `truth`'s own recursion, cell by cell)
 //! — so for any relation the typed and demoted columns must agree on
 //!
-//! * the vectorized expression kernels (`eval_batch` / `truth_batch` /
-//!   `eval_batch_at` / `truth_batch_at` / `eval_batch_column`) — across
+//! * the vectorized expression kernels (`eval_batch_column` /
+//!   `truth_batch` / `truth_batch_at`), and the row semantics itself — across
 //!   monomorphic `i64` / `f64` / dictionary-string sweeps, the int–float
 //!   cross-comparison kernels, overflow fallback, and expressions the
 //!   typed tier declines;
@@ -284,6 +284,13 @@ fn exprs() -> Vec<RangeExpr> {
             Value::str("ab"),
             Value::str("b"),
         ))),
+        // A ranged string literal projected as a value: three lanes, every
+        // row ranged.
+        RangeExpr::Lit(RangeValue::new(
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("b"),
+        )),
         RangeExpr::Add(
             Box::new(col(4)),
             Box::new(RangeExpr::Lit(RangeValue::new(0i64, 1i64, 2i64))),
@@ -348,10 +355,11 @@ proptest! {
     }
 
     /// Typed kernels ≡ the row semantics over the demoted lanes, on every
-    /// expression shape, batch size, and selection, including `eval_batch_column`'s direct
-    /// column materialization (certain-collapse decision included). Truth
-    /// masks hold `RangeExpr::truth` of each covered row and no bit past
-    /// the last.
+    /// expression shape, batch size, and selection — every row among them.
+    /// `eval_batch_column` builds the same column either way (the
+    /// certain-collapse decision included), holding `RangeExpr::eval` of
+    /// each selected row; truth masks hold `RangeExpr::truth` of each
+    /// covered row and no bit past the last.
     #[test]
     fn typed_kernels_match_generic_kernels(sized in sized_relation()) {
         let (rel, batch_size) = sized;
@@ -361,26 +369,21 @@ proptest! {
             let batches = cols.batches(batch_size).zip(generic.batches(batch_size));
             for (bi, (tb, gb)) in batches.enumerate() {
                 let rows = &rel.rows()[bi * batch_size..][..tb.len()];
-                let vals = e.eval_batch(&tb);
                 let truths = e.truth_batch(&tb);
-                prop_assert_eq!(&vals, &e.eval_batch(&gb), "expr {:?}", e);
                 prop_assert_eq!(&truths, &e.truth_batch(&gb), "expr {:?}", e);
                 let want: Vec<TruthRange> = rows.iter().map(|r| e.truth(&r.tuple)).collect();
+                let want_vals: Vec<RangeValue> = rows.iter().map(|r| e.eval(&r.tuple)).collect();
                 assert_masks(&truths, &want, &e);
-                // Selections: every other row, and two rows of three (runs
-                // that cross words unevenly).
-                let selections: [Vec<usize>; 2] = [
+                // Selections: every row, every other row, and two rows of
+                // three (runs that cross words unevenly).
+                let selections: [Vec<usize>; 3] = [
+                    (0..tb.len()).collect(),
                     (0..tb.len()).step_by(2).collect(),
                     (0..tb.len()).filter(|i| i % 3 != 1).collect(),
                 ];
                 for idxs in &selections {
                     let want_at: Vec<TruthRange> = idxs.iter().map(|&i| want[i]).collect();
                     assert_masks(&e.truth_batch_at(&tb, idxs), &want_at, &e);
-                    prop_assert_eq!(
-                        e.eval_batch_at(&tb, idxs),
-                        e.eval_batch_at(&gb, idxs),
-                        "expr {:?}", e
-                    );
                     prop_assert_eq!(
                         e.truth_batch_at(&tb, idxs),
                         e.truth_batch_at(&gb, idxs),
@@ -389,12 +392,9 @@ proptest! {
                     let tc = e.eval_batch_column(&tb, idxs);
                     let gc = e.eval_batch_column(&gb, idxs);
                     prop_assert_eq!(tc.is_certain(), gc.is_certain(), "expr {:?}", e);
-                    for k in 0..idxs.len() {
-                        prop_assert_eq!(
-                            tc.range_value(k),
-                            gc.range_value(k),
-                            "expr {:?} @ {}", e, k
-                        );
+                    for (k, &i) in idxs.iter().enumerate() {
+                        prop_assert_eq!(&tc.range_value(k), &want_vals[i], "expr {:?} @ {}", e, k);
+                        prop_assert_eq!(&gc.range_value(k), &want_vals[i], "expr {:?} @ {}", e, k);
                     }
                 }
             }
