@@ -32,9 +32,10 @@
 //!   and the same sort led by a 4-valued column (every prefix tied) or by
 //!   strings that share ten key bytes, or Iceberg's sightings by date;
 //!   **window stages** — the same for the two windows of the repo
-//!   benchmark's `window_scan` over 8 192 rows, and for `serve_mix`'s
-//!   window over an append-only series of 2 048, where no frame is full of
-//!   certain members and every close scans the pool;
+//!   benchmark's `window_scan` over 8 192 rows of its table's shape, and
+//!   for `serve_mix`'s window over an append-only series of 2 048 — on
+//!   both, few frames are full of certain members and a close scans the
+//!   pool;
 //!   **cmp-semantics** and **window aggregates** — ablations;
 //!   **filter stages** — per statement of the repo benchmark's
 //!   `filter_scan` at its size, the fused stage, the predicate sweeps
@@ -805,34 +806,40 @@ fn window_table(n: usize) -> AuRelation {
 }
 
 /// Mean and maximum size of the possible-member pool where a window of
-/// `plan` — one window, no partition — closes, over its source.
+/// `plan` — one window, no partition, an integer aggregate over integer
+/// lanes — closes, over its source.
 fn pool_residency(plan: &Plan) -> (f64, usize) {
     let Op::Window { spec, agg, .. } = &plan.ops()[0] else {
         unreachable!("a window plan")
     };
-    let mut sweep = WindowMaintain::new(spec.clone(), *agg);
-    sweep.apply(&plan.source_columns().contiguous(), 0);
+    let mut sweep = WindowMaintain::<i64>::new(spec.clone(), *agg);
+    (sweep.apply(&plan.source_columns().contiguous(), 0)).expect("small integers");
     sweep.pool_residency()
 }
 
 /// Where one `window_scan` operation — the partitioned window, then the
-/// partitionless one, over 8 192 rows — spends its time: median over the
-/// runs of each stage's milliseconds summed over both statements and every
-/// partition (DESIGN.md §3.4 has the table).
-pub fn measure_window_stages(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
-    let rel = Arc::new(window_table(WINDOW_STAGE_ROWS));
+/// partitionless one, over 8 192 rows of its table's shape — spends its
+/// time: median over the runs of each stage's milliseconds summed over
+/// both statements and every partition (DESIGN.md §3.4 has the table),
+/// and the size of the pool where a window of the partitionless one
+/// closes (mean, maximum).
+pub fn measure_window_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
+    let rel = Arc::new(scan_table(WINDOW_STAGE_ROWS, false));
     let scan = |partition| window_over(rel.clone(), partition, WinAgg::Sum(2));
-    stage_medians(cfg, &[scan(Some(1)), scan(None)])
+    let pool = pool_residency(&scan(None));
+    (stage_medians(cfg, &[scan(Some(1)), scan(None)]), pool)
 }
 
-/// An append-only series `(o, v)` of `n` rows, the shape of the repo
-/// benchmark's served window table: row `i`'s `o` lies in the `i`-th stride
-/// of 200, one row in twenty has a range of `o` (the hull of four draws in
-/// 1 000), one in a hundred — a fifth of those — may be absent, and one in
-/// twenty has a range of `v`. Every possibly absent row widens the position
-/// range of every row after it (DESIGN.md §13.1), so past the first few no
-/// frame is full of certain members.
-fn series_table(n: usize) -> AuRelation {
+/// A table `(o, g, v, id)` of `n` rows in the shape of the repo
+/// benchmark's window tables: `o` in `[0, 200 n)` — row `i`'s in the
+/// `i`-th stride of 200 if `in_order` (an append-only series:
+/// `serve_mix`'s), anywhere otherwise (`window_scan`'s) —, `g` one of eight
+/// certain values; one row in twenty has a range of `o` (the hull of four
+/// draws in 1 000), one in a hundred — a fifth of those — may be absent,
+/// and one in twenty has a range of `v`. Every possibly absent row widens
+/// the position range of every row after it (DESIGN.md §13.1), so few
+/// frames are full of certain members.
+fn scan_table(n: usize, in_order: bool) -> AuRelation {
     let mut state = 0x005E_41E5u64;
     let mut draw = move |below: u64| {
         state ^= state << 13;
@@ -846,12 +853,16 @@ fn series_table(n: usize) -> AuRelation {
         RangeValue::new(*lo.expect("four"), alts[0], *hi.expect("four"))
     };
     let rows = (0..n as i64).map(|i| {
-        let base = 200 * i + draw(200);
+        let base = match in_order {
+            true => 200 * i + draw(200),
+            false => draw(200 * n as u64),
+        };
         let uncertain_o = draw(20) == 0;
         let o = match uncertain_o {
             true => hull(&mut draw, base),
             false => RangeValue::certain(base),
         };
+        let g = RangeValue::certain(draw(8));
         let v = draw(200 * n as u64);
         let v = match draw(20) {
             0 => hull(&mut draw, v),
@@ -861,9 +872,9 @@ fn series_table(n: usize) -> AuRelation {
             true => Mult3::new(0, 1, 1),
             false => Mult3::ONE,
         };
-        (AuTuple::new([o, v]), mult)
+        (AuTuple::new([o, g, v, RangeValue::certain(i)]), mult)
     });
-    AuRelation::from_rows(Schema::new(["o", "v"]), rows)
+    AuRelation::from_rows(Schema::new(["o", "g", "v", "id"]), rows)
 }
 
 /// `serve_mix`'s window — `SUM(v)` over the two preceding rows in `o`
@@ -871,7 +882,11 @@ fn series_table(n: usize) -> AuRelation {
 /// stage as [`measure_window_stages`] splits `window_scan`, and the size of
 /// the pool where a window closes (mean, maximum).
 pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
-    let plan = window_over(series_table(SERIES_STAGE_ROWS).into(), None, WinAgg::Sum(1));
+    let plan = window_over(
+        scan_table(SERIES_STAGE_ROWS, true).into(),
+        None,
+        WinAgg::Sum(2),
+    );
     let pool = pool_residency(&plan);
     (stage_medians(cfg, &[plan]), pool)
 }
@@ -1473,6 +1488,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     for (n, ms) in &window_dup {
         println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
     }
+    let (window_stages, (scan_pool_mean, scan_pool_max)) = measure_window_stages(cfg);
     let (series_stages, (pool_mean, pool_max)) = measure_series_stages(cfg);
     let (iceberg_rows, iceberg_stages) = measure_iceberg_stages(cfg);
     let blocks = [
@@ -1488,11 +1504,7 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             measure_sort_stages(cfg, Some(string_lead)),
         ),
         ("sort/iceberg-stages", iceberg_rows, iceberg_stages),
-        (
-            "window/stages",
-            WINDOW_STAGE_ROWS,
-            measure_window_stages(cfg),
-        ),
+        ("window/stages", WINDOW_STAGE_ROWS, window_stages),
         ("window/series-stages", SERIES_STAGE_ROWS, series_stages),
         ("sort/cmp-semantics", CMP_ROWS, measure_cmp_semantics(cfg)),
         (
@@ -1507,6 +1519,9 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
         }
     }
+    println!(
+        "{WINDOW_STAGE_ROWS:>7} rows  window/stages pool at a close: mean {scan_pool_mean:.1}, max {scan_pool_max}"
+    );
     println!(
         "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}"
     );

@@ -57,8 +57,17 @@
 //! `X` — and [`crate::MaintainedWindow`], which keeps the rows it was fed,
 //! gathers the output from the input lanes, extended by one aggregate
 //! column, whenever it is asked. Only a batch's rows its caller marks as
-//! the group's own open windows; the others only fill them. Items are
-//! indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
+//! the group's own open windows; the others only fill them.
+//!
+//! The sweep is generic over the aggregated attribute's bounds ([`Word`]).
+//! The *word form* holds `[i64; 3]` per item and output row: a `SUM`,
+//! `COUNT` (`[1, 1, 1]`), `MIN` or `MAX` over `i64` lanes, its pool ranked
+//! on sign-flipped words, its sums `checked_add`ed. The *`Value` form*
+//! runs `AVG` and any other layout. A word sweep that meets lanes that are
+//! not `i64`, or a bound or selected guess past `i64`, reports [`Unfit`]:
+//! [`crate::MaintainedWindow`] then hands the operator to `Value`s.
+//!
+//! Items are indexed by arrival order, which is `(τ↓, τ↑)`-ascending, so
 //!
 //! * the minimum `τ↓` over the open windows is the `τ↓` of the *oldest
 //!   still-open item* — a cursor that only moves forward;
@@ -91,7 +100,9 @@
 //! batches extend the order at its end, so it is kept as a bounded tail of
 //! `(item, value)` pairs: an entry's aggregate is final once `u` later
 //! entries exist, after which only `−l` entries of left context are
-//! retained.
+//! retained: a frame's aggregate depends on that frame alone (a `SUM` is
+//! a `Float` only where its frame holds one). The word form slides as
+//! [`sliding_aggregate`] slides over `Int`s.
 //!
 //! ## Top-k
 //!
@@ -111,21 +122,149 @@ use crate::rank_set::RankSet;
 use crate::sort::{band_rows, positions, sort_columns_native};
 use crate::Stages;
 use audb_core::{
-    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumns, AuTuple, AuWindowSpec, Corner,
-    KeyArena, Lanes, Mult3, RangeValue, WinAgg,
+    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumn, AuColumns, AuTuple, AuWindowSpec,
+    Corner, KeyArena, Lanes, Mult3, PhysVec, RangeValue, WinAgg,
 };
-use audb_rel::ops::window::sliding_aggregate;
+use audb_rel::ops::window::{sliding_aggregate, sliding_extreme};
 use audb_rel::{Schema, Value};
 use std::collections::VecDeque;
 use std::ops::Range;
 
+/// A bound of the aggregated attribute as the sweep holds it (module docs,
+/// "Sweep state"): an `i64` word, or a [`Value`]. `W::from(i)` is the
+/// integer `i`: `COUNT`'s term, a sum's start, the sign tests' zero.
+pub trait Word: Clone + Ord + From<i64> + Send + Sync + 'static {
+    /// Every bound is an integer, and [`Word::word`] ranks it exactly.
+    const INTEGER: bool = false;
+    /// Cell `row` of `lanes` as `[lb, sg, ub]`, if this form holds it.
+    fn cell(lanes: &Lanes<'_>, row: usize) -> Option<[Self; 3]>;
+    /// The word a pool ranking sorts on: the sign-flipped `i64` of an
+    /// integer, else the prefix ([`prefix_of`]), whose ties the values
+    /// order.
+    fn word(&self) -> u64;
+    /// `acc` plus every term, exactly as a fold of [`Value::add`] from
+    /// `acc` adds them; `None` where this form cannot hold the sum.
+    fn sum<'a>(acc: Self, terms: impl Iterator<Item = &'a Self>) -> Option<Self>;
+    /// The deterministic window aggregate of every entry of `vals`, as
+    /// [`sliding_aggregate`] takes it; `None` where this form cannot hold
+    /// one.
+    fn slide(vals: &[Self], l: i64, u: i64, agg: WinAgg) -> Option<Vec<Self>>;
+    /// The aggregates `xs`, in output order, as the output's last column.
+    fn column<'a>(xs: impl ExactSizeIterator<Item = &'a [Self; 3]> + Clone) -> AuColumn;
+    /// Append `x` to the key under construction.
+    fn extend_key(keys: &mut KeyArena, x: &Self);
+}
+
+/// The word form: `SUM`, `COUNT`, `MIN` and `MAX` over `i64` lanes.
+impl Word for i64 {
+    const INTEGER: bool = true;
+
+    #[inline]
+    fn cell(lanes: &Lanes<'_>, row: usize) -> Option<[i64; 3]> {
+        match lanes {
+            Lanes::I64(lanes) => Some(lanes.map(|lane| lane[row])),
+            Lanes::Values(_) => None,
+        }
+    }
+
+    fn word(&self) -> u64 {
+        (*self as u64) ^ (1 << 63)
+    }
+
+    #[inline]
+    fn sum<'a>(acc: i64, mut terms: impl Iterator<Item = &'a i64>) -> Option<i64> {
+        terms.try_fold(acc, |acc, &term| acc.checked_add(term))
+    }
+
+    /// Sums over `i128` prefixes, as `sliding_aggregate` adds `Int`s.
+    fn slide(vals: &[i64], l: i64, u: i64, agg: WinAgg) -> Option<Vec<i64>> {
+        let extreme = |min| sliding_extreme(vals, l, u, min, |_| false);
+        let at = match agg {
+            WinAgg::Min(_) | WinAgg::Max(_) => extreme(matches!(agg, WinAgg::Min(_))),
+            WinAgg::Avg(_) => return None,
+            WinAgg::Sum(_) | WinAgg::Count => {
+                let sums = vals.iter().scan(0, |sum: &mut i128, &v| {
+                    *sum += i128::from(v);
+                    Some(*sum)
+                });
+                let pre: Vec<i128> = std::iter::once(0).chain(sums).collect();
+                let n = vals.len() as i64;
+                // `l ≤ 0 ≤ u`: every frame holds its own entry.
+                let frame = |i: i64| ((i + l).max(0) as usize, (i + u).min(n - 1) as usize + 1);
+                let sum = |(lo, hi): (usize, usize)| i64::try_from(pre[hi] - pre[lo]).ok();
+                return (0..n).map(|i| sum(frame(i))).collect();
+            }
+        };
+        at.into_iter().map(|at| at.map(|at| vals[at])).collect()
+    }
+
+    fn column<'a>(xs: impl ExactSizeIterator<Item = &'a [i64; 3]> + Clone) -> AuColumn {
+        let lane = |c: usize| PhysVec::I64(xs.clone().map(|x| x[c]).collect());
+        AuColumn::from_lanes([lane(0), lane(1), lane(2)])
+    }
+
+    fn extend_key(keys: &mut KeyArena, x: &i64) {
+        keys.extend_value(&Value::Int(*x));
+    }
+}
+
+/// The `Value` form: any other layout or aggregate.
+impl Word for Value {
+    fn cell(lanes: &Lanes<'_>, row: usize) -> Option<[Value; 3]> {
+        let RangeValue { lb, sg, ub } = lanes.range_value(row);
+        Some([lb, sg, ub])
+    }
+
+    fn word(&self) -> u64 {
+        prefix_of([self])
+    }
+
+    /// Kept as an `i64` while the sum and every term are `Int`s and no
+    /// addition overflows, the fold from the first term that is not or
+    /// does.
+    fn sum<'a>(acc: Value, mut terms: impl Iterator<Item = &'a Value>) -> Option<Value> {
+        let Value::Int(mut total) = acc else {
+            return Some(terms.fold(acc, |acc, v| acc.add(v)));
+        };
+        while let Some(v) = terms.next() {
+            match v {
+                Value::Int(i) if let Some(next) = total.checked_add(*i) => total = next,
+                _ => return Some(terms.fold(Value::Int(total).add(v), |acc, v| acc.add(v))),
+            }
+        }
+        Some(Value::Int(total))
+    }
+
+    fn slide(vals: &[Value], l: i64, u: i64, agg: WinAgg) -> Option<Vec<Value>> {
+        Some(sliding_aggregate(vals, l, u, agg.det()))
+    }
+
+    fn column<'a>(xs: impl ExactSizeIterator<Item = &'a [Value; 3]> + Clone) -> AuColumn {
+        let range = |x: &[Value; 3]| {
+            let [lb, sg, ub] = x.clone();
+            RangeValue { lb, sg, ub }
+        };
+        AuColumns::column_from_values(xs.map(range).collect())
+    }
+
+    fn extend_key(keys: &mut KeyArena, x: &Value) {
+        keys.extend_value(x);
+    }
+}
+
+/// What the word form cannot hold: lanes that are not `i64`, or a bound or
+/// selected guess that leaves `i64`. A sweep that reports it is spent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Unfit;
+
 /// One split row in flight through the sweep: everything the sweep
 /// compares, read from the lanes once — no tuple is built for it.
-struct Item {
+struct Item<W> {
     tlo: i64,
     thi: i64,
-    /// Range of the aggregated attribute (`[1,1,1]` for count).
-    attr: RangeValue,
+    /// Range of the aggregated attribute, `[lb, sg, ub]` (`[1,1,1]` for
+    /// count).
+    attr: [W; 3],
     /// Certainly exists (`k↓ ≥ 1`).
     cert: bool,
     /// Exists in the selected-guess world (`k_sg ≥ 1`).
@@ -136,13 +275,13 @@ struct Item {
     /// its group's own rows, and only fills their windows.
     closed: bool,
     /// Selected-guess window aggregate, once final.
-    sg: Option<Value>,
+    sg: Option<W>,
     /// Its input row: which batch fed it, and the row there.
     batch: u32,
     row: u32,
 }
 
-impl Item {
+impl<W> Item<W> {
     /// A split row's annotation: `k↑ = 1`.
     fn mult(&self) -> Mult3 {
         Mult3::new(u64::from(self.cert), u64::from(self.in_sg), 1)
@@ -153,7 +292,7 @@ impl Item {
 /// `batch`-th batch fed, extended by its window's aggregate `x`.
 /// [`crate::MaintainedWindow`] gathers it from the input lanes when asked.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WindowRow {
+pub struct WindowRow<W> {
     /// Which of the batches fed so far holds the input row.
     pub batch: u32,
     /// The input row within that batch.
@@ -162,8 +301,8 @@ pub struct WindowRow {
     pub dup: u32,
     /// The split row's annotation (`k↑ = 1`).
     pub mult: Mult3,
-    /// The window aggregate: the output attribute.
-    pub x: RangeValue,
+    /// The window aggregate, `[lb, sg, ub]`: the output attribute.
+    pub x: [W; 3],
 }
 
 /// A pool candidate: what `compBounds`' membership test reads, and the
@@ -174,9 +313,7 @@ struct Ranked {
     tlo: i64,
     thi: i64,
     cert: bool,
-    /// Per ranking (`A↓`, `A↑`), whether the bound is an `Int`: its word
-    /// is then the sign-flipped `i64`, else its prefix ([`prefix_of`]).
-    int: [bool; 2],
+    /// Per ranking (`A↓`, `A↑`), the bound's [`Word::word`].
     word: [u64; 2],
 }
 
@@ -206,30 +343,25 @@ struct Pool {
 impl Pool {
     /// Rank the members and `arrivals` afresh. The candidates are in id
     /// order and the sort is stable, so wherever words tie only on equal
-    /// bounds, equal bounds keep the id order. A ranking whose bounds are
-    /// all `Int`s sorts their words as they are — exact —, any other the
-    /// prefixes ([`prefix_of`], numeric across `Int` and `Float`), whose
-    /// tied runs the values order.
-    fn rerank(&mut self, items: &[Item], arrivals: Range<usize>) {
+    /// bounds, equal bounds keep the id order. The word form's words are
+    /// exact; the `Value` form's are prefixes, whose tied runs the values
+    /// order.
+    fn rerank<W: Word>(&mut self, items: &[Item<W>], arrivals: Range<usize>) {
         let (live, rank_of) = (&self.live, &self.rank_of);
         let mut slots = std::mem::take(&mut self.spare);
         slots.clear();
         slots.extend((self.slots.iter()).filter(|c| live.contains(rank_of[c.id][0] as usize)));
         let survivors = slots.len();
         self.rank_of.resize(arrivals.end, [0; 2]);
-        let flip = |i: i64| (i as u64) ^ (1 << 63);
         slots.extend(arrivals.map(|id| {
             let it = &items[id];
-            let bounds = [&it.attr.lb, &it.attr.ub];
             let (tlo, thi, cert) = (it.tlo, it.thi, it.cert);
-            let int = bounds.map(|v| matches!(v, Value::Int(_)));
-            let word = bounds.map(|v| v.as_i64().map_or_else(|| prefix_of([v]), flip));
+            let word = [&it.attr[0], &it.attr[2]].map(Word::word);
             Ranked {
                 id,
                 tlo,
                 thi,
                 cert,
-                int,
                 word,
             }
         }));
@@ -238,24 +370,16 @@ impl Pool {
         let n = slots.len();
         self.ranked.clear();
         self.live.reset(2 * n);
-        let zero = Value::Int(0);
+        let zero = W::from(0);
         for h in 0..2 {
-            let bound = |at: u32| {
-                let attr = &items[slots[at as usize].id].attr;
-                [&attr.lb, &attr.ub][h]
-            };
-            let exact = slots.iter().all(|c| c.int[h]);
+            let bound = |at: u32| &items[slots[at as usize].id].attr[2 * h];
             let base = h * n;
-            self.ranked.extend(slots.iter().zip(0..).map(|(c, at)| {
-                let word = match c.int[h] && !exact {
-                    true => prefix_of([&Value::Int((c.word[h] ^ 1 << 63) as i64)]),
-                    false => c.word[h],
-                };
-                (if h == 0 { word } else { !word }, at)
-            }));
+            let word = |c: &Ranked| [c.word[0], !c.word[1]][h];
+            self.ranked
+                .extend(slots.iter().zip(0..).map(|(c, at)| (word(c), at)));
             let keys = &mut self.ranked[base..];
             sort_prefixes(keys);
-            if !exact {
+            if !W::INTEGER {
                 for run in keys.chunk_by_mut(|a, b| a.0 == b.0) {
                     run.sort_by(|a, b| match h {
                         0 => bound(a.1).cmp(bound(b.1)),
@@ -313,15 +437,16 @@ struct Scratch {
     picked: Vec<usize>,
 }
 
-/// Resumable partitionless window sweep (see the module docs).
+/// Resumable partitionless window sweep (see the module docs), holding the
+/// aggregated attribute's bounds as `W`s.
 ///
 /// [`crate::MaintainedWindow`] runs one of these per partition value and
 /// feeds it each batch's share of that value's rows — the one-shot
 /// operator one batch. It holds no tuple: its output is [`WindowRow`]s.
-pub struct WindowMaintain {
+pub struct WindowMaintain<W> {
     spec: AuWindowSpec,
     agg: WinAgg,
-    items: Vec<Item>,
+    items: Vec<Item<W>>,
     /// Accumulated certain / possible input mass (the position offsets).
     total_lb: u64,
     total_ub: u64,
@@ -343,7 +468,7 @@ pub struct WindowMaintain {
     poss: Pool,
     scratch: Scratch,
     /// Closed (final) output rows, in close order.
-    closed: Vec<WindowRow>,
+    closed: Vec<WindowRow<W>>,
     /// Pool size summed over the closes of [`WindowMaintain::step`], and
     /// its maximum there.
     pool_sum: u64,
@@ -352,16 +477,16 @@ pub struct WindowMaintain {
     // deterministic aggregate slides over. Entries before `sg_pending` are
     // final and kept as left context only.
     sg_ids: Vec<usize>,
-    sg_vals: Vec<Value>,
+    sg_vals: Vec<W>,
     sg_pending: usize,
 }
 
-impl WindowMaintain {
+impl<W: Word> WindowMaintain<W> {
     /// Fresh state for a partitionless window.
     ///
     /// Panics if `spec` carries PARTITION BY attributes — partitioning is
     /// routed above this type (see [`crate::MaintainedWindow`]).
-    pub fn new(spec: AuWindowSpec, agg: WinAgg) -> WindowMaintain {
+    pub fn new(spec: AuWindowSpec, agg: WinAgg) -> WindowMaintain<W> {
         assert!(
             spec.partition.is_empty(),
             "WindowMaintain is partitionless; use MaintainedWindow"
@@ -391,7 +516,7 @@ impl WindowMaintain {
 
     /// Output rows already closed (final regardless of future appends), in
     /// close order.
-    pub fn closed_rows(&self) -> &[WindowRow] {
+    pub fn closed_rows(&self) -> &[WindowRow<W>] {
         &self.closed
     }
 
@@ -420,10 +545,11 @@ impl WindowMaintain {
     /// Feed batch number `batch` — counted by the caller, who keeps the
     /// batches if it wants tuples later — through the sweep, in order (the
     /// caller knows its rows lie past the frontier; feeding an out-of-order
-    /// batch silently computes bounds for the wrong relation).
-    pub fn apply(&mut self, cols: &AuColumns, batch: u32) {
+    /// batch silently computes bounds for the wrong relation). An `Err`
+    /// leaves the state spent.
+    pub fn apply(&mut self, cols: &AuColumns, batch: u32) -> Result<(), Unfit> {
         let (rows, normalized) = (existing_rows(cols), cols.is_normalized());
-        self.apply_rows(cols, batch, &rows, normalized, cols.len(), &());
+        self.apply_rows(cols, batch, &rows, normalized, cols.len(), &())
     }
 
     /// [`WindowMaintain::apply`] over the rows `rows` of `cols` — one
@@ -439,14 +565,14 @@ impl WindowMaintain {
         normalized: bool,
         own: usize,
         stages: &S,
-    ) {
+    ) -> Result<(), Unfit> {
         let at = stages.mark();
         // Batch-local positions in the sweep's arrival order; entries have
         // k↑ = 1 (input row and duplicate index break ties reproducibly).
         let rows = rows.iter().copied();
         let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &());
         if pos.is_empty() {
-            return;
+            return Ok(());
         }
         // Copies of one input row have no order between them — in a world
         // either may come first — so where the sort offsets copy `i` by `i`
@@ -497,14 +623,15 @@ impl WindowMaintain {
         // The one time the input is read: the aggregated attribute's range,
         // straight from the lanes, resolved once.
         let attr = self.agg.input_col().map(|c| Lanes::of(cols.col(c)));
+        self.items.reserve(pos.len());
         for p in &pos {
             self.items.push(Item {
                 tlo: p.tau_lb as i64 + off_lb,
                 thi: p.tau_ub as i64 + off_ub,
-                attr: attr.map_or_else(
-                    || RangeValue::certain(1i64),
-                    |lanes| lanes.range_value(p.row as usize),
-                ),
+                attr: match &attr {
+                    None => [0; 3].map(|_| W::from(1)),
+                    Some(lanes) => W::cell(lanes, p.row as usize).ok_or(Unfit)?,
+                },
                 cert: p.mult.lb >= 1,
                 in_sg: p.mult.sg >= 1,
                 dup: p.dup,
@@ -561,9 +688,9 @@ impl WindowMaintain {
         }
         let sg_ids: Vec<usize> = sg_block.iter().map(|&(_, id)| id).collect();
         let sg_vals = (sg_ids.iter())
-            .map(|&id| self.items[id].attr.sg.clone())
+            .map(|&id| self.items[id].attr[1].clone())
             .collect();
-        self.ingest_sg(sg_ids, sg_vals);
+        self.ingest_sg(sg_ids, sg_vals)?;
         let at = stages.stage(at, "selected-guess");
         // A ranking serves [`CHUNK`] arrivals, or four times as many as it
         // has survivors: re-ranking costs at most 1.25 entries per arrival
@@ -573,22 +700,26 @@ impl WindowMaintain {
             let to = self.items.len().min(from + CHUNK.max(4 * self.poss.len));
             self.poss.rerank(&self.items, from..to);
             for t in from..to {
-                self.step(t);
+                self.step(t)?;
             }
             from = to;
         }
         stages.stage(at, "sweep");
+        Ok(())
     }
 
     /// Provisional output rows of the still-open windows (the rows that
     /// may change on a future append), in flush order: after
     /// [`WindowMaintain::closed_rows`] they complete the exact row order
     /// the one-shot sweep produces over the accumulated relation.
-    pub fn open_rows(&self) -> Vec<WindowRow> {
-        let provisional = self.provisional_sg();
+    pub fn open_rows(&self) -> Result<Vec<WindowRow<W>>, Unfit> {
+        let provisional = self.provisional_sg()?;
         let mut scratch = Scratch::default();
         (self.open_windows())
-            .map(|sid| self.window_row(sid, &provisional, &mut scratch))
+            .map(|sid| {
+                self.window_row(sid, &provisional, &mut scratch)
+                    .ok_or(Unfit)
+            })
             .collect()
     }
 
@@ -600,12 +731,12 @@ impl WindowMaintain {
     /// End the sweep: the open windows close for good, in the order of
     /// [`WindowMaintain::open_rows`], and all but the closed rows — every
     /// output row now — is freed. No batch may follow.
-    pub fn finish(&mut self) {
-        let provisional = self.provisional_sg();
+    pub fn finish(&mut self) -> Result<(), Unfit> {
+        let provisional = self.provisional_sg()?;
         for at in self.closing..self.by_thi.len() {
             let sid = self.by_thi[at];
             if !self.items[sid].closed {
-                self.close(sid, &provisional);
+                self.close(sid, &provisional)?;
             }
         }
         let closed = std::mem::take(&mut self.closed);
@@ -613,11 +744,12 @@ impl WindowMaintain {
             closed,
             ..WindowMaintain::new(self.spec.clone(), self.agg)
         };
+        Ok(())
     }
 
     /// Advance the sweep over item `t` (arrival in global `(τ↓, τ↑)`
     /// order), closing every window no future tuple can possibly join.
-    fn step(&mut self, t: usize) {
+    fn step(&mut self, t: usize) -> Result<(), Unfit> {
         let (it_tlo, it_thi, it_cert) = {
             let it = &self.items[t];
             (it.tlo, it.thi, it.cert)
@@ -650,7 +782,7 @@ impl WindowMaintain {
             );
             self.pool_sum += self.poss.len as u64;
             self.pool_max = self.pool_max.max(self.poss.len);
-            self.close(sid, &[]);
+            self.close(sid, &[])?;
         }
         // Evict pool tuples below every window open or to come: the minimum
         // τ↓ over the open windows (a later-closing window may start earlier
@@ -676,37 +808,40 @@ impl WindowMaintain {
             self.cert.push_back((it_tlo, it_thi, t));
         }
         self.poss.insert(t);
+        Ok(())
     }
 
     /// Close window `id` for good: its output row joins the closed rows.
-    fn close(&mut self, id: usize, provisional: &[(usize, Value)]) {
+    fn close(&mut self, id: usize, provisional: &[(usize, W)]) -> Result<(), Unfit> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let row = self.window_row(id, provisional, &mut scratch);
         self.scratch = scratch;
-        self.closed.push(row);
+        self.closed.push(row.ok_or(Unfit)?);
+        Ok(())
     }
 
-    /// The output row of window `id` from the current sweep state.
+    /// The output row of window `id` from the current sweep state, if `W`
+    /// holds its aggregate.
     fn window_row(
         &self,
         id: usize,
-        provisional: &[(usize, Value)],
+        provisional: &[(usize, W)],
         scratch: &mut Scratch,
-    ) -> WindowRow {
+    ) -> Option<WindowRow<W>> {
         let it = &self.items[id];
-        WindowRow {
+        Some(WindowRow {
             batch: it.batch,
             row: it.row,
             dup: it.dup,
             mult: it.mult(),
-            x: self.comp_bounds(id, self.sg_raw(id, provisional), scratch),
-        }
+            x: self.comp_bounds(id, self.sg_raw(id, provisional), scratch)?,
+        })
     }
 
     /// `compBounds` (paper Algorithms 4–6): the output attribute of window
-    /// `id` from the current sweep state. Read-only on the state, so final
-    /// closes and provisional flushes share it.
-    fn comp_bounds(&self, id: usize, sg_raw: Value, scratch: &mut Scratch) -> RangeValue {
+    /// `id` from the current sweep state, if `W` holds it. Read-only on
+    /// the state, so final closes and provisional flushes share it.
+    fn comp_bounds(&self, id: usize, sg_raw: W, scratch: &mut Scratch) -> Option<[W; 3]> {
         let (l, u) = (self.spec.lower, self.spec.upper);
         let size = self.spec.size() as usize;
         let items = &self.items;
@@ -746,21 +881,21 @@ impl WindowMaintain {
             let certainly = p.cert && p.tlo >= cs.0 && p.thi <= cs.1;
             p.id != id && !certainly && p.tlo <= ps.1 && p.thi >= ps.0
         };
-        let cert_lb = || cert.iter().map(|&c| &items[c].attr.lb);
-        let cert_ub = || cert.iter().map(|&c| &items[c].attr.ub);
+        let cert_lb = || cert.iter().map(|&c| &items[c].attr[0]);
+        let cert_ub = || cert.iter().map(|&c| &items[c].attr[2]);
         // Pool scans: `A↓` ascending (min-k), `A↑` descending (max-k).
         let (min_k, max_k) = (|| self.poss.scan(0), || self.poss.scan(1));
 
         let (xlo, xhi) = match self.agg {
             WinAgg::Sum(_) | WinAgg::Count => {
-                let lo = sum(Value::Int(0), cert_lb());
-                let hi = sum(Value::Int(0), cert_ub());
+                let lo = W::sum(W::from(0), cert_lb())?;
+                let hi = W::sum(W::from(0), cert_ub())?;
                 // A frame already full of certain members takes nothing
                 // from the pool (every window of certain data): no scan,
                 // where each would walk its ranking to the first candidate
                 // to stop there.
                 if possn == 0 {
-                    return clamped(lo, sg_raw, hi);
+                    return Some(clamped(lo, sg_raw, hi));
                 }
                 // min-k over the A↓-ordered component with the guaranteed
                 // floor: the j = clamp(#negatives, q, possn) smallest lower
@@ -773,7 +908,7 @@ impl WindowMaintain {
                     }
                     picked.push(p.id);
                 }
-                let lo = sum(lo, picked.iter().map(|&p| &items[p].attr.lb));
+                let lo = W::sum(lo, picked.iter().map(|&p| &items[p].attr[0]))?;
                 // max-k over the A↑-descending component, mirrored.
                 picked.clear();
                 for (positive, p) in max_k().filter(valid) {
@@ -782,7 +917,7 @@ impl WindowMaintain {
                     }
                     picked.push(p.id);
                 }
-                let hi = sum(hi, picked.iter().map(|&p| &items[p].attr.ub));
+                let hi = W::sum(hi, picked.iter().map(|&p| &items[p].attr[2]))?;
                 (lo, hi)
             }
             // Minima and maxima read the item a scan picks.
@@ -791,13 +926,13 @@ impl WindowMaintain {
                 if q >= 1 {
                     // q-th largest pool upper bound caps the minimum.
                     if let Some((_, p)) = max_k().filter(valid).nth(q - 1) {
-                        hi = hi.min(items[p.id].attr.ub.clone());
+                        hi = hi.min(items[p.id].attr[2].clone());
                     }
                 }
                 let mut lo = cert_lb().min().expect("self").clone();
                 if possn > 0 {
                     if let Some((_, p)) = min_k().find(valid) {
-                        lo = lo.min(items[p.id].attr.lb.clone());
+                        lo = lo.min(items[p.id].attr[0].clone());
                     }
                 }
                 (lo, hi)
@@ -806,13 +941,13 @@ impl WindowMaintain {
                 let mut lo = cert_lb().max().expect("self").clone();
                 if q >= 1 {
                     if let Some((_, p)) = min_k().filter(valid).nth(q - 1) {
-                        lo = lo.max(items[p.id].attr.lb.clone());
+                        lo = lo.max(items[p.id].attr[0].clone());
                     }
                 }
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
                     if let Some((_, p)) = max_k().find(valid) {
-                        hi = hi.max(items[p.id].attr.ub.clone());
+                        hi = hi.max(items[p.id].attr[2].clone());
                     }
                 }
                 (lo, hi)
@@ -822,17 +957,17 @@ impl WindowMaintain {
                 let mut hi = cert_ub().max().expect("self").clone();
                 if possn > 0 {
                     if let Some((_, p)) = min_k().find(valid) {
-                        lo = lo.min(items[p.id].attr.lb.clone());
+                        lo = lo.min(items[p.id].attr[0].clone());
                     }
                     if let Some((_, p)) = max_k().find(valid) {
-                        hi = hi.max(items[p.id].attr.ub.clone());
+                        hi = hi.max(items[p.id].attr[2].clone());
                     }
                 }
                 (lo, hi)
             }
         };
 
-        clamped(xlo, sg_raw, xhi)
+        Some(clamped(xlo, sg_raw, xhi))
     }
 
     /// Append a batch's selected-guess-world entries — item ids and the
@@ -841,51 +976,52 @@ impl WindowMaintain {
     /// newly-final aggregate, and prune the tail back down to one frame of
     /// context. In-order batches sort entirely after the accumulated rows,
     /// so appending keeps the tail in SG order.
-    fn ingest_sg(&mut self, ids: Vec<usize>, vals: Vec<Value>) {
+    fn ingest_sg(&mut self, ids: Vec<usize>, vals: Vec<W>) -> Result<(), Unfit> {
         self.sg_vals.extend(vals);
         self.sg_ids.extend(ids);
         // Final once `u` later entries exist.
         let final_to = self.sg_ids.len().saturating_sub(self.spec.upper as usize);
         if final_to <= self.sg_pending {
-            return;
+            return Ok(());
         }
-        let mut aggs = self.eval_sg_tail();
-        for j in self.sg_pending..final_to {
-            self.items[self.sg_ids[j]].sg = Some(std::mem::replace(&mut aggs[j], Value::Null));
+        let aggs = self.eval_sg_tail()?.into_iter().skip(self.sg_pending);
+        for (j, agg) in (self.sg_pending..final_to).zip(aggs) {
+            self.items[self.sg_ids[j]].sg = Some(agg);
         }
         let keep_from = final_to.saturating_sub((-self.spec.lower) as usize);
         self.sg_ids.drain(..keep_from);
         self.sg_vals.drain(..keep_from);
         self.sg_pending = final_to - keep_from;
+        Ok(())
     }
 
     /// The deterministic window aggregate of every tail entry. The tail
     /// starts at the first entry or carries `−l` entries of left context,
     /// so entries from `sg_pending` on see their whole frame.
-    fn eval_sg_tail(&self) -> Vec<Value> {
+    fn eval_sg_tail(&self) -> Result<Vec<W>, Unfit> {
         let (l, u) = (self.spec.lower, self.spec.upper);
-        sliding_aggregate(&self.sg_vals, l, u, self.agg.det())
+        W::slide(&self.sg_vals, l, u, self.agg).ok_or(Unfit)
     }
 
     /// Provisional `(item id, aggregate)` of the pending tail entries (at
     /// most `u` of them), sorted by id.
-    fn provisional_sg(&self) -> Vec<(usize, Value)> {
+    fn provisional_sg(&self) -> Result<Vec<(usize, W)>, Unfit> {
         if self.sg_pending == self.sg_ids.len() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let pending = self.sg_ids[self.sg_pending..].iter().copied();
-        let mut out: Vec<(usize, Value)> = pending
-            .zip(self.eval_sg_tail().into_iter().skip(self.sg_pending))
+        let mut out: Vec<(usize, W)> = pending
+            .zip(self.eval_sg_tail()?.into_iter().skip(self.sg_pending))
             .collect();
         out.sort_unstable_by_key(|&(id, _)| id);
-        out
+        Ok(out)
     }
 
     /// Raw (pre-clamp) selected-guess value for item `id`, replicating the
     /// fallback chain of `sg_window_values`: the finalized value, else a
     /// provisional tail value, else the previous duplicate of the same
     /// hypercube, else the row's own sg attribute.
-    fn sg_raw(&self, id: usize, provisional: &[(usize, Value)]) -> Value {
+    fn sg_raw(&self, id: usize, provisional: &[(usize, W)]) -> W {
         let mut i = id;
         loop {
             let it = &self.items[i];
@@ -896,42 +1032,24 @@ impl WindowMaintain {
                 return provisional[at].1.clone();
             }
             if it.dup == 0 {
-                return it.attr.sg.clone();
+                return it.attr[1].clone();
             }
             i -= 1;
         }
     }
 }
 
-/// `acc` plus every term, left to right, exactly as a fold of
-/// [`Value::add`] from `acc` adds them — kept as an `i64` while the sum
-/// and every term are `Int`s and no addition overflows, the fold from the
-/// first term that is not or does.
-fn sum<'a>(acc: Value, terms: impl IntoIterator<Item = &'a Value>) -> Value {
-    let mut terms = terms.into_iter();
-    let Value::Int(mut total) = acc else {
-        return terms.fold(acc, |acc, v| acc.add(v));
-    };
-    while let Some(v) = terms.next() {
-        match v {
-            Value::Int(i) if let Some(next) = total.checked_add(*i) => total = next,
-            _ => return terms.fold(Value::Int(total).add(v), |acc, v| acc.add(v)),
-        }
-    }
-    Value::Int(total)
-}
-
-/// `[lb / sg / ub]` with the selected guess clamped into the bounds
-/// (DESIGN.md §3.4).
-fn clamped(lb: Value, sg_raw: Value, ub: Value) -> RangeValue {
-    let sg = if sg_raw.is_null() || sg_raw < lb {
+/// `[lb, sg, ub]` with the selected guess clamped into the bounds
+/// (DESIGN.md §3.4) — a `NULL` one, the least value, up to `lb`.
+fn clamped<W: Word>(lb: W, sg_raw: W, ub: W) -> [W; 3] {
+    let sg = if sg_raw < lb {
         lb.clone()
     } else if sg_raw > ub {
         ub.clone()
     } else {
         sg_raw
     };
-    RangeValue { lb, sg, ub }
+    [lb, sg, ub]
 }
 
 /// The rows of `cols` that exist (`k↑ > 0`).
@@ -1106,10 +1224,10 @@ mod tests {
     fn closed_rows_are_final() {
         let rows = stream_rows(50, 3);
         let spec = AuWindowSpec::rows(vec![0], -1, 1);
-        let mut m = WindowMaintain::new(spec.clone(), WinAgg::Max(1));
-        let mut snapshot: Vec<WindowRow> = Vec::new();
+        let mut m = WindowMaintain::<i64>::new(spec.clone(), WinAgg::Max(1));
+        let mut snapshot = Vec::new();
         for (batch, chunk) in rows.chunks(5).enumerate() {
-            m.apply(&rel_of(chunk).to_columns(), batch as u32);
+            assert_eq!(m.apply(&rel_of(chunk).to_columns(), batch as u32), Ok(()));
             // Previously closed rows never change.
             assert_eq!(&m.closed_rows()[..snapshot.len()], &snapshot[..]);
             snapshot = m.closed_rows().to_vec();
@@ -1171,8 +1289,8 @@ mod tests {
     fn frontier_rejects_out_of_order_batches() {
         let rows = stream_rows(20, 1);
         let spec = AuWindowSpec::rows(vec![0], -1, 0);
-        let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
-        m.apply(&rel_of(&rows[..10]).to_columns(), 0);
+        let mut m = WindowMaintain::<i64>::new(spec, WinAgg::Sum(1));
+        assert_eq!(m.apply(&rel_of(&rows[..10]).to_columns(), 0), Ok(()));
         let in_order = |rows: &[(AuTuple, Mult3)]| {
             let cols = rel_of(rows).to_columns();
             m.rows_in_order(&cols, &existing_rows(&cols))
@@ -1325,11 +1443,11 @@ mod tests {
         let mut rows = stream_rows(64, 9);
         rows.iter_mut().for_each(|(_, mult)| *mult = Mult3::ONE);
         let spec = AuWindowSpec::rows(vec![0], -2, 0);
-        let mut m = WindowMaintain::new(spec, WinAgg::Sum(1));
+        let mut m = WindowMaintain::<i64>::new(spec, WinAgg::Sum(1));
         let mut ranked = 0;
         for (batch, chunk) in rows.chunks(8).enumerate() {
             let survivors = m.poss.len;
-            m.apply(&rel_of(chunk).to_columns(), batch as u32);
+            assert_eq!(m.apply(&rel_of(chunk).to_columns(), batch as u32), Ok(()));
             ranked = m.poss.slots.len();
             assert_eq!(ranked, survivors + chunk.len(), "batch {batch}");
         }

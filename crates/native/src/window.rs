@@ -66,7 +66,16 @@
 //! under their filtered annotations. Partition values are ordered like
 //! every key here: `(prefix, row)` pairs radix-sorted
 //! ([`audb_core::sort_prefixes`]), key bytes encoded for the rows of one
-//! prefix only.
+//! prefix only — and of those, where the partition lanes are `i64`s and
+//! the run's rows are certain and hold one word in each, for its first
+//! row only: the run is one value.
+//!
+//! The first rows fed pick the sweeps' form ([`crate::maintain`]): words
+//! for a `SUM`, `COUNT`, `MIN` or `MAX` over `i64` lanes — no `Value`
+//! between the lanes and the output column —, `Value`s otherwise. A later
+//! batch the words cannot hold switches the operator to `Value`s for good:
+//! it is fed again what it was fed, which closes what the words closed,
+//! and then the batch.
 //!
 //! ## One ranking, no tuple
 //!
@@ -85,13 +94,13 @@
 //! worker that sweeps it. [`window_native`] is the door for a caller that
 //! holds rows and wants rows: it transposes once each way.
 
-use crate::maintain::{existing_rows, WindowMaintain, WindowRow};
+use crate::maintain::{existing_rows, Unfit, WindowMaintain, WindowRow, Word};
 use crate::Stages;
 use audb_core::{
-    canonical_order, sort_prefixes, AuColumn, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner,
-    KeyArena, Mult3, PhysVec, PrefixReader, RangeValue, WinAgg,
+    canonical_order, sort_prefixes, AuColumns, AuRelation, AuTuple, AuWindowSpec, Corner, KeyArena,
+    Lanes, Mult3, PrefixReader, WinAgg,
 };
-use audb_rel::Schema;
+use audb_rel::{Schema, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -127,7 +136,7 @@ pub fn window_columns_native<S: Stages>(
 ) -> AuColumns {
     let mut window = MaintainedWindow::new(cols.schema().clone(), spec.clone(), agg, out_name);
     window.feed(Cow::Borrowed(cols), stages, true);
-    window.output(true, stages)
+    window.output(false, true, stages)
 }
 
 /// Is row `row`'s value of the `partition` attributes a range?
@@ -153,7 +162,8 @@ fn merged<'c>(cols: Cow<'c, AuColumns>, partition: &[usize]) -> Cow<'c, AuColumn
 /// The rows of `cols` that exist (`k↑ > 0`), one run per value of the
 /// `partition` attributes: `(key of the value, row indices)` in value
 /// order, stored order within — sorted by prefix, by key bytes only where
-/// prefixes tie. A range is a value of its own, keyed by all its corners.
+/// prefixes tie and the run is not one integer value. A range is a value of
+/// its own, keyed by all its corners.
 fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>, Vec<usize>)> {
     let rows = existing_rows(cols);
     // Without a PARTITION BY the rows are one run as they stand, and their
@@ -168,10 +178,31 @@ fn partitions(cols: &AuColumns, partition: &[usize]) -> Vec<(Vec<u8>, Vec<usize>
         .map(|(slot, &row)| (prefix.at(row), slot as u32))
         .collect();
     sort_prefixes(&mut refs);
+    // Integer partition lanes: a run of certain rows that hold one word in
+    // each is one value, keyed once.
+    let words: Option<Vec<&[i64]>> = (partition.iter())
+        .map(|&g| match Lanes::of(cols.col(g)) {
+            Lanes::I64([_, sg, _]) => Some(sg),
+            Lanes::Values(_) => None,
+        })
+        .collect();
     let mut parts = Vec::new();
     let mut keys = KeyArena::with_capacity(0, 0);
     for run in refs.chunk_by(|a, b| a.0 == b.0) {
         keys.clear();
+        let first = rows[run[0].1 as usize];
+        let one_value = words.as_ref().is_some_and(|lanes| {
+            run.iter().all(|&(_, slot)| {
+                let row = rows[slot as usize];
+                !ranged(cols, partition, row) && lanes.iter().all(|lane| lane[row] == lane[first])
+            })
+        });
+        if one_value {
+            keys.push_corner_at(cols, first, Corner::Sg, partition);
+            let members = run.iter().map(|&(_, slot)| rows[slot as usize]).collect();
+            parts.push((keys.key(0).to_vec(), members));
+            continue;
+        }
         for &(_, slot) in run {
             let row = rows[slot as usize];
             keys.extend_corner_at(cols, row, Corner::Sg, partition);
@@ -235,13 +266,42 @@ fn groups(cols: &AuColumns, partition: &[usize]) -> Vec<Share> {
 }
 
 /// One partition value's sweep.
-struct Group {
-    sweep: WindowMaintain,
+struct Group<W> {
+    sweep: WindowMaintain<W>,
     /// Closed rows already drained.
     drained: usize,
     /// Where the sweep ran over gathered members (a [`Share`]'s filtered
     /// rows): the rows of its batch they are, its own first.
     members: Option<Vec<usize>>,
+    /// The rows of its still-open windows, as of its last batch.
+    open: Vec<WindowRow<W>>,
+}
+
+/// One sweep per partition value, by the value's key ([`partitions`]).
+type Groups<W> = BTreeMap<Vec<u8>, Group<W>>;
+
+/// The groups, every one in the form the first rows fed picked
+/// ([`words_fit`]).
+enum Sweeps {
+    Words(Groups<i64>),
+    Values(Groups<Value>),
+}
+
+/// `$body` over the groups of either form, bound to `$groups`.
+macro_rules! each_form {
+    ($sweeps:expr, $groups:ident => $body:expr) => {
+        match $sweeps {
+            Sweeps::Words($groups) => $body,
+            Sweeps::Values($groups) => $body,
+        }
+    };
+}
+
+/// Does the word form hold `agg` over `batch`: an aggregate that stays an
+/// integer, over `i64` lanes?
+fn words_fit(agg: WinAgg, batch: &AuColumns) -> bool {
+    let lanes = |c: usize| matches!(Lanes::of(batch.col(c)), Lanes::I64(_));
+    !matches!(agg, WinAgg::Avg(_)) && agg.input_col().is_none_or(lanes)
 }
 
 /// A `ω[l,u]_{f(A)→X; G; O}` kept live under appended column batches
@@ -250,15 +310,12 @@ struct Group {
 /// batch, or one batch borrowed — to gather its output from when asked.
 pub struct MaintainedWindow<'a> {
     spec: AuWindowSpec,
-    /// `spec` without its partition: what each group's sweep runs.
-    inner: AuWindowSpec,
     agg: WinAgg,
     out_name: String,
     /// Every row fed; the batch numbered `b` starts at row `starts[b]`.
     fed: Cow<'a, AuColumns>,
     starts: Vec<usize>,
-    /// One sweep per partition value, by the value's key ([`partitions`]).
-    groups: BTreeMap<Vec<u8>, Group>,
+    sweeps: Sweeps,
     /// The range values fed: a batch row whose value possibly equals one
     /// would join its group.
     ranges: Vec<AuTuple>,
@@ -268,18 +325,24 @@ impl<'a> MaintainedWindow<'a> {
     /// Fresh state for `ω[l,u]_{f(A)→X; G; O}` over `schema`.
     pub fn new(schema: Schema, spec: AuWindowSpec, agg: WinAgg, out_name: &str) -> Self {
         MaintainedWindow {
-            inner: AuWindowSpec {
-                partition: Vec::new(),
-                ..spec.clone()
-            },
             spec,
             agg,
             out_name: out_name.to_string(),
             fed: Cow::Owned(AuColumns::empty(schema)),
             starts: Vec::new(),
-            groups: BTreeMap::new(),
+            sweeps: Sweeps::Words(BTreeMap::new()),
             ranges: Vec::new(),
         }
+    }
+
+    /// Nothing fed, in the `Value` form if `values` or this is in it.
+    fn fresh(&self, values: bool) -> Self {
+        let schema = self.fed.schema().clone();
+        let mut fresh = MaintainedWindow::new(schema, self.spec.clone(), self.agg, &self.out_name);
+        if values || matches!(self.sweeps, Sweeps::Values(_)) {
+            fresh.sweeps = Sweeps::Values(BTreeMap::new());
+        }
+        fresh
     }
 
     /// Absorb one batch if it is in order (module docs): trivially while
@@ -289,7 +352,8 @@ impl<'a> MaintainedWindow<'a> {
     /// group's frontier. Then the answer is `None`. Otherwise the state is
     /// fed everything fed so far and `batch` afresh, as one batch, and the
     /// answer is the whole output before, as [`MaintainedWindow::result`]
-    /// gave it.
+    /// gave it. A batch the word form cannot hold hands the operator to the
+    /// `Value` form, as either of these.
     pub fn apply(&mut self, batch: AuColumns) -> Option<AuColumns> {
         self.feed(Cow::Owned(batch), &(), false)
     }
@@ -309,25 +373,27 @@ impl<'a> MaintainedWindow<'a> {
         let batch = merged(batch, partition);
         let shares = groups(&batch, partition);
         stages.stage(at, "partition");
-        let in_order = self.groups.is_empty()
-            || (shares.iter()).all(|(value, rows, filtered)| {
-                // Only a batch without a PARTITION BY has an empty share.
-                let Some(&row) = rows.first() else {
-                    return true;
-                };
-                // A share is its value's rows as they are where no range
-                // is among the batch's values.
-                filtered.is_none()
-                    && (self.ranges.is_empty() || {
-                        let point = batch.tuple(row);
-                        !(self.ranges.iter()).any(|range| point.eq_on(range, partition).ub)
-                    })
-                    && (self.groups.get(value)).is_none_or(|g| g.sweep.rows_in_order(&batch, rows))
-            });
+        if self.fed.is_empty() && !words_fit(self.agg, &batch) {
+            self.sweeps = Sweeps::Values(BTreeMap::new());
+        }
+        let in_order = each_form!(&self.sweeps, groups => groups.is_empty()
+        || (shares.iter()).all(|(value, rows, filtered)| {
+            // Only a batch without a PARTITION BY has an empty share.
+            let Some(&row) = rows.first() else {
+                return true;
+            };
+            // A share is its value's rows as they are where no range
+            // is among the batch's values.
+            filtered.is_none()
+                && (self.ranges.is_empty() || {
+                    let point = batch.tuple(row);
+                    !(self.ranges.iter()).any(|range| point.eq_on(range, partition).ub)
+                })
+                && (groups.get(value)).is_none_or(|g| g.sweep.rows_in_order(&batch, rows))
+        }));
         if !in_order {
             let before = self.result();
-            let (schema, spec) = (batch.schema().clone(), self.spec.clone());
-            let fresh = MaintainedWindow::new(schema, spec, self.agg, &self.out_name);
+            let fresh = self.fresh(false);
             let mut all = std::mem::replace(self, fresh).fed.into_owned();
             all.append(batch.into_owned());
             self.feed(Cow::Owned(all), stages, finish);
@@ -335,44 +401,74 @@ impl<'a> MaintainedWindow<'a> {
         }
         let number = self.starts.len() as u32;
         self.starts.push(self.fed.len());
-        let (inner, agg) = (&self.inner, self.agg);
-        let groups: Vec<Mutex<Group>> = (shares.iter())
-            .map(|(key, ..)| {
-                let fresh = || Group {
-                    sweep: WindowMaintain::new(inner.clone(), agg),
-                    drained: 0,
-                    members: None,
+        // `spec` without its partition: what each group's sweep runs.
+        let inner = AuWindowSpec {
+            partition: Vec::new(),
+            ..self.spec.clone()
+        };
+        let agg = self.agg;
+        // An `Err` leaves the sweeps spent: only what they drained is read.
+        let swept: Result<(), Unfit> = each_form!(&mut self.sweeps, groups => {
+            let swept: Vec<_> = (shares.iter())
+                .map(|(key, ..)| {
+                    let fresh = || Group {
+                        sweep: WindowMaintain::new(inner.clone(), agg),
+                        drained: 0,
+                        members: None,
+                        open: Vec::new(),
+                    };
+                    Mutex::new(groups.remove(key).unwrap_or_else(fresh))
+                })
+                .collect();
+            let done = audb_par::par_map_indexed(&swept, |at, group| {
+                let group = &mut *group.lock().expect("one worker per group");
+                let (_, rows, filtered) = &shares[at];
+                match filtered {
+                    None => {
+                        let (normalized, own) = (batch.is_normalized(), batch.len());
+                        (group.sweep).apply_rows(&batch, number, rows, normalized, own, stages)?
+                    }
+                    Some((mults, own)) => {
+                        let members = batch.gather(rows, mults);
+                        let all = Vec::from_iter(0..members.len());
+                        (group.sweep).apply_rows(&members, number, &all, true, *own, stages)?
+                    }
+                }
+                group.open = match finish {
+                    true => group.sweep.finish().map(|()| Vec::new())?,
+                    false => group.sweep.open_rows()?,
                 };
-                Mutex::new(self.groups.remove(key).unwrap_or_else(fresh))
-            })
-            .collect();
-        audb_par::par_map_indexed(&groups, |at, group| {
-            let mut group = group.lock().expect("one worker per group");
-            let (_, rows, filtered) = &shares[at];
-            match filtered {
-                None => {
-                    let normalized = batch.is_normalized();
-                    (group.sweep).apply_rows(&batch, number, rows, normalized, batch.len(), stages);
+                Ok(())
+            });
+            for ((key, rows, filtered), group) in shares.into_iter().zip(swept) {
+                let mut group = group.into_inner().expect("no worker panicked");
+                if filtered.is_some() {
+                    if ranged(&batch, partition, rows[0]) {
+                        self.ranges.push(batch.tuple(rows[0]));
+                    }
+                    group.members = Some(rows);
                 }
-                Some((mults, own)) => {
-                    let members = batch.gather(rows, mults);
-                    let all = Vec::from_iter(0..members.len());
-                    (group.sweep).apply_rows(&members, number, &all, true, *own, stages);
-                }
+                groups.insert(key, group);
             }
-            if finish {
-                group.sweep.finish();
-            }
+            done.into_iter().collect()
         });
-        for ((key, rows, filtered), group) in shares.into_iter().zip(groups) {
-            let mut group = group.into_inner().expect("no worker panicked");
-            if filtered.is_some() {
-                if ranged(&batch, &self.spec.partition, rows[0]) {
-                    self.ranges.push(batch.tuple(rows[0]));
+        if swept.is_err() {
+            // A word sweep met what no word holds part way through the
+            // batch: the `Value` form takes over, fed what was fed — which
+            // closes the windows the words closed, in their order, and so
+            // keeps what was drained of them — and then the batch, which
+            // is as much in order for it.
+            let words = std::mem::replace(self, self.fresh(true));
+            if !words.fed.is_empty() {
+                self.feed(words.fed, stages, false);
+                if let (Sweeps::Words(old), Sweeps::Values(new)) = (&words.sweeps, &mut self.sweeps)
+                {
+                    for (key, group) in new {
+                        group.drained = old.get(key).map_or(0, |old| old.drained);
+                    }
                 }
-                group.members = Some(rows);
             }
-            self.groups.insert(key, group);
+            return self.feed(batch, stages, finish);
         }
         match self.fed.is_empty() {
             true => self.fed = batch,
@@ -382,9 +478,9 @@ impl<'a> MaintainedWindow<'a> {
     }
 
     /// The whole current output, normalized: per group the closed rows,
-    /// then a non-destructive flush of the still-open windows.
+    /// then the rows of the still-open windows.
     pub fn result(&self) -> AuColumns {
-        self.output(true, &())
+        self.output(false, true, &())
     }
 
     /// What may have changed since the last drain — the rows closed since,
@@ -393,12 +489,11 @@ impl<'a> MaintainedWindow<'a> {
     /// the open rows: the copies of one input row share their position
     /// range and close together.
     pub fn drain(&mut self) -> (AuColumns, AuColumns) {
-        let open: Vec<Vec<WindowRow>> = self.groups.values().map(|g| g.sweep.open_rows()).collect();
-        let since = self.gather(self.rows(&open, true), true, &());
-        for g in self.groups.values_mut() {
+        let since = self.output(true, true, &());
+        each_form!(&mut self.sweeps, groups => for g in groups.values_mut() {
             g.drained = g.sweep.closed_rows().len();
-        }
-        (since, self.gather(self.rows(&open, true), true, &()))
+        });
+        (since, self.output(true, true, &()))
     }
 
     /// Every output row in close order: per group, in value order, the
@@ -406,27 +501,19 @@ impl<'a> MaintainedWindow<'a> {
     /// Unnormalized: the order [`MaintainedWindow::result`] normalizes
     /// without a sort.
     pub fn into_result(self) -> AuColumns {
-        self.output(false, &())
-    }
-
-    /// Every output row, in `canonical` order or in close order (see
-    /// [`MaintainedWindow::gather`]).
-    fn output<S: Stages>(&self, canonical: bool, stages: &S) -> AuColumns {
-        let open: Vec<Vec<WindowRow>> = self.groups.values().map(|g| g.sweep.open_rows()).collect();
-        self.gather(self.rows(&open, false), canonical, stages)
+        self.output(false, false, &())
     }
 
     /// Per group, in value order, its closed rows — those since the last
-    /// drain, if `drained` — and then its rows in `open`, each with the
-    /// group's members if it gathered them.
-    fn rows<'r>(
-        &'r self,
-        open: &'r [Vec<WindowRow>],
-        drained: bool,
-    ) -> impl Iterator<Item = (Option<&'r [usize]>, &'r WindowRow)> {
-        (self.groups.values().zip(open)).flat_map(move |(g, open)| {
-            let closed = &g.sweep.closed_rows()[if drained { g.drained } else { 0 }..];
-            (closed.iter().chain(open)).map(|r| (g.members.as_deref(), r))
+    /// drain, if `drained` — and then its open rows, in `canonical` order
+    /// or in close order (see [`MaintainedWindow::gather`]).
+    fn output<S: Stages>(&self, drained: bool, canonical: bool, stages: &S) -> AuColumns {
+        each_form!(&self.sweeps, groups => {
+            let rows = groups.values().flat_map(|g| {
+                let closed = &g.sweep.closed_rows()[if drained { g.drained } else { 0 }..];
+                (closed.iter().chain(&g.open)).map(|r| (g.members.as_deref(), r))
+            });
+            self.gather(rows, canonical, stages)
         })
     }
 
@@ -435,15 +522,15 @@ impl<'a> MaintainedWindow<'a> {
     /// their own annotations, extended by their aggregates: in the order
     /// given, or in `canonical` order, merged as `normalize` would merge
     /// them (module docs). Reports `"order"` and `"materialise"`.
-    fn gather<'r, S: Stages>(
+    fn gather<'r, W: Word, S: Stages>(
         &self,
-        rows: impl Iterator<Item = (Option<&'r [usize]>, &'r WindowRow)>,
+        rows: impl Iterator<Item = (Option<&'r [usize]>, &'r WindowRow<W>)>,
         canonical: bool,
         stages: &S,
     ) -> AuColumns {
         let at = stages.mark();
         let cols = &*self.fed;
-        let rows: Vec<(usize, Mult3, &RangeValue)> = (rows)
+        let rows: Vec<(usize, Mult3, &[W; 3])> = (rows)
             .map(|(members, r)| {
                 let start = self.starts[r.batch as usize];
                 match members {
@@ -474,7 +561,8 @@ impl<'a> MaintainedWindow<'a> {
                     |keys, out, corner| {
                         let (row, _, x) = rows[out];
                         keys.extend_corner_at(cols, row, corner, &all);
-                        keys.extend_value(corner.of(x));
+                        // `Corner` counts `lb`, `sg`, `ub` as `x` holds them.
+                        W::extend_key(keys, &x[corner as usize]);
                     },
                 )
                 .expect("split rows have k↑ = 1, and no more of them than a u64 counts")
@@ -482,7 +570,7 @@ impl<'a> MaintainedWindow<'a> {
         };
         let at = stages.stage(at, "order");
         // The fed lanes in that order, and the aggregates as one column.
-        let x = aggregate_column(order.iter().map(|&(out, _)| rows[out].2));
+        let x = W::column(order.iter().map(|&(out, _)| rows[out].2));
         let mut idxs = Vec::with_capacity(order.len());
         let mut mults = [0; 3].map(|_| Vec::with_capacity(order.len()));
         for (out, mult) in order {
@@ -502,27 +590,10 @@ impl<'a> MaintainedWindow<'a> {
     }
 }
 
-/// The aggregates `xs`, in output order, as the output's last column:
-/// three `i64` lanes and their certainty bits written in one pass while
-/// every bound is an integer (any aggregate of integer data short of a
-/// `SUM` that left `i64`), else whatever layout the values infer.
-fn aggregate_column<'a>(xs: impl ExactSizeIterator<Item = &'a RangeValue> + Clone) -> AuColumn {
-    let mut lanes = [0; 3].map(|_| Vec::with_capacity(xs.len()));
-    for x in xs.clone() {
-        let (Some(lb), Some(sg), Some(ub)) = (x.lb.as_i64(), x.sg.as_i64(), x.ub.as_i64()) else {
-            return AuColumns::column_from_values(xs.cloned().collect());
-        };
-        lanes[0].push(lb);
-        lanes[1].push(sg);
-        lanes[2].push(ub);
-    }
-    AuColumn::from_lanes(lanes.map(PhysVec::I64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_core::{window_ref, CmpSemantics};
+    use audb_core::{window_ref, CmpSemantics, RangeValue};
     use audb_rel::{Schema, Value};
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
@@ -705,6 +776,43 @@ mod tests {
         for name in ["rank", "items", "selected-guess", "sweep"] {
             assert_eq!(count(name), 5, "{name} in {names:?}");
         }
+    }
+
+    /// The lanes pick the form, and nothing else does: an integer `SUM`,
+    /// `COUNT`, `MIN` or `MAX` over `i64` lanes runs on words; `AVG`, an
+    /// `f64` lane or a `Generic` one runs on `Value`s — `COUNT` reads no
+    /// lane and runs on words over any.
+    #[test]
+    fn the_lanes_pick_the_form() {
+        let floats = AuRelation::from_rows(
+            Schema::new(["o", "v"]),
+            (small_rel().rows().iter()).map(|r| {
+                let v = r.tuple.get(1).as_i64_triple();
+                let v = RangeValue::new(v.0 as f64 + 0.5, v.1 as f64 + 0.5, v.2 as f64 + 0.5);
+                (AuTuple::new([r.tuple.get(0).clone(), v]), r.mult)
+            }),
+        );
+        let ints = small_rel().to_columns();
+        let (floats, generic) = (floats.to_columns(), ints.to_generic());
+        assert!(matches!(Lanes::of(ints.col(1)), Lanes::I64(_)));
+        assert!(matches!(Lanes::of(floats.col(1)), Lanes::Values(_)));
+        let words = |cols: &AuColumns, agg| {
+            let spec = AuWindowSpec::rows(vec![0], -1, 0);
+            let mut window = MaintainedWindow::new(cols.schema().clone(), spec, agg, "x");
+            assert!(window.feed(Cow::Borrowed(cols), &(), true).is_none());
+            matches!(window.sweeps, Sweeps::Words(_))
+        };
+        for agg in [
+            WinAgg::Sum(1),
+            WinAgg::Count,
+            WinAgg::Min(1),
+            WinAgg::Max(1),
+        ] {
+            assert!(words(&ints, agg), "{agg:?}");
+            assert_eq!(words(&floats, agg), agg == WinAgg::Count, "{agg:?}");
+            assert_eq!(words(&generic, agg), agg == WinAgg::Count, "{agg:?}");
+        }
+        assert!(!words(&ints, WinAgg::Avg(1)));
     }
 
     #[test]

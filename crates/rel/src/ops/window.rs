@@ -68,7 +68,9 @@ impl WindowSpec {
 
 /// Aggregate `vals[lo(i)..=hi(i)]` for the sliding ranges induced by a
 /// `[l, u]` window over `0..n`, clamped to valid indices. Uses prefix sums
-/// for sum/count/avg and monotonic deques for min/max.
+/// for sum/count/avg and monotonic deques for min/max. A sum is a `Float`
+/// where its frame holds one, as a fold of [`Value::add`] over the frame
+/// would be — what one frame answers depends on that frame alone.
 ///
 /// Public because the selected-guess component of the AU-DB window
 /// operators is exactly this over the selected-guess world in SG order
@@ -83,13 +85,14 @@ pub fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Valu
     };
     match f {
         AggFunc::Sum(_) | AggFunc::Avg(_) | AggFunc::Count => {
-            // Prefix accumulators over (int sum, float sum, non-null count).
+            // Prefix accumulators over (int sum, float sum, non-null count,
+            // float count).
             let mut int_pre = vec![0i128; vals.len() + 1];
             let mut float_pre = vec![0f64; vals.len() + 1];
             let mut nn_pre = vec![0u64; vals.len() + 1];
-            let mut saw_float = false;
+            let mut floats_pre = vec![0u64; vals.len() + 1];
             for (i, v) in vals.iter().enumerate() {
-                let (mut di, mut df, mut dn) = (0i128, 0f64, 0u64);
+                let (mut di, mut df, mut dn, mut dfl) = (0i128, 0f64, 0u64, 0u64);
                 match v {
                     Value::Int(x) => {
                         di = *x as i128;
@@ -98,13 +101,14 @@ pub fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Valu
                     Value::Float(x) => {
                         df = *x;
                         dn = 1;
-                        saw_float = true;
+                        dfl = 1;
                     }
                     _ => {}
                 }
                 int_pre[i + 1] = int_pre[i] + di;
                 float_pre[i + 1] = float_pre[i] + df;
                 nn_pre[i + 1] = nn_pre[i] + dn;
+                floats_pre[i + 1] = floats_pre[i] + dfl;
             }
             (0..n)
                 .map(|i| {
@@ -118,10 +122,11 @@ pub fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Valu
                     let nn = nn_pre[hi + 1] - nn_pre[lo];
                     let isum = int_pre[hi + 1] - int_pre[lo];
                     let fsum = float_pre[hi + 1] - float_pre[lo];
+                    let floats = floats_pre[hi + 1] > floats_pre[lo];
                     match f {
                         AggFunc::Count => Value::Int(count),
                         AggFunc::Sum(_) if nn == 0 => Value::Null,
-                        AggFunc::Sum(_) if saw_float => Value::Float(fsum + isum as f64),
+                        AggFunc::Sum(_) if floats => Value::Float(fsum + isum as f64),
                         AggFunc::Sum(_) => i64::try_from(isum)
                             .map(Value::Int)
                             .unwrap_or(Value::Float(isum as f64)),
@@ -133,47 +138,54 @@ pub fn sliding_aggregate(vals: &[Value], l: i64, u: i64, f: AggFunc) -> Vec<Valu
                 .collect()
         }
         AggFunc::Min(_) | AggFunc::Max(_) => {
-            let is_min = matches!(f, AggFunc::Min(_));
-            // Monotonic deque over the two-pointer sweep: both window
-            // endpoints are non-decreasing in i, so each index enters and
-            // leaves the deque once.
-            let mut out = Vec::with_capacity(vals.len());
-            let mut deque: std::collections::VecDeque<usize> = Default::default();
-            let mut next = 0usize; // first index not yet pushed
-            for i in 0..n {
-                let Some((lo, hi)) = bounds(i) else {
-                    out.push(Value::Null);
-                    continue;
-                };
-                while next <= hi {
-                    if !vals[next].is_null() {
-                        while let Some(&back) = deque.back() {
-                            let dominated = if is_min {
-                                vals[back] >= vals[next]
-                            } else {
-                                vals[back] <= vals[next]
-                            };
-                            if dominated {
-                                deque.pop_back();
-                            } else {
-                                break;
-                            }
-                        }
-                        deque.push_back(next);
-                    }
-                    next += 1;
-                }
-                while deque.front().is_some_and(|&f| f < lo) {
-                    deque.pop_front();
-                }
-                out.push(match deque.front() {
-                    Some(&idx) => vals[idx].clone(),
-                    None => Value::Null,
-                });
-            }
-            out
+            let at = sliding_extreme(vals, l, u, matches!(f, AggFunc::Min(_)), Value::is_null);
+            (at.into_iter())
+                .map(|at| at.map_or(Value::Null, |at| vals[at].clone()))
+                .collect()
         }
     }
+}
+
+/// Per frame of [`sliding_aggregate`], the index of its least (`min`) or
+/// greatest entry that `skip` does not name — `None` where it holds none.
+/// A monotonic deque over the two-pointer sweep: both frame ends are
+/// non-decreasing in `i`, so each index enters and leaves the deque once.
+pub fn sliding_extreme<T: Ord>(
+    vals: &[T],
+    l: i64,
+    u: i64,
+    min: bool,
+    skip: impl Fn(&T) -> bool,
+) -> Vec<Option<usize>> {
+    let n = vals.len() as i64;
+    let mut out = Vec::with_capacity(vals.len());
+    let mut deque = std::collections::VecDeque::new();
+    let mut next = 0usize; // first index not yet pushed
+    for i in 0..n {
+        let (lo, hi) = ((i + l).max(0), (i + u).min(n - 1));
+        if lo > hi {
+            out.push(None);
+            continue;
+        }
+        while next <= hi as usize {
+            if !skip(&vals[next]) {
+                let dominated = |&back: &usize| match min {
+                    true => vals[back] >= vals[next],
+                    false => vals[back] <= vals[next],
+                };
+                while deque.back().is_some_and(dominated) {
+                    deque.pop_back();
+                }
+                deque.push_back(next);
+            }
+            next += 1;
+        }
+        while deque.front().is_some_and(|&f| f < lo as usize) {
+            deque.pop_front();
+        }
+        out.push(deque.front().copied());
+    }
+    out
 }
 
 /// `ω[l,u]_{f(A)→X; G; O}(R)`: row-based windowed aggregation per Fig. 3.

@@ -1573,6 +1573,170 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
     }
 }
 
+/// A window subscription runs its sweep on `i64` words while the
+/// aggregated lanes are integers and every sum fits, and hands over to
+/// `Value`s at the batch that brings a `Float` or a sum past `i64::MAX` —
+/// in either order, with and without `PARTITION BY`. Only upper bounds
+/// reach the edge: the selected guesses' sums fit, and only the bounds'
+/// addition can see the overflow. The hand-over absorbs the batch: every
+/// append is incremental, its deltas replay to the value, and the value is
+/// the one-shot answer of all three methods over every row appended. Four
+/// zero rows lead each batch, so no frame adds a `Float` or an edge value
+/// to anything but zeros and its own kind.
+#[test]
+fn a_window_subscription_hands_its_words_over_to_values() {
+    use audb::engine::{Session, Strategy};
+    use std::collections::BTreeMap;
+
+    let schema = Schema::new(["o", "g", "v"]);
+    let mut rng = Seeded(0x3E11_2026);
+    // Batch `k`: rows `30 k …`, in order after every earlier batch.
+    let mut batch = |k: i64, v: fn(i64) -> RangeValue| -> Vec<(AuTuple, Mult3)> {
+        (30 * k..30 * k + 30)
+            .map(|i| {
+                let o = RangeValue::new(10 * i - rng.below(4), 10 * i, 10 * i + rng.below(4));
+                let v = if i < 30 * k + 4 {
+                    RangeValue::certain(0)
+                } else {
+                    v(i)
+                };
+                let mult = match rng.below(6) {
+                    0 => Mult3::new(0, 1, 1),
+                    _ => Mult3::ONE,
+                };
+                let g = RangeValue::certain(i % 3);
+                (AuTuple::new([o, g, v]), mult)
+            })
+            .collect()
+    };
+    let int: fn(i64) -> RangeValue = |i| RangeValue::certain(i % 50 - 25);
+    let float: fn(i64) -> RangeValue = |i| RangeValue::certain((i % 50) as f64 + 0.5);
+    // Within 512 of the edge, and the other terms of a frame small: a sum
+    // past it is exact in `f64` however its terms are grouped.
+    let edge: fn(i64) -> RangeValue = |i| RangeValue::new(0, 0, i64::MAX - (i % 7) * 50);
+    let [floats_first, edges_first] = [[float, edge], [edge, float]].map(|[a, b]| {
+        let kinds = [int, int, int, a, b, int];
+        Vec::from_iter((0..).zip(kinds).map(|(k, v)| batch(k, v)))
+    });
+    let rel = |rows: &[(AuTuple, Mult3)]| AuRelation::from_rows(schema.clone(), rows.to_vec());
+    for partition in ["", "PARTITION BY g "] {
+        let sql = format!(
+            "SELECT *, SUM(v) OVER ({partition}ORDER BY o \
+             ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM s"
+        );
+        for batches in [&floats_first, &edges_first] {
+            let session = Session::new(Engine::native());
+            session.register("s", rel(&batches[0]));
+            let mut q = session.subscribe(&sql).expect("a window subscription");
+            let key = |t: &AuTuple| format!("{t:?}");
+            let entries = |value: AuRelation| -> BTreeMap<String, (AuTuple, Mult3)> {
+                (value.into_rows().into_iter())
+                    .map(|r| (key(&r.tuple), (r.tuple, r.mult)))
+                    .collect()
+            };
+            let mut replay = entries(q.value());
+            let mut fed = batches[0].clone();
+            for batch in &batches[1..] {
+                let what = format!("{partition}after {} rows", fed.len() + batch.len());
+                let delta = q.append(&rel(batch)).expect("the append runs");
+                assert_eq!(delta.strategy, Strategy::Incremental, "{what}");
+                fed.extend(batch.iter().cloned());
+                for (t, m) in &delta.removed {
+                    assert_eq!(replay.remove(&key(t)), Some((t.clone(), *m)), "{what}");
+                }
+                for (t, m) in &delta.added {
+                    assert_eq!(replay.insert(key(t), (t.clone(), *m)), None, "{what}");
+                }
+                let value = q.value();
+                assert_eq!(replay, entries(value.clone()), "deltas replay: {what}");
+                for engine in [Engine::Reference, Engine::Native, Engine::Rewrite] {
+                    let one_shot = Session::new(engine);
+                    one_shot.register("s", rel(&fed));
+                    let truth = one_shot.sql(&sql).expect("the window runs");
+                    assert!(
+                        value.bag_eq(&truth),
+                        "{engine:?}, {what}\nmaintained:\n{value}\none-shot:\n{truth}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `window_scan`'s shape: `(o, g, v, id)` over `n` rows, `o` anywhere in
+/// `[0, 200 n)` with distinct selected guesses, one in twenty a range (the
+/// hull of four draws in 1 000), one in a hundred — a fifth of those —
+/// possibly absent, one `v` in twenty a range, `g` one of eight certain
+/// values.
+fn scan_shaped_rows(rng: &mut Seeded, n: usize) -> Vec<(AuTuple, Mult3)> {
+    let domain = 200 * n as u64;
+    let hull = |rng: &mut Seeded, base: i64| {
+        let alts = [0; 4].map(|_| base + rng.below(1_000));
+        let (lo, hi) = (alts.iter().min(), alts.iter().max());
+        RangeValue::new(*lo.expect("four"), alts[0], *hi.expect("four"))
+    };
+    let mut seen = std::collections::HashSet::new();
+    (0..n as i64)
+        .map(|id| {
+            let uncertain_o = rng.below(20) == 0;
+            let o = loop {
+                let base = rng.below(domain);
+                let o = match uncertain_o {
+                    true => hull(rng, base),
+                    false => RangeValue::certain(base),
+                };
+                if seen.insert(o.sg.as_i64()) {
+                    break o;
+                }
+            };
+            let g = RangeValue::certain(rng.below(8));
+            let v = rng.below(domain);
+            let v = match rng.below(20) {
+                0 => hull(rng, v),
+                _ => RangeValue::certain(v),
+            };
+            let mult = match uncertain_o && rng.below(5) == 0 {
+                true => Mult3::new(0, 1, 1),
+                false => Mult3::ONE,
+            };
+            (AuTuple::new([o, g, v, RangeValue::certain(id)]), mult)
+        })
+        .collect()
+}
+
+/// The word form answers what the `Value` form answers, bit for bit: on
+/// `window_scan`'s shape, every aggregate over `v`, partitioned and not,
+/// over `i64` lanes and over the same rows in `Generic` lanes — which only
+/// the `Value` form reads — gives the same rows in the same order.
+#[test]
+fn the_word_form_equals_the_value_form_on_window_scan_data() {
+    use audb::core::PhysType;
+
+    let mut rng = Seeded(0x5CA1_2026);
+    let rows = scan_shaped_rows(&mut rng, 4_096);
+    let absent = rows.iter().filter(|(_, m)| m.lb == 0).count();
+    assert!(absent > 20, "{absent} possibly absent rows");
+    let cols = AuRelation::from_rows(Schema::new(["o", "g", "v", "id"]), rows).to_columns();
+    assert_eq!(cols.col(2).phys_type(), PhysType::I64);
+    let generic = cols.to_generic();
+    assert_eq!(generic.col(2).phys_type(), PhysType::Generic);
+    for agg in [
+        WinAgg::Sum(2),
+        WinAgg::Count,
+        WinAgg::Min(2),
+        WinAgg::Max(2),
+        WinAgg::Avg(2),
+    ] {
+        for partition in [vec![], vec![1]] {
+            let spec = AuWindowSpec::rows(vec![0], -2, 0).partition_by(partition);
+            let words = window_columns_native(&cols, &spec, agg, "x", &()).to_rows();
+            let values = window_columns_native(&generic, &spec, agg, "x", &()).to_rows();
+            assert_eq!(words.rows().len(), cols.len(), "{agg:?}, {spec:?}");
+            assert_eq!(words.rows(), values.rows(), "{agg:?}, {spec:?}");
+        }
+    }
+}
+
 /// The kernel emits its rows in canonical order without sorting tuples:
 /// they are, row for row, what `normalize` makes of the same sweep's rows
 /// in close order ([`MaintainedWindow::into_result`] of one batch). The
