@@ -807,8 +807,9 @@ fn window_table(n: usize) -> AuRelation {
 
 /// Mean and maximum size of the possible-member pool where a window of
 /// `plan` — one window, no partition, an integer aggregate over integer
-/// lanes — closes, over its source.
-fn pool_residency(plan: &Plan) -> (f64, usize) {
+/// lanes — closes, over its source, and the members a close that scans
+/// the pool visits, on average.
+fn pool_residency(plan: &Plan) -> (f64, usize, f64) {
     let Op::Window { spec, agg, .. } = &plan.ops()[0] else {
         unreachable!("a window plan")
     };
@@ -822,8 +823,8 @@ fn pool_residency(plan: &Plan) -> (f64, usize) {
 /// time: median over the runs of each stage's milliseconds summed over
 /// both statements and every partition (DESIGN.md §3.4 has the table),
 /// and the size of the pool where a window of the partitionless one
-/// closes (mean, maximum).
-pub fn measure_window_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
+/// closes (mean, maximum) with the members a close visits.
+pub fn measure_window_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize, f64)) {
     let rel = Arc::new(scan_table(WINDOW_STAGE_ROWS, false));
     let scan = |partition| window_over(rel.clone(), partition, WinAgg::Sum(2));
     let pool = pool_residency(&scan(None));
@@ -880,8 +881,9 @@ fn scan_table(n: usize, in_order: bool) -> AuRelation {
 /// `serve_mix`'s window — `SUM(v)` over the two preceding rows in `o`
 /// order, no partition — over a 2 048-row append-only series, stage by
 /// stage as [`measure_window_stages`] splits `window_scan`, and the size of
-/// the pool where a window closes (mean, maximum).
-pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize)) {
+/// the pool where a window closes (mean, maximum) with the members a close
+/// visits.
+pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize, f64)) {
     let plan = window_over(
         scan_table(SERIES_STAGE_ROWS, true).into(),
         None,
@@ -903,8 +905,9 @@ pub struct WindowScalingRun {
     /// `ms` over `n`, in nanoseconds.
     pub ns_per_row: f64,
     /// Mean and maximum size of the possible-member pool where a window
-    /// closes (the partitionless cells; zero on the partitioned ones).
-    pub pool: (f64, usize),
+    /// closes, and the members a close visits (the partitionless cells;
+    /// zero on the partitioned ones).
+    pub pool: (f64, usize, f64),
 }
 
 /// Measure the native window as the engine runs it — partitions swept in
@@ -935,7 +938,7 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
             };
             let ms = time_median(window, runs);
             let pool = match partitioned {
-                true => (0.0, 0),
+                true => (0.0, 0, 0.0),
                 false => pool_residency(&plan),
             };
             out.push(WindowScalingRun {
@@ -1488,8 +1491,8 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     for (n, ms) in &window_dup {
         println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
     }
-    let (window_stages, (scan_pool_mean, scan_pool_max)) = measure_window_stages(cfg);
-    let (series_stages, (pool_mean, pool_max)) = measure_series_stages(cfg);
+    let (window_stages, (scan_pool_mean, scan_pool_max, scan_visits)) = measure_window_stages(cfg);
+    let (series_stages, (pool_mean, pool_max, visits)) = measure_series_stages(cfg);
     let (iceberg_rows, iceberg_stages) = measure_iceberg_stages(cfg);
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
@@ -1520,10 +1523,10 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         }
     }
     println!(
-        "{WINDOW_STAGE_ROWS:>7} rows  window/stages pool at a close: mean {scan_pool_mean:.1}, max {scan_pool_max}"
+        "{WINDOW_STAGE_ROWS:>7} rows  window/stages pool at a close: mean {scan_pool_mean:.1}, max {scan_pool_max}, visited per scanning close {scan_visits:.2}"
     );
     println!(
-        "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}"
+        "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}, visited per scanning close {visits:.2}"
     );
     for (name, ms) in measure_filter_stages(cfg) {
         println!("{FILTER_STAGE_ROWS:>7} rows  filter/stages      {name:<24} {ms:>10.3} ms");

@@ -94,8 +94,9 @@
 //! the selected-guess world in the order [`audb_core::sg_ordered_inputs`]
 //! defines (shared with [`audb_core::sg_window_values`]). The ranking has
 //! that order already — `τ_sg` less the duplicate index is one number per
-//! distinct selected guess under `<total_O` — so a batch's entries are
-//! sorted on it and `sg_ordered_inputs` is asked about the runs that tie
+//! distinct selected guess under `<total_O`, and below the batch's entry
+//! count — so one counting pass orders a batch's entries on it, and
+//! `sg_ordered_inputs` is asked about the runs that tie
 //! (equal selected guesses on every attribute: content decides). In-order
 //! batches extend the order at its end, so it is kept as a bounded tail of
 //! `(item, value)` pairs: an entry's aggregate is final once `u` later
@@ -119,7 +120,7 @@
 //! [`crate::sort::sort_columns_native`] over the band.
 
 use crate::rank_set::RankSet;
-use crate::sort::{band_rows, positions, sort_columns_native};
+use crate::sort::{band_rows, positions, sort_columns_native, Position};
 use crate::Stages;
 use audb_core::{
     prefix_of, sg_ordered_inputs, sort_prefixes, AuColumn, AuColumns, AuTuple, AuWindowSpec,
@@ -127,6 +128,7 @@ use audb_core::{
 };
 use audb_rel::ops::window::{sliding_aggregate, sliding_extreme};
 use audb_rel::{Schema, Value};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -435,6 +437,10 @@ struct Scratch {
     cert: Vec<usize>,
     /// Pool items picked by the min-k / max-k scan.
     picked: Vec<usize>,
+    /// The closes that scan the pool (`possn > 0`), and the members their
+    /// scans visit: [`WindowMaintain::pool_residency`]'s count.
+    scans: u64,
+    visits: u64,
 }
 
 /// Resumable partitionless window sweep (see the module docs), holding the
@@ -521,11 +527,13 @@ impl<W: Word> WindowMaintain<W> {
     }
 
     /// Mean and maximum size of the possible-member pool over the windows
-    /// closed by an arriving row — what a sorted pool scan has under it
-    /// (`repro bench`'s `window/scaling` residency line).
-    pub fn pool_residency(&self) -> (f64, usize) {
+    /// closed by an arriving row — what a sorted pool scan has under it —,
+    /// and the members visited per such close that scans the pool
+    /// (`repro bench`'s residency lines).
+    pub fn pool_residency(&self) -> (f64, usize, f64) {
         let closes = self.closed.len().max(1) as f64;
-        (self.pool_sum as f64 / closes, self.pool_max)
+        let visits = self.scratch.visits as f64 / self.scratch.scans.max(1) as f64;
+        (self.pool_sum as f64 / closes, self.pool_max, visits)
     }
 
     /// Would the rows `rows` of `cols` be in order after the rows fed so
@@ -567,48 +575,10 @@ impl<W: Word> WindowMaintain<W> {
         stages: &S,
     ) -> Result<(), Unfit> {
         let at = stages.mark();
-        // Batch-local positions in the sweep's arrival order; entries have
-        // k↑ = 1 (input row and duplicate index break ties reproducibly).
-        let rows = rows.iter().copied();
-        let mut pos = positions(cols, rows, &self.spec.order, normalized, None, &());
+        let first_new = self.items.len();
+        let pos = rank_share(cols, rows, &self.spec.order, normalized, &mut self.by_thi);
         if pos.is_empty() {
             return Ok(());
-        }
-        // Copies of one input row have no order between them — in a world
-        // either may come first — so where the sort offsets copy `i` by `i`
-        // (Algorithm 2), each takes the hull of their ranges: `τ↓` of the
-        // first, `τ↑` of the last. They tie, and arrive one after another.
-        for copies in pos.chunk_by_mut(|a, b| a.row == b.row) {
-            let (lo, hi) = (copies[0].tau_lb, copies[copies.len() - 1].tau_ub);
-            for p in copies {
-                (p.tau_lb, p.tau_ub) = (lo, hi);
-            }
-        }
-        // Arrival order `(τ↓, τ↑, row, dup)`: one radix sort of `(τ↓, τ↑)`
-        // words — batch-local positions, under 2³² as the output is — and
-        // `(row, dup)` only where two tie.
-        let mut refs: Vec<(u64, u32)> = (pos.iter().enumerate())
-            .map(|(i, p)| (p.tau_lb << 32 | p.tau_ub, i as u32))
-            .collect();
-        sort_prefixes(&mut refs);
-        for run in refs
-            .chunk_by_mut(|a, b| a.0 == b.0)
-            .filter(|run| run.len() > 1)
-        {
-            run.sort_unstable_by_key(|&(_, i)| (pos[i as usize].row, pos[i as usize].dup));
-        }
-        let pos: Vec<_> = refs.iter().map(|&(_, i)| pos[i as usize]).collect();
-        // `(τ↑, id)` order, extended: one counting pass over the batch's
-        // `τ↑`s, which are below its entry count.
-        let first_new = self.items.len();
-        let mut at_thi = vec![0; pos.len() + 1];
-        pos.iter().for_each(|p| at_thi[p.tau_ub as usize + 1] += 1);
-        (1..at_thi.len()).for_each(|thi| at_thi[thi] += at_thi[thi - 1]);
-        self.by_thi.resize(first_new + pos.len(), 0);
-        for (id, p) in (first_new..).zip(&pos) {
-            let at = &mut at_thi[p.tau_ub as usize];
-            self.by_thi[first_new + *at] = id;
-            *at += 1;
         }
         let at = stages.stage(at, "rank");
         // Offsets shift batch-local positions into the global rank space;
@@ -641,52 +611,13 @@ impl<W: Word> WindowMaintain<W> {
                 row: p.row,
             });
         }
-        // The frontier moves to the batch's greatest ORDER BY upper-bound
-        // corner. Every row's lower-bound corner is at or below that one, so
-        // no row has more possible predecessors than its row: only the rows
-        // of greatest `τ↑` are encoded to find it.
-        let last = pos.iter().map(|p| p.tau_ub).max();
-        let greatest_ub = |rows: &mut dyn Iterator<Item = u32>| {
-            let mut ub = KeyArena::with_capacity(1, self.spec.order.len());
-            rows.for_each(|row| {
-                ub.push_corner_at(cols, row as usize, Corner::Ub, &self.spec.order)
-            });
-            let top = (0..ub.len()).map(|slot| ub.key(slot)).max();
-            top.expect("the batch ranked at least one row").to_vec()
-        };
-        let at_last = pos.iter().filter(|p| Some(p.tau_ub) == last);
-        let top = greatest_ub(&mut at_last.map(|p| p.row));
-        debug_assert_eq!(top, greatest_ub(&mut pos.iter().map(|p| p.row)));
+        // The frontier moves to the batch's greatest upper-bound corner.
+        let top = greatest_ub(cols, &pos, &self.spec.order);
         if self.frontier.as_ref().is_none_or(|f| *f < top) {
             self.frontier = Some(top);
         }
         let at = stages.stage(at, "items");
-        // The selected-guess order of the batch. The ranking already holds
-        // it: entries of different selected guesses under `<total_O` differ
-        // in the base of `τ_sg`. Only among equal ones — one base — does
-        // content decide, and that is `sg_ordered_inputs`' to say.
-        let mut bases: Vec<(u64, u32)> = (pos.iter().enumerate())
-            .filter(|(_, p)| p.mult.sg >= 1)
-            .map(|(i, p)| (p.tau_sg - u64::from(p.dup), i as u32))
-            .collect();
-        sort_prefixes(&mut bases);
-        let mut sg_block: Vec<(u64, usize)> = (bases.into_iter())
-            .map(|(base, i)| (base, first_new + i as usize))
-            .collect();
-        for run in sg_block.chunk_by_mut(|a, b| a.0 == b.0) {
-            if run.len() > 1 {
-                let tuples: Vec<AuTuple> = (run.iter())
-                    .map(|&(_, id)| cols.tuple(self.items[id].row as usize))
-                    .collect();
-                let mut tied: Vec<(usize, &AuTuple)> =
-                    run.iter().map(|&(_, id)| id).zip(&tuples).collect();
-                sg_ordered_inputs(&mut tied, &self.spec.order, self.agg);
-                for (entry, (id, _)) in run.iter_mut().zip(tied) {
-                    entry.1 = id;
-                }
-            }
-        }
-        let sg_ids: Vec<usize> = sg_block.iter().map(|&(_, id)| id).collect();
+        let sg_ids = sg_order(cols, &pos, first_new, &self.spec.order, self.agg);
         let sg_vals = (sg_ids.iter())
             .map(|&id| self.items[id].attr[1].clone())
             .collect();
@@ -848,7 +779,7 @@ impl<W: Word> WindowMaintain<W> {
         let s = &items[id];
         let cs = (s.thi + l, s.tlo + u); // certainly covered positions
         let ps = (s.tlo + l, s.thi + u); // possibly covered positions
-        let Scratch { cert, picked } = scratch;
+        let Scratch { cert, picked, .. } = scratch;
 
         // Certain members: self, then the τ↓-range scan.
         cert.clear();
@@ -875,9 +806,12 @@ impl<W: Word> WindowMaintain<W> {
             cert.len(),
             possn,
         );
+        scratch.scans += u64::from(possn > 0);
 
         // A pool candidate is a possible-but-not-certain member ≠ self.
+        let visited = Cell::new(0);
         let valid = |&(_, p): &(bool, &Ranked)| -> bool {
+            visited.set(visited.get() + 1);
             let certainly = p.cert && p.tlo >= cs.0 && p.thi <= cs.1;
             p.id != id && !certainly && p.tlo <= ps.1 && p.thi >= ps.0
         };
@@ -899,24 +833,11 @@ impl<W: Word> WindowMaintain<W> {
                 }
                 // min-k over the A↓-ordered component with the guaranteed
                 // floor: the j = clamp(#negatives, q, possn) smallest lower
-                // bounds (see audb_core::aggregate_window) — the scan stops
-                // at the first candidate that is neither owed nor negative.
-                picked.clear();
-                for (negative, p) in min_k().filter(valid) {
-                    if picked.len() == possn || (picked.len() >= q && !negative) {
-                        break;
-                    }
-                    picked.push(p.id);
-                }
+                // bounds (see audb_core::aggregate_window).
+                pick(min_k().filter(valid), q, possn, picked);
                 let lo = W::sum(lo, picked.iter().map(|&p| &items[p].attr[0]))?;
                 // max-k over the A↑-descending component, mirrored.
-                picked.clear();
-                for (positive, p) in max_k().filter(valid) {
-                    if picked.len() == possn || (picked.len() >= q && !positive) {
-                        break;
-                    }
-                    picked.push(p.id);
-                }
+                pick(max_k().filter(valid), q, possn, picked);
                 let hi = W::sum(hi, picked.iter().map(|&p| &items[p].attr[2]))?;
                 (lo, hi)
             }
@@ -966,7 +887,7 @@ impl<W: Word> WindowMaintain<W> {
                 (lo, hi)
             }
         };
-
+        scratch.visits += visited.get();
         Some(clamped(xlo, sg_raw, xhi))
     }
 
@@ -1039,6 +960,28 @@ impl<W: Word> WindowMaintain<W> {
     }
 }
 
+/// The candidates a `SUM` bound takes from `scan`: the `q` owed to
+/// guaranteed slots, then more while their bound helps (the flag), `possn`
+/// at most. Helpful members are a prefix of a ranking (`Pool::signed`), so
+/// the pick that fills `possn`, or reaches `q` without helping, is the last.
+fn pick<'a>(
+    scan: impl Iterator<Item = (bool, &'a Ranked)>,
+    q: usize,
+    possn: usize,
+    picked: &mut Vec<usize>,
+) {
+    picked.clear();
+    for (helps, p) in scan {
+        if picked.len() >= q && !helps {
+            break;
+        }
+        picked.push(p.id);
+        if picked.len() == possn || (picked.len() >= q && !helps) {
+            break;
+        }
+    }
+}
+
 /// `[lb, sg, ub]` with the selected guess clamped into the bounds
 /// (DESIGN.md §3.4) — a `NULL` one, the least value, up to `lb`.
 fn clamped<W: Word>(lb: W, sg_raw: W, ub: W) -> [W; 3] {
@@ -1050,6 +993,110 @@ fn clamped<W: Word>(lb: W, sg_raw: W, ub: W) -> [W; 3] {
         sg_raw
     };
     [lb, sg, ub]
+}
+
+/// [`WindowMaintain::apply_rows`]' ranking, compiled once for both forms:
+/// the batch-local positions of the rows `rows` of `cols` in arrival order,
+/// and `by_thi` — every item fed so far — extended by their ids.
+fn rank_share(
+    cols: &AuColumns,
+    rows: &[usize],
+    order: &[usize],
+    normalized: bool,
+    by_thi: &mut Vec<usize>,
+) -> Vec<Position> {
+    let rows = rows.iter().copied();
+    let mut pos = positions::<true, ()>(cols, rows, order, normalized, None, &());
+    arrival_order(&mut pos);
+    // One counting pass over the batch's `τ↑`s, which are below its entry
+    // count; the ids continue from the items fed before.
+    let first_new = by_thi.len();
+    let mut at_thi = vec![0; pos.len() + 1];
+    pos.iter().for_each(|p| at_thi[p.tau_ub as usize + 1] += 1);
+    (1..at_thi.len()).for_each(|thi| at_thi[thi] += at_thi[thi - 1]);
+    by_thi.resize(first_new + pos.len(), 0);
+    for (id, p) in (first_new..).zip(&pos) {
+        let at = &mut at_thi[p.tau_ub as usize];
+        by_thi[first_new + *at] = id;
+        *at += 1;
+    }
+    pos
+}
+
+/// Positions in `O↓` scan order put into arrival order, `(τ↓, τ↑, row,
+/// dup)`. Copies of one input row have no order between them — in a world
+/// either may come first — so where the sort offsets copy `i` by `i`
+/// (Algorithm 2), each takes the hull of their ranges. `τ↓` never
+/// decreases along the scan order, the hull included: only a run of equal
+/// `τ↓` is sorted.
+fn arrival_order(pos: &mut [Position]) {
+    for copies in pos.chunk_by_mut(|a, b| a.row == b.row) {
+        let (lo, hi) = (copies[0].tau_lb, copies[copies.len() - 1].tau_ub);
+        for p in copies {
+            (p.tau_lb, p.tau_ub) = (lo, hi);
+        }
+    }
+    debug_assert!(pos.is_sorted_by_key(|p| p.tau_lb), "scan order");
+    for run in (pos.chunk_by_mut(|a, b| a.tau_lb == b.tau_lb)).filter(|run| run.len() > 1) {
+        run.sort_unstable_by_key(|p| (p.tau_ub, p.row, p.dup));
+    }
+}
+
+/// The greatest upper-bound corner on `order` of the rows behind `pos`, as
+/// its key's bytes. Every row's lower-bound corner is at or below that
+/// one, so no row has more possible predecessors than its row: only the
+/// rows of greatest `τ↑` are encoded to find it.
+fn greatest_ub(cols: &AuColumns, pos: &[Position], order: &[usize]) -> Vec<u8> {
+    let greatest = |rows: &mut dyn Iterator<Item = u32>| {
+        let mut ub = KeyArena::with_capacity(1, order.len());
+        rows.for_each(|row| ub.push_corner_at(cols, row as usize, Corner::Ub, order));
+        let top = (0..ub.len()).map(|slot| ub.key(slot)).max();
+        top.expect("the batch ranked at least one row").to_vec()
+    };
+    let last = pos.iter().map(|p| p.tau_ub).max();
+    let at_last = pos.iter().filter(|p| Some(p.tau_ub) == last);
+    let top = greatest(&mut at_last.map(|p| p.row));
+    debug_assert_eq!(top, greatest(&mut pos.iter().map(|p| p.row)));
+    top
+}
+
+/// The selected-guess order of a batch's entries `pos` (arrival order, ids
+/// from `first`; module docs, "Selected guesses"): one stable counting pass
+/// over the bases of `τ_sg`, then `sg_ordered_inputs` where a base ties —
+/// equal selected guesses under `<total_O`, which content decides.
+fn sg_order(
+    cols: &AuColumns,
+    pos: &[Position],
+    first: usize,
+    order: &[usize],
+    agg: WinAgg,
+) -> Vec<usize> {
+    let base = |id: usize| {
+        let p = &pos[id - first];
+        (p.tau_sg - u64::from(p.dup)) as usize
+    };
+    let in_sg = || (first..).zip(pos).filter(|(_, p)| p.mult.sg >= 1);
+    let mut at = vec![0; pos.len() + 1];
+    in_sg().for_each(|(id, _)| at[base(id) + 1] += 1);
+    (1..at.len()).for_each(|b| at[b] += at[b - 1]);
+    let mut ids = vec![0; at[pos.len()]];
+    for (id, _) in in_sg() {
+        ids[at[base(id)]] = id;
+        at[base(id)] += 1;
+    }
+    for run in ids.chunk_by_mut(|&a, &b| base(a) == base(b)) {
+        if run.len() > 1 {
+            let tuples: Vec<AuTuple> = (run.iter())
+                .map(|&id| cols.tuple(pos[id - first].row as usize))
+                .collect();
+            let mut tied: Vec<(usize, &AuTuple)> = run.iter().copied().zip(&tuples).collect();
+            sg_ordered_inputs(&mut tied, order, agg);
+            for (entry, (id, _)) in run.iter_mut().zip(tied) {
+                *entry = id;
+            }
+        }
+    }
+    ids
 }
 
 /// The rows of `cols` that exist (`k↑ > 0`).
@@ -1452,5 +1499,85 @@ mod tests {
             assert_eq!(ranked, survivors + chunk.len(), "batch {batch}");
         }
         assert!(ranked < 24, "band-sized rankings, got {ranked}");
+    }
+
+    /// A batch's arrival order is `positions`' scan order with each run of
+    /// equal `τ↓` sorted. Over small random batches — copies of rows with
+    /// `k↑ > 1`, tied and ranged order keys, identical rows stored apart,
+    /// zero rows — `τ↓` never decreases along the scan order, the copies'
+    /// hull included, and the result is a plain sort by `(τ↓, τ↑, row,
+    /// dup)` of the emission order's positions under the same hull.
+    #[test]
+    fn the_arrival_order_is_the_scan_order_with_its_ties_sorted() {
+        let mut x = 0x0A11_1BA1u64;
+        let mut draw = move |below: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % below) as i64
+        };
+        let mults = [
+            Mult3::ONE,
+            Mult3::new(0, 1, 1),
+            Mult3::new(0, 0, 1),
+            Mult3::new(1, 1, 3),
+            Mult3::new(0, 2, 2),
+            Mult3::new(2, 2, 2),
+            Mult3::ZERO,
+        ];
+        // `(τ↓, τ↑, row, dup)`, the copies of a row under their hull.
+        let hulled = |pos: &[Position]| -> Vec<(u64, u64, u32, u32)> {
+            let copies = |row| pos.iter().filter(move |p: &&Position| p.row == row);
+            let hull = |row| {
+                let lo = copies(row).map(|p| p.tau_lb).min();
+                (
+                    lo.expect("itself"),
+                    copies(row).map(|p| p.tau_ub).max().expect("itself"),
+                )
+            };
+            (pos.iter())
+                .map(|p| (hull(p.row).0, hull(p.row).1, p.row, p.dup))
+                .collect()
+        };
+        let mut runs_sorted = 0;
+        for case in 0..400 {
+            let mut rows: Vec<(AuTuple, Mult3)> = Vec::new();
+            for _ in 0..1 + draw(14) {
+                if !rows.is_empty() && draw(6) == 0 {
+                    let stored = rows[draw(rows.len() as u64) as usize].clone();
+                    rows.push(stored);
+                    continue;
+                }
+                let a = draw(6);
+                let a = match draw(3) {
+                    0 => rv(a - draw(3), a, a + draw(4)),
+                    _ => RangeValue::certain(a),
+                };
+                let b = RangeValue::certain(draw(2));
+                rows.push((AuTuple::new([a, b]), mults[draw(7) as usize]));
+            }
+            let cols = rel_of(&rows).to_columns();
+            let all = || 0..cols.len();
+            let scan = positions::<true, ()>(&cols, all(), &[0], false, None, &());
+            let emitted = positions::<false, ()>(&cols, all(), &[0], false, None, &());
+            let scanned = hulled(&scan);
+            assert!(
+                scanned.is_sorted_by_key(|p| p.0),
+                "case {case}: {scanned:?}"
+            );
+            let mut want = hulled(&emitted);
+            want.sort_unstable();
+            let mut got = scan.clone();
+            arrival_order(&mut got);
+            let got: Vec<_> = (got.iter())
+                .map(|p| (p.tau_lb, p.tau_ub, p.row, p.dup))
+                .collect();
+            assert_eq!(got, want, "case {case}");
+            runs_sorted += usize::from(scanned != want);
+        }
+        assert!(
+            runs_sorted > 40,
+            "{runs_sorted} batches whose ties needed the sort"
+        );
     }
 }

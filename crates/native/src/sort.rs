@@ -74,10 +74,12 @@
 //! whoever wants rows calls [`AuColumns::to_rows`] at its own door
 //! (DESIGN.md §3.3 has why the sweep emits one record, not seven lanes).
 //! The window sweep ([`crate::window`]) ranks an index view of the same
-//! columns — one partition — through the same code and reads the same
-//! emissions. [`sort_native`] and [`topk_native`] are doors for callers
-//! that hold rows and want rows: they transpose, call the columnar entry
-//! and transpose back.
+//! columns — one partition — through the same code, but takes the rows in
+//! `O↓` scan order, with no emission counting sort: `τ↓` never decreases
+//! along it, so the window's arrival order is a sort of each run of equal
+//! `τ↓` ([`crate::maintain`]), not of the batch. [`sort_native`] and
+//! [`topk_native`] are doors for callers that hold rows and want rows:
+//! they transpose, call the columnar entry and transpose back.
 
 use crate::Stages;
 use audb_core::{
@@ -173,7 +175,7 @@ pub fn sort_columns_native<S: Stages>(
     k: Option<u64>,
     stages: &S,
 ) -> AuColumns {
-    let ranked = positions(cols, 0..cols.len(), order, cols.is_normalized(), k, stages);
+    let ranked = positions::<false, S>(cols, 0..cols.len(), order, cols.is_normalized(), k, stages);
     let at = stages.mark();
     // The emissions, a lane per quantity.
     let n = ranked.len();
@@ -217,11 +219,15 @@ const CORNERS: [Corner; 3] = [Corner::Lb, Corner::Sg, Corner::Ub];
 type KeyRef = (u64, u32);
 
 /// The rank computation of Algorithm 1 + `split` over the rows `rows` of
-/// `cols` — all of them, or one partition — in emission order.
-/// `normalized` asserts those rows are distinct and zero-free, which skips
-/// the merge. Reports `"encode"`, `"band"` (top-k only), `"rank"`,
-/// `"merge"` and `"sweep"` to `stages`.
-pub(crate) fn positions<S: Stages>(
+/// `cols` — all of them, or one partition — in emission order, or with
+/// `SCAN` in `O↓` scan order, along which `τ↓` never decreases (the
+/// window's arrivals). `normalized` asserts those rows are distinct and
+/// zero-free, which skips the merge. Reports `"encode"`, `"band"` (top-k
+/// only), `"rank"`, `"merge"` and `"sweep"` to `stages`. Never inlined:
+/// inlined into the sort, its one caller per sink, it read `rank_scan`
+/// ≈ 8 % slower.
+#[inline(never)]
+pub(crate) fn positions<const SCAN: bool, S: Stages>(
     cols: &AuColumns,
     rows: impl ExactSizeIterator<Item = usize>,
     order: &[usize],
@@ -257,7 +263,7 @@ pub(crate) fn positions<S: Stages>(
         sg_base[r + 1] = checked(sg_base[r + 1].checked_add(sg_base[r]));
     }
     let at = stages.stage(at, "merge");
-    let out = sweep(&scanned, &sg_base, k);
+    let out = sweep::<SCAN>(&scanned, &sg_base, k);
     stages.stage(at, "sweep");
     out
 }
@@ -473,8 +479,9 @@ fn merge(scanned: &mut Vec<Cand>) {
 
 /// Algorithm 1 over ranked candidates in `O↓` order, as passes over the
 /// rank space, with `split` (Algorithm 2) and, under top-k, the fused
-/// `σ_{τ < k}` and cap in `emit`.
-fn sweep(scanned: &[Cand], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
+/// `σ_{τ < k}` and cap in `emit`; the rows in emission order, or in the
+/// scan order (`SCAN`).
+fn sweep<const SCAN: bool>(scanned: &[Cand], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
     // One output row per possible duplicate, decided before anything is
     // allocated for them.
     let bound = output_rows_bound(scanned.iter().map(|c| c.mult.ub), k);
@@ -502,11 +509,11 @@ fn sweep(scanned: &[Cand], sg_base: &[u64], k: Option<u64>) -> Vec<Position> {
         below[r] = [CERTAIN, POSSIBLE, ROWS].map(|sum| below[r][sum] + below[r - 1][sum]);
     }
     // Emission order, the heap's of Algorithm 1: by `O↑` rank, then in scan
-    // order — one counting sort.
+    // order — one counting sort —, or the scan order itself.
     let mut order = vec![0u32; scanned.len()];
     for (i, c) in scanned.iter().enumerate() {
         let at = &mut below[c.ranks[UB] as usize][ROWS];
-        order[*at as usize] = i as u32;
+        order[if SCAN { i } else { *at as usize }] = i as u32;
         *at += 1;
     }
     for i in order {

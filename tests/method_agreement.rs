@@ -1573,6 +1573,65 @@ fn window_sums_at_the_i64_edges_agree_with_reference() {
     }
 }
 
+/// A `SUM` bound takes the `q` pool members owed to guaranteed slots, then
+/// more only while they help, and its scans stop at their last pick. Over
+/// values of both signs, a fifth of the rows possibly absent — so a frame
+/// owes fewer slots than it may hold (`q < possn`), and the pool holds
+/// negative lower and positive upper bounds past the owed ones —, every
+/// method's answer, with and without `PARTITION BY`, is the reference's
+/// and the rewrite's.
+#[test]
+fn sum_scans_that_stop_at_their_last_pick_agree_on_every_method() {
+    let schema = Schema::new(["g", "o", "v"]);
+    let mut rng = Seeded(0x5160_2026);
+    let rows: Vec<(AuTuple, Mult3)> = (0..180i64)
+        .map(|i| {
+            let o = 4 * i;
+            let o = match rng.below(3) {
+                0 => RangeValue::new(o - rng.below(9), o, o + rng.below(9)),
+                _ => RangeValue::certain(o),
+            };
+            let v = rng.below(41) - 20;
+            let v = match rng.below(4) {
+                0 => RangeValue::new(v - rng.below(6), v, v + rng.below(6)),
+                _ => RangeValue::certain(v),
+            };
+            let mult = match rng.below(10) {
+                0 => Mult3::new(0, 1, 1),
+                1 => Mult3::new(0, 0, 1),
+                _ => Mult3::ONE,
+            };
+            let g = RangeValue::certain(rng.below(3));
+            (AuTuple::new([g, o, v]), mult)
+        })
+        .collect();
+    let rel = AuRelation::from_rows(schema, rows);
+    for partitioned in [false, true] {
+        for (l, u) in [(-3i64, 0i64), (-2, 2), (0, 4)] {
+            let what = format!("partitioned: {partitioned}, [{l}, {u}]");
+            let mut spec = AuWindowSpec::rows(vec![1], l, u);
+            let mut window = WindowSpec::rows(l, u).order_by(["o"]);
+            if partitioned {
+                spec = spec.partition_by(vec![0]);
+                window = window.partition_by(["g"]);
+            }
+            let reference = window_ref(&rel, &spec, WinAgg::Sum(2), "x", CmpSemantics::IntervalLex);
+            let rewrite = rewr_window(&rel, &spec, WinAgg::Sum(2), "x", JoinStrategy::default());
+            assert!(rewrite.bag_eq(&reference), "rewrite ≠ reference: {what}");
+            let native = window_columns_native(&rel.to_columns(), &spec, WinAgg::Sum(2), "x", &());
+            assert!(native.to_rows().bag_eq(&reference), "kernel: {what}");
+            let plan = (Query::scan(rel.clone())
+                .window(window.aggregate(Agg::sum("v")).output("x")))
+            .build()
+            .expect("a window plan");
+            for engine in [Engine::Reference, Engine::Native, Engine::Rewrite] {
+                let out = engine.execute(&plan).expect("the window runs").to_rows();
+                assert!(out.bag_eq(&reference), "{engine:?}: {what}");
+            }
+        }
+    }
+}
+
 /// A window subscription runs its sweep on `i64` words while the
 /// aggregated lanes are integers and every sum fits, and hands over to
 /// `Value`s at the batch that brings a `Float` or a sum past `i64::MAX` —
