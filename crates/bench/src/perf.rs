@@ -360,6 +360,19 @@ fn stream_schema() -> Schema {
     Schema::new(["o", "v"])
 }
 
+/// Marsaglia's xorshift64 from `seed`: each call steps the state by the
+/// `(13, 7, 17)` shifts and returns it — the raw word every table this
+/// harness generates draws from.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// A deterministic in-order sensor stream split into `batch`-row appends:
 /// strictly increasing uncertain order keys (stride 4, spread ≤ 2, so
 /// every batch lands past the accumulated frontier and the subscription
@@ -371,14 +384,12 @@ fn stream_schema() -> Schema {
 /// itself would be Θ(n) regardless of maintenance strategy (DESIGN.md
 /// §13.1).
 fn stream_batches(n: usize, batch: usize) -> Vec<AuRelation> {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
     let mut t = 0i64;
     let mut out = Vec::new();
     let mut rows = Vec::with_capacity(batch);
     for _ in 0..n {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
+        let state = next();
         t += 4;
         let spread = (state % 3) as i64;
         let v = ((state >> 8) % 100) as i64 - 50;
@@ -504,14 +515,11 @@ pub struct PruningRun {
 /// band `v` (so the relation is genuinely AU — the pruning decision must
 /// come from the zone maps, not from degenerate certainty).
 fn clustered_table(n: usize) -> AuRelation {
-    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = xorshift(0x2545_f491_4f6c_dd1d);
     AuRelation::from_rows(
         Schema::new(["t", "v"]),
         (0..n).map(|i| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let v = (state % 1000) as i64;
+            let v = (next() % 1000) as i64;
             (
                 AuTuple::new([
                     RangeValue::certain(i as i64),
@@ -620,13 +628,8 @@ pub fn measure_append(cfg: &BenchConfig) -> Vec<AppendRun> {
 /// row in twenty, a fifth of those possibly absent; `g` one of eight; `v`
 /// ranged on one row in twenty — what `/register` and `/append` parse.
 fn served_csv(from: usize, n: usize) -> String {
-    let mut state = 0x0C57_10ADu64 ^ from as u64;
-    let mut draw = move |below: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % below) as i64
-    };
+    let mut next = xorshift(0x0C57_10AD ^ from as u64);
+    let mut draw = move |below: u64| (next() % below) as i64;
     let ranged = |base: i64, draw: &mut dyn FnMut(u64) -> i64| match draw(20) {
         0 => {
             let alts = [0; 4].map(|_| base + draw(1_000));
@@ -841,13 +844,8 @@ pub fn measure_window_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f
 /// the position range of every row after it (DESIGN.md §13.1), so few
 /// frames are full of certain members.
 fn scan_table(n: usize, in_order: bool) -> AuRelation {
-    let mut state = 0x005E_41E5u64;
-    let mut draw = move |below: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % below) as i64
-    };
+    let mut next = xorshift(0x005E_41E5);
+    let mut draw = move |below: u64| (next() % below) as i64;
     let hull = |draw: &mut dyn FnMut(u64) -> i64, base: i64| {
         let alts = [0; 4].map(|_| base + draw(1_000));
         let (lo, hi) = (alts.iter().min(), alts.iter().max());
@@ -994,13 +992,8 @@ pub const FILTER_STAGE_ROWS: usize = 131_072;
 /// row in twenty; certain `c` over the lower six tenths and `d` over the
 /// upper.
 fn events_table(n: usize) -> AuRelation {
-    let mut state = 42u64;
-    let mut below = move |m: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % m
-    };
+    let mut next = xorshift(42);
+    let mut below = move |m: u64| next() % m;
     let domain = n as u64 * 20;
     let rows = (0..n).map(|id| {
         let mut ranged = || match (below(20), below(domain) as i64) {
@@ -1090,16 +1083,16 @@ pub fn measure_window_aggregates(cfg: &BenchConfig) -> Vec<(&'static str, f64)> 
     let table = gen_window_table(&SyntheticConfig::default().rows(AGGREGATE_ROWS).seed(3));
     let engine = Engine::native();
     [
-        ("sum", WinAgg::Sum(2)),
-        ("count", WinAgg::Count),
-        ("min", WinAgg::Min(2)),
-        ("max", WinAgg::Max(2)),
-        ("avg", WinAgg::Avg(2)),
+        WinAgg::Sum(2),
+        WinAgg::Count,
+        WinAgg::Min(2),
+        WinAgg::Max(2),
+        WinAgg::Avg(2),
     ]
     .into_iter()
-    .map(|(name, agg)| {
+    .map(|agg| {
         let plan = window_plan(table.to_au_relation(), &[0], agg, -2, 0);
-        (name, time_median(|| execute(&engine, &plan), runs))
+        (agg.name(), time_median(|| execute(&engine, &plan), runs))
     })
     .collect()
 }

@@ -66,11 +66,10 @@ pub fn mcdb_window_bounds(
     seed: u64,
 ) -> Vec<Option<(Value, Value)>> {
     let id_col = table.schema.arity();
-    let dagg = agg.det();
     let per_sample = audb_par::par_run(samples, |s| {
         let world = tagged_world(table, sample_rng(seed, s));
         let spec = WindowSpec::rows(order.to_vec(), l, u);
-        let out = window_rows(&world, &spec, dagg, "x");
+        let out = window_rows(&world, &spec, agg, "x");
         let x_col = out.schema.arity() - 1;
         out.rows
             .iter()

@@ -68,8 +68,8 @@ pub use ops::project::project as au_project;
 pub use ops::select::select as au_select;
 pub use ops::sort::{sort_ref, topk_ref};
 pub use ops::window::{
-    guaranteed_extra_slots, sg_ordered_inputs, sg_window_values, window_ref, window_value,
-    AuWindowSpec, WinAgg,
+    assert_au_frame, attr_range, guaranteed_extra_slots, sg_ordered_inputs, sg_window_values,
+    window_ref, window_value, AuWindowSpec, WinAgg,
 };
 pub use physical::{CertBitmap, PhysSlice, PhysType, PhysVec, StrPool};
 pub use pos::{all_pos_bounds, pos_bounds, PosBounds};

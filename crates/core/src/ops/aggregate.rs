@@ -23,7 +23,7 @@
 //! experiments consume. See DESIGN.md §3.6.
 
 use crate::mult::Mult3;
-use crate::ops::window::WinAgg;
+use crate::ops::window::{attr_range, WinAgg};
 use crate::range_value::RangeValue;
 use crate::relation::AuRelation;
 use crate::tuple::AuTuple;
@@ -119,16 +119,25 @@ fn agg_bounds(
     poss: &[(&AuTuple, Mult3)],
     sg: &[(&AuTuple, u64)],
 ) -> RangeValue {
-    let attr_of = |t: &AuTuple| -> RangeValue {
-        match agg.input_col() {
-            Some(c) => t.get(c).clone(),
-            None => RangeValue::certain(1i64),
-        }
+    let attr_of = |t: &AuTuple| attr_range(agg, t);
+    // The extremes over every member, certain or possible.
+    let members = || cert.iter().chain(poss);
+    let least_lb = || {
+        members()
+            .map(|(t, _)| attr_of(t).lb)
+            .min()
+            .unwrap_or(Value::Null)
+    };
+    let greatest_ub = || {
+        members()
+            .map(|(t, _)| attr_of(t).ub)
+            .max()
+            .unwrap_or(Value::Null)
     };
     let (lb, ub) = match agg {
         WinAgg::Count => {
             let lo: u64 = cert.iter().map(|(_, m)| m.lb).sum();
-            let hi: u64 = cert.iter().chain(poss.iter()).map(|(_, m)| m.ub).sum();
+            let hi: u64 = members().map(|(_, m)| m.ub).sum();
             (Value::Int(lo as i64), Value::Int(hi as i64))
         }
         WinAgg::Sum(_) => {
@@ -148,61 +157,18 @@ fn agg_bounds(
             }
             (lo, hi)
         }
+        // With no certain member the min can be as large as the largest
+        // possible member (a world where only it is present), and the
+        // max as small as the smallest.
         WinAgg::Min(_) => {
             let cert_ub = cert.iter().map(|(t, _)| attr_of(t).ub).min();
-            let all_lb = cert
-                .iter()
-                .chain(poss.iter())
-                .map(|(t, _)| attr_of(t).lb)
-                .min()
-                .unwrap_or(Value::Null);
-            let hi = match cert_ub {
-                Some(v) => v,
-                // No certain member: the min can be as large as the largest
-                // possible member (a world where only it is present).
-                None => cert
-                    .iter()
-                    .chain(poss.iter())
-                    .map(|(t, _)| attr_of(t).ub)
-                    .max()
-                    .unwrap_or(Value::Null),
-            };
-            (all_lb, hi)
+            (least_lb(), cert_ub.unwrap_or_else(greatest_ub))
         }
         WinAgg::Max(_) => {
             let cert_lb = cert.iter().map(|(t, _)| attr_of(t).lb).max();
-            let all_ub = cert
-                .iter()
-                .chain(poss.iter())
-                .map(|(t, _)| attr_of(t).ub)
-                .max()
-                .unwrap_or(Value::Null);
-            let lo = match cert_lb {
-                Some(v) => v,
-                None => cert
-                    .iter()
-                    .chain(poss.iter())
-                    .map(|(t, _)| attr_of(t).lb)
-                    .min()
-                    .unwrap_or(Value::Null),
-            };
-            (lo, all_ub)
+            (cert_lb.unwrap_or_else(least_lb), greatest_ub())
         }
-        WinAgg::Avg(_) => {
-            let lo = cert
-                .iter()
-                .chain(poss.iter())
-                .map(|(t, _)| attr_of(t).lb)
-                .min()
-                .unwrap_or(Value::Null);
-            let hi = cert
-                .iter()
-                .chain(poss.iter())
-                .map(|(t, _)| attr_of(t).ub)
-                .max()
-                .unwrap_or(Value::Null);
-            (lo, hi)
-        }
+        WinAgg::Avg(_) => (least_lb(), greatest_ub()),
     };
 
     // Selected-guess value from the SG world members.

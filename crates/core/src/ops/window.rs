@@ -28,6 +28,12 @@
 //! describes worlds containing `t`, so this is bound-preserving and
 //! strictly tighter than running `t` through the Fig. 6 interval test.
 //!
+//! The operator takes the deterministic operator's own parameters, one
+//! type each for Fig. 3 and Def. 3: the frame [`AuWindowSpec`]
+//! (`audb_rel::WindowSpec`) and the aggregate [`WinAgg`]
+//! (`audb_rel::AggFunc`). Only the precondition `l ≤ 0 ≤ u` is the AU-DB
+//! operators' own, checked where each starts ([`assert_au_frame`]).
+//!
 //! This module is the *semantic reference*: `O(n²)`–`O(n³)`. The one-pass
 //! equivalent lives in `audb_native::window`.
 
@@ -38,107 +44,39 @@ use crate::range_value::RangeValue;
 use crate::relation::AuRelation;
 use crate::tuple::AuTuple;
 use audb_rel::ops::sort::total_order;
-use audb_rel::ops::window::{clamp_frame_offset, sliding_aggregate};
+use audb_rel::ops::window::sliding_aggregate;
 use audb_rel::{AggFunc, Value};
 
-/// Window aggregate functions supported over AU-DBs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WinAgg {
-    /// `sum(A)` — tight bounds via min-k/max-k possible-member selection.
-    Sum(usize),
-    /// `count(*)` — sum over the constant 1.
-    Count,
-    /// `min(A)` — idempotent: certain members cap the upper bound.
-    Min(usize),
-    /// `max(A)`.
-    Max(usize),
-    /// `avg(A)` — sound `[min A↓, max A↑]` envelope over possible members
-    /// (the paper does not define a tight avg; see DESIGN.md §3.4).
-    Avg(usize),
-}
+/// The window aggregate: Fig. 3's deterministic `f(A)` and Def. 3's
+/// lifting are one type, [`AggFunc`]. Over AU-DBs `sum` gets tight bounds
+/// via min-k/max-k possible-member selection, `count(*)` is the sum over
+/// the constant 1, `min`/`max` are idempotent (certain members cap one
+/// bound), and `avg` is the sound `[min A↓, max A↑]` envelope over possible
+/// members (the paper does not define a tight avg; see DESIGN.md §3.4).
+pub type WinAgg = AggFunc;
 
-impl WinAgg {
-    /// The aggregated attribute, if any.
-    pub fn input_col(&self) -> Option<usize> {
-        match self {
-            WinAgg::Count => None,
-            WinAgg::Sum(c) | WinAgg::Min(c) | WinAgg::Max(c) | WinAgg::Avg(c) => Some(*c),
-        }
-    }
+/// The resolved window frame, the deterministic operator's own: the AU-DB
+/// operators ([`window_ref`], the rewrite, the native sweep) take it as
+/// is, and each checks the AU precondition `l ≤ 0 ≤ u` where it starts
+/// ([`assert_au_frame`]).
+pub use audb_rel::WindowSpec as AuWindowSpec;
 
-    /// The same aggregate over attribute `c` (`count(*)` has none to
-    /// replace).
-    pub fn with_input_col(self, c: usize) -> WinAgg {
-        match self {
-            WinAgg::Sum(_) => WinAgg::Sum(c),
-            WinAgg::Count => WinAgg::Count,
-            WinAgg::Min(_) => WinAgg::Min(c),
-            WinAgg::Max(_) => WinAgg::Max(c),
-            WinAgg::Avg(_) => WinAgg::Avg(c),
-        }
-    }
-
-    /// The deterministic aggregate the selected-guess component evaluates.
-    pub fn det(&self) -> AggFunc {
-        match *self {
-            WinAgg::Sum(c) => AggFunc::Sum(c),
-            WinAgg::Count => AggFunc::Count,
-            WinAgg::Min(c) => AggFunc::Min(c),
-            WinAgg::Max(c) => AggFunc::Max(c),
-            WinAgg::Avg(c) => AggFunc::Avg(c),
-        }
-    }
-
-    /// The range of the aggregated attribute for a tuple (`[1,1,1]` for
-    /// `count(*)`).
-    pub fn attr_range(&self, t: &AuTuple) -> RangeValue {
-        match self.input_col() {
-            Some(c) => t.get(c).clone(),
-            None => RangeValue::certain(1i64),
-        }
+/// The range of `agg`'s attribute for a tuple (`[1,1,1]` for `count(*)`).
+pub fn attr_range(agg: WinAgg, t: &AuTuple) -> RangeValue {
+    match agg.input_col() {
+        Some(c) => t.get(c).clone(),
+        None => RangeValue::certain(1i64),
     }
 }
 
-/// A row-based window specification over an AU-DB relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AuWindowSpec {
-    /// Partition-by attribute indices (`G`).
-    pub partition: Vec<usize>,
-    /// Order-by attribute indices (`O`).
-    pub order: Vec<usize>,
-    /// Window start offset `l ≤ 0`.
-    pub lower: i64,
-    /// Window end offset `u ≥ 0`.
-    pub upper: i64,
-}
-
-impl AuWindowSpec {
-    /// `ROWS BETWEEN -l PRECEDING AND u FOLLOWING` over `order`, offsets
-    /// clamped to [`audb_rel::ops::window::MAX_FRAME_OFFSET`] (no
-    /// `τ ± offset` of the sweeps can overflow under it).
-    pub fn rows(order: Vec<usize>, lower: i64, upper: i64) -> Self {
-        assert!(
-            lower <= 0 && upper >= 0,
-            "AU-DB windows must contain the current row (l ≤ 0 ≤ u)"
-        );
-        AuWindowSpec {
-            partition: Vec::new(),
-            order,
-            lower: clamp_frame_offset(lower),
-            upper: clamp_frame_offset(upper),
-        }
-    }
-
-    /// Add a PARTITION BY clause.
-    pub fn partition_by(mut self, partition: Vec<usize>) -> Self {
-        self.partition = partition;
-        self
-    }
-
-    /// `size([l,u]) = u − l + 1`.
-    pub fn size(&self) -> i64 {
-        self.upper - self.lower + 1
-    }
+/// Panics unless `spec`'s frame contains the current row (`l ≤ 0 ≤ u`):
+/// every AU-DB window operator's precondition (module docs). The engine
+/// refuses such a frame as `PlanError::InvalidWindowFrame` before it runs.
+pub fn assert_au_frame(spec: &AuWindowSpec) {
+    assert!(
+        spec.lower <= 0 && spec.upper >= 0,
+        "AU-DB windows must contain the current row (l ≤ 0 ≤ u)"
+    );
 }
 
 /// Per-window member data from which aggregate bounds are computed
@@ -211,7 +149,7 @@ pub fn sg_ordered_inputs(
             .then_with(|| a.cmp_ub_on(b, &columns))
             .then(i.cmp(j))
     });
-    entries.iter().map(|(_, t)| agg.attr_range(t).sg).collect()
+    entries.iter().map(|(_, t)| attr_range(agg, t).sg).collect()
 }
 
 /// Compute the selected-guess window aggregate for every expanded row by
@@ -240,7 +178,7 @@ pub fn sg_window_values(exp: &AuRelation, spec: &AuWindowSpec, agg: WinAgg) -> V
     entries.sort_by(|a, b| a.1.cmp_sg_on(b.1, &spec.partition));
     for part in entries.chunk_by_mut(|a, b| a.1.cmp_sg_on(b.1, &spec.partition).is_eq()) {
         let inputs = sg_ordered_inputs(part, &spec.order, agg);
-        let aggs = sliding_aggregate(&inputs, spec.lower, spec.upper, agg.det());
+        let aggs = sliding_aggregate(&inputs, spec.lower, spec.upper, agg);
         for (&(id, _), v) in part.iter().zip(aggs) {
             vals[id] = Some(v);
         }
@@ -253,7 +191,7 @@ pub fn sg_window_values(exp: &AuRelation, spec: &AuWindowSpec, agg: WinAgg) -> V
         let v = match v {
             Some(v) => v,
             None if i > 0 && exp.rows()[i - 1].tuple == exp.rows()[i].tuple => out[i - 1].clone(),
-            None => agg.attr_range(&exp.rows()[i].tuple).sg,
+            None => attr_range(agg, &exp.rows()[i].tuple).sg,
         };
         out.push(v);
     }
@@ -267,6 +205,24 @@ fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
     // Guaranteed-occupied slots never exceed the pool (every occupant is a
     // possible member by soundness of the possible set).
     let q = m.guaranteed_extra.min(m.poss.len());
+    // The least lower bound over the certain members and, where the frame
+    // has room, the possible ones — MIN's and AVG's lower bound — and its
+    // mirror, MAX's and AVG's upper bound.
+    let room = m.possn > 0;
+    let least_lb = || {
+        let lo = m.cert.iter().map(|r| &r.lb).min().cloned().unwrap();
+        match m.poss.iter().map(|r| &r.lb).min().filter(|_| room) {
+            Some(p) => lo.min(p.clone()),
+            None => lo,
+        }
+    };
+    let greatest_ub = || {
+        let hi = m.cert.iter().map(|r| &r.ub).max().cloned().unwrap();
+        match m.poss.iter().map(|r| &r.ub).max().filter(|_| room) {
+            Some(p) => hi.max(p.clone()),
+            None => hi,
+        }
+    };
     let (lb, ub) = match agg {
         WinAgg::Sum(_) | WinAgg::Count => {
             let mut lo = Value::Int(0);
@@ -306,13 +262,7 @@ fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
                 ubs.sort_by(|a, b| b.cmp(a));
                 hi = hi.min(ubs[q - 1].clone());
             }
-            let mut lo = m.cert.iter().map(|r| &r.lb).min().cloned().unwrap();
-            if m.possn > 0 {
-                if let Some(p) = m.poss.iter().map(|r| &r.lb).min() {
-                    lo = lo.min(p.clone());
-                }
-            }
-            (lo, hi)
+            (least_lb(), hi)
         }
         WinAgg::Max(_) => {
             let mut lo = m.cert.iter().map(|r| &r.lb).max().cloned().unwrap();
@@ -321,27 +271,9 @@ fn aggregate_window(m: &WindowMembers, agg: WinAgg) -> RangeValue {
                 lbs.sort();
                 lo = lo.max(lbs[q - 1].clone());
             }
-            let mut hi = m.cert.iter().map(|r| &r.ub).max().cloned().unwrap();
-            if m.possn > 0 {
-                if let Some(p) = m.poss.iter().map(|r| &r.ub).max() {
-                    hi = hi.max(p.clone());
-                }
-            }
-            (lo, hi)
+            (lo, greatest_ub())
         }
-        WinAgg::Avg(_) => {
-            let mut lo = m.cert.iter().map(|r| &r.lb).min().cloned().unwrap();
-            let mut hi = m.cert.iter().map(|r| &r.ub).max().cloned().unwrap();
-            if m.possn > 0 {
-                if let Some(p) = m.poss.iter().map(|r| &r.lb).min() {
-                    lo = lo.min(p.clone());
-                }
-                if let Some(p) = m.poss.iter().map(|r| &r.ub).max() {
-                    hi = hi.max(p.clone());
-                }
-            }
-            (lo, hi)
-        }
+        WinAgg::Avg(_) => (least_lb(), greatest_ub()),
     };
 
     // The selected-guess component was computed deterministically over the
@@ -412,6 +344,7 @@ pub fn window_ref(
     out_name: &str,
     sem: CmpSemantics,
 ) -> AuRelation {
+    assert_au_frame(spec);
     // Merge identical hypercubes first (see sort_ref), then split into
     // unit-multiplicity rows.
     let exp = rel.normalized().expand();
@@ -454,7 +387,7 @@ pub fn window_ref(
         // Rows certainly in this partition (incl. the conditional self).
         let n_cert: u64 = (0..n).filter(|&j| j != ti).map(|j| fm[j].lb).sum::<u64>() + 1;
         let at = |j: usize| (pos[j].lb as i64, pos[j].ub as i64);
-        let attr = |j: usize| agg.attr_range(&exp.rows()[j].tuple);
+        let attr = |j: usize| attr_range(agg, &exp.rows()[j].tuple);
         let others = (0..n).filter(|&j| j != ti).map(|j| (at(j), fm[j], attr(j)));
         let x = window_value(
             spec,
@@ -604,6 +537,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "current row")]
     fn window_must_contain_current_row() {
-        AuWindowSpec::rows(vec![0], 1, 2);
+        let rel = AuRelation::from_rows(
+            Schema::new(["o", "v"]),
+            [(AuTuple::new([rv(1, 1, 1), rv(2, 2, 2)]), Mult3::ONE)],
+        );
+        let spec = AuWindowSpec::rows(vec![0], 1, 2);
+        window_ref(&rel, &spec, WinAgg::Sum(1), "s", CmpSemantics::IntervalLex);
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::{PlanError, SessionError};
-use crate::plan::{Agg, Plan, Query, WindowSpec};
+use crate::plan::{Plan, Query, WindowSpec};
 use audb_core::{RangeExpr, RangeValue};
 use audb_rel::Schema;
 use audb_sql::ast;
@@ -103,21 +103,14 @@ fn compile_query(stmt: &ast::Select, catalog: &Catalog) -> Result<Query, Session
 
 /// A window item's output column name.
 fn window_name(w: &ast::WindowItem) -> &str {
-    w.alias.as_deref().unwrap_or(w.agg.default_name())
+    w.alias.as_deref().unwrap_or(w.agg.name())
 }
 
 fn window_spec(w: &ast::WindowItem) -> WindowSpec {
-    let agg = match &w.agg {
-        ast::AggCall::Sum(c) => Agg::sum(c.as_str()),
-        ast::AggCall::Count => Agg::count(),
-        ast::AggCall::Min(c) => Agg::min(c.as_str()),
-        ast::AggCall::Max(c) => Agg::max(c.as_str()),
-        ast::AggCall::Avg(c) => Agg::avg(c.as_str()),
-    };
     WindowSpec::rows(w.frame.0, w.frame.1)
         .order_by(w.order_by.iter().map(String::as_str))
         .partition_by(w.partition_by.iter().map(String::as_str))
-        .aggregate(agg)
+        .aggregate(w.agg.clone())
         .output(window_name(w))
 }
 

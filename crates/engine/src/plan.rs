@@ -29,8 +29,7 @@ use crate::catalog::Table;
 use crate::error::PlanError;
 use crate::optimize::OptInfo;
 use audb_core::{AuRelation, AuWindowSpec, RangeExpr, WinAgg};
-use audb_rel::ops::window::clamp_frame_offset;
-use audb_rel::Schema;
+use audb_rel::{AggFunc, Schema};
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,67 +85,8 @@ impl ColRef {
 }
 
 /// A window aggregate with an unresolved input column (resolved to a
-/// [`WinAgg`] when the plan is built).
-#[derive(Clone, Debug)]
-pub enum Agg {
-    /// `sum(A)`.
-    Sum(ColRef),
-    /// `count(*)`.
-    Count,
-    /// `min(A)`.
-    Min(ColRef),
-    /// `max(A)`.
-    Max(ColRef),
-    /// `avg(A)` (sound envelope; see DESIGN.md §3.4).
-    Avg(ColRef),
-}
-
-impl Agg {
-    /// `sum(col)`.
-    pub fn sum(col: impl Into<ColRef>) -> Self {
-        Agg::Sum(col.into())
-    }
-    /// `count(*)`.
-    pub fn count() -> Self {
-        Agg::Count
-    }
-    /// `min(col)`.
-    pub fn min(col: impl Into<ColRef>) -> Self {
-        Agg::Min(col.into())
-    }
-    /// `max(col)`.
-    pub fn max(col: impl Into<ColRef>) -> Self {
-        Agg::Max(col.into())
-    }
-    /// `avg(col)`.
-    pub fn avg(col: impl Into<ColRef>) -> Self {
-        Agg::Avg(col.into())
-    }
-
-    fn resolve(&self, schema: &Schema) -> Result<WinAgg, PlanError> {
-        Ok(match self {
-            Agg::Sum(c) => WinAgg::Sum(c.resolve(schema)?),
-            Agg::Count => WinAgg::Count,
-            Agg::Min(c) => WinAgg::Min(c.resolve(schema)?),
-            Agg::Max(c) => WinAgg::Max(c.resolve(schema)?),
-            Agg::Avg(c) => WinAgg::Avg(c.resolve(schema)?),
-        })
-    }
-}
-
-impl From<WinAgg> for Agg {
-    /// Lift an already-resolved aggregate (as used by the operator crates)
-    /// into the builder's unresolved form.
-    fn from(agg: WinAgg) -> Self {
-        match agg {
-            WinAgg::Sum(c) => Agg::Sum(ColRef::Index(c)),
-            WinAgg::Count => Agg::Count,
-            WinAgg::Min(c) => Agg::Min(ColRef::Index(c)),
-            WinAgg::Max(c) => Agg::Max(ColRef::Index(c)),
-            WinAgg::Avg(c) => Agg::Avg(ColRef::Index(c)),
-        }
-    }
-}
+/// [`WinAgg`] when the plan is built): `Agg::sum("price")`.
+pub type Agg = AggFunc<ColRef>;
 
 /// Builder-level row-window specification (`ROWS BETWEEN -lower PRECEDING
 /// AND upper FOLLOWING`), with unresolved column references and the
@@ -188,9 +128,10 @@ impl WindowSpec {
         self
     }
 
-    /// The window aggregate to compute.
-    pub fn aggregate(mut self, agg: impl Into<Agg>) -> Self {
-        self.agg = agg.into();
+    /// The window aggregate to compute, over a column reference of any
+    /// form: `Agg::sum("v")`, `WinAgg::Sum(2)`, the parser's `sum(v)`.
+    pub fn aggregate(mut self, agg: AggFunc<impl Into<ColRef>>) -> Self {
+        self.agg = agg.map(Into::into);
         self
     }
 
@@ -322,16 +263,9 @@ impl Op {
                 agg,
                 out_name,
             } => Op::Window {
-                spec: AuWindowSpec {
-                    order: all(&spec.order)?,
-                    partition: all(&spec.partition)?,
-                    lower: spec.lower,
-                    upper: spec.upper,
-                },
-                agg: match agg.input_col() {
-                    Some(c) => agg.with_input_col(at(c)?),
-                    None => *agg,
-                },
+                spec: AuWindowSpec::rows(all(&spec.order)?, spec.lower, spec.upper)
+                    .partition_by(all(&spec.partition)?),
+                agg: agg.try_map(|c| at(c).ok_or(())).ok()?,
                 out_name: out_name.clone(),
             },
         })
@@ -712,16 +646,11 @@ impl Query {
     pub fn window(self, spec: WindowSpec) -> Self {
         self.try_push(|schema| {
             Ok(Op::Window {
-                // Built field by field: the frame is `output_schema`'s to
-                // judge, and `AuWindowSpec::rows` would assert on it — so
-                // its clamp is applied here.
-                spec: AuWindowSpec {
-                    order: resolve_all(&spec.order, schema)?,
-                    partition: resolve_all(&spec.partition, schema)?,
-                    lower: clamp_frame_offset(spec.lower),
-                    upper: clamp_frame_offset(spec.upper),
-                },
-                agg: spec.agg.resolve(schema)?,
+                // `rows` clamps the offsets; the frame is `output_schema`'s
+                // to judge.
+                spec: AuWindowSpec::rows(resolve_all(&spec.order, schema)?, spec.lower, spec.upper)
+                    .partition_by(resolve_all(&spec.partition, schema)?),
+                agg: spec.agg.try_map(|c| c.resolve(schema))?,
                 out_name: spec.out_name,
             })
         })

@@ -122,13 +122,7 @@ fn frame_bound(offset: i64, following: bool) -> String {
 }
 
 fn window_sql(spec: &AuWindowSpec, agg: WinAgg, out_name: &str, schema: &Schema) -> String {
-    let func = match agg {
-        WinAgg::Sum(_) => "SUM",
-        WinAgg::Count => "COUNT",
-        WinAgg::Min(_) => "MIN",
-        WinAgg::Max(_) => "MAX",
-        WinAgg::Avg(_) => "AVG",
-    };
+    let func = agg.name().to_ascii_uppercase();
     let arg = match agg.input_col() {
         Some(c) => sql_ident(&schema.cols()[c]),
         None => "*".to_string(),

@@ -123,8 +123,8 @@ use crate::rank_set::RankSet;
 use crate::sort::{band_rows, positions, sort_columns_native, Position};
 use crate::Stages;
 use audb_core::{
-    prefix_of, sg_ordered_inputs, sort_prefixes, AuColumn, AuColumns, AuTuple, AuWindowSpec,
-    Corner, KeyArena, Lanes, Mult3, PhysVec, RangeValue, WinAgg,
+    assert_au_frame, prefix_of, sg_ordered_inputs, sort_prefixes, AuColumn, AuColumns, AuTuple,
+    AuWindowSpec, Corner, KeyArena, Lanes, Mult3, PhysVec, RangeValue, WinAgg,
 };
 use audb_rel::ops::window::{sliding_aggregate, sliding_extreme};
 use audb_rel::{Schema, Value};
@@ -238,7 +238,7 @@ impl Word for Value {
     }
 
     fn slide(vals: &[Value], l: i64, u: i64, agg: WinAgg) -> Option<Vec<Value>> {
-        Some(sliding_aggregate(vals, l, u, agg.det()))
+        Some(sliding_aggregate(vals, l, u, agg))
     }
 
     fn column<'a>(xs: impl ExactSizeIterator<Item = &'a [Value; 3]> + Clone) -> AuColumn {
@@ -491,8 +491,10 @@ impl<W: Word> WindowMaintain<W> {
     /// Fresh state for a partitionless window.
     ///
     /// Panics if `spec` carries PARTITION BY attributes — partitioning is
-    /// routed above this type (see [`crate::MaintainedWindow`]).
+    /// routed above this type (see [`crate::MaintainedWindow`]) — or a
+    /// frame without the current row ([`assert_au_frame`]).
     pub fn new(spec: AuWindowSpec, agg: WinAgg) -> WindowMaintain<W> {
+        assert_au_frame(&spec);
         assert!(
             spec.partition.is_empty(),
             "WindowMaintain is partitionless; use MaintainedWindow"
@@ -819,6 +821,23 @@ impl<W: Word> WindowMaintain<W> {
         let cert_ub = || cert.iter().map(|&c| &items[c].attr[2]);
         // Pool scans: `A↓` ascending (min-k), `A↑` descending (max-k).
         let (min_k, max_k) = (|| self.poss.scan(0), || self.poss.scan(1));
+        // The least lower bound over the certain members and, where the
+        // frame has room, the first valid `A↓` candidate — MIN's and AVG's
+        // lower bound — and its mirror, MAX's and AVG's upper bound.
+        let least_lb = || {
+            let lo = cert_lb().min().expect("self");
+            match (possn > 0).then(|| min_k().find(valid)).flatten() {
+                Some((_, p)) => lo.min(&items[p.id].attr[0]).clone(),
+                None => lo.clone(),
+            }
+        };
+        let greatest_ub = || {
+            let hi = cert_ub().max().expect("self");
+            match (possn > 0).then(|| max_k().find(valid)).flatten() {
+                Some((_, p)) => hi.max(&items[p.id].attr[2]).clone(),
+                None => hi.clone(),
+            }
+        };
 
         let (xlo, xhi) = match self.agg {
             WinAgg::Sum(_) | WinAgg::Count => {
@@ -850,13 +869,7 @@ impl<W: Word> WindowMaintain<W> {
                         hi = hi.min(items[p.id].attr[2].clone());
                     }
                 }
-                let mut lo = cert_lb().min().expect("self").clone();
-                if possn > 0 {
-                    if let Some((_, p)) = min_k().find(valid) {
-                        lo = lo.min(items[p.id].attr[0].clone());
-                    }
-                }
-                (lo, hi)
+                (least_lb(), hi)
             }
             WinAgg::Max(_) => {
                 let mut lo = cert_lb().max().expect("self").clone();
@@ -865,27 +878,9 @@ impl<W: Word> WindowMaintain<W> {
                         lo = lo.max(items[p.id].attr[0].clone());
                     }
                 }
-                let mut hi = cert_ub().max().expect("self").clone();
-                if possn > 0 {
-                    if let Some((_, p)) = max_k().find(valid) {
-                        hi = hi.max(items[p.id].attr[2].clone());
-                    }
-                }
-                (lo, hi)
+                (lo, greatest_ub())
             }
-            WinAgg::Avg(_) => {
-                let mut lo = cert_lb().min().expect("self").clone();
-                let mut hi = cert_ub().max().expect("self").clone();
-                if possn > 0 {
-                    if let Some((_, p)) = min_k().find(valid) {
-                        lo = lo.min(items[p.id].attr[0].clone());
-                    }
-                    if let Some((_, p)) = max_k().find(valid) {
-                        hi = hi.max(items[p.id].attr[2].clone());
-                    }
-                }
-                (lo, hi)
-            }
+            WinAgg::Avg(_) => (least_lb(), greatest_ub()),
         };
         scratch.visits += visited.get();
         Some(clamped(xlo, sg_raw, xhi))

@@ -843,4 +843,11 @@ mod tests {
         let spec = AuWindowSpec::rows(vec![0], -1, 0);
         assert!(window_native(&rel, &spec, WinAgg::Sum(1), "s").is_empty());
     }
+
+    #[test]
+    #[should_panic(expected = "current row")]
+    fn window_must_contain_current_row() {
+        let spec = AuWindowSpec::rows(vec![0], 1, 2);
+        window_columns_native(&small_rel().to_columns(), &spec, WinAgg::Sum(1), "x", &());
+    }
 }

@@ -1,4 +1,9 @@
-//! Grouping aggregation over bags.
+//! The aggregate function [`AggFunc`] and grouping aggregation over bags.
+//!
+//! `AggFunc` is one type for Fig. 3 and Def. 3: the `f` of the
+//! deterministic window operator and of its AU-DB lifting, from the SQL
+//! parser (over column names) through the plan builder (over column
+//! references) to every operator (over column indices).
 //!
 //! Multiplicities participate: a tuple with multiplicity `n` contributes `n`
 //! rows to `count` and `n · A` to `sum(A)`. `Null` aggregation inputs are
@@ -11,27 +16,101 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
 
-/// An aggregate function over an attribute (by index); `Count` is `count(*)`.
+/// An aggregate function over an attribute `C`; `Count` is `count(*)`.
+///
+/// The one aggregate of the reproduction, from SQL to sweep: the parser's
+/// (`C = String`), the plan builder's (`C` a column reference) and the
+/// resolved one every operator runs (`C = usize`, the default) — the
+/// deterministic `f(A)` of Fig. 3 and its AU-DB lifting in Def. 3 alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggFunc {
+pub enum AggFunc<C = usize> {
     /// `count(*)` — total multiplicity.
     Count,
     /// `sum(A)`.
-    Sum(usize),
+    Sum(C),
     /// `min(A)`.
-    Min(usize),
+    Min(C),
     /// `max(A)`.
-    Max(usize),
+    Max(C),
     /// `avg(A)` (always a float).
-    Avg(usize),
+    Avg(C),
 }
 
-impl AggFunc {
-    /// The attribute the function reads, if any.
-    pub fn input_col(&self) -> Option<usize> {
+impl<C> AggFunc<C> {
+    /// `count(*)`.
+    pub fn count() -> Self {
+        AggFunc::Count
+    }
+    /// `sum(col)`.
+    pub fn sum(col: impl Into<C>) -> Self {
+        AggFunc::Sum(col.into())
+    }
+    /// `min(col)`.
+    pub fn min(col: impl Into<C>) -> Self {
+        AggFunc::Min(col.into())
+    }
+    /// `max(col)`.
+    pub fn max(col: impl Into<C>) -> Self {
+        AggFunc::Max(col.into())
+    }
+    /// `avg(col)`.
+    pub fn avg(col: impl Into<C>) -> Self {
+        AggFunc::Avg(col.into())
+    }
+
+    /// The same function over `f` of its attribute.
+    pub fn map<D>(self, f: impl FnOnce(C) -> D) -> AggFunc<D> {
+        let Ok(agg) = self.try_map(|c| Ok::<D, std::convert::Infallible>(f(c)));
+        agg
+    }
+
+    /// The same function over `f` of its attribute, or `f`'s error.
+    pub fn try_map<D, E>(self, f: impl FnOnce(C) -> Result<D, E>) -> Result<AggFunc<D>, E> {
+        Ok(match self {
+            AggFunc::Count => AggFunc::Count,
+            AggFunc::Sum(c) => AggFunc::Sum(f(c)?),
+            AggFunc::Min(c) => AggFunc::Min(f(c)?),
+            AggFunc::Max(c) => AggFunc::Max(f(c)?),
+            AggFunc::Avg(c) => AggFunc::Avg(f(c)?),
+        })
+    }
+
+    /// The SQL function name in lower case — the one name table: the
+    /// parser looks names up in it ([`AggFunc::named`]), its default
+    /// output column is it, and the plan printer writes it upper-cased.
+    pub fn name(&self) -> &'static str {
         match self {
+            AggFunc::Count => "count",
+            AggFunc::Sum(_) => "sum",
+            AggFunc::Min(_) => "min",
+            AggFunc::Max(_) => "max",
+            AggFunc::Avg(_) => "avg",
+        }
+    }
+
+    /// The function whose [`AggFunc::name`] is `name` (in any case), over
+    /// `col`; `count` drops it.
+    pub fn named(name: &str, col: C) -> Option<Self> {
+        let all = [
+            AggFunc::Count,
+            AggFunc::Sum(()),
+            AggFunc::Min(()),
+            AggFunc::Max(()),
+            AggFunc::Avg(()),
+        ];
+        let f = all
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(name))?;
+        Some(f.map(|()| col))
+    }
+}
+
+impl<C: Copy> AggFunc<C> {
+    /// The attribute the function reads, if any.
+    pub fn input_col(&self) -> Option<C> {
+        match *self {
             AggFunc::Count => None,
-            AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) | AggFunc::Avg(c) => Some(*c),
+            AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) | AggFunc::Avg(c) => Some(c),
         }
     }
 }

@@ -16,8 +16,11 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
 
-/// A row-based window specification.
-#[derive(Clone, Debug)]
+/// A resolved row-based window frame: the `G`, `O`, `l` and `u` of
+/// `ω[l,u]_{f(A)→X; G; O}`, Fig. 3's and Def. 3's alike (`audb_core`
+/// re-exports it as `AuWindowSpec`, whose operators also require
+/// `l ≤ 0 ≤ u`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WindowSpec {
     /// Partition-by attribute indices (`G`).
     pub partition: Vec<usize>,

@@ -24,7 +24,10 @@
 
 use crate::index::IntervalIndex;
 use crate::sort::positions_by_endpoints;
-use audb_core::{sg_window_values, window_value, AuRelation, AuWindowSpec, Mult3, WinAgg};
+use audb_core::{
+    assert_au_frame, attr_range, sg_window_values, window_value, AuRelation, AuWindowSpec, Mult3,
+    WinAgg,
+};
 use audb_rel::ops::sort::total_order;
 use audb_rel::Tuple;
 
@@ -49,6 +52,7 @@ pub fn rewr_window(
     out_name: &str,
     strategy: JoinStrategy,
 ) -> AuRelation {
+    assert_au_frame(spec);
     let exp = rel.normalized().expand();
     let n = exp.rows().len();
     let total_idxs = total_order(exp.schema.arity(), &spec.order);
@@ -75,7 +79,7 @@ pub fn rewr_window(
 
     let sg_vals = sg_window_values(&exp, spec, agg);
     let (l, u) = (spec.lower, spec.upper);
-    let attr_of = |j: usize| agg.attr_range(&exp.rows()[j].tuple);
+    let attr_of = |j: usize| attr_range(agg, &exp.rows()[j].tuple);
 
     if spec.partition.is_empty() {
         // Positions are global; the self-join is on position-range overlap.
@@ -321,5 +325,13 @@ mod tests {
         );
         let want = window_ref(&rel, &spec, WinAgg::Sum(2), "s", CmpSemantics::IntervalLex);
         assert!(got.bag_eq(&want), "got:\n{got}\nwant:\n{want}");
+    }
+
+    #[test]
+    #[should_panic(expected = "current row")]
+    fn window_must_contain_current_row() {
+        let spec = AuWindowSpec::rows(vec![1], -2, -1).partition_by(vec![0]);
+        let strategy = JoinStrategy::IntervalIndex;
+        rewr_window(&example7(), &spec, WinAgg::Sum(2), "s", strategy);
     }
 }

@@ -7,7 +7,7 @@
 //! all schema validation (`PlanError`) is shared with programmatic plans.
 
 use crate::error::Span;
-use audb_rel::{CmpOp, Value};
+use audb_rel::{AggFunc, CmpOp, Value};
 
 /// A scalar expression (WHERE predicates and projection expressions).
 #[derive(Clone, Debug, PartialEq)]
@@ -43,34 +43,10 @@ pub enum BinOp {
     Mul,
 }
 
-/// A window aggregate call, e.g. `SUM(sales)` or `COUNT(*)`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AggCall {
-    /// `SUM(col)`.
-    Sum(String),
-    /// `COUNT(*)`.
-    Count,
-    /// `MIN(col)`.
-    Min(String),
-    /// `MAX(col)`.
-    Max(String),
-    /// `AVG(col)`.
-    Avg(String),
-}
-
-impl AggCall {
-    /// The lower-case function name — the default output-column name when
-    /// no `AS` alias is given.
-    pub fn default_name(&self) -> &'static str {
-        match self {
-            AggCall::Sum(_) => "sum",
-            AggCall::Count => "count",
-            AggCall::Min(_) => "min",
-            AggCall::Max(_) => "max",
-            AggCall::Avg(_) => "avg",
-        }
-    }
-}
+/// A window aggregate call, e.g. `SUM(sales)` or `COUNT(*)`: the plan's
+/// own aggregate over a column name. Its [`AggFunc::name`] is the default
+/// output-column name when no `AS` alias is given.
+pub type AggCall = AggFunc<String>;
 
 /// `<agg> OVER (PARTITION BY ... ORDER BY ... ROWS BETWEEN l AND u)`.
 #[derive(Clone, Debug, PartialEq)]

@@ -33,7 +33,7 @@
 use crate::ast::*;
 use crate::error::{Span, SqlError, SqlErrorKind};
 use crate::lexer::{lex, Kw, Spanned, Tok};
-use audb_rel::{CmpOp, Value};
+use audb_rel::{AggFunc, CmpOp, Value};
 
 /// The deepest nesting a statement may have: at most this many levels open
 /// at once — parentheses, `NOT`s, unary minuses and subqueries — and no
@@ -240,11 +240,7 @@ impl<'a> Parser<'a> {
     fn at_agg_call(&self) -> bool {
         matches!(
             (self.peek(), self.peek2()),
-            (Tok::Ident(name), Tok::LParen)
-                if matches!(
-                    name.to_ascii_lowercase().as_str(),
-                    "sum" | "count" | "min" | "max" | "avg"
-                )
+            (Tok::Ident(name), Tok::LParen) if AggFunc::named(name, ()).is_some()
         )
     }
 
@@ -283,21 +279,13 @@ impl<'a> Parser<'a> {
     }
 
     fn window_item(&mut self) -> PResult<WindowItem> {
-        let name = self.ident()?.to_ascii_lowercase();
+        let name = self.ident()?;
+        let agg = AggFunc::named(&name, ()).expect("at_agg_call checked the name");
         self.expect(Tok::LParen, "'('")?;
-        let agg = if name == "count" {
+        if agg == AggFunc::Count {
             self.expect(Tok::Star, "'*' (COUNT takes '*')")?;
-            AggCall::Count
-        } else {
-            let col = self.ident()?;
-            match name.as_str() {
-                "sum" => AggCall::Sum(col),
-                "min" => AggCall::Min(col),
-                "max" => AggCall::Max(col),
-                "avg" => AggCall::Avg(col),
-                _ => unreachable!("at_agg_call checked the name"),
-            }
-        };
+        }
+        let agg = agg.try_map(|()| self.ident())?;
         self.expect(Tok::RParen, "')'")?;
         self.expect_kw(Kw::Over)?;
         self.expect(Tok::LParen, "'(' after OVER")?;

@@ -17,7 +17,7 @@
 
 use audb_core::{AuColumns, AuRelation, Corner, WinAgg};
 use audb_engine::{
-    exec, Agg, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
+    exec, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
     WindowSpec as EngineWindowSpec,
 };
 use audb_rel::Value;
@@ -111,7 +111,7 @@ pub fn window_plan(rel: AuRelation, order: &[usize], agg: WinAgg, l: i64, u: i64
         .window(
             EngineWindowSpec::rows(l, u)
                 .order_by(order.iter().copied())
-                .aggregate(Agg::from(agg))
+                .aggregate(agg)
                 .output("x"),
         )
         .build()

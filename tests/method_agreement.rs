@@ -125,7 +125,7 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
             } else {
                 spec
             };
-            let spec = spec.aggregate(Agg::from(agg)).output("x");
+            let spec = spec.aggregate(agg).output("x");
             Query::scan(rel)
                 .window(spec)
                 .build()
@@ -1959,7 +1959,7 @@ fn det_answers_are_the_deterministic_ones(seed: u64, absent: bool, l: i64, u: i6
         WinAgg::Max(2),
         WinAgg::Avg(2),
     ] {
-        let want = rel_point_bounds(&window_rows(&world, &spec, agg.det(), "x"), n);
+        let want = rel_point_bounds(&window_rows(&world, &spec, agg, "x"), n);
         let got = det_window(&windowed, &[0], agg, l, u).value;
         assert_eq!(got, want, "{agg:?} over [{l}, {u}]");
     }
