@@ -36,6 +36,28 @@
 
 use audb_bench::figures::{self, ReproOptions};
 
+/// The figure targets and what runs each; `bench` is the one other target.
+const FIGURES: [(&str, fn(ReproOptions)); 11] = [
+    ("heaps", figures::heaps_table),
+    ("fig11", figures::fig11),
+    ("fig12", figures::fig12),
+    ("fig13", figures::fig13),
+    ("fig14", figures::fig14),
+    ("fig15", figures::fig15),
+    ("fig16", figures::fig16),
+    ("fig17", figures::fig17),
+    ("fig18", figures::fig18),
+    ("fig19", figures::fig19),
+    ("all", figures::run_all),
+];
+
+/// Refuse the command line before anything runs: a flag, value or target
+/// this binary does not have must not read as accepted.
+fn refuse(why: &str) -> ! {
+    eprintln!("repro: {why} (try --help)");
+    std::process::exit(2);
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // The SQL subcommand has its own argument grammar; hand everything
@@ -70,16 +92,25 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                opts.scale = v.parse().expect("--scale must be a float");
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| refuse("--scale needs a value"));
+                opts.scale = match v.parse::<f64>() {
+                    Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+                    _ => refuse(&format!("--scale must be a finite number > 0, not {v:?}")),
+                };
             }
             "--quick" => opts.quick = true,
             "--sizes" => {
-                let v = args.next().expect("--sizes needs a comma-separated list");
-                bench_cfg.sizes = v
-                    .split(',')
-                    .map(|n| n.trim().parse().expect("--sizes entries must be integers"))
-                    .collect();
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| refuse("--sizes needs a value"));
+                let sizes: Result<Vec<_>, _> = v.split(',').map(|n| n.trim().parse()).collect();
+                bench_cfg.sizes = sizes.unwrap_or_else(|_| {
+                    refuse(&format!(
+                        "--sizes must be comma-separated integers, not {v:?}"
+                    ))
+                });
             }
             "--help" | "-h" => {
                 println!(
@@ -93,13 +124,11 @@ fn main() {
                 );
                 return;
             }
-            // A flag this binary does not (or no longer) have must not
-            // read as accepted.
-            flag if flag.starts_with('-') => {
-                eprintln!("repro: unknown flag {flag:?} (try --help)");
-                std::process::exit(2);
+            flag if flag.starts_with('-') => refuse(&format!("unknown flag {flag:?}")),
+            t if t == "bench" || FIGURES.iter().any(|(name, _)| *name == t) => {
+                targets.push(t.to_string())
             }
-            t => targets.push(t.to_string()),
+            t => refuse(&format!("unknown target {t:?}")),
         }
     }
     if targets.is_empty() {
@@ -113,23 +142,12 @@ fn main() {
     );
     let mut exit_code = 0;
     for t in &targets {
-        match t.as_str() {
-            "heaps" => figures::heaps_table(opts),
-            "fig11" => figures::fig11(opts),
-            "fig12" => figures::fig12(opts),
-            "fig13" => figures::fig13(opts),
-            "fig14" => figures::fig14(opts),
-            "fig15" => figures::fig15(opts),
-            "fig16" => figures::fig16(opts),
-            "fig17" => figures::fig17(opts),
-            "fig18" => figures::fig18(opts),
-            "fig19" => figures::fig19(opts),
-            "bench" => {
+        match FIGURES.iter().find(|(name, _)| name == t) {
+            Some((_, run)) => run(opts),
+            None => {
                 bench_cfg.quick = opts.quick;
                 exit_code = audb_bench::perf::run(&bench_cfg);
             }
-            "all" => figures::run_all(opts),
-            other => eprintln!("unknown target {other:?} (try --help)"),
         }
     }
     if exit_code != 0 {

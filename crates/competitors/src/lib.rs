@@ -24,3 +24,35 @@ pub use mcdb::{mcdb_sort_bounds, mcdb_window_bounds};
 pub use ptk::{ptk_certain, ptk_possible, ptk_query, ptk_topk_probs};
 pub use ranks::{expected_ranks, global_topk, urank, utop};
 pub use symb::symb_sort_bounds;
+
+use audb_rel::ops::sort::total_order;
+use audb_rel::Tuple;
+use audb_worlds::{XTuple, XTupleTable};
+
+/// Every alternative's key under `<total_O` (the `order` attributes, then
+/// the rest), per x-tuple: what the exact competitors compare pairwise.
+fn alt_keys(table: &XTupleTable, order: &[usize]) -> Vec<Vec<Tuple>> {
+    let total_idxs = total_order(table.schema.arity(), order);
+    let keys = |t: &XTuple| {
+        let alts = t.alternatives.iter();
+        alts.map(|a| a.tuple.project(&total_idxs)).collect()
+    };
+    table.tuples.iter().map(keys).collect()
+}
+
+/// `q_u` for every x-tuple `u ≠ t`, in order: `Pr[u precedes t | t realizes
+/// key]`, the mass of `u`'s alternatives whose [`alt_keys`] entry orders
+/// before `key` (ties broken by index).
+fn preceding<'a>(
+    table: &'a XTupleTable,
+    keys: &'a [Vec<Tuple>],
+    (key, t): (&'a Tuple, usize),
+) -> impl Iterator<Item = f64> + 'a {
+    let q = move |u: usize| {
+        let alts = table.tuples[u].alternatives.iter().zip(&keys[u]);
+        alts.filter(|&(_, uk)| (uk, u) < (key, t))
+            .map(|(ua, _)| ua.prob)
+            .sum::<f64>()
+    };
+    (0..table.len()).filter(move |&u| u != t).map(q)
+}

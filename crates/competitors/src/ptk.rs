@@ -14,25 +14,13 @@
 //! exact, and deliberately expensive (this is the slow exact baseline of
 //! Figs. 14/17).
 
-use audb_rel::ops::sort::total_order;
-use audb_rel::Tuple;
+use crate::{alt_keys, preceding};
 use audb_worlds::XTupleTable;
 
 /// `Pr[tuple ∈ top-k]` for every x-tuple, ascending order on `order`.
 pub fn ptk_topk_probs(table: &XTupleTable, order: &[usize], k: u64) -> Vec<f64> {
-    let total_idxs = total_order(table.schema.arity(), order);
-    let n = table.len();
-    // Pre-project every alternative's key once.
-    let alt_keys: Vec<Vec<Tuple>> = table
-        .tuples
-        .iter()
-        .map(|t| {
-            t.alternatives
-                .iter()
-                .map(|a| a.tuple.project(&total_idxs))
-                .collect()
-        })
-        .collect();
+    let (n, k) = (table.len(), k as usize);
+    let alt_keys = alt_keys(table, order);
 
     (0..n)
         .map(|ti| {
@@ -41,32 +29,18 @@ pub fn ptk_topk_probs(table: &XTupleTable, order: &[usize], k: u64) -> Vec<f64> 
                 if alt.prob <= 0.0 {
                     continue;
                 }
-                let key = (&alt_keys[ti][ai], ti);
-                // q_u = Pr[u strictly precedes t | t = alt].
-                let qs = (0..n).filter(|&u| u != ti).map(|u| {
-                    table.tuples[u]
-                        .alternatives
-                        .iter()
-                        .zip(&alt_keys[u])
-                        .filter(|&(_, uk)| (uk, u) < key)
-                        .map(|(ua, _)| ua.prob)
-                        .sum::<f64>()
-                });
-                prob += alt.prob * poisson_binomial_tail(qs, k);
+                let qs = preceding(table, &alt_keys, (&alt_keys[ti][ai], ti));
+                prob += alt.prob * poisson_binomial(qs, k)[..k].iter().sum::<f64>();
             }
             prob
         })
         .collect()
 }
 
-/// `Pr[fewer than k of the given independent events occur]`.
-fn poisson_binomial_tail(qs: impl Iterator<Item = f64>, k: u64) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let k = k as usize;
-    // dp[j] = Pr[exactly j events so far], truncated at j = k (once k
-    // others precede, the tuple is out regardless of the rest).
+/// `dp[j] = Pr[exactly j of the given independent events occur]` for
+/// `j < k`; `dp[k]` is `Pr[k or more]` (once k others precede, the tuple is
+/// out regardless of the rest).
+pub(crate) fn poisson_binomial(qs: impl Iterator<Item = f64>, k: usize) -> Vec<f64> {
     let mut dp = vec![0.0f64; k + 1];
     dp[0] = 1.0;
     for q in qs {
@@ -82,7 +56,7 @@ fn poisson_binomial_tail(qs: impl Iterator<Item = f64>, k: u64) -> f64 {
             };
         }
     }
-    dp[..k].iter().sum()
+    dp
 }
 
 /// The PT-k answer: indices of tuples with `Pr[t ∈ top-k] ≥ threshold`.
@@ -108,7 +82,7 @@ pub fn ptk_possible(table: &XTupleTable, order: &[usize], k: u64) -> Vec<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_rel::{ops::sort::topk_with_pos, Schema, Value};
+    use audb_rel::{ops::sort::topk_with_pos, Schema, Tuple, Value};
     use audb_worlds::{enumerate_worlds, XTuple};
 
     fn table() -> XTupleTable {

@@ -3,8 +3,9 @@
 //! Expected Rank \[19\]. Each picks a different trade-off; none simultaneously
 //! reports certain *and* possible answers — the motivation for AU-DBs.
 
-use crate::ptk::ptk_topk_probs;
-use audb_rel::ops::sort::{topk_with_pos, total_order};
+use crate::ptk::{poisson_binomial, ptk_topk_probs};
+use crate::{alt_keys, preceding};
+use audb_rel::ops::sort::topk_with_pos;
 use audb_rel::Tuple;
 use audb_worlds::{enumerate_worlds, XTupleTable};
 use std::collections::HashMap;
@@ -38,18 +39,8 @@ pub fn utop(table: &XTupleTable, order: &[usize], k: u64, cap: u128) -> Vec<Tupl
 /// (Fig. 1c) — the same tuple may win several ranks. Exact `O(n² k A)` via
 /// the Poisson-binomial DP (`Pr[t at rank i] = Pr[exactly i others precede]`).
 pub fn urank(table: &XTupleTable, order: &[usize], k: u64) -> Vec<Option<usize>> {
-    let total_idxs = total_order(table.schema.arity(), order);
     let n = table.len();
-    let alt_keys: Vec<Vec<Tuple>> = table
-        .tuples
-        .iter()
-        .map(|t| {
-            t.alternatives
-                .iter()
-                .map(|a| a.tuple.project(&total_idxs))
-                .collect()
-        })
-        .collect();
+    let alt_keys = alt_keys(table, order);
 
     // rank_prob[t][i] = Pr[t exists and exactly i others precede].
     let k = k as usize;
@@ -60,32 +51,7 @@ pub fn urank(table: &XTupleTable, order: &[usize], k: u64) -> Vec<Option<usize>>
             if alt.prob <= 0.0 {
                 continue;
             }
-            let key = (&alt_keys[ti][ai], ti);
-            let mut dp = vec![0.0f64; k + 1];
-            dp[0] = 1.0;
-            for u in 0..n {
-                if u == ti {
-                    continue;
-                }
-                let q: f64 = table.tuples[u]
-                    .alternatives
-                    .iter()
-                    .zip(&alt_keys[u])
-                    .filter(|&(_, uk)| (uk, u) < key)
-                    .map(|(ua, _)| ua.prob)
-                    .sum();
-                if q <= 0.0 {
-                    continue;
-                }
-                for j in (0..=k).rev() {
-                    let from_prev = if j > 0 { dp[j - 1] * q } else { 0.0 };
-                    dp[j] = if j == k {
-                        dp[k] + from_prev
-                    } else {
-                        dp[j] * (1.0 - q) + from_prev
-                    };
-                }
-            }
+            let dp = poisson_binomial(preceding(table, &alt_keys, (&alt_keys[ti][ai], ti)), k);
             for (i, r) in at_rank.iter_mut().enumerate() {
                 *r += alt.prob * dp[i];
             }
@@ -113,18 +79,8 @@ pub fn global_topk(table: &XTupleTable, order: &[usize], k: u64) -> Vec<usize> {
 /// averaged over `t`'s alternatives. Returns the per-tuple expected rank;
 /// the expected-rank top-k are the `k` smallest.
 pub fn expected_ranks(table: &XTupleTable, order: &[usize]) -> Vec<f64> {
-    let total_idxs = total_order(table.schema.arity(), order);
     let n = table.len();
-    let alt_keys: Vec<Vec<Tuple>> = table
-        .tuples
-        .iter()
-        .map(|t| {
-            t.alternatives
-                .iter()
-                .map(|a| a.tuple.project(&total_idxs))
-                .collect()
-        })
-        .collect();
+    let alt_keys = alt_keys(table, order);
     (0..n)
         .map(|ti| {
             let presence = table.tuples[ti].presence_prob();
@@ -134,18 +90,7 @@ pub fn expected_ranks(table: &XTupleTable, order: &[usize]) -> Vec<f64> {
             let mut er = 0.0;
             for (ai, alt) in table.tuples[ti].alternatives.iter().enumerate() {
                 let key = (&alt_keys[ti][ai], ti);
-                let preceding: f64 = (0..n)
-                    .filter(|&u| u != ti)
-                    .map(|u| {
-                        table.tuples[u]
-                            .alternatives
-                            .iter()
-                            .zip(&alt_keys[u])
-                            .filter(|&(_, uk)| (uk, u) < key)
-                            .map(|(ua, _)| ua.prob)
-                            .sum::<f64>()
-                    })
-                    .sum();
+                let preceding: f64 = preceding(table, &alt_keys, key).sum();
                 er += (alt.prob / presence) * preceding;
             }
             er

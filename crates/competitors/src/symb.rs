@@ -12,29 +12,18 @@
 //!   `audb_worlds::exact`, which is what we test it against);
 //! * the window side is the capped local enumeration of
 //!   [`audb_worlds::exact_window_bounds`], called as it stands (the
-//!   workloads' `runner::symb_window`) — exact, exponential in local
+//!   workloads' `runner::Method::Symb`) — exact, exponential in local
 //!   uncertainty, and prone to blowing its budget exactly like Z3 blew its
 //!   stack in the paper's Fig. 15 setup.
 
-use audb_rel::ops::sort::total_order;
-use audb_rel::Tuple;
+use crate::alt_keys;
 use audb_worlds::XTupleTable;
 
 /// Tight `[pos_min, pos_max]` per tuple by pairwise precedence reasoning
 /// (deliberately generic and quadratic — the exact-competitor cost profile).
 pub fn symb_sort_bounds(table: &XTupleTable, order: &[usize]) -> Vec<Option<(u64, u64)>> {
-    let total_idxs = total_order(table.schema.arity(), order);
     let n = table.len();
-    let alt_keys: Vec<Vec<Tuple>> = table
-        .tuples
-        .iter()
-        .map(|t| {
-            t.alternatives
-                .iter()
-                .map(|a| a.tuple.project(&total_idxs))
-                .collect()
-        })
-        .collect();
+    let alt_keys = alt_keys(table, order);
 
     (0..n)
         .map(|ti| {
@@ -84,7 +73,7 @@ pub fn symb_sort_bounds(table: &XTupleTable, order: &[usize]) -> Vec<Option<(u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use audb_rel::Schema;
+    use audb_rel::{Schema, Tuple};
     use audb_worlds::{exact_position_bounds, XTuple};
 
     fn table() -> XTupleTable {

@@ -1,4 +1,4 @@
-//! # audb-workloads — workload generators, method drivers, quality metrics
+//! # audb-workloads — workload generators, the compared methods, quality metrics
 //!
 //! Everything the evaluation harness (crate `audb-bench`) consumes:
 //!
@@ -7,9 +7,10 @@
 //! * [`real`] — statistical simulators of the Iceberg / Crimes / Healthcare
 //!   datasets with the six Sec. 9.2 queries (substitutions documented in
 //!   DESIGN.md §2);
-//! * [`runner`] — uniform timed drivers for every compared method (`Det`,
-//!   `Imp`, `Rewr`, `Rewr(index)`, `MCDB`, `Symb`, `PT-k`) producing
-//!   per-input-tuple bounds;
+//! * [`runner`] — every compared method as one value, [`runner::Method`]
+//!   (`Det`, `Imp`, `Rewr`, `Rewr(index)`, `MCDB`, `Symb`, `PT-k`), run
+//!   timed on a [`RankQuery`] or a [`WindowQuery`] for per-input-tuple
+//!   bounds;
 //! * [`metrics`] — recall / accuracy / estimated-range (Sec. 9 formulas);
 //! * [`convert`] — AU-relation ⇄ x-tuple bridging for pre-aggregated
 //!   queries;

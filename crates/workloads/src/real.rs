@@ -22,14 +22,14 @@ use audb_worlds::{Alternative, XTuple, XTupleTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A ranking (top-k) workload instance.
+/// A ranking workload instance: a sort, or a top-k.
 pub struct RankQuery {
     /// The (possibly pre-aggregated) input.
     pub table: XTupleTable,
     /// Order-by attribute indices (ascending; descending queries negate).
     pub order: Vec<usize>,
-    /// The `k` of the top-k.
-    pub k: u64,
+    /// The `k` of a top-k; `None` sorts the whole input.
+    pub k: Option<u64>,
 }
 
 /// A windowed-aggregation workload instance.
@@ -44,6 +44,14 @@ pub struct WindowQuery {
     pub l: i64,
     /// Window upper offset.
     pub u: i64,
+}
+
+impl WindowQuery {
+    /// Whether the frame reaches at most 8 rows either side: the reach of
+    /// `Symb`'s local enumeration, which an unbounded frame blows.
+    pub fn is_local(&self) -> bool {
+        self.l.abs() <= 8 && self.u <= 8
+    }
 }
 
 /// One simulated dataset with its two Sec. 9.2 queries.
@@ -113,7 +121,7 @@ pub fn iceberg(scale: f64, seed: u64) -> RealDataset {
     let rank = RankQuery {
         table: xtuple_from_au(&ranked),
         order: vec![1],
-        k: 3,
+        k: Some(3),
     };
 
     // Window: rolling sum of `number` over date order, current + 3 following.
@@ -197,7 +205,7 @@ pub fn crimes(scale: f64, seed: u64) -> RealDataset {
     let rank = RankQuery {
         table: xtuple_from_au(&ranked),
         order: vec![1],
-        k: 3,
+        k: Some(3),
     };
 
     // Window: year-2016 slice, min(year) over latitude neighbours. Year is
@@ -289,7 +297,7 @@ pub fn healthcare(scale: f64, seed: u64) -> RealDataset {
     let rank = RankQuery {
         table: table.clone(),
         order: vec![0],
-        k: 5,
+        k: Some(5),
     };
     // Window: in-line rank = count(*) OVER (ORDER BY score DESC), i.e. an
     // unbounded-preceding window on the negated score.
@@ -333,7 +341,7 @@ pub fn all_datasets(scale: f64, seed: u64) -> Vec<RealDataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{imp_sort, imp_window, mcdb_sort, symb_sort};
+    use crate::runner::Method;
 
     #[test]
     fn iceberg_rank_is_preaggregated() {
@@ -348,13 +356,14 @@ mod tests {
     #[test]
     fn rank_queries_run_end_to_end() {
         for ds in all_datasets(0.002, 7) {
-            let imp = imp_sort(&ds.rank.table, &ds.rank.order, Some(ds.rank.k));
-            let mc = mcdb_sort(&ds.rank.table, &ds.rank.order, 5, 1);
-            let tight = symb_sort(&ds.rank.table, &ds.rank.order);
+            let imp = Method::Imp.sort(&ds.rank);
+            let mc = Method::Mcdb { samples: 5 }.sort(&ds.rank);
+            let tight = Method::Symb.sort(&ds.rank);
             assert_eq!(mc.value.len(), tight.value.len());
             // Top-k keeps at most a few answers per method.
             let answers = imp.value.iter().flatten().count();
-            assert!(answers >= ds.rank.k as usize, "{}: {answers}", ds.name);
+            let k = ds.rank.k.expect("a top-k");
+            assert!(answers >= k as usize, "{}: {answers}", ds.name);
         }
     }
 
@@ -362,7 +371,7 @@ mod tests {
     fn window_queries_run_end_to_end() {
         for ds in all_datasets(0.002, 3) {
             let w = &ds.window;
-            let imp = imp_window(&w.table, &w.order, w.agg, w.l, w.u);
+            let imp = Method::Imp.window(w).expect("Imp windows");
             let produced = imp.value.iter().flatten().count();
             assert_eq!(produced, w.table.len(), "{}", ds.name);
         }
@@ -372,7 +381,7 @@ mod tests {
     fn healthcare_window_is_inline_rank() {
         let ds = healthcare(0.02, 5);
         let w = &ds.window;
-        let imp = imp_window(&w.table, &w.order, w.agg, w.l, w.u).value;
+        let imp = Method::Imp.window(w).expect("Imp windows").value;
         // Ranks are within [1, n].
         let n = w.table.len() as f64;
         for b in imp.iter().flatten() {

@@ -1,20 +1,24 @@
-//! Method drivers: run each compared algorithm on an x-tuple workload and
-//! extract per-input-tuple answer bounds plus wall-clock time.
+//! The compared methods: run each algorithm of Sec. 9 on an x-tuple
+//! workload and extract per-input-tuple answer bounds plus wall-clock time.
 //!
-//! Every driver follows the same contract: it consumes the *same* x-tuple
-//! table (deriving whatever representation its method needs — the AU-DB for
+//! A [`Method`] is one value per method (`Det`, `Imp`, `Rewr`, `MCDB`,
+//! `Symb`, `PT-k`), run over one sort query ([`RankQuery`]) and one window
+//! query ([`WindowQuery`]). Every method consumes the *same* x-tuple table
+//! (deriving whatever representation it needs — the AU-DB for
 //! `Imp`/`Rewr`, the most likely world for `Det`, samples for `MCDB`), and
 //! returns `Vec<Option<(f64, f64)>>` of per-x-tuple bounds keyed by the
 //! table's trailing `id` attribute, ready for [`crate::metrics`].
 //!
 //! The engine methods (`Det`, `Imp`, `Rewr`) are driven exclusively
-//! through the unified [`audb_engine`] API: each driver builds one logical
-//! plan and executes it on the corresponding method, so the plan
-//! construction (order columns, position/aggregate output names, top-k
-//! capping) is written once and shared with the examples and benchmarks.
-//! `Det` runs `Imp`'s plan and kernels over the selected-guess world, lifted
-//! to a certain AU-DB, and reads the `Sg` corner as its point answer.
+//! through the unified [`audb_engine`] API: each builds one logical plan
+//! and executes it on the corresponding method, so the plan construction
+//! (order columns, position/aggregate output names, top-k capping) is
+//! written once and shared with the examples and benchmarks. `Det` runs
+//! `Imp`'s plan and kernels over the selected-guess world, lifted to a
+//! certain AU-DB, and reads the `Sg` corner as its point answer.
 
+use crate::real::{RankQuery, WindowQuery};
+use audb_competitors::{mcdb_sort_bounds, mcdb_window_bounds, ptk_topk_probs, symb_sort_bounds};
 use audb_core::{AuColumns, AuRelation, Corner, WinAgg};
 use audb_engine::{
     exec, Engine, JoinStrategy, Plan, Query, Rewrite, Session, SessionError,
@@ -83,7 +87,7 @@ pub fn au_bounds_by_id(
     bounds
 }
 
-// ---------------------------------------------------------------- sorting
+// ---------------------------------------------------------------- plans
 
 /// The most likely world of `table` — the paper's selected-guess world —
 /// as a certain AU-DB: what `Det` runs the engine's kernels over.
@@ -92,7 +96,7 @@ pub fn selected_guess(table: &XTupleTable) -> AuRelation {
 }
 
 /// Build the shared sort / top-k plan over `rel` (a table's derived AU-DB,
-/// or its [`selected_guess`]). Written once for every method driver (and
+/// or its [`selected_guess`]). Written once for every engine method (and
 /// reused by the perf bench): positions land in a trailing `"pos"` column;
 /// `k` turns the sort into a top-k with position bounds capped at `k`.
 pub fn sort_plan(rel: AuRelation, order: &[usize], k: Option<u64>) -> Plan {
@@ -118,28 +122,11 @@ pub fn window_plan(rel: AuRelation, order: &[usize], agg: WinAgg, l: i64, u: i64
         .expect("workload window plan is valid")
 }
 
-/// Time one engine execution of a sort/window plan over `table`,
-/// extracting per-id bounds between `corners` of the trailing output
-/// column, one slot per id of the table. The plan is built by the caller,
-/// outside the timed closure.
-fn engine_bounds(
-    engine: Engine,
-    plan: &Plan,
-    table: &XTupleTable,
-    corners: (Corner, Corner),
-) -> Timed<Bounds> {
-    let (id_col, n_ids) = (table.schema.arity() - 1, table.len() + 1);
-    time(move || {
-        let out = engine.execute(plan).expect("workload plan executes");
-        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, corners)
-    })
-}
-
 /// Drive a workload with a **textual** query: the table's derived AU-DB is
 /// registered as `t` in a fresh session, the SQL is compiled against it
 /// (inheriting every plan-validation check), executed on the engine's
 /// backend, and per-id bounds are extracted from the trailing output
-/// column — the same contract as the builder-driven drivers, so scripted
+/// column — the same contract as [`Method`]'s engine methods, so scripted
 /// and programmatic workloads are interchangeable.
 pub fn sql_bounds(
     table: &XTupleTable,
@@ -159,100 +146,6 @@ pub fn sql_bounds(
     })
 }
 
-/// `Det`: the native sort / top-k over the selected-guess world; the
-/// positions (certain there) are point "bounds".
-pub fn det_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let plan = sort_plan(selected_guess(table), order, k);
-    engine_bounds(Engine::Native, &plan, table, POINT)
-}
-
-/// `Imp`: the native one-pass sort / top-k over the derived AU-DB.
-pub fn imp_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let plan = sort_plan(table.to_au_relation(), order, k);
-    engine_bounds(Engine::Native, &plan, table, RANGE)
-}
-
-/// `Rewr`: the Fig. 7 rewrite.
-pub fn rewrite_sort(table: &XTupleTable, order: &[usize], k: Option<u64>) -> Timed<Bounds> {
-    let plan = sort_plan(table.to_au_relation(), order, k);
-    engine_bounds(Engine::Rewrite, &plan, table, RANGE)
-}
-
-/// `MCDB`: sampled position envelopes.
-pub fn mcdb_sort(table: &XTupleTable, order: &[usize], samples: usize, seed: u64) -> Timed<Bounds> {
-    time(|| {
-        audb_competitors::mcdb_sort_bounds(table, order, samples, seed)
-            .into_iter()
-            .map(|b| b.map(|(lo, hi)| (lo as f64, hi as f64)))
-            .collect()
-    })
-}
-
-/// `Symb`: exact tight position bounds (quadratic pairwise reasoning).
-pub fn symb_sort(table: &XTupleTable, order: &[usize]) -> Timed<Bounds> {
-    time(|| {
-        audb_competitors::symb_sort_bounds(table, order)
-            .into_iter()
-            .map(|b| b.map(|(lo, hi)| (lo as f64, hi as f64)))
-            .collect()
-    })
-}
-
-/// `PT-k`: certain/possible top-k membership (returns the two answer sets'
-/// sizes packed as bounds is meaningless — expose the probabilities
-/// instead; timing is what the perf figures need).
-pub fn ptk_sort(table: &XTupleTable, order: &[usize], k: u64) -> Timed<Vec<f64>> {
-    time(|| audb_competitors::ptk_topk_probs(table, order, k))
-}
-
-// ---------------------------------------------------------------- windows
-
-/// `Det`: the native window over the selected-guess world, its aggregate
-/// (the `Sg` corner: for certain input an `AVG`'s range is the frame's
-/// `[min, max]`, its selected guess the average) as a point "bound".
-pub fn det_window(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-) -> Timed<Bounds> {
-    let plan = window_plan(selected_guess(table), order, agg, l, u);
-    engine_bounds(Engine::Native, &plan, table, POINT)
-}
-
-/// `Imp`: the native one-pass window algorithm.
-pub fn imp_window(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-) -> Timed<Bounds> {
-    let plan = window_plan(table.to_au_relation(), order, agg, l, u);
-    engine_bounds(Engine::Native, &plan, table, RANGE)
-}
-
-/// `Rewr` / `Rewr(index)`: the Fig. 8 rewrite. The engine's rewrite
-/// backend always probes the interval index; the strategy is the figure's
-/// argument, so this driver hands the plan to the row oracles' runner itself
-/// under the [`Rewrite`] backend it names.
-pub fn rewrite_window(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-    strategy: JoinStrategy,
-) -> Timed<Bounds> {
-    let plan = window_plan(table.to_au_relation(), order, agg, l, u);
-    let (id_col, n_ids) = (table.schema.arity() - 1, table.len() + 1);
-    time(|| {
-        let out = rewrite_execute(&plan, strategy);
-        au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, RANGE)
-    })
-}
-
 /// One plan on the rewrite oracle under an explicit window join
 /// `strategy`.
 pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuColumns {
@@ -260,47 +153,172 @@ pub fn rewrite_execute(plan: &Plan, strategy: JoinStrategy) -> AuColumns {
     run.expect("workload plan executes")
 }
 
-/// `MCDB`: sampled window-aggregate envelopes.
-pub fn mcdb_window(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-    samples: usize,
-    seed: u64,
-) -> Timed<Bounds> {
-    time(|| {
-        audb_competitors::mcdb_window_bounds(table, order, agg, l, u, samples, seed)
-            .into_iter()
-            .map(|b| b.map(|(lo, hi)| (val_f(&lo), val_f(&hi))))
-            .collect()
-    })
+// ---------------------------------------------------------------- methods
+
+/// The seed `MCDB` draws its worlds from, in every figure.
+const MCDB_SEED: u64 = 1;
+
+/// How many joint outcomes `Symb`'s window enumerates per x-tuple before
+/// it reports the tuple as skipped (`None`).
+const SYMB_ENUM_CAP: u128 = 1 << 22;
+
+/// One compared method of Sec. 9: what a column of Figs. 11–19 runs. Each
+/// runs on a [`RankQuery`] ([`Method::sort`]) and a [`WindowQuery`]
+/// ([`Method::window`]) over the *same* x-tuple table, deriving whatever
+/// representation it needs, and answers per-x-tuple [`Bounds`] keyed by
+/// the table's trailing `id` attribute, ready for [`crate::metrics`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Method {
+    /// The native kernels over the [`selected_guess`] world, lifted to a
+    /// certain AU-DB; its answers are points, the `Sg` corner (for certain
+    /// input a window `AVG`'s range is the frame's `[min, max]`, its
+    /// selected guess the average).
+    Det,
+    /// The native one-pass sort / top-k / window over the derived AU-DB.
+    Imp,
+    /// The Fig. 7 / Fig. 8 rewrite on the row oracle, its window self-join
+    /// under the given strategy (a sort has no join): `NestedLoop` is the
+    /// paper's plain `Rewr`, `IntervalIndex` its `Rewr(index)` and what
+    /// `Engine::rewrite()` runs.
+    Rewr(JoinStrategy),
+    /// Envelopes over `samples` worlds drawn from one fixed seed. A sort's
+    /// positions are enveloped over the whole sort, the query's `k` aside.
+    Mcdb {
+        /// Sampled worlds.
+        samples: usize,
+    },
+    /// Exact bounds: pairwise precedence reasoning for a sort (the query's
+    /// `k` aside), capped local enumeration for a window (an x-tuple past
+    /// the cap is `None`).
+    Symb,
+    /// PT-k: each x-tuple's `Pr[t ∈ top-k]`, as a point, `None` where it is
+    /// 0 (not a possible answer). Its `k`, when given, replaces the
+    /// query's; with neither, every x-tuple is in the top `n`. No window
+    /// answer.
+    PtK {
+        /// The `k` this method ranks for, if not the query's.
+        k: Option<u64>,
+    },
 }
 
-/// `Symb`: exact window bounds by capped local enumeration. Skipped tuples
-/// become `None`.
-pub fn symb_window(
-    table: &XTupleTable,
-    order: &[usize],
-    agg: WinAgg,
-    l: i64,
-    u: i64,
-    enum_cap: u128,
-) -> Timed<Bounds> {
-    time(|| {
-        audb_worlds::exact_window_bounds(table, order, agg, l, u, enum_cap)
-            .into_iter()
-            .map(|b| match b {
-                Some(WindowTruth::Exact(lo, hi)) => Some((val_f(&lo), val_f(&hi))),
-                _ => None,
-            })
-            .collect()
-    })
+impl Method {
+    /// The method's name, as the figures' headers print it.
+    pub fn name(self) -> String {
+        match self {
+            Method::Det => "Det".into(),
+            Method::Imp => "Imp".into(),
+            Method::Rewr(JoinStrategy::NestedLoop) => "Rewr".into(),
+            Method::Rewr(JoinStrategy::IntervalIndex) => "Rewr(index)".into(),
+            Method::Mcdb { samples } => format!("MCDB{samples}"),
+            Method::Symb => "Symb".into(),
+            Method::PtK { k: None } => "PT-k".into(),
+            Method::PtK { k: Some(k) } => format!("PT-k(k={k})"),
+        }
+    }
+
+    /// Run the sort / top-k `q`, timed.
+    pub fn sort(self, q: &RankQuery) -> Timed<Bounds> {
+        let (table, order) = (&q.table, &q.order[..]);
+        let positions = |bounds: Vec<Option<(u64, u64)>>| -> Bounds {
+            let float = |b: Option<(u64, u64)>| b.map(|(lo, hi)| (lo as f64, hi as f64));
+            bounds.into_iter().map(float).collect()
+        };
+        match self {
+            Method::Det | Method::Imp | Method::Rewr(_) => {
+                self.run_engine(table, |rel| sort_plan(rel, order, q.k))
+            }
+            Method::Mcdb { samples } => {
+                time(|| positions(mcdb_sort_bounds(table, order, samples, MCDB_SEED)))
+            }
+            Method::Symb => time(|| positions(symb_sort_bounds(table, order))),
+            Method::PtK { k } => {
+                let k = k.or(q.k).unwrap_or(table.len() as u64);
+                let point = |p: f64| (p > 0.0).then_some((p, p));
+                time(|| {
+                    ptk_topk_probs(table, order, k)
+                        .into_iter()
+                        .map(point)
+                        .collect()
+                })
+            }
+        }
+    }
+
+    /// Run the window `q`, timed; `None` for PT-k, which has no window
+    /// answer.
+    pub fn window(self, q: &WindowQuery) -> Option<Timed<Bounds>> {
+        let (table, order, agg, l, u) = (&q.table, &q.order[..], q.agg, q.l, q.u);
+        let floats = |(lo, hi): (Value, Value)| (val_f(&lo), val_f(&hi));
+        Some(match self {
+            Method::Det | Method::Imp | Method::Rewr(_) => {
+                self.run_engine(table, |rel| window_plan(rel, order, agg, l, u))
+            }
+            Method::Mcdb { samples } => time(|| {
+                let bounds = mcdb_window_bounds(table, order, agg, l, u, samples, MCDB_SEED);
+                bounds.into_iter().map(|b| b.map(floats)).collect()
+            }),
+            Method::Symb => time(|| {
+                let truth =
+                    audb_worlds::exact_window_bounds(table, order, agg, l, u, SYMB_ENUM_CAP);
+                let exact = |t: Option<WindowTruth>| match t? {
+                    WindowTruth::Exact(lo, hi) => Some(floats((lo, hi))),
+                    WindowTruth::Skipped => None,
+                };
+                truth.into_iter().map(exact).collect()
+            }),
+            Method::PtK { .. } => return None,
+        })
+    }
+
+    /// Whether the timed figures run `self` on the sort `q`: the exact
+    /// methods stop at 60 000 rows. ROADMAP item 1's per-cell wall budget
+    /// goes here and in [`Method::fits_window`].
+    pub fn fits_sort(self, q: &RankQuery) -> bool {
+        !matches!(self, Method::Symb | Method::PtK { .. }) || q.table.len() <= 60_000
+    }
+
+    /// Whether the timed figures run `self` on the window `q`: `Rewr` and
+    /// `Symb` stop at 20 000 rows, and `Symb` enumerates local frames only
+    /// ([`WindowQuery::is_local`]).
+    pub fn fits_window(self, q: &WindowQuery) -> bool {
+        let rows = q.table.len();
+        match self {
+            Method::Rewr(_) => rows <= 20_000,
+            Method::Symb => rows <= 20_000 && q.is_local(),
+            _ => true,
+        }
+    }
+
+    /// Time one execution of an engine method's plan, built by `plan` over
+    /// `table`'s derived AU-DB (`Det`: its selected-guess world) outside the
+    /// timed closure, extracting per-id bounds of the trailing output
+    /// column, one slot per id of the table: the `[Lb, Ub]` range, `Det`'s
+    /// `Sg` point.
+    fn run_engine(
+        self,
+        table: &XTupleTable,
+        plan: impl FnOnce(AuRelation) -> Plan,
+    ) -> Timed<Bounds> {
+        let (plan, corners) = match self {
+            Method::Det => (plan(selected_guess(table)), POINT),
+            _ => (plan(table.to_au_relation()), RANGE),
+        };
+        let (id_col, n_ids) = (table.schema.arity() - 1, table.len() + 1);
+        time(move || {
+            let out = match self {
+                Method::Rewr(strategy) => rewrite_execute(&plan, strategy),
+                _ => Engine::Native
+                    .execute(&plan)
+                    .expect("workload plan executes"),
+            };
+            au_bounds_by_id(&out, id_col, out.arity() - 1, n_ids, corners)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Method::*;
     use super::*;
     use crate::metrics::aggregate_quality;
     use crate::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
@@ -313,18 +331,35 @@ mod tests {
             .collect()
     }
 
+    /// A sort / top-k on `(a, b)`, as the synthetic sort tables are ranked.
+    fn sorted(table: XTupleTable, k: Option<u64>) -> RankQuery {
+        let order = vec![0, 1];
+        RankQuery { table, order, k }
+    }
+
+    /// `SUM(v)` over the two preceding rows and the current one, on `o`.
+    fn sums(table: XTupleTable) -> WindowQuery {
+        let (order, agg) = (vec![0], WinAgg::Sum(2));
+        WindowQuery {
+            table,
+            order,
+            agg,
+            l: -2,
+            u: 0,
+        }
+    }
+
     /// End-to-end sanity: on a small synthetic workload the AU bounds cover
     /// the exact bounds (recall 1), MCDB's envelopes are inside them
     /// (recall ≤ 1, accuracy ≤ 1), and `Symb` is exact.
     #[test]
     fn sort_quality_relationships() {
         let cfg = SyntheticConfig::default().rows(300).seed(9);
-        let t = gen_sort_table(&cfg);
-        let order = [0usize, 1];
-        let tight = symb_sort(&t, &order).value;
-        let imp = imp_sort(&t, &order, None).value;
-        let rewr = rewrite_sort(&t, &order, None).value;
-        let mc = mcdb_sort(&t, &order, 10, 1).value;
+        let q = sorted(gen_sort_table(&cfg), None);
+        let tight = Symb.sort(&q).value;
+        let imp = Imp.sort(&q).value;
+        let rewr = Rewr(JoinStrategy::IntervalIndex).sort(&q).value;
+        let mc = Mcdb { samples: 10 }.sort(&q).value;
 
         assert_eq!(imp, rewr, "Imp and Rewr produce identical bounds");
         let qi = aggregate_quality(pairs(&imp, &tight));
@@ -346,18 +381,17 @@ mod tests {
     #[test]
     fn imp_sort_bounds_tight_iff_hull() {
         let cfg = SyntheticConfig::default().rows(200).seed(4);
-        let t = gen_sort_table(&cfg);
-        let order = [0usize, 1];
-        let tight = symb_sort(&t, &order).value;
-        let loose = imp_sort(&t, &order, None).value;
+        let q = sorted(gen_sort_table(&cfg), None);
+        let tight = Symb.sort(&q).value;
+        let loose = Imp.sort(&q).value;
         let ql = aggregate_quality(pairs(&loose, &tight));
         assert!(ql.recall > 0.999 && ql.range_ratio >= 1.0, "{ql:?}");
 
-        let mut hull = t.clone();
-        for xt in &mut hull.tuples {
+        let mut hull = q;
+        for xt in &mut hull.table.tuples {
             xt.declared = None;
         }
-        let imp = imp_sort(&hull, &order, None).value;
+        let imp = Imp.sort(&hull).value;
         let q = aggregate_quality(pairs(&imp, &tight));
         assert!(
             (q.accuracy - 1.0).abs() < 1e-9,
@@ -367,7 +401,7 @@ mod tests {
 
     /// Scripted and programmatic workloads are interchangeable: the same
     /// ranking / window queries issued as SQL text produce exactly the
-    /// bounds of the builder-driven drivers.
+    /// bounds of the builder-driven methods.
     #[test]
     fn sql_driver_matches_builder_drivers() {
         let cfg = SyntheticConfig::default().rows(120).seed(7);
@@ -379,7 +413,7 @@ mod tests {
         )
         .expect("sql sort runs")
         .value;
-        let built = imp_sort(&t, &[0, 1], Some(5)).value;
+        let built = Imp.sort(&sorted(t.clone(), Some(5))).value;
         assert_eq!(sql, built, "SQL top-k ≡ builder top-k");
 
         let w = gen_window_table(&cfg);
@@ -391,8 +425,8 @@ mod tests {
         )
         .expect("sql window runs")
         .value;
-        let built =
-            rewrite_window(&w, &[0], WinAgg::Sum(2), -2, 0, JoinStrategy::IntervalIndex).value;
+        let built = Rewr(JoinStrategy::IntervalIndex).window(&sums(w));
+        let built = built.unwrap().value;
         assert_eq!(sql, built, "SQL window ≡ builder window");
 
         // Validation errors surface as structured SessionErrors.
@@ -403,14 +437,13 @@ mod tests {
     #[test]
     fn window_bounds_cover_truth() {
         let cfg = SyntheticConfig::default().rows(150).seed(11);
-        let t = gen_window_table(&cfg);
-        let order = [0usize];
-        let tight = symb_window(&t, &order, WinAgg::Sum(2), -2, 0, 1 << 22).value;
-        let imp = imp_window(&t, &order, WinAgg::Sum(2), -2, 0).value;
+        let w = sums(gen_window_table(&cfg));
+        let tight = Symb.window(&w).unwrap().value;
+        let imp = Imp.window(&w).unwrap().value;
         let q = aggregate_quality(pairs(&imp, &tight));
         assert!(q.recall > 0.999, "AU window bounds must cover truth: {q:?}");
         assert!(q.range_ratio >= 1.0 - 1e-9);
-        let mc = mcdb_window(&t, &order, WinAgg::Sum(2), -2, 0, 10, 3).value;
+        let mc = Mcdb { samples: 10 }.window(&w).unwrap().value;
         let qm = aggregate_quality(pairs(&mc, &tight));
         assert!(qm.range_ratio <= 1.0 + 1e-9, "{qm:?}");
     }

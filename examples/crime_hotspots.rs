@@ -9,7 +9,7 @@
 
 use audb::engine::Engine;
 use audb::workloads::metrics::aggregate_quality;
-use audb::workloads::runner;
+use audb::workloads::runner::{self, Method};
 use audb::workloads::{crimes, RealDataset};
 
 fn main() {
@@ -22,21 +22,21 @@ fn main() {
     );
 
     // --- Rank: top-3 days by count (pre-aggregated, Sec. 9.2). ---
-    // The AU-DB drivers build one logical plan and run it through the
+    // The AU-DB methods build one logical plan and run it through the
     // engine; here we additionally run the same plan on *every* backend and
     // let run_all assert that reference, native and rewrite bounds agree on
     // this real-world-shaped data.
     let rq = &ds.rank;
-    let plan = runner::sort_plan(rq.table.to_au_relation(), &rq.order, Some(rq.k));
+    let plan = runner::sort_plan(rq.table.to_au_relation(), &rq.order, rq.k);
     let agreement = Engine::native().run_all(&plan).expect("backends agree");
     println!("cross-backend check on the rank query: {agreement}");
 
-    let imp = runner::imp_sort(&rq.table, &rq.order, Some(rq.k));
-    let det = runner::det_sort(&rq.table, &rq.order, Some(rq.k));
-    let mc = runner::mcdb_sort(&rq.table, &rq.order, 20, 1);
+    let imp = Method::Imp.sort(rq);
+    let det = Method::Det.sort(rq);
+    let mc = Method::Mcdb { samples: 20 }.sort(rq);
     println!(
         "\nTop-{} days by incident count over {} aggregated days:",
-        rq.k,
+        rq.k.expect("a top-k"),
         rq.table.len()
     );
     println!("  Det   {:>10?}   (one world, no guarantees)", det.elapsed);
@@ -50,9 +50,10 @@ fn main() {
 
     // --- Window: min(year) among latitude neighbours, 2016 slice. ---
     let wq = &ds.window;
-    let imp = runner::imp_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u);
-    let mc = runner::mcdb_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u, 20, 2);
-    let tight = runner::symb_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u, 1 << 20);
+    let window = |m: Method| m.window(wq).expect("a window answer");
+    let imp = window(Method::Imp);
+    let mc = window(Method::Mcdb { samples: 20 });
+    let tight = window(Method::Symb);
     println!(
         "\nWindow query (min(year) over latitude ±1) on {} rows:",
         wq.table.len()

@@ -1928,8 +1928,9 @@ fn rel_point_bounds(out: &audb::rel::Relation, n: usize) -> Vec<Option<(f64, f64
 fn det_answers_are_the_deterministic_ones(seed: u64, absent: bool, l: i64, u: i64) {
     use audb::rel::ops::sort::topk_with_pos;
     use audb::rel::{sort_to_pos, window_rows, WindowSpec as RelWindowSpec};
-    use audb::workloads::runner::{det_sort, det_window};
+    use audb::workloads::runner::Method::Det;
     use audb::workloads::{gen_sort_table, gen_window_table, SyntheticConfig};
+    use audb::workloads::{RankQuery, WindowQuery};
 
     // A small domain and a high uncertainty rate: ties on the order
     // attributes, and (with `absent`) x-tuples the world leaves out.
@@ -1939,19 +1940,33 @@ fn det_answers_are_the_deterministic_ones(seed: u64, absent: bool, l: i64, u: i6
         absent_prob: if absent { 0.5 } else { 0.0 },
         ..SyntheticConfig::default().rows(80).seed(seed)
     };
-    let sorted = gen_sort_table(&cfg);
-    let world = sorted.most_likely_world();
-    let n = sorted.len() + 1;
-    let order = [0usize, 1];
-    let want = rel_point_bounds(&sort_to_pos(&world, &order, "pos"), n);
-    assert_eq!(det_sort(&sorted, &order, None).value, want, "sort");
-    let want = rel_point_bounds(&topk_with_pos(&world, &order, 10), n);
-    assert_eq!(det_sort(&sorted, &order, Some(10)).value, want, "top-10");
+    let table = gen_sort_table(&cfg);
+    let world = table.most_likely_world();
+    let n = table.len() + 1;
+    let order = vec![0usize, 1];
+    let mut sorted = RankQuery {
+        table,
+        order,
+        k: None,
+    };
+    let want = rel_point_bounds(&sort_to_pos(&world, &sorted.order, "pos"), n);
+    assert_eq!(Det.sort(&sorted).value, want, "sort");
+    let want = rel_point_bounds(&topk_with_pos(&world, &sorted.order, 10), n);
+    sorted.k = Some(10);
+    assert_eq!(Det.sort(&sorted).value, want, "top-10");
 
-    let windowed = gen_window_table(&cfg);
-    let world = windowed.most_likely_world();
-    let n = windowed.len() + 1;
+    let table = gen_window_table(&cfg);
+    let world = table.most_likely_world();
+    let n = table.len() + 1;
     let spec = RelWindowSpec::rows(vec![0], l, u);
+    let (order, agg) = (vec![0], WinAgg::Count);
+    let mut windowed = WindowQuery {
+        table,
+        order,
+        agg,
+        l,
+        u,
+    };
     for agg in [
         WinAgg::Sum(2),
         WinAgg::Count,
@@ -1960,7 +1975,8 @@ fn det_answers_are_the_deterministic_ones(seed: u64, absent: bool, l: i64, u: i6
         WinAgg::Avg(2),
     ] {
         let want = rel_point_bounds(&window_rows(&world, &spec, agg, "x"), n);
-        let got = det_window(&windowed, &[0], agg, l, u).value;
+        windowed.agg = agg;
+        let got = Det.window(&windowed).expect("Det windows").value;
         assert_eq!(got, want, "{agg:?} over [{l}, {u}]");
     }
 }

@@ -4,9 +4,10 @@
 //! and the pre-aggregation pipeline is consistent across representations.
 
 use audb::competitors::ptk_possible;
+use audb::engine::JoinStrategy;
 use audb::workloads::metrics::aggregate_quality;
-use audb::workloads::runner::{self, Bounds};
-use audb::workloads::{all_datasets, iceberg};
+use audb::workloads::runner::{Bounds, Method};
+use audb::workloads::{all_datasets, iceberg, RankQuery};
 
 fn pairs(approx: &Bounds, tight: &Bounds) -> Vec<((f64, f64), (f64, f64))> {
     approx
@@ -19,11 +20,11 @@ fn pairs(approx: &Bounds, tight: &Bounds) -> Vec<((f64, f64), (f64, f64))> {
 #[test]
 fn rank_quality_relationships_hold_on_all_datasets() {
     for ds in all_datasets(0.004, 42) {
-        let rq = &ds.rank;
-        let tight = runner::symb_sort(&rq.table, &rq.order).value;
-        let imp = runner::imp_sort(&rq.table, &rq.order, None).value;
-        let rewr = runner::rewrite_sort(&rq.table, &rq.order, None).value;
-        let mc = runner::mcdb_sort(&rq.table, &rq.order, 20, 9).value;
+        let rq = &RankQuery { k: None, ..ds.rank };
+        let tight = Method::Symb.sort(rq).value;
+        let imp = Method::Imp.sort(rq).value;
+        let rewr = Method::Rewr(JoinStrategy::IntervalIndex).sort(rq).value;
+        let mc = Method::Mcdb { samples: 20 }.sort(rq).value;
 
         assert_eq!(imp, rewr, "{}: Imp and Rewr must agree", ds.name);
         let qi = aggregate_quality(pairs(&imp, &tight));
@@ -45,8 +46,8 @@ fn window_queries_cover_truth_where_computable() {
         if wq.l.abs() > 8 {
             continue; // unbounded healthcare rank window: no local truth
         }
-        let tight = runner::symb_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u, 1 << 20).value;
-        let imp = runner::imp_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u).value;
+        let tight = Method::Symb.window(wq).expect("Symb windows").value;
+        let imp = Method::Imp.window(wq).expect("Imp windows").value;
         let q = aggregate_quality(pairs(&imp, &tight));
         assert!(q.recall > 0.999, "{}: {q:?}", ds.name);
     }
@@ -66,8 +67,8 @@ fn preaggregation_representations_are_consistent() {
         &rq.table.most_likely_world()
     ));
 
-    let possible = ptk_possible(&rq.table, &rq.order, rq.k);
-    let imp = runner::imp_sort(&rq.table, &rq.order, Some(rq.k)).value;
+    let possible = ptk_possible(&rq.table, &rq.order, rq.k.expect("a top-k"));
+    let imp = Method::Imp.sort(rq).value;
     for idx in possible {
         assert!(
             imp[idx].is_some(),
@@ -80,7 +81,7 @@ fn preaggregation_representations_are_consistent() {
 fn healthcare_inline_rank_bounds_are_ranks() {
     let ds = audb::workloads::healthcare(0.02, 5);
     let wq = &ds.window;
-    let imp = runner::imp_window(&wq.table, &wq.order, wq.agg, wq.l, wq.u).value;
+    let imp = Method::Imp.window(wq).expect("Imp windows").value;
     let n = wq.table.len() as f64;
     let mut covered = 0;
     for b in imp.iter().flatten() {
