@@ -481,15 +481,14 @@ pub fn fig17(opts: ReproOptions) {
             "130.5/15.2/323.9/13713.2/>10min/N.A.",
         ),
     ];
+    // Our windows probe the interval index: the nested loop is quadratic at
+    // these sizes (a sort has no join).
     let methods = [Imp, Det, MC20, REWR_INDEX, Symb, PtK { k: None }];
-    // The paper's `Rewr` column: our windows probe the interval index, as
-    // the nested loop is quadratic at these sizes (a sort has no join).
-    let heads = names(&methods).map(|n| if n == "Rewr(index)" { "Rewr".into() } else { n });
     let mut t = Table::new(
         ["dataset", "query"]
             .map(String::from)
             .into_iter()
-            .chain(heads)
+            .chain(names(&methods))
             .chain(once("paper(Imp/Det/MC20/Rewr/Symb/PTk ms)".into())),
     );
     for (ds, (prank, pwin)) in datasets.iter().zip(paper) {

@@ -47,6 +47,13 @@
 //!   duplicated rows and uncertain partition values, at 2 048 and 16 384
 //!   rows.
 //!
+//! The two arms every scaling gate compares — sort scaling, window scaling
+//! per shape, window dup-scaling, append — and those of each kernel sweep
+//! and pruning cell are one [`Pair`] each: timed in alternating pairs, each
+//! arm's median printed, the median per-pair ratio gated. The cells, the
+//! kernel sweeps and the four scaling blocks print their own lines; [`run`]
+//! prints the others.
+//!
 //! [`run`] prints every block, then one line per gate of [`check`] — the
 //! only place a threshold is written (DESIGN.md §7 repeats them in prose)
 //! — and returns the process exit code. `AUDB_THREADS` pins the worker
@@ -120,25 +127,11 @@ impl Default for BenchConfig {
     }
 }
 
-/// One measured cell.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// `sort`, `window`, or `sort_sel` (select/project stages ahead of the
-    /// sort — the plan shape pipelining targets).
-    pub op: &'static str,
-    /// `det` / `imp` / `rewr`.
-    pub method: &'static str,
-    /// Input rows.
-    pub n: usize,
-    /// Median milliseconds per run.
-    pub ms: f64,
-}
-
 /// Measured per-row heap footprint of one op's AU input table under the
 /// three storage layouts.
 #[derive(Clone, Debug)]
 pub struct Footprint {
-    /// The op whose input this is (see [`Measurement::op`]).
+    /// The op whose input this is (see [`measure`]).
     pub op: &'static str,
     /// Input rows.
     pub n: usize,
@@ -172,31 +165,66 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Median wall milliseconds of `runs` calls of `f`.
-fn time_median(mut f: impl FnMut(), runs: usize) -> f64 {
-    median(
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    )
+/// Wall milliseconds of one call of `f`.
+fn wall_ms(f: &mut dyn FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64() * 1e3
 }
 
-fn cell(
-    op: &'static str,
-    method: &'static str,
-    n: usize,
-    f: impl FnMut(),
-    runs: usize,
-) -> Measurement {
-    Measurement {
-        op,
-        method,
-        n,
-        ms: time_median(f, runs),
+/// Median wall milliseconds of `runs` calls of `f`.
+fn time_median(mut f: impl FnMut(), runs: usize) -> f64 {
+    median((0..runs).map(|_| wall_ms(&mut f)).collect())
+}
+
+/// Pairs a [`Pair`] is timed over, in a full run and under `--quick`: 11
+/// and 5, or 21 and 7 where an arm is `short`, well under a millisecond.
+fn pairs(cfg: &BenchConfig, short: bool) -> usize {
+    (if short { [21, 7] } else { [11, 5] })[usize::from(cfg.quick)]
+}
+
+/// Two arms timed in turn, `a` first in even pairs and `b` in odd ones, so
+/// neither always runs on what the other left in the caches and the heap:
+/// each arm's median, and the median of the per-pair ratios, which a slow
+/// moment of the host moves far less than either median.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Pair {
+    /// Median wall milliseconds of arm a.
+    pub a_ms: f64,
+    /// Median wall milliseconds of arm b.
+    pub b_ms: f64,
+    /// Median over the pairs of b's time over a's.
+    pub ratio: f64,
+}
+
+impl Pair {
+    /// Time `pairs` pairs of `a` and `b`.
+    pub fn time(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Pair {
+        let samples: Vec<(f64, f64)> = (0..pairs)
+            .map(|i| match i % 2 {
+                0 => (wall_ms(&mut a), wall_ms(&mut b)),
+                _ => {
+                    let b_ms = wall_ms(&mut b);
+                    (wall_ms(&mut a), b_ms)
+                }
+            })
+            .collect();
+        Pair::of(&samples)
+    }
+
+    /// The pair of `(a_ms, b_ms)` samples.
+    pub fn of(samples: &[(f64, f64)]) -> Pair {
+        let arm = |f: fn(&(f64, f64)) -> f64| median(samples.iter().map(f).collect());
+        Pair {
+            a_ms: arm(|s| s.0),
+            b_ms: arm(|s| s.1),
+            ratio: arm(|s| s.1 / s.0),
+        }
+    }
+
+    /// Each arm's median beside the rows it ran over, `rows[0]` arm a's.
+    fn cells(&self, rows: &[usize]) -> [(usize, f64); 2] {
+        [(rows[0], self.a_ms), (rows[1], self.b_ms)]
     }
 }
 
@@ -204,27 +232,33 @@ fn execute(engine: &Engine, plan: &Plan) {
     std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
 }
 
-/// Measure every (op, method, n) cell and every (op, n) input footprint.
-pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
+/// Measure and print every (op, method, n) cell — `op` is `sort`,
+/// `window` or `sort_sel` (select/project stages ahead of the sort, the
+/// plan shape pipelining targets), `method` is `det`, `imp` or `rewr` —
+/// and return every (op, n) input footprint.
+pub fn measure(cfg: &BenchConfig) -> Vec<Footprint> {
     let runs = if cfg.quick { 3 } else { 7 };
-    let mut cells = Vec::new();
+    let cell = |op: &str, method: &str, n: usize, engine: &Engine, plan: &Plan| {
+        let ms = time_median(|| execute(engine, plan), runs);
+        let (ops, rows) = (1e3 / ms, n as f64 * 1e3 / ms);
+        println!("{n:>7} rows  {op:<8} {method:<5} {ms:>10.3} ms  {ops:>10.2} ops/s  {rows:>11.0} rows/s");
+    };
     let mut footprints = Vec::new();
     // One logical plan per op, two engine backends: only the physical
     // operators differ between the timed AU cells.
-    let mut au_cells = |cells: &mut Vec<Measurement>, op, n, plan: &Plan| {
+    let mut au_cells = |op, n, plan: &Plan| {
         footprints.push(footprint(op, &plan.source_columns().contiguous()));
         for (method, engine) in [("imp", Engine::native()), ("rewr", Engine::rewrite())] {
-            cells.push(cell(op, method, n, || execute(&engine, plan), runs));
+            cell(op, method, n, &engine, plan);
         }
     };
     for &n in &cfg.sizes {
         let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
         let order = [0usize, 1];
         let det_plan = sort_plan(selected_guess(&table), &order, None);
-        let det_sort = || execute(&Engine::Native, &det_plan);
-        cells.push(cell("sort", "det", n, det_sort, runs));
+        cell("sort", "det", n, &Engine::Native, &det_plan);
         let plan = sort_plan(table.to_au_relation(), &order, None);
-        au_cells(&mut cells, "sort", n, &plan);
+        au_cells("sort", n, &plan);
 
         // Streamable stages ahead of the breaker (≈50% selectivity on the
         // certain `b` attribute, then a computed projection): one fused
@@ -242,44 +276,25 @@ pub fn measure(cfg: &BenchConfig) -> (Vec<Measurement>, Vec<Footprint>) {
             .sort_by(["a", "bid"])
             .build()
             .expect("sort_sel plan is valid");
-        au_cells(&mut cells, "sort_sel", n, &sel_plan);
+        au_cells("sort_sel", n, &sel_plan);
 
         let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
         let det_plan = window_plan(selected_guess(&wtable), &[0], WinAgg::Sum(2), -2, 0);
-        let det_window = || execute(&Engine::Native, &det_plan);
-        cells.push(cell("window", "det", n, det_window, runs));
+        cell("window", "det", n, &Engine::Native, &det_plan);
         let wplan = window_plan(wtable.to_au_relation(), &[0], WinAgg::Sum(2), -2, 0);
-        au_cells(&mut cells, "window", n, &wplan);
+        au_cells("window", n, &wplan);
     }
-    (cells, footprints)
+    footprints
 }
 
-/// One typed-vs-generic vectorized kernel sweep: the same expression over
-/// the same columns, once on the typed lanes and once after demoting them
-/// to generic `Value` lanes, where the typed tier declines and the row
-/// semantics runs cell by cell.
-#[derive(Clone, Debug)]
-pub struct KernelSweep {
-    /// `truth_batch` (the `sort_sel` selection predicate), `eval_batch`
-    /// (its computed projection, `eval_batch_column` over every row) or
-    /// `conjunction` (two column compares).
-    pub kernel: &'static str,
-    /// Input rows per sweep.
-    pub n: usize,
-    /// Rows per second on the typed lanes.
-    pub typed_rows_per_sec: f64,
-    /// Rows per second on the demoted generic lanes (the cell-by-cell
-    /// row semantics).
-    pub generic_rows_per_sec: f64,
-}
-
-/// Time the vectorized kernels of the `sort_sel` plan's expressions —
-/// the selection predicate through `truth_batch` and the computed
-/// projection through `eval_batch_column` — and `filter_scan`'s conjunction of
-/// two column-vs-column compares, per executor batch, on typed vs
-/// demoted-generic columns of the same relation.
-pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
-    let runs = if cfg.quick { 5 } else { 15 };
+/// The kernel sweeps, each one [`Pair`] of typed lanes (arm a) against the
+/// same columns demoted to generic `Value` lanes (arm b), where the typed
+/// tier declines and the row semantics runs cell by cell: `truth_batch`
+/// over the `sort_sel` plan's selection predicate, `eval_batch` —
+/// `eval_batch_column` over every row — over its computed projection, and
+/// `conjunction`, `filter_scan`'s two column-vs-column compares under
+/// `AND`, per executor batch. Prints each arm's rows/s.
+pub fn measure_kernels(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
     let n = cfg.sizes.iter().copied().max().unwrap_or(16_000);
     let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
     let typed = table.to_au_relation().to_columns();
@@ -290,30 +305,26 @@ pub fn measure_kernels(cfg: &BenchConfig) -> Vec<KernelSweep> {
     // `filter_scan`'s shape: ranged `a` against certain `b` and `id`.
     let conj = (RangeExpr::col(0).lt(RangeExpr::col(1)))
         .and(RangeExpr::col(0).cmp(CmpOp::Gt, RangeExpr::col(2)));
-    let mut out = Vec::new();
-    let mut sweep = |kernel: &'static str, f: &mut dyn FnMut(&AuColumns)| {
-        let t_ms = time_median(|| f(&typed), runs);
-        let g_ms = time_median(|| f(&generic), runs);
-        out.push(KernelSweep {
-            kernel,
-            n,
-            typed_rows_per_sec: n as f64 * 1e3 / t_ms,
-            generic_rows_per_sec: n as f64 * 1e3 / g_ms,
-        });
-    };
-    sweep("truth_batch", &mut |cols| {
-        std::hint::black_box(pred.truth_batch(&cols.as_batch()));
-    });
     let all: Vec<usize> = (0..n).collect();
-    sweep("eval_batch", &mut |cols| {
-        std::hint::black_box(proj.eval_batch_column(&cols.as_batch(), &all));
-    });
-    sweep("conjunction", &mut |cols| {
-        for b in cols.batches(exec::DEFAULT_BATCH_SIZE) {
-            std::hint::black_box(conj.truth_batch(&b));
-        }
-    });
-    out
+    let sweep = |kernel: &'static str, f: &dyn Fn(&AuColumns)| {
+        let pair = Pair::time(pairs(cfg, true), || f(&typed), || f(&generic));
+        let [typed, generic] = [pair.a_ms, pair.b_ms].map(|ms| n as f64 * 1e3 / ms);
+        println!("{n:>7} rows  kernel {kernel:<12} typed {typed:>12.0} rows/s  generic {generic:>12.0} rows/s");
+        (kernel, pair)
+    };
+    vec![
+        sweep("truth_batch", &|cols| {
+            std::hint::black_box(pred.truth_batch(&cols.as_batch()));
+        }),
+        sweep("eval_batch", &|cols| {
+            std::hint::black_box(proj.eval_batch_column(&cols.as_batch(), &all));
+        }),
+        sweep("conjunction", &|cols| {
+            for b in cols.batches(exec::DEFAULT_BATCH_SIZE) {
+                std::hint::black_box(conj.truth_batch(&b));
+            }
+        }),
+    ]
 }
 
 /// One streaming cell: `n` rows pushed through a subscription in
@@ -327,8 +338,6 @@ pub struct StreamingRun {
     pub n: usize,
     /// Number of timed appends.
     pub appends: usize,
-    /// Sustained append rate of the incremental arm.
-    pub appends_per_sec: f64,
     /// Median per-append latency of the incremental arm, microseconds.
     pub p50_us: f64,
     /// 99th-percentile per-append latency, microseconds.
@@ -338,8 +347,6 @@ pub struct StreamingRun {
     /// Wall total of the at-rest arm over the same batches: each appended
     /// to the catalog, and the statement prepared, executed and normalized.
     pub recompute_ms: f64,
-    /// `recompute_ms / incremental_ms`.
-    pub speedup: f64,
 }
 
 /// Rows per streaming append; small enough that per-append latency is
@@ -474,12 +481,10 @@ pub fn measure_streaming(cfg: &BenchConfig, sql: &str, onto: Option<usize>) -> V
             StreamingRun {
                 n,
                 appends: timed.len(),
-                appends_per_sec: timed.len() as f64 * 1e3 / incremental_ms,
                 p50_us,
                 p99_us,
                 incremental_ms,
                 recompute_ms,
-                speedup: recompute_ms / incremental_ms,
             }
         })
         .collect()
@@ -488,21 +493,17 @@ pub fn measure_streaming(cfg: &BenchConfig, sql: &str, onto: Option<usize>) -> V
 /// One zone-map pruning cell: a filter-scan statement
 /// (`scan → select → project_exprs`) over a clustered certain key,
 /// prepared and executed afresh per timed run with zone-map batch
-/// skipping on and off **within the same run** (so the speedup is immune
-/// to cross-run noise), at one selectivity.
+/// skipping on and off, as one [`Pair`], at one selectivity.
 #[derive(Clone, Debug)]
 pub struct PruningRun {
     /// Input rows.
     pub n: usize,
     /// Percent of rows the predicate keeps.
     pub sel_pct: u32,
-    /// Median wall milliseconds with zone-map pruning (the default path).
-    pub pruned_ms: f64,
-    /// Median wall milliseconds with pruning disabled (`prune = false` to
-    /// `exec::run_pipelined`) — same statement, same catalog, same path.
-    pub unpruned_ms: f64,
-    /// `unpruned_ms / pruned_ms`.
-    pub speedup: f64,
+    /// Arm a with zone-map pruning (the default path), arm b with pruning
+    /// disabled (`prune = false` to `exec::run_pipelined`) — same
+    /// statement, same catalog, same path; the ratio is the speedup.
+    pub pair: Pair,
     /// Source batches skipped outright by a provably-false zone verdict.
     pub batches_skipped: usize,
     /// Source batches that ran through the fused select chain.
@@ -538,12 +539,11 @@ fn clustered_table(n: usize) -> AuRelation {
 /// (`scan → select → project_exprs`) with the selection on the clustered
 /// key at each of [`SELECTIVITIES`]. Both arms run `prepare` +
 /// `exec::run_pipelined` at the engine's batch size + `to_rows` over the
-/// same catalog within one run, and differ only in `prune`.
+/// same catalog, in interleaved pairs, and differ only in `prune`.
 /// Deliberately no trailing breaker: a sort's cost scales with the
 /// *surviving* rows, identical in both arms, and at 1% selectivity it
 /// would dominate both sides and dilute the measured contrast into noise.
 pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
-    let runs = if cfg.quick { 7 } else { 21 };
     let mut out = Vec::new();
     for &n in &cfg.sizes {
         let catalog = SharedCatalog::new();
@@ -563,22 +563,11 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
             let prepared = session.prepare(&sql).expect("pruning statement compiles");
             let traced = session.engine().execute_traced(prepared.plan());
             let (_, trace) = traced.expect("pruning statement runs");
-            let statement_ms = |prune: bool| {
-                time_median(
-                    || {
-                        std::hint::black_box(statement(prune));
-                    },
-                    runs,
-                )
-            };
-            let pruned_ms = statement_ms(true);
-            let unpruned_ms = statement_ms(false);
+            let timed = |prune| move || drop(std::hint::black_box(statement(prune)));
             out.push(PruningRun {
                 n,
                 sel_pct: pct,
-                pruned_ms,
-                unpruned_ms,
-                speedup: unpruned_ms / pruned_ms,
+                pair: Pair::time(pairs(cfg, true), timed(true), timed(false)),
                 batches_skipped: trace.batches_skipped,
                 batches_scanned: trace.batches_scanned,
             });
@@ -587,39 +576,30 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
     out
 }
 
-/// One `append/flat` cell: [`SharedCatalog::append`] of a
-/// [`STREAM_BATCH`]-row batch onto a table registered with `n` rows.
-#[derive(Clone, Debug, Default)]
-pub struct AppendRun {
-    /// Rows the table was registered with.
-    pub n: usize,
-    /// Median microseconds per append.
-    pub us: f64,
-}
-
-/// Measure the append block at [`APPEND_ROWS`]: the median of 21
-/// consecutive appends (7 under `--quick`) of one [`STREAM_BATCH`]-row
-/// batch — the table grows by the batches, the open tail with it, and the
-/// registered rows are never touched, so the two sizes should read alike.
-/// Before the catalog stored segments an append copied the table and
-/// re-swept its statistics: 8 × between these sizes.
-pub fn measure_append(cfg: &BenchConfig) -> Vec<AppendRun> {
-    let runs = if cfg.quick { 7 } else { 21 };
+/// The `append/flat` block: [`SharedCatalog::append`] of one
+/// [`STREAM_BATCH`]-row batch onto a table registered with
+/// `APPEND_ROWS[0]` rows (arm a) and onto one with `APPEND_ROWS[1]` (arm
+/// b), 21 pairs (7 under `--quick`) — each table grows by the batches, the
+/// open tail with it, and the registered rows are never touched, so the two
+/// arms should read alike. Before the catalog stored segments an append
+/// copied the table and re-swept its statistics: 8 × between these sizes.
+/// Prints its cells.
+pub fn measure_append(cfg: &BenchConfig) -> Pair {
     let batch = clustered_table(STREAM_BATCH);
-    APPEND_ROWS
-        .iter()
-        .map(|&n| {
-            let catalog = SharedCatalog::new();
-            catalog.register("c", clustered_table(n));
-            let append = || {
-                std::hint::black_box(catalog.append("c", &batch).expect("same schema"));
-            };
-            AppendRun {
-                n,
-                us: time_median(append, runs) * 1e3,
-            }
-        })
-        .collect()
+    let [small, large] = APPEND_ROWS.map(|n| {
+        let catalog = SharedCatalog::new();
+        catalog.register("c", clustered_table(n));
+        catalog
+    });
+    let append = |catalog: &SharedCatalog| {
+        std::hint::black_box(catalog.append("c", &batch).expect("same schema"));
+    };
+    let pair = Pair::time(pairs(cfg, true), || append(&small), || append(&large));
+    for (n, ms) in pair.cells(&APPEND_ROWS) {
+        let us = ms * 1e3;
+        println!("{n:>7} rows  append/flat {STREAM_BATCH}-row batch {us:>10.1} µs");
+    }
+    pair
 }
 
 /// AU-CSV of rows `from..from + n` of an append-only series shaped like
@@ -678,37 +658,36 @@ pub fn measure_ingest(cfg: &BenchConfig) -> Vec<(usize, &'static str, f64)> {
     ]
 }
 
-/// One `sort/scaling` cell: `sort/imp` over `n` rows.
-#[derive(Clone, Debug, Default)]
-pub struct ScalingRun {
-    /// Input rows.
-    pub n: usize,
-    /// Median milliseconds per sort.
-    pub ms: f64,
-    /// `ms` over `n`, in nanoseconds.
-    pub ns_per_row: f64,
-}
-
-/// Measure `sort/imp` at [`SCALING_ROWS`] (the largest only without
-/// `--quick`). The rank sweep once fell off a cache cliff between the
-/// first two sizes (32 → 72 → 113 ms from 32k to 64k rows).
-pub fn measure_scaling(cfg: &BenchConfig) -> Vec<ScalingRun> {
-    let runs = if cfg.quick { 3 } else { 5 };
-    let sizes = &SCALING_ROWS[..if cfg.quick { 2 } else { 3 }];
+/// The `sort/scaling` block: `sort/imp` over `SCALING_ROWS[0]` rows (arm
+/// a) and `SCALING_ROWS[1]` (arm b), then, without `--quick`, the median of
+/// 5 over `SCALING_ROWS[2]`, printed and not paired. Prints its cells. The
+/// rank sweep once fell off a cache cliff between the first two sizes
+/// (32 → 72 → 113 ms from 32k to 64k rows).
+pub fn measure_scaling(cfg: &BenchConfig) -> Pair {
     let engine = Engine::native();
-    sizes
-        .iter()
-        .map(|&n| {
-            let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-            let plan = sort_plan(table.to_au_relation(), &[0, 1], None);
-            let ms = time_median(|| execute(&engine, &plan), runs);
-            ScalingRun {
-                n,
-                ms,
-                ns_per_row: ms * 1e6 / n as f64,
-            }
-        })
-        .collect()
+    let plan = |n| {
+        let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
+        sort_plan(table.to_au_relation(), &[0, 1], None)
+    };
+    let line = |n: usize, ms: f64| {
+        let ns = ms * 1e6 / n as f64;
+        println!("{n:>7} rows  sort/scaling imp {ms:>10.3} ms  {ns:>8.1} ns/row");
+    };
+    let [small, large] = [0, 1].map(|i| plan(SCALING_ROWS[i]));
+    let pair = Pair::time(
+        pairs(cfg, false),
+        || execute(&engine, &small),
+        || execute(&engine, &large),
+    );
+    for (n, ms) in pair.cells(&SCALING_ROWS) {
+        line(n, ms);
+    }
+    if !cfg.quick {
+        drop((small, large));
+        let far = plan(SCALING_ROWS[2]);
+        line(SCALING_ROWS[2], time_median(|| execute(&engine, &far), 5));
+    }
+    pair
 }
 
 /// Where one native sort of 32 768 rows spends its time: median
@@ -891,64 +870,57 @@ pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f
     (stage_medians(cfg, &[plan]), pool)
 }
 
-/// One `window/scaling` cell: the native window over `n` rows.
-#[derive(Clone, Debug, Default)]
-pub struct WindowScalingRun {
-    /// Input rows.
-    pub n: usize,
-    /// `PARTITION BY g` (eight values) or one sweep over the table.
-    pub partitioned: bool,
-    /// Median milliseconds per window.
-    pub ms: f64,
-    /// `ms` over `n`, in nanoseconds.
-    pub ns_per_row: f64,
-    /// Mean and maximum size of the possible-member pool where a window
-    /// closes, and the members a close visits (the partitionless cells;
-    /// zero on the partitioned ones).
-    pub pool: (f64, usize, f64),
-}
-
-/// Measure the native window as the engine runs it — partitions swept in
-/// parallel, on `AUDB_THREADS` workers — at [`WINDOW_SCALING_ROWS`]:
-/// median of 5 (3 under `--quick`), the largest size once and only without
-/// `--quick`. The uncertain order ranges are as wide at every size
+/// The `window/scaling` block: the native window as the engine runs it —
+/// partitions swept in parallel, on `AUDB_THREADS` workers — partitionless
+/// (`flat`) and per `g` (eight values), each shape one [`Pair`] of
+/// `WINDOW_SCALING_ROWS[0]` rows (arm a) and `WINDOW_SCALING_ROWS[1]` (arm
+/// b); then, without `--quick`, each once over `WINDOW_SCALING_ROWS[2]`,
+/// printed and not paired. Prints its cells, each flat one with the size
+/// of the possible-member pool where a window closes (mean, maximum). The
+/// uncertain order ranges are as wide at every size
 /// ([`SyntheticConfig::range`]) while the domain grows with the table, so
-/// the pool a closing window scans should not: if its residency grows with
-/// `n`, ns per row will, and the line says so beside the gate.
-pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<WindowScalingRun> {
-    let sizes = &WINDOW_SCALING_ROWS[..if cfg.quick { 2 } else { 3 }];
-    let mut out = Vec::new();
-    for &n in sizes {
-        let runs = match (n == WINDOW_SCALING_ROWS[2], cfg.quick) {
-            (true, _) => 1,
-            (false, true) => 3,
-            (false, false) => 5,
-        };
+/// the pool should not grow: if its residency grows with `n`, ns per row
+/// will, and the line says so beside the gate.
+pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
+    let shapes = [("flat", None), ("partitioned", Some(1))];
+    let plans = |n| {
         let rel = Arc::new(window_table(n));
-        let plans = [None, Some(1)].map(|g| window_over(rel.clone(), g, WinAgg::Sum(2)));
-        drop(rel);
-        for (partitioned, plan) in [false, true].into_iter().zip(plans) {
-            let window = || {
-                let out = Engine::native()
-                    .execute(&plan)
-                    .expect("bench plan executes");
-                std::hint::black_box(out);
-            };
-            let ms = time_median(window, runs);
-            let pool = match partitioned {
-                true => (0.0, 0, 0.0),
-                false => pool_residency(&plan),
-            };
-            out.push(WindowScalingRun {
-                n,
-                partitioned,
-                ms,
-                ns_per_row: ms * 1e6 / n as f64,
-                pool,
-            });
+        shapes.map(|(_, g)| window_over(rel.clone(), g, WinAgg::Sum(2)))
+    };
+    let window = |plan: &Plan| {
+        let out = Engine::native().execute(plan);
+        std::hint::black_box(out.expect("bench plan executes"));
+    };
+    let line = |n: usize, how: &str, ms: f64, plan: &Plan| {
+        let ns = ms * 1e6 / n as f64;
+        print!("{n:>7} rows  window/scaling {how:<11} {ms:>10.3} ms  {ns:>8.1} ns/row");
+        match how {
+            "flat" => {
+                let (mean, max, _) = pool_residency(plan);
+                println!("  pool at a close: mean {mean:.1}, max {max}");
+            }
+            _ => println!(),
+        }
+    };
+    let sized = [0, 1].map(|i| plans(WINDOW_SCALING_ROWS[i]));
+    let paired = [0, 1].map(|s| {
+        let (small, large) = (&sized[0][s], &sized[1][s]);
+        Pair::time(pairs(cfg, false), || window(small), || window(large))
+    });
+    for (i, plans) in sized.iter().enumerate() {
+        for (s, plan) in plans.iter().enumerate() {
+            let (n, ms) = paired[s].cells(&WINDOW_SCALING_ROWS)[i];
+            line(n, shapes[s].0, ms, plan);
         }
     }
-    out
+    if !cfg.quick {
+        drop(sized);
+        let n = WINDOW_SCALING_ROWS[2];
+        for (s, plan) in plans(n).iter().enumerate() {
+            line(n, shapes[s].0, time_median(|| window(plan), 1), plan);
+        }
+    }
+    shapes.map(|(how, _)| how).into_iter().zip(paired).collect()
 }
 
 /// The `window/dup-scaling` statement: eight partitions, three-row frames.
@@ -958,30 +930,32 @@ const WINDOW_DUP_SQL: &str = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
 /// The `window/dup-scaling` block: `WINDOW_DUP_SQL` through `Session::sql`
 /// on the native engine — the path users run — over the rows of
 /// `window_table`, one in a hundred annotated `(2,2,2)` and another one
-/// in a hundred with `g = [g, g+1]`: `(rows, median ms)` at
-/// [`WINDOW_DUP_ROWS`], of 5 runs (3 under `--quick`).
-pub fn measure_window_dup(cfg: &BenchConfig) -> Vec<(usize, f64)> {
-    let runs = if cfg.quick { 3 } else { 5 };
-    (WINDOW_DUP_ROWS.iter())
-        .map(|&n| {
-            let mut table = window_table(n);
-            for (i, row) in table.rows_mut().iter_mut().enumerate() {
-                let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
-                match i % 100 {
-                    0 => row.mult = Mult3::certain(2),
-                    50 => row.tuple.0[1] = RangeValue::new(g, g, g + 1),
-                    _ => {}
-                }
+/// in a hundred with `g = [g, g+1]`, at `WINDOW_DUP_ROWS[0]` rows (arm a)
+/// and `WINDOW_DUP_ROWS[1]` (arm b). Prints its cells.
+pub fn measure_window_dup(cfg: &BenchConfig) -> Pair {
+    let [small, large] = WINDOW_DUP_ROWS.map(|n| {
+        let mut table = window_table(n);
+        for (i, row) in table.rows_mut().iter_mut().enumerate() {
+            let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
+            match i % 100 {
+                0 => row.mult = Mult3::certain(2),
+                50 => row.tuple.0[1] = RangeValue::new(g, g, g + 1),
+                _ => {}
             }
-            let session = Session::new(Engine::native());
-            session.register("t", table);
-            let window = || {
-                let out = session.sql(WINDOW_DUP_SQL).expect("bench statement runs");
-                std::hint::black_box(out);
-            };
-            (n, time_median(window, runs))
-        })
-        .collect()
+        }
+        let session = Session::new(Engine::native());
+        session.register("t", table);
+        session
+    });
+    let window = |session: &Session| {
+        let out = session.sql(WINDOW_DUP_SQL).expect("bench statement runs");
+        std::hint::black_box(out);
+    };
+    let pair = Pair::time(pairs(cfg, false), || window(&small), || window(&large));
+    for (n, ms) in pair.cells(&WINDOW_DUP_ROWS) {
+        println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
+    }
+    pair
 }
 
 /// Rows of the `filter/stages` table: the repo benchmark's `filter_scan`.
@@ -1097,16 +1071,13 @@ pub fn measure_window_aggregates(cfg: &BenchConfig) -> Vec<(&'static str, f64)> 
     .collect()
 }
 
-/// One run's typed results. [`check`] reads all but the cells, which
-/// carry no gate.
+/// One run's typed results, as [`check`] reads them.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// The (op, method, n) cells.
-    pub cells: Vec<Measurement>,
     /// The (op, n) input footprints.
     pub footprints: Vec<Footprint>,
     /// The typed-vs-generic kernel sweeps.
-    pub kernels: Vec<KernelSweep>,
+    pub kernels: Vec<(&'static str, Pair)>,
     /// The streaming block.
     pub streaming: Vec<StreamingRun>,
     /// The `streaming-topk` block.
@@ -1114,13 +1085,13 @@ pub struct Report {
     /// The pruning block.
     pub pruning: Vec<PruningRun>,
     /// The `sort/scaling` block.
-    pub scaling: Vec<ScalingRun>,
+    pub scaling: Option<Pair>,
     /// The `append/flat` block.
-    pub append: Vec<AppendRun>,
-    /// The `window/scaling` block.
-    pub window_scaling: Vec<WindowScalingRun>,
-    /// The `window/dup-scaling` block: `(rows, ms)`.
-    pub window_dup: Vec<(usize, f64)>,
+    pub append: Option<Pair>,
+    /// The `window/scaling` block, per shape.
+    pub window_scaling: Vec<(&'static str, Pair)>,
+    /// The `window/dup-scaling` block.
+    pub window_dup: Option<Pair>,
 }
 
 /// How one gate came out.
@@ -1187,6 +1158,31 @@ fn gate(
     }
 }
 
+/// A gate over pairs: each row's arms shown in `unit` — arm b's
+/// milliseconds times `scale[1]`, then arm a's times `scale[0]` — and
+/// whether their median per-pair ratio b / a, in that unit, `holds`.
+fn pair_gate<'a>(
+    name: &'static str,
+    rule: String,
+    lacks: &str,
+    (unit, scale): (&str, [f64; 2]),
+    holds: impl Fn(f64) -> bool,
+    rows: impl Iterator<Item = (String, &'a Pair)>,
+) -> GateResult {
+    gate(
+        name,
+        rule,
+        true,
+        lacks,
+        rows.map(|(how, p)| {
+            let (a, b) = (p.a_ms * scale[0], p.b_ms * scale[1]);
+            let ratio = p.ratio * scale[1] / scale[0];
+            let shown = format!("{how}{b:.3}{unit} vs {a:.3}{unit} ({ratio:.2} ×)");
+            (holds(ratio), shown)
+        }),
+    )
+}
+
 /// The row count whose streaming and pruning cells carry a threshold of
 /// their own (the largest default size: the ratios grow with n).
 const GATE_ROWS: usize = 16_000;
@@ -1224,9 +1220,10 @@ pub fn check(report: &Report) -> Vec<GateResult> {
         let (inc, rec) = (r.incremental_ms, r.recompute_ms);
         let shown = format!(
             "{} rows: {inc:.1} ms vs {rec:.1} ms ({:.2} ×)",
-            r.n, r.speedup
+            r.n,
+            rec / inc
         );
-        (r.speedup >= min, shown)
+        (rec / inc >= min, shown)
     };
     let pruning = &report.pruning;
     let pruning_at = |pct| {
@@ -1234,14 +1231,8 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             .iter()
             .find(move |p| p.n == GATE_ROWS && p.sel_pct == pct)
     };
-    let scaling_at = |i: usize| report.scaling.iter().find(move |s| s.n == SCALING_ROWS[i]);
-    let append_at = |i: usize| report.append.iter().find(move |a| a.n == APPEND_ROWS[i]);
-    let window_dup_at =
-        |i: usize| (report.window_dup.iter()).find(move |w| w.0 == WINDOW_DUP_ROWS[i]);
-    let window_at = |i: usize, partitioned: bool| {
-        (report.window_scaling.iter())
-            .find(move |w| w.n == WINDOW_SCALING_ROWS[i] && w.partitioned == partitioned)
-    };
+    let ms = (" ms", [1.0; 2]);
+    let ns_per_row = |rows: &[usize]| ("", [0, 1].map(|i| 1e6 / rows[i] as f64));
     vec![
         gate(
             "footprint",
@@ -1256,18 +1247,13 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                 (f.typed <= f.columnar && f.columnar <= f.row, shown)
             }),
         ),
-        gate(
+        pair_gate(
             "kernels",
             "typed ≥ generic lanes' cell-by-cell rows/s".into(),
-            true,
             "a kernel sweep",
-            report.kernels.iter().map(|k| {
-                let (typed, generic) = (k.typed_rows_per_sec, k.generic_rows_per_sec);
-                (
-                    typed >= generic,
-                    format!("{}: {typed:.0} vs {generic:.0}", k.kernel),
-                )
-            }),
+            ms,
+            |ratio| ratio >= 1.0,
+            (report.kernels.iter()).map(|(kernel, p)| (format!("{kernel}: "), p)),
         ),
         gate(
             "streaming",
@@ -1311,18 +1297,13 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                 )
             }),
         ),
-        gate(
+        pair_gate(
             "pruning-16k",
             format!("pruned ≥ {PRUNING_MIN_SPEEDUP} × unpruned at {GATE_ROWS} rows, 1 %"),
-            true,
             gate_rows,
-            pruning_at(1).into_iter().map(|p| {
-                let shown = format!(
-                    "{:.3} ms vs {:.3} ms ({:.2} ×)",
-                    p.pruned_ms, p.unpruned_ms, p.speedup
-                );
-                (p.speedup >= PRUNING_MIN_SPEEDUP, shown)
-            }),
+            ms,
+            |ratio| ratio >= PRUNING_MIN_SPEEDUP,
+            pruning_at(1).map(|p| (String::new(), &p.pair)).into_iter(),
         ),
         gate(
             "pruning-16k-share",
@@ -1330,70 +1311,56 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             true,
             gate_rows,
             (pruning_at(1).zip(pruning_at(50)).into_iter()).map(|(one, half)| {
-                let (one, half) = (one.pruned_ms, half.pruned_ms);
+                let (one, half) = (one.pair.a_ms, half.pair.a_ms);
                 (
                     one * PRUNING_MIN_SPREAD < half,
                     format!("{one:.3} ms vs {half:.3} ms"),
                 )
             }),
         ),
-        gate(
+        pair_gate(
             "sort-scaling",
             format!(
                 "ns/row at {} ≤ {SCALING_MAX_RATIO} × ns/row at {}",
                 SCALING_ROWS[1], SCALING_ROWS[0]
             ),
-            true,
             "the sort/scaling block",
-            (scaling_at(1).zip(scaling_at(0)).into_iter()).map(|(large, small)| {
-                let (large, small) = (large.ns_per_row, small.ns_per_row);
-                let shown = format!("{large:.1} vs {small:.1} ({:.2} ×)", large / small);
-                (large <= SCALING_MAX_RATIO * small, shown)
-            }),
+            ns_per_row(&SCALING_ROWS),
+            |ratio| ratio <= SCALING_MAX_RATIO,
+            report.scaling.iter().map(|p| (String::new(), p)),
         ),
-        gate(
+        pair_gate(
             "window-scaling",
             format!(
                 "window ns/row at {} ≤ {WINDOW_SCALING_MAX_RATIO} × ns/row at {}",
                 WINDOW_SCALING_ROWS[1], WINDOW_SCALING_ROWS[0]
             ),
-            true,
             "the window/scaling block",
-            [false, true].into_iter().filter_map(|partitioned| {
-                let (large, small) = window_at(1, partitioned).zip(window_at(0, partitioned))?;
-                let (large, small) = (large.ns_per_row, small.ns_per_row);
-                let how = if partitioned { "partitioned" } else { "flat" };
-                let shown = format!("{how}: {large:.1} vs {small:.1} ({:.2} ×)", large / small);
-                Some((large <= WINDOW_SCALING_MAX_RATIO * small, shown))
-            }),
+            ns_per_row(&WINDOW_SCALING_ROWS),
+            |ratio| ratio <= WINDOW_SCALING_MAX_RATIO,
+            (report.window_scaling.iter()).map(|(how, p)| (format!("{how}: "), p)),
         ),
-        gate(
+        pair_gate(
             "window-dup-scaling",
             format!(
                 "duplicates and ranged g: ms at {} ≤ {WINDOW_DUP_MAX_RATIO} × ms at {}",
                 WINDOW_DUP_ROWS[1], WINDOW_DUP_ROWS[0]
             ),
-            true,
             "the window/dup-scaling block",
-            (window_dup_at(1).zip(window_dup_at(0)).into_iter()).map(|(large, small)| {
-                let (large, small) = (large.1, small.1);
-                let shown = format!("{large:.2} ms vs {small:.2} ms ({:.2} ×)", large / small);
-                (large <= WINDOW_DUP_MAX_RATIO * small, shown)
-            }),
+            ms,
+            |ratio| ratio <= WINDOW_DUP_MAX_RATIO,
+            report.window_dup.iter().map(|p| (String::new(), p)),
         ),
-        gate(
+        pair_gate(
             "append-flat",
             format!(
                 "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
                 APPEND_ROWS[1], APPEND_ROWS[0]
             ),
-            true,
             "the append/flat block",
-            (append_at(1).zip(append_at(0)).into_iter()).map(|(large, small)| {
-                let (large, small) = (large.us, small.us);
-                let shown = format!("{large:.1} µs vs {small:.1} µs ({:.2} ×)", large / small);
-                (large <= APPEND_MAX_RATIO * small, shown)
-            }),
+            (" µs", [1e3; 2]),
+            |ratio| ratio <= APPEND_MAX_RATIO,
+            report.append.iter().map(|p| (String::new(), p)),
         ),
     ]
 }
@@ -1401,26 +1368,8 @@ pub fn check(report: &Report) -> Vec<GateResult> {
 /// Measure and print every block, then every gate of [`check`]. Returns
 /// the process exit code: 1 when a gate [`GateResult::blocks`].
 pub fn run(cfg: &BenchConfig) -> i32 {
-    // First, on the heap of a fresh process — the one allocator state every
-    // run shares, and where the block ran when its threshold was set. Run
-    // after the default sweeps, glibc's adapted trim threshold sometimes
-    // spares the 32 768-row sort its page faults (≈ 335 instead of ≈ 475 ns
-    // per row) and the gated ratio read 2.2–2.7, not 1.5–2.2 (DESIGN.md §7).
     let scaling = measure_scaling(cfg);
-    for s in &scaling {
-        println!(
-            "{:>7} rows  sort/scaling imp {:>10.3} ms  {:>8.1} ns/row",
-            s.n, s.ms, s.ns_per_row
-        );
-    }
-    let (cells, footprints) = measure(cfg);
-    for m in &cells {
-        let (ops, rows) = (1e3 / m.ms, m.n as f64 * 1e3 / m.ms);
-        println!(
-            "{:>7} rows  {:<8} {:<5} {:>10.3} ms  {:>10.2} ops/s  {:>11.0} rows/s",
-            m.n, m.op, m.method, m.ms, ops, rows
-        );
-    }
+    let footprints = measure(cfg);
     for f in &footprints {
         println!(
             "{:>7} rows  footprint {:<8} row {:>6.1}  columnar {:>6.1}  typed {:>6.1} B/row  lanes {:?}",
@@ -1428,77 +1377,44 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         );
     }
     let kernels = measure_kernels(cfg);
-    for k in &kernels {
-        println!(
-            "{:>7} rows  kernel {:<12} typed {:>12.0} rows/s  generic {:>12.0} rows/s",
-            k.n, k.kernel, k.typed_rows_per_sec, k.generic_rows_per_sec
-        );
-    }
     let streaming = measure_streaming(cfg, STREAM_SQL, None);
-    for r in &streaming {
-        println!(
-            "{:>7} rows  streaming {:>8.0} appends/s  p50 {:>8.1} us  p99 {:>8.1} us  {:>6.2}x vs recompute",
-            r.n, r.appends_per_sec, r.p50_us, r.p99_us, r.speedup
-        );
-    }
     let streaming_topk = measure_streaming(cfg, STREAM_TOPK_SQL, Some(TOPK_APPENDS));
-    for r in &streaming_topk {
-        println!(
-            "{:>7} rows  streaming-topk {:>8.0} appends/s  p50 {:>8.1} us  p99 {:>8.1} us  {:>6.2}x vs recompute",
-            r.n, r.appends_per_sec, r.p50_us, r.p99_us, r.speedup
-        );
+    for (block, runs) in [
+        ("streaming", &streaming),
+        ("streaming-topk", &streaming_topk),
+    ] {
+        for r in runs {
+            let (inc, rec) = (r.incremental_ms, r.recompute_ms);
+            println!(
+                "{:>7} rows  {block} {:>8.0} appends/s  p50 {:>8.1} us  p99 {:>8.1} us  {:>6.2}x vs recompute",
+                r.n, r.appends as f64 * 1e3 / inc, r.p50_us, r.p99_us, rec / inc
+            );
+        }
     }
     let pruning = measure_pruning(cfg);
     for p in &pruning {
         println!(
             "{:>7} rows  pruning sel {:>3}%  pruned {:>8.3} ms  unpruned {:>8.3} ms  {:>6.2}x  ({} skipped / {} scanned)",
-            p.n, p.sel_pct, p.pruned_ms, p.unpruned_ms, p.speedup, p.batches_skipped, p.batches_scanned
+            p.n, p.sel_pct, p.pair.a_ms, p.pair.b_ms, p.pair.ratio, p.batches_skipped, p.batches_scanned
         );
     }
     let append = measure_append(cfg);
-    for a in &append {
-        println!(
-            "{:>7} rows  append/flat {STREAM_BATCH}-row batch {:>10.1} µs",
-            a.n, a.us
-        );
-    }
     for (n, what, ns) in measure_ingest(cfg) {
         println!("{n:>7} rows  ingest/csv {what:<8} {ns:>10.1} ns/row");
     }
     // The window cells time the production sweep, partitions in parallel.
     let threads = audb_par::num_threads();
-    let window_scaling = measure_window_scaling(cfg);
     println!("window/scaling, threads: {threads}");
-    for w in &window_scaling {
-        let how = if w.partitioned { "partitioned" } else { "flat" };
-        print!(
-            "{:>7} rows  window/scaling {how:<11} {:>10.3} ms  {:>8.1} ns/row",
-            w.n, w.ms, w.ns_per_row
-        );
-        match w.partitioned {
-            false => println!("  pool at a close: mean {:.1}, max {}", w.pool.0, w.pool.1),
-            true => println!(),
-        }
-    }
+    let window_scaling = measure_window_scaling(cfg);
     let window_dup = measure_window_dup(cfg);
-    for (n, ms) in &window_dup {
-        println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
-    }
-    let (window_stages, (scan_pool_mean, scan_pool_max, scan_visits)) = measure_window_stages(cfg);
-    let (series_stages, (pool_mean, pool_max, visits)) = measure_series_stages(cfg);
+    let (window_stages, scan_pool) = measure_window_stages(cfg);
+    let (series_stages, series_pool) = measure_series_stages(cfg);
     let (iceberg_rows, iceberg_stages) = measure_iceberg_stages(cfg);
+    let led = |lead: fn(usize) -> Value| measure_sort_stages(cfg, Some(lead));
     let blocks = [
         ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
-        (
-            "sort/tied-stages",
-            STAGE_ROWS,
-            measure_sort_stages(cfg, Some(tied_lead)),
-        ),
-        (
-            "sort/str-stages",
-            STAGE_ROWS,
-            measure_sort_stages(cfg, Some(string_lead)),
-        ),
+        ("sort/tied-stages", STAGE_ROWS, led(tied_lead)),
+        ("sort/str-stages", STAGE_ROWS, led(string_lead)),
         ("sort/iceberg-stages", iceberg_rows, iceberg_stages),
         ("window/stages", WINDOW_STAGE_ROWS, window_stages),
         ("window/series-stages", SERIES_STAGE_ROWS, series_stages),
@@ -1515,26 +1431,26 @@ pub fn run(cfg: &BenchConfig) -> i32 {
             println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
         }
     }
-    println!(
-        "{WINDOW_STAGE_ROWS:>7} rows  window/stages pool at a close: mean {scan_pool_mean:.1}, max {scan_pool_max}, visited per scanning close {scan_visits:.2}"
-    );
-    println!(
-        "{SERIES_STAGE_ROWS:>7} rows  window/series-stages pool at a close: mean {pool_mean:.1}, max {pool_max}, visited per scanning close {visits:.2}"
-    );
+    let pools = [
+        (WINDOW_STAGE_ROWS, "window/stages", scan_pool),
+        (SERIES_STAGE_ROWS, "window/series-stages", series_pool),
+    ];
+    for (n, block, (mean, max, visits)) in pools {
+        println!("{n:>7} rows  {block} pool at a close: mean {mean:.1}, max {max}, visited per scanning close {visits:.2}");
+    }
     for (name, ms) in measure_filter_stages(cfg) {
         println!("{FILTER_STAGE_ROWS:>7} rows  filter/stages      {name:<24} {ms:>10.3} ms");
     }
     let gates = check(&Report {
-        cells,
         footprints,
         kernels,
         streaming,
         streaming_topk,
         pruning,
-        scaling,
-        append,
+        scaling: Some(scaling),
+        append: Some(append),
         window_scaling,
-        window_dup,
+        window_dup: Some(window_dup),
     });
     for g in &gates {
         let verdict = match g.verdict {
@@ -1559,25 +1475,17 @@ mod tests {
             n,
             incremental_ms,
             recompute_ms,
-            speedup: recompute_ms / incremental_ms,
             ..StreamingRun::default()
         };
+        let pair = |a_ms, b_ms| Pair::of(&[(a_ms, b_ms)]);
         let pruning = |n, sel_pct, pruned_ms, unpruned_ms, batches_skipped| PruningRun {
             n,
             sel_pct,
-            pruned_ms,
-            unpruned_ms,
-            speedup: unpruned_ms / pruned_ms,
+            pair: pair(pruned_ms, unpruned_ms),
             batches_skipped,
             batches_scanned: n.div_ceil(ZONE_ROWS) - batches_skipped,
         };
-        let scaling = |n, ns_per_row| ScalingRun {
-            n,
-            ns_per_row,
-            ..ScalingRun::default()
-        };
         Report {
-            cells: Vec::new(),
             footprints: vec![Footprint {
                 op: "sort_sel",
                 n: 16_000,
@@ -1586,14 +1494,9 @@ mod tests {
                 typed: 48.0,
                 phys: vec![PhysType::I64; 3],
             }],
-            kernels: (["truth_batch", "eval_batch", "conjunction"].into_iter())
-                .map(|kernel| KernelSweep {
-                    kernel,
-                    n: 16_000,
-                    typed_rows_per_sec: 2e8,
-                    generic_rows_per_sec: 5e7,
-                })
-                .collect(),
+            kernels: ["truth_batch", "eval_batch", "conjunction"]
+                .map(|kernel| (kernel, pair(0.08, 0.32)))
+                .into(),
             streaming: vec![
                 streaming(1_000, 2.0, 10.0),
                 streaming(16_000, 35.0, 3_000.0),
@@ -1604,30 +1507,37 @@ mod tests {
                 pruning(16_000, 1, 0.03, 0.17, 15),
                 pruning(16_000, 50, 0.86, 0.96, 8),
             ],
-            scaling: vec![scaling(32_768, 162.0), scaling(262_144, 222.0)],
-            append: vec![
-                AppendRun {
-                    n: 16_384,
-                    us: 150.0,
-                },
-                AppendRun {
-                    n: 131_072,
-                    us: 170.0,
-                },
+            // 162 and 222 ns/row; 1 100 and 1 400 ns/row.
+            scaling: Some(pair(5.3, 58.2)),
+            append: Some(pair(0.150, 0.170)),
+            window_scaling: vec![
+                ("flat", pair(18.0, 183.5)),
+                ("partitioned", pair(18.0, 183.5)),
             ],
-            window_scaling: [(16_384, 1_100.0), (131_072, 1_400.0)]
-                .into_iter()
-                .flat_map(|(n, ns_per_row)| {
-                    [false, true].map(|partitioned| WindowScalingRun {
-                        n,
-                        partitioned,
-                        ns_per_row,
-                        ..WindowScalingRun::default()
-                    })
-                })
-                .collect(),
-            window_dup: vec![(2_048, 3.0), (16_384, 25.0)],
+            window_dup: Some(pair(3.0, 25.0)),
         }
+    }
+
+    #[test]
+    fn a_pair_is_the_median_of_its_ratios_not_the_ratio_of_its_medians() {
+        let pair = Pair::of(&[(1.0, 10.0), (2.0, 4.0), (10.0, 5.0)]);
+        let want = Pair {
+            a_ms: 2.0,
+            b_ms: 5.0,
+            ratio: 2.0,
+        };
+        assert_eq!(pair, want, "the ratio of the medians is 2.5");
+    }
+
+    #[test]
+    fn odd_pairs_run_arm_b_first() {
+        let calls = std::cell::RefCell::new(String::new());
+        let arm = |name| {
+            let calls = &calls;
+            move || calls.borrow_mut().push(name)
+        };
+        Pair::time(4, arm('a'), arm('b'));
+        assert_eq!(calls.into_inner(), "abbaabba");
     }
 
     #[test]
@@ -1683,23 +1593,25 @@ mod tests {
 
     #[test]
     fn kernels_gate_fails_alone() {
-        fails_alone("kernels", true, |r| r.kernels[1].typed_rows_per_sec = 4e7);
+        fails_alone("kernels", true, |r| r.kernels[1].1.ratio = 0.8);
     }
 
     #[test]
     fn streaming_gate_fails_alone() {
-        fails_alone("streaming", true, |r| r.streaming[0].speedup = 0.5);
+        fails_alone("streaming", true, |r| r.streaming[0].recompute_ms = 1.0);
     }
 
     #[test]
     fn streaming_16k_gate_fails_alone() {
-        fails_alone("streaming-16k", true, |r| r.streaming[1].speedup = 2.0);
+        fails_alone("streaming-16k", true, |r| {
+            r.streaming[1].recompute_ms = 70.0
+        });
     }
 
     #[test]
     fn streaming_topk_gate_fails_alone() {
         fails_alone("streaming-topk", true, |r| {
-            r.streaming_topk[0].speedup = 2.0
+            r.streaming_topk[0].recompute_ms = 80.0
         });
     }
 
@@ -1710,38 +1622,44 @@ mod tests {
 
     #[test]
     fn pruning_16k_gate_fails_alone() {
-        fails_alone("pruning-16k", true, |r| r.pruning[1].speedup = 1.5);
+        fails_alone("pruning-16k", true, |r| r.pruning[1].pair.ratio = 1.5);
     }
 
     #[test]
     fn pruning_16k_share_gate_fails_alone() {
-        fails_alone("pruning-16k-share", true, |r| r.pruning[2].pruned_ms = 0.06);
+        fails_alone("pruning-16k-share", true, |r| r.pruning[2].pair.a_ms = 0.06);
     }
 
     #[test]
     fn sort_scaling_gate_fails_alone() {
-        // 1.9 × the small cell: inside the 2.5 × this gate allowed until
-        // PR 24, outside what it allows now.
-        fails_alone("sort-scaling", true, |r| r.scaling[1].ns_per_row = 307.8);
+        // 1.9 × the small cell's ns/row: inside the 2.5 × this gate allowed
+        // until PR 24, outside what it allows now.
+        fails_alone("sort-scaling", true, |r| {
+            r.scaling.as_mut().expect("passing").ratio = 15.2
+        });
     }
 
     #[test]
     fn window_scaling_gate_fails_alone() {
         // The partitioned cell alone: either shape past the ratio fails it.
         fails_alone("window-scaling", true, |r| {
-            r.window_scaling[3].ns_per_row = 2_300.0
+            r.window_scaling[1].1.ratio = 18.0
         });
     }
 
     #[test]
     fn window_dup_scaling_gate_fails_alone() {
         // 9.5 × the time for 8 × the rows.
-        fails_alone("window-dup-scaling", true, |r| r.window_dup[1].1 = 28.5);
+        fails_alone("window-dup-scaling", true, |r| {
+            r.window_dup.as_mut().expect("passing").ratio = 9.5
+        });
     }
 
     #[test]
     fn append_flat_gate_fails_alone() {
-        fails_alone("append-flat", true, |r| r.append[1].us = 1_200.0);
+        fails_alone("append-flat", true, |r| {
+            r.append.as_mut().expect("passing").ratio = 8.0
+        });
     }
 
     /// A measured block holds its gate: the gate saw rows (it is not
@@ -1782,8 +1700,8 @@ mod tests {
         };
         let kernels = measure_kernels(&cfg);
         assert_eq!(kernels.len(), 3);
-        for s in &kernels {
-            assert!(s.typed_rows_per_sec > 0.0 && s.generic_rows_per_sec > 0.0);
+        for (_, pair) in &kernels {
+            assert!(pair.a_ms > 0.0 && pair.b_ms > 0.0);
         }
         let report = Report {
             kernels,
@@ -1805,7 +1723,7 @@ mod tests {
         let r = &streaming[0];
         assert_eq!((r.n, r.appends), (1_000, 1_000usize.div_ceil(STREAM_BATCH)));
         assert!(r.p50_us <= r.p99_us, "p50 {} > p99 {}", r.p50_us, r.p99_us);
-        assert!(r.appends_per_sec > 0.0 && r.speedup > 0.0);
+        assert!(r.incremental_ms > 0.0 && r.recompute_ms > 0.0);
         let report = Report {
             streaming,
             ..Report::default()
@@ -1834,7 +1752,7 @@ mod tests {
             (3, 1),
             "zone maps should prove 3 of 4 batches empty"
         );
-        assert!(p.pruned_ms > 0.0 && p.unpruned_ms > 0.0);
+        assert!(p.pair.a_ms > 0.0 && p.pair.b_ms > 0.0);
         let report = Report {
             pruning,
             ..Report::default()
