@@ -6,7 +6,7 @@
 //! timed **within one run** (cross-run noise on a shared host is ±20 %):
 //!
 //! * **sort scaling** — ns per row of `sort/imp` from cache-resident to far
-//!   past cache;
+//!   past cache (the far cell only while the pair is within its gate);
 //! * **cells** — `det` (the native kernels on the most-likely world, lifted
 //!   to a certain AU-DB), `imp` (the one-pass native algorithms) and `rewr`
 //!   (the SQL-style
@@ -28,21 +28,13 @@
 //! * **ingest** — ns per row of the AU-CSV loader on `serve_mix`'s
 //!   registered table and on one of its append batches, beside `to_rows`
 //!   of the same table;
-//! * **sort stages** — where one 32 768-row native sort spends its time,
-//!   and the same sort led by a 4-valued column (every prefix tied) or by
-//!   strings that share ten key bytes, or Iceberg's sightings by date;
-//!   **window stages** — the same for the two windows of the repo
-//!   benchmark's `window_scan` over 8 192 rows of its table's shape, and
-//!   for `serve_mix`'s window over an append-only series of 2 048 — on
-//!   both, few frames are full of certain members and a close scans the
-//!   pool;
-//!   **cmp-semantics** and **window aggregates** — ablations;
-//!   **filter stages** — per statement of the repo benchmark's
-//!   `filter_scan` at its size, the fused stage, the predicate sweeps
-//!   inside it and the breaker;
+//! * **stages** — each SQL statement of `STAGE_BLOCKS`, run as a client
+//!   runs it, by operator and kernel stage; **cmp-semantics** and **window
+//!   aggregates** — ablations;
 //! * **window scaling** — ns per row of the native window from 16 384 to
-//!   131 072 rows (1 048 576 printed, not gated), with the size of the
-//!   possible-member pool a closing window scans;
+//!   131 072 rows (1 048 576 printed, not gated, and only while the pair is
+//!   within its gate), with the size of the possible-member pool a closing
+//!   window scans;
 //! * **window dup-scaling** — a partitioned SQL window over tables with
 //!   duplicated rows and uncertain partition values, at 2 048 and 16 384
 //!   rows.
@@ -60,20 +52,22 @@
 //! count here as it does everywhere else.
 
 use audb_core::{
-    AuColumns, AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg, ZONE_ROWS,
+    AuColumns, AuRelation, AuRow, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
+    ZONE_ROWS,
 };
 use audb_engine::{
-    exec, CmpSemantics, Engine, Op, Plan, Query, Reference, Session, SharedCatalog, WindowSpec,
+    exec, CmpSemantics, Engine, Op, Plan, Prepared, Query, Reference, Session, SharedCatalog,
+    WindowSpec,
 };
-// lint: allow(no-direct-backend-call) -- the window/scaling residency line reads the pool of a sweep the kernel keeps to itself
+// lint: allow(no-direct-backend-call) -- the residency lines read the pool of a sweep the kernel keeps to itself
 use audb_native::WindowMaintain;
 use audb_rel::{CmpOp, Schema, Value};
-use audb_workloads::read_au_csv_columns;
 use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
+use audb_workloads::{iceberg, read_au_csv_columns};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Row counts of the cell, streaming and pruning sweeps by default.
 pub const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
@@ -83,7 +77,7 @@ pub const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
 pub const SELECTIVITIES: [u32; 3] = [1, 10, 50];
 
 /// Row counts of the `sort/scaling` block, whatever `--sizes` says:
-/// cache-resident, past cache, and (not under `--quick`) far past it.
+/// cache-resident, past cache, and (full runs within the gate) far past it.
 pub const SCALING_ROWS: [usize; 3] = [32_768, 262_144, 1_048_576];
 
 /// Row counts of the `append/flat` block, whatever `--sizes` says: the
@@ -91,7 +85,7 @@ pub const SCALING_ROWS: [usize; 3] = [32_768, 262_144, 1_048_576];
 pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
 
 /// Row counts of the `window/scaling` block, whatever `--sizes` says; the
-/// largest (not under `--quick`) is printed once and carries no gate.
+/// largest (full runs within the gate) is printed once and carries no gate.
 pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
 
 /// Row counts of the `window/dup-scaling` block, whatever `--sizes` says.
@@ -100,12 +94,8 @@ pub const WINDOW_DUP_ROWS: [usize; 2] = [2_048, 16_384];
 /// Rows of the `ingest/csv` table: `serve_mix`'s registered `w`.
 const INGEST_ROWS: usize = 16_384;
 
-/// Rows of the `sort/stages`, `window/stages` (the repo benchmark's
-/// `window_scan` table size), `sort/cmp-semantics` (the quadratic
-/// reference backend) and `window/aggregates` blocks.
-const STAGE_ROWS: usize = 32_768;
-const WINDOW_STAGE_ROWS: usize = 8_192;
-const SERIES_STAGE_ROWS: usize = 2_048;
+/// Rows of the `sort/cmp-semantics` (the quadratic reference backend) and
+/// `window/aggregates` blocks.
 const CMP_ROWS: usize = 600;
 const AGGREGATE_ROWS: usize = 4_000;
 
@@ -602,33 +592,15 @@ pub fn measure_append(cfg: &BenchConfig) -> Pair {
     pair
 }
 
-/// AU-CSV of rows `from..from + n` of an append-only series shaped like
-/// the repo benchmark's served table `w(o, g, v, id)`: row `i`'s `o` in the
-/// `i`-th stride of 200, ranged (the hull of four draws in 1 000) on one
-/// row in twenty, a fifth of those possibly absent; `g` one of eight; `v`
-/// ranged on one row in twenty — what `/register` and `/append` parse.
-fn served_csv(from: usize, n: usize) -> String {
-    let mut next = xorshift(0x0C57_10AD ^ from as u64);
-    let mut draw = move |below: u64| (next() % below) as i64;
-    let ranged = |base: i64, draw: &mut dyn FnMut(u64) -> i64| match draw(20) {
-        0 => {
-            let alts = [0; 4].map(|_| base + draw(1_000));
-            let (lo, hi) = (alts.iter().min(), alts.iter().max());
-            [*lo.expect("four"), alts[0], *hi.expect("four")]
-        }
-        _ => [base; 3],
-    };
+/// `rows` of [`scan_table`] as the AU-CSV `serve_mix` registers and
+/// appends: `o` and `v` with their bounds, `g` and `id` plain.
+fn served_csv(rows: &[AuRow]) -> String {
     let mut out = String::from("o_lb,o,o_ub,g,v_lb,v,v_ub,id,mult_lb,mult_sg,mult_ub\n");
-    for id in from..from + n {
-        let o = ranged(200 * id as i64 + draw(200), &mut draw);
-        let g = draw(8);
-        let v = ranged(draw(200 * INGEST_ROWS as u64), &mut draw);
-        let mult = match o[0] != o[2] && draw(5) == 0 {
-            true => "0,1,1",
-            false => "1,1,1",
-        };
-        let (o, v) = (o.map(|x| x.to_string()), v.map(|x| x.to_string()));
-        let _ = writeln!(out, "{},{g},{},{id},{mult}", o.join(","), v.join(","));
+    for AuRow { tuple, mult } in rows {
+        let [o, g, v, id] = [0, 1, 2, 3].map(|c| tuple.get(c));
+        let cells = [&o.lb, &o.sg, &o.ub, &g.sg, &v.lb, &v.sg, &v.ub, &id.sg].map(Value::to_string);
+        let mult = [mult.lb, mult.sg, mult.ub].map(|m| m.to_string());
+        let _ = writeln!(out, "{},{}", cells.join(","), mult.join(","));
     }
     out
 }
@@ -636,14 +608,15 @@ fn served_csv(from: usize, n: usize) -> String {
 /// The `ingest/csv` block: `(rows, what, ns per row)` of
 /// `read_au_csv_columns` over a 16 384-row table shaped like the repo
 /// benchmark's served `w` (`load`), of `to_rows` over the columns it loads
-/// — the within-run yardstick — and of `read_au_csv_columns` over one
-/// [`STREAM_BATCH`]-row batch of it, timed 100 loads at a time. Medians of
+/// — the within-run yardstick — and of `read_au_csv_columns` over the
+/// [`STREAM_BATCH`] rows that follow, timed 100 loads at a time. Medians of
 /// the runs.
 pub fn measure_ingest(cfg: &BenchConfig) -> Vec<(usize, &'static str, f64)> {
     let runs = if cfg.quick { 5 } else { 21 };
     let load = |csv: &str| read_au_csv_columns(csv.as_bytes()).expect("generated AU-CSV loads");
-    let table = served_csv(0, INGEST_ROWS);
-    let batch = served_csv(INGEST_ROWS, STREAM_BATCH);
+    let series = scan_table(INGEST_ROWS + STREAM_BATCH, true);
+    let (table, batch) = series.rows().split_at(INGEST_ROWS);
+    let (table, batch) = (served_csv(table), served_csv(batch));
     let cols = load(&table);
     let ns_per_row = |rows: usize, f: &mut dyn FnMut()| time_median(f, runs) * 1e6 / rows as f64;
     let table_ns = ns_per_row(INGEST_ROWS, &mut || drop(load(&table)));
@@ -660,15 +633,14 @@ pub fn measure_ingest(cfg: &BenchConfig) -> Vec<(usize, &'static str, f64)> {
 
 /// The `sort/scaling` block: `sort/imp` over `SCALING_ROWS[0]` rows (arm
 /// a) and `SCALING_ROWS[1]` (arm b), then, without `--quick`, the median of
-/// 5 over `SCALING_ROWS[2]`, printed and not paired. Prints its cells. The
-/// rank sweep once fell off a cache cliff between the first two sizes
-/// (32 → 72 → 113 ms from 32k to 64k rows).
+/// 5 over `SCALING_ROWS[2]`, printed and not paired — and skipped when the
+/// pair is past its gate, where a superlinear sort would run for minutes
+/// before the gate could fail. Prints its cells. The rank sweep once fell
+/// off a cache cliff between the first two sizes (32 → 72 → 113 ms from 32k
+/// to 64k rows).
 pub fn measure_scaling(cfg: &BenchConfig) -> Pair {
     let engine = Engine::native();
-    let plan = |n| {
-        let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-        sort_plan(table.to_au_relation(), &[0, 1], None)
-    };
+    let plan = |n| sort_plan(sort_table(n), &[0, 1], None);
     let line = |n: usize, ms: f64| {
         let ns = ms * 1e6 / n as f64;
         println!("{n:>7} rows  sort/scaling imp {ms:>10.3} ms  {ns:>8.1} ns/row");
@@ -684,103 +656,35 @@ pub fn measure_scaling(cfg: &BenchConfig) -> Pair {
     }
     if !cfg.quick {
         drop((small, large));
-        let far = plan(SCALING_ROWS[2]);
-        line(SCALING_ROWS[2], time_median(|| execute(&engine, &far), 5));
+        let (n, [a, b]) = (SCALING_ROWS[2], per_row(&SCALING_ROWS));
+        match pair.ratio * b / a <= SCALING_MAX_RATIO {
+            true => {
+                let far = plan(n);
+                line(n, time_median(|| execute(&engine, &far), 5));
+            }
+            false => println!("{n:>7} rows  sort/scaling imp {SKIPPED}"),
+        }
     }
     pair
 }
 
-/// Where one native sort of 32 768 rows spends its time: median
-/// milliseconds per stage of the kernel, as the executor's recorder hears
-/// it (DESIGN.md §3.3 has the table). `lead`: the same table with a
-/// certain `g = lead(row)` put ahead of it and sorted `ORDER BY g, b`.
-/// With `tied_lead` every key shares its prefix with a quarter of the
-/// others — the worst case of a ranking that encodes key bytes only where
-/// prefixes tie; with `string_lead` all of them do.
-pub fn measure_sort_stages(
-    cfg: &BenchConfig,
-    lead: Option<fn(usize) -> Value>,
-) -> Vec<(&'static str, f64)> {
-    let rel = gen_sort_table(&SyntheticConfig::default().rows(STAGE_ROWS).seed(3)).to_au_relation();
-    let plan = match lead {
-        Some(lead) => {
-            let rows = (rel.rows().iter().enumerate()).map(|(i, row)| {
-                let g = RangeValue::certain(lead(i));
-                let tuple = AuTuple::new(std::iter::once(g).chain(row.tuple.0.iter().cloned()));
-                (tuple, row.mult)
-            });
-            let schema = Schema::new(["g", "a", "b", "id"]);
-            sort_plan(AuRelation::from_rows(schema, rows), &[0, 2], None)
-        }
-        None => sort_plan(rel, &[0, 1], None),
-    };
-    stage_medians(cfg, &[plan])
+/// A far scaling cell whose pair is past the gate, in place of its time.
+const SKIPPED: &str = "skipped (pair over its bound)";
+
+/// `gen_sort_table`'s `n` rows (`a`, `b`, `id`), as the cells draw them.
+fn sort_table(n: usize) -> AuRelation {
+    gen_sort_table(&SyntheticConfig::default().rows(n).seed(3)).to_au_relation()
 }
 
-/// Median over the runs of each kernel stage's milliseconds, as one
-/// [`exec::Recorder`] per run hears the native executor run every plan of
-/// `plans`: summed over the plans and every window partition, in the order
-/// the stages were first reported — the same in every run —, and last
-/// `to_rows`, the row door (`Session::sql`'s) over each run's own outputs.
-fn stage_medians(cfg: &BenchConfig, plans: &[Plan]) -> Vec<(&'static str, f64)> {
-    // Stages of a 2 048-row window last tens of microseconds: more runs.
-    let small = plans[0].source_columns().len() < WINDOW_STAGE_ROWS;
-    let runs = match (cfg.quick, small) {
-        (true, _) => 3,
-        (false, false) => 7,
-        (false, true) => 41,
-    };
-    let heard: Vec<_> = (0..runs)
-        .map(|_| {
-            let (recorder, mut to_rows) = (exec::Recorder::default(), Duration::ZERO);
-            for plan in plans {
-                let out = exec::run_pipelined(plan, exec::DEFAULT_BATCH_SIZE, true, &recorder);
-                let (out, t) = (out.expect("bench plan executes"), Instant::now());
-                let rows = out.to_rows();
-                to_rows += t.elapsed();
-                std::hint::black_box(rows);
-            }
-            let mut stages = recorder.finish().stages;
-            stages.push(("to_rows", to_rows));
-            stages
-        })
-        .collect();
-    (0..heard[0].len())
-        .map(|s| {
-            let ms = heard.iter().map(|run| run[s].1.as_secs_f64() * 1e3);
-            (heard[0][s].0, median(ms.collect()))
-        })
-        .collect()
-}
-
-/// The rows and the stage split of a sort by `date` of the simulated
-/// Iceberg sightings (scale 0.1, the figures' seed): about 15 rows to each
-/// of 1 095 dates, the tie density of the paper's window queries.
-pub fn measure_iceberg_stages(cfg: &BenchConfig) -> (usize, Vec<(&'static str, f64)>) {
-    let iceberg = audb_workloads::iceberg(0.1, 123);
-    let plan = sort_plan(iceberg.window.table.to_au_relation(), &[0], None);
-    (iceberg.rows, stage_medians(cfg, &[plan]))
-}
-
-/// The `sort/tied-stages` lead: four integers.
-fn tied_lead(row: usize) -> Value {
-    Value::Int((row % 4) as i64)
-}
-
-/// The `sort/str-stages` lead: 4 096 sensor names whose keys share their
-/// first ten bytes — past the prefix.
-fn string_lead(row: usize) -> Value {
-    Value::str(format!("sensor-{:06}", row % 4096))
-}
-
-/// `agg` over the two preceding rows and the current one in column 0's
-/// order, per `partition` or over the whole of `rel`, as an engine plan.
-/// Over `gen_window_table`'s `(o, g, v, id)` with `SUM(v)` — per `g` or
-/// not — it is the window the repo benchmark's `window_scan` runs.
-fn window_over(rel: Arc<AuRelation>, partition: Option<usize>, agg: WinAgg) -> Plan {
-    let window = (WindowSpec::rows(-2, 0).order_by([0])).partition_by(partition);
-    let query = Query::scan(rel).window(window.aggregate(agg).output("s"));
-    query.build().expect("bench window plan is valid")
+/// `sort_table(n)` with a certain `g = lead(row)` put ahead of each row.
+fn led(n: usize, lead: fn(usize) -> Value) -> AuRelation {
+    let rel = sort_table(n);
+    let rows = (rel.rows().iter().enumerate()).map(|(i, row)| {
+        let g = RangeValue::certain(lead(i));
+        let tuple = AuTuple::new(std::iter::once(g).chain(row.tuple.0.iter().cloned()));
+        (tuple, row.mult)
+    });
+    AuRelation::from_rows(Schema::new(["g", "a", "b", "id"]), rows)
 }
 
 fn window_table(n: usize) -> AuRelation {
@@ -788,29 +692,18 @@ fn window_table(n: usize) -> AuRelation {
 }
 
 /// Mean and maximum size of the possible-member pool where a window of
-/// `plan` — one window, no partition, an integer aggregate over integer
-/// lanes — closes, over its source, and the members a close that scans
-/// the pool visits, on average.
-fn pool_residency(plan: &Plan) -> (f64, usize, f64) {
-    let Op::Window { spec, agg, .. } = &plan.ops()[0] else {
-        unreachable!("a window plan")
+/// `plan` closes over its source — a window without partition its first
+/// operator, an integer aggregate over integer lanes — and the members a
+/// close that scans the pool visits, on average; `None` for other plans.
+fn pool_residency(plan: &Plan) -> Option<(f64, usize, f64)> {
+    let Some(Op::Window { spec, agg, .. }) = plan.ops().first() else {
+        return None;
     };
-    let mut sweep = WindowMaintain::<i64>::new(spec.clone(), *agg);
-    (sweep.apply(&plan.source_columns().contiguous(), 0)).expect("small integers");
-    sweep.pool_residency()
-}
-
-/// Where one `window_scan` operation — the partitioned window, then the
-/// partitionless one, over 8 192 rows of its table's shape — spends its
-/// time: median over the runs of each stage's milliseconds summed over
-/// both statements and every partition (DESIGN.md §3.4 has the table),
-/// and the size of the pool where a window of the partitionless one
-/// closes (mean, maximum) with the members a close visits.
-pub fn measure_window_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize, f64)) {
-    let rel = Arc::new(scan_table(WINDOW_STAGE_ROWS, false));
-    let scan = |partition| window_over(rel.clone(), partition, WinAgg::Sum(2));
-    let pool = pool_residency(&scan(None));
-    (stage_medians(cfg, &[scan(Some(1)), scan(None)]), pool)
+    spec.partition.is_empty().then(|| {
+        let mut sweep = WindowMaintain::<i64>::new(spec.clone(), *agg);
+        (sweep.apply(&plan.source_columns().contiguous(), 0)).expect("small integers");
+        sweep.pool_residency()
+    })
 }
 
 /// A table `(o, g, v, id)` of `n` rows in the shape of the repo
@@ -855,28 +748,15 @@ fn scan_table(n: usize, in_order: bool) -> AuRelation {
     AuRelation::from_rows(Schema::new(["o", "g", "v", "id"]), rows)
 }
 
-/// `serve_mix`'s window — `SUM(v)` over the two preceding rows in `o`
-/// order, no partition — over a 2 048-row append-only series, stage by
-/// stage as [`measure_window_stages`] splits `window_scan`, and the size of
-/// the pool where a window closes (mean, maximum) with the members a close
-/// visits.
-pub fn measure_series_stages(cfg: &BenchConfig) -> (Vec<(&'static str, f64)>, (f64, usize, f64)) {
-    let plan = window_over(
-        scan_table(SERIES_STAGE_ROWS, true).into(),
-        None,
-        WinAgg::Sum(2),
-    );
-    let pool = pool_residency(&plan);
-    (stage_medians(cfg, &[plan]), pool)
-}
-
 /// The `window/scaling` block: the native window as the engine runs it —
 /// partitions swept in parallel, on `AUDB_THREADS` workers — partitionless
 /// (`flat`) and per `g` (eight values), each shape one [`Pair`] of
 /// `WINDOW_SCALING_ROWS[0]` rows (arm a) and `WINDOW_SCALING_ROWS[1]` (arm
 /// b); then, without `--quick`, each once over `WINDOW_SCALING_ROWS[2]`,
-/// printed and not paired. Prints its cells, each flat one with the size
-/// of the possible-member pool where a window closes (mean, maximum). The
+/// printed and not paired — skipped where its shape's pair is past the
+/// gate, as [`measure_scaling`] skips its own. Prints its cells, each flat
+/// one with the size of the possible-member pool where a window closes
+/// (mean, maximum). The
 /// uncertain order ranges are as wide at every size
 /// ([`SyntheticConfig::range`]) while the domain grows with the table, so
 /// the pool should not grow: if its residency grows with `n`, ns per row
@@ -885,7 +765,12 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
     let shapes = [("flat", None), ("partitioned", Some(1))];
     let plans = |n| {
         let rel = Arc::new(window_table(n));
-        shapes.map(|(_, g)| window_over(rel.clone(), g, WinAgg::Sum(2)))
+        shapes.map(|(_, g)| {
+            let window = (WindowSpec::rows(-2, 0).order_by([0])).partition_by(g);
+            let query =
+                Query::scan(rel.clone()).window(window.aggregate(WinAgg::Sum(2)).output("s"));
+            query.build().expect("bench window plan is valid")
+        })
     };
     let window = |plan: &Plan| {
         let out = Engine::native().execute(plan);
@@ -894,12 +779,9 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
     let line = |n: usize, how: &str, ms: f64, plan: &Plan| {
         let ns = ms * 1e6 / n as f64;
         print!("{n:>7} rows  window/scaling {how:<11} {ms:>10.3} ms  {ns:>8.1} ns/row");
-        match how {
-            "flat" => {
-                let (mean, max, _) = pool_residency(plan);
-                println!("  pool at a close: mean {mean:.1}, max {max}");
-            }
-            _ => println!(),
+        match pool_residency(plan) {
+            Some((mean, max, _)) => println!("  pool at a close: mean {mean:.1}, max {max}"),
+            None => println!(),
         }
     };
     let sized = [0, 1].map(|i| plans(WINDOW_SCALING_ROWS[i]));
@@ -915,9 +797,13 @@ pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
     }
     if !cfg.quick {
         drop(sized);
-        let n = WINDOW_SCALING_ROWS[2];
+        let (n, [a, b]) = (WINDOW_SCALING_ROWS[2], per_row(&WINDOW_SCALING_ROWS));
         for (s, plan) in plans(n).iter().enumerate() {
-            line(n, shapes[s].0, time_median(|| window(plan), 1), plan);
+            let how = shapes[s].0;
+            match paired[s].ratio * b / a <= WINDOW_SCALING_MAX_RATIO {
+                true => line(n, how, time_median(|| window(plan), 1), plan),
+                false => println!("{n:>7} rows  window/scaling {how:<11} {SKIPPED}"),
+            }
         }
     }
     shapes.map(|(how, _)| how).into_iter().zip(paired).collect()
@@ -958,9 +844,6 @@ pub fn measure_window_dup(cfg: &BenchConfig) -> Pair {
     pair
 }
 
-/// Rows of the `filter/stages` table: the repo benchmark's `filter_scan`.
-pub const FILTER_STAGE_ROWS: usize = 131_072;
-
 /// `filter_scan`'s table shape over `n` rows: a certain `id` in row order;
 /// `a` and `b` over `[0, 20 n)`, each ranged (`[x, x + r, x + 999]`) on one
 /// row in twenty; certain `c` over the lower six tenths and `d` over the
@@ -985,46 +868,94 @@ fn events_table(n: usize) -> AuRelation {
     AuRelation::from_rows(Schema::new(["id", "a", "b", "c", "d"]), rows)
 }
 
-/// Where each of `filter_scan`'s statements spends its time, as
-/// `execute_traced` hears it at [`FILTER_STAGE_ROWS`] — the fused stage
-/// (`fuse(…)`), the predicate sweeps inside it (`truth_batch`, summed over
-/// batches) and the breaker: per statement, median milliseconds.
-pub fn measure_filter_stages(cfg: &BenchConfig) -> Vec<(String, f64)> {
-    let runs = if cfg.quick { 5 } else { 21 };
-    let n = FILTER_STAGE_ROWS;
+/// A stage block: `(name, rows, table, operations)`. `table(rows)` is
+/// registered as `t`; each operation is a SQL script, the statements one
+/// call of a repo benchmark workload runs, whose rows [`read_stages`] sums.
+type StageBlock = (
+    &'static str,
+    usize,
+    fn(usize) -> AuRelation,
+    &'static [&'static str],
+);
+
+/// Every stage block `repro bench` prints (DESIGN.md §3.3, §3.4, §10.3):
+/// sorts, the second and third led by four integers (every key's prefix
+/// tied with a quarter of the others') or by 4 096 strings sharing their
+/// first ten key bytes, the fourth of Iceberg's sightings by date (the
+/// figures' scale 0.1: about 15 to a date); one `window_scan` operation
+/// over its table's shape; `serve_mix`'s window over an append-only
+/// series; `filter_scan`'s three operations.
+#[rustfmt::skip]
+const STAGE_BLOCKS: [StageBlock; 7] = [
+    ("sort/stages", 32_768, sort_table, &["SELECT * FROM t ORDER BY a, b"]),
+    ("sort/tied-stages", 32_768, |n| led(n, |i| Value::Int(i as i64 % 4)),
+        &["SELECT * FROM t ORDER BY g, b"]),
+    ("sort/str-stages", 32_768, |n| led(n, |i| Value::str(format!("sensor-{:06}", i % 4096))),
+        &["SELECT * FROM t ORDER BY g, b"]),
+    ("sort/iceberg-stages", 16_700,
+        |n| iceberg(n as f64 / 167e3, 123).window.table.to_au_relation(),
+        &["SELECT * FROM t ORDER BY date"]),
+    ("window/stages", 8_192, |n| scan_table(n, false),
+        &["SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
+           ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s FROM t; \
+           SELECT *, SUM(v) OVER (ORDER BY o ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s \
+           FROM t"]),
+    ("window/series-stages", 2_048, |n| scan_table(n, true),
+        &["SELECT *, SUM(v) OVER (ORDER BY o ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s \
+           FROM t"]),
+    ("filter/stages", 131_072, events_table, &[
+        "SELECT * FROM t WHERE id < 1310 ORDER BY a, b AS pos LIMIT 10",
+        "SELECT * FROM t WHERE id < 13107 ORDER BY a, b AS pos LIMIT 10",
+        "SELECT id, a + b AS c FROM t WHERE a < c AND b > d ORDER BY c AS pos LIMIT 10",
+    ]),
+];
+
+/// One stage block read as a SQL caller runs it: `table(rows)` registered
+/// in a session, each statement prepared once, then `runs` times each run
+/// by [`Engine::execute_traced`] — the runner behind `Session::execute` —
+/// and its output turned to rows. Returns each row's median milliseconds,
+/// first reported first: the trace's operators by label and kernel stages
+/// by name, then `to_rows`, each summed over an operation's statements and
+/// numbered by operation where there are several; and the pool at a close
+/// of each partitionless window.
+fn read_stages(
+    &(_, _, table, operations): &StageBlock,
+    rows: usize,
+    runs: usize,
+) -> (Vec<(String, f64)>, Vec<(f64, usize, f64)>) {
     let session = Session::new(Engine::native());
-    session.register("e", events_table(n));
-    let ranked = |t| format!("SELECT * FROM e WHERE id < {t} ORDER BY a, b AS pos LIMIT 10");
-    let conjunction =
-        "SELECT id, a + b AS c FROM e WHERE a < c AND b > d ORDER BY c AS pos LIMIT 10";
-    let mut out = Vec::new();
-    for (s, sql) in [ranked(n / 100), ranked(n / 10), conjunction.into()]
-        .iter()
-        .enumerate()
-    {
-        let prepared = session.prepare(sql).expect("filter statement compiles");
-        let heard: Vec<Vec<(String, f64)>> = (0..runs)
-            .map(|_| {
+    session.register("t", table(rows));
+    let prepared = (operations.iter()).map(|sql| session.prepare_script(sql));
+    let operations: Result<Vec<Vec<Prepared>>, _> = prepared.collect();
+    let operations = operations.expect("stage statements compile");
+    let mut heard: Vec<(String, Vec<f64>)> = Vec::new();
+    for run in 0..runs {
+        for (i, statements) in operations.iter().enumerate() {
+            let number = (operations.len() > 1).then(|| format!("{} ", i + 1));
+            let number = number.unwrap_or_default();
+            for prepared in statements {
                 let traced = session.engine().execute_traced(prepared.plan());
-                let (_, trace) = traced.expect("filter statement runs");
-                let ms = |d: Duration| d.as_secs_f64() * 1e3;
-                let truth = trace
-                    .stages
-                    .iter()
-                    .find(|(stage, _)| *stage == "truth_batch");
-                let mut lines: Vec<_> = (trace.ops.iter().skip(1))
-                    .map(|o| (o.label.clone(), ms(o.elapsed)))
-                    .collect();
-                lines.insert(1, ("truth_batch".into(), truth.map_or(0.0, |t| ms(t.1))));
-                lines
-            })
-            .collect();
-        for (i, (name, _)) in heard[0].iter().enumerate() {
-            let ms = median(heard.iter().map(|run| run[i].1).collect());
-            out.push((format!("{} {name}", s + 1), ms));
+                let (out, trace) = traced.expect("stage statement runs");
+                let t = Instant::now();
+                let _rows = std::hint::black_box(out.to_rows());
+                let to_rows = ("to_rows", t.elapsed());
+                // Past the scan, which hands the stored segments on.
+                let ops = trace.ops.iter().skip(1);
+                let ops = ops.map(|op| (op.label.as_str(), op.elapsed));
+                for (name, elapsed) in ops.chain(trace.stages.iter().copied()).chain([to_rows]) {
+                    let (name, ms) = (format!("{number}{name}"), elapsed.as_secs_f64() * 1e3);
+                    match heard.iter_mut().find(|(row, _)| *row == name) {
+                        Some((_, samples)) if samples.len() > run => samples[run] += ms,
+                        Some((_, samples)) => samples.push(ms),
+                        None => heard.push((name, vec![ms])),
+                    }
+                }
+            }
         }
     }
-    out
+    let pools = (operations.iter().flatten()).filter_map(|p| pool_residency(p.plan()));
+    let medians = heard.into_iter().map(|(name, ms)| (name, median(ms)));
+    (medians.collect(), pools.collect())
 }
 
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
@@ -1213,6 +1144,12 @@ const WINDOW_DUP_MAX_RATIO: f64 = 9.0;
 /// rows"; linear in the table it would read 8).
 const APPEND_MAX_RATIO: f64 = 2.0;
 
+/// The scale from each arm's milliseconds to its ns per row, the arms over
+/// `rows[0]` and `rows[1]` rows.
+fn per_row(rows: &[usize]) -> [f64; 2] {
+    [0, 1].map(|i| 1e6 / rows[i] as f64)
+}
+
 /// Every within-run gate, each written here and nowhere else.
 pub fn check(report: &Report) -> Vec<GateResult> {
     let gate_rows = "the 16 000-row cells";
@@ -1232,7 +1169,7 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             .find(move |p| p.n == GATE_ROWS && p.sel_pct == pct)
     };
     let ms = (" ms", [1.0; 2]);
-    let ns_per_row = |rows: &[usize]| ("", [0, 1].map(|i| 1e6 / rows[i] as f64));
+    let ns_per_row = |rows| ("", per_row(rows));
     vec![
         gate(
             "footprint",
@@ -1407,40 +1344,25 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     println!("window/scaling, threads: {threads}");
     let window_scaling = measure_window_scaling(cfg);
     let window_dup = measure_window_dup(cfg);
-    let (window_stages, scan_pool) = measure_window_stages(cfg);
-    let (series_stages, series_pool) = measure_series_stages(cfg);
-    let (iceberg_rows, iceberg_stages) = measure_iceberg_stages(cfg);
-    let led = |lead: fn(usize) -> Value| measure_sort_stages(cfg, Some(lead));
-    let blocks = [
-        ("sort/stages", STAGE_ROWS, measure_sort_stages(cfg, None)),
-        ("sort/tied-stages", STAGE_ROWS, led(tied_lead)),
-        ("sort/str-stages", STAGE_ROWS, led(string_lead)),
-        ("sort/iceberg-stages", iceberg_rows, iceberg_stages),
-        ("window/stages", WINDOW_STAGE_ROWS, window_stages),
-        ("window/series-stages", SERIES_STAGE_ROWS, series_stages),
-        ("sort/cmp-semantics", CMP_ROWS, measure_cmp_semantics(cfg)),
-        (
-            "window/aggregates",
-            AGGREGATE_ROWS,
-            measure_window_aggregates(cfg),
-        ),
-    ];
     println!("stages, threads: {threads} (a window stage sums its partitions)");
-    for (block, n, lines) in blocks {
-        for (name, ms) in lines {
-            println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
+    let line = |n: usize, block: &str, name: &str, ms: f64| {
+        println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
+    };
+    for block @ (name, n, ..) in &STAGE_BLOCKS {
+        let (heard, pools) = read_stages(block, *n, if cfg.quick { 5 } else { 21 });
+        heard.iter().for_each(|(row, ms)| line(*n, name, row, *ms));
+        for (mean, max, visits) in pools {
+            println!("{n:>7} rows  {name} pool at a close: mean {mean:.1}, max {max}, visited per scanning close {visits:.2}");
         }
     }
-    let pools = [
-        (WINDOW_STAGE_ROWS, "window/stages", scan_pool),
-        (SERIES_STAGE_ROWS, "window/series-stages", series_pool),
-    ];
-    for (n, block, (mean, max, visits)) in pools {
-        println!("{n:>7} rows  {block} pool at a close: mean {mean:.1}, max {max}, visited per scanning close {visits:.2}");
-    }
-    for (name, ms) in measure_filter_stages(cfg) {
-        println!("{FILTER_STAGE_ROWS:>7} rows  filter/stages      {name:<24} {ms:>10.3} ms");
-    }
+    let cmp_semantics = measure_cmp_semantics(cfg);
+    cmp_semantics
+        .iter()
+        .for_each(|(row, ms)| line(CMP_ROWS, "sort/cmp-semantics", row, *ms));
+    let aggregates = measure_window_aggregates(cfg);
+    aggregates
+        .iter()
+        .for_each(|(row, ms)| line(AGGREGATE_ROWS, "window/aggregates", row, *ms));
     let gates = check(&Report {
         footprints,
         kernels,
@@ -1708,6 +1630,56 @@ mod tests {
             ..Report::default()
         };
         assert_gate_holds(&report, "kernels");
+    }
+
+    /// Every stage block, read once over an eighth of its rows, reports
+    /// the rows DESIGN.md cites: a sort's stages (§3.3), a window's (§3.4),
+    /// `filter_scan`'s fused stage and the predicate sweeps inside it
+    /// (§10.3) — each beside its operator and `to_rows` — and each
+    /// partitionless window its pool.
+    #[test]
+    fn stage_blocks_report_their_stages() {
+        let sort = [
+            "sort",
+            "encode",
+            "rank",
+            "merge",
+            "sweep",
+            "materialise",
+            "to_rows",
+        ];
+        let window = [
+            "window",
+            "partition",
+            "rank",
+            "items",
+            "selected-guess",
+            "sweep",
+            "order",
+            "materialise",
+            "to_rows",
+        ];
+        // At an eighth of `filter/stages`' rows, 16 384, each `id <` bound
+        // still falls inside a batch, so the zone maps leave a
+        // `truth_batch` to run.
+        let filter = ["fuse(", "truth_batch", "topk", "to_rows"];
+        for block @ (name, rows, ..) in &STAGE_BLOCKS {
+            let (heard, pools) = read_stages(block, rows / 8, 1);
+            let names: Vec<&str> = heard.iter().map(|(row, _)| row.as_str()).collect();
+            let want: Vec<String> = match name.split('/').next() {
+                Some("sort") => sort.map(String::from).into(),
+                Some("window") => window.map(String::from).into(),
+                _ => (1..=3)
+                    .flat_map(|i| filter.map(|row| format!("{i} {row}")))
+                    .collect(),
+            };
+            for row in &want {
+                let reported = names.iter().any(|name| name.starts_with(row.as_str()));
+                assert!(reported, "{name} lacks {row}: {names:?}");
+            }
+            let windows = usize::from(name.starts_with("window"));
+            assert_eq!(pools.len(), windows, "{name}");
+        }
     }
 
     /// The streaming sweep must stay on the incremental path and report

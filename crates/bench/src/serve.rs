@@ -15,10 +15,9 @@
 //! The served path is measured by the repo benchmark's `serve_mix`
 //! workload (`benchmark/`), not here.
 
-use audb_engine::{Engine, SharedCatalog};
+use crate::sqlcli::{load_catalog, table_arg};
+use audb_engine::Engine;
 use audb_server::{serve, ServerConfig, ServerState};
-use audb_workloads::csvload;
-use std::path::Path;
 use std::time::Duration;
 
 /// `repro serve` entry point. Every flag is read before anything loads or
@@ -38,13 +37,7 @@ pub fn serve_cli(args: &[String]) -> Result<(), String> {
         let mut val = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
             "--data" => data_dir = val()?.clone(),
-            "--table" => {
-                let spec = val()?;
-                let (name, path) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--table {spec:?} is not name=path.csv"))?;
-                tables.push((name.to_string(), path.to_string()));
-            }
+            "--table" => tables.push(table_arg(val()?)?),
             "--port" => {
                 let v = val()?;
                 config.port = v
@@ -64,34 +57,14 @@ pub fn serve_cli(args: &[String]) -> Result<(), String> {
     }
     let io = |e: std::io::Error| e.to_string();
 
-    let catalog = SharedCatalog::new();
-    if Path::new(&data_dir).is_dir() {
-        for (name, rel) in csvload::load_au_dir(&data_dir).map_err(io)? {
-            catalog.register(name, rel);
-        }
-    }
-    for (name, path) in &tables {
-        catalog.register(name.clone(), csvload::load_au_csv(path).map_err(io)?);
-    }
-    let listing: Vec<String> = catalog
-        .snapshot()
-        .iter()
-        .map(|(n, r)| format!("{n} ({} rows)", r.len()))
-        .collect();
+    let (catalog, listing) = load_catalog(&data_dir, &tables).map_err(io)?;
 
     let threads = config.threads;
     let state = ServerState::new(backend, catalog, threads);
     let handle = serve(state, config).map_err(io)?;
     println!(
-        "audb-server listening on http://{} — {} workers, backend {}, tables: {}",
+        "audb-server listening on http://{} — {threads} workers, backend {backend}, tables: {listing}",
         handle.addr(),
-        threads,
-        backend,
-        if listing.is_empty() {
-            "(none)".to_string()
-        } else {
-            listing.join(", ")
-        }
     );
     if let Some(path) = port_file {
         std::fs::write(&path, format!("{}\n", handle.addr().port())).map_err(io)?;

@@ -13,7 +13,7 @@
 //! the output is deterministic and CI can diff it against a golden file.
 //! `--repl` reads statements interactively instead.
 
-use audb_engine::{Engine, Session};
+use audb_engine::{Engine, Session, SharedCatalog};
 use audb_workloads::csvload;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -47,32 +47,40 @@ impl Default for SqlOptions {
     }
 }
 
-fn build_session(opts: &SqlOptions, out: &mut dyn Write) -> io::Result<Session> {
-    let session = Session::new(opts.backend);
-    if Path::new(&opts.data_dir).is_dir() {
-        for (name, rel) in csvload::load_au_dir(&opts.data_dir)? {
-            session.register(name, rel);
+/// The catalog `repro sql` and `repro serve` start from — every `*.csv` in
+/// `dir` (a missing directory holds none) under its file stem, then each
+/// `(name, path)` of `tables` — and its listing: `name (N rows)` per table,
+/// or `(none)`.
+pub fn load_catalog(dir: &str, tables: &[(String, String)]) -> io::Result<(SharedCatalog, String)> {
+    let catalog = SharedCatalog::new();
+    if Path::new(dir).is_dir() {
+        for (name, rel) in csvload::load_au_dir(dir)? {
+            catalog.register(name, rel);
         }
     }
-    for (name, path) in &opts.tables {
-        session.register(name.clone(), csvload::load_au_csv(path)?);
+    for (name, path) in tables {
+        catalog.register(name.clone(), csvload::load_au_csv(path)?);
     }
-    let listing: Vec<String> = session
-        .catalog()
+    let snapshot = catalog.snapshot();
+    let listing: Vec<_> = snapshot
         .iter()
         .map(|(n, r)| format!("{n} ({} rows)", r.len()))
         .collect();
-    writeln!(
-        out,
-        "-- backend: {}; tables: {}",
-        opts.backend,
-        if listing.is_empty() {
-            "(none)".to_string()
-        } else {
-            listing.join(", ")
-        }
-    )?;
-    Ok(session)
+    let listing = Some(listing.join(", ")).filter(|listing| !listing.is_empty());
+    Ok((catalog, listing.unwrap_or_else(|| "(none)".into())))
+}
+
+/// A `--table name=path.csv` value as `(name, path)`.
+pub fn table_arg(spec: &str) -> Result<(String, String), String> {
+    let (name, path) =
+        (spec.split_once('=')).ok_or_else(|| format!("--table {spec:?} is not name=path.csv"))?;
+    Ok((name.to_string(), path.to_string()))
+}
+
+fn build_session(opts: &SqlOptions, out: &mut dyn Write) -> io::Result<Session> {
+    let (catalog, listing) = load_catalog(&opts.data_dir, &opts.tables)?;
+    writeln!(out, "-- backend: {}; tables: {listing}", opts.backend)?;
+    Ok(Session::with_catalog(opts.backend, catalog))
 }
 
 /// One `-- <sql>` echo line: whitespace-flattened so line-wrapped
@@ -184,10 +192,7 @@ pub fn cli(args: &[String]) -> Result<(), String> {
             "--data" => opts.data_dir = it.next().ok_or("--data needs a directory")?.clone(),
             "--table" => {
                 let spec = it.next().ok_or("--table needs name=path.csv")?;
-                let (name, path) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--table {spec:?} is not name=path.csv"))?;
-                opts.tables.push((name.to_string(), path.to_string()));
+                opts.tables.push(table_arg(spec)?);
             }
             "--backend" => opts.backend = it.next().ok_or("--backend needs a method")?.parse()?,
             "--explain" => opts.explain = true,
