@@ -1,6 +1,7 @@
 //! The checked-in SQL demo script must keep producing the checked-in
-//! bounds — the same invariant CI enforces by diffing `repro sql`'s stdout
-//! against `workloads/demo.golden`, here exercised through the library so
+//! bounds and plans — the same invariant CI enforces by diffing `repro
+//! sql`'s stdout against `workloads/demo.golden` (and, with `--explain`,
+//! `workloads/demo_explain.golden`), here exercised through the library so
 //! plain `cargo test` covers it too.
 
 use audb_bench::sqlcli::{run_script, SqlOptions};
@@ -10,23 +11,46 @@ fn workloads_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../workloads")
 }
 
-#[test]
-fn demo_script_matches_golden_output() {
+/// `repro sql workloads/demo.sql [--explain]`'s stdout, through the library.
+fn demo_output(explain: bool) -> String {
     let dir = workloads_dir();
     let script = std::fs::read_to_string(dir.join("demo.sql")).expect("demo.sql exists");
-    let golden = std::fs::read_to_string(dir.join("demo.golden")).expect("demo.golden exists");
     let opts = SqlOptions {
         data_dir: dir.to_string_lossy().into_owned(),
+        explain,
         ..SqlOptions::default()
     };
     let mut out = Vec::new();
     run_script(&opts, &script, &mut out).expect("script runs");
-    let out = String::from_utf8(out).expect("utf8 output");
+    String::from_utf8(out).expect("utf8 output")
+}
+
+#[test]
+fn demo_script_matches_golden_output() {
+    let golden =
+        std::fs::read_to_string(workloads_dir().join("demo.golden")).expect("demo.golden exists");
     assert_eq!(
-        out, golden,
+        demo_output(false),
+        golden,
         "repro sql output drifted from workloads/demo.golden — \
          if the change is intended, regenerate it with\n  \
          cargo run --release -p audb-bench --bin repro -- sql workloads/demo.sql > workloads/demo.golden"
+    );
+}
+
+/// The plan each demo statement runs, as `explain` renders it: the bound
+/// chain, each step's schema and note, and the lowered pipelines.
+#[test]
+fn demo_script_explains_as_golden() {
+    let golden = std::fs::read_to_string(workloads_dir().join("demo_explain.golden"))
+        .expect("demo_explain.golden exists");
+    assert_eq!(
+        demo_output(true),
+        golden,
+        "repro sql --explain output drifted from workloads/demo_explain.golden — \
+         if the change is intended, regenerate it with\n  \
+         cargo run --release -p audb-bench --bin repro -- sql workloads/demo.sql --explain \
+         > workloads/demo_explain.golden"
     );
 }
 

@@ -12,8 +12,10 @@
 //! | Global-Topk \[64\] | [`ranks::global_topk`] | k most likely top-k members |
 //! | Expected rank \[19\] | [`ranks::expected_ranks`] | rank expectation ordering |
 //!
-//! The `Det` baseline is simply the `audb-rel` engine on the most likely
-//! world ([`audb_worlds::XTupleTable::most_likely_world`]).
+//! The `Det` baseline is not here: it is `Imp`'s engine plan over the
+//! selected-guess (most likely) world
+//! ([`audb_worlds::XTupleTable::most_likely_world`]), `Method::Det` in
+//! `audb_workloads::runner`.
 
 pub mod mcdb;
 pub mod ptk;

@@ -138,24 +138,6 @@ impl RangeExpr {
         }
     }
 
-    /// The same expression with every `Col(i)` replaced by `Col(map(i))`;
-    /// `None` as soon as `map` has no answer for a referenced column.
-    pub fn map_cols(&self, map: &impl Fn(usize) -> Option<usize>) -> Option<RangeExpr> {
-        let sub = |e: &RangeExpr| e.map_cols(map).map(Box::new);
-        Some(match self {
-            RangeExpr::Col(i) => RangeExpr::Col(map(*i)?),
-            RangeExpr::Lit(v) => RangeExpr::Lit(v.clone()),
-            RangeExpr::Neg(a) => RangeExpr::Neg(sub(a)?),
-            RangeExpr::Not(a) => RangeExpr::Not(sub(a)?),
-            RangeExpr::Add(a, b) => RangeExpr::Add(sub(a)?, sub(b)?),
-            RangeExpr::Sub(a, b) => RangeExpr::Sub(sub(a)?, sub(b)?),
-            RangeExpr::Mul(a, b) => RangeExpr::Mul(sub(a)?, sub(b)?),
-            RangeExpr::And(a, b) => RangeExpr::And(sub(a)?, sub(b)?),
-            RangeExpr::Or(a, b) => RangeExpr::Or(sub(a)?, sub(b)?),
-            RangeExpr::Cmp(op, a, b) => RangeExpr::Cmp(*op, sub(a)?, sub(b)?),
-        })
-    }
-
     /// Evaluate to a range value. Predicates evaluate to boolean ranges
     /// (`lb/sg/ub ∈ {false, true}` with `false < true`).
     pub fn eval(&self, t: &AuTuple) -> RangeValue {
@@ -1093,34 +1075,6 @@ mod tests {
             })
         });
         assert_eq!(seen, ["and", "<", "+", "c2", "7", "neg", "c0", "not", "c1"]);
-    }
-
-    #[test]
-    fn map_cols_renumbers_columns_and_nothing_else() {
-        let uncertain = RangeExpr::Lit(rv(1, 2, 3));
-        let e = RangeExpr::Mul(Box::new(RangeExpr::col(2)), Box::new(uncertain.clone()))
-            .le(RangeExpr::col(0));
-        let m = [Some(1), None, Some(0)];
-        let at = |i: usize| m.get(i).copied().flatten();
-        assert_eq!(
-            e.map_cols(&at),
-            Some(
-                RangeExpr::Mul(Box::new(RangeExpr::col(0)), Box::new(uncertain))
-                    .le(RangeExpr::col(1))
-            )
-        );
-        // One unmapped reference anywhere — pruned (1) or past the map (3)
-        // — and there is no answer.
-        assert_eq!(e.clone().and(RangeExpr::col(1)).map_cols(&at), None);
-        assert_eq!(
-            RangeExpr::Neg(Box::new(RangeExpr::col(3))).map_cols(&at),
-            None
-        );
-        // Literals never consult the map.
-        assert_eq!(
-            RangeExpr::lit(5).map_cols(&|_| None),
-            Some(RangeExpr::lit(5))
-        );
     }
 
     /// Property smoke: for every deterministic tuple bounded by the range

@@ -77,7 +77,6 @@ pub use range_value::{RangeValue, TruthRange};
 pub use relation::{canonical_order, AuRelation, AuRow};
 pub use sortkey::{prefix_of, sort_prefixes, Corner, KeyArena, PrefixReader, SortKey};
 pub use stats::{
-    estimate_selectivity, range_verdict, zone_truth, ColumnStats, TableStats, ZoneMap, ZoneVerdict,
-    ZONE_ROWS,
+    range_verdict, zone_truth, ColumnStats, TableStats, ZoneMap, ZoneVerdict, ZONE_ROWS,
 };
 pub use tuple::AuTuple;

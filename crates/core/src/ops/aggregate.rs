@@ -40,64 +40,73 @@ pub fn aggregate(rel: &AuRelation, group: &[usize], aggs: &[(WinAgg, &str)]) -> 
     schema_cols.extend(aggs.iter().map(|(_, n)| n.to_string()));
     let schema = Schema::new(schema_cols);
 
-    // Distinct sg group keys, in first-seen order.
+    // Distinct sg group keys, in first-seen order, and each live row's own.
     let mut order: Vec<Tuple> = Vec::new();
     let mut index: HashMap<Tuple, usize> = HashMap::new();
-    for row in rel.rows() {
-        if row.mult.is_zero() {
+    let live: Vec<(&AuTuple, Mult3, usize)> = (rel.rows().iter())
+        .filter(|row| !row.mult.is_zero())
+        .map(|row| {
+            let key = row.tuple.sg_tuple().project(group);
+            let own = *index.entry(key).or_insert_with_key(|key| {
+                order.push(key.clone());
+                order.len() - 1
+            });
+            (&row.tuple, row.mult, own)
+        })
+        .collect();
+
+    // Route every row to its groups in one pass, so each group keeps its
+    // members in row order. A row whose group attributes are all points
+    // can only match its own key (`Value`'s `Eq` is its order's); a row
+    // with a ranged one is possibly a member of every key inside its
+    // ranges, and certainly a member of none.
+    let mut groups: Vec<Members> = order.iter().map(|_| Members::default()).collect();
+    for &(t, mult, own) in &live {
+        let mut join = |i: usize, certainly: bool| {
+            let g = &mut groups[i];
+            if certainly && mult.lb > 0 {
+                g.cert.push((t, mult));
+            } else {
+                g.poss.push((t, mult));
+            }
+            if mult.sg > 0 && i == own {
+                g.sg.push((t, mult.sg));
+            }
+        };
+        if group.iter().all(|&g| t.get(g).is_certain()) {
+            join(own, true);
             continue;
         }
-        let key = row.tuple.sg_tuple().project(group);
-        if !index.contains_key(&key) {
-            index.insert(key.clone(), order.len());
-            order.push(key);
+        for (i, key) in order.iter().enumerate() {
+            if group.iter().zip(&key.0).all(|(&g, k)| t.get(g).bounds(k)) {
+                join(i, false);
+            }
         }
     }
 
     let mut out = AuRelation::empty(schema);
-    for key in order {
-        // Classify membership of every row relative to this group key.
-        let mut cert_members: Vec<(&AuTuple, Mult3)> = Vec::new();
-        let mut poss_members: Vec<(&AuTuple, Mult3)> = Vec::new();
-        let mut sg_members: Vec<(&AuTuple, u64)> = Vec::new();
-        for row in rel.rows() {
-            if row.mult.is_zero() {
-                continue;
-            }
-            let mut certainly = true;
-            let mut possibly = true;
-            for (gi, &g) in group.iter().enumerate() {
-                let r = row.tuple.get(g);
-                let k = &key.0[gi];
-                certainly &= r.is_certain() && &r.sg == k;
-                possibly &= &r.lb <= k && k <= &r.ub;
-            }
-            if !possibly {
-                continue;
-            }
-            if certainly && row.mult.lb > 0 {
-                cert_members.push((&row.tuple, row.mult));
-            } else {
-                poss_members.push((&row.tuple, row.mult));
-            }
-            if row.mult.sg > 0 && row.tuple.sg_tuple().project(group) == key {
-                sg_members.push((&row.tuple, row.mult.sg));
-            }
-        }
-
+    for (key, g) in order.into_iter().zip(groups) {
         let mult = Mult3 {
-            lb: u64::from(!cert_members.is_empty()),
-            sg: u64::from(!sg_members.is_empty()),
+            lb: u64::from(!g.cert.is_empty()),
+            sg: u64::from(!g.sg.is_empty()),
             ub: 1,
         };
-
-        let mut vals: Vec<RangeValue> = key.0.iter().cloned().map(RangeValue::certain).collect();
+        let mut vals: Vec<RangeValue> = key.0.into_iter().map(RangeValue::certain).collect();
         for (agg, _) in aggs {
-            vals.push(agg_bounds(*agg, &cert_members, &poss_members, &sg_members));
+            vals.push(agg_bounds(*agg, &g.cert, &g.poss, &g.sg));
         }
         out.push(AuTuple::new(vals), mult);
     }
     out
+}
+
+/// One group's members, in row order: certain ones, possible ones, and
+/// those of the selected-guess world with their sg multiplicity.
+#[derive(Default)]
+struct Members<'a> {
+    cert: Vec<(&'a AuTuple, Mult3)>,
+    poss: Vec<(&'a AuTuple, Mult3)>,
+    sg: Vec<(&'a AuTuple, u64)>,
 }
 
 fn corner_range(attr: &RangeValue, m: Mult3) -> (Value, Value) {
@@ -216,6 +225,143 @@ mod tests {
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)
+    }
+
+    /// The grouping as it was first written, one scan of every row per
+    /// distinct key: the oracle [`aggregate`]'s one routing pass must equal
+    /// bit for bit.
+    fn aggregate_by_key_scan(
+        rel: &AuRelation,
+        group: &[usize],
+        aggs: &[(WinAgg, &str)],
+    ) -> AuRelation {
+        let mut schema_cols: Vec<String> = group
+            .iter()
+            .map(|&i| rel.schema.cols()[i].clone())
+            .collect();
+        schema_cols.extend(aggs.iter().map(|(_, n)| n.to_string()));
+        let mut order: Vec<Tuple> = Vec::new();
+        for row in rel.rows() {
+            let key = row.tuple.sg_tuple().project(group);
+            if !row.mult.is_zero() && !order.contains(&key) {
+                order.push(key);
+            }
+        }
+        let mut out = AuRelation::empty(Schema::new(schema_cols));
+        for key in order {
+            let mut cert: Vec<(&AuTuple, Mult3)> = Vec::new();
+            let mut poss: Vec<(&AuTuple, Mult3)> = Vec::new();
+            let mut sg: Vec<(&AuTuple, u64)> = Vec::new();
+            for row in rel.rows() {
+                if row.mult.is_zero() {
+                    continue;
+                }
+                let mut certainly = true;
+                let mut possibly = true;
+                for (gi, &g) in group.iter().enumerate() {
+                    let r = row.tuple.get(g);
+                    let k = &key.0[gi];
+                    certainly &= r.is_certain() && &r.sg == k;
+                    possibly &= &r.lb <= k && k <= &r.ub;
+                }
+                if !possibly {
+                    continue;
+                }
+                if certainly && row.mult.lb > 0 {
+                    cert.push((&row.tuple, row.mult));
+                } else {
+                    poss.push((&row.tuple, row.mult));
+                }
+                if row.mult.sg > 0 && row.tuple.sg_tuple().project(group) == key {
+                    sg.push((&row.tuple, row.mult.sg));
+                }
+            }
+            let mult = Mult3 {
+                lb: u64::from(!cert.is_empty()),
+                sg: u64::from(!sg.is_empty()),
+                ub: 1,
+            };
+            let mut vals: Vec<RangeValue> =
+                key.0.iter().cloned().map(RangeValue::certain).collect();
+            for (agg, _) in aggs {
+                vals.push(agg_bounds(*agg, &cert, &poss, &sg));
+            }
+            out.push(AuTuple::new(vals), mult);
+        }
+        out
+    }
+
+    /// The one-pass grouping equals the per-key scan, row for row and bit
+    /// for bit (float sums fold their members in the same order), on
+    /// random tables with certain and ranged keys of one and two
+    /// attributes, `Int` keys beside equal `Float` ones, duplicate rows,
+    /// rows that exist only possibly (`mult.lb = 0`), only outside the
+    /// selected guess (`mult.sg = 0`) or not at all (zero multiplicity).
+    #[test]
+    fn one_pass_grouping_equals_the_per_key_scan() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let aggs = [
+            (WinAgg::Count, "c"),
+            (WinAgg::Sum(2), "s"),
+            (WinAgg::Min(2), "lo"),
+            (WinAgg::Max(2), "hi"),
+            (WinAgg::Avg(2), "avg"),
+        ];
+        for case in 0..300 {
+            let n = next(24) as usize;
+            let mut rows: Vec<(AuTuple, Mult3)> = Vec::with_capacity(n + 2);
+            for _ in 0..n {
+                let key = |next: &mut dyn FnMut(u64) -> u64| {
+                    let sg = next(6) as i64;
+                    if next(3) == 0 {
+                        let (d, u) = (next(3) as i64, next(3) as i64);
+                        RangeValue::new(sg - d, sg, sg + u)
+                    } else if next(4) == 0 {
+                        RangeValue::certain(Value::Float(sg as f64))
+                    } else {
+                        RangeValue::certain(sg)
+                    }
+                };
+                let g0 = key(&mut next);
+                let g1 = key(&mut next);
+                let v = match next(3) {
+                    0 => RangeValue::certain(next(9) as i64 - 4),
+                    1 => {
+                        let sg = next(9) as f64 / 3.0 - 1.1;
+                        RangeValue::new(sg - 0.7, sg, sg + 0.1)
+                    }
+                    _ => rv(-3, next(3) as i64 - 1, 2),
+                };
+                let mult = match next(6) {
+                    0 => Mult3::new(0, 0, 0),
+                    1 => Mult3::new(0, 1, 1),
+                    2 => Mult3::new(0, 0, 2),
+                    3 => Mult3::new(1, 2, 3),
+                    _ => Mult3::ONE,
+                };
+                rows.push((AuTuple::new([g0, g1, v]), mult));
+            }
+            if n > 1 {
+                let dup = rows[next(n as u64) as usize].clone();
+                rows.push(dup);
+            }
+            let rel = AuRelation::from_rows(Schema::new(["g0", "g1", "v"]), rows);
+            for group in [&[0][..], &[1, 0]] {
+                let got = aggregate(&rel, group, &aggs);
+                let want = aggregate_by_key_scan(&rel, group, &aggs);
+                assert_eq!(
+                    format!("{:?}", got.rows()),
+                    format!("{:?}", want.rows()),
+                    "case {case}, group {group:?}:\n{rel}"
+                );
+            }
+        }
     }
 
     #[test]

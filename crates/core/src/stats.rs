@@ -1,18 +1,13 @@
-//! Column statistics and zone maps: the bound-aware summaries behind the
-//! engine's cost-based planning and batch pruning.
+//! Zone maps: the bound-aware summaries behind the executor's batch
+//! pruning.
 //!
 //! AU-DB columns already carry `[lb, ub]` bounds per cell, so min/max
 //! statistics fall out of the columnar layout for free: a column's
 //! *bound box* is the minimum of its lb lane and the maximum of its ub
-//! lane, and every deterministic world's value lies inside it. Statistics
-//! are kept at two granularities:
-//!
-//! * **Column level** ([`ColumnStats`]): row and certain counts — what
-//!   the optimizer's pushdown conditions ask (`all_certain`).
-//! * **Zone level** ([`ZoneMap`], one per [`ZONE_ROWS`]-row block): row
-//!   count and bound box per zone, aligned with the executor's batch
-//!   chunking so a fused select stage can skip whole batches and
-//!   selectivity is estimated from zone verdicts.
+//! lane, and every deterministic world's value lies inside it. A column's
+//! statistics ([`ColumnStats`]) are one bound box per [`ZONE_ROWS`]-row
+//! block ([`ZoneMap`]), aligned with the executor's batch chunking so a
+//! fused select stage can skip whole batches.
 //!
 //! ## The zone pruning rule
 //!
@@ -61,7 +56,7 @@ use audb_rel::Value;
 pub const ZONE_ROWS: usize = 1024;
 
 /// Per-zone summary of one column: the bound box of one contiguous
-/// [`ZONE_ROWS`]-row block ([`TableStats::zone_rows`] counts its rows).
+/// [`ZONE_ROWS`]-row block (only the last zone may be short).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ZoneMap {
     /// Minimum of the lb lane over the zone.
@@ -70,23 +65,11 @@ pub struct ZoneMap {
     pub max_ub: Value,
 }
 
-/// One column's statistics block: whole-column aggregates plus the
-/// per-zone maps.
+/// One column's statistics block: its per-zone maps.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ColumnStats {
-    /// Total rows (equals the table's row count).
-    pub rows: usize,
-    /// Rows whose cell is a point.
-    pub certain: usize,
     /// One [`ZoneMap`] per [`ZONE_ROWS`]-row block, in row order.
     pub zones: Vec<ZoneMap>,
-}
-
-impl ColumnStats {
-    /// True iff every cell is a point.
-    pub fn all_certain(&self) -> bool {
-        self.certain == self.rows
-    }
 }
 
 /// A table's statistics: one [`ColumnStats`] block per attribute, all
@@ -99,10 +82,8 @@ pub struct TableStats {
     pub cols: Vec<ColumnStats>,
 }
 
-/// Streaming builder for one column: all aggregates in one sweep.
+/// Streaming builder for one column: every zone in one sweep.
 struct ColBuilder {
-    rows: usize,
-    certain: usize,
     zones: Vec<ZoneMap>,
     zone_rows: usize,
     zone_min: Option<Value>,
@@ -112,8 +93,6 @@ struct ColBuilder {
 impl ColBuilder {
     fn new() -> ColBuilder {
         ColBuilder {
-            rows: 0,
-            certain: 0,
             zones: Vec::new(),
             zone_rows: 0,
             zone_min: None,
@@ -121,11 +100,7 @@ impl ColBuilder {
         }
     }
 
-    fn push(&mut self, lb: &Value, ub: &Value, is_certain: bool) {
-        self.rows += 1;
-        if is_certain {
-            self.certain += 1;
-        }
+    fn push(&mut self, lb: &Value, ub: &Value) {
         min_into(&mut self.zone_min, lb);
         max_into(&mut self.zone_max, ub);
         self.zone_rows += 1;
@@ -147,11 +122,7 @@ impl ColBuilder {
 
     fn finish(mut self) -> ColumnStats {
         self.close_zone();
-        ColumnStats {
-            rows: self.rows,
-            certain: self.certain,
-            zones: self.zones,
-        }
+        ColumnStats { zones: self.zones }
     }
 }
 
@@ -181,7 +152,7 @@ impl TableStats {
             let ub = col.corner(Corner::Ub);
             let mut b = ColBuilder::new();
             for i in 0..n {
-                b.push(&lb.value(i), &ub.value(i), col.certain_at(i));
+                b.push(&lb.value(i), &ub.value(i));
             }
             out.push(b.finish());
         }
@@ -197,7 +168,7 @@ impl TableStats {
             (0..rel.schema.arity()).map(|_| ColBuilder::new()).collect();
         for row in rows {
             for (b, rv) in builders.iter_mut().zip(&row.tuple.0) {
-                b.push(&rv.lb, &rv.ub, rv.is_certain());
+                b.push(&rv.lb, &rv.ub);
             }
         }
         TableStats {
@@ -209,12 +180,6 @@ impl TableStats {
     /// Number of zones ([`ZONE_ROWS`]-row blocks) the table spans.
     pub fn zone_count(&self) -> usize {
         self.rows.div_ceil(ZONE_ROWS)
-    }
-
-    /// Rows in zone `z` (only the last zone may be short).
-    pub fn zone_rows(&self, z: usize) -> usize {
-        let start = z * ZONE_ROWS;
-        ZONE_ROWS.min(self.rows.saturating_sub(start))
     }
 }
 
@@ -304,33 +269,6 @@ pub fn range_verdict(
     verdict
 }
 
-/// Estimated fraction of a table's rows a selection keeps, from the zone
-/// verdicts of its statistics — one [`TableStats`] per stored segment, in
-/// any order: definite zones count fully or not at all, mixed zones count
-/// half. `1.0` when there are no statistics to consult (empty table).
-pub fn estimate_selectivity<'a>(
-    pred: &RangeExpr,
-    segments: impl IntoIterator<Item = &'a TableStats>,
-) -> f64 {
-    let (mut kept, mut total) = (0.0f64, 0usize);
-    for stats in segments {
-        total += stats.rows;
-        for z in 0..stats.zone_count() {
-            let rows = stats.zone_rows(z) as f64;
-            kept += match zone_truth(pred, stats, z) {
-                ZoneVerdict::AllTrue => rows,
-                ZoneVerdict::Mixed => rows / 2.0,
-                ZoneVerdict::AllFalse => 0.0,
-            };
-        }
-    }
-    if total == 0 {
-        1.0
-    } else {
-        kept / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,10 +296,7 @@ mod tests {
         let b = TableStats::of_columns(&r.to_columns());
         assert_eq!(a, b);
         assert_eq!(a.rows, 4);
-        assert_eq!(a.cols[0].certain, 2);
-        assert!(a.cols[1].all_certain());
         assert_eq!(a.cols[0].zones.len(), 1);
-        assert_eq!(a.zone_rows(0), 4);
         assert_eq!(a.cols[0].zones[0].min_lb, Value::Int(0));
         assert_eq!(a.cols[0].zones[0].max_ub, Value::Int(9));
     }
@@ -372,9 +307,10 @@ mod tests {
         let s = TableStats::of_relation(&rel(&rows));
         assert_eq!(s.zone_count(), 2);
         assert_eq!(s.cols[0].zones.len(), 2);
-        assert_eq!(s.zone_rows(0), ZONE_ROWS);
-        assert_eq!(s.cols[0].zones[1].min_lb, Value::Int(ZONE_ROWS as i64));
-        assert_eq!(s.zone_rows(1), 5);
+        let last = ZONE_ROWS as i64 - 1;
+        assert_eq!(s.cols[0].zones[0].max_ub, Value::Int(last));
+        assert_eq!(s.cols[0].zones[1].min_lb, Value::Int(last + 1));
+        assert_eq!(s.cols[0].zones[1].max_ub, Value::Int(last + 5));
     }
 
     /// The soundness property: a definite zone verdict must agree with
@@ -444,18 +380,6 @@ mod tests {
             range_verdict(&all, &s, ZONE_ROWS - 2, 4),
             ZoneVerdict::AllTrue
         );
-        let sel = estimate_selectivity(&pred, [&s]);
-        assert!(
-            sel <= 0.5,
-            "clustered pred keeps at most the mixed zone: {sel}"
-        );
-        assert_eq!(estimate_selectivity(&all, [&s]), 1.0);
-        // Segment by segment: each zone counts once, whichever block it
-        // is in, and an empty table keeps everything.
-        let head = TableStats::of_relation(&rel(&rows[..ZONE_ROWS]));
-        let tail = TableStats::of_relation(&rel(&rows[ZONE_ROWS..]));
-        assert_eq!(estimate_selectivity(&pred, [&head, &tail]), sel);
-        assert_eq!(estimate_selectivity(&pred, []), 1.0);
     }
 
     #[test]

@@ -39,8 +39,8 @@ use std::sync::Arc;
 /// Compile one parsed statement against a catalog. The plan scans the
 /// root table's catalog handle, so its segments and their statistics
 /// (both built at publication) are the ones every other plan bound to
-/// this version uses — neither the optimizer nor the executor rescans or
-/// re-transposes the data per statement.
+/// this version uses — the executor never rescans or re-transposes the
+/// data per statement.
 pub fn compile(stmt: &ast::Select, catalog: &Catalog) -> Result<Plan, SessionError> {
     let plan = compile_query(stmt, catalog)?.build()?;
     Ok(plan.with_sql(stmt.text.clone()))

@@ -23,7 +23,7 @@
 //! table holds the same one. A publication that replaces a table makes a
 //! new handle; a table it does not touch keeps its handle across it.
 
-use audb_core::{AuBatch, AuColumns, AuRelation, RangeExpr, TableStats, ZONE_ROWS};
+use audb_core::{AuBatch, AuColumns, AuRelation, TableStats, ZONE_ROWS};
 use audb_rel::Schema;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -157,17 +157,6 @@ impl Table {
             [] => unreachable!("a table has its registered segment"),
         }
     }
-
-    /// True iff every cell of attribute `col` is a point.
-    pub fn all_certain(&self, col: usize) -> bool {
-        (self.segments.iter()).all(|s| s.stats.cols.get(col).is_some_and(|c| c.all_certain()))
-    }
-
-    /// Estimated fraction of the rows a selection on `pred` keeps
-    /// ([`audb_core::estimate_selectivity`] over every segment's zones).
-    pub fn estimate_selectivity(&self, pred: &RangeExpr) -> f64 {
-        audb_core::estimate_selectivity(pred, self.segments.iter().map(|s| &s.stats))
-    }
 }
 
 /// Named tables, shared cheaply behind [`Arc`]s. Names are case-sensitive
@@ -186,8 +175,8 @@ impl Catalog {
 
     /// Register a relation under a name; true iff it replaced a table of
     /// that name. The rows are transposed and their statistics (zone maps,
-    /// certain counts — [`TableStats`]) swept here, so binding,
-    /// optimization and execution never do either.
+    /// [`TableStats`]) swept here, so binding and execution never do
+    /// either.
     pub fn register(&mut self, name: impl Into<String>, rel: impl Into<Arc<AuRelation>>) -> bool {
         self.register_columns(name, rel.into().to_columns())
     }
@@ -605,7 +594,6 @@ mod tests {
         let tail = t.segments()[1].stats();
         assert_eq!(tail.rows, 3);
         let zone = &tail.cols[0].zones[0];
-        assert_eq!(tail.zone_rows(0), 3);
         assert_eq!(
             (zone.min_lb.as_i64(), zone.max_ub.as_i64()),
             (Some(-5), Some(-3))
@@ -614,7 +602,6 @@ mod tests {
         for segment in t.segments() {
             assert_eq!(segment.stats(), &TableStats::of_columns(segment.columns()));
         }
-        assert!(t.all_certain(0));
         // The pinned pre-append snapshot keeps its own (still-accurate)
         // stats.
         assert_eq!(before.get("t").unwrap().zone_count(), 2);

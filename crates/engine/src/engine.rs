@@ -4,7 +4,6 @@
 use crate::backend::{Reference, Rewrite};
 use crate::error::EngineError;
 use crate::exec::{self, ExecTrace, OpTiming, Recorder, DEFAULT_BATCH_SIZE};
-use crate::optimize::OptInfo;
 use crate::plan::{Op, Plan};
 use audb_core::AuColumns;
 use std::fmt;
@@ -212,7 +211,6 @@ impl Engine {
             backend: self,
             sql: plan.sql().map(str::to_string),
             steps,
-            opt: plan.opt().cloned(),
             batch_size: self.choose_exec(plan).batch_size,
             pipelines,
         }
@@ -377,9 +375,6 @@ pub struct Explain {
     pub sql: Option<String>,
     /// Scan + one step per operator.
     pub steps: Vec<ExplainStep>,
-    /// Optimizer provenance when the plan was rewritten: the
-    /// pre-optimization operator chain and the applied rules.
-    pub opt: Option<OptInfo>,
     /// Batch size of the pipeline executor.
     pub batch_size: usize,
     /// The lowered physical pipelines (fused stages + breaker
@@ -404,20 +399,6 @@ impl fmt::Display for Explain {
             writeln!(f, "{:>2}. {}", i, step.op)?;
             writeln!(f, "      schema: {}", step.schema)?;
             writeln!(f, "      note:   {}", step.note)?;
-        }
-        if let Some(opt) = &self.opt {
-            writeln!(
-                f,
-                "opt:     {} rewrite{} applied",
-                opt.rules.len(),
-                if opt.rules.len() == 1 { "" } else { "s" }
-            )?;
-            writeln!(f, "      before: {}", opt.before.join("  |  "))?;
-            let after: Vec<String> = self.steps[1..].iter().map(|s| s.op.clone()).collect();
-            writeln!(f, "      after:  {}", after.join("  |  "))?;
-            for rule in &opt.rules {
-                writeln!(f, "      · {}: {}", rule.rule, rule.reason)?;
-            }
         }
         if self.backend != Engine::Native {
             return writeln!(f, "exec:    materialized (operator-at-a-time)");

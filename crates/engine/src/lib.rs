@@ -48,7 +48,6 @@ mod engine;
 mod error;
 pub mod exec;
 pub mod maintain;
-pub mod optimize;
 mod plan;
 mod plancache;
 mod print;
@@ -60,7 +59,6 @@ pub use engine::{BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
 pub use exec::{ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
 pub use maintain::{Delta, MaintainedQuery, Strategy};
-pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
 pub use plancache::{CacheStats, PlanCache, MAX_ANSWER_BYTES};
 pub use print::plan_to_sql;

@@ -13,8 +13,8 @@
 //! paper's Sec. 5 defines it as `σ_{τ<k}` over the sort), a projection onto
 //! existing columns is the generalized projection of bare column
 //! references. What a pass needs to know of an operator — its output
-//! schema, the columns it reads, itself over renumbered columns, whether it
-//! breaks a pipeline — [`Op`] answers itself.
+//! schema, the columns it reads, whether it breaks a pipeline — [`Op`]
+//! answers itself.
 //!
 //! The builder resolves every column reference (by name or index) against
 //! the *evolving* schema at build time and folds [`Op::output_schema`] over
@@ -27,7 +27,6 @@
 
 use crate::catalog::Table;
 use crate::error::PlanError;
-use crate::optimize::OptInfo;
 use audb_core::{AuRelation, AuWindowSpec, RangeExpr, WinAgg};
 use audb_rel::{AggFunc, Schema};
 use std::fmt;
@@ -145,9 +144,9 @@ impl WindowSpec {
 /// One resolved operator of a [`Plan`]. All column references are indices
 /// into the operator's input schema. The operator is the one place that
 /// knows its own shape: [`Op::output_schema`] (which is also its
-/// validation), [`Op::reads`], [`Op::remapped`] and [`Op::is_breaker`] are
-/// what the builder, the optimizer, the printer, the executor and
-/// maintenance ask instead of matching on the variants.
+/// validation), [`Op::reads`] and [`Op::is_breaker`] are what the builder,
+/// the printer, the executor and maintenance ask instead of matching on the
+/// variants.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// AU-DB selection `σ_pred` (\[24\] semantics).
@@ -231,44 +230,6 @@ impl Op {
             }
         }
         cols
-    }
-
-    /// The same operator over renumbered input columns: input column `c`
-    /// is now `map[c]`. `None` if the operator reads a column the map
-    /// dropped (or does not cover).
-    pub fn remapped(&self, map: &[Option<usize>]) -> Option<Op> {
-        let at = |c: usize| map.get(c).copied().flatten();
-        let all = |cols: &[usize]| cols.iter().map(|&c| at(c)).collect::<Option<Vec<_>>>();
-        Some(match self {
-            Op::Select { pred } => Op::Select {
-                pred: pred.map_cols(&at)?,
-            },
-            Op::Project { exprs } => Op::Project {
-                exprs: exprs
-                    .iter()
-                    .map(|(e, n)| Some((e.map_cols(&at)?, n.clone())))
-                    .collect::<Option<_>>()?,
-            },
-            Op::Sort {
-                order,
-                pos_name,
-                limit,
-            } => Op::Sort {
-                order: all(order)?,
-                pos_name: pos_name.clone(),
-                limit: *limit,
-            },
-            Op::Window {
-                spec,
-                agg,
-                out_name,
-            } => Op::Window {
-                spec: AuWindowSpec::rows(all(&spec.order)?, spec.lower, spec.upper)
-                    .partition_by(all(&spec.partition)?),
-                agg: agg.try_map(|c| at(c).ok_or(())).ok()?,
-                out_name: out_name.clone(),
-            },
-        })
     }
 
     /// The operator's output schema over `input` — or why it cannot run
@@ -373,33 +334,9 @@ pub struct Plan {
     /// The SQL text this plan was compiled from, when it came through the
     /// SQL frontend (shown by `Engine::explain`).
     sql: Option<String>,
-    /// Optimizer provenance: the pre-optimization rendering and the
-    /// applied rewrites, attached by [`crate::optimize::optimize`] so
-    /// `explain` can show before/after even for cached plans.
-    opt: Option<Arc<OptInfo>>,
 }
 
 impl Plan {
-    /// The plan running `ops` over `source`: each operator's
-    /// [`Op::output_schema`] over its predecessor's, the first failure
-    /// returned. The [`Query`] builder folds the same function call by
-    /// call, so a chain the optimizer rewrote is checked exactly as one a
-    /// caller built.
-    pub(crate) fn from_ops(source: Arc<Table>, ops: Vec<Op>) -> Result<Plan, PlanError> {
-        let mut schemas = vec![source.schema().clone()];
-        for op in &ops {
-            let out = op.output_schema(schemas.last().expect("starts non-empty"))?;
-            schemas.push(out);
-        }
-        Ok(Plan {
-            source,
-            ops,
-            schemas,
-            sql: None,
-            opt: None,
-        })
-    }
-
     /// The scanned source as it is stored — the handle on its columnar
     /// segments and their statistics ([`Table`]): row count, schema,
     /// batches, and (through [`Table::contiguous`]) one `AuColumns` or rows
@@ -408,22 +345,6 @@ impl Plan {
     /// (`Arc::ptr_eq`).
     pub fn source_columns(&self) -> &Arc<Table> {
         &self.source
-    }
-
-    /// Optimizer provenance, when [`crate::optimize::optimize`] rewrote
-    /// this plan.
-    pub fn opt(&self) -> Option<&OptInfo> {
-        self.opt.as_deref()
-    }
-
-    /// Mark this plan as `original` rewritten: adopt its SQL provenance
-    /// and attach the optimizer's (used by [`crate::optimize`], which
-    /// rebuilds over `original`'s table handle).
-    pub(crate) fn rewritten_from(mut self, original: &Plan, info: Arc<OptInfo>) -> Plan {
-        debug_assert!(Arc::ptr_eq(&self.source, &original.source));
-        self.sql = original.sql.clone();
-        self.opt = Some(info);
-        self
     }
 
     /// The resolved operator chain.
@@ -481,7 +402,6 @@ impl Plan {
             ops: self.ops.clone(),
             schemas: self.schemas.clone(),
             sql: self.sql.clone(),
-            opt: None,
         })
     }
 
@@ -493,7 +413,6 @@ impl Plan {
             ops: self.ops[..n].to_vec(),
             schemas: self.schemas[..=n].to_vec(),
             sql: None,
-            opt: None,
         }
     }
 }
@@ -552,7 +471,12 @@ impl Query {
             .find(|(i, c)| cols[..*i].contains(c))
         {
             Some((_, c)) => Err(PlanError::DuplicateColumn { name: c.clone() }),
-            None => Plan::from_ops(source, Vec::new()),
+            None => Ok(Plan {
+                schemas: vec![source.schema().clone()],
+                source,
+                ops: Vec::new(),
+                sql: None,
+            }),
         };
         Query { state }
     }

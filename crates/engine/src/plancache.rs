@@ -195,16 +195,13 @@ impl PlanCache {
         }
 
         // Miss on the fast path: parse + bind outside the lock. The
-        // canonical key is rendered from the plan *before* optimization —
-        // normalized-equivalent texts share one entry regardless of which
-        // rewrites fire — while the cached entry stores the *optimized*
-        // plan. Stats changes (register/append) bump the catalog version,
-        // so a stale optimization can never be served.
+        // canonical key is rendered from the bound plan, so
+        // normalized-equivalent texts share one entry.
         let stmt = audb_sql::parse(sql)?;
         let plan = crate::bind::compile(&stmt, snapshot)?;
         let table = root_table(&stmt);
         let canonical = plan.to_sql(table);
-        let prepared = Prepared::from_plan(crate::optimize::optimize(&plan));
+        let prepared = Prepared::from_plan(plan);
 
         let mut s = self.lock();
         if s.version != version {
@@ -611,32 +608,33 @@ mod tests {
         assert!(hit);
     }
 
-    /// The cache stores the *optimized* plan under the pre-optimization
-    /// canonical key, and a publication-driven stats change invalidates
-    /// it through the version bump: the re-prepared plan is re-optimized
-    /// against the new stats.
+    /// A nested statement is cached under the canonical key of its bound
+    /// plan, and a publication that changes the table's statistics
+    /// invalidates it through the version bump: the re-prepared plan reads
+    /// the new handle's zone maps, never the stale ones.
     #[test]
-    fn stats_change_invalidates_optimized_plans() {
+    fn stats_change_invalidates_cached_plans() {
         let s = session();
         let cache = PlanCache::default();
         let sql = "SELECT * FROM (SELECT * FROM a ORDER BY x) WHERE x < 1";
+        let max_ub = |p: &Prepared| {
+            p.plan().source_columns().segments()[0].stats().cols[0].zones[0]
+                .max_ub
+                .clone()
+        };
 
-        // `x` is certain in `a`, so the keep-small select is pushed below
-        // the sort — the cached entry is the optimized plan.
         let (p, hit) = s.prepare_cached(&cache, sql).unwrap();
         assert!(!hit);
-        let opt = p.plan().opt().expect("pushdown should fire");
-        assert!(opt
-            .rules
-            .iter()
-            .any(|r| r.rule == "pushdown-select-below-sort"));
         let (p2, hit) = s.prepare_cached(&cache, sql).unwrap();
-        assert!(hit, "same version: optimized plan served from cache");
-        assert!(p2.plan().opt().is_some());
+        assert!(hit, "same version: the plan is served from cache");
+        assert!(Arc::ptr_eq(
+            p.plan().source_columns(),
+            p2.plan().source_columns()
+        ));
+        assert_eq!(max_ub(&p2), audb_rel::Value::Int(2));
 
         // Republish `a` with an uncertain `x`: the version bump
-        // invalidates the entry, and re-optimization against the new
-        // stats refuses the (now unsound) pushdown.
+        // invalidates the entry.
         s.register(
             "a",
             AuRelation::from_rows(
@@ -651,10 +649,8 @@ mod tests {
         );
         let (p3, hit) = s.prepare_cached(&cache, sql).unwrap();
         assert!(!hit, "stats change must invalidate via version bump");
-        assert!(
-            p3.plan().opt().is_none(),
-            "pushdown must be refused on uncertain order column"
-        );
+        assert_eq!(max_ub(&p3), audb_rel::Value::Int(3));
+        assert!(p3.plan().same_shape(p.plan()));
     }
 
     /// A panic while the cache lock is held poisons the lock but not the

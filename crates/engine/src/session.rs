@@ -151,13 +151,14 @@ impl Session {
     }
 
     /// Compile one statement to a reusable [`Prepared`] plan against the
-    /// current catalog snapshot, then run the stats-driven plan rewrites
-    /// ([`crate::optimize::optimize`]).
+    /// current catalog snapshot: the plan the binder builds is the plan
+    /// that runs.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, SessionError> {
         let stmt = audb_sql::parse(sql)?;
-        Ok(Prepared::from_plan(crate::optimize::optimize(
-            &bind::compile(&stmt, &self.catalog.snapshot())?,
-        )))
+        Ok(Prepared::from_plan(bind::compile(
+            &stmt,
+            &self.catalog.snapshot(),
+        )?))
     }
 
     /// Compile one statement through a shared [`PlanCache`], so repeated
@@ -178,11 +179,7 @@ impl Session {
         let snapshot = self.catalog.snapshot();
         audb_sql::parse_script(sql)?
             .iter()
-            .map(|stmt| {
-                Ok(Prepared::from_plan(crate::optimize::optimize(
-                    &bind::compile(stmt, &snapshot)?,
-                )))
-            })
+            .map(|stmt| Ok(Prepared::from_plan(bind::compile(stmt, &snapshot)?)))
             .collect()
     }
 

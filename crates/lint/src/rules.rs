@@ -217,11 +217,6 @@ fn in_spawn_scope(path: &str) -> bool {
 /// kernels), and the incremental-maintenance layer
 /// (maintain.rs holds live `audb_native` sweep state between appends —
 /// stateful by design, so it cannot route through `Engine::execute`).
-/// optimize.rs is in scope as of the statistics PR — reviewed: its
-/// soundness tests must compare a rewritten plan's output against the
-/// per-backend operator semantics directly (e.g. `sort_ref` bounds under
-/// a pushed-down select), and the rule would otherwise force those
-/// oracle calls through `Engine`, hiding exactly the layer under test.
 fn in_backend_scope(path: &str) -> bool {
     path.starts_with("crates/core/")
         || path.starts_with("crates/native/")
@@ -229,7 +224,6 @@ fn in_backend_scope(path: &str) -> bool {
         || path == "crates/engine/src/backend.rs"
         || path == "crates/engine/src/exec/run.rs"
         || path == "crates/engine/src/maintain.rs"
-        || path == "crates/engine/src/optimize.rs"
 }
 
 /// Files where wall-clock reads would distort kernels: all of
@@ -674,13 +668,11 @@ mod tests {
         assert!(diags_for("crates/x/src/lib.rs", "pub fn rewrite_sort() {}").is_empty());
     }
 
-    /// The optimizer module is inside the backend-call scope (its
-    /// soundness tests call per-backend oracles directly), but its
-    /// neighbors are not — the scope extension must not leak.
+    /// The backend-call scope names engine files one by one: the pipelined
+    /// runner is inside it, its neighbors are not — the scope must not leak.
     #[test]
-    fn backend_rule_scope_covers_optimizer() {
+    fn backend_rule_scope_stops_at_named_files() {
         let src = "fn f() { let s = sort_ref(&r, &o, \"p\", sem); }";
-        assert!(diags_for("crates/engine/src/optimize.rs", src).is_empty());
         assert_eq!(diags_for("crates/engine/src/plan.rs", src).len(), 1);
         assert!(diags_for("crates/engine/src/exec/run.rs", src).is_empty());
         assert_eq!(diags_for("crates/engine/src/exec/lower.rs", src).len(), 1);

@@ -18,8 +18,10 @@
 //! Every operator is a plain function from relations to a relation,
 //! evaluated eagerly and in memory; there is no plan algebra here (plans
 //! are `audb-engine`'s) and windows are row-based only, as in the paper.
-//! The crate doubles as the `Det` baseline of the paper's evaluation and as the
-//! executor for the SQL-rewrite method (crate `audb-rewrite`).
+//! The crate is the executor for the SQL-rewrite method (crate
+//! `audb-rewrite`). The paper's `Det` baseline is not run here: it is
+//! `Imp`'s engine plan over the selected-guess world
+//! (`audb_workloads::runner::selected_guess`).
 
 pub mod csv;
 pub mod expr;

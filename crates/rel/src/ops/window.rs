@@ -6,8 +6,10 @@
 //! `[pos + l, pos + u]` of the defining duplicate. The duplicate is extended
 //! with `f(A)` computed over the window's rows. Sum-like aggregates are
 //! evaluated with prefix sums, min/max with a monotonic deque, so a full
-//! pass over a partition of `m` rows costs `O(m log m)` (the sort) —
-//! this implements the efficient deterministic baseline (`Det` in Sec. 9).
+//! pass over a partition of `m` rows costs `O(m log m)` (the sort). The
+//! paper's deterministic baseline (`Det` in Sec. 9) does not run here: it
+//! is `Imp`'s engine plan over the selected-guess world
+//! (`audb_workloads::runner::selected_guess`).
 
 use crate::ops::aggregate::AggFunc;
 use crate::ops::sort::total_order;

@@ -26,9 +26,9 @@
 //! they remain usable as column names.
 //!
 //! Nesting is bounded at parse time ([`MAX_DEPTH`]): everything downstream
-//! — the binder, the optimizer, the executor, the plan printer, and the
-//! drop of the tree — recurses over it, and a statement nested past what a
-//! thread's stack holds must be refused, not crash the process.
+//! — the binder, the executor, the plan printer, and the drop of the tree
+//! — recurses over it, and a statement nested past what a thread's stack
+//! holds must be refused, not crash the process.
 
 use crate::ast::*;
 use crate::error::{Span, SqlError, SqlErrorKind};
@@ -39,9 +39,9 @@ use audb_rel::{AggFunc, CmpOp, Value};
 /// at once — parentheses, `NOT`s, unary minuses and subqueries — and no
 /// expression tree higher than this many nodes, the levels open around it
 /// counted. A left-deep chain like `a + b + … + z` is as high as it is
-/// long. A statement at the bound parses, binds, optimizes, executes and
-/// prints on a 2 MiB thread stack in a debug build; past it, parsing stops
-/// with [`SqlErrorKind::TooDeep`].
+/// long. A statement at the bound parses, binds, executes and prints on a
+/// 2 MiB thread stack in a debug build; past it, parsing stops with
+/// [`SqlErrorKind::TooDeep`].
 pub const MAX_DEPTH: usize = 100;
 
 struct Parser<'a> {

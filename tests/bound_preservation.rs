@@ -5,7 +5,7 @@
 //! of `audb_worlds::bounding`, not with a weaker heuristic.
 //!
 //! Operator by operator first, then through the path users run: SQL text →
-//! bind → optimizer rewrites → zone pruning → the executor of each backend.
+//! bind → zone pruning → the executor of each backend.
 
 use audb::core::{AuRelation, AuWindowSpec, WinAgg};
 use audb::engine::{exec, Engine, Session, SharedCatalog};
@@ -75,8 +75,8 @@ struct Statement {
     /// `WHERE <filter.0> < <filter.1>` (column index, literal).
     filter: (usize, i64),
     /// Where the `WHERE` sits when `over` is a breaker: in a sub-select
-    /// below it, or around it — the shape the optimizer's pushdown rules
-    /// rewrite.
+    /// below it, or around it — the nested shape, which binds a selection
+    /// above the sort or window.
     filter_below: bool,
     over: Over,
 }
@@ -220,7 +220,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Theorems 1 and 2 through the path users run: a registered table,
-    /// SQL text, the optimizer, zone pruning and each method's executor —
+    /// SQL text, the binder, zone pruning and each method's executor —
     /// the native one at the degenerate and the default batch size. Every
     /// world's deterministic answer lies within the returned bounds.
     #[test]

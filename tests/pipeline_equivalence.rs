@@ -16,7 +16,7 @@
 //! the native sort as dictionary, generic and `f64` lanes.
 
 use audb::core::{AuRelation, AuTuple, AuWindowSpec, Mult3, RangeExpr, RangeValue, WinAgg};
-use audb::engine::{exec, optimize, Agg, Engine, Op, Plan, PlanError, Query, WindowSpec};
+use audb::engine::{exec, Agg, Engine, Op, Plan, PlanError, Query, WindowSpec};
 use audb::rel::{Schema, Value};
 use proptest::prelude::*;
 
@@ -166,9 +166,9 @@ fn keyed_plan_strategy() -> impl Strategy<Value = Plan> {
 
 /// `t(dead, a, b)` through one breaker on `a` alone, then projected onto
 /// `[a, b, x]`: `dead` is never read and `a` ties often. `<total_O` breaks
-/// those ties on `dead` before `b`, so a plan that pruned `dead` ahead of
-/// the breaker would order tied rows — their positions, their frames — by
-/// `b` instead.
+/// those ties on `dead` before `b`, so an executor that dropped `dead`
+/// ahead of the breaker would order tied rows — their positions, their
+/// frames — by `b` instead.
 fn dead_column_plan_strategy() -> impl Strategy<Value = Plan> {
     let a = (0i64..3, 0i64..3).prop_map(|(lb, w)| RangeValue::new(lb, lb, lb + w / 2));
     let row = (a, 0i64..6, 0i64..6, mult_strategy());
@@ -293,36 +293,16 @@ proptest! {
         }
     }
 
-    /// The optimizer's contract: every rewrite (select reordering, select
-    /// pushdown below breakers, dead-column pruning) preserves AU-DB bag
-    /// semantics on every backend.
-    #[test]
-    fn optimized_equals_unoptimized_on_all_backends(plan in plan_strategy()) {
-        let optimized = optimize(&plan);
-        for method in Engine::ALL {
-            let plain = method.execute(&plan).expect("unoptimized run").to_rows();
-            let opt = method.execute(&optimized).expect("optimized run").to_rows();
-            prop_assert!(
-                opt.bag_eq(&plain),
-                "{method}:\noptimized:\n{opt}\nunoptimized:\n{plain}\nrewrites: {:?}",
-                optimized.opt().map(|o| &o.rules)
-            );
-        }
-    }
-
-    /// One validation, two doors: the schemas a plan carries — built call
-    /// by call through `Query`, or rebuilt whole by the optimizer — are
-    /// the public `Op::output_schema` folded over its operators, and no
-    /// operator reads past its input.
+    /// One validation: the schemas a plan carries, built call by call
+    /// through `Query`, are the public `Op::output_schema` folded over its
+    /// operators, and no operator reads past its input.
     #[test]
     fn plan_schemas_are_the_fold_of_output_schema(plan in plan_strategy()) {
-        for plan in [optimize(&plan), plan] {
-            let mut schema = plan.schemas()[0].clone();
-            for (op, expected) in plan.ops().iter().zip(&plan.schemas()[1..]) {
-                prop_assert!(op.reads().iter().all(|&c| c < schema.arity()), "{op}");
-                schema = op.output_schema(&schema).expect("a built plan's operators validate");
-                prop_assert_eq!(&schema, expected, "{}", op);
-            }
+        let mut schema = plan.schemas()[0].clone();
+        for (op, expected) in plan.ops().iter().zip(&plan.schemas()[1..]) {
+            prop_assert!(op.reads().iter().all(|&c| c < schema.arity()), "{op}");
+            schema = op.output_schema(&schema).expect("a built plan's operators validate");
+            prop_assert_eq!(&schema, expected, "{}", op);
         }
     }
 
@@ -340,59 +320,6 @@ proptest! {
             pruned.bag_eq(&unpruned),
             "batch {batch_size}:\npruned:\n{pruned}\nunpruned:\n{unpruned}"
         );
-    }
-}
-
-/// Pushing a select below a window is only sound when the frame is the
-/// point frame `[0,0]` or the predicate is a partition-local filter on
-/// certain columns. A trailing-frame window with a plain column predicate
-/// must be refused — and the same shape with a point frame must fire.
-#[test]
-fn frame_unsafe_window_pushdown_is_refused() {
-    let rel = AuRelation::from_rows(
-        Schema::new(["a", "b"]),
-        (0..8).map(|i| {
-            (
-                AuTuple::new([RangeValue::certain(i), RangeValue::certain(10 - i)]),
-                Mult3::ONE,
-            )
-        }),
-    );
-    let windowed = |lower: i64| {
-        Query::scan(rel.clone())
-            .window(
-                WindowSpec::rows(lower, 0)
-                    .order_by(["a"])
-                    .aggregate(Agg::sum("b"))
-                    .output("w"),
-            )
-            .select(RangeExpr::col(0).lt(RangeExpr::lit(5)))
-            .build()
-            .unwrap()
-    };
-
-    // Frame [-1,0]: the select would change which neighbors the window
-    // sees. Refused — the plan comes back without rewrites.
-    let unsafe_plan = windowed(-1);
-    let optimized = optimize(&unsafe_plan);
-    assert!(
-        optimized.opt().is_none(),
-        "pushdown below a trailing-frame window must be refused: {:?}",
-        optimized.opt().map(|o| &o.rules)
-    );
-
-    // Frame [0,0]: each row's window is itself; filtering first is sound,
-    // and the rule fires.
-    let safe_plan = windowed(0);
-    let optimized = optimize(&safe_plan);
-    let rules = &optimized.opt().expect("point-frame pushdown fires").rules;
-    assert!(rules
-        .iter()
-        .any(|r| r.rule == "pushdown-select-below-window"));
-    for method in Engine::ALL {
-        let plain = method.execute(&safe_plan).unwrap().to_rows();
-        let opt = method.execute(&optimized).unwrap().to_rows();
-        assert!(opt.bag_eq(&plain), "{method}");
     }
 }
 
@@ -459,84 +386,6 @@ fn builder_and_output_schema_report_the_same_errors() {
         out_name: "x".into(),
     };
     assert_eq!(window.output_schema(&schema), Err(frame));
-}
-
-/// Dead-column pruning renumbers every later operator through
-/// [`Op::remapped`]: the never-read column goes behind the last breaker —
-/// ahead of one every column is read, to break ties — the columns the
-/// breakers appended are found again behind fewer columns, and answers do
-/// not move.
-#[test]
-fn dead_column_pruning_renumbers_through_breakers() {
-    let rel = AuRelation::from_rows(
-        Schema::new(["dead", "k", "g", "v"]),
-        (0..12i64).map(|i| {
-            let k = 10 * ((i * 5) % 12);
-            let row = [
-                RangeValue::certain(i),
-                RangeValue::new(k - 13, k, k + 14),
-                RangeValue::certain(i % 3),
-                RangeValue::new(9 - i, 10 - i, 12 - i),
-            ];
-            let mult = if i % 5 == 0 {
-                Mult3::new(0, 1, 1)
-            } else {
-                Mult3::ONE
-            };
-            (AuTuple::new(row), mult)
-        }),
-    );
-    // top-k → window → selection → projection: `dead` is never read, `v`
-    // is read by the aggregate alone and `g` by PARTITION BY alone; the
-    // selection reads the window's `w`, the projection both appended
-    // columns.
-    let plan = Query::scan(rel)
-        .sort_by_as(["k"], "p")
-        .topk(9)
-        .window(
-            WindowSpec::rows(-1, 1)
-                .order_by(["k"])
-                .partition_by(["g"])
-                .aggregate(Agg::sum("v"))
-                .output("w"),
-        )
-        .select(RangeExpr::col(5).le(RangeExpr::lit(12)))
-        .project_exprs([
-            (RangeExpr::col(5), "w"),
-            (RangeExpr::Neg(Box::new(RangeExpr::col(4))), "neg_p"),
-        ])
-        .build()
-        .unwrap();
-    let optimized = optimize(&plan);
-    let rules = &optimized.opt().expect("pruning fires").rules;
-    assert_eq!(rules.len(), 1, "{rules:?}");
-    assert_eq!(rules[0].rule, "prune-dead-columns");
-    assert!(
-        rules[0].reason.contains("[\"dead\"]"),
-        "{}",
-        rules[0].reason
-    );
-    let rendered: Vec<String> = optimized.ops().iter().map(Op::to_string).collect();
-    assert_eq!(
-        rendered,
-        [
-            "topk k=9 [1] → p",
-            "window [-1, 1] Sum(3) over [1] partition [2] → w",
-            "project [k, g, v, p, w]",
-            "select σ",
-            "project [w, neg_p]",
-        ]
-    );
-    let select = &optimized.ops()[3];
-    let renumbered = RangeExpr::col(4).le(RangeExpr::lit(12));
-    assert_eq!(select, &Op::Select { pred: renumbered });
-    assert_eq!(optimized.schema(), plan.schema());
-    for method in Engine::ALL {
-        let plain = method.execute(&plan).unwrap().to_rows();
-        let opt = method.execute(&optimized).unwrap().to_rows();
-        assert!(!plain.is_empty());
-        assert!(opt.bag_eq(&plain), "{method}:\n{opt}\nvs\n{plain}");
-    }
 }
 
 // ------------------------------------------------------------------
@@ -1079,8 +928,8 @@ mod appended_in_pieces {
             .sql(sql)
             .unwrap()
             .bag_eq(&reference.sql(sql).unwrap()));
-        // The optimizer reads certainty over every segment: a filter on
-        // `g` may not move below this window.
+        // `prepare` hands out the bound plan: a filter on `g` stays above
+        // this window.
         let around = format!("SELECT * FROM ({sql}) WHERE g < 1");
         let plan = native.prepare(&around).unwrap();
         let ops: Vec<&str> = plan.plan().ops().iter().map(|op| op.name()).collect();
