@@ -6,7 +6,7 @@
 //!           [--backend reference|native|rewrite] [--explain] [--repl]
 //! repro serve [--data DIR] [--table name=path.csv]... [--port P]
 //!           [--threads N] [--backend B] [--port-file PATH]
-//! repro lint [--json] [--rule ID] [--root PATH] [--list]
+//! repro lint [--rule ID] [--root PATH] [--list]
 //!
 //! targets: heaps fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
 //!          bench all
@@ -120,7 +120,7 @@ fn main() {
                      [--backend B] [--explain] [--repl]\n\
                      \x20      repro serve [--data DIR] [--table name=path.csv]... [--port P] \
                      [--threads N] [--backend B] [--port-file PATH]\n\
-                     \x20      repro lint [--json] [--rule ID] [--root PATH] [--list]"
+                     \x20      repro lint [--rule ID] [--root PATH] [--list]"
                 );
                 return;
             }

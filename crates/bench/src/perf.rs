@@ -3,16 +3,16 @@
 //! End-to-end numbers that gate a PR come from the repo benchmark
 //! (`benchmark/`, `BENCHMARK.json`). This harness keeps what that benchmark
 //! does not measure, and every comparison it makes is between two things
-//! timed **within one run** (cross-run noise on a shared host is ±20 %):
+//! timed **within one run** (cross-run noise on a shared host is ±20 %).
+//! Every statement it times is SQL text prepared once against a
+//! registered table, as a client runs it:
 //!
-//! * **sort scaling** — ns per row of `sort/imp` from cache-resident to far
-//!   past cache (the far cell only while the pair is within its gate);
 //! * **cells** — `det` (the native kernels on the most-likely world, lifted
 //!   to a certain AU-DB), `imp` (the one-pass native algorithms) and `rewr`
-//!   (the SQL-style
-//!   rewrite) for sorting, windowed aggregation and a select/project-
-//!   carrying ranking plan (`sort_sel`: `scan → select → project → sort`)
-//!   at n ∈ {1k, 4k, 16k} by default (`--sizes` overrides);
+//!   (the SQL-style rewrite) for sorting, windowed aggregation and a
+//!   select/project-carrying ranking statement (`sort_sel`: `scan → select
+//!   → project → sort`) at n ∈ {1k, 4k, 16k} by default (`--sizes`
+//!   overrides);
 //! * **footprints** — the measured per-row heap bytes of each cell's AU
 //!   input in the row, generic-columnar and typed-columnar layouts;
 //! * **kernel sweeps** — `truth_batch` / `eval_batch_column` on typed lanes against
@@ -28,23 +28,18 @@
 //! * **ingest** — ns per row of the AU-CSV loader on `serve_mix`'s
 //!   registered table and on one of its append batches, beside `to_rows`
 //!   of the same table;
-//! * **stages** — each SQL statement of `STAGE_BLOCKS`, run as a client
-//!   runs it, by operator and kernel stage; **cmp-semantics** and **window
-//!   aggregates** — ablations;
-//! * **window scaling** — ns per row of the native window from 16 384 to
-//!   131 072 rows (1 048 576 printed, not gated, and only while the pair is
-//!   within its gate), with the size of the possible-member pool a closing
-//!   window scans;
-//! * **window dup-scaling** — a partitioned SQL window over tables with
-//!   duplicated rows and uncertain partition values, at 2 048 and 16 384
-//!   rows.
+//! * **scaling** — each shape of `SCALING` (the sort, the native window
+//!   flat and partitioned, the partitioned window over duplicates and
+//!   ranged partition values) over a smaller and a larger table, and far
+//!   past cache while the pair is within its bound;
+//! * **stages** — each SQL statement of `STAGE_BLOCKS`, by operator and
+//!   kernel stage; **cmp-semantics** and **window aggregates** — ablations.
 //!
-//! The two arms every scaling gate compares — sort scaling, window scaling
-//! per shape, window dup-scaling, append — and those of each kernel sweep
-//! and pruning cell are one [`Pair`] each: timed in alternating pairs, each
-//! arm's median printed, the median per-pair ratio gated. The cells, the
-//! kernel sweeps and the four scaling blocks print their own lines; [`run`]
-//! prints the others.
+//! The two arms every scaling gate compares — each `SCALING` shape, and
+//! append — and those of each kernel sweep and pruning cell are one
+//! [`Pair`] each: timed in alternating pairs, each arm's median printed,
+//! the median per-pair ratio gated. The cells, the kernel sweeps and the
+//! scaling shapes print their own lines; [`run`] prints the others.
 //!
 //! [`run`] prints every block, then one line per gate of [`check`] — the
 //! only place a threshold is written (DESIGN.md §7 repeats them in prose)
@@ -52,21 +47,18 @@
 //! count here as it does everywhere else.
 
 use audb_core::{
-    AuColumns, AuRelation, AuRow, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg,
-    ZONE_ROWS,
+    AuColumns, AuRelation, AuRow, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, ZONE_ROWS,
 };
 use audb_engine::{
-    exec, CmpSemantics, Engine, Op, Plan, Prepared, Query, Reference, Session, SharedCatalog,
-    WindowSpec,
+    exec, CmpSemantics, Engine, Op, Plan, Prepared, Reference, Session, SharedCatalog,
 };
 // lint: allow(no-direct-backend-call) -- the residency lines read the pool of a sweep the kernel keeps to itself
 use audb_native::WindowMaintain;
 use audb_rel::{CmpOp, Schema, Value};
-use audb_workloads::runner::{selected_guess, sort_plan, window_plan};
+use audb_workloads::runner::selected_guess;
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use audb_workloads::{iceberg, read_au_csv_columns};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Row counts of the cell, streaming and pruning sweeps by default.
@@ -76,20 +68,9 @@ pub const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
 /// the pruning sweep measures.
 pub const SELECTIVITIES: [u32; 3] = [1, 10, 50];
 
-/// Row counts of the `sort/scaling` block, whatever `--sizes` says:
-/// cache-resident, past cache, and (full runs within the gate) far past it.
-pub const SCALING_ROWS: [usize; 3] = [32_768, 262_144, 1_048_576];
-
 /// Row counts of the `append/flat` block, whatever `--sizes` says: the
 /// table a [`STREAM_BATCH`]-row batch is appended to.
 pub const APPEND_ROWS: [usize; 2] = [16_384, 131_072];
-
-/// Row counts of the `window/scaling` block, whatever `--sizes` says; the
-/// largest (full runs within the gate) is printed once and carries no gate.
-pub const WINDOW_SCALING_ROWS: [usize; 3] = [16_384, 131_072, 1_048_576];
-
-/// Row counts of the `window/dup-scaling` block, whatever `--sizes` says.
-pub const WINDOW_DUP_ROWS: [usize; 2] = [2_048, 16_384];
 
 /// Rows of the `ingest/csv` table: `serve_mix`'s registered `w`.
 const INGEST_ROWS: usize = 16_384;
@@ -218,64 +199,76 @@ impl Pair {
     }
 }
 
-fn execute(engine: &Engine, plan: &Plan) {
-    std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
+/// `sql` prepared on `engine` against `table`, registered as `t`: what a
+/// client holds once it has prepared a statement.
+fn statement(engine: Engine, table: AuRelation, sql: &str) -> (Session, Prepared) {
+    let session = Session::new(engine);
+    session.register("t", table);
+    let prepared = session.prepare(sql).expect("bench statement compiles");
+    (session, prepared)
 }
+
+fn execute(session: &Session, prepared: &Prepared) {
+    std::hint::black_box(session.execute(prepared).expect("bench statement runs"));
+}
+
+/// `SELECT * FROM t ORDER BY a, b`: the sort of the cells, of `sort/scaling`
+/// and of `sort/cmp-semantics`.
+const SORT_SQL: &str = "SELECT * FROM t ORDER BY a, b";
 
 /// Measure and print every (op, method, n) cell — `op` is `sort`,
 /// `window` or `sort_sel` (select/project stages ahead of the sort, the
 /// plan shape pipelining targets), `method` is `det`, `imp` or `rewr` —
-/// and return every (op, n) input footprint.
+/// and return every (op, n) input footprint. An op is one statement, so
+/// only the physical operators differ between its cells: `det` runs it
+/// natively over the table's selected-guess world (`runner::selected_guess`),
+/// `imp` natively and `rewr` on the rewrite over the AU table.
 pub fn measure(cfg: &BenchConfig) -> Vec<Footprint> {
     let runs = if cfg.quick { 3 } else { 7 };
-    let cell = |op: &str, method: &str, n: usize, engine: &Engine, plan: &Plan| {
-        let ms = time_median(|| execute(engine, plan), runs);
+    let cell = |op: &str, method: &str, n: usize, session: &Session, prepared: &Prepared| {
+        let ms = time_median(|| execute(session, prepared), runs);
         let (ops, rows) = (1e3 / ms, n as f64 * 1e3 / ms);
         println!("{n:>7} rows  {op:<8} {method:<5} {ms:>10.3} ms  {ops:>10.2} ops/s  {rows:>11.0} rows/s");
     };
     let mut footprints = Vec::new();
-    // One logical plan per op, two engine backends: only the physical
-    // operators differ between the timed AU cells.
-    let mut au_cells = |op, n, plan: &Plan| {
-        footprints.push(footprint(op, &plan.source_columns().contiguous()));
-        for (method, engine) in [("imp", Engine::native()), ("rewr", Engine::rewrite())] {
-            cell(op, method, n, &engine, plan);
-        }
-    };
     for &n in &cfg.sizes {
         let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
-        let order = [0usize, 1];
-        let det_plan = sort_plan(selected_guess(&table), &order, None);
-        cell("sort", "det", n, &Engine::Native, &det_plan);
-        let plan = sort_plan(table.to_au_relation(), &order, None);
-        au_cells("sort", n, &plan);
-
+        let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
         // Streamable stages ahead of the breaker (≈50% selectivity on the
         // certain `b` attribute, then a computed projection): one fused
-        // sweep in the pipeline executor.
-        let mid = (n as i64 * 20) / 2;
-        let sel_plan = Query::scan(table.to_au_relation())
-            .select(RangeExpr::col(1).le(RangeExpr::lit(mid)))
-            .project_exprs([
-                (RangeExpr::col(0), "a".to_string()),
-                (
-                    RangeExpr::Add(Box::new(RangeExpr::col(1)), Box::new(RangeExpr::col(2))),
-                    "bid".to_string(),
-                ),
-            ])
-            .sort_by(["a", "bid"])
-            .build()
-            .expect("sort_sel plan is valid");
-        au_cells("sort_sel", n, &sel_plan);
-
-        let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
-        let det_plan = window_plan(selected_guess(&wtable), &[0], WinAgg::Sum(2), -2, 0);
-        cell("window", "det", n, &Engine::Native, &det_plan);
-        let wplan = window_plan(wtable.to_au_relation(), &[0], WinAgg::Sum(2), -2, 0);
-        au_cells("window", n, &wplan);
+        // sweep in the pipeline executor. It has no `det` cell.
+        let sort_sel = format!(
+            "SELECT a, b + id AS bid FROM t WHERE b <= {} ORDER BY a, bid",
+            n * 10
+        );
+        let ops = [
+            ("sort", &table, SORT_SQL, true),
+            ("sort_sel", &table, sort_sel.as_str(), false),
+            ("window", &wtable, WINDOW_CELL_SQL, true),
+        ];
+        for (op, table, sql, det) in ops {
+            if det {
+                let (session, prepared) = statement(Engine::native(), selected_guess(table), sql);
+                cell(op, "det", n, &session, &prepared);
+            }
+            let (imp, prepared) = statement(Engine::native(), table.to_au_relation(), sql);
+            footprints.push(footprint(
+                op,
+                &prepared.plan().source_columns().contiguous(),
+            ));
+            let rewr = Session::with_catalog(Engine::rewrite(), imp.shared_catalog().clone());
+            for (method, session) in [("imp", &imp), ("rewr", &rewr)] {
+                cell(op, method, n, session, &prepared);
+            }
+        }
     }
     footprints
 }
+
+/// The window of the cells and of `window/aggregates`: `SUM` over the
+/// two preceding rows and the current one, by `o`.
+const WINDOW_CELL_SQL: &str = "SELECT *, SUM(v) OVER (ORDER BY o \
+                               ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t";
 
 /// The kernel sweeps, each one [`Pair`] of typed lanes (arm a) against the
 /// same columns demoted to generic `Value` lanes (arm b), where the typed
@@ -631,46 +624,6 @@ pub fn measure_ingest(cfg: &BenchConfig) -> Vec<(usize, &'static str, f64)> {
     ]
 }
 
-/// The `sort/scaling` block: `sort/imp` over `SCALING_ROWS[0]` rows (arm
-/// a) and `SCALING_ROWS[1]` (arm b), then, without `--quick`, the median of
-/// 5 over `SCALING_ROWS[2]`, printed and not paired — and skipped when the
-/// pair is past its gate, where a superlinear sort would run for minutes
-/// before the gate could fail. Prints its cells. The rank sweep once fell
-/// off a cache cliff between the first two sizes (32 → 72 → 113 ms from 32k
-/// to 64k rows).
-pub fn measure_scaling(cfg: &BenchConfig) -> Pair {
-    let engine = Engine::native();
-    let plan = |n| sort_plan(sort_table(n), &[0, 1], None);
-    let line = |n: usize, ms: f64| {
-        let ns = ms * 1e6 / n as f64;
-        println!("{n:>7} rows  sort/scaling imp {ms:>10.3} ms  {ns:>8.1} ns/row");
-    };
-    let [small, large] = [0, 1].map(|i| plan(SCALING_ROWS[i]));
-    let pair = Pair::time(
-        pairs(cfg, false),
-        || execute(&engine, &small),
-        || execute(&engine, &large),
-    );
-    for (n, ms) in pair.cells(&SCALING_ROWS) {
-        line(n, ms);
-    }
-    if !cfg.quick {
-        drop((small, large));
-        let (n, [a, b]) = (SCALING_ROWS[2], per_row(&SCALING_ROWS));
-        match pair.ratio * b / a <= SCALING_MAX_RATIO {
-            true => {
-                let far = plan(n);
-                line(n, time_median(|| execute(&engine, &far), 5));
-            }
-            false => println!("{n:>7} rows  sort/scaling imp {SKIPPED}"),
-        }
-    }
-    pair
-}
-
-/// A far scaling cell whose pair is past the gate, in place of its time.
-const SKIPPED: &str = "skipped (pair over its bound)";
-
 /// `gen_sort_table`'s `n` rows (`a`, `b`, `id`), as the cells draw them.
 fn sort_table(n: usize) -> AuRelation {
     gen_sort_table(&SyntheticConfig::default().rows(n).seed(3)).to_au_relation()
@@ -748,98 +701,148 @@ fn scan_table(n: usize, in_order: bool) -> AuRelation {
     AuRelation::from_rows(Schema::new(["o", "g", "v", "id"]), rows)
 }
 
-/// The `window/scaling` block: the native window as the engine runs it —
-/// partitions swept in parallel, on `AUDB_THREADS` workers — partitionless
-/// (`flat`) and per `g` (eight values), each shape one [`Pair`] of
-/// `WINDOW_SCALING_ROWS[0]` rows (arm a) and `WINDOW_SCALING_ROWS[1]` (arm
-/// b); then, without `--quick`, each once over `WINDOW_SCALING_ROWS[2]`,
-/// printed and not paired — skipped where its shape's pair is past the
-/// gate, as [`measure_scaling`] skips its own. Prints its cells, each flat
-/// one with the size of the possible-member pool where a window closes
-/// (mean, maximum). The
-/// uncertain order ranges are as wide at every size
-/// ([`SyntheticConfig::range`]) while the domain grows with the table, so
-/// the pool should not grow: if its residency grows with `n`, ns per row
-/// will, and the line says so beside the gate.
-pub fn measure_window_scaling(cfg: &BenchConfig) -> Vec<(&'static str, Pair)> {
-    let shapes = [("flat", None), ("partitioned", Some(1))];
-    let plans = |n| {
-        let rel = Arc::new(window_table(n));
-        shapes.map(|(_, g)| {
-            let window = (WindowSpec::rows(-2, 0).order_by([0])).partition_by(g);
-            let query =
-                Query::scan(rel.clone()).window(window.aggregate(WinAgg::Sum(2)).output("s"));
-            query.build().expect("bench window plan is valid")
-        })
-    };
-    let window = |plan: &Plan| {
-        let out = Engine::native().execute(plan);
-        std::hint::black_box(out.expect("bench plan executes"));
-    };
-    let line = |n: usize, how: &str, ms: f64, plan: &Plan| {
-        let ns = ms * 1e6 / n as f64;
-        print!("{n:>7} rows  window/scaling {how:<11} {ms:>10.3} ms  {ns:>8.1} ns/row");
-        match pool_residency(plan) {
-            Some((mean, max, _)) => println!("  pool at a close: mean {mean:.1}, max {max}"),
-            None => println!(),
-        }
-    };
-    let sized = [0, 1].map(|i| plans(WINDOW_SCALING_ROWS[i]));
-    let paired = [0, 1].map(|s| {
-        let (small, large) = (&sized[0][s], &sized[1][s]);
-        Pair::time(pairs(cfg, false), || window(small), || window(large))
-    });
-    for (i, plans) in sized.iter().enumerate() {
-        for (s, plan) in plans.iter().enumerate() {
-            let (n, ms) = paired[s].cells(&WINDOW_SCALING_ROWS)[i];
-            line(n, shapes[s].0, ms, plan);
+/// `window_table(n)` with one row in a hundred annotated `(2,2,2)` and
+/// another one in a hundred with `g = [g, g+1]`.
+fn dup_table(n: usize) -> AuRelation {
+    let mut table = window_table(n);
+    for (i, row) in table.rows_mut().iter_mut().enumerate() {
+        let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
+        match i % 100 {
+            0 => row.mult = Mult3::certain(2),
+            50 => row.tuple.0[1] = RangeValue::new(g, g, g + 1),
+            _ => {}
         }
     }
-    if !cfg.quick {
-        drop(sized);
-        let (n, [a, b]) = (WINDOW_SCALING_ROWS[2], per_row(&WINDOW_SCALING_ROWS));
-        for (s, plan) in plans(n).iter().enumerate() {
-            let how = shapes[s].0;
-            match paired[s].ratio * b / a <= WINDOW_SCALING_MAX_RATIO {
-                true => line(n, how, time_median(|| window(plan), 1), plan),
-                false => println!("{n:>7} rows  window/scaling {how:<11} {SKIPPED}"),
-            }
-        }
-    }
-    shapes.map(|(how, _)| how).into_iter().zip(paired).collect()
+    table
 }
 
-/// The `window/dup-scaling` statement: eight partitions, three-row frames.
-const WINDOW_DUP_SQL: &str = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
-                              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t";
+/// One paired scaling shape: `sql` over `table(rows[0])` (arm a) and
+/// over `table(rows[1])` (arm b), each registered as `t` and prepared
+/// once, timed as one [`Pair`] of `Session::execute` on the native engine;
+/// then, without `--quick`, over `table(far)`, printed and not paired. Its
+/// `gate` holds when arm b's time over arm a's — per row if `per_row`,
+/// else in ms — is at most `bound`.
+struct Scaling {
+    gate: &'static str,
+    shape: &'static str,
+    rows: [usize; 2],
+    far: Option<usize>,
+    table: fn(usize) -> AuRelation,
+    sql: &'static str,
+    bound: f64,
+    per_row: bool,
+}
 
-/// The `window/dup-scaling` block: `WINDOW_DUP_SQL` through `Session::sql`
-/// on the native engine — the path users run — over the rows of
-/// `window_table`, one in a hundred annotated `(2,2,2)` and another one
-/// in a hundred with `g = [g, g+1]`, at `WINDOW_DUP_ROWS[0]` rows (arm a)
-/// and `WINDOW_DUP_ROWS[1]` (arm b). Prints its cells.
-pub fn measure_window_dup(cfg: &BenchConfig) -> Pair {
-    let [small, large] = WINDOW_DUP_ROWS.map(|n| {
-        let mut table = window_table(n);
-        for (i, row) in table.rows_mut().iter_mut().enumerate() {
-            let g = row.tuple.get(1).sg.as_i64().expect("an integer g");
-            match i % 100 {
-                0 => row.mult = Mult3::certain(2),
-                50 => row.tuple.0[1] = RangeValue::new(g, g, g + 1),
-                _ => {}
-            }
+impl Scaling {
+    /// The unit a [`pair_gate`] shows this shape's arms in.
+    fn unit(&self) -> (&'static str, [f64; 2]) {
+        match self.per_row {
+            true => ("", [0, 1].map(|i| 1e6 / self.rows[i] as f64)),
+            false => (" ms", [1.0; 2]),
         }
-        let session = Session::new(Engine::native());
-        session.register("t", table);
-        session
-    });
-    let window = |session: &Session| {
-        let out = session.sql(WINDOW_DUP_SQL).expect("bench statement runs");
-        std::hint::black_box(out);
+    }
+}
+
+/// Every paired scaling shape `repro bench` times, rows of one gate
+/// adjacent. The native window sweeps its partitions in parallel, on
+/// `AUDB_THREADS` workers.
+const SCALING: [Scaling; 4] = [
+    // Cache-resident, past cache and far past it: the rank sweep once fell
+    // off a cache cliff between the first two sizes (32 → 72 → 113 ms from
+    // 32k to 64k rows). The ratio reads 1.1–1.7 × since the sort stopped
+    // building tuples (2.5 until then): the 1.5 × ROADMAP item 1 asked is
+    // reached as a reading, and the bound keeps headroom above it.
+    Scaling {
+        gate: "sort-scaling",
+        shape: "sort/scaling imp",
+        rows: [32_768, 262_144],
+        far: Some(1_048_576),
+        table: sort_table,
+        sql: SORT_SQL,
+        bound: 1.7,
+        per_row: true,
+    },
+    // ROADMAP item 2b; it read 1.25 × when the bound was set. The uncertain
+    // order ranges are as wide at every size ([`SyntheticConfig::range`])
+    // while the domain grows with the table, so the pool a closing window
+    // scans — printed beside each partitionless cell — should not grow.
+    Scaling {
+        gate: "window-scaling",
+        shape: "window/scaling flat",
+        rows: [16_384, 131_072],
+        far: Some(1_048_576),
+        table: window_table,
+        sql: "SELECT *, SUM(v) OVER (ORDER BY o ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s \
+              FROM t",
+        bound: 2.0,
+        per_row: true,
+    },
+    Scaling {
+        gate: "window-scaling",
+        shape: "window/scaling partitioned",
+        rows: [16_384, 131_072],
+        far: Some(1_048_576),
+        table: window_table,
+        sql: "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
+              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s FROM t",
+        bound: 2.0,
+        per_row: true,
+    },
+    // Duplicates and ranged `g`: 8 × the rows in at most 9 × the time
+    // (ROADMAP item 9; a cubic window would read 512).
+    Scaling {
+        gate: "window-dup-scaling",
+        shape: "window/dup-scaling",
+        rows: [2_048, 16_384],
+        far: None,
+        table: dup_table,
+        sql: "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
+              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t",
+        bound: 9.0,
+        per_row: false,
+    },
+];
+
+/// Runs of a far scaling cell; the median is printed.
+const FAR_RUNS: usize = 3;
+
+/// Read one [`Scaling`] shape and print its cells, each partitionless
+/// window's with the size of the possible-member pool where a window
+/// closes (mean, maximum). The far cell runs only while the pair is within
+/// its bound: past it, a superlinear operator would run for minutes before
+/// the gate could fail.
+fn read_scaling(s: &Scaling, cfg: &BenchConfig) -> Pair {
+    let prepare = |n| statement(Engine::native(), (s.table)(n), s.sql);
+    let line = |n: usize, ms: f64, prepared: &Prepared| {
+        let mut line = format!("{n:>7} rows  {:<26} {ms:>10.3} ms", s.shape);
+        if s.per_row {
+            let _ = write!(line, "  {:>8.1} ns/row", ms * 1e6 / n as f64);
+        }
+        if let Some((mean, max, _)) = pool_residency(prepared.plan()) {
+            let _ = write!(line, "  pool at a close: mean {mean:.1}, max {max}");
+        }
+        println!("{line}");
     };
-    let pair = Pair::time(pairs(cfg, false), || window(&small), || window(&large));
-    for (n, ms) in pair.cells(&WINDOW_DUP_ROWS) {
-        println!("{n:>7} rows  window/dup-scaling {ms:>10.3} ms");
+    let [a, b] = s.rows.map(prepare);
+    let pair = Pair::time(
+        pairs(cfg, false),
+        || execute(&a.0, &a.1),
+        || execute(&b.0, &b.1),
+    );
+    for ((n, ms), (_, prepared)) in pair.cells(&s.rows).into_iter().zip([&a, &b]) {
+        line(n, ms, prepared);
+    }
+    if let Some(n) = s.far.filter(|_| !cfg.quick) {
+        drop((a, b));
+        let (_, [to_a, to_b]) = s.unit();
+        match pair.ratio * to_b / to_a <= s.bound {
+            true => {
+                let (session, prepared) = prepare(n);
+                let ms = time_median(|| execute(&session, &prepared), FAR_RUNS);
+                line(n, ms, &prepared);
+            }
+            false => println!("{n:>7} rows  {:<26} skipped (pair over its bound)", s.shape),
+        }
     }
     pair
 }
@@ -959,13 +962,13 @@ fn read_stages(
 }
 
 /// Ablation: exact interval-lex vs the paper's syntactic recursion in the
-/// quadratic reference (DESIGN.md §3.2). Both run the same plan through
-/// the reference oracle's runner, differing only in the oracle's
+/// quadratic reference (DESIGN.md §3.2). Both run the same prepared plan
+/// through the reference oracle's runner, differing only in the oracle's
 /// comparison semantics.
 pub fn measure_cmp_semantics(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     let runs = if cfg.quick { 3 } else { 7 };
     let table = gen_sort_table(&SyntheticConfig::default().rows(CMP_ROWS).seed(4));
-    let plan = sort_plan(table.to_au_relation(), &[0, 1], None);
+    let (_, prepared) = statement(Engine::reference(), table.to_au_relation(), SORT_SQL);
     [
         ("interval-lex", CmpSemantics::IntervalLex),
         ("syntactic", CmpSemantics::Syntactic),
@@ -974,30 +977,31 @@ pub fn measure_cmp_semantics(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     .map(|(name, semantics)| {
         let oracle = Reference { semantics };
         let run = || {
-            let out = exec::run_materialized(&oracle, &plan, &()).expect("bench plan executes");
-            std::hint::black_box(out);
+            let out = exec::run_materialized(&oracle, prepared.plan(), &());
+            std::hint::black_box(out.expect("bench plan executes"));
         };
         (name, time_median(run, runs))
     })
     .collect()
 }
 
-/// `window/imp`, once per aggregate function.
+/// `window/imp`, once per aggregate function: the cells' window with its
+/// `SUM(v)` replaced.
 pub fn measure_window_aggregates(cfg: &BenchConfig) -> Vec<(&'static str, f64)> {
     let runs = if cfg.quick { 3 } else { 7 };
     let table = gen_window_table(&SyntheticConfig::default().rows(AGGREGATE_ROWS).seed(3));
-    let engine = Engine::native();
     [
-        WinAgg::Sum(2),
-        WinAgg::Count,
-        WinAgg::Min(2),
-        WinAgg::Max(2),
-        WinAgg::Avg(2),
+        ("sum", "SUM(v)"),
+        ("count", "COUNT(*)"),
+        ("min", "MIN(v)"),
+        ("max", "MAX(v)"),
+        ("avg", "AVG(v)"),
     ]
     .into_iter()
-    .map(|agg| {
-        let plan = window_plan(table.to_au_relation(), &[0], agg, -2, 0);
-        (agg.name(), time_median(|| execute(&engine, &plan), runs))
+    .map(|(name, call)| {
+        let sql = WINDOW_CELL_SQL.replace("SUM(v)", call);
+        let (session, prepared) = statement(Engine::native(), table.to_au_relation(), &sql);
+        (name, time_median(|| execute(&session, &prepared), runs))
     })
     .collect()
 }
@@ -1015,14 +1019,11 @@ pub struct Report {
     pub streaming_topk: Vec<StreamingRun>,
     /// The pruning block.
     pub pruning: Vec<PruningRun>,
-    /// The `sort/scaling` block.
-    pub scaling: Option<Pair>,
+    /// The pair of each shape of the scaling table (`SCALING`) read, in
+    /// its order.
+    pub scaling: Vec<Pair>,
     /// The `append/flat` block.
     pub append: Option<Pair>,
-    /// The `window/scaling` block, per shape.
-    pub window_scaling: Vec<(&'static str, Pair)>,
-    /// The `window/dup-scaling` block.
-    pub window_dup: Option<Pair>,
 }
 
 /// How one gate came out.
@@ -1125,30 +1126,10 @@ const PRUNING_MIN_SPEEDUP: f64 = 2.0;
 /// statements pay a per-statement cost proportional to the table again
 /// (the transposition, before PR 18).
 const PRUNING_MIN_SPREAD: f64 = 10.0;
-/// ns per row at `SCALING_ROWS[1]` over ns per row at `SCALING_ROWS[0]`.
-/// It reads 1.36–1.44 × since the sort stopped building tuples (PR 24:
-/// five runs; 2.5 until then — `materialise` was the stage that did not
-/// scale): the 1.5 × ROADMAP item 1 asked is reached as a reading, and the
-/// gate keeps a fifth above it for a host that is noisy by that much.
-const SCALING_MAX_RATIO: f64 = 1.7;
-/// ns per row of the native window at `WINDOW_SCALING_ROWS[1]` over ns per
-/// row at `WINDOW_SCALING_ROWS[0]`, partitioned and not (ROADMAP item 2b;
-/// it read 1.25 × when the gate was set).
-const WINDOW_SCALING_MAX_RATIO: f64 = 2.0;
-/// The `window/dup-scaling` cell at `WINDOW_DUP_ROWS[1]` over the one at
-/// `WINDOW_DUP_ROWS[0]`: 8 × the rows in at most this many times the time
-/// (ROADMAP item 9; a cubic window would read 512).
-const WINDOW_DUP_MAX_RATIO: f64 = 9.0;
 /// An append onto `APPEND_ROWS[1]` rows over one onto `APPEND_ROWS[0]`
 /// (ROADMAP item 1: "`engine.catalog_append_ms` flat between 16k and 128k
 /// rows"; linear in the table it would read 8).
 const APPEND_MAX_RATIO: f64 = 2.0;
-
-/// The scale from each arm's milliseconds to its ns per row, the arms over
-/// `rows[0]` and `rows[1]` rows.
-fn per_row(rows: &[usize]) -> [f64; 2] {
-    [0, 1].map(|i| 1e6 / rows[i] as f64)
-}
 
 /// Every within-run gate, each written here and nowhere else.
 pub fn check(report: &Report) -> Vec<GateResult> {
@@ -1169,8 +1150,7 @@ pub fn check(report: &Report) -> Vec<GateResult> {
             .find(move |p| p.n == GATE_ROWS && p.sel_pct == pct)
     };
     let ms = (" ms", [1.0; 2]);
-    let ns_per_row = |rows| ("", per_row(rows));
-    vec![
+    let mut gates = vec![
         gate(
             "footprint",
             "sort_sel input: typed ≤ columnar ≤ row B/row".into(),
@@ -1255,57 +1235,44 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                 )
             }),
         ),
+    ];
+    // One gate per run of adjacent [`SCALING`] rows, named by their `gate`.
+    let firsts =
+        (SCALING.iter().enumerate()).filter(|&(i, s)| i == 0 || SCALING[i - 1].gate != s.gate);
+    gates.extend(firsts.map(|(_, s)| {
+        let what = if s.per_row { "ns/row" } else { "ms" };
+        let [a, b] = s.rows;
+        let rows = (SCALING.iter().zip(&report.scaling)).filter(|(row, _)| row.gate == s.gate);
         pair_gate(
-            "sort-scaling",
-            format!(
-                "ns/row at {} ≤ {SCALING_MAX_RATIO} × ns/row at {}",
-                SCALING_ROWS[1], SCALING_ROWS[0]
-            ),
-            "the sort/scaling block",
-            ns_per_row(&SCALING_ROWS),
-            |ratio| ratio <= SCALING_MAX_RATIO,
-            report.scaling.iter().map(|p| (String::new(), p)),
+            s.gate,
+            format!("{what} at {b} ≤ {} × {what} at {a}", s.bound),
+            &format!("the {} rows", s.gate),
+            s.unit(),
+            |ratio| ratio <= s.bound,
+            rows.map(|(row, p)| (format!("{}: ", row.shape), p)),
+        )
+    }));
+    gates.push(pair_gate(
+        "append-flat",
+        format!(
+            "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
+            APPEND_ROWS[1], APPEND_ROWS[0]
         ),
-        pair_gate(
-            "window-scaling",
-            format!(
-                "window ns/row at {} ≤ {WINDOW_SCALING_MAX_RATIO} × ns/row at {}",
-                WINDOW_SCALING_ROWS[1], WINDOW_SCALING_ROWS[0]
-            ),
-            "the window/scaling block",
-            ns_per_row(&WINDOW_SCALING_ROWS),
-            |ratio| ratio <= WINDOW_SCALING_MAX_RATIO,
-            (report.window_scaling.iter()).map(|(how, p)| (format!("{how}: "), p)),
-        ),
-        pair_gate(
-            "window-dup-scaling",
-            format!(
-                "duplicates and ranged g: ms at {} ≤ {WINDOW_DUP_MAX_RATIO} × ms at {}",
-                WINDOW_DUP_ROWS[1], WINDOW_DUP_ROWS[0]
-            ),
-            "the window/dup-scaling block",
-            ms,
-            |ratio| ratio <= WINDOW_DUP_MAX_RATIO,
-            report.window_dup.iter().map(|p| (String::new(), p)),
-        ),
-        pair_gate(
-            "append-flat",
-            format!(
-                "a {STREAM_BATCH}-row append onto {} rows ≤ {APPEND_MAX_RATIO} × one onto {}",
-                APPEND_ROWS[1], APPEND_ROWS[0]
-            ),
-            "the append/flat block",
-            (" µs", [1e3; 2]),
-            |ratio| ratio <= APPEND_MAX_RATIO,
-            report.append.iter().map(|p| (String::new(), p)),
-        ),
-    ]
+        "the append/flat block",
+        (" µs", [1e3; 2]),
+        |ratio| ratio <= APPEND_MAX_RATIO,
+        report.append.iter().map(|p| (String::new(), p)),
+    ));
+    gates
 }
 
 /// Measure and print every block, then every gate of [`check`]. Returns
 /// the process exit code: 1 when a gate [`GateResult::blocks`].
 pub fn run(cfg: &BenchConfig) -> i32 {
-    let scaling = measure_scaling(cfg);
+    // The window shapes time the production sweep, partitions in parallel.
+    let threads = audb_par::num_threads();
+    println!("scaling, threads: {threads}");
+    let scaling = SCALING.iter().map(|s| read_scaling(s, cfg)).collect();
     let footprints = measure(cfg);
     for f in &footprints {
         println!(
@@ -1339,11 +1306,6 @@ pub fn run(cfg: &BenchConfig) -> i32 {
     for (n, what, ns) in measure_ingest(cfg) {
         println!("{n:>7} rows  ingest/csv {what:<8} {ns:>10.1} ns/row");
     }
-    // The window cells time the production sweep, partitions in parallel.
-    let threads = audb_par::num_threads();
-    println!("window/scaling, threads: {threads}");
-    let window_scaling = measure_window_scaling(cfg);
-    let window_dup = measure_window_dup(cfg);
     println!("stages, threads: {threads} (a window stage sums its partitions)");
     let line = |n: usize, block: &str, name: &str, ms: f64| {
         println!("{n:>7} rows  {block:<18} {name:<12} {ms:>10.3} ms");
@@ -1369,10 +1331,8 @@ pub fn run(cfg: &BenchConfig) -> i32 {
         streaming,
         streaming_topk,
         pruning,
-        scaling: Some(scaling),
+        scaling,
         append: Some(append),
-        window_scaling,
-        window_dup: Some(window_dup),
     });
     for g in &gates {
         let verdict = match g.verdict {
@@ -1429,14 +1389,15 @@ mod tests {
                 pruning(16_000, 1, 0.03, 0.17, 15),
                 pruning(16_000, 50, 0.86, 0.96, 8),
             ],
-            // 162 and 222 ns/row; 1 100 and 1 400 ns/row.
-            scaling: Some(pair(5.3, 58.2)),
-            append: Some(pair(0.150, 0.170)),
-            window_scaling: vec![
-                ("flat", pair(18.0, 183.5)),
-                ("partitioned", pair(18.0, 183.5)),
+            // `SCALING`'s rows: 162 and 222 ns/row; 1 100 and 1 400 ns/row
+            // flat and partitioned; 8.3 × the time for 8 × the rows.
+            scaling: vec![
+                pair(5.3, 58.2),
+                pair(18.0, 183.5),
+                pair(18.0, 183.5),
+                pair(3.0, 25.0),
             ],
-            window_dup: Some(pair(3.0, 25.0)),
+            append: Some(pair(0.150, 0.170)),
         }
     }
 
@@ -1556,25 +1517,19 @@ mod tests {
     fn sort_scaling_gate_fails_alone() {
         // 1.9 × the small cell's ns/row: inside the 2.5 × this gate allowed
         // until PR 24, outside what it allows now.
-        fails_alone("sort-scaling", true, |r| {
-            r.scaling.as_mut().expect("passing").ratio = 15.2
-        });
+        fails_alone("sort-scaling", true, |r| r.scaling[0].ratio = 15.2);
     }
 
     #[test]
     fn window_scaling_gate_fails_alone() {
         // The partitioned cell alone: either shape past the ratio fails it.
-        fails_alone("window-scaling", true, |r| {
-            r.window_scaling[1].1.ratio = 18.0
-        });
+        fails_alone("window-scaling", true, |r| r.scaling[2].ratio = 18.0);
     }
 
     #[test]
     fn window_dup_scaling_gate_fails_alone() {
         // 9.5 × the time for 8 × the rows.
-        fails_alone("window-dup-scaling", true, |r| {
-            r.window_dup.as_mut().expect("passing").ratio = 9.5
-        });
+        fails_alone("window-dup-scaling", true, |r| r.scaling[3].ratio = 9.5);
     }
 
     #[test]
@@ -1630,6 +1585,94 @@ mod tests {
             ..Report::default()
         };
         assert_gate_holds(&report, "kernels");
+    }
+
+    /// Every [`SCALING`] statement, read once over an eighth of its arm a's
+    /// rows, binds to the plan its gate timed before the shapes were SQL:
+    /// `runner::sort_plan`'s sort, the window built through `Query` without
+    /// and with a partition by `g`, and the dup statement's text.
+    #[test]
+    fn scaling_statements_bind_to_the_plans_the_gates_timed() {
+        use audb_core::WinAgg;
+        use audb_engine::{Query, WindowSpec};
+        use audb_workloads::runner::sort_plan;
+        let window = |rel: AuRelation, partition: Option<usize>| {
+            let spec = WindowSpec::rows(-2, 0)
+                .order_by([0])
+                .partition_by(partition);
+            let query = Query::scan(rel).window(spec.aggregate(WinAgg::Sum(2)).output("s"));
+            query.build().expect("a valid window")
+        };
+        let dup_sql = "SELECT *, SUM(v) OVER (PARTITION BY g ORDER BY o \
+                       ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS x FROM t";
+        for s in &SCALING {
+            let n = s.rows[0] / 8;
+            let (session, prepared) = statement(Engine::native(), (s.table)(n), s.sql);
+            execute(&session, &prepared);
+            let want = match s.shape {
+                "sort/scaling imp" => sort_plan(sort_table(n), &[0, 1], None),
+                "window/scaling flat" => window(window_table(n), None),
+                "window/scaling partitioned" => window(window_table(n), Some(1)),
+                _ => statement(Engine::native(), dup_table(n), dup_sql)
+                    .1
+                    .plan()
+                    .clone(),
+            };
+            assert_eq!(prepared.plan().ops(), want.ops(), "{}", s.shape);
+        }
+    }
+
+    /// The cells' and `window/aggregates`' statements bind to the plans
+    /// they were built as through `runner::{sort_plan, window_plan}` and
+    /// `Query`.
+    #[test]
+    fn cell_statements_bind_to_the_plans_they_replaced() {
+        use audb_core::WinAgg;
+        use audb_engine::Query;
+        use audb_workloads::runner::{sort_plan, window_plan};
+        let (sort, window) = (sort_table(1_000), window_table(1_000));
+        let sort_sel = Query::scan(sort.clone())
+            .select(RangeExpr::col(1).le(RangeExpr::lit(10_000i64)))
+            .project_exprs([
+                (RangeExpr::col(0), "a".to_string()),
+                (
+                    RangeExpr::Add(Box::new(RangeExpr::col(1)), Box::new(RangeExpr::col(2))),
+                    "bid".to_string(),
+                ),
+            ])
+            .sort_by(["a", "bid"]);
+        let sort_sel_sql = "SELECT a, b + id AS bid FROM t WHERE b <= 10000 ORDER BY a, bid";
+        let aggs = [
+            (WinAgg::Sum(2), "SUM(v)"),
+            (WinAgg::Count, "COUNT(*)"),
+            (WinAgg::Min(2), "MIN(v)"),
+            (WinAgg::Max(2), "MAX(v)"),
+            (WinAgg::Avg(2), "AVG(v)"),
+        ];
+        let windows = aggs.map(|(agg, call)| {
+            let plan = window_plan(window.clone(), &[0], agg, -2, 0);
+            (
+                window.clone(),
+                WINDOW_CELL_SQL.replace("SUM(v)", call),
+                plan,
+            )
+        });
+        let sorts = [
+            (
+                sort.clone(),
+                SORT_SQL.to_string(),
+                sort_plan(sort.clone(), &[0, 1], None),
+            ),
+            (
+                sort,
+                sort_sel_sql.to_string(),
+                sort_sel.build().expect("a valid plan"),
+            ),
+        ];
+        for (table, sql, want) in sorts.into_iter().chain(windows) {
+            let (_, prepared) = statement(Engine::native(), table, &sql);
+            assert_eq!(prepared.plan().ops(), want.ops(), "{sql}");
+        }
     }
 
     /// Every stage block, read once over an eighth of its rows, reports

@@ -15,6 +15,7 @@
 
 use audb_engine::{Engine, Session, SharedCatalog};
 use audb_workloads::csvload;
+use std::fs::File;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
@@ -54,12 +55,13 @@ impl Default for SqlOptions {
 pub fn load_catalog(dir: &str, tables: &[(String, String)]) -> io::Result<(SharedCatalog, String)> {
     let catalog = SharedCatalog::new();
     if Path::new(dir).is_dir() {
-        for (name, rel) in csvload::load_au_dir(dir)? {
-            catalog.register(name, rel);
+        for (name, cols) in csvload::load_au_dir(dir)? {
+            catalog.register_columns(name, cols);
         }
     }
     for (name, path) in tables {
-        catalog.register(name.clone(), csvload::load_au_csv(path)?);
+        let cols = csvload::read_au_csv_columns(File::open(path)?)?;
+        catalog.register_columns(name.clone(), cols);
     }
     let snapshot = catalog.snapshot();
     let listing: Vec<_> = snapshot

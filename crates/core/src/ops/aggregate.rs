@@ -1,26 +1,8 @@
-//! Grouping aggregation over AU-DBs — a pragmatic subset of the full
-//! aggregation semantics of \[24\], sufficient for the paper's evaluation
-//! queries (which pre-aggregate before ranking, Sec. 9.2).
-//!
-//! Groups are identified by their **selected-guess keys**: one output row is
-//! produced per distinct sg-projection of the group-by attributes. For each
-//! group `g`:
-//!
-//! * a row is **certainly** a member iff its group attributes are certain
-//!   and equal to `g` and it certainly exists;
-//! * a row is **possibly** a member iff its group-attribute ranges contain
-//!   `g`;
-//! * aggregation bounds fold certain members' contribution ranges and widen
-//!   by possible members' optional contributions (a possible member may be
-//!   absent, so e.g. a possible positive value never lowers a sum's lower
-//!   bound).
-//!
-//! Relative to full \[24\] this simplification outputs point (sg) group keys
-//! rather than range keys, so *possible groups whose key range never
-//! materializes as a selected guess* are not represented. All groups that
-//! exist in the selected-guess world are represented, and their aggregate
-//! bounds cover every possible world — which is what the downstream ranking
-//! experiments consume. See DESIGN.md §3.6.
+//! Grouping aggregation over AU-DBs on point selected-guess keys: a row
+//! whose group attributes are points is a member of its own group, one
+//! with a ranged attribute a possible member of every key its ranges
+//! contain. DESIGN.md §3.6 has the semantics, how the bounds fold and
+//! what point keys leave out.
 
 use crate::mult::Mult3;
 use crate::ops::window::{attr_range, WinAgg};

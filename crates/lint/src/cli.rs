@@ -1,14 +1,13 @@
-//! The `repro lint` entry point: scan, render (text or JSON), exit code.
+//! The `repro lint` entry point: scan, render, exit code.
 
 use crate::rules::{self, Diagnostic};
 use crate::scan::{find_root, Workspace};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Parsed command line for `repro lint`.
 #[derive(Debug, Default)]
 pub struct LintArgs {
-    /// Emit the machine-readable JSON report instead of text.
-    pub json: bool,
     /// Restrict reporting to one rule id.
     pub rule: Option<String>,
     /// Workspace root override (default: walk up from the current dir).
@@ -24,7 +23,6 @@ impl LintArgs {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--json" => out.json = true,
                 "--list" => out.list = true,
                 "--rule" => {
                     let id = it.next().ok_or("--rule needs a rule id")?;
@@ -38,9 +36,7 @@ impl LintArgs {
                     out.root = Some(PathBuf::from(p));
                 }
                 "--help" | "-h" => {
-                    return Err(
-                        "usage: repro lint [--json] [--rule ID] [--root PATH] [--list]".into(),
-                    )
+                    return Err("usage: repro lint [--rule ID] [--root PATH] [--list]".into())
                 }
                 other => return Err(format!("unknown argument `{other}` (try --help)")),
             }
@@ -99,104 +95,31 @@ pub fn cli(args: &[String]) -> Result<i32, String> {
     if let Some(rule) = &args.rule {
         report.diagnostics.retain(|d| d.rule == rule);
     }
-    if args.json {
-        println!("{}", render_json(&report));
-    } else {
-        for d in &report.diagnostics {
-            println!("{d}");
-        }
-        if report.diagnostics.is_empty() {
-            println!(
-                "lint clean: 0 diagnostics ({} files + {} manifests scanned, {} justified allows)",
-                report.files_scanned,
-                report.manifests_scanned,
-                report.allows.len()
-            );
-        } else {
-            println!(
-                "{} diagnostic(s) ({} files + {} manifests scanned)",
-                report.diagnostics.len(),
-                report.files_scanned,
-                report.manifests_scanned
-            );
-        }
-    }
+    print!("{}", render(&report));
     Ok(if report.diagnostics.is_empty() { 0 } else { 1 })
 }
 
-/// Render the machine-readable report (stable shape, validated in CI).
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"artifact\": \"audb_lint_report\",\n");
-    s.push_str("  \"schema_version\": 1,\n");
-    s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    s.push_str(&format!(
-        "  \"manifests_scanned\": {},\n",
-        report.manifests_scanned
-    ));
-    s.push_str("  \"rules\": [");
-    for (i, r) in rules::RULES.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_str(r.id));
+/// The text report: each diagnostic, a summary line, then each justified
+/// allow in force as `file:line: [rule] reason`.
+fn render(report: &Report) -> String {
+    let mut s = String::new();
+    for d in &report.diagnostics {
+        let _ = writeln!(s, "{d}");
     }
-    s.push_str("],\n");
-    s.push_str("  \"diagnostics\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str(&format!(
-            "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"hint\": {}}}",
-            json_str(d.rule),
-            json_str(&d.file),
-            d.line,
-            d.col,
-            json_str(&d.message),
-            json_str(d.hint)
-        ));
+    let head = match report.diagnostics.len() {
+        0 => "lint clean: 0 diagnostics".to_string(),
+        n => format!("{n} diagnostic(s)"),
+    };
+    let (files, manifests) = (report.files_scanned, report.manifests_scanned);
+    let allows = report.allows.len();
+    let _ = writeln!(
+        s,
+        "{head} ({files} files + {manifests} manifests scanned, {allows} justified allows)"
+    );
+    for (file, line, rule, reason) in &report.allows {
+        let _ = writeln!(s, "  {file}:{line}: [{rule}] {reason}");
     }
-    s.push_str(if report.diagnostics.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"allows\": [");
-    for (i, (file, line, rule, reason)) in report.allows.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"reason\": {}}}",
-            json_str(file),
-            line,
-            json_str(rule),
-            json_str(reason)
-        ));
-    }
-    s.push_str(if report.allows.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    s.push('}');
     s
-}
-
-/// Minimal JSON string encoder (the linter is dependency-free).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -205,33 +128,53 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let ok =
-            LintArgs::parse(&["--json".into(), "--rule".into(), "no-raw-spawn".into()]).unwrap();
-        assert!(ok.json);
+        let ok = LintArgs::parse(&["--rule".into(), "no-raw-spawn".into()]).unwrap();
         assert_eq!(ok.rule.as_deref(), Some("no-raw-spawn"));
         assert!(LintArgs::parse(&["--rule".into(), "nope".into()]).is_err());
         assert!(LintArgs::parse(&["--wat".into()]).is_err());
+        assert!(LintArgs::parse(&["--json".into()]).is_err());
     }
 
     #[test]
-    fn json_report_is_wellformed() {
-        let report = Report {
-            diagnostics: vec![Diagnostic {
-                rule: "no-raw-spawn",
-                file: "crates/x/src/lib.rs".into(),
-                line: 3,
-                col: 7,
-                message: "raw `thread::spawn` with \"quotes\"".into(),
-                hint: "use audb_par",
-            }],
-            files_scanned: 1,
+    fn the_report_lists_every_allow_under_its_summary() {
+        let mut report = Report {
+            diagnostics: Vec::new(),
+            files_scanned: 2,
             manifests_scanned: 1,
-            allows: vec![("a.rs".into(), 9, "no-raw-spawn".into(), "why".into())],
+            allows: vec![
+                ("a.rs".into(), 9, "no-raw-spawn".into(), "why".into()),
+                (
+                    "b.rs".into(),
+                    3,
+                    "no-panic-hot-path".into(),
+                    "because".into(),
+                ),
+            ],
         };
-        let json = render_json(&report);
-        assert!(json.contains("\"audb_lint_report\""));
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"line\": 3"));
-        assert!(json.contains("\"reason\": \"why\""));
+        let clean =
+            "lint clean: 0 diagnostics (2 files + 1 manifests scanned, 2 justified allows)\n\
+                     \x20 a.rs:9: [no-raw-spawn] why\n\
+                     \x20 b.rs:3: [no-panic-hot-path] because\n";
+        assert_eq!(render(&report), clean);
+        report.diagnostics.push(Diagnostic {
+            rule: "no-raw-spawn",
+            file: "crates/x/src/lib.rs".into(),
+            line: 3,
+            col: 7,
+            message: "raw `thread::spawn`".into(),
+            hint: "use audb_par",
+        });
+        let text = render(&report);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        assert!(
+            lines[0].starts_with("crates/x/src/lib.rs:3:7: [no-raw-spawn]"),
+            "{text}"
+        );
+        assert_eq!(
+            lines[2],
+            "1 diagnostic(s) (2 files + 1 manifests scanned, 2 justified allows)"
+        );
+        assert_eq!(lines[3..], clean.lines().skip(1).collect::<Vec<_>>()[..]);
     }
 }

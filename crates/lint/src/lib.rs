@@ -24,7 +24,8 @@
 //! above) the offending line. The reason is mandatory — a reasonless or
 //! unknown-rule allow is itself reported (`allow-malformed`).
 //!
-//! Run it as `repro lint [--json] [--rule ID] [--list]`; the workspace
+//! Run it as `repro lint [--rule ID] [--list]`; the report lists every
+//! justified allow in force under its summary line. The workspace
 //! must come back clean (`cargo test -p audb-lint` enforces this, which
 //! puts the linter in the tier-1 gate). See DESIGN.md §12 for the rule
 //! catalog rationale and how to add a rule.
@@ -34,6 +35,6 @@ pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-pub use cli::{cli, render_json, run, LintArgs, Report};
+pub use cli::{cli, run, LintArgs, Report};
 pub use rules::{Diagnostic, Rule, RULES};
 pub use scan::{Manifest, SourceFile, Workspace};

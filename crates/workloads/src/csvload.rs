@@ -343,9 +343,9 @@ pub fn load_au_csv(path: impl AsRef<Path>) -> io::Result<AuRelation> {
     read_au_csv(File::open(path)?)
 }
 
-/// Load every `*.csv` in a directory as `(file stem, relation)` pairs, in
+/// Load every `*.csv` in a directory as `(file stem, columns)` pairs, in
 /// name order — the table set `repro sql` registers.
-pub fn load_au_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, AuRelation)>> {
+pub fn load_au_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, AuColumns)>> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)?
         .collect::<io::Result<Vec<_>>>()?
         .into_iter()
@@ -360,9 +360,10 @@ pub fn load_au_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, AuRelation)
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            let rel = load_au_csv(&p)
-                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", p.display())))?;
-            Ok((name, rel))
+            let cols = File::open(&p).and_then(read_au_csv_columns);
+            let cols =
+                cols.map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", p.display())))?;
+            Ok((name, cols))
         })
         .collect()
 }

@@ -377,7 +377,7 @@ mod tests {
     /// With declared ranges (the default generator) the AU bounds are
     /// strictly looser than the truth but still cover it; with declared
     /// ranges stripped (AU = alternative hull) the position bounds are
-    /// exactly tight on single-attribute uncertainty (DESIGN.md §3.6).
+    /// exactly tight on single-attribute uncertainty.
     #[test]
     fn imp_sort_bounds_tight_iff_hull() {
         let cfg = SyntheticConfig::default().rows(200).seed(4);
