@@ -1704,8 +1704,9 @@ mod tests {
         ];
         // At an eighth of `filter/stages`' rows, 16 384, each `id <` bound
         // still falls inside a batch, so the zone maps leave a
-        // `truth_batch` to run.
-        let filter = ["fuse(", "truth_batch", "topk", "to_rows"];
+        // `truth_batch` to run; each top-k reports its band and the encode
+        // of the band's rows.
+        let filter = ["fuse(", "truth_batch", "topk", "band", "encode", "to_rows"];
         for block @ (name, rows, ..) in &STAGE_BLOCKS {
             let (heard, pools) = read_stages(block, rows / 8, 1);
             let names: Vec<&str> = heard.iter().map(|(row, _)| row.as_str()).collect();

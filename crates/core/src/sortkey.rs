@@ -263,18 +263,23 @@ impl<'a> PrefixReader<'a> {
         let number = match self.0.first() {
             Some(PhysSlice::I64(lane)) => lane[row] as f64,
             Some(PhysSlice::F64(lane)) if !lane[row].is_nan() => lane[row],
-            _ => {
-                let mut head = Head::default();
-                for &lane in &self.0 {
-                    if head.len == 8 {
-                        break;
-                    }
-                    encode_at(lane, row, &mut head);
-                }
-                return head.word;
-            }
+            _ => return self.encoded(row),
         };
         u64::from(TAG_NUM) << 56 | mono_f64(number) >> 8
+    }
+
+    /// [`PrefixReader::at`] off the numeric fast path, out of line, so a
+    /// loop over `at` stays small around the closed form.
+    #[inline(never)]
+    fn encoded(&self, row: usize) -> u64 {
+        let mut head = Head::default();
+        for &lane in &self.0 {
+            if head.len == 8 {
+                break;
+            }
+            encode_at(lane, row, &mut head);
+        }
+        head.word
     }
 }
 

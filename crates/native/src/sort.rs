@@ -35,7 +35,8 @@
 //!    `<total_O`, read off the lanes ([`PrefixReader`]) beside `3 · row +
 //!    corner` — no key is encoded here. A row that is certain on every
 //!    attribute has one key for all three corners and one prefix;
-//!    zero-multiplicity rows are dropped here.
+//!    zero-multiplicity rows are dropped here. Under `LIMIT k` only the
+//!    band's rows (stage 4) come this far.
 //! 2. **Rank.** One stable radix sort of those `(prefix, id)` pairs
 //!    ([`sort_prefixes`]) — each row's `O↓` key plus the selected-guess and
 //!    `O↑` keys of uncertain rows — assigns one dense rank space to all
@@ -48,13 +49,15 @@
 //!    their rank triple and sit in one run of the scan order; they fold
 //!    into the first stored copy. Selected-guess positions (Equation (2))
 //!    are a prefix sum of `k_sg` mass per rank.
-//! 4. **Band** (top-k only, ahead of ranking). Rows that cannot reach
-//!    rank `k` and cannot move the bounds of a row that can are dropped by
-//!    linear passes over the prefixes — the candidate band of DESIGN.md
-//!    §3.3; on prefixes it is a superset of the band on keys, and what it
-//!    keeps beyond that is certainly out and precedes no row that is not.
-//!    A subscription ([`crate::maintain::TopKMaintain`]) keeps these rows,
-//!    merged, and nothing else between appends ([`band_rows`]).
+//! 4. **Band** (top-k only, ahead of the other three). Rows that cannot
+//!    reach rank `k` and cannot move the bounds of a row that can are
+//!    dropped before anything is encoded, by linear passes that read the
+//!    multiplicity lanes and the `O↓` and `O↑` prefixes off the lanes in
+//!    stored order — the candidate band of DESIGN.md §3.3; on prefixes it
+//!    is a superset of the band on keys, and what it keeps beyond that is
+//!    certainly out and precedes no row that is not. A subscription
+//!    ([`crate::maintain::TopKMaintain`]) keeps these rows, merged, and
+//!    nothing else between appends ([`band_rows`]).
 //!
 //! From there on every comparison is an integer compare. Under `LIMIT k`
 //! every mass the ranks add up counts a row's multiplicity as `min(·, k)`:
@@ -166,7 +169,7 @@ pub fn topk_native(rel: &AuRelation, order: &[usize], k: u64, pos_name: &str) ->
 /// `σ_{τ < k}` fused into the scan with early termination, position bounds
 /// capped at `k` (paper Algorithm 1, `emit`). Panics if more than
 /// [`MAX_OUTPUT_ROWS`] rows would come out ([`output_rows_bound`]: the
-/// engine asks first). Reports `"encode"`, `"band"` (top-k only),
+/// engine asks first). Reports `"band"` (top-k only), `"encode"`,
 /// `"rank"`, `"merge"`, `"sweep"` and `"materialise"` to `stages`.
 pub fn sort_columns_native<S: Stages>(
     cols: &AuColumns,
@@ -222,14 +225,14 @@ type KeyRef = (u64, u32);
 /// `cols` — all of them, or one partition — in emission order, or with
 /// `SCAN` in `O↓` scan order, along which `τ↓` never decreases (the
 /// window's arrivals). `normalized` asserts those rows are distinct and
-/// zero-free, which skips the merge. Reports `"encode"`, `"band"` (top-k
-/// only), `"rank"`, `"merge"` and `"sweep"` to `stages`. Never inlined:
-/// inlined into the sort, its one caller per sink, it read `rank_scan`
-/// ≈ 8 % slower.
+/// zero-free, which skips the merge. Reports `"band"` (top-k only),
+/// `"encode"`, `"rank"`, `"merge"` and `"sweep"` to `stages`. Never
+/// inlined: inlined into the sort, its one caller per sink, it read
+/// `rank_scan` ≈ 8 % slower.
 #[inline(never)]
 pub(crate) fn positions<const SCAN: bool, S: Stages>(
     cols: &AuColumns,
-    rows: impl ExactSizeIterator<Item = usize>,
+    rows: impl ExactSizeIterator<Item = usize> + Clone,
     order: &[usize],
     normalized: bool,
     k: Option<u64>,
@@ -238,14 +241,17 @@ pub(crate) fn positions<const SCAN: bool, S: Stages>(
     if k == Some(0) {
         return Vec::new(); // every position is ≥ 0
     }
-    let at = stages.mark();
+    let mut at = stages.mark();
     let idxs = total_order(cols.arity(), order);
-    let (mut cands, mut refs) = encode(cols, rows, &idxs, k);
-    let mut at = stages.stage(at, "encode");
-    if let Some(k) = k {
-        band(&cands, &mut refs, k);
-        at = stages.stage(at, "band");
-    }
+    let (mut cands, mut refs) = match k {
+        Some(k) => {
+            let kept = band(cols, rows, &idxs, k);
+            at = stages.stage(at, "band");
+            encode(cols, kept.into_iter(), &idxs, Some(k))
+        }
+        None => encode(cols, rows, &idxs, None),
+    };
+    let at = stages.stage(at, "encode");
     let (mut scanned, rank_count) = rank(cols, &idxs, &mut cands, &mut refs);
     let at = stages.stage(at, "rank");
     if !normalized {
@@ -275,14 +281,16 @@ fn checked(sum: Option<u64>) -> u64 {
 }
 
 /// The rows a top-k over `cols` reads, with their annotations: stages 1–4
-/// without the sweep. Identical hypercubes are folded into their first
-/// stored copy, and every annotation counts `min(·, k)` per stored copy —
-/// so a top-k over these rows is the top-k over `cols`, and so is the band
-/// of these rows and more appended to them (DESIGN.md §3.3).
+/// without the sweep — the band read off the lanes first, then only its
+/// rows encoded, ranked and merged. Identical hypercubes are folded into
+/// their first stored copy, and every annotation counts `min(·, k)` per
+/// stored copy — so a top-k over these rows is the top-k over `cols`, and
+/// so is the band of these rows and more appended to them (DESIGN.md
+/// §3.3).
 pub fn band_rows(cols: &AuColumns, order: &[usize], k: u64) -> Vec<(usize, Mult3)> {
     let idxs = total_order(cols.arity(), order);
-    let (mut cands, mut refs) = encode(cols, 0..cols.len(), &idxs, Some(k));
-    band(&cands, &mut refs, k);
+    let kept = band(cols, 0..cols.len(), &idxs, k);
+    let (mut cands, mut refs) = encode(cols, kept.into_iter(), &idxs, Some(k));
     let (mut scanned, _) = rank(cols, &idxs, &mut cands, &mut refs);
     merge(&mut scanned);
     (scanned.iter()).map(|c| (c.row as usize, c.mult)).collect()
@@ -329,40 +337,50 @@ fn encode(
     (cands, refs)
 }
 
-/// Stage 4, top-k: keep the references of the candidate band (DESIGN.md
-/// §3.3), on prefixes alone. `K` is the `O↑` prefix by which certain mass
-/// `k` has accumulated — a row whose `O↓` prefix lies beyond it has `τ↓ ≥
-/// k`. `M` is the largest `O↑` prefix among the rows not beyond `K`; a row
-/// whose `O↓` prefix lies beyond `M` precedes none of them in any world,
-/// so their bounds are the same without it. With fewer than `k` certain
-/// rows every row may reach the top k. A cut candidate keeps its place in
-/// `cands` and is never ranked.
-fn band(cands: &[Cand], refs: &mut Vec<KeyRef>, k: u64) {
-    let certain = cands
-        .iter()
-        .fold(0u64, |mass, c| mass.saturating_add(c.mult.lb));
-    if certain < k {
-        return;
-    }
-    // `(cand, O↓ prefix, O↑ prefix)`: a certain row's one reference is both.
-    let corners = || {
-        (refs.chunk_by(|a, b| a.1 / 3 == b.1 / 3)).map(|keys| {
-            (
-                &cands[keys[0].1 as usize / 3],
-                keys[0].0,
-                keys[keys.len() - 1].0,
-            )
-        })
-    };
-    // The smallest `O↑` prefixes of certain rows, as few as hold mass ≥ k.
+/// Stage 4, top-k, ahead of the other three: the rows of `rows` with a
+/// non-zero annotation that the candidate band keeps (DESIGN.md §3.3), in
+/// stored order — two linear passes over the multiplicity lanes and the
+/// `O↓` and `O↑` prefixes ([`PrefixReader`]), nothing encoded. `K` is the
+/// `O↑` prefix by which certain mass `k` has accumulated, `min(k↓, k)` a
+/// row — a row whose `O↓` prefix lies beyond it has `τ↓ ≥ k`. `M` is the
+/// largest `O↑` prefix among the rows not beyond `K`; a row whose `O↓`
+/// prefix lies beyond `M` precedes none of them in any world, so their
+/// bounds are the same without it. With fewer than `k` certain rows every
+/// row may reach the top k.
+fn band(
+    cols: &AuColumns,
+    rows: impl Iterator<Item = usize> + Clone,
+    idxs: &[usize],
+    k: u64,
+) -> Vec<usize> {
+    let [lb_key, ub_key] =
+        [Corner::Lb, Corner::Ub].map(|corner| PrefixReader::new(cols, corner, idxs));
+    let [lbs, sgs, ubs] = [cols.mult_lb(), cols.mult_sg(), cols.mult_ub()];
+    let counted = |&r: &usize| lbs[r] | sgs[r] | ubs[r] != 0;
+    // `K`: the smallest `O↑` prefixes of certain rows, as few as hold mass
+    // ≥ k. `near`: the rows whose `O↓` prefix was not beyond `K` when read.
+    // `K` only falls, so they hold every row not beyond the last; a row
+    // beyond it is beyond on its `O↑` prefix, too, and leaves `K` alone.
     let mut smallest = BinaryHeap::new();
+    let mut near = Vec::new();
     let mut mass = 0u64;
-    for (c, _, ub) in corners().filter(|(c, ..)| c.mult.lb > 0) {
-        if mass >= k && smallest.peek().is_some_and(|&(top, _)| top <= ub) {
+    for r in rows.clone() {
+        let lb = lb_key.at(r);
+        let top = smallest.peek().filter(|_| mass >= k).map(|&(top, _)| top);
+        if top.is_some_and(|top| top < lb) || !counted(&r) {
             continue;
         }
-        smallest.push((ub, c.mult.lb));
-        mass = mass.saturating_add(c.mult.lb);
+        near.push((lb, r));
+        let certain = lbs[r].min(k);
+        if certain == 0 {
+            continue;
+        }
+        let ub = ub_key.at(r);
+        if top.is_some_and(|top| top <= ub) {
+            continue;
+        }
+        smallest.push((ub, certain));
+        mass = mass.saturating_add(certain);
         while let Some(&(_, top_mass)) = smallest.peek() {
             if mass - top_mass < k {
                 break;
@@ -371,24 +389,19 @@ fn band(cands: &[Cand], refs: &mut Vec<KeyRef>, k: u64) {
             smallest.pop();
         }
     }
-    let Some(&(threshold, _)) = smallest.peek() else {
-        return;
+    // The mass falls short of `k` only where it holds every certain row;
+    // `near` then holds every row.
+    let Some(&(threshold, _)) = smallest.peek().filter(|_| mass >= k) else {
+        return near.into_iter().map(|(_, r)| r).collect();
     };
-    let Some(reach) = corners()
-        .filter(|&(_, lb, _)| lb <= threshold)
-        .map(|(.., ub)| ub)
+    // `M`, then the rows not beyond it.
+    let reach = (near.iter())
+        .filter(|&&(lb, _)| lb <= threshold)
+        .map(|&(_, r)| ub_key.at(r))
         .max()
-    else {
-        return;
-    };
-    // A row's `O↓` reference comes first and decides for its other two.
-    let mut keep = false;
-    refs.retain(|&(prefix, id)| {
-        if id % 3 == LB as u32 {
-            keep = prefix <= reach;
-        }
-        keep
-    });
+        .unwrap_or(u64::MAX);
+    rows.filter(|r| lb_key.at(*r) <= reach && counted(r))
+        .collect()
 }
 
 /// Stage 2: one dense rank space for all three corners — `rank(x) <
@@ -561,7 +574,8 @@ fn sweep<const SCAN: bool>(scanned: &[Cand], sg_base: &[u64], k: Option<u64>) ->
 mod tests {
     use super::*;
     use audb_core::{sort_ref, topk_ref, AuTuple, CmpSemantics, RangeValue};
-    use audb_rel::Schema;
+    use audb_rel::{Schema, Value};
+    use proptest::prelude::*;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)
@@ -757,8 +771,151 @@ mod tests {
             .bag_eq(&topk_native(&example6(), &[0, 1], 2, "pos")));
         assert_eq!(
             heard.into_inner().unwrap(),
-            ["encode", "band", "rank", "merge", "sweep", "materialise"]
+            ["band", "encode", "rank", "merge", "sweep", "materialise"]
         );
+    }
+
+    /// The band as it ran on encoded references, before it moved onto the
+    /// lanes: the oracle [`band`] is held to. A cut candidate keeps its
+    /// place in `cands`; its references are dropped.
+    fn band_of_refs(cands: &[Cand], refs: &mut Vec<KeyRef>, k: u64) {
+        let certain = cands
+            .iter()
+            .fold(0u64, |mass, c| mass.saturating_add(c.mult.lb));
+        if certain < k {
+            return;
+        }
+        // `(cand, O↓ prefix, O↑ prefix)`: a certain row's one reference is both.
+        let corners = || {
+            (refs.chunk_by(|a, b| a.1 / 3 == b.1 / 3)).map(|keys| {
+                (
+                    &cands[keys[0].1 as usize / 3],
+                    keys[0].0,
+                    keys[keys.len() - 1].0,
+                )
+            })
+        };
+        // The smallest `O↑` prefixes of certain rows, as few as hold mass ≥ k.
+        let mut smallest = BinaryHeap::new();
+        let mut mass = 0u64;
+        for (c, _, ub) in corners().filter(|(c, ..)| c.mult.lb > 0) {
+            if mass >= k && smallest.peek().is_some_and(|&(top, _)| top <= ub) {
+                continue;
+            }
+            smallest.push((ub, c.mult.lb));
+            mass = mass.saturating_add(c.mult.lb);
+            while let Some(&(_, top_mass)) = smallest.peek() {
+                if mass - top_mass < k {
+                    break;
+                }
+                mass -= top_mass;
+                smallest.pop();
+            }
+        }
+        let Some(&(threshold, _)) = smallest.peek() else {
+            return;
+        };
+        let Some(reach) = corners()
+            .filter(|&(_, lb, _)| lb <= threshold)
+            .map(|(.., ub)| ub)
+            .max()
+        else {
+            return;
+        };
+        // A row's `O↓` reference comes first and decides for its other two.
+        let mut keep = false;
+        refs.retain(|&(prefix, id)| {
+            if id % 3 == LB as u32 {
+                keep = prefix <= reach;
+            }
+            keep
+        });
+    }
+
+    /// The `x`-th of 40 lead values of a table of kind `kind`, ascending:
+    /// four integers, so prefixes tie at the threshold; 40 integers;
+    /// strings, short and sharing their first eight key bytes; floats with
+    /// NaN; `NULL` beside numbers. Strings, NaN and the mixed lane take
+    /// [`PrefixReader`]'s encode path.
+    fn lead(kind: u8, x: u8) -> Value {
+        let pick = |values: &[Value]| values[usize::from(x) * values.len() / 40].clone();
+        let f = Value::Float;
+        match kind {
+            0 => Value::Int(i64::from(x / 10)),
+            1 => Value::Int(i64::from(x) * 7_919 - 50_000),
+            2 => pick(
+                &["", "a", "ab", "sensor-0001", "sensor-0002", "sensor-1", "z"].map(Value::str),
+            ),
+            3 => pick(
+                &[
+                    f64::NEG_INFINITY,
+                    -0.0,
+                    0.5,
+                    1.0,
+                    2.25,
+                    f64::INFINITY,
+                    f64::NAN,
+                ]
+                .map(f),
+            ),
+            _ => pick(&[Value::Null, Value::Int(1), f(1.5), Value::Int(2), f(3.5)]),
+        }
+    }
+
+    /// A table for [`band`]: a lead of one [`lead`] kind, ranged on a third
+    /// of the rows, and a small second attribute; annotations with `k↓ =
+    /// 0`, all-zero ones, and ones above the drawn `k`, which runs from 1
+    /// to past the row count. Returns the order, the lead first or the
+    /// second attribute first.
+    fn band_table() -> impl Strategy<Value = (AuColumns, u64, Vec<usize>)> {
+        let mult = prop_oneof![
+            Just(Mult3::ZERO),
+            Just(Mult3::new(0, 0, 1)),
+            Just(Mult3::new(0, 1, 1)),
+            Just(Mult3::ONE),
+            Just(Mult3::new(1, 2, 3)),
+            Just(Mult3::new(3, 3, 3)),
+            Just(Mult3::new(2, 4, 9)),
+            Just(Mult3::new(0, 2, 5)),
+        ];
+        let row = ((0u8..40, 0u8..6, 0u8..6, 0u8..3), (0u8..3, 0u8..2), mult);
+        let rows = proptest::collection::vec(row, 0..32);
+        let k = (0u64..1000, 0u8..2);
+        (0u8..5, rows, k, 0u8..2).prop_map(|(kind, rows, (k, small), by)| {
+            let k = 1 + k % [4, rows.len() as u64 + 3][usize::from(small)];
+            let rows = rows.into_iter().map(|((x, up, on, ranged), (d, e), mult)| {
+                let [lb, sg, ub] = [x, x + up, x + up + on].map(|x| lead(kind, x.min(39)));
+                let lead = match ranged {
+                    0 => RangeValue { lb, sg, ub },
+                    _ => RangeValue::certain(lb),
+                };
+                let second = RangeValue::new(i64::from(d), i64::from(d), i64::from(d + e));
+                (AuTuple::new([lead, second]), mult)
+            });
+            let rel = AuRelation::from_rows(Schema::new(["a", "b"]), rows);
+            (
+                rel.to_columns(),
+                k,
+                [vec![0], vec![1, 0]][usize::from(by)].clone(),
+            )
+        })
+    }
+
+    proptest! {
+        /// The band read off the lanes keeps exactly the rows the band on
+        /// encoded references kept, in stored order.
+        #[test]
+        fn lane_band_keeps_the_refs_bands_rows(table in band_table()) {
+            let (cols, k, order) = table;
+            let idxs = total_order(cols.arity(), &order);
+            let (cands, mut refs) = encode(&cols, 0..cols.len(), &idxs, Some(k));
+            band_of_refs(&cands, &mut refs, k);
+            let kept: Vec<usize> = (refs.iter())
+                .filter(|(_, id)| id % 3 == LB as u32)
+                .map(|&(_, id)| cands[id as usize / 3].row as usize)
+                .collect();
+            prop_assert_eq!(band(&cols, 0..cols.len(), &idxs, k), kept, "k = {}", k);
+        }
     }
 
     /// The key numbering at the edge of a `u32`, checked without a row
