@@ -1131,6 +1131,11 @@ const PRUNING_MIN_SPREAD: f64 = 10.0;
 /// rows"; linear in the table it would read 8).
 const APPEND_MAX_RATIO: f64 = 2.0;
 
+/// The `sort` cell's input in the row layout, bytes per row: a tuple's
+/// `Vec` and `Mult3` plus three 48-byte `RangeValue`s (264 with a 24-byte
+/// `Value`). A heap-byte count repeats exactly, so this gate cannot flap.
+const ROW_MAX_BYTES: f64 = 200.0;
+
 /// Every within-run gate, each written here and nowhere else.
 pub fn check(report: &Report) -> Vec<GateResult> {
     let gate_rows = "the 16 000-row cells";
@@ -1162,6 +1167,18 @@ pub fn check(report: &Report) -> Vec<GateResult> {
                     f.n, f.typed, f.columnar, f.row
                 );
                 (f.typed <= f.columnar && f.columnar <= f.row, shown)
+            }),
+        ),
+        gate(
+            "row-footprint",
+            format!("sort input: row ≤ {ROW_MAX_BYTES} B/row"),
+            false,
+            "a sort cell",
+            (report.footprints.iter().filter(|f| f.op == "sort")).map(|f| {
+                (
+                    f.row <= ROW_MAX_BYTES,
+                    format!("{} rows: {:.1}", f.n, f.row),
+                )
             }),
         ),
         pair_gate(
@@ -1368,14 +1385,16 @@ mod tests {
             batches_scanned: n.div_ceil(ZONE_ROWS) - batches_skipped,
         };
         Report {
-            footprints: vec![Footprint {
-                op: "sort_sel",
-                n: 16_000,
-                row: 264.0,
-                columnar: 96.0,
-                typed: 48.0,
-                phys: vec![PhysType::I64; 3],
-            }],
+            footprints: ["sort", "sort_sel"]
+                .map(|op| Footprint {
+                    op,
+                    n: 16_000,
+                    row: 192.0,
+                    columnar: 96.0,
+                    typed: 48.0,
+                    phys: vec![PhysType::I64; 3],
+                })
+                .into(),
             kernels: ["truth_batch", "eval_batch", "conjunction"]
                 .map(|kernel| (kernel, pair(0.08, 0.32)))
                 .into(),
@@ -1426,7 +1445,7 @@ mod tests {
     #[test]
     fn a_passing_report_passes_every_gate() {
         let gates = check(&passing());
-        assert_eq!(gates.len(), 12);
+        assert_eq!(gates.len(), 13);
         for g in &gates {
             assert_eq!(g.verdict, Verdict::Ok, "{g:?}");
         }
@@ -1471,7 +1490,12 @@ mod tests {
 
     #[test]
     fn footprint_gate_fails_alone() {
-        fails_alone("footprint", false, |r| r.footprints[0].typed = 100.0);
+        fails_alone("footprint", false, |r| r.footprints[1].typed = 100.0);
+    }
+
+    #[test]
+    fn row_footprint_gate_fails_alone() {
+        fails_alone("row-footprint", false, |r| r.footprints[0].row = 264.0);
     }
 
     #[test]
@@ -1567,6 +1591,19 @@ mod tests {
             ..Report::default()
         };
         assert_gate_holds(&report, "footprint");
+    }
+
+    /// The `sort` input's row layout, counted on a real table.
+    #[test]
+    fn sort_row_footprint_within_its_gate() {
+        let table = gen_sort_table(&SyntheticConfig::default().rows(500).seed(3));
+        let fp = footprint("sort", &table.to_au_relation().to_columns());
+        assert_eq!(fp.row, 192.0);
+        let report = Report {
+            footprints: vec![fp],
+            ..Report::default()
+        };
+        assert_gate_holds(&report, "row-footprint");
     }
 
     #[test]

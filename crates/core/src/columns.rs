@@ -831,7 +831,9 @@ impl fmt::Display for AuColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::StrPool;
     use audb_rel::Value;
+    use std::sync::Arc;
 
     fn rv(lb: i64, sg: i64, ub: i64) -> RangeValue {
         RangeValue::new(lb, sg, ub)
@@ -1082,5 +1084,53 @@ mod tests {
         assert_eq!(cols.col(0).phys_type(), PhysType::Str);
         assert!(cols.heap_bytes() < cols.to_generic().heap_bytes());
         assert_eq!(cols.to_rows().rows(), rel.rows());
+    }
+
+    /// A dictionary corner's codes and pool.
+    fn dict(col: &AuColumn, corner: Corner) -> (&[u32], &StrPool) {
+        match col.corner(corner) {
+            PhysSlice::Str { codes, pool } => (codes, pool),
+            other => panic!("a {} lane, not a dictionary", other.phys_type()),
+        }
+    }
+
+    #[test]
+    fn string_rows_share_the_pool_handles() {
+        let words = ["", "a\0b", "héllo ✓"];
+        let rel = AuRelation::from_rows(
+            Schema::new(["s", "t"]),
+            (0..30).map(|i| {
+                let s = RangeValue::new(Value::str(""), Value::str(words[i % 3]), Value::str("ö"));
+                let t = RangeValue::certain(Value::str(words[i % 3]));
+                (AuTuple::new([s, t]), Mult3::ONE)
+            }),
+        );
+        let cols = rel.to_columns();
+        let rows = cols.to_rows();
+        let again = rows.to_columns();
+        for c in 0..2 {
+            for corner in [Corner::Lb, Corner::Sg, Corner::Ub] {
+                let (codes, pool) = dict(cols.col(c), corner);
+                let (codes_again, pool_again) = dict(again.col(c), corner);
+                let distinct: std::collections::HashSet<&Value> = rel
+                    .rows()
+                    .iter()
+                    .map(|r| corner.of(r.tuple.get(c)))
+                    .collect();
+                assert_eq!(
+                    (pool.len(), pool_again.len()),
+                    (distinct.len(), distinct.len())
+                );
+                assert_eq!(codes, codes_again);
+                for (i, row) in rows.rows().iter().enumerate() {
+                    let Value::Str(s) = corner.of(row.tuple.get(c)) else {
+                        panic!("row {i} lost its string");
+                    };
+                    assert!(Arc::ptr_eq(s, pool.arc(codes[i])), "row {i}: a copy");
+                    assert!(Arc::ptr_eq(s, pool_again.arc(codes_again[i])));
+                    assert_eq!(pool.get(codes[i]), s.as_str());
+                }
+            }
+        }
     }
 }

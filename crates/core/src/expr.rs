@@ -652,7 +652,7 @@ impl<'a> Dict<'a> {
         }
     }
 
-    fn splat(n: usize, s: &Arc<str>) -> Dict<'a> {
+    fn splat(n: usize, s: &Arc<String>) -> Dict<'a> {
         let mut pool = StrPool::new();
         let code = pool.intern(s);
         Dict {
@@ -665,7 +665,7 @@ impl<'a> Dict<'a> {
         (&self.codes, &self.pool)
     }
 
-    fn arc(&self, k: usize) -> Arc<str> {
+    fn arc(&self, k: usize) -> Arc<String> {
         Arc::clone(self.pool.arc(self.codes[k]))
     }
 }

@@ -73,10 +73,17 @@ impl fmt::Display for PhysType {
 /// An interned string dictionary: every distinct string stored once, rows
 /// reference it by `u32` code. Codes are assigned in first-appearance
 /// order, so equal pools built from the same sequence are identical.
+///
+/// A read ([`StrPool::get`]: the prefix reader, the key encoder, the JSON
+/// writer) is one hop: the strings lie end to end in one arena, cut at
+/// `ends`. The handles are kept only to mint [`Value::Str`]s
+/// ([`StrPool::arc`]) that share the interned string instead of copying it.
 #[derive(Clone, Debug, Default)]
 pub struct StrPool {
-    strs: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    arena: String,
+    ends: Vec<usize>,
+    handles: Vec<Arc<String>>,
+    index: HashMap<Arc<String>, u32>,
 }
 
 impl StrPool {
@@ -87,48 +94,56 @@ impl StrPool {
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.strs.len()
+        self.ends.len()
     }
 
     /// True iff no string is interned.
     pub fn is_empty(&self) -> bool {
-        self.strs.is_empty()
+        self.ends.is_empty()
     }
 
     /// The code of `s`, interning it on first appearance.
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&c) = self.index.get(s.as_ref()) {
+    pub fn intern(&mut self, s: &Arc<String>) -> u32 {
+        if let Some(&c) = self.index.get(s) {
             return c;
         }
         // lint: allow(no-panic-hot-path) -- a >4B-string dictionary exceeds the u32 code space by design; overflow here is unrepresentable data, not a recoverable state
-        let c = u32::try_from(self.strs.len()).expect("string dictionary overflow");
-        self.strs.push(s.clone());
+        let c = u32::try_from(self.ends.len()).expect("string dictionary overflow");
+        self.arena.push_str(s);
+        self.ends.push(self.arena.len());
+        self.handles.push(s.clone());
         self.index.insert(s.clone(), c);
         c
     }
 
     /// The string behind `code`.
+    #[inline]
     pub fn get(&self, code: u32) -> &str {
-        &self.strs[code as usize]
+        let c = code as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.arena[start..self.ends[c]]
     }
 
-    /// The interned `Arc` behind `code` (clones are reference bumps).
-    pub fn arc(&self, code: u32) -> &Arc<str> {
-        &self.strs[code as usize]
+    /// The interned handle behind `code` (clones are reference bumps).
+    pub fn arc(&self, code: u32) -> &Arc<String> {
+        &self.handles[code as usize]
     }
 
-    /// Measured heap footprint: the string payloads (each distinct string
-    /// once), the `Arc` pointer table, and the intern index.
+    /// Measured heap footprint: the arena and its cuts, the handles (each
+    /// distinct string's allocation once, see [`str_heap_bytes`]) and the
+    /// intern index.
     pub fn heap_bytes(&self) -> usize {
-        self.strs.capacity() * std::mem::size_of::<Arc<str>>()
-            + self.strs.iter().map(|s| s.len()).sum::<usize>()
-            + self.index.capacity() * (std::mem::size_of::<(Arc<str>, u32)>() + 8)
+        self.arena.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.handles.capacity() * std::mem::size_of::<Arc<String>>()
+            + self.handles.iter().map(str_heap_bytes).sum::<usize>()
+            + self.index.capacity() * (std::mem::size_of::<(Arc<String>, u32)>() + 8)
     }
 }
 
 impl PartialEq for StrPool {
     fn eq(&self, other: &Self) -> bool {
-        self.strs == other.strs
+        self.ends == other.ends && self.arena == other.arena
     }
 }
 
@@ -556,9 +571,15 @@ impl PartialEq for PhysVec {
 /// Bytes a value owns outside its inline representation.
 pub(crate) fn value_heap_bytes(v: &Value) -> usize {
     match v {
-        Value::Str(s) => s.len(),
+        Value::Str(s) => str_heap_bytes(s),
         _ => 0,
     }
+}
+
+/// Bytes one string handle owns: the `Arc`'s allocation (its two counts
+/// and the `String`) and the `String`'s payload.
+fn str_heap_bytes(s: &Arc<String>) -> usize {
+    std::mem::size_of::<[usize; 2]>() + std::mem::size_of::<String>() + s.capacity()
 }
 
 /// A borrowed view of (a contiguous range of) one bound vector, in its
@@ -794,5 +815,23 @@ mod tests {
         assert!(ints.heap_bytes() < ints.to_generic().heap_bytes());
         let strs = PhysVec::from_values((0..100).map(|i| Value::str(["a", "b"][i % 2])).collect());
         assert!(strs.heap_bytes() < strs.to_generic().heap_bytes());
+    }
+
+    #[test]
+    fn a_string_handle_counts_its_header_and_payload() {
+        // "héllo": six bytes behind an `Arc` of two counts and a `String`.
+        let v = Value::str("héllo");
+        let header = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<String>();
+        assert_eq!(value_heap_bytes(&v), header + 6);
+        assert_eq!(value_heap_bytes(&Value::Int(7)), 0);
+        // A pool counts each distinct handle once, beside its arena copy.
+        let Value::Str(s) = &v else { unreachable!() };
+        let mut pool = StrPool::new();
+        pool.intern(s);
+        let once = pool.heap_bytes();
+        assert!(once >= header + 6 + 6);
+        pool.intern(&Arc::new("héllo".to_owned()));
+        assert_eq!((pool.len(), pool.heap_bytes()), (1, once));
+        assert_eq!(pool.get(0), "héllo");
     }
 }

@@ -25,6 +25,10 @@ pub struct RangeValue {
     pub ub: Value,
 }
 
+// Three 16-byte values. A field or a `Value` variant that regrows this
+// must say why here: the row form holds one per attribute per row.
+const _: () = assert!(std::mem::size_of::<RangeValue>() == 48);
+
 impl RangeValue {
     /// Build a range value, checking the ordering invariant.
     pub fn new(lb: impl Into<Value>, sg: impl Into<Value>, ub: impl Into<Value>) -> Self {

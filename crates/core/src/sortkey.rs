@@ -244,11 +244,13 @@ impl KeyArena {
 
 /// [`KeyArena::prefix`] of the keys [`KeyArena::push_corner_at`] would
 /// encode for the rows of `cols` at `corner` over `idxs`, read off the
-/// lanes — resolved once — without an arena or an allocation per key. A
-/// number leading the key decides it alone (tag and seven bytes of its
-/// double): an `i64` or non-NaN `f64` lead is read in closed form. Anything
-/// else is encoded until eight bytes are in; `NULL`, `Bool`, NaN and a
-/// short string leave room for the next value.
+/// lanes without an arena or an allocation per key. The corner lanes are
+/// looked up once, in `new`; [`PrefixReader::at`] still matches the lead
+/// lane's kind on every row (resolving it once per call is ROADMAP item
+/// 24). A number leading the key decides it alone (tag and seven bytes of
+/// its double): an `i64` or non-NaN `f64` lead is read in closed form.
+/// Anything else is encoded until eight bytes are in; `NULL`, `Bool`, NaN
+/// and a short string leave room for the next value.
 pub struct PrefixReader<'a>(Vec<PhysSlice<'a>>);
 
 impl<'a> PrefixReader<'a> {

@@ -26,7 +26,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A scalar database value.
+/// A scalar database value: 16 bytes, a tag beside an 8-byte payload.
+/// An AU-DB cell is three of them (`[lb, sg, ub]`), so the row form pays
+/// this size three times per attribute.
 #[derive(Clone, Debug)]
 pub enum Value {
     /// Absent / unknown value. Sorts before everything else.
@@ -39,14 +41,20 @@ pub enum Value {
     /// equal and greater than all other numbers) with cross-type numeric
     /// comparison against `Int`.
     Float(f64),
-    /// Interned string; clones are cheap reference bumps.
-    Str(Arc<str>),
+    /// Immutable string behind a thin handle (one pointer, where an
+    /// `Arc<str>` is two); clones are reference bumps, and a dictionary
+    /// lane hands out its pool's handle rather than a copy.
+    Str(Arc<String>),
 }
+
+// A variant that regrows `Value` past 16 bytes must say why here: every
+// row-form cell pays it three times.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Convenience constructor for strings.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().to_owned()))
     }
 
     /// True iff this is [`Value::Null`].
@@ -309,7 +317,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::str(v)
+        Value::Str(Arc::new(v))
     }
 }
 
