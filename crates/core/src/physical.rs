@@ -130,7 +130,7 @@ impl StrPool {
     }
 
     /// Measured heap footprint: the arena and its cuts, the handles (each
-    /// distinct string's allocation once, see [`str_heap_bytes`]) and the
+    /// distinct string's `Arc` header and payload once) and the
     /// intern index.
     pub fn heap_bytes(&self) -> usize {
         self.arena.capacity()
