@@ -806,6 +806,12 @@ const SCALING: [Scaling; 4] = [
 /// Runs of a far scaling cell; the median is printed.
 const FAR_RUNS: usize = 3;
 
+/// Free one block under glibc's 32 MiB cap on the thresholds it raises to
+/// the largest block freed so far: no pair reads its tables' garbage (DESIGN §7).
+fn settle_heap() {
+    std::hint::black_box(vec![0u8; 24 << 20]);
+}
+
 /// Read one [`Scaling`] shape and print its cells, each partitionless
 /// window's with the size of the possible-member pool where a window
 /// closes (mean, maximum). The far cell runs only while the pair is within
@@ -823,6 +829,7 @@ fn read_scaling(s: &Scaling, cfg: &BenchConfig) -> Pair {
         }
         println!("{line}");
     };
+    settle_heap();
     let [a, b] = s.rows.map(prepare);
     let pair = Pair::time(
         pairs(cfg, false),
@@ -1131,9 +1138,8 @@ const PRUNING_MIN_SPREAD: f64 = 10.0;
 /// rows"; linear in the table it would read 8).
 const APPEND_MAX_RATIO: f64 = 2.0;
 
-/// The `sort` cell's input in the row layout, bytes per row: a tuple's
-/// `Vec` and `Mult3` plus three 48-byte `RangeValue`s (264 with a 24-byte
-/// `Value`). A heap-byte count repeats exactly, so this gate cannot flap.
+/// The `sort` cell's row layout, bytes per row: a tuple's `Vec` and `Mult3`
+/// and three 48-byte `RangeValue`s (264 with a 24-byte `Value`); exact.
 const ROW_MAX_BYTES: f64 = 200.0;
 
 /// Every within-run gate, each written here and nowhere else.

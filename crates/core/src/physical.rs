@@ -70,14 +70,10 @@ impl fmt::Display for PhysType {
     }
 }
 
-/// An interned string dictionary: every distinct string stored once, rows
-/// reference it by `u32` code. Codes are assigned in first-appearance
-/// order, so equal pools built from the same sequence are identical.
-///
-/// A read ([`StrPool::get`]: the prefix reader, the key encoder, the JSON
-/// writer) is one hop: the strings lie end to end in one arena, cut at
-/// `ends`. The handles are kept only to mint [`Value::Str`]s
-/// ([`StrPool::arc`]) that share the interned string instead of copying it.
+/// An interned string dictionary: each distinct string once, rows hold its
+/// `u32` code in first-appearance order (equal sequences, equal pools). A
+/// read ([`StrPool::get`], [`StrPool::bytes`]) is one hop into one arena cut
+/// at `ends`; the handles ([`StrPool::arc`], a second copy) mint [`Value::Str`]s.
 #[derive(Clone, Debug, Default)]
 pub struct StrPool {
     arena: String,
@@ -122,6 +118,14 @@ impl StrPool {
         let c = code as usize;
         let start = if c == 0 { 0 } else { self.ends[c - 1] };
         &self.arena[start..self.ends[c]]
+    }
+
+    /// The bytes of [`StrPool::get`], without a `str` slice's boundary checks.
+    #[inline]
+    pub fn bytes(&self, code: u32) -> &[u8] {
+        let c = code as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.arena.as_bytes()[start..self.ends[c]]
     }
 
     /// The interned handle behind `code` (clones are reference bumps).
@@ -576,8 +580,7 @@ pub(crate) fn value_heap_bytes(v: &Value) -> usize {
     }
 }
 
-/// Bytes one string handle owns: the `Arc`'s allocation (its two counts
-/// and the `String`) and the `String`'s payload.
+/// Bytes one string handle owns: its `Arc` block (counts, `String`), payload.
 fn str_heap_bytes(s: &Arc<String>) -> usize {
     std::mem::size_of::<[usize; 2]>() + std::mem::size_of::<String>() + s.capacity()
 }
@@ -833,5 +836,6 @@ mod tests {
         pool.intern(&Arc::new("héllo".to_owned()));
         assert_eq!((pool.len(), pool.heap_bytes()), (1, once));
         assert_eq!(pool.get(0), "héllo");
+        assert_eq!(pool.bytes(0), "héllo".as_bytes());
     }
 }

@@ -25,8 +25,7 @@ pub struct RangeValue {
     pub ub: Value,
 }
 
-// Three 16-byte values. A field or a `Value` variant that regrows this
-// must say why here: the row form holds one per attribute per row.
+// A field or `Value` variant that regrows this must say why: one per cell.
 const _: () = assert!(std::mem::size_of::<RangeValue>() == 48);
 
 impl RangeValue {

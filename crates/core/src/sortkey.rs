@@ -421,7 +421,7 @@ fn encode_value(v: &Value, out: &mut impl Sink) {
         Value::Bool(true) => out.put(&[TAG_TRUE]),
         Value::Int(i) => encode_i64(*i, out),
         Value::Float(f) => encode_f64(*f, out),
-        Value::Str(s) => encode_str(s, out),
+        Value::Str(s) => encode_str(s.as_bytes(), out),
     }
 }
 
@@ -432,7 +432,7 @@ fn encode_at(slice: PhysSlice<'_>, row: usize, out: &mut impl Sink) {
     match slice {
         PhysSlice::I64(lane) => encode_i64(lane[row], out),
         PhysSlice::F64(lane) => encode_f64(lane[row], out),
-        PhysSlice::Str { codes, pool } => encode_str(pool.get(codes[row]), out),
+        PhysSlice::Str { codes, pool } => encode_str(pool.bytes(codes[row]), out),
         PhysSlice::Generic(vals) => encode_value(&vals[row], out),
     }
 }
@@ -463,9 +463,8 @@ fn encode_f64(f: f64, out: &mut impl Sink) {
 /// first `room` bytes of the string — a key's head reads eight, not the
 /// whole string.
 #[inline]
-fn encode_str(s: &str, out: &mut impl Sink) {
+fn encode_str(bytes: &[u8], out: &mut impl Sink) {
     out.put(&[TAG_STR]);
-    let bytes = s.as_bytes();
     let read = &bytes[..bytes.len().min(out.room())];
     for (k, run) in read.split(|&b| b == 0).enumerate() {
         if k > 0 {
@@ -495,7 +494,7 @@ fn encode_slice(slice: PhysSlice<'_>, bufs: &mut [Vec<u8>]) {
             let encoded: Vec<Vec<u8>> = (0..pool.len())
                 .map(|c| {
                     let mut b = Vec::new();
-                    encode_str(pool.get(c as u32), &mut b);
+                    encode_str(pool.bytes(c as u32), &mut b);
                     b
                 })
                 .collect();

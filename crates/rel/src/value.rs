@@ -26,9 +26,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A scalar database value: 16 bytes, a tag beside an 8-byte payload.
-/// An AU-DB cell is three of them (`[lb, sg, ub]`), so the row form pays
-/// this size three times per attribute.
+/// A scalar database value: 16 bytes, a tag beside an 8-byte payload, paid
+/// three times per attribute in the row form (a cell is `[lb, sg, ub]`).
 #[derive(Clone, Debug)]
 pub enum Value {
     /// Absent / unknown value. Sorts before everything else.
@@ -43,12 +42,12 @@ pub enum Value {
     Float(f64),
     /// Immutable string behind a thin handle (one pointer, where an
     /// `Arc<str>` is two); clones are reference bumps, and a dictionary
-    /// lane hands out its pool's handle rather than a copy.
+    /// lane hands out its pool's handle rather than a copy. A new one
+    /// costs two allocations (`Arc` block, `String` buffer), `Arc<str>` one.
     Str(Arc<String>),
 }
 
-// A variant that regrows `Value` past 16 bytes must say why here: every
-// row-form cell pays it three times.
+// A variant that regrows this must say why: each row-form cell pays it thrice.
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
@@ -316,7 +315,8 @@ impl From<&str> for Value {
     }
 }
 impl From<String> for Value {
-    fn from(v: String) -> Self {
+    fn from(mut v: String) -> Self {
+        v.shrink_to_fit(); // the handle keeps the buffer for good
         Value::Str(Arc::new(v))
     }
 }
@@ -330,6 +330,16 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    #[test]
+    fn a_string_handle_keeps_no_spare_capacity() {
+        let mut s = String::with_capacity(64);
+        s.push_str("héllo");
+        let Value::Str(h) = Value::from(s) else {
+            panic!("not a string");
+        };
+        assert_eq!((h.as_str(), h.capacity()), ("héllo", 6));
     }
 
     #[test]
